@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: test race lint fault chaos chaos-soak fuzz-smoke smoke shard-smoke bench bench-regress bench-baseline
+.PHONY: test race lint fault chaos chaos-soak fuzz-smoke smoke shard-smoke perf-smoke bench bench-regress bench-baseline
 
 test:
 	$(GO) vet ./...
@@ -65,6 +65,17 @@ smoke:
 # SIGTERM (docs/sharding.md).
 shard-smoke:
 	./scripts/smoke_shards.sh
+
+# Build-and-correctness smoke of the repo benchmark (BENCHMARK.json)
+# against the two served paths: a short run of each must end in a JSON
+# line reporting a correct run with zero failed operations. No timing
+# gate.
+perf-smoke:
+	@for w in shard3_window_full serve_topk_cold; do \
+		out=$$(bash bench/mcsperf/run.sh --workload $$w --seed 7 --seconds 2 --trace 0 | tail -n 1) || exit 1; \
+		echo "$$w: $$out"; \
+		case "$$out" in *'"correct":true'*'"failed":0,'*) ;; *) echo "perf-smoke: $$w did not finish correct with failed:0" >&2; exit 1;; esac; \
+	done
 
 # Human-readable worker-scaling numbers for the fixed 1M-row workload.
 bench:

@@ -46,15 +46,29 @@ func (b *breaker) allow() error {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if !b.tripped {
-		return nil
+	if b.refusingLocked() {
+		return ErrBreakerOpen
 	}
-	if time.Since(b.trippedAt) >= b.cooldown && !b.probing {
+	if b.tripped {
 		b.probing = true
 		obsBreakerState.Set(int64(brHalfOpen))
-		return nil
 	}
-	return ErrBreakerOpen
+	return nil
+}
+
+// refusingLocked reports whether a call arriving now fails fast:
+// tripped, and either still cooling down or waiting on the half-open
+// probe another caller holds.
+func (b *breaker) refusingLocked() bool {
+	return b.tripped && (b.probing || time.Since(b.trippedAt) < b.cooldown)
+}
+
+// refusing is the read-only view of allow: it never claims the probe
+// slot.
+func (b *breaker) refusing() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.refusingLocked()
 }
 
 // recordSuccess closes the breaker and resets the failure run.

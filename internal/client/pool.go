@@ -2,6 +2,7 @@ package client
 
 import (
 	"hash/fnv"
+	"sort"
 	"sync"
 
 	"repro/internal/chaos"
@@ -62,6 +63,23 @@ func (p *Pool) Endpoints() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return len(p.clients)
+}
+
+// OpenBreakers returns, sorted, the endpoints whose breaker is refusing
+// calls right now — the coordinator's readiness signal. An endpoint
+// whose cooldown has elapsed is not listed: the next query to it is the
+// half-open probe, so traffic has to keep coming for it to recover.
+func (p *Pool) OpenBreakers() []string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var open []string
+	for addr, c := range p.clients {
+		if c.br.refusing() {
+			open = append(open, addr)
+		}
+	}
+	sort.Strings(open)
+	return open
 }
 
 // mixSeed folds the endpoint address into the pool seed. FNV-1a keeps

@@ -1,4 +1,5 @@
-// Wire surface of mcsd: HTTP/JSON on the stdlib mux.
+// Wire surface of mcsd — single node and coordinator alike, served by
+// the Front: HTTP/JSON on the stdlib mux.
 //
 //	POST /query            submit a query; returns {"job_id": "..."}
 //	GET  /jobs/{id}        poll a job's status
@@ -6,7 +7,9 @@
 //	GET  /tables           list registered tables
 //	GET  /metrics          obs snapshot as JSON (plan cache, admission,
 //	                       pipeline counters)
-//	GET  /healthz          liveness probe
+//	GET  /healthz          health probe (503 while draining)
+//	GET  /livez            pure liveness
+//	GET  /readyz           readiness (503 while draining or degraded)
 //
 // The request decoder is strict — unknown fields, absurd column lists,
 // and negative workers/budgets are rejected with a 400 before any
@@ -348,17 +351,18 @@ func (r *QueryRequest) ToEngineQuery() (engine.Query, error) {
 	return q, nil
 }
 
-// Handler returns the server's HTTP mux.
-func (s *Server) Handler() http.Handler {
+// Handler returns the front's HTTP mux: the one wire surface of both
+// daemons (a client cannot tell a coordinator from a single mcsd).
+func (f *Front) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /query", s.handleSubmit)
-	mux.HandleFunc("GET /jobs/{id}", s.handleStatus)
-	mux.HandleFunc("GET /jobs/{id}/result", s.handleResult)
-	mux.HandleFunc("GET /tables", s.handleTables)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /livez", s.handleLivez)
-	mux.HandleFunc("GET /readyz", s.handleReadyz)
+	mux.HandleFunc("POST /query", f.handleSubmit)
+	mux.HandleFunc("GET /jobs/{id}", f.handleStatus)
+	mux.HandleFunc("GET /jobs/{id}/result", f.handleResult)
+	mux.HandleFunc("GET /tables", f.handleTables)
+	mux.HandleFunc("GET /metrics", f.handleMetrics)
+	mux.HandleFunc("GET /healthz", f.handleHealthz)
+	mux.HandleFunc("GET /livez", f.handleLivez)
+	mux.HandleFunc("GET /readyz", f.handleReadyz)
 	return mux
 }
 
@@ -366,48 +370,48 @@ func (s *Server) Handler() http.Handler {
 // no business being larger.
 const maxRequestBytes = 1 << 20
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+func (f *Front) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := readBody(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, f.b.Classify, err)
 		return
 	}
 	req, err := ParseQueryRequest(body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, f.b.Classify, err)
 		return
 	}
-	id, err := s.Submit(*req)
+	id, err := f.Submit(*req)
 	if err != nil {
-		writeError(w, statusFor(err), err)
+		writeError(w, f.b.Classify, err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, map[string]string{"job_id": id})
 }
 
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	st, err := s.Status(r.PathValue("id"))
+func (f *Front) handleStatus(w http.ResponseWriter, r *http.Request) {
+	st, err := f.Status(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		writeError(w, f.b.Classify, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, st)
 }
 
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	res, err := s.Result(r.PathValue("id"))
+func (f *Front) handleResult(w http.ResponseWriter, r *http.Request) {
+	res, err := f.Result(r.PathValue("id"))
 	if err != nil {
-		writeError(w, statusFor(err), err)
+		writeError(w, f.b.Classify, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, res)
 }
 
-func (s *Server) handleTables(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string][]string{"tables": s.cfg.Registry.Names()})
+func (f *Front) handleTables(w http.ResponseWriter, _ *http.Request) {
+	writeJSON(w, http.StatusOK, map[string][]string{"tables": f.b.Registry.Names()})
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+func (f *Front) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	if err := obs.WriteJSON(w); err != nil {
 		// Headers are gone; nothing more to do than drop the conn.
@@ -415,50 +419,41 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
+func (f *Front) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+	if f.isClosed() {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	body := map[string]string{"status": "ok"}
+	for k, v := range f.b.Health {
+		body[k] = v
+	}
+	writeJSON(w, http.StatusOK, body)
 }
 
 // handleLivez is pure liveness: the process is up and serving HTTP.
 // It stays 200 through drains and degradation — restarts are for dead
 // processes, and a draining server is finishing real work.
-func (s *Server) handleLivez(w http.ResponseWriter, _ *http.Request) {
+func (f *Front) handleLivez(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "alive"})
 }
 
-// handleReadyz reports whether this server should receive new traffic,
-// with the degraded states the chaos battery drives it through: a
-// drain in progress, the contained-panic breaker open, or the
-// admission queue saturated. The breaker's half-open state counts as
-// ready — readiness is advisory and the server kept executing queries
-// the whole time; one panic-free query closes it, one more panic
-// re-opens it.
-func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	queued := s.adm.queued()
-	br := s.breaker.state()
-	body := map[string]any{
-		"breaker": br.String(),
-		"queued":  queued,
+// handleReadyz reports whether this daemon should receive new traffic:
+// 503 while a drain is in progress or the Backend's readiness probe
+// names a degradation (the single node's open panic breaker or
+// saturated admission queue, the coordinator's open shard breakers),
+// with the probe's detail fields in the body either way.
+func (f *Front) handleReadyz(w http.ResponseWriter, _ *http.Request) {
+	body, degraded := f.b.Ready()
+	if body == nil {
+		body = make(map[string]any)
 	}
 	switch {
-	case closed:
+	case f.isClosed():
 		body["status"] = "draining"
-	case br == breakerOpen:
+	case degraded != "":
 		body["status"] = "degraded"
-		body["reason"] = "breaker open: repeated contained panics"
-	case s.cfg.MaxQueued > 0 && queued > s.cfg.MaxQueued:
-		body["status"] = "degraded"
-		body["reason"] = "admission queue saturated"
+		body["reason"] = degraded
 	default:
 		body["status"] = "ready"
 		writeJSON(w, http.StatusOK, body)
@@ -515,16 +510,17 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // writeError emits the error body with its machine-readable class and
-// retryability, plus a Retry-After hint on the load-induced statuses
-// (the admission queue and the byte budget clear on the next release,
-// so "soon" is honest).
-func writeError(w http.ResponseWriter, status int, err error) {
+// retryability as classify sees them, plus a Retry-After hint on the
+// load-induced statuses (the admission queue and the byte budget clear
+// on the next release, so "soon" is honest).
+func writeError(w http.ResponseWriter, classify func(error) (string, bool, int), err error) {
+	kind, retryable, status := classify(err)
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", "1")
 	}
 	writeJSON(w, status, map[string]any{
 		"error":     err.Error(),
-		"kind":      errorKind(err),
-		"retryable": pipeerr.Retryable(err),
+		"kind":      kind,
+		"retryable": retryable,
 	})
 }

@@ -92,75 +92,6 @@ func TestParseQueryRequestAccepts(t *testing.T) {
 	}
 }
 
-func TestHTTPStatusCodes(t *testing.T) {
-	defer testutil.CheckNoLeaks(t)()
-	tbl := testTPCH(t, 1000)
-	srv := newTestServer(t, Config{MaxConcurrent: 2}, tbl)
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
-
-	get := func(path string) *http.Response {
-		t.Helper()
-		resp, err := http.Get(hs.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp
-	}
-	post := func(body string) *http.Response {
-		t.Helper()
-		resp, err := http.Post(hs.URL+"/query", "application/json", bytes.NewReader([]byte(body)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp
-	}
-
-	if resp := get("/healthz"); resp.StatusCode != http.StatusOK {
-		t.Errorf("healthz = %d, want 200", resp.StatusCode)
-	}
-	if resp := get("/tables"); resp.StatusCode != http.StatusOK {
-		t.Errorf("tables = %d, want 200", resp.StatusCode)
-	}
-	if resp := get("/metrics"); resp.StatusCode != http.StatusOK {
-		t.Errorf("metrics = %d, want 200", resp.StatusCode)
-	}
-	if resp := get("/jobs/j999"); resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown job status = %d, want 404", resp.StatusCode)
-	}
-	if resp := get("/jobs/j999/result"); resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown job result = %d, want 404", resp.StatusCode)
-	}
-	if resp := post(`{"bad json`); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed submit = %d, want 400", resp.StatusCode)
-	}
-	if resp := post(`{"table":"t","kind":"sortby","sort_cols":[{"name":"a"}]}`); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("invalid submit = %d, want 400", resp.StatusCode)
-	}
-
-	// A valid submit against a missing table is accepted (202) and the
-	// job fails asynchronously with an internal kind.
-	if _, err := doQuery(hs.URL, QueryRequest{
-		Table: "no_such_table", Kind: "orderby",
-		SortCols: []SortColReq{{Name: "a"}},
-	}); err == nil {
-		t.Error("query against unknown table succeeded")
-	}
-
-	// Drain: healthz flips to 503, submissions are refused with 503.
-	if err := srv.Shutdown(context.Background()); err != nil {
-		t.Fatalf("shutdown: %v", err)
-	}
-	if resp := get("/healthz"); resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("healthz after drain = %d, want 503", resp.StatusCode)
-	}
-	if resp := post(`{"table":"tpch_wide","kind":"orderby","sort_cols":[{"name":"l_returnflag"}]}`); resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("submit after drain = %d, want 503", resp.StatusCode)
-	}
-}
-
 // TestServerMetricsSmoke is the in-process twin of scripts/smoke_mcsd.sh:
 // two identical queries, the second a plan-cache hit, visible on
 // /metrics.

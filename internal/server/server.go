@@ -1,9 +1,10 @@
-// Server core: the session/job layer of mcsd. Submit registers a query
-// as an asynchronous job and schedules it under the base context;
-// Status and Result poll it; Run is the synchronous form the handlers
-// and tests share. Every job flows through exactly one
-// engine.RunContext call, with the plan cache deciding whether the
-// ROGA search runs or a memoized choice is replayed via PlanOverride.
+// Server core: the single-node Backend of the job front (front.go).
+// The Front owns the job table, watchdog and HTTP mux; this file
+// supplies what a single mcsd does with a query — admission, the plan
+// cache deciding whether the ROGA search runs or a memoized choice is
+// replayed via PlanOverride, and exactly one engine.RunContext call —
+// plus the server's failure taxonomy and its readiness probe (the
+// contained-panic breaker and the admission queue depth).
 package server
 
 import (
@@ -11,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/costmodel"
@@ -94,66 +94,14 @@ type Config struct {
 	MaxQueued int
 }
 
-// Server is a concurrent query service over registered tables.
+// Server is a concurrent query service over registered tables: a Front
+// whose Backend executes on the local engine.
 type Server struct {
+	*Front
 	cfg     Config
 	cache   *PlanCache
 	adm     *admission
 	breaker *panicBreaker
-
-	baseCtx    context.Context
-	baseCancel context.CancelFunc
-
-	wg sync.WaitGroup // running jobs
-
-	mu     sync.Mutex
-	jobs   map[string]*job
-	nextID int
-	closed bool
-}
-
-// JobState is the lifecycle of one submitted query.
-type JobState string
-
-const (
-	// JobQueued: accepted, not yet executing (possibly waiting for
-	// admission).
-	JobQueued JobState = "queued"
-	// JobRunning: admitted and executing.
-	JobRunning JobState = "running"
-	// JobDone: finished successfully; the result is available.
-	JobDone JobState = "done"
-	// JobFailed: finished with an error.
-	JobFailed JobState = "failed"
-)
-
-// job is one submitted query and its terminal state.
-type job struct {
-	id  string
-	req QueryRequest
-
-	mu     sync.Mutex
-	state  JobState
-	res    *QueryResult
-	err    error
-	doneCh chan struct{}
-}
-
-// JobStatus is the pollable view of a job.
-type JobStatus struct {
-	ID    string   `json:"id"`
-	State JobState `json:"state"`
-	// Error is the failure message (JobFailed only), with Kind its
-	// machine-readable class: "queue_timeout", "execution_timeout",
-	// "budget", "watchdog", "pipeline", "shutdown", "invalid", or
-	// "internal".
-	Error string `json:"error,omitempty"`
-	Kind  string `json:"kind,omitempty"`
-	// Retryable reports whether re-submitting the identical query may
-	// succeed (pipeerr.Retryable's verdict): true for queue timeouts,
-	// budget refusals, watchdog kills, and contained pipeline faults;
-	// false for validation failures and the caller's own cancellation.
-	Retryable bool `json:"retryable,omitempty"`
 }
 
 // New validates cfg and returns a ready server.
@@ -173,238 +121,76 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxPlans <= 0 {
 		cfg.MaxPlans = DefaultMaxPlans
 	}
-	if cfg.WatchdogMult > 0 && cfg.WatchdogFloor <= 0 {
-		cfg.WatchdogFloor = 2 * time.Second
-	}
 	if cfg.MaxQueued == 0 {
 		cfg.MaxQueued = 8 * cfg.MaxConcurrent
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	return &Server{
-		cfg:        cfg,
-		cache:      NewPlanCache(cfg.PlanCacheSize, cfg.Model),
-		adm:        newAdmission(cfg.MaxConcurrent, cfg.MaxBytes),
-		breaker:    newPanicBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
-		baseCtx:    ctx,
-		baseCancel: cancel,
-		jobs:       make(map[string]*job),
-	}, nil
+	s := &Server{
+		cfg:     cfg,
+		cache:   NewPlanCache(cfg.PlanCacheSize, cfg.Model),
+		adm:     newAdmission(cfg.MaxConcurrent, cfg.MaxBytes),
+		breaker: newPanicBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
+	}
+	s.Front = NewFront(Backend{
+		Registry:        cfg.Registry,
+		Execute:         s.execute,
+		Classify:        Classify,
+		Ready:           s.ready,
+		OnClose:         s.adm.close,
+		Queries:         obsServerQueries,
+		Errors:          obsServerErrors,
+		ContainedPanics: obsContainedPanics,
+		WatchdogMult:    cfg.WatchdogMult,
+		WatchdogFloor:   cfg.WatchdogFloor,
+	})
+	return s, nil
 }
 
 // PlanCache exposes the server's plan cache (tests and /metrics-side
 // introspection).
 func (s *Server) PlanCache() *PlanCache { return s.cache }
 
-// Submit registers req as an asynchronous job and schedules it on the
-// server's base context (plus the request's own timeout, if any). It
-// returns the job id to poll.
-func (s *Server) Submit(req QueryRequest) (string, error) {
-	if err := req.Validate(); err != nil {
-		return "", err
+// ready is the single node's readiness probe: degraded while the
+// contained-panic breaker is open or the admission queue is saturated.
+// The breaker's half-open state counts as ready — readiness is advisory
+// and the server kept executing queries the whole time; one panic-free
+// query closes it, one more panic re-opens it.
+func (s *Server) ready() (map[string]any, string) {
+	queued := s.adm.queued()
+	br := s.breaker.state()
+	detail := map[string]any{"breaker": br.String(), "queued": queued}
+	switch {
+	case br == breakerOpen:
+		return detail, "breaker open: repeated contained panics"
+	case s.cfg.MaxQueued > 0 && queued > s.cfg.MaxQueued:
+		return detail, "admission queue saturated"
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return "", ErrShuttingDown
-	}
-	s.nextID++
-	j := &job{
-		id:     fmt.Sprintf("j%d", s.nextID),
-		req:    req,
-		state:  JobQueued,
-		doneCh: make(chan struct{}),
-	}
-	s.jobs[j.id] = j
-	s.wg.Add(1)
-	s.mu.Unlock()
-
-	// Containment of last resort: s.run recovers pipeline panics
-	// itself, so reaching the onPanic path means the job bookkeeping
-	// panicked. Record the failure so waiters unblock instead of
-	// hanging on a job that will never settle.
-	pipeerr.Spawn(pipeerr.StageServe, func(pe *pipeerr.PipelineError) {
-		j.mu.Lock()
-		settled := j.state == JobDone || j.state == JobFailed
-		if !settled {
-			j.state, j.err = JobFailed, pe
-		}
-		j.mu.Unlock()
-		if !settled {
-			close(j.doneCh)
-		}
-	}, func() {
-		defer s.wg.Done()
-		ctx := s.baseCtx
-		var cancel context.CancelFunc
-		if req.TimeoutMS > 0 {
-			ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
-			defer cancel()
-		}
-		res, err := s.run(ctx, j, req)
-		j.mu.Lock()
-		if err != nil {
-			j.state, j.err = JobFailed, err
-		} else {
-			j.state, j.res = JobDone, res
-		}
-		j.mu.Unlock()
-		close(j.doneCh)
-	})
-	return j.id, nil
+	return detail, ""
 }
 
-// Status returns the job's current state.
-func (s *Server) Status(id string) (JobStatus, error) {
-	j, err := s.job(id)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	st := JobStatus{ID: j.id, State: j.state}
-	if j.err != nil {
-		st.Error = j.err.Error()
-		st.Kind = errorKind(j.err)
-		st.Retryable = pipeerr.Retryable(j.err)
-	}
-	return st, nil
-}
-
-// Result returns the finished job's result, or an error when the job
-// failed or has not finished yet.
-func (s *Server) Result(id string) (*QueryResult, error) {
-	j, err := s.job(id)
-	if err != nil {
-		return nil, err
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	switch j.state {
-	case JobDone:
-		return j.res, nil
-	case JobFailed:
-		return nil, j.err
-	default:
-		return nil, fmt.Errorf("%w: job %s is %s", errNotFinished, id, j.state)
-	}
-}
-
-// Wait blocks until the job reaches a terminal state or ctx ends, then
-// returns its result as Result would.
-func (s *Server) Wait(ctx context.Context, id string) (*QueryResult, error) {
-	j, err := s.job(id)
-	if err != nil {
-		return nil, err
-	}
-	select {
-	case <-j.doneCh:
-		return s.Result(id)
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// Run executes req synchronously on the caller's context: the same
-// admission, plan-cache, and engine path Submit's jobs take.
-func (s *Server) Run(ctx context.Context, req QueryRequest) (*QueryResult, error) {
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, ErrShuttingDown
-	}
-	s.wg.Add(1)
-	s.mu.Unlock()
-	defer s.wg.Done()
-	return s.run(ctx, nil, req)
-}
-
-// Shutdown drains the server: new submissions are refused and queued
-// waiters fail with ErrShuttingDown, running queries get until ctx
-// ends to finish, then the base context is cancelled so stragglers
-// unwind through the pipeline's cooperative cancellation. It returns
-// nil when the drain completed cleanly and ctx.Err() when stragglers
-// had to be cancelled (they still complete before Shutdown returns —
-// no goroutine outlives it).
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
-	s.adm.close()
-
-	done := make(chan struct{})
-	pipeerr.Spawn(pipeerr.StageServe, nil, func() {
-		defer close(done)
-		s.wg.Wait()
-	})
-	select {
-	case <-done:
-		s.baseCancel()
-		return nil
-	case <-ctx.Done():
-		s.baseCancel()
-		<-done
-		return ctx.Err()
-	}
-}
-
-// errNoJob is wrapped by lookups of unknown job ids (wire: 404).
-var errNoJob = errors.New("server: no such job")
-
-// errNotFinished is wrapped when a result is fetched before the job
-// reached a terminal state (wire: 409).
-var errNotFinished = errors.New("server: job not finished")
-
-// job looks up a submitted job by id.
-func (s *Server) job(id string) (*job, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j := s.jobs[id]
-	if j == nil {
-		return nil, fmt.Errorf("%w: %q", errNoJob, id)
-	}
-	return j, nil
-}
-
-// run is the one execution path: resolve the table, consult the plan
-// cache, pass admission, and call engine.RunContext. It is also the
-// serve layer's containment boundary: the pipeline's sequential paths
-// execute on this goroutine (the job goroutine, or the caller's for
-// Run), where no worker Group can recover a panic — every such fire
-// point runs with no live workers (docs/robustness.md), so recovering
-// here leaks nothing and turns a would-be process crash into a typed,
-// retryable job failure.
-func (s *Server) run(ctx context.Context, j *job, req QueryRequest) (res *QueryResult, err error) {
-	obsServerQueries.Inc()
+// execute is the Front's executor: resolve the table, consult the plan
+// cache, pass admission, and call engine.RunContext. Every outcome
+// feeds the readiness breaker: a contained worker panic surfaces as
+// *PipelineError and a serve-layer panic unwinds through here to the
+// Front's recover, and both count; other failures (cancellations,
+// refusals) are not health signals and leave the consecutive-panic
+// count alone.
+func (s *Server) execute(ctx context.Context, jobID string, req QueryRequest, markRunning func(), extendWatchdog func(float64)) (res *QueryResult, err error) {
+	panicked := true
 	defer func() {
-		if v := recover(); v != nil {
-			obsContainedPanics.Inc()
-			obsServerErrors.Inc()
+		var pe *pipeerr.PipelineError
+		switch {
+		case panicked || errors.As(err, &pe):
 			s.breaker.recordPanic()
-			res = nil
-			err = &pipeerr.PipelineError{Stage: pipeerr.StageServe, Round: -1, Worker: -1, Err: pipeerr.AsError(v)}
+		case err == nil:
+			s.breaker.recordSuccess()
 		}
 	}()
-	res, err = s.execute(ctx, j, req)
-	if err != nil {
-		obsServerErrors.Inc()
-		// A contained worker panic surfaces as *PipelineError; it counts
-		// against the readiness breaker like a serve-layer one. Other
-		// failures (cancellations, refusals) are not health signals and
-		// leave the consecutive-panic count alone.
-		var pe *pipeerr.PipelineError
-		if errors.As(err, &pe) {
-			s.breaker.recordPanic()
-		}
-		return nil, pipeerr.NoteCancel(err)
-	}
-	s.breaker.recordSuccess()
-	return res, nil
+	res, err = s.runEngine(ctx, jobID, req, markRunning, extendWatchdog)
+	panicked = false
+	return res, err
 }
 
-func (s *Server) execute(ctx context.Context, j *job, req QueryRequest) (*QueryResult, error) {
+func (s *Server) runEngine(ctx context.Context, jobID string, req QueryRequest, markRunning func(), extendWatchdog func(float64)) (*QueryResult, error) {
 	t, err := s.cfg.Registry.Lookup(req.Table)
 	if err != nil {
 		// An unknown table is the caller's mistake, not a server fault:
@@ -452,11 +238,7 @@ func (s *Server) execute(ctx context.Context, j *job, req QueryRequest) (*QueryR
 		return nil, err
 	}
 	defer release()
-	if j != nil {
-		j.mu.Lock()
-		j.state = JobRunning
-		j.mu.Unlock()
-	}
+	markRunning()
 
 	// LIMIT 0 queries never run a plan search (the engine returns the
 	// empty result straight after the filter), so they neither consult
@@ -477,6 +259,9 @@ func (s *Server) execute(ctx context.Context, j *job, req QueryRequest) (*QueryR
 		Workers:   workers,
 		MaxBytes:  maxQueryBytes(req.MaxBytes, s.cfg.MaxBytes, est),
 		Offset:    req.Offset,
+		// The plan is fixed here, before the expensive stages begin: the
+		// watchdog budget grows from its floor to cover the estimate.
+		OnPlanChosen: extendWatchdog,
 	}
 	if len(req.ColOrder) > 0 {
 		opts.FixedColOrder = append([]int(nil), req.ColOrder...)
@@ -489,36 +274,9 @@ func (s *Server) execute(ctx context.Context, j *job, req QueryRequest) (*QueryR
 		opts.PlanOverride = &choice
 	}
 
-	// Watchdog: bound this query's wall time by a hard multiple of its
-	// predicted cost. It arms with the floor budget now (covering the
-	// pre-plan stages) and extends once the plan — and with it the
-	// T_mcs estimate — is fixed. CancelCause keeps the kill
-	// distinguishable from the client's own cancellation.
-	runCtx := ctx
-	if s.cfg.WatchdogMult > 0 {
-		wctx, wcancel := context.WithCancelCause(ctx)
-		defer wcancel(nil)
-		runCtx = wctx
-		wd := startWatchdog(wctx, wcancel, s.cfg.WatchdogFloor)
-		mult := s.cfg.WatchdogMult
-		floor := s.cfg.WatchdogFloor
-		opts.OnPlanChosen = func(predictedNS float64) {
-			if predictedNS > 0 {
-				wd.extend(floor + time.Duration(predictedNS*mult))
-			}
-		}
-	}
-
 	execStart := time.Now()
-	eres, err := engine.RunContext(runCtx, t, q, opts)
+	eres, err := engine.RunContext(ctx, t, q, opts)
 	if err != nil {
-		// A watchdog kill unwinds the pipeline as a plain context
-		// cancellation; surface the typed cause instead.
-		if pipeerr.IsCtxErr(err) {
-			if cause := context.Cause(runCtx); cause != nil && errors.Is(cause, pipeerr.ErrWatchdog) {
-				return nil, cause
-			}
-		}
 		return nil, err
 	}
 	obsExecTime.Add(time.Since(execStart))
@@ -529,7 +287,7 @@ func (s *Server) execute(ctx context.Context, j *job, req QueryRequest) (*QueryR
 			Est:      eres.PredictedMCS,
 		})
 	}
-	return buildResult(j, req, eres, hit, queueWait, time.Since(execStart)), nil
+	return buildResult(jobID, req, eres, hit, queueWait, time.Since(execStart)), nil
 }
 
 // maxQueryBytes resolves the per-query engine budget: the request's own
@@ -601,8 +359,9 @@ func planKey(t *table.Table, q engine.Query, widths []int, workers int, rho floa
 }
 
 // buildResult converts an engine result into the wire form.
-func buildResult(j *job, req QueryRequest, eres *engine.Result, cacheHit bool, queueWait, exec time.Duration) *QueryResult {
-	res := &QueryResult{
+func buildResult(jobID string, req QueryRequest, eres *engine.Result, cacheHit bool, queueWait, exec time.Duration) *QueryResult {
+	return &QueryResult{
+		JobID:        jobID,
 		Table:        req.Table,
 		Rows:         eres.Rows,
 		GroupKeys:    eres.GroupKeys,
@@ -616,10 +375,6 @@ func buildResult(j *job, req QueryRequest, eres *engine.Result, cacheHit bool, q
 		QueueWaitNS:  queueWait.Nanoseconds(),
 		ExecNS:       exec.Nanoseconds(),
 	}
-	if j != nil {
-		res.JobID = j.id
-	}
-	return res
 }
 
 // errorKind classifies a job failure for the wire (JobStatus.Kind).

@@ -64,7 +64,7 @@ func TestStatusMapping(t *testing.T) {
 // Retry-After.
 func TestWriteErrorBody(t *testing.T) {
 	rec := httptest.NewRecorder()
-	writeError(rec, statusFor(pipeerr.QueueTimeout(context.DeadlineExceeded)), pipeerr.QueueTimeout(context.DeadlineExceeded))
+	writeError(rec, Classify, pipeerr.QueueTimeout(context.DeadlineExceeded))
 	if rec.Code != http.StatusTooManyRequests {
 		t.Errorf("status = %d, want 429", rec.Code)
 	}
@@ -84,16 +84,17 @@ func TestWriteErrorBody(t *testing.T) {
 	}
 
 	rec = httptest.NewRecorder()
-	writeError(rec, http.StatusBadRequest, fmt.Errorf("%w: nope", errInvalidRequest))
+	writeError(rec, Classify, fmt.Errorf("%w: nope", errInvalidRequest))
 	if rec.Header().Get("Retry-After") != "" {
 		t.Error("400 must not carry Retry-After")
 	}
 }
 
-// TestStatusMappingOverHTTP drives the distinct statuses through the
-// real handler stack: a budget refusal is 503 + Retry-After with the
-// typed kind, an unknown job 404, an unfinished job 409, and the job
-// status JSON carries the retryable flag.
+// TestStatusMappingOverHTTP drives the single-node-only status through
+// the real handler stack: a budget refusal is 503 + Retry-After with
+// the typed kind, and the job status JSON carries the retryable flag.
+// The statuses both daemons share (400/404/409, drain 503) are pinned
+// once for both fronts by internal/shard's TestWireContract.
 func TestStatusMappingOverHTTP(t *testing.T) {
 	defer testutil.CheckNoLeaks(t)()
 	tbl := testTPCH(t, 4000)
@@ -158,59 +159,5 @@ func TestStatusMappingOverHTTP(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("budget refusal must carry Retry-After")
-	}
-
-	resp, err = http.Get(hs.URL + "/jobs/nope/result")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown job result = %d, want 404", resp.StatusCode)
-	}
-
-	// An unknown table is the caller's mistake: the job fails with kind
-	// "invalid" (not "internal") and the result maps to 400.
-	req.Table = "no_such_table"
-	body, err = json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err = http.Post(hs.URL+"/query", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := decodeBody(resp, &submit); err != nil {
-		t.Fatal(err)
-	}
-	for {
-		resp, err := http.Get(hs.URL + "/jobs/" + submit.JobID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Reset: retryable=false is omitted on the wire (omitempty), so
-		// a reused struct would keep the budget job's true.
-		st = JobStatus{}
-		if err := decodeBody(resp, &st); err != nil {
-			t.Fatal(err)
-		}
-		if st.State == JobFailed || st.State == JobDone {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("unknown-table job stuck in %s", st.State)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if st.State != JobFailed || st.Kind != "invalid" || st.Retryable {
-		t.Fatalf("unknown-table status = %+v, want failed/invalid/not-retryable", st)
-	}
-	resp, err = http.Get(hs.URL + "/jobs/" + submit.JobID + "/result")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown-table result = %d, want 400", resp.StatusCode)
 	}
 }

@@ -1,14 +1,11 @@
-// Exported wire helpers for the sharded coordinator (internal/shard).
-// The coordinator speaks the same HTTP/JSON protocol as mcsd and must
-// classify, encode, and key exactly the way the single-node server
-// does — one shared implementation, re-exported here, keeps the two
-// from drifting.
+// Exported helpers for the sharded coordinator (internal/shard), which
+// serves through the same Front and must classify and key exactly the
+// way the single-node server does.
 package server
 
 import (
-	"net/http"
-
 	"repro/internal/engine"
+	"repro/internal/pipeerr"
 	"repro/internal/table"
 )
 
@@ -17,23 +14,14 @@ import (
 // coordinator can classify its own validation failures identically.
 var ErrInvalidRequest = errInvalidRequest
 
-// StatusFor maps a server error to its HTTP status code, exactly as
-// the single-node wire layer does.
-func StatusFor(err error) int { return statusFor(err) }
-
-// ErrorKind classifies a failure for the wire taxonomy (JobStatus.Kind
-// and error bodies): queue_timeout, budget, watchdog, shutdown,
-// execution_timeout, invalid, not_found, not_finished, pipeline, or
-// the residual internal.
-func ErrorKind(err error) string { return errorKind(err) }
-
-// WriteJSON encodes v with the server's content type and status
-// handling.
-func WriteJSON(w http.ResponseWriter, status int, v any) { writeJSON(w, status, v) }
-
-// WriteError emits the server's error body shape ({error, kind,
-// retryable}, Retry-After on the load-induced statuses).
-func WriteError(w http.ResponseWriter, status int, err error) { writeError(w, status, err) }
+// Classify is the single-node Backend classifier: the wire kind
+// (queue_timeout, budget, watchdog, shutdown, execution_timeout,
+// invalid, not_found, not_finished, pipeline, or the residual
+// internal), pipeerr's retryability verdict, and the HTTP status. The
+// coordinator's classifier layers its shard kinds over it.
+func Classify(err error) (kind string, retryable bool, status int) {
+	return errorKind(err), pipeerr.Retryable(err), statusFor(err)
+}
 
 // PlanKey builds the plan-cache key the server would use for this
 // query shape: everything the search outcome depends on. The

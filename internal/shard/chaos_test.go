@@ -344,13 +344,14 @@ func TestKilledShardSurfacesTypedError(t *testing.T) {
 	if err == nil {
 		t.Fatal("query over a killed shard succeeded")
 	}
-	if kind := coord.errorKind(err); kind != "shard_unavailable" {
+	kind, retryable, status := classify(err)
+	if kind != "shard_unavailable" {
 		t.Errorf("killed shard: kind %q, want shard_unavailable (err: %v)", kind, err)
 	}
-	if !coord.retryable(err) {
+	if !retryable {
 		t.Errorf("killed shard: error not retryable: %v", err)
 	}
-	if status := coord.statusFor(err); status != 503 {
+	if status != 503 {
 		t.Errorf("killed shard: status %d, want 503", status)
 	}
 	var se *shardError

@@ -1,17 +1,22 @@
-// The coordinator: mcsd's scatter-gather front. It speaks the same
-// job-oriented protocol as a single mcsd (Submit/Status/Result/Wait/
-// Run), but executes a query by pinning the plan search's column order
-// over the full table, fanning the rewritten sub-query out to every
-// shard through the retrying client pool, and merging the per-shard
-// sorted results back into the bytes a single-node run would have
-// produced (docs/sharding.md).
+// The coordinator: the scatter-gather Backend of mcsd's job front. The
+// job table, watchdog and HTTP mux are internal/server's Front — the
+// one a single mcsd serves through — so this file is only what a
+// coordinator does differently: it executes a query by pinning the plan
+// search's column order over the full table, fanning the rewritten
+// sub-query out to every shard through the retrying client pool, and
+// merging the per-shard sorted results back into the bytes a
+// single-node run would have produced; it layers the shard_unavailable
+// / shard_invalid kinds over the single-node failure taxonomy; and it
+// reports not-ready while a shard's client breaker is open
+// (docs/sharding.md).
 package shard
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
+	"net/http"
+	"strconv"
 	"time"
 
 	"repro/internal/byteslice"
@@ -80,35 +85,15 @@ type Config struct {
 	Client client.Config
 }
 
-// Coordinator fans queries out over the shards and gathers the results.
+// Coordinator fans queries out over the shards and gathers the
+// results. The embedded Front supplies Submit/Status/Result/Wait/Run/
+// Shutdown/Handler.
 type Coordinator struct {
+	*server.Front
 	cfg    Config
 	pool   *client.Pool
 	cache  *server.PlanCache
 	ranges map[string][]Range
-
-	baseCtx    context.Context
-	baseCancel context.CancelFunc
-
-	wg sync.WaitGroup // running jobs
-
-	mu     sync.Mutex
-	jobs   map[string]*job
-	nextID int
-	closed bool
-}
-
-// job is one submitted query and its terminal state (the same
-// lifecycle as the single-node server's jobs).
-type job struct {
-	id  string
-	req server.QueryRequest
-
-	mu     sync.Mutex
-	state  server.JobState
-	res    *server.QueryResult
-	err    error
-	doneCh chan struct{}
 }
 
 // New validates cfg and returns a ready coordinator. The per-table
@@ -130,9 +115,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.MaxPlans <= 0 {
 		cfg.MaxPlans = server.DefaultMaxPlans
 	}
-	if cfg.WatchdogMult > 0 && cfg.WatchdogFloor <= 0 {
-		cfg.WatchdogFloor = 2 * time.Second
-	}
 	ranges := make(map[string][]Range)
 	for _, name := range cfg.Registry.Names() {
 		t, err := cfg.Registry.Lookup(name)
@@ -141,16 +123,25 @@ func New(cfg Config) (*Coordinator, error) {
 		}
 		ranges[name] = Ranges(t.N, len(cfg.Shards))
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	return &Coordinator{
-		cfg:        cfg,
-		pool:       client.NewPool(cfg.Client),
-		cache:      server.NewPlanCache(cfg.PlanCacheSize, cfg.Model),
-		ranges:     ranges,
-		baseCtx:    ctx,
-		baseCancel: cancel,
-		jobs:       make(map[string]*job),
-	}, nil
+	c := &Coordinator{
+		cfg:    cfg,
+		pool:   client.NewPool(cfg.Client),
+		cache:  server.NewPlanCache(cfg.PlanCacheSize, cfg.Model),
+		ranges: ranges,
+	}
+	c.Front = server.NewFront(server.Backend{
+		Registry:        cfg.Registry,
+		Execute:         c.execute,
+		Classify:        classify,
+		Ready:           c.ready,
+		Health:          map[string]string{"shards": strconv.Itoa(len(cfg.Shards))},
+		Queries:         obsQueries,
+		Errors:          obsQueryErrors,
+		ContainedPanics: obsContainedPanics,
+		WatchdogMult:    cfg.WatchdogMult,
+		WatchdogFloor:   cfg.WatchdogFloor,
+	})
+	return c, nil
 }
 
 // PlanCache exposes the coordinator's pinned-choice cache (tests).
@@ -158,178 +149,6 @@ func (c *Coordinator) PlanCache() *server.PlanCache { return c.cache }
 
 // TableRanges returns the shard ranges of a registered table.
 func (c *Coordinator) TableRanges(name string) []Range { return c.ranges[name] }
-
-// Submit registers req as an asynchronous job and schedules the
-// fan-out on the coordinator's base context (plus the request's own
-// timeout, if any). Sub-queries do not re-apply the timeout — the job
-// context already carries the deadline end to end.
-func (c *Coordinator) Submit(req server.QueryRequest) (string, error) {
-	if err := req.Validate(); err != nil {
-		return "", err
-	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return "", server.ErrShuttingDown
-	}
-	c.nextID++
-	j := &job{
-		id:     fmt.Sprintf("j%d", c.nextID),
-		req:    req,
-		state:  server.JobQueued,
-		doneCh: make(chan struct{}),
-	}
-	c.jobs[j.id] = j
-	c.wg.Add(1)
-	c.mu.Unlock()
-
-	// Containment of last resort, exactly as on the single-node server:
-	// c.run recovers fan-out and merge panics itself, so reaching the
-	// onPanic path means the job bookkeeping panicked. Settle the job so
-	// waiters unblock.
-	pipeerr.Spawn(pipeerr.StageServe, func(pe *pipeerr.PipelineError) {
-		j.mu.Lock()
-		settled := j.state == server.JobDone || j.state == server.JobFailed
-		if !settled {
-			j.state, j.err = server.JobFailed, pe
-		}
-		j.mu.Unlock()
-		if !settled {
-			close(j.doneCh)
-		}
-	}, func() {
-		defer c.wg.Done()
-		ctx := c.baseCtx
-		var cancel context.CancelFunc
-		if req.TimeoutMS > 0 {
-			ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
-			defer cancel()
-		}
-		res, err := c.run(ctx, j, req)
-		j.mu.Lock()
-		if err != nil {
-			j.state, j.err = server.JobFailed, err
-		} else {
-			j.state, j.res = server.JobDone, res
-		}
-		j.mu.Unlock()
-		close(j.doneCh)
-	})
-	return j.id, nil
-}
-
-// Status returns the job's current state, classified with the
-// coordinator's error taxonomy (shard_unavailable for unreachable
-// shards, the propagated shard kind otherwise).
-func (c *Coordinator) Status(id string) (server.JobStatus, error) {
-	j, err := c.job(id)
-	if err != nil {
-		return server.JobStatus{}, err
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	st := server.JobStatus{ID: j.id, State: j.state}
-	if j.err != nil {
-		st.Error = j.err.Error()
-		st.Kind = c.errorKind(j.err)
-		st.Retryable = c.retryable(j.err)
-	}
-	return st, nil
-}
-
-// Result returns the finished job's result, or an error when the job
-// failed or has not finished yet.
-func (c *Coordinator) Result(id string) (*server.QueryResult, error) {
-	j, err := c.job(id)
-	if err != nil {
-		return nil, err
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	switch j.state {
-	case server.JobDone:
-		return j.res, nil
-	case server.JobFailed:
-		return nil, j.err
-	default:
-		return nil, fmt.Errorf("%w: job %s is %s", errNotFinished, id, j.state)
-	}
-}
-
-// Wait blocks until the job reaches a terminal state or ctx ends, then
-// returns its result as Result would.
-func (c *Coordinator) Wait(ctx context.Context, id string) (*server.QueryResult, error) {
-	j, err := c.job(id)
-	if err != nil {
-		return nil, err
-	}
-	select {
-	case <-j.doneCh:
-		return c.Result(id)
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// Run executes req synchronously on the caller's context: the same
-// pin, fan-out, and merge path Submit's jobs take.
-func (c *Coordinator) Run(ctx context.Context, req server.QueryRequest) (*server.QueryResult, error) {
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, server.ErrShuttingDown
-	}
-	c.wg.Add(1)
-	c.mu.Unlock()
-	defer c.wg.Done()
-	return c.run(ctx, nil, req)
-}
-
-// Shutdown drains the coordinator: new submissions are refused,
-// running fan-outs get until ctx ends to finish, then the base context
-// is cancelled so stragglers unwind through the client's cooperative
-// cancellation. No goroutine outlives the call.
-func (c *Coordinator) Shutdown(ctx context.Context) error {
-	c.mu.Lock()
-	c.closed = true
-	c.mu.Unlock()
-
-	done := make(chan struct{})
-	pipeerr.Spawn(pipeerr.StageServe, nil, func() {
-		defer close(done)
-		c.wg.Wait()
-	})
-	select {
-	case <-done:
-		c.baseCancel()
-		return nil
-	case <-ctx.Done():
-		c.baseCancel()
-		<-done
-		return ctx.Err()
-	}
-}
-
-// errNoJob is wrapped by lookups of unknown job ids (wire: 404).
-var errNoJob = errors.New("shard: no such job")
-
-// errNotFinished is wrapped when a result is fetched before the job
-// reached a terminal state (wire: 409).
-var errNotFinished = errors.New("shard: job not finished")
-
-// job looks up a submitted job by id.
-func (c *Coordinator) job(id string) (*job, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j := c.jobs[id]
-	if j == nil {
-		return nil, fmt.Errorf("%w: %q", errNoJob, id)
-	}
-	return j, nil
-}
 
 // shardError tags a failed shard call with its endpoint so the
 // taxonomy can tell "a shard failed" (transport faults, refused
@@ -344,31 +163,25 @@ type shardError struct {
 func (e *shardError) Error() string { return fmt.Sprintf("shard %s: %v", e.addr, e.err) }
 func (e *shardError) Unwrap() error { return e.err }
 
-// run is the one execution path and the coordinator's containment
-// boundary: the merge runs on this goroutine (the job goroutine, or
-// the caller's for Run), so a panicking merge — chaos arms the
-// shard.merge site with panics — becomes a typed, retryable job
-// failure instead of a process crash.
-func (c *Coordinator) run(ctx context.Context, j *job, req server.QueryRequest) (res *server.QueryResult, err error) {
-	obsQueries.Inc()
-	defer func() {
-		if v := recover(); v != nil {
-			obsContainedPanics.Inc()
-			obsQueryErrors.Inc()
-			res = nil
-			err = &pipeerr.PipelineError{Stage: pipeerr.StageServe, Round: -1, Worker: -1, Err: pipeerr.AsError(v)}
-		}
-	}()
-	res, err = c.execute(ctx, j, req)
-	if err != nil {
-		obsQueryErrors.Inc()
-		return nil, pipeerr.NoteCancel(err)
+// ready is the coordinator's readiness probe. Every query needs every
+// shard, so a single open client breaker fails all queries fast: the
+// coordinator is degraded until that shard's half-open probe succeeds.
+func (c *Coordinator) ready() (map[string]any, string) {
+	open := c.pool.OpenBreakers()
+	if len(open) == 0 {
+		return nil, ""
 	}
-	return res, nil
+	return map[string]any{"open_shards": open},
+		fmt.Sprintf("breaker open on %d of %d shards", len(open), len(c.cfg.Shards))
 }
 
-// execute implements one query: pin the plan, fan out, merge.
-func (c *Coordinator) execute(ctx context.Context, j *job, req server.QueryRequest) (*server.QueryResult, error) {
+// execute is the Front's executor: pin the plan, fan out, merge. The
+// merge runs on the Front's goroutine, inside its containment boundary,
+// so a panicking merge — chaos arms the shard.merge site with panics —
+// becomes a typed, retryable job failure instead of a process crash.
+// Sub-queries do not re-apply the request timeout: ctx already carries
+// the deadline end to end.
+func (c *Coordinator) execute(ctx context.Context, jobID string, req server.QueryRequest, markRunning func(), extendWatchdog func(float64)) (*server.QueryResult, error) {
 	t, err := c.cfg.Registry.Lookup(req.Table)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", server.ErrInvalidRequest, err)
@@ -392,11 +205,10 @@ func (c *Coordinator) execute(ctx context.Context, j *job, req server.QueryReque
 	if workers <= 0 {
 		workers = c.cfg.DefaultWorkers
 	}
-	if j != nil {
-		j.mu.Lock()
-		j.state = server.JobRunning
-		j.mu.Unlock()
-	}
+	// The coordinator admits nothing itself (the shards do), so the job
+	// is running — and the watchdog's floor budget is counting — from
+	// here.
+	markRunning()
 
 	// LIMIT 0 runs no plan search on the single node, so the coordinator
 	// pins nothing either: the fan-out only collects filtered row counts.
@@ -410,29 +222,9 @@ func (c *Coordinator) execute(ctx context.Context, j *job, req server.QueryReque
 		}
 	}
 
-	// Watchdog: one-shot — unlike the single-node server the plan (and
-	// with it the T_mcs estimate) is already fixed before any shard
-	// starts, so the budget never needs extending mid-flight.
-	runCtx := ctx
-	if c.cfg.WatchdogMult > 0 {
-		wctx, wcancel := context.WithCancelCause(ctx)
-		defer wcancel(nil)
-		runCtx = wctx
-		budget := c.cfg.WatchdogFloor
-		if choice.Est > 0 {
-			budget += time.Duration(choice.Est * c.cfg.WatchdogMult)
-		}
-		start := time.Now()
-		pipeerr.Spawn(pipeerr.StageServe, nil, func() {
-			tm := time.NewTimer(budget)
-			defer tm.Stop()
-			select {
-			case <-tm.C:
-				wcancel(pipeerr.Watchdog(time.Since(start), budget))
-			case <-wctx.Done():
-			}
-		})
-	}
+	// The plan — and with it the single-node T_mcs estimate — is fixed
+	// before any shard starts: one extension, never another mid-flight.
+	extendWatchdog(choice.Est)
 
 	execStart := time.Now()
 	subs := buildSubRequests(req, choice.ColOrder)
@@ -440,7 +232,7 @@ func (c *Coordinator) execute(ctx context.Context, j *job, req server.QueryReque
 	for vi := range results {
 		results[vi] = make([]*server.QueryResult, len(c.cfg.Shards))
 	}
-	g := pipeerr.NewGroup(runCtx)
+	g := pipeerr.NewGroup(ctx)
 	for vi := range subs {
 		sub := subs[vi]
 		for si, addr := range c.cfg.Shards {
@@ -462,7 +254,7 @@ func (c *Coordinator) execute(ctx context.Context, j *job, req server.QueryReque
 		}
 	}
 	if err := g.Wait(); err != nil {
-		return nil, surfaceWatchdog(runCtx, err)
+		return nil, err
 	}
 
 	faultinject.Fire(faultinject.ShardMerge)
@@ -476,15 +268,13 @@ func (c *Coordinator) execute(ctx context.Context, j *job, req server.QueryReque
 	}
 
 	res := &server.QueryResult{
+		JobID:        jobID,
 		Table:        req.Table,
 		Rows:         rows,
 		Workers:      workers,
 		Plan:         choice.Plan.String(),
 		ColOrder:     choice.ColOrder,
 		PlanCacheHit: planHit,
-	}
-	if j != nil {
-		res.JobID = j.id
 	}
 	if limit0 {
 		// Match the single-node LIMIT 0 result: filtered row count, no
@@ -496,32 +286,21 @@ func (c *Coordinator) execute(ctx context.Context, j *job, req server.QueryReque
 	}
 
 	if q.Window != nil {
-		ranks, oids, err := c.mergeWindowParts(runCtx, t, q, req, choice.ColOrder, widths, results[0], workers)
+		ranks, oids, err := c.mergeWindowParts(ctx, t, q, req, choice.ColOrder, widths, results[0], workers)
 		if err != nil {
-			return nil, surfaceWatchdog(runCtx, err)
+			return nil, err
 		}
 		res.Ranks, res.RowOids = ranks, oids
 	} else {
-		gk, agg, err := c.mergeGroupParts(runCtx, q, req, choice.ColOrder, widths, results, workers)
+		gk, agg, err := c.mergeGroupParts(ctx, q, req, choice.ColOrder, widths, results, workers)
 		if err != nil {
-			return nil, surfaceWatchdog(runCtx, err)
+			return nil, err
 		}
 		res.GroupKeys, res.Aggregates = gk, agg
 	}
 	obsExecTime.Add(time.Since(execStart))
 	res.ExecNS = time.Since(execStart).Nanoseconds()
 	return res, nil
-}
-
-// surfaceWatchdog converts the plain context cancellation a watchdog
-// kill unwinds as back into the typed pipeerr.ErrWatchdog cause.
-func surfaceWatchdog(runCtx context.Context, err error) error {
-	if pipeerr.IsCtxErr(err) {
-		if cause := context.Cause(runCtx); cause != nil && errors.Is(cause, pipeerr.ErrWatchdog) {
-			return cause
-		}
-	}
-	return err
 }
 
 // buildSubRequests rewrites req into the per-shard sub-queries of one
@@ -840,78 +619,36 @@ func (c *Coordinator) mergeWindowRuns(ctx context.Context, spec mergeSpec, cols 
 	return mergeWide(ctx, vecs, runs, cut)
 }
 
-// errorKind classifies a coordinator job failure for the wire. Shard
-// failures with a typed kind propagate it (a budget refusal on a shard
-// is a budget refusal of the query); unreachable or unresponsive
-// shards — transport faults, open breakers — become the retryable
-// "shard_unavailable"; everything the coordinator fails at itself
-// falls through to the single-node taxonomy.
-func (c *Coordinator) errorKind(err error) string {
+// classify is the coordinator's Backend classifier: the single-node
+// taxonomy with the shard layer over it. Shard failures with a typed
+// kind propagate it (a budget refusal on a shard is a budget refusal of
+// the query) with the shard's own retryability verdict; unreachable or
+// unresponsive shards — transport faults, open breakers — become the
+// retryable "shard_unavailable" (503, the conventional "upstream is
+// down, retry later"); a malformed shard response is "shard_invalid"
+// (502, not retryable); everything the coordinator fails at itself
+// keeps the single-node classification.
+func classify(err error) (kind string, retryable bool, status int) {
+	kind, retryable, status = server.Classify(err)
 	var ce *client.Error
 	var se *shardError
 	switch {
-	case errors.Is(err, errNoJob):
-		return "not_found"
-	case errors.Is(err, errNotFinished):
-		return "not_finished"
 	case errors.Is(err, errShardInvalid):
-		return "shard_invalid"
+		return "shard_invalid", false, http.StatusBadGateway
 	case errors.As(err, &ce):
+		retryable = ce.Retryable
 		if ce.Kind != "" && ce.Kind != "internal" {
-			return ce.Kind
+			kind = ce.Kind
+		} else {
+			kind = "shard_unavailable"
 		}
-		return "shard_unavailable"
 	case errors.Is(err, client.ErrBreakerOpen):
-		return "shard_unavailable"
-	case errors.As(err, &se):
-		if pipeerr.IsCtxErr(se.err) {
-			return server.ErrorKind(err)
-		}
-		return "shard_unavailable"
-	default:
-		return server.ErrorKind(err)
+		kind, retryable = "shard_unavailable", true
+	case errors.As(err, &se) && !pipeerr.IsCtxErr(se.err):
+		kind, retryable = "shard_unavailable", true
 	}
-}
-
-// retryable reports whether re-submitting the identical query may
-// succeed: the shard taxonomy's verdict for shard failures (a restarted
-// or recovered shard serves the retry), pipeerr's for everything else.
-func (c *Coordinator) retryable(err error) bool {
-	var ce *client.Error
-	var se *shardError
-	switch {
-	case errors.Is(err, errShardInvalid):
-		return false
-	case errors.As(err, &ce):
-		return ce.Retryable
-	case errors.Is(err, client.ErrBreakerOpen):
-		return true
-	case errors.As(err, &se):
-		if pipeerr.IsCtxErr(se.err) {
-			return pipeerr.Retryable(err)
-		}
-		return true
-	default:
-		return pipeerr.Retryable(err)
+	if kind == "shard_unavailable" {
+		status = http.StatusServiceUnavailable
 	}
-}
-
-// statusFor maps coordinator errors to HTTP statuses: the coordinator's
-// own job-layer sentinels first, shard unavailability as 503 (the
-// conventional "upstream is down, retry later"), invalid shard
-// responses as 502, and the single-node mapping for the rest.
-func (c *Coordinator) statusFor(err error) int {
-	switch {
-	case errors.Is(err, errNoJob):
-		return 404
-	case errors.Is(err, errNotFinished):
-		return 409
-	case errors.Is(err, errShardInvalid):
-		return 502
-	default:
-		if c.errorKind(err) == "shard_unavailable" {
-			return 503
-		}
-		return server.StatusFor(err)
-	}
+	return kind, retryable, status
 }

@@ -7,13 +7,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/faultinject"
 	"repro/internal/server"
 	"repro/internal/testutil"
 )
@@ -51,9 +55,203 @@ func TestCoordinatorHTTPRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCoordinatorHTTPErrors covers the coordinator's error taxonomy on
-// the wire: unknown jobs, jobs failed by validation-at-execution, the
-// reserved col_order field, and malformed bodies.
+// wire is a JSON-over-HTTP test client for one daemon.
+type wire struct {
+	t   *testing.T
+	url string
+}
+
+func (w wire) do(resp *http.Response, err error) (*http.Response, map[string]any) {
+	w.t.Helper()
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		w.t.Fatalf("%s: decoding body: %v", resp.Request.URL.Path, err)
+	}
+	return resp, body
+}
+
+func (w wire) get(path string) (*http.Response, map[string]any) {
+	w.t.Helper()
+	return w.do(http.Get(w.url + path))
+}
+
+func (w wire) post(payload string) (*http.Response, map[string]any) {
+	w.t.Helper()
+	return w.do(http.Post(w.url+"/query", "application/json", strings.NewReader(payload)))
+}
+
+// wantError asserts an error response: status, machine-readable kind, a
+// message, and Retry-After exactly on the load-induced statuses.
+func (w wire) wantError(label string, resp *http.Response, body map[string]any, status int, kind string) {
+	w.t.Helper()
+	if resp.StatusCode != status || body["kind"] != kind || body["error"] == "" {
+		w.t.Errorf("%s: status %d body %v, want %d/%s", label, resp.StatusCode, body, status, kind)
+	}
+	if _, ok := body["retryable"].(bool); !ok {
+		w.t.Errorf("%s: body %v has no retryable flag", label, body)
+	}
+	wantRetryAfter := status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable
+	if got := resp.Header.Get("Retry-After") != ""; got != wantRetryAfter {
+		w.t.Errorf("%s: Retry-After present = %v, want %v", label, got, wantRetryAfter)
+	}
+}
+
+// submit posts a query that must be accepted and returns its job id.
+func (w wire) submit(label, payload string) string {
+	w.t.Helper()
+	resp, body := w.post(payload)
+	if resp.StatusCode != http.StatusAccepted {
+		w.t.Fatalf("%s: submit status %d (%v)", label, resp.StatusCode, body)
+	}
+	return body["job_id"].(string)
+}
+
+// settled polls the job until it is done or failed and returns its
+// final JobStatus body.
+func (w wire) settled(label, id string) map[string]any {
+	w.t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		_, st := w.get("/jobs/" + id)
+		if st["state"] == string(server.JobFailed) || st["state"] == string(server.JobDone) {
+			return st
+		}
+		if time.Now().After(deadline) {
+			w.t.Fatalf("%s: job %s never settled: %v", label, id, st)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// wantFailed submits payload and asserts the job fails with kind, not
+// retryable, and that fetching its result maps to status.
+func (w wire) wantFailed(label, payload, kind string, status int) {
+	w.t.Helper()
+	id := w.submit(label, payload)
+	st := w.settled(label, id)
+	if st["state"] != string(server.JobFailed) || st["kind"] != kind || st["retryable"] == true {
+		w.t.Errorf("%s: status %v, want failed/%s/not-retryable", label, st, kind)
+	}
+	resp, body := w.get("/jobs/" + id + "/result")
+	w.wantError(label+" result", resp, body, status, kind)
+}
+
+// TestWireContract pins the wire contract once for both daemons: the
+// same table of requests runs against a single-node Server's handler
+// and a Coordinator's, which serve through the same server.Front. A
+// client that speaks mcsd's protocol must not be able to tell them
+// apart — routes, status codes, the {error, kind, retryable} body,
+// Retry-After, and the drain behaviour are one contract.
+func TestWireContract(t *testing.T) {
+	tables := batteryTables(t)
+	type daemon struct {
+		handler  http.Handler
+		shutdown func(context.Context) error
+		cleanup  func()
+	}
+	daemons := map[string]func(t *testing.T) daemon{
+		"server": func(t *testing.T) daemon {
+			reg := server.NewRegistry()
+			for _, tbl := range tables {
+				if err := reg.Register(tbl); err != nil {
+					t.Fatal(err)
+				}
+			}
+			srv, err := server.New(server.Config{Registry: reg, Model: server.BuiltinModel(),
+				Rho: -1, MaxPlans: testMaxPlans, MaxConcurrent: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return daemon{srv.Handler(), srv.Shutdown, func() {}}
+		},
+		"coordinator": func(t *testing.T) daemon {
+			coord, done := newTopology(t, tables, 2, Config{})
+			return daemon{coord.Handler(), coord.Shutdown, done}
+		},
+	}
+	const valid = `{"table":"narrow0","kind":"orderby","sort_cols":[{"name":"a"},{"name":"b"}]}`
+	for name, start := range daemons {
+		t.Run(name, func(t *testing.T) {
+			defer testutil.CheckNoLeaks(t)()
+			d := start(t)
+			hs := httptest.NewServer(d.handler)
+			defer d.cleanup()
+			defer hs.Close()
+			w := wire{t, hs.URL}
+
+			for path, status := range map[string]string{"/healthz": "ok", "/livez": "alive", "/readyz": "ready"} {
+				if resp, body := w.get(path); resp.StatusCode != http.StatusOK || body["status"] != status {
+					t.Errorf("%s = %d %v, want 200/%s", path, resp.StatusCode, body, status)
+				}
+			}
+			if resp, body := w.get("/tables"); resp.StatusCode != http.StatusOK || len(body["tables"].([]any)) != len(tables) {
+				t.Errorf("/tables = %d %v", resp.StatusCode, body)
+			}
+			if resp, _ := w.get("/metrics"); resp.StatusCode != http.StatusOK {
+				t.Errorf("/metrics = %d, want 200", resp.StatusCode)
+			}
+
+			// Rejected at submit: 400 invalid, before any job exists.
+			for label, payload := range map[string]string{
+				"malformed body": `{"bad json`,
+				"unknown field":  `{"table":"narrow0","kind":"orderby","sort_cols":[{"name":"a"}],"bogus":1}`,
+				"bad kind":       `{"table":"narrow0","kind":"sortby","sort_cols":[{"name":"a"}]}`,
+				"oversized body": strings.Repeat(" ", 1<<20) + valid,
+				// A col_order Validate refuses (it reorders an orderby).
+				"reordering col_order": `{"table":"narrow0","kind":"orderby","sort_cols":[{"name":"a"},{"name":"b"}],"col_order":[1,0]}`,
+			} {
+				resp, body := w.post(payload)
+				w.wantError(label, resp, body, http.StatusBadRequest, "invalid")
+			}
+
+			for _, path := range []string{"/jobs/zz", "/jobs/zz/result"} {
+				resp, body := w.get(path)
+				w.wantError("unknown job "+path, resp, body, http.StatusNotFound, "not_found")
+			}
+
+			// A valid submit against a missing table is accepted and fails
+			// asynchronously as the caller's mistake, not an internal fault.
+			w.wantFailed("unknown table", `{"table":"nope","kind":"orderby","sort_cols":[{"name":"a"}]}`, "invalid", http.StatusBadRequest)
+
+			// Result before finish: hold the query inside the engine's
+			// gather (the coordinator's shards run in this process too).
+			release := make(chan struct{})
+			restore := faultinject.Set(faultinject.Gather, func() { <-release })
+			id := w.submit("held query", valid)
+			resp, body := w.get("/jobs/" + id + "/result")
+			w.wantError("result before finish", resp, body, http.StatusConflict, "not_finished")
+			close(release)
+			restore()
+			if st := w.settled("held query", id); st["state"] != string(server.JobDone) {
+				t.Errorf("held query: %v, want done", st)
+			}
+			if resp, body := w.get("/jobs/" + id + "/result"); resp.StatusCode != http.StatusOK || body["job_id"] != id {
+				t.Errorf("finished result = %d %v", resp.StatusCode, body["job_id"])
+			}
+
+			// Drain: health and readiness flip to 503, liveness stays up,
+			// submissions are refused with 503 + Retry-After.
+			if err := d.shutdown(context.Background()); err != nil {
+				t.Fatalf("shutdown: %v", err)
+			}
+			for path, code := range map[string]int{"/healthz": 503, "/readyz": 503, "/livez": 200} {
+				if resp, body := w.get(path); resp.StatusCode != code || (code == 503 && body["status"] != "draining") {
+					t.Errorf("%s after drain = %d %v, want %d", path, resp.StatusCode, body, code)
+				}
+			}
+			resp, body = w.post(valid)
+			w.wantError("submit after drain", resp, body, http.StatusServiceUnavailable, "shutdown")
+		})
+	}
+}
+
+// TestCoordinatorHTTPErrors covers the rows of the wire contract only a
+// coordinator has: the reserved col_order field, the "shards" field on
+// /healthz, and the shard taxonomy's statuses.
 func TestCoordinatorHTTPErrors(t *testing.T) {
 	defer testutil.CheckNoLeaks(t)()
 	tables := batteryTables(t)
@@ -61,87 +259,208 @@ func TestCoordinatorHTTPErrors(t *testing.T) {
 	hs := httptest.NewServer(coord.Handler())
 	defer done()
 	defer hs.Close()
+	w := wire{t, hs.URL}
 
-	get := func(path string) (*http.Response, map[string]any) {
-		t.Helper()
-		resp, err := http.Get(hs.URL + path)
+	if _, body := w.get("/healthz"); body["shards"] != "2" {
+		t.Errorf("/healthz body %v, want shards=2", body)
+	}
+
+	// Even a col_order Validate allows (the identity) is reserved for
+	// the coordinator's own sub-queries.
+	w.wantFailed("reserved col_order",
+		`{"table":"narrow0","kind":"orderby","sort_cols":[{"name":"a"},{"name":"b"}],"col_order":[0,1]}`,
+		"invalid", http.StatusBadRequest)
+
+	for _, tc := range []struct {
+		name      string
+		err       error
+		kind      string
+		retryable bool
+		status    int
+	}{
+		{"malformed shard response", fmt.Errorf("%w: missing shard result", errShardInvalid), "shard_invalid", false, http.StatusBadGateway},
+		{"transport fault", &shardError{addr: "http://s1", err: errors.New("connection refused")}, "shard_unavailable", true, http.StatusServiceUnavailable},
+		{"open breaker", &shardError{addr: "http://s1", err: client.ErrBreakerOpen}, "shard_unavailable", true, http.StatusServiceUnavailable},
+		{"untyped shard failure", &shardError{addr: "http://s1", err: &client.Error{Kind: "internal", Status: 500, Retryable: true}}, "shard_unavailable", true, http.StatusServiceUnavailable},
+		{"shard budget refusal propagates", &shardError{addr: "http://s1", err: &client.Error{Kind: "budget", Status: 503, Retryable: true}}, "budget", true, http.StatusServiceUnavailable},
+		{"caller cancellation through a shard", &shardError{addr: "http://s1", err: context.Canceled}, "execution_timeout", false, http.StatusGatewayTimeout},
+	} {
+		kind, retryable, status := classify(tc.err)
+		if kind != tc.kind || retryable != tc.retryable || status != tc.status {
+			t.Errorf("%s: classify = %s/%v/%d, want %s/%v/%d", tc.name, kind, retryable, status, tc.kind, tc.retryable, tc.status)
+		}
+	}
+}
+
+// TestCoordinatorJobTableBounded: the coordinator serves through the
+// same bounded job table as a single mcsd — beyond the retention bound
+// the oldest finished ids answer 404 not_found and the newest stay
+// fetchable (server's TestJobTableBounded pins the table size itself).
+func TestCoordinatorJobTableBounded(t *testing.T) {
+	defer testutil.CheckNoLeaks(t)()
+	tables := batteryTables(t)
+	coord, done := newTopology(t, tables, 2, Config{})
+	hs := httptest.NewServer(coord.Handler())
+	defer done()
+	defer hs.Close()
+	w := wire{t, hs.URL}
+
+	// server.maxFinishedJobs, which is unexported.
+	const retained, extra = 256, 8
+	req := server.QueryRequest{Table: "narrow0", Kind: "orderby", Limit: intp(1),
+		SortCols: []server.SortColReq{{Name: "a"}}}
+	for i := 1; i <= retained+extra; i++ {
+		id, err := coord.Submit(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var body map[string]any
-		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-			t.Fatal(err)
+		if _, err := coord.Wait(context.Background(), id); err != nil {
+			t.Fatalf("job %s: %v", id, err)
 		}
-		resp.Body.Close()
-		return resp, body
 	}
-	post := func(payload string) (*http.Response, map[string]any) {
+	for i := 1; i <= extra; i++ {
+		resp, body := w.get(fmt.Sprintf("/jobs/j%d", i))
+		w.wantError(fmt.Sprintf("evicted j%d", i), resp, body, http.StatusNotFound, "not_found")
+	}
+	for _, i := range []int{extra + 1, retained + extra} {
+		if resp, body := w.get(fmt.Sprintf("/jobs/j%d/result", i)); resp.StatusCode != http.StatusOK {
+			t.Errorf("retained j%d: %d %v", i, resp.StatusCode, body)
+		}
+	}
+}
+
+// deadEndpoint is an http.RoundTripper that refuses every request to
+// one host while it is set — a dead shard the test can revive.
+type deadEndpoint struct{ host atomic.Value }
+
+func (d *deadEndpoint) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.URL.Host == d.host.Load() {
+		return nil, errors.New("connection refused (injected)")
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestCoordinatorReadyzTracksShardBreakers: every query needs every
+// shard, so while one shard's client breaker is open the coordinator
+// must tell the load balancer it is not ready — and say ready again
+// once the half-open probe has succeeded. /livez stays 200 throughout.
+// (Before the coordinator served through the shared Front its /readyz
+// was wired to the health handler and reported ready regardless.)
+func TestCoordinatorReadyzTracksShardBreakers(t *testing.T) {
+	defer testutil.CheckNoLeaks(t)()
+	tables := batteryTables(t)
+	dead := &deadEndpoint{}
+	dead.host.Store("")
+	coord, done := newTopology(t, tables, 2, Config{Client: client.Config{
+		HTTPClient:       &http.Client{Transport: dead},
+		MaxRetries:       1,
+		BaseBackoff:      time.Millisecond,
+		MaxBackoff:       2 * time.Millisecond,
+		BreakerThreshold: 1,
+		BreakerCooldown:  300 * time.Millisecond,
+	}})
+	hs := httptest.NewServer(coord.Handler())
+	defer done()
+	defer hs.Close()
+	w := wire{t, hs.URL}
+	wantReady := func(label string) {
 		t.Helper()
-		resp, err := http.Post(hs.URL+"/query", "application/json", strings.NewReader(payload))
-		if err != nil {
-			t.Fatal(err)
+		if resp, body := w.get("/readyz"); resp.StatusCode != http.StatusOK || body["status"] != "ready" {
+			t.Errorf("%s: /readyz = %d %v, want 200 ready", label, resp.StatusCode, body)
 		}
-		var body map[string]any
-		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp, body
 	}
-
-	resp, body := get("/jobs/zz")
-	if resp.StatusCode != http.StatusNotFound || body["kind"] != "not_found" {
-		t.Errorf("unknown job: status %d kind %v, want 404/not_found", resp.StatusCode, body["kind"])
-	}
-	resp, body = get("/jobs/zz/result")
-	if resp.StatusCode != http.StatusNotFound || body["kind"] != "not_found" {
-		t.Errorf("unknown job result: status %d kind %v, want 404/not_found", resp.StatusCode, body["kind"])
-	}
-
-	resp, body = post("{not json")
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed body: status %d (%v), want 400", resp.StatusCode, body)
-	}
-
-	// A col_order the single-node Validate already refuses (it reorders
-	// an orderby) fails at submit.
-	resp, body = post(`{"table":"narrow0","kind":"orderby","sort_cols":[{"name":"a"},{"name":"b"}],"col_order":[1,0]}`)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("reordering col_order: status %d (%v), want 400", resp.StatusCode, body)
-	}
-
-	// Failures the coordinator only detects at execution time surface
-	// through the job state with the single-node kind and no retry.
-	wantKind := server.ErrorKind(server.ErrInvalidRequest)
-	waitFailed := func(label, payload string) {
+	wantDegraded := func(label string) {
 		t.Helper()
-		resp, body := post(payload)
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("%s: submit status %d (%v)", label, resp.StatusCode, body)
+		resp, body := w.get("/readyz")
+		// The dead shard must be listed. (Its healthy peer may be too: the
+		// failed fan-out cancels the peer's in-flight call, which the
+		// client breaker counts as a failure.)
+		listed := false
+		open, _ := body["open_shards"].([]any)
+		for _, addr := range open {
+			listed = listed || addr == coord.cfg.Shards[1]
 		}
-		id := body["job_id"].(string)
-		deadline := time.Now().Add(5 * time.Second)
+		if resp.StatusCode != http.StatusServiceUnavailable || body["status"] != "degraded" || body["reason"] == "" || !listed {
+			t.Errorf("%s: /readyz = %d %v, want 503 degraded with %s in open_shards", label, resp.StatusCode, body, coord.cfg.Shards[1])
+		}
+		if resp, _ := w.get("/livez"); resp.StatusCode != http.StatusOK {
+			t.Errorf("%s: /livez = %d, want 200", label, resp.StatusCode)
+		}
+	}
+	// halfOpen waits out the breaker cooldown: the coordinator reports
+	// ready again so that traffic — the probe — can reach it.
+	halfOpen := func() {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
 		for {
-			_, st := get("/jobs/" + id)
-			if st["state"] == string(server.JobFailed) {
-				if st["kind"] != wantKind {
-					t.Errorf("%s: kind %v, want %q", label, st["kind"], wantKind)
-				}
-				if st["retryable"] == true {
-					t.Errorf("%s: marked retryable", label)
-				}
+			if resp, _ := w.get("/readyz"); resp.StatusCode == http.StatusOK {
 				return
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("%s: job %s never failed: %v", label, id, st)
+				t.Fatal("breaker never went half-open")
 			}
-			time.Sleep(time.Millisecond)
+			time.Sleep(5 * time.Millisecond)
 		}
 	}
-	waitFailed("unknown table",
-		`{"table":"nope","kind":"orderby","sort_cols":[{"name":"a"}]}`)
-	// Even a col_order Validate allows (the identity) is reserved for
-	// the coordinator's own sub-queries.
-	waitFailed("reserved col_order",
-		`{"table":"narrow0","kind":"orderby","sort_cols":[{"name":"a"},{"name":"b"}],"col_order":[0,1]}`)
+
+	req := server.QueryRequest{Table: "narrow0", Kind: "orderby", SortCols: []server.SortColReq{{Name: "a"}}}
+	ctx := context.Background()
+	if _, err := coord.Run(ctx, req); err != nil {
+		t.Fatalf("healthy query: %v", err)
+	}
+	wantReady("healthy")
+
+	dead.host.Store(strings.TrimPrefix(coord.cfg.Shards[1], "http://"))
+	if _, err := coord.Run(ctx, req); err == nil {
+		t.Fatal("query over a dead shard succeeded")
+	} else if kind, _, _ := classify(err); kind != "shard_unavailable" {
+		t.Errorf("dead shard: kind %q, want shard_unavailable (%v)", kind, err)
+	}
+	wantDegraded("breaker tripped")
+
+	// The shard is still dead when the probe goes out: the breaker
+	// re-opens for another cooldown.
+	halfOpen()
+	if _, err := coord.Run(ctx, req); err == nil {
+		t.Fatal("probe over a dead shard succeeded")
+	}
+	wantDegraded("probe failed")
+
+	// Revived: the next probe succeeds and closes the breaker for good.
+	dead.host.Store("")
+	halfOpen()
+	if _, err := coord.Run(ctx, req); err != nil {
+		t.Fatalf("probe over the revived shard: %v", err)
+	}
+	wantReady("recovered")
+	time.Sleep(10 * time.Millisecond)
+	wantReady("still recovered")
+}
+
+// TestCoordinatorWatchdogParity: the coordinator's watchdog is the
+// single-node one — a fan-out wedged past its budget dies with the
+// typed, retryable watchdog kind (504), and the kill is counted on the
+// same server.watchdog_kills counter an operator already watches.
+func TestCoordinatorWatchdogParity(t *testing.T) {
+	defer testutil.CheckNoLeaks(t)()
+	defer faultinject.Set(faultinject.ShardFanout, func() {
+		time.Sleep(400 * time.Millisecond)
+	})()
+	tables := batteryTables(t)
+	coord, done := newTopology(t, tables, 2, Config{WatchdogMult: 1, WatchdogFloor: 30 * time.Millisecond})
+	defer done()
+
+	kills := counterValue(t, "server.watchdog_kills")
+	req := server.QueryRequest{Table: "narrow0", Kind: "orderby", SortCols: []server.SortColReq{{Name: "a"}}}
+	_, err := coord.Run(context.Background(), req)
+	if err == nil {
+		t.Fatal("wedged fan-out succeeded; watchdog never fired")
+	}
+	kind, retryable, status := classify(err)
+	if kind != "watchdog" || !retryable || status != http.StatusGatewayTimeout {
+		t.Errorf("classify = %s/%v/%d, want watchdog/true/504 (err: %v)", kind, retryable, status, err)
+	}
+	if got := counterValue(t, "server.watchdog_kills"); got != kills+1 {
+		t.Errorf("server.watchdog_kills went %d -> %d, want +1", kills, got)
+	}
 }
