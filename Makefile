@@ -11,9 +11,9 @@ race:
 	$(GO) test -race ./...
 
 # Project-invariant static analysis (docs/static-analysis.md): go vet
-# plus the mcslint suite (ctxpoll, nopanic, determinism, ctxpair,
-# obsnames, errchecklite, atomicmix, goroutinecapture, grouped,
-# faultsite, hotalloc) over every package, with vetted exceptions in
+# plus the mcslint suite (ctxpoll, nopanic, determinism, obsnames,
+# errchecklite, atomicmix, goroutinecapture, grouped, faultsite,
+# hotalloc) over every package, with vetted exceptions in
 # lint/allow.txt. -strict-allow keeps the allowlist honest: an entry
 # that stops matching anything fails the build until it is deleted.
 lint:
@@ -66,13 +66,17 @@ smoke:
 shard-smoke:
 	./scripts/smoke_shards.sh
 
-# Build-and-correctness smoke of the repo benchmark (BENCHMARK.json)
-# against the two served paths: a short run of each must end in a JSON
-# line reporting a correct run with zero failed operations. No timing
-# gate.
+# Build-and-correctness smoke of the repo benchmark (BENCHMARK.json):
+# a short untraced run of the two served workloads, and a short traced
+# run of the two in-process ones — the traced replay is the one caller
+# that names the sort stack's entry points one by one (massage,
+# mergesort, mcsort, engine), so it breaks first when one is renamed.
+# Each must end in a JSON line reporting a correct run with zero failed
+# operations. No timing gate.
 perf-smoke:
-	@for w in shard3_window_full serve_topk_cold; do \
-		out=$$(bash bench/mcsperf/run.sh --workload $$w --seed 7 --seconds 2 --trace 0 | tail -n 1) || exit 1; \
+	@for wt in shard3_window_full:0 serve_topk_cold:0 lib_wide_unique:1 lib_ties:1; do \
+		w=$${wt%:*}; \
+		out=$$(bash bench/mcsperf/run.sh --workload $$w --seed 7 --seconds 2 --trace $${wt#*:} | tail -n 1) || exit 1; \
 		echo "$$w: $$out"; \
 		case "$$out" in *'"correct":true'*'"failed":0,'*) ;; *) echo "perf-smoke: $$w did not finish correct with failed:0" >&2; exit 1;; esac; \
 	done

@@ -1,7 +1,6 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out:
 //
-//   - the register-model SIMD sort vs the scalar packed baseline
-//     (what does simulating lane parallelism buy/cost?);
+//   - the register-model SIMD sort on its own;
 //   - merge-sort vs radix-sort kernels under the same massage plan
 //     (the paper's Section 7 future work);
 //   - serial vs goroutine-parallel code massaging;
@@ -9,6 +8,7 @@
 package repro
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -42,31 +42,9 @@ func BenchmarkAblationRegisterSort32(b *testing.B) {
 		for j := range oids {
 			oids[j] = uint32(j)
 		}
-		mergesort.Sort(32, keys, oids)
-	}
-	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Melem/s")
-}
-
-// BenchmarkAblationScalarPackedSort32 is the scalar packed baseline: the
-// fastest plain-Go sort of the same (key, oid) pairs. The gap between
-// this and the register model is the price of simulating SIMD in
-// software; on real AVX2 the register kernels would win instead.
-func BenchmarkAblationScalarPackedSort32(b *testing.B) {
-	const n = 1 << 16
-	src64 := randKeys64(n, 32, 1)
-	src := make([]uint32, n)
-	for i, k := range src64 {
-		src[i] = uint32(k)
-	}
-	keys := make([]uint32, n)
-	oids := make([]uint32, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(keys, src)
-		for j := range oids {
-			oids[j] = uint32(j)
+		if err := mergesort.SortWithParamsContext(context.Background(), 32, keys, oids, mergesort.Params{}); err != nil {
+			b.Fatal(err)
 		}
-		mergesort.SortPacked(keys, oids)
 	}
 	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Melem/s")
 }
@@ -82,7 +60,7 @@ func benchMCSKernel(b *testing.B, useRadix bool) {
 	p := plan.Plan{Rounds: []plan.Round{{Width: 27, Bank: 32}}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mcsort.Execute(inputs, p, mcsort.Options{UseRadix: useRadix}); err != nil {
+		if _, err := mcsort.ExecuteContext(context.Background(), inputs, p, mcsort.Options{UseRadix: useRadix}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -106,10 +84,8 @@ func benchMassage(b *testing.B, workers int) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if workers > 1 {
-			prog.RunParallel(inputs, n, workers)
-		} else {
-			prog.Run(inputs, n)
+		if _, err := prog.RunParallelContext(context.Background(), inputs, n, workers); err != nil {
+			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrows/s")

@@ -19,6 +19,7 @@
 package repro
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -31,6 +32,14 @@ import (
 	"repro/internal/mergesort"
 	"repro/internal/plan"
 )
+
+// must stops a timing helper that has no *testing.T on an error a
+// background-context sort of well-formed input cannot return.
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
 
 const (
 	benchRows      = 1 << 20
@@ -72,7 +81,7 @@ func measurePipeline(tb testing.TB, inputs []massage.Input, workers, reps int) (
 	var perm []uint32
 	for r := 0; r < reps; r++ {
 		t0 := time.Now()
-		res, err := mcsort.Execute(inputs, benchPlan, mcsort.Options{Workers: workers})
+		res, err := mcsort.ExecuteContext(context.Background(), inputs, benchPlan, mcsort.Options{Workers: workers})
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -102,7 +111,7 @@ func measureReference(reps int) time.Duration {
 			oids[i] = uint32(i)
 		}
 		t0 := time.Now()
-		mergesort.Sort(32, keys, oids)
+		must(mergesort.SortWithParamsContext(context.Background(), 32, keys, oids, mergesort.Params{}))
 		d := time.Since(t0)
 		if best == 0 || d < best {
 			best = d
@@ -142,7 +151,7 @@ func BenchmarkPipeline1Mx4(b *testing.B) {
 	for _, w := range benchWorkers {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := mcsort.Execute(inputs, benchPlan, mcsort.Options{Workers: w}); err != nil {
+				if _, err := mcsort.ExecuteContext(context.Background(), inputs, benchPlan, mcsort.Options{Workers: w}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -310,7 +319,7 @@ func measureTopK(tb testing.TB, inputs []massage.Input, limit, workers, reps int
 	rows := 0
 	for r := 0; r < reps; r++ {
 		t0 := time.Now()
-		res, err := mcsort.Execute(inputs, benchPlan, mcsort.Options{Workers: workers, LimitRows: limit})
+		res, err := mcsort.ExecuteContext(context.Background(), inputs, benchPlan, mcsort.Options{Workers: workers, LimitRows: limit})
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -452,7 +461,7 @@ func benchOVCKeys(n, nRuns int, dup float64) ([]uint64, []uint32, []int) {
 		runs[r] = n * r / nRuns
 	}
 	for r := 0; r < nRuns; r++ {
-		mergesort.Sort(32, keys[runs[r]:runs[r+1]], oids[runs[r]:runs[r+1]])
+		must(mergesort.SortWithParamsContext(context.Background(), 32, keys[runs[r]:runs[r+1]], oids[runs[r]:runs[r+1]], mergesort.Params{}))
 	}
 	return keys, oids, runs
 }
@@ -471,7 +480,7 @@ func benchOVCPair(keys []uint64, oids []uint32, runs []int, reps int) (off, on t
 		copy(k, keys)
 		copy(o, oids)
 		t0 := time.Now()
-		mergesort.ParallelMergeWithParams(32, k, o, runs, p, 1)
+		must(mergesort.ParallelMergeWithParamsContext(context.Background(), 32, k, o, runs, p, 1))
 		return time.Since(t0)
 	}
 	measure(pOff)

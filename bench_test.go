@@ -10,6 +10,7 @@
 package repro
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"sync"
@@ -52,7 +53,7 @@ func runExperiment(b *testing.B, id string, metric func(*experiments.Report) (fl
 	var err error
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err = experiments.Run(id, cfg)
+		rep, err = experiments.RunContext(context.Background(), id, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

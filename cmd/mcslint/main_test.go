@@ -39,7 +39,7 @@ func TestListPrintsAllAnalyzers(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0", code)
 	}
-	for _, name := range []string{"ctxpoll", "nopanic", "determinism", "ctxpair", "obsnames", "errchecklite", "atomicmix", "goroutinecapture", "grouped", "faultsite", "hotalloc"} {
+	for _, name := range []string{"ctxpoll", "nopanic", "determinism", "obsnames", "errchecklite", "atomicmix", "goroutinecapture", "grouped", "faultsite", "hotalloc"} {
 		if !strings.Contains(out, name) {
 			t.Errorf("-list output missing %s:\n%s", name, out)
 		}
@@ -105,7 +105,7 @@ func TestFlagErrorsExitTwo(t *testing.T) {
 		{"-only", "nopanic", "-disable", "ctxpoll"}, // mutually exclusive
 		{"-only", "nosuch"},
 		{"-disable", "nosuch"},
-		{"-disable", "ctxpoll,nopanic,determinism,ctxpair,obsnames,errchecklite,atomicmix,goroutinecapture,grouped,faultsite,hotalloc"},
+		{"-disable", "ctxpoll,nopanic,determinism,obsnames,errchecklite,atomicmix,goroutinecapture,grouped,faultsite,hotalloc"},
 		{"-bogusflag"},
 	}
 	for _, args := range cases {

@@ -9,7 +9,7 @@ import (
 )
 
 // lintBudget pins the wall-time cost of the full suite over ./... so
-// analyzer growth cannot silently slow CI: eleven analyzers over every
+// analyzer growth cannot silently slow CI: ten analyzers over every
 // package, including the CFG dataflow passes, must finish well inside
 // it. The budget is deliberately loose against a quiet machine (the
 // suite runs in a few seconds) and tight against the failure mode it

@@ -87,7 +87,7 @@ var ErrBudgetExceeded = pipeerr.ErrBudgetExceeded
 // massaging; Options.Model supplies a calibrated cost model (defaulting
 // to a process-wide calibration on first use).
 func Run(t *Table, q Query, opts Options) (*Result, error) {
-	return engine.Run(t, q, opts)
+	return engine.RunContext(context.Background(), t, q, opts)
 }
 
 // RunContext is Run with cooperative cancellation: a cancelled or

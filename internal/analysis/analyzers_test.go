@@ -30,10 +30,6 @@ func TestDeterminism(t *testing.T) {
 	analysistest.Run(t, analysis.Determinism, "testdata/src/determinism/a")
 }
 
-func TestCtxPair(t *testing.T) {
-	analysistest.Run(t, analysis.CtxPair, "testdata/src/ctxpair/a")
-}
-
 func TestObsNames(t *testing.T) {
 	analysistest.Run(t, analysis.ObsNames, "testdata/src/obsnames/a")
 }
@@ -76,11 +72,11 @@ func TestHotAllocColdPaths(t *testing.T) {
 }
 
 // TestRegistry pins the analyzer catalogue: the issue contract is
-// eleven project-specific analyzers, addressable by name.
+// ten project-specific analyzers, addressable by name.
 func TestRegistry(t *testing.T) {
 	all := analysis.All()
-	if len(all) < 11 {
-		t.Fatalf("All() = %d analyzers, want >= 11", len(all))
+	if len(all) < 10 {
+		t.Fatalf("All() = %d analyzers, want >= 10", len(all))
 	}
 	seen := map[string]bool{}
 	for _, a := range all {
@@ -99,7 +95,7 @@ func TestRegistry(t *testing.T) {
 		t.Errorf("ByName(nosuch) = non-nil")
 	}
 	for _, want := range []string{
-		"ctxpoll", "nopanic", "determinism", "ctxpair", "obsnames", "errchecklite",
+		"ctxpoll", "nopanic", "determinism", "obsnames", "errchecklite",
 		"atomicmix", "goroutinecapture", "grouped", "faultsite", "hotalloc",
 	} {
 		if !seen[want] {

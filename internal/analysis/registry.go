@@ -7,7 +7,6 @@ func All() []*Analyzer {
 		CtxPoll,
 		NoPanic,
 		Determinism,
-		CtxPair,
 		ObsNames,
 		ErrCheckLite,
 		AtomicMix,

@@ -1,6 +1,7 @@
 package costmodel
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -37,8 +38,10 @@ func (o *CalOptions) defaults() {
 // process follows Section 4: each constant (or identifiable group of
 // constants) is solved from controlled runs, the sort constants as a
 // least-squares linear system over runs with varying group counts. An
-// error means a calibration workload could not be compiled — a library
-// bug surfaced to the caller instead of a panic.
+// error means a calibration workload could not be compiled or sorted —
+// a library bug surfaced to the caller instead of a panic. Calibration
+// is not cancellable: its sorts run under context.Background() with the
+// cache-derived default parameters, which is what it measures.
 func Calibrate(opts CalOptions) (*Model, error) {
 	opts.defaults()
 	caches := hw.Detect()
@@ -54,16 +57,21 @@ func Calibrate(opts CalOptions) (*Model, error) {
 
 	m.C.CScan = calibrateScan(rng, opts.NCal)
 	m.C.CCache, m.C.CMem = calibrateLookup(rng, opts.NCal, caches.LLC)
-	cMassage, err := calibrateMassage(rng, opts.NCal)
-	if err != nil {
+	var err error
+	if m.C.CMassage, err = calibrateMassage(rng, opts.NCal); err != nil {
 		return nil, err
 	}
-	m.C.CMassage = cMassage
 	for _, bank := range mergesort.Banks {
-		m.C.Bank[bank] = calibrateBank(rng, opts.NCal, bank, m)
+		if m.C.Bank[bank], err = calibrateBank(rng, opts.NCal, bank, m); err != nil {
+			return nil, err
+		}
 	}
-	m.C.SmallCall, m.C.SmallElem, m.C.SmallQuad = calibrateSmall(rng, opts.NCal)
-	m.C.OVCMergeDiscount = calibrateOVCDiscount(rng, opts.NCal)
+	if m.C.SmallCall, m.C.SmallElem, m.C.SmallQuad, err = calibrateSmall(rng, opts.NCal); err != nil {
+		return nil, err
+	}
+	if m.C.OVCMergeDiscount, err = calibrateOVCDiscount(rng, opts.NCal); err != nil {
+		return nil, err
+	}
 	return m, nil
 }
 
@@ -74,7 +82,7 @@ func Calibrate(opts CalOptions) (*Model, error) {
 // measured ratio understates the pure merge saving — a conservative
 // discount. Clamped to [0, 0.9]: even an all-ties merge keeps its data
 // movement.
-func calibrateOVCDiscount(rng *rand.Rand, n int) float64 {
+func calibrateOVCDiscount(rng *rand.Rand, n int) (float64, error) {
 	const runsK = 8
 	if n < runsK*64 {
 		n = runsK * 64
@@ -86,7 +94,7 @@ func calibrateOVCDiscount(rng *rand.Rand, n int) float64 {
 	keys := make([]uint64, n)
 	oids := make([]uint32, n)
 
-	measure := func(gen func(i int) uint64) float64 {
+	measure := func(gen func(i int) uint64) (float64, error) {
 		base := make([]uint64, n)
 		baseO := make([]uint32, n)
 		for i := range base {
@@ -94,7 +102,9 @@ func calibrateOVCDiscount(rng *rand.Rand, n int) float64 {
 			baseO[i] = uint32(i)
 		}
 		for r := 0; r+1 < len(runs); r++ {
-			mergesort.Sort(32, base[runs[r]:runs[r+1]], baseO[runs[r]:runs[r+1]])
+			if err := mergesort.SortWithParamsContext(context.Background(), 32, base[runs[r]:runs[r+1]], baseO[runs[r]:runs[r+1]], mergesort.Params{}); err != nil {
+				return 0, fmt.Errorf("calibrateOVCDiscount: %w", err)
+			}
 		}
 		best := 0.0
 		const reps = 3
@@ -102,35 +112,43 @@ func calibrateOVCDiscount(rng *rand.Rand, n int) float64 {
 			copy(keys, base)
 			copy(oids, baseO)
 			start := time.Now()
-			mergesort.ParallelMerge(32, keys, oids, runs, 1)
+			if err := mergesort.ParallelMergeWithParamsContext(context.Background(), 32, keys, oids, runs, mergesort.Params{}, 1); err != nil {
+				return 0, fmt.Errorf("calibrateOVCDiscount: %w", err)
+			}
 			if el := float64(time.Since(start).Nanoseconds()); best == 0 || el < best {
 				best = el
 			}
 		}
-		return best
+		return best, nil
 	}
 
 	mask := column.Mask(32)
-	tUnique := measure(func(int) uint64 { return rng.Uint64() & mask })
-	tDup := measure(func(int) uint64 { return 42 })
+	tUnique, err := measure(func(int) uint64 { return rng.Uint64() & mask })
+	if err != nil {
+		return 0, err
+	}
+	tDup, err := measure(func(int) uint64 { return 42 })
+	if err != nil {
+		return 0, err
+	}
 	if tUnique <= 0 {
-		return 0
+		return 0, nil
 	}
 	disc := 1 - tDup/tUnique
 	if disc < 0 {
-		return 0
+		return 0, nil
 	}
 	if disc > 0.9 {
-		return 0.9
+		return 0.9, nil
 	}
-	return disc
+	return disc, nil
 }
 
 // calibrateSmall measures the small-sort regime: segmented sorts whose
 // groups fall below the insertion threshold never enter the merge-sort
 // phases, so their cost is a per-call constant plus linear and quadratic
 // per-element terms, fitted from runs at several group sizes.
-func calibrateSmall(rng *rand.Rand, n int) (call, elem, quad float64) {
+func calibrateSmall(rng *rand.Rand, n int) (call, elem, quad float64, err error) {
 	keys := make([]uint64, n)
 	oids := make([]uint32, n)
 	var rows [][3]float64
@@ -144,7 +162,9 @@ func calibrateSmall(rng *rand.Rand, n int) (call, elem, quad float64) {
 		start := time.Now()
 		for s := 0; s < g; s++ {
 			lo := s * size
-			mergesort.Sort(32, keys[lo:lo+size], oids[lo:lo+size])
+			if err := mergesort.SortWithParamsContext(context.Background(), 32, keys[lo:lo+size], oids[lo:lo+size], mergesort.Params{}); err != nil {
+				return 0, 0, 0, fmt.Errorf("calibrateSmall: %w", err)
+			}
 		}
 		t := float64(time.Since(start).Nanoseconds()) / float64(g)
 		rows = append(rows, [3]float64{1, float64(size), float64(size * size)})
@@ -164,7 +184,7 @@ func calibrateSmall(rng *rand.Rand, n int) (call, elem, quad float64) {
 	if call == 0 && elem == 0 && quad == 0 {
 		elem = 20 // degenerate measurement; any small positive slope works
 	}
-	return call, elem, quad
+	return call, elem, quad, nil
 }
 
 // calibrateScan measures C_scan: a sequential pass over sorted codes that
@@ -289,7 +309,9 @@ func calibrateMassage(rng *rand.Rand, n int) (float64, error) {
 			return 0, fmt.Errorf("calibrateMassage: %w", err)
 		}
 		start := time.Now()
-		prog.Run(inputs, n)
+		if _, err := prog.RunParallelContext(context.Background(), inputs, n, 1); err != nil {
+			return 0, fmt.Errorf("calibrateMassage: %w", err)
+		}
 		totalNS += float64(time.Since(start).Nanoseconds())
 		totalWork += float64(prog.FIPCount() * n)
 	}
@@ -299,11 +321,11 @@ func calibrateMassage(rng *rand.Rand, n int) (float64, error) {
 // calibrateBank solves C_overhead, CLinear and C_out-of-cache for one
 // bank as a least-squares system over segmented sorts with group counts
 // 1, 4, 16, …: T = G·C_overhead + N·CLinear + (Σ n_g·passes(n_g))·C_ooc.
-func calibrateBank(rng *rand.Rand, n, bank int, m *Model) BankConstants {
+func calibrateBank(rng *rand.Rand, n, bank int, m *Model) (BankConstants, error) {
 	var rows [][3]float64
 	var ts []float64
 
-	runOnce := func(nRun, g int) {
+	runOnce := func(nRun, g int) error {
 		mask := column.Mask(bank)
 		keys := make([]uint64, nRun)
 		for i := range keys {
@@ -321,16 +343,21 @@ func calibrateBank(rng *rand.Rand, n, bank int, m *Model) BankConstants {
 			if s == g-1 {
 				hi = nRun
 			}
-			mergesort.Sort(bank, keys[lo:hi], oids[lo:hi])
+			if err := mergesort.SortWithParamsContext(context.Background(), bank, keys[lo:hi], oids[lo:hi], mergesort.Params{}); err != nil {
+				return fmt.Errorf("calibrateBank %d: %w", bank, err)
+			}
 		}
 		t := float64(time.Since(start).Nanoseconds())
 		passes := m.outOfCachePasses(float64(per), bank)
 		rows = append(rows, [3]float64{float64(g), float64(nRun), float64(nRun) * passes})
 		ts = append(ts, t)
+		return nil
 	}
 
 	for g := 1; g <= n/64; g *= 4 {
-		runOnce(n, g)
+		if err := runOnce(n, g); err != nil {
+			return BankConstants{}, err
+		}
 	}
 	// Two runs large enough to exceed half the L2 cache, so the
 	// out-of-cache constant has a non-zero regressor.
@@ -339,8 +366,12 @@ func calibrateBank(rng *rand.Rand, n, bank int, m *Model) BankConstants {
 	if big < 2*n {
 		big = 2 * n
 	}
-	runOnce(big, 1)
-	runOnce(big*4, 1)
+	if err := runOnce(big, 1); err != nil {
+		return BankConstants{}, err
+	}
+	if err := runOnce(big*4, 1); err != nil {
+		return BankConstants{}, err
+	}
 
 	sol := leastSquares3(rows, ts)
 	bc := BankConstants{COverhead: sol[0], CLinear: sol[1], COutOfCache: sol[2]}
@@ -354,7 +385,7 @@ func calibrateBank(rng *rand.Rand, n, bank int, m *Model) BankConstants {
 	if bc.COutOfCache <= 0 {
 		bc.COutOfCache = bc.CLinear * 0.25
 	}
-	return bc
+	return bc, nil
 }
 
 // leastSquares3 solves min ‖A·x − b‖ for three unknowns via the normal

@@ -202,3 +202,68 @@ func TestBudgetUnlimitedByDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// pollCtx reports cancellation from its (polls+1)-th Err call on: a
+// cancellation that lands mid-operation, deterministically.
+type pollCtx struct {
+	context.Context
+	polls atomic.Int64
+}
+
+func newPollCtx(polls int64) *pollCtx {
+	c := &pollCtx{Context: context.Background()}
+	c.polls.Store(polls)
+	return c
+}
+
+func (c *pollCtx) Err() error {
+	if c.polls.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSortGroupsByAggregateCancel pins invariant 4 of
+// docs/robustness.md on the ORDER BY <aggregate> step, whose input is up
+// to one group per row: a context cancelled before the call, or one
+// that is cancelled only once the sort proper is under way (past the
+// fill loop's polls and the sort's entry poll), yields context.Canceled
+// with the group table untouched.
+func TestSortGroupsByAggregateCancel(t *testing.T) {
+	const n = 3 * seqGatherCheckRows
+	groupKeys := make([][]uint64, n)
+	aggregates := make([]uint64, n)
+	for i := range aggregates {
+		groupKeys[i] = []uint64{uint64(i)}
+		aggregates[i] = uint64(i*7919) % 1000
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, ctx := range map[string]context.Context{
+		"pre-cancelled": cancelled,
+		"mid-sort":      newPollCtx(3 + 1), // three fill polls, the sort's entry poll
+	} {
+		gk, ag, err := SortGroupsByAggregate(ctx, groupKeys, aggregates)
+		if !errors.Is(err, context.Canceled) || gk != nil || ag != nil {
+			t.Fatalf("%s: got (%d keys, %d aggregates, %v), want context.Canceled and no result", name, len(gk), len(ag), err)
+		}
+		for i := range aggregates {
+			if len(groupKeys[i]) != 1 || groupKeys[i][0] != uint64(i) || aggregates[i] != uint64(i*7919)%1000 {
+				t.Fatalf("%s: input group %d modified", name, i)
+			}
+		}
+	}
+
+	gk, ag, err := SortGroupsByAggregate(context.Background(), groupKeys, aggregates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ag {
+		if i > 0 && ag[i-1] < ag[i] {
+			t.Fatalf("aggregates not descending at %d", i)
+		}
+		if ag[i] != aggregates[gk[i][0]] {
+			t.Fatalf("entry %d: aggregate %d does not belong to group %d", i, ag[i], gk[i][0])
+		}
+	}
+}

@@ -47,7 +47,7 @@ func TestConcurrentQueriesSharedTable(t *testing.T) {
 	// Sequential baselines, one per query.
 	base := make([]*Result, len(queries))
 	for i, q := range queries {
-		res, err := Run(tbl, q, opts)
+		res, err := run(tbl, q, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func TestConcurrentQueriesSharedTable(t *testing.T) {
 			defer wg.Done()
 			q := queries[g%len(queries)]
 			want := base[g%len(queries)]
-			res, err := Run(tbl, q, opts)
+			res, err := run(tbl, q, opts)
 			if err != nil {
 				errs <- err
 				return

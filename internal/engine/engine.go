@@ -5,7 +5,7 @@
 // window RANK. Every operator's wall time is recorded so experiments can
 // reproduce the paper's per-query time breakdowns (Figures 1 and 9).
 //
-// RunContext is the cancellable entry point: the context is polled at
+// RunContext is the entry point: the context is polled at
 // operator, round, and chunk boundaries, worker panics are contained
 // into *pipeerr.PipelineError, and Options.MaxBytes bounds the
 // estimated memory footprint by degrading workers before refusing with
@@ -207,18 +207,14 @@ type Options struct {
 	OnPlanChosen func(predictedNS float64)
 }
 
-// Run executes q against t.
-func Run(t *table.Table, q Query, opts Options) (*Result, error) {
-	return RunContext(context.Background(), t, q, opts)
-}
-
-// RunContext is Run with cooperative cancellation, fault containment,
-// and budget degradation: a cancelled or deadline-expired context makes
-// the query return ctx.Err() within one chunk of work with no goroutine
-// leaks, a panicking worker surfaces as a *pipeerr.PipelineError naming
-// the stage instead of crashing the process, and Options.MaxBytes
-// triggers worker degradation or a typed ErrBudgetExceeded refusal. On
-// any error the returned Result is nil and the table is untouched.
+// RunContext executes q against t with cooperative cancellation, fault
+// containment, and budget degradation: a cancelled or deadline-expired
+// context makes the query return ctx.Err() within one chunk of work with
+// no goroutine leaks, a panicking worker surfaces as a
+// *pipeerr.PipelineError naming the stage instead of crashing the
+// process, and Options.MaxBytes triggers worker degradation or a typed
+// ErrBudgetExceeded refusal. On any error the returned Result is nil and
+// the table is untouched.
 func RunContext(ctx context.Context, t *table.Table, q Query, opts Options) (*Result, error) {
 	res, err := runContext(ctx, t, q, opts)
 	if err == nil {
@@ -418,11 +414,11 @@ func runContext(ctx context.Context, t *table.Table, q Query, opts Options) (*Re
 
 	// 6. ORDER BY aggregate DESC: single-column sort over groups.
 	if q.OrderByAgg {
-		if err := ctx.Err(); err != nil {
+		start = time.Now()
+		res.GroupKeys, res.Aggregates, err = SortGroupsByAggregate(ctx, res.GroupKeys, res.Aggregates)
+		if err != nil {
 			return nil, err
 		}
-		start = time.Now()
-		sortGroupsByAggregate(res)
 		res.Timing.PostSort = time.Since(start)
 	}
 
@@ -467,17 +463,12 @@ func recordCostAccuracy(queryID string, predictedNS float64, measured time.Durat
 	}
 }
 
-// MaterializeSortInputs runs a query's filter and materialization stages
-// only, returning the multi-column-sort inputs (in clause order, with
-// the window order column appended for window queries). Plan-space
+// MaterializeSortInputsContext runs a query's filter and materialization
+// stages only, returning the multi-column-sort inputs (in clause order,
+// with the window order column appended for window queries). Plan-space
 // experiments use this to execute many plans over identical inputs.
-// The gathers are chunked across workers when workers > 1.
-func MaterializeSortInputs(t *table.Table, q Query, workers int) ([]massage.Input, error) {
-	return MaterializeSortInputsContext(context.Background(), t, q, workers)
-}
-
-// MaterializeSortInputsContext is MaterializeSortInputs with cooperative
-// cancellation; the gather chunks poll the context like RunContext's.
+// The gathers are chunked across workers when workers > 1 and poll the
+// context like RunContext's.
 func MaterializeSortInputsContext(ctx context.Context, t *table.Table, q Query, workers int) ([]massage.Input, error) {
 	var rows []uint32
 	if len(q.Filters) > 0 {
@@ -670,23 +661,41 @@ func aggregate(ctx context.Context, res *Result, t *table.Table, q Query, inputs
 	})
 }
 
-// sortGroupsByAggregate orders groups by descending aggregate with the
-// 64-bit-bank single-column SIMD-sort (ties keep their group order).
-func sortGroupsByAggregate(res *Result) {
-	n := len(res.Aggregates)
+// SortGroupsByAggregate returns the group table reordered by descending
+// aggregate — the trailing ORDER BY <aggregate> DESC — using the
+// 64-bit-bank single-column SIMD-sort over complemented aggregates. The
+// sharded coordinator re-sorts its merged groups through this same
+// function, so for equal group tables the two orders agree entry for
+// entry, ties included. The group count is data-bound, so the fill,
+// the sort and the reorder all poll ctx; on error the inputs are
+// untouched.
+func SortGroupsByAggregate(ctx context.Context, groupKeys [][]uint64, aggregates []uint64) ([][]uint64, []uint64, error) {
+	n := len(aggregates)
 	keys := make([]uint64, n)
 	idx := make([]uint32, n)
-	for i, a := range res.Aggregates {
+	for i, a := range aggregates {
+		if i&(seqGatherCheckRows-1) == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, nil, err
+			}
+		}
 		keys[i] = ^a // descending via complement
 		idx[i] = uint32(i)
 	}
-	mergesort.Sort(64, keys, idx)
+	if err := mergesort.SortWithParamsContext(ctx, 64, keys, idx, mergesort.Params{}); err != nil {
+		return nil, nil, err
+	}
 	gk := make([][]uint64, n)
 	ag := make([]uint64, n)
 	for i, j := range idx {
-		gk[i], ag[i] = res.GroupKeys[j], res.Aggregates[j]
+		if i&(seqGatherCheckRows-1) == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, nil, err
+			}
+		}
+		gk[i], ag[i] = groupKeys[j], aggregates[j]
 	}
-	res.GroupKeys, res.Aggregates = gk, ag
+	return gk, ag, nil
 }
 
 // computeRanks assigns RANK() within partitions: rows tied on the

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -12,6 +13,12 @@ import (
 	"repro/internal/planner"
 	"repro/internal/table"
 )
+
+// run executes a query under context.Background(): most tests exercise
+// query results, not cancellation.
+func run(t *table.Table, q Query, opts Options) (*Result, error) {
+	return RunContext(context.Background(), t, q, opts)
+}
 
 // mustCol fetches a column that the test itself added; reference
 // helpers below have no *testing.T, so a missing column panics.
@@ -52,15 +59,15 @@ func refGroups(tbl *table.Table, q Query) map[string]uint64 {
 	n := tbl.N
 	cols := make([]*column.Column, len(q.SortCols))
 	for i, sc := range q.SortCols {
-		cols[i] = mustCol(tbl,sc.Name)
+		cols[i] = mustCol(tbl, sc.Name)
 	}
 	var aggCol *column.Column
 	if q.Agg != nil && q.Agg.Kind != Count {
-		aggCol = mustCol(tbl,q.Agg.Col)
+		aggCol = mustCol(tbl, q.Agg.Col)
 	}
 	var filterCol *column.Column
 	if len(q.Filters) > 0 {
-		filterCol = mustCol(tbl,q.Filters[0].Col)
+		filterCol = mustCol(tbl, q.Filters[0].Col)
 	}
 	for r := 0; r < n; r++ {
 		if filterCol != nil {
@@ -111,11 +118,11 @@ func keyOf(keys []uint64) string {
 
 func runBoth(t *testing.T, tbl *table.Table, q Query) (*Result, *Result) {
 	t.Helper()
-	off, err := Run(tbl, q, Options{Massaging: false})
+	off, err := run(tbl, q, Options{Massaging: false})
 	if err != nil {
 		t.Fatal(err)
 	}
-	on, err := Run(tbl, q, Options{Massaging: true, Model: testModel(), Rho: 0.5})
+	on, err := run(tbl, q, Options{Massaging: true, Model: testModel(), Rho: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,10 +257,10 @@ func refRanks(tbl *table.Table, part []string, orderCol string, filter *Filter) 
 		o   uint64
 	}
 	var rowsArr []row
-	oc := mustCol(tbl,orderCol)
+	oc := mustCol(tbl, orderCol)
 	var fc *column.Column
 	if filter != nil {
-		fc = mustCol(tbl,filter.Col)
+		fc = mustCol(tbl, filter.Col)
 	}
 	for r := 0; r < n; r++ {
 		if fc != nil && fc.Codes[r] != filter.Const {
@@ -261,7 +268,7 @@ func refRanks(tbl *table.Table, part []string, orderCol string, filter *Filter) 
 		}
 		p := make([]uint64, len(part))
 		for i, name := range part {
-			p[i] = mustCol(tbl,name).Codes[r]
+			p[i] = mustCol(tbl, name).Codes[r]
 		}
 		rowsArr = append(rowsArr, row{oid: uint32(r), p: p, o: oc.Codes[r]})
 	}
@@ -341,7 +348,7 @@ func TestTimingBreakdownPopulated(t *testing.T) {
 		SortCols: []SortCol{{Name: "b"}, {Name: "c"}},
 		Agg:      &Agg{Kind: Sum, Col: "v"},
 	}
-	res, err := Run(tbl, q, Options{Massaging: false})
+	res, err := run(tbl, q, Options{Massaging: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +372,7 @@ func TestEmptyFilterResult(t *testing.T) {
 		Filters:  []Filter{{Col: "f", Op: byteslice.EQ, Const: 63}}, // no rows: f < 50
 		Agg:      &Agg{Kind: Count},
 	}
-	res, err := Run(tbl, q, Options{Massaging: false})
+	res, err := run(tbl, q, Options{Massaging: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +384,7 @@ func TestEmptyFilterResult(t *testing.T) {
 func TestUnknownColumnFails(t *testing.T) {
 	tbl := makeTable(t, 100, 8)
 	q := Query{ID: "bad", SortCols: []SortCol{{Name: "nope"}}}
-	if _, err := Run(tbl, q, Options{}); err == nil {
+	if _, err := run(tbl, q, Options{}); err == nil {
 		t.Error("unknown column accepted")
 	}
 }

@@ -167,7 +167,7 @@ func TestLimitOffsetOracleDifferential(t *testing.T) {
 		for _, q := range limitQueries() {
 			q := q
 			t.Run(fmt.Sprintf("dup=%g/%s", dup, q.ID), func(t *testing.T) {
-				full, err := Run(tbl, q, limitOptions(1))
+				full, err := run(tbl, q, limitOptions(1))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -182,7 +182,7 @@ func TestLimitOffsetOracleDifferential(t *testing.T) {
 								limit = &kk
 								opts.Limit = &kk
 							}
-							got, err := Run(tbl, q, opts)
+							got, err := run(tbl, q, opts)
 							if err != nil {
 								t.Fatalf("workers=%d k=%d off=%d: %v", workers, k, off, err)
 							}
@@ -205,14 +205,14 @@ func TestLimitValidation(t *testing.T) {
 	tbl := makeDupTable(t, 100, 0, 1)
 	q := limitQueries()[1]
 	neg := -1
-	if _, err := Run(tbl, q, Options{Limit: &neg}); err == nil {
+	if _, err := run(tbl, q, Options{Limit: &neg}); err == nil {
 		t.Error("negative limit accepted")
 	}
-	if _, err := Run(tbl, q, Options{Offset: -5}); err == nil {
+	if _, err := run(tbl, q, Options{Offset: -5}); err == nil {
 		t.Error("negative offset accepted")
 	}
 	huge := int(^uint(0) >> 1)
-	if _, err := Run(tbl, q, Options{Limit: &huge, Offset: 10}); err == nil {
+	if _, err := run(tbl, q, Options{Limit: &huge, Offset: 10}); err == nil {
 		t.Error("overflowing offset+limit accepted")
 	}
 }

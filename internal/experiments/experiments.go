@@ -143,15 +143,10 @@ var All = []string{
 	"fig7", "tab1", "tab2", "fig8", "fig9", "fig10", "fig12", "topk",
 }
 
-// Run dispatches an experiment by id.
-func Run(id string, cfg Config) (*Report, error) {
-	return RunContext(context.Background(), id, cfg)
-}
-
-// RunContext is Run with cooperative cancellation: the context is
-// threaded through every query execution and sort the experiment
-// performs, so a cancelled or deadline-expired context aborts the
-// experiment promptly with ctx.Err().
+// RunContext dispatches an experiment by id. The context is threaded
+// through every query execution and sort the experiment performs, so a
+// cancelled or deadline-expired context aborts the experiment promptly
+// with ctx.Err().
 func RunContext(ctx context.Context, id string, cfg Config) (*Report, error) {
 	cfg.ctx = ctx
 	switch id {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -147,7 +148,7 @@ func TestAllExperimentsRun(t *testing.T) {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			start := time.Now()
-			rep, err := Run(id, cfg)
+			rep, err := RunContext(context.Background(), id, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,7 +174,7 @@ func TestAllExperimentsRun(t *testing.T) {
 }
 
 func TestRunUnknownID(t *testing.T) {
-	if _, err := Run("nope", quickCfg()); err == nil {
+	if _, err := RunContext(context.Background(), "nope", quickCfg()); err == nil {
 		t.Error("unknown id accepted")
 	}
 }

@@ -99,7 +99,10 @@ func Figure7(cfg Config) (*Report, error) {
 	budget := populationBudget(cfg)
 	pop, exact := planner.Enumerate(search, planner.EnumerateOptions{Budget: budget, Seed: cfg.Seed})
 
-	rogaPick := planner.ROGA(search)
+	rogaPick, err := planner.ROGAContext(cfg.context(), search)
+	if err != nil {
+		return nil, err
+	}
 	rrsPick := planner.RRS(search, cfg.Seed)
 	pop = ensureIncluded(pop, rogaPick, rrsPick)
 
@@ -219,7 +222,10 @@ func Table1(cfg Config) (*Report, error) {
 				continue
 			}
 			pop, _ := planner.Enumerate(search, planner.EnumerateOptions{Budget: budget, Seed: cfg.Seed})
-			rogaPick := planner.ROGA(search)
+			rogaPick, err := planner.ROGAContext(cfg.context(), search)
+			if err != nil {
+				return nil, err
+			}
 			rrsPick := planner.RRS(search, cfg.Seed)
 			pop = ensureIncluded(pop, rogaPick, rrsPick)
 

@@ -22,6 +22,7 @@
 package mal
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -239,7 +240,9 @@ func (r *Rewriter) plan(ch SortChain) (planner.Choice, bool) {
 		st.Cols = append(st.Cols, cs)
 	}
 	search := &planner.Search{Model: r.Model, Stats: st, Kind: r.Kind, Rho: r.Rho}
-	choice := planner.ROGA(search)
+	// The rewrite pass has no caller context; the search is bounded by
+	// ρ instead, and under context.Background() it cannot fail.
+	choice, _ := planner.ROGAContext(context.Background(), search)
 	p0 := plan.ColumnAtATime(ch.Widths)
 	if choice.Plan.Equal(p0) && identityOrder(choice.ColOrder) {
 		return choice, false // nothing gained; keep the original chain

@@ -83,10 +83,10 @@ func FuzzMassageRoundTrip(f *testing.F) {
 			t.Fatalf("Compile baseline: %v", err)
 		}
 
-		massaged := prog.Run(inputs, rows)
-		baseline := base.Run(inputs, rows)
+		massaged := mustRun(t, prog, inputs, rows, 1)
+		baseline := mustRun(t, base, inputs, rows, 1)
 
-		parallel := prog.RunParallel(inputs, rows, 3)
+		parallel := mustRun(t, prog, inputs, rows, 3)
 		for r := range massaged {
 			for i := 0; i < rows; i++ {
 				if massaged[r][i] != parallel[r][i] {

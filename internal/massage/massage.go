@@ -26,7 +26,7 @@ import (
 
 // Massage observability: stitch/borrow structure at compile time, FIP
 // invocations and bytes moved at run time. All writes are no-ops until
-// obs.Enable(); the runtime counters are bumped once per runRange call
+// obs.Enable(); the runtime counters are bumped once per row range
 // (never inside the per-row loop).
 var (
 	obsCompiles    = obs.NewCounter("massage.compiles")
@@ -165,68 +165,20 @@ func prefixStarts(widths []int) []int {
 	return starts
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // FIPCount returns the number of four-instruction-program invocations
 // the compiled program executes per row. It always equals the paper's
 // I_FIP (the union of the two prefix-sum sequences); the property test
 // asserts this.
 func (p *Program) FIPCount() int { return len(p.segments) }
 
-// Run massages the input columns into one key array per round. Rows is
-// the row count; all inputs must have at least that many codes.
-func (p *Program) Run(inputs []Input, rows int) [][]uint64 {
-	out := make([][]uint64, p.nRounds)
-	for d := range out {
-		out[d] = make([]uint64, rows)
-	}
-	p.runRange(inputs, out, 0, rows)
-	return out
-}
-
-// seqCheckRows is the row-block size between context polls of the
-// sequential context-aware pass: large enough that the poll is free,
-// small enough that cancellation lands within a fraction of the pass.
+// seqCheckRows is the row-block size between context polls of a
+// sequential pass: large enough that the poll is free, small enough
+// that cancellation lands within a fraction of the pass.
 const seqCheckRows = 1 << 16
 
-// RunContext is Run with cooperative cancellation: the FIP pass is
-// executed in seqCheckRows blocks with a context poll between blocks.
-// On error the partially massaged keys are discarded by the caller.
-func (p *Program) RunContext(ctx context.Context, inputs []Input, rows int) ([][]uint64, error) {
-	out := make([][]uint64, p.nRounds)
-	for d := range out {
-		out[d] = make([]uint64, rows)
-	}
-	for lo := 0; lo < rows; lo += seqCheckRows {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		faultinject.Fire(faultinject.MassageChunk)
-		p.runRange(inputs, out, lo, min(lo+seqCheckRows, rows))
-	}
-	if rows == 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// parallelMinRows is the row count below which RunParallel runs
-// sequentially: a FIP pass over fewer rows finishes faster than the
-// goroutine handoff.
+// parallelMinRows is the row count below which a pass runs
+// sequentially whatever the worker count: a FIP pass over fewer rows
+// finishes faster than the goroutine handoff.
 const parallelMinRows = 1024
 
 // chunkAlign aligns parallel chunk boundaries to whole 64-byte cache
@@ -234,31 +186,31 @@ const parallelMinRows = 1024
 // streams (dst[i] |= …) share a line.
 const chunkAlign = 8
 
-// RunParallel is Run with the rows partitioned across workers goroutines
-// (Section 3: each thread massages partitions from every column
-// independently). Chunk boundaries respect cache lines, and the
-// massage.parallel_efficiency_x1000 gauge reports how busy the workers
-// collectively were when tracing is on. A worker panic is re-raised on
-// the caller's goroutine as a *pipeerr.PipelineError.
-func (p *Program) RunParallel(inputs []Input, rows, workers int) [][]uint64 {
-	out, err := p.RunParallelContext(context.Background(), inputs, rows, workers)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// RunParallelContext is RunParallel with cooperative cancellation and
-// panic containment: each chunk worker polls the group context at chunk
-// start, and a panicking worker cancels its siblings and surfaces as a
-// *pipeerr.PipelineError with stage "massage".
-func (p *Program) RunParallelContext(ctx context.Context, inputs []Input, rows, workers int) ([][]uint64, error) {
+// forEachChunk is the one driver under every entry point: it calls
+// run(lo, hi) over disjoint row ranges covering [0, rows). With
+// workers < 2 (or fewer than parallelMinRows rows) the ranges are
+// seqCheckRows blocks on the caller's goroutine; otherwise one
+// cache-line-aligned chunk per worker goroutine (Section 3: each thread
+// massages partitions from every column independently). Either way
+// every range polls the context and fires the MassageChunk fault site
+// first, so a cancelled pass returns ctx.Err() within one range and a
+// panicking worker cancels its siblings and surfaces as a
+// *pipeerr.PipelineError with stage "massage" and the given round (-1
+// for the all-rounds pass). The massage.parallel_efficiency_x1000 gauge
+// reports how busy the workers collectively were when tracing is on.
+func forEachChunk(ctx context.Context, rows, workers, round int, run func(lo, hi int)) error {
 	if workers < 2 || rows < parallelMinRows {
-		return p.RunContext(ctx, inputs, rows)
-	}
-	out := make([][]uint64, p.nRounds)
-	for d := range out {
-		out[d] = make([]uint64, rows)
+		for lo := 0; lo < rows; lo += seqCheckRows {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			faultinject.Fire(faultinject.MassageChunk)
+			run(lo, min(lo+seqCheckRows, rows))
+		}
+		if rows == 0 {
+			return ctx.Err()
+		}
+		return nil
 	}
 	tracing := obs.Enabled()
 	var wall time.Time
@@ -272,7 +224,7 @@ func (p *Program) RunParallelContext(ctx context.Context, inputs []Input, rows, 
 	for lo := 0; lo < rows; lo += chunk {
 		lo, hi, worker := lo, min(lo+chunk, rows), nChunks
 		nChunks++
-		g.Go(pipeerr.StageMassage, -1, worker, func(gctx context.Context) error {
+		g.Go(pipeerr.StageMassage, round, worker, func(gctx context.Context) error {
 			if err := gctx.Err(); err != nil {
 				return err
 			}
@@ -281,7 +233,7 @@ func (p *Program) RunParallelContext(ctx context.Context, inputs []Input, rows, 
 			if tracing {
 				t0 = time.Now()
 			}
-			p.runRange(inputs, out, lo, hi)
+			run(lo, hi)
 			if tracing {
 				busy.Add(int64(time.Since(t0)))
 			}
@@ -289,32 +241,42 @@ func (p *Program) RunParallelContext(ctx context.Context, inputs []Input, rows, 
 		})
 	}
 	if err := g.Wait(); err != nil {
-		return nil, err
+		return err
 	}
 	if tracing {
-		if wall2 := time.Since(wall); wall2 > 0 && nChunks > 0 {
-			w := workers
-			if nChunks < w {
-				w = nChunks
-			}
-			obsParEffX1000.Set(busy.Load() * 1000 / (int64(wall2) * int64(w)))
+		if wall2 := time.Since(wall); wall2 > 0 {
+			obsParEffX1000.Set(busy.Load() * 1000 / (int64(wall2) * int64(min(workers, nChunks))))
 		}
+	}
+	return nil
+}
+
+// RunParallelContext massages the input columns into one key array per
+// round, partitioning the rows across workers goroutines (workers < 2
+// runs on the caller's). Rows is the row count; all inputs must have at
+// least that many codes. On error the partially massaged keys are
+// discarded.
+func (p *Program) RunParallelContext(ctx context.Context, inputs []Input, rows, workers int) ([][]uint64, error) {
+	out := make([][]uint64, p.nRounds)
+	for d := range out {
+		out[d] = make([]uint64, rows)
+	}
+	err := forEachChunk(ctx, rows, workers, -1, func(lo, hi int) {
+		runRange(p.segments, inputs, out, lo, hi)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// runRange executes every segment for rows [lo, hi). The per-segment
-// loop is sequential and branch-free, matching the paper's
-// characterization of the massaging cost.
-func (p *Program) runRange(inputs []Input, out [][]uint64, lo, hi int) {
-	if rows := int64(hi - lo); rows > 0 {
-		nSeg := int64(len(p.segments))
-		obsFIPOps.Add(nSeg * rows)
-		// Each segment reads one uint64 code and read-modify-writes one
-		// uint64 key per row.
-		obsBytesMoved.Add(nSeg * rows * 16)
-	}
-	for _, seg := range p.segments {
+// runRange executes segs for rows [lo, hi), OR-ing each segment's bits
+// into its destination round's key array. The per-segment loop is
+// sequential and branch-free, matching the paper's characterization of
+// the massaging cost.
+func runRange(segs []segment, inputs []Input, out [][]uint64, lo, hi int) {
+	countFIPs(len(segs), hi-lo)
+	for _, seg := range segs {
 		src := inputs[seg.src].Codes
 		dst := out[seg.dst]
 		srcShift, dstShift, mask := seg.srcShift, seg.dstShift, seg.mask
@@ -332,5 +294,15 @@ func (p *Program) runRange(inputs []Input, out [][]uint64, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			dst[i] |= ((src[i] >> srcShift) & mask) << dstShift
 		}
+	}
+}
+
+// countFIPs books one range's FIP invocations and bytes moved: each
+// segment reads one uint64 code and read-modify-writes one uint64 key
+// per row.
+func countFIPs(nSeg, rows int) {
+	if rows > 0 {
+		obsFIPOps.Add(int64(nSeg) * int64(rows))
+		obsBytesMoved.Add(int64(nSeg) * int64(rows) * 16)
 	}
 }

@@ -1,6 +1,7 @@
 package massage
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -18,6 +19,17 @@ func randInputs(rng *rand.Rand, widths []int, rows int) []Input {
 		inputs[i] = Input{Codes: codes, Width: w}
 	}
 	return inputs
+}
+
+// mustRun massages every round under context.Background(), failing the
+// test on any error; workers < 2 is the sequential pass.
+func mustRun(tb testing.TB, p *Program, inputs []Input, rows, workers int) [][]uint64 {
+	tb.Helper()
+	out, err := p.RunParallelContext(context.Background(), inputs, rows, workers)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
 }
 
 // concat builds the reference concatenation C1‖C2‖…‖Cm for row r.
@@ -42,7 +54,7 @@ func TestStitchTwoColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := prog.Run(inputs, 500)
+	out := mustRun(t, prog, inputs, 500, 1)
 	for r := 0; r < 500; r++ {
 		want := inputs[0].Codes[r]<<17 | inputs[1].Codes[r]
 		if out[0][r] != want {
@@ -59,7 +71,7 @@ func TestBitBorrow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := prog.Run(inputs, 300)
+	out := mustRun(t, prog, inputs, 300, 1)
 	for r := 0; r < 300; r++ {
 		c := concat(inputs, r) // 29 bits
 		wantFirst := c >> 16
@@ -101,7 +113,7 @@ func TestRepartitionProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := prog.Run(inputs, rows)
+		out := mustRun(t, prog, inputs, rows, 1)
 		for r := 0; r < rows; r++ {
 			var rebuilt uint64
 			overflow := false
@@ -187,7 +199,7 @@ func TestDescComplement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := prog.Run(inputs, 3)
+	out := mustRun(t, prog, inputs, 3, 1)
 	x, y, z := out[0][0], out[0][1], out[0][2]
 	if !(x < y && y < z) {
 		t.Fatalf("DESC stitch order wrong: x=%d y=%d z=%d", x, y, z)
@@ -209,8 +221,8 @@ func TestRunParallelMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := prog.Run(inputs, 10000)
-	par := prog.RunParallel(inputs, 10000, 4)
+	seq := mustRun(t, prog, inputs, 10000, 1)
+	par := mustRun(t, prog, inputs, 10000, 4)
 	for j := range seq {
 		for r := range seq[j] {
 			if seq[j][r] != par[j][r] {

@@ -1,23 +1,21 @@
 // Per-round massage entry points for the LIMIT/OFFSET execution path
-// (docs/topk.md). The full Run/RunParallel pass materializes every
+// (docs/topk.md). The full RunParallelContext pass materializes every
 // round key for every row up front; a truncated sort only keeps a
 // shrinking survivor prefix after round 0, so materializing later-round
-// keys for eliminated rows is wasted FIP work. RunRound* execute only
-// the segments whose destination is one round, and RunRoundGather*
-// fuse the lookup/permute step into the FIP pass by indexing the source
-// codes through the survivor permutation — one read-modify-write stream
-// per surviving row instead of permute-then-massage over all rows.
+// keys for eliminated rows is wasted FIP work. RunRoundParallelContext
+// executes only the segments whose destination is one round, and
+// RunRoundGatherContext fuses the lookup/permute step into the FIP pass
+// by indexing the source codes through the survivor permutation — one
+// read-modify-write stream per surviving row instead of
+// permute-then-massage over all rows.
 package massage
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"repro/internal/column"
-	"repro/internal/faultinject"
 	"repro/internal/obs"
-	"repro/internal/pipeerr"
 )
 
 var (
@@ -43,81 +41,28 @@ func (p *Program) roundSegments(d int) ([]segment, error) {
 	return segs, nil
 }
 
-// RunRoundContext massages only round d's key array for rows rows,
-// with cooperative cancellation between seqCheckRows blocks. The other
-// rounds' segments are not executed.
-func (p *Program) RunRoundContext(ctx context.Context, inputs []Input, rows, d int) ([]uint64, error) {
-	segs, err := p.roundSegments(d)
-	if err != nil {
-		return nil, err
-	}
-	obsRoundRuns.Inc()
-	out := make([]uint64, rows)
-	for lo := 0; lo < rows; lo += seqCheckRows {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		faultinject.Fire(faultinject.MassageChunk)
-		p.runRoundRange(segs, inputs, out, lo, min(lo+seqCheckRows, rows))
-	}
-	if rows == 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// RunRound is RunRoundContext without cancellation.
-func (p *Program) RunRound(inputs []Input, rows, d int) ([]uint64, error) {
-	return p.RunRoundContext(context.Background(), inputs, rows, d)
-}
-
-// RunRoundParallelContext is RunRoundContext with the rows partitioned
-// across workers goroutines, chunk boundaries cache-line aligned like
-// RunParallelContext. A worker panic surfaces as a
-// *pipeerr.PipelineError with stage "massage" and round d.
+// RunRoundParallelContext massages only round d's key array for rows
+// rows — the other rounds' segments are not executed — with the rows
+// partitioned across workers goroutines, and cancellation and
+// containment, exactly like RunParallelContext. A worker panic surfaces
+// as a *pipeerr.PipelineError with stage "massage" and round d.
 func (p *Program) RunRoundParallelContext(ctx context.Context, inputs []Input, rows, d, workers int) ([]uint64, error) {
-	if workers < 2 || rows < parallelMinRows {
-		return p.RunRoundContext(ctx, inputs, rows, d)
-	}
 	segs, err := p.roundSegments(d)
 	if err != nil {
 		return nil, err
 	}
 	obsRoundRuns.Inc()
-	out := make([]uint64, rows)
-	g := pipeerr.NewGroup(ctx)
-	chunk := ((rows+workers-1)/workers + chunkAlign - 1) / chunkAlign * chunkAlign
-	worker := 0
-	for lo := 0; lo < rows; lo += chunk {
-		lo, hi, worker := lo, min(lo+chunk, rows), worker
-		g.Go(pipeerr.StageMassage, d, worker, func(gctx context.Context) error {
-			if err := gctx.Err(); err != nil {
-				return err
-			}
-			faultinject.Fire(faultinject.MassageChunk)
-			p.runRoundRange(segs, inputs, out, lo, hi)
-			return nil
-		})
-		worker++
-	}
-	return out, g.Wait()
-}
-
-// RunRoundParallel is RunRoundParallelContext without cancellation. A
-// contained worker fault is re-raised on the caller's goroutine as a
-// *pipeerr.PipelineError, matching RunParallel.
-func (p *Program) RunRoundParallel(inputs []Input, rows, d, workers int) ([]uint64, error) {
-	out, err := p.RunRoundParallelContext(context.Background(), inputs, rows, d, workers)
+	// runRange indexes its destination by round; segs only feed round d,
+	// so only that key array exists.
+	out := make([][]uint64, p.nRounds)
+	out[d] = make([]uint64, rows)
+	err = forEachChunk(ctx, rows, workers, d, func(lo, hi int) {
+		runRange(segs, inputs, out, lo, hi)
+	})
 	if err != nil {
-		var pe *pipeerr.PipelineError
-		if errors.As(err, &pe) {
-			panic(err)
-		}
 		return nil, err
 	}
-	return out, nil
+	return out[d], nil
 }
 
 // RunRoundGatherContext massages round d's key for the surviving rows
@@ -132,90 +77,20 @@ func (p *Program) RunRoundGatherContext(ctx context.Context, inputs []Input, per
 		return nil, err
 	}
 	obsGatherRuns.Inc()
-	rows := len(perm)
-	out := make([]uint64, rows)
-	if workers < 2 || rows < parallelMinRows {
-		for lo := 0; lo < rows; lo += seqCheckRows {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			faultinject.Fire(faultinject.MassageChunk)
-			p.runRoundGatherRange(segs, inputs, out, perm, lo, min(lo+seqCheckRows, rows))
-		}
-		if rows == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
-	g := pipeerr.NewGroup(ctx)
-	chunk := ((rows+workers-1)/workers + chunkAlign - 1) / chunkAlign * chunkAlign
-	worker := 0
-	for lo := 0; lo < rows; lo += chunk {
-		lo, hi, worker := lo, min(lo+chunk, rows), worker
-		g.Go(pipeerr.StageMassage, d, worker, func(gctx context.Context) error {
-			if err := gctx.Err(); err != nil {
-				return err
-			}
-			faultinject.Fire(faultinject.MassageChunk)
-			p.runRoundGatherRange(segs, inputs, out, perm, lo, hi)
-			return nil
-		})
-		worker++
-	}
-	return out, g.Wait()
-}
-
-// RunRoundGather is RunRoundGatherContext without cancellation. A
-// contained worker fault is re-raised on the caller's goroutine as a
-// *pipeerr.PipelineError, matching RunParallel.
-func (p *Program) RunRoundGather(inputs []Input, perm []uint32, d, workers int) ([]uint64, error) {
-	out, err := p.RunRoundGatherContext(context.Background(), inputs, perm, d, workers)
+	out := make([]uint64, len(perm))
+	err = forEachChunk(ctx, len(perm), workers, d, func(lo, hi int) {
+		runGatherRange(segs, inputs, out, perm, lo, hi)
+	})
 	if err != nil {
-		var pe *pipeerr.PipelineError
-		if errors.As(err, &pe) {
-			panic(err)
-		}
 		return nil, err
 	}
 	return out, nil
 }
 
-// runRoundRange executes segs (all feeding one round) for rows
-// [lo, hi), the same branch-free per-segment loops as runRange.
-func (p *Program) runRoundRange(segs []segment, inputs []Input, out []uint64, lo, hi int) {
-	if rows := int64(hi - lo); rows > 0 {
-		nSeg := int64(len(segs))
-		obsFIPOps.Add(nSeg * rows)
-		obsBytesMoved.Add(nSeg * rows * 16)
-	}
-	for _, seg := range segs {
-		src := inputs[seg.src].Codes
-		dst := out
-		srcShift, dstShift, mask := seg.srcShift, seg.dstShift, seg.mask
-		if inputs[seg.src].Desc {
-			cmask := column.Mask(inputs[seg.src].Width)
-			for i := lo; i < hi; i++ {
-				v := ((^src[i] & cmask) >> srcShift) & mask
-				dst[i] |= v << dstShift
-			}
-			continue
-		}
-		for i := lo; i < hi; i++ {
-			dst[i] |= ((src[i] >> srcShift) & mask) << dstShift
-		}
-	}
-}
-
-// runRoundGatherRange is runRoundRange with the source codes indexed
-// through perm: out[i] accumulates row perm[i]'s segment bits.
-func (p *Program) runRoundGatherRange(segs []segment, inputs []Input, out []uint64, perm []uint32, lo, hi int) {
-	if rows := int64(hi - lo); rows > 0 {
-		nSeg := int64(len(segs))
-		obsFIPOps.Add(nSeg * rows)
-		obsBytesMoved.Add(nSeg * rows * 16)
-	}
+// runGatherRange is runRange for one round with the source codes
+// indexed through perm: out[i] accumulates row perm[i]'s segment bits.
+func runGatherRange(segs []segment, inputs []Input, out []uint64, perm []uint32, lo, hi int) {
+	countFIPs(len(segs), hi-lo)
 	for _, seg := range segs {
 		src := inputs[seg.src].Codes
 		dst := out

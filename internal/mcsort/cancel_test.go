@@ -174,3 +174,79 @@ func TestDeterministicAfterCancelledRun(t *testing.T) {
 		}
 	}
 }
+
+// pollCtx reports cancellation from its (polls+1)-th Err call on: a
+// cancellation that lands mid-operation, deterministically.
+type pollCtx struct {
+	context.Context
+	polls atomic.Int64
+}
+
+func newPollCtx(polls int64) *pollCtx {
+	c := &pollCtx{Context: context.Background()}
+	c.polls.Store(polls)
+	return c
+}
+
+func (c *pollCtx) Err() error {
+	if c.polls.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSequentialGiantGroupCancel pins invariant 4 of docs/robustness.md
+// on the sequential later-round path: a round whose rows all tie into
+// one group is one whole sort, so the context must reach the sort
+// itself. Cancelled before the round, or only after the group's sort
+// has started (past the loop's polls and the sort's entry poll),
+// the round returns context.Canceled with keys and perm untouched. The
+// poll budget of a many-small-groups round is pinned alongside: one
+// classification poll plus one per exhausted 1<<16-row credit, never
+// one per group.
+func TestSequentialGiantGroupCancel(t *testing.T) {
+	const n = 1<<16 + 4096
+	rng := rand.New(rand.NewSource(41))
+	keys := make([]uint64, n)
+	perm := make([]uint32, n)
+	for i := range keys {
+		keys[i] = uint64(rng.Intn(1 << 16))
+		perm[i] = uint32(i)
+	}
+	wantKeys := append([]uint64(nil), keys...)
+	wantPerm := append([]uint32(nil), perm...)
+	sp := Options{}.sortParams()
+	oneGroup := []int32{0, n}
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, ctx := range map[string]context.Context{
+		"pre-cancelled": cancelled,
+		"mid-sort":      newPollCtx(1 + 1 + 1), // the classification poll, the credit poll, the sort's entry poll
+	} {
+		_, err := parallelGroupSort(ctx, 16, keys, perm, oneGroup, 1, sp, 1)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", name, err)
+		}
+		for i := range keys {
+			if keys[i] != wantKeys[i] || perm[i] != wantPerm[i] {
+				t.Fatalf("%s: cancelled round modified its input at %d", name, i)
+			}
+		}
+	}
+
+	// n/32 groups of 32 rows: each is a real (non-insertion) sort, and
+	// together they exhaust the credit exactly twice — at the first
+	// group and once 1<<16 rows later.
+	small := make([]int32, 0, n/32+1)
+	for lo := 0; lo <= n; lo += 32 {
+		small = append(small, int32(lo))
+	}
+	// A 32-row group is one in-register tail run, so its sort polls on
+	// entry only.
+	const budget = 1 + 2 // the classification poll, two exhausted credits
+	ctx := newPollCtx(budget)
+	if _, err := parallelGroupSort(ctx, 16, keys, perm, small, 1, sp, 1); err != nil {
+		t.Fatalf("small groups: %v after more than %d polls", err, budget)
+	}
+}

@@ -194,7 +194,7 @@ func TestExecuteDeterministicAcrossWorkers(t *testing.T) {
 		for planName, p := range execPlans() {
 			var baseline *Result
 			for _, w := range workerCounts {
-				res, err := Execute(inputs, p, Options{Workers: w, SortParams: &sp})
+				res, err := execute(inputs, p, Options{Workers: w, SortParams: &sp})
 				if err != nil {
 					t.Fatalf("%s/%s workers=%d: %v", dist, planName, w, err)
 				}
@@ -239,7 +239,7 @@ func TestExecutePlansAgree(t *testing.T) {
 	var baseName string
 	for planName, p := range execPlans() {
 		for _, w := range workerCounts {
-			res, err := Execute(inputs, p, Options{Workers: w, SortParams: &sp})
+			res, err := execute(inputs, p, Options{Workers: w, SortParams: &sp})
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", planName, w, err)
 			}
@@ -264,11 +264,11 @@ func TestExecutePlansAgree(t *testing.T) {
 	}
 }
 
-func ExampleExecute_deterministic() {
+func ExampleExecuteContext_deterministic() {
 	inputs := []massage.Input{{Codes: []uint64{3, 1, 3, 1}, Width: 2}}
 	p := plan.Plan{Rounds: []plan.Round{{Width: 2, Bank: 16}}}
 	for _, w := range []int{1, 4} {
-		res, _ := Execute(inputs, p, Options{Workers: w})
+		res, _ := execute(inputs, p, Options{Workers: w})
 		fmt.Println(res.Perm)
 	}
 	// Output:
@@ -298,11 +298,11 @@ func TestExecuteOVCOnOffIdentical(t *testing.T) {
 				spOn := forcedParams(16)
 				spOff := forcedParams(16)
 				spOff.DisableOVC = true
-				on, err := Execute(inputs, p, Options{Workers: w, SortParams: &spOn})
+				on, err := execute(inputs, p, Options{Workers: w, SortParams: &spOn})
 				if err != nil {
 					t.Fatalf("card=%d %s workers=%d: %v", card, planName, w, err)
 				}
-				off, err := Execute(inputs, p, Options{Workers: w, SortParams: &spOff})
+				off, err := execute(inputs, p, Options{Workers: w, SortParams: &spOff})
 				if err != nil {
 					t.Fatalf("card=%d %s workers=%d (ovc off): %v", card, planName, w, err)
 				}

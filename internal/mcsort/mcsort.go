@@ -117,39 +117,28 @@ type Options struct {
 	LimitGroups int
 }
 
-// sortParams resolves the effective phase parameters for a round's
-// bank: the cache-derived defaults overlaid with any non-zero fields of
-// the caller's override.
-func (o Options) sortParams(bank int) mergesort.Params {
-	p := mergesort.DefaultParams(bank / 8)
-	if o.SortParams == nil {
-		return p
+// sortParams returns the caller's sorter parameters with the two
+// parallel knobs this package reads itself resolved; the phase
+// parameters stay as given — every mergesort entry point overlays the
+// cache-derived defaults for the bank it sorts on whatever is zero.
+func (o Options) sortParams() mergesort.Params {
+	var p mergesort.Params
+	if o.SortParams != nil {
+		p = *o.SortParams
 	}
-	if o.SortParams.InCacheElems > 0 {
-		p.InCacheElems = o.SortParams.InCacheElems
+	if p.ParallelThreshold <= 0 {
+		p.ParallelThreshold = mergesort.DefaultParallelThreshold
 	}
-	if o.SortParams.Fanout > 0 {
-		p.Fanout = o.SortParams.Fanout
+	if p.PivotSamplePerWorker <= 0 {
+		p.PivotSamplePerWorker = mergesort.DefaultPivotSamplePerWorker
 	}
-	if o.SortParams.ParallelThreshold > 0 {
-		p.ParallelThreshold = o.SortParams.ParallelThreshold
-	}
-	if o.SortParams.PivotSamplePerWorker > 0 {
-		p.PivotSamplePerWorker = o.SortParams.PivotSamplePerWorker
-	}
-	p.DisableOVC = o.SortParams.DisableOVC
 	return p
 }
 
-// Execute sorts the rows described by inputs according to p. All input
-// columns must have the same length, and the plan's total width must
-// equal the summed input widths.
-func Execute(inputs []massage.Input, p plan.Plan, opts Options) (*Result, error) {
-	return ExecuteContext(context.Background(), inputs, p, opts)
-}
-
-// ExecuteContext is Execute with cooperative cancellation and fault
-// containment: the context is polled at round, chunk, and group
+// ExecuteContext sorts the rows described by inputs according to p. All
+// input columns must have the same length, and the plan's total width
+// must equal the summed input widths. Cancellation is cooperative and
+// faults are contained: the context is polled at round, chunk, and group
 // boundaries, so a cancelled or deadline-expired sort returns
 // ctx.Err() within one chunk of work, with no goroutine leaks. A
 // panicking worker — including a fault injected via
@@ -236,6 +225,7 @@ func executeContext(ctx context.Context, inputs []massage.Input, p plan.Plan, op
 	res.Timings.Massage = time.Since(start)
 	obsMassageT.Add(res.Timings.Massage)
 
+	sp := opts.sortParams()
 	groups := []int32{0, int32(rows)}
 	active := rows
 	var scratch []uint64
@@ -247,7 +237,6 @@ func executeContext(ctx context.Context, inputs []massage.Input, p plan.Plan, op
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		sp := opts.sortParams(round.Bank)
 		var keys []uint64
 		switch {
 		case limited && r == 0:
@@ -411,13 +400,4 @@ func refineGroups(groups []int32, keys []uint64) []int32 {
 	}
 	out = append(out, groups[len(groups)-1])
 	return out
-}
-
-// ColumnAtATime runs the baseline plan P₀ (one round per column).
-func ColumnAtATime(inputs []massage.Input, opts Options) (*Result, error) {
-	widths := make([]int, len(inputs))
-	for i, in := range inputs {
-		widths[i] = in.Width
-	}
-	return Execute(inputs, plan.ColumnAtATime(widths), opts)
 }

@@ -1,6 +1,7 @@
 package mcsort
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -9,6 +10,21 @@ import (
 	"repro/internal/massage"
 	"repro/internal/plan"
 )
+
+// execute runs ExecuteContext under context.Background(): most tests
+// exercise sorting, not cancellation.
+func execute(inputs []massage.Input, p plan.Plan, opts Options) (*Result, error) {
+	return ExecuteContext(context.Background(), inputs, p, opts)
+}
+
+// columnAtATime runs the baseline plan P₀ (one round per column).
+func columnAtATime(inputs []massage.Input, opts Options) (*Result, error) {
+	widths := make([]int, len(inputs))
+	for i, in := range inputs {
+		widths[i] = in.Width
+	}
+	return execute(inputs, plan.ColumnAtATime(widths), opts)
+}
 
 // refSort returns the reference permutation: oids ordered by the tuple
 // comparison ≺ of the paper (Section 3), honoring per-column direction.
@@ -73,7 +89,7 @@ func randInputs(rng *rand.Rand, widths []int, distinct []int, rows int) []massag
 func TestColumnAtATimeMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	inputs := randInputs(rng, []int{5, 9, 17}, []int{7, 100, 5000}, 4000)
-	res, err := ColumnAtATime(inputs, Options{})
+	res, err := columnAtATime(inputs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +101,7 @@ func TestStitchedPlanMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	inputs := randInputs(rng, []int{10, 17}, []int{1 << 10, 1 << 13}, 5000)
 	p := plan.Plan{Rounds: []plan.Round{{Width: 27, Bank: 32}}}
-	res, err := Execute(inputs, p, Options{})
+	res, err := execute(inputs, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +150,7 @@ func TestLemma1Property(t *testing.T) {
 		}
 		p := plan.Plan{Rounds: rounds}
 
-		res, err := Execute(inputs, p, Options{})
+		res, err := execute(inputs, p, Options{})
 		if err != nil {
 			t.Fatalf("trial %d plan %v: %v", trial, p, err)
 		}
@@ -146,7 +162,7 @@ func TestLemma1Property(t *testing.T) {
 func TestGroupsAreMaximalTieRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	inputs := randInputs(rng, []int{3, 4}, []int{4, 6}, 2000)
-	res, err := ColumnAtATime(inputs, Options{})
+	res, err := columnAtATime(inputs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +194,7 @@ func TestRoundStats(t *testing.T) {
 	// sorts only groups with more than one row.
 	rng := rand.New(rand.NewSource(5))
 	inputs := randInputs(rng, []int{4, 10}, []int{16, 1000}, 20000)
-	res, err := ColumnAtATime(inputs, Options{})
+	res, err := columnAtATime(inputs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +215,7 @@ func TestRoundStats(t *testing.T) {
 
 func TestSingletonAndEmptyInputs(t *testing.T) {
 	inputs := []massage.Input{{Codes: []uint64{}, Width: 5}}
-	res, err := ColumnAtATime(inputs, Options{})
+	res, err := columnAtATime(inputs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +224,7 @@ func TestSingletonAndEmptyInputs(t *testing.T) {
 	}
 
 	inputs = []massage.Input{{Codes: []uint64{3}, Width: 5}}
-	res, err = ColumnAtATime(inputs, Options{})
+	res, err = columnAtATime(inputs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,10 +239,10 @@ func TestSingletonAndEmptyInputs(t *testing.T) {
 func TestExecuteRejectsBadPlans(t *testing.T) {
 	inputs := []massage.Input{{Codes: []uint64{1, 2}, Width: 10}}
 	bad := plan.Plan{Rounds: []plan.Round{{Width: 11, Bank: 16}}}
-	if _, err := Execute(inputs, bad, Options{}); err == nil {
+	if _, err := execute(inputs, bad, Options{}); err == nil {
 		t.Error("plan wider than inputs accepted")
 	}
-	if _, err := Execute(nil, bad, Options{}); err == nil {
+	if _, err := execute(nil, bad, Options{}); err == nil {
 		t.Error("no inputs accepted")
 	}
 }
@@ -234,11 +250,11 @@ func TestExecuteRejectsBadPlans(t *testing.T) {
 func TestParallelWorkersMatchSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	inputs := randInputs(rng, []int{8, 12}, []int{100, 2000}, 30000)
-	seq, err := ColumnAtATime(inputs, Options{})
+	seq, err := columnAtATime(inputs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := ColumnAtATime(inputs, Options{Workers: 4})
+	par, err := columnAtATime(inputs, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,11 +274,11 @@ func TestRadixExecutorMatchesMergeSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	inputs := randInputs(rng, []int{9, 21}, []int{300, 5000}, 20000)
 	p := plan.Plan{Rounds: []plan.Round{{Width: 30, Bank: 32}}}
-	merge, err := Execute(inputs, p, Options{})
+	merge, err := execute(inputs, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	radix, err := Execute(inputs, p, Options{UseRadix: true})
+	radix, err := execute(inputs, p, Options{UseRadix: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +292,7 @@ func TestRadixExecutorMultiRound(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	inputs := randInputs(rng, []int{11, 13, 8}, []int{500, 900, 100}, 15000)
 	inputs[1].Desc = true
-	res, err := Execute(inputs, plan.ColumnAtATime([]int{11, 13, 8}),
+	res, err := execute(inputs, plan.ColumnAtATime([]int{11, 13, 8}),
 		Options{UseRadix: true, RadixBits: 11})
 	if err != nil {
 		t.Fatal(err)

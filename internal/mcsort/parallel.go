@@ -267,14 +267,23 @@ func oidsAscending(oids []uint32) bool {
 	return true
 }
 
+// groupPollRows is the poll stride of the later-round group sorts: the
+// rows sorted between context polls, and the group size from which a
+// group's own sort must be cancellable.
+const groupPollRows = 1 << 16
+
 // parallelGroupSort sorts each group [groups[g], groups[g+1]) of keys
 // across workers and canonicalizes ties in every group. Groups large
 // enough to starve the pool (≥ p.ParallelThreshold) are sorted
 // cooperatively by all workers with the rank-split parallel sort; the
 // rest are drained largest-first from a shared queue, so zipf-skewed
 // group populations stay balanced without static assignment. The
-// context is polled between groups — a cancelled round returns before
-// claiming the next group.
+// context is polled between groups (amortized on the sequential path)
+// and reaches the sort of every group of at least groupPollRows rows,
+// so a cancelled round returns within one merge pass over one group;
+// smaller groups sort under a context that cannot be cancelled, whose
+// entry poll is free — a round can hold 100k+ tiny groups, and a
+// cancelCtx poll takes a mutex.
 func parallelGroupSort(ctx context.Context, bank int, keys []uint64, perm []uint32, groups []int32, workers int, p mergesort.Params, round int) (int, error) {
 	faultinject.Fire(faultinject.GroupSort)
 	nSort := 0
@@ -300,6 +309,9 @@ func parallelGroupSort(ctx context.Context, bank int, keys []uint64, perm []uint
 		}
 	}
 	obsWorkerSegments.Add(int64(len(big) + len(small)))
+	// Groups below groupPollRows sort under quiet, whose poll is free:
+	// the loops' own polls cover them.
+	quiet := context.WithoutCancel(ctx)
 	if workers < 2 {
 		credit := 0
 		for _, s := range small {
@@ -308,9 +320,15 @@ func parallelGroupSort(ctx context.Context, bank int, keys []uint64, perm []uint
 				if err := ctx.Err(); err != nil {
 					return nSort, err
 				}
-				credit = 1 << 16
+				credit = groupPollRows
 			}
-			mergesort.SortWithParams(bank, keys[s.lo:s.hi], perm[s.lo:s.hi], p)
+			sctx := quiet
+			if s.hi-s.lo >= groupPollRows {
+				sctx = ctx
+			}
+			if err := mergesort.SortWithParamsContext(sctx, bank, keys[s.lo:s.hi], perm[s.lo:s.hi], p); err != nil {
+				return nSort, err
+			}
 			canonicalizeTies(keys[s.lo:s.hi], perm[s.lo:s.hi])
 		}
 		return nSort, nil
@@ -352,6 +370,11 @@ func parallelGroupSort(ctx context.Context, bank int, keys []uint64, perm []uint
 					t0 = time.Now()
 				}
 				for {
+					// Poll before claiming, not in the sort's entry
+					// right after: the shared claim counter lines the
+					// workers up, and a cancelCtx poll that follows it
+					// directly contends on the context's mutex (+18 %
+					// on a round of 131k four-row groups, two workers).
 					if err := gctx.Err(); err != nil {
 						return err
 					}
@@ -360,7 +383,13 @@ func parallelGroupSort(ctx context.Context, bank int, keys []uint64, perm []uint
 						break
 					}
 					s := small[i]
-					mergesort.SortWithParams(bank, keys[s.lo:s.hi], perm[s.lo:s.hi], p)
+					sctx := quiet
+					if s.hi-s.lo >= groupPollRows {
+						sctx = gctx
+					}
+					if err := mergesort.SortWithParamsContext(sctx, bank, keys[s.lo:s.hi], perm[s.lo:s.hi], p); err != nil {
+						return err
+					}
 					canonicalizeTies(keys[s.lo:s.hi], perm[s.lo:s.hi])
 				}
 				if tracing {

@@ -100,32 +100,6 @@ func TestChunkSortPanicContained(t *testing.T) {
 	}
 }
 
-// TestLegacyWrapperPanicsOnContainedFault pins the documented contract
-// of the context-free wrappers: an impossible-without-faults error is
-// re-raised as a panic on the caller's goroutine — a deliberate,
-// attributable failure rather than a crash from a detached worker.
-func TestLegacyWrapperPanicsOnContainedFault(t *testing.T) {
-	defer faultinject.Reset()
-	keys, oids := cancelKeys(20000, 13)
-	restore := faultinject.Set(faultinject.ChunkSort, func() { panic("injected") })
-	defer restore()
-	defer func() {
-		v := recover()
-		if v == nil {
-			t.Fatal("legacy wrapper did not re-raise the contained fault")
-		}
-		err, ok := v.(error)
-		if !ok {
-			t.Fatalf("recovered %T, want error", v)
-		}
-		var pe *pipeerr.PipelineError
-		if !errors.As(err, &pe) {
-			t.Fatalf("recovered %v, want *pipeerr.PipelineError", err)
-		}
-	}()
-	ParallelSortWithParams(16, keys, oids, cancelParams(16), 4)
-}
-
 // TestTopKCancelAtSites cancels the bounded-heap partial sort from the
 // chunk-filter site and from the truncated-merge site (TopKMerge, which
 // fires only when the pivot cut actually truncates): a fired site must

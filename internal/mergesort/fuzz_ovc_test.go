@@ -77,13 +77,13 @@ func FuzzOVCMerge(f *testing.F) {
 
 		offK := append([]uint64(nil), keys...)
 		offO := append([]uint32(nil), oids...)
-		ParallelMergeWithParams(bank, offK, offO, cuts, pOff, workers)
+		mustParallelMerge(t, bank, offK, offO, cuts, pOff, workers)
 
 		onK := append([]uint64(nil), keys...)
 		onO := append([]uint32(nil), oids...)
 		ovcAuditReset()
 		ovcAuditEnabled = true
-		ParallelMergeWithParams(bank, onK, onO, cuts, p, workers)
+		mustParallelMerge(t, bank, onK, onO, cuts, p, workers)
 		ovcAuditEnabled = false
 		if m := ovcAuditMismatches.Load(); m != 0 {
 			t.Fatalf("bank %d n %d runs %d workers %d: %d code verdicts contradicted the keys",

@@ -97,7 +97,7 @@ func FuzzParallelMerge(f *testing.F) {
 
 		gotK := append([]uint64(nil), keys...)
 		gotO := append([]uint32(nil), oids...)
-		ParallelMerge(bank, gotK, gotO, cuts, workers)
+		mustParallelMerge(t, bank, gotK, gotO, cuts, Params{}, workers)
 
 		for i := 0; i < n; i++ {
 			if gotK[i] != want[i].k {

@@ -68,7 +68,7 @@ func FuzzMergesortSort(f *testing.F) {
 			oids[i] = uint32(i)
 		}
 
-		Sort(bank, keys, oids)
+		mustSort(t, bank, keys, oids, Params{})
 
 		want := append([]uint64(nil), orig...)
 		sort.SliceStable(want, func(i, j int) bool { return want[i] < want[j] })

@@ -92,7 +92,7 @@ func FuzzTopKMerge(f *testing.F) {
 
 		gotK := append([]uint64(nil), keys...)
 		gotO := append([]uint32(nil), oids...)
-		m := ParallelMergeTopK(bank, gotK, gotO, cuts, limit, testParams(bank), workers)
+		m := mustParallelMergeTopK(t, bank, gotK, gotO, cuts, limit, testParams(bank), workers)
 
 		if m > n {
 			t.Fatalf("bank %d n %d limit %d workers %d: m=%d exceeds n", bank, n, limit, workers, m)
@@ -115,7 +115,7 @@ func FuzzTopKMerge(f *testing.F) {
 		// the same m with the same prefix.
 		gotK2 := append([]uint64(nil), keys...)
 		gotO2 := append([]uint32(nil), oids...)
-		m2 := ParallelMergeTopK(bank, gotK2, gotO2, cuts, limit, testParams(bank), workers%8+1)
+		m2 := mustParallelMergeTopK(t, bank, gotK2, gotO2, cuts, limit, testParams(bank), workers%8+1)
 		if m2 != m {
 			t.Fatalf("bank %d n %d limit %d: m=%d at workers=%d but %d at workers=%d",
 				bank, n, limit, m, workers, m2, workers%8+1)

@@ -61,7 +61,7 @@ func TestSortAllBanksSizes(t *testing.T) {
 			keys := randKeys(rng, n, bank)
 			orig := append([]uint64(nil), keys...)
 			oids := identOids(n)
-			Sort(bank, keys, oids)
+			mustSort(t, bank, keys, oids, Params{})
 			verifySorted(t, orig, keys, oids)
 		}
 	}
@@ -78,7 +78,7 @@ func TestSortManyTies(t *testing.T) {
 			}
 			orig := append([]uint64(nil), keys...)
 			oids := identOids(n)
-			Sort(bank, keys, oids)
+			mustSort(t, bank, keys, oids, Params{})
 			verifySorted(t, orig, keys, oids)
 		}
 	}
@@ -97,7 +97,7 @@ func TestSortPreSortedAndReversed(t *testing.T) {
 			}
 			orig := append([]uint64(nil), asc...)
 			oids := identOids(n)
-			Sort(bank, asc, oids)
+			mustSort(t, bank, asc, oids, Params{})
 			verifySorted(t, orig, asc, oids)
 
 			desc := make([]uint64, n)
@@ -106,7 +106,7 @@ func TestSortPreSortedAndReversed(t *testing.T) {
 			}
 			orig = append([]uint64(nil), desc...)
 			oids = identOids(n)
-			Sort(bank, desc, oids)
+			mustSort(t, bank, desc, oids, Params{})
 			verifySorted(t, orig, desc, oids)
 		}
 	}
@@ -135,7 +135,7 @@ func TestSortMaxBoundaryValues(t *testing.T) {
 		}
 		orig := append([]uint64(nil), keys...)
 		oids := identOids(n)
-		Sort(bank, keys, oids)
+		mustSort(t, bank, keys, oids, Params{})
 		verifySorted(t, orig, keys, oids)
 	}
 }
@@ -154,7 +154,7 @@ func TestSortProperty(t *testing.T) {
 			}
 			orig := append([]uint64(nil), keys...)
 			oids := identOids(len(keys))
-			Sort(bank, keys, oids)
+			mustSort(t, bank, keys, oids, Params{})
 			want := append([]uint64(nil), orig...)
 			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 			for i := range keys {
@@ -179,7 +179,7 @@ func TestSortForcedMultiway(t *testing.T) {
 		keys := randKeys(rng, n, bank)
 		orig := append([]uint64(nil), keys...)
 		oids := identOids(n)
-		SortWithParams(bank, keys, oids, Params{InCacheElems: 64, Fanout: 4})
+		mustSort(t, bank, keys, oids, Params{InCacheElems: 64, Fanout: 4})
 		verifySorted(t, orig, keys, oids)
 	}
 }
@@ -277,35 +277,16 @@ func TestLoserTree(t *testing.T) {
 			keys = append(keys, run...)
 			runs = append(runs, len(keys))
 		}
-		oids := identOids(len(keys))
-		dstK := make([]uint64, len(keys))
-		dstO := make([]uint32, len(keys))
-		orig := append([]uint64(nil), keys...)
-		multiwayMerge(keys, oids, runs, dstK, dstO)
-		verifySorted(t, orig, dstK, dstO)
-	}
-}
-
-// TestSortMatchesBaseline cross-checks the register sort against the
-// scalar packed baseline on identical inputs.
-func TestSortMatchesBaseline(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, bank := range []int{16, 32} {
-		n := 20000
-		keys := randKeys(rng, n, bank)
-		k32 := make([]uint32, n)
-		for i := range keys {
-			k32[i] = uint32(keys[i])
+		// One-lane packing stores a key per word, so the run array is
+		// its own packed form.
+		lt := newLoserTreePacked(keys, 1, runs, trial%2 == 0)
+		dstK := make([]uint64, 0, len(keys))
+		dstO := make([]uint32, 0, len(keys))
+		for pos := lt.pop(); pos >= 0; pos = lt.pop() {
+			dstK = append(dstK, keys[pos])
+			dstO = append(dstO, uint32(pos))
 		}
-		oids := identOids(n)
-		oids2 := identOids(n)
-		Sort(bank, keys, oids)
-		SortPacked(k32, oids2)
-		for i := range keys {
-			if keys[i] != uint64(k32[i]) {
-				t.Fatalf("bank %d: key order differs from baseline at %d", bank, i)
-			}
-		}
+		verifySorted(t, keys, dstK, dstO)
 	}
 }
 
@@ -324,7 +305,7 @@ func benchSort(b *testing.B, bank, n int) {
 		for j := range oids {
 			oids[j] = uint32(j)
 		}
-		Sort(bank, keys, oids)
+		mustSort(b, bank, keys, oids, Params{})
 	}
 	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Melem/s")
 }

@@ -29,9 +29,11 @@ package mergesort
 // code(B,base), because B's first divergence from base happens strictly
 // above any byte where A still agrees with base.
 //
-// The loser-tree invariant maintained by all three trees (stableLoserTree,
-// loserTreePacked, loserTree[K]): every stored loser's code is relative
-// to the last record that went up through that node. The initial build
+// The loser-tree invariant maintained by both trees (stableLoserTree,
+// which merges co-partitions of the parallel and top-K merges, and
+// loserTreePacked, which runs the sort's phase-3 passes): every stored
+// loser's code is relative to the last record that went up through
+// that node. The initial build
 // uses full comparisons and re-bases every loser against its winner;
 // replay comparisons then always see a common base, and the record
 // entering after a pop needs its code relative to the record that just
@@ -43,12 +45,11 @@ package mergesort
 // In stableLoserTree, whose (key, run index) order is strict and total,
 // an entering code of 0 short-circuits the whole replay: the successor
 // carries the exact tuple that just won every duel on its path (see
-// pop). This is where duplicate-heavy merges win big.
+// popStretch). This is where duplicate-heavy merges win big.
 //
 // A popped winner's code is its code relative to the previously emitted
-// record, which lets chained merges emit output codes for free via
-// popWithCode (multiwayMergeOVC, multiwayMergePackedOVC) instead of
-// rescanning the output.
+// record, which would let a chained merge emit output codes for free
+// (loserTreePacked.popWithCode) instead of rescanning the output.
 
 import (
 	"math/bits"
@@ -98,7 +99,7 @@ func deriveOVCRunsPacked(kw []uint64, lanes int, runs []int, ovc []uint32) {
 }
 
 // deriveOVCElemsSeg is deriveOVCPackedSeg over plain uint64 elements
-// (the packed key<<32|oid path and radix-sorted runs).
+// (radix-sorted runs).
 func deriveOVCElemsSeg(keys []uint64, lo, hi int, prev uint64, ovc []uint32) uint64 {
 	for i := lo; i < hi; i++ {
 		k := keys[i]
@@ -106,14 +107,6 @@ func deriveOVCElemsSeg(keys []uint64, lo, hi int, prev uint64, ovc []uint32) uin
 		prev = k
 	}
 	return prev
-}
-
-// deriveOVCRunsElems derives codes for every run of a plain element array.
-func deriveOVCRunsElems(keys []uint64, runs []int, ovc []uint32) {
-	for r := 0; r+1 < len(runs); r++ {
-		deriveOVCElemsSeg(keys, runs[r], runs[r+1], 0, ovc)
-	}
-	obsOVCDerives.Add(int64(len(runs) - 1))
 }
 
 // DeriveOVC returns the offset-value codes of one ascending run — the

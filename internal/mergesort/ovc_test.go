@@ -133,11 +133,11 @@ func TestOVCAuditSequentialSort(t *testing.T) {
 			}
 			off := forcePhase3(bank)
 			off.DisableOVC = true
-			SortWithParams(bank, wantK, wantO, off)
+			mustSort(t, bank, wantK, wantO, off)
 
 			gotK := append([]uint64(nil), keys...)
 			resolved, _ := withOVCAudit(t, func() {
-				SortWithParams(bank, gotK, gotO, forcePhase3(bank))
+				mustSort(t, bank, gotK, gotO, forcePhase3(bank))
 			})
 			if resolved == 0 {
 				t.Errorf("%s bank=%d: no comparisons resolved by codes", name, bank)
@@ -171,7 +171,7 @@ func TestOVCAuditParallelMerge(t *testing.T) {
 				gotK := append([]uint64(nil), k...)
 				gotO := append([]uint32(nil), oids...)
 				resolved, _ := withOVCAudit(t, func() {
-					ParallelMergeWithParams(bank, gotK, gotO, runs, testParams(bank), w)
+					mustParallelMerge(t, bank, gotK, gotO, runs, testParams(bank), w)
 				})
 				// Duplicate-heavy inputs may bypass comparisons
 				// entirely via the code-0 replay skip; either a code
@@ -208,7 +208,7 @@ func TestOVCAuditParallelSort(t *testing.T) {
 			}
 			off := forcePhase3(bank)
 			off.DisableOVC = true
-			ParallelSortWithParams(bank, wantK, wantO, off, 4)
+			mustParallelSort(t, bank, wantK, wantO, off, 4)
 			canonicalOids(wantK, wantO)
 			for _, w := range []int{2, 8} {
 				gotK := append([]uint64(nil), keys...)
@@ -217,7 +217,7 @@ func TestOVCAuditParallelSort(t *testing.T) {
 					gotO[i] = uint32(i)
 				}
 				withOVCAudit(t, func() {
-					ParallelSortWithParams(bank, gotK, gotO, forcePhase3(bank), w)
+					mustParallelSort(t, bank, gotK, gotO, forcePhase3(bank), w)
 				})
 				canonicalOids(gotK, gotO)
 				for i := range gotK {
@@ -294,86 +294,6 @@ func TestOVCPassThroughVec(t *testing.T) {
 				if keyAt(kw2, i, lanes) != keyAt(plainK, i, lanes) || oidAt(ow2, i) != oidAt(plainO, i) {
 					t.Fatalf("%s bank=%d: OVC tree diverges from plain at %d", name, bank, i)
 				}
-			}
-		}
-	}
-}
-
-// TestOVCPassThroughElems is the same invariant on the packed
-// key<<32|oid element path (16/32-bit bank sorts): emitted codes equal
-// the derive spec, and the OVC merge pass is byte-identical to the
-// plain one.
-func TestOVCPassThroughElems(t *testing.T) {
-	const n = 2000
-	for name, keys := range ovcInputs(n, 32, 13) {
-		elems := make([]uint64, n)
-		for i, k := range keys {
-			elems[i] = k<<32 | uint64(i)
-		}
-		oids := make([]uint32, n) // unused placeholder for sortedRuns
-		runs := sortedRuns(elems, oids, 6)
-		dst := make([]uint64, n)
-		dstOVC := make([]uint32, n)
-
-		multiwayMergePackedOVC(elems, runs, dst, dstOVC)
-		want := make([]uint32, n)
-		deriveOVCRunsElems(dst, []int{0, n}, want)
-		for i := range want {
-			if dstOVC[i] != want[i] {
-				t.Fatalf("%s: emitted code at %d is %#x, want %#x", name, i, dstOVC[i], want[i])
-			}
-		}
-		// The merged elements must be byte-identical to the plain pass,
-		// through the pass-level entry point both ways.
-		dstOn := make([]uint64, n)
-		dstPlain := make([]uint64, n)
-		mergePassMultiwayPacked(elems, runs, 4, dstOn, true)
-		mergePassMultiwayPacked(elems, runs, 4, dstPlain, false)
-		for i := range dstOn {
-			if dstOn[i] != dstPlain[i] {
-				t.Fatalf("%s: OVC pass changed the output at %d", name, i)
-			}
-		}
-	}
-}
-
-// TestOVCPassThroughGeneric exercises the typed-key loser tree
-// (multiwayMergeOVC / deriveOVCRunsKeys) used by scalar kernels.
-func TestOVCPassThroughGeneric(t *testing.T) {
-	const n = 1500
-	for name, keys64 := range ovcInputs(n, 32, 19) {
-		keys := make([]uint32, n)
-		oids := make([]uint32, n)
-		for i, k := range keys64 {
-			keys[i] = uint32(k)
-			oids[i] = uint32(i)
-		}
-		tmp := append([]uint64(nil), keys64...)
-		runs := sortedRuns(tmp, oids, 5)
-		for i, k := range tmp {
-			keys[i] = uint32(k)
-		}
-		dstK, dstO := make([]uint32, n), make([]uint32, n)
-		dstOVC := make([]uint32, n)
-		resolved, _ := withOVCAudit(t, func() {
-			multiwayMergeOVC(keys, oids, runs, dstK, dstO, dstOVC)
-		})
-		if resolved == 0 {
-			t.Errorf("%s: no comparisons resolved by codes", name)
-		}
-
-		plainK, plainO := make([]uint32, n), make([]uint32, n)
-		multiwayMerge(keys, oids, runs, plainK, plainO)
-		for i := range dstK {
-			if dstK[i] != plainK[i] || dstO[i] != plainO[i] {
-				t.Fatalf("%s: OVC merge diverges from plain at %d", name, i)
-			}
-		}
-		want := make([]uint32, n)
-		deriveOVCRunsKeys(dstK, []int{0, n}, want)
-		for i := range want {
-			if dstOVC[i] != want[i] {
-				t.Fatalf("%s: emitted code at %d is %#x, want %#x", name, i, dstOVC[i], want[i])
 			}
 		}
 	}

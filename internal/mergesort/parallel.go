@@ -24,16 +24,16 @@ import (
 // elements per 64-bit word, b ∈ {16, 32, 64}); data is packed once,
 // merged packed, and unpacked once, exactly like the sequential path.
 //
-// Determinism contract: ParallelMerge is stable by run index — ties
-// between runs resolve to the lower-index run, and the selection cuts
-// equal keys by the same rule — so its output is byte-identical for
-// every worker count, including 1. ParallelSort guarantees the sorted
-// key order but (like Sort) leaves the relative order of equal keys
-// unspecified; callers that need a canonical permutation canonicalize
-// ties afterwards (internal/mcsort does).
+// Determinism contract: the parallel merge is stable by run index —
+// ties between runs resolve to the lower-index run, and the selection
+// cuts equal keys by the same rule — so its output is byte-identical
+// for every worker count, including 1. The parallel sort guarantees the
+// sorted key order but (like the sequential sort) leaves the relative
+// order of equal keys unspecified; callers that need a canonical
+// permutation canonicalize ties afterwards (internal/mcsort does).
 //
-// Robustness contract (docs/robustness.md): the *Context variants check
-// the context at chunk and co-partition boundaries, and inside the
+// Robustness contract (docs/robustness.md): the entry points check the
+// context at chunk and co-partition boundaries, and inside the
 // loser-tree merge every mergeCheckEvery elements, so a cancelled sort
 // returns within one chunk of work. Worker goroutines recover their own
 // panics into *pipeerr.PipelineError and cancel their siblings. On any
@@ -61,42 +61,21 @@ const mergeAlign = 8
 // well inside a chunk, rare enough that the poll is free.
 const mergeCheckEvery = 1 << 14
 
-// ParallelSort sorts keys (each value < 2^bank) with their oids in
-// place across `workers` goroutines using the cache-derived parameters.
-func ParallelSort(bank int, keys []uint64, oids []uint32, workers int) {
-	ParallelSortWithParams(bank, keys, oids, defaultParams(bank/8), workers)
-}
-
-// ParallelSortWithParams is ParallelSortWithParamsContext under
-// context.Background(). The only possible error there is a contained
-// worker panic, which is re-raised on the caller's goroutine — a
-// deliberate failure, not a process crash from a detached worker.
-func ParallelSortWithParams(bank int, keys []uint64, oids []uint32, p Params, workers int) {
-	if err := ParallelSortWithParamsContext(context.Background(), bank, keys, oids, p, workers); err != nil {
-		panic(err)
-	}
-}
-
-// ParallelSortContext is ParallelSort with cooperative cancellation: it
-// returns ctx.Err() within one chunk of work after ctx is cancelled,
-// leaving keys/oids in unspecified order.
-func ParallelSortContext(ctx context.Context, bank int, keys []uint64, oids []uint32, workers int) error {
-	return ParallelSortWithParamsContext(ctx, bank, keys, oids, defaultParams(bank/8), workers)
-}
-
-// ParallelSortWithParamsContext splits the input into worker chunks,
-// sorts the chunks concurrently with the three-phase sort, and then
-// cooperatively multiway-merges the sorted chunks. Inputs below
-// p.ParallelThreshold (or workers < 2) take the sequential path. A
-// cancelled context aborts between chunks, merge passes, and
-// mergeCheckEvery-element merge strides; a worker panic surfaces as a
+// ParallelSortWithParamsContext sorts keys (each value < 2^bank) with
+// their oids in place across `workers` goroutines: it splits the input
+// into worker chunks, sorts the chunks concurrently with the three-phase
+// sort, and then cooperatively multiway-merges the sorted chunks.
+// Inputs below p.ParallelThreshold (or workers < 2) take the sequential
+// path. A cancelled context aborts between chunks, merge passes, and
+// mergeCheckEvery-element merge strides, leaving keys/oids in
+// unspecified order; a worker panic surfaces as a
 // *pipeerr.PipelineError with stage "sort" or "merge".
 func ParallelSortWithParamsContext(ctx context.Context, bank int, keys []uint64, oids []uint32, p Params, workers int) error {
-	n := len(keys)
-	if n != len(oids) {
-		panic("mergesort: keys and oids length mismatch")
+	if err := checkArgs(keys, oids); err != nil {
+		return err
 	}
-	p = p.withParallelDefaults()
+	n := len(keys)
+	p = p.resolved(bank)
 	if workers < 2 || n < p.ParallelThreshold || n < insertionThreshold {
 		return SortWithParamsContext(ctx, bank, keys, oids, p)
 	}
@@ -130,7 +109,7 @@ func ParallelSortWithParamsContext(ctx context.Context, bank int, keys []uint64,
 	kw, ow := pack(keys, oids, k.lanes)
 	kw2 := make([]uint64, len(kw))
 	ow2 := make([]uint64, len(ow))
-	var busy atomic64
+	var busy atomic.Int64
 	g := pipeerr.NewGroup(ctx)
 	for c := 0; c+1 < len(bounds); c++ {
 		lo, hi, worker := bounds[c], bounds[c+1], c
@@ -145,7 +124,7 @@ func ParallelSortWithParamsContext(ctx context.Context, bank int, keys []uint64,
 			}
 			err := sortPackedChunk(gctx, kw, ow, kw2, ow2, k, lo, hi, p, !p.DisableOVC)
 			if tracing {
-				busy.add(int64(time.Since(t0)))
+				busy.Add(int64(time.Since(t0)))
 			}
 			return err
 		})
@@ -164,54 +143,24 @@ func ParallelSortWithParamsContext(ctx context.Context, bank int, keys []uint64,
 	}
 
 	if tracing {
-		recordEfficiency(busy.load(), time.Since(wall), workers)
+		recordEfficiency(busy.Load(), time.Since(wall), workers)
 	}
 	// Final poll: a cancellation that lands during the last merge stride
 	// or unpack chunk must still be honored, not dropped.
 	return ctx.Err()
 }
 
-// ParallelMerge merges the pre-sorted runs of keys/oids bounded by runs
-// (runs[0]=0 … runs[len-1]=len(keys)) in place across workers
-// goroutines, stable by run index. The output is byte-identical for
-// every worker count — the sequential oracle is workers=1. Worker
-// panics are re-raised on the caller's goroutine as
-// *pipeerr.PipelineError.
-func ParallelMerge(bank int, keys []uint64, oids []uint32, runs []int, workers int) {
-	ParallelMergeWithParams(bank, keys, oids, runs, defaultParams(bank/8), workers)
-}
-
-// ParallelMergeContext is ParallelMerge with cooperative cancellation
-// and panic containment; on error the keys/oids are in unspecified
-// order.
-func ParallelMergeContext(ctx context.Context, bank int, keys []uint64, oids []uint32, runs []int, workers int) error {
-	return ParallelMergeWithParamsContext(ctx, bank, keys, oids, runs, defaultParams(bank/8), workers)
-}
-
-// ParallelMergeWithParams is ParallelMerge with explicit parameters —
-// in particular Params.DisableOVC, which differential tests use to
-// compare the offset-value-coded merge against the plain one.
-func ParallelMergeWithParams(bank int, keys []uint64, oids []uint32, runs []int, p Params, workers int) {
-	if err := ParallelMergeWithParamsContext(context.Background(), bank, keys, oids, runs, p, workers); err != nil {
-		panic(err)
-	}
-}
-
-// ParallelMergeWithParamsContext is ParallelMergeWithParams with
-// cooperative cancellation and panic containment; on error the
-// keys/oids are in unspecified order.
+// ParallelMergeWithParamsContext merges the pre-sorted runs of keys/oids
+// bounded by runs (runs[0]=0 … runs[len-1]=len(keys)) in place across
+// workers goroutines, stable by run index. The output is byte-identical
+// for every worker count — the sequential oracle is workers=1 — and for
+// either setting of p.DisableOVC, which differential tests use to
+// compare the offset-value-coded merge against the plain one. On
+// cancellation or a contained worker panic the keys/oids are in
+// unspecified order.
 func ParallelMergeWithParamsContext(ctx context.Context, bank int, keys []uint64, oids []uint32, runs []int, p Params, workers int) error {
-	n := len(keys)
-	if n != len(oids) {
-		panic("mergesort: keys and oids length mismatch")
-	}
-	if len(runs) < 2 || runs[0] != 0 || runs[len(runs)-1] != n {
-		panic("mergesort: invalid run boundaries")
-	}
-	for i := 1; i < len(runs); i++ {
-		if runs[i] < runs[i-1] {
-			panic("mergesort: run boundaries not ascending")
-		}
+	if err := checkRuns(keys, oids, runs); err != nil {
+		return err
 	}
 	if len(runs) == 2 {
 		return ctx.Err() // single run: already sorted
@@ -225,7 +174,7 @@ func ParallelMergeWithParamsContext(ctx context.Context, bank int, keys []uint64
 	kw, ow := pack(keys, oids, k.lanes)
 	kw2 := make([]uint64, len(kw))
 	ow2 := make([]uint64, len(ow))
-	var busy atomic64
+	var busy atomic.Int64
 	if err := parallelMergePacked(ctx, kw, ow, kw2, ow2, k.lanes, bank, runs, !p.DisableOVC, workers, &busy, tracing); err != nil {
 		return err
 	}
@@ -233,7 +182,7 @@ func ParallelMergeWithParamsContext(ctx context.Context, bank int, keys []uint64
 		return err
 	}
 	if tracing && workers > 1 {
-		recordEfficiency(busy.load(), time.Since(wall), workers)
+		recordEfficiency(busy.Load(), time.Since(wall), workers)
 	}
 	return nil
 }
@@ -299,7 +248,7 @@ func sortPackedChunk(ctx context.Context, kw, ow, kw2, ow2 []uint64, k bankKerne
 // rank; a multisequence selection finds, for each output boundary, the
 // matching cut in every run, and each worker then merges its
 // co-partition with a run-index-stable loser tree.
-func parallelMergePacked(ctx context.Context, kw, ow, dstK, dstO []uint64, lanes, bank int, runs []int, useOVC bool, workers int, busy *atomic64, tracing bool) error {
+func parallelMergePacked(ctx context.Context, kw, ow, dstK, dstO []uint64, lanes, bank int, runs []int, useOVC bool, workers int, busy *atomic.Int64, tracing bool) error {
 	total := runs[len(runs)-1] - runs[0]
 	if total == 0 {
 		return nil
@@ -346,7 +295,7 @@ func parallelMergePacked(ctx context.Context, kw, ow, dstK, dstO []uint64, lanes
 			}
 			err := mergeCoPartition(gctx, kw, ow, dstK, dstO, lanes, cuts[w], cuts[w+1], useOVC, targets[w])
 			if tracing {
-				busy.add(int64(time.Since(t0)))
+				busy.Add(int64(time.Since(t0)))
 			}
 			return err
 		})
@@ -602,11 +551,6 @@ func (lt *stableLoserTree) beats(a, b int) bool {
 	return lt.duelFull(a, b)
 }
 
-func (lt *stableLoserTree) pop() int {
-	pos, _, _ := lt.popStretch(1)
-	return pos
-}
-
 // popStretch pops the winning run's head and, with OVC on, also claims
 // its immediate in-run successors that tie it — at most max elements in
 // total. It returns the first popped position, the element count, and
@@ -756,12 +700,6 @@ func parallelUnpack(ctx context.Context, kw, ow []uint64, lanes int, keys []uint
 	}
 	return g.Wait()
 }
-
-// atomic64 is a tiny atomic accumulator for per-worker busy time.
-type atomic64 struct{ v atomic.Int64 }
-
-func (a *atomic64) add(n int64) { a.v.Add(n) }
-func (a *atomic64) load() int64 { return a.v.Load() }
 
 // recordEfficiency publishes busy/(workers × wall) ×1000: 1000 means
 // the workers were collectively busy the whole wall time.

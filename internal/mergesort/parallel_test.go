@@ -102,7 +102,7 @@ func TestParallelMergeMatchesOracle(t *testing.T) {
 				for _, w := range parWorkerCounts {
 					gotK := append([]uint64(nil), k...)
 					gotO := append([]uint32(nil), oids...)
-					ParallelMerge(bank, gotK, gotO, runs, w)
+					mustParallelMerge(t, bank, gotK, gotO, runs, Params{}, w)
 					for i := range gotK {
 						if gotK[i] != wantK[i] || gotO[i] != wantO[i] {
 							t.Fatalf("%s bank=%d runs=%d workers=%d: diverges at %d: got (%d,%d) want (%d,%d)",
@@ -158,7 +158,7 @@ func TestParallelSortMatchesSequential(t *testing.T) {
 				for i := range wantO {
 					wantO[i] = uint32(i)
 				}
-				SortWithParams(bank, wantK, wantO, p)
+				mustSort(t, bank, wantK, wantO, p)
 				canonicalOids(wantK, wantO)
 				for _, w := range parWorkerCounts[1:] {
 					gotK := append([]uint64(nil), keys...)
@@ -166,7 +166,7 @@ func TestParallelSortMatchesSequential(t *testing.T) {
 					for i := range gotO {
 						gotO[i] = uint32(i)
 					}
-					ParallelSortWithParams(bank, gotK, gotO, p, w)
+					mustParallelSort(t, bank, gotK, gotO, p, w)
 					canonicalOids(gotK, gotO)
 					for i := range gotK {
 						if gotK[i] != wantK[i] {
@@ -249,10 +249,10 @@ func TestParallelMergeOVCOnOffIdentical(t *testing.T) {
 				pOff.DisableOVC = true
 				onK := append([]uint64(nil), keys...)
 				onO := append([]uint32(nil), oids...)
-				ParallelMergeWithParams(bank, onK, onO, runs, pOn, w)
+				mustParallelMerge(t, bank, onK, onO, runs, pOn, w)
 				offK := append([]uint64(nil), keys...)
 				offO := append([]uint32(nil), oids...)
-				ParallelMergeWithParams(bank, offK, offO, runs, pOff, w)
+				mustParallelMerge(t, bank, offK, offO, runs, pOff, w)
 				for i := 0; i < n; i++ {
 					if onK[i] != offK[i] || onO[i] != offO[i] {
 						t.Fatalf("bank=%d card=%d workers=%d: OVC on/off diverge at %d: (%d,%d) vs (%d,%d)",
@@ -261,6 +261,70 @@ func TestParallelMergeOVCOnOffIdentical(t *testing.T) {
 					if onK[i] != wantK[i] || onO[i] != wantO[i] {
 						t.Fatalf("bank=%d card=%d workers=%d: diverges from oracle at %d",
 							bank, card, w, i)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestZeroParamsResolveToDefaults pins the Params resolver every entry
+// point applies: the zero Params is DefaultParams(bank/8), and a
+// partial override keeps the defaults of the fields it leaves zero —
+// byte for byte, ties included, on all five entry points.
+func TestZeroParamsResolveToDefaults(t *testing.T) {
+	const n, workers, limit = 40000, 4, 3000 // n above DefaultParallelThreshold
+	type run func(p Params, keys []uint64, oids []uint32, runs []int) int
+	for _, bank := range Banks {
+		entries := map[string]run{
+			"Sort": func(p Params, k []uint64, o []uint32, _ []int) int {
+				mustSort(t, bank, k, o, p)
+				return len(k)
+			},
+			"ParallelSort": func(p Params, k []uint64, o []uint32, _ []int) int {
+				mustParallelSort(t, bank, k, o, p, workers)
+				return len(k)
+			},
+			"ParallelMerge": func(p Params, k []uint64, o []uint32, runs []int) int {
+				mustParallelMerge(t, bank, k, o, runs, p, workers)
+				return len(k)
+			},
+			"TopK": func(p Params, k []uint64, o []uint32, _ []int) int {
+				return mustTopK(t, bank, k, o, limit, p, workers)
+			},
+			"ParallelMergeTopK": func(p Params, k []uint64, o []uint32, runs []int) int {
+				return mustParallelMergeTopK(t, bank, k, o, runs, limit, p, workers)
+			},
+		}
+		full := DefaultParams(bank / 8)
+		partialFull := full
+		partialFull.ParallelThreshold = 64
+		pairs := []struct {
+			name      string
+			zero, set Params
+		}{
+			{"zero", Params{}, full},
+			{"partial", Params{ParallelThreshold: 64}, partialFull},
+		}
+		src := adversarialInputs(n, bank, int64(bank))["zipf"]
+		for name, entry := range entries {
+			for _, pair := range pairs {
+				var got [2][]uint64
+				var gotO [2][]uint32
+				var m [2]int
+				for i, p := range []Params{pair.zero, pair.set} {
+					k := append([]uint64(nil), src...)
+					o := identOids(n)
+					runs := sortedRuns(k, o, 7)
+					m[i] = entry(p, k, o, runs)
+					got[i], gotO[i] = k[:m[i]], o[:m[i]]
+				}
+				if m[0] != m[1] {
+					t.Fatalf("bank=%d %s %s: %d elements, want %d", bank, name, pair.name, m[0], m[1])
+				}
+				for i := range got[0] {
+					if got[0][i] != got[1][i] || gotO[0][i] != gotO[1][i] {
+						t.Fatalf("bank=%d %s %s: diverges from explicit defaults at %d", bank, name, pair.name, i)
 					}
 				}
 			}

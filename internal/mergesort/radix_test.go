@@ -53,7 +53,7 @@ func TestRadixSortMatchesMergeSort(t *testing.T) {
 		keys := randKeys(rng, 30000, bank)
 		k2 := append([]uint64(nil), keys...)
 		o1, o2 := identOids(30000), identOids(30000)
-		Sort(bank, keys, o1)
+		mustSort(t, bank, keys, o1, Params{})
 		RadixSort(k2, o2, bank, DefaultRadixBits)
 		for i := range keys {
 			if keys[i] != k2[i] {

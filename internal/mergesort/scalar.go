@@ -16,12 +16,6 @@
 // needs for subsequent lookups.
 package mergesort
 
-// Unsigned is the set of key types the sorters operate on; the bank size
-// of a sort is the bit width of its key type.
-type Unsigned interface {
-	~uint16 | ~uint32 | ~uint64
-}
-
 // insertionThreshold is the input size below which the sorters fall back
 // to a scalar insertion sort: sorting-network setup does not pay off for
 // tiny inputs (these correspond to the small tied groups of later rounds,
@@ -29,7 +23,7 @@ type Unsigned interface {
 const insertionThreshold = 24
 
 // insertionSort sorts keys (and oids) in place.
-func insertionSort[K Unsigned](keys []K, oids []uint32) {
+func insertionSort(keys []uint64, oids []uint32) {
 	for i := 1; i < len(keys); i++ {
 		k, o := keys[i], oids[i]
 		j := i - 1
@@ -39,285 +33,4 @@ func insertionSort[K Unsigned](keys []K, oids []uint32) {
 		}
 		keys[j+1], oids[j+1] = k, o
 	}
-}
-
-// scalarMerge merges src[a0:a1] and src[b0:b1] (both ascending) into dst
-// starting at d, returning the next free dst index.
-func scalarMerge[K Unsigned](srcK []K, srcO []uint32, a0, a1, b0, b1 int, dstK []K, dstO []uint32, d int) int {
-	i, j := a0, b0
-	for i < a1 && j < b1 {
-		if srcK[i] <= srcK[j] {
-			dstK[d], dstO[d] = srcK[i], srcO[i]
-			i++
-		} else {
-			dstK[d], dstO[d] = srcK[j], srcO[j]
-			j++
-		}
-		d++
-	}
-	for i < a1 {
-		dstK[d], dstO[d] = srcK[i], srcO[i]
-		i, d = i+1, d+1
-	}
-	for j < b1 {
-		dstK[d], dstO[d] = srcK[j], srcO[j]
-		j, d = j+1, d+1
-	}
-	return d
-}
-
-// loserTree is a tournament tree over k run cursors, used by the
-// out-of-cache multiway merge. Internal nodes store the loser of the
-// sub-tournament; the overall winner is at node 0. With useOVC the
-// tree is offset-value coded (ovc.go): each run head carries a code
-// relative to the record that last went up past it, comparisons consult
-// codes first, and key bytes are read only on code ties. The decisions
-// — and therefore the merged output — are identical to the plain tree's.
-type loserTree[K Unsigned] struct {
-	tree   []int // node -> run index of the loser (winner at tree[0])
-	heads  []int // run -> cursor
-	ends   []int // run -> exclusive end
-	keys   []K
-	k      int
-	kPow2  int
-	winner int
-	codes  []uint32 // per-run head code, re-based during replay (nil: OVC off)
-}
-
-// newLoserTree builds the tree over runs given by boundaries: run r spans
-// [runs[r], runs[r+1]). The tree is seeded with a bottom-up tournament:
-// each internal node keeps the loser of its sub-tournament and the overall
-// winner is cached separately.
-func newLoserTree[K Unsigned](keys []K, runs []int) *loserTree[K] {
-	return newLoserTreeOVC(keys, runs, false)
-}
-
-// newLoserTreeOVC is newLoserTree with offset-value-coded comparisons
-// (false builds the plain tree).
-func newLoserTreeOVC[K Unsigned](keys []K, runs []int, useOVC bool) *loserTree[K] {
-	k := len(runs) - 1
-	kPow2 := 1
-	for kPow2 < k {
-		kPow2 *= 2
-	}
-	lt := &loserTree[K]{
-		tree:  make([]int, kPow2),
-		heads: make([]int, k),
-		ends:  make([]int, k),
-		keys:  keys,
-		k:     k,
-		kPow2: kPow2,
-	}
-	for r := 0; r < k; r++ {
-		lt.heads[r], lt.ends[r] = runs[r], runs[r+1]
-	}
-	if useOVC {
-		// No seeding: the build duels below re-base every loser's code
-		// and the overall winner's code is rewritten at its first pop
-		// before any comparison reads it.
-		lt.codes = make([]uint32, k)
-	}
-	winners := make([]int, 2*kPow2)
-	for i := 0; i < kPow2; i++ {
-		if i < k {
-			winners[kPow2+i] = i
-		} else {
-			winners[kPow2+i] = -1
-		}
-	}
-	for node := kPow2 - 1; node >= 1; node-- {
-		// Build duels use full keys, establishing the code invariant:
-		// each stored loser's code is relative to the record that last
-		// went up through its node.
-		a, b := winners[2*node], winners[2*node+1]
-		if lt.duelFull(a, b) {
-			winners[node], lt.tree[node] = a, b
-		} else {
-			winners[node], lt.tree[node] = b, a
-		}
-	}
-	lt.winner = winners[1]
-	return lt
-}
-
-// duelFull compares run heads by full keys (ties to a, matching beats)
-// and, with OVC on, re-bases the loser's code against the winner.
-func (lt *loserTree[K]) duelFull(a, b int) bool {
-	if a < 0 || lt.heads[a] >= lt.ends[a] {
-		return false
-	}
-	if b < 0 || lt.heads[b] >= lt.ends[b] {
-		return true
-	}
-	ka, kb := lt.keys[lt.heads[a]], lt.keys[lt.heads[b]]
-	if lt.codes == nil {
-		return ka <= kb
-	}
-	switch {
-	case ka < kb:
-		lt.codes[b] = ovcRel(uint64(kb), uint64(ka))
-		return true
-	case ka > kb:
-		lt.codes[a] = ovcRel(uint64(ka), uint64(kb))
-		return false
-	default:
-		lt.codes[b] = 0
-		return true
-	}
-}
-
-// beats reports whether run a wins against run b: exhausted or absent runs
-// always lose, and ties go to a (any tie order is acceptable).
-func (lt *loserTree[K]) beats(a, b int) bool {
-	if a < 0 || lt.heads[a] >= lt.ends[a] {
-		return false
-	}
-	if b < 0 || lt.heads[b] >= lt.ends[b] {
-		return true
-	}
-	if lt.codes == nil {
-		return lt.keys[lt.heads[a]] <= lt.keys[lt.heads[b]]
-	}
-	ca, cb := lt.codes[a], lt.codes[b]
-	if ca != cb {
-		if ovcAuditEnabled {
-			claim := ovcClaimLess
-			if ca > cb {
-				claim = ovcClaimGreater
-			}
-			ovcAudit(claim, uint64(lt.keys[lt.heads[a]]), uint64(lt.keys[lt.heads[b]]))
-		}
-		return ca < cb
-	}
-	if ca == 0 {
-		// Both heads equal the common base, hence each other; ties go
-		// to a with no key access.
-		if ovcAuditEnabled {
-			ovcAudit(ovcClaimEqual, uint64(lt.keys[lt.heads[a]]), uint64(lt.keys[lt.heads[b]]))
-		}
-		return true
-	}
-	// Equal nonzero codes: fall back to full keys, re-basing the loser.
-	if ovcAuditEnabled {
-		ovcAuditFallbacks.Add(1)
-	}
-	return lt.duelFull(a, b)
-}
-
-// pop removes and returns the position of the globally smallest head,
-// then replays the winner's leaf-to-root path. It returns -1 when all
-// runs are exhausted.
-func (lt *loserTree[K]) pop() int {
-	w := lt.winner
-	if w < 0 || lt.heads[w] >= lt.ends[w] {
-		return -1
-	}
-	pos := lt.heads[w]
-	lt.heads[w]++
-	if lt.codes != nil && lt.heads[w] < lt.ends[w] {
-		// The successor enters with its code relative to the record
-		// that just popped — its in-run predecessor, adjacent and
-		// cache-hot, so no per-element code array is ever materialized.
-		// No tie-skip here: this tree resolves ties toward the stored
-		// loser, so an equal-key loser may legitimately win the replay
-		// — only the strict (key, run index) order of stableLoserTree
-		// admits the code-0 replay skip.
-		lt.codes[w] = ovcRel(uint64(lt.keys[lt.heads[w]]), uint64(lt.keys[pos]))
-	}
-	cur := w
-	for node := (lt.kPow2 + w) / 2; node >= 1; node /= 2 {
-		if lt.beats(lt.tree[node], cur) {
-			lt.tree[node], cur = cur, lt.tree[node]
-		}
-	}
-	lt.winner = cur
-	return pos
-}
-
-// popWithCode is pop returning also the popped record's code relative
-// to the previously popped record (the multi-pass code pass-through).
-// Only meaningful with OVC on; the first pop's code is garbage and the
-// caller overrides it with the output run start's code.
-func (lt *loserTree[K]) popWithCode() (int, uint32) {
-	w := lt.winner
-	if w < 0 || lt.heads[w] >= lt.ends[w] {
-		return -1, 0
-	}
-	code := lt.codes[w]
-	return lt.pop(), code
-}
-
-// multiwayMerge merges all runs (boundaries in runs) from src into dst.
-func multiwayMerge[K Unsigned](srcK []K, srcO []uint32, runs []int, dstK []K, dstO []uint32) {
-	if len(runs) == 2 {
-		scalarMerge(srcK, srcO, runs[0], runs[1], runs[1], runs[1], dstK, dstO, runs[0])
-		return
-	}
-	lt := newLoserTree(srcK, runs)
-	d := runs[0]
-	for {
-		pos := lt.pop()
-		if pos < 0 {
-			break
-		}
-		dstK[d], dstO[d] = srcK[pos], srcO[pos]
-		d++
-	}
-}
-
-// deriveOVCRunsKeys derives run-predecessor codes for every run of a
-// typed key array (the scalar-kernel counterpart of deriveOVCRunsPacked).
-func deriveOVCRunsKeys[K Unsigned](keys []K, runs []int, ovc []uint32) {
-	for r := 0; r+1 < len(runs); r++ {
-		prev := uint64(0)
-		for i := runs[r]; i < runs[r+1]; i++ {
-			k := uint64(keys[i])
-			ovc[i] = ovcRel(k, prev)
-			prev = k
-		}
-	}
-	obsOVCDerives.Add(int64(len(runs) - 1))
-}
-
-// multiwayMergeOVC is multiwayMerge with offset-value-coded
-// comparisons, emitting the merged output's run-predecessor codes via
-// the popWithCode pass-through (each code falls out of the tree state;
-// no rescan of the output).
-func multiwayMergeOVC[K Unsigned](srcK []K, srcO []uint32, runs []int, dstK []K, dstO []uint32, dstOVC []uint32) {
-	lt := newLoserTreeOVC(srcK, runs, true)
-	d := runs[0]
-	for {
-		pos, code := lt.popWithCode()
-		if pos < 0 {
-			break
-		}
-		dstK[d], dstO[d] = srcK[pos], srcO[pos]
-		if d == runs[0] {
-			code = ovcRel(uint64(srcK[pos]), 0) // output run start
-		}
-		dstOVC[d] = code
-		d++
-	}
-}
-
-// mergePassMultiway runs one out-of-cache pass: it merges consecutive
-// groups of up to fanout runs from src into dst and returns the new run
-// boundaries. src and dst must not alias.
-func mergePassMultiway[K Unsigned](srcK []K, srcO []uint32, runs []int, fanout int, dstK []K, dstO []uint32) []int {
-	newRuns := []int{runs[0]}
-	for lo := 0; lo < len(runs)-1; lo += fanout {
-		hi := lo + fanout
-		if hi > len(runs)-1 {
-			hi = len(runs) - 1
-		}
-		group := runs[lo : hi+1]
-		if len(group) == 2 { // single run: copy through
-			copy(dstK[group[0]:group[1]], srcK[group[0]:group[1]])
-			copy(dstO[group[0]:group[1]], srcO[group[0]:group[1]])
-		} else {
-			multiwayMerge(srcK, srcO, group, dstK, dstO)
-		}
-		newRuns = append(newRuns, group[len(group)-1])
-	}
-	return newRuns
 }

@@ -11,7 +11,9 @@ import (
 
 // Params bundles the architecture-dependent knobs of a sort. External
 // callers (calibration, experiments, tests in other packages) use it to
-// pin the phase boundaries instead of the cache-derived defaults.
+// pin the phase boundaries instead of the cache-derived defaults. Every
+// entry point resolves zero fields to their defaults for the bank it
+// sorts, so Params{} means DefaultParams(bank/8).
 type Params struct {
 	// InCacheElems is the run length (elements) at which phase 2 stops.
 	InCacheElems int
@@ -45,32 +47,78 @@ const DefaultParallelThreshold = 1 << 14
 // the range partitioner.
 const DefaultPivotSamplePerWorker = 128
 
-// withParallelDefaults fills the zero-valued parallel knobs.
-func (p Params) withParallelDefaults() Params {
-	if p.ParallelThreshold == 0 {
-		p.ParallelThreshold = DefaultParallelThreshold
-	}
-	if p.PivotSamplePerWorker == 0 {
-		p.PivotSamplePerWorker = DefaultPivotSamplePerWorker
-	}
-	return p
-}
-
-// defaultParams derives the phase parameters from the cache hierarchy:
-// phase 2 stops when a run fills half the L2 cache (the paper's M_L2/2),
+// DefaultParams derives the phase parameters for keys of the given byte
+// width from the cache hierarchy — what the zero Params resolves to.
+// Phase 2 stops when a run fills half the L2 cache (the paper's M_L2/2),
 // where an element occupies keyBytes of key plus a 4-byte oid.
-func defaultParams(keyBytes int) Params {
+func DefaultParams(keyBytes int) Params {
 	caches := hw.Detect()
 	elems := int(caches.L2/2) / (keyBytes + 4)
 	if elems < 64 {
 		elems = 64
 	}
-	return Params{InCacheElems: elems, Fanout: DefaultFanout}.withParallelDefaults()
+	return Params{
+		InCacheElems:         elems,
+		Fanout:               DefaultFanout,
+		ParallelThreshold:    DefaultParallelThreshold,
+		PivotSamplePerWorker: DefaultPivotSamplePerWorker,
+	}
 }
 
-// DefaultParams returns the cache-derived phase parameters for keys of
-// the given byte width — the same defaults Sort uses.
-func DefaultParams(keyBytes int) Params { return defaultParams(keyBytes) }
+// resolved overlays the bank's defaults on the unset (non-positive)
+// fields of p. Every entry point applies it, so callers override only
+// the knobs they care about.
+func (p Params) resolved(bank int) Params {
+	d := DefaultParams(bank / 8)
+	if p.InCacheElems <= 0 {
+		p.InCacheElems = d.InCacheElems
+	}
+	if p.Fanout <= 0 {
+		p.Fanout = d.Fanout
+	}
+	if p.ParallelThreshold <= 0 {
+		p.ParallelThreshold = d.ParallelThreshold
+	}
+	if p.PivotSamplePerWorker <= 0 {
+		p.PivotSamplePerWorker = d.PivotSamplePerWorker
+	}
+	return p
+}
+
+// checkArgs is the precondition check shared by every entry point: keys
+// and oids pair up element for element.
+func checkArgs(keys []uint64, oids []uint32) error {
+	if len(keys) != len(oids) {
+		return fmt.Errorf("mergesort: %d keys but %d oids", len(keys), len(oids))
+	}
+	return nil
+}
+
+// checkRuns is checkArgs for the merge entry points, whose runs must
+// bound ascending runs covering keys exactly: runs[0]=0 …
+// runs[len-1]=len(keys).
+func checkRuns(keys []uint64, oids []uint32, runs []int) error {
+	if err := checkArgs(keys, oids); err != nil {
+		return err
+	}
+	if len(runs) < 2 || runs[0] != 0 || runs[len(runs)-1] != len(keys) {
+		return fmt.Errorf("mergesort: run boundaries must span [0, %d]", len(keys))
+	}
+	for i := 1; i < len(runs); i++ {
+		if runs[i] < runs[i-1] {
+			return fmt.Errorf("mergesort: run boundaries not ascending at %d", i)
+		}
+	}
+	return nil
+}
+
+// checkLimit rejects a top-K limit that selects nothing.
+func checkLimit(limit int) error {
+	if limit < 1 {
+		return fmt.Errorf("mergesort: top-K limit %d, must be >= 1", limit)
+	}
+	return nil
+}
 
 // Banks supported by the SIMD-sort, matching the paper (footnote 4
 // excludes 8-bit banks).
@@ -82,7 +130,7 @@ const MinBank = 16
 
 // Per-phase instrumentation. All writes are no-ops until obs.Enable();
 // time.Now() is only reached behind an obs.Enabled() check, so the
-// disabled overhead is a handful of atomic loads per Sort call (never
+// disabled overhead is a handful of atomic loads per sort call (never
 // per element).
 var (
 	obsSorts          = obs.NewCounter("mergesort.sorts")
@@ -96,31 +144,19 @@ var (
 	obsFanout         = obs.NewGauge("mergesort.phase3_fanout")
 )
 
-// Sort sorts keys (each value < 2^bank) together with their oids in
-// place, using the three-phase SIMD merge-sort with b-bit banks. The
-// caller picks the bank; narrower banks give higher data-level
-// parallelism (V = 256/b lanes per register).
-func Sort(bank int, keys []uint64, oids []uint32) {
-	SortWithParams(bank, keys, oids, defaultParams(bank/8))
-}
-
-// SortWithParams is Sort with explicit phase parameters (used by tests
-// and by calibration, which must control the in-cache run target).
-func SortWithParams(bank int, keys []uint64, oids []uint32, p Params) {
-	// Background is never cancelled, so the error is structurally nil.
-	_ = SortWithParamsContext(context.Background(), bank, keys, oids, p)
-}
-
-// SortWithParamsContext is SortWithParams with cooperative cancellation:
-// the context is polled between merge passes, bounding the cancellation
+// SortWithParamsContext sorts keys (each value < 2^bank) together with
+// their oids in place, using the three-phase SIMD merge-sort with b-bit
+// banks. The caller picks the bank; narrower banks give higher
+// data-level parallelism (V = 256/b lanes per register). The context is
+// polled on entry and between merge passes, bounding the cancellation
 // latency to one O(n) sweep. All mutation happens in packed scratch
 // until the final unpack, so on cancellation the sort returns ctx.Err()
 // with keys and oids exactly as passed in.
 func SortWithParamsContext(ctx context.Context, bank int, keys []uint64, oids []uint32, p Params) error {
-	n := len(keys)
-	if n != len(oids) {
-		panic("mergesort: keys and oids length mismatch")
+	if err := checkArgs(keys, oids); err != nil {
+		return err
 	}
+	n := len(keys)
 	obsSorts.Inc()
 	obsElems.Add(int64(n))
 	if err := ctx.Err(); err != nil {
@@ -131,6 +167,7 @@ func SortWithParamsContext(ctx context.Context, bank int, keys []uint64, oids []
 		insertionSort(keys, oids)
 		return nil
 	}
+	p = p.resolved(bank)
 	k := kernelsFor(bank)
 	lanes, v, blockSort, mergeRuns := k.lanes, k.v, k.blockSort, k.mergeRuns
 

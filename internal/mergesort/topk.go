@@ -26,7 +26,7 @@ import (
 // instead would split a tied group at a chunk-dependent point and leak
 // the worker count into the result.
 //
-// Robustness: the *Context variants poll the context inside the heap
+// Robustness: both entry points poll the context inside the heap
 // filter (every topkCheckEvery elements), at chunk and co-partition
 // boundaries, and inside the loser-tree merges; worker panics surface
 // as *pipeerr.PipelineError. On any error the keys/oids are in
@@ -44,33 +44,24 @@ var (
 // strides, frequent enough that cancellation lands inside a chunk.
 const topkCheckEvery = 1 << 16
 
-// TopK partially sorts keys (each value < 2^bank) with their oids: on
-// return the first m elements are the m smallest in ascending key order
-// (ties in unspecified order, like Sort), where m is at least the
-// tie-extended cut at rank limit — every element whose key is ≤ the
-// limit-th smallest key is among the first m. A near-full limit (or a
-// tiny input) degrades to the full sort with m = n. keys[m:] are in
-// unspecified order. limit must be ≥ 1.
-func TopK(bank int, keys []uint64, oids []uint32, limit int, p Params, workers int) int {
-	m, err := TopKContext(context.Background(), bank, keys, oids, limit, p, workers)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
-// TopKContext is TopK with cooperative cancellation and panic
-// containment; on error the returned count is 0 and keys/oids are in
+// TopKContext partially sorts keys (each value < 2^bank) with their
+// oids: on return the first m elements are the m smallest in ascending
+// key order (ties in unspecified order, like the full sort), where m is
+// at least the tie-extended cut at rank limit — every element whose key
+// is ≤ the limit-th smallest key is among the first m. A near-full limit
+// (or a tiny input) degrades to the full sort with m = n. keys[m:] are
+// in unspecified order. limit must be ≥ 1. On cancellation or a
+// contained worker panic the returned count is 0 and keys/oids are in
 // unspecified order.
 func TopKContext(ctx context.Context, bank int, keys []uint64, oids []uint32, limit int, p Params, workers int) (int, error) {
+	if err := checkArgs(keys, oids); err != nil {
+		return 0, err
+	}
+	if err := checkLimit(limit); err != nil {
+		return 0, err
+	}
 	n := len(keys)
-	if n != len(oids) {
-		panic("mergesort: keys and oids length mismatch")
-	}
-	if limit < 1 {
-		panic("mergesort: TopK limit must be >= 1")
-	}
-	p = p.withParallelDefaults()
+	p = p.resolved(bank)
 	// The heap filter pays off only when it discards most of the input:
 	// near-full limits sort everything anyway, so route them through the
 	// plain parallel sort (whose m = n prefix is trivially tie-extended).
@@ -151,43 +142,29 @@ func TopKContext(ctx context.Context, bank int, keys []uint64, oids []uint32, li
 	return m, nil
 }
 
-// ParallelMergeTopK merges only the head of the pre-sorted runs of
-// keys/oids bounded by runs (runs[0]=0 … runs[len-1]=len(keys)): on
+// ParallelMergeTopKContext merges only the head of the pre-sorted runs
+// of keys/oids bounded by runs (runs[0]=0 … runs[len-1]=len(keys)): on
 // return keys[0:m] hold the m smallest elements of the run-index-stable
 // merge, where m is the tie-extended cut at rank limit (every element
 // whose key is ≤ the limit-th smallest key — so keys[0:limit] equal the
 // full merge's first limit elements, and the boundary tie group is
 // complete). keys[m:] are in unspecified order. limit must be ≥ 1; a
-// limit ≥ len(keys) degrades to the full ParallelMerge.
-func ParallelMergeTopK(bank int, keys []uint64, oids []uint32, runs []int, limit int, p Params, workers int) int {
-	m, err := ParallelMergeTopKContext(context.Background(), bank, keys, oids, runs, limit, p, workers)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
-// ParallelMergeTopKContext is ParallelMergeTopK with cooperative
-// cancellation and panic containment; on error the returned count is 0
-// and keys/oids are in unspecified order.
+// limit ≥ len(keys) degrades to the full merge. On cancellation or a
+// contained worker panic the returned count is 0 and keys/oids are in
+// unspecified order.
 func ParallelMergeTopKContext(ctx context.Context, bank int, keys []uint64, oids []uint32, runs []int, limit int, p Params, workers int) (int, error) {
+	if err := checkRuns(keys, oids, runs); err != nil {
+		return 0, err
+	}
+	if err := checkLimit(limit); err != nil {
+		return 0, err
+	}
 	n := len(keys)
-	if n != len(oids) {
-		panic("mergesort: keys and oids length mismatch")
-	}
-	if len(runs) < 2 || runs[0] != 0 || runs[len(runs)-1] != n {
-		panic("mergesort: invalid run boundaries")
-	}
-	for i := 1; i < len(runs); i++ {
-		if runs[i] < runs[i-1] {
-			panic("mergesort: run boundaries not ascending")
-		}
-	}
-	if limit < 1 {
-		panic("mergesort: TopK limit must be >= 1")
-	}
 	if limit >= n {
-		return n, ParallelMergeWithParamsContext(ctx, bank, keys, oids, runs, p, workers)
+		if err := ParallelMergeWithParamsContext(ctx, bank, keys, oids, runs, p, workers); err != nil {
+			return 0, err
+		}
+		return n, nil
 	}
 	faultinject.Fire(faultinject.TopKMerge)
 	obsTopKMerges.Inc()

@@ -1,8 +1,10 @@
 package mergesort
 
 import (
+	"context"
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -44,7 +46,7 @@ func TestParallelMergeTopKMatchesOraclePrefix(t *testing.T) {
 							p.DisableOVC = disableOVC
 							gotK := append([]uint64(nil), k...)
 							gotO := append([]uint32(nil), oids...)
-							m := ParallelMergeTopK(bank, gotK, gotO, runs, limit, p, w)
+							m := mustParallelMergeTopK(t, bank, gotK, gotO, runs, limit, p, w)
 							label := fmt.Sprintf("%s bank=%d ovcOff=%v runs=%d limit=%d workers=%d",
 								name, bank, disableOVC, nRuns, limit, w)
 							if m < limit && m < n {
@@ -94,7 +96,7 @@ func TestTopKMatchesFullSortPrefix(t *testing.T) {
 						for i := range gotO {
 							gotO[i] = uint32(i)
 						}
-						m := TopK(bank, gotK, gotO, limit, p, w)
+						m := mustTopK(t, bank, gotK, gotO, limit, p, w)
 						label := fmt.Sprintf("%s bank=%d ovcOff=%v limit=%d workers=%d",
 							name, bank, disableOVC, limit, w)
 						if m < limit && m < n {
@@ -163,7 +165,7 @@ func TestTopKBoundaryTieStability(t *testing.T) {
 				for i := range gotO {
 					gotO[i] = uint32(i)
 				}
-				m := TopK(bank, gotK, gotO, limit, p, w)
+				m := mustTopK(t, bank, gotK, gotO, limit, p, w)
 				if m != n {
 					t.Fatalf("bank=%d ovcOff=%v workers=%d: plateau not tie-extended: m=%d, want %d",
 						bank, disableOVC, w, m, n)
@@ -181,7 +183,7 @@ func TestTopKBoundaryTieStability(t *testing.T) {
 				for i := range gotO2 {
 					gotO2[i] = uint32(i)
 				}
-				if m2 := TopK(bank, gotK2, gotO2, limit, p, w); m2 != m {
+				if m2 := mustTopK(t, bank, gotK2, gotO2, limit, p, w); m2 != m {
 					t.Fatalf("bank=%d workers=%d: rerun changed m: %d vs %d", bank, w, m2, m)
 				}
 				for i := range gotO {
@@ -203,23 +205,57 @@ func TestTopKBoundaryTieStability(t *testing.T) {
 	}
 }
 
-// TestTopKValidation pins the documented panics: limit < 1 and
-// mismatched slice lengths.
+// TestTopKValidation pins the one error contract of the entry points:
+// a violated precondition — mismatched slice lengths, malformed or
+// non-ascending run bounds, limit < 1 — is a plain "mergesort:" error,
+// never a panic, and the inputs are left untouched.
 func TestTopKValidation(t *testing.T) {
+	ctx := context.Background()
 	keys := make([]uint64, 64)
 	oids := make([]uint32, 64)
-	mustPanic := func(name string, fn func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: no panic", name)
-			}
-		}()
-		fn()
+	for i := range keys {
+		keys[i] = uint64(64 - i)
+		oids[i] = uint32(i)
 	}
-	mustPanic("limit=0", func() { TopK(32, keys, oids, 0, DefaultParams(4), 1) })
-	mustPanic("limit=-3", func() { TopK(32, keys, oids, -3, DefaultParams(4), 1) })
-	mustPanic("len mismatch", func() { TopK(32, keys, oids[:10], 5, DefaultParams(4), 1) })
-	mustPanic("merge bad runs", func() {
-		ParallelMergeTopK(32, keys, oids, []int{0, 100}, 5, DefaultParams(4), 1)
-	})
+	p := DefaultParams(4)
+	topK := func(oids []uint32, limit int) error {
+		_, err := TopKContext(ctx, 32, keys, oids, limit, p, 1)
+		return err
+	}
+	mergeTopK := func(oids []uint32, runs []int, limit int) error {
+		_, err := ParallelMergeTopKContext(ctx, 32, keys, oids, runs, limit, p, 1)
+		return err
+	}
+	cases := []struct {
+		name string
+		err  error
+	}{
+		{"sort len mismatch", SortWithParamsContext(ctx, 32, keys, oids[:10], p)},
+		{"parallel sort len mismatch", ParallelSortWithParamsContext(ctx, 32, keys, oids[:10], p, 4)},
+		{"merge len mismatch", ParallelMergeWithParamsContext(ctx, 32, keys, oids[:10], []int{0, 64}, p, 1)},
+		{"merge no runs", ParallelMergeWithParamsContext(ctx, 32, keys, oids, nil, p, 1)},
+		{"merge runs past the end", ParallelMergeWithParamsContext(ctx, 32, keys, oids, []int{0, 100}, p, 1)},
+		{"merge runs not from 0", ParallelMergeWithParamsContext(ctx, 32, keys, oids, []int{8, 64}, p, 1)},
+		{"merge runs descending", ParallelMergeWithParamsContext(ctx, 32, keys, oids, []int{0, 40, 20, 64}, p, 1)},
+		{"topk limit=0", topK(oids, 0)},
+		{"topk limit=-3", topK(oids, -3)},
+		{"topk len mismatch", topK(oids[:10], 5)},
+		{"merge topk limit=0", mergeTopK(oids, []int{0, 64}, 0)},
+		{"merge topk len mismatch", mergeTopK(oids[:10], []int{0, 64}, 5)},
+		{"merge topk runs past the end", mergeTopK(oids, []int{0, 100}, 5)},
+		{"merge topk runs descending", mergeTopK(oids, []int{0, 40, 20, 64}, 5)},
+	}
+	for _, c := range cases {
+		switch {
+		case c.err == nil:
+			t.Errorf("%s: no error", c.name)
+		case !strings.HasPrefix(c.err.Error(), "mergesort: "):
+			t.Errorf("%s: error %q lacks the mergesort: prefix", c.name, c.err)
+		}
+	}
+	for i := range keys {
+		if keys[i] != uint64(64-i) || oids[i] != uint32(i) {
+			t.Fatalf("a rejected call modified its inputs at %d", i)
+		}
+	}
 }

@@ -170,10 +170,13 @@ func packedThreeWayMerge(rk []uint64, ro []uint32, srcK, srcO []uint64, lanes, i
 }
 
 // loserTreePacked is the loser-tree tournament over packed runs used by
-// the out-of-cache multiway merge phase; see loserTree for the scheme.
+// the out-of-cache multiway merge phase: internal nodes store the loser
+// of their sub-tournament and the overall winner is cached separately.
 // With useOVC, each run cursor also carries the head record's
 // offset-value code (codes[r], relative to the last record that went up
-// past it — see ovc.go) and comparisons consult codes before keys.
+// past it — see ovc.go) and comparisons consult codes before keys. The
+// decisions — and therefore the merged output — are identical either
+// way.
 type loserTreePacked struct {
 	tree   []int
 	heads  []int

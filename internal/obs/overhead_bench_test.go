@@ -8,6 +8,7 @@
 package obs_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -38,7 +39,9 @@ func benchSort(b *testing.B, bank int) {
 			oids[j] = uint32(j)
 		}
 		b.StartTimer()
-		mergesort.Sort(bank, work, oids)
+		if err := mergesort.SortWithParamsContext(context.Background(), bank, work, oids, mergesort.Params{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

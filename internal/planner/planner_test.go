@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -8,6 +9,13 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/plan"
 )
+
+// roga runs the search under context.Background(), where it cannot
+// fail: these tests exercise plan choice, not cancellation.
+func roga(s *Search) Choice {
+	c, _ := ROGAContext(context.Background(), s)
+	return c
+}
 
 func testModel() *costmodel.Model {
 	return &costmodel.Model{
@@ -67,7 +75,7 @@ func TestROGABeatsOrMatchesBaseline(t *testing.T) {
 		// wide-W cases from enumerating 3^12 bank combinations.
 		s := &Search{Model: m, Stats: uniformStats(1, 1<<18, c[0], c[1]), Kind: OrderBy, Rho: 0.05}
 		base := s.baseline()
-		got := ROGA(s)
+		got := roga(s)
 		if got.Est > base.Est {
 			t.Errorf("widths %v: ROGA est %.3g worse than baseline %.3g (plan %v)",
 				c[0], got.Est, base.Est, got.Plan)
@@ -84,7 +92,7 @@ func TestROGAFindsStitchForEx1(t *testing.T) {
 	m := testModel()
 	s := &Search{Model: m, Stats: uniformStats(2, 1<<18, []int{10, 17}, []int{1 << 10, 1 << 13}), Kind: OrderBy, Rho: -1}
 	stitch := plan.Plan{Rounds: []plan.Round{{Width: 27, Bank: 32}}}
-	got := ROGA(s)
+	got := roga(s)
 	if got.Est > m.TMCS(stitch, s.Stats) {
 		t.Errorf("ROGA plan %v (%.3g) worse than stitch (%.3g)",
 			got.Plan, got.Est, m.TMCS(stitch, s.Stats))
@@ -102,7 +110,7 @@ func TestROGAAvoidsRecklessStitchForEx2(t *testing.T) {
 	// ROGA must not return the stitch-all plan.
 	m := testModel()
 	s := &Search{Model: m, Stats: uniformStats(3, 1<<18, []int{15, 31}, []int{1 << 13, 1 << 13}), Kind: OrderBy, Rho: -1}
-	got := ROGA(s)
+	got := roga(s)
 	if len(got.Plan.Rounds) == 1 && got.Plan.Rounds[0].Bank == 64 {
 		t.Errorf("ROGA picked the reckless stitch-all: %v", got.Plan)
 	}
@@ -113,8 +121,8 @@ func TestGroupByPermutations(t *testing.T) {
 	// better; at minimum the search must never do worse than ORDER BY.
 	m := testModel()
 	st := uniformStats(4, 1<<16, []int{24, 4}, []int{60000, 16})
-	fixed := ROGA(&Search{Model: m, Stats: st, Kind: OrderBy, Rho: -1})
-	free := ROGA(&Search{Model: m, Stats: st, Kind: GroupBy, Rho: -1})
+	fixed := roga(&Search{Model: m, Stats: st, Kind: OrderBy, Rho: -1})
+	free := roga(&Search{Model: m, Stats: st, Kind: GroupBy, Rho: -1})
 	if free.Est > fixed.Est {
 		t.Errorf("free-order est %.3g worse than fixed-order %.3g", free.Est, fixed.Est)
 	}
@@ -131,8 +139,8 @@ func TestROGAFixedOrder(t *testing.T) {
 	// free search's choice exactly — this is the sharded coordinator's
 	// contract: it searches once on full-table stats and replays the
 	// winning order on every shard.
-	free := ROGA(&Search{Model: m, Stats: st, Kind: GroupBy, Rho: -1, MaxPlans: 4096})
-	pinned := ROGA(&Search{Model: m, Stats: st, Kind: GroupBy, Rho: -1, MaxPlans: 4096,
+	free := roga(&Search{Model: m, Stats: st, Kind: GroupBy, Rho: -1, MaxPlans: 4096})
+	pinned := roga(&Search{Model: m, Stats: st, Kind: GroupBy, Rho: -1, MaxPlans: 4096,
 		FixedOrder: append([]int(nil), free.ColOrder...)})
 	if !equalOrder(pinned.ColOrder, free.ColOrder) {
 		t.Errorf("pinned ColOrder %v != free ColOrder %v", pinned.ColOrder, free.ColOrder)
@@ -150,7 +158,7 @@ func TestROGAFixedOrder(t *testing.T) {
 	// caps the search almost immediately, so the baseline can win).
 	for _, mp := range []int{1, 4096} {
 		for _, order := range [][]int{{2, 0, 1}, {1, 2, 0}, {0, 1, 2}} {
-			got := ROGA(&Search{Model: m, Stats: st, Kind: GroupBy, Rho: -1, MaxPlans: mp,
+			got := roga(&Search{Model: m, Stats: st, Kind: GroupBy, Rho: -1, MaxPlans: mp,
 				FixedOrder: order})
 			if !equalOrder(got.ColOrder, order) {
 				t.Errorf("MaxPlans %d FixedOrder %v: got ColOrder %v", mp, order, got.ColOrder)
@@ -198,7 +206,7 @@ func TestROGABeatsRRSOnAverage(t *testing.T) {
 		widths := []int{int(10 + seed), int(20 + seed*2)}
 		st := uniformStats(seed+10, 1<<16, widths, []int{1 << 9, 1 << 11})
 		s := &Search{Model: m, Stats: st, Kind: OrderBy, Rho: 0.02}
-		r := ROGA(s)
+		r := roga(s)
 		x := RRS(s, seed)
 		switch {
 		case r.Est <= x.Est:
@@ -300,7 +308,7 @@ func TestMaxRoundsBoundRespected(t *testing.T) {
 	m := testModel()
 	st := uniformStats(9, 1<<14, []int{17, 30, 12}, []int{1 << 10, 1 << 12, 1 << 8}) // the paper's W=59 example
 	s := &Search{Model: m, Stats: st, Kind: OrderBy, Rho: -1}
-	got := ROGA(s)
+	got := roga(s)
 	if len(got.Plan.Rounds) > plan.MaxRounds(59) {
 		t.Errorf("plan has %d rounds, bound is %d", len(got.Plan.Rounds), plan.MaxRounds(59))
 	}
@@ -312,7 +320,7 @@ func TestStopwatchRho(t *testing.T) {
 	m := testModel()
 	st := uniformStats(10, 1<<14, []int{20, 20, 19}, []int{1 << 10, 1 << 10, 1 << 10})
 	s := &Search{Model: m, Stats: st, Kind: GroupBy, Rho: 1e-9}
-	got := ROGA(s)
+	got := roga(s)
 	if err := got.Plan.Validate(59); err != nil {
 		t.Fatalf("invalid plan under tight rho: %v", err)
 	}
@@ -355,8 +363,8 @@ func TestROGAExploitsOVCDiscount(t *testing.T) {
 			m9.TMCS(stitch, st), m9.TMCS(byCol, st))
 	}
 
-	g0 := ROGA(&Search{Model: m0, Stats: st, Kind: OrderBy, Rho: -1})
-	g9 := ROGA(&Search{Model: m9, Stats: st, Kind: OrderBy, Rho: -1})
+	g0 := roga(&Search{Model: m0, Stats: st, Kind: OrderBy, Rho: -1})
+	g9 := roga(&Search{Model: m9, Stats: st, Kind: OrderBy, Rho: -1})
 	if g0.Plan.Equal(g9.Plan) {
 		t.Errorf("discount did not shift the ROGA plan: both chose %v", g0.Plan)
 	}

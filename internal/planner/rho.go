@@ -1,10 +1,16 @@
 package planner
 
-import "time"
+import (
+	"context"
+	"time"
+)
 
 // Automatic selection of the time threshold ρ (Appendix C of the paper).
 // The experiments use ρ = 0.1% by default, but the paper sketches two
-// automated approaches, both implemented here.
+// automated approaches, both implemented here. Both are offline tuning
+// with no caller context in scope: their searches run under
+// context.Background(), so the search's only error — cancellation —
+// cannot occur and is dropped.
 
 // RhoLadder is the range of thresholds the offline calibration sweeps,
 // from very stringent to the paper's "unacceptable beyond this" bound.
@@ -29,7 +35,8 @@ func CalibrateRhoOffline(samples []*Search) float64 {
 		for j, rho := range RhoLadder {
 			sCopy := *s
 			sCopy.Rho = rho
-			c.ests[j] = ROGA(&sCopy).Est
+			choice, _ := ROGAContext(context.Background(), &sCopy)
+			c.ests[j] = choice.Est
 		}
 		c.best = c.ests[len(c.ests)-1]
 		curves[i] = c
@@ -77,7 +84,7 @@ func ROGAOnlineRho(s *Search, opts OnlineRhoOptions) (Choice, float64) {
 	rho := opts.Low
 	sCopy := *s
 	sCopy.Rho = rho
-	best := ROGA(&sCopy)
+	best, _ := ROGAContext(context.Background(), &sCopy)
 	for rho < opts.High {
 		next := rho * 2
 		if next > opts.High {
@@ -85,7 +92,7 @@ func ROGAOnlineRho(s *Search, opts OnlineRhoOptions) (Choice, float64) {
 		}
 		sCopy.Rho = next
 		start := time.Now()
-		cand := ROGA(&sCopy)
+		cand, _ := ROGAContext(context.Background(), &sCopy)
 		_ = start
 		improved := cand.Est < best.Est
 		rho = next

@@ -39,7 +39,7 @@ func TestROGAOnlineRho(t *testing.T) {
 	// The online result can never be worse than the most stringent run.
 	sLow := *s
 	sLow.Rho = 0.0001
-	low := ROGA(&sLow)
+	low := roga(&sLow)
 	if choice.Est > low.Est*1.001 {
 		t.Errorf("online est %.3g worse than stringent est %.3g", choice.Est, low.Est)
 	}

@@ -22,23 +22,18 @@ var (
 	obsSearchT       = obs.NewTimer("planner.roga_search")
 )
 
-// ROGA runs the paper's round-based greedy plan search (Algorithm 1):
-// it considers plans with k = 1 … ⌊2(W−1)/b_min⌋+1 rounds; within each
-// k, it enumerates valid bank-size combinations and greedily assigns
-// bits to each round so as to minimize the next round's sorting cost,
-// giving the remainder to the last round. For GROUP BY / PARTITION BY
-// the whole search repeats per column permutation. The ρ stopwatch
-// bounds the search time relative to the best plan found so far.
-func ROGA(s *Search) Choice {
-	c, _ := ROGAContext(context.Background(), s)
-	return c
-}
-
-// ROGAContext is ROGA with cooperative cancellation: the context is
-// polled at the same granularity as the ρ stopwatch (once per candidate
-// plan), so a cancelled search returns ctx.Err() promptly. The returned
-// Choice is the best plan found so far — still valid if the caller
-// prefers degraded planning over failing the query.
+// ROGAContext runs the paper's round-based greedy plan search
+// (Algorithm 1): it considers plans with k = 1 … ⌊2(W−1)/b_min⌋+1
+// rounds; within each k, it enumerates valid bank-size combinations and
+// greedily assigns bits to each round so as to minimize the next
+// round's sorting cost, giving the remainder to the last round. For
+// GROUP BY / PARTITION BY the whole search repeats per column
+// permutation. The ρ stopwatch bounds the search time relative to the
+// best plan found so far, and the context is polled at the same
+// granularity (once per candidate plan), so a cancelled search returns
+// ctx.Err() promptly. The returned Choice is the best plan found so far
+// — still valid if the caller prefers degraded planning over failing
+// the query.
 func ROGAContext(ctx context.Context, s *Search) (Choice, error) {
 	obsSearches.Inc()
 	span := obsSearchT.Start()

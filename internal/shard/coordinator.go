@@ -24,7 +24,6 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/engine"
 	"repro/internal/faultinject"
-	"repro/internal/mergesort"
 	"repro/internal/obs"
 	"repro/internal/pipeerr"
 	"repro/internal/plan"
@@ -402,33 +401,17 @@ func (c *Coordinator) mergeGroupParts(ctx context.Context, q engine.Query, req s
 		}
 	}
 	if q.OrderByAgg {
-		sortMergedByAggregate(merged)
+		// Re-apply the aggregate sort the sub-queries stripped with the
+		// engine's own function over the merged groups — which are in
+		// global key order, the order the single node's aggregate sort
+		// starts from.
+		if merged.keys, merged.agg, err = engine.SortGroupsByAggregate(ctx, merged.keys, merged.agg); err != nil {
+			return nil, nil, err
+		}
 	}
 
 	lo, hi := cutWindow(len(merged.keys), req.Limit, req.Offset)
 	return merged.keys[lo:hi], merged.agg[lo:hi], nil
-}
-
-// sortMergedByAggregate re-applies the aggregate sort the sub-queries
-// stripped, with the engine's own machinery (descending via
-// complement, the stable 64-bit-bank sort) over the merged groups —
-// which are in global key order, the same order the single node's
-// aggregate sort starts from, so ties land identically.
-func sortMergedByAggregate(mg *mergedGroups) {
-	n := len(mg.agg)
-	keys := make([]uint64, n)
-	idx := make([]uint32, n)
-	for i, a := range mg.agg {
-		keys[i] = ^a
-		idx[i] = uint32(i)
-	}
-	mergesort.Sort(64, keys, idx)
-	gk := make([][]uint64, n)
-	ag := make([]uint64, n)
-	for i, j := range idx {
-		gk[i], ag[i] = mg.keys[j], mg.agg[j]
-	}
-	mg.keys, mg.agg = gk, ag
 }
 
 // cutWindow clamps [offset, offset+limit) to n entries.

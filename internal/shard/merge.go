@@ -1,9 +1,10 @@
 // Cross-shard merging. Shards return results sorted in the pinned
 // column order; the coordinator rebuilds the massaged sort keys and
 // merges the pre-sorted per-shard runs with the same machinery the
-// engine's sort uses — mergesort.ParallelMerge for full results,
-// ParallelMergeTopK with its tie-extended cut for LIMIT/OFFSET windows
-// — so the gathered output is the single-node output, byte for byte.
+// engine's sort uses — mergesort.ParallelMergeWithParamsContext for
+// full results, ParallelMergeTopKContext with its tie-extended cut for
+// LIMIT/OFFSET windows — so the gathered output is the single-node
+// output, byte for byte.
 package shard
 
 import (
@@ -259,8 +260,8 @@ func mergeFlatGroups(ctx context.Context, parts []groupsPart, sp mergeSpec, tota
 // mergeRows64 merges pre-sorted runs of packed 64-bit keys and returns
 // the merged flat-index order. keys is the concatenation of the runs
 // (runs[0]=0 … runs[len-1]=len(keys)). limit > 0 cuts the merge at
-// that output rank via the tie-extended ParallelMergeTopK and trims to
-// exactly limit elements — sound because keys[0:limit] of the
+// that output rank via the tie-extended ParallelMergeTopKContext and
+// trims to exactly limit elements — sound because keys[0:limit] of the
 // tie-extended cut equal the full merge's first limit elements, and
 // the run-index-stable tie order is the ascending-global-oid canonical
 // order (range partitioning puts lower global oids in lower runs).
@@ -288,7 +289,7 @@ func mergeRows64(ctx context.Context, keys []uint64, runs []int, limit, workers 
 		}
 		return oids[:m], nil
 	}
-	if err := mergesort.ParallelMergeContext(ctx, 64, keys, oids, runs, workers); err != nil {
+	if err := mergesort.ParallelMergeWithParamsContext(ctx, 64, keys, oids, runs, mergesort.Params{}, workers); err != nil {
 		return nil, err
 	}
 	return oids, nil

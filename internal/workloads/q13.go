@@ -28,17 +28,12 @@ type Q13Result struct {
 	MCSRows int
 }
 
-// RunQ13 executes the Q13 pipeline over the TPC-H WideTable:
+// RunQ13Context executes the Q13 pipeline over the TPC-H WideTable,
+// with cooperative cancellation threaded through both stages:
 //
 //	SELECT c_count, COUNT(*) AS custdist
 //	FROM (SELECT c_custkey, COUNT(o_orderkey) FROM … GROUP BY c_custkey)
 //	GROUP BY c_count ORDER BY custdist DESC, c_count DESC
-func RunQ13(t *table.Table, massaging bool, opts engine.Options) (*Q13Result, error) {
-	return RunQ13Context(context.Background(), t, massaging, opts)
-}
-
-// RunQ13Context is RunQ13 with cooperative cancellation threaded
-// through both stages.
 func RunQ13Context(ctx context.Context, t *table.Table, massaging bool, opts engine.Options) (*Q13Result, error) {
 	// Stage 1: GROUP BY c_custkey, counting rows per customer. This is
 	// a single-column sort; massaging has nothing to combine.

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/costmodel"
@@ -66,7 +67,7 @@ func TestAllQueriesExecuteBothModes(t *testing.T) {
 	model := testModel()
 	for _, item := range items {
 		for _, massaging := range []bool{false, true} {
-			res, err := engine.Run(item.Table, item.Query,
+			res, err := engine.RunContext(context.Background(), item.Table, item.Query,
 				engine.Options{Massaging: massaging, Model: model, Rho: 0.2})
 			if err != nil {
 				t.Fatalf("%s (massaging=%v): %v", item.ID, massaging, err)
@@ -95,11 +96,11 @@ func TestMassagingPreservesResults(t *testing.T) {
 	}
 	model := testModel()
 	for _, item := range TPCHQueries(tpch, "") {
-		off, err := engine.Run(item.Table, item.Query, engine.Options{Massaging: false})
+		off, err := engine.RunContext(context.Background(), item.Table, item.Query, engine.Options{Massaging: false})
 		if err != nil {
 			t.Fatalf("%s off: %v", item.ID, err)
 		}
-		on, err := engine.Run(item.Table, item.Query,
+		on, err := engine.RunContext(context.Background(), item.Table, item.Query,
 			engine.Options{Massaging: true, Model: model, Rho: 0.2})
 		if err != nil {
 			t.Fatalf("%s on: %v", item.ID, err)
@@ -126,7 +127,7 @@ func TestRunQ13(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, massaging := range []bool{false, true} {
-		res, err := RunQ13(tpch, massaging, engine.Options{})
+		res, err := RunQ13Context(context.Background(), tpch, massaging, engine.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
