@@ -16,7 +16,9 @@ race:
 # hotalloc) over every package, with vetted exceptions in
 # lint/allow.txt. -strict-allow keeps the allowlist honest: an entry
 # that stops matching anything fails the build until it is deleted.
+# gofmt -l must print nothing.
 lint:
+	@test -z "$$(gofmt -l .)" || { echo "gofmt -l lists:"; gofmt -l .; exit 1; }
 	$(GO) vet ./...
 	$(GO) run ./cmd/mcslint -strict-allow ./...
 

@@ -275,12 +275,12 @@ type benchTopKRun struct {
 }
 
 type benchTopKReport struct {
-	Benchmark    string        `json:"benchmark"`
-	Rows         int           `json:"rows"`
-	Widths       []int         `json:"widths"`
-	Plan         string        `json:"plan"`
+	Benchmark    string         `json:"benchmark"`
+	Rows         int            `json:"rows"`
+	Widths       []int          `json:"widths"`
+	Plan         string         `json:"plan"`
 	Runs         []benchTopKRun `json:"sweep"`
-	NormSingleTh float64       `json:"unlimited_normalized_single_thread"`
+	NormSingleTh float64        `json:"unlimited_normalized_single_thread"`
 }
 
 // benchDupInputs builds the 1M-row 4-column workload with the given

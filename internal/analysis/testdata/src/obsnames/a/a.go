@@ -8,11 +8,11 @@ var (
 	sorts    = obs.NewCounter("fixture.sorts")
 	rounds   = obs.NewGauge("fixture.rounds_max")
 	phase    = obs.NewTimer("fixture.phase1_in_register")
-	badCase  = obs.NewCounter("fixture.BadName")  // want `obs metric name "fixture\.BadName" is not snake_case`
-	badDash  = obs.NewGauge("fixture.has-dash")   // want `obs metric name "fixture\.has-dash" is not snake_case`
-	badSpace = obs.NewTimer("fixture. spaced")    // want `obs metric name "fixture\. spaced" is not snake_case`
-	dup      = obs.NewTimer("fixture.sorts")      // want `obs metric "fixture\.sorts" already registered in this package`
-	empty    = obs.NewCounter("")                 // want `obs metric name "" is not snake_case`
+	badCase  = obs.NewCounter("fixture.BadName") // want `obs metric name "fixture\.BadName" is not snake_case`
+	badDash  = obs.NewGauge("fixture.has-dash")  // want `obs metric name "fixture\.has-dash" is not snake_case`
+	badSpace = obs.NewTimer("fixture. spaced")   // want `obs metric name "fixture\. spaced" is not snake_case`
+	dup      = obs.NewTimer("fixture.sorts")     // want `obs metric "fixture\.sorts" already registered in this package`
+	empty    = obs.NewCounter("")                // want `obs metric name "" is not snake_case`
 )
 
 var queryID = "q13"

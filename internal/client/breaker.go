@@ -84,6 +84,18 @@ func (b *breaker) recordSuccess() {
 	obsBreakerState.Set(int64(brClosed))
 }
 
+// release ends a query without a verdict: the consecutive-failure run
+// and the open/closed state stay as they are, and if this query held
+// the half-open probe slot the next caller gets it.
+func (b *breaker) release() {
+	if b.threshold <= 0 {
+		return
+	}
+	b.mu.Lock()
+	b.probing = false
+	b.mu.Unlock()
+}
+
 // recordFailure counts one exhausted query (all retries spent);
 // reaching the threshold — or failing the half-open probe — (re)opens
 // the breaker for a full cooldown.

@@ -169,7 +169,7 @@ func (c *Client) Query(ctx context.Context, req server.QueryRequest) (*server.Qu
 		}
 		lastErr = err
 		if ctx.Err() != nil || !retryableErr(err) || attempt >= c.cfg.MaxRetries {
-			c.br.recordFailure()
+			c.giveUp(ctx)
 			return nil, lastErr
 		}
 		obsRetries.Inc()
@@ -177,10 +177,23 @@ func (c *Client) Query(ctx context.Context, req server.QueryRequest) (*server.Qu
 		select {
 		case <-time.After(delay):
 		case <-ctx.Done():
-			c.br.recordFailure()
+			c.giveUp(ctx)
 			return nil, fmt.Errorf("client: retry wait: %w (last failure: %v)", ctx.Err(), lastErr)
 		}
 	}
+}
+
+// giveUp settles the breaker for a query that is returning an error. A
+// caller that cancelled its own context — a coordinator abandoning the
+// healthy siblings of a failed fan-out — says nothing about the
+// endpoint: no failure is counted and a held half-open probe slot goes
+// back. Everything else, an expired caller deadline included, counts.
+func (c *Client) giveUp(ctx context.Context) {
+	if errors.Is(ctx.Err(), context.Canceled) {
+		c.br.release()
+		return
+	}
+	c.br.recordFailure()
 }
 
 // retryableErr: a typed wire error carries the server's verdict; a

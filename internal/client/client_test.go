@@ -344,6 +344,80 @@ func TestBreakerFailedProbeReopens(t *testing.T) {
 	}
 }
 
+// TestBreakerIgnoresCallerCancel: a query abandoned by its own caller
+// (context.Canceled — a coordinator dropping the healthy siblings of a
+// failed fan-out) is no verdict on the endpoint. With threshold 1 it
+// must not trip a closed breaker, and when the abandoned query was the
+// half-open probe the slot goes back: the next caller probes and, the
+// endpoint having recovered, closes the breaker — instead of finding it
+// re-opened for another cooldown.
+func TestBreakerIgnoresCallerCancel(t *testing.T) {
+	defer testutil.CheckNoLeaks(t)()
+	var mode atomic.Value // "ok", "down", or "hang"
+	mode.Store("ok")
+	hung, unhang := make(chan struct{}), make(chan struct{})
+	fs := &fakeServer{t: t, jobs: []fakeJob{
+		{id: "ok", status: server.JobStatus{ID: "ok", State: server.JobDone},
+			result: &server.QueryResult{JobID: "ok", Rows: 1}},
+	}}
+	jobs := fs.handler()
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.Method != http.MethodPost:
+			jobs.ServeHTTP(w, r)
+		case mode.Load() == "hang":
+			hung <- struct{}{}
+			<-unhang // until the caller has given up
+		case mode.Load() == "down":
+			w.WriteHeader(http.StatusServiceUnavailable)
+			json.NewEncoder(w).Encode(map[string]any{"error": "down", "kind": "budget", "retryable": true})
+		default:
+			w.WriteHeader(http.StatusAccepted)
+			json.NewEncoder(w).Encode(map[string]string{"job_id": "ok"})
+		}
+	}))
+	defer hs.Close()
+	const cooldown = 40 * time.Millisecond
+	c := newClient(t, hs, func(cfg *Config) {
+		cfg.MaxRetries = 0
+		cfg.BreakerThreshold = 1
+		cfg.BreakerCooldown = cooldown
+	})
+	abandon := func(label string) {
+		t.Helper()
+		mode.Store("hang")
+		ctx, cancel := context.WithCancel(context.Background())
+		go func() {
+			<-hung
+			cancel()
+		}()
+		_, err := c.Query(ctx, okReq)
+		unhang <- struct{}{}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: abandoned query: err = %v, want context.Canceled", label, err)
+		}
+		mode.Store("ok")
+	}
+
+	abandon("closed breaker")
+	if _, err := c.Query(context.Background(), okReq); err != nil {
+		t.Fatalf("query after an abandoned one: %v (a caller's cancel must not trip the breaker)", err)
+	}
+
+	mode.Store("down")
+	if _, err := c.Query(context.Background(), okReq); err == nil {
+		t.Fatal("query against a failing server succeeded")
+	}
+	if _, err := c.Query(context.Background(), okReq); !errors.Is(err, ErrBreakerOpen) {
+		t.Fatalf("tripped breaker: err = %v, want ErrBreakerOpen", err)
+	}
+	time.Sleep(cooldown + 10*time.Millisecond)
+	abandon("half-open probe")
+	if _, err := c.Query(context.Background(), okReq); err != nil {
+		t.Fatalf("query after an abandoned probe: %v (the next caller must get the probe slot)", err)
+	}
+}
+
 // TestPerRequestDeadline: a server that never answers one HTTP call
 // fails that call within RequestTimeout instead of hanging the caller.
 func TestPerRequestDeadline(t *testing.T) {

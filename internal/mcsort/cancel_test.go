@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/massage"
+	"repro/internal/mergesort"
 	"repro/internal/pipeerr"
 	"repro/internal/plan"
 	"repro/internal/testutil"
@@ -199,11 +200,12 @@ func (c *pollCtx) Err() error {
 // on the sequential later-round path: a round whose rows all tie into
 // one group is one whole sort, so the context must reach the sort
 // itself. Cancelled before the round, or only after the group's sort
-// has started (past the loop's polls and the sort's entry poll),
+// has started (past the round's own polls and the sort's entry poll),
 // the round returns context.Canceled with keys and perm untouched. The
 // poll budget of a many-small-groups round is pinned alongside: one
-// classification poll plus one per exhausted 1<<16-row credit, never
-// one per group.
+// classification poll plus one per claimed batch of groupBatchRows rows
+// and one to find the batches exhausted, never one per group — and a
+// cancellation landing mid-round stops the round within one batch.
 func TestSequentialGiantGroupCancel(t *testing.T) {
 	const n = 1<<16 + 4096
 	rng := rand.New(rand.NewSource(41))
@@ -218,13 +220,23 @@ func TestSequentialGiantGroupCancel(t *testing.T) {
 	sp := Options{}.sortParams()
 	oneGroup := []int32{0, n}
 
+	// At the default threshold the group is dominant and goes to the
+	// rank-split sort's sequential fallback; below a raised one it is
+	// batched, and as a group of at least groupPollRows rows still gets
+	// the real context.
+	batched := sp
+	batched.ParallelThreshold = n + 1
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	for name, ctx := range map[string]context.Context{
-		"pre-cancelled": cancelled,
-		"mid-sort":      newPollCtx(1 + 1 + 1), // the classification poll, the credit poll, the sort's entry poll
+	for name, tc := range map[string]struct {
+		ctx context.Context
+		sp  mergesort.Params
+	}{
+		"pre-cancelled":     {cancelled, sp},
+		"mid-sort dominant": {newPollCtx(1 + 1 + 1), sp},      // the classification poll, the sort's entry poll, its first merge pass
+		"mid-sort batched":  {newPollCtx(1 + 1 + 1), batched}, // the classification poll, the batch poll, the sort's entry poll
 	} {
-		_, err := parallelGroupSort(ctx, 16, keys, perm, oneGroup, 1, sp, 1)
+		_, err := parallelGroupSort(tc.ctx, 16, keys, perm, oneGroup, 1, tc.sp, 1)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: err = %v, want context.Canceled", name, err)
 		}
@@ -235,18 +247,31 @@ func TestSequentialGiantGroupCancel(t *testing.T) {
 		}
 	}
 
-	// n/32 groups of 32 rows: each is a real (non-insertion) sort, and
-	// together they exhaust the credit exactly twice — at the first
-	// group and once 1<<16 rows later.
+	// n/32 groups of 32 rows: each is a real (non-insertion) sort, and a
+	// batch is exactly groupBatchRows/32 of them. A 32-row group is one
+	// in-register tail run, so its sort polls on entry only — under the
+	// uncancellable context, which the counter never sees.
 	small := make([]int32, 0, n/32+1)
 	for lo := 0; lo <= n; lo += 32 {
 		small = append(small, int32(lo))
 	}
-	// A 32-row group is one in-register tail run, so its sort polls on
-	// entry only.
-	const budget = 1 + 2 // the classification poll, two exhausted credits
-	ctx := newPollCtx(budget)
-	if _, err := parallelGroupSort(ctx, 16, keys, perm, small, 1, sp, 1); err != nil {
+	const batches = (n + groupBatchRows - 1) / groupBatchRows
+	const budget = 1 + batches + 1 // the classification poll, one per claim, one on exhaustion
+
+	// Cancelled at the poll before the fourth claim: exactly three
+	// batches are sorted, the rest of the round is untouched.
+	const claimed = 3
+	_, err := parallelGroupSort(newPollCtx(1+claimed), 16, keys, perm, small, 1, sp, 1)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("mid-round: err = %v, want context.Canceled", err)
+	}
+	for i := claimed * groupBatchRows; i < n; i++ {
+		if keys[i] != wantKeys[i] || perm[i] != wantPerm[i] {
+			t.Fatalf("mid-round: row %d was sorted after the cancellation, %d rows past the last claimed batch", i, i-claimed*groupBatchRows)
+		}
+	}
+
+	if _, err := parallelGroupSort(newPollCtx(budget), 16, keys, perm, small, 1, sp, 1); err != nil {
 		t.Fatalf("small groups: %v after more than %d polls", err, budget)
 	}
 }

@@ -325,3 +325,114 @@ func TestExecuteOVCOnOffIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestGroupSortManyTinyGroupsDeterministic runs the later-round shape
+// the batch claims exist for — 131,072 four-row groups, ties inside
+// most of them — at several pool sizes: keys and permutation must come
+// out byte-identical to the inline (workers = 1) loop.
+func TestGroupSortManyTinyGroupsDeterministic(t *testing.T) {
+	defer testutil.CheckNoLeaks(t)()
+	const nGroups, sz = 131072, 4
+	rng := rand.New(rand.NewSource(23))
+	keys := make([]uint64, nGroups*sz)
+	for i := range keys {
+		keys[i] = uint64(rng.Intn(3))
+	}
+	groups := make([]int32, nGroups+1)
+	for g := range groups {
+		groups[g] = int32(g * sz)
+	}
+	sp := Options{}.sortParams()
+	var wantK []uint64
+	var wantP []uint32
+	for _, w := range []int{1, 2, 3, 8} {
+		k := append([]uint64(nil), keys...)
+		perm := make([]uint32, len(k))
+		for i := range perm {
+			perm[i] = uint32(len(k) - 1 - i) // descending, so ties need canonicalizing
+		}
+		nSort, err := parallelGroupSort(context.Background(), 16, k, perm, groups, w, sp, 1)
+		if err != nil || nSort != nGroups {
+			t.Fatalf("workers=%d: sorted %d of %d groups, err %v", w, nSort, nGroups, err)
+		}
+		if w == 1 {
+			wantK, wantP = k, perm
+			continue
+		}
+		for i := range k {
+			if k[i] != wantK[i] || perm[i] != wantP[i] {
+				t.Fatalf("workers=%d: diverges from the inline loop at row %d", w, i)
+			}
+		}
+	}
+}
+
+// TestCutGroupBatches pins the batch cutter: the batches cover every
+// sortable sub-threshold group exactly once, in position order, and
+// each holds fewer sortable rows than groupBatchRows plus its largest
+// group; groups at or above the cooperative threshold are listed apart.
+func TestCutGroupBatches(t *testing.T) {
+	const coop = mergesort.DefaultParallelThreshold
+	rng := rand.New(rand.NewSource(31))
+	zipf := rand.NewZipf(rng, 1.3, 2, 3*coop)
+	sizes := map[string][]int{
+		"singletons":   make([]int, 50000),
+		"one-big-less": {coop - 1},
+		"zipf":         make([]int, 20000),
+		"straddle": {groupBatchRows - 1, 1, 1, 2, groupBatchRows, 1, groupBatchRows + 1,
+			groupBatchRows / 2, groupBatchRows/2 - 1, 1, 2, coop, 3},
+	}
+	for i := range sizes["singletons"] {
+		sizes["singletons"][i] = 1
+	}
+	for i := range sizes["zipf"] {
+		sizes["zipf"][i] = 1 + int(zipf.Uint64())
+	}
+	for name, szs := range sizes {
+		groups := []int32{0}
+		wantSort, wantBig := 0, 0
+		for _, sz := range szs {
+			groups = append(groups, groups[len(groups)-1]+int32(sz))
+			if sz >= 2 {
+				wantSort++
+			}
+			if sz >= coop {
+				wantBig++
+			}
+		}
+		batches, big, nSort, err := cutGroupBatches(context.Background(), groups, coop)
+		if err != nil || nSort != wantSort || len(big) != wantBig {
+			t.Fatalf("%s: nSort %d (want %d), %d big (want %d), err %v", name, nSort, wantSort, len(big), wantBig, err)
+		}
+		for _, g := range big {
+			if szs[g] < coop {
+				t.Fatalf("%s: group %d of %d rows listed as cooperative", name, g, szs[g])
+			}
+		}
+		if batches[0] != 0 {
+			t.Fatalf("%s: batches start at group %d", name, batches[0])
+		}
+		covered := 0
+		for b := 1; b < len(batches); b++ {
+			if batches[b] <= batches[b-1] {
+				t.Fatalf("%s: batch %d is empty or out of order: %v", name, b, batches[b-1:b+1])
+			}
+			rows, largest := 0, 0
+			for g := batches[b-1]; g < batches[b]; g++ {
+				if sz := szs[g]; sz >= 2 && sz < coop {
+					covered++
+					rows += sz
+					largest = max(largest, sz)
+				}
+			}
+			if rows == 0 || rows >= groupBatchRows+largest {
+				t.Fatalf("%s: batch %d holds %d sortable rows (largest group %d)", name, b, rows, largest)
+			}
+		}
+		// Adjacent, ascending batches starting at 0 visit a group at
+		// most once; together they must reach every sortable one.
+		if covered != wantSort-wantBig {
+			t.Fatalf("%s: batches cover %d of %d sortable sub-threshold groups", name, covered, wantSort-wantBig)
+		}
+	}
+}

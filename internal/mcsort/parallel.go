@@ -21,10 +21,10 @@ import (
 // skewed data where most sampled keys are equal), the round falls back
 // to mergesort's chunk-sort + cooperative pivot-split merge, whose load
 // balance is rank-based and therefore immune to value skew. Later
-// rounds distribute the tied groups across a bounded worker pool,
-// largest-group-first with dynamic (work-stealing-style) scheduling so
-// zipf-skewed group sizes stay balanced; groups big enough to dominate
-// a round are instead sorted cooperatively by all workers.
+// rounds distribute the tied groups across a bounded worker pool in
+// position-ordered batches claimed dynamically, so zipf-skewed group
+// sizes stay balanced; groups big enough to dominate a round are
+// instead sorted cooperatively by all workers.
 //
 // Determinism: mergesort leaves the relative order of equal keys
 // unspecified, and the partition/chunk boundaries depend on the worker
@@ -267,142 +267,128 @@ func oidsAscending(oids []uint32) bool {
 	return true
 }
 
-// groupPollRows is the poll stride of the later-round group sorts: the
-// rows sorted between context polls, and the group size from which a
-// group's own sort must be cancellable.
+// groupPollRows is the group size from which a later-round group's own
+// sort must be cancellable. Smaller groups sort under a context that
+// cannot be cancelled, whose entry poll is free: a round can hold 100k+
+// tiny groups, and a cancelCtx poll takes a mutex.
 const groupPollRows = 1 << 16
 
-// parallelGroupSort sorts each group [groups[g], groups[g+1]) of keys
-// across workers and canonicalizes ties in every group. Groups large
-// enough to starve the pool (≥ p.ParallelThreshold) are sorted
-// cooperatively by all workers with the rank-split parallel sort; the
-// rest are drained largest-first from a shared queue, so zipf-skewed
-// group populations stay balanced without static assignment. The
-// context is polled between groups (amortized on the sequential path)
-// and reaches the sort of every group of at least groupPollRows rows,
-// so a cancelled round returns within one merge pass over one group;
-// smaller groups sort under a context that cannot be cancelled, whose
-// entry poll is free — a round can hold 100k+ tiny groups, and a
-// cancelCtx poll takes a mutex.
-func parallelGroupSort(ctx context.Context, bank int, keys []uint64, perm []uint32, groups []int32, workers int, p mergesort.Params, round int) (int, error) {
-	faultinject.Fire(faultinject.GroupSort)
-	nSort := 0
-	type seg struct{ lo, hi int }
-	var big, small []seg
+// groupBatchRows is the claim unit of the later-round group sorts: the
+// sortable rows a worker takes, and sorts between two context polls.
+// Dynamic claiming keeps the workers within one batch of each other, and
+// at this size the shared claim counter and the poll cost nothing.
+const groupBatchRows = 1 << 13
+
+// cutGroupBatches classifies the groups of a later round: nSort counts
+// the sortable (≥ 2-row) ones, big lists those of at least coopRows
+// rows, and the rest are cut in position order into batches — batch b
+// covers groups [batches[b], batches[b+1]) — each closed once it holds
+// groupBatchRows sortable rows, so a batch stays below groupBatchRows
+// plus its largest group.
+func cutGroupBatches(ctx context.Context, groups []int32, coopRows int) (batches, big []int, nSort int, err error) {
+	rows := int(groups[len(groups)-1] - groups[0])
+	batches = make([]int, 1, rows/groupBatchRows+2)
+	big = make([]int, 0, rows/coopRows)
+	pending := 0
 	for g := 0; g+1 < len(groups); g++ {
 		// Group counts approach the row count on high-cardinality
-		// rounds, so this classification scan polls like any O(n) pass.
+		// rounds, so this scan polls like any O(n) pass.
 		if g&(1<<16-1) == 0 {
 			if err := ctx.Err(); err != nil {
-				return 0, err
+				return nil, nil, 0, err
 			}
 		}
-		lo, hi := int(groups[g]), int(groups[g+1])
-		if hi-lo < 2 {
+		sz := int(groups[g+1] - groups[g])
+		if sz < 2 {
 			continue
 		}
 		nSort++
-		if workers > 1 && hi-lo >= p.ParallelThreshold {
-			big = append(big, seg{lo, hi})
-		} else {
-			small = append(small, seg{lo, hi})
+		if sz >= coopRows {
+			big = append(big, g)
+		} else if pending += sz; pending >= groupBatchRows {
+			batches, pending = append(batches, g+1), 0
 		}
 	}
-	obsWorkerSegments.Add(int64(len(big) + len(small)))
-	// Groups below groupPollRows sort under quiet, whose poll is free:
-	// the loops' own polls cover them.
-	quiet := context.WithoutCancel(ctx)
-	if workers < 2 {
-		credit := 0
-		for _, s := range small {
-			// Poll between groups, amortized so tiny groups stay cheap.
-			if credit -= s.hi - s.lo; credit <= 0 {
-				if err := ctx.Err(); err != nil {
-					return nSort, err
-				}
-				credit = groupPollRows
-			}
-			sctx := quiet
-			if s.hi-s.lo >= groupPollRows {
-				sctx = ctx
-			}
-			if err := mergesort.SortWithParamsContext(sctx, bank, keys[s.lo:s.hi], perm[s.lo:s.hi], p); err != nil {
-				return nSort, err
-			}
-			canonicalizeTies(keys[s.lo:s.hi], perm[s.lo:s.hi])
-		}
-		return nSort, nil
+	if pending > 0 {
+		batches = append(batches, len(groups)-1)
 	}
-	tracing := obs.Enabled()
+	return batches, big, nSort, nil
+}
+
+// parallelGroupSort sorts each group [groups[g], groups[g+1]) of keys
+// and canonicalizes its ties. Groups large enough to starve the pool
+// (≥ p.ParallelThreshold) go one at a time to the rank-split parallel
+// sort, all workers cooperating (for workers < 2 that is the sequential
+// sort); the rest go batch by batch through one loop — poll, claim a
+// batch, sort its groups — run inline for workers < 2 and by every pool
+// worker otherwise. The context also reaches the sort of any batched
+// group of at least groupPollRows rows, so a cancelled round returns
+// within one batch or one merge pass.
+func parallelGroupSort(ctx context.Context, bank int, keys []uint64, perm []uint32, groups []int32, workers int, p mergesort.Params, round int) (int, error) {
+	faultinject.Fire(faultinject.GroupSort)
+	batches, big, nSort, err := cutGroupBatches(ctx, groups, p.ParallelThreshold)
+	if err != nil {
+		return 0, err
+	}
+	obsWorkerSegments.Add(int64(nSort))
+	var busy *atomic.Int64 // pool busy time; nil unless tracing
 	var wall time.Time
-	if tracing {
-		wall = time.Now()
+	if obs.Enabled() {
+		busy, wall = new(atomic.Int64), time.Now()
 	}
-	var busy atomic.Int64
 
-	// Dominant groups: all workers cooperate on one group at a time.
-	for _, s := range big {
+	for _, g := range big {
+		lo, hi := groups[g], groups[g+1]
 		obsCoopGroupSorts.Inc()
-		if err := mergesort.ParallelSortWithParamsContext(ctx, bank, keys[s.lo:s.hi], perm[s.lo:s.hi], p, workers); err != nil {
+		if err := mergesort.ParallelSortWithParamsContext(ctx, bank, keys[lo:hi], perm[lo:hi], p, workers); err != nil {
 			return nSort, err
 		}
-		canonicalizeTies(keys[s.lo:s.hi], perm[s.lo:s.hi])
+		canonicalizeTies(keys[lo:hi], perm[lo:hi])
 	}
 
-	// Remaining groups: largest first, claimed dynamically — an idle
-	// worker steals the next-biggest pending group, which bounds the
-	// finish-time imbalance by the last (smallest) group.
-	if len(small) > 0 {
-		sort.Slice(small, func(i, j int) bool {
-			return small[i].hi-small[i].lo > small[j].hi-small[j].lo
-		})
-		var next atomic.Int64
-		nw := workers
-		if nw > len(small) {
-			nw = len(small)
-		}
-		g := pipeerr.NewGroup(ctx)
-		for w := 0; w < nw; w++ {
-			w := w
-			g.Go(pipeerr.StageSort, round, w, func(gctx context.Context) error {
-				var t0 time.Time
-				if tracing {
-					t0 = time.Now()
-				}
-				for {
-					// Poll before claiming, not in the sort's entry
-					// right after: the shared claim counter lines the
-					// workers up, and a cancelCtx poll that follows it
-					// directly contends on the context's mutex (+18 %
-					// on a round of 131k four-row groups, two workers).
-					if err := gctx.Err(); err != nil {
-						return err
-					}
-					i := int(next.Add(1)) - 1
-					if i >= len(small) {
-						break
-					}
-					s := small[i]
-					sctx := quiet
-					if s.hi-s.lo >= groupPollRows {
-						sctx = gctx
-					}
-					if err := mergesort.SortWithParamsContext(sctx, bank, keys[s.lo:s.hi], perm[s.lo:s.hi], p); err != nil {
-						return err
-					}
-					canonicalizeTies(keys[s.lo:s.hi], perm[s.lo:s.hi])
-				}
-				if tracing {
-					busy.Add(int64(time.Since(t0)))
-				}
+	var next atomic.Int64
+	drain := func(wctx context.Context) error {
+		quiet := context.WithoutCancel(wctx)
+		for {
+			if err := wctx.Err(); err != nil {
+				return err
+			}
+			b := int(next.Add(1))
+			if b >= len(batches) {
 				return nil
-			})
-		}
-		if err := g.Wait(); err != nil {
-			return nSort, err
+			}
+			for g := batches[b-1]; g < batches[b]; g++ {
+				lo, hi := int(groups[g]), int(groups[g+1])
+				if hi-lo < 2 || hi-lo >= p.ParallelThreshold {
+					continue
+				}
+				sctx := quiet
+				if hi-lo >= groupPollRows {
+					sctx = wctx
+				}
+				if err := mergesort.SortWithParamsContext(sctx, bank, keys[lo:hi], perm[lo:hi], p); err != nil {
+					return err
+				}
+				canonicalizeTies(keys[lo:hi], perm[lo:hi])
+			}
 		}
 	}
-	if tracing {
+	if workers < 2 {
+		return nSort, drain(ctx)
+	}
+	pool := pipeerr.NewGroup(ctx)
+	for w := 0; w < workers && w < len(batches)-1; w++ {
+		pool.Go(pipeerr.StageSort, round, w, func(gctx context.Context) error {
+			if busy != nil {
+				defer func(t0 time.Time) { busy.Add(int64(time.Since(t0))) }(time.Now())
+			}
+			return drain(gctx)
+		})
+	}
+	if err := pool.Wait(); err != nil {
+		return nSort, err
+	}
+	if busy != nil {
 		recordParallelEfficiency(busy.Load(), time.Since(wall), workers)
 	}
 	return nSort, nil

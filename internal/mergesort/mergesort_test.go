@@ -171,16 +171,35 @@ func TestSortProperty(t *testing.T) {
 }
 
 // TestSortForcedMultiway shrinks the in-cache run target so phase 3 runs
-// several multiway passes.
+// several multiway passes through the loser tree, offset-value coded and
+// plain, from all-unique to nearly-all-tied keys: both settings must
+// sort, and agree on the keys and on each key's set of oids (the tie
+// order itself is unspecified).
 func TestSortForcedMultiway(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
+	const n = 50000
 	for _, bank := range Banks {
-		n := 50000
-		keys := randKeys(rng, n, bank)
-		orig := append([]uint64(nil), keys...)
-		oids := identOids(n)
-		mustSort(t, bank, keys, oids, Params{InCacheElems: 64, Fanout: 4})
-		verifySorted(t, orig, keys, oids)
+		for _, dup := range []float64{0, 0.5, 0.99} {
+			keys := randKeys(rng, n, bank)
+			for i := range keys {
+				if rng.Float64() < dup {
+					keys[i] = keys[0]
+				}
+			}
+			var gotK [2][]uint64
+			var gotO [2][]uint32
+			for i, disable := range []bool{false, true} {
+				gotK[i], gotO[i] = append([]uint64(nil), keys...), identOids(n)
+				mustSort(t, bank, gotK[i], gotO[i], Params{InCacheElems: 64, Fanout: 4, DisableOVC: disable})
+				verifySorted(t, keys, gotK[i], gotO[i])
+				canonicalOids(gotK[i], gotO[i])
+			}
+			for i := range keys {
+				if gotK[0][i] != gotK[1][i] || gotO[0][i] != gotO[1][i] {
+					t.Fatalf("bank=%d dup=%v: OVC on/off disagree at %d", bank, dup, i)
+				}
+			}
+		}
 	}
 }
 
@@ -261,32 +280,58 @@ func TestPackedAccessors(t *testing.T) {
 	}
 }
 
+// randomRuns builds k ascending runs of tie-heavy keys, some of them
+// empty, as one-lane packed words (a key per word, so the array is its
+// own packed form) with the run boundaries.
+func randomRuns(rng *rand.Rand, k int) ([]uint64, []int) {
+	var keys []uint64
+	runs := []int{0}
+	for r := 0; r < k; r++ {
+		run := make([]uint64, rng.Intn(4)*rng.Intn(20)) // empty about one time in four
+		for i := range run {
+			run[i] = rng.Uint64() % 100
+		}
+		sort.Slice(run, func(i, j int) bool { return run[i] < run[j] })
+		keys = append(keys, run...)
+		runs = append(runs, len(keys))
+	}
+	return keys, runs
+}
+
+// TestLoserTree drains the one loser tree, plain and offset-value
+// coded, over full and partial trees with empty runs: the popped order
+// must be the (key, run index) stable merge, position by position.
 func TestLoserTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 200; trial++ {
-		nRuns := 1 + rng.Intn(9)
-		var keys []uint64
-		runs := []int{0}
-		for r := 0; r < nRuns; r++ {
-			runLen := rng.Intn(20)
-			run := make([]uint64, runLen)
-			for i := range run {
-				run[i] = rng.Uint64() % 100
+		for _, k := range []int{3, 5, 8, 9} {
+			keys, runs := randomRuns(rng, k)
+			_, want := mergeOracle(keys, identOids(len(keys)), runs)
+			for _, useOVC := range []bool{false, true} {
+				lt := newStableLoserTree(keys, 1, runStarts(runs), runEnds(runs), useOVC)
+				var got []uint32
+				for {
+					pos, cnt, key := lt.popStretch(1 + rng.Intn(8))
+					if pos < 0 {
+						break
+					}
+					for i := 0; i < cnt; i++ {
+						if keys[pos+i] != key {
+							t.Fatalf("k=%d ovc=%v: stretch at %d claims key %d, element %d holds %d", k, useOVC, pos, key, pos+i, keys[pos+i])
+						}
+						got = append(got, uint32(pos+i))
+					}
+				}
+				if len(got) != len(want) {
+					t.Fatalf("k=%d ovc=%v: popped %d of %d", k, useOVC, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("k=%d ovc=%v: position %d pops element %d, stable merge has %d", k, useOVC, i, got[i], want[i])
+					}
+				}
 			}
-			sort.Slice(run, func(i, j int) bool { return run[i] < run[j] })
-			keys = append(keys, run...)
-			runs = append(runs, len(keys))
 		}
-		// One-lane packing stores a key per word, so the run array is
-		// its own packed form.
-		lt := newLoserTreePacked(keys, 1, runs, trial%2 == 0)
-		dstK := make([]uint64, 0, len(keys))
-		dstO := make([]uint32, 0, len(keys))
-		for pos := lt.pop(); pos >= 0; pos = lt.pop() {
-			dstK = append(dstK, keys[pos])
-			dstO = append(dstO, uint32(pos))
-		}
-		verifySorted(t, keys, dstK, dstO)
 	}
 }
 

@@ -29,27 +29,26 @@ package mergesort
 // code(B,base), because B's first divergence from base happens strictly
 // above any byte where A still agrees with base.
 //
-// The loser-tree invariant maintained by both trees (stableLoserTree,
-// which merges co-partitions of the parallel and top-K merges, and
-// loserTreePacked, which runs the sort's phase-3 passes): every stored
-// loser's code is relative to the last record that went up through
-// that node. The initial build
-// uses full comparisons and re-bases every loser against its winner;
-// replay comparisons then always see a common base, and the record
-// entering after a pop needs its code relative to the record that just
-// popped — its own run predecessor, adjacent in the run, so the code is
-// computed inline from two cache-hot keys. No per-element code array is
-// ever derived or streamed: the only materialized state is one code per
-// run head.
+// The loser-tree invariant maintained by stableLoserTree — the one
+// tree, under the sort's phase-3 passes, the co-partitions of the
+// parallel merge and the parallel sort's chunk merge, and the truncated
+// top-K merge: every stored loser's code is relative to the last record
+// that went up through that node. The initial build uses full
+// comparisons and re-bases every loser against its winner; replay
+// comparisons then always see a common base, and the record entering
+// after a pop needs its code relative to the record that just popped —
+// its own run predecessor, adjacent in the run, so the code is computed
+// inline from two cache-hot keys. No per-element code array is ever
+// derived or streamed: the only materialized state is one code per run
+// head.
 //
-// In stableLoserTree, whose (key, run index) order is strict and total,
-// an entering code of 0 short-circuits the whole replay: the successor
-// carries the exact tuple that just won every duel on its path (see
-// popStretch). This is where duplicate-heavy merges win big.
-//
-// A popped winner's code is its code relative to the previously emitted
-// record, which would let a chained merge emit output codes for free
-// (loserTreePacked.popWithCode) instead of rescanning the output.
+// The tree's (key, run index) order is strict and total, so an entering
+// code of 0 short-circuits the whole replay: the successor carries the
+// exact tuple that just won every duel on its path (see popStretch).
+// This is where duplicate-heavy merges win big, and why the strict
+// order is the one worth keeping — under a tie-to-stored-loser rule an
+// equal-key stored loser legitimately wins the replay, so the skip is
+// unsound there.
 
 import (
 	"math/bits"
@@ -58,10 +57,7 @@ import (
 	"repro/internal/obs"
 )
 
-var (
-	obsOVCMerges  = obs.NewCounter("mergesort.ovc_merges")
-	obsOVCDerives = obs.NewCounter("mergesort.ovc_derive_runs")
-)
+var obsOVCMerges = obs.NewCounter("mergesort.ovc_merges")
 
 // ovcRel returns the offset-value code of key relative to base.
 // Precondition: key >= base (both below 2^64; the bank width cancels
@@ -73,51 +69,6 @@ func ovcRel(key, base uint64) uint32 {
 	}
 	diff := uint((bits.Len64(x) + 7) >> 3) // 1..8, from the low end
 	return uint32(diff)<<8 | uint32(key>>(8*(diff-1)))&0xFF
-}
-
-// deriveOVCPackedSeg fills ovc[lo:hi] for ascending packed keys where
-// the element before lo sorts as prev (0 for a run start, making the
-// first element's code relative to the minimal key — a value the trees
-// never consult, since the build phase re-bases by full comparison).
-// It returns the last key, so ctx-polling callers can chunk a long run.
-func deriveOVCPackedSeg(kw []uint64, lanes, lo, hi int, prev uint64, ovc []uint32) uint64 {
-	for i := lo; i < hi; i++ {
-		k := keyAt(kw, i, lanes)
-		ovc[i] = ovcRel(k, prev)
-		prev = k
-	}
-	return prev
-}
-
-// deriveOVCRunsPacked derives codes for every run [runs[r], runs[r+1])
-// of a packed array.
-func deriveOVCRunsPacked(kw []uint64, lanes int, runs []int, ovc []uint32) {
-	for r := 0; r+1 < len(runs); r++ {
-		deriveOVCPackedSeg(kw, lanes, runs[r], runs[r+1], 0, ovc)
-	}
-	obsOVCDerives.Add(int64(len(runs) - 1))
-}
-
-// deriveOVCElemsSeg is deriveOVCPackedSeg over plain uint64 elements
-// (radix-sorted runs).
-func deriveOVCElemsSeg(keys []uint64, lo, hi int, prev uint64, ovc []uint32) uint64 {
-	for i := lo; i < hi; i++ {
-		k := keys[i]
-		ovc[i] = ovcRel(k, prev)
-		prev = k
-	}
-	return prev
-}
-
-// DeriveOVC returns the offset-value codes of one ascending run — the
-// run-generation hook for sorters that produce runs outside the
-// three-phase path (RadixSortOVC uses it, and external run producers
-// can feed the codes to future merge APIs).
-func DeriveOVC(keys []uint64) []uint32 {
-	ovc := make([]uint32, len(keys))
-	deriveOVCElemsSeg(keys, 0, len(keys), 0, ovc)
-	obsOVCDerives.Inc()
-	return ovc
 }
 
 // OVC audit instrumentation (test-only): when enabled, every

@@ -139,8 +139,10 @@ func TestOVCAuditSequentialSort(t *testing.T) {
 			resolved, _ := withOVCAudit(t, func() {
 				mustSort(t, bank, gotK, gotO, forcePhase3(bank))
 			})
-			if resolved == 0 {
-				t.Errorf("%s bank=%d: no comparisons resolved by codes", name, bank)
+			// A tie-only merge resolves nothing by comparison: the
+			// code-0 replay skip claims whole stretches instead.
+			if resolved == 0 && ovcAuditSkips.Load() == 0 {
+				t.Errorf("%s bank=%d: no comparisons resolved or skipped by codes", name, bank)
 			}
 			if name == "allequal" {
 				if fb := ovcAuditFallbacks.Load(); fb != 0 {
@@ -226,106 +228,6 @@ func TestOVCAuditParallelSort(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestOVCPassThroughVec pins the pass-through invariant on the packed
-// key/oid loser tree: the code popWithCode hands out alongside each
-// record — maintained purely by duels and inline successor re-basing,
-// never derived — must equal a fresh derive over the merged output, and
-// the merged records must match the plain tree's byte for byte.
-func TestOVCPassThroughVec(t *testing.T) {
-	const n = 2000
-	for _, bank := range Banks {
-		lanes := kernelsFor(bank).lanes
-		for name, keys := range ovcInputs(n, bank, 7+int64(bank)) {
-			oids := make([]uint32, n)
-			for i := range oids {
-				oids[i] = uint32(i)
-			}
-			k := append([]uint64(nil), keys...)
-			runs := sortedRuns(k, oids, 9)
-			kw, ow := pack(k, oids, lanes)
-			kw2, ow2 := make([]uint64, len(kw)), make([]uint64, len(ow))
-			dstOVC := make([]uint32, n)
-
-			lt := newLoserTreePacked(kw, lanes, runs, true)
-			d := 0
-			for {
-				pos, code := lt.popWithCode()
-				if pos < 0 {
-					break
-				}
-				key := keyAt(kw, pos, lanes)
-				setKeyAt(kw2, d, lanes, key)
-				setOidAt(ow2, d, oidAt(ow, pos))
-				if d == 0 {
-					code = ovcRel(key, 0) // output run start
-				}
-				dstOVC[d] = code
-				d++
-			}
-			if d != n {
-				t.Fatalf("%s bank=%d: popped %d of %d", name, bank, d, n)
-			}
-			want := make([]uint32, n)
-			deriveOVCRunsPacked(kw2, lanes, []int{0, n}, want)
-			for i := range want {
-				if dstOVC[i] != want[i] {
-					t.Fatalf("%s bank=%d: emitted code at %d is %#x, want %#x",
-						name, bank, i, dstOVC[i], want[i])
-				}
-			}
-
-			plainK, plainO := make([]uint64, len(kw)), make([]uint64, len(ow))
-			plain := newLoserTreePacked(kw, lanes, runs, false)
-			d = 0
-			for {
-				pos := plain.pop()
-				if pos < 0 {
-					break
-				}
-				setKeyAt(plainK, d, lanes, keyAt(kw, pos, lanes))
-				setOidAt(plainO, d, oidAt(ow, pos))
-				d++
-			}
-			for i := 0; i < n; i++ {
-				if keyAt(kw2, i, lanes) != keyAt(plainK, i, lanes) || oidAt(ow2, i) != oidAt(plainO, i) {
-					t.Fatalf("%s bank=%d: OVC tree diverges from plain at %d", name, bank, i)
-				}
-			}
-		}
-	}
-}
-
-func TestRadixSortOVC(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	const n = 4000
-	keys := make([]uint64, n)
-	oids := make([]uint32, n)
-	for i := range keys {
-		keys[i] = uint64(rng.Intn(64)) << uint(8*rng.Intn(4)) // tie-heavy
-		oids[i] = uint32(i)
-	}
-	ovc := RadixSortOVC(keys, oids, 32, DefaultRadixBits)
-	for i := 1; i < n; i++ {
-		if keys[i-1] > keys[i] {
-			t.Fatalf("not sorted at %d", i)
-		}
-	}
-	want := DeriveOVC(keys)
-	for i := range want {
-		if ovc[i] != want[i] {
-			t.Fatalf("code at %d is %#x, want %#x", i, ovc[i], want[i])
-		}
-	}
-	if ovc[0] != ovcRel(keys[0], 0) {
-		t.Errorf("run-start code %#x, want %#x", ovc[0], ovcRel(keys[0], 0))
-	}
-	for i := 1; i < n; i++ {
-		if ovc[i] != ovcRel(keys[i], keys[i-1]) {
-			t.Fatalf("code at %d not relative to predecessor", i)
 		}
 	}
 }

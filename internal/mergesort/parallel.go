@@ -56,9 +56,9 @@ var (
 // keeps false sharing off the store streams.
 const mergeAlign = 8
 
-// mergeCheckEvery is how many merged elements a loser-tree co-partition
-// emits between context polls: frequent enough that cancellation lands
-// well inside a chunk, rare enough that the poll is free.
+// mergeCheckEvery is how many merged elements a loser-tree merge emits
+// between context polls: frequent enough that cancellation lands well
+// inside a chunk, rare enough that the poll is free.
 const mergeCheckEvery = 1 << 14
 
 // ParallelSortWithParamsContext sorts keys (each value < 2^bank) with
@@ -100,16 +100,15 @@ func ParallelSortWithParamsContext(ctx context.Context, bank int, keys []uint64,
 
 	obsParSorts.Inc()
 	obsParWorkers.Set(int64(workers))
-	tracing := obs.Enabled()
+	var busy *atomic.Int64 // worker busy time; nil unless tracing
 	var wall time.Time
-	if tracing {
-		wall = time.Now()
+	if obs.Enabled() {
+		busy, wall = new(atomic.Int64), time.Now()
 	}
 
 	kw, ow := pack(keys, oids, k.lanes)
 	kw2 := make([]uint64, len(kw))
 	ow2 := make([]uint64, len(ow))
-	var busy atomic.Int64
 	g := pipeerr.NewGroup(ctx)
 	for c := 0; c+1 < len(bounds); c++ {
 		lo, hi, worker := bounds[c], bounds[c+1], c
@@ -119,11 +118,16 @@ func ParallelSortWithParamsContext(ctx context.Context, bank int, keys []uint64,
 			}
 			faultinject.Fire(faultinject.ChunkSort)
 			var t0 time.Time
-			if tracing {
+			if busy != nil {
 				t0 = time.Now()
 			}
-			err := sortPackedChunk(gctx, kw, ow, kw2, ow2, k, lo, hi, p, !p.DisableOVC)
-			if tracing {
+			inScratch, err := sortPackedChunk(gctx, kw, ow, kw2, ow2, k, lo, hi, p)
+			if inScratch && err == nil {
+				// Chunks can differ in pass count; the merge reads them
+				// all from the primary pair.
+				copyPackedRange(kw2, ow2, k.lanes, lo, hi, kw, ow)
+			}
+			if busy != nil {
 				busy.Add(int64(time.Since(t0)))
 			}
 			return err
@@ -135,14 +139,14 @@ func ParallelSortWithParamsContext(ctx context.Context, bank int, keys []uint64,
 
 	// Cooperative multiway merge of the sorted chunks into the scratch
 	// arrays, then a parallel unpack back into the caller's slices.
-	if err := parallelMergePacked(ctx, kw, ow, kw2, ow2, k.lanes, bank, bounds, !p.DisableOVC, workers, &busy, tracing); err != nil {
+	if err := parallelMergePacked(ctx, kw, ow, kw2, ow2, k.lanes, bank, runStarts(bounds), runEnds(bounds), n, !p.DisableOVC, workers, busy); err != nil {
 		return err
 	}
 	if err := parallelUnpack(ctx, kw2, ow2, k.lanes, keys, oids, workers); err != nil {
 		return err
 	}
 
-	if tracing {
+	if busy != nil {
 		recordEfficiency(busy.Load(), time.Since(wall), workers)
 	}
 	// Final poll: a cancellation that lands during the last merge stride
@@ -165,91 +169,45 @@ func ParallelMergeWithParamsContext(ctx context.Context, bank int, keys []uint64
 	if len(runs) == 2 {
 		return ctx.Err() // single run: already sorted
 	}
-	k := kernelsFor(bank)
-	tracing := obs.Enabled()
+	lanes := kernelsFor(bank).lanes
+	kw, ow := pack(keys, oids, lanes)
+	return mergeAndUnpack(ctx, kw, ow, lanes, bank, runStarts(runs), runEnds(runs), keys, oids, !p.DisableOVC, workers)
+}
+
+// mergeAndUnpack merges the packed co-runs [from[r], cut[r]) of (kw, ow)
+// — len(keys) elements in all — across workers and unpacks the result
+// into keys/oids: the full merge when cut holds the run ends, the head
+// of the merge when the top-K path cut the runs short.
+func mergeAndUnpack(ctx context.Context, kw, ow []uint64, lanes, bank int, from, cut []int, keys []uint64, oids []uint32, useOVC bool, workers int) error {
+	var busy *atomic.Int64
 	var wall time.Time
-	if tracing {
-		wall = time.Now()
+	if obs.Enabled() && workers > 1 {
+		busy, wall = new(atomic.Int64), time.Now()
 	}
-	kw, ow := pack(keys, oids, k.lanes)
-	kw2 := make([]uint64, len(kw))
-	ow2 := make([]uint64, len(ow))
-	var busy atomic.Int64
-	if err := parallelMergePacked(ctx, kw, ow, kw2, ow2, k.lanes, bank, runs, !p.DisableOVC, workers, &busy, tracing); err != nil {
+	dstK := make([]uint64, len(kw))
+	dstO := make([]uint64, len(ow))
+	if err := parallelMergePacked(ctx, kw, ow, dstK, dstO, lanes, bank, from, cut, len(keys), useOVC, workers, busy); err != nil {
 		return err
 	}
-	if err := parallelUnpack(ctx, kw2, ow2, k.lanes, keys, oids, workers); err != nil {
+	if err := parallelUnpack(ctx, dstK, dstO, lanes, keys, oids, workers); err != nil {
 		return err
 	}
-	if tracing && workers > 1 {
+	if busy != nil {
 		recordEfficiency(busy.Load(), time.Since(wall), workers)
 	}
 	return nil
 }
 
-// sortPackedChunk runs the three phases on elements [lo, hi) of the
-// packed arrays, leaving the sorted range in (kw, ow). lo must start a
-// whole in-register block. The context is polled between merge passes —
-// each pass touches the whole chunk once, so cancellation lands within
-// one pass over one chunk. With useOVC the chunk's phase-3 passes run
-// offset-value coded; no codes survive the chunk (each merge pass
-// re-materializes entering codes from adjacent elements, see pop).
-func sortPackedChunk(ctx context.Context, kw, ow, kw2, ow2 []uint64, k bankKernels, lo, hi int, p Params, useOVC bool) error {
-	if hi-lo < 2 {
-		return nil
-	}
-	// Phase 1: in-register block sorts.
-	blockSz := k.v * k.v
-	runs := make([]int, 0, (hi-lo)/k.v+2)
-	b := lo
-	for ; b+blockSz <= hi; b += blockSz {
-		k.blockSort(kw, ow, b)
-		for r := 0; r < k.v; r++ {
-			runs = append(runs, b+r*k.v)
-		}
-	}
-	if b < hi {
-		packedInsertionSort(kw, ow, k.lanes, b, hi)
-		runs = append(runs, b)
-	}
-	runs = append(runs, hi)
-
-	srcK, srcO, dstK, dstO := kw, ow, kw2, ow2
-	inPrimary := true
-
-	// Phase 2: pairwise register merging until runs fit half L2.
-	runSize := k.v
-	for len(runs) > 2 && runSize < p.InCacheElems {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		runs = mergePassVec(srcK, srcO, k.lanes, runs, dstK, dstO, k.mergeRuns)
-		srcK, srcO, dstK, dstO = dstK, dstO, srcK, srcO
-		inPrimary = !inPrimary
-		runSize *= 2
-	}
-	// Phase 3: multiway loser-tree merging, fanout F.
-	for len(runs) > 2 {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		runs = mergePassMultiwayVec(srcK, srcO, k.lanes, runs, p.Fanout, dstK, dstO, useOVC)
-		srcK, srcO, dstK, dstO = dstK, dstO, srcK, srcO
-		inPrimary = !inPrimary
-	}
-	if !inPrimary {
-		copyPackedRange(srcK, srcO, k.lanes, lo, hi, kw, ow)
-	}
-	return nil
-}
-
-// parallelMergePacked merges the sorted runs of (kw, ow) into (dstK,
-// dstO). The output range is cut into one aligned slice per worker by
-// rank; a multisequence selection finds, for each output boundary, the
-// matching cut in every run, and each worker then merges its
-// co-partition with a run-index-stable loser tree.
-func parallelMergePacked(ctx context.Context, kw, ow, dstK, dstO []uint64, lanes, bank int, runs []int, useOVC bool, workers int, busy *atomic.Int64, tracing bool) error {
-	total := runs[len(runs)-1] - runs[0]
+// parallelMergePacked merges the sorted co-runs [from[r], cut[r]) of
+// (kw, ow) — total elements in all — into dst[0:total). The output is
+// cut into one aligned rank share per worker; a multisequence selection
+// resolves each boundary to a cut in every run, and each worker merges
+// its co-partition with the run-index-stable loser tree. Load balance
+// is by output rank, so skew across or within runs costs nothing. It
+// serves the full merge (cut = run ends), the parallel sort's chunk
+// merge, and the truncated top-K merge. Busy time is added to busy when
+// non-nil.
+func parallelMergePacked(ctx context.Context, kw, ow, dstK, dstO []uint64, lanes, bank int, from, cut []int, total int, useOVC bool, workers int, busy *atomic.Int64) error {
 	if total == 0 {
 		return nil
 	}
@@ -259,30 +217,28 @@ func parallelMergePacked(ctx context.Context, kw, ow, dstK, dstO []uint64, lanes
 		obsOVCMerges.Inc()
 	}
 	if workers < 2 {
-		cuts := [][]int{runStarts(runs), runEnds(runs)}
-		return mergeCoPartition(ctx, kw, ow, dstK, dstO, lanes, cuts[0], cuts[1], useOVC, runs[0])
+		return mergeCoPartition(ctx, kw, ow, dstK, dstO, lanes, from, cut, useOVC, 0)
 	}
 
 	// Worker output boundaries: equal rank shares, aligned so no two
 	// workers share a packed destination word.
-	targets := []int{runs[0]}
+	targets := []int{0}
 	for w := 1; w < workers; w++ {
-		t := runs[0] + total*w/workers/mergeAlign*mergeAlign
+		t := total * w / workers / mergeAlign * mergeAlign
 		if t > targets[len(targets)-1] {
 			targets = append(targets, t)
 		}
 	}
-	targets = append(targets, runs[len(runs)-1])
+	targets = append(targets, total)
 
 	// Per-boundary cuts via multisequence selection.
 	cuts := make([][]int, len(targets))
-	cuts[0] = runStarts(runs)
-	cuts[len(cuts)-1] = runEnds(runs)
+	cuts[0], cuts[len(cuts)-1] = from, cut
 	for i := 1; i+1 < len(targets); i++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		cuts[i] = splitRuns(kw, lanes, bank, runs, targets[i]-runs[0])
+		cuts[i] = splitRuns(kw, lanes, bank, from, cut, targets[i])
 	}
 
 	g := pipeerr.NewGroup(ctx)
@@ -290,11 +246,11 @@ func parallelMergePacked(ctx context.Context, kw, ow, dstK, dstO []uint64, lanes
 		w := w
 		g.Go(pipeerr.StageMerge, -1, w, func(gctx context.Context) error {
 			var t0 time.Time
-			if tracing {
+			if busy != nil {
 				t0 = time.Now()
 			}
 			err := mergeCoPartition(gctx, kw, ow, dstK, dstO, lanes, cuts[w], cuts[w+1], useOVC, targets[w])
-			if tracing {
+			if busy != nil {
 				busy.Add(int64(time.Since(t0)))
 			}
 			return err
@@ -303,20 +259,13 @@ func parallelMergePacked(ctx context.Context, kw, ow, dstK, dstO []uint64, lanes
 	return g.Wait()
 }
 
-func runStarts(runs []int) []int { return append([]int(nil), runs[:len(runs)-1]...) }
-func runEnds(runs []int) []int   { return append([]int(nil), runs[1:]...) }
+func runStarts(runs []int) []int { return runs[:len(runs)-1] }
+func runEnds(runs []int) []int   { return runs[1:] }
 
-// splitRuns returns, for global output rank t (relative to the start of
-// the merge), the absolute cut position in every run such that the
-// first t elements of the run-index-stable merge are exactly the
-// elements below the cuts. Equal keys at the boundary are attributed to
-// runs in index order — the same rule the stable merge uses — so the
-// cuts are consistent with the merged output for any t.
-func splitRuns(kw []uint64, lanes, bank int, runs []int, t int) []int {
-	k := len(runs) - 1
-	cuts := make([]int, k)
-	// Binary search over the key domain for the key at rank t: the
-	// smallest v with count(<= v) > t.
+// selectKeyAtRank returns the key at output rank r−1 of the merged runs
+// [from[i], to[i]) — the smallest key v with count(≤ v) ≥ r — by binary
+// search over the key domain.
+func selectKeyAtRank(kw []uint64, lanes, bank int, from, to []int, r int) uint64 {
 	lo, hi := uint64(0), ^uint64(0)
 	if bank < 64 {
 		hi = uint64(1)<<uint(bank) - 1
@@ -324,28 +273,37 @@ func splitRuns(kw []uint64, lanes, bank int, runs []int, t int) []int {
 	for lo < hi {
 		mid := lo + (hi-lo)/2
 		le := 0
-		for r := 0; r < k; r++ {
-			le += upperBoundPacked(kw, lanes, runs[r], runs[r+1], mid) - runs[r]
+		for i := range from {
+			le += upperBoundPacked(kw, lanes, from[i], to[i], mid) - from[i]
 			obsParSelectProbe.Inc()
 		}
-		if le > t {
+		if le >= r {
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
-	v := lo
+	return lo
+}
+
+// splitRuns returns, for output rank t of the merged runs [from[r],
+// to[r]), the absolute cut position in every run such that the first t
+// elements of the run-index-stable merge are exactly the elements below
+// the cuts. Equal keys at the boundary are attributed to runs in index
+// order — the same rule the stable merge uses — so the cuts are
+// consistent with the merged output for any t.
+func splitRuns(kw []uint64, lanes, bank int, from, to []int, t int) []int {
+	cuts := make([]int, len(from))
+	v := selectKeyAtRank(kw, lanes, bank, from, to, t+1)
 	// Keys strictly below v are all in; distribute the v-ties to runs in
 	// index order until the rank is met.
 	extra := t
-	for r := 0; r < k; r++ {
-		lb := lowerBoundPacked(kw, lanes, runs[r], runs[r+1], v)
-		cuts[r] = lb
-		extra -= lb - runs[r]
+	for r := range from {
+		cuts[r] = lowerBoundPacked(kw, lanes, from[r], to[r], v)
+		extra -= cuts[r] - from[r]
 	}
-	for r := 0; r < k && extra > 0; r++ {
-		ub := upperBoundPacked(kw, lanes, cuts[r], runs[r+1], v)
-		take := ub - cuts[r]
+	for r := 0; r < len(from) && extra > 0; r++ {
+		take := upperBoundPacked(kw, lanes, cuts[r], to[r], v) - cuts[r]
 		if take > extra {
 			take = extra
 		}
@@ -381,14 +339,22 @@ func upperBoundPacked(kw []uint64, lanes, lo, hi int, v uint64) int {
 	return lo
 }
 
-// mergeCoPartition merges the per-run slices [from[r], to[r]) into dst
-// starting at element d, stable by run index, polling the context every
-// mergeCheckEvery emitted elements. With useOVC the tree carries an
-// offset-value code per run head; the co-partition cut needs no special
-// handling because first elements are re-based by the tree build and
-// every later entering code is computed from its in-run predecessor.
+// mergeCoPartition is one worker's share of a cooperative merge: the
+// per-run slices [from[r], to[r]) merged into dst starting at element d.
 func mergeCoPartition(ctx context.Context, kw, ow, dstK, dstO []uint64, lanes int, from, to []int, useOVC bool, d int) error {
 	faultinject.Fire(faultinject.LoserMerge)
+	return treeMerge(ctx, kw, ow, dstK, dstO, lanes, from, to, useOVC, d)
+}
+
+// treeMerge merges the per-run slices [from[r], to[r]) into dst
+// starting at element d, stable by run index, polling the context every
+// mergeCheckEvery emitted elements — the one loser-tree emit loop, under
+// the sort's phase-3 passes and every cooperative merge alike. With
+// useOVC the tree carries an offset-value code per run head; a cut run
+// needs no special handling because first elements are re-based by the
+// tree build and every later entering code is computed from its in-run
+// predecessor.
+func treeMerge(ctx context.Context, kw, ow, dstK, dstO []uint64, lanes int, from, to []int, useOVC bool, d int) error {
 	lt := newStableLoserTree(kw, lanes, from, to, useOVC)
 	credit := mergeCheckEvery
 	for {
@@ -410,7 +376,9 @@ func mergeCoPartition(ctx context.Context, kw, ow, dstK, dstO []uint64, lanes in
 	}
 }
 
-// stableLoserTree is a tournament tree over packed runs whose
+// stableLoserTree is the package's one tournament tree over packed
+// runs — internal nodes store the loser of their sub-tournament, the
+// overall winner is cached — driven only through treeMerge. Its
 // comparison is the strict total order (key, run index): equal keys
 // resolve to the lower-index run, making the merged order independent
 // of the tree shape and therefore of how the output was partitioned.
@@ -564,9 +532,9 @@ func (lt *stableLoserTree) beats(a, b int) bool {
 // tying on run index, or nonzero, losing to 0 outright). Skipping those
 // replays leaves the tree in the precise state full replays would, so
 // the output stays byte-identical; duplicate-heavy merges collapse into
-// stretch scans plus one replay per distinct key. (The
-// tie-to-stored-loser trees cannot skip — an equal-key stored loser
-// legitimately wins there.)
+// stretch scans plus one replay per distinct key. (A tree that resolved
+// ties toward the stored loser could not skip — an equal-key stored
+// loser would legitimately win there.)
 func (lt *stableLoserTree) popStretch(max int) (int, int, uint64) {
 	w := lt.winner
 	if w < 0 || lt.heads[w] >= lt.ends[w] {

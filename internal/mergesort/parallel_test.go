@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/testutil"
 )
 
@@ -182,6 +183,22 @@ func TestParallelSortMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestParallelSortChunksCountPhases pins that the chunk sorts of the
+// parallel sort run the one three-phase driver: with the in-cache run
+// target forced down, every chunk needs multiway passes, and they show
+// up on the same counter the sequential sort feeds.
+func TestParallelSortChunksCountPhases(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	const n = 20000
+	keys := adversarialInputs(n, 32, 5)["uniform"]
+	before := obsPhase3Passes.Value()
+	mustParallelSort(t, 32, keys, identOids(n), forcePhase3(32), 4)
+	if got := obsPhase3Passes.Value() - before; got < 4 {
+		t.Fatalf("4 chunk sorts with forced multiway merging counted %d phase-3 passes", got)
+	}
+}
+
 // canonicalOids sorts oids ascending within every equal-key run, the
 // same canonical form mcsort produces.
 func canonicalOids(keys []uint64, oids []uint32) {
@@ -196,31 +213,57 @@ func canonicalOids(keys []uint64, oids []uint32) {
 	}
 }
 
-// TestSplitRunsConsistency pins the selection invariant directly: for
-// any rank t, the cuts partition the runs so that exactly t elements
-// fall below them and no element below a cut exceeds one above it.
+// TestSplitRunsConsistency pins the one selection against the stable
+// merge oracle, over full and cut-short runs (some empty): for any rank
+// t the cuts select exactly the first t elements of the (key, run
+// index) merge, and selectKeyAtRank names the key at each rank.
 func TestSplitRunsConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	const n = 800
-	keys := make([]uint64, n)
-	oids := make([]uint32, n)
-	for i := range keys {
-		keys[i] = uint64(rng.Intn(17)) // tie-heavy
-		oids[i] = uint32(i)
-	}
-	runs := sortedRuns(keys, oids, 5)
-	kw, _ := pack(keys, oids, 4)
-	for t0 := 0; t0 <= n; t0 += 13 {
-		cuts := splitRuns(kw, 4, 16, runs, t0)
-		total := 0
-		for r := 0; r+1 < len(runs); r++ {
-			if cuts[r] < runs[r] || cuts[r] > runs[r+1] {
-				t.Fatalf("t=%d: cut %d out of run bounds", t0, r)
+	for trial := 0; trial < 50; trial++ {
+		for _, k := range []int{3, 5, 8, 9} {
+			keys, runs := randomRuns(rng, k)
+			from, to := runStarts(runs), append([]int(nil), runEnds(runs)...)
+			if trial%2 == 1 { // truncated co-runs, as in the top-K merge
+				for r := range to {
+					to[r] -= rng.Intn(to[r] - from[r] + 1)
+				}
 			}
-			total += cuts[r] - runs[r]
-		}
-		if total != t0 {
-			t.Fatalf("t=%d: cuts select %d elements", t0, total)
+			// The oracle merges the co-runs compacted to the front.
+			var coK []uint64
+			var coPos []uint32
+			coRuns := []int{0}
+			for r := range from {
+				for i := from[r]; i < to[r]; i++ {
+					coK, coPos = append(coK, keys[i]), append(coPos, uint32(i))
+				}
+				coRuns = append(coRuns, len(coK))
+			}
+			wantK, wantPos := mergeOracle(coK, coPos, coRuns)
+			for t0 := 0; t0 <= len(wantK); t0++ {
+				if t0 > 0 {
+					if got := selectKeyAtRank(keys, 1, 16, from, to, t0); got != wantK[t0-1] {
+						t.Fatalf("k=%d rank %d: selected key %d, merge has %d", k, t0, got, wantK[t0-1])
+					}
+				}
+				cuts := splitRuns(keys, 1, 16, from, to, t0)
+				below := map[uint32]bool{}
+				for r := range from {
+					if cuts[r] < from[r] || cuts[r] > to[r] {
+						t.Fatalf("k=%d t=%d: cut %d out of run bounds", k, t0, r)
+					}
+					for i := from[r]; i < cuts[r]; i++ {
+						below[uint32(i)] = true
+					}
+				}
+				if len(below) != t0 {
+					t.Fatalf("k=%d t=%d: cuts select %d elements", k, t0, len(below))
+				}
+				for _, pos := range wantPos[:t0] {
+					if !below[pos] {
+						t.Fatalf("k=%d t=%d: element %d is in the merge's first %d but above its cut", k, t0, pos, t0)
+					}
+				}
+			}
 		}
 	}
 }

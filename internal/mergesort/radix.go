@@ -85,15 +85,6 @@ func RadixSort(keys []uint64, oids []uint32, width, radixBits int) {
 	}
 }
 
-// RadixSortOVC is RadixSort additionally returning the sorted run's
-// offset-value codes (one scan over the output — see ovc.go), so
-// radix-generated runs can enter the coded merge path without the merge
-// re-deriving them.
-func RadixSortOVC(keys []uint64, oids []uint32, width, radixBits int) []uint32 {
-	RadixSort(keys, oids, width, radixBits)
-	return DeriveOVC(keys)
-}
-
 // RadixPasses returns the number of counting passes an LSD radix sort
 // needs for a w-bit key at radix R — the quantity a radix-aware plan
 // search would minimize across rounds.

@@ -148,10 +148,10 @@ var (
 // their oids in place, using the three-phase SIMD merge-sort with b-bit
 // banks. The caller picks the bank; narrower banks give higher
 // data-level parallelism (V = 256/b lanes per register). The context is
-// polled on entry and between merge passes, bounding the cancellation
-// latency to one O(n) sweep. All mutation happens in packed scratch
-// until the final unpack, so on cancellation the sort returns ctx.Err()
-// with keys and oids exactly as passed in.
+// polled on entry, between merge passes, and every mergeCheckEvery
+// elements inside a loser-tree merge. All mutation happens in packed
+// scratch until the final unpack, so on cancellation the sort returns
+// ctx.Err() with keys and oids exactly as passed in.
 func SortWithParamsContext(ctx context.Context, bank int, keys []uint64, oids []uint32, p Params) error {
 	if err := checkArgs(keys, oids); err != nil {
 		return err
@@ -167,52 +167,73 @@ func SortWithParamsContext(ctx context.Context, bank int, keys []uint64, oids []
 		insertionSort(keys, oids)
 		return nil
 	}
-	p = p.resolved(bank)
 	k := kernelsFor(bank)
-	lanes, v, blockSort, mergeRuns := k.lanes, k.v, k.blockSort, k.mergeRuns
+	kw, ow := pack(keys, oids, k.lanes)
+	kw2 := make([]uint64, len(kw))
+	ow2 := make([]uint64, len(ow))
+	inScratch, err := sortPackedChunk(ctx, kw, ow, kw2, ow2, k, 0, n, p.resolved(bank))
+	if err != nil {
+		return err
+	}
+	if inScratch {
+		kw, ow = kw2, ow2
+	}
+	unpack(kw, ow, k.lanes, keys, oids)
+	return nil
+}
 
+// sortPackedChunk is the three-phase driver: it sorts elements [lo, hi)
+// of the packed arrays (kw, ow), ping-ponging merge passes with the
+// scratch arrays (kw2, ow2), and reports whether the sorted range ended
+// up in the scratch pair. lo must start a whole in-register block. The
+// whole-input sort is the chunk [0, n); the parallel sort runs one chunk
+// per worker, so the phase timers and pass counters cover both. The
+// context is polled between merge passes — each pass touches the whole
+// chunk once — and inside the loser-tree merges. No offset-value code
+// survives a pass: every merge re-materializes entering codes from
+// adjacent elements (see popStretch).
+func sortPackedChunk(ctx context.Context, kw, ow, kw2, ow2 []uint64, k bankKernels, lo, hi int, p Params) (inScratch bool, err error) {
+	if hi-lo < 2 {
+		return false, nil
+	}
 	tracing := obs.Enabled()
 	var t0 time.Time
 	if tracing {
 		t0 = time.Now()
 	}
 
-	kw, ow := pack(keys, oids, lanes)
-
 	// Phase 1: in-register sorting of V×V blocks into runs of V.
-	block := v * v
-	nBlocks := n / block
-	runs := make([]int, 0, n/v+2)
-	for b := 0; b < nBlocks; b++ {
-		blockSort(kw, ow, b*block)
-		for r := 0; r < v; r++ {
-			runs = append(runs, b*block+r*v)
+	blockSz := k.v * k.v
+	runs := make([]int, 0, (hi-lo)/k.v+2)
+	b := lo
+	for ; b+blockSz <= hi; b += blockSz {
+		k.blockSort(kw, ow, b)
+		for r := 0; r < k.v; r++ {
+			runs = append(runs, b+r*k.v)
 		}
 	}
-	tail := nBlocks * block
-	if tail < n {
-		packedInsertionSort(kw, ow, lanes, tail, n)
-		runs = append(runs, tail)
+	if b < hi {
+		packedInsertionSort(kw, ow, k.lanes, b, hi)
+		runs = append(runs, b)
 	}
-	runs = append(runs, n)
+	runs = append(runs, hi)
 	if tracing {
 		obsPhase1.Add(time.Since(t0))
 		t0 = time.Now()
 	}
 
-	kw2 := make([]uint64, len(kw))
-	ow2 := make([]uint64, len(ow))
 	srcK, srcO, dstK, dstO := kw, ow, kw2, ow2
 
 	// Phase 2: pairwise register merging until runs fit half L2.
-	runSize := v
+	runSize := k.v
 	passes := 0
 	for len(runs) > 2 && runSize < p.InCacheElems {
 		if err := ctx.Err(); err != nil {
-			return err
+			return false, err
 		}
-		runs = mergePassVec(srcK, srcO, lanes, runs, dstK, dstO, mergeRuns)
+		runs = mergePassVec(srcK, srcO, k.lanes, runs, dstK, dstO, k.mergeRuns)
 		srcK, srcO, dstK, dstO = dstK, dstO, srcK, srcO
+		inScratch = !inScratch
 		runSize *= 2
 		passes++
 	}
@@ -229,13 +250,15 @@ func SortWithParamsContext(ctx context.Context, bank int, keys []uint64, oids []
 	passes = 0
 	for len(runs) > 2 {
 		if err := ctx.Err(); err != nil {
-			return err
+			return false, err
 		}
-		runs = mergePassMultiwayVec(srcK, srcO, lanes, runs, p.Fanout, dstK, dstO, !p.DisableOVC)
+		if runs, err = mergePassMultiwayVec(ctx, srcK, srcO, k.lanes, runs, p.Fanout, dstK, dstO, !p.DisableOVC); err != nil {
+			return false, err
+		}
 		srcK, srcO, dstK, dstO = dstK, dstO, srcK, srcO
+		inScratch = !inScratch
 		passes++
 	}
-	unpack(srcK, srcO, lanes, keys, oids)
 	if tracing {
 		obsPhase3.Add(time.Since(t0))
 		obsPhase3Passes.Add(int64(passes))
@@ -243,7 +266,7 @@ func SortWithParamsContext(ctx context.Context, bank int, keys []uint64, oids []
 			obsFanout.Set(int64(p.Fanout))
 		}
 	}
-	return nil
+	return inScratch, nil
 }
 
 // bankKernels is the per-bank kernel set of the three-phase sort: the
@@ -285,6 +308,35 @@ func mergePassVec(srcK, srcO []uint64, lanes int, runs []int, dstK, dstO []uint6
 		newRuns = append(newRuns, runs[i+1])
 	}
 	return newRuns
+}
+
+// mergePassMultiwayVec runs one out-of-cache pass over packed data:
+// groups of up to fanout runs are merged from src into dst, three or
+// more runs by the (key, run index) loser tree — offset-value coded
+// with useOVC (see ovc.go) — and a pair by the plain two-cursor merge,
+// since a two-run merge compares two streaming heads with no replay to
+// shortcut. The merged data is byte-identical either way.
+func mergePassMultiwayVec(ctx context.Context, srcK, srcO []uint64, lanes int, runs []int, fanout int, dstK, dstO []uint64, useOVC bool) ([]int, error) {
+	newRuns := []int{runs[0]}
+	for lo := 0; lo < len(runs)-1; lo += fanout {
+		hi := lo + fanout
+		if hi > len(runs)-1 {
+			hi = len(runs) - 1
+		}
+		group := runs[lo : hi+1]
+		switch len(group) {
+		case 2:
+			copyPackedRange(srcK, srcO, lanes, group[0], group[1], dstK, dstO)
+		case 3:
+			packedScalarMerge(srcK, srcO, lanes, group[0], group[1], group[1], group[2], dstK, dstO, group[0])
+		default:
+			if err := treeMerge(ctx, srcK, srcO, dstK, dstO, lanes, group[:len(group)-1], group[1:], useOVC, group[0]); err != nil {
+				return nil, err
+			}
+		}
+		newRuns = append(newRuns, group[len(group)-1])
+	}
+	return newRuns, nil
 }
 
 // copyPackedRange copies elements [lo, hi) between packed arrays. The

@@ -168,149 +168,30 @@ func ParallelMergeTopKContext(ctx context.Context, bank int, keys []uint64, oids
 	}
 	faultinject.Fire(faultinject.TopKMerge)
 	obsTopKMerges.Inc()
-	k := kernelsFor(bank)
-	kw, ow := pack(keys, oids, k.lanes)
+	lanes := kernelsFor(bank).lanes
+	kw, ow := pack(keys, oids, lanes)
 	from, to := runStarts(runs), runEnds(runs)
 
 	// The pivot is the key at output rank limit−1 — the limit-th
-	// smallest — found by binary search over the key domain, exactly
-	// like splitRuns' selection. The cut then takes *every* element ≤
-	// the pivot (upperBound in each run), not a per-run rank share:
-	// that is the tie extension that makes the survivor set value-
-	// defined and worker-count-independent.
-	pivot := selectKeyAtRankFT(kw, k.lanes, bank, from, to, limit)
+	// smallest — by the same selection that splits the merge across
+	// workers. The cut then takes *every* element ≤ the pivot
+	// (upperBound in each run), not a per-run rank share: that is the
+	// tie extension that makes the survivor set value-defined and
+	// worker-count-independent.
+	pivot := selectKeyAtRank(kw, lanes, bank, from, to, limit)
 	cuts := make([]int, len(from))
 	m := 0
 	for r := range from {
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		cuts[r] = upperBoundPacked(kw, k.lanes, from[r], to[r], pivot)
+		cuts[r] = upperBoundPacked(kw, lanes, from[r], to[r], pivot)
 		m += cuts[r] - from[r]
 	}
-
-	dstK := make([]uint64, len(kw))
-	dstO := make([]uint64, len(ow))
-	if err := parallelMergeTruncated(ctx, kw, ow, dstK, dstO, k.lanes, bank, from, cuts, m, !p.DisableOVC, workers); err != nil {
-		return 0, err
-	}
-	if err := parallelUnpack(ctx, dstK, dstO, k.lanes, keys[:m], oids[:m], workers); err != nil {
+	if err := mergeAndUnpack(ctx, kw, ow, lanes, bank, from, cuts, keys[:m], oids[:m], !p.DisableOVC, workers); err != nil {
 		return 0, err
 	}
 	return m, ctx.Err()
-}
-
-// selectKeyAtRankFT returns the key at output rank r−1 of the merged
-// runs [from[i], to[i]) — the smallest key v with count(≤ v) ≥ r.
-func selectKeyAtRankFT(kw []uint64, lanes, bank int, from, to []int, r int) uint64 {
-	lo, hi := uint64(0), ^uint64(0)
-	if bank < 64 {
-		hi = uint64(1)<<uint(bank) - 1
-	}
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		le := 0
-		for i := range from {
-			le += upperBoundPacked(kw, lanes, from[i], to[i], mid) - from[i]
-			obsParSelectProbe.Inc()
-		}
-		if le >= r {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
-}
-
-// splitRunsFT is splitRuns over explicit [from[i], to[i]) run bounds
-// (the truncated co-runs of a top-K merge are not contiguous, so the
-// runs-slice form does not apply): for global output rank t it returns
-// the per-run cuts whose union is exactly the first t elements of the
-// run-index-stable merge, ties attributed to runs in index order.
-func splitRunsFT(kw []uint64, lanes, bank int, from, to []int, t int) []int {
-	k := len(from)
-	cuts := make([]int, k)
-	lo, hi := uint64(0), ^uint64(0)
-	if bank < 64 {
-		hi = uint64(1)<<uint(bank) - 1
-	}
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		le := 0
-		for r := 0; r < k; r++ {
-			le += upperBoundPacked(kw, lanes, from[r], to[r], mid) - from[r]
-			obsParSelectProbe.Inc()
-		}
-		if le > t {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	v := lo
-	extra := t
-	for r := 0; r < k; r++ {
-		lb := lowerBoundPacked(kw, lanes, from[r], to[r], v)
-		cuts[r] = lb
-		extra -= lb - from[r]
-	}
-	for r := 0; r < k && extra > 0; r++ {
-		ub := upperBoundPacked(kw, lanes, cuts[r], to[r], v)
-		take := ub - cuts[r]
-		if take > extra {
-			take = extra
-		}
-		cuts[r] += take
-		extra -= take
-	}
-	return cuts
-}
-
-// parallelMergeTruncated merges the truncated co-runs [from[r], cut[r])
-// — total elements in all of them — into dst[0:total), rank-split
-// across workers exactly like parallelMergePacked: worker boundaries
-// are equal aligned rank shares of the *output*, resolved to per-run
-// cuts by the multisequence selection, and each worker merges its
-// co-partition with the run-index-stable loser tree (OVC-coded when
-// useOVC). Load balance is by output rank, so a skewed survivor
-// distribution across runs costs the same as a uniform one.
-func parallelMergeTruncated(ctx context.Context, kw, ow, dstK, dstO []uint64, lanes, bank int, from, cut []int, total int, useOVC bool, workers int) error {
-	if total == 0 {
-		return ctx.Err()
-	}
-	obsParMergeElems.Add(int64(total))
-	if useOVC {
-		obsOVCMerges.Inc()
-	}
-	if workers < 2 {
-		return mergeCoPartition(ctx, kw, ow, dstK, dstO, lanes, from, cut, useOVC, 0)
-	}
-	targets := []int{0}
-	for w := 1; w < workers; w++ {
-		t := total * w / workers / mergeAlign * mergeAlign
-		if t > targets[len(targets)-1] {
-			targets = append(targets, t)
-		}
-	}
-	targets = append(targets, total)
-	bounds := make([][]int, len(targets))
-	bounds[0] = append([]int(nil), from...)
-	bounds[len(bounds)-1] = append([]int(nil), cut...)
-	for i := 1; i+1 < len(targets); i++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		bounds[i] = splitRunsFT(kw, lanes, bank, from, cut, targets[i])
-	}
-	g := pipeerr.NewGroup(ctx)
-	for w := 0; w+1 < len(targets); w++ {
-		w := w
-		g.Go(pipeerr.StageMerge, -1, w, func(gctx context.Context) error {
-			return mergeCoPartition(gctx, kw, ow, dstK, dstO, lanes, bounds[w], bounds[w+1], useOVC, targets[w])
-		})
-	}
-	return g.Wait()
 }
 
 // topKFilterChunk finds the chunk-local key at rank limit with a

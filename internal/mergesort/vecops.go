@@ -169,212 +169,6 @@ func packedThreeWayMerge(rk []uint64, ro []uint32, srcK, srcO []uint64, lanes, i
 	}
 }
 
-// loserTreePacked is the loser-tree tournament over packed runs used by
-// the out-of-cache multiway merge phase: internal nodes store the loser
-// of their sub-tournament and the overall winner is cached separately.
-// With useOVC, each run cursor also carries the head record's
-// offset-value code (codes[r], relative to the last record that went up
-// past it — see ovc.go) and comparisons consult codes before keys. The
-// decisions — and therefore the merged output — are identical either
-// way.
-type loserTreePacked struct {
-	tree   []int
-	heads  []int
-	ends   []int
-	kw     []uint64
-	lanes  int
-	kPow2  int
-	winner int
-	codes  []uint32 // per-run head code, re-based during replay (nil: OVC off)
-}
-
-func newLoserTreePacked(kw []uint64, lanes int, runs []int, useOVC bool) *loserTreePacked {
-	k := len(runs) - 1
-	kPow2 := 1
-	for kPow2 < k {
-		kPow2 *= 2
-	}
-	lt := &loserTreePacked{
-		tree:  make([]int, kPow2),
-		heads: make([]int, k),
-		ends:  make([]int, k),
-		kw:    kw,
-		lanes: lanes,
-		kPow2: kPow2,
-	}
-	for r := 0; r < k; r++ {
-		lt.heads[r], lt.ends[r] = runs[r], runs[r+1]
-	}
-	if useOVC {
-		// No seeding: the build duels below re-base every loser's code
-		// and the overall winner's code is rewritten at its first pop
-		// before any comparison reads it.
-		lt.codes = make([]uint32, k)
-	}
-	winners := make([]int, 2*kPow2)
-	for i := 0; i < kPow2; i++ {
-		if i < k {
-			winners[kPow2+i] = i
-		} else {
-			winners[kPow2+i] = -1
-		}
-	}
-	for node := kPow2 - 1; node >= 1; node-- {
-		// The build duels by full keys, establishing the code
-		// invariant: each stored loser's code is relative to the record
-		// that last went up through its node.
-		a, b := winners[2*node], winners[2*node+1]
-		if lt.duelFull(a, b) {
-			winners[node], lt.tree[node] = a, b
-		} else {
-			winners[node], lt.tree[node] = b, a
-		}
-	}
-	lt.winner = winners[1]
-	return lt
-}
-
-// duelFull compares run heads by full keys (ties to a, matching beats)
-// and, with OVC on, re-bases the loser's code against the winner.
-func (lt *loserTreePacked) duelFull(a, b int) bool {
-	if a < 0 || lt.heads[a] >= lt.ends[a] {
-		return false
-	}
-	if b < 0 || lt.heads[b] >= lt.ends[b] {
-		return true
-	}
-	ka := keyAt(lt.kw, lt.heads[a], lt.lanes)
-	kb := keyAt(lt.kw, lt.heads[b], lt.lanes)
-	if lt.codes == nil {
-		return ka <= kb
-	}
-	switch {
-	case ka < kb:
-		lt.codes[b] = ovcRel(kb, ka)
-		return true
-	case ka > kb:
-		lt.codes[a] = ovcRel(ka, kb)
-		return false
-	default:
-		lt.codes[b] = 0
-		return true
-	}
-}
-
-func (lt *loserTreePacked) beats(a, b int) bool {
-	if a < 0 || lt.heads[a] >= lt.ends[a] {
-		return false
-	}
-	if b < 0 || lt.heads[b] >= lt.ends[b] {
-		return true
-	}
-	if lt.codes == nil {
-		return keyAt(lt.kw, lt.heads[a], lt.lanes) <= keyAt(lt.kw, lt.heads[b], lt.lanes)
-	}
-	ca, cb := lt.codes[a], lt.codes[b]
-	if ca != cb {
-		if ovcAuditEnabled {
-			claim := ovcClaimLess
-			if ca > cb {
-				claim = ovcClaimGreater
-			}
-			ovcAudit(claim, keyAt(lt.kw, lt.heads[a], lt.lanes), keyAt(lt.kw, lt.heads[b], lt.lanes))
-		}
-		return ca < cb
-	}
-	if ca == 0 {
-		// Both heads equal the common base: an all-ties duel resolved
-		// with no key access. Ties go to a, like the plain <= compare.
-		if ovcAuditEnabled {
-			ovcAudit(ovcClaimEqual, keyAt(lt.kw, lt.heads[a], lt.lanes), keyAt(lt.kw, lt.heads[b], lt.lanes))
-		}
-		return true
-	}
-	// Equal nonzero codes: the heads share their first divergence from
-	// the base; fall back to full keys and re-base the loser.
-	if ovcAuditEnabled {
-		ovcAuditFallbacks.Add(1)
-	}
-	return lt.duelFull(a, b)
-}
-
-func (lt *loserTreePacked) pop() int {
-	w := lt.winner
-	if w < 0 || lt.heads[w] >= lt.ends[w] {
-		return -1
-	}
-	pos := lt.heads[w]
-	lt.heads[w]++
-	if lt.codes != nil && lt.heads[w] < lt.ends[w] {
-		// The successor enters with its code relative to the record
-		// that just popped — its in-run predecessor, adjacent and
-		// cache-hot, so no per-element code array is ever materialized.
-		// No tie-skip here: this tree resolves ties toward the stored
-		// loser, so an equal-key loser may legitimately win the replay
-		// — only the strict (key, run index) order of stableLoserTree
-		// admits the code-0 replay skip.
-		lt.codes[w] = ovcRel(keyAt(lt.kw, lt.heads[w], lt.lanes), keyAt(lt.kw, pos, lt.lanes))
-	}
-	cur := w
-	for node := (lt.kPow2 + w) / 2; node >= 1; node /= 2 {
-		if lt.beats(lt.tree[node], cur) {
-			lt.tree[node], cur = cur, lt.tree[node]
-		}
-	}
-	lt.winner = cur
-	return pos
-}
-
-// popWithCode is pop returning also the popped record's code relative
-// to the previously popped record — the pass-through that lets a merge
-// emit output codes without a rescan. Only meaningful with OVC on; the
-// first pop's code is garbage (the caller overrides a run start's code).
-func (lt *loserTreePacked) popWithCode() (int, uint32) {
-	w := lt.winner
-	if w < 0 || lt.heads[w] >= lt.ends[w] {
-		return -1, 0
-	}
-	code := lt.codes[w]
-	return lt.pop(), code
-}
-
-// mergePassMultiwayVec runs one out-of-cache pass over packed data:
-// groups of up to fanout runs are loser-tree merged from src into dst.
-// With useOVC the loser trees are offset-value coded (see ovc.go);
-// binary groups use the plain two-cursor merge either way, since a
-// two-run merge compares two streaming heads with no replay to
-// shortcut. The merged data is byte-identical either way.
-func mergePassMultiwayVec(srcK, srcO []uint64, lanes int, runs []int, fanout int, dstK, dstO []uint64, useOVC bool) []int {
-	newRuns := []int{runs[0]}
-	for lo := 0; lo < len(runs)-1; lo += fanout {
-		hi := lo + fanout
-		if hi > len(runs)-1 {
-			hi = len(runs) - 1
-		}
-		group := runs[lo : hi+1]
-		switch len(group) {
-		case 2:
-			copyPackedRange(srcK, srcO, lanes, group[0], group[1], dstK, dstO)
-		case 3:
-			packedScalarMerge(srcK, srcO, lanes, group[0], group[1], group[1], group[2], dstK, dstO, group[0])
-		default:
-			lt := newLoserTreePacked(srcK, lanes, group, useOVC)
-			d := group[0]
-			for {
-				pos := lt.pop()
-				if pos < 0 {
-					break
-				}
-				setKeyAt(dstK, d, lanes, keyAt(srcK, pos, lanes))
-				setOidAt(dstO, d, oidAt(srcO, pos))
-				d++
-			}
-		}
-		newRuns = append(newRuns, group[len(group)-1])
-	}
-	return newRuns
-}
-
 // batcherNetwork returns the comparator list of Batcher's odd-even
 // merge-sort network for n inputs (n a power of two). Applying the
 // comparators in order sorts any input; the in-register phase applies

@@ -372,16 +372,12 @@ func TestCoordinatorReadyzTracksShardBreakers(t *testing.T) {
 	wantDegraded := func(label string) {
 		t.Helper()
 		resp, body := w.get("/readyz")
-		// The dead shard must be listed. (Its healthy peer may be too: the
-		// failed fan-out cancels the peer's in-flight call, which the
-		// client breaker counts as a failure.)
-		listed := false
+		// Exactly the dead shard: the failed fan-out cancels its healthy
+		// peer's in-flight call, and a caller's cancel is no failure.
 		open, _ := body["open_shards"].([]any)
-		for _, addr := range open {
-			listed = listed || addr == coord.cfg.Shards[1]
-		}
+		listed := len(open) == 1 && open[0] == coord.cfg.Shards[1]
 		if resp.StatusCode != http.StatusServiceUnavailable || body["status"] != "degraded" || body["reason"] == "" || !listed {
-			t.Errorf("%s: /readyz = %d %v, want 503 degraded with %s in open_shards", label, resp.StatusCode, body, coord.cfg.Shards[1])
+			t.Errorf("%s: /readyz = %d %v, want 503 degraded with open_shards = [%s]", label, resp.StatusCode, body, coord.cfg.Shards[1])
 		}
 		if resp, _ := w.get("/livez"); resp.StatusCode != http.StatusOK {
 			t.Errorf("%s: /livez = %d, want 200", label, resp.StatusCode)
