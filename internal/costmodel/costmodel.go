@@ -60,6 +60,35 @@ type Model struct {
 	Fanout int   // out-of-cache merge fanout F
 }
 
+// Builtin returns a process-independent model with fixed, conservative
+// constants, for environments where a multi-second calibration run at
+// startup is unwanted (mcsd -model builtin, CI smoke tests, containers
+// with noisy neighbors) and for tests that need plan choices to be
+// deterministic across machines. The constants are in the same regime
+// as a real calibration on a modern x86 server; plan quality degrades
+// gracefully when they are off, correctness never depends on them.
+func Builtin() *Model {
+	return &Model{
+		L2:     1 << 21,
+		LLC:    1 << 23,
+		Fanout: 8,
+		C: Constants{
+			CCache:    2,
+			CMem:      60,
+			CMassage:  1,
+			CScan:     1.5,
+			SmallCall: 60,
+			SmallElem: 15,
+			SmallQuad: 1,
+			Bank: map[int]BankConstants{
+				16: {COverhead: 400, CLinear: 220, COutOfCache: 40},
+				32: {COverhead: 400, CLinear: 300, COutOfCache: 55},
+				64: {COverhead: 400, CLinear: 420, COutOfCache: 80},
+			},
+		},
+	}
+}
+
 // ColumnStats summarizes one sort column for the estimator.
 type ColumnStats struct {
 	Width int

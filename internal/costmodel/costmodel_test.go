@@ -11,30 +11,6 @@ import (
 	"repro/internal/plan"
 )
 
-// testModel returns a model with hand-picked constants so tests don't
-// depend on timing.
-func testModel() *Model {
-	return &Model{
-		L2:     1 << 21,
-		LLC:    1 << 23,
-		Fanout: 8,
-		C: Constants{
-			CCache:    2,
-			CMem:      60,
-			CMassage:  1,
-			CScan:     1.5,
-			SmallCall: 60,
-			SmallElem: 15,
-			SmallQuad: 1,
-			Bank: map[int]BankConstants{
-				16: {COverhead: 400, CLinear: 220, COutOfCache: 40},
-				32: {COverhead: 400, CLinear: 300, COutOfCache: 55},
-				64: {COverhead: 400, CLinear: 420, COutOfCache: 80},
-			},
-		},
-	}
-}
-
 // uniformStats mirrors the paper's synthetic setup: each w-bit column
 // holds `distinct` values drawn uniformly from the full [0, 2^w) domain.
 func uniformStats(n int, widths, distinct []int) Stats {
@@ -107,7 +83,7 @@ func TestSortUint64(t *testing.T) {
 }
 
 func TestTLookupHitRatio(t *testing.T) {
-	m := testModel()
+	m := Builtin()
 	// Small column: fully cached, cost = N·C_cache.
 	small := m.TLookup(1000, 16)
 	if small != 1000*m.C.CCache {
@@ -125,7 +101,7 @@ func TestTLookupHitRatio(t *testing.T) {
 }
 
 func TestTSortOneShape(t *testing.T) {
-	m := testModel()
+	m := Builtin()
 	// Singleton groups cost nothing (paper: one-tuple groups skip sorting).
 	if m.TSortOne(1, 32) != 0 {
 		t.Error("singleton sort must be free")
@@ -148,7 +124,7 @@ func TestTSortOneShape(t *testing.T) {
 // synthetic model: the qualitative plan preferences of Section 3 must
 // hold.
 func TestModelPrefersPaperPlans(t *testing.T) {
-	m := testModel()
+	m := Builtin()
 	n := 1 << 20
 	d := 1 << 13
 
@@ -218,7 +194,7 @@ func TestLeastSquares3(t *testing.T) {
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
-	m := testModel()
+	m := Builtin()
 	path := filepath.Join(t.TempDir(), "cal.json")
 	if err := m.Save(path); err != nil {
 		t.Fatal(err)
@@ -296,7 +272,7 @@ func TestDupFrac(t *testing.T) {
 }
 
 func TestTSortOneDupDiscount(t *testing.T) {
-	m := testModel()
+	m := Builtin()
 	m.C.OVCMergeDiscount = 0.5
 	n := float64(1 << 20) // out of cache for every bank
 
@@ -304,7 +280,7 @@ func TestTSortOneDupDiscount(t *testing.T) {
 	if got, want := m.TSortOneDup(n, 32, 0), m.TSortOne(n, 32); got != want {
 		t.Errorf("dup=0: %v, want %v", got, want)
 	}
-	m0 := testModel() // OVCMergeDiscount zero
+	m0 := Builtin() // OVCMergeDiscount zero
 	if got, want := m0.TSortOneDup(n, 32, 1), m0.TSortOne(n, 32); got != want {
 		t.Errorf("zero discount: %v, want %v", got, want)
 	}
@@ -337,8 +313,8 @@ func TestTSortAfterDupAware(t *testing.T) {
 	// 2^16 rows over 16 distinct 20-bit values: heavy duplication. A
 	// discounted model must estimate the dup-heavy sort cheaper than
 	// the undiscounted one, and an all-distinct column must be immune.
-	m := testModel()
-	md := testModel()
+	m := Builtin()
+	md := Builtin()
 	md.C.OVCMergeDiscount = 0.9
 	heavy := uniformStats(1<<18, []int{20}, []int{16})
 	if !(md.TSortAfter(heavy, 0, 32) < m.TSortAfter(heavy, 0, 32)) {

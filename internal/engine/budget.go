@@ -20,7 +20,7 @@ var (
 	obsEffectiveWorkers = obs.NewGauge("engine.effective_workers")
 )
 
-// estimatePipelineBytes models the peak transient allocation of sorting
+// EstimatePipelineBytes models the peak transient allocation of sorting
 // `rows` selected rows over nCols sort columns with an nRounds plan at
 // the given worker count:
 //
@@ -32,8 +32,13 @@ var (
 //	sort pack buffers    24·rows (packed keys + oids, double-buffered)
 //
 // Parallel execution adds the scatter/partition buffers (≈16·rows) plus
-// a fixed per-worker overhead.
-func estimatePipelineBytes(rows, nCols, nRounds, workers int) int64 {
+// a fixed per-worker overhead. It is the one footprint model: the
+// engine's own two-stage degradation applies it, the mcsd admission
+// controller charges each admitted query against the aggregate budget
+// with it — so the two layers never disagree about whether a query
+// fits — and mcs.Sort calls it with nCols = 0 (its input codes are
+// caller-owned and exist either way).
+func EstimatePipelineBytes(rows, nCols, nRounds, workers int) int64 {
 	r := int64(rows)
 	perRow := int64(8*(nCols+nRounds) + 8 + 4 + 4 + 24)
 	total := r * perRow
@@ -43,23 +48,13 @@ func estimatePipelineBytes(rows, nCols, nRounds, workers int) int64 {
 	return total
 }
 
-// EstimatePipelineBytes exposes the engine's transient-footprint model
-// to callers that must reserve memory before RunContext can compute it
-// themselves — the mcsd admission controller charges each admitted
-// query against the aggregate budget using the same estimate the
-// engine's own two-stage degradation applies, so the two layers never
-// disagree about whether a query fits.
-func EstimatePipelineBytes(rows, nCols, nRounds, workers int) int64 {
-	return estimatePipelineBytes(rows, nCols, nRounds, workers)
-}
-
 // budgetWorkers applies the degradation policy for one stage of the
 // budget check and keeps the obs counters/gauge current. It returns the
 // effective worker count, or ErrBudgetExceeded when the query cannot
 // fit the budget at all.
 func budgetWorkers(requested int, maxBytes int64, rows, nCols, nRounds int) (int, error) {
 	w, err := pipeerr.DegradeWorkers(requested, maxBytes, func(w int) int64 {
-		return estimatePipelineBytes(rows, nCols, nRounds, w)
+		return EstimatePipelineBytes(rows, nCols, nRounds, w)
 	})
 	if err != nil {
 		obsBudgetRefused.Inc()

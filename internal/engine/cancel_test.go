@@ -177,7 +177,7 @@ func TestBudgetDegradesWorkers(t *testing.T) {
 
 	// Room for the sequential footprint plus a little head, but not for
 	// 8 workers' partition scratch (64 KiB each).
-	budget := estimatePipelineBytes(tbl.N, 2, 2, 1) + 64<<10
+	budget := EstimatePipelineBytes(tbl.N, 2, 2, 1) + 64<<10
 	degraded, err := RunContext(context.Background(), tbl, q, Options{Workers: 8, MaxBytes: budget})
 	if err != nil {
 		t.Fatalf("degraded run failed: %v", err)
@@ -264,6 +264,53 @@ func TestSortGroupsByAggregateCancel(t *testing.T) {
 		}
 		if ag[i] != aggregates[gk[i][0]] {
 			t.Fatalf("entry %d: aggregate %d does not belong to group %d", i, ag[i], gk[i][0])
+		}
+	}
+}
+
+// TestRankSortedCancel pins the same invariant on the window RANK pass,
+// which is one step per output row: a context cancelled before the
+// call, or one that is cancelled mid-pass, yields context.Canceled and
+// no ranks — and the pass stops within one poll stride of the
+// cancellation instead of ranking every row.
+func TestRankSortedCancel(t *testing.T) {
+	const n = 5 * rankCheckRows
+	order := make([]uint32, n)
+	for i := range order {
+		order[i] = uint32(i)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, tc := range map[string]struct {
+		ctx      context.Context
+		maxReads int
+	}{
+		"pre-cancelled": {cancelled, 0},
+		"mid-pass":      {newPollCtx(2), 2 * rankCheckRows},
+	} {
+		reads := 0
+		ranks, err := RankSorted(tc.ctx, order, 2, func(id uint32, dst []uint64) {
+			reads++
+			dst[0], dst[1] = uint64(id)/7, uint64(id)
+		})
+		if !errors.Is(err, context.Canceled) || ranks != nil {
+			t.Fatalf("%s: got (%d ranks, %v), want context.Canceled and no result", name, len(ranks), err)
+		}
+		if reads != tc.maxReads {
+			t.Errorf("%s: ranked %d rows before stopping, want %d", name, reads, tc.maxReads)
+		}
+	}
+
+	// Uncancelled, the same input ranks 1..7 within each partition of 7.
+	ranks, err := RankSorted(context.Background(), order, 2, func(id uint32, dst []uint64) {
+		dst[0], dst[1] = uint64(id)/7, uint64(id)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range ranks {
+		if r != uint32(i%7)+1 {
+			t.Fatalf("row %d: rank %d, want %d", i, r, i%7+1)
 		}
 	}
 }

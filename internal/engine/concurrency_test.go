@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/byteslice"
+	"repro/internal/costmodel"
 	"repro/internal/mergesort"
 	"repro/internal/planner"
 	"repro/internal/testutil"
@@ -42,7 +43,7 @@ func TestConcurrentQueriesSharedTable(t *testing.T) {
 	}
 	sp := mergesort.DefaultParams(2)
 	sp.ParallelThreshold = 256
-	opts := Options{Massaging: true, Model: testModel(), Rho: 0.5, Workers: 4, SortParams: &sp}
+	opts := Options{Massaging: true, Model: costmodel.Builtin(), Rho: 0.5, Workers: 4, SortParams: &sp}
 
 	// Sequential baselines, one per query.
 	base := make([]*Result, len(queries))

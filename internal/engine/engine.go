@@ -29,10 +29,10 @@ import (
 	"repro/internal/table"
 )
 
-// Cost-model accuracy observability: every massaged execution records
-// the planner's predicted T_mcs next to the measured one, per query and
-// in aggregate, so predicted-vs-measured divergence is a first-class
-// metric (`mcsbench -metrics`). Writes are no-ops until obs.Enable().
+// Cost-model accuracy observability: every massaged execution adds the
+// planner's predicted T_mcs and the measured one to aggregate counters,
+// so predicted-vs-measured divergence is a first-class metric
+// (`mcsbench -metrics`). Writes are no-ops until obs.Enable().
 var (
 	obsQueries        = obs.NewCounter("engine.queries")
 	obsPredictedNS    = obs.NewCounter("engine.predicted_mcs_ns")
@@ -228,20 +228,12 @@ func RunContext(ctx context.Context, t *table.Table, q Query, opts Options) (*Re
 	return res, nil
 }
 
-// identityRows builds the unfiltered row-id vector [0, n), polling
-// cancellation at the sequential-gather stride so a cancelled query
-// does not pay the full O(n) fill.
-func identityRows(ctx context.Context, n int) ([]uint32, error) {
-	rows := make([]uint32, n)
-	for i := range rows {
-		if i&(seqGatherCheckRows-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		rows[i] = uint32(i)
+// wrap prefixes err with the query's ID when it has one.
+func (q Query) wrap(err error) error {
+	if q.ID == "" {
+		return err
 	}
-	return rows, nil
+	return fmt.Errorf("%s: %w", q.ID, err)
 }
 
 func runContext(ctx context.Context, t *table.Table, q Query, opts Options) (*Result, error) {
@@ -249,55 +241,29 @@ func runContext(ctx context.Context, t *table.Table, q Query, opts Options) (*Re
 		return nil, err
 	}
 	if opts.Limit != nil && *opts.Limit < 0 {
-		return nil, fmt.Errorf("%s: negative limit %d", q.ID, *opts.Limit)
+		return nil, q.wrap(fmt.Errorf("negative limit %d", *opts.Limit))
 	}
 	if opts.Offset < 0 {
-		return nil, fmt.Errorf("%s: negative offset %d", q.ID, opts.Offset)
+		return nil, q.wrap(fmt.Errorf("negative offset %d", opts.Offset))
 	}
-	truncate := opts.Limit != nil
-	cut := 0
-	if truncate {
-		cut = opts.Offset + *opts.Limit
-		if cut < *opts.Limit {
-			return nil, fmt.Errorf("%s: limit %d + offset %d overflows", q.ID, *opts.Limit, opts.Offset)
-		}
+	if opts.Limit != nil && opts.Offset+*opts.Limit < *opts.Limit {
+		return nil, q.wrap(fmt.Errorf("limit %d + offset %d overflows", *opts.Limit, opts.Offset))
+	}
+	b, err := Bind(t, q)
+	if err != nil {
+		return nil, q.wrap(err)
 	}
 	res := &Result{}
 
 	// 1. Filters: ByteSlice scans ANDed into one bit vector.
 	start := time.Now()
-	var rows []uint32
-	if len(q.Filters) > 0 {
-		var acc *byteslice.BitVector
-		for _, f := range q.Filters {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			bs, err := t.ByteSlice(f.Col)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", q.ID, err)
-			}
-			var bv *byteslice.BitVector
-			if f.Between {
-				bv, err = bs.ScanBetween(f.Lo, f.Hi)
-			} else {
-				bv, err = bs.Scan(f.Op, f.Const)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", q.ID, err)
-			}
-			if acc == nil {
-				acc = bv
-			} else {
-				acc.And(bv)
-			}
-		}
-		rows = acc.Rows()
-	} else {
-		var rerr error
-		if rows, rerr = identityRows(ctx, t.N); rerr != nil {
-			return nil, rerr
-		}
+	sel, err := b.Select(ctx)
+	if err != nil {
+		return nil, q.wrap(err)
+	}
+	rows, err := sel.Rows(ctx)
+	if err != nil {
+		return nil, err
 	}
 	res.Timing.FilterScan = time.Since(start)
 	res.Rows = len(rows)
@@ -305,45 +271,31 @@ func runContext(ctx context.Context, t *table.Table, q Query, opts Options) (*Re
 	// LIMIT 0: the result is empty whatever the data; skip the sort
 	// pipeline entirely (the filter already ran, so Rows is still the
 	// filtered count, matching the unlimited execution).
-	if truncate && *opts.Limit == 0 {
+	if opts.Limit != nil && *opts.Limit == 0 {
 		return res, nil
-	}
-
-	sortCols := q.SortCols
-	if q.Window != nil {
-		sortCols = append(append([]SortCol(nil), q.SortCols...),
-			SortCol{Name: q.Window.OrderCol, Desc: q.Window.Desc})
 	}
 
 	// Budget, stage 1 (row count known, plan not yet): refuse before
 	// materializing anything when even a minimal sequential pipeline
 	// cannot fit, and bound the workers used by the gather stage.
-	workers, err := budgetWorkers(opts.Workers, opts.MaxBytes, len(rows), len(sortCols), 1)
+	workers, err := budgetWorkers(opts.Workers, opts.MaxBytes, len(rows), len(b.Sort), 1)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", q.ID, err)
+		return nil, q.wrap(err)
 	}
 
 	// 2. Materialize the sort columns for the selected rows with
 	// ByteSlice lookups.
 	start = time.Now()
-	inputs := make([]massage.Input, len(sortCols))
-	for i, sc := range sortCols {
-		bs, err := t.ByteSlice(sc.Name)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", q.ID, err)
-		}
-		codes := make([]uint64, len(rows))
-		if err := gatherParallel(ctx, codes, rows, bs.Lookup, workers); err != nil {
-			return nil, err
-		}
-		inputs[i] = massage.Input{Codes: codes, Width: bs.Width, Desc: sc.Desc}
+	inputs, err := b.materialize(ctx, rows, workers)
+	if err != nil {
+		return nil, err
 	}
 	res.Timing.Materialize = time.Since(start)
 
 	// 3. Plan: search (massaging on) or column-at-a-time (off).
-	choice, searchTime, err := choosePlan(ctx, t, q, sortCols, inputs, opts)
+	choice, searchTime, err := b.ChoosePlan(ctx, len(rows), opts)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", q.ID, err)
+		return nil, q.wrap(err)
 	}
 	res.Timing.PlanSearch = searchTime
 	res.Plan = choice.Plan
@@ -354,26 +306,16 @@ func runContext(ctx context.Context, t *table.Table, q Query, opts Options) (*Re
 
 	// Budget, stage 2 (plan known): re-run degradation with the real
 	// round count, which dominates the round-key footprint.
-	workers, err = budgetWorkers(workers, opts.MaxBytes, len(rows), len(sortCols), len(choice.Plan.Rounds))
+	workers, err = budgetWorkers(workers, opts.MaxBytes, len(rows), len(b.Sort), len(choice.Plan.Rounds))
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", q.ID, err)
+		return nil, q.wrap(err)
 	}
 	res.Workers = workers
 
 	// 4. Multi-column sort under the chosen column order and plan. A
-	// Limit truncates the sort itself: window queries consume ranked
-	// rows, so they cut at the row rank; everything else consumes the
-	// group table, so it cuts at the group rank. ORDER BY <aggregate>
-	// reorders groups *after* the sort, so it needs every group and only
-	// the final output is sliced.
+	// Limit truncates the sort itself, at the rank SortCut names.
 	mopts := mcsort.Options{Workers: workers, SortParams: opts.SortParams}
-	if truncate {
-		if q.Window != nil {
-			mopts.LimitRows = cut
-		} else if !q.OrderByAgg {
-			mopts.LimitGroups = cut
-		}
-	}
+	mopts.LimitRows, mopts.LimitGroups = SortCut(q, opts.Limit, opts.Offset)
 	ordered := make([]massage.Input, len(inputs))
 	for i, c := range choice.ColOrder {
 		ordered[i] = inputs[c]
@@ -384,30 +326,37 @@ func runContext(ctx context.Context, t *table.Table, q Query, opts Options) (*Re
 	}
 	res.Timing.MCS = mres.Timings
 	res.PredictedMCS = choice.Est
-	recordCostAccuracy(q.ID, choice.Est, mres.Timings.Total())
+	recordCostAccuracy(choice.Est, mres.Timings.Total())
 
 	// 5. Consume the sorted output.
+	start = time.Now()
 	if q.Window != nil {
-		if err := ctx.Err(); err != nil {
+		// The permutation indexes the materialized arrays; ranks are
+		// prefix-computable, so ranking the truncated permutation and
+		// slicing off the offset equals slicing the full ranking.
+		res.Ranks, err = RankSorted(ctx, mres.Perm, len(inputs), func(p uint32, dst []uint64) {
+			for c := range dst {
+				dst[c] = inputs[c].Codes[p]
+			}
+		})
+		if err != nil {
 			return nil, err
 		}
-		start = time.Now()
-		computeRanks(res, q, inputs, rows, mres)
-		// Ranks are prefix-computable (a row's rank depends only on rows
-		// at or before it), so ranking the truncated permutation and
-		// slicing off the offset equals slicing the full ranking.
-		if off := opts.Offset; off > 0 {
-			if off > len(res.Ranks) {
-				off = len(res.Ranks)
+		res.RowOids = make([]uint32, len(mres.Perm))
+		for i, p := range mres.Perm {
+			if i&(seqGatherCheckRows-1) == 0 {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
 			}
-			res.Ranks = res.Ranks[off:]
-			res.RowOids = res.RowOids[off:]
+			res.RowOids[i] = rows[p]
 		}
+		lo, hi := OutputWindow(len(res.Ranks), opts.Limit, opts.Offset)
+		res.Ranks, res.RowOids = res.Ranks[lo:hi], res.RowOids[lo:hi]
 		res.Timing.Aggregate = time.Since(start)
 		return res, nil
 	}
-	start = time.Now()
-	if err := aggregate(ctx, res, t, q, inputs, rows, mres, workers); err != nil {
+	if err := aggregate(ctx, res, b, inputs, rows, mres, workers); err != nil {
 		return nil, err
 	}
 	res.Timing.Aggregate = time.Since(start)
@@ -426,25 +375,18 @@ func runContext(ctx context.Context, t *table.Table, q Query, opts Options) (*Re
 	// already truncated to at most Offset+Limit groups unless OrderByAgg
 	// reordered them above (then every group was kept and the slice does
 	// all the work).
-	if truncate || opts.Offset > 0 {
-		lo, hi := opts.Offset, len(res.Aggregates)
-		if lo > hi {
-			lo = hi
-		}
-		if truncate && lo+*opts.Limit < hi {
-			hi = lo + *opts.Limit
-		}
-		res.GroupKeys = res.GroupKeys[lo:hi]
-		res.Aggregates = res.Aggregates[lo:hi]
-	}
+	lo, hi := OutputWindow(len(res.Aggregates), opts.Limit, opts.Offset)
+	res.GroupKeys, res.Aggregates = res.GroupKeys[lo:hi], res.Aggregates[lo:hi]
 	return res, nil
 }
 
 // recordCostAccuracy publishes one query's predicted and measured
-// multi-column-sort cost. The aggregate ratio gauge is recomputed from
-// the running totals so `pred_over_meas_x1000` always reflects every
-// query so far (1000 = perfectly calibrated model).
-func recordCostAccuracy(queryID string, predictedNS float64, measured time.Duration) {
+// multi-column-sort cost on the aggregate counters. The ratio gauge is
+// recomputed from the running totals so `pred_over_meas_x1000` always
+// reflects every query so far (1000 = perfectly calibrated model). The
+// per-query numbers travel in Result (PredictedMCS, CostRatio), not in
+// the registry: a counter per client-chosen id would never be freed.
+func recordCostAccuracy(predictedNS float64, measured time.Duration) {
 	if !obs.Enabled() {
 		return
 	}
@@ -457,186 +399,16 @@ func recordCostAccuracy(queryID string, predictedNS float64, measured time.Durat
 	if m := obsMeasuredNS.Value(); m > 0 {
 		obsPredOverMeasMi.Set(obsPredictedNS.Value() * 1000 / m)
 	}
-	if queryID != "" {
-		obs.NewCounter("engine.query." + queryID + ".predicted_mcs_ns").Add(int64(predictedNS))
-		obs.NewCounter("engine.query." + queryID + ".measured_mcs_ns").Add(int64(measured))
-	}
-}
-
-// MaterializeSortInputsContext runs a query's filter and materialization
-// stages only, returning the multi-column-sort inputs (in clause order,
-// with the window order column appended for window queries). Plan-space
-// experiments use this to execute many plans over identical inputs.
-// The gathers are chunked across workers when workers > 1 and poll the
-// context like RunContext's.
-func MaterializeSortInputsContext(ctx context.Context, t *table.Table, q Query, workers int) ([]massage.Input, error) {
-	var rows []uint32
-	if len(q.Filters) > 0 {
-		var acc *byteslice.BitVector
-		for _, f := range q.Filters {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			bs, err := t.ByteSlice(f.Col)
-			if err != nil {
-				return nil, err
-			}
-			var bv *byteslice.BitVector
-			if f.Between {
-				bv, err = bs.ScanBetween(f.Lo, f.Hi)
-			} else {
-				bv, err = bs.Scan(f.Op, f.Const)
-			}
-			if err != nil {
-				return nil, err
-			}
-			if acc == nil {
-				acc = bv
-			} else {
-				acc.And(bv)
-			}
-		}
-		rows = acc.Rows()
-	} else {
-		var rerr error
-		if rows, rerr = identityRows(ctx, t.N); rerr != nil {
-			return nil, rerr
-		}
-	}
-	sortCols := q.SortCols
-	if q.Window != nil {
-		sortCols = append(append([]SortCol(nil), q.SortCols...),
-			SortCol{Name: q.Window.OrderCol, Desc: q.Window.Desc})
-	}
-	inputs := make([]massage.Input, len(sortCols))
-	for i, sc := range sortCols {
-		bs, err := t.ByteSlice(sc.Name)
-		if err != nil {
-			return nil, err
-		}
-		codes := make([]uint64, len(rows))
-		if err := gatherParallel(ctx, codes, rows, bs.Lookup, workers); err != nil {
-			return nil, err
-		}
-		inputs[i] = massage.Input{Codes: codes, Width: bs.Width, Desc: sc.Desc}
-	}
-	return inputs, nil
-}
-
-// validateColOrder rejects a FixedColOrder that is not a permutation of
-// the sort columns, permutes an ORDER BY (whose column order is
-// semantic), or moves a window's ORDER BY column off the last position
-// (partition ranges must stay contiguous in the sorted output).
-func validateColOrder(order []int, m int, q Query) error {
-	if len(order) != m {
-		return fmt.Errorf("%s: col order has %d entries for %d sort columns", q.ID, len(order), m)
-	}
-	seen := make([]bool, m)
-	for i, c := range order {
-		if c < 0 || c >= m || seen[c] {
-			return fmt.Errorf("%s: col order %v is not a permutation of [0,%d)", q.ID, order, m)
-		}
-		seen[c] = true
-		if q.Kind == planner.OrderBy && c != i {
-			return fmt.Errorf("%s: col order %v reorders an ORDER BY", q.ID, order)
-		}
-	}
-	if q.Window != nil && order[m-1] != m-1 {
-		return fmt.Errorf("%s: col order %v moves the window ORDER BY column off the tail", q.ID, order)
-	}
-	return nil
-}
-
-// choosePlan runs the plan search when massaging is enabled. Column
-// statistics come from the table's precomputed profiles (as in any
-// DBMS); only the search itself is timed.
-func choosePlan(ctx context.Context, t *table.Table, q Query, sortCols []SortCol, inputs []massage.Input, opts Options) (planner.Choice, time.Duration, error) {
-	widths := make([]int, len(inputs))
-	for i, in := range inputs {
-		widths[i] = in.Width
-	}
-	if opts.PlanOverride != nil {
-		return *opts.PlanOverride, 0, nil
-	}
-	if len(opts.FixedColOrder) > 0 {
-		if err := validateColOrder(opts.FixedColOrder, len(inputs), q); err != nil {
-			return planner.Choice{}, 0, err
-		}
-	}
-	if !opts.Massaging {
-		order := make([]int, len(inputs))
-		for i := range order {
-			order[i] = i
-		}
-		if len(opts.FixedColOrder) > 0 {
-			copy(order, opts.FixedColOrder)
-			pw := make([]int, len(order))
-			for i, c := range order {
-				pw[i] = widths[c]
-			}
-			widths = pw
-		}
-		return planner.Choice{ColOrder: order, Plan: plan.ColumnAtATime(widths)}, 0, nil
-	}
-	model := opts.Model
-	if model == nil {
-		var err error
-		model, err = costmodel.Default()
-		if err != nil {
-			return planner.Choice{}, 0, err
-		}
-	}
-	st := costmodel.Stats{N: len(inputs[0].Codes)}
-	if opts.Limit != nil && *opts.Limit > 0 {
-		// Teach the search about the truncation (docs/topk.md): the
-		// truncated TMCS pays massage per round over a shrinking survivor
-		// set, which shifts the stitch-vs-sort crossovers toward narrow
-		// plans at small K.
-		cut := opts.Offset + *opts.Limit
-		if q.Window != nil {
-			st.LimitRows = cut
-		} else if !q.OrderByAgg {
-			st.LimitGroups = cut
-		}
-	}
-	for _, sc := range sortCols {
-		cs, err := t.Stats(sc.Name)
-		if err != nil {
-			return planner.Choice{}, 0, err
-		}
-		st.Cols = append(st.Cols, cs)
-	}
-	start := time.Now()
-	search := &planner.Search{Model: model, Stats: st, Kind: q.Kind, Rho: opts.Rho, MaxPlans: opts.MaxPlans}
-	if q.Window != nil {
-		search.FixedTail = 1 // the window's ORDER BY column stays last
-	}
-	if len(opts.FixedColOrder) > 0 {
-		search.FixedOrder = opts.FixedColOrder
-	}
-	choice, err := planner.ROGAContext(ctx, search)
-	if err != nil {
-		return planner.Choice{}, 0, err
-	}
-	return choice, time.Since(start), nil
 }
 
 // aggregate computes per-group keys and the aggregate, scanning group
 // ranges across workers (each group's output slot is owned by exactly
 // one worker).
-func aggregate(ctx context.Context, res *Result, t *table.Table, q Query, inputs []massage.Input, rows []uint32, mres *mcsort.Result, workers int) error {
+func aggregate(ctx context.Context, res *Result, b *Bound, inputs []massage.Input, rows []uint32, mres *mcsort.Result, workers int) error {
 	nGroups := len(mres.Groups) - 1
 	res.GroupKeys = make([][]uint64, nGroups)
 	res.Aggregates = make([]uint64, nGroups)
-
-	var aggBS interface{ Lookup(int) uint64 }
-	if q.Agg != nil && q.Agg.Kind != Count {
-		bs, err := t.ByteSlice(q.Agg.Col)
-		if err != nil {
-			return fmt.Errorf("%s: %w", q.ID, err)
-		}
-		aggBS = bs
-	}
+	avg := b.agg != nil && b.Query.Agg.Kind == Avg
 	return forEachGroupParallel(ctx, nGroups, workers, func(g int) {
 		lo, hi := int(mres.Groups[g]), int(mres.Groups[g+1])
 		rep := mres.Perm[lo] // any row of the group carries its keys
@@ -645,15 +417,13 @@ func aggregate(ctx context.Context, res *Result, t *table.Table, q Query, inputs
 			keys[c] = in.Codes[rep]
 		}
 		res.GroupKeys[g] = keys
-		var acc uint64
-		switch {
-		case q.Agg == nil || q.Agg.Kind == Count:
-			acc = uint64(hi - lo)
-		default:
+		acc := uint64(hi - lo) // Count, or no aggregate
+		if b.agg != nil {
+			acc = 0
 			for i := lo; i < hi; i++ {
-				acc += aggBS.Lookup(int(rows[mres.Perm[i]]))
+				acc += b.agg.Lookup(int(rows[mres.Perm[i]]))
 			}
-			if q.Agg.Kind == Avg {
+			if avg {
 				acc /= uint64(hi - lo)
 			}
 		}
@@ -696,43 +466,4 @@ func SortGroupsByAggregate(ctx context.Context, groupKeys [][]uint64, aggregates
 		gk[i], ag[i] = groupKeys[j], aggregates[j]
 	}
 	return gk, ag, nil
-}
-
-// computeRanks assigns RANK() within partitions: rows tied on the
-// partition columns form a partition; within it, rows share a rank when
-// tied on the order column, and rank counts rows, not distinct values.
-func computeRanks(res *Result, q Query, inputs []massage.Input, rows []uint32, mres *mcsort.Result) {
-	// The permutation may be a truncated prefix of the sorted rows
-	// (Options.Limit); ranks only ever look backward, so ranking the
-	// prefix is exact.
-	n := len(mres.Perm)
-	res.Ranks = make([]uint32, n)
-	res.RowOids = make([]uint32, n)
-	nPart := len(q.SortCols) // partition columns; order column is last
-
-	samePartition := func(a, b uint32) bool {
-		for c := 0; c < nPart; c++ {
-			if inputs[c].Codes[a] != inputs[c].Codes[b] {
-				return false
-			}
-		}
-		return true
-	}
-	orderCol := inputs[len(inputs)-1]
-
-	partStart := 0
-	var rank, seen uint32
-	for i := 0; i < n; i++ {
-		cur := mres.Perm[i]
-		if i == 0 || !samePartition(cur, mres.Perm[partStart]) {
-			partStart, rank, seen = i, 1, 1
-		} else {
-			seen++
-			if orderCol.Codes[cur] != orderCol.Codes[mres.Perm[i-1]] {
-				rank = seen
-			}
-		}
-		res.RowOids[i] = rows[cur]
-		res.Ranks[i] = rank
-	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/column"
+	"repro/internal/costmodel"
 	"repro/internal/mergesort"
 	"repro/internal/planner"
 	"repro/internal/table"
@@ -100,7 +101,7 @@ func limitOptions(workers int) Options {
 	p.PivotSamplePerWorker = 16
 	return Options{
 		Massaging:  true,
-		Model:      testModel(),
+		Model:      costmodel.Builtin(),
 		Rho:        -1,
 		MaxPlans:   64,
 		Workers:    workers,

@@ -1,0 +1,179 @@
+package engine
+
+import (
+	"context"
+	"errors"
+	"testing"
+
+	"repro/internal/byteslice"
+	"repro/internal/planner"
+)
+
+// evalFilter is the per-row reference predicate.
+func evalFilter(f Filter, v uint64) bool {
+	if f.Between {
+		return f.Lo <= v && v <= f.Hi
+	}
+	switch f.Op {
+	case byteslice.LT:
+		return v < f.Const
+	case byteslice.LE:
+		return v <= f.Const
+	case byteslice.GT:
+		return v > f.Const
+	case byteslice.GE:
+		return v >= f.Const
+	case byteslice.EQ:
+		return v == f.Const
+	default:
+		return v != f.Const
+	}
+}
+
+// TestSelectMatchesPredicates holds the one filters → selection pass to
+// per-row predicate evaluation, in both forms its callers consume: the
+// row list (RunContext, MaterializeSortInputsContext) and the bare
+// count (the coordinator's pin search).
+func TestSelectMatchesPredicates(t *testing.T) {
+	tbl := makeTable(t, 3000, 31)
+	cases := map[string][]Filter{
+		"no filter":   nil,
+		"one":         {{Col: "f", Op: byteslice.LT, Const: 25}},
+		"between":     {{Col: "b", Between: true, Lo: 40, Hi: 200}},
+		"conjunction": {{Col: "f", Op: byteslice.GE, Const: 10}, {Col: "b", Between: true, Lo: 0, Hi: 150}, {Col: "a", Op: byteslice.NEQ, Const: 3}},
+		"empty":       {{Col: "f", Op: byteslice.EQ, Const: 63}}, // f < 50
+	}
+	ctx := context.Background()
+	for name, filters := range cases {
+		var want []uint32
+		for r := 0; r < tbl.N; r++ {
+			keep := true
+			for _, f := range filters {
+				keep = keep && evalFilter(f, mustCol(tbl, f.Col).Codes[r])
+			}
+			if keep {
+				want = append(want, uint32(r))
+			}
+		}
+		if (name == "empty") != (len(want) == 0) {
+			t.Fatalf("%s: reference keeps %d rows", name, len(want))
+		}
+		b, err := Bind(tbl, Query{SortCols: []SortCol{{Name: "a"}}, Filters: filters})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel, err := b.Select(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := sel.Rows(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sel.Count() != len(want) || len(rows) != len(want) {
+			t.Fatalf("%s: Count %d, %d rows, want %d", name, sel.Count(), len(rows), len(want))
+		}
+		for i := range want {
+			if rows[i] != want[i] {
+				t.Fatalf("%s: row %d is %d, want %d", name, i, rows[i], want[i])
+			}
+		}
+	}
+}
+
+// TestUnknownColumnFails: a misspelt column in any position is the typed
+// caller's mistake, and the message carries no empty-ID prefix.
+func TestUnknownColumnFails(t *testing.T) {
+	tbl := makeTable(t, 100, 32)
+	ok := []SortCol{{Name: "a"}}
+	for name, q := range map[string]Query{
+		"sort":      {SortCols: []SortCol{{Name: "a"}, {Name: "nosuch"}}},
+		"with id":   {ID: "bad", SortCols: []SortCol{{Name: "nosuch"}}},
+		"window":    {Kind: planner.PartitionBy, SortCols: ok, Window: &Window{OrderCol: "nosuch"}},
+		"filter":    {SortCols: ok, Filters: []Filter{{Col: "nosuch", Op: byteslice.EQ}}},
+		"aggregate": {Kind: planner.GroupBy, SortCols: ok, Agg: &Agg{Kind: Sum, Col: "nosuch"}},
+	} {
+		_, err := run(tbl, q, Options{})
+		if !errors.Is(err, ErrUnknownColumn) {
+			t.Errorf("%s: err = %v, want ErrUnknownColumn", name, err)
+		} else if msg := err.Error(); msg[0] == ':' {
+			t.Errorf("%s: message %q starts with an empty query id", name, msg)
+		}
+	}
+	// Count ignores its column, as documented on Agg.
+	if _, err := run(tbl, Query{Kind: planner.GroupBy, SortCols: ok, Agg: &Agg{Kind: Count, Col: "nosuch"}}, Options{}); err != nil {
+		t.Errorf("count with an ignored column: %v", err)
+	}
+}
+
+// lim makes limit pointers readable in table literals.
+func lim(v int) *int { return &v }
+
+// TestOutputWindow holds the one [offset, offset+limit) clamp to a
+// naive walk over n entries.
+func TestOutputWindow(t *testing.T) {
+	cases := []struct {
+		name   string
+		n      int
+		limit  *int
+		offset int
+	}{
+		{"everything", 10, nil, 0},
+		{"offset only", 10, nil, 4},
+		{"offset at n", 10, nil, 10},
+		{"offset past n", 10, lim(3), 25},
+		{"limit 0", 10, lim(0), 2},
+		{"inside", 10, lim(3), 4},
+		{"limit past the end", 10, lim(50), 7},
+		{"limit ends at n", 10, lim(3), 7},
+		{"empty input", 0, lim(5), 0},
+	}
+	for _, tc := range cases {
+		wantLo, wantHi := -1, -1
+		for i := 0; i < tc.n; i++ {
+			if i >= tc.offset && (tc.limit == nil || i < tc.offset+*tc.limit) {
+				if wantLo < 0 {
+					wantLo = i
+				}
+				wantHi = i + 1
+			}
+		}
+		lo, hi := OutputWindow(tc.n, tc.limit, tc.offset)
+		if lo < 0 || hi < lo || hi > tc.n {
+			t.Fatalf("%s: [%d,%d) is not a sub-range of [0,%d)", tc.name, lo, hi, tc.n)
+		}
+		if wantLo < 0 {
+			if lo != hi {
+				t.Errorf("%s: [%d,%d), want an empty window", tc.name, lo, hi)
+			}
+		} else if lo != wantLo || hi != wantHi {
+			t.Errorf("%s: [%d,%d), want [%d,%d)", tc.name, lo, hi, wantLo, wantHi)
+		}
+	}
+}
+
+// TestSortCut pins the LIMIT → (rows | groups) mapping per query shape.
+func TestSortCut(t *testing.T) {
+	window := Query{Kind: planner.PartitionBy, Window: &Window{OrderCol: "v"}}
+	groups := Query{Kind: planner.GroupBy, Agg: &Agg{Kind: Count}}
+	byAgg := Query{Kind: planner.GroupBy, Agg: &Agg{Kind: Count}, OrderByAgg: true}
+	cases := []struct {
+		name                 string
+		q                    Query
+		limit                *int
+		offset               int
+		wantRows, wantGroups int
+	}{
+		{"window", window, lim(10), 5, 15, 0},
+		{"groups", groups, lim(10), 5, 0, 15},
+		{"order by", Query{Kind: planner.OrderBy}, lim(7), 0, 0, 7},
+		{"order by aggregate sorts every group", byAgg, lim(10), 5, 0, 0},
+		{"no limit", window, nil, 5, 0, 0},
+		{"limit 0 sorts nothing", groups, lim(0), 5, 0, 0},
+	}
+	for _, tc := range cases {
+		if rows, groups := SortCut(tc.q, tc.limit, tc.offset); rows != tc.wantRows || groups != tc.wantGroups {
+			t.Errorf("%s: (%d rows, %d groups), want (%d, %d)", tc.name, rows, groups, tc.wantRows, tc.wantGroups)
+		}
+	}
+}

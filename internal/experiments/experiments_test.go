@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/costmodel"
 )
 
 // quickCfg keeps experiment tests fast while still exercising every
@@ -14,14 +16,14 @@ func quickCfg() Config {
 		Rows:      1 << 14,
 		TableRows: 5000,
 		Seed:      7,
-		Model:     quickModel(),
+		Model:     costmodel.Builtin(),
 		Quick:     true,
 	}
 }
 
 // shapeCfg is large enough for the Section 3 crossovers to manifest.
 func shapeCfg() Config {
-	return Config{Rows: 1 << 18, Seed: 7, Model: quickModel()}
+	return Config{Rows: 1 << 18, Seed: 7, Model: costmodel.Builtin()}
 }
 
 func totalOf(t *testing.T, rep *Report, rowLabel string) float64 {
@@ -183,7 +185,7 @@ func TestFigure4FactorsMonotone(t *testing.T) {
 	if testing.Short() {
 		t.Skip("needs larger rows")
 	}
-	cfg := Config{Rows: 1 << 16, Seed: 3, Model: quickModel()}
+	cfg := Config{Rows: 1 << 16, Seed: 3, Model: costmodel.Builtin()}
 	rep, err := Figure4b(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -8,28 +8,6 @@ import (
 	"repro/internal/planner"
 )
 
-func testModel() *costmodel.Model {
-	return &costmodel.Model{
-		L2:     1 << 21,
-		LLC:    1 << 23,
-		Fanout: 8,
-		C: costmodel.Constants{
-			CCache:    2,
-			CMem:      60,
-			CMassage:  1,
-			CScan:     1.5,
-			SmallCall: 60,
-			SmallElem: 15,
-			SmallQuad: 1,
-			Bank: map[int]costmodel.BankConstants{
-				16: {COverhead: 400, CLinear: 220, COutOfCache: 40},
-				32: {COverhead: 400, CLinear: 300, COutOfCache: 55},
-				64: {COverhead: 400, CLinear: 420, COutOfCache: 80},
-			},
-		},
-	}
-}
-
 // chainProgram mirrors Appendix B's example: sort column a then column
 // b within ties, with the connecting lookup.
 func chainProgram() *Program {
@@ -78,7 +56,7 @@ func TestRewriteReplacesChain(t *testing.T) {
 		"b": synthStats(17, 13),
 	}
 	r := &Rewriter{
-		Model: testModel(),
+		Model: costmodel.Builtin(),
 		Stats: func(col string) (costmodel.ColumnStats, bool) {
 			cs, ok := stats[col]
 			return cs, ok
@@ -111,7 +89,7 @@ func TestRewriteKeepsUnprofitableChain(t *testing.T) {
 	// count: overheads dominate and the search stays on P0, so the
 	// chain must be left intact.
 	r := &Rewriter{
-		Model: testModel(),
+		Model: costmodel.Builtin(),
 		Stats: func(col string) (costmodel.ColumnStats, bool) {
 			return costmodel.ColumnStats{}, false
 		},

@@ -17,28 +17,6 @@ func roga(s *Search) Choice {
 	return c
 }
 
-func testModel() *costmodel.Model {
-	return &costmodel.Model{
-		L2:     1 << 21,
-		LLC:    1 << 23,
-		Fanout: 8,
-		C: costmodel.Constants{
-			CCache:    2,
-			CMem:      60,
-			CMassage:  1,
-			CScan:     1.5,
-			SmallCall: 60,
-			SmallElem: 15,
-			SmallQuad: 1,
-			Bank: map[int]costmodel.BankConstants{
-				16: {COverhead: 400, CLinear: 220, COutOfCache: 40},
-				32: {COverhead: 400, CLinear: 300, COutOfCache: 55},
-				64: {COverhead: 400, CLinear: 420, COutOfCache: 80},
-			},
-		},
-	}
-}
-
 func uniformStats(seed int64, n int, widths, distinct []int) costmodel.Stats {
 	rng := rand.New(rand.NewSource(seed))
 	cols := make([][]uint64, len(widths))
@@ -62,7 +40,7 @@ func uniformStats(seed int64, n int, widths, distinct []int) costmodel.Stats {
 }
 
 func TestROGABeatsOrMatchesBaseline(t *testing.T) {
-	m := testModel()
+	m := costmodel.Builtin()
 	cases := [][2][]int{
 		{{10, 17}, {1 << 10, 1 << 13}},
 		{{15, 31}, {1 << 13, 1 << 13}},
@@ -89,7 +67,7 @@ func TestROGABeatsOrMatchesBaseline(t *testing.T) {
 func TestROGAFindsStitchForEx1(t *testing.T) {
 	// Ex1 (10-bit + 17-bit): the single-round 27/[32] stitch must beat
 	// P0, and ROGA must return a plan at least as good as the stitch.
-	m := testModel()
+	m := costmodel.Builtin()
 	s := &Search{Model: m, Stats: uniformStats(2, 1<<18, []int{10, 17}, []int{1 << 10, 1 << 13}), Kind: OrderBy, Rho: -1}
 	stitch := plan.Plan{Rounds: []plan.Round{{Width: 27, Bank: 32}}}
 	got := roga(s)
@@ -108,7 +86,7 @@ func TestROGAFindsStitchForEx1(t *testing.T) {
 func TestROGAAvoidsRecklessStitchForEx2(t *testing.T) {
 	// Ex2 (15-bit + 31-bit): stitching into 46/[64] is worse than P0;
 	// ROGA must not return the stitch-all plan.
-	m := testModel()
+	m := costmodel.Builtin()
 	s := &Search{Model: m, Stats: uniformStats(3, 1<<18, []int{15, 31}, []int{1 << 13, 1 << 13}), Kind: OrderBy, Rho: -1}
 	got := roga(s)
 	if len(got.Plan.Rounds) == 1 && got.Plan.Rounds[0].Bank == 64 {
@@ -119,7 +97,7 @@ func TestROGAAvoidsRecklessStitchForEx2(t *testing.T) {
 func TestGroupByPermutations(t *testing.T) {
 	// With free column order, a narrow selective column first can be
 	// better; at minimum the search must never do worse than ORDER BY.
-	m := testModel()
+	m := costmodel.Builtin()
 	st := uniformStats(4, 1<<16, []int{24, 4}, []int{60000, 16})
 	fixed := roga(&Search{Model: m, Stats: st, Kind: OrderBy, Rho: -1})
 	free := roga(&Search{Model: m, Stats: st, Kind: GroupBy, Rho: -1})
@@ -132,7 +110,7 @@ func TestGroupByPermutations(t *testing.T) {
 }
 
 func TestROGAFixedOrder(t *testing.T) {
-	m := testModel()
+	m := costmodel.Builtin()
 	st := uniformStats(4, 1<<16, []int{24, 4, 9}, []int{60000, 16, 300})
 
 	// Pinning the order a free search would choose must reproduce the
@@ -183,7 +161,7 @@ func equalOrder(a, b []int) bool {
 }
 
 func TestRRSFindsValidPlans(t *testing.T) {
-	m := testModel()
+	m := costmodel.Builtin()
 	st := uniformStats(5, 1<<16, []int{17, 33}, []int{1 << 13, 1 << 13})
 	s := &Search{Model: m, Stats: st, Kind: OrderBy, Rho: 0.05}
 	got := RRS(s, 42)
@@ -200,7 +178,7 @@ func TestROGABeatsRRSOnAverage(t *testing.T) {
 	// Table 1's qualitative claim, in miniature: over several instances,
 	// ROGA's estimated cost should win or tie RRS far more often than
 	// it loses (both run under the same generous budget).
-	m := testModel()
+	m := costmodel.Builtin()
 	wins, losses := 0, 0
 	for seed := int64(0); seed < 8; seed++ {
 		widths := []int{int(10 + seed), int(20 + seed*2)}
@@ -222,7 +200,7 @@ func TestROGABeatsRRSOnAverage(t *testing.T) {
 
 func TestEnumerateExactSmall(t *testing.T) {
 	// W=5, maxK = ⌊2·4/16⌋+1 = 1 → only {5/[16]}.
-	m := testModel()
+	m := costmodel.Builtin()
 	st := uniformStats(6, 1000, []int{2, 3}, []int{4, 8})
 	s := &Search{Model: m, Stats: st, Kind: OrderBy}
 	cands, exact := Enumerate(s, EnumerateOptions{Budget: 1000})
@@ -239,7 +217,7 @@ func TestEnumerateExactSmall(t *testing.T) {
 
 func TestEnumerateCountMatchesDP(t *testing.T) {
 	// W=19 → maxK=3: compositions into ≤3 parts = 1+18+C(18,2)=172.
-	m := testModel()
+	m := costmodel.Builtin()
 	st := uniformStats(7, 1000, []int{5, 8, 6}, []int{30, 250, 60})
 	s := &Search{Model: m, Stats: st, Kind: OrderBy}
 	cands, exact := Enumerate(s, EnumerateOptions{Budget: 10000})
@@ -261,7 +239,7 @@ func TestEnumerateCountMatchesDP(t *testing.T) {
 }
 
 func TestEnumerateSampling(t *testing.T) {
-	m := testModel()
+	m := costmodel.Builtin()
 	st := uniformStats(8, 1000, []int{30, 40}, []int{1000, 1000})
 	s := &Search{Model: m, Stats: st, Kind: OrderBy}
 	cands, exact := Enumerate(s, EnumerateOptions{Budget: 500, Seed: 1})
@@ -305,7 +283,7 @@ func TestRankOf(t *testing.T) {
 }
 
 func TestMaxRoundsBoundRespected(t *testing.T) {
-	m := testModel()
+	m := costmodel.Builtin()
 	st := uniformStats(9, 1<<14, []int{17, 30, 12}, []int{1 << 10, 1 << 12, 1 << 8}) // the paper's W=59 example
 	s := &Search{Model: m, Stats: st, Kind: OrderBy, Rho: -1}
 	got := roga(s)
@@ -317,7 +295,7 @@ func TestMaxRoundsBoundRespected(t *testing.T) {
 func TestStopwatchRho(t *testing.T) {
 	// A tiny ρ must stop the search quickly and still return a valid
 	// (baseline at worst) plan.
-	m := testModel()
+	m := costmodel.Builtin()
 	st := uniformStats(10, 1<<14, []int{20, 20, 19}, []int{1 << 10, 1 << 10, 1 << 10})
 	s := &Search{Model: m, Stats: st, Kind: GroupBy, Rho: 1e-9}
 	got := roga(s)
@@ -348,8 +326,8 @@ func TestROGAExploitsOVCDiscount(t *testing.T) {
 	// sorting column-at-a-time; with it, the one-round stitch wins —
 	// and ROGA must follow the model both times.
 	st := uniformStats(31, 1<<20, []int{15, 31}, []int{16, 4})
-	m0 := testModel()
-	m9 := testModel()
+	m0 := costmodel.Builtin()
+	m9 := costmodel.Builtin()
 	m9.C.OVCMergeDiscount = 0.9
 
 	stitch := plan.Plan{Rounds: []plan.Round{{Width: 46, Bank: 64}}}

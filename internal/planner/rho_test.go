@@ -1,9 +1,13 @@
 package planner
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/costmodel"
+)
 
 func TestCalibrateRhoOffline(t *testing.T) {
-	m := testModel()
+	m := costmodel.Builtin()
 	var samples []*Search
 	for seed := int64(0); seed < 3; seed++ {
 		st := uniformStats(seed+20, 1<<14, []int{10 + int(seed), 17}, []int{512, 4096})
@@ -26,7 +30,7 @@ func TestCalibrateRhoOffline(t *testing.T) {
 }
 
 func TestROGAOnlineRho(t *testing.T) {
-	m := testModel()
+	m := costmodel.Builtin()
 	st := uniformStats(30, 1<<14, []int{17, 33}, []int{1 << 13, 1 << 13})
 	s := &Search{Model: m, Stats: st, Kind: OrderBy}
 	choice, rho := ROGAOnlineRho(s, OnlineRhoOptions{})

@@ -31,9 +31,10 @@ import (
 	"repro/internal/planner"
 )
 
-// errInvalidRequest is the class every request-validation failure
-// wraps; the wire layer maps it to 400.
-var errInvalidRequest = errors.New("server: invalid request")
+// ErrInvalidRequest is the class every request-validation failure
+// wraps (HTTP 400, kind "invalid", not retryable). The coordinator
+// classifies its own validation failures with it too.
+var ErrInvalidRequest = errors.New("server: invalid request")
 
 // Validation bounds. Requests beyond them are rejected up front: the
 // engine would grind through them, but no legitimate query sorts more
@@ -144,17 +145,17 @@ type QueryResult struct {
 
 // ParseQueryRequest strictly decodes and validates one JSON request
 // body. Unknown fields, trailing garbage, and out-of-range values are
-// all errInvalidRequest failures.
+// all ErrInvalidRequest failures.
 func ParseQueryRequest(data []byte) (*QueryRequest, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var req QueryRequest
 	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("%w: %v", errInvalidRequest, err)
+		return nil, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
 	}
 	// Reject trailing non-whitespace (a second JSON document).
 	if dec.More() {
-		return nil, fmt.Errorf("%w: trailing data after request object", errInvalidRequest)
+		return nil, fmt.Errorf("%w: trailing data after request object", ErrInvalidRequest)
 	}
 	if err := req.Validate(); err != nil {
 		return nil, err
@@ -165,7 +166,7 @@ func ParseQueryRequest(data []byte) (*QueryRequest, error) {
 // Validate checks the request's shape without touching any table.
 func (r *QueryRequest) Validate() error {
 	bad := func(format string, args ...any) error {
-		return fmt.Errorf("%w: %s", errInvalidRequest, fmt.Sprintf(format, args...))
+		return fmt.Errorf("%w: %s", ErrInvalidRequest, fmt.Sprintf(format, args...))
 	}
 	if r.Table == "" || len(r.Table) > MaxNameLen {
 		return bad("table name must be 1..%d bytes", MaxNameLen)
@@ -173,7 +174,8 @@ func (r *QueryRequest) Validate() error {
 	if len(r.ID) > MaxNameLen {
 		return bad("query id longer than %d bytes", MaxNameLen)
 	}
-	if _, err := r.clauseKind(); err != nil {
+	kind, err := r.clauseKind()
+	if err != nil {
 		return err
 	}
 	if len(r.SortCols) == 0 {
@@ -257,21 +259,8 @@ func (r *QueryRequest) Validate() error {
 		if r.Window != nil {
 			m++ // the window order column is the final sort position
 		}
-		if len(r.ColOrder) != m {
-			return bad("col_order has %d entries for %d sort columns", len(r.ColOrder), m)
-		}
-		seen := make([]bool, m)
-		for i, c := range r.ColOrder {
-			if c < 0 || c >= m || seen[c] {
-				return bad("col_order %v is not a permutation of [0,%d)", r.ColOrder, m)
-			}
-			seen[c] = true
-			if r.Kind == "orderby" && c != i {
-				return bad("col_order %v reorders an orderby", r.ColOrder)
-			}
-		}
-		if r.Window != nil && r.ColOrder[m-1] != m-1 {
-			return bad("col_order %v moves the window order column off the tail", r.ColOrder)
+		if err := engine.ValidateColOrder(r.ColOrder, m, kind, r.Window != nil); err != nil {
+			return bad("%v", err)
 		}
 	}
 	return nil
@@ -287,7 +276,7 @@ func (r *QueryRequest) clauseKind() (planner.ClauseKind, error) {
 	case "partitionby":
 		return planner.PartitionBy, nil
 	default:
-		return 0, fmt.Errorf("%w: kind %q (want orderby, groupby, or partitionby)", errInvalidRequest, r.Kind)
+		return 0, fmt.Errorf("%w: kind %q (want orderby, groupby, or partitionby)", ErrInvalidRequest, r.Kind)
 	}
 }
 
@@ -327,7 +316,7 @@ func (r *QueryRequest) ToEngineQuery() (engine.Query, error) {
 		if !f.Between {
 			op, err := filterOp(f.Op)
 			if err != nil {
-				return engine.Query{}, fmt.Errorf("%w: %v", errInvalidRequest, err)
+				return engine.Query{}, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
 			}
 			ef.Op = op
 		}
@@ -466,7 +455,7 @@ func (f *Front) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 func readBody(r *http.Request) ([]byte, error) {
 	var buf bytes.Buffer
 	if _, err := buf.ReadFrom(http.MaxBytesReader(nil, r.Body, maxRequestBytes)); err != nil {
-		return nil, fmt.Errorf("%w: %v", errInvalidRequest, err)
+		return nil, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
 	}
 	return buf.Bytes(), nil
 }
@@ -479,7 +468,7 @@ func readBody(r *http.Request) ([]byte, error) {
 // backoff policy; permanent classes keep their 4xx codes.
 func statusFor(err error) int {
 	switch {
-	case errors.Is(err, errInvalidRequest):
+	case errors.Is(err, ErrInvalidRequest), errors.Is(err, engine.ErrUnknownColumn):
 		return http.StatusBadRequest
 	case errors.Is(err, errNoJob):
 		return http.StatusNotFound

@@ -54,8 +54,8 @@ func TestParseQueryRequestRejects(t *testing.T) {
 			if err == nil {
 				t.Fatalf("accepted %s", tc.body)
 			}
-			if !errors.Is(err, errInvalidRequest) {
-				t.Errorf("error %v is not errInvalidRequest", err)
+			if !errors.Is(err, ErrInvalidRequest) {
+				t.Errorf("error %v is not ErrInvalidRequest", err)
 			}
 			if req != nil {
 				t.Error("rejected parse returned a request")
@@ -69,7 +69,7 @@ func TestParseQueryRequestRejects(t *testing.T) {
 		cols = append(cols, fmt.Sprintf(`{"name":"c%d"}`, i))
 	}
 	body := `{"table":"t","kind":"orderby","sort_cols":[` + strings.Join(cols, ",") + `]}`
-	if _, err := ParseQueryRequest([]byte(body)); !errors.Is(err, errInvalidRequest) {
+	if _, err := ParseQueryRequest([]byte(body)); !errors.Is(err, ErrInvalidRequest) {
 		t.Errorf("sort_cols over MaxSortCols: %v", err)
 	}
 }
@@ -89,6 +89,40 @@ func TestParseQueryRequestAccepts(t *testing.T) {
 	}
 	if len(q.SortCols) != 2 || !q.SortCols[1].Desc || q.Agg == nil || !q.OrderByAgg {
 		t.Errorf("engine query mangled: %+v", q)
+	}
+}
+
+// TestQueryIDsDoNotGrowMetrics: a query's id is client-chosen, so
+// nothing may register a metric per id — counters are never freed, and
+// mcsd always runs with obs enabled. Distinct ids must leave the
+// registry exactly as one warm-up query left it.
+func TestQueryIDsDoNotGrowMetrics(t *testing.T) {
+	defer testutil.CheckNoLeaks(t)()
+	obs.Enable()
+	defer obs.Disable()
+
+	tbl := testTPCH(t, 1000)
+	srv := newTestServer(t, Config{}, tbl)
+	defer func() {
+		if err := srv.Shutdown(context.Background()); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+	req := reqFromQuery(t, tbl.Name, workloads.TPCHQueries(tbl, "")[0].Query, 1)
+	runAs := func(id string) {
+		t.Helper()
+		req.ID = id
+		if _, err := srv.Run(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runAs("warm-up")
+	before := len(obs.Snapshot().Counters)
+	for i := 0; i < 40; i++ {
+		runAs(fmt.Sprintf("client-chosen-%d", i))
+	}
+	if after := len(obs.Snapshot().Counters); after != before {
+		t.Errorf("40 distinct query ids grew the counter registry from %d to %d", before, after)
 	}
 }
 
@@ -158,7 +192,7 @@ func TestErrorKind(t *testing.T) {
 		{fmt.Errorf("server: %w", pipeerr.ErrBudgetExceeded), "budget"},
 		{ErrShuttingDown, "shutdown"},
 		{fmt.Errorf("wrap: %w", context.Canceled), "execution_timeout"},
-		{fmt.Errorf("%w: nope", errInvalidRequest), "invalid"},
+		{fmt.Errorf("%w: nope", ErrInvalidRequest), "invalid"},
 		{errors.New("boom"), "internal"},
 	}
 	for _, tc := range cases {

@@ -19,7 +19,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pipeerr"
 	"repro/internal/planner"
-	"repro/internal/table"
 )
 
 var (
@@ -34,6 +33,10 @@ var (
 // while keeping a 7-column free-order clause (the paper's widest)
 // bounded.
 const DefaultMaxPlans = 1 << 16
+
+// BuiltinModel returns costmodel.Builtin, the fixed-constant cost model
+// mcsd uses under -model builtin.
+func BuiltinModel() *costmodel.Model { return costmodel.Builtin() }
 
 // Config tunes a Server.
 type Config struct {
@@ -196,13 +199,16 @@ func (s *Server) runEngine(ctx context.Context, jobID string, req QueryRequest, 
 		// An unknown table is the caller's mistake, not a server fault:
 		// classify it with the validation failures (400, kind
 		// "invalid", not retryable), not as kind "internal".
-		return nil, fmt.Errorf("%w: %v", errInvalidRequest, err)
+		return nil, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
 	}
 	q, err := req.ToEngineQuery()
 	if err != nil {
 		return nil, err
 	}
-	widths, err := sortColWidths(t, q)
+	// Every column the query names is resolved here, before admission: a
+	// misspelt one fails as the caller's mistake (engine.ErrUnknownColumn,
+	// kind "invalid") without ever taking a slot.
+	b, err := engine.Bind(t, q)
 	if err != nil {
 		return nil, err
 	}
@@ -213,10 +219,9 @@ func (s *Server) runEngine(ctx context.Context, jobID string, req QueryRequest, 
 	}
 	// Worst-case footprint: every table row selected, one round per
 	// 16-bit slice of the concatenated key (no plan can have more).
-	nCols := len(widths)
-	totalW := 0
-	for _, w := range widths {
-		totalW += w
+	nCols, totalW := len(b.Cols), 0
+	for _, bs := range b.Cols {
+		totalW += bs.Width
 	}
 	maxRounds := (totalW + 15) / 16
 	if maxRounds < nCols {
@@ -245,7 +250,7 @@ func (s *Server) runEngine(ctx context.Context, jobID string, req QueryRequest, 
 	// nor populate the plan cache — a zero-value plan must not be
 	// memoized under their key.
 	cacheable := req.Limit == nil || *req.Limit > 0
-	key := planKey(t, q, widths, workers, s.cfg.Rho, s.cfg.MaxPlans, req.Limit, req.Offset, req.ColOrder)
+	key := PlanKey(b, workers, s.cfg.Rho, s.cfg.MaxPlans, req.Limit, req.Offset, req.ColOrder)
 	var choice planner.Choice
 	hit := false
 	if cacheable {
@@ -304,58 +309,41 @@ func maxQueryBytes(reqBytes, serverBytes, reserved int64) int64 {
 	return 0
 }
 
-// sortColWidths resolves the bit width of every sort column (including
-// a window's order column), validating the columns exist.
-func sortColWidths(t *table.Table, q engine.Query) ([]int, error) {
-	cols := make([]string, 0, len(q.SortCols)+1)
-	for _, sc := range q.SortCols {
-		cols = append(cols, sc.Name)
-	}
-	if q.Window != nil {
-		cols = append(cols, q.Window.OrderCol)
-	}
-	widths := make([]int, len(cols))
-	for i, name := range cols {
-		bs, err := t.ByteSlice(name)
-		if err != nil {
-			return nil, err
-		}
-		widths[i] = bs.Width
-	}
-	return widths, nil
-}
-
-// planKey builds the cache key: everything the search outcome depends
-// on. Filters are included because they change the row count the cost
-// model sees; workers because calibration may become worker-aware;
-// limit and offset because the truncated cost model shifts plan
-// crossovers with the cut rank (-1 encodes "no limit", which is
-// distinct from every literal value); a pinned column order because it
-// confines the search to one permutation.
-func planKey(t *table.Table, q engine.Query, widths []int, workers int, rho float64, maxPlans int, limit *int, offset int, colOrder []int) string {
+// PlanKey builds the plan-cache key of a bound query: everything the
+// search outcome depends on. Filters are included because they change
+// the row count the cost model sees; workers because calibration may
+// become worker-aware; limit and offset because the truncated cost
+// model shifts plan crossovers with the cut rank (-1 encodes "no
+// limit", which is distinct from every literal value); a pinned column
+// order because it confines the search to one permutation. The
+// coordinator extends the key with its shard topology so a cached
+// pinned order is never replayed across re-partitionings.
+func PlanKey(b *engine.Bound, workers int, rho float64, maxPlans int, limit *int, offset int, colOrder []int) string {
+	t, q := b.Table, b.Query
 	lim := -1
 	if limit != nil {
 		lim = *limit
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "t=%s|n=%d|k=%d|rho=%g|mp=%d|w=%d|oba=%t|lim=%d|off=%d", t.Name, t.N, q.Kind, rho, maxPlans, workers, q.OrderByAgg, lim, offset)
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "t=%s|n=%d|k=%d|rho=%g|mp=%d|w=%d|oba=%t|lim=%d|off=%d", t.Name, t.N, q.Kind, rho, maxPlans, workers, q.OrderByAgg, lim, offset)
 	if len(colOrder) > 0 {
-		fmt.Fprintf(&b, "|co=%v", colOrder)
+		fmt.Fprintf(&sb, "|co=%v", colOrder)
 	}
-	for i, sc := range q.SortCols {
-		fmt.Fprintf(&b, "|c=%s/%d/%t", sc.Name, widths[i], sc.Desc)
-	}
-	if q.Window != nil {
-		fmt.Fprintf(&b, "|win=%s/%d/%t", q.Window.OrderCol, widths[len(widths)-1], q.Window.Desc)
+	for i, sc := range b.Sort {
+		tag := "c"
+		if i == len(q.SortCols) {
+			tag = "win" // the window's ORDER BY column
+		}
+		fmt.Fprintf(&sb, "|%s=%s/%d/%t", tag, sc.Name, b.Cols[i].Width, sc.Desc)
 	}
 	for _, f := range q.Filters {
 		if f.Between {
-			fmt.Fprintf(&b, "|f=%s between %d %d", f.Col, f.Lo, f.Hi)
+			fmt.Fprintf(&sb, "|f=%s between %d %d", f.Col, f.Lo, f.Hi)
 		} else {
-			fmt.Fprintf(&b, "|f=%s %d %d", f.Col, f.Op, f.Const)
+			fmt.Fprintf(&sb, "|f=%s %d %d", f.Col, f.Op, f.Const)
 		}
 	}
-	return b.String()
+	return sb.String()
 }
 
 // buildResult converts an engine result into the wire form.
@@ -394,7 +382,7 @@ func errorKind(err error) string {
 		return "shutdown"
 	case pipeerr.IsCtxErr(err):
 		return "execution_timeout"
-	case errors.Is(err, errInvalidRequest):
+	case errors.Is(err, ErrInvalidRequest), errors.Is(err, engine.ErrUnknownColumn):
 		return "invalid"
 	case errors.Is(err, errNoJob):
 		return "not_found"
@@ -405,4 +393,13 @@ func errorKind(err error) string {
 	default:
 		return "internal"
 	}
+}
+
+// Classify is the single-node Backend classifier: the wire kind
+// (queue_timeout, budget, watchdog, shutdown, execution_timeout,
+// invalid, not_found, not_finished, pipeline, or the residual
+// internal), pipeerr's retryability verdict, and the HTTP status. The
+// coordinator's classifier layers its shard kinds over it.
+func Classify(err error) (kind string, retryable bool, status int) {
+	return errorKind(err), pipeerr.Retryable(err), statusFor(err)
 }

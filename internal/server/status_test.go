@@ -31,7 +31,7 @@ func TestStatusMapping(t *testing.T) {
 		kind      string
 		retryable bool
 	}{
-		{"invalid request", fmt.Errorf("%w: bad", errInvalidRequest), http.StatusBadRequest, "invalid", false},
+		{"invalid request", fmt.Errorf("%w: bad", ErrInvalidRequest), http.StatusBadRequest, "invalid", false},
 		{"no such job", fmt.Errorf("%w: %q", errNoJob, "j9"), http.StatusNotFound, "not_found", false},
 		{"not finished", fmt.Errorf("%w: job j1 is running", errNotFinished), http.StatusConflict, "not_finished", false},
 		{"shutting down", ErrShuttingDown, http.StatusServiceUnavailable, "shutdown", false},
@@ -84,7 +84,7 @@ func TestWriteErrorBody(t *testing.T) {
 	}
 
 	rec = httptest.NewRecorder()
-	writeError(rec, Classify, fmt.Errorf("%w: nope", errInvalidRequest))
+	writeError(rec, Classify, fmt.Errorf("%w: nope", ErrInvalidRequest))
 	if rec.Header().Get("Retry-After") != "" {
 		t.Error("400 must not carry Retry-After")
 	}

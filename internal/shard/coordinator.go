@@ -19,7 +19,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/byteslice"
 	"repro/internal/client"
 	"repro/internal/costmodel"
 	"repro/internal/engine"
@@ -29,7 +28,6 @@ import (
 	"repro/internal/plan"
 	"repro/internal/planner"
 	"repro/internal/server"
-	"repro/internal/table"
 )
 
 var (
@@ -195,9 +193,12 @@ func (c *Coordinator) execute(ctx context.Context, jobID string, req server.Quer
 	if err != nil {
 		return nil, err
 	}
-	widths, err := server.SortColWidths(t, q)
+	// Every column the query names is resolved before the fan-out: a
+	// misspelt one fails here as the caller's mistake
+	// (engine.ErrUnknownColumn, kind "invalid"), not on N shards.
+	b, err := engine.Bind(t, q)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", server.ErrInvalidRequest, err)
+		return nil, err
 	}
 
 	workers := req.Workers
@@ -215,7 +216,7 @@ func (c *Coordinator) execute(ctx context.Context, jobID string, req server.Quer
 	var choice planner.Choice
 	planHit := false
 	if !limit0 {
-		choice, planHit, err = c.pinnedChoice(ctx, t, req, q, widths, workers)
+		choice, planHit, err = c.pinnedChoice(ctx, b, req, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -226,7 +227,7 @@ func (c *Coordinator) execute(ctx context.Context, jobID string, req server.Quer
 	extendWatchdog(choice.Est)
 
 	execStart := time.Now()
-	subs := buildSubRequests(req, choice.ColOrder)
+	subs := buildSubRequests(req, q, choice.ColOrder)
 	results := make([][]*server.QueryResult, len(subs))
 	for vi := range results {
 		results[vi] = make([]*server.QueryResult, len(c.cfg.Shards))
@@ -284,18 +285,14 @@ func (c *Coordinator) execute(ctx context.Context, jobID string, req server.Quer
 		return res, nil
 	}
 
+	spec := newMergeSpec(b, choice.ColOrder)
 	if q.Window != nil {
-		ranks, oids, err := c.mergeWindowParts(ctx, t, q, req, choice.ColOrder, widths, results[0], workers)
-		if err != nil {
-			return nil, err
-		}
-		res.Ranks, res.RowOids = ranks, oids
+		res.Ranks, res.RowOids, err = c.mergeWindowParts(ctx, b, req, spec, results[0], workers)
 	} else {
-		gk, agg, err := c.mergeGroupParts(ctx, q, req, choice.ColOrder, widths, results, workers)
-		if err != nil {
-			return nil, err
-		}
-		res.GroupKeys, res.Aggregates = gk, agg
+		res.GroupKeys, res.Aggregates, err = mergeGroupParts(ctx, q, req, spec, results, workers)
+	}
+	if err != nil {
+		return nil, err
 	}
 	obsExecTime.Add(time.Since(execStart))
 	res.ExecNS = time.Since(execStart).Nanoseconds()
@@ -316,25 +313,20 @@ func (c *Coordinator) execute(ctx context.Context, jobID string, req server.Quer
 // ORDER BY <agg> sorts by a value only the gather knows, so those
 // sub-queries drop the cut and the agg-sort entirely and return full
 // key-ordered group tables.
-func buildSubRequests(req server.QueryRequest, pin []int) []server.QueryRequest {
+func buildSubRequests(req server.QueryRequest, q engine.Query, pin []int) []server.QueryRequest {
 	sub := req
 	sub.TimeoutMS = 0
 	sub.ColOrder = nil
 	if len(pin) > 0 {
 		sub.ColOrder = append([]int(nil), pin...)
 	}
-	switch {
-	case req.OrderByAgg:
-		sub.OrderByAgg = false
-		sub.Limit, sub.Offset = nil, 0
-	case req.Limit != nil:
-		cut := 0
-		if *req.Limit > 0 {
-			cut = req.Offset + *req.Limit
-		}
-		sub.Limit, sub.Offset = &cut, 0
-	default:
-		sub.Offset = 0
+	sub.OrderByAgg = false
+	sub.Limit, sub.Offset = nil, 0
+	if req.Limit != nil && !req.OrderByAgg {
+		// The rank the single node's sort would stop at; 0 for LIMIT 0.
+		rows, groups := engine.SortCut(q, req.Limit, req.Offset)
+		cut := rows + groups // one of the two is zero
+		sub.Limit = &cut
 	}
 	if req.Agg != nil && req.Agg.Kind == "avg" {
 		cnt := sub
@@ -350,13 +342,7 @@ func buildSubRequests(req server.QueryRequest, pin []int) []server.QueryRequest 
 // one: decode, validate, merge-and-combine, then re-apply the pieces
 // the sub-queries stripped (the aggregate sort of ORDER BY <agg>, the
 // avg division, the LIMIT/OFFSET window).
-func (c *Coordinator) mergeGroupParts(ctx context.Context, q engine.Query, req server.QueryRequest, pin []int, widths []int, results [][]*server.QueryResult, workers int) ([][]uint64, []uint64, error) {
-	m := len(q.SortCols)
-	spec := mergeSpec{order: pin, widths: widths, desc: make([]bool, m)}
-	for i, sc := range q.SortCols {
-		spec.desc[i] = sc.Desc
-	}
-
+func mergeGroupParts(ctx context.Context, q engine.Query, req server.QueryRequest, spec mergeSpec, results [][]*server.QueryResult, workers int) ([][]uint64, []uint64, error) {
 	avg := q.Agg != nil && q.Agg.Kind == engine.Avg
 	parts := make([]groupsPart, len(results[0]))
 	for si, pr := range results[0] {
@@ -410,51 +396,23 @@ func (c *Coordinator) mergeGroupParts(ctx context.Context, q engine.Query, req s
 		}
 	}
 
-	lo, hi := cutWindow(len(merged.keys), req.Limit, req.Offset)
+	lo, hi := engine.OutputWindow(len(merged.keys), req.Limit, req.Offset)
 	return merged.keys[lo:hi], merged.agg[lo:hi], nil
-}
-
-// cutWindow clamps [offset, offset+limit) to n entries.
-func cutWindow(n int, limit *int, offset int) (int, int) {
-	lo := offset
-	if lo > n {
-		lo = n
-	}
-	hi := n
-	if limit != nil && lo+*limit < hi {
-		hi = lo + *limit
-	}
-	return lo, hi
 }
 
 // mergeWindowParts merges the per-shard ranked-row results of a window
 // query. Shards return local oids in their local sort order; the
-// coordinator maps them to global oids (range base + local oid),
-// rebuilds the massaged sort keys from its own full table, merges the
-// runs — TopK with the tie-extended cut under a LIMIT — and recomputes
-// ranks over the merged prefix exactly as the engine does (ranks only
-// look backward, so ranking the prefix is exact).
-func (c *Coordinator) mergeWindowParts(ctx context.Context, t *table.Table, q engine.Query, req server.QueryRequest, pin []int, widths []int, parts []*server.QueryResult, workers int) ([]uint32, []uint32, error) {
-	m := len(q.SortCols) + 1
-	spec := mergeSpec{order: pin, widths: widths, desc: make([]bool, m)}
-	for i, sc := range q.SortCols {
-		spec.desc[i] = sc.Desc
-	}
-	spec.desc[m-1] = q.Window.Desc
-
-	cols := make([]*byteslice.BS, m)
-	for i, name := range sortColNames(q) {
-		bs, err := t.ByteSlice(name)
-		if err != nil {
-			return nil, nil, err
-		}
-		cols[i] = bs
-	}
+// coordinator rebuilds the massaged sort keys from its own full table
+// (validating each run on the way), merges the runs — TopK with the
+// tie-extended cut under a LIMIT — maps the merged order to global oids
+// (range base + local oid), and ranks it with the engine's own RANK,
+// reading codes from the full table by global oid (ranks only look
+// backward, so ranking the merged prefix is exact).
+func (c *Coordinator) mergeWindowParts(ctx context.Context, b *engine.Bound, req server.QueryRequest, spec mergeSpec, parts []*server.QueryResult, workers int) ([]uint32, []uint32, error) {
 	ranges := c.ranges[req.Table]
 	if len(ranges) != len(parts) {
 		return nil, nil, fmt.Errorf("%w: %d shard results for %d ranges", errShardInvalid, len(parts), len(ranges))
 	}
-
 	total := 0
 	for si, pr := range parts {
 		if len(pr.Ranks) != len(pr.RowOids) {
@@ -463,20 +421,18 @@ func (c *Coordinator) mergeWindowParts(ctx context.Context, t *table.Table, q en
 		total += len(pr.RowOids)
 	}
 
-	cut := 0
-	if req.Limit != nil {
-		cut = req.Offset + *req.Limit
+	kb := newKeyBuilder(spec, total)
+	for si, pr := range parts {
+		if err := kb.addRows(ctx, b.Cols, ranges[si], pr.RowOids, si); err != nil {
+			return nil, nil, err
+		}
 	}
-
-	// Rebuild each part's sort keys from the full table and check the
-	// part really is in sorted order with ascending-oid ties — the
-	// invariant the no-compare merge relies on.
-	flat, err := c.mergeWindowRuns(ctx, spec, cols, ranges, parts, total, cut, workers)
+	cut, _ := engine.SortCut(b.Query, req.Limit, req.Offset)
+	flat, err := kb.merge(ctx, cut, workers)
 	if err != nil {
 		return nil, nil, err
 	}
 
-	offsets := partOffsets(len(parts), func(i int) int { return len(parts[i].RowOids) })
 	oids := make([]uint32, len(flat))
 	for i, f := range flat {
 		if i&(mergeCtxStride-1) == 0 {
@@ -484,122 +440,20 @@ func (c *Coordinator) mergeWindowParts(ctx context.Context, t *table.Table, q en
 				return nil, nil, err
 			}
 		}
-		pi, li := locateFlat(offsets, f)
+		pi, li := locateFlat(kb.runs, f)
 		oids[i] = uint32(ranges[pi].Lo) + parts[pi].RowOids[li]
 	}
 
-	// Rank recomputation, replicating the engine: partition on equality
-	// of the partition columns' codes, rank counts rows and advances on
-	// an order-code change (code inequality is invariant under the
-	// descending complement, so raw codes suffice).
-	nPart := m - 1
-	samePartition := func(a, b uint32) bool {
-		for ci := 0; ci < nPart; ci++ {
-			if cols[ci].Lookup(int(a)) != cols[ci].Lookup(int(b)) {
-				return false
-			}
+	ranks, err := engine.RankSorted(ctx, oids, len(b.Cols), func(oid uint32, dst []uint64) {
+		for ci, bs := range b.Cols {
+			dst[ci] = bs.Lookup(int(oid))
 		}
-		return true
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	orderCol := cols[m-1]
-	ranks := make([]uint32, len(oids))
-	partStart := 0
-	var rank, seen uint32
-	for i, cur := range oids {
-		if i&(mergeCtxStride-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, err
-			}
-		}
-		if i == 0 || !samePartition(cur, oids[partStart]) {
-			partStart, rank, seen = i, 1, 1
-		} else {
-			seen++
-			if orderCol.Lookup(int(cur)) != orderCol.Lookup(int(oids[i-1])) {
-				rank = seen
-			}
-		}
-		ranks[i] = rank
-	}
-
-	lo := req.Offset
-	if lo > len(oids) {
-		lo = len(oids)
-	}
-	return ranks[lo:], oids[lo:], nil
-}
-
-// mergeWindowRuns builds the massaged keys of every part from the full
-// table and merges the runs, returning the merged flat-index order cut
-// at the global limit (0 = no cut). Each part is validated on the way:
-// oids inside the shard's range, keys non-decreasing, ties in
-// ascending oid order.
-func (c *Coordinator) mergeWindowRuns(ctx context.Context, spec mergeSpec, cols []*byteslice.BS, ranges []Range, parts []*server.QueryResult, total, cut, workers int) ([]uint32, error) {
-	m := len(spec.order)
-	vals := make([]uint64, m)
-	if spec.totalWidth() <= 64 {
-		keys := make([]uint64, 0, total)
-		runs := []int{0}
-		for si, pr := range parts {
-			var prevKey uint64
-			var prevOid uint32
-			for i, oid := range pr.RowOids {
-				if i&(mergeCtxStride-1) == 0 {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-				}
-				if int(oid) >= ranges[si].Len() {
-					return nil, fmt.Errorf("%w: shard %d row oid %d outside its %d-row range", errShardInvalid, si, oid, ranges[si].Len())
-				}
-				g := ranges[si].Lo + int(oid)
-				for ci := range cols {
-					vals[ci] = cols[ci].Lookup(g)
-				}
-				k := spec.pack(vals)
-				if i > 0 && (k < prevKey || (k == prevKey && oid <= prevOid)) {
-					return nil, fmt.Errorf("%w: shard %d row %d out of sort order", errShardInvalid, si, i)
-				}
-				prevKey, prevOid = k, oid
-				keys = append(keys, k)
-			}
-			runs = append(runs, len(keys))
-		}
-		return mergeRows64(ctx, keys, runs, cut, workers)
-	}
-
-	vecs := make([][]uint64, 0, total)
-	runs := []int{0}
-	buf := make([]uint64, m)
-	for si, pr := range parts {
-		prev := make([]uint64, m)
-		var prevOid uint32
-		for i, oid := range pr.RowOids {
-			if i&(mergeCtxStride-1) == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			if int(oid) >= ranges[si].Len() {
-				return nil, fmt.Errorf("%w: shard %d row oid %d outside its %d-row range", errShardInvalid, si, oid, ranges[si].Len())
-			}
-			g := ranges[si].Lo + int(oid)
-			for ci := range cols {
-				vals[ci] = cols[ci].Lookup(g)
-			}
-			spec.massage(vals, buf)
-			if i > 0 {
-				if cmp := compareVec(prev, buf); cmp > 0 || (cmp == 0 && oid <= prevOid) {
-					return nil, fmt.Errorf("%w: shard %d row %d out of sort order", errShardInvalid, si, i)
-				}
-			}
-			copy(prev, buf)
-			prevOid = oid
-			vecs = append(vecs, append([]uint64(nil), buf...))
-		}
-		runs = append(runs, len(vecs))
-	}
-	return mergeWide(ctx, vecs, runs, cut)
+	lo, hi := engine.OutputWindow(len(oids), req.Limit, req.Offset)
+	return ranks[lo:hi], oids[lo:hi], nil
 }
 
 // classify is the coordinator's Backend classifier: the single-node

@@ -109,11 +109,14 @@ func TestCrossShardDifferentialBattery(t *testing.T) {
 	// path.
 	okey := func(pair, cell string) string { return pair + "|" + cell }
 	oracle := make(map[string][]byte)
+	oraclePlan := make(map[string]string) // the single node's plan and column order
 	for _, p := range pairs {
 		for _, c := range cells {
 			req := p.req
 			req.Limit, req.Offset = c.limit, c.offset
-			oracle[okey(p.label, c.label)] = runOracle(t, p.tbl, req, 4)
+			res := runOracleResult(t, p.tbl, req, 4)
+			oracle[okey(p.label, c.label)] = canonEngine(t, res)
+			oraclePlan[okey(p.label, c.label)] = fmt.Sprint(res.Plan.String(), res.ColOrder)
 		}
 	}
 
@@ -141,11 +144,11 @@ func TestCrossShardDifferentialBattery(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							widths, err := server.SortColWidths(p.tbl, q)
+							b, err := engine.Bind(p.tbl, q)
 							if err != nil {
 								t.Fatal(err)
 							}
-							pk = server.PlanKey(p.tbl, q, widths, w, -1, testMaxPlans, c.limit, c.offset)
+							pk = server.PlanKey(b, w, -1, testMaxPlans, c.limit, c.offset, nil)
 						}
 
 						res, err := coord.Run(ctx, req)
@@ -161,6 +164,11 @@ func TestCrossShardDifferentialBattery(t *testing.T) {
 						got := canonServer(t, res)
 						if want := oracle[okey(p.label, c.label)]; !bytes.Equal(got, want) {
 							t.Errorf("%s: %d-shard result diverges from the single-node engine\n got: %s\nwant: %s", k, nShards, got, want)
+						}
+						// The pin is the engine's plan function over the full
+						// table: same plan, same column order, on every cell.
+						if got, want := fmt.Sprint(res.Plan, res.ColOrder), oraclePlan[okey(p.label, c.label)]; got != want {
+							t.Errorf("%s: coordinator pinned %s, the single node chose %s", k, got, want)
 						}
 						if nShards == 1 {
 							oneShard[k] = got

@@ -1,8 +1,8 @@
 package shard
 
 // FuzzShardMerge fuzzes the coordinator's trust boundary: the per-shard
-// group-table decode (validateGroups) and the cross-shard merge behind
-// it. Raw mode feeds arbitrary decoded bytes straight in — the merge
+// group-table decode (keyBuilder.addGroups) and the cross-shard merge
+// behind it. Raw mode feeds arbitrary decoded bytes straight in — the merge
 // must either reject them as errShardInvalid or produce a well-formed
 // combined table, never panic or corrupt. Canon mode repairs the fuzz
 // input into valid per-shard tables and then requires the full
@@ -79,11 +79,8 @@ func decodeParts(data []byte, sp mergeSpec, canon, withAux bool) []groupsPart {
 			for i := range idx {
 				idx[i] = i
 			}
-			a, b := make([]uint64, m), make([]uint64, m)
 			sort.SliceStable(idx, func(x, y int) bool {
-				sp.massage(p.keys[idx[x]], a)
-				sp.massage(p.keys[idx[y]], b)
-				return compareVec(a, b) < 0
+				return compareVec(massagedVec(sp, p.keys[idx[x]]), massagedVec(sp, p.keys[idx[y]])) < 0
 			})
 			q := groupsPart{}
 			for _, i := range idx {
@@ -120,12 +117,8 @@ func referenceMerge(parts []groupsPart, sp mergeSpec, withAux bool) *mergedGroup
 			rows = append(rows, r)
 		}
 	}
-	m := len(sp.order)
-	a, b := make([]uint64, m), make([]uint64, m)
 	sort.SliceStable(rows, func(x, y int) bool {
-		sp.massage(rows[x].vec, a)
-		sp.massage(rows[y].vec, b)
-		return compareVec(a, b) < 0
+		return compareVec(massagedVec(sp, rows[x].vec), massagedVec(sp, rows[y].vec)) < 0
 	})
 	out := &mergedGroups{}
 	for _, r := range rows {
@@ -176,14 +169,13 @@ func FuzzShardMerge(f *testing.F) {
 		if len(merged.agg) != len(merged.keys) || (merged.aux != nil && len(merged.aux) != len(merged.keys)) {
 			t.Fatalf("merged table misaligned: %d keys, %d agg, %d aux", len(merged.keys), len(merged.agg), len(merged.aux))
 		}
-		m := len(sp.order)
-		prev, cur := make([]uint64, m), make([]uint64, m)
+		var prev []uint64
 		for g, vec := range merged.keys {
-			sp.massage(vec, cur)
+			cur := massagedVec(sp, vec)
 			if g > 0 && compareVec(prev, cur) >= 0 {
 				t.Fatalf("merged group %d out of order", g)
 			}
-			prev, cur = cur, prev
+			prev = cur
 		}
 
 		if !canon {
@@ -208,26 +200,18 @@ func FuzzShardMerge(f *testing.F) {
 		if sp.totalWidth() > 64 {
 			return
 		}
-		var keys []uint64
-		var vecs [][]uint64
-		runs := []int{0}
-		buf := make([]uint64, m)
-		for _, p := range parts {
-			for _, vec := range p.keys {
-				keys = append(keys, sp.pack(vec))
-				sp.massage(vec, buf)
-				vecs = append(vecs, append([]uint64(nil), buf...))
+		flat := make(map[string][]uint32)
+		for form, kb := range bothBuilders(sp) {
+			for _, p := range parts {
+				if err := kb.addGroups(ctx, p); err != nil {
+					t.Fatalf("%s keys: canonical part rejected: %v", form, err)
+				}
 			}
-			runs = append(runs, len(keys))
+			if flat[form], err = kb.merge(ctx, 0, 2); err != nil {
+				t.Fatal(err)
+			}
 		}
-		packed, err := mergeRows64(ctx, keys, runs, 0, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wide, err := mergeWide(ctx, vecs, runs, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		packed, wide := flat["packed"], flat["wide"]
 		if len(packed) != len(wide) {
 			t.Fatalf("packed merge has %d elements, wide %d", len(packed), len(wide))
 		}

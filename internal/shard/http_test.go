@@ -216,6 +216,15 @@ func TestWireContract(t *testing.T) {
 			// A valid submit against a missing table is accepted and fails
 			// asynchronously as the caller's mistake, not an internal fault.
 			w.wantFailed("unknown table", `{"table":"nope","kind":"orderby","sort_cols":[{"name":"a"}]}`, "invalid", http.StatusBadRequest)
+			// So is a column the table does not have, in any position.
+			for label, payload := range map[string]string{
+				"unknown sort column":         `{"table":"narrow0","kind":"orderby","sort_cols":[{"name":"a"},{"name":"nosuch"}]}`,
+				"unknown window order column": `{"table":"narrow0","kind":"partitionby","sort_cols":[{"name":"a"}],"window":{"order_col":"nosuch"}}`,
+				"unknown filter column":       `{"table":"narrow0","kind":"orderby","sort_cols":[{"name":"a"}],"filters":[{"col":"nosuch","op":"eq","const":1}]}`,
+				"unknown aggregate column":    `{"table":"narrow0","kind":"groupby","sort_cols":[{"name":"a"}],"agg":{"kind":"sum","col":"nosuch"}}`,
+			} {
+				w.wantFailed(label, payload, "invalid", http.StatusBadRequest)
+			}
 
 			// Result before finish: hold the query inside the engine's
 			// gather (the coordinator's shards run in this process too).

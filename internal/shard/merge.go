@@ -12,7 +12,9 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/byteslice"
 	"repro/internal/column"
+	"repro/internal/engine"
 	"repro/internal/mergesort"
 )
 
@@ -35,6 +37,15 @@ type mergeSpec struct {
 	desc   []bool // descending flag per clause position
 }
 
+// newMergeSpec is the spec of a bound query under the pinned order.
+func newMergeSpec(b *engine.Bound, pin []int) mergeSpec {
+	sp := mergeSpec{order: pin, widths: make([]int, len(b.Sort)), desc: make([]bool, len(b.Sort))}
+	for i, sc := range b.Sort {
+		sp.widths[i], sp.desc[i] = b.Cols[i].Width, sc.Desc
+	}
+	return sp
+}
+
 // totalWidth is the concatenated key width; <= 64 enables the packed
 // parallel merge paths.
 func (sp mergeSpec) totalWidth() int {
@@ -45,30 +56,14 @@ func (sp mergeSpec) totalWidth() int {
 	return w
 }
 
-// pack builds the packed massaged key of one clause-order vector.
-// Callers must have checked totalWidth() <= 64.
-func (sp mergeSpec) pack(vals []uint64) uint64 {
-	var k uint64
-	for _, c := range sp.order {
-		v := vals[c] & column.Mask(sp.widths[c])
-		if sp.desc[c] {
-			v = column.Complement(v, sp.widths[c])
-		}
-		k = k<<uint(sp.widths[c]) | v
+// code is clause column c of vals as the shards sorted it: masked to
+// the column's width, complemented when the column sorts descending.
+func (sp mergeSpec) code(vals []uint64, c int) uint64 {
+	v := vals[c] & column.Mask(sp.widths[c])
+	if sp.desc[c] {
+		v = column.Complement(v, sp.widths[c])
 	}
-	return k
-}
-
-// massage fills out with the massaged vector in sort order (for the
-// wide-key lexicographic compare).
-func (sp mergeSpec) massage(vals []uint64, out []uint64) {
-	for i, c := range sp.order {
-		v := vals[c] & column.Mask(sp.widths[c])
-		if sp.desc[c] {
-			v = column.Complement(v, sp.widths[c])
-		}
-		out[i] = v
-	}
+	return v
 }
 
 // compareVec is the lexicographic order of equal-length massaged
@@ -85,6 +80,78 @@ func compareVec(a, b []uint64) int {
 	return 0
 }
 
+// keyBuilder turns the shards' runs into the massaged keys the merge
+// orders by — one packed uint64 per entry when the clause fits 64 bits,
+// one massaged vector per entry otherwise — massaging every entry
+// exactly once and checking, in the same pass, that each run really is
+// in the order the shards were asked to sort in: the invariant the
+// no-compare-data merge relies on. Both result shapes build their keys
+// here (addGroups, addRows); merge hands them to the matching merge.
+type keyBuilder struct {
+	sp   mergeSpec
+	wide bool       // concatenated width > 64 bits
+	keys []uint64   // packed keys (!wide)
+	vecs [][]uint64 // massaged vectors in sort order (wide)
+	runs []int      // run boundaries: runs[0] = 0, one more per finished run; the merges only read them
+}
+
+func newKeyBuilder(sp mergeSpec, total int) *keyBuilder {
+	kb := &keyBuilder{sp: sp, wide: sp.totalWidth() > 64, runs: []int{0}}
+	if kb.wide {
+		kb.vecs = make([][]uint64, 0, total)
+	} else {
+		kb.keys = make([]uint64, 0, total)
+	}
+	return kb
+}
+
+func (kb *keyBuilder) len() int { return len(kb.keys) + len(kb.vecs) }
+
+// endRun closes the current run.
+func (kb *keyBuilder) endRun() { kb.runs = append(kb.runs, kb.len()) }
+
+// add massages one clause-order vector into the next key of the current
+// run. It reports false — and adds nothing — when the key breaks the
+// run's order: below its predecessor, or equal to it when tieOK is
+// false.
+func (kb *keyBuilder) add(vals []uint64, tieOK bool) bool {
+	sp := kb.sp
+	first := kb.len() == kb.runs[len(kb.runs)-1]
+	if kb.wide {
+		vec := make([]uint64, len(sp.order))
+		for i, c := range sp.order {
+			vec[i] = sp.code(vals, c)
+		}
+		if !first {
+			if cmp := compareVec(kb.vecs[len(kb.vecs)-1], vec); cmp > 0 || (cmp == 0 && !tieOK) {
+				return false
+			}
+		}
+		kb.vecs = append(kb.vecs, vec)
+		return true
+	}
+	var k uint64
+	for _, c := range sp.order {
+		k = k<<uint(sp.widths[c]) | sp.code(vals, c)
+	}
+	if !first {
+		if prev := kb.keys[len(kb.keys)-1]; k < prev || (k == prev && !tieOK) {
+			return false
+		}
+	}
+	kb.keys = append(kb.keys, k)
+	return true
+}
+
+// merge merges the finished runs and returns the merged flat-index
+// order (run boundaries at runs), cut at limit when limit > 0.
+func (kb *keyBuilder) merge(ctx context.Context, limit, workers int) ([]uint32, error) {
+	if kb.wide {
+		return mergeWide(ctx, kb.vecs, kb.runs, limit)
+	}
+	return mergeRows64(ctx, kb.keys, kb.runs, limit, workers)
+}
+
 // groupsPart is one shard's decoded group table: clause-order key
 // vectors, the primary aggregate, and an optional auxiliary aggregate
 // (the sum vector of an avg query, merged alongside the count).
@@ -94,38 +161,69 @@ type groupsPart struct {
 	aux  []uint64
 }
 
-// validateGroups checks one shard's group table against the query
-// shape before its values reach the merge: vector lengths, key codes
-// inside their column widths, and strict ascending massaged order
-// (groups are distinct keys, so equal adjacent keys are as broken as
-// descending ones). Everything a confused or truncated shard response
-// could get wrong fails here with errShardInvalid instead of
+// addGroups adds one shard's group table as a run, checking it against
+// the query shape before its values reach the merge: vector lengths,
+// key codes inside their column widths, and strict ascending massaged
+// order (groups are distinct keys, so equal adjacent keys are as broken
+// as descending ones). Everything a confused or truncated shard
+// response could get wrong fails here with errShardInvalid instead of
 // corrupting the merged result.
-func validateGroups(p groupsPart, sp mergeSpec) error {
+func (kb *keyBuilder) addGroups(ctx context.Context, p groupsPart) error {
 	if len(p.keys) != len(p.agg) {
 		return fmt.Errorf("%w: %d group keys, %d aggregates", errShardInvalid, len(p.keys), len(p.agg))
 	}
 	if p.aux != nil && len(p.aux) != len(p.agg) {
 		return fmt.Errorf("%w: %d aux aggregates for %d groups", errShardInvalid, len(p.aux), len(p.agg))
 	}
-	m := len(sp.order)
-	prev := make([]uint64, m)
-	cur := make([]uint64, m)
+	sp := kb.sp
 	for g, vec := range p.keys {
-		if len(vec) != m {
-			return fmt.Errorf("%w: group %d has %d key columns, want %d", errShardInvalid, g, len(vec), m)
+		if g&(mergeCtxStride-1) == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		if len(vec) != len(sp.order) {
+			return fmt.Errorf("%w: group %d has %d key columns, want %d", errShardInvalid, g, len(vec), len(sp.order))
 		}
 		for c, v := range vec {
 			if v&^column.Mask(sp.widths[c]) != 0 {
 				return fmt.Errorf("%w: group %d key column %d value %d exceeds width %d", errShardInvalid, g, c, v, sp.widths[c])
 			}
 		}
-		sp.massage(vec, cur)
-		if g > 0 && compareVec(prev, cur) >= 0 {
+		if !kb.add(vec, false) {
 			return fmt.Errorf("%w: group %d out of sort order", errShardInvalid, g)
 		}
-		prev, cur = cur, prev
 	}
+	kb.endRun()
+	return nil
+}
+
+// addRows adds one shard's sorted rows as a run: local oids in the
+// shard's sort order, whose sort-column codes the coordinator reads
+// from its own full table at the global oid (range base + local oid).
+// The run must have its oids inside the shard's range, keys
+// non-decreasing, and ties in ascending oid order.
+func (kb *keyBuilder) addRows(ctx context.Context, cols []*byteslice.BS, rng Range, oids []uint32, shard int) error {
+	vals := make([]uint64, len(cols))
+	var prevOid uint32
+	for i, oid := range oids {
+		if i&(mergeCtxStride-1) == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		if int(oid) >= rng.Len() {
+			return fmt.Errorf("%w: shard %d row oid %d outside its %d-row range", errShardInvalid, shard, oid, rng.Len())
+		}
+		for c, bs := range cols {
+			vals[c] = bs.Lookup(rng.Lo + int(oid))
+		}
+		if !kb.add(vals, oid > prevOid) {
+			return fmt.Errorf("%w: shard %d row %d out of sort order", errShardInvalid, shard, i)
+		}
+		prevOid = oid
+	}
+	kb.endRun()
 	return nil
 }
 
@@ -149,22 +247,18 @@ func mergeGroups(ctx context.Context, parts []groupsPart, sp mergeSpec, workers 
 	hasAux := false
 	total := 0
 	for _, p := range parts {
-		if err := ctx.Err(); err != nil { // validateGroups scans every group
-			return nil, err
-		}
-		if err := validateGroups(p, sp); err != nil {
-			return nil, err
-		}
 		total += len(p.keys)
 		if p.aux != nil {
 			hasAux = true
 		}
 	}
-	if hasAux {
-		for _, p := range parts {
-			if p.aux == nil && len(p.keys) > 0 {
-				return nil, fmt.Errorf("%w: aux aggregate present on some shards only", errShardInvalid)
-			}
+	kb := newKeyBuilder(sp, total)
+	for _, p := range parts {
+		if err := kb.addGroups(ctx, p); err != nil {
+			return nil, err
+		}
+		if hasAux && p.aux == nil && len(p.keys) > 0 {
+			return nil, fmt.Errorf("%w: aux aggregate present on some shards only", errShardInvalid)
 		}
 	}
 	out := &mergedGroups{}
@@ -172,15 +266,13 @@ func mergeGroups(ctx context.Context, parts []groupsPart, sp mergeSpec, workers 
 		return out, nil
 	}
 
-	flat, err := mergeFlatGroups(ctx, parts, sp, total, workers)
+	flat, err := kb.merge(ctx, 0, workers)
 	if err != nil {
 		return nil, err
 	}
 
 	// Combine adjacent equal keys. The flat order is globally sorted,
 	// so one forward pass sees every instance of a key consecutively.
-	offsets := partOffsets(len(parts), func(i int) int { return len(parts[i].keys) })
-	locate := func(f uint32) (int, int) { return locateFlat(offsets, f) }
 	var curVec []uint64
 	for i, f := range flat {
 		if i&(mergeCtxStride-1) == 0 {
@@ -188,7 +280,7 @@ func mergeGroups(ctx context.Context, parts []groupsPart, sp mergeSpec, workers 
 				return nil, err
 			}
 		}
-		pi, gi := locate(f)
+		pi, gi := locateFlat(kb.runs, f)
 		vec := parts[pi].keys[gi]
 		if curVec != nil && sameClauseKey(curVec, vec) {
 			last := len(out.agg) - 1
@@ -218,43 +310,6 @@ func sameClauseKey(a, b []uint64) bool {
 		}
 	}
 	return true
-}
-
-// mergeFlatGroups produces the globally sorted order of all parts'
-// groups as flat indices (part boundaries at cumulative counts).
-func mergeFlatGroups(ctx context.Context, parts []groupsPart, sp mergeSpec, total, workers int) ([]uint32, error) {
-	if sp.totalWidth() <= 64 {
-		keys := make([]uint64, 0, total)
-		runs := []int{0}
-		for _, p := range parts {
-			for _, vec := range p.keys {
-				if len(keys)&(mergeCtxStride-1) == 0 {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-				}
-				keys = append(keys, sp.pack(vec))
-			}
-			runs = append(runs, len(keys))
-		}
-		return mergeRows64(ctx, keys, runs, 0, workers)
-	}
-	vecs := make([][]uint64, 0, total)
-	runs := []int{0}
-	buf := make([]uint64, len(sp.order))
-	for _, p := range parts {
-		for _, vec := range p.keys {
-			if len(vecs)&(mergeCtxStride-1) == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			sp.massage(vec, buf)
-			vecs = append(vecs, append([]uint64(nil), buf...))
-		}
-		runs = append(runs, len(vecs))
-	}
-	return mergeWide(ctx, vecs, runs, 0)
 }
 
 // mergeRows64 merges pre-sorted runs of packed 64-bit keys and returns
@@ -337,17 +392,9 @@ func mergeWide(ctx context.Context, vecs [][]uint64, runs []int, limit int) ([]u
 	return out, nil
 }
 
-// partOffsets returns the cumulative start offset of each part in the
-// flat index space, plus the total as the final entry.
-func partOffsets(parts int, size func(int) int) []int {
-	off := make([]int, parts+1)
-	for i := 0; i < parts; i++ {
-		off[i+1] = off[i] + size(i)
-	}
-	return off
-}
-
-// locateFlat maps a flat index back to (part, local index).
+// locateFlat maps a flat index back to (part, local index); offsets
+// are the parts' cumulative start offsets plus the total — a key
+// builder's runs.
 func locateFlat(offsets []int, f uint32) (int, int) {
 	lo, hi := 0, len(offsets)-1
 	for lo+1 < hi {

@@ -9,6 +9,27 @@ import (
 	"repro/internal/chaos"
 )
 
+// bothBuilders returns a key builder per key form for the same spec:
+// the packed one the width selects (every spec in these tests fits 64
+// bits) and one forced onto the wide, vector-keyed path.
+func bothBuilders(sp mergeSpec) map[string]*keyBuilder {
+	wide := newKeyBuilder(sp, 0)
+	wide.wide = true
+	return map[string]*keyBuilder{"packed": newKeyBuilder(sp, 0), "wide": wide}
+}
+
+// validateGroups runs one shard's group table through the key builder
+// in both key forms, which must agree on the verdict.
+func validateGroups(t *testing.T, p groupsPart, sp mergeSpec) error {
+	t.Helper()
+	kbs := bothBuilders(sp)
+	err := kbs["packed"].addGroups(context.Background(), p)
+	if werr := kbs["wide"].addGroups(context.Background(), p); (err == nil) != (werr == nil) {
+		t.Errorf("packed keys say %v, wide keys say %v", err, werr)
+	}
+	return err
+}
+
 // TestValidateGroupsRejects: every way a confused or truncated shard
 // response can be structurally wrong must fail with errShardInvalid
 // before its values reach the merge.
@@ -36,7 +57,7 @@ func TestValidateGroupsRejects(t *testing.T) {
 			p: groupsPart{keys: [][]uint64{{1, 2}, {1, 2}}, agg: []uint64{3, 4}}},
 	}
 	for _, tc := range cases {
-		err := validateGroups(tc.p, sp)
+		err := validateGroups(t, tc.p, sp)
 		if tc.ok && err != nil {
 			t.Errorf("%s: unexpected error %v", tc.name, err)
 		}
@@ -51,11 +72,11 @@ func TestValidateGroupsRejects(t *testing.T) {
 func TestValidateGroupsDescOrder(t *testing.T) {
 	sp := mergeSpec{order: []int{0, 1}, widths: []int{4, 4}, desc: []bool{true, false}}
 	ok := groupsPart{keys: [][]uint64{{2, 0}, {1, 0}}, agg: []uint64{1, 1}}
-	if err := validateGroups(ok, sp); err != nil {
+	if err := validateGroups(t, ok, sp); err != nil {
 		t.Errorf("descending raw order on a desc column rejected: %v", err)
 	}
 	bad := groupsPart{keys: [][]uint64{{1, 0}, {2, 0}}, agg: []uint64{1, 1}}
-	if err := validateGroups(bad, sp); !errors.Is(err, errShardInvalid) {
+	if err := validateGroups(t, bad, sp); !errors.Is(err, errShardInvalid) {
 		t.Errorf("ascending raw order on a desc column accepted: %v", err)
 	}
 }
@@ -107,38 +128,35 @@ func TestMergeWideMatchesPacked(t *testing.T) {
 	sp := mergeSpec{order: []int{2, 0, 1}, widths: []int{9, 7, 5}, desc: []bool{false, true, false}}
 	rng := chaos.NewRand(42)
 	const runLen = 40
-	var vecsRaw [][]uint64
-	runs := []int{0}
+	var runs [][][]uint64
 	for r := 0; r < 3; r++ {
 		run := make([][]uint64, runLen)
 		for i := range run {
 			// Domain 3 per column: most keys collide across runs.
 			run[i] = []uint64{rng.Uint64() % 3, rng.Uint64() % 3, rng.Uint64() % 3}
 		}
-		sort.SliceStable(run, func(a, b int) bool { return sp.pack(run[a]) < sp.pack(run[b]) })
-		vecsRaw = append(vecsRaw, run...)
-		runs = append(runs, len(vecsRaw))
-	}
-
-	keys := make([]uint64, len(vecsRaw))
-	massaged := make([][]uint64, len(vecsRaw))
-	buf := make([]uint64, len(sp.order))
-	for i, vec := range vecsRaw {
-		keys[i] = sp.pack(vec)
-		sp.massage(vec, buf)
-		massaged[i] = append([]uint64(nil), buf...)
+		sort.SliceStable(run, func(a, b int) bool { return packedKey(sp, run[a]) < packedKey(sp, run[b]) })
+		runs = append(runs, run)
 	}
 
 	ctx := context.Background()
 	for _, limit := range []int{0, 17} {
-		packed, err := mergeRows64(ctx, append([]uint64(nil), keys...), runs, limit, 2)
-		if err != nil {
-			t.Fatal(err)
+		flat := make(map[string][]uint32)
+		for form, kb := range bothBuilders(sp) {
+			for _, run := range runs {
+				for i, vec := range run {
+					if !kb.add(vec, true) {
+						t.Fatalf("%s keys: sorted run rejected at %d", form, i)
+					}
+				}
+				kb.endRun()
+			}
+			var err error
+			if flat[form], err = kb.merge(ctx, limit, 2); err != nil {
+				t.Fatal(err)
+			}
 		}
-		wide, err := mergeWide(ctx, massaged, runs, limit)
-		if err != nil {
-			t.Fatal(err)
-		}
+		packed, wide := flat["packed"], flat["wide"]
 		if len(packed) != len(wide) {
 			t.Fatalf("limit=%d: packed %d elements, wide %d", limit, len(packed), len(wide))
 		}
@@ -151,6 +169,21 @@ func TestMergeWideMatchesPacked(t *testing.T) {
 			t.Errorf("limit=%d: got %d elements", limit, len(packed))
 		}
 	}
+}
+
+// packedKey and massagedVec are the key builder's two key forms of one
+// clause-order vector.
+func packedKey(sp mergeSpec, vec []uint64) uint64 {
+	kb := newKeyBuilder(sp, 1)
+	kb.add(vec, true)
+	return kb.keys[0]
+}
+
+func massagedVec(sp mergeSpec, vec []uint64) []uint64 {
+	kb := newKeyBuilder(sp, 1)
+	kb.wide = true
+	kb.add(vec, true)
+	return kb.vecs[0]
 }
 
 // TestMergeRows64LimitIsPrefix: the tie-extended cut trimmed to the

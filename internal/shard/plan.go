@@ -15,13 +15,10 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/byteslice"
-	"repro/internal/costmodel"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/planner"
 	"repro/internal/server"
-	"repro/internal/table"
 )
 
 var (
@@ -29,97 +26,30 @@ var (
 	obsPinHits     = obs.NewCounter("shard.plan_pin_cache_hits")
 )
 
-// pinnedChoice replicates the engine's choosePlan over the full table:
-// same filtered row count, same full-table column statistics, same
-// limit teaching, same FixedTail, same Rho/MaxPlans — so its ColOrder
-// equals the order a direct single-node run of the same query would
-// choose, which is the order the differential battery compares
-// against.
-func (c *Coordinator) pinnedChoice(ctx context.Context, t *table.Table, req server.QueryRequest, q engine.Query, widths []int, workers int) (planner.Choice, bool, error) {
-	key := server.PlanKey(t, q, widths, workers, c.cfg.Rho, c.cfg.MaxPlans, req.Limit, req.Offset) +
+// pinnedChoice is a cache lookup plus the engine's own plan function
+// over the full table: engine.Bound.ChoosePlan with the full table's
+// filtered row count is exactly what a direct single-node run of the
+// same query executes, so the pinned ColOrder is the single node's by
+// construction — and the differential battery compares both.
+func (c *Coordinator) pinnedChoice(ctx context.Context, b *engine.Bound, req server.QueryRequest, workers int) (planner.Choice, bool, error) {
+	key := server.PlanKey(b, workers, c.cfg.Rho, c.cfg.MaxPlans, req.Limit, req.Offset, nil) +
 		fmt.Sprintf("|shards=%d", len(c.cfg.Shards))
 	if choice, ok := c.cache.Get(key); ok {
 		obsPinHits.Inc()
 		return choice, true, nil
 	}
-
-	n, err := filteredCount(ctx, t, q)
+	sel, err := b.Select(ctx)
 	if err != nil {
 		return planner.Choice{}, false, err
 	}
-	st := costmodel.Stats{N: n}
-	if req.Limit != nil && *req.Limit > 0 {
-		cut := req.Offset + *req.Limit
-		if q.Window != nil {
-			st.LimitRows = cut
-		} else if !q.OrderByAgg {
-			st.LimitGroups = cut
-		}
-	}
-	for _, name := range sortColNames(q) {
-		cs, err := t.Stats(name)
-		if err != nil {
-			return planner.Choice{}, false, err
-		}
-		st.Cols = append(st.Cols, cs)
-	}
-	search := &planner.Search{Model: c.cfg.Model, Stats: st, Kind: q.Kind, Rho: c.cfg.Rho, MaxPlans: c.cfg.MaxPlans}
-	if q.Window != nil {
-		search.FixedTail = 1
-	}
 	obsPinSearches.Inc()
-	choice, err := planner.ROGAContext(ctx, search)
+	choice, _, err := b.ChoosePlan(ctx, sel.Count(), engine.Options{
+		Massaging: true, Model: c.cfg.Model, Rho: c.cfg.Rho, MaxPlans: c.cfg.MaxPlans,
+		Limit: req.Limit, Offset: req.Offset,
+	})
 	if err != nil {
 		return planner.Choice{}, false, err
 	}
 	c.cache.Put(key, choice)
 	return choice, false, nil
-}
-
-// filteredCount runs the query's filter scans over the full table and
-// counts the selected rows — the engine's search sees the filtered
-// row count (Stats.N), so the pin search must too or the two could
-// choose different orders.
-func filteredCount(ctx context.Context, t *table.Table, q engine.Query) (int, error) {
-	if len(q.Filters) == 0 {
-		return t.N, nil
-	}
-	var acc *byteslice.BitVector
-	for _, f := range q.Filters {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		bs, err := t.ByteSlice(f.Col)
-		if err != nil {
-			return 0, err
-		}
-		var bv *byteslice.BitVector
-		if f.Between {
-			bv, err = bs.ScanBetween(f.Lo, f.Hi)
-		} else {
-			bv, err = bs.Scan(f.Op, f.Const)
-		}
-		if err != nil {
-			return 0, err
-		}
-		if acc == nil {
-			acc = bv
-		} else {
-			acc.And(bv)
-		}
-	}
-	return acc.Count(), nil
-}
-
-// sortColNames lists the sort columns in clause order, window order
-// column last — the engine's materialization order.
-func sortColNames(q engine.Query) []string {
-	names := make([]string, 0, len(q.SortCols)+1)
-	for _, sc := range q.SortCols {
-		names = append(names, sc.Name)
-	}
-	if q.Window != nil {
-		names = append(names, q.Window.OrderCol)
-	}
-	return names
 }

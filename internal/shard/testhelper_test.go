@@ -206,6 +206,13 @@ func canonServer(t *testing.T, res *server.QueryResult) []byte {
 // must match byte for byte.
 func runOracle(t *testing.T, tbl *table.Table, req server.QueryRequest, workers int) []byte {
 	t.Helper()
+	return canonEngine(t, runOracleResult(t, tbl, req, workers))
+}
+
+// runOracleResult is runOracle keeping the engine's whole result: the
+// battery also holds the coordinator's pinned plan to the single node's.
+func runOracleResult(t *testing.T, tbl *table.Table, req server.QueryRequest, workers int) *engine.Result {
+	t.Helper()
 	q, err := req.ToEngineQuery()
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +233,7 @@ func runOracle(t *testing.T, tbl *table.Table, req server.QueryRequest, workers 
 	if err != nil {
 		t.Fatalf("oracle %s: %v", req.ID, err)
 	}
-	return canonEngine(t, res)
+	return res
 }
 
 // intp makes limit pointers readable in table literals.

@@ -9,28 +9,6 @@ import (
 	"repro/internal/engine"
 )
 
-func testModel() *costmodel.Model {
-	return &costmodel.Model{
-		L2:     1 << 21,
-		LLC:    1 << 23,
-		Fanout: 8,
-		C: costmodel.Constants{
-			CCache:    2,
-			CMem:      60,
-			CMassage:  1,
-			CScan:     1.5,
-			SmallCall: 60,
-			SmallElem: 15,
-			SmallQuad: 1,
-			Bank: map[int]costmodel.BankConstants{
-				16: {COverhead: 400, CLinear: 220, COutOfCache: 40},
-				32: {COverhead: 400, CLinear: 300, COutOfCache: 55},
-				64: {COverhead: 400, CLinear: 420, COutOfCache: 80},
-			},
-		},
-	}
-}
-
 func TestAllQueriesExecuteBothModes(t *testing.T) {
 	const rows = 8000
 	tpch, err := datagen.TPCH(datagen.TPCHConfig{SF: 1, Rows: rows, Seed: 1})
@@ -64,7 +42,7 @@ func TestAllQueriesExecuteBothModes(t *testing.T) {
 		t.Fatalf("expected 27 queries, have %d", len(items))
 	}
 
-	model := testModel()
+	model := costmodel.Builtin()
 	for _, item := range items {
 		for _, massaging := range []bool{false, true} {
 			res, err := engine.RunContext(context.Background(), item.Table, item.Query,
@@ -94,7 +72,7 @@ func TestMassagingPreservesResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model := testModel()
+	model := costmodel.Builtin()
 	for _, item := range TPCHQueries(tpch, "") {
 		off, err := engine.RunContext(context.Background(), item.Table, item.Query, engine.Options{Massaging: false})
 		if err != nil {

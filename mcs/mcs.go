@@ -27,6 +27,7 @@ import (
 	"fmt"
 
 	"repro/internal/costmodel"
+	"repro/internal/engine"
 	"repro/internal/massage"
 	"repro/internal/mcsort"
 	"repro/internal/pipeerr"
@@ -200,9 +201,11 @@ func SortContext(ctx context.Context, cols []Column, opts *Options) (*Result, er
 
 	// Budget: with the round count known, degrade workers until the
 	// estimated sort footprint fits MaxBytes, refusing when even
-	// sequential execution does not.
+	// sequential execution does not. The estimate is the engine's, with
+	// no materialized columns: the caller-owned input codes exist either
+	// way.
 	workers, err := pipeerr.DegradeWorkers(o.Workers, o.MaxBytes, func(w int) int64 {
-		return estimateSortBytes(n, len(choice.Plan.Rounds), w)
+		return engine.EstimatePipelineBytes(n, 0, len(choice.Plan.Rounds), w)
 	})
 	if err != nil {
 		return nil, err
@@ -224,19 +227,6 @@ func SortContext(ctx context.Context, cols []Column, opts *Options) (*Result, er
 		Timings:   mres.Timings,
 		Estimated: choice.Est,
 	}, nil
-}
-
-// estimateSortBytes models the peak transient allocation of the sort
-// pipeline (round keys, permutation, lookup scratch, pack buffers;
-// parallel execution adds partition scratch and per-worker overhead).
-// The caller-owned input codes are not counted — they exist either way.
-func estimateSortBytes(rows, nRounds, workers int) int64 {
-	r := int64(rows)
-	total := r * int64(8*nRounds+8+4+4+24)
-	if workers > 1 {
-		total += r*16 + int64(workers)*64<<10
-	}
-	return total
 }
 
 // ColumnAtATime returns the baseline plan P₀ for the column widths.

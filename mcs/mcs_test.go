@@ -8,28 +8,6 @@ import (
 	"repro/internal/costmodel"
 )
 
-func testModel() *Model {
-	return &costmodel.Model{
-		L2:     1 << 21,
-		LLC:    1 << 23,
-		Fanout: 8,
-		C: costmodel.Constants{
-			CCache:    2,
-			CMem:      60,
-			CMassage:  1,
-			CScan:     1.5,
-			SmallCall: 60,
-			SmallElem: 15,
-			SmallQuad: 1,
-			Bank: map[int]costmodel.BankConstants{
-				16: {COverhead: 400, CLinear: 220, COutOfCache: 40},
-				32: {COverhead: 400, CLinear: 300, COutOfCache: 55},
-				64: {COverhead: 400, CLinear: 420, COutOfCache: 80},
-			},
-		},
-	}
-}
-
 func twoColumns(n int, seed int64) ([]Column, []uint64, []uint64) {
 	rng := rand.New(rand.NewSource(seed))
 	a := make([]uint64, n)
@@ -47,7 +25,7 @@ func twoColumns(n int, seed int64) ([]Column, []uint64, []uint64) {
 func TestSortMatchesReference(t *testing.T) {
 	const n = 5000
 	cols, a, b := twoColumns(n, 1)
-	res, err := Sort(cols, &Options{Model: testModel()})
+	res, err := Sort(cols, &Options{Model: costmodel.Builtin()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +78,7 @@ func TestSortDescColumns(t *testing.T) {
 	n := 2000
 	cols, a, b := twoColumns(n, 4)
 	cols[1].Desc = true
-	res, err := Sort(cols, &Options{Model: testModel()})
+	res, err := Sort(cols, &Options{Model: costmodel.Builtin()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +126,7 @@ func TestGroupBoundaries(t *testing.T) {
 
 func TestFreeOrderClause(t *testing.T) {
 	cols, _, _ := twoColumns(3000, 5)
-	res, err := Sort(cols, &Options{Clause: GroupBy, Model: testModel()})
+	res, err := Sort(cols, &Options{Clause: GroupBy, Model: costmodel.Builtin()})
 	if err != nil {
 		t.Fatal(err)
 	}
