@@ -73,7 +73,7 @@ func runAtomicMix(pass *Pass) error {
 	for _, file := range pass.Pkg.Files {
 		keys := compositeKeys(file)
 		forEachFuncUnit(file, func(body *ast.BlockStmt) {
-			ls := cfg.MustLocked(info, cfg.New(body))
+			ls := cfg.LocksHeld(info, cfg.New(body))
 			inspectUnit(body, func(n ast.Node) {
 				id, ok := n.(*ast.Ident)
 				if !ok || sanctioned[id] || keys[id] {

@@ -404,7 +404,7 @@ func (s *S) g(b bool) {
 	}
 }`, "f")
 	g := cfg.New(fd.Body)
-	ls := cfg.MustLocked(info, g)
+	ls := cfg.LocksHeld(info, g)
 	// Every s.n access in f is held.
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "n" {
@@ -431,7 +431,7 @@ func (s *S) g(b bool) {
 	}
 }`, "g")
 	g2 := cfg.New(gd.Body)
-	ls2 := cfg.MustLocked(info2, g2)
+	ls2 := cfg.LocksHeld(info2, g2)
 	held := false
 	ast.Inspect(gd.Body, func(n ast.Node) bool {
 		if as, ok := n.(*ast.AssignStmt); ok {

@@ -24,8 +24,8 @@ type LockState struct {
 	in   map[*Block]InterSet
 }
 
-// MustLocked runs the must-locked analysis over g.
-func MustLocked(info *types.Info, g *Graph) *LockState {
+// LocksHeld runs the must-locked analysis over g.
+func LocksHeld(info *types.Info, g *Graph) *LockState {
 	ls := &LockState{g: g, info: info}
 	ls.in = Forward(g, InterSet{}, func(b *Block, in InterSet) InterSet {
 		set := in

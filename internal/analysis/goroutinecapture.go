@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"repro/internal/analysis/cfg"
 )
@@ -30,8 +29,9 @@ import (
 //     lo, hi, w := lo, hi, w outside it are recognized as disjoint.
 //
 // Spawn sites considered: bare go statements with a function literal,
-// and function literals passed to pipeerr.Group.Go / pipeerr.Spawn
-// (both run their literals on the spawned goroutine).
+// and function literals passed to pipeerr.Group.Go / pipeerr.Spawn or
+// to the pass driver (pipeerr.Pass.Rows / Pass.Ranges) — all run their
+// literals on spawned goroutines.
 var GoroutineCapture = &Analyzer{
 	Name: "goroutinecapture",
 	Doc:  "goroutine closures writing captured state need a mutex or worker-disjoint ranges",
@@ -57,7 +57,7 @@ func runGoroutineCapture(pass *Pass) error {
 
 // spawnLiterals returns the function literals n spawns onto a new
 // goroutine, if any: `go func(...){...}(...)` and literal arguments to
-// pipeerr.Group.Go / pipeerr.Spawn.
+// pipeerr.Group.Go / pipeerr.Spawn / the pass driver.
 func spawnLiterals(info *types.Info, n ast.Node) []*ast.FuncLit {
 	switch x := n.(type) {
 	case *ast.GoStmt:
@@ -65,7 +65,7 @@ func spawnLiterals(info *types.Info, n ast.Node) []*ast.FuncLit {
 			return []*ast.FuncLit{lit}
 		}
 	case *ast.CallExpr:
-		if isGroupGoCall(info, x) || isPipeSpawnCall(info, x) {
+		if pipeerrSpawn(info, x) != "" {
 			var lits []*ast.FuncLit
 			for _, arg := range x.Args {
 				if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
@@ -76,16 +76,6 @@ func spawnLiterals(info *types.Info, n ast.Node) []*ast.FuncLit {
 		}
 	}
 	return nil
-}
-
-// isPipeSpawnCall recognizes pipeerr.Spawn.
-func isPipeSpawnCall(info *types.Info, call *ast.CallExpr) bool {
-	fn, ok := calleeObj(info, call).(*types.Func)
-	if !ok || fn.Name() != "Spawn" || fn.Pkg() == nil || !strings.HasSuffix(fn.Pkg().Path(), "internal/pipeerr") {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	return ok && sig.Recv() == nil
 }
 
 // loopVarScope records one loop statement's span, the variables its
@@ -141,7 +131,7 @@ func enclosingLoopVars(info *types.Info, file *ast.File) []loopVarScope {
 func checkSpawnLiteral(pass *Pass, lit *ast.FuncLit, loops []loopVarScope) {
 	info := pass.Pkg.Info
 	distinct := distinctValues(info, lit, loops)
-	ls := cfg.MustLocked(info, cfg.New(lit.Body))
+	ls := cfg.LocksHeld(info, cfg.New(lit.Body))
 
 	captured := func(e ast.Expr) (types.Object, bool) {
 		obj := rootVar(info, e)

@@ -72,3 +72,43 @@ func UncoveredDelegation(ctx context.Context) error {
 func BadArg() {
 	faultinject.Fire("mcsort.pivot_select") // want `must be a named faultinject\.<Site> constant`
 }
+
+// PassSited hands the driver a literal that names its Site — the driver
+// fires it once per range: clean.
+func PassSited(ctx context.Context, out []int) error {
+	return pipeerr.Pass{Stage: pipeerr.StageGather, Round: -1, Site: faultinject.Gather}.Rows(ctx, len(out), 2, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = i
+		}
+	})
+}
+
+// PassVarSited reaches the driver through a variable defined from a
+// sited literal: clean.
+func PassVarSited(ctx context.Context, n int) error {
+	pass := pipeerr.Pass{Stage: pipeerr.StageSort, Round: 0, Site: faultinject.ChunkSort}
+	return pass.Ranges(ctx, 2, n, func(ctx context.Context, i int) error { return ctx.Err() })
+}
+
+// PassUnsited names no Site and its function reaches no Fire: the
+// uncovered spawn in the driver's spelling.
+func PassUnsited(ctx context.Context, n int) error {
+	pass := pipeerr.Pass{Stage: pipeerr.StageMerge, Round: -1}
+	return pass.Ranges(ctx, 2, n, helperRange) // want `not covered by a faultinject site`
+}
+
+func helperRange(ctx context.Context, i int) error { return ctx.Err() }
+
+// PassDelegates names no Site, but its function reaches a Fire through
+// the same call-graph fixpoint: clean.
+func PassDelegates(ctx context.Context, n int) error {
+	return pipeerr.Pass{Stage: pipeerr.StageMerge, Round: -1}.Ranges(ctx, 2, n, func(ctx context.Context, i int) error {
+		return level1(ctx)
+	})
+}
+
+// PassBadSite spells its Site as a string, outside the Sites list.
+func PassBadSite(ctx context.Context, n int) error {
+	pass := pipeerr.Pass{Stage: pipeerr.StageGather, Round: -1, Site: "engine.gather"} // want `must be a named faultinject\.<Site> constant`
+	return pass.Rows(ctx, n, 2, func(lo, hi int) {})
+}

@@ -4,6 +4,7 @@
 package a
 
 import (
+	"context"
 	"sync"
 
 	"repro/internal/pipeerr"
@@ -119,5 +120,32 @@ func SpawnTotals(vals []int) {
 		for _, v := range vals {
 			total += v // want `writes captured variable total without synchronization`
 		}
+	})
+}
+
+// PassTotals: a literal handed to the pass driver runs on the pass's
+// worker goroutines; the captured accumulator races there too, while
+// the range-indexed slice write is worker-disjoint.
+func PassTotals(ctx context.Context, out, vals []int) error {
+	return pipeerr.Pass{Stage: pipeerr.StageAggregate, Round: -1}.Rows(ctx, len(vals), 4, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = vals[i]
+			total += vals[i] // want `writes captured variable total without synchronization`
+		}
+	})
+}
+
+// PassRanges: the driver's range index is a closure parameter, so
+// writes indexed by it (or by bounds derived from it) are disjoint —
+// but every range sweeping the whole slice is not.
+func PassRanges(ctx context.Context, out, bounds []int) error {
+	return pipeerr.Pass{Stage: pipeerr.StageSort, Round: 0}.Ranges(ctx, 4, len(bounds)-1, func(ctx context.Context, c int) error {
+		for i := bounds[c]; i < bounds[c+1]; i++ {
+			out[i] = c
+		}
+		for j := 0; j < len(out); j++ {
+			out[j] = c // want `index not derived from a worker-distinct value`
+		}
+		return nil
 	})
 }

@@ -26,7 +26,6 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/obs"
-	"repro/internal/pipeerr"
 	"repro/internal/server"
 )
 
@@ -60,19 +59,12 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("client: %s (kind=%s, status=%d, retryable=%t)", e.Msg, e.Kind, e.Status, e.Retryable)
 }
 
-// Unwrap surfaces the matching pipeerr sentinel for typed kinds so the
-// in-process and over-the-wire error vocabularies are one vocabulary.
+// Unwrap surfaces the pipeerr sentinel the server's taxonomy names for
+// the kind (queue_timeout, budget, watchdog) so the in-process and
+// over-the-wire error vocabularies are one vocabulary.
 func (e *Error) Unwrap() error {
-	switch e.Kind {
-	case "queue_timeout":
-		return pipeerr.ErrQueueTimeout
-	case "budget":
-		return pipeerr.ErrBudgetExceeded
-	case "watchdog":
-		return pipeerr.ErrWatchdog
-	default:
-		return nil
-	}
+	c, _ := server.ClassOfKind(e.Kind)
+	return c.Sentinel
 }
 
 // Config tunes the client. The zero value is usable once BaseURL is

@@ -203,26 +203,6 @@ func TestBudgetUnlimitedByDefault(t *testing.T) {
 	}
 }
 
-// pollCtx reports cancellation from its (polls+1)-th Err call on: a
-// cancellation that lands mid-operation, deterministically.
-type pollCtx struct {
-	context.Context
-	polls atomic.Int64
-}
-
-func newPollCtx(polls int64) *pollCtx {
-	c := &pollCtx{Context: context.Background()}
-	c.polls.Store(polls)
-	return c
-}
-
-func (c *pollCtx) Err() error {
-	if c.polls.Add(-1) < 0 {
-		return context.Canceled
-	}
-	return nil
-}
-
 // TestSortGroupsByAggregateCancel pins invariant 4 of
 // docs/robustness.md on the ORDER BY <aggregate> step, whose input is up
 // to one group per row: a context cancelled before the call, or one
@@ -241,7 +221,7 @@ func TestSortGroupsByAggregateCancel(t *testing.T) {
 	cancel()
 	for name, ctx := range map[string]context.Context{
 		"pre-cancelled": cancelled,
-		"mid-sort":      newPollCtx(3 + 1), // three fill polls, the sort's entry poll
+		"mid-sort":      testutil.NewPollCtx(3 + 1), // three fill polls, the sort's entry poll
 	} {
 		gk, ag, err := SortGroupsByAggregate(ctx, groupKeys, aggregates)
 		if !errors.Is(err, context.Canceled) || gk != nil || ag != nil {
@@ -286,7 +266,7 @@ func TestRankSortedCancel(t *testing.T) {
 		maxReads int
 	}{
 		"pre-cancelled": {cancelled, 0},
-		"mid-pass":      {newPollCtx(2), 2 * rankCheckRows},
+		"mid-pass":      {testutil.NewPollCtx(2), 2 * rankCheckRows},
 	} {
 		reads := 0
 		ranks, err := RankSorted(tc.ctx, order, 2, func(id uint32, dst []uint64) {

@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/byteslice"
 	"repro/internal/costmodel"
+	"repro/internal/faultinject"
 	"repro/internal/massage"
 	"repro/internal/mcsort"
 	"repro/internal/mergesort"
@@ -401,33 +402,39 @@ func recordCostAccuracy(predictedNS float64, measured time.Duration) {
 	}
 }
 
-// aggregate computes per-group keys and the aggregate, scanning group
-// ranges across workers (each group's output slot is owned by exactly
-// one worker).
+// aggregate computes per-group keys and the aggregate, scanning
+// contiguous group ranges across workers (each group's output slot is
+// owned by exactly one range).
 func aggregate(ctx context.Context, res *Result, b *Bound, inputs []massage.Input, rows []uint32, mres *mcsort.Result, workers int) error {
 	nGroups := len(mres.Groups) - 1
 	res.GroupKeys = make([][]uint64, nGroups)
 	res.Aggregates = make([]uint64, nGroups)
 	avg := b.agg != nil && b.Query.Agg.Kind == Avg
-	return forEachGroupParallel(ctx, nGroups, workers, func(g int) {
-		lo, hi := int(mres.Groups[g]), int(mres.Groups[g+1])
-		rep := mres.Perm[lo] // any row of the group carries its keys
-		keys := make([]uint64, len(inputs))
-		for c, in := range inputs {
-			keys[c] = in.Codes[rep]
-		}
-		res.GroupKeys[g] = keys
-		acc := uint64(hi - lo) // Count, or no aggregate
-		if b.agg != nil {
-			acc = 0
-			for i := lo; i < hi; i++ {
-				acc += b.agg.Lookup(int(rows[mres.Perm[i]]))
+	pass := pipeerr.Pass{Stage: pipeerr.StageAggregate, Round: -1, Site: faultinject.Aggregate, MinRows: 2 * workers}
+	if pass.Parallel(nGroups, workers) {
+		obsAggGroups.Add(int64(nGroups))
+	}
+	return pass.Rows(ctx, nGroups, workers, func(first, end int) {
+		for g := first; g < end; g++ {
+			lo, hi := int(mres.Groups[g]), int(mres.Groups[g+1])
+			rep := mres.Perm[lo] // any row of the group carries its keys
+			keys := make([]uint64, len(inputs))
+			for c, in := range inputs {
+				keys[c] = in.Codes[rep]
 			}
-			if avg {
-				acc /= uint64(hi - lo)
+			res.GroupKeys[g] = keys
+			acc := uint64(hi - lo) // Count, or no aggregate
+			if b.agg != nil {
+				acc = 0
+				for i := lo; i < hi; i++ {
+					acc += b.agg.Lookup(int(rows[mres.Perm[i]]))
+				}
+				if avg {
+					acc /= uint64(hi - lo)
+				}
 			}
+			res.Aggregates[g] = acc
 		}
-		res.Aggregates[g] = acc
 	})
 }
 

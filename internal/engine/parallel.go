@@ -1,16 +1,16 @@
 // Parallel gather/scatter passes of the engine: ByteSlice-Lookup
-// materialization (a gather through the selection vector) and the
-// per-group aggregation scan are chunked across workers when
-// Options.Workers > 1. Chunks are output-contiguous and aligned to
-// 64-byte cache lines, so workers never share a store line; all shared
-// inputs (ByteSlices, the permutation, the selection vector) are
-// read-only during the pass.
+// materialization (a gather through the selection vector, below) and
+// the per-group aggregation scan (aggregate, engine.go) are chunked
+// across workers when Options.Workers > 1. Chunks are output-contiguous
+// and aligned to 64-byte cache lines, so workers never share a store
+// line; all shared inputs (ByteSlices, the permutation, the selection
+// vector) are read-only during the pass.
 //
-// Both passes are context-aware: every chunk polls the context at its
-// start, worker goroutines run under pipeerr.Group (panics contained
-// into *pipeerr.PipelineError, siblings cancelled), and the
-// engine.gather / engine.aggregate faultinject sites fire once per
-// chunk so tests can poison exactly one chunk of one pass.
+// Both are passes of the pipeline's one driver (pipeerr.Pass): every
+// chunk polls the context and fires its engine.gather /
+// engine.aggregate faultinject site first, so tests can poison exactly
+// one chunk of one pass, and a worker panic is contained into a
+// *pipeerr.PipelineError that cancels its siblings.
 package engine
 
 import (
@@ -33,103 +33,20 @@ const gatherMinRows = 4096
 // lineAlign is 8 uint64 — one 64-byte cache line of output.
 const lineAlign = 8
 
-// seqGatherCheckRows is the block size between context polls of the
-// sequential gather path.
-const seqGatherCheckRows = 1 << 16
+// seqGatherCheckRows is the stride between context polls of the
+// engine's own sequential row loops (selection fill, group-table sort).
+const seqGatherCheckRows = pipeerr.BlockRows
 
 // gatherParallel fills codes[j] = lookup(rows[j]) for every selected
 // row, chunked across workers.
 func gatherParallel(ctx context.Context, codes []uint64, rows []uint32, lookup func(int) uint64, workers int) error {
-	n := len(rows)
-	if workers < 2 || n < gatherMinRows {
-		for lo := 0; lo < n; lo += seqGatherCheckRows {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			faultinject.Fire(faultinject.Gather)
-			hi := lo + seqGatherCheckRows
-			if hi > n {
-				hi = n
-			}
-			for j := lo; j < hi; j++ {
-				codes[j] = lookup(int(rows[j]))
-			}
-		}
-		if n == 0 {
-			return ctx.Err()
-		}
-		return nil
+	pass := pipeerr.Pass{Stage: pipeerr.StageGather, Round: -1, Site: faultinject.Gather, Align: lineAlign, MinRows: gatherMinRows}
+	if pass.Parallel(len(rows), workers) {
+		obsGatherRows.Add(int64(len(rows)))
 	}
-	obsGatherRows.Add(int64(n))
-	chunk := ((n+workers-1)/workers + lineAlign - 1) / lineAlign * lineAlign
-	g := pipeerr.NewGroup(ctx)
-	worker := 0
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
+	return pass.Rows(ctx, len(rows), workers, func(lo, hi int) {
+		for j := lo; j < hi; j++ {
+			codes[j] = lookup(int(rows[j]))
 		}
-		lo, hi, worker := lo, hi, worker
-		g.Go(pipeerr.StageGather, -1, worker, func(gctx context.Context) error {
-			if err := gctx.Err(); err != nil {
-				return err
-			}
-			faultinject.Fire(faultinject.Gather)
-			for j := lo; j < hi; j++ {
-				codes[j] = lookup(int(rows[j]))
-			}
-			return nil
-		})
-		worker++
-	}
-	return g.Wait()
-}
-
-// forEachGroupParallel runs fn(g) for every group 0 ≤ g < nGroups,
-// distributing contiguous group ranges across workers. fn must only
-// write state owned by its group. The context is polled per chunk and
-// every seqGatherCheckRows groups within one.
-func forEachGroupParallel(ctx context.Context, nGroups, workers int, fn func(g int)) error {
-	if workers < 2 || nGroups < 2*workers {
-		for lo := 0; lo < nGroups; lo += seqGatherCheckRows {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			faultinject.Fire(faultinject.Aggregate)
-			hi := lo + seqGatherCheckRows
-			if hi > nGroups {
-				hi = nGroups
-			}
-			for g := lo; g < hi; g++ {
-				fn(g)
-			}
-		}
-		if nGroups == 0 {
-			return ctx.Err()
-		}
-		return nil
-	}
-	obsAggGroups.Add(int64(nGroups))
-	chunk := (nGroups + workers - 1) / workers
-	grp := pipeerr.NewGroup(ctx)
-	worker := 0
-	for lo := 0; lo < nGroups; lo += chunk {
-		hi := lo + chunk
-		if hi > nGroups {
-			hi = nGroups
-		}
-		lo, hi, worker := lo, hi, worker
-		grp.Go(pipeerr.StageAggregate, -1, worker, func(gctx context.Context) error {
-			if err := gctx.Err(); err != nil {
-				return err
-			}
-			faultinject.Fire(faultinject.Aggregate)
-			for g := lo; g < hi; g++ {
-				fn(g)
-			}
-			return nil
-		})
-		worker++
-	}
-	return grp.Wait()
+	})
 }

@@ -15,8 +15,6 @@ package massage
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/column"
 	"repro/internal/faultinject"
@@ -171,11 +169,6 @@ func prefixStarts(widths []int) []int {
 // asserts this.
 func (p *Program) FIPCount() int { return len(p.segments) }
 
-// seqCheckRows is the row-block size between context polls of a
-// sequential pass: large enough that the poll is free, small enough
-// that cancellation lands within a fraction of the pass.
-const seqCheckRows = 1 << 16
-
 // parallelMinRows is the row count below which a pass runs
 // sequentially whatever the worker count: a FIP pass over fewer rows
 // finishes faster than the goroutine handoff.
@@ -186,68 +179,22 @@ const parallelMinRows = 1024
 // streams (dst[i] |= …) share a line.
 const chunkAlign = 8
 
-// forEachChunk is the one driver under every entry point: it calls
-// run(lo, hi) over disjoint row ranges covering [0, rows). With
-// workers < 2 (or fewer than parallelMinRows rows) the ranges are
-// seqCheckRows blocks on the caller's goroutine; otherwise one
-// cache-line-aligned chunk per worker goroutine (Section 3: each thread
-// massages partitions from every column independently). Either way
-// every range polls the context and fires the MassageChunk fault site
-// first, so a cancelled pass returns ctx.Err() within one range and a
-// panicking worker cancels its siblings and surfaces as a
-// *pipeerr.PipelineError with stage "massage" and the given round (-1
+// forEachChunk is the one pass under every entry point: run(lo, hi) is
+// called over disjoint row ranges covering [0, rows) by the pipeline's
+// pass driver (Section 3: each thread massages partitions from every
+// column independently). Every range fires the MassageChunk fault
+// site; a failure surfaces with stage "massage" and the given round (-1
 // for the all-rounds pass). The massage.parallel_efficiency_x1000 gauge
 // reports how busy the workers collectively were when tracing is on.
 func forEachChunk(ctx context.Context, rows, workers, round int, run func(lo, hi int)) error {
-	if workers < 2 || rows < parallelMinRows {
-		for lo := 0; lo < rows; lo += seqCheckRows {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			faultinject.Fire(faultinject.MassageChunk)
-			run(lo, min(lo+seqCheckRows, rows))
-		}
-		if rows == 0 {
-			return ctx.Err()
-		}
-		return nil
+	pass := pipeerr.Pass{Stage: pipeerr.StageMassage, Round: round, Site: faultinject.MassageChunk, Align: chunkAlign, MinRows: parallelMinRows}
+	if pass.Parallel(rows, workers) {
+		pass.Busy = pipeerr.StartBusy(workers)
 	}
-	tracing := obs.Enabled()
-	var wall time.Time
-	if tracing {
-		wall = time.Now()
-	}
-	var busy atomic.Int64
-	g := pipeerr.NewGroup(ctx)
-	chunk := ((rows+workers-1)/workers + chunkAlign - 1) / chunkAlign * chunkAlign
-	nChunks := 0
-	for lo := 0; lo < rows; lo += chunk {
-		lo, hi, worker := lo, min(lo+chunk, rows), nChunks
-		nChunks++
-		g.Go(pipeerr.StageMassage, round, worker, func(gctx context.Context) error {
-			if err := gctx.Err(); err != nil {
-				return err
-			}
-			faultinject.Fire(faultinject.MassageChunk)
-			var t0 time.Time
-			if tracing {
-				t0 = time.Now()
-			}
-			run(lo, hi)
-			if tracing {
-				busy.Add(int64(time.Since(t0)))
-			}
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
+	if err := pass.Rows(ctx, rows, workers, run); err != nil {
 		return err
 	}
-	if tracing {
-		if wall2 := time.Since(wall); wall2 > 0 {
-			obsParEffX1000.Set(busy.Load() * 1000 / (int64(wall2) * int64(min(workers, nChunks))))
-		}
-	}
+	pass.Busy.Publish(obsParEffX1000)
 	return nil
 }
 

@@ -8,7 +8,11 @@ import (
 	"testing"
 
 	"repro/internal/faultinject"
+	"repro/internal/pipeerr"
 )
+
+// seqCheckRows is the block size of a pass on the caller's goroutine.
+const seqCheckRows = pipeerr.BlockRows
 
 // wantChunks is the MassageChunk visit count of one pass: one per
 // seqCheckRows block on the sequential path, one per cache-line-aligned

@@ -176,35 +176,15 @@ func TestDeterministicAfterCancelledRun(t *testing.T) {
 	}
 }
 
-// pollCtx reports cancellation from its (polls+1)-th Err call on: a
-// cancellation that lands mid-operation, deterministically.
-type pollCtx struct {
-	context.Context
-	polls atomic.Int64
-}
-
-func newPollCtx(polls int64) *pollCtx {
-	c := &pollCtx{Context: context.Background()}
-	c.polls.Store(polls)
-	return c
-}
-
-func (c *pollCtx) Err() error {
-	if c.polls.Add(-1) < 0 {
-		return context.Canceled
-	}
-	return nil
-}
-
 // TestSequentialGiantGroupCancel pins invariant 4 of docs/robustness.md
 // on the sequential later-round path: a round whose rows all tie into
 // one group is one whole sort, so the context must reach the sort
 // itself. Cancelled before the round, or only after the group's sort
 // has started (past the round's own polls and the sort's entry poll),
 // the round returns context.Canceled with keys and perm untouched. The
-// poll budget of a many-small-groups round is pinned alongside: one
-// classification poll plus one per claimed batch of groupBatchRows rows
-// and one to find the batches exhausted, never one per group — and a
+// poll budget of a many-small-groups round is pinned alongside, in the
+// pass driver's units: one classification poll plus one per range — a
+// batch of groupBatchRows rows — never one per group, and a
 // cancellation landing mid-round stops the round within one batch.
 func TestSequentialGiantGroupCancel(t *testing.T) {
 	const n = 1<<16 + 4096
@@ -233,8 +213,8 @@ func TestSequentialGiantGroupCancel(t *testing.T) {
 		sp  mergesort.Params
 	}{
 		"pre-cancelled":     {cancelled, sp},
-		"mid-sort dominant": {newPollCtx(1 + 1 + 1), sp},      // the classification poll, the sort's entry poll, its first merge pass
-		"mid-sort batched":  {newPollCtx(1 + 1 + 1), batched}, // the classification poll, the batch poll, the sort's entry poll
+		"mid-sort dominant": {testutil.NewPollCtx(1 + 1 + 1), sp},      // the classification poll, the sort's entry poll, its first merge pass
+		"mid-sort batched":  {testutil.NewPollCtx(1 + 1 + 1), batched}, // the classification poll, the batch poll, the sort's entry poll
 	} {
 		_, err := parallelGroupSort(tc.ctx, 16, keys, perm, oneGroup, 1, tc.sp, 1)
 		if !errors.Is(err, context.Canceled) {
@@ -256,12 +236,12 @@ func TestSequentialGiantGroupCancel(t *testing.T) {
 		small = append(small, int32(lo))
 	}
 	const batches = (n + groupBatchRows - 1) / groupBatchRows
-	const budget = 1 + batches + 1 // the classification poll, one per claim, one on exhaustion
+	const budget = 1 + batches // the classification poll, one per batch
 
-	// Cancelled at the poll before the fourth claim: exactly three
+	// Cancelled at the poll before the fourth batch: exactly three
 	// batches are sorted, the rest of the round is untouched.
 	const claimed = 3
-	_, err := parallelGroupSort(newPollCtx(1+claimed), 16, keys, perm, small, 1, sp, 1)
+	_, err := parallelGroupSort(testutil.NewPollCtx(1+claimed), 16, keys, perm, small, 1, sp, 1)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-round: err = %v, want context.Canceled", err)
 	}
@@ -271,7 +251,50 @@ func TestSequentialGiantGroupCancel(t *testing.T) {
 		}
 	}
 
-	if _, err := parallelGroupSort(newPollCtx(budget), 16, keys, perm, small, 1, sp, 1); err != nil {
+	if _, err := parallelGroupSort(testutil.NewPollCtx(budget), 16, keys, perm, small, 1, sp, 1); err != nil {
 		t.Fatalf("small groups: %v after more than %d polls", err, budget)
+	}
+}
+
+// TestSequentialPermuteCancel pins the lookup/reorder pass at one worker
+// to the cadence of every other sequential row pass: it polls (and
+// visits its fault site) once per pipeerr.BlockRows block instead of
+// once for the whole array, so a cancellation on the second poll
+// returns ctx.Err() with nothing written past the first block.
+func TestSequentialPermuteCancel(t *testing.T) {
+	defer faultinject.Reset()
+	const n = 3*pipeerr.BlockRows + 5
+	src := make([]uint64, n)
+	perm := make([]uint32, n)
+	for i := range src {
+		src[i], perm[i] = uint64(i)+1, uint32(n-1-i)
+	}
+	var visits atomic.Int64
+	faultinject.Set(faultinject.Permute, func() { visits.Add(1) })
+
+	dst := make([]uint64, n)
+	if err := parallelPermute(testutil.NewPollCtx(1), dst, src, perm, 1, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	for i, v := range dst {
+		if written := v != 0; written != (i < pipeerr.BlockRows) {
+			t.Fatalf("dst[%d] written = %v after a cancellation on the second poll", i, written)
+		}
+	}
+	if got := visits.Load(); got != 1 {
+		t.Errorf("%d permute visits before the cancellation, want 1", got)
+	}
+
+	visits.Store(0)
+	if err := parallelPermute(testutil.NewPollCtx(4), dst, src, perm, 1, 1); err != nil {
+		t.Fatalf("%v within a budget of one poll per block", err)
+	}
+	for i, v := range dst {
+		if v != src[perm[i]] {
+			t.Fatalf("dst[%d] = %d, want %d", i, v, src[perm[i]])
+		}
+	}
+	if got := visits.Load(); got != 4 {
+		t.Errorf("%d permute visits over four blocks, want 4", got)
 	}
 }

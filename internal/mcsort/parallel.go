@@ -3,8 +3,6 @@ package mcsort
 import (
 	"context"
 	"sort"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/mergesort"
@@ -35,13 +33,14 @@ import (
 // property the determinism battery asserts and that keeps multi-round
 // sorts reproducible across machines.
 //
-// Robustness: every helper takes a context and polls it at partition,
-// group, and chunk boundaries; worker goroutines run under
-// pipeerr.Group, so a panicking worker is recovered into a
-// *pipeerr.PipelineError (stage, round, worker) and cancels its
-// siblings instead of crashing the process. Named faultinject sites
-// (pivot selection, group sort, permute) let tests inject panics,
-// delays, and forced cancellations at exactly these seams.
+// Robustness: the partition sorts, the group batches and the permute
+// chunks are passes of the pipeline's one driver (pipeerr.Pass), so
+// every partition, batch and chunk polls the context first and a
+// panicking worker is recovered into a *pipeerr.PipelineError (stage,
+// round, worker) that cancels its siblings instead of crashing the
+// process. Named faultinject sites (pivot selection, group sort,
+// permute) let tests inject panics, delays, and forced cancellations at
+// exactly these seams.
 
 var (
 	obsParallelSorts  = obs.NewCounter("mcsort.parallel_full_sorts")
@@ -67,11 +66,7 @@ func parallelFullSort(ctx context.Context, bank int, keys []uint64, oids []uint3
 		return nil
 	}
 	obsParallelSorts.Inc()
-	tracing := obs.Enabled()
-	var wall time.Time
-	if tracing {
-		wall = time.Now()
-	}
+	busy := pipeerr.StartBusy(workers)
 
 	// Sample keys and pick workers-1 pivots.
 	faultinject.Fire(faultinject.PivotSelect)
@@ -158,49 +153,33 @@ func parallelFullSort(ctx context.Context, bank int, keys []uint64, oids []uint3
 		cursor[b]++
 	}
 
-	if tracing {
-		obsPartitionMax.SetMax(int64(maxPart))
-		// Imbalance: busiest partition relative to the ideal n/workers
-		// share, ×1000 (1000 = perfectly balanced).
-		obsImbalanceX1000.Set(int64(maxPart) * int64(workers) * 1000 / int64(n))
-	}
+	obsPartitionMax.SetMax(int64(maxPart))
+	// Imbalance: busiest partition relative to the ideal n/workers
+	// share, ×1000 (1000 = perfectly balanced).
+	obsImbalanceX1000.Set(int64(maxPart) * int64(workers) * 1000 / int64(n))
 
 	// Equal keys always land in the same partition, so per-partition
-	// canonicalization composes to a canonical whole.
-	var busy atomic.Int64
-	g := pipeerr.NewGroup(ctx)
-	for w := 0; w < workers; w++ {
-		lo, hi := offsets[w], offsets[w+1]
-		if hi-lo < 2 {
-			continue
-		}
-		w := w
-		g.Go(pipeerr.StageSort, round, w, func(gctx context.Context) error {
-			var t0 time.Time
-			if tracing {
-				t0 = time.Now()
-			}
-			// The context-aware sort polls between its merge passes, so a
-			// cancellation unwinds the partition within one O(n) sweep
-			// rather than after the whole partition sort.
-			if err := mergesort.SortWithParamsContext(gctx, bank, scratchK[lo:hi], scratchO[lo:hi], p); err != nil {
-				return err
-			}
-			canonicalizeTies(scratchK[lo:hi], scratchO[lo:hi])
-			if tracing {
-				busy.Add(int64(time.Since(t0)))
-			}
+	// canonicalization composes to a canonical whole. The context-aware
+	// sort polls between its merge passes, so a cancellation unwinds a
+	// partition within one O(n) sweep rather than after its whole sort.
+	sorts := pipeerr.Pass{Stage: pipeerr.StageSort, Round: round, Busy: busy}
+	err := sorts.Ranges(ctx, workers, workers, func(gctx context.Context, w int) error {
+		k, o := scratchK[offsets[w]:offsets[w+1]], scratchO[offsets[w]:offsets[w+1]]
+		if len(k) < 2 {
 			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
+		}
+		if err := mergesort.SortWithParamsContext(gctx, bank, k, o, p); err != nil {
+			return err
+		}
+		canonicalizeTies(k, o)
+		return nil
+	})
+	if err != nil {
 		return err
 	}
 	copy(keys, scratchK)
 	copy(oids, scratchO)
-	if tracing {
-		recordParallelEfficiency(busy.Load(), time.Since(wall), workers)
-	}
+	busy.Publish(obsParEffX1000)
 	return nil
 }
 
@@ -319,11 +298,10 @@ func cutGroupBatches(ctx context.Context, groups []int32, coopRows int) (batches
 // and canonicalizes its ties. Groups large enough to starve the pool
 // (≥ p.ParallelThreshold) go one at a time to the rank-split parallel
 // sort, all workers cooperating (for workers < 2 that is the sequential
-// sort); the rest go batch by batch through one loop — poll, claim a
-// batch, sort its groups — run inline for workers < 2 and by every pool
-// worker otherwise. The context also reaches the sort of any batched
-// group of at least groupPollRows rows, so a cancelled round returns
-// within one batch or one merge pass.
+// sort); the rest are one pass whose ranges are the batches — more of
+// them than workers, claimed in order. The context also reaches the
+// sort of any batched group of at least groupPollRows rows, so a
+// cancelled round returns within one batch or one merge pass.
 func parallelGroupSort(ctx context.Context, bank int, keys []uint64, perm []uint32, groups []int32, workers int, p mergesort.Params, round int) (int, error) {
 	faultinject.Fire(faultinject.GroupSort)
 	batches, big, nSort, err := cutGroupBatches(ctx, groups, p.ParallelThreshold)
@@ -331,11 +309,7 @@ func parallelGroupSort(ctx context.Context, bank int, keys []uint64, perm []uint
 		return 0, err
 	}
 	obsWorkerSegments.Add(int64(nSort))
-	var busy *atomic.Int64 // pool busy time; nil unless tracing
-	var wall time.Time
-	if obs.Enabled() {
-		busy, wall = new(atomic.Int64), time.Now()
-	}
+	busy := pipeerr.StartBusy(workers)
 
 	for _, g := range big {
 		lo, hi := groups[g], groups[g+1]
@@ -346,100 +320,42 @@ func parallelGroupSort(ctx context.Context, bank int, keys []uint64, perm []uint
 		canonicalizeTies(keys[lo:hi], perm[lo:hi])
 	}
 
-	var next atomic.Int64
-	drain := func(wctx context.Context) error {
-		quiet := context.WithoutCancel(wctx)
-		for {
-			if err := wctx.Err(); err != nil {
+	quiet := context.WithoutCancel(ctx)
+	pool := pipeerr.Pass{Stage: pipeerr.StageSort, Round: round, Busy: busy}
+	err = pool.Ranges(ctx, workers, len(batches)-1, func(wctx context.Context, b int) error {
+		for g := batches[b]; g < batches[b+1]; g++ {
+			lo, hi := int(groups[g]), int(groups[g+1])
+			if hi-lo < 2 || hi-lo >= p.ParallelThreshold {
+				continue
+			}
+			sctx := quiet
+			if hi-lo >= groupPollRows {
+				sctx = wctx
+			}
+			if err := mergesort.SortWithParamsContext(sctx, bank, keys[lo:hi], perm[lo:hi], p); err != nil {
 				return err
 			}
-			b := int(next.Add(1))
-			if b >= len(batches) {
-				return nil
-			}
-			for g := batches[b-1]; g < batches[b]; g++ {
-				lo, hi := int(groups[g]), int(groups[g+1])
-				if hi-lo < 2 || hi-lo >= p.ParallelThreshold {
-					continue
-				}
-				sctx := quiet
-				if hi-lo >= groupPollRows {
-					sctx = wctx
-				}
-				if err := mergesort.SortWithParamsContext(sctx, bank, keys[lo:hi], perm[lo:hi], p); err != nil {
-					return err
-				}
-				canonicalizeTies(keys[lo:hi], perm[lo:hi])
-			}
+			canonicalizeTies(keys[lo:hi], perm[lo:hi])
 		}
-	}
-	if workers < 2 {
-		return nSort, drain(ctx)
-	}
-	pool := pipeerr.NewGroup(ctx)
-	for w := 0; w < workers && w < len(batches)-1; w++ {
-		pool.Go(pipeerr.StageSort, round, w, func(gctx context.Context) error {
-			if busy != nil {
-				defer func(t0 time.Time) { busy.Add(int64(time.Since(t0))) }(time.Now())
-			}
-			return drain(gctx)
-		})
-	}
-	if err := pool.Wait(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nSort, err
 	}
-	if busy != nil {
-		recordParallelEfficiency(busy.Load(), time.Since(wall), workers)
-	}
+	busy.Publish(obsParEffX1000)
 	return nSort, nil
 }
 
 // parallelPermute computes dst[i] = src[perm[i]] across workers — the
 // lookup/reorder pass of each later round (the paper's T_lookup). The
 // output is chunked on cache-line boundaries (8 uint64 per line); reads
-// are random either way. Each chunk polls the context at its start.
+// are random either way.
 func parallelPermute(ctx context.Context, dst, src []uint64, perm []uint32, workers, round int) error {
-	n := len(perm)
 	const align = 8
-	if workers < 2 || n < align*workers {
-		if err := ctx.Err(); err != nil {
-			return err
+	pass := pipeerr.Pass{Stage: pipeerr.StagePermute, Round: round, Site: faultinject.Permute, Align: align, MinRows: align * workers}
+	return pass.Rows(ctx, len(perm), workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			dst[i] = src[perm[i]]
 		}
-		faultinject.Fire(faultinject.Permute)
-		for i, oid := range perm {
-			dst[i] = src[oid]
-		}
-		return nil
-	}
-	chunk := (n/workers + align - 1) / align * align
-	g := pipeerr.NewGroup(ctx)
-	worker := 0
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		lo, hi, worker := lo, hi, worker
-		g.Go(pipeerr.StagePermute, round, worker, func(gctx context.Context) error {
-			if err := gctx.Err(); err != nil {
-				return err
-			}
-			faultinject.Fire(faultinject.Permute)
-			for i := lo; i < hi; i++ {
-				dst[i] = src[perm[i]]
-			}
-			return nil
-		})
-		worker++
-	}
-	return g.Wait()
-}
-
-// recordParallelEfficiency publishes busy/(workers × wall) ×1000 for
-// the sort phase (1000 = all workers busy for the whole wall time).
-func recordParallelEfficiency(busyNS int64, wall time.Duration, workers int) {
-	if wall <= 0 || workers < 1 {
-		return
-	}
-	obsParEffX1000.Set(busyNS * 1000 / (int64(wall) * int64(workers)))
+	})
 }

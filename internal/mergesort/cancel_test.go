@@ -264,3 +264,40 @@ func TestCancelledSortRerunsIdentically(t *testing.T) {
 		}
 	}
 }
+
+// TestSequentialUnpackCancel pins the unpack pass at one worker to the
+// cadence of every other sequential row pass: one poll per
+// pipeerr.BlockRows block instead of one for the whole array, so a
+// cancellation on the second poll returns ctx.Err() with nothing
+// written past the first block.
+func TestSequentialUnpackCancel(t *testing.T) {
+	const n = 3*pipeerr.BlockRows + 5
+	for _, bank := range Banks {
+		lanes := kernelsFor(bank).lanes
+		keys, oids := cancelKeys(n, int64(bank))
+		for i := range keys {
+			keys[i] |= 1 // no zero key or oid, so a written slot is visible
+			oids[i]++
+		}
+		kw, ow := pack(keys, oids, lanes)
+
+		gotK, gotO := make([]uint64, n), make([]uint32, n)
+		if err := parallelUnpack(testutil.NewPollCtx(1), kw, ow, lanes, gotK, gotO, 1); !errors.Is(err, context.Canceled) {
+			t.Fatalf("bank %d: err = %v, want context.Canceled", bank, err)
+		}
+		for i := range gotK {
+			if written := gotK[i] != 0 || gotO[i] != 0; written != (i < pipeerr.BlockRows) {
+				t.Fatalf("bank %d: element %d written = %v after a cancellation on the second poll", bank, i, written)
+			}
+		}
+
+		if err := parallelUnpack(testutil.NewPollCtx(4), kw, ow, lanes, gotK, gotO, 1); err != nil {
+			t.Fatalf("bank %d: %v within a budget of one poll per block", bank, err)
+		}
+		for i := range gotK {
+			if gotK[i] != keys[i] || gotO[i] != oids[i] {
+				t.Fatalf("bank %d: element %d unpacked to (%d, %d), want (%d, %d)", bank, i, gotK[i], gotO[i], keys[i], oids[i])
+			}
+		}
+	}
+}

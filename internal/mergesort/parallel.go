@@ -2,8 +2,6 @@ package mergesort
 
 import (
 	"context"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/obs"
@@ -84,56 +82,30 @@ func ParallelSortWithParamsContext(ctx context.Context, bank int, keys []uint64,
 	// Chunk boundaries are aligned to whole in-register blocks (v*v
 	// elements) so chunk sorts never share a packed word and phase 1
 	// operates on register-aligned block starts.
-	blockSz := k.v * k.v
-	chunk := (n/workers + blockSz - 1) / blockSz * blockSz
-	if chunk < blockSz {
-		chunk = blockSz
-	}
-	bounds := []int{0}
-	for lo := chunk; lo < n; lo += chunk {
-		bounds = append(bounds, lo)
-	}
-	bounds = append(bounds, n)
+	bounds := pipeerr.Cut(n, workers, k.v*k.v)
 	if len(bounds) < 3 {
 		return SortWithParamsContext(ctx, bank, keys, oids, p)
 	}
 
 	obsParSorts.Inc()
 	obsParWorkers.Set(int64(workers))
-	var busy *atomic.Int64 // worker busy time; nil unless tracing
-	var wall time.Time
-	if obs.Enabled() {
-		busy, wall = new(atomic.Int64), time.Now()
-	}
+	busy := pipeerr.StartBusy(workers)
 
 	kw, ow := pack(keys, oids, k.lanes)
 	kw2 := make([]uint64, len(kw))
 	ow2 := make([]uint64, len(ow))
-	g := pipeerr.NewGroup(ctx)
-	for c := 0; c+1 < len(bounds); c++ {
-		lo, hi, worker := bounds[c], bounds[c+1], c
-		g.Go(pipeerr.StageSort, -1, worker, func(gctx context.Context) error {
-			if err := gctx.Err(); err != nil {
-				return err
-			}
-			faultinject.Fire(faultinject.ChunkSort)
-			var t0 time.Time
-			if busy != nil {
-				t0 = time.Now()
-			}
-			inScratch, err := sortPackedChunk(gctx, kw, ow, kw2, ow2, k, lo, hi, p)
-			if inScratch && err == nil {
-				// Chunks can differ in pass count; the merge reads them
-				// all from the primary pair.
-				copyPackedRange(kw2, ow2, k.lanes, lo, hi, kw, ow)
-			}
-			if busy != nil {
-				busy.Add(int64(time.Since(t0)))
-			}
-			return err
-		})
-	}
-	if err := g.Wait(); err != nil {
+	chunks := pipeerr.Pass{Stage: pipeerr.StageSort, Round: -1, Site: faultinject.ChunkSort, Busy: busy}
+	err := chunks.Ranges(ctx, workers, len(bounds)-1, func(gctx context.Context, c int) error {
+		lo, hi := bounds[c], bounds[c+1]
+		inScratch, err := sortPackedChunk(gctx, kw, ow, kw2, ow2, k, lo, hi, p)
+		if inScratch && err == nil {
+			// Chunks can differ in pass count; the merge reads them
+			// all from the primary pair.
+			copyPackedRange(kw2, ow2, k.lanes, lo, hi, kw, ow)
+		}
+		return err
+	})
+	if err != nil {
 		return err
 	}
 
@@ -145,10 +117,7 @@ func ParallelSortWithParamsContext(ctx context.Context, bank int, keys []uint64,
 	if err := parallelUnpack(ctx, kw2, ow2, k.lanes, keys, oids, workers); err != nil {
 		return err
 	}
-
-	if busy != nil {
-		recordEfficiency(busy.Load(), time.Since(wall), workers)
-	}
+	busy.Publish(obsParEffX1000)
 	// Final poll: a cancellation that lands during the last merge stride
 	// or unpack chunk must still be honored, not dropped.
 	return ctx.Err()
@@ -179,11 +148,7 @@ func ParallelMergeWithParamsContext(ctx context.Context, bank int, keys []uint64
 // into keys/oids: the full merge when cut holds the run ends, the head
 // of the merge when the top-K path cut the runs short.
 func mergeAndUnpack(ctx context.Context, kw, ow []uint64, lanes, bank int, from, cut []int, keys []uint64, oids []uint32, useOVC bool, workers int) error {
-	var busy *atomic.Int64
-	var wall time.Time
-	if obs.Enabled() && workers > 1 {
-		busy, wall = new(atomic.Int64), time.Now()
-	}
+	busy := pipeerr.StartBusy(workers)
 	dstK := make([]uint64, len(kw))
 	dstO := make([]uint64, len(ow))
 	if err := parallelMergePacked(ctx, kw, ow, dstK, dstO, lanes, bank, from, cut, len(keys), useOVC, workers, busy); err != nil {
@@ -192,9 +157,7 @@ func mergeAndUnpack(ctx context.Context, kw, ow []uint64, lanes, bank int, from,
 	if err := parallelUnpack(ctx, dstK, dstO, lanes, keys, oids, workers); err != nil {
 		return err
 	}
-	if busy != nil {
-		recordEfficiency(busy.Load(), time.Since(wall), workers)
-	}
+	busy.Publish(obsParEffX1000)
 	return nil
 }
 
@@ -202,12 +165,12 @@ func mergeAndUnpack(ctx context.Context, kw, ow []uint64, lanes, bank int, from,
 // (kw, ow) — total elements in all — into dst[0:total). The output is
 // cut into one aligned rank share per worker; a multisequence selection
 // resolves each boundary to a cut in every run, and each worker merges
-// its co-partition with the run-index-stable loser tree. Load balance
-// is by output rank, so skew across or within runs costs nothing. It
-// serves the full merge (cut = run ends), the parallel sort's chunk
-// merge, and the truncated top-K merge. Busy time is added to busy when
-// non-nil.
-func parallelMergePacked(ctx context.Context, kw, ow, dstK, dstO []uint64, lanes, bank int, from, cut []int, total int, useOVC bool, workers int, busy *atomic.Int64) error {
+// its co-partition — the per-run slices between two boundaries — with
+// the run-index-stable loser tree. Load balance is by output rank, so
+// skew across or within runs costs nothing. It serves the full merge
+// (cut = run ends), the parallel sort's chunk merge, and the truncated
+// top-K merge. Busy time is added to busy when non-nil.
+func parallelMergePacked(ctx context.Context, kw, ow, dstK, dstO []uint64, lanes, bank int, from, cut []int, total int, useOVC bool, workers int, busy *pipeerr.Busy) error {
 	if total == 0 {
 		return nil
 	}
@@ -216,22 +179,11 @@ func parallelMergePacked(ctx context.Context, kw, ow, dstK, dstO []uint64, lanes
 	if useOVC {
 		obsOVCMerges.Inc()
 	}
-	if workers < 2 {
-		return mergeCoPartition(ctx, kw, ow, dstK, dstO, lanes, from, cut, useOVC, 0)
-	}
 
 	// Worker output boundaries: equal rank shares, aligned so no two
-	// workers share a packed destination word.
-	targets := []int{0}
-	for w := 1; w < workers; w++ {
-		t := total * w / workers / mergeAlign * mergeAlign
-		if t > targets[len(targets)-1] {
-			targets = append(targets, t)
-		}
-	}
-	targets = append(targets, total)
-
-	// Per-boundary cuts via multisequence selection.
+	// workers share a packed destination word, each resolved to per-run
+	// cuts via multisequence selection.
+	targets := pipeerr.Cut(total, workers, mergeAlign)
 	cuts := make([][]int, len(targets))
 	cuts[0], cuts[len(cuts)-1] = from, cut
 	for i := 1; i+1 < len(targets); i++ {
@@ -241,22 +193,10 @@ func parallelMergePacked(ctx context.Context, kw, ow, dstK, dstO []uint64, lanes
 		cuts[i] = splitRuns(kw, lanes, bank, from, cut, targets[i])
 	}
 
-	g := pipeerr.NewGroup(ctx)
-	for w := 0; w+1 < len(targets); w++ {
-		w := w
-		g.Go(pipeerr.StageMerge, -1, w, func(gctx context.Context) error {
-			var t0 time.Time
-			if busy != nil {
-				t0 = time.Now()
-			}
-			err := mergeCoPartition(gctx, kw, ow, dstK, dstO, lanes, cuts[w], cuts[w+1], useOVC, targets[w])
-			if busy != nil {
-				busy.Add(int64(time.Since(t0)))
-			}
-			return err
-		})
-	}
-	return g.Wait()
+	shares := pipeerr.Pass{Stage: pipeerr.StageMerge, Round: -1, Site: faultinject.LoserMerge, Busy: busy}
+	return shares.Ranges(ctx, workers, len(targets)-1, func(gctx context.Context, w int) error {
+		return treeMerge(gctx, kw, ow, dstK, dstO, lanes, cuts[w], cuts[w+1], useOVC, targets[w])
+	})
 }
 
 func runStarts(runs []int) []int { return runs[:len(runs)-1] }
@@ -337,13 +277,6 @@ func upperBoundPacked(kw []uint64, lanes, lo, hi int, v uint64) int {
 		}
 	}
 	return lo
-}
-
-// mergeCoPartition is one worker's share of a cooperative merge: the
-// per-run slices [from[r], to[r]) merged into dst starting at element d.
-func mergeCoPartition(ctx context.Context, kw, ow, dstK, dstO []uint64, lanes int, from, to []int, useOVC bool, d int) error {
-	faultinject.Fire(faultinject.LoserMerge)
-	return treeMerge(ctx, kw, ow, dstK, dstO, lanes, from, to, useOVC, d)
 }
 
 // treeMerge merges the per-run slices [from[r], to[r]) into dst
@@ -637,43 +570,11 @@ func (lt *stableLoserTree) popStretch(max int) (int, int, uint64) {
 // parallelUnpack converts the packed arrays back into keys/oids across
 // workers, chunked on word-aligned boundaries.
 func parallelUnpack(ctx context.Context, kw, ow []uint64, lanes int, keys []uint64, oids []uint32, workers int) error {
-	n := len(keys)
-	if workers < 2 || n < mergeAlign*workers {
-		if err := ctx.Err(); err != nil {
-			return err
+	pass := pipeerr.Pass{Stage: pipeerr.StageMerge, Round: -1, Align: mergeAlign, MinRows: mergeAlign * workers}
+	return pass.Rows(ctx, len(keys), workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			keys[i] = keyAt(kw, i, lanes)
+			oids[i] = oidAt(ow, i)
 		}
-		unpack(kw, ow, lanes, keys, oids)
-		return nil
-	}
-	chunk := (n/workers + mergeAlign - 1) / mergeAlign * mergeAlign
-	g := pipeerr.NewGroup(ctx)
-	worker := 0
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		lo, hi, worker := lo, hi, worker
-		g.Go(pipeerr.StageMerge, -1, worker, func(gctx context.Context) error {
-			if err := gctx.Err(); err != nil {
-				return err
-			}
-			for i := lo; i < hi; i++ {
-				keys[i] = keyAt(kw, i, lanes)
-				oids[i] = oidAt(ow, i)
-			}
-			return nil
-		})
-		worker++
-	}
-	return g.Wait()
-}
-
-// recordEfficiency publishes busy/(workers × wall) ×1000: 1000 means
-// the workers were collectively busy the whole wall time.
-func recordEfficiency(busyNS int64, wall time.Duration, workers int) {
-	if wall <= 0 || workers < 1 {
-		return
-	}
-	obsParEffX1000.Set(busyNS * 1000 / (int64(wall) * int64(workers)))
+	})
 }

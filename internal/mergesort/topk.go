@@ -90,30 +90,19 @@ func TopKContext(ctx context.Context, bank int, keys []uint64, oids []uint32, li
 	// chunk pivot (an order statistic can only move down when the pool
 	// grows), so each chunk's survivor set contains all of its elements
 	// that survive globally — no chunk can discard a global survivor.
-	chunk := (n + workers - 1) / workers
-	bounds := []int{0}
-	for lo := chunk; lo < n; lo += chunk {
-		bounds = append(bounds, lo)
-	}
-	bounds = append(bounds, n)
+	bounds := pipeerr.Cut(n, workers, 1)
 	surv := make([]int, len(bounds)-1)
-	g := pipeerr.NewGroup(ctx)
-	for c := 0; c+1 < len(bounds); c++ {
-		lo, hi, c := bounds[c], bounds[c+1], c
-		g.Go(pipeerr.StageSort, -1, c, func(gctx context.Context) error {
-			faultinject.Fire(faultinject.ChunkSort)
-			s, err := topKFilterChunk(gctx, keys, oids, lo, hi, limit)
-			if err != nil {
-				return err
-			}
-			if err := SortWithParamsContext(gctx, bank, keys[lo:lo+s], oids[lo:lo+s], p); err != nil {
-				return err
-			}
-			surv[c] = s
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
+	chunks := pipeerr.Pass{Stage: pipeerr.StageSort, Round: -1, Site: faultinject.ChunkSort}
+	err := chunks.Ranges(ctx, workers, len(surv), func(gctx context.Context, c int) error {
+		lo := bounds[c]
+		s, err := topKFilterChunk(gctx, keys, oids, lo, bounds[c+1], limit)
+		if err != nil {
+			return err
+		}
+		surv[c] = s
+		return SortWithParamsContext(gctx, bank, keys[lo:lo+s], oids[lo:lo+s], p)
+	})
+	if err != nil {
 		return 0, err
 	}
 

@@ -9,6 +9,12 @@
 //   - Group, a context-scoped goroutine group whose workers recover
 //     their own panics into PipelineErrors and cancel their siblings, so
 //     one poisoned chunk fails the query instead of the process;
+//   - Pass (pass.go), the one driver under every data-parallel pass of
+//     the pipeline — the paper's Section 6.4 scheme, cut the rows into
+//     per-thread ranges and work each independently: the owning package
+//     names the pass and supplies one range's work; cutting, spawning,
+//     polling, fault injection, containment and busy-time accounting
+//     happen here, once;
 //   - DegradeWorkers, the graceful-degradation policy shared by
 //     engine.RunContext and mcs.SortContext.
 //

@@ -460,35 +460,78 @@ func readBody(r *http.Request) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// statusFor maps server errors to HTTP status codes. The retryable
-// failure classes each get a distinct, conventional status — 429 for
-// queue congestion, 503 (with Retry-After) for a budget refusal, 504
-// for a watchdog kill or an expired deadline, 500 for a contained
-// pipeline fault — so a client needs no message parsing to pick its
-// backoff policy; permanent classes keep their 4xx codes.
-func statusFor(err error) int {
-	switch {
-	case errors.Is(err, ErrInvalidRequest), errors.Is(err, engine.ErrUnknownColumn):
-		return http.StatusBadRequest
-	case errors.Is(err, errNoJob):
-		return http.StatusNotFound
-	case errors.Is(err, errNotFinished):
-		return http.StatusConflict
-	case errors.Is(err, ErrShuttingDown):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, pipeerr.ErrQueueTimeout):
-		return http.StatusTooManyRequests
-	case errors.Is(err, pipeerr.ErrBudgetExceeded):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, pipeerr.ErrWatchdog):
-		return http.StatusGatewayTimeout
-	case pipeerr.IsCtxErr(err):
-		return http.StatusGatewayTimeout
-	default:
-		// Contained pipeline faults and anything unclassified: the
-		// server, not the request, failed.
-		return http.StatusInternalServerError
+// ErrorClass is one row of the wire error taxonomy: the
+// machine-readable kind (JobStatus.Kind), the HTTP status, whether a
+// retry of the identical request may succeed, and the in-process
+// sentinel a client.Error of this kind unwraps to, if it has one.
+type ErrorClass struct {
+	Kind      string
+	Status    int
+	Retryable bool
+	Sentinel  error
+	match     func(error) bool
+}
+
+// is matches errors wrapping the sentinel.
+func is(sentinel error) func(error) bool {
+	return func(err error) bool { return errors.Is(err, sentinel) }
+}
+
+// taxonomy is the one table behind every classification: the first row
+// whose matcher accepts an error classifies it (a queue timeout wraps a
+// context error, so it precedes execution_timeout). The retryable
+// classes each get a distinct, conventional status — 429 for queue
+// congestion, 503 (with Retry-After) for a budget refusal, 504 for a
+// watchdog kill — so a client needs no message parsing to pick its
+// backoff policy; permanent classes keep their 4xx codes. "internal" is
+// the residual class: a query must never need it for a failure the
+// taxonomy has a type for — the chaos battery asserts no storm-induced
+// failure lands there. docs/serving.md renders this table.
+var taxonomy = []ErrorClass{
+	{"queue_timeout", http.StatusTooManyRequests, true, pipeerr.ErrQueueTimeout, is(pipeerr.ErrQueueTimeout)},
+	{"budget", http.StatusServiceUnavailable, true, pipeerr.ErrBudgetExceeded, is(pipeerr.ErrBudgetExceeded)},
+	{"watchdog", http.StatusGatewayTimeout, true, pipeerr.ErrWatchdog, is(pipeerr.ErrWatchdog)},
+	{"shutdown", http.StatusServiceUnavailable, false, nil, is(ErrShuttingDown)},
+	{"execution_timeout", http.StatusGatewayTimeout, false, nil, pipeerr.IsCtxErr},
+	{"invalid", http.StatusBadRequest, false, nil, func(err error) bool {
+		return errors.Is(err, ErrInvalidRequest) || errors.Is(err, engine.ErrUnknownColumn)
+	}},
+	{"not_found", http.StatusNotFound, false, nil, is(errNoJob)},
+	{"not_finished", http.StatusConflict, false, nil, is(errNotFinished)},
+	{"pipeline", http.StatusInternalServerError, true, nil, func(err error) bool {
+		var pe *pipeerr.PipelineError
+		return errors.As(err, &pe)
+	}},
+	{"internal", http.StatusInternalServerError, false, nil, nil},
+}
+
+// ClassOfKind returns the taxonomy row of a wire kind — what a peer's
+// failure of that kind means here: client.Error unwraps to its
+// sentinel, and the coordinator answers a propagated shard kind with its
+// status. ok is false for a kind the table does not know.
+func ClassOfKind(kind string) (c ErrorClass, ok bool) {
+	for _, row := range taxonomy {
+		if row.Kind == kind {
+			return row, true
+		}
 	}
+	return ErrorClass{}, false
+}
+
+// Classify is the single-node Backend classifier: the wire kind, the
+// retryability verdict and the HTTP status of the taxonomy row that
+// matches err. The coordinator's classifier layers its shard kinds over
+// it.
+func Classify(err error) (kind string, retryable bool, status int) {
+	residual := len(taxonomy) - 1
+	c := taxonomy[residual]
+	for _, row := range taxonomy[:residual] {
+		if row.match(err) {
+			c = row
+			break
+		}
+	}
+	return c.Kind, c.Retryable, c.Status
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -196,8 +196,8 @@ func TestErrorKind(t *testing.T) {
 		{errors.New("boom"), "internal"},
 	}
 	for _, tc := range cases {
-		if got := errorKind(tc.err); got != tc.want {
-			t.Errorf("errorKind(%v) = %q, want %q", tc.err, got, tc.want)
+		if got, _, _ := Classify(tc.err); got != tc.want {
+			t.Errorf("Classify(%v) kind = %q, want %q", tc.err, got, tc.want)
 		}
 	}
 }

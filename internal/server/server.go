@@ -364,42 +364,3 @@ func buildResult(jobID string, req QueryRequest, eres *engine.Result, cacheHit b
 		ExecNS:       exec.Nanoseconds(),
 	}
 }
-
-// errorKind classifies a job failure for the wire (JobStatus.Kind).
-// "internal" is the residual class: a query must never need it for a
-// failure the taxonomy has a type for — the chaos battery asserts no
-// storm-induced failure lands there.
-func errorKind(err error) string {
-	var pe *pipeerr.PipelineError
-	switch {
-	case errors.Is(err, pipeerr.ErrQueueTimeout):
-		return "queue_timeout"
-	case errors.Is(err, pipeerr.ErrBudgetExceeded):
-		return "budget"
-	case errors.Is(err, pipeerr.ErrWatchdog):
-		return "watchdog"
-	case errors.Is(err, ErrShuttingDown):
-		return "shutdown"
-	case pipeerr.IsCtxErr(err):
-		return "execution_timeout"
-	case errors.Is(err, ErrInvalidRequest), errors.Is(err, engine.ErrUnknownColumn):
-		return "invalid"
-	case errors.Is(err, errNoJob):
-		return "not_found"
-	case errors.Is(err, errNotFinished):
-		return "not_finished"
-	case errors.As(err, &pe):
-		return "pipeline"
-	default:
-		return "internal"
-	}
-}
-
-// Classify is the single-node Backend classifier: the wire kind
-// (queue_timeout, budget, watchdog, shutdown, execution_timeout,
-// invalid, not_found, not_finished, pipeline, or the residual
-// internal), pipeerr's retryability verdict, and the HTTP status. The
-// coordinator's classifier layers its shard kinds over it.
-func Classify(err error) (kind string, retryable bool, status int) {
-	return errorKind(err), pipeerr.Retryable(err), statusFor(err)
-}

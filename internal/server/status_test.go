@@ -17,7 +17,9 @@ import (
 
 // TestStatusMapping pins the full wire taxonomy in one table: every
 // error class maps to its own HTTP status, machine-readable kind, and
-// retryability verdict. Before PR 8 the handlers collapsed
+// retryability verdict — and walks the rows of server.taxonomy: each
+// has a case here, agrees with pipeerr.Retryable, is found by its kind,
+// and classifies its own sentinel. Before PR 8 the handlers collapsed
 // queue-timeout, budget-refusal, and contained-panic failures toward
 // one bucket; a regression here would send clients the wrong backoff
 // policy.
@@ -44,18 +46,41 @@ func TestStatusMapping(t *testing.T) {
 		{"contained serve panic", serveErr, http.StatusInternalServerError, "pipeline", true},
 		{"unclassified", errors.New("mystery"), http.StatusInternalServerError, "internal", false},
 	}
+	covered := map[string]bool{}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := statusFor(tc.err); got != tc.status {
-				t.Errorf("statusFor = %d, want %d", got, tc.status)
+			kind, retryable, status := Classify(tc.err)
+			if status != tc.status {
+				t.Errorf("status = %d, want %d", status, tc.status)
 			}
-			if got := errorKind(tc.err); got != tc.kind {
-				t.Errorf("errorKind = %q, want %q", got, tc.kind)
+			if kind != tc.kind {
+				t.Errorf("kind = %q, want %q", kind, tc.kind)
 			}
-			if got := pipeerr.Retryable(tc.err); got != tc.retryable {
-				t.Errorf("Retryable = %v, want %v", got, tc.retryable)
+			if retryable != tc.retryable {
+				t.Errorf("retryable = %v, want %v", retryable, tc.retryable)
 			}
+			// The taxonomy's verdict is pipeerr's, row by row.
+			if got := pipeerr.Retryable(tc.err); got != retryable {
+				t.Errorf("pipeerr.Retryable = %v, the %s row says %v", got, kind, retryable)
+			}
+			covered[kind] = true
 		})
+	}
+	for _, c := range taxonomy {
+		if !covered[c.Kind] {
+			t.Errorf("taxonomy row %q has no case above", c.Kind)
+		}
+		if byKind, ok := ClassOfKind(c.Kind); !ok || byKind.Status != c.Status || byKind.Retryable != c.Retryable {
+			t.Errorf("ClassOfKind(%q) = %+v, %v", c.Kind, byKind, ok)
+		}
+		if c.Sentinel != nil {
+			if kind, _, _ := Classify(c.Sentinel); kind != c.Kind {
+				t.Errorf("row %q: its sentinel classifies as %q", c.Kind, kind)
+			}
+		}
+	}
+	if _, ok := ClassOfKind("shard_unavailable"); ok {
+		t.Error("ClassOfKind knows a kind the single-node taxonomy does not have")
 	}
 }
 

@@ -57,8 +57,8 @@ func TestWatchdogKillsStuckQuery(t *testing.T) {
 	if !pipeerr.Retryable(err) {
 		t.Error("watchdog kill must be retryable")
 	}
-	if kind := errorKind(err); kind != "watchdog" {
-		t.Errorf("errorKind = %q, want watchdog", kind)
+	if kind, _, _ := Classify(err); kind != "watchdog" {
+		t.Errorf("kind = %q, want watchdog", kind)
 	}
 	// The kill happens once the wedged hook returns (~400ms); it must
 	// not wait for anything slower.

@@ -459,7 +459,8 @@ func (c *Coordinator) mergeWindowParts(ctx context.Context, b *engine.Bound, req
 // classify is the coordinator's Backend classifier: the single-node
 // taxonomy with the shard layer over it. Shard failures with a typed
 // kind propagate it (a budget refusal on a shard is a budget refusal of
-// the query) with the shard's own retryability verdict; unreachable or
+// the query) with the shard's own retryability verdict and the status
+// the taxonomy gives that kind; unreachable or
 // unresponsive shards — transport faults, open breakers — become the
 // retryable "shard_unavailable" (503, the conventional "upstream is
 // down, retry later"); a malformed shard response is "shard_invalid"
@@ -476,6 +477,9 @@ func classify(err error) (kind string, retryable bool, status int) {
 		retryable = ce.Retryable
 		if ce.Kind != "" && ce.Kind != "internal" {
 			kind = ce.Kind
+			if c, ok := server.ClassOfKind(kind); ok {
+				status = c.Status
+			}
 		} else {
 			kind = "shard_unavailable"
 		}

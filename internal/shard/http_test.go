@@ -293,6 +293,11 @@ func TestCoordinatorHTTPErrors(t *testing.T) {
 		{"untyped shard failure", &shardError{addr: "http://s1", err: &client.Error{Kind: "internal", Status: 500, Retryable: true}}, "shard_unavailable", true, http.StatusServiceUnavailable},
 		{"shard budget refusal propagates", &shardError{addr: "http://s1", err: &client.Error{Kind: "budget", Status: 503, Retryable: true}}, "budget", true, http.StatusServiceUnavailable},
 		{"caller cancellation through a shard", &shardError{addr: "http://s1", err: context.Canceled}, "execution_timeout", false, http.StatusGatewayTimeout},
+		// A propagated kind keeps the status the taxonomy gives it, also
+		// the kinds a client.Error maps to no sentinel.
+		{"shard deadline propagates", &shardError{addr: "http://s1", err: &client.Error{Kind: "execution_timeout", Status: 504}}, "execution_timeout", false, http.StatusGatewayTimeout},
+		{"draining shard propagates", &shardError{addr: "http://s1", err: &client.Error{Kind: "shutdown", Status: 503}}, "shutdown", false, http.StatusServiceUnavailable},
+		{"shard-rejected request propagates", &shardError{addr: "http://s1", err: &client.Error{Kind: "invalid", Status: 400}}, "invalid", false, http.StatusBadRequest},
 	} {
 		kind, retryable, status := classify(tc.err)
 		if kind != tc.kind || retryable != tc.retryable || status != tc.status {
