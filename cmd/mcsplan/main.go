@@ -21,10 +21,10 @@ import (
 	"repro/internal/cliutil"
 	"repro/internal/costmodel"
 	"repro/internal/datagen"
+	"repro/internal/engine"
 	"repro/internal/massage"
 	"repro/internal/mcsort"
 	"repro/internal/obs"
-	"repro/internal/plan"
 	"repro/internal/planner"
 )
 
@@ -118,7 +118,7 @@ func main() {
 		dumpMetrics(*metrics)
 		os.Exit(1)
 	}
-	base := baseline(s)
+	base := s.Baseline()
 	fmt.Printf("P0 (column-at-a-time): %-40s est %8.2f ms\n", base.Plan, base.Est/1e6)
 	roga, err := planner.ROGAContext(ctx, s)
 	if err != nil {
@@ -148,13 +148,11 @@ func main() {
 		for i, c := range roga.ColOrder {
 			ordered[i] = inputs[c]
 		}
+		// The engine's LIMIT/OFFSET semantics in row units, as for a
+		// window query: materialize the first offset+limit rows, then
+		// drop the leading offset ones.
 		mopts := mcsort.Options{Workers: *workers}
-		if *limit > 0 {
-			// The engine's LIMIT/OFFSET semantics at the mcsort layer:
-			// materialize the first offset+limit rows, then drop the
-			// leading offset ones.
-			mopts.LimitRows = *limit + *offset
-		}
+		mopts.LimitRows, _ = engine.SortCut(engine.Query{Window: &engine.Window{}}, limit, *offset)
 		res, err := mcsort.ExecuteContext(ctx, ordered, roga.Plan, mopts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mcsplan: execute: %v\n", err)
@@ -191,18 +189,6 @@ func dumpMetrics(mode string) {
 	if err := cliutil.DumpMetrics(os.Stdout, mode); err != nil {
 		fmt.Fprintf(os.Stderr, "mcsplan: metrics: %v\n", err)
 	}
-}
-
-// baseline mirrors the planner's internal baseline (P0 in clause order).
-func baseline(s *planner.Search) planner.Choice {
-	widths := make([]int, len(s.Stats.Cols))
-	order := make([]int, len(widths))
-	for i, c := range s.Stats.Cols {
-		widths[i] = c.Width
-		order[i] = i
-	}
-	p0 := plan.ColumnAtATime(widths)
-	return planner.Choice{ColOrder: order, Plan: p0, Est: s.Model.TMCS(p0, s.Stats)}
 }
 
 func parseInts(s string) ([]int, error) {

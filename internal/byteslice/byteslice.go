@@ -9,6 +9,7 @@
 package byteslice
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/column"
@@ -132,6 +133,10 @@ func (bv *BitVector) And(other *BitVector) {
 	}
 }
 
+// ErrConstantDomain is the error of a scan whose constant is not a code
+// of the column's domain: the caller's mistake, not a pipeline fault.
+var ErrConstantDomain = errors.New("byteslice: constant outside the column's domain")
+
 // Scan evaluates `code op constant` over the whole column and returns
 // the result bit vector. The constant is a code in the column's domain.
 // Eight codes are processed per word per plane; planes below the first
@@ -139,7 +144,7 @@ func (bv *BitVector) And(other *BitVector) {
 // ByteSlice's early stopping.
 func (bs *BS) Scan(op Op, constant uint64) (*BitVector, error) {
 	if constant&^column.Mask(bs.Width) != 0 {
-		return nil, fmt.Errorf("byteslice: constant %d exceeds %d-bit domain", constant, bs.Width)
+		return nil, fmt.Errorf("%w: %d exceeds %d bits", ErrConstantDomain, constant, bs.Width)
 	}
 	nPlanes := len(bs.planes)
 	cShift := constant << bs.shift

@@ -11,7 +11,6 @@ import (
 	"math"
 
 	"repro/internal/column"
-	"repro/internal/plan"
 )
 
 // BankConstants are the calibrated per-bank sorting constants of
@@ -127,36 +126,6 @@ func (s Stats) Permute(perm []int) Stats {
 	return Stats{N: s.N, Cols: cols, LimitRows: s.LimitRows, LimitGroups: s.LimitGroups}
 }
 
-// survivorsAfter estimates how many rows remain in the pipeline after
-// truncation at group boundaries once the first `bits` bits are sorted:
-// the rank target plus the expected boundary group (LimitRows — the cut
-// is tie-extended) or the expected rows of the first LimitGroups groups
-// (LimitGroups), clamped to [1, N]. Unlimited stats return N.
-func (s Stats) survivorsAfter(bits int) float64 {
-	n := float64(s.N)
-	if (s.LimitRows <= 0 && s.LimitGroups <= 0) || bits <= 0 || s.N <= 0 {
-		return n
-	}
-	nGroup, _, _ := s.groupProfile(bits)
-	if nGroup < 1 {
-		nGroup = 1
-	}
-	avg := n / nGroup
-	var v float64
-	if s.LimitRows > 0 {
-		v = float64(s.LimitRows) + avg
-	} else {
-		v = float64(s.LimitGroups) * avg
-	}
-	if v > n {
-		v = n
-	}
-	if v < 1 {
-		v = 1
-	}
-	return v
-}
-
 // TotalWidth returns the summed column width W.
 func (s Stats) TotalWidth() int {
 	w := 0
@@ -190,60 +159,6 @@ func (s Stats) distinctOfPrefix(bits int) float64 {
 		}
 	}
 	return d
-}
-
-// DupFrac estimates the duplicate fraction of the first `bits` bits of
-// the column concatenation: 1 − distinct/N, clamped to [0, 1]. It is
-// the dup-fraction regressor of the OVC merge discount — rows sharing a
-// full round key resolve their merge comparisons on codes alone.
-func (s Stats) DupFrac(bits int) float64 {
-	if s.N <= 0 {
-		return 0
-	}
-	f := 1 - s.distinctOfPrefix(bits)/float64(s.N)
-	if f < 0 {
-		return 0
-	}
-	if f > 1 {
-		return 1
-	}
-	return f
-}
-
-// groupProfile estimates, for tuples grouped by their first `bits` bits:
-// the expected number of groups, the number of groups of size ≥ 2
-// (which is N_sort of the next round), and the number of rows belonging
-// to those non-singleton groups. It uses the classic occupancy model: N
-// rows drawn over P equally likely combinations.
-func (s Stats) groupProfile(bits int) (nGroup, nSort, rowsInSorts float64) {
-	n := float64(s.N)
-	if bits <= 0 {
-		return 1, 1, n
-	}
-	p := s.distinctOfPrefix(bits)
-	if p <= 1 {
-		return 1, 1, n
-	}
-	// E[#occupied cells] and E[#singletons].
-	q := 1.0 - 1.0/p
-	occupied := p * (1 - math.Pow(q, n))
-	singles := n * math.Pow(q, n-1)
-	if occupied > n {
-		occupied = n
-	}
-	if singles > n {
-		singles = n
-	}
-	nGroup = occupied
-	nSort = occupied - singles
-	if nSort < 0 {
-		nSort = 0
-	}
-	rowsInSorts = n - singles
-	if rowsInSorts < 0 {
-		rowsInSorts = 0
-	}
-	return nGroup, nSort, rowsInSorts
 }
 
 // TLookup is Equation 3: N random accesses into a w-bit column with a
@@ -317,113 +232,6 @@ func (m *Model) TSortOneDup(n float64, bank int, dup float64) float64 {
 		ooc *= 1 - disc*dup
 	}
 	return bc.COverhead + bc.CLinear*n + ooc
-}
-
-// TSortAfter estimates the summed SIMD-sort cost of a round that uses a
-// b-bit bank after bitsBefore bits have already been sorted: Equation 1
-// over the group profile those bits induce. This is the quantity the
-// greedy plan search minimizes when assigning bits to a round; since
-// the round width is not fixed yet, the duplicate fraction uses the
-// widest key the bank could hold as a surrogate.
-func (m *Model) TSortAfter(st Stats, bitsBefore, bank int) float64 {
-	width := st.TotalWidth() - bitsBefore
-	if width > bank {
-		width = bank
-	}
-	return m.tSortAfterWidth(st, bitsBefore, width, bank)
-}
-
-// tSortAfterWidth is TSortAfter with the round's actual key width, so
-// the duplicate fraction covers exactly the bits this round sorts. The
-// fraction is taken over all rows (not only rows in non-singleton
-// groups) — an approximation that errs toward less discount, since
-// singleton rows are globally unique.
-func (m *Model) tSortAfterWidth(st Stats, bitsBefore, width, bank int) float64 {
-	dup := st.DupFrac(bitsBefore + width)
-	if bitsBefore <= 0 {
-		if st.LimitRows > 0 && st.N > 0 {
-			// Round 1 of a row-truncated query is the bounded-heap top-K
-			// sort: a sequential filter pass over all N rows (costed with
-			// the scan constant — same access pattern, no new calibrated
-			// constant so the model fingerprint is unchanged) plus a sort
-			// of only the survivors. This is what teaches ROGA that wide
-			// stitched first rounds are nearly free under small K — the
-			// sort term collapses — so massaging pays only via its own
-			// upfront cost.
-			surv := st.survivorsAfter(width)
-			if surv < float64(st.N) {
-				return m.TScan(st.N) + m.TSortOneDup(surv, bank, dup)
-			}
-		}
-		return m.TSortOneDup(float64(st.N), bank, dup)
-	}
-	_, nSort, rows := st.groupProfile(bitsBefore)
-	if nSort < 1 {
-		return 0
-	}
-	// Truncated executions only sort the groups that survive the cut:
-	// scale the group population by the surviving-row fraction.
-	if scale := st.survivorsAfter(bitsBefore) / float64(st.N); scale < 1 {
-		nSort *= scale
-		rows *= scale
-		if nSort < 1 {
-			nSort = 1
-		}
-	}
-	avg := rows / nSort
-	return nSort * m.TSortOneDup(avg, bank, dup)
-}
-
-// TSortRound is Equation 1 for round k (1-based) of plan p.
-func (m *Model) TSortRound(p plan.Plan, st Stats, k int) float64 {
-	bitsBefore := 0
-	for i := 0; i < k-1; i++ {
-		bitsBefore += p.Rounds[i].Width
-	}
-	return m.tSortAfterWidth(st, bitsBefore, p.Rounds[k-1].Width, p.Rounds[k-1].Bank)
-}
-
-// TMCS estimates the total multi-column sorting time of plan p: massage
-// upfront, then per round a lookup (rounds ≥ 2), the SIMD-sorts, and a
-// group-extraction scan. Truncated stats (LimitRows/LimitGroups > 0)
-// model the deferred execution instead: massage is paid per round — in
-// full for round 1, then only over the surviving prefix — and the
-// lookup and scan passes shrink with the survivors, which is what makes
-// massaging rarely pay below small K (the upfront FIP work no longer
-// amortizes over cheap later rounds).
-func (m *Model) TMCS(p plan.Plan, st Stats) float64 {
-	inWidths := make([]int, len(st.Cols))
-	for i, c := range st.Cols {
-		inWidths[i] = c.Width
-	}
-	if st.LimitRows > 0 || st.LimitGroups > 0 {
-		rf := plan.RoundFIPs(inWidths, p.Widths())
-		t := 0.0
-		bitsBefore := 0
-		for k := 1; k <= len(p.Rounds); k++ {
-			surv := st.N
-			if k > 1 {
-				surv = int(st.survivorsAfter(bitsBefore))
-			}
-			t += m.TMassage(rf[k-1], surv)
-			if k > 1 {
-				t += m.TLookup(surv, p.Rounds[k-1].Width)
-			}
-			t += m.TSortRound(p, st, k)
-			t += m.TScan(surv)
-			bitsBefore += p.Rounds[k-1].Width
-		}
-		return t
-	}
-	t := m.TMassage(plan.IFIP(inWidths, p.Widths()), st.N)
-	for k := 1; k <= len(p.Rounds); k++ {
-		if k > 1 {
-			t += m.TLookup(st.N, p.Rounds[k-1].Width)
-		}
-		t += m.TSortRound(p, st, k)
-		t += m.TScan(st.N)
-	}
-	return t
 }
 
 // CollectStats computes exact prefix-distinct profiles for each column

@@ -156,7 +156,7 @@ func TestModelPrefersPaperPlans(t *testing.T) {
 
 func TestGroupProfileOccupancy(t *testing.T) {
 	st := uniformStats(100000, []int{8}, []int{256})
-	nGroup, nSort, rows := st.groupProfile(8)
+	nGroup, nSort, rows := groupProfile(float64(st.N), st.distinctOfPrefix(8))
 	// 100k rows over 256 values: every value occupied, no singletons.
 	if nGroup < 250 || nGroup > 256 {
 		t.Errorf("nGroup = %v, want ≈ 256", nGroup)
@@ -168,7 +168,7 @@ func TestGroupProfileOccupancy(t *testing.T) {
 		t.Errorf("rowsInSorts = %v, want ≈ 100000", rows)
 	}
 	// Zero bits: everything is one group.
-	g, s, r := st.groupProfile(0)
+	g, s, r := groupProfile(float64(st.N), st.distinctOfPrefix(0))
 	if g != 1 || s != 1 || r != float64(st.N) {
 		t.Errorf("groupProfile(0) = %v,%v,%v", g, s, r)
 	}
@@ -250,15 +250,15 @@ func TestDupFrac(t *testing.T) {
 		codes[i] = uint64(i % 16)
 	}
 	st := CollectStats([][]uint64{codes}, []int{4})
-	if got, want := st.DupFrac(4), 1-16.0/1600; got != want {
-		t.Errorf("DupFrac(4) = %v, want %v", got, want)
+	dup := func(st Stats, bits int) float64 { return dupFrac(float64(st.N), st.distinctOfPrefix(bits)) }
+	if got, want := dup(st, 4), 1-16.0/1600; got != want {
+		t.Errorf("dup(4) = %v, want %v", got, want)
 	}
-	if got, want := st.DupFrac(0), 1-1.0/1600; got != want {
-		t.Errorf("DupFrac(0) = %v, want %v", got, want)
+	if got, want := dup(st, 0), 1-1.0/1600; got != want {
+		t.Errorf("dup(0) = %v, want %v", got, want)
 	}
-	if got := st.DupFrac(2); got <= st.DupFrac(4) {
-		t.Errorf("narrower prefix must have more duplicates: DupFrac(2)=%v DupFrac(4)=%v",
-			got, st.DupFrac(4))
+	if dup(st, 2) <= dup(st, 4) {
+		t.Errorf("narrower prefix must have more duplicates: dup(2)=%v dup(4)=%v", dup(st, 2), dup(st, 4))
 	}
 	// All-unique rows: no duplicates at full width.
 	uniq := make([]uint64, 256)
@@ -266,8 +266,8 @@ func TestDupFrac(t *testing.T) {
 		uniq[i] = uint64(i)
 	}
 	su := CollectStats([][]uint64{uniq}, []int{8})
-	if got := su.DupFrac(8); got != 0 {
-		t.Errorf("unique DupFrac = %v, want 0", got)
+	if got := dup(su, 8); got != 0 {
+		t.Errorf("unique dup(8) = %v, want 0", got)
 	}
 }
 
@@ -317,16 +317,16 @@ func TestTSortAfterDupAware(t *testing.T) {
 	md := Builtin()
 	md.C.OVCMergeDiscount = 0.9
 	heavy := uniformStats(1<<18, []int{20}, []int{16})
-	if !(md.TSortAfter(heavy, 0, 32) < m.TSortAfter(heavy, 0, 32)) {
+	if !(md.Profile(heavy).TSortAfter(0, 32) < m.Profile(heavy).TSortAfter(0, 32)) {
 		t.Error("discounted model must price dup-heavy sorts cheaper")
 	}
-	// An all-unique column has DupFrac 0 — the discount must not move it.
+	// An all-unique column has duplicate fraction 0 — the discount must not move it.
 	uniq := make([]uint64, 1<<18)
 	for i := range uniq {
 		uniq[i] = uint64(i)
 	}
 	light := CollectStats([][]uint64{uniq}, []int{20})
-	lg, lw := md.TSortAfter(light, 0, 32), m.TSortAfter(light, 0, 32)
+	lg, lw := md.Profile(light).TSortAfter(0, 32), m.Profile(light).TSortAfter(0, 32)
 	if lg != lw {
 		t.Errorf("unique column must be unaffected: %v vs %v", lg, lw)
 	}

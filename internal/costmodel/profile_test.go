@@ -1,0 +1,289 @@
+package costmodel
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/plan"
+)
+
+// The reference: the direct formulas as they stood before Profile,
+// re-deriving every statistic per call. Profile must agree with them bit
+// for bit — plan choice compares these floats with <.
+
+func refSurvivorsAfter(s Stats, bits int) float64 {
+	n := float64(s.N)
+	if (s.LimitRows <= 0 && s.LimitGroups <= 0) || bits <= 0 || s.N <= 0 {
+		return n
+	}
+	nGroup, _, _ := refGroupProfile(s, bits)
+	if nGroup < 1 {
+		nGroup = 1
+	}
+	avg := n / nGroup
+	var v float64
+	if s.LimitRows > 0 {
+		v = float64(s.LimitRows) + avg
+	} else {
+		v = float64(s.LimitGroups) * avg
+	}
+	if v > n {
+		v = n
+	}
+	if v < 1 {
+		v = 1
+	}
+	return v
+}
+
+func refDupFrac(s Stats, bits int) float64 {
+	if s.N <= 0 {
+		return 0
+	}
+	f := 1 - s.distinctOfPrefix(bits)/float64(s.N)
+	if f < 0 {
+		return 0
+	}
+	if f > 1 {
+		return 1
+	}
+	return f
+}
+
+func refGroupProfile(s Stats, bits int) (nGroup, nSort, rowsInSorts float64) {
+	n := float64(s.N)
+	if bits <= 0 {
+		return 1, 1, n
+	}
+	p := s.distinctOfPrefix(bits)
+	if p <= 1 {
+		return 1, 1, n
+	}
+	q := 1.0 - 1.0/p
+	occupied := p * (1 - math.Pow(q, n))
+	singles := n * math.Pow(q, n-1)
+	if occupied > n {
+		occupied = n
+	}
+	if singles > n {
+		singles = n
+	}
+	nGroup = occupied
+	nSort = occupied - singles
+	if nSort < 0 {
+		nSort = 0
+	}
+	rowsInSorts = n - singles
+	if rowsInSorts < 0 {
+		rowsInSorts = 0
+	}
+	return nGroup, nSort, rowsInSorts
+}
+
+func refTSortOneDup(m *Model, n float64, bank int, dup float64) float64 {
+	if n < 2 {
+		return 0
+	}
+	if n < SmallSortThreshold {
+		return m.C.SmallCall + m.C.SmallElem*n + m.C.SmallQuad*n*n
+	}
+	bc := m.C.Bank[bank]
+	ooc := bc.COutOfCache * n * m.outOfCachePasses(n, bank)
+	if dup > 0 && m.C.OVCMergeDiscount > 0 {
+		disc := m.C.OVCMergeDiscount
+		if disc > 1 {
+			disc = 1
+		}
+		if dup > 1 {
+			dup = 1
+		}
+		ooc *= 1 - disc*dup
+	}
+	return bc.COverhead + bc.CLinear*n + ooc
+}
+
+func refTSortAfter(m *Model, st Stats, bitsBefore, bank int) float64 {
+	width := st.TotalWidth() - bitsBefore
+	if width > bank {
+		width = bank
+	}
+	return refTSortAfterWidth(m, st, bitsBefore, width, bank)
+}
+
+func refTSortAfterWidth(m *Model, st Stats, bitsBefore, width, bank int) float64 {
+	dup := refDupFrac(st, bitsBefore+width)
+	if bitsBefore <= 0 {
+		if st.LimitRows > 0 && st.N > 0 {
+			surv := refSurvivorsAfter(st, width)
+			if surv < float64(st.N) {
+				return m.TScan(st.N) + refTSortOneDup(m, surv, bank, dup)
+			}
+		}
+		return refTSortOneDup(m, float64(st.N), bank, dup)
+	}
+	_, nSort, rows := refGroupProfile(st, bitsBefore)
+	if nSort < 1 {
+		return 0
+	}
+	if scale := refSurvivorsAfter(st, bitsBefore) / float64(st.N); scale < 1 {
+		nSort *= scale
+		rows *= scale
+		if nSort < 1 {
+			nSort = 1
+		}
+	}
+	avg := rows / nSort
+	return nSort * refTSortOneDup(m, avg, bank, dup)
+}
+
+func refTSortRound(m *Model, p plan.Plan, st Stats, k int) float64 {
+	bitsBefore := 0
+	for i := 0; i < k-1; i++ {
+		bitsBefore += p.Rounds[i].Width
+	}
+	return refTSortAfterWidth(m, st, bitsBefore, p.Rounds[k-1].Width, p.Rounds[k-1].Bank)
+}
+
+func refTMCS(m *Model, p plan.Plan, st Stats) float64 {
+	inWidths := make([]int, len(st.Cols))
+	for i, c := range st.Cols {
+		inWidths[i] = c.Width
+	}
+	if st.LimitRows > 0 || st.LimitGroups > 0 {
+		rf := plan.RoundFIPs(inWidths, p.Widths())
+		t := 0.0
+		bitsBefore := 0
+		for k := 1; k <= len(p.Rounds); k++ {
+			surv := st.N
+			if k > 1 {
+				surv = int(refSurvivorsAfter(st, bitsBefore))
+			}
+			t += m.TMassage(rf[k-1], surv)
+			if k > 1 {
+				t += m.TLookup(surv, p.Rounds[k-1].Width)
+			}
+			t += refTSortRound(m, p, st, k)
+			t += m.TScan(surv)
+			bitsBefore += p.Rounds[k-1].Width
+		}
+		return t
+	}
+	t := m.TMassage(plan.IFIP(inWidths, p.Widths()), st.N)
+	for k := 1; k <= len(p.Rounds); k++ {
+		if k > 1 {
+			t += m.TLookup(st.N, p.Rounds[k-1].Width)
+		}
+		t += refTSortRound(m, p, st, k)
+		t += m.TScan(st.N)
+	}
+	return t
+}
+
+// randomStats draws 1–6 columns of width 1–40 whose prefix-distinct
+// profiles grow at a random rate up to a random cardinality, with a row
+// or group limit on about half the draws and now and then no rows.
+func randomStats(rng *rand.Rand) Stats {
+	st := Stats{N: 1 + rng.Intn(1<<uint(4+rng.Intn(20)))}
+	for c, m := 0, 1+rng.Intn(6); c < m; c++ {
+		w := 1 + rng.Intn(40)
+		card := 1 + rng.Float64()*float64(st.N)*2
+		pd := make([]float64, w+1)
+		pd[0] = 1
+		for t := 1; t <= w; t++ {
+			pd[t] = math.Min(math.Ceil(pd[t-1]*(1+rng.Float64())), math.Floor(card))
+		}
+		st.Cols = append(st.Cols, ColumnStats{Width: w, PrefixDistinct: pd})
+	}
+	switch rng.Intn(4) {
+	case 0:
+		st.LimitRows = 1 + rng.Intn(st.N)
+	case 1:
+		st.LimitGroups = 1 + rng.Intn(1000)
+	}
+	if rng.Intn(50) == 0 {
+		st.N = 0 // a filter that selects nothing
+	}
+	return st
+}
+
+// randomPlanOf draws a valid plan over W bits: random widths ≤ 64, each
+// with a random bank that holds it.
+func randomPlanOf(rng *rand.Rand, W int) plan.Plan {
+	var p plan.Plan
+	for W > 0 {
+		w := 1 + rng.Intn(min(W, plan.MaxWidth))
+		bank := plan.MinBankFor(w)
+		for bank < 64 && rng.Intn(3) == 0 {
+			bank *= 2
+		}
+		p.Rounds = append(p.Rounds, plan.Round{Width: w, Bank: bank})
+		W -= w
+	}
+	return p
+}
+
+// tSortRound is Equation 1 for round k (1-based) of plan p, the
+// Profile's counterpart of refTSortRound.
+func (pf *Profile) tSortRound(p plan.Plan, k int) float64 {
+	bitsBefore := 0
+	for i := 0; i < k-1; i++ {
+		bitsBefore += p.Rounds[i].Width
+	}
+	return pf.tSortAfterWidth(bitsBefore, p.Rounds[k-1].Width, p.Rounds[k-1].Bank)
+}
+
+func TestProfileMatchesDirectFormulas(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	models := []*Model{Builtin(), Builtin()}
+	models[1].C.OVCMergeDiscount = 0.6
+	for iter := 0; iter < 400; iter++ {
+		m := models[iter%2]
+		st := randomStats(rng)
+		W := st.TotalWidth()
+		pf := m.Profile(st)
+		for _, bank := range plan.Banks {
+			for bits := 0; bits <= W; bits++ {
+				// Twice: the second read is the memo.
+				for rep := 0; rep < 2; rep++ {
+					got, want := pf.TSortAfter(bits, bank), refTSortAfter(m, st, bits, bank)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("iter %d: TSortAfter(%d, %d) = %v, direct %v (stats %+v)", iter, bits, bank, got, want, st)
+					}
+				}
+			}
+		}
+		for j := 0; j < 20; j++ {
+			p := randomPlanOf(rng, W)
+			for k := 1; k <= len(p.Rounds); k++ {
+				got, want := pf.tSortRound(p, k), refTSortRound(m, p, st, k)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("iter %d: TSortRound(%v, %d) = %v, direct %v (stats %+v)", iter, p, k, got, want, st)
+				}
+			}
+			want := refTMCS(m, p, st)
+			got, complete := pf.TMCS(p, math.Inf(1))
+			if !complete || math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("iter %d: TMCS(%v) = %v (complete %v), direct %v (stats %+v)", iter, p, got, complete, want, st)
+			}
+			if w := m.TMCS(p, st); math.Float64bits(w) != math.Float64bits(want) {
+				t.Fatalf("iter %d: Model.TMCS(%v) = %v, direct %v", iter, p, w, want)
+			}
+			// Abandoning against an incumbent: the full sum whenever it
+			// beats the incumbent, otherwise anything ≥ the incumbent.
+			for _, incumbent := range []float64{0, want * rng.Float64(), want, math.Nextafter(want, math.Inf(1)), want * 2} {
+				got, complete := pf.TMCS(p, incumbent)
+				switch {
+				case want < incumbent:
+					if !complete || math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("iter %d: TMCS(%v, incumbent %v) = %v (complete %v), want the full sum %v", iter, p, incumbent, got, complete, want)
+					}
+				case got < incumbent:
+					t.Fatalf("iter %d: TMCS(%v, incumbent %v) = %v < incumbent; full sum %v", iter, p, incumbent, got, want)
+				case complete && math.Float64bits(got) != math.Float64bits(want):
+					t.Fatalf("iter %d: TMCS(%v, incumbent %v) complete with %v, full sum %v", iter, p, incumbent, got, want)
+				}
+			}
+		}
+	}
+}

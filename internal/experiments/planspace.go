@@ -112,6 +112,7 @@ func Figure7(cfg Config) (*Report, error) {
 		est    float64
 	}
 	var rows []scored
+	estimate := search.Estimator()
 	for _, cand := range pop {
 		actual, err := executePlan(cfg, inputs, cand)
 		if err != nil {
@@ -120,8 +121,7 @@ func Figure7(cfg Config) (*Report, error) {
 			}
 			continue
 		}
-		st := search.Stats.Permute(cand.ColOrder)
-		rows = append(rows, scored{cand, actual, search.Model.TMCS(cand.Plan, st)})
+		rows = append(rows, scored{cand, actual, estimate(cand.ColOrder, cand.Plan)})
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].actual < rows[j].actual })
 	maxShown := 30
@@ -230,6 +230,7 @@ func Table1(cfg Config) (*Report, error) {
 			pop = ensureIncluded(pop, rogaPick, rrsPick)
 
 			actual := make(map[int]time.Duration, len(pop))
+			estimate := search.Estimator()
 			for i, cand := range pop {
 				t, err := executePlan(cfg, inputs, cand)
 				if err != nil {
@@ -239,8 +240,7 @@ func Table1(cfg Config) (*Report, error) {
 					continue
 				}
 				actual[i] = t
-				st := search.Stats.Permute(cand.ColOrder)
-				est := search.Model.TMCS(cand.Plan, st)
+				est := estimate(cand.ColOrder, cand.Plan)
 				a := float64(t.Nanoseconds())
 				if a > 0 {
 					relErrs = append(relErrs, math.Abs(a-est)/a)

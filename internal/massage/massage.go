@@ -91,7 +91,6 @@ func Compile(inputs []Input, outWidths []int) (*Program, error) {
 	if totalIn != totalOut {
 		return nil, fmt.Errorf("massage: input bits %d != output bits %d", totalIn, totalOut)
 	}
-	W := totalIn
 
 	// Bit positions count from the most-significant end of the
 	// concatenation: column i spans concat bits [inLo[i], inLo[i]+w).
@@ -125,7 +124,6 @@ func Compile(inputs []Input, outWidths []int) (*Program, error) {
 			})
 		}
 	}
-	_ = W
 	obsCompiles.Inc()
 	obsSegments.Add(int64(len(segs)))
 	if obs.Enabled() {

@@ -319,7 +319,7 @@ func executeContext(ctx context.Context, inputs []massage.Input, p plan.Plan, op
 			// leaves the pipeline here.
 			if rows >= 2 {
 				if limitRows > 0 {
-					m, err := parallelTopSort(ctx, round.Bank, keys, res.Perm, limitRows, opts.Workers, sp, r)
+					m, err := parallelTopSort(ctx, round.Bank, keys, res.Perm, limitRows, opts.Workers, sp)
 					if err != nil {
 						return nil, err
 					}

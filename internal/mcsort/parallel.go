@@ -190,7 +190,7 @@ func parallelFullSort(ctx context.Context, bank int, keys []uint64, oids []uint3
 // so the surviving prefix is byte-identical to the full sort's prefix.
 // keys[m:] and oids[m:] are garbage on return; the rows they held are
 // out of the pipeline for good.
-func parallelTopSort(ctx context.Context, bank int, keys []uint64, oids []uint32, limit, workers int, p mergesort.Params, round int) (int, error) {
+func parallelTopSort(ctx context.Context, bank int, keys []uint64, oids []uint32, limit, workers int, p mergesort.Params) (int, error) {
 	m, err := mergesort.TopKContext(ctx, bank, keys, oids, limit, p, workers)
 	if err != nil {
 		return 0, err

@@ -13,6 +13,7 @@
 package planner
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/costmodel"
@@ -63,10 +64,11 @@ type Search struct {
 	// time exceeds Rho × the estimated cost of the best plan so far.
 	// Zero means DefaultRho; negative means no threshold (N/S).
 	Rho float64
-	// MaxPlans caps how many candidate plans the search costs before
+	// MaxPlans caps how many candidate plans the search enumerates
+	// (costed in full or abandoned against the incumbent alike) before
 	// stopping with the best found so far; 0 means no cap. Unlike the
 	// ρ stopwatch, the cap is counted, not timed: two searches over the
-	// same inputs cost the same candidates in the same enumeration
+	// same inputs visit the same candidates in the same enumeration
 	// order and choose the same plan on every machine. Long-running
 	// services (mcsd) rely on this for plan-cache coherence — a
 	// memoized choice must equal the choice a fresh search would make —
@@ -125,27 +127,45 @@ func (sw *stopwatch) expired(bestEstNS float64) bool {
 	return float64(time.Since(sw.start).Nanoseconds()) > sw.rho*bestEstNS
 }
 
-// baseline returns the column-at-a-time plan P₀ in clause order — or,
+// Baseline returns the column-at-a-time plan P₀ in clause order — or,
 // when FixedOrder pins the permutation, in that order: the baseline
 // seeds the search's running best, so a baseline in any other order
 // could win the search and leak an unpinned ColOrder to the caller.
-func (s *Search) baseline() Choice {
-	st := s.Stats
-	order := identityOrder(len(st.Cols))
-	if len(s.FixedOrder) > 0 {
-		order = append([]int(nil), s.FixedOrder...)
-		st = s.Stats.Permute(order)
+func (s *Search) Baseline() Choice {
+	order := s.FixedOrder
+	if len(order) == 0 {
+		order = identityOrder(len(s.Stats.Cols))
 	}
+	st := s.Stats.Permute(order)
+	return baselineOn(s.Model.Profile(st), st, order)
+}
+
+// Estimator returns the model's estimate of any plan of the search in
+// any column order, building one costmodel.Profile per order asked
+// about. Like a Profile, the function is not safe for concurrent use.
+func (s *Search) Estimator() func(order []int, p plan.Plan) float64 {
+	profiles := map[string]*costmodel.Profile{}
+	return func(order []int, p plan.Plan) float64 {
+		key := candKey(order, plan.Plan{})
+		pf := profiles[key]
+		if pf == nil {
+			pf = s.Model.Profile(s.Stats.Permute(order))
+			profiles[key] = pf
+		}
+		est, _ := pf.TMCS(p, math.Inf(1))
+		return est
+	}
+}
+
+// baselineOn is P₀ of the column order pf profiles, costed in full.
+func baselineOn(pf *costmodel.Profile, st costmodel.Stats, order []int) Choice {
 	widths := make([]int, len(st.Cols))
 	for i, c := range st.Cols {
 		widths[i] = c.Width
 	}
 	p0 := plan.ColumnAtATime(widths)
-	return Choice{
-		ColOrder: order,
-		Plan:     p0,
-		Est:      s.Model.TMCS(p0, st),
-	}
+	est, _ := pf.TMCS(p0, math.Inf(1))
+	return Choice{ColOrder: append([]int(nil), order...), Plan: p0, Est: est}
 }
 
 // permutations yields every permutation of 0..m-1 in lexicographic

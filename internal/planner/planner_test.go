@@ -52,7 +52,7 @@ func TestROGABeatsOrMatchesBaseline(t *testing.T) {
 		// ρ = 5% is generous (production uses 0.1%) while keeping the
 		// wide-W cases from enumerating 3^12 bank combinations.
 		s := &Search{Model: m, Stats: uniformStats(1, 1<<18, c[0], c[1]), Kind: OrderBy, Rho: 0.05}
-		base := s.baseline()
+		base := s.Baseline()
 		got := roga(s)
 		if got.Est > base.Est {
 			t.Errorf("widths %v: ROGA est %.3g worse than baseline %.3g (plan %v)",
@@ -168,7 +168,7 @@ func TestRRSFindsValidPlans(t *testing.T) {
 	if err := got.Plan.Validate(st.TotalWidth()); err != nil {
 		t.Fatalf("RRS returned invalid plan: %v", err)
 	}
-	base := s.baseline()
+	base := s.Baseline()
 	if got.Est > base.Est {
 		t.Errorf("RRS est %.3g worse than baseline %.3g", got.Est, base.Est)
 	}

@@ -14,6 +14,7 @@ var (
 	obsSearches      = obs.NewCounter("planner.searches")
 	obsOrders        = obs.NewCounter("planner.orders_considered")
 	obsRoundCounts   = obs.NewCounter("planner.round_counts_considered")
+	obsCandidates    = obs.NewCounter("planner.candidates_enumerated")
 	obsPlansCosted   = obs.NewCounter("planner.plans_costed")
 	obsSearchExpired = obs.NewCounter("planner.searches_expired")
 	obsSearchCapped  = obs.NewCounter("planner.searches_plan_capped")
@@ -28,58 +29,76 @@ var (
 // greedily assigns bits to each round so as to minimize the next
 // round's sorting cost, giving the remainder to the last round. For
 // GROUP BY / PARTITION BY the whole search repeats per column
-// permutation. The ρ stopwatch bounds the search time relative to the
-// best plan found so far, and the context is polled at the same
-// granularity (once per candidate plan), so a cancelled search returns
-// ctx.Err() promptly. The returned Choice is the best plan found so far
-// — still valid if the caller prefers degraded planning over failing
-// the query.
+// permutation, each over one costmodel.Profile. The ρ stopwatch bounds
+// the search time relative to the best plan found so far, and the
+// context is polled at the same granularity (once per candidate plan),
+// so a cancelled search returns ctx.Err() promptly. The returned Choice
+// is the best plan found so far — still valid if the caller prefers
+// degraded planning over failing the query.
+//
+// MaxPlans counts candidates enumerated; a candidate whose running cost
+// reaches the incumbent's is abandoned mid-sum (it could not have won),
+// so planner.plans_costed — completed evaluations — is the smaller
+// number. Neither changes which plan wins.
 func ROGAContext(ctx context.Context, s *Search) (Choice, error) {
 	obsSearches.Inc()
 	span := obsSearchT.Start()
 	defer span.End()
 	sw := &stopwatch{start: time.Now(), rho: s.rho()}
-	best := s.baseline()
 	m := len(s.Stats.Cols)
-	costed := 0
+	var best Choice
+	seeded := false
+	enumerated := 0
 	var ctxErr error
+	var w comboWalk
 
 	tryOrder := func(order []int) bool {
 		obsOrders.Inc()
 		st := s.Stats.Permute(order)
+		pf := s.Model.Profile(st)
+		if !seeded {
+			// The first order tried is the baseline's (identity, or the
+			// pin), so P₀ seeds the incumbent from the same profile.
+			best, seeded = baselineOn(pf, st, order), true
+		}
+		// visit costs one bank combination's greedy plan.
+		visit := func() bool {
+			if err := ctx.Err(); err != nil {
+				ctxErr = err
+				return false
+			}
+			if sw.expired(best.Est) {
+				obsSearchExpired.Inc()
+				return false
+			}
+			if s.MaxPlans > 0 && enumerated >= s.MaxPlans {
+				obsSearchCapped.Inc()
+				return false
+			}
+			if !w.assign() {
+				return true
+			}
+			enumerated++
+			obsCandidates.Inc()
+			est, complete := pf.TMCS(plan.Plan{Rounds: w.rounds}, best.Est)
+			if !complete {
+				return true
+			}
+			obsPlansCosted.Inc()
+			if est < best.Est {
+				best = Choice{
+					ColOrder: append([]int(nil), order...),
+					Plan:     plan.Plan{Rounds: append([]plan.Round(nil), w.rounds...)},
+					Est:      est,
+				}
+			}
+			return true
+		}
 		W := st.TotalWidth()
 		maxK := plan.MaxRounds(W)
 		for k := 1; k <= maxK; k++ {
 			obsRoundCounts.Inc()
-			done := forEachBankCombo(k, W, func(banks []int) bool {
-				if err := ctx.Err(); err != nil {
-					ctxErr = err
-					return false
-				}
-				if sw.expired(best.Est) {
-					obsSearchExpired.Inc()
-					return false
-				}
-				if s.MaxPlans > 0 && costed >= s.MaxPlans {
-					obsSearchCapped.Inc()
-					return false
-				}
-				p, ok := greedyAssign(s, st, W, banks)
-				if !ok {
-					return true
-				}
-				costed++
-				obsPlansCosted.Inc()
-				if est := s.Model.TMCS(p, st); est < best.Est {
-					best = Choice{
-						ColOrder: append([]int(nil), order...),
-						Plan:     p,
-						Est:      est,
-					}
-				}
-				return true
-			})
-			if !done {
+			if !w.forEachCombo(pf, k, W, visit) {
 				return false
 			}
 		}
@@ -101,106 +120,94 @@ func ROGAContext(ctx context.Context, s *Search) (Choice, error) {
 	return best, ctxErr
 }
 
-// forEachBankCombo enumerates bank-size combinations (b₁…b_k) ∈ B^k that
-// could hold W bits, pruning combinations that Property 1 dominates:
-// if even the largest assignable adjacent width pair cannot exceed bᵢ,
-// rounds i and i+1 could always be stitched into round i, so the
-// combination is dominated by one with fewer rounds. Returns false if f
-// aborted the enumeration.
-func forEachBankCombo(k, W int, f func(banks []int) bool) bool {
-	banks := make([]int, k)
-	var rec func(i, capacity int) bool
-	rec = func(i, capacity int) bool {
-		if i == k {
-			if capacity < W {
-				return true // cannot hold all bits
-			}
-			if dominatedCombo(banks, W) {
-				return true
-			}
-			return f(banks)
-		}
-		for _, b := range plan.Banks {
-			banks[i] = b
-			// Remaining rounds can contribute at most 64 bits each.
-			if capacity+b+(k-1-i)*64 < W {
-				continue
-			}
-			if !rec(i+1, capacity+b) {
-				return false
-			}
-		}
-		return true
-	}
-	return rec(0, 0)
+// comboWalk enumerates the bank-size combinations (b₁…b_k) ∈ B^k of one
+// column order and round count, and implements lines 8–16 of
+// Algorithm 1 over them: for rounds 1 … k−1 pick the width a minimizing
+// the estimated sorting cost of the *next* round; the remainder goes to
+// the last round. The scratch is reused across calls.
+type comboWalk struct {
+	pf     *costmodel.Profile
+	k, W   int
+	rounds []plan.Round // banks of the current combination; widths once assigned
+	visit  func() bool
 }
 
-// dominatedCombo applies the Property 1 pruning: a combination is
-// dominated when for some adjacent pair the maximum assignable
-// aᵢ + aᵢ₊₁ (bounded by the banks, and by W minus one bit for every
-// other round) cannot exceed bᵢ.
-func dominatedCombo(banks []int, W int) bool {
-	k := len(banks)
-	for i := 0; i+1 < k; i++ {
-		maxPair := banks[i] + banks[i+1]
-		if room := W - (k - 2); room < maxPair {
-			maxPair = room
-		}
-		if maxPair <= banks[i] {
-			return true
-		}
+// forEachCombo calls visit for every combination that could hold W bits
+// and that Property 1 does not dominate; assign then completes the plan
+// in w.rounds. Returns false if visit aborted the enumeration.
+func (w *comboWalk) forEachCombo(pf *costmodel.Profile, k, W int, visit func() bool) bool {
+	w.pf, w.k, w.W, w.visit = pf, k, W, visit
+	if cap(w.rounds) < k {
+		w.rounds = make([]plan.Round, k)
 	}
-	return false
+	w.rounds = w.rounds[:k]
+	return w.rec(0, 0)
 }
 
-// greedyAssign implements lines 8–16 of Algorithm 1: for rounds
-// 1 … k−1 pick the width a minimizing the estimated sorting cost of the
-// *next* round; the remainder goes to the last round. Returns ok=false
-// when no width assignment satisfies the bank capacities.
-func greedyAssign(s *Search, stats costmodel.Stats, W int, banks []int) (plan.Plan, bool) {
-	k := len(banks)
-	if k == 1 {
-		if W > banks[0] {
-			return plan.Plan{}, false
+// rec chooses bank i; banks [0, i) hold capacity bits.
+func (w *comboWalk) rec(i, capacity int) bool {
+	if i == w.k {
+		if capacity < w.W {
+			return true // cannot hold all bits
 		}
-		return plan.Plan{Rounds: []plan.Round{{Width: W, Bank: banks[0]}}}, true
+		return w.visit()
 	}
+	for _, b := range plan.Banks {
+		w.rounds[i].Bank = b
+		// Remaining rounds can contribute at most 64 bits each.
+		if capacity+b+(w.k-1-i)*plan.MaxWidth < w.W {
+			continue
+		}
+		if i > 0 && w.dominated(i-1) {
+			continue
+		}
+		if !w.rec(i+1, capacity+b) {
+			return false
+		}
+	}
+	return true
+}
 
-	rounds := make([]plan.Round, 0, k)
-	remaining := W
-	bitsBefore := 0
-	for i := 0; i < k-1; i++ {
-		// Width bounds: at least 1 bit here and per later round; the
-		// later banks must be able to absorb what remains.
-		laterCap := 0
-		for j := i + 1; j < k; j++ {
-			laterCap += banks[j]
-		}
-		lo := remaining - laterCap
-		if lo < 1 {
-			lo = 1
-		}
-		hi := banks[i]
-		if hi > remaining-(k-1-i) {
-			hi = remaining - (k - 1 - i)
-		}
+// dominated applies the Property 1 pruning to rounds i and i+1: when
+// the maximum assignable aᵢ + aᵢ₊₁ (bounded by the banks, and by W minus
+// one bit for every other round) cannot exceed bᵢ, the two rounds could
+// always be stitched into round i, so a combination with fewer rounds
+// covers every combination that contains the pair.
+func (w *comboWalk) dominated(i int) bool {
+	maxPair := w.rounds[i].Bank + w.rounds[i+1].Bank
+	if room := w.W - (w.k - 2); room < maxPair {
+		maxPair = room
+	}
+	return maxPair <= w.rounds[i].Bank
+}
+
+// assign gives the current combination its greedy widths. It returns
+// false when no width assignment satisfies the bank capacities.
+func (w *comboWalk) assign() bool {
+	laterCap := 0
+	for _, r := range w.rounds[1:] {
+		laterCap += r.Bank
+	}
+	bits := 0
+	for i := 0; i < w.k-1; i++ {
+		// At least one bit, and whatever the later banks cannot absorb; at
+		// most the bank, leaving a bit for every later round.
+		lo := max(1, w.W-bits-laterCap)
+		hi := min(w.rounds[i].Bank, w.W-bits-(w.k-1-i))
 		if lo > hi {
-			return plan.Plan{}, false
+			return false
 		}
-		bestA, bestCost := -1, 0.0
-		for a := lo; a <= hi; a++ {
-			c := s.Model.TSortAfter(stats, bitsBefore+a, banks[i+1])
-			if bestA < 0 || c < bestCost {
+		bestA, bestCost := lo, w.pf.TSortAfter(bits+lo, w.rounds[i+1].Bank)
+		for a := lo + 1; a <= hi; a++ {
+			if c := w.pf.TSortAfter(bits+a, w.rounds[i+1].Bank); c < bestCost {
 				bestA, bestCost = a, c
 			}
 		}
-		rounds = append(rounds, plan.Round{Width: bestA, Bank: banks[i]})
-		remaining -= bestA
-		bitsBefore += bestA
+		w.rounds[i].Width = bestA
+		bits += bestA
+		laterCap -= w.rounds[i+1].Bank
 	}
-	if remaining < 1 || remaining > banks[k-1] {
-		return plan.Plan{}, false
-	}
-	rounds = append(rounds, plan.Round{Width: remaining, Bank: banks[k-1]})
-	return plan.Plan{Rounds: rounds}, true
+	last := &w.rounds[w.k-1]
+	last.Width = w.W - bits
+	return last.Width >= 1 && last.Width <= last.Bank
 }

@@ -16,7 +16,7 @@ import (
 func RRS(s *Search, seed int64) Choice {
 	sw := &stopwatch{start: time.Now(), rho: s.rho()}
 	rng := rand.New(rand.NewSource(seed))
-	best := s.baseline()
+	best := s.Baseline()
 	m := len(s.Stats.Cols)
 
 	const (
@@ -25,12 +25,13 @@ func RRS(s *Search, seed int64) Choice {
 		maxLevels      = 6  // neighborhood shrink levels
 	)
 
+	estimate := s.Estimator()
+	W := s.Stats.TotalWidth()
 	evaluate := func(order []int, p plan.Plan) (float64, bool) {
-		st := s.Stats.Permute(order)
-		if err := p.Validate(st.TotalWidth()); err != nil {
+		if err := p.Validate(W); err != nil {
 			return 0, false
 		}
-		return s.Model.TMCS(p, st), true
+		return estimate(order, p), true
 	}
 
 	for !sw.expired(best.Est) {

@@ -494,7 +494,8 @@ var taxonomy = []ErrorClass{
 	{"shutdown", http.StatusServiceUnavailable, false, nil, is(ErrShuttingDown)},
 	{"execution_timeout", http.StatusGatewayTimeout, false, nil, pipeerr.IsCtxErr},
 	{"invalid", http.StatusBadRequest, false, nil, func(err error) bool {
-		return errors.Is(err, ErrInvalidRequest) || errors.Is(err, engine.ErrUnknownColumn)
+		return errors.Is(err, ErrInvalidRequest) || errors.Is(err, engine.ErrUnknownColumn) ||
+			errors.Is(err, byteslice.ErrConstantDomain)
 	}},
 	{"not_found", http.StatusNotFound, false, nil, is(errNoJob)},
 	{"not_finished", http.StatusConflict, false, nil, is(errNotFinished)},

@@ -11,6 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/byteslice"
+	"repro/internal/column"
+	"repro/internal/engine"
 	"repro/internal/pipeerr"
 	"repro/internal/testutil"
 )
@@ -26,6 +29,11 @@ import (
 func TestStatusMapping(t *testing.T) {
 	pipelineErr := &pipeerr.PipelineError{Stage: pipeerr.StageSort, Round: 1, Worker: 2, Err: errors.New("boom")}
 	serveErr := &pipeerr.PipelineError{Stage: pipeerr.StageServe, Round: -1, Worker: -1, Err: errors.New("poison")}
+	// A 3-bit column cannot hold the code 8.
+	_, outOfDomain := byteslice.FromColumn(column.FromCodes("c", 3, []uint64{1, 2, 3})).Scan(byteslice.EQ, 8)
+	if outOfDomain == nil {
+		t.Fatal("scan for a constant outside the domain succeeded")
+	}
 	cases := []struct {
 		name      string
 		err       error
@@ -34,6 +42,8 @@ func TestStatusMapping(t *testing.T) {
 		retryable bool
 	}{
 		{"invalid request", fmt.Errorf("%w: bad", ErrInvalidRequest), http.StatusBadRequest, "invalid", false},
+		{"unknown column", fmt.Errorf("engine: %w: %q", engine.ErrUnknownColumn, "nosuch"), http.StatusBadRequest, "invalid", false},
+		{"filter constant outside the domain", outOfDomain, http.StatusBadRequest, "invalid", false},
 		{"no such job", fmt.Errorf("%w: %q", errNoJob, "j9"), http.StatusNotFound, "not_found", false},
 		{"not finished", fmt.Errorf("%w: job j1 is running", errNotFinished), http.StatusConflict, "not_finished", false},
 		{"shutting down", ErrShuttingDown, http.StatusServiceUnavailable, "shutdown", false},

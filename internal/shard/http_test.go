@@ -216,12 +216,17 @@ func TestWireContract(t *testing.T) {
 			// A valid submit against a missing table is accepted and fails
 			// asynchronously as the caller's mistake, not an internal fault.
 			w.wantFailed("unknown table", `{"table":"nope","kind":"orderby","sort_cols":[{"name":"a"}]}`, "invalid", http.StatusBadRequest)
-			// So is a column the table does not have, in any position.
+			// So is a column the table does not have, in any position, and a
+			// filter constant its column cannot hold.
 			for label, payload := range map[string]string{
 				"unknown sort column":         `{"table":"narrow0","kind":"orderby","sort_cols":[{"name":"a"},{"name":"nosuch"}]}`,
 				"unknown window order column": `{"table":"narrow0","kind":"partitionby","sort_cols":[{"name":"a"}],"window":{"order_col":"nosuch"}}`,
 				"unknown filter column":       `{"table":"narrow0","kind":"orderby","sort_cols":[{"name":"a"}],"filters":[{"col":"nosuch","op":"eq","const":1}]}`,
 				"unknown aggregate column":    `{"table":"narrow0","kind":"groupby","sort_cols":[{"name":"a"}],"agg":{"kind":"sum","col":"nosuch"}}`,
+				// f is 6 bits wide: no code of it can be 1000 (a filter
+				// runs on each shard; the coordinator propagates the kind).
+				"filter constant outside the domain": `{"table":"narrow0","kind":"orderby","sort_cols":[{"name":"a"}],"filters":[{"col":"f","op":"le","const":1000}]}`,
+				"between bound outside the domain":   `{"table":"narrow0","kind":"orderby","sort_cols":[{"name":"a"}],"filters":[{"col":"f","between":true,"lo":1,"hi":1000}]}`,
 			} {
 				w.wantFailed(label, payload, "invalid", http.StatusBadRequest)
 			}
