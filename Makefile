@@ -53,6 +53,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzQueryRequest -fuzztime=20s ./internal/server/
 	$(GO) test -fuzz=FuzzTopKMerge -fuzztime=30s ./internal/mergesort/
 	$(GO) test -fuzz=FuzzLimitQuery -fuzztime=20s ./internal/server/
+	$(GO) test -fuzz=FuzzResultFrame -fuzztime=20s ./internal/server/
 	$(GO) test -fuzz=FuzzShardMerge -fuzztime=20s ./internal/shard/
 
 # End-to-end mcsd smoke: build the daemon, start it on a small TPC-H

@@ -38,22 +38,26 @@ func newBreaker(threshold int, cooldown time.Duration) *breaker {
 }
 
 // allow gates one query: nil while closed, nil for exactly one caller
-// per cooldown window while half-open (the probe), ErrBreakerOpen
-// otherwise.
-func (b *breaker) allow() error {
+// per cooldown window while half-open — probe tells that caller it holds
+// the probe slot — ErrBreakerOpen otherwise. The caller hands probe back
+// with the query's outcome (recordSuccess, recordFailure or release):
+// while the breaker is open only the probe's holder settles it, so a
+// query admitted before the trip can neither re-open the breaker nor
+// free the slot on the prober's behalf.
+func (b *breaker) allow() (probe bool, err error) {
 	if b.threshold <= 0 {
-		return nil
+		return false, nil
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.refusingLocked() {
-		return ErrBreakerOpen
+		return false, ErrBreakerOpen
 	}
 	if b.tripped {
 		b.probing = true
 		obsBreakerState.Set(int64(brHalfOpen))
 	}
-	return nil
+	return b.tripped, nil
 }
 
 // refusingLocked reports whether a call arriving now fails fast:
@@ -71,24 +75,28 @@ func (b *breaker) refusing() bool {
 	return b.refusingLocked()
 }
 
-// recordSuccess closes the breaker and resets the failure run.
-func (b *breaker) recordSuccess() {
+// recordSuccess resets the failure run; the probe's success closes the
+// breaker.
+func (b *breaker) recordSuccess(probe bool) {
 	if b.threshold <= 0 {
 		return
 	}
 	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.tripped && !probe {
+		return
+	}
 	b.consecutive = 0
 	b.tripped = false
 	b.probing = false
-	b.mu.Unlock()
 	obsBreakerState.Set(int64(brClosed))
 }
 
 // release ends a query without a verdict: the consecutive-failure run
 // and the open/closed state stay as they are, and if this query held
 // the half-open probe slot the next caller gets it.
-func (b *breaker) release() {
-	if b.threshold <= 0 {
+func (b *breaker) release(probe bool) {
+	if b.threshold <= 0 || !probe {
 		return
 	}
 	b.mu.Lock()
@@ -99,23 +107,25 @@ func (b *breaker) release() {
 // recordFailure counts one exhausted query (all retries spent);
 // reaching the threshold — or failing the half-open probe — (re)opens
 // the breaker for a full cooldown.
-func (b *breaker) recordFailure() {
+func (b *breaker) recordFailure(probe bool) {
 	if b.threshold <= 0 {
 		return
 	}
 	b.mu.Lock()
-	b.consecutive++
-	wasProbe := b.probing
-	b.probing = false
-	if b.consecutive >= b.threshold || wasProbe || b.tripped {
-		if !b.tripped {
-			obsBreakerTrips.Inc()
-		}
-		b.tripped = true
-		b.trippedAt = time.Now()
-		b.mu.Unlock()
-		obsBreakerState.Set(int64(brOpen))
+	defer b.mu.Unlock()
+	if b.tripped && !probe {
 		return
 	}
-	b.mu.Unlock()
+	b.consecutive++
+	if probe {
+		b.probing = false
+	} else if b.consecutive < b.threshold {
+		return
+	}
+	if !b.tripped {
+		obsBreakerTrips.Inc()
+	}
+	b.tripped = true
+	b.trippedAt = time.Now()
+	obsBreakerState.Set(int64(brOpen))
 }

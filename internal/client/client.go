@@ -149,19 +149,20 @@ func New(cfg Config) (*Client, error) {
 // produced a verdict). The caller's ctx bounds the total attempt
 // budget; each HTTP call additionally gets its own RequestTimeout.
 func (c *Client) Query(ctx context.Context, req server.QueryRequest) (*server.QueryResult, error) {
-	if err := c.br.allow(); err != nil {
+	probe, err := c.br.allow()
+	if err != nil {
 		return nil, err
 	}
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		res, err := c.once(ctx, req)
 		if err == nil {
-			c.br.recordSuccess()
+			c.br.recordSuccess(probe)
 			return res, nil
 		}
 		lastErr = err
 		if ctx.Err() != nil || !retryableErr(err) || attempt >= c.cfg.MaxRetries {
-			c.giveUp(ctx)
+			c.giveUp(ctx, probe)
 			return nil, lastErr
 		}
 		obsRetries.Inc()
@@ -169,34 +170,37 @@ func (c *Client) Query(ctx context.Context, req server.QueryRequest) (*server.Qu
 		select {
 		case <-time.After(delay):
 		case <-ctx.Done():
-			c.giveUp(ctx)
+			c.giveUp(ctx, probe)
 			return nil, fmt.Errorf("client: retry wait: %w (last failure: %v)", ctx.Err(), lastErr)
 		}
 	}
 }
 
-// giveUp settles the breaker for a query that is returning an error. A
-// caller that cancelled its own context — a coordinator abandoning the
-// healthy siblings of a failed fan-out — says nothing about the
-// endpoint: no failure is counted and a held half-open probe slot goes
-// back. Everything else, an expired caller deadline included, counts.
-func (c *Client) giveUp(ctx context.Context) {
+// giveUp settles the breaker for a query that is returning an error;
+// probe is what allow handed this query. A caller that cancelled its
+// own context — a coordinator abandoning the healthy siblings of a
+// failed fan-out — says nothing about the endpoint: no failure is
+// counted and a held half-open probe slot goes back. Everything else,
+// an expired caller deadline included, counts.
+func (c *Client) giveUp(ctx context.Context, probe bool) {
 	if errors.Is(ctx.Err(), context.Canceled) {
-		c.br.release()
+		c.br.release(probe)
 		return
 	}
-	c.br.recordFailure()
+	c.br.recordFailure(probe)
 }
 
 // retryableErr: a typed wire error carries the server's verdict; a
-// transport-level failure (connection refused, request timeout) is
-// retryable by definition — the request may never have arrived.
+// result frame that arrived and violates the format would arrive the
+// same way again; any other failure is transport-level (connection
+// refused, request timeout, a body cut short) and retryable by
+// definition — the request may never have arrived.
 func retryableErr(err error) bool {
 	var we *Error
 	if errors.As(err, &we) {
 		return we.Retryable
 	}
-	return true
+	return !errors.Is(err, server.ErrBadFrame)
 }
 
 // backoff computes the next delay: exponential base doubling capped at
@@ -226,7 +230,7 @@ func (c *Client) once(ctx context.Context, req server.QueryRequest) (*server.Que
 	var submit struct {
 		JobID string `json:"job_id"`
 	}
-	if err := c.do(ctx, http.MethodPost, "/query", body, http.StatusAccepted, &submit); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/query", body, http.StatusAccepted, jsonReply(&submit)); err != nil {
 		return nil, err
 	}
 	if submit.JobID == "" {
@@ -234,13 +238,13 @@ func (c *Client) once(ctx context.Context, req server.QueryRequest) (*server.Que
 	}
 	for {
 		var st server.JobStatus
-		if err := c.do(ctx, http.MethodGet, "/jobs/"+submit.JobID, nil, http.StatusOK, &st); err != nil {
+		if err := c.do(ctx, http.MethodGet, "/jobs/"+submit.JobID, nil, http.StatusOK, jsonReply(&st)); err != nil {
 			return nil, err
 		}
 		switch st.State {
 		case server.JobDone:
 			var res server.QueryResult
-			if err := c.do(ctx, http.MethodGet, "/jobs/"+submit.JobID+"/result", nil, http.StatusOK, &res); err != nil {
+			if err := c.do(ctx, http.MethodGet, "/jobs/"+submit.JobID+"/result", nil, http.StatusOK, frameReply(&res)); err != nil {
 				return nil, err
 			}
 			return &res, nil
@@ -255,9 +259,50 @@ func (c *Client) once(ctx context.Context, req server.QueryRequest) (*server.Que
 	}
 }
 
-// do performs one HTTP call under its own deadline and decodes either
-// the expected body or the typed error body.
-func (c *Client) do(ctx context.Context, method, path string, body []byte, wantStatus int, out any) error {
+// reply is how a call wants its success body: the media type it asks
+// for and the decoder of that type.
+type reply struct {
+	accept string
+	decode func(*http.Response) error
+}
+
+// jsonReply decodes a small JSON body (submit, status) into out.
+func jsonReply(out any) reply {
+	return reply{"application/json", func(resp *http.Response) error {
+		raw, err := readBody(resp)
+		if err != nil {
+			return err
+		}
+		return json.Unmarshal(raw, out)
+	}}
+}
+
+// readBody reads a JSON body whole, up to the response limit.
+func readBody(resp *http.Response) ([]byte, error) {
+	return io.ReadAll(io.LimitReader(resp.Body, server.MaxResultBytes))
+}
+
+// frameReply is the client's one result decoder: it asks for the result
+// frame, requires it, and decodes it off the socket, bounded by the
+// response limit.
+func frameReply(out *server.QueryResult) reply {
+	return reply{server.ResultFrameType, func(resp *http.Response) error {
+		if ct := resp.Header.Get("Content-Type"); ct != server.ResultFrameType {
+			return fmt.Errorf("%w: Content-Type %q, want %q", server.ErrBadFrame, ct, server.ResultFrameType)
+		}
+		res, err := server.ReadResultFrame(resp.Body, server.MaxResultBytes)
+		if err != nil {
+			return err
+		}
+		*out = *res
+		return nil
+	}}
+}
+
+// do performs one HTTP call under its own deadline and hands a reply of
+// the expected status to want's decoder; any other status is read as
+// the typed JSON error body.
+func (c *Client) do(ctx context.Context, method, path string, body []byte, wantStatus int, want reply) error {
 	rctx, cancel := context.WithTimeout(ctx, c.cfg.RequestTimeout)
 	defer cancel()
 	var rd io.Reader
@@ -271,38 +316,37 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, wantS
 	if body != nil {
 		hreq.Header.Set("Content-Type", "application/json")
 	}
+	hreq.Header.Set("Accept", want.accept)
 	resp, err := c.hc.Do(hreq)
 	if err != nil {
 		return fmt.Errorf("client: %s %s: %w", method, path, err)
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	if resp.StatusCode == wantStatus {
+		if err := want.decode(resp); err != nil {
+			return fmt.Errorf("client: decoding %s %s: %w", method, path, err)
+		}
+		return nil
+	}
+	raw, err := readBody(resp)
 	if err != nil {
 		return fmt.Errorf("client: reading %s %s: %w", method, path, err)
 	}
-	if resp.StatusCode != wantStatus {
-		we := &Error{Status: resp.StatusCode, Kind: "internal", Msg: fmt.Sprintf("%s %s: status %d", method, path, resp.StatusCode)}
-		var eb struct {
-			Error     string `json:"error"`
-			Kind      string `json:"kind"`
-			Retryable bool   `json:"retryable"`
-		}
-		if json.Unmarshal(raw, &eb) == nil && eb.Error != "" {
-			we.Kind = eb.Kind
-			we.Retryable = eb.Retryable
-			we.Msg = eb.Error
-		}
-		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			if secs, err := strconv.Atoi(ra); err == nil && secs > 0 {
-				we.retryAfter = time.Duration(secs) * time.Second
-			}
-		}
-		return we
+	we := &Error{Status: resp.StatusCode, Kind: "internal", Msg: fmt.Sprintf("%s %s: status %d", method, path, resp.StatusCode)}
+	var eb struct {
+		Error     string `json:"error"`
+		Kind      string `json:"kind"`
+		Retryable bool   `json:"retryable"`
 	}
-	if out != nil {
-		if err := json.Unmarshal(raw, out); err != nil {
-			return fmt.Errorf("client: decoding %s %s: %w", method, path, err)
+	if json.Unmarshal(raw, &eb) == nil && eb.Error != "" {
+		we.Kind = eb.Kind
+		we.Retryable = eb.Retryable
+		we.Msg = eb.Error
+	}
+	if ra := resp.Header.Get("Retry-After"); ra != "" {
+		if secs, err := strconv.Atoi(ra); err == nil && secs > 0 {
+			we.retryAfter = time.Duration(secs) * time.Second
 		}
 	}
-	return nil
+	return we
 }

@@ -69,7 +69,13 @@ func (f *fakeServer) handler() http.Handler {
 	mux.HandleFunc("GET /jobs/{id}/result", func(w http.ResponseWriter, r *http.Request) {
 		for _, j := range f.jobs {
 			if j.id == r.PathValue("id") && j.result != nil {
-				json.NewEncoder(w).Encode(j.result)
+				if got := r.Header.Get("Accept"); got != server.ResultFrameType {
+					f.t.Errorf("result fetch sent Accept %q, want %q", got, server.ResultFrameType)
+				}
+				w.Header().Set("Content-Type", server.ResultFrameType)
+				if err := server.WriteResultFrame(w, j.result); err != nil {
+					f.t.Errorf("writing result frame: %v", err)
+				}
 				return
 			}
 		}
@@ -415,6 +421,126 @@ func TestBreakerIgnoresCallerCancel(t *testing.T) {
 	abandon("half-open probe")
 	if _, err := c.Query(context.Background(), okReq); err != nil {
 		t.Fatalf("query after an abandoned probe: %v (the next caller must get the probe slot)", err)
+	}
+}
+
+// TestBreakerProbeOwnership: while the half-open probe is in flight,
+// only its holder settles the breaker. Queries admitted before the trip
+// that fail or are cancelled meanwhile must leave the state, the trip
+// time and the probe slot alone until the probe itself returns. Before
+// allow handed the probe to its caller, recordFailure and release read
+// and cleared the shared probing flag for whoever called them: the
+// older failure re-opened the breaker on the prober's behalf and the
+// older cancel freed the slot for a second concurrent probe.
+func TestBreakerProbeOwnership(t *testing.T) {
+	defer testutil.CheckNoLeaks(t)()
+	fs := &fakeServer{t: t, jobs: []fakeJob{
+		{id: "ok", status: server.JobStatus{ID: "ok", State: server.JobDone},
+			result: &server.QueryResult{JobID: "ok", Rows: 1}},
+	}}
+	jobs := fs.handler()
+	arrived := make(chan string, 4) // one send per held submit: older-fail, older-cancel, probe
+	release := map[string]chan struct{}{
+		"older-fail": make(chan struct{}), "older-cancel": make(chan struct{}), "probe": make(chan struct{}),
+	}
+	down := func(w http.ResponseWriter) {
+		w.WriteHeader(http.StatusServiceUnavailable)
+		json.NewEncoder(w).Encode(map[string]any{"error": "down", "kind": "budget", "retryable": true})
+	}
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			jobs.ServeHTTP(w, r)
+			return
+		}
+		var req server.QueryRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			t.Errorf("decoding submit: %v", err)
+		}
+		if ch := release[req.ID]; ch != nil {
+			arrived <- req.ID
+			<-ch
+		}
+		switch req.ID {
+		case "older-fail", "trip":
+			down(w)
+		default:
+			w.WriteHeader(http.StatusAccepted)
+			json.NewEncoder(w).Encode(map[string]string{"job_id": "ok"})
+		}
+	}))
+	defer hs.Close()
+	const cooldown = 30 * time.Millisecond
+	c := newClient(t, hs, func(cfg *Config) {
+		cfg.MaxRetries = 0
+		cfg.BreakerThreshold = 1
+		cfg.BreakerCooldown = cooldown
+	})
+	type outcome struct {
+		id  string
+		err error
+	}
+	done := make(chan outcome, 3)
+	start := func(ctx context.Context, id string) {
+		req := okReq
+		req.ID = id
+		go func() {
+			_, err := c.Query(ctx, req)
+			done <- outcome{id, err}
+		}()
+		if got := <-arrived; got != id {
+			t.Fatalf("submit %q arrived, want %q", got, id)
+		}
+	}
+	state := func() (tripped, probing bool, at time.Time) {
+		c.br.mu.Lock()
+		defer c.br.mu.Unlock()
+		return c.br.tripped, c.br.probing, c.br.trippedAt
+	}
+
+	// Two queries admitted while the breaker is closed, held in flight.
+	cancelCtx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	start(context.Background(), "older-fail")
+	start(cancelCtx, "older-cancel")
+	// Trip, cool down, and hold the probe in flight.
+	trip := okReq
+	trip.ID = "trip"
+	if _, err := c.Query(context.Background(), trip); err == nil {
+		t.Fatal("query against a failing server succeeded")
+	}
+	time.Sleep(cooldown + 10*time.Millisecond)
+	start(context.Background(), "probe")
+	_, _, trippedAt := state()
+
+	// The older queries end: one fails, one is cancelled by its caller.
+	close(release["older-fail"])
+	if o := <-done; o.id != "older-fail" || o.err == nil {
+		t.Fatalf("first to return: %q, err %v; want older-fail failing", o.id, o.err)
+	}
+	cancel()
+	if o := <-done; o.id != "older-cancel" || !errors.Is(o.err, context.Canceled) {
+		t.Fatalf("second to return: %q, err %v; want older-cancel cancelled", o.id, o.err)
+	}
+	close(release["older-cancel"])
+
+	if tripped, probing, at := state(); !tripped || !probing || !at.Equal(trippedAt) {
+		t.Errorf("with the probe in flight: tripped=%v probing=%v trippedAt moved=%v; want the breaker half-open, untouched",
+			tripped, probing, !at.Equal(trippedAt))
+	}
+	if _, err := c.Query(context.Background(), okReq); !errors.Is(err, ErrBreakerOpen) {
+		t.Errorf("query while the probe is in flight: err = %v, want ErrBreakerOpen (the slot is taken)", err)
+	}
+
+	// The probe returns: its verdict, and only its, closes the breaker.
+	close(release["probe"])
+	if o := <-done; o.id != "probe" || o.err != nil {
+		t.Fatalf("probe: %q, err %v; want success", o.id, o.err)
+	}
+	if tripped, probing, _ := state(); tripped || probing {
+		t.Errorf("after the probe succeeded: tripped=%v probing=%v, want closed", tripped, probing)
+	}
+	if _, err := c.Query(context.Background(), okReq); err != nil {
+		t.Errorf("query after recovery: %v", err)
 	}
 }
 

@@ -22,11 +22,21 @@ import (
 )
 
 // maxFinishedJobs bounds how many terminal jobs a Front retains for
-// polling. Beyond it the oldest-finished job is evicted and its id
-// answers 404 not_found; queued and running jobs are never evicted. A
-// client fetches its result right after the job settles, so the bound
-// only has to outlast the poll interval of concurrently finishing jobs.
+// polling, and MaxResultBytes (frame.go) what their result payloads may
+// weigh together. Beyond either the oldest-finished job is evicted and
+// its id answers 404 not_found; queued and running jobs are never
+// evicted, nor is the newest finished one, so a result of the largest
+// size a client accepts is always fetchable. A client fetches its
+// result right after the job settles, so the bounds only have to
+// outlast the poll interval of concurrently finishing jobs.
 const maxFinishedJobs = 256
+
+// retainedJob is one entry of the retention ring: a terminal job's id
+// and the payload bytes its result holds (0 for a failed job).
+type retainedJob struct {
+	id    string
+	bytes int64
+}
 
 // Backend is exactly what differs between the daemons behind a Front.
 type Backend struct {
@@ -68,12 +78,16 @@ type Front struct {
 
 	wg sync.WaitGroup // running jobs
 
-	mu        sync.Mutex
-	jobs      map[string]*job
-	finished  [maxFinishedJobs]string // ring of terminal job ids; a reused slot evicts its old id
-	nFinished int
-	nextID    int
-	closed    bool
+	mu   sync.Mutex
+	jobs map[string]*job
+	// finished is the ring of retained terminal jobs: settlements
+	// [nEvicted, nFinished), entry i in slot i % maxFinishedJobs, their
+	// payloads summing to retainedBytes.
+	finished            [maxFinishedJobs]retainedJob
+	nFinished, nEvicted int
+	retainedBytes       int64
+	nextID              int
+	closed              bool
 }
 
 // NewFront returns a ready front over b.
@@ -169,27 +183,33 @@ func (f *Front) Submit(req QueryRequest) (string, error) {
 }
 
 // settle moves j to its terminal state (once), enters it into the
-// retention ring — evicting the job that finished maxFinishedJobs
-// settlements ago — and wakes its waiters.
+// retention ring — evicting oldest-first whatever no longer fits the
+// count and weight bounds — and wakes its waiters.
 func (f *Front) settle(j *job, res *QueryResult, err error) {
 	j.mu.Lock()
 	if j.state == JobDone || j.state == JobFailed {
 		j.mu.Unlock()
 		return
 	}
+	var weight int64
 	if err != nil {
 		j.state, j.err = JobFailed, err
 	} else {
 		j.state, j.res = JobDone, res
+		weight = res.payloadBytes()
 	}
 	j.mu.Unlock()
 
 	f.mu.Lock()
-	slot := f.nFinished % maxFinishedJobs
-	if old := f.finished[slot]; old != "" {
-		delete(f.jobs, old)
+	f.retainedBytes += weight
+	for f.nFinished > f.nEvicted &&
+		(f.nFinished-f.nEvicted == maxFinishedJobs || f.retainedBytes > MaxResultBytes) {
+		old := f.finished[f.nEvicted%maxFinishedJobs]
+		delete(f.jobs, old.id)
+		f.retainedBytes -= old.bytes
+		f.nEvicted++
 	}
-	f.finished[slot] = j.id
+	f.finished[f.nFinished%maxFinishedJobs] = retainedJob{j.id, weight}
 	f.nFinished++
 	f.mu.Unlock()
 	close(j.doneCh)

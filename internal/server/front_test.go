@@ -59,4 +59,73 @@ func TestJobTableBounded(t *testing.T) {
 	if n != maxFinishedJobs {
 		t.Errorf("job table holds %d jobs, want %d", n, maxFinishedJobs)
 	}
+
+	// Large results: the table is bounded by what it retains, not only by
+	// how many. The stub backend's results share one untouched backing
+	// array, so only their declared weight is large.
+	t.Run("by weight", func(t *testing.T) {
+		var rows []uint32
+		f := NewFront(Backend{
+			Execute: func(_ context.Context, jobID string, _ QueryRequest, markRunning func(), _ func(float64)) (*QueryResult, error) {
+				markRunning()
+				return &QueryResult{JobID: jobID, Ranks: rows, RowOids: rows}, nil
+			},
+			Classify: Classify,
+			Queries:  obsServerQueries, Errors: obsServerErrors, ContainedPanics: obsContainedPanics,
+		})
+		defer func() {
+			if err := f.Shutdown(context.Background()); err != nil {
+				t.Errorf("shutdown: %v", err)
+			}
+		}()
+		submit := func(n int) string {
+			rows = make([]uint32, n)
+			id, err := f.Submit(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Wait(context.Background(), id); err != nil {
+				t.Fatalf("job %s: %v", id, err)
+			}
+			return id
+		}
+		retained := func() (ids int, bytes int64) {
+			f.mu.Lock()
+			defer f.mu.Unlock()
+			return len(f.jobs), f.retainedBytes
+		}
+
+		// Eight results of an eighth of the limit fit; each further one
+		// evicts the oldest.
+		const each = MaxResultBytes / 8 / 8 // rows: 4 bytes of rank + 4 of oid
+		for i := 1; i <= 12; i++ {
+			submit(each)
+		}
+		if ids, bytes := retained(); ids != 8 || bytes != MaxResultBytes {
+			t.Errorf("after 12 results of %d bytes: %d jobs retaining %d bytes, want 8 retaining %d", 8*each, ids, bytes, MaxResultBytes)
+		}
+		for i, wantGone := range map[int]bool{1: true, 4: true, 5: false, 12: false} {
+			if _, err := f.Result(fmt.Sprintf("j%d", i)); errors.Is(err, errNoJob) != wantGone {
+				t.Errorf("j%d: Result error %v, want evicted=%v", i, err, wantGone)
+			}
+		}
+		// One result over the limit evicts everything older but is itself
+		// fetchable: the newest job is never evicted.
+		big := submit(MaxResultBytes/8 + 1)
+		if res, err := f.Result(big); err != nil || len(res.RowOids) != MaxResultBytes/8+1 {
+			t.Errorf("over-limit newest %s: err %v", big, err)
+		}
+		if ids, _ := retained(); ids != 1 {
+			t.Errorf("an over-limit result shares the table with %d older jobs, want none", ids-1)
+		}
+		// The next result, however small, becomes the newest: the
+		// over-limit one goes.
+		small := submit(1)
+		if ids, bytes := retained(); ids != 1 || bytes != 8 {
+			t.Errorf("after a small result: %d jobs, %d bytes; want the over-limit one evicted", ids, bytes)
+		}
+		if _, err := f.Result(small); err != nil {
+			t.Errorf("newest %s: %v", small, err)
+		}
+	})
 }

@@ -3,7 +3,8 @@
 //
 //	POST /query            submit a query; returns {"job_id": "..."}
 //	GET  /jobs/{id}        poll a job's status
-//	GET  /jobs/{id}/result fetch a finished job's result
+//	GET  /jobs/{id}/result fetch a finished job's result (JSON, or the
+//	                       binary result frame when Accept names it)
 //	GET  /tables           list registered tables
 //	GET  /metrics          obs snapshot as JSON (plan cache, admission,
 //	                       pipeline counters)
@@ -23,6 +24,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
+	"strings"
 
 	"repro/internal/byteslice"
 	"repro/internal/engine"
@@ -387,13 +390,42 @@ func (f *Front) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
+// handleResult answers with the result frame (frame.go) exactly when
+// the request's Accept names it, and with JSON otherwise; errors are
+// JSON either way.
 func (f *Front) handleResult(w http.ResponseWriter, r *http.Request) {
 	res, err := f.Result(r.PathValue("id"))
 	if err != nil {
 		writeError(w, f.b.Classify, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	if !acceptsFrame(r) {
+		writeJSON(w, http.StatusOK, res)
+		return
+	}
+	fr, err := newResultFrame(res)
+	if err != nil {
+		writeError(w, f.b.Classify, err)
+		return
+	}
+	w.Header().Set("Content-Type", ResultFrameType)
+	w.Header().Set("Content-Length", strconv.FormatInt(fr.size(), 10))
+	w.WriteHeader(http.StatusOK)
+	_ = fr.writeTo(w) // the peer hung up; nothing to report to
+}
+
+// acceptsFrame reports whether an Accept header names the result-frame
+// media type. A wildcard does not: curl's */* keeps getting JSON.
+func acceptsFrame(r *http.Request) bool {
+	for _, h := range r.Header.Values("Accept") {
+		for _, part := range strings.Split(h, ",") {
+			mediaType, _, _ := strings.Cut(part, ";")
+			if strings.EqualFold(strings.TrimSpace(mediaType), ResultFrameType) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func (f *Front) handleTables(w http.ResponseWriter, _ *http.Request) {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"reflect"
 	"testing"
 	"time"
 
@@ -212,15 +213,7 @@ func doQuery(baseURL string, req QueryRequest) (*QueryResult, error) {
 		}
 		switch st.State {
 		case JobDone:
-			resp, err := http.Get(baseURL + "/jobs/" + submit.JobID + "/result")
-			if err != nil {
-				return nil, err
-			}
-			var res QueryResult
-			if err := decodeBody(resp, &res); err != nil {
-				return nil, err
-			}
-			return &res, nil
+			return fetchBothWays(baseURL + "/jobs/" + submit.JobID + "/result")
 		case JobFailed:
 			return nil, fmt.Errorf("job %s failed (%s): %s", st.ID, st.Kind, st.Error)
 		}
@@ -229,6 +222,43 @@ func doQuery(baseURL string, req QueryRequest) (*QueryResult, error) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// fetchBothWays fetches one finished job's result as JSON and as a
+// result frame and returns the JSON decoding. The two must be deeply
+// equal — nil-versus-empty included — so every battery that reads
+// results through doQuery also holds frame ≡ JSON on each of its cells.
+func fetchBothWays(url string) (*QueryResult, error) {
+	resp, err := http.Get(url)
+	if err != nil {
+		return nil, err
+	}
+	var res QueryResult
+	if err := decodeBody(resp, &res); err != nil {
+		return nil, err
+	}
+
+	hreq, err := http.NewRequest(http.MethodGet, url, nil)
+	if err != nil {
+		return nil, err
+	}
+	hreq.Header.Set("Accept", ResultFrameType)
+	resp, err = http.DefaultClient.Do(hreq)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != ResultFrameType {
+		return nil, fmt.Errorf("frame fetch: status %d, Content-Type %q", resp.StatusCode, ct)
+	}
+	framed, err := ReadResultFrame(resp.Body, MaxResultBytes)
+	if err != nil {
+		return nil, fmt.Errorf("frame fetch: %w", err)
+	}
+	if !reflect.DeepEqual(framed, &res) {
+		return nil, fmt.Errorf("frame and JSON decodings of %s differ:\nframe %+v\n json %+v", url, framed, &res)
+	}
+	return &res, nil
 }
 
 func decodeBody(resp *http.Response, v any) error {

@@ -405,9 +405,9 @@ func mergeGroupParts(ctx context.Context, q engine.Query, req server.QueryReques
 // coordinator rebuilds the massaged sort keys from its own full table
 // (validating each run on the way), merges the runs — TopK with the
 // tie-extended cut under a LIMIT — maps the merged order to global oids
-// (range base + local oid), and ranks it with the engine's own RANK,
-// reading codes from the full table by global oid (ranks only look
-// backward, so ranking the merged prefix is exact).
+// (range base + local oid), and ranks it with the engine's own RANK
+// over the keys the merge already holds (ranks only look backward, so
+// ranking the merged prefix is exact).
 func (c *Coordinator) mergeWindowParts(ctx context.Context, b *engine.Bound, req server.QueryRequest, spec mergeSpec, parts []*server.QueryResult, workers int) ([]uint32, []uint32, error) {
 	ranges := c.ranges[req.Table]
 	if len(ranges) != len(parts) {
@@ -444,11 +444,7 @@ func (c *Coordinator) mergeWindowParts(ctx context.Context, b *engine.Bound, req
 		oids[i] = uint32(ranges[pi].Lo) + parts[pi].RowOids[li]
 	}
 
-	ranks, err := engine.RankSorted(ctx, oids, len(b.Cols), func(oid uint32, dst []uint64) {
-		for ci, bs := range b.Cols {
-			dst[ci] = bs.Lookup(int(oid))
-		}
-	})
+	ranks, err := kb.rankMerged(ctx, flat)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -463,15 +459,17 @@ func (c *Coordinator) mergeWindowParts(ctx context.Context, b *engine.Bound, req
 // the taxonomy gives that kind; unreachable or
 // unresponsive shards — transport faults, open breakers — become the
 // retryable "shard_unavailable" (503, the conventional "upstream is
-// down, retry later"); a malformed shard response is "shard_invalid"
-// (502, not retryable); everything the coordinator fails at itself
-// keeps the single-node classification.
+// down, retry later"); a malformed shard response — a result frame that
+// violates the format (the coordinator reads frames from its shards
+// only) or a well-formed one the merge's validation refuses — is
+// "shard_invalid" (502, not retryable); everything the coordinator
+// fails at itself keeps the single-node classification.
 func classify(err error) (kind string, retryable bool, status int) {
 	kind, retryable, status = server.Classify(err)
 	var ce *client.Error
 	var se *shardError
 	switch {
-	case errors.Is(err, errShardInvalid):
+	case errors.Is(err, errShardInvalid), errors.Is(err, server.ErrBadFrame):
 		return "shard_invalid", false, http.StatusBadGateway
 	case errors.As(err, &ce):
 		retryable = ce.Retryable

@@ -182,10 +182,10 @@ func TestCrossShardDifferentialBattery(t *testing.T) {
 						if w != 4 {
 							continue
 						}
-						res2, err := coord.Run(ctx, req)
-						if err != nil {
-							t.Fatalf("%s cached: %v", k, err)
-						}
+						// It runs as a job whose result is fetched through the
+						// handler as JSON and as a frame: the two decodings
+						// must be deeply equal on every cell.
+						res2 := fetchBothWays(t, k+" cached", coord, req)
 						if res2.PlanCacheHit == limit0 {
 							t.Errorf("%s cached: PlanCacheHit=%v, want %v", k, res2.PlanCacheHit, !limit0)
 						}

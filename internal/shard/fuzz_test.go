@@ -102,7 +102,7 @@ func decodeParts(data []byte, sp mergeSpec, canon, withAux bool) []groupsPart {
 
 // referenceMerge is the naive oracle: every group of every part, sorted
 // by massaged key, equal clause keys combined by summing.
-func referenceMerge(parts []groupsPart, sp mergeSpec, withAux bool) *mergedGroups {
+func referenceMerge(parts []groupsPart, sp mergeSpec, withAux bool) *groupsPart {
 	type row struct {
 		vec      []uint64
 		agg, aux uint64
@@ -120,7 +120,7 @@ func referenceMerge(parts []groupsPart, sp mergeSpec, withAux bool) *mergedGroup
 	sort.SliceStable(rows, func(x, y int) bool {
 		return compareVec(massagedVec(sp, rows[x].vec), massagedVec(sp, rows[y].vec)) < 0
 	})
-	out := &mergedGroups{}
+	out := &groupsPart{}
 	for _, r := range rows {
 		if len(out.keys) > 0 && sameClauseKey(out.keys[len(out.keys)-1], r.vec) {
 			last := len(out.agg) - 1

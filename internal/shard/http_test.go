@@ -6,19 +6,26 @@ package shard
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/column"
 	"repro/internal/faultinject"
 	"repro/internal/server"
+	"repro/internal/table"
 	"repro/internal/testutil"
 )
 
@@ -82,6 +89,29 @@ func (w wire) get(path string) (*http.Response, map[string]any) {
 func (w wire) post(payload string) (*http.Response, map[string]any) {
 	w.t.Helper()
 	return w.do(http.Post(w.url+"/query", "application/json", strings.NewReader(payload)))
+}
+
+// fetch GETs path with the given Accept header ("" sends none) and
+// returns the response with its whole body.
+func (w wire) fetch(path, accept string) (*http.Response, []byte) {
+	w.t.Helper()
+	req, err := http.NewRequest(http.MethodGet, w.url+path, nil)
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	if accept != "" {
+		req.Header.Set("Accept", accept)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		w.t.Fatalf("%s: reading body: %v", path, err)
+	}
+	return resp, body
 }
 
 // wantError asserts an error response: status, machine-readable kind, a
@@ -150,6 +180,7 @@ func TestWireContract(t *testing.T) {
 	tables := batteryTables(t)
 	type daemon struct {
 		handler  http.Handler
+		result   func(id string) (*server.QueryResult, error)
 		shutdown func(context.Context) error
 		cleanup  func()
 	}
@@ -166,11 +197,11 @@ func TestWireContract(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return daemon{srv.Handler(), srv.Shutdown, func() {}}
+			return daemon{srv.Handler(), srv.Result, srv.Shutdown, func() {}}
 		},
 		"coordinator": func(t *testing.T) daemon {
 			coord, done := newTopology(t, tables, 2, Config{})
-			return daemon{coord.Handler(), coord.Shutdown, done}
+			return daemon{coord.Handler(), coord.Result, coord.Shutdown, done}
 		},
 	}
 	const valid = `{"table":"narrow0","kind":"orderby","sort_cols":[{"name":"a"},{"name":"b"}]}`
@@ -247,6 +278,53 @@ func TestWireContract(t *testing.T) {
 				t.Errorf("finished result = %d %v", resp.StatusCode, body["job_id"])
 			}
 
+			// Result encodings. Asked for by name, the result is the frame,
+			// with its exact length up front; it decodes to what the job
+			// holds.
+			resultPath := "/jobs/" + id + "/result"
+			held, err := d.result(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, accept := range []string{server.ResultFrameType, "application/json;q=0.5, " + strings.ToUpper(server.ResultFrameType) + ";q=1"} {
+				resp, frame := w.fetch(resultPath, accept)
+				if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != server.ResultFrameType {
+					t.Errorf("Accept %q: status %d Content-Type %q, want 200 %s", accept, resp.StatusCode, ct, server.ResultFrameType)
+				}
+				if cl := resp.Header.Get("Content-Length"); cl != strconv.Itoa(len(frame)) || len(resp.TransferEncoding) != 0 {
+					t.Errorf("Accept %q: Content-Length %q, Transfer-Encoding %v for a %d-byte frame", accept, cl, resp.TransferEncoding, len(frame))
+				}
+				got, err := server.ReadResultFrame(bytes.NewReader(frame), server.MaxResultBytes)
+				if err != nil {
+					t.Fatalf("Accept %q: %v", accept, err)
+				}
+				if got.JobID != id || !bytes.Equal(canonServer(t, got), canonServer(t, held)) {
+					t.Errorf("Accept %q: frame decodes to job %q with different data than the job holds", accept, got.JobID)
+				}
+			}
+			// Not asked for by name — no Accept, curl's wildcard, another
+			// type — it is the JSON document it always was, byte for byte:
+			// the encoding/json rendering of the result plus a newline.
+			wantJSON, err := json.Marshal(held)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantJSON = append(wantJSON, '\n')
+			for _, accept := range []string{"", "*/*", "application/json", "text/html, application/vnd.mcs.other"} {
+				resp, body := w.fetch(resultPath, accept)
+				if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != "application/json" || !bytes.Equal(body, wantJSON) {
+					t.Errorf("Accept %q: status %d Content-Type %q, body byte-identical to the JSON rendering: %v",
+						accept, resp.StatusCode, ct, bytes.Equal(body, wantJSON))
+				}
+			}
+			// Errors and status stay JSON under a frame Accept.
+			for path, wantStatus := range map[string]int{"/jobs/zz/result": http.StatusNotFound, "/jobs/" + id: http.StatusOK, "/tables": http.StatusOK} {
+				resp, body := w.fetch(path, server.ResultFrameType)
+				if ct := resp.Header.Get("Content-Type"); resp.StatusCode != wantStatus || ct != "application/json" || !json.Valid(body) {
+					t.Errorf("%s under a frame Accept: status %d Content-Type %q body %q, want %d JSON", path, resp.StatusCode, ct, body, wantStatus)
+				}
+			}
+
 			// Drain: health and readiness flip to 503, liveness stays up,
 			// submissions are refused with 503 + Retry-After.
 			if err := d.shutdown(context.Background()); err != nil {
@@ -311,6 +389,72 @@ func TestCoordinatorHTTPErrors(t *testing.T) {
 	}
 }
 
+// TestCoordinatorShardFrameCorrupt: a shard whose result frame arrives
+// whole with one payload bit flipped fails the coordinator's job as
+// shard_invalid — 502, not retryable — after executing the fan-out
+// once: the checksum catches what the merge's validation cannot, and a
+// frame that violates the format is no transport failure to retry.
+func TestCoordinatorShardFrameCorrupt(t *testing.T) {
+	defer testutil.CheckNoLeaks(t)()
+	tables := batteryTables(t)
+	healthy, done := newTopology(t, tables, 2, Config{})
+	defer done()
+
+	// The double: shard 1 behind a proxy that flips one bit of the first
+	// payload byte of every result frame — for a window result the first
+	// rank, which the gather recomputes and so never looks at.
+	backend, err := url.Parse(healthy.cfg.Shards[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var submits atomic.Int64
+	proxy := httputil.NewSingleHostReverseProxy(backend)
+	proxy.ModifyResponse = func(resp *http.Response) error {
+		if resp.Request.Method == http.MethodPost {
+			submits.Add(1)
+		}
+		if resp.Header.Get("Content-Type") != server.ResultFrameType {
+			return nil
+		}
+		frame, err := io.ReadAll(resp.Body)
+		if err != nil {
+			return err
+		}
+		frame[12+binary.LittleEndian.Uint32(frame[8:])] ^= 1 // just past the prefix and header
+		resp.Body = io.NopCloser(bytes.NewReader(frame))
+		return nil
+	}
+	double := httptest.NewServer(proxy)
+	defer double.Close()
+	defer http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+
+	cfg := healthy.cfg
+	cfg.Shards = []string{healthy.cfg.Shards[0], double.URL}
+	coord, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := coord.Shutdown(context.Background()); err != nil {
+			t.Errorf("coordinator shutdown: %v", err)
+		}
+	}()
+	hs := httptest.NewServer(coord.Handler())
+	defer hs.Close()
+	w := wire{t, hs.URL}
+
+	fanout := counterValue(t, "shard.fanout_subqueries")
+	w.wantFailed("bit-flipped shard frame",
+		`{"table":"narrow0","kind":"partitionby","sort_cols":[{"name":"a"}],"window":{"order_col":"c"}}`,
+		"shard_invalid", http.StatusBadGateway)
+	if got := counterValue(t, "shard.fanout_subqueries") - fanout; got != 2 {
+		t.Errorf("fan-out ran %d sub-queries, want 2: one per shard, executed once", got)
+	}
+	if got := submits.Load(); got != 1 {
+		t.Errorf("the corrupt shard was asked %d times, want 1: a bad frame must not be retried", got)
+	}
+}
+
 // TestCoordinatorJobTableBounded: the coordinator serves through the
 // same bounded job table as a single mcsd — beyond the retention bound
 // the oldest finished ids answer 404 not_found and the newest stay
@@ -346,6 +490,58 @@ func TestCoordinatorJobTableBounded(t *testing.T) {
 			t.Errorf("retained j%d: %d %v", i, resp.StatusCode, body)
 		}
 	}
+
+	// Large results: the table is also bounded by what it retains. Every
+	// row of the table below is its own group under a 15-column ORDER BY,
+	// so a result holds 15·8 + 8 bytes a row — 4 MiB, a sixteenth of
+	// server.MaxResultBytes: sixteen are retained and each further one
+	// evicts the oldest, long before the count bound.
+	t.Run("by weight", func(t *testing.T) {
+		const rows = server.MaxResultBytes / 16 / 128
+		tbl := table.New("heavy", rows)
+		req := server.QueryRequest{Table: "heavy", Kind: "orderby"}
+		for c := 0; c < 15; c++ {
+			name, width, codes := fmt.Sprintf("c%d", c), 2, make([]uint64, rows)
+			for i := range codes {
+				codes[i] = uint64(i>>c) & 3
+			}
+			if c == 0 {
+				width = 15
+				for i := range codes {
+					codes[i] = uint64(i*40503) % rows // odd multiplier: a permutation
+				}
+			}
+			if err := tbl.Add(column.FromCodes(name, width, codes)); err != nil {
+				t.Fatal(err)
+			}
+			req.SortCols = append(req.SortCols, server.SortColReq{Name: name})
+		}
+		coord, done := newTopology(t, []*table.Table{tbl}, 2, Config{})
+		hs := httptest.NewServer(coord.Handler())
+		defer done()
+		defer hs.Close()
+		w := wire{t, hs.URL}
+
+		const fit, extra = 16, 3
+		for i := 1; i <= fit+extra; i++ {
+			id, err := coord.Submit(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res, err := coord.Wait(context.Background(), id); err != nil || len(res.GroupKeys) != rows {
+				t.Fatalf("job %s: %d groups, err %v", id, len(res.GroupKeys), err)
+			}
+		}
+		for i := 1; i <= extra; i++ {
+			resp, body := w.get(fmt.Sprintf("/jobs/j%d", i))
+			w.wantError(fmt.Sprintf("evicted j%d", i), resp, body, http.StatusNotFound, "not_found")
+		}
+		for _, i := range []int{extra + 1, fit + extra} {
+			if resp, _ := w.fetch(fmt.Sprintf("/jobs/j%d/result", i), server.ResultFrameType); resp.StatusCode != http.StatusOK {
+				t.Errorf("retained j%d: %d", i, resp.StatusCode)
+			}
+		}
+	})
 }
 
 // deadEndpoint is an http.RoundTripper that refuses every request to

@@ -152,7 +152,40 @@ func (kb *keyBuilder) merge(ctx context.Context, limit, workers int) ([]uint32, 
 	return mergeRows64(ctx, kb.keys, kb.runs, limit, workers)
 }
 
-// groupsPart is one shard's decoded group table: clause-order key
+// rankMerged is RANK() over the rows a window merge just ordered, read
+// from the massaged keys the builder already holds instead of looking
+// each row's codes up again. flat is merge's result and is consumed.
+// The pinned order keeps the window's ORDER BY column last, so a packed
+// key is the partition in its high bits over the order column in its
+// low width bits, and a wide vector is the partition columns followed
+// by the order column; engine.RankSorted only tests codes for equality,
+// which neither the descending complement nor the partition columns'
+// permutation changes.
+func (kb *keyBuilder) rankMerged(ctx context.Context, flat []uint32) ([]uint32, error) {
+	if kb.wide {
+		return engine.RankSorted(ctx, flat, len(kb.sp.order), func(f uint32, dst []uint64) {
+			copy(dst, kb.vecs[f])
+		})
+	}
+	// The packed merges sort keys in place: position i holds the i-th
+	// merged key, so the rows identify themselves.
+	for i := range flat {
+		if i&(mergeCtxStride-1) == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		flat[i] = uint32(i)
+	}
+	width := uint(kb.sp.widths[kb.sp.order[len(kb.sp.order)-1]])
+	return engine.RankSorted(ctx, flat, 2, func(i uint32, dst []uint64) {
+		k := kb.keys[i]
+		dst[0], dst[1] = k>>width, k&column.Mask(int(width))
+	})
+}
+
+// groupsPart is a group table in sort order — one shard's decoded one,
+// or the combined cross-shard one mergeGroups returns: clause-order key
 // vectors, the primary aggregate, and an optional auxiliary aggregate
 // (the sum vector of an avg query, merged alongside the count).
 type groupsPart struct {
@@ -227,23 +260,16 @@ func (kb *keyBuilder) addRows(ctx context.Context, cols []*byteslice.BS, rng Ran
 	return nil
 }
 
-// mergedGroups is the combined cross-shard group table, in global sort
-// order. agg and aux are summed across shards per distinct key — for
-// count and sum aggregates the sum IS the global aggregate; for avg
-// the caller divides aux (global sum) by agg (global count), which is
-// exactly the engine's integer arithmetic.
-type mergedGroups struct {
-	keys [][]uint64
-	agg  []uint64
-	aux  []uint64
-}
-
-// mergeGroups merges per-shard group tables. Equal keys across shards
-// combine (every shard's instance of a group within any group-rank cut
-// is inside that shard's local cut, so the combination is complete —
-// docs/sharding.md); run-order stability is irrelevant for groups
-// because equal elements collapse into one output group.
-func mergeGroups(ctx context.Context, parts []groupsPart, sp mergeSpec, workers int) (*mergedGroups, error) {
+// mergeGroups merges per-shard group tables into the combined one, in
+// global sort order. Equal keys across shards combine (every shard's
+// instance of a group within any group-rank cut is inside that shard's
+// local cut, so the combination is complete — docs/sharding.md), agg
+// and aux summed per distinct key: for count and sum aggregates the sum
+// IS the global aggregate; for avg the caller divides aux (global sum)
+// by agg (global count), which is exactly the engine's integer
+// arithmetic. Run-order stability is irrelevant for groups because
+// equal elements collapse into one output group.
+func mergeGroups(ctx context.Context, parts []groupsPart, sp mergeSpec, workers int) (*groupsPart, error) {
 	hasAux := false
 	total := 0
 	for _, p := range parts {
@@ -261,7 +287,7 @@ func mergeGroups(ctx context.Context, parts []groupsPart, sp mergeSpec, workers 
 			return nil, fmt.Errorf("%w: aux aggregate present on some shards only", errShardInvalid)
 		}
 	}
-	out := &mergedGroups{}
+	out := &groupsPart{}
 	if total == 0 {
 		return out, nil
 	}

@@ -3,10 +3,14 @@ package shard
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 
 	"repro/internal/chaos"
+	"repro/internal/engine"
+	"repro/internal/server"
 )
 
 // bothBuilders returns a key builder per key form for the same spec:
@@ -235,6 +239,115 @@ func TestLocateFlat(t *testing.T) {
 		pi, li := locateFlat(offsets, uint32(f))
 		if pi != w[0] || li != w[1] {
 			t.Errorf("locateFlat(%d) = (%d,%d), want (%d,%d)", f, pi, li, w[0], w[1])
+		}
+	}
+}
+
+// TestRankFromKeysMatchesLookup: the window gather ranks from the keys
+// the merge already holds; the definition it must agree with is
+// engine.RankSorted reading every sort column's code by global oid —
+// how the gather ranked before. Swept over ascending and descending
+// ORDER BY columns, a permuted pin, the tie-heavy table, a clause wider
+// than 64 bits, each key form, shard counts, and LIMIT/OFFSET cuts
+// (whose ranks are a slice of the full ranking).
+func TestRankFromKeysMatchesLookup(t *testing.T) {
+	tables := batteryTables(t)
+	win := func(orderCol string, desc bool, part ...string) server.QueryRequest {
+		req := server.QueryRequest{Kind: "partitionby", Window: &server.WindowReq{OrderCol: orderCol, Desc: desc}}
+		for _, name := range part {
+			req.SortCols = append(req.SortCols, server.SortColReq{Name: name})
+		}
+		return req
+	}
+	cases := []struct {
+		tbl int
+		req server.QueryRequest
+		pin []int
+	}{
+		{0, win("c", false, "a", "b"), []int{0, 1, 2}},
+		{0, win("c", true, "a", "b"), []int{1, 0, 2}},
+		{1, win("c", true, "a", "b"), []int{1, 0, 2}}, // ~99% ties
+		{1, win("v", false, "c"), []int{0, 1}},
+		{2, win("w5", false, "w1", "w2", "w3", "w4"), []int{2, 0, 3, 1, 4}}, // 80 bits
+		{2, win("w5", true, "w1", "w2", "w3", "w4"), []int{0, 1, 2, 3, 4}},
+	}
+	cuts := []batteryCell{{label: "limit7", limit: intp(7)}, {label: "limit13off5", limit: intp(13), offset: 5},
+		{label: "off11", offset: 11}, {label: "limit5000", limit: intp(5000)}}
+	ctx := context.Background()
+	for _, tc := range cases {
+		tbl := tables[tc.tbl]
+		tc.req.Table = tbl.Name
+		tc.req.SortCols[0].Desc = true // a descending partition column too
+		q, err := tc.req.ToEngineQuery()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := engine.Bind(tbl, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp := newMergeSpec(b, tc.pin)
+		codes := func(oid int) []uint64 {
+			vals := make([]uint64, len(b.Cols))
+			for c, bs := range b.Cols {
+				vals[c] = bs.Lookup(oid)
+			}
+			return vals
+		}
+		for _, nShards := range []int{1, 3} {
+			// Each shard's run: its local oids, stably sorted by massaged key.
+			ranges := Ranges(tbl.N, nShards)
+			runs := make([][]uint32, nShards)
+			for si, rng := range ranges {
+				vecs := make([][]uint64, rng.Len())
+				runs[si] = make([]uint32, rng.Len())
+				for i := range vecs {
+					vecs[i], runs[si][i] = massagedVec(sp, codes(rng.Lo+i)), uint32(i)
+				}
+				sort.SliceStable(runs[si], func(x, y int) bool {
+					return compareVec(vecs[runs[si][x]], vecs[runs[si][y]]) < 0
+				})
+			}
+			c := &Coordinator{ranges: map[string][]Range{tbl.Name: ranges}}
+			gather := func(cell batteryCell) (ranks, oids []uint32) {
+				req := tc.req
+				req.Limit, req.Offset = cell.limit, cell.offset
+				cut, _ := engine.SortCut(q, req.Limit, req.Offset)
+				parts := make([]*server.QueryResult, nShards)
+				for si, run := range runs {
+					if cut > 0 && cut < len(run) {
+						run = run[:cut] // the sub-queries' pre-cut
+					}
+					parts[si] = &server.QueryResult{RowOids: run, Ranks: make([]uint32, len(run))}
+				}
+				ranks, oids, err := c.mergeWindowParts(ctx, b, req, sp, parts, 2)
+				if err != nil {
+					t.Fatalf("%s %v: %v", tbl.Name, tc.pin, err)
+				}
+				return ranks, oids
+			}
+
+			label := fmt.Sprintf("%s order=%s desc=%v pin=%v shards=%d", tbl.Name, tc.req.Window.OrderCol, tc.req.Window.Desc, tc.pin, nShards)
+			ranks, oids := gather(batteryCell{label: "full"})
+			want, err := engine.RankSorted(ctx, oids, len(b.Cols), func(oid uint32, dst []uint64) {
+				copy(dst, codes(int(oid)))
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(oids) != tbl.N || !reflect.DeepEqual(ranks, want) {
+				t.Errorf("%s: ranks from the merged keys differ from the lookup-based RankSorted", label)
+			}
+			if wide := sp.totalWidth() > 64; wide != (tc.tbl == 2) {
+				t.Errorf("%s: wide key form = %v", label, wide)
+			}
+			for _, cell := range cuts {
+				lo, hi := engine.OutputWindow(tbl.N, cell.limit, cell.offset)
+				gotRanks, gotOids := gather(cell)
+				if !reflect.DeepEqual(gotRanks, want[lo:hi]) || !reflect.DeepEqual(gotOids, oids[lo:hi]) {
+					t.Errorf("%s %s: cut gather is not rows [%d,%d) of the full ranking", label, cell.label, lo, hi)
+				}
+			}
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"testing"
 	"time"
 
@@ -234,6 +235,43 @@ func runOracleResult(t *testing.T, tbl *table.Table, req server.QueryRequest, wo
 		t.Fatalf("oracle %s: %v", req.ID, err)
 	}
 	return res
+}
+
+// fetchBothWays runs req as a job on coord and fetches its result
+// through the handler twice, as JSON and as a result frame. The two
+// decodings must be deeply equal, nil-versus-empty included; it returns
+// the JSON one.
+func fetchBothWays(t *testing.T, label string, coord *Coordinator, req server.QueryRequest) *server.QueryResult {
+	t.Helper()
+	id, err := coord.Submit(req)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if _, err := coord.Wait(context.Background(), id); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	fetch := func(accept, wantType string) *httptest.ResponseRecorder {
+		hreq := httptest.NewRequest("GET", "/jobs/"+id+"/result", nil)
+		hreq.Header.Set("Accept", accept)
+		rec := httptest.NewRecorder()
+		coord.Handler().ServeHTTP(rec, hreq)
+		if ct := rec.Header().Get("Content-Type"); rec.Code != 200 || ct != wantType {
+			t.Fatalf("%s: Accept %q answered %d %q", label, accept, rec.Code, ct)
+		}
+		return rec
+	}
+	var viaJSON server.QueryResult
+	if err := json.Unmarshal(fetch("application/json", "application/json").Body.Bytes(), &viaJSON); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	framed, err := server.ReadResultFrame(fetch(server.ResultFrameType, server.ResultFrameType).Body, server.MaxResultBytes)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if !reflect.DeepEqual(framed, &viaJSON) {
+		t.Errorf("%s: frame and JSON decodings differ:\nframe %+v\n json %+v", label, framed, &viaJSON)
+	}
+	return &viaJSON
 }
 
 // intp makes limit pointers readable in table literals.
