@@ -55,6 +55,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzLimitQuery -fuzztime=20s ./internal/server/
 	$(GO) test -fuzz=FuzzResultFrame -fuzztime=20s ./internal/server/
 	$(GO) test -fuzz=FuzzShardMerge -fuzztime=20s ./internal/shard/
+	$(GO) test -fuzz=FuzzExecuteDeterministic -fuzztime=20s ./internal/mcsort/
 
 # End-to-end mcsd smoke: build the daemon, start it on a small TPC-H
 # table, run one query twice (second must hit the plan cache, visible

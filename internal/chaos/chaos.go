@@ -78,6 +78,7 @@ var SiteKinds = map[string][]Kind{
 	faultinject.PivotSelect:  {KindPanic, KindDelay, KindCancel},
 	faultinject.GroupSort:    {KindPanic, KindDelay, KindCancel},
 	faultinject.Permute:      {KindPanic, KindDelay, KindCancel},
+	faultinject.TieOrder:     {KindPanic, KindDelay, KindCancel},
 	faultinject.ChunkSort:    {KindPanic, KindDelay, KindCancel},
 	faultinject.LoserMerge:   {KindPanic, KindDelay, KindCancel},
 	faultinject.TopKMerge:    {KindDelay, KindCancel},

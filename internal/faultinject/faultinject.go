@@ -32,6 +32,9 @@ const (
 	GroupSort = "mcsort.group_sort"
 	// Permute: mcsort's lookup/reorder pass, once per chunk.
 	Permute = "mcsort.permute"
+	// TieOrder: mcsort's pass over the final groups that fixes the order
+	// inside each tied run, once per batch of groups.
+	TieOrder = "mcsort.tie_order"
 	// ChunkSort: mergesort's parallel chunk sort, once per chunk.
 	ChunkSort = "mergesort.chunk_sort"
 	// LoserMerge: mergesort's cooperative multiway merge, once per
@@ -56,7 +59,7 @@ const (
 
 // Sites lists every named site, for test batteries that iterate them.
 var Sites = []string{
-	PivotSelect, GroupSort, Permute, ChunkSort, LoserMerge, TopKMerge,
+	PivotSelect, GroupSort, Permute, TieOrder, ChunkSort, LoserMerge, TopKMerge,
 	MassageChunk, Gather, Aggregate, ShardFanout, ShardMerge,
 }
 

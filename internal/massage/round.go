@@ -23,9 +23,6 @@ var (
 	obsGatherRuns = obs.NewCounter("massage.gather_fused_runs")
 )
 
-// NumRounds returns the number of round keys the program produces.
-func (p *Program) NumRounds() int { return p.nRounds }
-
 // roundSegments returns the segments feeding round d, or an error when
 // d is out of range.
 func (p *Program) roundSegments(d int) ([]segment, error) {

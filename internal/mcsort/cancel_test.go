@@ -85,28 +85,34 @@ func TestCancelledContextRefusedUpfront(t *testing.T) {
 	}
 }
 
-// TestWorkerPanicContainedAsPipelineError injects a panic at the
-// permute site with parallel workers: it must surface as a typed
-// *pipeerr.PipelineError naming the stage — never crash the process —
-// and leak no goroutines.
+// TestWorkerPanicContainedAsPipelineError injects a panic at the sites
+// that fire inside parallel workers — the permute chunks and the
+// tie-order batches: it must surface as a typed *pipeerr.PipelineError
+// naming the stage — never crash the process — and leak no goroutines.
 func TestWorkerPanicContainedAsPipelineError(t *testing.T) {
 	defer faultinject.Reset()
-	defer testutil.CheckNoLeaks(t)()
 	inputs := cancelInputs(20000, 31)
 	sp := forcedParams(16)
-	restore := faultinject.Set(faultinject.Permute, func() { panic("injected permute fault") })
-	defer restore()
-	_, err := ExecuteContext(context.Background(), inputs, twoRoundPlan,
-		Options{Workers: 4, SortParams: &sp})
-	var pe *pipeerr.PipelineError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %T %v, want *pipeerr.PipelineError", err, err)
-	}
-	if pe.Stage != pipeerr.StagePermute {
-		t.Errorf("stage = %q, want %q", pe.Stage, pipeerr.StagePermute)
-	}
-	if pe.Round < 1 {
-		t.Errorf("round = %d, want >= 1 (permute only runs after round 0)", pe.Round)
+	for site, want := range map[string]struct {
+		stage    string
+		minRound int
+	}{
+		faultinject.Permute:  {pipeerr.StagePermute, 1}, // permute only runs after round 0
+		faultinject.TieOrder: {pipeerr.StageSort, -1},   // the pass belongs to no round
+	} {
+		check := testutil.CheckNoLeaks(t)
+		restore := faultinject.Set(site, func() { panic("injected fault") })
+		_, err := ExecuteContext(context.Background(), inputs, twoRoundPlan,
+			Options{Workers: 4, SortParams: &sp})
+		restore()
+		var pe *pipeerr.PipelineError
+		if !errors.As(err, &pe) {
+			t.Fatalf("%s: err = %T %v, want *pipeerr.PipelineError", site, err, err)
+		}
+		if pe.Stage != want.stage || pe.Round < want.minRound {
+			t.Errorf("%s: contained at stage %q round %d, want %q round >= %d", site, pe.Stage, pe.Round, want.stage, want.minRound)
+		}
+		check()
 	}
 }
 
@@ -147,14 +153,17 @@ func TestDeterministicAfterCancelledRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Cancel a run mid-sort from the group-sort site...
-	ctx, cancel := context.WithCancel(context.Background())
-	restore := faultinject.Set(faultinject.GroupSort, func() { cancel() })
-	if _, err := ExecuteContext(ctx, inputs, twoRoundPlan, opts); !errors.Is(err, context.Canceled) {
+	// Cancel one run mid-sort from the group-sort site and one from the
+	// tie-order pass, which has already reordered some final groups...
+	for _, site := range []string{faultinject.GroupSort, faultinject.TieOrder} {
+		ctx, cancel := context.WithCancel(context.Background())
+		restore := faultinject.Set(site, cancel)
+		res, err := ExecuteContext(ctx, inputs, twoRoundPlan, opts)
 		restore()
-		t.Fatalf("cancelled run: err = %v", err)
+		if !errors.Is(err, context.Canceled) || res != nil {
+			t.Fatalf("run cancelled at %s: result %v, err = %v", site, res != nil, err)
+		}
 	}
-	restore()
 
 	// ...then re-run clean: the result must match the baseline exactly.
 	again, err := ExecuteContext(context.Background(), inputs, twoRoundPlan, opts)

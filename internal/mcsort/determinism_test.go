@@ -4,22 +4,25 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/massage"
 	"repro/internal/mergesort"
+	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/testutil"
 )
 
-// The parallel sort paths must be pure functions of their input: the
-// same (keys, oids) must come out whatever the worker count, or results
-// would depend on GOMAXPROCS and plans could not be compared across
-// runs. Ties make this hard — range partitioning, rank-split merging,
-// and group scheduling all change which worker sorts which tied run —
-// so every path canonicalizes tie order. These tests pin that property,
-// including the skewed-pivot edge case where every sampled key is
-// identical (which now routes to the rank-split cooperative sort).
+// A sort must be a pure function of its input: the same Perm and Groups
+// must come out whatever the worker count, or results would depend on
+// GOMAXPROCS and plans could not be compared across runs. Ties make this
+// hard — range partitioning, rank-split merging, and group scheduling all
+// change which worker sorts which tied run — so the order inside a tied
+// group is fixed once, on the final groups (the contract on
+// Result.Perm). These tests pin that property through ExecuteContext,
+// for every shape round 0 can take and for the rounds after it.
 
 // workerCounts spans the sequential path, the partitioned path, an odd
 // worker count (uneven chunk alignment), and more workers than distinct
@@ -36,39 +39,51 @@ func forcedParams(bank int) mergesort.Params {
 	return p
 }
 
-func runFullSort(bank, workers int, keys []uint64, p mergesort.Params) ([]uint64, []uint32) {
-	k := append([]uint64(nil), keys...)
-	o := make([]uint32, len(k))
-	for i := range o {
-		o[i] = uint32(i)
+// identicalResults fails unless got has exactly want's Perm and Groups.
+func identicalResults(t *testing.T, name string, got, want *Result) {
+	t.Helper()
+	if !slices.Equal(got.Perm, want.Perm) {
+		t.Fatalf("%s: Perm diverges", name)
 	}
-	if err := parallelFullSort(context.Background(), bank, k, o, workers, p, 0); err != nil {
-		panic(err)
+	if !slices.Equal(got.Groups, want.Groups) {
+		t.Fatalf("%s: Groups diverge", name)
 	}
-	return k, o
 }
 
+// checkDeterministic sorts keys as one bank-bit column under a
+// one-round plan at every worker count: Perm must equal the stable
+// reference — sorted, oids ascending inside every tied run — and Perm
+// and Groups must be identical at every worker count, with every Groups
+// run oid-ascending.
 func checkDeterministic(t *testing.T, name string, bank int, keys []uint64, p mergesort.Params) {
 	t.Helper()
-	baseK, baseO := runFullSort(bank, workerCounts[0], keys, p)
-	for i := 1; i < len(keys); i++ {
-		if baseK[i] < baseK[i-1] {
-			t.Fatalf("%s bank %d: output not sorted at %d", name, bank, i)
+	inputs := []massage.Input{{Codes: keys, Width: bank}}
+	onePlan := plan.Plan{Rounds: []plan.Round{{Width: bank, Bank: bank}}}
+	want := refSort(inputs, len(keys))
+	var base *Result
+	for _, w := range workerCounts {
+		res, err := execute(inputs, onePlan, Options{Workers: w, SortParams: &p})
+		if err != nil {
+			t.Fatalf("%s bank %d workers=%d: %v", name, bank, w, err)
 		}
-	}
-	for _, w := range workerCounts[1:] {
-		k, o := runFullSort(bank, w, keys, p)
-		for i := range k {
-			if k[i] != baseK[i] {
-				t.Fatalf("%s bank %d: keys diverge at %d for workers=%d: %d vs %d",
-					name, bank, i, w, k[i], baseK[i])
-			}
-			if o[i] != baseO[i] {
-				t.Fatalf("%s bank %d: oids diverge at %d for workers=%d: %d vs %d (key %d)",
-					name, bank, i, w, o[i], baseO[i], k[i])
+		for g := 0; g+1 < len(res.Groups); g++ {
+			if run := res.Perm[res.Groups[g]:res.Groups[g+1]]; !slices.IsSorted(run) {
+				t.Fatalf("%s bank %d workers=%d: group %d is not oid-ascending", name, bank, w, g)
 			}
 		}
+		if !slices.Equal(res.Perm, want) {
+			t.Fatalf("%s bank %d workers=%d: Perm differs from the stable reference sort", name, bank, w)
+		}
+		if base == nil {
+			base = res
+		}
+		identicalResults(t, fmt.Sprintf("%s bank %d workers=%d", name, bank, w), res, base)
 	}
+}
+
+// roundZeroShapes reads the counters that tell which shape round 0 took.
+func roundZeroShapes() (partitioned, skewFallbacks int64) {
+	return obsParallelSorts.Value(), obsSkewFallbacks.Value()
 }
 
 // adversarialKeys builds the input battery: uniform, tie-heavy low
@@ -100,12 +115,28 @@ func adversarialKeys(n, bank int, seed int64) map[string][]uint64 {
 	return cases
 }
 
+// TestParallelFullSortDeterministicAcrossWorkers runs the battery with
+// the thresholds lowered, so round 0 is sequential at one worker and
+// range-partitioned (or, for the skewed distributions, rank-split)
+// above it.
 func TestParallelFullSortDeterministicAcrossWorkers(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
 	const n = 6000 // well above the forced threshold, fast to repeat
 	for _, bank := range []int{16, 32, 64} {
 		p := forcedParams(bank)
 		for name, keys := range adversarialKeys(n, bank, 11) {
+			parts, skews := roundZeroShapes()
 			checkDeterministic(t, name, bank, keys, p)
+			// Every worker count above one enters the parallel round 0;
+			// uniform keys must stay on the range-partitioned path.
+			gotParts, gotSkews := roundZeroShapes()
+			if gotParts-parts != int64(len(workerCounts)-1) {
+				t.Fatalf("%s bank %d: %d parallel round-0 sorts, want %d", name, bank, gotParts-parts, len(workerCounts)-1)
+			}
+			if name == "uniform" && gotSkews != skews {
+				t.Fatalf("uniform bank %d: %d skew fallbacks on uniform keys", bank, gotSkews-skews)
+			}
 		}
 	}
 }
@@ -125,37 +156,138 @@ func TestParallelFullSortDefaultThreshold(t *testing.T) {
 
 // TestParallelFullSortSkewedPivots pins the edge case the pivot sampler
 // can hit on heavily skewed data: every sampled key equal (so all
-// pivots coincide and one partition would receive everything — the
-// skew fallback reroutes to the rank-split cooperative sort), and the
-// stride sampling seeing only the majority value of a 99%-skewed input.
+// pivots coincide and one partition would receive everything), and the
+// stride sampling seeing mostly the majority value of a 95%-skewed
+// input. Both must reroute to the rank-split cooperative sort — whose
+// chunk boundaries move with the worker count — and still come out
+// identical.
 func TestParallelFullSortSkewedPivots(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
 	const n = 4096
 	for _, bank := range []int{16, 32, 64} {
 		p := forcedParams(bank)
 		allEqual := make([]uint64, n)
-		for i := range allEqual {
-			allEqual[i] = 42
-		}
-		checkDeterministic(t, "allequal", bank, allEqual, p)
-
-		// All-equal ties must canonicalize to the identity permutation.
-		_, o := runFullSort(bank, 4, allEqual, p)
-		for i := range o {
-			if o[i] != uint32(i) {
-				t.Fatalf("bank %d: all-equal oids not canonical at %d: %d", bank, i, o[i])
-			}
-		}
-
 		skewed := make([]uint64, n)
 		rng := rand.New(rand.NewSource(13))
-		for i := range skewed {
-			if rng.Intn(100) == 0 {
+		for i := range allEqual {
+			allEqual[i] = 42
+			skewed[i] = 7 // the value nearly every sample lands on
+			if rng.Intn(20) == 0 {
 				skewed[i] = uint64(rng.Intn(1000))
-			} else {
-				skewed[i] = 7 // the value every sample likely lands on
 			}
 		}
-		checkDeterministic(t, "skew99", bank, skewed, p)
+		for name, keys := range map[string][]uint64{"allequal": allEqual, "skew95": skewed} {
+			_, skews := roundZeroShapes()
+			checkDeterministic(t, name, bank, keys, p)
+			// maxPart·workers > 2n cannot hold at two workers; every
+			// larger count must take the fallback.
+			if _, got := roundZeroShapes(); got-skews != int64(len(workerCounts)-2) {
+				t.Fatalf("%s bank %d: %d skew fallbacks, want %d", name, bank, got-skews, len(workerCounts)-2)
+			}
+		}
+	}
+}
+
+// TestWorkersBeyondAByteMatchSequential pins the range partitioner's
+// partition index: it used to be remembered per row in a uint8, so from
+// 257 workers on (the server admits 1,024) rows were scattered into the
+// wrong partitions and Perm came back unsorted, with no error. Unique
+// keys keep round 0 on the range-partitioned path; the 99 %-tied keys
+// take the skew fallback at the same worker counts.
+func TestWorkersBeyondAByteMatchSequential(t *testing.T) {
+	defer testutil.CheckNoLeaks(t)()
+	const rows = 40000
+	rng := rand.New(rand.NewSource(53))
+	unique := make([]uint64, rows)
+	tied := make([]uint64, rows)
+	for i, v := range rng.Perm(rows) {
+		unique[i] = uint64(v) << 14 // spread over the 30 bits
+		tied[i] = 5
+		if rng.Intn(100) == 0 {
+			tied[i] = uint64(rng.Intn(1 << 30))
+		}
+	}
+	sp := forcedParams(32)
+	onePlan := plan.Plan{Rounds: []plan.Round{{Width: 30, Bank: 32}}}
+	for name, keys := range map[string][]uint64{"unique": unique, "tied99": tied} {
+		inputs := []massage.Input{{Codes: keys, Width: 30}}
+		base, err := execute(inputs, onePlan, Options{Workers: 1, SortParams: &sp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{256, 257, 300, 1024} {
+			res, err := execute(inputs, onePlan, Options{Workers: w, SortParams: &sp})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", name, w, err)
+			}
+			identicalResults(t, fmt.Sprintf("%s workers=%d", name, w), res, base)
+		}
+	}
+}
+
+// TestTiedIntermediateRoundsDeterministic runs a three-round plan whose
+// first two rounds leave nearly every row tied (2 and then 6 groups
+// over 8192 rows), so every group the later rounds sort arrives in
+// whatever order the previous round's path left it. Only the final
+// groups' order is observable, and it must be the stable reference at
+// every worker count.
+func TestTiedIntermediateRoundsDeterministic(t *testing.T) {
+	defer testutil.CheckNoLeaks(t)()
+	const rows = 8192
+	inputs := randInputs(rand.New(rand.NewSource(43)), []int{3, 5, 11}, []int{2, 3, 700}, rows)
+	inputs[1].Desc = true
+	sp := forcedParams(16)
+	want := refSort(inputs, rows)
+	for _, w := range workerCounts {
+		res, err := columnAtATime(inputs, Options{Workers: w, SortParams: &sp})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		if res.Rounds[0].NGroup != 2 || res.Rounds[1].NGroup != 6 {
+			t.Fatalf("workers=%d: intermediate rounds left %d and %d groups, want 2 and 6", w, res.Rounds[0].NGroup, res.Rounds[1].NGroup)
+		}
+		if !slices.Equal(res.Perm, want) {
+			t.Fatalf("workers=%d: Perm differs from the stable reference sort", w)
+		}
+	}
+}
+
+// TestLimitRowsCutsInsideTiedGroup puts the LimitRows cut in the middle
+// of a tied boundary group — the one consumer that slices inside a
+// group, so the tie order must be fixed before it: the truncated Perm
+// is the full sort's prefix, and Groups the full sort's clipped at the
+// cut, at every worker count and for one- and two-round plans.
+func TestLimitRowsCutsInsideTiedGroup(t *testing.T) {
+	defer testutil.CheckNoLeaks(t)()
+	const rows = 6000
+	inputs := randInputs(rand.New(rand.NewSource(47)), []int{9, 13}, []int{5, 3}, rows)
+	sp := forcedParams(16)
+	for planName, p := range execPlans() {
+		full, err := execute(inputs, p, Options{Workers: 1, SortParams: &sp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One row into the second group, and mid-way through a later one.
+		for _, limit := range []int{int(full.Groups[1]) + 1, int(full.Groups[7]+full.Groups[8]) / 2} {
+			g := sort.Search(len(full.Groups), func(i int) bool { return int(full.Groups[i]) >= limit })
+			if int(full.Groups[g]) == limit {
+				t.Fatalf("%s: limit %d falls on a group boundary; the test wants it inside a group", planName, limit)
+			}
+			wantGroups := append(append([]int32(nil), full.Groups[:g]...), int32(limit))
+			for _, w := range []int{1, 2, 8} {
+				res, err := execute(inputs, p, Options{Workers: w, SortParams: &sp, LimitRows: limit})
+				if err != nil {
+					t.Fatalf("%s limit=%d workers=%d: %v", planName, limit, w, err)
+				}
+				if !slices.Equal(res.Perm, full.Perm[:limit]) {
+					t.Fatalf("%s limit=%d workers=%d: Perm is not the full sort's prefix", planName, limit, w)
+				}
+				if !slices.Equal(res.Groups, wantGroups) {
+					t.Fatalf("%s limit=%d workers=%d: Groups = %v, want %v", planName, limit, w, res.Groups, wantGroups)
+				}
+			}
+		}
 	}
 }
 
@@ -349,7 +481,7 @@ func TestGroupSortManyTinyGroupsDeterministic(t *testing.T) {
 		k := append([]uint64(nil), keys...)
 		perm := make([]uint32, len(k))
 		for i := range perm {
-			perm[i] = uint32(len(k) - 1 - i) // descending, so ties need canonicalizing
+			perm[i] = uint32(len(k) - 1 - i) // descending: no tie arrives in order
 		}
 		nSort, err := parallelGroupSort(context.Background(), 16, k, perm, groups, w, sp, 1)
 		if err != nil || nSort != nGroups {

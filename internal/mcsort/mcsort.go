@@ -10,9 +10,12 @@ package mcsort
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"time"
 
+	"repro/internal/faultinject"
 	"repro/internal/massage"
 	"repro/internal/mergesort"
 	"repro/internal/obs"
@@ -68,7 +71,14 @@ type RoundStats struct {
 // Result is the outcome of a multi-column sort.
 type Result struct {
 	// Perm is the sorted order: Perm[i] is the oid of the i-th smallest
-	// tuple under the sort specification.
+	// tuple under the sort specification. Between rounds the order of
+	// rows inside a group is unspecified: every round's sort, scan and
+	// truncation cut sees a group as a set whose members key values alone
+	// decide. After the last round's scan, orderTies sorts the oids of
+	// every final group ascending — before the LimitRows cut, the one
+	// consumer that slices inside a group. Perm is therefore a function
+	// of the inputs and the sort specification only: byte-identical for
+	// any Workers, plan or sort path.
 	Perm []uint32
 	// Groups are the boundaries of runs of tuples equal on all sort
 	// columns: group g spans Perm[Groups[g]:Groups[g+1]].
@@ -85,7 +95,7 @@ type Options struct {
 	// range-partitioned first-round sort, the group-distributed later
 	// rounds (with cooperative rank-split sorting of dominant groups),
 	// and the lookup/permute passes. Output is byte-identical for any
-	// value — every sort path canonicalizes ties.
+	// value (the tie contract on Result.Perm).
 	Workers int
 	// UseRadix replaces the SIMD merge-sort with the stable LSD radix
 	// sort (the paper's Section 7 future work): each round then costs
@@ -284,10 +294,6 @@ func executeContext(ctx context.Context, inputs []massage.Input, p plan.Plan, op
 		}
 		switch {
 		case opts.UseRadix:
-			// The LSD radix sort is stable, so ties keep the running
-			// permutation's order — oid-ascending by induction (round 0
-			// starts from the identity, and every other path
-			// canonicalizes) — and the output is already canonical.
 			radixBits := opts.RadixBits
 			if radixBits == 0 {
 				radixBits = mergesort.DefaultRadixBits
@@ -309,17 +315,16 @@ func executeContext(ctx context.Context, inputs []massage.Input, p plan.Plan, op
 				nSort++
 			}
 		case r == 0:
-			// Full-table sort. Always routed through parallelFullSort
-			// (which degrades to a single sorted run for Workers < 2) so
-			// tie canonicalization makes the permutation byte-identical
-			// across worker counts. Under LimitRows the bounded-heap
-			// top-K sort replaces it: only the tie-extended first
-			// limitRows positions come back sorted (a value-defined,
-			// worker-count-independent prefix), and everything past them
-			// leaves the pipeline here.
+			// Full-table sort (a single sorted run for Workers < 2). Under
+			// LimitRows the bounded-heap top-K sort replaces it: only the
+			// tie-extended first limitRows positions come back sorted —
+			// every row whose key is ≤ the limitRows-th smallest, a
+			// value-defined survivor set that is the same at every worker
+			// count. keys[m:] and Perm[m:] are garbage from here on; the
+			// rows they held have left the pipeline.
 			if rows >= 2 {
 				if limitRows > 0 {
-					m, err := parallelTopSort(ctx, round.Bank, keys, res.Perm, limitRows, opts.Workers, sp)
+					m, err := mergesort.TopKContext(ctx, round.Bank, keys, res.Perm, limitRows, sp, opts.Workers)
 					if err != nil {
 						return nil, err
 					}
@@ -332,8 +337,7 @@ func executeContext(ctx context.Context, inputs []massage.Input, p plan.Plan, op
 			}
 		default:
 			// Later rounds: the tied groups are distributed across the
-			// worker pool (sequential for Workers < 2), every group
-			// canonicalized.
+			// worker pool (sequential for Workers < 2).
 			nSort, err = parallelGroupSort(ctx, round.Bank, keys, res.Perm, groups, opts.Workers, sp, r)
 			if err != nil {
 				return nil, err
@@ -367,10 +371,19 @@ func executeContext(ctx context.Context, inputs []massage.Input, p plan.Plan, op
 			AvgGroupSz: float64(sumSz) / float64(nInputGroups),
 		}
 	}
+	// The tie contract of Result.Perm is enforced here and nowhere else,
+	// on the clock of the sort phase.
+	start = time.Now()
+	if err := orderTies(ctx, res.Perm, groups, opts.Workers); err != nil {
+		return nil, err
+	}
+	d := time.Since(start)
+	res.Timings.Sort += d
+	obsSortT.Add(d)
 	if limitRows > 0 && active > limitRows {
-		// Final exact cut: every round is done, ties within the boundary
-		// group are canonicalized, so slicing the permutation at the rank
-		// target is deterministic and equals full-sort-then-slice.
+		// Final exact cut: the order inside the boundary group is fixed,
+		// so slicing the permutation at the rank target is deterministic
+		// and equals full-sort-then-slice.
 		g := sort.Search(len(groups), func(i int) bool { return int(groups[i]) >= limitRows })
 		groups = append(groups[:g:g], int32(limitRows))
 		active = limitRows
@@ -383,6 +396,29 @@ func executeContext(ctx context.Context, inputs []massage.Input, p plan.Plan, op
 	obsGroupsFinal.Set(int64(len(groups) - 1))
 	res.Groups = groups
 	return res, nil
+}
+
+// orderTies sorts the oids of every group of two or more rows ascending.
+// It needs no keys: the last scan has already found every equal-key run.
+// The groups are visited in cutGroupBatches' position-ordered batches of
+// about groupBatchRows rows, none set apart as big (one run is one
+// sort), so zipf-skewed group sizes balance by rows; each batch polls
+// the context and fires faultinject.TieOrder first.
+func orderTies(ctx context.Context, perm []uint32, groups []int32, workers int) error {
+	batches, _, _, err := cutGroupBatches(ctx, groups, math.MaxInt)
+	if err != nil {
+		return err
+	}
+	pass := pipeerr.Pass{Stage: pipeerr.StageSort, Round: -1, Site: faultinject.TieOrder}
+	return pass.Ranges(ctx, workers, len(batches)-1, func(_ context.Context, b int) error {
+		for g := batches[b]; g < batches[b+1]; g++ {
+			// Stable sort paths leave most runs ascending already.
+			if run := perm[groups[g]:groups[g+1]]; !slices.IsSorted(run) {
+				slices.Sort(run)
+			}
+		}
+		return nil
+	})
 }
 
 // refineGroups splits each existing group at positions where the sorted

@@ -10,37 +10,17 @@ import (
 	"repro/internal/pipeerr"
 )
 
-// Multi-threaded execution (Section 6.4 of the paper), now for every
-// round. The first round is range-partitioned by sampled pivots — each
-// worker sorts one key range independently, so concatenating the
-// partitions is already the sorted order (the sampling-based
-// partitioning of Polychroniou & Ross that the paper cites for skew
-// resistance). When the sample-based partitioning collapses (heavily
-// skewed data where most sampled keys are equal), the round falls back
-// to mergesort's chunk-sort + cooperative pivot-split merge, whose load
-// balance is rank-based and therefore immune to value skew. Later
-// rounds distribute the tied groups across a bounded worker pool in
-// position-ordered batches claimed dynamically, so zipf-skewed group
-// sizes stay balanced; groups big enough to dominate a round are
-// instead sorted cooperatively by all workers.
-//
-// Determinism: mergesort leaves the relative order of equal keys
-// unspecified, and the partition/chunk boundaries depend on the worker
-// count, so raw output would order tied oids differently for different
-// worker counts. Every sort path — sequential included — therefore
-// canonicalizes ties (oids ascending within each equal-key run), making
-// the (keys, oids) output byte-identical for any `Workers` value — the
-// property the determinism battery asserts and that keeps multi-round
-// sorts reproducible across machines.
-//
-// Robustness: the partition sorts, the group batches and the permute
-// chunks are passes of the pipeline's one driver (pipeerr.Pass), so
-// every partition, batch and chunk polls the context first and a
-// panicking worker is recovered into a *pipeerr.PipelineError (stage,
-// round, worker) that cancels its siblings instead of crashing the
-// process. Named faultinject sites (pivot selection, group sort,
-// permute) let tests inject panics, delays, and forced cancellations at
-// exactly these seams.
+// Multi-threaded execution (Section 6.4 of the paper; the design and
+// its measurements are docs/parallelism.md). Round 0 is range-partitioned
+// by sampled pivots, one independently sorted key range per worker, and
+// falls back to mergesort's rank-split parallel sort when the sample
+// cannot split the input. Later rounds hand the tied groups to a bounded
+// pool in position-ordered batches claimed dynamically; a group big
+// enough to dominate a round is sorted cooperatively by all workers.
+// Every partition, batch and chunk is a range of a pipeerr.Pass: it
+// polls the context first, and a panicking worker surfaces as a
+// *pipeerr.PipelineError instead of crashing the process. No function
+// here decides the order inside a run of equal keys (Result.Perm).
 
 var (
 	obsParallelSorts  = obs.NewCounter("mcsort.parallel_full_sorts")
@@ -52,18 +32,14 @@ var (
 	obsParEffX1000    = obs.NewGauge("mcsort.parallel_efficiency_x1000")
 )
 
-// parallelFullSort sorts keys with oids across `workers` goroutines and
-// canonicalizes ties. p supplies the phase parameters and the parallel
-// thresholds (routed through mergesort.Params so tests can force the
-// parallel paths on small inputs). round tags contained failures.
+// parallelFullSort sorts keys with oids across `workers` goroutines. p
+// supplies the phase parameters and the parallel thresholds (routed
+// through mergesort.Params so tests can force the parallel paths on
+// small inputs). round tags contained failures.
 func parallelFullSort(ctx context.Context, bank int, keys []uint64, oids []uint32, workers int, p mergesort.Params, round int) error {
 	n := len(keys)
 	if workers < 2 || n < p.ParallelThreshold {
-		if err := mergesort.SortWithParamsContext(ctx, bank, keys, oids, p); err != nil {
-			return err
-		}
-		canonicalizeTies(keys, oids)
-		return nil
+		return mergesort.SortWithParamsContext(ctx, bank, keys, oids, p)
 	}
 	obsParallelSorts.Inc()
 	busy := pipeerr.StartBusy(workers)
@@ -86,6 +62,9 @@ func parallelFullSort(ctx context.Context, bank int, keys []uint64, oids []uint3
 	}
 
 	// Count, scatter into per-partition regions, then sort in parallel.
+	// The scatter searches the pivots again rather than remembering each
+	// row's partition: that is log2(workers) compares a row, and a per-row
+	// index narrower than int silently wraps once workers outgrow it.
 	bucket := func(k uint64) int {
 		lo, hi := 0, len(pivots)
 		for lo < hi {
@@ -99,16 +78,13 @@ func parallelFullSort(ctx context.Context, bank int, keys []uint64, oids []uint3
 		return lo
 	}
 	counts := make([]int, workers)
-	bIdx := make([]uint8, n)
 	for i, k := range keys {
 		if i&(1<<16-1) == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		b := bucket(k)
-		bIdx[i] = uint8(b)
-		counts[b]++
+		counts[bucket(k)]++
 	}
 
 	// Skew fallback: when the sampled pivots fail to split the input
@@ -124,11 +100,7 @@ func parallelFullSort(ctx context.Context, bank int, keys []uint64, oids []uint3
 	}
 	if maxPart*workers > 2*n {
 		obsSkewFallbacks.Inc()
-		if err := mergesort.ParallelSortWithParamsContext(ctx, bank, keys, oids, p, workers); err != nil {
-			return err
-		}
-		canonicalizeTies(keys, oids)
-		return nil
+		return mergesort.ParallelSortWithParamsContext(ctx, bank, keys, oids, p, workers)
 	}
 
 	if err := ctx.Err(); err != nil {
@@ -147,7 +119,7 @@ func parallelFullSort(ctx context.Context, bank int, keys []uint64, oids []uint3
 				return err
 			}
 		}
-		b := bIdx[i]
+		b := bucket(keys[i])
 		scratchK[cursor[b]] = keys[i]
 		scratchO[cursor[b]] = oids[i]
 		cursor[b]++
@@ -158,21 +130,16 @@ func parallelFullSort(ctx context.Context, bank int, keys []uint64, oids []uint3
 	// share, ×1000 (1000 = perfectly balanced).
 	obsImbalanceX1000.Set(int64(maxPart) * int64(workers) * 1000 / int64(n))
 
-	// Equal keys always land in the same partition, so per-partition
-	// canonicalization composes to a canonical whole. The context-aware
-	// sort polls between its merge passes, so a cancellation unwinds a
-	// partition within one O(n) sweep rather than after its whole sort.
+	// The context-aware sort polls between its merge passes, so a
+	// cancellation unwinds a partition within one O(n) sweep rather than
+	// after its whole sort.
 	sorts := pipeerr.Pass{Stage: pipeerr.StageSort, Round: round, Busy: busy}
 	err := sorts.Ranges(ctx, workers, workers, func(gctx context.Context, w int) error {
 		k, o := scratchK[offsets[w]:offsets[w+1]], scratchO[offsets[w]:offsets[w+1]]
 		if len(k) < 2 {
 			return nil
 		}
-		if err := mergesort.SortWithParamsContext(gctx, bank, k, o, p); err != nil {
-			return err
-		}
-		canonicalizeTies(k, o)
-		return nil
+		return mergesort.SortWithParamsContext(gctx, bank, k, o, p)
 	})
 	if err != nil {
 		return err
@@ -183,29 +150,13 @@ func parallelFullSort(ctx context.Context, bank int, keys []uint64, oids []uint3
 	return nil
 }
 
-// parallelTopSort is round 0 of a LimitRows execution: the bounded-heap
-// top-K sort keeps only the tie-extended first limit positions (every
-// row whose key is ≤ the limit-th smallest — a value-defined survivor
-// set, so m is the same at every worker count), then canonicalizes ties
-// so the surviving prefix is byte-identical to the full sort's prefix.
-// keys[m:] and oids[m:] are garbage on return; the rows they held are
-// out of the pipeline for good.
-func parallelTopSort(ctx context.Context, bank int, keys []uint64, oids []uint32, limit, workers int, p mergesort.Params) (int, error) {
-	m, err := mergesort.TopKContext(ctx, bank, keys, oids, limit, p, workers)
-	if err != nil {
-		return 0, err
-	}
-	canonicalizeTies(keys[:m], oids[:m])
-	return m, nil
-}
-
 // truncateGroups cuts refined group boundaries at the truncation
 // target: after limitGroups groups (when > 0), and at the first
 // boundary at or past limitRows (when > 0). Cuts land on group
 // boundaries only — later rounds still reorder rows inside a tied
 // group, so a raw rank cut would drop a nondeterministic subset of a
 // straddling group. The final exact rank cut happens after the last
-// round, when ties are canonicalized.
+// round, once the order inside the boundary group is fixed.
 func truncateGroups(groups []int32, limitRows, limitGroups int) []int32 {
 	if limitGroups > 0 && len(groups)-1 > limitGroups {
 		groups = groups[:limitGroups+1]
@@ -219,51 +170,24 @@ func truncateGroups(groups []int32, limitRows, limitGroups int) []int32 {
 	return groups
 }
 
-// canonicalizeTies sorts the oids of every equal-key run ascending, so
-// the output order no longer depends on how the sort broke ties. Runs
-// already in ascending oid order (the common case for stable paths) are
-// detected with a linear scan and skipped.
-func canonicalizeTies(keys []uint64, oids []uint32) {
-	for i := 0; i < len(keys); {
-		j := i + 1
-		for j < len(keys) && keys[j] == keys[i] {
-			j++
-		}
-		if j-i > 1 && !oidsAscending(oids[i:j]) {
-			run := oids[i:j]
-			sort.Slice(run, func(a, b int) bool { return run[a] < run[b] })
-		}
-		i = j
-	}
-}
-
-func oidsAscending(oids []uint32) bool {
-	for i := 1; i < len(oids); i++ {
-		if oids[i] < oids[i-1] {
-			return false
-		}
-	}
-	return true
-}
-
 // groupPollRows is the group size from which a later-round group's own
 // sort must be cancellable. Smaller groups sort under a context that
 // cannot be cancelled, whose entry poll is free: a round can hold 100k+
 // tiny groups, and a cancelCtx poll takes a mutex.
 const groupPollRows = 1 << 16
 
-// groupBatchRows is the claim unit of the later-round group sorts: the
-// sortable rows a worker takes, and sorts between two context polls.
+// groupBatchRows is the claim unit of the later-round group sorts and of
+// the tie-order pass: the sortable rows a worker takes between two polls.
 // Dynamic claiming keeps the workers within one batch of each other, and
 // at this size the shared claim counter and the poll cost nothing.
 const groupBatchRows = 1 << 13
 
-// cutGroupBatches classifies the groups of a later round: nSort counts
-// the sortable (≥ 2-row) ones, big lists those of at least coopRows
-// rows, and the rest are cut in position order into batches — batch b
-// covers groups [batches[b], batches[b+1]) — each closed once it holds
-// groupBatchRows sortable rows, so a batch stays below groupBatchRows
-// plus its largest group.
+// cutGroupBatches classifies the groups a pass is about to visit: nSort
+// counts the sortable (≥ 2-row) ones, big lists those of at least
+// coopRows rows, and the rest are cut in position order into batches —
+// batch b covers groups [batches[b], batches[b+1]) — each closed once it
+// holds groupBatchRows sortable rows, so a batch stays below
+// groupBatchRows plus its largest group.
 func cutGroupBatches(ctx context.Context, groups []int32, coopRows int) (batches, big []int, nSort int, err error) {
 	rows := int(groups[len(groups)-1] - groups[0])
 	batches = make([]int, 1, rows/groupBatchRows+2)
@@ -294,14 +218,14 @@ func cutGroupBatches(ctx context.Context, groups []int32, coopRows int) (batches
 	return batches, big, nSort, nil
 }
 
-// parallelGroupSort sorts each group [groups[g], groups[g+1]) of keys
-// and canonicalizes its ties. Groups large enough to starve the pool
-// (≥ p.ParallelThreshold) go one at a time to the rank-split parallel
-// sort, all workers cooperating (for workers < 2 that is the sequential
-// sort); the rest are one pass whose ranges are the batches — more of
-// them than workers, claimed in order. The context also reaches the
-// sort of any batched group of at least groupPollRows rows, so a
-// cancelled round returns within one batch or one merge pass.
+// parallelGroupSort sorts each group [groups[g], groups[g+1]) of keys.
+// Groups large enough to starve the pool (≥ p.ParallelThreshold) go one
+// at a time to the rank-split parallel sort, all workers cooperating
+// (for workers < 2 that is the sequential sort); the rest are one pass
+// whose ranges are the batches — more of them than workers, claimed in
+// order. The context also reaches the sort of any batched group of at
+// least groupPollRows rows, so a cancelled round returns within one
+// batch or one merge pass.
 func parallelGroupSort(ctx context.Context, bank int, keys []uint64, perm []uint32, groups []int32, workers int, p mergesort.Params, round int) (int, error) {
 	faultinject.Fire(faultinject.GroupSort)
 	batches, big, nSort, err := cutGroupBatches(ctx, groups, p.ParallelThreshold)
@@ -317,7 +241,6 @@ func parallelGroupSort(ctx context.Context, bank int, keys []uint64, perm []uint
 		if err := mergesort.ParallelSortWithParamsContext(ctx, bank, keys[lo:hi], perm[lo:hi], p, workers); err != nil {
 			return nSort, err
 		}
-		canonicalizeTies(keys[lo:hi], perm[lo:hi])
 	}
 
 	quiet := context.WithoutCancel(ctx)
@@ -335,7 +258,6 @@ func parallelGroupSort(ctx context.Context, bank int, keys []uint64, perm []uint
 			if err := mergesort.SortWithParamsContext(sctx, bank, keys[lo:hi], perm[lo:hi], p); err != nil {
 				return err
 			}
-			canonicalizeTies(keys[lo:hi], perm[lo:hi])
 		}
 		return nil
 	})

@@ -27,8 +27,8 @@ import (
 // cuts equal keys by the same rule — so its output is byte-identical
 // for every worker count, including 1. The parallel sort guarantees the
 // sorted key order but (like the sequential sort) leaves the relative
-// order of equal keys unspecified; callers that need a canonical
-// permutation canonicalize ties afterwards (internal/mcsort does).
+// order of equal keys unspecified; a caller that needs one fixes it
+// afterwards (internal/mcsort does, once, on its final groups).
 //
 // Robustness contract (docs/robustness.md): the entry points check the
 // context at chunk and co-partition boundaries, and inside the

@@ -22,7 +22,7 @@ import (
 // survivor set is defined by key values alone and is byte-identical for
 // every worker count. The returned count m is therefore ≥ limit, and
 // the caller that needs an exact rank-R prefix (internal/mcsort)
-// canonicalizes ties and slices afterwards. Cutting at the raw rank
+// orders the ties and slices afterwards. Cutting at the raw rank
 // instead would split a tied group at a chunk-dependent point and leak
 // the worker count into the result.
 //

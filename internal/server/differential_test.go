@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 
@@ -44,7 +45,9 @@ func TestDifferentialHandlerVsEngine(t *testing.T) {
 	defer testutil.CheckNoLeaks(t)()
 	tbl := testTPCH(t, 4000)
 	items := workloads.TPCHQueries(tbl, "")
-	srv := newTestServer(t, Config{MaxConcurrent: 4}, tbl)
+	big := testTPCH(t, 40000)
+	big.Name += "_big"
+	srv := newTestServer(t, Config{MaxConcurrent: 4}, tbl, big)
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 	defer func() {
@@ -76,6 +79,30 @@ func TestDifferentialHandlerVsEngine(t *testing.T) {
 				}
 			}
 		}
+	}
+
+	// One cell past 256 workers (the wire admits MaxWorkers), against the
+	// one-worker engine run, on a table large enough for round 0 to
+	// range-partition: the partitioner once kept each row's partition in
+	// a byte, so such a request was answered 200 with a wrong result.
+	// Q13 groups by the high-cardinality c_custkey, unfiltered.
+	bigItems := workloads.TPCHQueries(big, "")
+	q13 := slices.IndexFunc(bigItems, func(it workloads.Item) bool { return it.ID == "tpch.q13" })
+	if q13 < 0 {
+		t.Fatal("the TPC-H workload no longer has tpch.q13")
+	}
+	it := bigItems[q13]
+	want := directOracle(t, srv, bigItems[q13:q13+1], 1)[it.ID]
+	res, err := doQuery(hs.URL, reqFromQuery(t, big.Name, it.Query, 300))
+	if err != nil {
+		t.Fatalf("%s workers=300: %v", it.ID, err)
+	}
+	got, err := canonServer(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s workers=300: server result diverges from the one-worker engine run", it.ID)
 	}
 }
 

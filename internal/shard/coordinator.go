@@ -144,9 +144,6 @@ func New(cfg Config) (*Coordinator, error) {
 // PlanCache exposes the coordinator's pinned-choice cache (tests).
 func (c *Coordinator) PlanCache() *server.PlanCache { return c.cache }
 
-// TableRanges returns the shard ranges of a registered table.
-func (c *Coordinator) TableRanges(name string) []Range { return c.ranges[name] }
-
 // shardError tags a failed shard call with its endpoint so the
 // taxonomy can tell "a shard failed" (transport faults, refused
 // connections — retryable shard_unavailable) from the coordinator's

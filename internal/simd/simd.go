@@ -104,30 +104,6 @@ func GE64(x, y uint64) uint64 {
 	return (ge >> 63) * ^uint64(0) // spread the verdict across the word
 }
 
-// MinMax16 returns the lane-wise (min, max) of four 16-bit lanes.
-func MinMax16(x, y uint64) (mn, mx uint64) {
-	ge := GE16(x, y) // lanes where x >= y
-	mn = (y & ge) | (x &^ ge)
-	mx = (x & ge) | (y &^ ge)
-	return
-}
-
-// MinMax32 returns the lane-wise (min, max) of two 32-bit lanes.
-func MinMax32(x, y uint64) (mn, mx uint64) {
-	ge := GE32(x, y)
-	mn = (y & ge) | (x &^ ge)
-	mx = (x & ge) | (y &^ ge)
-	return
-}
-
-// MinMax64 returns (min, max) of two 64-bit values, branch-free.
-func MinMax64(x, y uint64) (mn, mx uint64) {
-	ge := GE64(x, y)
-	mn = (y & ge) | (x &^ ge)
-	mx = (x & ge) | (y &^ ge)
-	return
-}
-
 // Expand16Lo widens the masks of 16-bit lanes 0 and 1 to 32-bit lanes,
 // producing the blend mask for the oid word that carries oids 0 and 1.
 func Expand16Lo(m uint64) uint64 {
@@ -155,32 +131,4 @@ func Reverse16(x uint64) uint64 {
 // Reverse32 swaps the two 32-bit lanes of x.
 func Reverse32(x uint64) uint64 {
 	return x>>32 | x<<32
-}
-
-// Load4x16 packs four consecutive uint16 keys into one word (lane 0 is k[0]).
-func Load4x16(k []uint16) uint64 {
-	_ = k[3]
-	return uint64(k[0]) | uint64(k[1])<<16 | uint64(k[2])<<32 | uint64(k[3])<<48
-}
-
-// Store4x16 unpacks the four 16-bit lanes of w into k.
-func Store4x16(k []uint16, w uint64) {
-	_ = k[3]
-	k[0] = uint16(w)
-	k[1] = uint16(w >> 16)
-	k[2] = uint16(w >> 32)
-	k[3] = uint16(w >> 48)
-}
-
-// Load2x32 packs two consecutive uint32 values into one word (lane 0 is k[0]).
-func Load2x32(k []uint32) uint64 {
-	_ = k[1]
-	return uint64(k[0]) | uint64(k[1])<<32
-}
-
-// Store2x32 unpacks the two 32-bit lanes of w into k.
-func Store2x32(k []uint32, w uint64) {
-	_ = k[1]
-	k[0] = uint32(w)
-	k[1] = uint32(w >> 32)
 }

@@ -103,8 +103,8 @@ type Options struct {
 	Plan *Plan
 	// Workers parallelizes the whole sort pipeline when > 1: massaging,
 	// the range-partitioned first-round sort, the group-distributed
-	// later rounds, and the key-permute passes between rounds. The
-	// result is byte-identical for any value.
+	// later rounds, and the key-permute passes between rounds. Output is
+	// byte-identical for any value (docs/parallelism.md, the tie contract).
 	Workers int
 	// MaxBytes bounds the estimated transient memory footprint of the
 	// sort. When the estimate at the requested worker count exceeds it,
