@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: test race lint fault chaos chaos-soak fuzz-smoke smoke shard-smoke perf-smoke bench bench-regress
+.PHONY: test race lint fault chaos chaos-soak fuzz-smoke smoke shard-smoke perf-smoke bench bakeoff bench-regress
 
 test:
 	$(GO) vet ./...
@@ -44,9 +44,13 @@ chaos-soak:
 	$(GO) test -tags soak -race -run TestStormSoak -timeout 10m -v ./internal/chaos/
 	$(GO) test -tags soak -race -run TestShardStormSoak -timeout 10m -v ./internal/shard/
 
+# FuzzMergesortSort and FuzzRadixSort are two corpus formats of one
+# oracle (fuzzKernels: production kernel ≡ paper kernel ≡
+# sort.SliceStable): full-bank keys on the sequential entry point, and
+# narrow keys in a wider bank at 1–3 workers.
 fuzz-smoke:
-	$(GO) test -fuzz=FuzzMergesortSort -fuzztime=30s ./internal/mergesort/
-	$(GO) test -fuzz=FuzzRadixSort -fuzztime=20s ./internal/mergesort/
+	$(GO) test -fuzz=FuzzMergesortSort -fuzztime=25s ./internal/mergesort/
+	$(GO) test -fuzz=FuzzRadixSort -fuzztime=25s ./internal/mergesort/
 	$(GO) test -fuzz=FuzzParallelMerge -fuzztime=30s ./internal/mergesort/
 	$(GO) test -fuzz=FuzzOVCMerge -fuzztime=30s ./internal/mergesort/
 	$(GO) test -fuzz=FuzzMassageRoundTrip -fuzztime=30s ./internal/massage/
@@ -88,6 +92,14 @@ perf-smoke:
 # Human-readable worker-scaling numbers for the fixed 1M-row workload.
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkPipeline1Mx4 -benchtime 3x .
+
+# The sort-kernel bake-off behind mergesort's kernel choice and its
+# small-run cutoff: paper kernel, radix, insertion and slices.SortFunc
+# per (bank, duplicates, run length) cell, ns/row, one core. The table
+# in EXPERIMENTS.md is this output; CI runs it at -benchtime 1x as a
+# compile-and-run smoke.
+bakeoff:
+	$(GO) test -run '^$$' -bench BenchmarkKernelBakeoff -benchtime 20x -cpu 1 ./internal/mergesort/
 
 # The relative gates that still live beside mcsperf: each compares two
 # measurements taken in the same process (truncated vs full sort, OVC on

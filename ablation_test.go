@@ -1,8 +1,9 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out:
 //
 //   - the register-model SIMD sort on its own;
-//   - merge-sort vs radix-sort kernels under the same massage plan
-//     (the paper's Section 7 future work);
+//   - the paper's merge-sort kernel vs the default (radix) kernel under
+//     the same massage plan, through the mergesort.Params.PaperKernel
+//     selector (the paper's Section 7 future work);
 //   - serial vs goroutine-parallel code massaging;
 //   - ByteSlice scans vs a naive column scan.
 package repro
@@ -42,7 +43,7 @@ func BenchmarkAblationRegisterSort32(b *testing.B) {
 		for j := range oids {
 			oids[j] = uint32(j)
 		}
-		if err := mergesort.SortWithParamsContext(context.Background(), 32, keys, oids, mergesort.Params{}); err != nil {
+		if err := mergesort.SortWithParamsContext(context.Background(), 32, keys, oids, mergesort.Params{PaperKernel: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -50,8 +51,9 @@ func BenchmarkAblationRegisterSort32(b *testing.B) {
 }
 
 // BenchmarkAblationMCSMerge and ...MCSRadix run the same stitched
-// two-column sort with the two kernels.
-func benchMCSKernel(b *testing.B, useRadix bool) {
+// two-column sort with the two kernels: the paper's, selected the way
+// the figure experiments select it, and the default.
+func benchMCSKernel(b *testing.B, paperKernel bool) {
 	const n = 1 << 17
 	inputs := []massage.Input{
 		{Codes: randKeys64(n, 10, 2), Width: 10},
@@ -60,15 +62,15 @@ func benchMCSKernel(b *testing.B, useRadix bool) {
 	p := plan.Plan{Rounds: []plan.Round{{Width: 27, Bank: 32}}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mcsort.ExecuteContext(context.Background(), inputs, p, mcsort.Options{UseRadix: useRadix}); err != nil {
+		if _, err := mcsort.ExecuteContext(context.Background(), inputs, p, mcsort.Options{SortParams: &mergesort.Params{PaperKernel: paperKernel}}); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mtuples/s")
 }
 
-func BenchmarkAblationMCSMerge(b *testing.B) { benchMCSKernel(b, false) }
-func BenchmarkAblationMCSRadix(b *testing.B) { benchMCSKernel(b, true) }
+func BenchmarkAblationMCSMerge(b *testing.B) { benchMCSKernel(b, true) }
+func BenchmarkAblationMCSRadix(b *testing.B) { benchMCSKernel(b, false) }
 
 // BenchmarkAblationMassageSerial/Parallel measure the four-instruction
 // program with and without row partitioning across goroutines.

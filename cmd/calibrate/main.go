@@ -24,7 +24,7 @@ func main() {
 	)
 	flag.Parse()
 
-	fmt.Fprintln(os.Stderr, "calibrating (controlled runs for lookup, massage, scan, and per-bank sorts)...")
+	fmt.Fprintln(os.Stderr, "calibrating (controlled runs for lookup, massage, scan, and per-bank sorts with the paper's merge-sort kernel, which the model prices)...")
 	start := time.Now()
 	m, err := costmodel.Calibrate(costmodel.CalOptions{NCal: *ncal})
 	if err != nil {

@@ -34,6 +34,13 @@ func (o *CalOptions) defaults() {
 	}
 }
 
+// paperKernel selects the kernel the model's T_sort describes: the
+// paper's three-phase merge-sort, whose per-bank constants and pass
+// structure (Equation 8) are what calibration fits. Queries sort with
+// the production radix kernel, which the model does not price yet
+// (ROADMAP: a T_sort per non-constant digit).
+var paperKernel = mergesort.Params{PaperKernel: true}
+
 // Calibrate measures the machine and returns a ready-to-use model. The
 // process follows Section 4: each constant (or identifiable group of
 // constants) is solved from controlled runs, the sort constants as a
@@ -41,7 +48,8 @@ func (o *CalOptions) defaults() {
 // error means a calibration workload could not be compiled or sorted —
 // a library bug surfaced to the caller instead of a panic. Calibration
 // is not cancellable: its sorts run under context.Background() with the
-// cache-derived default parameters, which is what it measures.
+// cache-derived default parameters of the paper's sort kernel, which is
+// what it measures.
 func Calibrate(opts CalOptions) (*Model, error) {
 	opts.defaults()
 	caches := hw.Detect()
@@ -102,7 +110,7 @@ func calibrateOVCDiscount(rng *rand.Rand, n int) (float64, error) {
 			baseO[i] = uint32(i)
 		}
 		for r := 0; r+1 < len(runs); r++ {
-			if err := mergesort.SortWithParamsContext(context.Background(), 32, base[runs[r]:runs[r+1]], baseO[runs[r]:runs[r+1]], mergesort.Params{}); err != nil {
+			if err := mergesort.SortWithParamsContext(context.Background(), 32, base[runs[r]:runs[r+1]], baseO[runs[r]:runs[r+1]], paperKernel); err != nil {
 				return 0, fmt.Errorf("calibrateOVCDiscount: %w", err)
 			}
 		}
@@ -162,7 +170,7 @@ func calibrateSmall(rng *rand.Rand, n int) (call, elem, quad float64, err error)
 		start := time.Now()
 		for s := 0; s < g; s++ {
 			lo := s * size
-			if err := mergesort.SortWithParamsContext(context.Background(), 32, keys[lo:lo+size], oids[lo:lo+size], mergesort.Params{}); err != nil {
+			if err := mergesort.SortWithParamsContext(context.Background(), 32, keys[lo:lo+size], oids[lo:lo+size], paperKernel); err != nil {
 				return 0, 0, 0, fmt.Errorf("calibrateSmall: %w", err)
 			}
 		}
@@ -343,7 +351,7 @@ func calibrateBank(rng *rand.Rand, n, bank int, m *Model) (BankConstants, error)
 			if s == g-1 {
 				hi = nRun
 			}
-			if err := mergesort.SortWithParamsContext(context.Background(), bank, keys[lo:hi], oids[lo:hi], mergesort.Params{}); err != nil {
+			if err := mergesort.SortWithParamsContext(context.Background(), bank, keys[lo:hi], oids[lo:hi], paperKernel); err != nil {
 				return fmt.Errorf("calibrateBank %d: %w", bank, err)
 			}
 		}

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/costmodel"
+	"repro/internal/mergesort"
 )
 
 // Config parameterizes all experiments.
@@ -55,6 +56,20 @@ func (c *Config) context() context.Context {
 	return c.ctx
 }
 
+// kernelNote is the line every report carries under its title: which
+// sort kernel produced the numbers.
+const kernelNote = "sort kernel: paper (three-phase SWAR merge-sort, mergesort.Params.PaperKernel)"
+
+// paperKernel is the one place the experiments pick their sort kernel.
+// Every mcsort.Options and engine.Options literal in this package sets
+// SortParams from it: bank-level parallelism is the phenomenon Figures
+// 3–12 and the cost model characterise, and only the paper's kernel
+// has it — under the production radix kernel a narrower bank buys
+// nothing and fig3b's crossover flips.
+func paperKernel() *mergesort.Params {
+	return &mergesort.Params{PaperKernel: true}
+}
+
 func (c *Config) defaults() {
 	if c.Rows == 0 {
 		c.Rows = 1 << 18
@@ -90,7 +105,7 @@ type Report struct {
 // String renders the report as an aligned text table.
 func (r *Report) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "== %s: %s ==\n", r.ID, r.Title)
+	fmt.Fprintf(&sb, "== %s: %s ==\n%s\n", r.ID, r.Title, kernelNote)
 	widths := make([]int, len(r.Header))
 	for i, h := range r.Header {
 		widths[i] = len(h)

@@ -62,7 +62,7 @@ func executePlan(cfg Config, inputs []massage.Input, cand planner.Candidate) (ti
 	for i, c := range cand.ColOrder {
 		ordered[i] = inputs[c]
 	}
-	res, err := mcsort.ExecuteContext(cfg.context(), ordered, cand.Plan, mcsort.Options{})
+	res, err := mcsort.ExecuteContext(cfg.context(), ordered, cand.Plan, mcsort.Options{SortParams: paperKernel()})
 	if err != nil {
 		return 0, err
 	}

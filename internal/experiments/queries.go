@@ -66,7 +66,7 @@ func Figure1(cfg Config) (*Report, error) {
 	for _, item := range items {
 		if item.ID == "tpch.q13" {
 			// Q13's multi-column sort runs on the tiny derived table.
-			res, err := workloads.RunQ13Context(cfg.context(), item.Table, false, engine.Options{})
+			res, err := workloads.RunQ13Context(cfg.context(), item.Table, false, engine.Options{SortParams: paperKernel()})
 			if err != nil {
 				if pipeerr.IsCtxErr(err) {
 					return nil, err
@@ -82,7 +82,7 @@ func Figure1(cfg Config) (*Report, error) {
 			})
 			continue
 		}
-		res, err := engine.RunContext(cfg.context(), item.Table, item.Query, engine.Options{Massaging: false})
+		res, err := engine.RunContext(cfg.context(), item.Table, item.Query, engine.Options{Massaging: false, SortParams: paperKernel()})
 		if err != nil {
 			if pipeerr.IsCtxErr(err) {
 				return nil, err
@@ -147,8 +147,8 @@ func Figure8(cfg Config) (*Report, error) {
 	}
 	for _, item := range items {
 		if item.ID == "tpch.q13" || item.ID == "tpch.q13.skew" {
-			off, err1 := workloads.RunQ13Context(cfg.context(), item.Table, false, engine.Options{})
-			on, err2 := workloads.RunQ13Context(cfg.context(), item.Table, true, engine.Options{})
+			off, err1 := workloads.RunQ13Context(cfg.context(), item.Table, false, engine.Options{SortParams: paperKernel()})
+			on, err2 := workloads.RunQ13Context(cfg.context(), item.Table, true, engine.Options{SortParams: paperKernel()})
 			if pipeerr.IsCtxErr(err1) || pipeerr.IsCtxErr(err2) {
 				return nil, cfg.context().Err()
 			}
@@ -162,7 +162,7 @@ func Figure8(cfg Config) (*Report, error) {
 			})
 			continue
 		}
-		off, err := bestRun(cfg, item, engine.Options{Massaging: false}, reps)
+		off, err := bestRun(cfg, item, engine.Options{Massaging: false, SortParams: paperKernel()}, reps)
 		if err != nil {
 			if pipeerr.IsCtxErr(err) {
 				return nil, err
@@ -170,7 +170,7 @@ func Figure8(cfg Config) (*Report, error) {
 			rep.Rows = append(rep.Rows, []string{item.ID, "ERR", err.Error(), "", ""})
 			continue
 		}
-		on, err := bestRun(cfg, item, engine.Options{Massaging: true, Model: model}, reps)
+		on, err := bestRun(cfg, item, engine.Options{Massaging: true, Model: model, SortParams: paperKernel()}, reps)
 		if err != nil {
 			if pipeerr.IsCtxErr(err) {
 				return nil, err
@@ -229,14 +229,14 @@ func Figure9(cfg Config) (*Report, error) {
 			}
 		}
 		for _, item := range picks {
-			off, err := bestRun(cfg, item, engine.Options{Massaging: false}, cfg.reps())
+			off, err := bestRun(cfg, item, engine.Options{Massaging: false, SortParams: paperKernel()}, cfg.reps())
 			if err != nil {
 				if pipeerr.IsCtxErr(err) {
 					return nil, err
 				}
 				continue
 			}
-			on, err := bestRun(cfg, item, engine.Options{Massaging: true, Model: model}, cfg.reps())
+			on, err := bestRun(cfg, item, engine.Options{Massaging: true, Model: model, SortParams: paperKernel()}, cfg.reps())
 			if err != nil {
 				if pipeerr.IsCtxErr(err) {
 					return nil, err
@@ -277,7 +277,7 @@ func Table2(cfg Config) (*Report, error) {
 			continue // no search: derived-table stitch
 		}
 		res, err := engine.RunContext(cfg.context(), item.Table, item.Query,
-			engine.Options{Massaging: true, Model: model})
+			engine.Options{Massaging: true, Model: model, SortParams: paperKernel()})
 		if err != nil {
 			if pipeerr.IsCtxErr(err) {
 				return nil, err

@@ -48,7 +48,7 @@ func Figure10(cfg Config) (*Report, error) {
 	for _, item := range picks {
 		for _, w := range workerCounts {
 			res, err := engine.RunContext(cfg.context(), item.Table, item.Query,
-				engine.Options{Massaging: true, Model: model, Workers: w})
+				engine.Options{Massaging: true, Model: model, Workers: w, SortParams: paperKernel()})
 			if err != nil {
 				if pipeerr.IsCtxErr(err) {
 					return nil, err

@@ -59,7 +59,7 @@ func measurePlans(cfg Config, widths []int, plans []plan.Plan, labels []string) 
 			if errs[i] != nil {
 				continue
 			}
-			res, err := mcsort.ExecuteContext(cfg.context(), inputs, p, mcsort.Options{})
+			res, err := mcsort.ExecuteContext(cfg.context(), inputs, p, mcsort.Options{SortParams: paperKernel()})
 			if err != nil {
 				if pipeerr.IsCtxErr(err) {
 					return nil, err
@@ -176,7 +176,7 @@ func Figure4a(cfg Config) (*Report, error) {
 		} else {
 			p = plan.FromWidths([]int{w1, w2})
 		}
-		res, err := mcsort.ExecuteContext(cfg.context(), inputs, p, mcsort.Options{})
+		res, err := mcsort.ExecuteContext(cfg.context(), inputs, p, mcsort.Options{SortParams: paperKernel()})
 		if err != nil {
 			if pipeerr.IsCtxErr(err) {
 				return nil, err
@@ -227,7 +227,7 @@ func Figure4b(cfg Config) (*Report, error) {
 			continue
 		}
 		p := plan.FromWidths([]int{w1, w2})
-		res, err := mcsort.ExecuteContext(cfg.context(), inputs, p, mcsort.Options{})
+		res, err := mcsort.ExecuteContext(cfg.context(), inputs, p, mcsort.Options{SortParams: paperKernel()})
 		if err != nil {
 			if pipeerr.IsCtxErr(err) {
 				return nil, err
@@ -268,7 +268,7 @@ func Figure5(cfg Config) (*Report, error) {
 	// Correct: the massage layer complements B, so the stitched sort
 	// yields x, y, z.
 	p := plan.FromWidths([]int{6})
-	res, err := mcsort.ExecuteContext(cfg.context(), inputs, p, mcsort.Options{})
+	res, err := mcsort.ExecuteContext(cfg.context(), inputs, p, mcsort.Options{SortParams: paperKernel()})
 	if pipeerr.IsCtxErr(err) {
 		return nil, err
 	}
@@ -286,7 +286,7 @@ func Figure5(cfg Config) (*Report, error) {
 		{Codes: inputs[0].Codes, Width: 3},
 		{Codes: inputs[1].Codes, Width: 3}, // Desc dropped: the bug
 	}
-	res, err = mcsort.ExecuteContext(cfg.context(), raw, p, mcsort.Options{})
+	res, err = mcsort.ExecuteContext(cfg.context(), raw, p, mcsort.Options{SortParams: paperKernel()})
 	if pipeerr.IsCtxErr(err) {
 		return nil, err
 	}

@@ -37,7 +37,7 @@ func TopK(cfg Config) (*Report, error) {
 		for r := 0; r < reps; r++ {
 			t0 := time.Now()
 			res, err := mcsort.ExecuteContext(cfg.context(), inputs, p,
-				mcsort.Options{Workers: cfg.Workers, LimitRows: limit})
+				mcsort.Options{Workers: cfg.Workers, LimitRows: limit, SortParams: paperKernel()})
 			if err != nil {
 				return 0, nil, err
 			}

@@ -222,7 +222,7 @@ func TestSequentialGiantGroupCancel(t *testing.T) {
 		sp  mergesort.Params
 	}{
 		"pre-cancelled":     {cancelled, sp},
-		"mid-sort dominant": {testutil.NewPollCtx(1 + 1 + 1), sp},      // the classification poll, the sort's entry poll, its first merge pass
+		"mid-sort dominant": {testutil.NewPollCtx(1 + 1 + 1), sp},      // the classification poll, the sort's entry poll, its first scatter
 		"mid-sort batched":  {testutil.NewPollCtx(1 + 1 + 1), batched}, // the classification poll, the batch poll, the sort's entry poll
 	} {
 		_, err := parallelGroupSort(tc.ctx, 16, keys, perm, oneGroup, 1, tc.sp, 1)
@@ -236,10 +236,10 @@ func TestSequentialGiantGroupCancel(t *testing.T) {
 		}
 	}
 
-	// n/32 groups of 32 rows: each is a real (non-insertion) sort, and a
-	// batch is exactly groupBatchRows/32 of them. A 32-row group is one
-	// in-register tail run, so its sort polls on entry only — under the
-	// uncancellable context, which the counter never sees.
+	// n/32 groups of 32 rows: a batch is exactly groupBatchRows/32 of
+	// them. A 32-row group is below the kernel's small-run cutoff, so its
+	// sort polls on entry only — under the uncancellable context, which
+	// the counter never sees.
 	small := make([]int32, 0, n/32+1)
 	for lo := 0; lo <= n; lo += 32 {
 		small = append(small, int32(lo))

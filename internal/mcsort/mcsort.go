@@ -33,6 +33,7 @@ var (
 	obsGroupsFinal  = obs.NewGauge("mcsort.groups_final")
 	obsLimitedExecs = obs.NewCounter("mcsort.limited_executes")
 	obsRowsCut      = obs.NewCounter("mcsort.rows_truncated")
+	obsTieRuns      = obs.NewCounter("mcsort.tie_runs_sorted")
 	obsMassageT     = obs.NewTimer("mcsort.phase_massage")
 	obsSortT        = obs.NewTimer("mcsort.phase_sort")
 	obsLookupT      = obs.NewTimer("mcsort.phase_lookup")
@@ -97,15 +98,10 @@ type Options struct {
 	// and the lookup/permute passes. Output is byte-identical for any
 	// value (the tie contract on Result.Perm).
 	Workers int
-	// UseRadix replaces the SIMD merge-sort with the stable LSD radix
-	// sort (the paper's Section 7 future work): each round then costs
-	// ⌈w/R⌉ counting passes, so massaged round widths control the pass
-	// count instead of the bank parallelism.
-	UseRadix bool
-	// RadixBits is the radix R (default mergesort.DefaultRadixBits).
-	RadixBits int
 	// SortParams overrides the cache-derived mergesort phase parameters
-	// and the parallel-path thresholds. Zero fields keep their
+	// and the parallel-path thresholds, and carries the sort-kernel
+	// selector (mergesort.Params.PaperKernel: the figure experiments
+	// set it, nothing that serves a query does). Zero fields keep their
 	// defaults; tests lower ParallelThreshold to exercise the parallel
 	// paths on small inputs.
 	SortParams *mergesort.Params
@@ -293,27 +289,6 @@ func executeContext(ctx context.Context, inputs []massage.Input, p plan.Plan, op
 			sumSz += int(groups[g+1] - groups[g])
 		}
 		switch {
-		case opts.UseRadix:
-			radixBits := opts.RadixBits
-			if radixBits == 0 {
-				radixBits = mergesort.DefaultRadixBits
-			}
-			credit := 0
-			for g := 0; g+1 < len(groups); g++ {
-				lo, hi := int(groups[g]), int(groups[g+1])
-				if hi-lo < 2 {
-					continue
-				}
-				// Poll between groups, amortized over sorted rows.
-				if credit -= hi - lo; credit <= 0 {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-					credit = 1 << 16
-				}
-				mergesort.RadixSort(keys[lo:hi], res.Perm[lo:hi], round.Width, radixBits)
-				nSort++
-			}
 		case r == 0:
 			// Full-table sort (a single sorted run for Workers < 2). Under
 			// LimitRows the bounded-heap top-K sort replaces it: only the
@@ -398,8 +373,13 @@ func executeContext(ctx context.Context, inputs []massage.Input, p plan.Plan, op
 	return res, nil
 }
 
-// orderTies sorts the oids of every group of two or more rows ascending.
-// It needs no keys: the last scan has already found every equal-key run.
+// orderTies leaves the oids of every group of two or more rows
+// ascending. It needs no keys: the last scan has already found every
+// equal-key run. Under the production sort kernel it only verifies —
+// range-partition scatter, top-K compaction, chunk merge and the kernel
+// are all stable, so every run arrives in oid order and
+// mcsort.tie_runs_sorted stays 0; the paper kernel leaves tied runs in
+// whatever order its merge networks produce, and those are sorted here.
 // The groups are visited in cutGroupBatches' position-ordered batches of
 // about groupBatchRows rows, none set apart as big (one run is one
 // sort), so zipf-skewed group sizes balance by rows; each batch polls
@@ -411,12 +391,14 @@ func orderTies(ctx context.Context, perm []uint32, groups []int32, workers int) 
 	}
 	pass := pipeerr.Pass{Stage: pipeerr.StageSort, Round: -1, Site: faultinject.TieOrder}
 	return pass.Ranges(ctx, workers, len(batches)-1, func(_ context.Context, b int) error {
+		sorted := 0
 		for g := batches[b]; g < batches[b+1]; g++ {
-			// Stable sort paths leave most runs ascending already.
 			if run := perm[groups[g]:groups[g+1]]; !slices.IsSorted(run) {
 				slices.Sort(run)
+				sorted++
 			}
 		}
+		obsTieRuns.Add(int64(sorted))
 		return nil
 	})
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/column"
 	"repro/internal/massage"
+	"repro/internal/mergesort"
 	"repro/internal/plan"
 )
 
@@ -268,17 +269,22 @@ func min(a, b int) int {
 	return b
 }
 
+// paperKernel selects the paper's SWAR merge-sort for every sort of an
+// execution, the way internal/experiments does.
+var paperKernel = &mergesort.Params{PaperKernel: true}
+
 // TestRadixExecutorMatchesMergeSort runs the same plan with both sort
-// algorithms; Lemma 1 correctness must hold for either kernel.
+// kernels — the default (stable LSD radix) and the paper's merge-sort,
+// selected through SortParams; Lemma 1 correctness must hold for either.
 func TestRadixExecutorMatchesMergeSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	inputs := randInputs(rng, []int{9, 21}, []int{300, 5000}, 20000)
 	p := plan.Plan{Rounds: []plan.Round{{Width: 30, Bank: 32}}}
-	merge, err := execute(inputs, p, Options{})
+	merge, err := execute(inputs, p, Options{SortParams: paperKernel})
 	if err != nil {
 		t.Fatal(err)
 	}
-	radix, err := execute(inputs, p, Options{UseRadix: true})
+	radix, err := execute(inputs, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,10 +298,13 @@ func TestRadixExecutorMultiRound(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	inputs := randInputs(rng, []int{11, 13, 8}, []int{500, 900, 100}, 15000)
 	inputs[1].Desc = true
-	res, err := execute(inputs, plan.ColumnAtATime([]int{11, 13, 8}),
-		Options{UseRadix: true, RadixBits: 11})
-	if err != nil {
-		t.Fatal(err)
+	for name, opts := range map[string]Options{"default": {}, "paper": {SortParams: paperKernel}} {
+		t.Run(name, func(t *testing.T) {
+			res, err := execute(inputs, plan.ColumnAtATime([]int{11, 13, 8}), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertEquivalent(t, inputs, res.Perm, refSort(inputs, 15000))
+		})
 	}
-	assertEquivalent(t, inputs, res.Perm, refSort(inputs, 15000))
 }

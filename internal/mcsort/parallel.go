@@ -246,6 +246,9 @@ func parallelGroupSort(ctx context.Context, bank int, keys []uint64, perm []uint
 	quiet := context.WithoutCancel(ctx)
 	pool := pipeerr.Pass{Stage: pipeerr.StageSort, Round: round, Busy: busy}
 	err = pool.Ranges(ctx, workers, len(batches)-1, func(wctx context.Context, b int) error {
+		// One scratch per claimed batch, grown to its largest group: a
+		// round can hold 100k+ groups.
+		var scratch mergesort.Scratch
 		for g := batches[b]; g < batches[b+1]; g++ {
 			lo, hi := int(groups[g]), int(groups[g+1])
 			if hi-lo < 2 || hi-lo >= p.ParallelThreshold {
@@ -255,7 +258,7 @@ func parallelGroupSort(ctx context.Context, bank int, keys []uint64, perm []uint
 			if hi-lo >= groupPollRows {
 				sctx = wctx
 			}
-			if err := mergesort.SortWithParamsContext(sctx, bank, keys[lo:hi], perm[lo:hi], p); err != nil {
+			if err := mergesort.SortScratchContext(sctx, bank, keys[lo:hi], perm[lo:hi], p, &scratch); err != nil {
 				return err
 			}
 		}

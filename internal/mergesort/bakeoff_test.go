@@ -1,0 +1,106 @@
+package mergesort
+
+import (
+	"cmp"
+	"context"
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// BenchmarkKernelBakeoff is the measurement behind chooseKernel and
+// smallRunCutoff: every candidate kernel on every (bank, run length,
+// duplicates) cell, in ns/row. One iteration sorts bakeoffRows rows cut
+// into runs of n (one run when n is larger), each refilled from the
+// same source first — the refill, a copy and an identity fill, is inside
+// the clock and costs well under 1 ns/row. `make bakeoff` prints the
+// table EXPERIMENTS.md records; CI runs it at -benchtime 1x as a
+// compile-and-run smoke.
+func BenchmarkKernelBakeoff(b *testing.B) {
+	type pair struct {
+		k uint64
+		o uint32
+	}
+	ctx := context.Background()
+	kernels := []struct {
+		name string
+		maxN int // quadratic kernels stop here
+		sort func(bank int, keys []uint64, oids []uint32, s *Scratch, pairs []pair)
+	}{
+		{"paper", 1 << 30, func(bank int, keys []uint64, oids []uint32, _ *Scratch, _ []pair) {
+			mustSort(b, bank, keys, oids, Params{PaperKernel: true})
+		}},
+		{"radix", 1 << 30, func(bank int, keys []uint64, oids []uint32, s *Scratch, _ []pair) {
+			if err := radixSort(ctx, bank, keys, oids, s); err != nil {
+				b.Fatal(err)
+			}
+		}},
+		{"insertion", 1 << 10, func(_ int, keys []uint64, oids []uint32, _ *Scratch, _ []pair) {
+			insertionSort(keys, oids)
+		}},
+		{"slicesSortFunc", 1 << 30, func(_ int, keys []uint64, oids []uint32, _ *Scratch, pairs []pair) {
+			pairs = pairs[:len(keys)]
+			for i, k := range keys {
+				pairs[i] = pair{k, oids[i]}
+			}
+			slices.SortFunc(pairs, func(x, y pair) int { return cmp.Compare(x.k, y.k) })
+			for i, p := range pairs {
+				keys[i], oids[i] = p.k, p.o
+			}
+		}},
+	}
+	for _, bank := range Banks {
+		for _, dup := range []string{"unique", "zipf", "allequal"} {
+			for _, n := range []int{24, 32, 48, 64, 96, 128, 256, 1 << 10, 1 << 14, 1 << 16, 1 << 19} {
+				rows := max(n, bakeoffRows) / n * n
+				src := bakeoffKeys(rows, bank, dup)
+				keys := make([]uint64, rows)
+				oids := make([]uint32, rows)
+				pairs := make([]pair, n)
+				var s Scratch
+				for _, k := range kernels {
+					if n > k.maxN {
+						continue
+					}
+					b.Run(fmt.Sprintf("bank=%d/%s/n=%d/%s", bank, dup, n, k.name), func(b *testing.B) {
+						for i := 0; i < b.N; i++ {
+							copy(keys, src)
+							for j := range oids {
+								oids[j] = uint32(j)
+							}
+							for lo := 0; lo < rows; lo += n {
+								k.sort(bank, keys[lo:lo+n], oids[lo:lo+n], &s, pairs)
+							}
+						}
+						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
+					})
+				}
+			}
+		}
+	}
+}
+
+// bakeoffRows is the work of one bake-off iteration.
+const bakeoffRows = 1 << 16
+
+// bakeoffKeys draws rows keys of the bank's width: uniform random
+// ("unique": distinct with near certainty in the 32- and 64-bit banks,
+// every digit live in all three), zipf-skewed like datagen's skewed
+// tables, or all equal.
+func bakeoffKeys(rows, bank int, dup string) []uint64 {
+	rng := rand.New(rand.NewSource(int64(bank)))
+	zipf := rand.NewZipf(rng, 1.2, 1.3, uint64(rows))
+	keys := make([]uint64, rows)
+	for i := range keys {
+		switch dup {
+		case "unique":
+			keys[i] = rng.Uint64() & maskFor(bank)
+		case "zipf":
+			keys[i] = zipf.Uint64() & maskFor(bank)
+		default:
+			keys[i] = 42
+		}
+	}
+	return keys
+}

@@ -2,7 +2,8 @@ package mergesort
 
 import (
 	"encoding/binary"
-	"sort"
+	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -41,11 +42,28 @@ func keysFromBytes(data []byte, bank int) []uint64 {
 	return keys
 }
 
-// FuzzMergesortSort drives the three-phase SIMD merge-sort with
-// arbitrary keys and checks it against a sort.SliceStable oracle: the
-// output keys must match the oracle order exactly, and the oid output
-// must be a permutation that maps every slot back to an input element
-// carrying that key.
+// fuzzKernels is the one oracle both fuzz targets drive: the same keys
+// go through the production kernel and the paper kernel — on the
+// sequential entry point, or from two workers up on the parallel one —
+// and each output is held to checkKernelOutput: the sorted keys, oids a
+// key-carrying permutation, and for the production kernel stability.
+func fuzzKernels(t *testing.T, bank, workers int, keys []uint64) {
+	want := slices.Clone(keys)
+	slices.Sort(want)
+	for _, paper := range []bool{false, true} {
+		p := Params{PaperKernel: paper, ParallelThreshold: 64}
+		gotK, gotO := slices.Clone(keys), identOids(len(keys))
+		if workers < 2 {
+			mustSort(t, bank, gotK, gotO, p)
+		} else {
+			mustParallelSort(t, bank, gotK, gotO, p, workers)
+		}
+		checkKernelOutput(t, fmt.Sprintf("bank %d n %d workers %d paper=%v", bank, len(keys), workers, paper), keys, want, gotK, gotO, !paper)
+	}
+}
+
+// FuzzMergesortSort drives both kernels with arbitrary keys as wide as
+// the bank, on the sequential entry point.
 func FuzzMergesortSort(f *testing.F) {
 	f.Add(uint16(0), []byte{})
 	f.Add(uint16(1), []byte{1})
@@ -60,76 +78,20 @@ func FuzzMergesortSort(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, bankSel uint16, data []byte) {
 		bank := Banks[int(bankSel)%len(Banks)]
-		keys := keysFromBytes(data, bank)
-		n := len(keys)
-		orig := append([]uint64(nil), keys...)
-		oids := make([]uint32, n)
-		for i := range oids {
-			oids[i] = uint32(i)
-		}
-
-		mustSort(t, bank, keys, oids, Params{})
-
-		want := append([]uint64(nil), orig...)
-		sort.SliceStable(want, func(i, j int) bool { return want[i] < want[j] })
-
-		seen := make([]bool, n)
-		for i := 0; i < n; i++ {
-			if keys[i] != want[i] {
-				t.Fatalf("bank %d n %d: keys[%d] = %d, oracle %d", bank, n, i, keys[i], want[i])
-			}
-			oid := oids[i]
-			if int(oid) >= n {
-				t.Fatalf("bank %d n %d: oids[%d] = %d out of range", bank, n, i, oid)
-			}
-			if seen[oid] {
-				t.Fatalf("bank %d n %d: oid %d appears twice — not a permutation", bank, n, oid)
-			}
-			seen[oid] = true
-			if orig[oid] != keys[i] {
-				t.Fatalf("bank %d n %d: oids[%d]=%d carries key %d, slot holds %d",
-					bank, n, i, oid, orig[oid], keys[i])
-			}
-		}
+		fuzzKernels(t, bank, 1, keysFromBytes(data, bank))
 	})
 }
 
-// FuzzRadixSort applies the same oracle to the stable LSD radix sort,
-// which additionally must preserve input order within ties.
+// FuzzRadixSort is the same oracle entered through the corpus format of
+// the old radix target: the first argument is a key width, sorted in
+// the narrowest bank that holds it — so the top digits of the bank are
+// constant and the production kernel skips their scatters — and the
+// second, once a radix size, picks the worker count (1 to 3).
 func FuzzRadixSort(f *testing.F) {
 	f.Add(uint16(20), uint16(8), []byte{3, 1, 2})
 	f.Add(uint16(64), uint16(11), make([]byte, 300))
-	f.Fuzz(func(t *testing.T, widthRaw, radixRaw uint16, data []byte) {
+	f.Fuzz(func(t *testing.T, widthRaw, workersRaw uint16, data []byte) {
 		width := int(widthRaw)%64 + 1
-		radix := int(radixRaw)%16 + 1
-		keys := keysFromBytes(data, width)
-		n := len(keys)
-		orig := append([]uint64(nil), keys...)
-		oids := make([]uint32, n)
-		for i := range oids {
-			oids[i] = uint32(i)
-		}
-
-		RadixSort(keys, oids, width, radix)
-
-		type kv struct {
-			k   uint64
-			oid uint32
-		}
-		want := make([]kv, n)
-		for i := range want {
-			want[i] = kv{orig[i], uint32(i)}
-		}
-		sort.SliceStable(want, func(i, j int) bool { return want[i].k < want[j].k })
-		for i := 0; i < n; i++ {
-			if keys[i] != want[i].k {
-				t.Fatalf("width %d radix %d n %d: keys[%d] = %d, oracle %d",
-					width, radix, n, i, keys[i], want[i].k)
-			}
-			if oids[i] != want[i].oid {
-				t.Fatalf("width %d radix %d n %d: oids[%d] = %d, stable oracle %d",
-					width, radix, n, i, oids[i], want[i].oid)
-			}
-		}
+		fuzzKernels(t, bankFor(width), int(workersRaw)%3+1, keysFromBytes(data, width))
 	})
 }

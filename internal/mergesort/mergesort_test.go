@@ -31,6 +31,18 @@ func verifySorted(t *testing.T, orig []uint64, keys []uint64, oids []uint32) {
 	}
 }
 
+// checkBothKernels sorts a copy of keys with the production kernel and
+// with the paper kernel and verifies each result against the input.
+func checkBothKernels(t *testing.T, bank int, keys []uint64) {
+	t.Helper()
+	for _, p := range []Params{{}, {PaperKernel: true}} {
+		got := append([]uint64(nil), keys...)
+		oids := identOids(len(keys))
+		mustSort(t, bank, got, oids, p)
+		verifySorted(t, keys, got, oids)
+	}
+}
+
 func identOids(n int) []uint32 {
 	oids := make([]uint32, n)
 	for i := range oids {
@@ -59,10 +71,7 @@ func TestSortAllBanksSizes(t *testing.T) {
 	for _, bank := range Banks {
 		for _, n := range testSizes {
 			keys := randKeys(rng, n, bank)
-			orig := append([]uint64(nil), keys...)
-			oids := identOids(n)
-			mustSort(t, bank, keys, oids, Params{})
-			verifySorted(t, orig, keys, oids)
+			checkBothKernels(t, bank, keys)
 		}
 	}
 }
@@ -76,10 +85,7 @@ func TestSortManyTies(t *testing.T) {
 			for i := range keys {
 				keys[i] = rng.Uint64() % domain
 			}
-			orig := append([]uint64(nil), keys...)
-			oids := identOids(n)
-			mustSort(t, bank, keys, oids, Params{})
-			verifySorted(t, orig, keys, oids)
+			checkBothKernels(t, bank, keys)
 		}
 	}
 }
@@ -95,19 +101,13 @@ func TestSortPreSortedAndReversed(t *testing.T) {
 			for i := range asc {
 				asc[i] = uint64(i) & mask
 			}
-			orig := append([]uint64(nil), asc...)
-			oids := identOids(n)
-			mustSort(t, bank, asc, oids, Params{})
-			verifySorted(t, orig, asc, oids)
+			checkBothKernels(t, bank, asc)
 
 			desc := make([]uint64, n)
 			for i := range desc {
 				desc[i] = uint64(n-i) & mask
 			}
-			orig = append([]uint64(nil), desc...)
-			oids = identOids(n)
-			mustSort(t, bank, desc, oids, Params{})
-			verifySorted(t, orig, desc, oids)
+			checkBothKernels(t, bank, desc)
 		}
 	}
 }
@@ -133,10 +133,7 @@ func TestSortMaxBoundaryValues(t *testing.T) {
 				keys[i] = rng.Uint64() & max
 			}
 		}
-		orig := append([]uint64(nil), keys...)
-		oids := identOids(n)
-		mustSort(t, bank, keys, oids, Params{})
-		verifySorted(t, orig, keys, oids)
+		checkBothKernels(t, bank, keys)
 	}
 }
 
@@ -152,14 +149,16 @@ func TestSortProperty(t *testing.T) {
 			for i, r := range raw {
 				keys[i] = r & mask
 			}
-			orig := append([]uint64(nil), keys...)
-			oids := identOids(len(keys))
-			mustSort(t, bank, keys, oids, Params{})
-			want := append([]uint64(nil), orig...)
+			want := append([]uint64(nil), keys...)
 			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-			for i := range keys {
-				if keys[i] != want[i] || orig[oids[i]] != keys[i] {
-					return false
+			for _, p := range []Params{{}, {PaperKernel: true}} {
+				got := append([]uint64(nil), keys...)
+				oids := identOids(len(keys))
+				mustSort(t, bank, got, oids, p)
+				for i := range got {
+					if got[i] != want[i] || keys[oids[i]] != got[i] {
+						return false
+					}
 				}
 			}
 			return true
@@ -190,7 +189,7 @@ func TestSortForcedMultiway(t *testing.T) {
 			var gotO [2][]uint32
 			for i, disable := range []bool{false, true} {
 				gotK[i], gotO[i] = append([]uint64(nil), keys...), identOids(n)
-				mustSort(t, bank, gotK[i], gotO[i], Params{InCacheElems: 64, Fanout: 4, DisableOVC: disable})
+				mustSort(t, bank, gotK[i], gotO[i], Params{PaperKernel: true, InCacheElems: 64, Fanout: 4, DisableOVC: disable})
 				verifySorted(t, keys, gotK[i], gotO[i])
 				canonicalOids(gotK[i], gotO[i])
 			}

@@ -112,10 +112,12 @@ func withOVCAudit(t *testing.T, f func()) (int64, int64) {
 	return ovcAuditResolved.Load(), ovcAuditFallbacks.Load()
 }
 
-// forcePhase3 lowers the in-cache run target so phase 3 (the only OVC
-// consumer in the sequential sort) always runs on test-sized inputs.
+// forcePhase3 selects the paper kernel and lowers its in-cache run
+// target so phase 3 (the only OVC consumer in the sequential sort)
+// always runs on test-sized inputs.
 func forcePhase3(bank int) Params {
 	p := testParams(bank)
+	p.PaperKernel = true
 	p.InCacheElems = 64
 	p.Fanout = 4
 	return p

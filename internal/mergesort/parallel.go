@@ -18,17 +18,18 @@ import (
 // the key distribution — heavily skewed (zipf, all-equal) inputs cost
 // the same as uniform ones.
 //
-// Everything operates on the packed register representation (lanes
-// elements per 64-bit word, b ∈ {16, 32, 64}); data is packed once,
-// merged packed, and unpacked once, exactly like the sequential path.
+// The merges operate on the packed register representation (lanes
+// elements per 64-bit word, b ∈ {16, 32, 64}): sorted runs are packed
+// once, merged packed, and unpacked once.
 //
 // Determinism contract: the parallel merge is stable by run index —
 // ties between runs resolve to the lower-index run, and the selection
 // cuts equal keys by the same rule — so its output is byte-identical
 // for every worker count, including 1. The parallel sort guarantees the
-// sorted key order but (like the sequential sort) leaves the relative
-// order of equal keys unspecified; a caller that needs one fixes it
-// afterwards (internal/mcsort does, once, on its final groups).
+// sorted key order; like the sequential sort it is stable under the
+// production kernel and leaves the relative order of equal keys
+// unspecified under the paper kernel. internal/mcsort verifies the
+// order it needs once, on its final groups, and sorts what is left.
 //
 // Robustness contract (docs/robustness.md): the entry points check the
 // context at chunk and co-partition boundaries, and inside the
@@ -61,10 +62,13 @@ const mergeCheckEvery = 1 << 14
 
 // ParallelSortWithParamsContext sorts keys (each value < 2^bank) with
 // their oids in place across `workers` goroutines: it splits the input
-// into worker chunks, sorts the chunks concurrently with the three-phase
-// sort, and then cooperatively multiway-merges the sorted chunks.
-// Inputs below p.ParallelThreshold (or workers < 2) take the sequential
-// path. A cancelled context aborts between chunks, merge passes, and
+// into worker chunks, sorts the chunks concurrently — each one a
+// SortWithParamsContext run, so the kernel is chosen there — and then
+// cooperatively multiway-merges the sorted chunks. The chunks are in
+// input order and the merge is stable by run index, so under the
+// production kernel the whole sort is stable. Inputs below
+// p.ParallelThreshold (or workers < 2) take the sequential path. A
+// cancelled context aborts between chunks, sort passes, and
 // mergeCheckEvery-element merge strides, leaving keys/oids in
 // unspecified order; a worker panic surfaces as a
 // *pipeerr.PipelineError with stage "sort" or "merge".
@@ -80,8 +84,8 @@ func ParallelSortWithParamsContext(ctx context.Context, bank int, keys []uint64,
 	k := kernelsFor(bank)
 
 	// Chunk boundaries are aligned to whole in-register blocks (v*v
-	// elements) so chunk sorts never share a packed word and phase 1
-	// operates on register-aligned block starts.
+	// elements): the paper kernel's phase 1 then sees the same blocks
+	// whether a chunk is sorted alone or as part of the whole input.
 	bounds := pipeerr.Cut(n, workers, k.v*k.v)
 	if len(bounds) < 3 {
 		return SortWithParamsContext(ctx, bank, keys, oids, p)
@@ -91,26 +95,21 @@ func ParallelSortWithParamsContext(ctx context.Context, bank int, keys []uint64,
 	obsParWorkers.Set(int64(workers))
 	busy := pipeerr.StartBusy(workers)
 
-	kw, ow := pack(keys, oids, k.lanes)
-	kw2 := make([]uint64, len(kw))
-	ow2 := make([]uint64, len(ow))
 	chunks := pipeerr.Pass{Stage: pipeerr.StageSort, Round: -1, Site: faultinject.ChunkSort, Busy: busy}
 	err := chunks.Ranges(ctx, workers, len(bounds)-1, func(gctx context.Context, c int) error {
 		lo, hi := bounds[c], bounds[c+1]
-		inScratch, err := sortPackedChunk(gctx, kw, ow, kw2, ow2, k, lo, hi, p)
-		if inScratch && err == nil {
-			// Chunks can differ in pass count; the merge reads them
-			// all from the primary pair.
-			copyPackedRange(kw2, ow2, k.lanes, lo, hi, kw, ow)
-		}
-		return err
+		return SortWithParamsContext(gctx, bank, keys[lo:hi], oids[lo:hi], p)
 	})
 	if err != nil {
 		return err
 	}
 
-	// Cooperative multiway merge of the sorted chunks into the scratch
-	// arrays, then a parallel unpack back into the caller's slices.
+	// Cooperative multiway merge of the sorted chunks, packed, into the
+	// scratch arrays, then a parallel unpack back into the caller's
+	// slices.
+	kw, ow := pack(keys, oids, k.lanes)
+	kw2 := make([]uint64, len(kw))
+	ow2 := make([]uint64, len(ow))
 	if err := parallelMergePacked(ctx, kw, ow, kw2, ow2, k.lanes, bank, runStarts(bounds), runEnds(bounds), n, !p.DisableOVC, workers, busy); err != nil {
 		return err
 	}

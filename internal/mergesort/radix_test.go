@@ -1,19 +1,44 @@
 package mergesort
 
 import (
+	"context"
+	"errors"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
+
+	"repro/internal/obs"
+	"repro/internal/testutil"
 )
+
+// bankFor returns the narrowest bank that holds width-bit keys.
+func bankFor(width int) int {
+	for _, b := range Banks {
+		if width <= b {
+			return b
+		}
+	}
+	return 64
+}
+
+// mustRadix runs the production kernel directly, whatever the run
+// length, under context.Background().
+func mustRadix(tb testing.TB, bank int, keys []uint64, oids []uint32) {
+	tb.Helper()
+	if err := radixSort(context.Background(), bank, keys, oids, new(Scratch)); err != nil {
+		tb.Fatal(err)
+	}
+}
 
 func TestRadixSortAllWidths(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, width := range []int{1, 5, 8, 9, 16, 17, 27, 32, 33, 48, 64} {
-		for _, n := range []int{0, 1, 2, 23, 24, 100, 4096, 20000} {
+		for _, n := range []int{1, 2, 23, 24, 100, 4096, 20000} {
 			keys := randKeys(rng, n, width)
 			orig := append([]uint64(nil), keys...)
 			oids := identOids(n)
-			RadixSort(keys, oids, width, DefaultRadixBits)
+			mustRadix(t, bankFor(width), keys, oids)
 			verifySorted(t, orig, keys, oids)
 		}
 	}
@@ -28,22 +53,11 @@ func TestRadixSortStability(t *testing.T) {
 		keys[i] = uint64(rng.Intn(16))
 	}
 	oids := identOids(n)
-	RadixSort(keys, oids, 4, 8)
+	mustRadix(t, 16, keys, oids)
 	for i := 1; i < n; i++ {
 		if keys[i-1] == keys[i] && oids[i-1] > oids[i] {
 			t.Fatalf("stability violated at %d", i)
 		}
-	}
-}
-
-func TestRadixSortRadixSizes(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, r := range []int{1, 4, 8, 11, 16} {
-		keys := randKeys(rng, 5000, 33)
-		orig := append([]uint64(nil), keys...)
-		oids := identOids(5000)
-		RadixSort(keys, oids, 33, r)
-		verifySorted(t, orig, keys, oids)
 	}
 }
 
@@ -53,24 +67,12 @@ func TestRadixSortMatchesMergeSort(t *testing.T) {
 		keys := randKeys(rng, 30000, bank)
 		k2 := append([]uint64(nil), keys...)
 		o1, o2 := identOids(30000), identOids(30000)
-		mustSort(t, bank, keys, o1, Params{})
-		RadixSort(k2, o2, bank, DefaultRadixBits)
+		mustSort(t, bank, keys, o1, Params{PaperKernel: true})
+		mustSort(t, bank, k2, o2, Params{})
 		for i := range keys {
 			if keys[i] != k2[i] {
 				t.Fatalf("bank %d: key order differs at %d", bank, i)
 			}
-		}
-	}
-}
-
-func TestRadixPasses(t *testing.T) {
-	cases := []struct{ w, r, want int }{
-		{8, 8, 1}, {9, 8, 2}, {16, 8, 2}, {17, 8, 3}, {64, 8, 8},
-		{32, 11, 3}, {33, 11, 3}, {34, 11, 4},
-	}
-	for _, c := range cases {
-		if got := RadixPasses(c.w, c.r); got != c.want {
-			t.Errorf("RadixPasses(%d,%d) = %d, want %d", c.w, c.r, got, c.want)
 		}
 	}
 }
@@ -83,8 +85,133 @@ func TestRadixSortPresortedAndTies(t *testing.T) {
 	sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
 	orig := append([]uint64(nil), keys...)
 	oids := identOids(len(keys))
-	RadixSort(keys, oids, 3, 8)
+	mustRadix(t, 16, keys, oids)
 	verifySorted(t, orig, keys, oids)
+}
+
+// TestRadixSortSkipsConstantDigits pins the width-awareness: the one
+// counting pre-pass finds the digits every key agrees on, and only the
+// others cost a scatter — an 18-bit key in a 32-bit bank three, keys
+// that differ in the top digit only one, equal keys none — whatever the
+// bank has room for.
+func TestRadixSortSkipsConstantDigits(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	rng := rand.New(rand.NewSource(6))
+	const n = 4096
+	gen := func(f func() uint64) []uint64 {
+		keys := make([]uint64, n)
+		for i := range keys {
+			keys[i] = f()
+		}
+		return keys
+	}
+	for _, c := range []struct {
+		name   string
+		bank   int
+		keys   []uint64
+		passes int64
+	}{
+		{"18 bits in bank 32", 32, randKeys(rng, n, 18), 3},
+		{"16 bits in bank 64", 64, randKeys(rng, n, 16), 2},
+		{"full bank 64", 64, randKeys(rng, n, 64), 8},
+		{"top digit only", 64, gen(func() uint64 { return uint64(rng.Intn(256))<<56 | 0x00c0ffee }), 1},
+		{"bottom digit only", 32, gen(func() uint64 { return 0xabcdef00 | uint64(rng.Intn(256)) }), 1},
+		{"middle digits constant", 32, gen(func() uint64 { return uint64(rng.Intn(256))<<24 | 0x00777700 | uint64(rng.Intn(256)) }), 2},
+		{"all equal", 16, gen(func() uint64 { return 42 }), 0},
+	} {
+		orig := append([]uint64(nil), c.keys...)
+		oids := identOids(n)
+		before := obsRadixPasses.Value()
+		mustRadix(t, c.bank, c.keys, oids)
+		if got := obsRadixPasses.Value() - before; got != c.passes {
+			t.Errorf("%s: %d scatter passes, want %d", c.name, got, c.passes)
+		}
+		want := slices.Clone(orig)
+		slices.Sort(want)
+		checkKernelOutput(t, c.name, orig, want, c.keys, oids, true)
+	}
+}
+
+// TestRadixSortCancelBetweenScatters cancels a sort at every poll the
+// kernel makes — before each scatter, the one between the second and
+// third scatter of a 64-bit-bank sort among them, and before the
+// copy-back of a single-digit sort: it returns
+// ctx.Err() with keys and oids exactly as passed in, and one poll more
+// than that lets it finish — the last pass, the only one that writes
+// the caller's slices, is not interruptible.
+func TestRadixSortCancelBetweenScatters(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	const n = 5000
+	for _, c := range []struct {
+		name  string
+		bank  int
+		width int
+		polls int64 // one per scatter (+ the copy-back)
+	}{
+		{"bank 64", 64, 64, 8},
+		{"bank 32, 18 bits", 32, 18, 3},
+		{"bank 16, one digit", 16, 8, 1 + 1},
+	} {
+		keys := randKeys(rng, n, c.width)
+		oids := identOids(n)
+		wantK, wantO := slices.Clone(keys), slices.Clone(oids)
+		for polls := int64(0); polls < c.polls; polls++ {
+			if err := radixSort(testutil.NewPollCtx(polls), c.bank, keys, oids, new(Scratch)); !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s cancelled at poll %d: err = %v, want context.Canceled", c.name, polls+1, err)
+			}
+			if !slices.Equal(keys, wantK) || !slices.Equal(oids, wantO) {
+				t.Fatalf("%s cancelled at poll %d: inputs modified", c.name, polls+1)
+			}
+		}
+		if err := radixSort(testutil.NewPollCtx(c.polls), c.bank, keys, oids, new(Scratch)); err != nil {
+			t.Fatalf("%s: %v within a budget of %d polls", c.name, err, c.polls)
+		}
+		verifySorted(t, wantK, keys, oids)
+	}
+}
+
+// TestSmallAndBatchedSortsDoNotAllocate pins the two allocation facts
+// mcsort's later rounds rely on: a run below the small-run cutoff is an
+// in-place insertion sort, and runs above it sharing one Scratch
+// allocate once, for the largest, not once each.
+func TestSmallAndBatchedSortsDoNotAllocate(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(9))
+	for _, bank := range Banks {
+		n := 4 * smallRunCutoff
+		src := randKeys(rng, n, bank)
+		keys, oids := make([]uint64, n), make([]uint32, n)
+		refill := func() {
+			copy(keys, src)
+			for i := range oids {
+				oids[i] = uint32(i)
+			}
+		}
+		small := smallRunCutoff - 1
+		if got := testing.AllocsPerRun(20, func() {
+			refill()
+			if err := SortWithParamsContext(ctx, bank, keys[:small], oids[:small], Params{}); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 0 {
+			t.Errorf("bank %d: a %d-row sort made %v allocations, want 0", bank, small, got)
+		}
+		var s Scratch
+		if err := SortScratchContext(ctx, bank, keys, oids, Params{}, &s); err != nil { // sizes s
+			t.Fatal(err)
+		}
+		if got := testing.AllocsPerRun(20, func() {
+			refill()
+			for _, m := range []int{n, n / 2, n / 4} {
+				if err := SortScratchContext(ctx, bank, keys[:m], oids[:m], Params{}, &s); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}); got != 0 {
+			t.Errorf("bank %d: sorts on a sized Scratch made %v allocations, want 0", bank, got)
+		}
+	}
 }
 
 func BenchmarkRadixSort32_64K(b *testing.B) {
@@ -93,13 +220,16 @@ func BenchmarkRadixSort32_64K(b *testing.B) {
 	src := randKeys(rng, n, 32)
 	keys := make([]uint64, n)
 	oids := make([]uint32, n)
+	var s Scratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(keys, src)
 		for j := range oids {
 			oids[j] = uint32(j)
 		}
-		RadixSort(keys, oids, 32, DefaultRadixBits)
+		if err := radixSort(context.Background(), 32, keys, oids, &s); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Melem/s")
 }

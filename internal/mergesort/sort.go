@@ -33,6 +33,12 @@ type Params struct {
 	// the flag exists for differential testing and benchmarking — the
 	// merged output is byte-identical either way.
 	DisableOVC bool
+	// PaperKernel makes every run sort with the paper's three-phase SWAR
+	// merge-sort instead of the production kernel (radix.go). The figure
+	// experiments, the ablations and cost-model calibration set it: bank
+	// parallelism is the phenomenon they measure. Nothing that serves a
+	// query does.
+	PaperKernel bool
 }
 
 // DefaultFanout is the out-of-cache merge fanout F used when callers do
@@ -144,15 +150,62 @@ var (
 	obsFanout         = obs.NewGauge("mergesort.phase3_fanout")
 )
 
+// smallRunCutoff is the run length below which the production kernel is
+// an insertion sort: the radix sort's fixed cost — zeroing and
+// prefix-summing bank/8 histograms of 256 counters, 0.3 to 1.2 µs —
+// only pays off beyond it. A measured fact, not a knob:
+// BenchmarkKernelBakeoff (table in EXPERIMENTS.md) puts the crossover on
+// random keys at about 28, 45 and 80 rows for banks 16, 32 and 64 and at
+// about 28 rows on zipf-skewed keys for all three — the distribution
+// moves it as much as the bank, so it is one constant: at 64 rows the
+// radix sort is within 21 % of the insertion sort in its worst cell, and
+// below 64 the insertion sort never costs more than 23 ns/row.
+const smallRunCutoff = 64
+
+// sortKernel names what sorts one run.
+type sortKernel int
+
+const (
+	kernelInsertion sortKernel = iota
+	kernelRadix
+	kernelPaper
+)
+
+// chooseKernel is the one place that decides which kernel sorts a run
+// of n rows. The production choice is by run length alone; the paper
+// kernel hands over to the insertion sort where the paper's does
+// (insertionThreshold), so no figure moves.
+func chooseKernel(n int, p Params) sortKernel {
+	switch {
+	case p.PaperKernel && n >= insertionThreshold:
+		return kernelPaper
+	case p.PaperKernel || n < smallRunCutoff:
+		return kernelInsertion
+	default:
+		return kernelRadix
+	}
+}
+
 // SortWithParamsContext sorts keys (each value < 2^bank) together with
-// their oids in place, using the three-phase SIMD merge-sort with b-bit
-// banks. The caller picks the bank; narrower banks give higher
-// data-level parallelism (V = 256/b lanes per register). The context is
-// polled on entry, between merge passes, and every mergeCheckEvery
-// elements inside a loser-tree merge. All mutation happens in packed
-// scratch until the final unpack, so on cancellation the sort returns
-// ctx.Err() with keys and oids exactly as passed in.
+// their oids in place. It is the entry point every sort of one run
+// bottoms out in, and the production kernel is stable: equal keys keep
+// their input order. With p.PaperKernel it runs the paper's three-phase
+// SIMD merge-sort with b-bit banks instead — the caller picks the bank,
+// narrower banks give higher data-level parallelism (V = 256/b lanes
+// per register) — which leaves the order of equal keys unspecified. The
+// context is polled on entry and before every O(n) pass (each radix
+// scatter; each merge pass, and every mergeCheckEvery elements inside a
+// loser-tree merge). Either kernel works in scratch until its last
+// pass, so on cancellation the sort returns ctx.Err() with keys and
+// oids exactly as passed in.
 func SortWithParamsContext(ctx context.Context, bank int, keys []uint64, oids []uint32, p Params) error {
+	return SortScratchContext(ctx, bank, keys, oids, p, nil)
+}
+
+// SortScratchContext is SortWithParamsContext on caller-owned working
+// memory: s is reused across calls by a goroutine that sorts many runs
+// in a row. nil allocates per call.
+func SortScratchContext(ctx context.Context, bank int, keys []uint64, oids []uint32, p Params, s *Scratch) error {
 	if err := checkArgs(keys, oids); err != nil {
 		return err
 	}
@@ -162,10 +215,17 @@ func SortWithParamsContext(ctx context.Context, bank int, keys []uint64, oids []
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if n < insertionThreshold {
+	switch chooseKernel(n, p) {
+	case kernelInsertion:
 		obsInsertionSorts.Inc()
 		insertionSort(keys, oids)
 		return nil
+	case kernelRadix:
+		kernelsFor(bank) // refuse an unsupported bank like the paper kernel does
+		if s == nil {
+			s = new(Scratch)
+		}
+		return radixSort(ctx, bank, keys, oids, s)
 	}
 	k := kernelsFor(bank)
 	kw, ow := pack(keys, oids, k.lanes)

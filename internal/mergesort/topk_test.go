@@ -230,7 +230,9 @@ func TestTopKValidation(t *testing.T) {
 		name string
 		err  error
 	}{
-		{"sort len mismatch", SortWithParamsContext(ctx, 32, keys, oids[:10], p)},
+		{"sort len mismatch", SortWithParamsContext(ctx, 32, keys, oids[:10], p)}, // 64 keys: the radix kernel's side of the cutoff
+		{"sort on scratch len mismatch", SortScratchContext(ctx, 32, keys, oids[:10], p, new(Scratch))},
+		{"paper kernel sort len mismatch", SortWithParamsContext(ctx, 32, keys, oids[:10], Params{PaperKernel: true})},
 		{"parallel sort len mismatch", ParallelSortWithParamsContext(ctx, 32, keys, oids[:10], p, 4)},
 		{"merge len mismatch", ParallelMergeWithParamsContext(ctx, 32, keys, oids[:10], []int{0, 64}, p, 1)},
 		{"merge no runs", ParallelMergeWithParamsContext(ctx, 32, keys, oids, nil, p, 1)},

@@ -96,7 +96,7 @@ func RunQ13Context(ctx context.Context, t *table.Table, massaging bool, opts eng
 	} else {
 		p = plan.ColumnAtATime(widths)
 	}
-	mres, err := mcsort.ExecuteContext(ctx, inputs, p, mcsort.Options{})
+	mres, err := mcsort.ExecuteContext(ctx, inputs, p, mcsort.Options{SortParams: opts.SortParams})
 	if err != nil {
 		return nil, err
 	}
