@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: test race lint fault chaos chaos-soak fuzz-smoke smoke shard-smoke perf-smoke bench bakeoff bench-regress
+.PHONY: test race lint fault chaos chaos-soak fuzz-smoke smoke shard-smoke perf-smoke bench bakeoff bench-gather bench-regress
 
 test:
 	$(GO) vet ./...
@@ -59,6 +59,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzLimitQuery -fuzztime=20s ./internal/server/
 	$(GO) test -fuzz=FuzzResultFrame -fuzztime=20s ./internal/server/
 	$(GO) test -fuzz=FuzzShardMerge -fuzztime=20s ./internal/shard/
+	$(GO) test -fuzz=FuzzShardRows -fuzztime=20s ./internal/shard/
 	$(GO) test -fuzz=FuzzExecuteDeterministic -fuzztime=20s ./internal/mcsort/
 
 # End-to-end mcsd smoke: build the daemon, start it on a small TPC-H
@@ -100,6 +101,13 @@ bench:
 # compile-and-run smoke.
 bakeoff:
 	$(GO) test -run '^$$' -bench BenchmarkKernelBakeoff -benchtime 20x -cpu 1 ./internal/mergesort/
+
+# The coordinator's gather without the wire: run builds and merge+rank
+# timed separately (ns/row) on the pinned window shape of mcsperf's
+# shard3_window_full over a 2^18-row TPC-H table in 3 ranges. CI runs
+# it at -benchtime 1x as a compile-and-run smoke.
+bench-gather:
+	$(GO) test -run '^$$' -bench BenchmarkCoordinatorGather -benchtime 20x ./internal/shard/
 
 # The relative gates that still live beside mcsperf: each compares two
 # measurements taken in the same process (truncated vs full sort, OVC on

@@ -52,8 +52,9 @@ const (
 	// ShardFanout: the coordinator's per-shard sub-query worker, once
 	// per shard sub-request before the client call.
 	ShardFanout = "shard.fanout"
-	// ShardMerge: the coordinator's cross-shard gather, once per merge
-	// after every shard has answered.
+	// ShardMerge: the coordinator's cross-shard gather, once per shard
+	// run build on the fan-out goroutine that received the answer, and
+	// once per merge after every run is built.
 	ShardMerge = "shard.merge"
 )
 

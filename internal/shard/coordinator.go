@@ -169,10 +169,15 @@ func (c *Coordinator) ready() (map[string]any, string) {
 		fmt.Sprintf("breaker open on %d of %d shards", len(open), len(c.cfg.Shards))
 }
 
-// execute is the Front's executor: pin the plan, fan out, merge. The
-// merge runs on the Front's goroutine, inside its containment boundary,
+// execute is the Front's executor: pin the plan, fan out, gather. The
+// gather is a pipeline: each fan-out worker builds its shard's run
+// (gather.buildRun) as soon as the answer is decoded, while slower
+// shards are still sorting, and a run that fails validation cancels the
+// siblings still waiting on theirs. The merge runs on the Front's
+// goroutine once every run is built, inside its containment boundary,
 // so a panicking merge — chaos arms the shard.merge site with panics —
-// becomes a typed, retryable job failure instead of a process crash.
+// becomes a typed, retryable job failure instead of a process crash; a
+// panicking run build is contained by the fan-out group the same way.
 // Sub-queries do not re-apply the request timeout: ctx already carries
 // the deadline end to end.
 func (c *Coordinator) execute(ctx context.Context, jobID string, req server.QueryRequest, markRunning func(), extendWatchdog func(float64)) (*server.QueryResult, error) {
@@ -196,6 +201,10 @@ func (c *Coordinator) execute(ctx context.Context, jobID string, req server.Quer
 	b, err := engine.Bind(t, q)
 	if err != nil {
 		return nil, err
+	}
+	ranges := c.ranges[req.Table]
+	if len(ranges) != len(c.cfg.Shards) {
+		return nil, fmt.Errorf("%w: %d ranges for %d shards", errShardInvalid, len(ranges), len(c.cfg.Shards))
 	}
 
 	workers := req.Workers
@@ -224,10 +233,15 @@ func (c *Coordinator) execute(ctx context.Context, jobID string, req server.Quer
 	extendWatchdog(choice.Est)
 
 	execStart := time.Now()
+	gth := &gather{sp: newMergeSpec(b, choice.ColOrder), ranges: ranges, countOnly: limit0}
+	if q.Window != nil {
+		gth.cols = b.Cols
+		gth.cut, _ = engine.SortCut(q, req.Limit, req.Offset)
+	}
 	subs := buildSubRequests(req, q, choice.ColOrder)
-	results := make([][]*server.QueryResult, len(subs))
-	for vi := range results {
-		results[vi] = make([]*server.QueryResult, len(c.cfg.Shards))
+	runs := make([][]*run, len(subs))
+	for vi := range runs {
+		runs[vi] = make([]*run, len(c.cfg.Shards))
 	}
 	g := pipeerr.NewGroup(ctx)
 	for vi := range subs {
@@ -245,8 +259,8 @@ func (c *Coordinator) execute(ctx context.Context, jobID string, req server.Quer
 				if err != nil {
 					return &shardError{addr: addr, err: err}
 				}
-				results[vi][si] = r
-				return nil
+				runs[vi][si], err = gth.buildRun(gctx, si, r)
+				return err
 			})
 		}
 	}
@@ -257,11 +271,11 @@ func (c *Coordinator) execute(ctx context.Context, jobID string, req server.Quer
 	faultinject.Fire(faultinject.ShardMerge)
 
 	rows := 0
-	for _, r := range results[0] {
+	for _, r := range runs[0] {
 		if r == nil {
 			return nil, fmt.Errorf("%w: missing shard result", errShardInvalid)
 		}
-		rows += r.Rows
+		rows += r.rows
 	}
 
 	res := &server.QueryResult{
@@ -282,12 +296,13 @@ func (c *Coordinator) execute(ctx context.Context, jobID string, req server.Quer
 		return res, nil
 	}
 
-	spec := newMergeSpec(b, choice.ColOrder)
+	span := obsMerge.Start()
 	if q.Window != nil {
-		res.Ranks, res.RowOids, err = c.mergeWindowParts(ctx, b, req, spec, results[0], workers)
+		res.Ranks, res.RowOids, err = mergeWindowRuns(ctx, runs[0], gth, req.Limit, req.Offset, workers)
 	} else {
-		res.GroupKeys, res.Aggregates, err = mergeGroupParts(ctx, q, req, spec, results, workers)
+		res.GroupKeys, res.Aggregates, err = mergeGroupParts(ctx, q, req, gth.sp, runs, workers)
 	}
+	span.End()
 	if err != nil {
 		return nil, err
 	}
@@ -335,36 +350,24 @@ func buildSubRequests(req server.QueryRequest, q engine.Query, pin []int) []serv
 	return []server.QueryRequest{sub}
 }
 
-// mergeGroupParts merges the per-shard group tables into the global
-// one: decode, validate, merge-and-combine, then re-apply the pieces
-// the sub-queries stripped (the aggregate sort of ORDER BY <agg>, the
-// avg division, the LIMIT/OFFSET window).
-func mergeGroupParts(ctx context.Context, q engine.Query, req server.QueryRequest, spec mergeSpec, results [][]*server.QueryResult, workers int) ([][]uint64, []uint64, error) {
+// mergeGroupParts merges the per-shard group runs into the global
+// table: cross-check avg's two sub-queries, merge-and-combine, then
+// re-apply the pieces the sub-queries stripped (the aggregate sort of
+// ORDER BY <agg>, the avg division, the LIMIT/OFFSET window).
+func mergeGroupParts(ctx context.Context, q engine.Query, req server.QueryRequest, sp mergeSpec, runs [][]*run, workers int) ([][]uint64, []uint64, error) {
 	avg := q.Agg != nil && q.Agg.Kind == engine.Avg
-	parts := make([]groupsPart, len(results[0]))
-	for si, pr := range results[0] {
-		p := groupsPart{keys: pr.GroupKeys, agg: pr.Aggregates}
-		if avg {
-			ar := results[1][si]
-			if len(ar.GroupKeys) != len(pr.GroupKeys) || len(ar.Aggregates) != len(ar.GroupKeys) {
-				return nil, nil, fmt.Errorf("%w: avg sub-queries disagree on shard %d's groups", errShardInvalid, si)
+	if avg {
+		for si := range runs[0] {
+			if err := ctx.Err(); err != nil {
+				return nil, nil, err
 			}
-			for gi := range pr.GroupKeys {
-				if gi&(mergeCtxStride-1) == 0 {
-					if err := ctx.Err(); err != nil {
-						return nil, nil, err
-					}
-				}
-				if len(ar.GroupKeys[gi]) != len(pr.GroupKeys[gi]) || !sameClauseKey(ar.GroupKeys[gi], pr.GroupKeys[gi]) {
-					return nil, nil, fmt.Errorf("%w: avg sub-queries disagree on shard %d's groups", errShardInvalid, si)
-				}
+			if err := attachAux(runs[0][si], runs[1][si], si); err != nil {
+				return nil, nil, err
 			}
-			p.aux = ar.Aggregates
 		}
-		parts[si] = p
 	}
 
-	merged, err := mergeGroups(ctx, parts, spec, workers)
+	merged, err := mergeGroupRuns(ctx, runs[0], sp, workers)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -395,58 +398,6 @@ func mergeGroupParts(ctx context.Context, q engine.Query, req server.QueryReques
 
 	lo, hi := engine.OutputWindow(len(merged.keys), req.Limit, req.Offset)
 	return merged.keys[lo:hi], merged.agg[lo:hi], nil
-}
-
-// mergeWindowParts merges the per-shard ranked-row results of a window
-// query. Shards return local oids in their local sort order; the
-// coordinator rebuilds the massaged sort keys from its own full table
-// (validating each run on the way), merges the runs — TopK with the
-// tie-extended cut under a LIMIT — maps the merged order to global oids
-// (range base + local oid), and ranks it with the engine's own RANK
-// over the keys the merge already holds (ranks only look backward, so
-// ranking the merged prefix is exact).
-func (c *Coordinator) mergeWindowParts(ctx context.Context, b *engine.Bound, req server.QueryRequest, spec mergeSpec, parts []*server.QueryResult, workers int) ([]uint32, []uint32, error) {
-	ranges := c.ranges[req.Table]
-	if len(ranges) != len(parts) {
-		return nil, nil, fmt.Errorf("%w: %d shard results for %d ranges", errShardInvalid, len(parts), len(ranges))
-	}
-	total := 0
-	for si, pr := range parts {
-		if len(pr.Ranks) != len(pr.RowOids) {
-			return nil, nil, fmt.Errorf("%w: shard %d has %d ranks for %d rows", errShardInvalid, si, len(pr.Ranks), len(pr.RowOids))
-		}
-		total += len(pr.RowOids)
-	}
-
-	kb := newKeyBuilder(spec, total)
-	for si, pr := range parts {
-		if err := kb.addRows(ctx, b.Cols, ranges[si], pr.RowOids, si); err != nil {
-			return nil, nil, err
-		}
-	}
-	cut, _ := engine.SortCut(b.Query, req.Limit, req.Offset)
-	flat, err := kb.merge(ctx, cut, workers)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	oids := make([]uint32, len(flat))
-	for i, f := range flat {
-		if i&(mergeCtxStride-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, err
-			}
-		}
-		pi, li := locateFlat(kb.runs, f)
-		oids[i] = uint32(ranges[pi].Lo) + parts[pi].RowOids[li]
-	}
-
-	ranks, err := kb.rankMerged(ctx, flat)
-	if err != nil {
-		return nil, nil, err
-	}
-	lo, hi := engine.OutputWindow(len(oids), req.Limit, req.Offset)
-	return ranks[lo:hi], oids[lo:hi], nil
 }
 
 // classify is the coordinator's Backend classifier: the single-node

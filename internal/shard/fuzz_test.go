@@ -1,7 +1,7 @@
 package shard
 
 // FuzzShardMerge fuzzes the coordinator's trust boundary: the per-shard
-// group-table decode (keyBuilder.addGroups) and the cross-shard merge
+// group-table run build (gather.buildRun) and the cross-shard merge
 // behind it. Raw mode feeds arbitrary decoded bytes straight in — the merge
 // must either reject them as errShardInvalid or produce a well-formed
 // combined table, never panic or corrupt. Canon mode repairs the fuzz
@@ -201,13 +201,12 @@ func FuzzShardMerge(f *testing.F) {
 			return
 		}
 		flat := make(map[string][]uint32)
-		for form, kb := range bothBuilders(sp) {
-			for _, p := range parts {
-				if err := kb.addGroups(ctx, p); err != nil {
-					t.Fatalf("%s keys: canonical part rejected: %v", form, err)
-				}
+		for form, fsp := range bothForms(sp) {
+			runs, err := groupRuns(ctx, parts, fsp)
+			if err != nil {
+				t.Fatalf("%s keys: canonical part rejected: %v", form, err)
 			}
-			if flat[form], err = kb.merge(ctx, 0, 2); err != nil {
+			if flat[form], err = mergedPayload(ctx, runs, fsp, 0); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -1,21 +1,33 @@
 // Cross-shard merging. Shards return results sorted in the pinned
-// column order; the coordinator rebuilds the massaged sort keys and
-// merges the pre-sorted per-shard runs with the same machinery the
-// engine's sort uses — mergesort.ParallelMergeWithParamsContext for
-// full results, ParallelMergeTopKContext with its tie-extended cut for
-// LIMIT/OFFSET windows — so the gathered output is the single-node
-// output, byte for byte.
+// column order; the coordinator turns each shard's answer into a run —
+// validated and keyed column at a time on the fan-out goroutine that
+// received it, while slower shards are still sorting — and merges the
+// runs with the same machinery the engine's sort uses:
+// mergesort.ParallelMergeWithParamsContext for full results,
+// ParallelMergeTopKContext with its tie-extended cut for LIMIT/OFFSET
+// windows — so the gathered output is the single-node output, byte for
+// byte.
 package shard
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/byteslice"
 	"repro/internal/column"
 	"repro/internal/engine"
+	"repro/internal/faultinject"
 	"repro/internal/mergesort"
+	"repro/internal/obs"
+	"repro/internal/server"
+)
+
+var (
+	obsRunBuild = obs.NewTimer("shard.run_build")
+	obsMerge    = obs.NewTimer("shard.merge")
 )
 
 // errShardInvalid classifies a structurally broken shard response —
@@ -23,8 +35,8 @@ import (
 // retryable: the same shard would return the same bytes again.
 var errShardInvalid = errors.New("shard: invalid shard response")
 
-// mergeCtxStride is how many merge-loop iterations run between context
-// polls in the sequential wide-key paths.
+// mergeCtxStride is how many rows the gather's sequential loops run
+// between context polls.
 const mergeCtxStride = 1 << 12
 
 // mergeSpec says how to turn a clause-order key vector into the sort
@@ -35,6 +47,7 @@ type mergeSpec struct {
 	order  []int  // pinned ColOrder: position i sorts clause column order[i]
 	widths []int  // bit width per clause position
 	desc   []bool // descending flag per clause position
+	wide   bool   // keys are massaged code vectors, not packed words (set when the widths exceed 64 bits)
 }
 
 // newMergeSpec is the spec of a bound query under the pinned order.
@@ -43,27 +56,17 @@ func newMergeSpec(b *engine.Bound, pin []int) mergeSpec {
 	for i, sc := range b.Sort {
 		sp.widths[i], sp.desc[i] = b.Cols[i].Width, sc.Desc
 	}
+	sp.wide = sp.totalWidth() > 64
 	return sp
 }
 
-// totalWidth is the concatenated key width; <= 64 enables the packed
-// parallel merge paths.
+// totalWidth is the concatenated key width.
 func (sp mergeSpec) totalWidth() int {
 	w := 0
 	for _, x := range sp.widths {
 		w += x
 	}
 	return w
-}
-
-// code is clause column c of vals as the shards sorted it: masked to
-// the column's width, complemented when the column sorts descending.
-func (sp mergeSpec) code(vals []uint64, c int) uint64 {
-	v := vals[c] & column.Mask(sp.widths[c])
-	if sp.desc[c] {
-		v = column.Complement(v, sp.widths[c])
-	}
-	return v
 }
 
 // compareVec is the lexicographic order of equal-length massaged
@@ -80,188 +83,333 @@ func compareVec(a, b []uint64) int {
 	return 0
 }
 
-// keyBuilder turns the shards' runs into the massaged keys the merge
-// orders by — one packed uint64 per entry when the clause fits 64 bits,
-// one massaged vector per entry otherwise — massaging every entry
-// exactly once and checking, in the same pass, that each run really is
-// in the order the shards were asked to sort in: the invariant the
-// no-compare-data merge relies on. Both result shapes build their keys
-// here (addGroups, addRows); merge hands them to the matching merge.
-type keyBuilder struct {
-	sp   mergeSpec
-	wide bool       // concatenated width > 64 bits
-	keys []uint64   // packed keys (!wide)
-	vecs [][]uint64 // massaged vectors in sort order (wide)
-	runs []int      // run boundaries: runs[0] = 0, one more per finished run; the merges only read them
+// run is one shard's sub-query answer as the merge consumes it: the
+// massaged sort key of every entry, in the shard's order — one packed
+// word per entry (keys), or m massaged codes per entry (codes, entry i
+// at codes[i·m:(i+1)·m]) under a wide spec — and the shape's payload.
+// A window run keeps its entries' global oids and nothing else of the
+// decoded result but its row count; a group run keeps the shard's group
+// table.
+type run struct {
+	rows  int        // the shard's filtered row count
+	keys  []uint64   // packed keys
+	codes []uint64   // massaged code vectors, flat (wide spec)
+	oids  []uint32   // window runs: global oids
+	part  groupsPart // group runs
 }
 
-func newKeyBuilder(sp mergeSpec, total int) *keyBuilder {
-	kb := &keyBuilder{sp: sp, wide: sp.totalWidth() > 64, runs: []int{0}}
-	if kb.wide {
-		kb.vecs = make([][]uint64, 0, total)
-	} else {
-		kb.keys = make([]uint64, 0, total)
+// gather is what every run build of one query shares.
+type gather struct {
+	sp        mergeSpec
+	ranges    []Range         // the shards' ranges, in shard order
+	cols      []*byteslice.BS // window queries: the full table's clause columns; nil for group shapes
+	cut       int             // window queries: the sub-queries' LIMIT pre-cut, 0 when unlimited
+	countOnly bool            // LIMIT 0: the fan-out only collects filtered row counts
+}
+
+// buildRun is the one place a shard's answer becomes a merge run. It
+// checks the answer against the query shape and rebuilds its massaged
+// sort keys from codes the coordinator trusts — a window run's from the
+// coordinator's own full table at the global oid (the shards do not
+// ship keys: deriving them here is the stronger check), a group table's
+// from its key vectors after checking each code against its width —
+// then requires the order the merge relies on: keys non-decreasing,
+// and ties strictly oid-ascending (groups are distinct keys, so for
+// them every tie is out of order). It works column at a time: one pass
+// over the oids, one Lookup gather per pinned column that masks,
+// complements and shifts the code into the keys, one order pass.
+// Anything a confused or truncated shard could get wrong fails here
+// with errShardInvalid instead of reaching the merge.
+func (g *gather) buildRun(ctx context.Context, si int, res *server.QueryResult) (*run, error) {
+	faultinject.Fire(faultinject.ShardMerge)
+	defer obsRunBuild.Start().End()
+	rng := g.ranges[si]
+	if res.Rows < 0 || res.Rows > rng.Len() {
+		return nil, fmt.Errorf("%w: shard %d reports %d rows for its %d-row range", errShardInvalid, si, res.Rows, rng.Len())
 	}
-	return kb
-}
-
-func (kb *keyBuilder) len() int { return len(kb.keys) + len(kb.vecs) }
-
-// endRun closes the current run.
-func (kb *keyBuilder) endRun() { kb.runs = append(kb.runs, kb.len()) }
-
-// add massages one clause-order vector into the next key of the current
-// run. It reports false — and adds nothing — when the key breaks the
-// run's order: below its predecessor, or equal to it when tieOK is
-// false.
-func (kb *keyBuilder) add(vals []uint64, tieOK bool) bool {
-	sp := kb.sp
-	first := kb.len() == kb.runs[len(kb.runs)-1]
-	if kb.wide {
-		vec := make([]uint64, len(sp.order))
-		for i, c := range sp.order {
-			vec[i] = sp.code(vals, c)
+	r := &run{rows: res.Rows}
+	if g.countOnly {
+		return r, nil
+	}
+	sp, m := g.sp, len(g.sp.order)
+	var n int
+	if g.cols != nil {
+		n = res.Rows
+		if g.cut > 0 && g.cut < n {
+			n = g.cut
 		}
-		if !first {
-			if cmp := compareVec(kb.vecs[len(kb.vecs)-1], vec); cmp > 0 || (cmp == 0 && !tieOK) {
-				return false
+		if len(res.RowOids) != n || len(res.Ranks) != n {
+			return nil, fmt.Errorf("%w: shard %d sent %d oids and %d ranks for %d rows, want %d", errShardInvalid, si, len(res.RowOids), len(res.Ranks), res.Rows, n)
+		}
+		r.oids = make([]uint32, n)
+		for i, oid := range res.RowOids {
+			if i&(mergeCtxStride-1) == 0 {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
+			}
+			if int(oid) >= rng.Len() {
+				return nil, fmt.Errorf("%w: shard %d row oid %d outside its %d-row range", errShardInvalid, si, oid, rng.Len())
+			}
+			r.oids[i] = uint32(rng.Lo) + oid
+		}
+	} else {
+		n = len(res.GroupKeys)
+		if len(res.Aggregates) != n {
+			return nil, fmt.Errorf("%w: shard %d sent %d group keys, %d aggregates", errShardInvalid, si, n, len(res.Aggregates))
+		}
+		for i, vec := range res.GroupKeys {
+			if i&(mergeCtxStride-1) == 0 {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
+			}
+			if len(vec) != m {
+				return nil, fmt.Errorf("%w: shard %d group %d has %d key columns, want %d", errShardInvalid, si, i, len(vec), m)
 			}
 		}
-		kb.vecs = append(kb.vecs, vec)
-		return true
+		r.part = groupsPart{keys: res.GroupKeys, agg: res.Aggregates}
 	}
-	var k uint64
-	for _, c := range sp.order {
-		k = k<<uint(sp.widths[c]) | sp.code(vals, c)
+
+	if sp.wide {
+		r.codes = make([]uint64, n*m)
+	} else {
+		r.keys = make([]uint64, n)
 	}
-	if !first {
-		if prev := kb.keys[len(kb.keys)-1]; k < prev || (k == prev && !tieOK) {
-			return false
+	for pos, c := range sp.order {
+		w, mask, desc := uint(sp.widths[c]), column.Mask(sp.widths[c]), sp.desc[c]
+		var bs *byteslice.BS
+		if g.cols != nil {
+			bs = g.cols[c]
+		}
+		for i := 0; i < n; i++ {
+			if i&(mergeCtxStride-1) == 0 {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
+			}
+			var v uint64
+			if bs != nil {
+				v = bs.Lookup(int(r.oids[i]))
+			} else {
+				v = r.part.keys[i][c]
+			}
+			if v&^mask != 0 {
+				return nil, fmt.Errorf("%w: shard %d entry %d key column %d value %d exceeds width %d", errShardInvalid, si, i, c, v, w)
+			}
+			if desc {
+				v ^= mask
+			}
+			if sp.wide {
+				r.codes[i*m+pos] = v
+			} else {
+				r.keys[i] = r.keys[i]<<w | v
+			}
 		}
 	}
-	kb.keys = append(kb.keys, k)
-	return true
-}
 
-// merge merges the finished runs and returns the merged flat-index
-// order (run boundaries at runs), cut at limit when limit > 0.
-func (kb *keyBuilder) merge(ctx context.Context, limit, workers int) ([]uint32, error) {
-	if kb.wide {
-		return mergeWide(ctx, kb.vecs, kb.runs, limit)
-	}
-	return mergeRows64(ctx, kb.keys, kb.runs, limit, workers)
-}
-
-// rankMerged is RANK() over the rows a window merge just ordered, read
-// from the massaged keys the builder already holds instead of looking
-// each row's codes up again. flat is merge's result and is consumed.
-// The pinned order keeps the window's ORDER BY column last, so a packed
-// key is the partition in its high bits over the order column in its
-// low width bits, and a wide vector is the partition columns followed
-// by the order column; engine.RankSorted only tests codes for equality,
-// which neither the descending complement nor the partition columns'
-// permutation changes.
-func (kb *keyBuilder) rankMerged(ctx context.Context, flat []uint32) ([]uint32, error) {
-	if kb.wide {
-		return engine.RankSorted(ctx, flat, len(kb.sp.order), func(f uint32, dst []uint64) {
-			copy(dst, kb.vecs[f])
-		})
-	}
-	// The packed merges sort keys in place: position i holds the i-th
-	// merged key, so the rows identify themselves.
-	for i := range flat {
+	for i := 1; i < n; i++ {
 		if i&(mergeCtxStride-1) == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		flat[i] = uint32(i)
+		var order int
+		if sp.wide {
+			order = compareVec(r.codes[(i-1)*m:i*m], r.codes[i*m:(i+1)*m])
+		} else {
+			order = cmp.Compare(r.keys[i-1], r.keys[i])
+		}
+		if order > 0 || order == 0 && (r.oids == nil || r.oids[i-1] >= r.oids[i]) {
+			return nil, fmt.Errorf("%w: shard %d entry %d out of sort order", errShardInvalid, si, i)
+		}
 	}
-	width := uint(kb.sp.widths[kb.sp.order[len(kb.sp.order)-1]])
-	return engine.RankSorted(ctx, flat, 2, func(i uint32, dst []uint64) {
-		k := kb.keys[i]
-		dst[0], dst[1] = k>>width, k&column.Mask(int(width))
+	return r, nil
+}
+
+// runSet is the merge's input — runs concatenated in shard order, with
+// the boundaries between them — and, once merged, its output: keys (or
+// code vectors) and payload permuted into merged order. The payload is
+// a window run's global oids or a group run's flat entry index.
+type runSet struct {
+	m      int // codes per entry (wide spec)
+	keys   []uint64
+	codes  []uint64
+	pay    []uint32
+	bounds []int // bounds[0] = 0, one more per run
+}
+
+// concat joins runs, in shard order, into the merge's input.
+func concat(ctx context.Context, runs []*run, sp mergeSpec) (*runSet, error) {
+	s := &runSet{m: len(sp.order), bounds: make([]int, 1, len(runs)+1)}
+	total := 0
+	for _, r := range runs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		total += len(r.oids) + len(r.part.keys)
+	}
+	s.pay = make([]uint32, 0, total)
+	if sp.wide {
+		s.codes = make([]uint64, 0, total*s.m)
+	} else {
+		s.keys = make([]uint64, 0, total)
+	}
+	for _, r := range runs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		s.keys = append(s.keys, r.keys...)
+		s.codes = append(s.codes, r.codes...)
+		s.pay = append(s.pay, r.oids...)
+		for i := range r.part.keys {
+			if i&(mergeCtxStride-1) == 0 {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
+			}
+			s.pay = append(s.pay, uint32(len(s.pay)))
+		}
+		s.bounds = append(s.bounds, len(s.pay))
+	}
+	return s, nil
+}
+
+// vec is entry i's massaged code vector (wide spec).
+func (s *runSet) vec(i int) []uint64 { return s.codes[i*s.m : (i+1)*s.m] }
+
+// merge merges the set's runs, stable by run index, cut at limit when
+// limit > 0: the tie-extended ParallelMergeTopKContext cut, trimmed to
+// exactly limit entries — sound because its first limit entries equal
+// the full merge's. Runs are in range order and a window run's ties are
+// oid-ascending, so the run-index-stable order is the
+// ascending-global-oid canonical order and a window set's payload is
+// the answer's row oids.
+func (s *runSet) merge(ctx context.Context, limit, workers int) error {
+	n := len(s.pay)
+	switch {
+	case n == 0:
+		return nil
+	case s.codes != nil:
+		return s.mergeWide(ctx, limit)
+	case limit > 0 && limit < n:
+		cut, err := mergesort.ParallelMergeTopKContext(ctx, 64, s.keys, s.pay, s.bounds, limit, mergesort.Params{}, workers)
+		if err != nil {
+			return err
+		}
+		cut = min(cut, limit)
+		s.keys, s.pay = s.keys[:cut], s.pay[:cut]
+		return nil
+	}
+	return mergesort.ParallelMergeWithParamsContext(ctx, 64, s.keys, s.pay, s.bounds, mergesort.Params{}, workers)
+}
+
+// mergeWide is the merge of code vectors, for clauses wider than 64
+// bits: a sequential k-way lexicographic merge with the packed merges'
+// lower-run tie preference. Wide clauses are rare and the entry count
+// is per-shard-truncated already.
+func (s *runSet) mergeWide(ctx context.Context, limit int) error {
+	n := len(s.pay)
+	if limit <= 0 || limit > n {
+		limit = n
+	}
+	heads := slices.Clone(s.bounds[:len(s.bounds)-1])
+	codes, pay := make([]uint64, 0, limit*s.m), make([]uint32, 0, limit)
+	for len(pay) < limit {
+		if len(pay)&(mergeCtxStride-1) == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		best := -1
+		for r, h := range heads {
+			if h < s.bounds[r+1] && (best < 0 || compareVec(s.vec(h), s.vec(heads[best])) < 0) {
+				best = r
+			}
+		}
+		codes = append(codes, s.vec(heads[best])...)
+		pay = append(pay, s.pay[heads[best]])
+		heads[best]++
+	}
+	s.codes, s.pay = codes, pay
+	return nil
+}
+
+// rank is RANK() over a merged window set, read from its merged keys
+// instead of looking each row's codes up again. The pinned order keeps
+// the window's ORDER BY column last, so a packed key is the partition
+// in its high bits over the order column in its low width bits, and a
+// code vector is the partition columns followed by the order column;
+// engine.RankSorted only tests codes for equality, which neither the
+// descending complement nor the partition columns' permutation changes.
+func (s *runSet) rank(ctx context.Context, sp mergeSpec) ([]uint32, error) {
+	pos := make([]uint32, len(s.pay))
+	for i := range pos {
+		if i&(mergeCtxStride-1) == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		pos[i] = uint32(i)
+	}
+	if s.codes != nil {
+		return engine.RankSorted(ctx, pos, s.m, func(i uint32, dst []uint64) {
+			copy(dst, s.vec(int(i)))
+		})
+	}
+	width := sp.widths[sp.order[len(sp.order)-1]]
+	mask := column.Mask(width)
+	return engine.RankSorted(ctx, pos, 2, func(i uint32, dst []uint64) {
+		k := s.keys[i]
+		dst[0], dst[1] = k>>uint(width), k&mask
 	})
 }
 
+// mergeWindowRuns merges a window query's runs — cut at the sub-queries'
+// pre-cut under a LIMIT — ranks the merged order with the engine's own
+// RANK over the merged keys (ranks only look backward, so ranking the
+// merged prefix is exact), and clamps both to the output window.
+func mergeWindowRuns(ctx context.Context, runs []*run, g *gather, limit *int, offset, workers int) ([]uint32, []uint32, error) {
+	s, err := concat(ctx, runs, g.sp)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := s.merge(ctx, g.cut, workers); err != nil {
+		return nil, nil, err
+	}
+	ranks, err := s.rank(ctx, g.sp)
+	if err != nil {
+		return nil, nil, err
+	}
+	lo, hi := engine.OutputWindow(len(s.pay), limit, offset)
+	return ranks[lo:hi], s.pay[lo:hi], nil
+}
+
 // groupsPart is a group table in sort order — one shard's decoded one,
-// or the combined cross-shard one mergeGroups returns: clause-order key
-// vectors, the primary aggregate, and an optional auxiliary aggregate
-// (the sum vector of an avg query, merged alongside the count).
+// or the combined cross-shard one mergeGroupRuns returns: clause-order
+// key vectors, the primary aggregate, and an optional auxiliary
+// aggregate (the sum vector of an avg query, merged alongside the
+// count).
 type groupsPart struct {
 	keys [][]uint64
 	agg  []uint64
 	aux  []uint64
 }
 
-// addGroups adds one shard's group table as a run, checking it against
-// the query shape before its values reach the merge: vector lengths,
-// key codes inside their column widths, and strict ascending massaged
-// order (groups are distinct keys, so equal adjacent keys are as broken
-// as descending ones). Everything a confused or truncated shard
-// response could get wrong fails here with errShardInvalid instead of
-// corrupting the merged result.
-func (kb *keyBuilder) addGroups(ctx context.Context, p groupsPart) error {
-	if len(p.keys) != len(p.agg) {
-		return fmt.Errorf("%w: %d group keys, %d aggregates", errShardInvalid, len(p.keys), len(p.agg))
+// attachAux makes an avg query's sum run the auxiliary aggregate of its
+// count run. Both were built against the same spec, so the shard's two
+// sub-queries agree on its groups exactly when their massaged keys are
+// equal.
+func attachAux(counts, sums *run, si int) error {
+	if !slices.Equal(counts.keys, sums.keys) || !slices.Equal(counts.codes, sums.codes) {
+		return fmt.Errorf("%w: avg sub-queries disagree on shard %d's groups", errShardInvalid, si)
 	}
-	if p.aux != nil && len(p.aux) != len(p.agg) {
-		return fmt.Errorf("%w: %d aux aggregates for %d groups", errShardInvalid, len(p.aux), len(p.agg))
-	}
-	sp := kb.sp
-	for g, vec := range p.keys {
-		if g&(mergeCtxStride-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		if len(vec) != len(sp.order) {
-			return fmt.Errorf("%w: group %d has %d key columns, want %d", errShardInvalid, g, len(vec), len(sp.order))
-		}
-		for c, v := range vec {
-			if v&^column.Mask(sp.widths[c]) != 0 {
-				return fmt.Errorf("%w: group %d key column %d value %d exceeds width %d", errShardInvalid, g, c, v, sp.widths[c])
-			}
-		}
-		if !kb.add(vec, false) {
-			return fmt.Errorf("%w: group %d out of sort order", errShardInvalid, g)
-		}
-	}
-	kb.endRun()
+	counts.part.aux = sums.part.agg
 	return nil
 }
 
-// addRows adds one shard's sorted rows as a run: local oids in the
-// shard's sort order, whose sort-column codes the coordinator reads
-// from its own full table at the global oid (range base + local oid).
-// The run must have its oids inside the shard's range, keys
-// non-decreasing, and ties in ascending oid order.
-func (kb *keyBuilder) addRows(ctx context.Context, cols []*byteslice.BS, rng Range, oids []uint32, shard int) error {
-	vals := make([]uint64, len(cols))
-	var prevOid uint32
-	for i, oid := range oids {
-		if i&(mergeCtxStride-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		if int(oid) >= rng.Len() {
-			return fmt.Errorf("%w: shard %d row oid %d outside its %d-row range", errShardInvalid, shard, oid, rng.Len())
-		}
-		for c, bs := range cols {
-			vals[c] = bs.Lookup(rng.Lo + int(oid))
-		}
-		if !kb.add(vals, oid > prevOid) {
-			return fmt.Errorf("%w: shard %d row %d out of sort order", errShardInvalid, shard, i)
-		}
-		prevOid = oid
-	}
-	kb.endRun()
-	return nil
-}
-
-// mergeGroups merges per-shard group tables into the combined one, in
-// global sort order. Equal keys across shards combine (every shard's
+// mergeGroupRuns merges per-shard group runs into the combined table,
+// in global sort order. Equal keys across shards combine (every shard's
 // instance of a group within any group-rank cut is inside that shard's
 // local cut, so the combination is complete — docs/sharding.md), agg
 // and aux summed per distinct key: for count and sum aggregates the sum
@@ -269,58 +417,56 @@ func (kb *keyBuilder) addRows(ctx context.Context, cols []*byteslice.BS, rng Ran
 // by agg (global count), which is exactly the engine's integer
 // arithmetic. Run-order stability is irrelevant for groups because
 // equal elements collapse into one output group.
-func mergeGroups(ctx context.Context, parts []groupsPart, sp mergeSpec, workers int) (*groupsPart, error) {
+func mergeGroupRuns(ctx context.Context, runs []*run, sp mergeSpec, workers int) (*groupsPart, error) {
 	hasAux := false
-	total := 0
-	for _, p := range parts {
-		total += len(p.keys)
-		if p.aux != nil {
-			hasAux = true
-		}
-	}
-	kb := newKeyBuilder(sp, total)
-	for _, p := range parts {
-		if err := kb.addGroups(ctx, p); err != nil {
+	for _, r := range runs {
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if hasAux && p.aux == nil && len(p.keys) > 0 {
+		hasAux = hasAux || r.part.aux != nil
+	}
+	var all groupsPart
+	for _, r := range runs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if hasAux && r.part.aux == nil && len(r.part.keys) > 0 {
 			return nil, fmt.Errorf("%w: aux aggregate present on some shards only", errShardInvalid)
 		}
+		all.keys = append(all.keys, r.part.keys...)
+		all.agg = append(all.agg, r.part.agg...)
+		all.aux = append(all.aux, r.part.aux...)
 	}
-	out := &groupsPart{}
-	if total == 0 {
-		return out, nil
-	}
-
-	flat, err := kb.merge(ctx, 0, workers)
+	s, err := concat(ctx, runs, sp)
 	if err != nil {
 		return nil, err
 	}
+	if err := s.merge(ctx, 0, workers); err != nil {
+		return nil, err
+	}
 
-	// Combine adjacent equal keys. The flat order is globally sorted,
-	// so one forward pass sees every instance of a key consecutively.
-	var curVec []uint64
-	for i, f := range flat {
+	// Combine adjacent equal keys. The merged order is global, so one
+	// forward pass sees every instance of a key consecutively.
+	out := &groupsPart{}
+	for i, f := range s.pay {
 		if i&(mergeCtxStride-1) == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		pi, gi := locateFlat(kb.runs, f)
-		vec := parts[pi].keys[gi]
-		if curVec != nil && sameClauseKey(curVec, vec) {
+		vec := all.keys[f]
+		if i > 0 && sameClauseKey(out.keys[len(out.keys)-1], vec) {
 			last := len(out.agg) - 1
-			out.agg[last] += parts[pi].agg[gi]
+			out.agg[last] += all.agg[f]
 			if hasAux {
-				out.aux[last] += parts[pi].aux[gi]
+				out.aux[last] += all.aux[f]
 			}
 			continue
 		}
-		curVec = vec
 		out.keys = append(out.keys, append([]uint64(nil), vec...))
-		out.agg = append(out.agg, parts[pi].agg[gi])
+		out.agg = append(out.agg, all.agg[f])
 		if hasAux {
-			out.aux = append(out.aux, parts[pi].aux[gi])
+			out.aux = append(out.aux, all.aux[f])
 		}
 	}
 	return out, nil
@@ -336,100 +482,4 @@ func sameClauseKey(a, b []uint64) bool {
 		}
 	}
 	return true
-}
-
-// mergeRows64 merges pre-sorted runs of packed 64-bit keys and returns
-// the merged flat-index order. keys is the concatenation of the runs
-// (runs[0]=0 … runs[len-1]=len(keys)). limit > 0 cuts the merge at
-// that output rank via the tie-extended ParallelMergeTopKContext and
-// trims to exactly limit elements — sound because keys[0:limit] of the
-// tie-extended cut equal the full merge's first limit elements, and
-// the run-index-stable tie order is the ascending-global-oid canonical
-// order (range partitioning puts lower global oids in lower runs).
-func mergeRows64(ctx context.Context, keys []uint64, runs []int, limit, workers int) ([]uint32, error) {
-	n := len(keys)
-	if n == 0 {
-		return nil, nil
-	}
-	oids := make([]uint32, n)
-	for i := range oids {
-		if i&(mergeCtxStride-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		oids[i] = uint32(i)
-	}
-	if limit > 0 && limit < n {
-		m, err := mergesort.ParallelMergeTopKContext(ctx, 64, keys, oids, runs, limit, mergesort.Params{}, workers)
-		if err != nil {
-			return nil, err
-		}
-		if m > limit {
-			m = limit
-		}
-		return oids[:m], nil
-	}
-	if err := mergesort.ParallelMergeWithParamsContext(ctx, 64, keys, oids, runs, mergesort.Params{}, workers); err != nil {
-		return nil, err
-	}
-	return oids, nil
-}
-
-// mergeWide is the fallback k-way merge for concatenated key widths
-// beyond 64 bits: massaged key vectors compared lexicographically,
-// ties resolved toward the lower run — the same (key, run) order the
-// packed paths produce. Sequential: wide clauses are rare and the
-// element count here is per-shard-truncated already.
-func mergeWide(ctx context.Context, vecs [][]uint64, runs []int, limit int) ([]uint32, error) {
-	n := len(vecs)
-	if n == 0 {
-		return nil, nil
-	}
-	if limit <= 0 || limit > n {
-		limit = n
-	}
-	heads := make([]int, len(runs)-1)
-	for r := range heads {
-		heads[r] = runs[r]
-	}
-	out := make([]uint32, 0, limit)
-	for len(out) < limit {
-		if len(out)&(mergeCtxStride-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		best := -1
-		for r := range heads {
-			if heads[r] >= runs[r+1] {
-				continue
-			}
-			if best < 0 || compareVec(vecs[heads[r]], vecs[heads[best]]) < 0 {
-				best = r
-			}
-		}
-		if best < 0 {
-			break
-		}
-		out = append(out, uint32(heads[best]))
-		heads[best]++
-	}
-	return out, nil
-}
-
-// locateFlat maps a flat index back to (part, local index); offsets
-// are the parts' cumulative start offsets plus the total — a key
-// builder's runs.
-func locateFlat(offsets []int, f uint32) (int, int) {
-	lo, hi := 0, len(offsets)-1
-	for lo+1 < hi {
-		mid := (lo + hi) / 2
-		if int(f) >= offsets[mid] {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo, int(f) - offsets[lo]
 }

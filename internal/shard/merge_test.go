@@ -5,30 +5,82 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
+	"repro/internal/byteslice"
 	"repro/internal/chaos"
+	"repro/internal/column"
 	"repro/internal/engine"
 	"repro/internal/server"
 )
 
-// bothBuilders returns a key builder per key form for the same spec:
-// the packed one the width selects (every spec in these tests fits 64
-// bits) and one forced onto the wide, vector-keyed path.
-func bothBuilders(sp mergeSpec) map[string]*keyBuilder {
-	wide := newKeyBuilder(sp, 0)
+// bothForms returns the spec in each key form: the packed one the
+// width selects (every spec in these tests fits 64 bits) and one forced
+// onto the wide, code-vector path.
+func bothForms(sp mergeSpec) map[string]mergeSpec {
+	wide := sp
 	wide.wide = true
-	return map[string]*keyBuilder{"packed": newKeyBuilder(sp, 0), "wide": wide}
+	return map[string]mergeSpec{"packed": sp, "wide": wide}
 }
 
-// validateGroups runs one shard's group table through the key builder
+// groupRuns builds each part the way the coordinator's fan-out does:
+// the count sub-query's run from the keys and agg and, when the part
+// carries an aux vector, the sum sub-query's run from the keys and aux,
+// attached to it.
+func groupRuns(ctx context.Context, parts []groupsPart, sp mergeSpec) ([]*run, error) {
+	g := &gather{sp: sp, ranges: make([]Range, len(parts))}
+	runs := make([]*run, len(parts))
+	for si, p := range parts {
+		r, err := g.buildRun(ctx, si, &server.QueryResult{GroupKeys: p.keys, Aggregates: p.agg})
+		if err != nil {
+			return nil, err
+		}
+		if p.aux != nil {
+			sums, err := g.buildRun(ctx, si, &server.QueryResult{GroupKeys: p.keys, Aggregates: p.aux})
+			if err != nil {
+				return nil, err
+			}
+			if err := attachAux(r, sums, si); err != nil {
+				return nil, err
+			}
+		}
+		runs[si] = r
+	}
+	return runs, nil
+}
+
+// mergeGroups is the coordinator's group gather over decoded parts:
+// build every run, then merge and combine.
+func mergeGroups(ctx context.Context, parts []groupsPart, sp mergeSpec, workers int) (*groupsPart, error) {
+	runs, err := groupRuns(ctx, parts, sp)
+	if err != nil {
+		return nil, err
+	}
+	return mergeGroupRuns(ctx, runs, sp, workers)
+}
+
+// mergedPayload concatenates runs and merges them, cut at limit, and
+// returns the merged payload.
+func mergedPayload(ctx context.Context, runs []*run, sp mergeSpec, limit int) ([]uint32, error) {
+	s, err := concat(ctx, runs, sp)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.merge(ctx, limit, 2); err != nil {
+		return nil, err
+	}
+	return s.pay, nil
+}
+
+// validateGroups runs one shard's group table through the run builder
 // in both key forms, which must agree on the verdict.
 func validateGroups(t *testing.T, p groupsPart, sp mergeSpec) error {
 	t.Helper()
-	kbs := bothBuilders(sp)
-	err := kbs["packed"].addGroups(context.Background(), p)
-	if werr := kbs["wide"].addGroups(context.Background(), p); (err == nil) != (werr == nil) {
+	forms := bothForms(sp)
+	_, err := groupRuns(context.Background(), []groupsPart{p}, forms["packed"])
+	if _, werr := groupRuns(context.Background(), []groupsPart{p}, forms["wide"]); (err == nil) != (werr == nil) {
 		t.Errorf("packed keys say %v, wide keys say %v", err, werr)
 	}
 	return err
@@ -126,8 +178,8 @@ func TestMergeGroupsRejectsPartialAux(t *testing.T) {
 // TestMergeWideMatchesPacked: the wide lexicographic fallback and the
 // packed-64 parallel path implement the same (key, run) order — run a
 // spec whose total width fits both, with heavy duplication so ties
-// cross runs, and require identical flat-index output, with and
-// without a limit cut.
+// cross runs, and require identical merged output, with and without a
+// limit cut.
 func TestMergeWideMatchesPacked(t *testing.T) {
 	sp := mergeSpec{order: []int{2, 0, 1}, widths: []int{9, 7, 5}, desc: []bool{false, true, false}}
 	rng := chaos.NewRand(42)
@@ -139,28 +191,28 @@ func TestMergeWideMatchesPacked(t *testing.T) {
 			// Domain 3 per column: most keys collide across runs.
 			run[i] = []uint64{rng.Uint64() % 3, rng.Uint64() % 3, rng.Uint64() % 3}
 		}
-		sort.SliceStable(run, func(a, b int) bool { return packedKey(sp, run[a]) < packedKey(sp, run[b]) })
 		runs = append(runs, run)
 	}
+	cols, ranges, answers := windowAnswers(sp, runs)
 
 	ctx := context.Background()
 	for _, limit := range []int{0, 17} {
-		flat := make(map[string][]uint32)
-		for form, kb := range bothBuilders(sp) {
-			for _, run := range runs {
-				for i, vec := range run {
-					if !kb.add(vec, true) {
-						t.Fatalf("%s keys: sorted run rejected at %d", form, i)
-					}
+		merged := make(map[string][]uint32)
+		for form, fsp := range bothForms(sp) {
+			g := &gather{sp: fsp, ranges: ranges, cols: cols}
+			built := make([]*run, len(answers))
+			for si, a := range answers {
+				var err error
+				if built[si], err = g.buildRun(ctx, si, a); err != nil {
+					t.Fatalf("%s keys: sorted run %d rejected: %v", form, si, err)
 				}
-				kb.endRun()
 			}
 			var err error
-			if flat[form], err = kb.merge(ctx, limit, 2); err != nil {
+			if merged[form], err = mergedPayload(ctx, built, fsp, limit); err != nil {
 				t.Fatal(err)
 			}
 		}
-		packed, wide := flat["packed"], flat["wide"]
+		packed, wide := merged["packed"], merged["wide"]
 		if len(packed) != len(wide) {
 			t.Fatalf("limit=%d: packed %d elements, wide %d", limit, len(packed), len(wide))
 		}
@@ -175,19 +227,48 @@ func TestMergeWideMatchesPacked(t *testing.T) {
 	}
 }
 
-// packedKey and massagedVec are the key builder's two key forms of one
-// clause-order vector.
-func packedKey(sp mergeSpec, vec []uint64) uint64 {
-	kb := newKeyBuilder(sp, 1)
-	kb.add(vec, true)
-	return kb.keys[0]
+// windowAnswers lays runs of clause-order vectors out as the rows of
+// consecutive shard ranges of one table and answers each range the way
+// a shard does: its local oids stably sorted by massaged key, every row
+// of the range returned.
+func windowAnswers(sp mergeSpec, runs [][][]uint64) ([]*byteslice.BS, []Range, []*server.QueryResult) {
+	var ranges []Range
+	var answers []*server.QueryResult
+	codes := make([][]uint64, len(sp.widths))
+	for _, run := range runs {
+		rng := Range{Lo: len(codes[0]), Hi: len(codes[0]) + len(run)}
+		oids := make([]uint32, len(run))
+		for i, vec := range run {
+			for c, v := range vec {
+				codes[c] = append(codes[c], v)
+			}
+			oids[i] = uint32(i)
+		}
+		sort.SliceStable(oids, func(x, y int) bool {
+			return compareVec(massagedVec(sp, run[oids[x]]), massagedVec(sp, run[oids[y]])) < 0
+		})
+		ranges = append(ranges, rng)
+		answers = append(answers, &server.QueryResult{Rows: len(run), RowOids: oids, Ranks: make([]uint32, len(run))})
+	}
+	cols := make([]*byteslice.BS, len(codes))
+	for c := range codes {
+		cols[c] = byteslice.FromColumn(column.FromCodes(fmt.Sprint("c", c), sp.widths[c], codes[c]))
+	}
+	return cols, ranges, answers
 }
 
+// massagedVec is the naive reference for a clause-order vector's sort
+// key: codes masked to their widths, descending columns complemented,
+// permuted into the pinned order.
 func massagedVec(sp mergeSpec, vec []uint64) []uint64 {
-	kb := newKeyBuilder(sp, 1)
-	kb.wide = true
-	kb.add(vec, true)
-	return kb.vecs[0]
+	out := make([]uint64, len(sp.order))
+	for i, c := range sp.order {
+		out[i] = vec[c] & column.Mask(sp.widths[c])
+		if sp.desc[c] {
+			out[i] = column.Complement(out[i], sp.widths[c])
+		}
+	}
+	return out
 }
 
 // TestMergeRows64LimitIsPrefix: the tie-extended cut trimmed to the
@@ -207,15 +288,19 @@ func TestMergeRows64LimitIsPrefix(t *testing.T) {
 		runs = append(runs, len(keys))
 	}
 	ctx := context.Background()
-	full, err := mergeRows64(ctx, append([]uint64(nil), keys...), runs, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, limit := range []int{1, 9, 50, len(keys), len(keys) + 10} {
-		cut, err := mergeRows64(ctx, append([]uint64(nil), keys...), runs, limit, 2)
-		if err != nil {
+	merge := func(limit int) []uint32 {
+		s := &runSet{keys: slices.Clone(keys), pay: make([]uint32, len(keys)), bounds: runs}
+		for i := range s.pay {
+			s.pay[i] = uint32(i)
+		}
+		if err := s.merge(ctx, limit, 2); err != nil {
 			t.Fatal(err)
 		}
+		return s.pay
+	}
+	full := merge(0)
+	for _, limit := range []int{1, 9, 50, len(keys), len(keys) + 10} {
+		cut := merge(limit)
 		wantLen := limit
 		if wantLen > len(full) {
 			wantLen = len(full)
@@ -227,18 +312,6 @@ func TestMergeRows64LimitIsPrefix(t *testing.T) {
 			if cut[i] != full[i] {
 				t.Fatalf("limit=%d: element %d is flat %d, full merge has %d", limit, i, cut[i], full[i])
 			}
-		}
-	}
-}
-
-func TestLocateFlat(t *testing.T) {
-	// Parts of sizes 3, 0, 4, 1 — the empty middle part must be skipped.
-	offsets := []int{0, 3, 3, 7, 8}
-	want := [][2]int{{0, 0}, {0, 1}, {0, 2}, {2, 0}, {2, 1}, {2, 2}, {2, 3}, {3, 0}}
-	for f, w := range want {
-		pi, li := locateFlat(offsets, uint32(f))
-		if pi != w[0] || li != w[1] {
-			t.Errorf("locateFlat(%d) = (%d,%d), want (%d,%d)", f, pi, li, w[0], w[1])
 		}
 	}
 }
@@ -308,19 +381,23 @@ func TestRankFromKeysMatchesLookup(t *testing.T) {
 					return compareVec(vecs[runs[si][x]], vecs[runs[si][y]]) < 0
 				})
 			}
-			c := &Coordinator{ranges: map[string][]Range{tbl.Name: ranges}}
-			gather := func(cell batteryCell) (ranks, oids []uint32) {
+			gatherCell := func(cell batteryCell) (ranks, oids []uint32) {
 				req := tc.req
 				req.Limit, req.Offset = cell.limit, cell.offset
-				cut, _ := engine.SortCut(q, req.Limit, req.Offset)
-				parts := make([]*server.QueryResult, nShards)
+				g := &gather{sp: sp, ranges: ranges, cols: b.Cols}
+				g.cut, _ = engine.SortCut(q, req.Limit, req.Offset)
+				built := make([]*run, nShards)
 				for si, run := range runs {
-					if cut > 0 && cut < len(run) {
-						run = run[:cut] // the sub-queries' pre-cut
+					if g.cut > 0 && g.cut < len(run) {
+						run = run[:g.cut] // the sub-queries' pre-cut
 					}
-					parts[si] = &server.QueryResult{RowOids: run, Ranks: make([]uint32, len(run))}
+					var err error
+					part := &server.QueryResult{Rows: ranges[si].Len(), RowOids: run, Ranks: make([]uint32, len(run))}
+					if built[si], err = g.buildRun(ctx, si, part); err != nil {
+						t.Fatalf("%s %v: %v", tbl.Name, tc.pin, err)
+					}
 				}
-				ranks, oids, err := c.mergeWindowParts(ctx, b, req, sp, parts, 2)
+				ranks, oids, err := mergeWindowRuns(ctx, built, g, req.Limit, req.Offset, 2)
 				if err != nil {
 					t.Fatalf("%s %v: %v", tbl.Name, tc.pin, err)
 				}
@@ -328,7 +405,7 @@ func TestRankFromKeysMatchesLookup(t *testing.T) {
 			}
 
 			label := fmt.Sprintf("%s order=%s desc=%v pin=%v shards=%d", tbl.Name, tc.req.Window.OrderCol, tc.req.Window.Desc, tc.pin, nShards)
-			ranks, oids := gather(batteryCell{label: "full"})
+			ranks, oids := gatherCell(batteryCell{label: "full"})
 			want, err := engine.RankSorted(ctx, oids, len(b.Cols), func(oid uint32, dst []uint64) {
 				copy(dst, codes(int(oid)))
 			})
@@ -338,12 +415,12 @@ func TestRankFromKeysMatchesLookup(t *testing.T) {
 			if len(oids) != tbl.N || !reflect.DeepEqual(ranks, want) {
 				t.Errorf("%s: ranks from the merged keys differ from the lookup-based RankSorted", label)
 			}
-			if wide := sp.totalWidth() > 64; wide != (tc.tbl == 2) {
-				t.Errorf("%s: wide key form = %v", label, wide)
+			if sp.wide != (tc.tbl == 2) {
+				t.Errorf("%s: wide key form = %v", label, sp.wide)
 			}
 			for _, cell := range cuts {
 				lo, hi := engine.OutputWindow(tbl.N, cell.limit, cell.offset)
-				gotRanks, gotOids := gather(cell)
+				gotRanks, gotOids := gatherCell(cell)
 				if !reflect.DeepEqual(gotRanks, want[lo:hi]) || !reflect.DeepEqual(gotOids, oids[lo:hi]) {
 					t.Errorf("%s %s: cut gather is not rows [%d,%d) of the full ranking", label, cell.label, lo, hi)
 				}
