@@ -47,7 +47,8 @@ chaos-soak:
 # FuzzMergesortSort and FuzzRadixSort are two corpus formats of one
 # oracle (fuzzKernels: production kernel ≡ paper kernel ≡
 # sort.SliceStable): full-bank keys on the sequential entry point, and
-# narrow keys in a wider bank at 1–3 workers.
+# narrow keys in a wider bank at workers {1, 2, 3, 8, 300}, repeated
+# past the parallel radix sort's chunk floor from two workers on.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzMergesortSort -fuzztime=25s ./internal/mergesort/
 	$(GO) test -fuzz=FuzzRadixSort -fuzztime=25s ./internal/mergesort/
@@ -97,10 +98,13 @@ bench:
 # The sort-kernel bake-off behind mergesort's kernel choice and its
 # small-run cutoff: paper kernel, radix, insertion and slices.SortFunc
 # per (bank, duplicates, run length) cell, ns/row, one core. The table
-# in EXPERIMENTS.md is this output; CI runs it at -benchtime 1x as a
-# compile-and-run smoke.
+# in EXPERIMENTS.md is this output. Then the parallel sort at two cores:
+# the production parallel radix sort at workers {1, 2} and the top-K
+# chunk-filter path, 2^19 rows, ns/row. CI runs both at -benchtime 1x as
+# a compile-and-run smoke.
 bakeoff:
 	$(GO) test -run '^$$' -bench BenchmarkKernelBakeoff -benchtime 20x -cpu 1 ./internal/mergesort/
+	$(GO) test -run '^$$' -bench BenchmarkParallelSort -benchtime 20x -cpu 2 ./internal/mergesort/
 
 # The coordinator's gather without the wire: run builds and merge+rank
 # timed separately (ns/row) on the pinned window shape of mcsperf's

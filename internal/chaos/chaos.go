@@ -70,12 +70,11 @@ const (
 // goroutine before the truncated merge's workers start and is
 // documented as a cancellation site, not a containment site
 // (docs/robustness.md) — a panic there would test nothing the
-// chunk_sort site does not already cover, while violating the
+// loser_merge site does not already cover, while violating the
 // documented contract. The faultinject consistency test pins this map
 // against the site list, so a new Fire site cannot silently escape the
 // storm.
 var SiteKinds = map[string][]Kind{
-	faultinject.PivotSelect:  {KindPanic, KindDelay, KindCancel},
 	faultinject.GroupSort:    {KindPanic, KindDelay, KindCancel},
 	faultinject.Permute:      {KindPanic, KindDelay, KindCancel},
 	faultinject.TieOrder:     {KindPanic, KindDelay, KindCancel},
@@ -90,7 +89,7 @@ var SiteKinds = map[string][]Kind{
 }
 
 // Config tunes a Storm. The per-kind probabilities are per site visit:
-// a pipeline run visits each armed site once per pass/chunk/partition,
+// a pipeline run visits each armed site once per pass/chunk/batch,
 // so even small rates strike often under load.
 type Config struct {
 	// Seed pins the draw sequence. Print it with every storm so a

@@ -31,8 +31,10 @@ var (
 //	group boundaries      4·rows (worst case: all singletons)
 //	sort pack buffers    24·rows (packed keys + oids, double-buffered)
 //
-// Parallel execution adds the scatter/partition buffers (≈16·rows) plus
-// a fixed per-worker overhead. It is the one footprint model: the
+// Parallel execution adds ≈16·rows — the paper kernel's cooperative
+// merge buffers; the production parallel radix sort needs only the
+// sequential scratch, so this over-reserves it — plus a fixed per-worker
+// overhead. It is the one footprint model: the
 // engine's own two-stage degradation applies it, the mcsd admission
 // controller charges each admitted query against the aggregate budget
 // with it — so the two layers never disagree about whether a query

@@ -58,8 +58,9 @@ func TestRunContextCancelAtSites(t *testing.T) {
 }
 
 // TestRunContextLimitedCancelAtTopKSite cancels a LIMIT query from the
-// truncated-merge site: the limited pipeline must unwind with
-// context.Canceled and leak nothing.
+// top-K sort's chunk site, which its chunk filter fires at every worker
+// count: the limited pipeline must unwind with context.Canceled and leak
+// nothing.
 func TestRunContextLimitedCancelAtTopKSite(t *testing.T) {
 	defer faultinject.Reset()
 	tbl := makeTable(t, 8000, 25)
@@ -76,7 +77,7 @@ func TestRunContextLimitedCancelAtTopKSite(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			var fired atomic.Bool
-			restore := faultinject.Set(faultinject.TopKMerge, func() {
+			restore := faultinject.Set(faultinject.ChunkSort, func() {
 				fired.Store(true)
 				cancel()
 			})

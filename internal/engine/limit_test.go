@@ -98,7 +98,6 @@ func limitQueries() []Query {
 func limitOptions(workers int) Options {
 	p := mergesort.DefaultParams(4)
 	p.ParallelThreshold = 256
-	p.PivotSamplePerWorker = 16
 	return Options{
 		Massaging:  true,
 		Model:      costmodel.Builtin(),

@@ -7,7 +7,7 @@
 // and exercise the pipeline's containment and cancellation behavior
 // without build tags or test-only seams in the pipeline code.
 //
-//	restore := faultinject.Set(faultinject.PivotSelect, func() { panic("boom") })
+//	restore := faultinject.Set(faultinject.ChunkSort, func() { panic("boom") })
 //	defer restore()
 //	_, err := mcsort.ExecuteContext(ctx, inputs, p, opts) // err names the stage
 //
@@ -21,12 +21,9 @@ import (
 	"sync/atomic"
 )
 
-// Site names. Each is fired once per pass/chunk/partition at the named
+// Site names. Each is fired once per pass/chunk/batch at the named
 // point of the pipeline, never inside per-row loops.
 const (
-	// PivotSelect: mcsort's range-partitioned first round, after pivot
-	// sampling, before the partition scatter.
-	PivotSelect = "mcsort.pivot_select"
 	// GroupSort: mcsort's later rounds, once per round before the group
 	// queue is drained.
 	GroupSort = "mcsort.group_sort"
@@ -35,7 +32,10 @@ const (
 	// TieOrder: mcsort's pass over the final groups that fixes the order
 	// inside each tied run, once per batch of groups.
 	TieOrder = "mcsort.tie_order"
-	// ChunkSort: mergesort's parallel chunk sort, once per chunk.
+	// ChunkSort: mergesort's chunk passes, once per chunk of each: the
+	// parallel radix sort's count and scatter passes (mcsort's round 0
+	// and cooperative group sorts), the top-K chunk filter, and the
+	// paper kernel's parallel chunk sorts.
 	ChunkSort = "mergesort.chunk_sort"
 	// LoserMerge: mergesort's cooperative multiway merge, once per
 	// worker co-partition.
@@ -60,7 +60,7 @@ const (
 
 // Sites lists every named site, for test batteries that iterate them.
 var Sites = []string{
-	PivotSelect, GroupSort, Permute, TieOrder, ChunkSort, LoserMerge, TopKMerge,
+	GroupSort, Permute, TieOrder, ChunkSort, LoserMerge, TopKMerge,
 	MassageChunk, Gather, Aggregate, ShardFanout, ShardMerge,
 }
 

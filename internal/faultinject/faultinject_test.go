@@ -7,7 +7,7 @@ func TestDisabledByDefault(t *testing.T) {
 	if Enabled() {
 		t.Fatal("registry enabled with no hooks")
 	}
-	Fire(PivotSelect) // must be a no-op, not a nil deref
+	Fire(ChunkSort) // must be a no-op, not a nil deref
 }
 
 func TestSetFireRestore(t *testing.T) {
@@ -52,7 +52,7 @@ func TestMultipleHooksDisableOnlyWhenEmpty(t *testing.T) {
 
 func TestSitesListed(t *testing.T) {
 	want := map[string]bool{
-		PivotSelect: true, GroupSort: true, Permute: true, ChunkSort: true,
+		GroupSort: true, Permute: true, ChunkSort: true,
 		LoserMerge: true, MassageChunk: true, Gather: true, Aggregate: true,
 		TopKMerge: true, ShardFanout: true, ShardMerge: true, TieOrder: true,
 	}

@@ -38,8 +38,9 @@ var twoRoundPlan = plan.Plan{Rounds: []plan.Round{{Width: 9, Bank: 16}, {Width: 
 // TestCancelAtEverySite fires a cancellation from every faultinject
 // site, at every worker count: if the site was reached the sort must
 // return the context error promptly; if the pipeline shape never
-// reaches the site (e.g. pivot selection under workers=1), the sort
-// must simply succeed. Either way no goroutine may leak.
+// reaches the site (e.g. the loser merge, which only the paper kernel
+// and the shard merge reach), the sort must simply succeed. Either way
+// no goroutine may leak.
 func TestCancelAtEverySite(t *testing.T) {
 	defer faultinject.Reset()
 	inputs := cancelInputs(20000, 29)
@@ -86,9 +87,10 @@ func TestCancelledContextRefusedUpfront(t *testing.T) {
 }
 
 // TestWorkerPanicContainedAsPipelineError injects a panic at the sites
-// that fire inside parallel workers — the permute chunks and the
-// tie-order batches: it must surface as a typed *pipeerr.PipelineError
-// naming the stage — never crash the process — and leak no goroutines.
+// that fire inside parallel workers — round 0's count and scatter
+// chunks, the permute chunks and the tie-order batches: it must surface
+// as a typed *pipeerr.PipelineError naming the stage — never crash the
+// process — and leak no goroutines.
 func TestWorkerPanicContainedAsPipelineError(t *testing.T) {
 	defer faultinject.Reset()
 	inputs := cancelInputs(20000, 31)
@@ -97,8 +99,9 @@ func TestWorkerPanicContainedAsPipelineError(t *testing.T) {
 		stage    string
 		minRound int
 	}{
-		faultinject.Permute:  {pipeerr.StagePermute, 1}, // permute only runs after round 0
-		faultinject.TieOrder: {pipeerr.StageSort, -1},   // the pass belongs to no round
+		faultinject.ChunkSort: {pipeerr.StageSort, -1},   // mergesort's passes belong to no round
+		faultinject.Permute:   {pipeerr.StagePermute, 1}, // permute only runs after round 0
+		faultinject.TieOrder:  {pipeerr.StageSort, -1},   // the pass belongs to no round
 	} {
 		check := testutil.CheckNoLeaks(t)
 		restore := faultinject.Set(site, func() { panic("injected fault") })
@@ -116,8 +119,8 @@ func TestWorkerPanicContainedAsPipelineError(t *testing.T) {
 	}
 }
 
-// TestSortWorkerPanicContained injects the panic inside the first-round
-// partition sort workers via the group-sort route of round 1.
+// TestSortWorkerPanicContained injects the panic in the massage chunk
+// workers that build the sort's round keys.
 func TestSortWorkerPanicContained(t *testing.T) {
 	defer faultinject.Reset()
 	defer testutil.CheckNoLeaks(t)()
@@ -210,7 +213,7 @@ func TestSequentialGiantGroupCancel(t *testing.T) {
 	oneGroup := []int32{0, n}
 
 	// At the default threshold the group is dominant and goes to the
-	// rank-split sort's sequential fallback; below a raised one it is
+	// parallel radix sort's sequential fallback; below a raised one it is
 	// batched, and as a group of at least groupPollRows rows still gets
 	// the real context.
 	batched := sp

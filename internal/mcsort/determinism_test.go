@@ -18,15 +18,15 @@ import (
 // A sort must be a pure function of its input: the same Perm and Groups
 // must come out whatever the worker count, or results would depend on
 // GOMAXPROCS and plans could not be compared across runs. Ties make this
-// hard — range partitioning, rank-split merging, and group scheduling all
+// hard — chunking, group scheduling and the paper kernel's merges all
 // change which worker sorts which tied run — so the order inside a tied
 // group is fixed once, on the final groups (the contract on
 // Result.Perm). These tests pin that property through ExecuteContext,
 // for every shape round 0 can take and for the rounds after it.
 
-// workerCounts spans the sequential path, the partitioned path, an odd
-// worker count (uneven chunk alignment), and more workers than distinct
-// partitions can keep busy.
+// workerCounts spans the sequential path, the chunked path, an odd
+// worker count (uneven chunk bounds), and more workers than a test-sized
+// input has chunks.
 var workerCounts = []int{1, 2, 3, 4, 8}
 
 // forcedParams lowers the parallel thresholds so the parallel paths run
@@ -35,7 +35,6 @@ var workerCounts = []int{1, 2, 3, 4, 8}
 func forcedParams(bank int) mergesort.Params {
 	p := mergesort.DefaultParams(bank / 8)
 	p.ParallelThreshold = 256
-	p.PivotSamplePerWorker = 16
 	return p
 }
 
@@ -81,13 +80,14 @@ func checkDeterministic(t *testing.T, name string, bank int, keys []uint64, p me
 	}
 }
 
-// roundZeroShapes reads the counters that tell which shape round 0 took.
-func roundZeroShapes() (partitioned, skewFallbacks int64) {
-	return obsParallelSorts.Value(), obsSkewFallbacks.Value()
-}
+// obsParallelSorts counts the sorts mergesort cut into chunks across
+// workers: the parallel radix sort under the production kernel.
+var obsParallelSorts = obs.NewCounter("mergesort.parallel_sorts")
 
 // adversarialKeys builds the input battery: uniform, tie-heavy low
-// cardinality, pre-sorted, reverse-sorted, all-equal, and zipf-skewed.
+// cardinality, pre-sorted, reverse-sorted, all-equal, zipf-skewed, and
+// 95 % one value. All-equal and 95 % one value are the skews that defeat
+// a range partitioner's sampled pivots; by-row chunks must not notice.
 func adversarialKeys(n, bank int, seed int64) map[string][]uint64 {
 	rng := rand.New(rand.NewSource(seed))
 	mask := ^uint64(0)
@@ -112,30 +112,33 @@ func adversarialKeys(n, bank int, seed int64) map[string][]uint64 {
 		cases["allequal"][i] = 42
 		cases["zipf"][i] = zipf.Uint64() & mask
 	}
+	// Its own generator, so the cases above stay what they were.
+	skew := rand.New(rand.NewSource(seed + 1))
+	cases["skew95"] = make([]uint64, n)
+	for i := range cases["skew95"] {
+		cases["skew95"][i] = 7
+		if skew.Intn(20) == 0 {
+			cases["skew95"][i] = uint64(skew.Intn(1000)) & mask
+		}
+	}
 	return cases
 }
 
 // TestParallelFullSortDeterministicAcrossWorkers runs the battery with
-// the thresholds lowered, so round 0 is sequential at one worker and
-// range-partitioned (or, for the skewed distributions, rank-split)
-// above it.
+// the thresholds lowered, so round 0 is sequential at one worker and the
+// parallel radix sort above it, whatever the skew.
 func TestParallelFullSortDeterministicAcrossWorkers(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
-	const n = 6000 // well above the forced threshold, fast to repeat
+	const n = 1 << 14 // two chunks' worth of rows from two workers on, fast to repeat
 	for _, bank := range []int{16, 32, 64} {
 		p := forcedParams(bank)
 		for name, keys := range adversarialKeys(n, bank, 11) {
-			parts, skews := roundZeroShapes()
+			before := obsParallelSorts.Value()
 			checkDeterministic(t, name, bank, keys, p)
-			// Every worker count above one enters the parallel round 0;
-			// uniform keys must stay on the range-partitioned path.
-			gotParts, gotSkews := roundZeroShapes()
-			if gotParts-parts != int64(len(workerCounts)-1) {
-				t.Fatalf("%s bank %d: %d parallel round-0 sorts, want %d", name, bank, gotParts-parts, len(workerCounts)-1)
-			}
-			if name == "uniform" && gotSkews != skews {
-				t.Fatalf("uniform bank %d: %d skew fallbacks on uniform keys", bank, gotSkews-skews)
+			// Every worker count above one enters the parallel round 0.
+			if got := obsParallelSorts.Value() - before; got != int64(len(workerCounts)-1) {
+				t.Fatalf("%s bank %d: %d parallel round-0 sorts, want %d", name, bank, got, len(workerCounts)-1)
 			}
 		}
 	}
@@ -154,47 +157,11 @@ func TestParallelFullSortDefaultThreshold(t *testing.T) {
 	checkDeterministic(t, "uniform16", 16, keys, p)
 }
 
-// TestParallelFullSortSkewedPivots pins the edge case the pivot sampler
-// can hit on heavily skewed data: every sampled key equal (so all
-// pivots coincide and one partition would receive everything), and the
-// stride sampling seeing mostly the majority value of a 95%-skewed
-// input. Both must reroute to the rank-split cooperative sort — whose
-// chunk boundaries move with the worker count — and still come out
-// identical.
-func TestParallelFullSortSkewedPivots(t *testing.T) {
-	obs.Enable()
-	defer obs.Disable()
-	const n = 4096
-	for _, bank := range []int{16, 32, 64} {
-		p := forcedParams(bank)
-		allEqual := make([]uint64, n)
-		skewed := make([]uint64, n)
-		rng := rand.New(rand.NewSource(13))
-		for i := range allEqual {
-			allEqual[i] = 42
-			skewed[i] = 7 // the value nearly every sample lands on
-			if rng.Intn(20) == 0 {
-				skewed[i] = uint64(rng.Intn(1000))
-			}
-		}
-		for name, keys := range map[string][]uint64{"allequal": allEqual, "skew95": skewed} {
-			_, skews := roundZeroShapes()
-			checkDeterministic(t, name, bank, keys, p)
-			// maxPart·workers > 2n cannot hold at two workers; every
-			// larger count must take the fallback.
-			if _, got := roundZeroShapes(); got-skews != int64(len(workerCounts)-2) {
-				t.Fatalf("%s bank %d: %d skew fallbacks, want %d", name, bank, got-skews, len(workerCounts)-2)
-			}
-		}
-	}
-}
-
-// TestWorkersBeyondAByteMatchSequential pins the range partitioner's
-// partition index: it used to be remembered per row in a uint8, so from
-// 257 workers on (the server admits 1,024) rows were scattered into the
-// wrong partitions and Perm came back unsorted, with no error. Unique
-// keys keep round 0 on the range-partitioned path; the 99 %-tied keys
-// take the skew fallback at the same worker counts.
+// TestWorkersBeyondAByteMatchSequential runs round 0 at worker counts
+// past a byte — the server admits 1,024, and a per-worker index kept in
+// a uint8 once wrapped silently from 257 workers on. Whatever the worker
+// count, the parallel radix sort cuts at most one chunk per 4,096 rows;
+// unique and 99 %-tied keys must both match the sequential sort.
 func TestWorkersBeyondAByteMatchSequential(t *testing.T) {
 	defer testutil.CheckNoLeaks(t)()
 	const rows = 40000

@@ -73,7 +73,7 @@ func FuzzExecuteDeterministic(f *testing.F) {
 		}
 		wantPerm = wantPerm[:wantGroups[len(wantGroups)-1]]
 
-		sp := mergesort.Params{ParallelThreshold: 256, PivotSamplePerWorker: 16}
+		sp := mergesort.Params{ParallelThreshold: 256}
 		for _, w := range []int{1, 2, 3} {
 			res, err := execute(inputs, p, Options{Workers: w, SortParams: &sp, LimitRows: limitRows, LimitGroups: limitGroups})
 			if err != nil {

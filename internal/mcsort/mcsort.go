@@ -93,10 +93,10 @@ type Result struct {
 // Options tunes the execution.
 type Options struct {
 	// Workers parallelizes every phase when > 1: massaging, the
-	// range-partitioned first-round sort, the group-distributed later
-	// rounds (with cooperative rank-split sorting of dominant groups),
-	// and the lookup/permute passes. Output is byte-identical for any
-	// value (the tie contract on Result.Perm).
+	// first-round sort (mergesort's parallel radix sort), the
+	// group-distributed later rounds (dominant groups sorted by the same
+	// parallel sort), and the lookup/permute passes. Output is
+	// byte-identical for any value (the tie contract on Result.Perm).
 	Workers int
 	// SortParams overrides the cache-derived mergesort phase parameters
 	// and the parallel-path thresholds, and carries the sort-kernel
@@ -123,8 +123,8 @@ type Options struct {
 	LimitGroups int
 }
 
-// sortParams returns the caller's sorter parameters with the two
-// parallel knobs this package reads itself resolved; the phase
+// sortParams returns the caller's sorter parameters with the parallel
+// threshold, which this package reads itself, resolved; the phase
 // parameters stay as given — every mergesort entry point overlays the
 // cache-derived defaults for the bank it sorts on whatever is zero.
 func (o Options) sortParams() mergesort.Params {
@@ -134,9 +134,6 @@ func (o Options) sortParams() mergesort.Params {
 	}
 	if p.ParallelThreshold <= 0 {
 		p.ParallelThreshold = mergesort.DefaultParallelThreshold
-	}
-	if p.PivotSamplePerWorker <= 0 {
-		p.PivotSamplePerWorker = mergesort.DefaultPivotSamplePerWorker
 	}
 	return p
 }
@@ -279,7 +276,7 @@ func executeContext(ctx context.Context, inputs []massage.Input, p plan.Plan, op
 		}
 
 		// Sort each group of tuples tied on all previous rounds. The
-		// first round is one full-table sort, range-partitioned across
+		// first round is one full-table sort, cut into chunks across
 		// workers when threading is enabled; later rounds distribute
 		// the groups across workers.
 		start = time.Now()
@@ -305,7 +302,7 @@ func executeContext(ctx context.Context, inputs []massage.Input, p plan.Plan, op
 					}
 					active = m
 					groups = []int32{0, int32(m)}
-				} else if err := parallelFullSort(ctx, round.Bank, keys, res.Perm, opts.Workers, sp, r); err != nil {
+				} else if err := mergesort.ParallelSortWithParamsContext(ctx, round.Bank, keys, res.Perm, sp, opts.Workers); err != nil {
 					return nil, err
 				}
 				nSort = 1
@@ -376,8 +373,8 @@ func executeContext(ctx context.Context, inputs []massage.Input, p plan.Plan, op
 // orderTies leaves the oids of every group of two or more rows
 // ascending. It needs no keys: the last scan has already found every
 // equal-key run. Under the production sort kernel it only verifies —
-// range-partition scatter, top-K compaction, chunk merge and the kernel
-// are all stable, so every run arrives in oid order and
+// the radix sort, sequential or parallel, and the top-K compaction are
+// stable, so every run arrives in oid order and
 // mcsort.tie_runs_sorted stays 0; the paper kernel leaves tied runs in
 // whatever order its merge networks produce, and those are sorted here.
 // The groups are visited in cutGroupBatches' position-ordered batches of

@@ -11,144 +11,21 @@ import (
 )
 
 // Multi-threaded execution (Section 6.4 of the paper; the design and
-// its measurements are docs/parallelism.md). Round 0 is range-partitioned
-// by sampled pivots, one independently sorted key range per worker, and
-// falls back to mergesort's rank-split parallel sort when the sample
-// cannot split the input. Later rounds hand the tied groups to a bounded
-// pool in position-ordered batches claimed dynamically; a group big
-// enough to dominate a round is sorted cooperatively by all workers.
-// Every partition, batch and chunk is a range of a pipeerr.Pass: it
-// polls the context first, and a panicking worker surfaces as a
+// its measurements are docs/parallelism.md). Round 0 is one call of
+// mergesort's parallel stable radix sort over the whole table. Later
+// rounds hand the tied groups to a bounded pool in position-ordered
+// batches claimed dynamically; a group big enough to dominate a round
+// is sorted by the same parallel radix sort, all workers cooperating.
+// Every batch and chunk is a range of a pipeerr.Pass: it polls the
+// context first, and a panicking worker surfaces as a
 // *pipeerr.PipelineError instead of crashing the process. No function
 // here decides the order inside a run of equal keys (Result.Perm).
 
 var (
-	obsParallelSorts  = obs.NewCounter("mcsort.parallel_full_sorts")
-	obsSkewFallbacks  = obs.NewCounter("mcsort.partition_skew_fallbacks")
-	obsPartitionMax   = obs.NewGauge("mcsort.partition_rows_max")
-	obsImbalanceX1000 = obs.NewGauge("mcsort.partition_imbalance_x1000")
 	obsWorkerSegments = obs.NewCounter("mcsort.worker_segments")
 	obsCoopGroupSorts = obs.NewCounter("mcsort.cooperative_group_sorts")
 	obsParEffX1000    = obs.NewGauge("mcsort.parallel_efficiency_x1000")
 )
-
-// parallelFullSort sorts keys with oids across `workers` goroutines. p
-// supplies the phase parameters and the parallel thresholds (routed
-// through mergesort.Params so tests can force the parallel paths on
-// small inputs). round tags contained failures.
-func parallelFullSort(ctx context.Context, bank int, keys []uint64, oids []uint32, workers int, p mergesort.Params, round int) error {
-	n := len(keys)
-	if workers < 2 || n < p.ParallelThreshold {
-		return mergesort.SortWithParamsContext(ctx, bank, keys, oids, p)
-	}
-	obsParallelSorts.Inc()
-	busy := pipeerr.StartBusy(workers)
-
-	// Sample keys and pick workers-1 pivots.
-	faultinject.Fire(faultinject.PivotSelect)
-	sampleSize := p.PivotSamplePerWorker * workers
-	if sampleSize > n {
-		sampleSize = n
-	}
-	sample := make([]uint64, sampleSize)
-	stride := n / sampleSize
-	for i := range sample {
-		sample[i] = keys[i*stride]
-	}
-	sort.Slice(sample, func(i, j int) bool { return sample[i] < sample[j] })
-	pivots := make([]uint64, workers-1)
-	for i := range pivots {
-		pivots[i] = sample[(i+1)*sampleSize/workers]
-	}
-
-	// Count, scatter into per-partition regions, then sort in parallel.
-	// The scatter searches the pivots again rather than remembering each
-	// row's partition: that is log2(workers) compares a row, and a per-row
-	// index narrower than int silently wraps once workers outgrow it.
-	bucket := func(k uint64) int {
-		lo, hi := 0, len(pivots)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if k < pivots[mid] {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
-		return lo
-	}
-	counts := make([]int, workers)
-	for i, k := range keys {
-		if i&(1<<16-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		counts[bucket(k)]++
-	}
-
-	// Skew fallback: when the sampled pivots fail to split the input
-	// (most keys equal, so one partition swallows nearly everything),
-	// range partitioning would serialize on one worker. The rank-based
-	// chunk-sort + cooperative merge balances perfectly regardless of
-	// the key distribution, so use it instead.
-	maxPart := 0
-	for _, c := range counts {
-		if c > maxPart {
-			maxPart = c
-		}
-	}
-	if maxPart*workers > 2*n {
-		obsSkewFallbacks.Inc()
-		return mergesort.ParallelSortWithParamsContext(ctx, bank, keys, oids, p, workers)
-	}
-
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	offsets := make([]int, workers+1)
-	for i := 0; i < workers; i++ {
-		offsets[i+1] = offsets[i] + counts[i]
-	}
-	scratchK := make([]uint64, n)
-	scratchO := make([]uint32, n)
-	cursor := append([]int(nil), offsets[:workers]...)
-	for i := 0; i < n; i++ {
-		if i&(1<<16-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		b := bucket(keys[i])
-		scratchK[cursor[b]] = keys[i]
-		scratchO[cursor[b]] = oids[i]
-		cursor[b]++
-	}
-
-	obsPartitionMax.SetMax(int64(maxPart))
-	// Imbalance: busiest partition relative to the ideal n/workers
-	// share, ×1000 (1000 = perfectly balanced).
-	obsImbalanceX1000.Set(int64(maxPart) * int64(workers) * 1000 / int64(n))
-
-	// The context-aware sort polls between its merge passes, so a
-	// cancellation unwinds a partition within one O(n) sweep rather than
-	// after its whole sort.
-	sorts := pipeerr.Pass{Stage: pipeerr.StageSort, Round: round, Busy: busy}
-	err := sorts.Ranges(ctx, workers, workers, func(gctx context.Context, w int) error {
-		k, o := scratchK[offsets[w]:offsets[w+1]], scratchO[offsets[w]:offsets[w+1]]
-		if len(k) < 2 {
-			return nil
-		}
-		return mergesort.SortWithParamsContext(gctx, bank, k, o, p)
-	})
-	if err != nil {
-		return err
-	}
-	copy(keys, scratchK)
-	copy(oids, scratchO)
-	busy.Publish(obsParEffX1000)
-	return nil
-}
 
 // truncateGroups cuts refined group boundaries at the truncation
 // target: after limitGroups groups (when > 0), and at the first
@@ -220,8 +97,8 @@ func cutGroupBatches(ctx context.Context, groups []int32, coopRows int) (batches
 
 // parallelGroupSort sorts each group [groups[g], groups[g+1]) of keys.
 // Groups large enough to starve the pool (≥ p.ParallelThreshold) go one
-// at a time to the rank-split parallel sort, all workers cooperating
-// (for workers < 2 that is the sequential sort); the rest are one pass
+// at a time to the parallel radix sort, all workers cooperating (for
+// workers < 2 that is the sequential sort); the rest are one pass
 // whose ranges are the batches — more of them than workers, claimed in
 // order. The context also reaches the sort of any batched group of at
 // least groupPollRows rows, so a cancelled round returns within one

@@ -12,17 +12,17 @@ import (
 )
 
 // TestStableKernelLeavesNoTieRuns pins the stability dividend: under the
-// production sort kernel every path a round can take — sequential,
-// range-partitioned, skew fallback, cooperative big group, batched
-// groups, top-K — hands orderTies runs that are already oid-ascending,
-// so mcsort.tie_runs_sorted reads 0 and the pass is a verification
-// scan; under the paper kernel the same tied inputs leave it runs to
-// sort, which is why the pass stays. Perm is the stable reference either
-// way.
+// production sort kernel every path a round can take — sequential and
+// parallel radix round 0, cooperative big group, batched groups,
+// sequential and parallel top-K — hands orderTies runs that are already
+// oid-ascending, so mcsort.tie_runs_sorted reads 0 and the pass is a
+// verification scan; under the paper kernel the same tied inputs leave
+// it runs to sort, which is why the pass stays. Perm is the stable
+// reference either way.
 func TestStableKernelLeavesNoTieRuns(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
-	const rows = 8192
+	const rows = 1 << 15 // the top-K survivors and the big groups span several chunks
 	rng := rand.New(rand.NewSource(61))
 	unique := make([]uint64, rows)
 	tied99 := make([]uint64, rows)
@@ -54,7 +54,11 @@ func TestStableKernelLeavesNoTieRuns(t *testing.T) {
 		{"zipf/one round", oneCol(zipfed), oneRound, true},
 		{"three rounds", threeCols, threeRounds, true},
 	}
-	parts, skews, coops := obsParallelSorts.Value(), obsSkewFallbacks.Value(), obsCoopGroupSorts.Value()
+	// Which production paths ran the parallel radix sort: round 0 of a full
+	// sort, a cooperative group of a later round (any parallel sort past
+	// round 0's one), and the survivor sort of a one-round top-K.
+	var round0, coop, topK bool
+	coops := obsCoopGroupSorts.Value()
 	for _, c := range cases {
 		want := refSort(c.inputs, rows)
 		// One cut inside the first final group of two or more rows.
@@ -78,10 +82,20 @@ func TestStableKernelLeavesNoTieRuns(t *testing.T) {
 				for _, w := range []int{1, 2, 3, 8} {
 					sp := forcedParams(32)
 					sp.PaperKernel = paper
-					before := obsTieRuns.Value()
+					before, parBefore := obsTieRuns.Value(), obsParallelSorts.Value()
 					res, err := execute(c.inputs, c.plan, Options{Workers: w, SortParams: &sp, LimitRows: limitRows})
 					if err != nil {
 						t.Fatal(err)
+					}
+					if par := obsParallelSorts.Value() - parBefore; !paper {
+						switch {
+						case limitRows > 0:
+							topK = topK || (par > 0 && len(c.plan.Rounds) == 1)
+						case len(c.plan.Rounds) > 1:
+							round0, coop = round0 || par > 0, coop || par > 1
+						default:
+							round0 = round0 || par > 0
+						}
 					}
 					where := fmt.Sprintf("%s limit=%d workers=%d paper=%v", c.name, limitRows, w, paper)
 					if !slices.Equal(res.Perm, want[:len(res.Perm)]) {
@@ -100,10 +114,10 @@ func TestStableKernelLeavesNoTieRuns(t *testing.T) {
 			}
 		}
 	}
-	// The battery must have gone through every round-0 shape and the
-	// cooperative group sort, or the zeros above prove less than claimed.
-	if obsParallelSorts.Value() == parts || obsSkewFallbacks.Value() == skews || obsCoopGroupSorts.Value() == coops {
-		t.Fatalf("paths not all taken: %d partitioned round-0 sorts, %d skew fallbacks, %d cooperative group sorts",
-			obsParallelSorts.Value()-parts, obsSkewFallbacks.Value()-skews, obsCoopGroupSorts.Value()-coops)
+	// The battery must have taken the parallel radix sort on every path
+	// that calls it, or the zeros above prove less than claimed.
+	if !round0 || !coop || !topK || obsCoopGroupSorts.Value() == coops {
+		t.Fatalf("parallel radix sort not taken on every path: round 0 %v, cooperative group %v, top-K %v (%d cooperative group sorts)",
+			round0, coop, topK, obsCoopGroupSorts.Value()-coops)
 	}
 }

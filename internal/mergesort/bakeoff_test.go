@@ -81,6 +81,52 @@ func BenchmarkKernelBakeoff(b *testing.B) {
 	}
 }
 
+// BenchmarkParallelSort times the parallel sort under the production
+// kernel — the parallel radix sort that mcsort's round 0 and its
+// cooperative group sorts call — in ns/row over parallelBenchRows rows:
+// workers {1, 2} × every bank × {unique, zipf} keys, and TopKContext at
+// two workers with limits 100 and n/2−1, whose chunk filter no mcsperf
+// workload reaches. One iteration refills the rows first, inside the
+// clock. `make bakeoff` runs it at -cpu 2; CI runs it at -benchtime 1x
+// as a compile-and-run smoke.
+func BenchmarkParallelSort(b *testing.B) {
+	ctx := context.Background()
+	const n = parallelBenchRows
+	keys := make([]uint64, n)
+	oids := make([]uint32, n)
+	for _, bank := range Banks {
+		for _, dup := range []string{"unique", "zipf"} {
+			src := bakeoffKeys(n, bank, dup)
+			cell := func(name string, sort func(w int) error, w int) {
+				b.Run(fmt.Sprintf("bank=%d/%s/%s/workers=%d", bank, dup, name, w), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						copy(keys, src)
+						for j := range oids {
+							oids[j] = uint32(j)
+						}
+						if err := sort(w); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/row")
+				})
+			}
+			for _, w := range []int{1, 2} {
+				cell("sort", func(w int) error { return ParallelSortWithParamsContext(ctx, bank, keys, oids, Params{}, w) }, w)
+			}
+			for _, limit := range []int{100, n/2 - 1} {
+				cell(fmt.Sprintf("topk=%d", limit), func(w int) error {
+					_, err := TopKContext(ctx, bank, keys, oids, limit, Params{}, w)
+					return err
+				}, 2)
+			}
+		}
+	}
+}
+
+// parallelBenchRows is the input of one BenchmarkParallelSort iteration.
+const parallelBenchRows = 1 << 19
+
 // bakeoffRows is the work of one bake-off iteration.
 const bakeoffRows = 1 << 16
 

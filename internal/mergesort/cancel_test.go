@@ -17,7 +17,6 @@ import (
 func cancelParams(bank int) Params {
 	p := DefaultParams(bank / 8)
 	p.ParallelThreshold = 256
-	p.PivotSamplePerWorker = 16
 	return p
 }
 
@@ -34,7 +33,10 @@ func cancelKeys(n int, seed int64) ([]uint64, []uint32) {
 
 // TestParallelSortCancelAtSites cancels from the chunk-sort and
 // loser-merge sites across worker counts: whenever a site fires, the
-// sort must return context.Canceled promptly and leak nothing.
+// sort must return context.Canceled promptly and leak nothing. The
+// production kernel's count and scatter passes fire the chunk-sort
+// site; only the paper kernel's chunk merge reaches the loser-merge
+// site, so that site is driven under it.
 func TestParallelSortCancelAtSites(t *testing.T) {
 	defer faultinject.Reset()
 	for _, site := range []string{faultinject.ChunkSort, faultinject.LoserMerge} {
@@ -43,6 +45,8 @@ func TestParallelSortCancelAtSites(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/workers=%d", site, workers), func(t *testing.T) {
 				defer testutil.CheckNoLeaks(t)()
 				keys, oids := cancelKeys(20000, 7)
+				p := cancelParams(16)
+				p.PaperKernel = site == faultinject.LoserMerge
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
 				var fired atomic.Bool
@@ -51,13 +55,16 @@ func TestParallelSortCancelAtSites(t *testing.T) {
 					cancel()
 				})
 				defer restore()
-				err := ParallelSortWithParamsContext(ctx, 16, keys, oids, cancelParams(16), workers)
+				err := ParallelSortWithParamsContext(ctx, 16, keys, oids, p, workers)
 				if fired.Load() {
 					if !errors.Is(err, context.Canceled) {
 						t.Fatalf("site fired but err = %v, want context.Canceled", err)
 					}
 				} else if err != nil {
 					t.Fatalf("site never fired but err = %v", err)
+				}
+				if workers > 1 && !fired.Load() {
+					t.Fatalf("the parallel sort never fired %s", site)
 				}
 			})
 		}
@@ -101,9 +108,11 @@ func TestChunkSortPanicContained(t *testing.T) {
 }
 
 // TestTopKCancelAtSites cancels the bounded-heap partial sort from the
-// chunk-filter site and from the truncated-merge site (TopKMerge, which
-// fires only when the pivot cut actually truncates): a fired site must
-// yield context.Canceled promptly with no leaked goroutines.
+// chunk-filter site, which its filter and its survivor sort both fire: a
+// fired site must yield context.Canceled promptly with no leaked
+// goroutines. The truncated-merge site (TopKMerge) belongs to
+// ParallelMergeTopKContext, which the partial sort no longer calls: it
+// must not fire at all.
 func TestTopKCancelAtSites(t *testing.T) {
 	defer faultinject.Reset()
 	for _, site := range []string{faultinject.ChunkSort, faultinject.TopKMerge} {
@@ -121,6 +130,9 @@ func TestTopKCancelAtSites(t *testing.T) {
 				})
 				defer restore()
 				m, err := TopKContext(ctx, 16, keys, oids, 64, cancelParams(16), workers)
+				if fired.Load() == (site == faultinject.TopKMerge) {
+					t.Fatalf("site fired = %v", fired.Load())
+				}
 				if fired.Load() {
 					if !errors.Is(err, context.Canceled) {
 						t.Fatalf("site fired but err = %v, want context.Canceled", err)
@@ -189,7 +201,7 @@ func TestTopKChunkPanicContained(t *testing.T) {
 }
 
 // TestCancelledTopKRerunsIdentically pins that a cancellation inside the
-// truncated merge leaves no residue: rerunning gives a byte-identical
+// chunk passes leaves no residue: rerunning gives a byte-identical
 // survivor prefix.
 func TestCancelledTopKRerunsIdentically(t *testing.T) {
 	defer faultinject.Reset()
@@ -205,7 +217,7 @@ func TestCancelledTopKRerunsIdentically(t *testing.T) {
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
-	restore := faultinject.Set(faultinject.TopKMerge, func() { cancel() })
+	restore := faultinject.Set(faultinject.ChunkSort, func() { cancel() })
 	k := append([]uint64(nil), base...)
 	o := append([]uint32(nil), baseO...)
 	if _, err := TopKContext(ctx, 16, k, o, limit, p, 4); !errors.Is(err, context.Canceled) {
@@ -244,7 +256,7 @@ func TestCancelledSortRerunsIdentically(t *testing.T) {
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
-	restore := faultinject.Set(faultinject.LoserMerge, func() { cancel() })
+	restore := faultinject.Set(faultinject.ChunkSort, func() { cancel() })
 	k := append([]uint64(nil), base...)
 	o := append([]uint32(nil), baseO...)
 	if err := ParallelSortWithParamsContext(ctx, 16, k, o, p, 4); !errors.Is(err, context.Canceled) {
@@ -259,8 +271,8 @@ func TestCancelledSortRerunsIdentically(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range k {
-		if k[i] != want[i] {
-			t.Fatalf("keys diverge at %d after a cancelled run", i)
+		if k[i] != want[i] || o[i] != wantO[i] {
+			t.Fatalf("keys or oids diverge at %d after a cancelled run", i)
 		}
 	}
 }

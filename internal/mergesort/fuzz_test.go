@@ -86,12 +86,28 @@ func FuzzMergesortSort(f *testing.F) {
 // the old radix target: the first argument is a key width, sorted in
 // the narrowest bank that holds it — so the top digits of the bank are
 // constant and the production kernel skips their scatters — and the
-// second, once a radix size, picks the worker count (1 to 3).
+// second, once a radix size, picks the worker count from
+// fuzzRadixWorkers. From two workers on the keys are repeated to
+// minChunkRows rows per chunk, up to four chunks, so the parallel radix
+// sort cuts them into chunks that each hold the fuzzed keys: every key
+// ties across chunks.
 func FuzzRadixSort(f *testing.F) {
 	f.Add(uint16(20), uint16(8), []byte{3, 1, 2})
 	f.Add(uint16(64), uint16(11), make([]byte, 300))
 	f.Fuzz(func(t *testing.T, widthRaw, workersRaw uint16, data []byte) {
 		width := int(widthRaw)%64 + 1
-		fuzzKernels(t, bankFor(width), int(workersRaw)%3+1, keysFromBytes(data, width))
+		workers := fuzzRadixWorkers[int(workersRaw)%len(fuzzRadixWorkers)]
+		keys := keysFromBytes(data, width)
+		if rows := min(workers, 4) * minChunkRows; workers > 1 && len(keys) > 0 {
+			for len(keys) < rows {
+				keys = append(keys, keys...)
+			}
+			keys = keys[:rows]
+		}
+		fuzzKernels(t, bankFor(width), workers, keys)
 	})
 }
+
+// fuzzRadixWorkers spans the sequential kernel, two and three chunks,
+// and more workers than a fuzzed input has chunks.
+var fuzzRadixWorkers = []int{1, 2, 3, 8, 300}

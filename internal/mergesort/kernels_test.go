@@ -61,8 +61,8 @@ func checkKernelOutput(tb testing.TB, where string, keys, want, k []uint64, o []
 // the sorted keys, oids a key-preserving permutation, and the production
 // kernel additionally stable — oids ascending inside every run of equal
 // keys, i.e. sort.SliceStable's answer —
-// through the sequential sort, the rank-split parallel sort and the
-// top-K sort, across the run lengths where the kernel choice changes.
+// through the sequential sort, the parallel sort and the top-K sort,
+// across the run lengths where the kernel choice changes.
 func TestKernelsAgree(t *testing.T) {
 	sizes := []int{0, 1, 23, 24, smallRunCutoff - 1, smallRunCutoff, smallRunCutoff + 1, 1 << 10, 1<<16 + 1}
 	for _, bank := range Banks {

@@ -26,10 +26,12 @@ import (
 // ties between runs resolve to the lower-index run, and the selection
 // cuts equal keys by the same rule — so its output is byte-identical
 // for every worker count, including 1. The parallel sort guarantees the
-// sorted key order; like the sequential sort it is stable under the
-// production kernel and leaves the relative order of equal keys
-// unspecified under the paper kernel. internal/mcsort verifies the
-// order it needs once, on its final groups, and sorts what is left.
+// sorted key order; under the production kernel it is the parallel
+// radix sort (radix.go), stable and byte-identical to the sequential
+// sort, and under the paper kernel it sorts chunks and merges them here,
+// leaving the relative order of equal keys unspecified. internal/mcsort
+// verifies the order it needs once, on its final groups, and sorts what
+// is left.
 //
 // Robustness contract (docs/robustness.md): the entry points check the
 // context at chunk and co-partition boundaries, and inside the
@@ -61,16 +63,15 @@ const mergeAlign = 8
 const mergeCheckEvery = 1 << 14
 
 // ParallelSortWithParamsContext sorts keys (each value < 2^bank) with
-// their oids in place across `workers` goroutines: it splits the input
-// into worker chunks, sorts the chunks concurrently — each one a
-// SortWithParamsContext run, so the kernel is chosen there — and then
-// cooperatively multiway-merges the sorted chunks. The chunks are in
-// input order and the merge is stable by run index, so under the
-// production kernel the whole sort is stable. Inputs below
-// p.ParallelThreshold (or workers < 2) take the sequential path. A
-// cancelled context aborts between chunks, sort passes, and
-// mergeCheckEvery-element merge strides, leaving keys/oids in
-// unspecified order; a worker panic surfaces as a
+// their oids in place across `workers` goroutines. The production kernel
+// sorts by-row chunks with the parallel radix sort (radix.go), whose
+// output is byte-identical to SortWithParamsContext's. With p.PaperKernel
+// it sorts worker chunks concurrently, then cooperatively
+// multiway-merges them, leaving the order of equal keys unspecified.
+// Inputs below p.ParallelThreshold or two chunks, or workers < 2, take
+// the sequential path. A cancelled context aborts between chunks,
+// passes, and mergeCheckEvery-element merge strides, leaving keys/oids
+// in unspecified order; a worker panic surfaces as a
 // *pipeerr.PipelineError with stage "sort" or "merge".
 func ParallelSortWithParamsContext(ctx context.Context, bank int, keys []uint64, oids []uint32, p Params, workers int) error {
 	if err := checkArgs(keys, oids); err != nil {
@@ -83,10 +84,13 @@ func ParallelSortWithParamsContext(ctx context.Context, bank int, keys []uint64,
 	}
 	k := kernelsFor(bank)
 
-	// Chunk boundaries are aligned to whole in-register blocks (v*v
-	// elements): the paper kernel's phase 1 then sees the same blocks
+	// The paper kernel's chunk boundaries are aligned to whole
+	// in-register blocks (v*v elements): phase 1 then sees the same blocks
 	// whether a chunk is sorted alone or as part of the whole input.
-	bounds := pipeerr.Cut(n, workers, k.v*k.v)
+	bounds := radixChunks(n, workers)
+	if p.PaperKernel {
+		bounds = pipeerr.Cut(n, workers, k.v*k.v)
+	}
 	if len(bounds) < 3 {
 		return SortWithParamsContext(ctx, bank, keys, oids, p)
 	}
@@ -94,6 +98,13 @@ func ParallelSortWithParamsContext(ctx context.Context, bank int, keys []uint64,
 	obsParSorts.Inc()
 	obsParWorkers.Set(int64(workers))
 	busy := pipeerr.StartBusy(workers)
+	if !p.PaperKernel {
+		if err := parallelRadixSort(ctx, bank, keys, oids, bounds, workers, busy); err != nil {
+			return err
+		}
+		busy.Publish(obsParEffX1000)
+		return ctx.Err()
+	}
 
 	chunks := pipeerr.Pass{Stage: pipeerr.StageSort, Round: -1, Site: faultinject.ChunkSort, Busy: busy}
 	err := chunks.Ranges(ctx, workers, len(bounds)-1, func(gctx context.Context, c int) error {
@@ -167,8 +178,8 @@ func mergeAndUnpack(ctx context.Context, kw, ow []uint64, lanes, bank int, from,
 // its co-partition — the per-run slices between two boundaries — with
 // the run-index-stable loser tree. Load balance is by output rank, so
 // skew across or within runs costs nothing. It serves the full merge
-// (cut = run ends), the parallel sort's chunk merge, and the truncated
-// top-K merge. Busy time is added to busy when non-nil.
+// (cut = run ends), the paper kernel's parallel chunk merge, and the
+// truncated top-K merge. Busy time is added to busy when non-nil.
 func parallelMergePacked(ctx context.Context, kw, ow, dstK, dstO []uint64, lanes, bank int, from, cut []int, total int, useOVC bool, workers int, busy *pipeerr.Busy) error {
 	if total == 0 {
 		return nil

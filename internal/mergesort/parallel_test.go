@@ -10,14 +10,13 @@ import (
 )
 
 // Oracle-differential tests for the parallel out-of-cache merge and the
-// chunk-sort + cooperative-merge parallel sort.
+// parallel sort.
 //
 // ParallelMerge promises byte-identical output for every worker count
 // (stable by run index); the oracle is an independent implementation —
 // sort.SliceStable over (key, run index), which preserves intra-run
-// order by stability. ParallelSort promises the sorted key order of
-// Sort with a valid oid permutation; tie order is unspecified, so the
-// comparison canonicalizes ties first.
+// order by stability. ParallelSort under the production kernel promises
+// exactly Sort's output, ties included.
 
 var parWorkerCounts = []int{1, 2, 3, 4, 8}
 
@@ -148,27 +147,31 @@ func sortedRuns(keys []uint64, oids []uint32, nRuns int) []int {
 	return runs
 }
 
+// TestParallelSortMatchesSequential pins the production parallel sort
+// to the sequential one byte for byte, oids included — stability is a
+// property of the parallel radix sort itself — at every worker count,
+// including more workers than chunks, on both sides of the chunk floor:
+// below two chunks of minChunkRows rows the sequential kernel runs, from
+// there on the chunked one does.
 func TestParallelSortMatchesSequential(t *testing.T) {
 	defer testutil.CheckNoLeaks(t)()
+	obs.Enable()
+	defer obs.Disable()
 	for _, bank := range Banks {
 		p := testParams(bank)
-		for _, n := range []int{0, 1, 65, 1000, 5000} {
+		for _, n := range []int{0, 1, 65, 1000, 5000, 2 * minChunkRows, 3*minChunkRows + 5} {
 			for name, keys := range adversarialInputs(n, bank, 7) {
 				wantK := append([]uint64(nil), keys...)
-				wantO := make([]uint32, n)
-				for i := range wantO {
-					wantO[i] = uint32(i)
-				}
+				wantO := identOids(n)
 				mustSort(t, bank, wantK, wantO, p)
-				canonicalOids(wantK, wantO)
-				for _, w := range parWorkerCounts[1:] {
+				for _, w := range append(parWorkerCounts[1:], 300) {
 					gotK := append([]uint64(nil), keys...)
-					gotO := make([]uint32, n)
-					for i := range gotO {
-						gotO[i] = uint32(i)
-					}
+					gotO := identOids(n)
+					before := obsParSorts.Value()
 					mustParallelSort(t, bank, gotK, gotO, p, w)
-					canonicalOids(gotK, gotO)
+					if chunked := len(radixChunks(n, w)) > 2; (obsParSorts.Value() > before) != chunked {
+						t.Fatalf("%s bank=%d n=%d workers=%d: parallel path taken = %v, want %v", name, bank, n, w, !chunked, chunked)
+					}
 					for i := range gotK {
 						if gotK[i] != wantK[i] {
 							t.Fatalf("%s bank=%d n=%d workers=%d: key diverges at %d", name, bank, n, w, i)

@@ -16,11 +16,18 @@ package mergesort
 // the bank. Stability makes the kernel usable round by round and leaves
 // every run of equal keys in input order, which is oid order wherever
 // mcsort calls it.
+//
+// Across workers (parallelRadixSort) it is the same kernel over by-row
+// chunks, so it is stable, byte-identical to the sequential sort, and
+// balanced whatever the key skew: the paper's range partitioning
+// (Section 6.4) needs pivots, and a fallback where skew defeats them.
 
 import (
 	"context"
 
+	"repro/internal/faultinject"
 	"repro/internal/obs"
+	"repro/internal/pipeerr"
 )
 
 var (
@@ -32,6 +39,16 @@ var (
 // counters per histogram, so even the eight histograms of a 64-bit bank
 // stay L1-resident.
 const radixBuckets = 1 << 8
+
+// minChunkRows bounds the parallel radix sort's chunks from below,
+// whatever the worker count: a chunk costs bank/8 histograms and
+// radixBuckets prefix steps per live digit, a sixteenth of its rows'
+// work at 16 rows per bucket. Without it the server's 1,024 workers would
+// cut a 16,384-row group into 16-row chunks, 8 MB of histograms.
+const minChunkRows = 16 * radixBuckets
+
+// radixHist holds the histograms of every digit of one chunk.
+type radixHist = [8][radixBuckets]uint32
 
 // Scratch is the working memory of the production kernel: the two
 // (key, oid) pairs its scatter passes ping-pong between. A goroutine
@@ -54,65 +71,113 @@ func (s *Scratch) pair(i, n int) ([]uint64, []uint32) {
 	return s.k[i][:n], s.o[i][:n]
 }
 
+// passDst returns where scatter pass i of passes writes: pass i reads
+// what pass i-1 wrote, from the caller's keys/oids through the two
+// scratch pairs back to them, and a single pass scatters into scratch
+// for copyBack, so only a sort's last step writes the caller's slices.
+func (s *Scratch) passDst(i, passes int, keys []uint64, oids []uint32) ([]uint64, []uint32) {
+	if i < passes-1 || passes == 1 {
+		return s.pair(i&1, len(keys))
+	}
+	return keys, oids
+}
+
+// copyBack ends a sort: after one pass, and one more poll, it copies
+// scratch pair 0 into keys/oids.
+func (s *Scratch) copyBack(ctx context.Context, passes int, keys []uint64, oids []uint32) error {
+	if passes != 1 {
+		return nil
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	k, o := s.pair(0, len(keys))
+	copy(keys, k)
+	copy(oids, o)
+	return nil
+}
+
 // radixSort sorts keys (each value < 2^bank) with their oids in place,
-// stably. len(keys) == len(oids) and the poll before the counting
-// pre-pass are the entry point's (SortScratchContext); the context is
-// polled again before each scatter, so every O(n) pass follows a poll,
-// and every pass but the last writes scratch only: on cancellation
-// radixSort returns ctx.Err() with keys and oids exactly as passed in.
+// stably: the one-chunk case of the kernel. len(keys) == len(oids) and
+// the poll before the counting pre-pass are the entry point's
+// (SortScratchContext); the context is polled again before each scatter
+// and the copy-back, so every O(n) pass follows a poll, and every pass
+// but the last writes scratch only (passDst): on cancellation radixSort
+// returns ctx.Err() with keys and oids exactly as passed in.
 func radixSort(ctx context.Context, bank int, keys []uint64, oids []uint32, s *Scratch) error {
-	n := len(keys)
-	digits := bank / 8
-	var hist [8][radixBuckets]uint32
-	radixCount(keys, digits, &hist)
-
-	// A digit whose histogram has one full bucket is constant across the
-	// run: its scatter would be the identity permutation.
-	var live [8]int
-	passes := 0
-	for d := 0; d < digits; d++ {
-		if hist[d][uint8(keys[0]>>(8*uint(d)))] != uint32(n) {
-			live[passes] = d
-			passes++
-		}
-	}
-	obsRadixSorts.Inc()
-	obsRadixPasses.Add(int64(passes))
-	if passes == 0 {
-		return nil // all keys equal
-	}
-
-	// Pass i reads what pass i-1 wrote; the chain starts at the caller's
-	// slices, alternates between the two scratch pairs, and ends in the
-	// caller's slices again. A single live digit scatters into scratch
-	// and is copied back, so the caller's slices are still only written
-	// by the step no poll follows.
+	var hist [1]radixHist
+	radixCount(keys, bank/8, &hist[0])
+	live, passes := liveDigits(hist[:], bank/8, keys[0], len(keys))
 	srcK, srcO := keys, oids
-	for i := 0; i < passes; i++ {
+	for i, d := range live[:passes] {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		dstK, dstO := keys, oids
-		if i < passes-1 || passes == 1 {
-			dstK, dstO = s.pair(i&1, n)
-		}
-		d := live[i]
-		radixScatter(srcK, srcO, dstK, dstO, &hist[d], 8*uint(d))
+		dstK, dstO := s.passDst(i, passes, keys, oids)
+		radixOffsets(hist[:], d)
+		radixScatter(srcK, srcO, dstK, dstO, &hist[0][d], 8*uint(d))
 		srcK, srcO = dstK, dstO
 	}
-	if passes == 1 {
-		if err := ctx.Err(); err != nil {
+	return s.copyBack(ctx, passes, keys, oids)
+}
+
+// radixChunks cuts n rows into the chunks of the parallel radix sort:
+// one per worker, but never more than n/minChunkRows. Fewer than two
+// chunks means the sequential kernel sorts the rows.
+func radixChunks(n, workers int) []int {
+	return pipeerr.Cut(n, min(workers, n/minChunkRows), 1)
+}
+
+// parallelRadixSort sorts keys with their oids in place, stably, over
+// the chunks of bounds: every chunk counts all digits in one pre-pass,
+// the summed counts name the live digits, and per live digit the chunks
+// scatter concurrently from radixOffsets. Each scatter moves rows between
+// chunks, so each later digit is recounted on the layout it reads. Every
+// range polls and fires faultinject.ChunkSort; on error keys and oids
+// are in unspecified order.
+func parallelRadixSort(ctx context.Context, bank int, keys []uint64, oids []uint32, bounds []int, workers int, busy *pipeerr.Busy) error {
+	digits := bank / 8
+	hists := make([]radixHist, len(bounds)-1)
+	chunks := pipeerr.Pass{Stage: pipeerr.StageSort, Round: -1, Site: faultinject.ChunkSort, Busy: busy}
+	err := chunks.Ranges(ctx, workers, len(hists), func(_ context.Context, c int) error {
+		radixCount(keys[bounds[c]:bounds[c+1]], digits, &hists[c])
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	live, passes := liveDigits(hists, digits, keys[0], len(keys))
+	var s Scratch
+	srcK, srcO := keys, oids
+	for i, d := range live[:passes] {
+		shift := 8 * uint(d)
+		if i > 0 {
+			err := chunks.Ranges(ctx, workers, len(hists), func(_ context.Context, c int) error {
+				radixCountDigit(srcK[bounds[c]:bounds[c+1]], shift, &hists[c][d])
+				return nil
+			})
+			if err != nil {
+				return err
+			}
+		}
+		radixOffsets(hists, d)
+		dstK, dstO := s.passDst(i, passes, keys, oids)
+		err := chunks.Ranges(ctx, workers, len(hists), func(_ context.Context, c int) error {
+			lo, hi := bounds[c], bounds[c+1]
+			radixScatter(srcK[lo:hi], srcO[lo:hi], dstK, dstO, &hists[c][d], shift)
+			return nil
+		})
+		if err != nil {
 			return err
 		}
-		copy(keys, srcK)
-		copy(oids, srcO)
+		srcK, srcO = dstK, dstO
 	}
-	return nil
+	return s.copyBack(ctx, passes, keys, oids)
 }
 
 // radixCount is the counting pre-pass: one sweep over keys that fills
 // the histogram of every digit of the bank.
-func radixCount(keys []uint64, digits int, hist *[8][radixBuckets]uint32) {
+func radixCount(keys []uint64, digits int, hist *radixHist) {
 	switch digits {
 	case 2:
 		for _, k := range keys {
@@ -140,20 +205,67 @@ func radixCount(keys []uint64, digits int, hist *[8][radixBuckets]uint32) {
 	}
 }
 
-// radixScatter is one stable counting-sort pass on the digit at shift:
-// it turns the digit's histogram into bucket offsets and moves every
-// (key, oid) pair of src to its bucket's next free slot in dst.
-func radixScatter(srcK []uint64, srcO []uint32, dstK []uint64, dstO []uint32, hist *[radixBuckets]uint32, shift uint) {
-	sum := uint32(0)
-	for b, c := range hist {
-		hist[b] = sum
-		sum += c
+// radixCountDigit recounts the one digit at shift over keys into hist.
+func radixCountDigit(keys []uint64, shift uint, hist *[radixBuckets]uint32) {
+	*hist = [radixBuckets]uint32{}
+	for _, k := range keys {
+		hist[uint8(k>>shift)]++
 	}
+}
+
+// liveDigits lists, ascending, the digits the n keys counted into hists
+// do not all agree on, and counts the sort and its passes: a digit whose
+// summed histogram has one full bucket is constant, its scatter the
+// identity.
+func liveDigits(hists []radixHist, digits int, first uint64, n int) (live [8]int, passes int) {
+	for d := 0; d < digits; d++ {
+		b, sum := uint8(first>>(8*uint(d))), 0
+		for c := range hists {
+			sum += int(hists[c][d][b])
+		}
+		if sum != n {
+			live[passes] = d
+			passes++
+		}
+	}
+	obsRadixSorts.Inc()
+	obsRadixPasses.Add(int64(passes))
+	return live, passes
+}
+
+// radixOffsets turns the chunks' counts of digit d into write offsets in
+// place, an exclusive prefix over (digit value, chunk): chunk c's rows of
+// value v follow those of earlier chunks, where a sequential stable pass
+// puts them. One chunk, whose fixed cost sets smallRunCutoff, takes the
+// flat prefix; the nested walk costs it several times as much.
+func radixOffsets(hists []radixHist, d int) {
+	sum := uint32(0)
+	if len(hists) == 1 {
+		h := &hists[0][d]
+		for v, n := range h {
+			h[v] = sum
+			sum += n
+		}
+		return
+	}
+	for v := 0; v < radixBuckets; v++ {
+		for c := range hists {
+			n := hists[c][d][v]
+			hists[c][d][v] = sum
+			sum += n
+		}
+	}
+}
+
+// radixScatter is one stable counting-sort pass of a chunk on the digit
+// at shift: every (key, oid) pair of src goes to its bucket's next slot
+// in dst, starting from the chunk's offsets.
+func radixScatter(srcK []uint64, srcO []uint32, dstK []uint64, dstO []uint32, off *[radixBuckets]uint32, shift uint) {
 	srcO = srcO[:len(srcK)]
 	for i, k := range srcK {
 		b := uint8(k >> shift)
-		p := hist[b]
-		hist[b] = p + 1
+		p := off[b]
+		off[b] = p + 1
 		dstK[p] = k
 		dstO[p] = srcO[i]
 	}

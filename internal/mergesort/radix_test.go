@@ -214,6 +214,33 @@ func TestSmallAndBatchedSortsDoNotAllocate(t *testing.T) {
 	}
 }
 
+// TestRadixChunksCapped pins the chunk floor of the parallel radix
+// sort: whatever the worker count, a cut holds at most one chunk per
+// worker and per minChunkRows rows, and covers [0, n) in ascending
+// bounds — a 16,384-row cooperative group at the 1,024 workers the
+// server admits is four chunks, not 1,024 chunks of 16 rows.
+func TestRadixChunksCapped(t *testing.T) {
+	for _, n := range []int{0, 1, minChunkRows - 1, minChunkRows, 2*minChunkRows - 1, 2 * minChunkRows, 1 << 14, 1<<14 + 1, 1 << 20} {
+		for _, w := range []int{1, 2, 3, 8, 256, 257, 300, 1024} {
+			bounds := radixChunks(n, w)
+			if chunks := len(bounds) - 1; chunks > w || chunks > max(n/minChunkRows, 1) {
+				t.Fatalf("n=%d workers=%d: %d chunks, cap %d", n, w, chunks, min(w, max(n/minChunkRows, 1)))
+			}
+			if bounds[0] != 0 || bounds[len(bounds)-1] != n {
+				t.Fatalf("n=%d workers=%d: bounds %v do not span [0, %d]", n, w, bounds, n)
+			}
+			for i := 1; i < len(bounds); i++ {
+				if bounds[i] <= bounds[i-1] {
+					t.Fatalf("n=%d workers=%d: bounds %v not ascending", n, w, bounds)
+				}
+			}
+		}
+	}
+	if got := len(radixChunks(1<<14, 1024)) - 1; got != 4 {
+		t.Fatalf("a 16,384-row sort at 1,024 workers cut into %d chunks, want 4", got)
+	}
+}
+
 func BenchmarkRadixSort32_64K(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	n := 1 << 16

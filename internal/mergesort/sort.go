@@ -24,10 +24,6 @@ type Params struct {
 	// counterparts; tests lower it to exercise the parallel code on
 	// small inputs. Zero means DefaultParallelThreshold.
 	ParallelThreshold int
-	// PivotSamplePerWorker is how many keys per worker the
-	// range-partitioning pivot sampler draws (mcsort's first-round
-	// partitioner). Zero means DefaultPivotSamplePerWorker.
-	PivotSamplePerWorker int
 	// DisableOVC turns off offset-value coding in the out-of-cache
 	// loser-tree merges (see ovc.go). The zero value leaves OVC on;
 	// the flag exists for differential testing and benchmarking — the
@@ -49,10 +45,6 @@ const DefaultFanout = 8
 // not worth the coordination cost.
 const DefaultParallelThreshold = 1 << 14
 
-// DefaultPivotSamplePerWorker is the pivot-sample budget per worker of
-// the range partitioner.
-const DefaultPivotSamplePerWorker = 128
-
 // DefaultParams derives the phase parameters for keys of the given byte
 // width from the cache hierarchy — what the zero Params resolves to.
 // Phase 2 stops when a run fills half the L2 cache (the paper's M_L2/2),
@@ -64,10 +56,9 @@ func DefaultParams(keyBytes int) Params {
 		elems = 64
 	}
 	return Params{
-		InCacheElems:         elems,
-		Fanout:               DefaultFanout,
-		ParallelThreshold:    DefaultParallelThreshold,
-		PivotSamplePerWorker: DefaultPivotSamplePerWorker,
+		InCacheElems:      elems,
+		Fanout:            DefaultFanout,
+		ParallelThreshold: DefaultParallelThreshold,
 	}
 }
 
@@ -84,9 +75,6 @@ func (p Params) resolved(bank int) Params {
 	}
 	if p.ParallelThreshold <= 0 {
 		p.ParallelThreshold = d.ParallelThreshold
-	}
-	if p.PivotSamplePerWorker <= 0 {
-		p.PivotSamplePerWorker = d.PivotSamplePerWorker
 	}
 	return p
 }

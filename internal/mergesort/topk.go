@@ -2,6 +2,7 @@ package mergesort
 
 import (
 	"context"
+	"sort"
 
 	"repro/internal/faultinject"
 	"repro/internal/obs"
@@ -10,11 +11,13 @@ import (
 
 // Top-K partial sorting: the LIMIT/OFFSET execution path. A query that
 // only consumes the first R rows of the sorted output does not need the
-// other N−R rows in order — it needs them *eliminated*. Run generation
+// other N−R rows in order — it needs them *eliminated*. TopKContext
 // filters each worker chunk through a bounded max-heap (the classic
-// top-K filter) so chunk sorts only see plausible survivors, and the
-// cooperative merge reuses the multisequence pivot-split selection to
-// cut the cross-run merge at the output rank.
+// top-K filter), so one parallel sort of the compacted survivors is all
+// that runs, and a binary search cuts its output at the rank.
+// ParallelMergeTopKContext cuts a merge of pre-sorted runs (the
+// coordinator's cross-shard runs) instead: the multisequence pivot-split
+// selection finds the rank, and only the head of the merge runs.
 //
 // Truncation contract (the determinism keystone, docs/topk.md): both
 // entry points cut at a *tie-extended* boundary — the returned prefix
@@ -26,8 +29,8 @@ import (
 // instead would split a tied group at a chunk-dependent point and leak
 // the worker count into the result.
 //
-// Robustness: both entry points poll the context inside the heap
-// filter (every topkCheckEvery elements), at chunk and co-partition
+// Robustness: the entry points poll the context inside the heap filter
+// (every topkCheckEvery elements), at chunk, pass and co-partition
 // boundaries, and inside the loser-tree merges; worker panics surface
 // as *pipeerr.PipelineError. On any error the keys/oids are in
 // unspecified (but memory-safe) order.
@@ -46,7 +49,8 @@ const topkCheckEvery = 1 << 16
 
 // TopKContext partially sorts keys (each value < 2^bank) with their
 // oids: on return the first m elements are the m smallest in ascending
-// key order (ties in unspecified order, like the full sort), where m is
+// key order (ties ordered as ParallelSortWithParamsContext leaves them:
+// in input order under the production kernel), where m is
 // at least the tie-extended cut at rank limit — every element whose key
 // is ≤ the limit-th smallest key is among the first m. A near-full limit
 // (or a tiny input) degrades to the full sort with m = n. keys[m:] are
@@ -72,59 +76,54 @@ func TopKContext(ctx context.Context, bank int, keys []uint64, oids []uint32, li
 		return n, nil
 	}
 	obsTopKSorts.Inc()
-	if workers < 2 || n < p.ParallelThreshold {
-		// One chunk: the filter pivot is already the global pivot.
-		s, err := topKFilterChunk(ctx, keys, oids, 0, n, limit)
-		if err != nil {
-			return 0, err
-		}
-		if err := SortWithParamsContext(ctx, bank, keys[:s], oids[:s], p); err != nil {
-			return 0, err
-		}
-		obsTopKSurvivors.Add(int64(s))
-		return s, ctx.Err()
-	}
 
-	// Parallel run generation: each worker chunk keeps every element ≤
-	// its chunk-local rank-limit pivot. The global pivot is ≤ every
-	// chunk pivot (an order statistic can only move down when the pool
-	// grows), so each chunk's survivor set contains all of its elements
-	// that survive globally — no chunk can discard a global survivor.
-	bounds := pipeerr.Cut(n, workers, 1)
+	// Run generation: each chunk keeps every element ≤ its chunk-local
+	// rank-limit pivot. The global pivot is ≤ every chunk pivot (an order
+	// statistic can only move down when the pool grows), so each chunk's
+	// survivor set contains all of its elements that survive globally —
+	// no chunk can discard a global survivor. Below the parallel
+	// threshold the one chunk's pivot is the global pivot.
+	chunks := 1
+	if workers >= 2 && n >= p.ParallelThreshold {
+		chunks = workers
+	}
+	bounds := pipeerr.Cut(n, chunks, 1)
 	surv := make([]int, len(bounds)-1)
-	chunks := pipeerr.Pass{Stage: pipeerr.StageSort, Round: -1, Site: faultinject.ChunkSort}
-	err := chunks.Ranges(ctx, workers, len(surv), func(gctx context.Context, c int) error {
-		lo := bounds[c]
-		s, err := topKFilterChunk(gctx, keys, oids, lo, bounds[c+1], limit)
-		if err != nil {
-			return err
-		}
-		surv[c] = s
-		return SortWithParamsContext(gctx, bank, keys[lo:lo+s], oids[lo:lo+s], p)
+	filter := pipeerr.Pass{Stage: pipeerr.StageSort, Round: -1, Site: faultinject.ChunkSort}
+	err := filter.Ranges(ctx, chunks, len(surv), func(gctx context.Context, c int) error {
+		var err error
+		surv[c], err = topKFilterChunk(gctx, keys, oids, bounds[c], bounds[c+1], limit)
+		return err
 	})
 	if err != nil {
 		return 0, err
 	}
 
-	// Compact the sorted survivor runs to the front (pos never passes
-	// lo, so the forward copies cannot clobber unread survivors), then
-	// cut the cross-run merge at the output rank.
-	runs := []int{0}
+	// Compact the survivors to the front in chunk order (pos never
+	// passes lo, so the forward copies cannot clobber unread survivors):
+	// they keep their input order, so the stable sort that follows leaves
+	// them where the sequential path would.
 	pos := 0
-	for c := 0; c+1 < len(bounds); c++ {
+	for c, s := range surv {
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		lo, s := bounds[c], surv[c]
-		if pos != lo {
+		if lo := bounds[c]; pos != lo {
 			copy(keys[pos:pos+s], keys[lo:lo+s])
 			copy(oids[pos:pos+s], oids[lo:lo+s])
 		}
 		pos += s
-		runs = append(runs, pos)
 	}
-	m, err := ParallelMergeTopKContext(ctx, bank, keys[:pos], oids[:pos], runs, limit, p, workers)
-	if err != nil {
+	if err := ParallelSortWithParamsContext(ctx, bank, keys[:pos], oids[:pos], p, workers); err != nil {
+		return 0, err
+	}
+
+	// The tie-extended cut: every survivor whose key is ≤ the limit-th
+	// smallest. Each chunk kept at least min(limit, its rows), so pos ≥
+	// limit.
+	pivot := keys[limit-1]
+	m := limit + sort.Search(pos-limit, func(i int) bool { return keys[limit+i] > pivot })
+	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
 	obsTopKSurvivors.Add(int64(m))

@@ -82,9 +82,9 @@ func TestDifferentialHandlerVsEngine(t *testing.T) {
 	}
 
 	// One cell past 256 workers (the wire admits MaxWorkers), against the
-	// one-worker engine run, on a table large enough for round 0 to
-	// range-partition: the partitioner once kept each row's partition in
-	// a byte, so such a request was answered 200 with a wrong result.
+	// one-worker engine run, on a table large enough for round 0 to sort
+	// in parallel: a per-row partition index once kept in a byte answered
+	// such a request 200 with a wrong result.
 	// Q13 groups by the high-cardinality c_custkey, unfiltered.
 	bigItems := workloads.TPCHQueries(big, "")
 	q13 := slices.IndexFunc(bigItems, func(it workloads.Item) bool { return it.ID == "tpch.q13" })
