@@ -98,13 +98,16 @@ bench:
 # The sort-kernel bake-off behind mergesort's kernel choice and its
 # small-run cutoff: paper kernel, radix, insertion and slices.SortFunc
 # per (bank, duplicates, run length) cell, ns/row, one core. The table
-# in EXPERIMENTS.md is this output. Then the parallel sort at two cores:
-# the production parallel radix sort at workers {1, 2} and the top-K
-# chunk-filter path, 2^19 rows, ns/row. CI runs both at -benchtime 1x as
-# a compile-and-run smoke.
+# in EXPERIMENTS.md is this output. Then, at two cores and 2^19 rows,
+# ns/row: the parallel sort — the production parallel radix sort at
+# workers {1, 2}, the paper kernel's chunk sorts and chunk merge at 2,
+# and the top-K chunk-filter path — and the merge of sorted runs
+# (MergeRunsContext) at k {2, 3, 8} and workers {1, 2}. CI runs all
+# three at -benchtime 1x as a compile-and-run smoke.
 bakeoff:
 	$(GO) test -run '^$$' -bench BenchmarkKernelBakeoff -benchtime 20x -cpu 1 ./internal/mergesort/
 	$(GO) test -run '^$$' -bench BenchmarkParallelSort -benchtime 20x -cpu 2 ./internal/mergesort/
+	$(GO) test -run '^$$' -bench BenchmarkMergeRuns -benchtime 20x -cpu 2 ./internal/mergesort/
 
 # The coordinator's gather without the wire: run builds and merge+rank
 # timed separately (ns/row) on the pinned window shape of mcsperf's

@@ -293,7 +293,7 @@ func benchOVCPair(keys []uint64, oids []uint32, runs []int, reps int) (off, on t
 		copy(k, keys)
 		copy(o, oids)
 		t0 := time.Now()
-		must(mergesort.ParallelMergeWithParamsContext(context.Background(), 32, k, o, runs, p, 1))
+		must(mergesort.MergePackedContext(context.Background(), 32, k, o, runs, p))
 		return time.Since(t0)
 	}
 	measure(pOff)

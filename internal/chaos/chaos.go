@@ -65,22 +65,15 @@ const (
 )
 
 // SiteKinds maps every faultinject site to the kinds Arm may install
-// there. All sites take delay and cancel. Panic is armed everywhere
-// except mergesort.topk_merge: that site fires on the caller's
-// goroutine before the truncated merge's workers start and is
-// documented as a cancellation site, not a containment site
-// (docs/robustness.md) — a panic there would test nothing the
-// loser_merge site does not already cover, while violating the
-// documented contract. The faultinject consistency test pins this map
-// against the site list, so a new Fire site cannot silently escape the
-// storm.
+// there: every site takes panic, delay and cancel. The faultinject
+// consistency test pins this map against the site list, so a new Fire
+// site cannot silently escape the storm.
 var SiteKinds = map[string][]Kind{
 	faultinject.GroupSort:    {KindPanic, KindDelay, KindCancel},
 	faultinject.Permute:      {KindPanic, KindDelay, KindCancel},
 	faultinject.TieOrder:     {KindPanic, KindDelay, KindCancel},
 	faultinject.ChunkSort:    {KindPanic, KindDelay, KindCancel},
 	faultinject.LoserMerge:   {KindPanic, KindDelay, KindCancel},
-	faultinject.TopKMerge:    {KindDelay, KindCancel},
 	faultinject.MassageChunk: {KindPanic, KindDelay, KindCancel},
 	faultinject.Gather:       {KindPanic, KindDelay, KindCancel},
 	faultinject.Aggregate:    {KindPanic, KindDelay, KindCancel},

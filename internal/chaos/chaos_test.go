@@ -156,16 +156,6 @@ func TestStrikePanicKind(t *testing.T) {
 	faultinject.Fire(faultinject.ChunkSort)
 }
 
-func TestPanicNeverArmedAtCancellationOnlySite(t *testing.T) {
-	faultinject.Reset()
-	defer faultinject.Reset()
-	s := New(Config{Seed: 5, PanicProb: 1})
-	defer s.Arm()()
-	// TopKMerge is the documented cancellation-only site: a panic-only
-	// storm must leave it strike-free rather than panic there.
-	faultinject.Fire(faultinject.TopKMerge)
-}
-
 func TestTrackAndCancelStrike(t *testing.T) {
 	faultinject.Reset()
 	defer faultinject.Reset()

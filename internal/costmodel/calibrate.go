@@ -120,7 +120,7 @@ func calibrateOVCDiscount(rng *rand.Rand, n int) (float64, error) {
 			copy(keys, base)
 			copy(oids, baseO)
 			start := time.Now()
-			if err := mergesort.ParallelMergeWithParamsContext(context.Background(), 32, keys, oids, runs, mergesort.Params{}, 1); err != nil {
+			if err := mergesort.MergePackedContext(context.Background(), 32, keys, oids, runs, mergesort.Params{}); err != nil {
 				return 0, fmt.Errorf("calibrateOVCDiscount: %w", err)
 			}
 			if el := float64(time.Since(start).Nanoseconds()); best == 0 || el < best {

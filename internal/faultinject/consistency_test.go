@@ -77,10 +77,8 @@ func TestSitesMatchFiredSites(t *testing.T) {
 // site-kind matrix in lockstep with the site list: a Fire site added
 // without a chaos.SiteKinds entry would silently escape the storm
 // battery, and a matrix entry for a removed site is dead weight. Every
-// entry must arm at least the delay and cancel kinds (they are safe at
-// any site by construction), may only name site kinds (squeeze is
-// request-level), and panic may only be omitted at the documented
-// cancellation-only site.
+// entry must arm the panic, delay and cancel kinds, and may only name
+// site kinds (squeeze is request-level).
 func TestChaosKindMatrixMatchesSites(t *testing.T) {
 	siteSet := map[string]bool{}
 	for _, s := range faultinject.Sites {
@@ -104,11 +102,8 @@ func TestChaosKindMatrixMatchesSites(t *testing.T) {
 			}
 			have[k] = true
 		}
-		if !have[chaos.KindDelay] || !have[chaos.KindCancel] {
-			t.Errorf("site %q must arm at least delay and cancel, has %v", s, kinds)
-		}
-		if !have[chaos.KindPanic] && s != faultinject.TopKMerge {
-			t.Errorf("site %q omits panic but is not the documented cancellation-only site", s)
+		if !have[chaos.KindPanic] || !have[chaos.KindDelay] || !have[chaos.KindCancel] {
+			t.Errorf("site %q must arm panic, delay and cancel, has %v", s, kinds)
 		}
 	}
 	for s := range chaos.SiteKinds {

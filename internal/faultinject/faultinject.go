@@ -37,12 +37,10 @@ const (
 	// and cooperative group sorts), the top-K chunk filter, and the
 	// paper kernel's parallel chunk sorts.
 	ChunkSort = "mergesort.chunk_sort"
-	// LoserMerge: mergesort's cooperative multiway merge, once per
-	// worker co-partition.
+	// LoserMerge: mergesort's merge of sorted runs (MergeRunsContext),
+	// once per rank share: the coordinator's cross-shard gather and the
+	// paper kernel's parallel chunk merge.
 	LoserMerge = "mergesort.loser_merge"
-	// TopKMerge: mergesort's rank-truncated merge, once per top-K merge
-	// after the tie-extended cut is selected.
-	TopKMerge = "mergesort.topk_merge"
 	// MassageChunk: the massage FIP pass, once per row chunk.
 	MassageChunk = "massage.chunk"
 	// Gather: the engine's materialization gather, once per chunk.
@@ -60,7 +58,7 @@ const (
 
 // Sites lists every named site, for test batteries that iterate them.
 var Sites = []string{
-	GroupSort, Permute, TieOrder, ChunkSort, LoserMerge, TopKMerge,
+	GroupSort, Permute, TieOrder, ChunkSort, LoserMerge,
 	MassageChunk, Gather, Aggregate, ShardFanout, ShardMerge,
 }
 

@@ -84,11 +84,12 @@ func BenchmarkKernelBakeoff(b *testing.B) {
 // BenchmarkParallelSort times the parallel sort under the production
 // kernel — the parallel radix sort that mcsort's round 0 and its
 // cooperative group sorts call — in ns/row over parallelBenchRows rows:
-// workers {1, 2} × every bank × {unique, zipf} keys, and TopKContext at
-// two workers with limits 100 and n/2−1, whose chunk filter no mcsperf
-// workload reaches. One iteration refills the rows first, inside the
-// clock. `make bakeoff` runs it at -cpu 2; CI runs it at -benchtime 1x
-// as a compile-and-run smoke.
+// workers {1, 2} × every bank × {unique, zipf} keys, the paper kernel's
+// chunk sorts and chunk merge at two workers (the path the figure
+// experiments time), and TopKContext at two workers with limits 100 and
+// n/2−1, whose chunk filter no mcsperf workload reaches. One iteration
+// refills the rows first, inside the clock. `make bakeoff` runs it at
+// -cpu 2; CI runs it at -benchtime 1x as a compile-and-run smoke.
 func BenchmarkParallelSort(b *testing.B) {
 	ctx := context.Background()
 	const n = parallelBenchRows
@@ -114,11 +115,55 @@ func BenchmarkParallelSort(b *testing.B) {
 			for _, w := range []int{1, 2} {
 				cell("sort", func(w int) error { return ParallelSortWithParamsContext(ctx, bank, keys, oids, Params{}, w) }, w)
 			}
+			cell("paper", func(w int) error {
+				return ParallelSortWithParamsContext(ctx, bank, keys, oids, Params{PaperKernel: true}, w)
+			}, 2)
 			for _, limit := range []int{100, n/2 - 1} {
 				cell(fmt.Sprintf("topk=%d", limit), func(w int) error {
 					_, err := TopKContext(ctx, bank, keys, oids, limit, Params{}, w)
 					return err
 				}, 2)
+			}
+		}
+	}
+}
+
+// BenchmarkMergeRuns times MergeRunsContext in ns/row over
+// parallelBenchRows rows cut into k equal sorted runs: k ∈ {2, 3, 8} ×
+// {unique, zipf} keys × workers {1, 2}. k = 3 is the coordinator's
+// gather over three shards, k = 8 the paper kernel's chunk merge at
+// eight workers. The runs are read only, so one iteration is the merge
+// alone. `make bakeoff` runs it at -cpu 2; CI at -benchtime 1x.
+func BenchmarkMergeRuns(b *testing.B) {
+	ctx := context.Background()
+	const n = parallelBenchRows
+	for _, k := range []int{2, 3, 8} {
+		for _, dup := range []string{"unique", "zipf"} {
+			keys := bakeoffKeys(n, 64, dup)
+			runs := make([]int, k+1)
+			for r := range runs {
+				runs[r] = n * r / k
+			}
+			oids := make([]uint32, n)
+			for r := 0; r < k; r++ {
+				lo, hi := runs[r], runs[r+1]
+				for i := lo; i < hi; i++ {
+					oids[i] = uint32(i)
+				}
+				if err := SortWithParamsContext(ctx, 64, keys[lo:hi], oids[lo:hi], Params{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			runK, runO := splitAt(keys, oids, runs)
+			for _, w := range []int{1, 2} {
+				b.Run(fmt.Sprintf("k=%d/%s/workers=%d", k, dup, w), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						if _, _, err := MergeRunsContext(ctx, runK, runO, 0, w); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/row")
+				})
 			}
 		}
 	}

@@ -110,47 +110,39 @@ func TestChunkSortPanicContained(t *testing.T) {
 // TestTopKCancelAtSites cancels the bounded-heap partial sort from the
 // chunk-filter site, which its filter and its survivor sort both fire: a
 // fired site must yield context.Canceled promptly with no leaked
-// goroutines. The truncated-merge site (TopKMerge) belongs to
-// ParallelMergeTopKContext, which the partial sort no longer calls: it
-// must not fire at all.
+// goroutines.
 func TestTopKCancelAtSites(t *testing.T) {
 	defer faultinject.Reset()
-	for _, site := range []string{faultinject.ChunkSort, faultinject.TopKMerge} {
-		for _, workers := range []int{1, 4, 8} {
-			site, workers := site, workers
-			t.Run(fmt.Sprintf("%s/workers=%d", site, workers), func(t *testing.T) {
-				defer testutil.CheckNoLeaks(t)()
-				keys, oids := cancelKeys(20000, 19)
-				ctx, cancel := context.WithCancel(context.Background())
-				defer cancel()
-				var fired atomic.Bool
-				restore := faultinject.Set(site, func() {
-					fired.Store(true)
-					cancel()
-				})
-				defer restore()
-				m, err := TopKContext(ctx, 16, keys, oids, 64, cancelParams(16), workers)
-				if fired.Load() == (site == faultinject.TopKMerge) {
-					t.Fatalf("site fired = %v", fired.Load())
-				}
-				if fired.Load() {
-					if !errors.Is(err, context.Canceled) {
-						t.Fatalf("site fired but err = %v, want context.Canceled", err)
-					}
-					if m != 0 {
-						t.Fatalf("cancelled TopK returned m=%d, want 0", m)
-					}
-				} else if err != nil {
-					t.Fatalf("site never fired but err = %v", err)
-				}
+	for _, workers := range []int{1, 4, 8} {
+		workers := workers
+		t.Run(fmt.Sprintf("%s/workers=%d", faultinject.ChunkSort, workers), func(t *testing.T) {
+			defer testutil.CheckNoLeaks(t)()
+			keys, oids := cancelKeys(20000, 19)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var fired atomic.Bool
+			restore := faultinject.Set(faultinject.ChunkSort, func() {
+				fired.Store(true)
+				cancel()
 			})
-		}
+			defer restore()
+			m, err := TopKContext(ctx, 16, keys, oids, 64, cancelParams(16), workers)
+			if !fired.Load() {
+				t.Fatal("the chunk filter never fired its site")
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("site fired but err = %v, want context.Canceled", err)
+			}
+			if m != 0 {
+				t.Fatalf("cancelled TopK returned m=%d, want 0", m)
+			}
+		})
 	}
 }
 
-// TestParallelMergeTopKCancelAtSite drives the truncated merge directly:
-// the TopKMerge site fires after validation, before the co-partition
-// workers start, so a cancellation there must abort the merge.
+// TestParallelMergeTopKCancelAtSite drives MergeRunsContext's limit
+// path: every rank share fires the loser-merge site before it merges, so
+// a cancellation there must abort the merge with no output.
 func TestParallelMergeTopKCancelAtSite(t *testing.T) {
 	defer faultinject.Reset()
 	for _, workers := range []int{1, 4, 8} {
@@ -158,26 +150,68 @@ func TestParallelMergeTopKCancelAtSite(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			defer testutil.CheckNoLeaks(t)()
 			keys, oids := cancelKeys(20000, 23)
-			runs := sortedRuns(keys, oids, 6)
+			runK, runO := splitAt(keys, oids, sortedRuns(keys, oids, 6))
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			var fired atomic.Bool
-			restore := faultinject.Set(faultinject.TopKMerge, func() {
+			restore := faultinject.Set(faultinject.LoserMerge, func() {
 				fired.Store(true)
 				cancel()
 			})
 			defer restore()
-			m, err := ParallelMergeTopKContext(ctx, 16, keys, oids, runs, 64, cancelParams(16), workers)
+			k, o, err := MergeRunsContext(ctx, runK, runO, 64, workers)
 			if !fired.Load() {
-				t.Fatal("TopKMerge site never fired on a truncating merge")
+				t.Fatal("LoserMerge site never fired on a truncating merge")
 			}
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}
-			if m != 0 {
-				t.Fatalf("cancelled merge returned m=%d, want 0", m)
+			if k != nil || o != nil {
+				t.Fatalf("cancelled merge returned %d rows, want none", len(k))
 			}
 		})
+	}
+}
+
+// TestCancelledMergeRerunsIdentically pins that a merge cancelled inside
+// its shares leaves no residue: the runs are read only, so rerunning
+// gives byte-identical output, at every worker count.
+func TestCancelledMergeRerunsIdentically(t *testing.T) {
+	defer faultinject.Reset()
+	keys, oids := cancelKeys(3*mergeCheckEvery, 37)
+	runs := sortedRuns(keys, oids, 5)
+	for _, workers := range []int{1, 2, 3} {
+		want, wantO := mustMergeRuns(t, keys, oids, runs, 0, workers)
+		runK, runO := splitAt(keys, oids, runs)
+		ctx, cancel := context.WithCancel(context.Background())
+		restore := faultinject.Set(faultinject.LoserMerge, cancel)
+		_, _, err := MergeRunsContext(ctx, runK, runO, 0, workers)
+		restore()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: cancelled merge: err = %v", workers, err)
+		}
+		got, gotO := mustMergeRuns(t, keys, oids, runs, 0, workers)
+		checkMerged(t, fmt.Sprintf("workers=%d rerun", workers), got, gotO, want, wantO)
+	}
+}
+
+// TestMergeSharePanicContained injects a panic into the rank shares: it
+// must surface as a *pipeerr.PipelineError of the merge stage outside
+// any round, and leak no goroutine.
+func TestMergeSharePanicContained(t *testing.T) {
+	defer faultinject.Reset()
+	defer testutil.CheckNoLeaks(t)()
+	keys, oids := cancelKeys(20000, 41)
+	runK, runO := splitAt(keys, oids, sortedRuns(keys, oids, 4))
+	restore := faultinject.Set(faultinject.LoserMerge, func() { panic("injected share fault") })
+	defer restore()
+	_, _, err := MergeRunsContext(context.Background(), runK, runO, 0, 4)
+	var pe *pipeerr.PipelineError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %T %v, want *pipeerr.PipelineError", err, err)
+	}
+	if pe.Stage != pipeerr.StageMerge || pe.Round != -1 {
+		t.Errorf("stage %q round %d, want %q round -1", pe.Stage, pe.Round, pipeerr.StageMerge)
 	}
 }
 
@@ -273,43 +307,6 @@ func TestCancelledSortRerunsIdentically(t *testing.T) {
 	for i := range k {
 		if k[i] != want[i] || o[i] != wantO[i] {
 			t.Fatalf("keys or oids diverge at %d after a cancelled run", i)
-		}
-	}
-}
-
-// TestSequentialUnpackCancel pins the unpack pass at one worker to the
-// cadence of every other sequential row pass: one poll per
-// pipeerr.BlockRows block instead of one for the whole array, so a
-// cancellation on the second poll returns ctx.Err() with nothing
-// written past the first block.
-func TestSequentialUnpackCancel(t *testing.T) {
-	const n = 3*pipeerr.BlockRows + 5
-	for _, bank := range Banks {
-		lanes := kernelsFor(bank).lanes
-		keys, oids := cancelKeys(n, int64(bank))
-		for i := range keys {
-			keys[i] |= 1 // no zero key or oid, so a written slot is visible
-			oids[i]++
-		}
-		kw, ow := pack(keys, oids, lanes)
-
-		gotK, gotO := make([]uint64, n), make([]uint32, n)
-		if err := parallelUnpack(testutil.NewPollCtx(1), kw, ow, lanes, gotK, gotO, 1); !errors.Is(err, context.Canceled) {
-			t.Fatalf("bank %d: err = %v, want context.Canceled", bank, err)
-		}
-		for i := range gotK {
-			if written := gotK[i] != 0 || gotO[i] != 0; written != (i < pipeerr.BlockRows) {
-				t.Fatalf("bank %d: element %d written = %v after a cancellation on the second poll", bank, i, written)
-			}
-		}
-
-		if err := parallelUnpack(testutil.NewPollCtx(4), kw, ow, lanes, gotK, gotO, 1); err != nil {
-			t.Fatalf("bank %d: %v within a budget of one poll per block", bank, err)
-		}
-		for i := range gotK {
-			if gotK[i] != keys[i] || gotO[i] != oids[i] {
-				t.Fatalf("bank %d: element %d unpacked to (%d, %d), want (%d, %d)", bank, i, gotK[i], gotO[i], keys[i], oids[i])
-			}
 		}
 	}
 }

@@ -5,13 +5,13 @@ import (
 	"testing"
 )
 
-// FuzzOVCMerge differences the offset-value-coded parallel merge
-// against the plain one on arbitrary keys, run boundaries, and worker
-// counts: the two must be byte-identical in both keys and oids — OVC is
-// a comparison surrogate, never a tie-break change. The audit
-// instrumentation is armed for every execution, so any code verdict
-// contradicting the full keys fails the run even when the outputs
-// happen to agree.
+// FuzzOVCMerge differences the offset-value-coded packed merge against
+// the plain one, and both against MergeRunsContext at the fuzzed worker
+// count, on arbitrary keys and run boundaries: all three must be
+// byte-identical in both keys and oids — OVC is a comparison surrogate,
+// never a tie-break change. The audit instrumentation is armed for the
+// coded merge, so any code verdict contradicting the full keys fails
+// the run even when the outputs happen to agree.
 //
 // Run boundaries come from an LCG over runSeed (as in FuzzParallelMerge)
 // so empty, single-element, and wildly unbalanced runs occur; the seed
@@ -70,30 +70,29 @@ func FuzzOVCMerge(f *testing.F) {
 			copy(oids[lo:hi], so)
 		}
 
-		p := DefaultParams(bank / 8)
-		p.ParallelThreshold = 64 // force the parallel path on small inputs
-		pOff := p
-		pOff.DisableOVC = true
-
 		offK := append([]uint64(nil), keys...)
 		offO := append([]uint32(nil), oids...)
-		mustParallelMerge(t, bank, offK, offO, cuts, pOff, workers)
+		mustMergePacked(t, bank, offK, offO, cuts, Params{DisableOVC: true})
 
 		onK := append([]uint64(nil), keys...)
 		onO := append([]uint32(nil), oids...)
 		ovcAuditReset()
 		ovcAuditEnabled = true
-		mustParallelMerge(t, bank, onK, onO, cuts, p, workers)
+		mustMergePacked(t, bank, onK, onO, cuts, Params{})
 		ovcAuditEnabled = false
 		if m := ovcAuditMismatches.Load(); m != 0 {
-			t.Fatalf("bank %d n %d runs %d workers %d: %d code verdicts contradicted the keys",
-				bank, n, nRuns, workers, m)
+			t.Fatalf("bank %d n %d runs %d: %d code verdicts contradicted the keys", bank, n, nRuns, m)
 		}
 
+		runK, runO := mustMergeRuns(t, keys, oids, cuts, 0, workers)
 		for i := 0; i < n; i++ {
 			if onK[i] != offK[i] || onO[i] != offO[i] {
-				t.Fatalf("bank %d n %d runs %d workers %d: OVC diverges at %d: (%d,%d) vs (%d,%d)",
-					bank, n, nRuns, workers, i, onK[i], onO[i], offK[i], offO[i])
+				t.Fatalf("bank %d n %d runs %d: OVC diverges at %d: (%d,%d) vs (%d,%d)",
+					bank, n, nRuns, i, onK[i], onO[i], offK[i], offO[i])
+			}
+			if runK[i] != offK[i] || runO[i] != offO[i] {
+				t.Fatalf("bank %d n %d runs %d workers %d: MergeRunsContext diverges at %d: (%d,%d) vs (%d,%d)",
+					bank, n, nRuns, workers, i, runK[i], runO[i], offK[i], offO[i])
 			}
 		}
 	})

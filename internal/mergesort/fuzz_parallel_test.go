@@ -5,11 +5,12 @@ import (
 	"testing"
 )
 
-// FuzzParallelMerge drives the cooperative K-way merge with arbitrary
-// keys, run boundaries, and worker counts, and checks it against the
-// sequential stable oracle: merging sorted runs must order records by
-// (key, run index) with within-run order preserved — the exact contract
-// that makes the parallel pipeline byte-identical for any Workers.
+// FuzzParallelMerge drives MergeRunsContext's rank-split merge with
+// arbitrary keys, run boundaries, and worker counts, and checks it — and
+// the packed MergePackedContext — against the sequential stable oracle:
+// merging sorted runs must order records by (key, run index) with
+// within-run order preserved — the exact contract that makes the merge
+// byte-identical for any worker count.
 //
 // The run boundaries are fuzzed too (derived from runSeed via a small
 // LCG), so the multisequence selection sees empty runs, single-element
@@ -95,11 +96,16 @@ func FuzzParallelMerge(f *testing.F) {
 			return want[a].run < want[b].run
 		})
 
-		gotK := append([]uint64(nil), keys...)
-		gotO := append([]uint32(nil), oids...)
-		mustParallelMerge(t, bank, gotK, gotO, cuts, Params{}, workers)
+		gotK, gotO := mustMergeRuns(t, keys, oids, cuts, 0, workers)
+		packedK := append([]uint64(nil), keys...)
+		packedO := append([]uint32(nil), oids...)
+		mustMergePacked(t, bank, packedK, packedO, cuts, Params{})
 
 		for i := 0; i < n; i++ {
+			if packedK[i] != want[i].k || packedO[i] != want[i].oid {
+				t.Fatalf("bank %d n %d runs %d: packed merge diverges at %d: (%d,%d), oracle (%d,%d)",
+					bank, n, nRuns, i, packedK[i], packedO[i], want[i].k, want[i].oid)
+			}
 			if gotK[i] != want[i].k {
 				t.Fatalf("bank %d n %d runs %d workers %d: keys[%d] = %d, oracle %d",
 					bank, n, nRuns, workers, i, gotK[i], want[i].k)

@@ -1,17 +1,17 @@
 package mergesort
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 )
 
-// FuzzTopKMerge drives the truncated cooperative merge with arbitrary
+// FuzzTopKMerge drives MergeRunsContext's limit path with arbitrary
 // keys, fuzzed run boundaries, worker counts, and limits, against the
-// same stable (key, run-index) oracle as FuzzParallelMerge: the
-// survivor prefix must equal the full merge's prefix byte-for-byte,
-// the survivor count must be tie-extended (never splitting an equal-key
-// group) and at least the limit, and it must not depend on the worker
-// count.
+// same stable (key, run-index) oracle as FuzzParallelMerge: the merge
+// must stop after exactly min(limit, n) rows, those rows must equal the
+// full merge's prefix byte-for-byte, and a second worker count must
+// return the same bytes.
 func FuzzTopKMerge(f *testing.F) {
 	f.Add(uint16(0), uint16(2), uint16(2), uint16(1), []byte{})
 	f.Add(uint16(1), uint16(3), uint16(3), uint16(5), []byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0})
@@ -31,8 +31,8 @@ func FuzzTopKMerge(f *testing.F) {
 			return
 		}
 		workers := int(workersRaw)%8 + 1
-		// Limits from 1 to a bit past n so the full-merge fallback path
-		// (limit >= n) is fuzzed too.
+		// Limits from 1 to a bit past n so the uncut merge (limit >= n) is
+		// fuzzed too.
 		limit := int(limitRaw)%(n+8) + 1
 
 		nRuns := int(runSeed)%8 + 2
@@ -90,41 +90,19 @@ func FuzzTopKMerge(f *testing.F) {
 			return want[a].run < want[b].run
 		})
 
-		gotK := append([]uint64(nil), keys...)
-		gotO := append([]uint32(nil), oids...)
-		m := mustParallelMergeTopK(t, bank, gotK, gotO, cuts, limit, testParams(bank), workers)
-
-		if m > n {
-			t.Fatalf("bank %d n %d limit %d workers %d: m=%d exceeds n", bank, n, limit, workers, m)
+		gotK, gotO := mustMergeRuns(t, keys, oids, cuts, limit, workers)
+		if want := min(limit, n); len(gotK) != want || len(gotO) != want {
+			t.Fatalf("bank %d n %d limit %d workers %d: %d keys and %d oids, want %d", bank, n, limit, workers, len(gotK), len(gotO), want)
 		}
-		if m < limit && m < n {
-			t.Fatalf("bank %d n %d limit %d workers %d: m=%d below the limit", bank, n, limit, workers, m)
-		}
-		if m < n && want[m-1].k == want[m].k {
-			t.Fatalf("bank %d n %d limit %d workers %d: cut at %d splits the tie group of key %d",
-				bank, n, limit, workers, m, want[m].k)
-		}
-		for i := 0; i < m; i++ {
+		for i := range gotK {
 			if gotK[i] != want[i].k || gotO[i] != want[i].oid {
 				t.Fatalf("bank %d n %d runs %d limit %d workers %d: prefix diverges at %d: got (%d,%d) want (%d,%d)",
 					bank, n, nRuns, limit, workers, i, gotK[i], gotO[i], want[i].k, want[i].oid)
 			}
 		}
 
-		// The cut is value-defined, so a second worker count must land on
-		// the same m with the same prefix.
-		gotK2 := append([]uint64(nil), keys...)
-		gotO2 := append([]uint32(nil), oids...)
-		m2 := mustParallelMergeTopK(t, bank, gotK2, gotO2, cuts, limit, testParams(bank), workers%8+1)
-		if m2 != m {
-			t.Fatalf("bank %d n %d limit %d: m=%d at workers=%d but %d at workers=%d",
-				bank, n, limit, m, workers, m2, workers%8+1)
-		}
-		for i := 0; i < m; i++ {
-			if gotK2[i] != gotK[i] || gotO2[i] != gotO[i] {
-				t.Fatalf("bank %d n %d limit %d: prefix differs between workers=%d and workers=%d at %d",
-					bank, n, limit, workers, workers%8+1, i)
-			}
-		}
+		// The output does not depend on the worker count.
+		gotK2, gotO2 := mustMergeRuns(t, keys, oids, cuts, limit, workers%8+1)
+		checkMerged(t, fmt.Sprintf("bank %d n %d limit %d workers %d", bank, n, limit, workers%8+1), gotK2, gotO2, gotK, gotO)
 	})
 }

@@ -23,25 +23,38 @@ func mustParallelSort(tb testing.TB, bank int, keys []uint64, oids []uint32, p P
 	}
 }
 
-func mustParallelMerge(tb testing.TB, bank int, keys []uint64, oids []uint32, runs []int, p Params, workers int) {
+func mustMergePacked(tb testing.TB, bank int, keys []uint64, oids []uint32, runs []int, p Params) {
 	tb.Helper()
-	if err := ParallelMergeWithParamsContext(context.Background(), bank, keys, oids, runs, p, workers); err != nil {
+	if err := MergePackedContext(context.Background(), bank, keys, oids, runs, p); err != nil {
 		tb.Fatal(err)
 	}
+}
+
+// mustMergeRuns cuts keys/oids at the run bounds and merges the runs
+// with MergeRunsContext.
+func mustMergeRuns(tb testing.TB, keys []uint64, oids []uint32, runs []int, limit, workers int) ([]uint64, []uint32) {
+	tb.Helper()
+	k, o := splitAt(keys, oids, runs)
+	mk, mo, err := MergeRunsContext(context.Background(), k, o, limit, workers)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return mk, mo
+}
+
+// splitAt cuts keys/oids into the runs bounded by runs.
+func splitAt(keys []uint64, oids []uint32, runs []int) ([][]uint64, [][]uint32) {
+	k := make([][]uint64, len(runs)-1)
+	o := make([][]uint32, len(runs)-1)
+	for r := range k {
+		k[r], o[r] = keys[runs[r]:runs[r+1]], oids[runs[r]:runs[r+1]]
+	}
+	return k, o
 }
 
 func mustTopK(tb testing.TB, bank int, keys []uint64, oids []uint32, limit int, p Params, workers int) int {
 	tb.Helper()
 	m, err := TopKContext(context.Background(), bank, keys, oids, limit, p, workers)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return m
-}
-
-func mustParallelMergeTopK(tb testing.TB, bank int, keys []uint64, oids []uint32, runs []int, limit int, p Params, workers int) int {
-	tb.Helper()
-	m, err := ParallelMergeTopKContext(context.Background(), bank, keys, oids, runs, limit, p, workers)
 	if err != nil {
 		tb.Fatal(err)
 	}

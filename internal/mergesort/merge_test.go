@@ -1,0 +1,98 @@
+package mergesort
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/pipeerr"
+)
+
+// mergeInputs are the key distributions of the merge battery: one value
+// everywhere, one value on 95 % of the rows, and distinct values.
+func mergeInputs(n int, seed int64) map[string][]uint64 {
+	rng := rand.New(rand.NewSource(seed))
+	in := map[string][]uint64{
+		"allequal": make([]uint64, n),
+		"skew95":   make([]uint64, n),
+		"unique":   make([]uint64, n),
+	}
+	for i := 0; i < n; i++ {
+		in["allequal"][i] = 7
+		in["skew95"][i] = 7
+		if rng.Intn(100) >= 95 {
+			in["skew95"][i] = rng.Uint64()
+		}
+		in["unique"][i] = rng.Uint64()
+	}
+	return in
+}
+
+// TestMergeRunsMatchesOracleAndPacked pins MergeRunsContext to the
+// stable (key, run index) oracle and to MergePackedContext byte for
+// byte, at every worker count and limit: the limited merge is the full
+// merge's prefix of exactly min(limit, n) rows.
+func TestMergeRunsMatchesOracleAndPacked(t *testing.T) {
+	const n = 5000
+	for name, keys := range mergeInputs(n, 5) {
+		for _, nRuns := range []int{2, 3, 8} {
+			k, oids := append([]uint64(nil), keys...), identOids(n)
+			runs := sortedRuns(k, oids, nRuns)
+			wantK, wantO := mergeOracle(k, oids, runs)
+			packedK, packedO := append([]uint64(nil), k...), append([]uint32(nil), oids...)
+			mustMergePacked(t, 64, packedK, packedO, runs, Params{})
+			checkMerged(t, fmt.Sprintf("%s runs=%d packed", name, nRuns), packedK, packedO, wantK, wantO)
+			for _, limit := range []int{1, n / 2, n, n + 7} {
+				m := min(limit, n)
+				for _, w := range []int{1, 2, 3, 8} {
+					gotK, gotO := mustMergeRuns(t, k, oids, runs, limit, w)
+					checkMerged(t, fmt.Sprintf("%s runs=%d limit=%d workers=%d", name, nRuns, limit, w), gotK, gotO, packedK[:m], packedO[:m])
+				}
+			}
+		}
+	}
+}
+
+// TestPaperKernelParallelSortIsChunkSortsPlusPackedMerge pins the paper
+// kernel's parallel sort to its definition: sort each chunk, then merge
+// the chunks stably by chunk index — here with the packed merge, which
+// the parallel sort no longer calls.
+func TestPaperKernelParallelSortIsChunkSortsPlusPackedMerge(t *testing.T) {
+	const n = 20000
+	for _, bank := range Banks {
+		p := testParams(bank)
+		p.PaperKernel = true
+		v := kernelsFor(bank).v
+		for name, keys := range adversarialInputs(n, bank, 13) {
+			for _, w := range []int{2, 3, 8} {
+				wantK, wantO := append([]uint64(nil), keys...), identOids(n)
+				bounds := pipeerr.Cut(n, w, v*v)
+				for c := 0; c+1 < len(bounds); c++ {
+					mustSort(t, bank, wantK[bounds[c]:bounds[c+1]], wantO[bounds[c]:bounds[c+1]], p)
+				}
+				mustMergePacked(t, bank, wantK, wantO, bounds, p)
+				gotK, gotO := append([]uint64(nil), keys...), identOids(n)
+				mustParallelSort(t, bank, gotK, gotO, p, w)
+				checkMerged(t, fmt.Sprintf("%s bank=%d workers=%d", name, bank, w), gotK, gotO, wantK, wantO)
+			}
+		}
+	}
+}
+
+// TestMergeRunsSingleRunUncopied pins the one-run shortcut: when a
+// single run holds rows, the merge returns that run itself, cut to the
+// limit, not a copy.
+func TestMergeRunsSingleRunUncopied(t *testing.T) {
+	keys := []uint64{1, 2, 2, 5}
+	oids := []uint32{9, 8, 7, 6}
+	for _, c := range []struct{ limit, want int }{{0, 4}, {3, 3}} {
+		k, o, err := MergeRunsContext(context.Background(), [][]uint64{nil, keys, {}}, [][]uint32{nil, oids, {}}, c.limit, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(k) != c.want || len(o) != c.want || &k[0] != &keys[0] || &o[0] != &oids[0] {
+			t.Fatalf("limit=%d: got %d rows at %p, want %d rows of the run itself at %p", c.limit, len(k), &k[0], c.want, &keys[0])
+		}
+	}
+}

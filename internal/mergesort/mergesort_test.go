@@ -307,7 +307,7 @@ func TestLoserTree(t *testing.T) {
 			keys, runs := randomRuns(rng, k)
 			_, want := mergeOracle(keys, identOids(len(keys)), runs)
 			for _, useOVC := range []bool{false, true} {
-				lt := newStableLoserTree(keys, 1, runStarts(runs), runEnds(runs), useOVC)
+				lt := newStableLoserTree(keys, 1, runs[:len(runs)-1], runs[1:], useOVC)
 				var got []uint32
 				for {
 					pos, cnt, key := lt.popStretch(1 + rng.Intn(8))

@@ -30,9 +30,8 @@ package mergesort
 // above any byte where A still agrees with base.
 //
 // The loser-tree invariant maintained by stableLoserTree — the one
-// tree, under the sort's phase-3 passes, the co-partitions of the
-// parallel merge and the parallel sort's chunk merge, and the truncated
-// top-K merge: every stored loser's code is relative to the last record
+// packed tree, under the sort's phase-3 passes and MergePackedContext:
+// every stored loser's code is relative to the last record
 // that went up through that node. The initial build uses full
 // comparisons and re-bases every loser against its winner; replay
 // comparisons then always see a common base, and the record entering

@@ -1,6 +1,7 @@
 package mergesort
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -160,6 +161,9 @@ func TestOVCAuditSequentialSort(t *testing.T) {
 	}
 }
 
+// TestOVCAuditParallelMerge audits the packed merge, MergePackedContext:
+// every code verdict must agree with the full keys, and the output must
+// be the stable oracle's.
 func TestOVCAuditParallelMerge(t *testing.T) {
 	const n = 3000
 	for _, bank := range Banks {
@@ -171,32 +175,26 @@ func TestOVCAuditParallelMerge(t *testing.T) {
 			k := append([]uint64(nil), keys...)
 			runs := sortedRuns(k, oids, 7)
 			wantK, wantO := mergeOracle(k, oids, runs)
-			for _, w := range []int{1, 2, 4, 8} {
-				gotK := append([]uint64(nil), k...)
-				gotO := append([]uint32(nil), oids...)
-				resolved, _ := withOVCAudit(t, func() {
-					mustParallelMerge(t, bank, gotK, gotO, runs, testParams(bank), w)
-				})
-				// Duplicate-heavy inputs may bypass comparisons
-				// entirely via the code-0 replay skip; either a code
-				// verdict or a skipped replay proves codes were live.
-				if resolved == 0 && ovcAuditSkips.Load() == 0 {
-					t.Errorf("%s bank=%d workers=%d: no comparisons resolved or skipped by codes", name, bank, w)
+			gotK := append([]uint64(nil), k...)
+			gotO := append([]uint32(nil), oids...)
+			resolved, _ := withOVCAudit(t, func() {
+				mustMergePacked(t, bank, gotK, gotO, runs, Params{})
+			})
+			// Duplicate-heavy inputs may bypass comparisons entirely via
+			// the code-0 replay skip; either a code verdict or a skipped
+			// replay proves codes were live.
+			if resolved == 0 && ovcAuditSkips.Load() == 0 {
+				t.Errorf("%s bank=%d: no comparisons resolved or skipped by codes", name, bank)
+			}
+			if name == "allequal" {
+				if fb := ovcAuditFallbacks.Load(); fb != 0 {
+					t.Errorf("allequal bank=%d: %d key-byte fallbacks, want 0", bank, fb)
 				}
-				if name == "allequal" {
-					if fb := ovcAuditFallbacks.Load(); fb != 0 {
-						t.Errorf("allequal bank=%d workers=%d: %d key-byte fallbacks, want 0", bank, w, fb)
-					}
-					if sk := ovcAuditSkips.Load(); sk == 0 {
-						t.Errorf("allequal bank=%d workers=%d: code-0 fast path never fired", bank, w)
-					}
-				}
-				for i := range gotK {
-					if gotK[i] != wantK[i] || gotO[i] != wantO[i] {
-						t.Fatalf("%s bank=%d workers=%d: diverges from oracle at %d", name, bank, w, i)
-					}
+				if sk := ovcAuditSkips.Load(); sk == 0 {
+					t.Errorf("allequal bank=%d: code-0 fast path never fired", bank)
 				}
 			}
+			checkMerged(t, fmt.Sprintf("%s bank=%d", name, bank), gotK, gotO, wantK, wantO)
 		}
 	}
 }

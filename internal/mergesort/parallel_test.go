@@ -1,6 +1,7 @@
 package mergesort
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -9,14 +10,15 @@ import (
 	"repro/internal/testutil"
 )
 
-// Oracle-differential tests for the parallel out-of-cache merge and the
+// Oracle-differential tests for the merges of sorted runs and the
 // parallel sort.
 //
-// ParallelMerge promises byte-identical output for every worker count
-// (stable by run index); the oracle is an independent implementation —
-// sort.SliceStable over (key, run index), which preserves intra-run
-// order by stability. ParallelSort under the production kernel promises
-// exactly Sort's output, ties included.
+// MergeRunsContext promises byte-identical output for every worker
+// count, and MergePackedContext the same merge (stable by run index);
+// the oracle is an independent implementation — sort.SliceStable over
+// (key, run index), which preserves intra-run order by stability.
+// ParallelSort under the production kernel promises exactly Sort's
+// output, ties included.
 
 var parWorkerCounts = []int{1, 2, 3, 4, 8}
 
@@ -99,18 +101,28 @@ func TestParallelMergeMatchesOracle(t *testing.T) {
 				k := append([]uint64(nil), keys...)
 				runs := sortedRuns(k, oids, nRuns)
 				wantK, wantO := mergeOracle(k, oids, runs)
+				packedK := append([]uint64(nil), k...)
+				packedO := append([]uint32(nil), oids...)
+				mustMergePacked(t, bank, packedK, packedO, runs, Params{})
+				checkMerged(t, fmt.Sprintf("%s bank=%d runs=%d packed", name, bank, nRuns), packedK, packedO, wantK, wantO)
 				for _, w := range parWorkerCounts {
-					gotK := append([]uint64(nil), k...)
-					gotO := append([]uint32(nil), oids...)
-					mustParallelMerge(t, bank, gotK, gotO, runs, Params{}, w)
-					for i := range gotK {
-						if gotK[i] != wantK[i] || gotO[i] != wantO[i] {
-							t.Fatalf("%s bank=%d runs=%d workers=%d: diverges at %d: got (%d,%d) want (%d,%d)",
-								name, bank, nRuns, w, i, gotK[i], gotO[i], wantK[i], wantO[i])
-						}
-					}
+					gotK, gotO := mustMergeRuns(t, k, oids, runs, 0, w)
+					checkMerged(t, fmt.Sprintf("%s bank=%d runs=%d workers=%d", name, bank, nRuns, w), gotK, gotO, wantK, wantO)
 				}
 			}
+		}
+	}
+}
+
+// checkMerged fails unless got is exactly want, keys and oids.
+func checkMerged(t *testing.T, label string, gotK []uint64, gotO []uint32, wantK []uint64, wantO []uint32) {
+	t.Helper()
+	if len(gotK) != len(wantK) || len(gotO) != len(wantO) {
+		t.Fatalf("%s: %d keys and %d oids, want %d", label, len(gotK), len(gotO), len(wantK))
+	}
+	for i := range gotK {
+		if gotK[i] != wantK[i] || gotO[i] != wantO[i] {
+			t.Fatalf("%s: diverges at %d: got (%d,%d) want (%d,%d)", label, i, gotK[i], gotO[i], wantK[i], wantO[i])
 		}
 	}
 }
@@ -217,45 +229,30 @@ func canonicalOids(keys []uint64, oids []uint32) {
 }
 
 // TestSplitRunsConsistency pins the one selection against the stable
-// merge oracle, over full and cut-short runs (some empty): for any rank
-// t the cuts select exactly the first t elements of the (key, run
-// index) merge, and selectKeyAtRank names the key at each rank.
+// merge oracle, over runs some of which are empty: for any rank t the
+// cuts select exactly the first t rows of the (key, run index) merge,
+// and keyAtRank names the key at each rank.
 func TestSplitRunsConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 50; trial++ {
 		for _, k := range []int{3, 5, 8, 9} {
 			keys, runs := randomRuns(rng, k)
-			from, to := runStarts(runs), append([]int(nil), runEnds(runs)...)
-			if trial%2 == 1 { // truncated co-runs, as in the top-K merge
-				for r := range to {
-					to[r] -= rng.Intn(to[r] - from[r] + 1)
-				}
-			}
-			// The oracle merges the co-runs compacted to the front.
-			var coK []uint64
-			var coPos []uint32
-			coRuns := []int{0}
-			for r := range from {
-				for i := from[r]; i < to[r]; i++ {
-					coK, coPos = append(coK, keys[i]), append(coPos, uint32(i))
-				}
-				coRuns = append(coRuns, len(coK))
-			}
-			wantK, wantPos := mergeOracle(coK, coPos, coRuns)
+			wantK, wantPos := mergeOracle(keys, identOids(len(keys)), runs)
+			split, _ := splitAt(keys, identOids(len(keys)), runs)
 			for t0 := 0; t0 <= len(wantK); t0++ {
 				if t0 > 0 {
-					if got := selectKeyAtRank(keys, 1, 16, from, to, t0); got != wantK[t0-1] {
+					if got := keyAtRank(split, t0); got != wantK[t0-1] {
 						t.Fatalf("k=%d rank %d: selected key %d, merge has %d", k, t0, got, wantK[t0-1])
 					}
 				}
-				cuts := splitRuns(keys, 1, 16, from, to, t0)
+				cuts := splitRuns(split, t0)
 				below := map[uint32]bool{}
-				for r := range from {
-					if cuts[r] < from[r] || cuts[r] > to[r] {
+				for r := range split {
+					if cuts[r] < 0 || cuts[r] > len(split[r]) {
 						t.Fatalf("k=%d t=%d: cut %d out of run bounds", k, t0, r)
 					}
-					for i := from[r]; i < cuts[r]; i++ {
-						below[uint32(i)] = true
+					for i := 0; i < cuts[r]; i++ {
+						below[uint32(runs[r]+i)] = true
 					}
 				}
 				if len(below) != t0 {
@@ -272,9 +269,9 @@ func TestSplitRunsConsistency(t *testing.T) {
 }
 
 // TestParallelMergeOVCOnOffIdentical sweeps key cardinality (all-ties
-// through nearly-unique) against worker count and pins that the
-// offset-value-coded merge and the plain merge produce byte-identical
-// (keys, oids) — and that both match the stable oracle.
+// through nearly-unique) and pins that the offset-value-coded packed
+// merge, the plain one, and MergeRunsContext at every worker count
+// produce byte-identical (keys, oids) — the stable oracle's.
 func TestParallelMergeOVCOnOffIdentical(t *testing.T) {
 	const n = 4000
 	for _, bank := range Banks {
@@ -289,26 +286,15 @@ func TestParallelMergeOVCOnOffIdentical(t *testing.T) {
 			}
 			runs := sortedRuns(keys, oids, 6)
 			wantK, wantO := mergeOracle(keys, oids, runs)
+			for _, disableOVC := range []bool{false, true} {
+				gotK := append([]uint64(nil), keys...)
+				gotO := append([]uint32(nil), oids...)
+				mustMergePacked(t, bank, gotK, gotO, runs, Params{DisableOVC: disableOVC})
+				checkMerged(t, fmt.Sprintf("bank=%d card=%d ovcOff=%v", bank, card, disableOVC), gotK, gotO, wantK, wantO)
+			}
 			for _, w := range []int{1, 2, 4, 8} {
-				pOn := testParams(bank)
-				pOff := testParams(bank)
-				pOff.DisableOVC = true
-				onK := append([]uint64(nil), keys...)
-				onO := append([]uint32(nil), oids...)
-				mustParallelMerge(t, bank, onK, onO, runs, pOn, w)
-				offK := append([]uint64(nil), keys...)
-				offO := append([]uint32(nil), oids...)
-				mustParallelMerge(t, bank, offK, offO, runs, pOff, w)
-				for i := 0; i < n; i++ {
-					if onK[i] != offK[i] || onO[i] != offO[i] {
-						t.Fatalf("bank=%d card=%d workers=%d: OVC on/off diverge at %d: (%d,%d) vs (%d,%d)",
-							bank, card, w, i, onK[i], onO[i], offK[i], offO[i])
-					}
-					if onK[i] != wantK[i] || onO[i] != wantO[i] {
-						t.Fatalf("bank=%d card=%d workers=%d: diverges from oracle at %d",
-							bank, card, w, i)
-					}
-				}
+				gotK, gotO := mustMergeRuns(t, keys, oids, runs, 0, w)
+				checkMerged(t, fmt.Sprintf("bank=%d card=%d workers=%d", bank, card, w), gotK, gotO, wantK, wantO)
 			}
 		}
 	}
@@ -317,7 +303,7 @@ func TestParallelMergeOVCOnOffIdentical(t *testing.T) {
 // TestZeroParamsResolveToDefaults pins the Params resolver every entry
 // point applies: the zero Params is DefaultParams(bank/8), and a
 // partial override keeps the defaults of the fields it leaves zero —
-// byte for byte, ties included, on all five entry points.
+// byte for byte, ties included, on all four entry points that take one.
 func TestZeroParamsResolveToDefaults(t *testing.T) {
 	const n, workers, limit = 40000, 4, 3000 // n above DefaultParallelThreshold
 	type run func(p Params, keys []uint64, oids []uint32, runs []int) int
@@ -331,15 +317,12 @@ func TestZeroParamsResolveToDefaults(t *testing.T) {
 				mustParallelSort(t, bank, k, o, p, workers)
 				return len(k)
 			},
-			"ParallelMerge": func(p Params, k []uint64, o []uint32, runs []int) int {
-				mustParallelMerge(t, bank, k, o, runs, p, workers)
+			"MergePacked": func(p Params, k []uint64, o []uint32, runs []int) int {
+				mustMergePacked(t, bank, k, o, runs, p)
 				return len(k)
 			},
 			"TopK": func(p Params, k []uint64, o []uint32, _ []int) int {
 				return mustTopK(t, bank, k, o, limit, p, workers)
-			},
-			"ParallelMergeTopK": func(p Params, k []uint64, o []uint32, runs []int) int {
-				return mustParallelMergeTopK(t, bank, k, o, runs, limit, p, workers)
 			},
 		}
 		full := DefaultParams(bank / 8)

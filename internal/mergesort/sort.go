@@ -106,14 +106,6 @@ func checkRuns(keys []uint64, oids []uint32, runs []int) error {
 	return nil
 }
 
-// checkLimit rejects a top-K limit that selects nothing.
-func checkLimit(limit int) error {
-	if limit < 1 {
-		return fmt.Errorf("mergesort: top-K limit %d, must be >= 1", limit)
-	}
-	return nil
-}
-
 // Banks supported by the SIMD-sort, matching the paper (footnote 4
 // excludes 8-bit banks).
 var Banks = []int{16, 32, 64}

@@ -2,6 +2,7 @@ package mergesort
 
 import (
 	"context"
+	"fmt"
 	"sort"
 
 	"repro/internal/faultinject"
@@ -15,29 +16,23 @@ import (
 // filters each worker chunk through a bounded max-heap (the classic
 // top-K filter), so one parallel sort of the compacted survivors is all
 // that runs, and a binary search cuts its output at the rank.
-// ParallelMergeTopKContext cuts a merge of pre-sorted runs (the
-// coordinator's cross-shard runs) instead: the multisequence pivot-split
-// selection finds the rank, and only the head of the merge runs.
 //
-// Truncation contract (the determinism keystone, docs/topk.md): both
-// entry points cut at a *tie-extended* boundary — the returned prefix
-// holds every element whose key is ≤ the R-th smallest key, so the
-// survivor set is defined by key values alone and is byte-identical for
-// every worker count. The returned count m is therefore ≥ limit, and
-// the caller that needs an exact rank-R prefix (internal/mcsort)
-// orders the ties and slices afterwards. Cutting at the raw rank
-// instead would split a tied group at a chunk-dependent point and leak
-// the worker count into the result.
+// Truncation contract (the determinism keystone, docs/topk.md): the
+// cut is *tie-extended* — the returned prefix holds every element whose
+// key is ≤ the R-th smallest key, so the survivor set is defined by key
+// values alone and is byte-identical for every worker count. The
+// returned count m is therefore ≥ limit, and the caller that needs an
+// exact rank-R prefix (internal/mcsort) orders the ties and slices
+// afterwards. Cutting at the raw rank instead would split a tied group
+// at a chunk-dependent point and leak the worker count into the result.
 //
-// Robustness: the entry points poll the context inside the heap filter
-// (every topkCheckEvery elements), at chunk, pass and co-partition
-// boundaries, and inside the loser-tree merges; worker panics surface
-// as *pipeerr.PipelineError. On any error the keys/oids are in
-// unspecified (but memory-safe) order.
+// Robustness: TopKContext polls the context inside the heap filter
+// (every topkCheckEvery elements) and at chunk and pass boundaries;
+// worker panics surface as *pipeerr.PipelineError. On any error the
+// keys/oids are in unspecified (but memory-safe) order.
 
 var (
 	obsTopKSorts     = obs.NewCounter("mergesort.topk_sorts")
-	obsTopKMerges    = obs.NewCounter("mergesort.topk_merges")
 	obsTopKSurvivors = obs.NewCounter("mergesort.topk_survivors")
 	obsTopKFiltered  = obs.NewCounter("mergesort.topk_filtered_out")
 )
@@ -61,8 +56,8 @@ func TopKContext(ctx context.Context, bank int, keys []uint64, oids []uint32, li
 	if err := checkArgs(keys, oids); err != nil {
 		return 0, err
 	}
-	if err := checkLimit(limit); err != nil {
-		return 0, err
+	if limit < 1 {
+		return 0, fmt.Errorf("mergesort: top-K limit %d, must be >= 1", limit)
 	}
 	n := len(keys)
 	p = p.resolved(bank)
@@ -128,58 +123,6 @@ func TopKContext(ctx context.Context, bank int, keys []uint64, oids []uint32, li
 	}
 	obsTopKSurvivors.Add(int64(m))
 	return m, nil
-}
-
-// ParallelMergeTopKContext merges only the head of the pre-sorted runs
-// of keys/oids bounded by runs (runs[0]=0 … runs[len-1]=len(keys)): on
-// return keys[0:m] hold the m smallest elements of the run-index-stable
-// merge, where m is the tie-extended cut at rank limit (every element
-// whose key is ≤ the limit-th smallest key — so keys[0:limit] equal the
-// full merge's first limit elements, and the boundary tie group is
-// complete). keys[m:] are in unspecified order. limit must be ≥ 1; a
-// limit ≥ len(keys) degrades to the full merge. On cancellation or a
-// contained worker panic the returned count is 0 and keys/oids are in
-// unspecified order.
-func ParallelMergeTopKContext(ctx context.Context, bank int, keys []uint64, oids []uint32, runs []int, limit int, p Params, workers int) (int, error) {
-	if err := checkRuns(keys, oids, runs); err != nil {
-		return 0, err
-	}
-	if err := checkLimit(limit); err != nil {
-		return 0, err
-	}
-	n := len(keys)
-	if limit >= n {
-		if err := ParallelMergeWithParamsContext(ctx, bank, keys, oids, runs, p, workers); err != nil {
-			return 0, err
-		}
-		return n, nil
-	}
-	faultinject.Fire(faultinject.TopKMerge)
-	obsTopKMerges.Inc()
-	lanes := kernelsFor(bank).lanes
-	kw, ow := pack(keys, oids, lanes)
-	from, to := runStarts(runs), runEnds(runs)
-
-	// The pivot is the key at output rank limit−1 — the limit-th
-	// smallest — by the same selection that splits the merge across
-	// workers. The cut then takes *every* element ≤ the pivot
-	// (upperBound in each run), not a per-run rank share: that is the
-	// tie extension that makes the survivor set value-defined and
-	// worker-count-independent.
-	pivot := selectKeyAtRank(kw, lanes, bank, from, to, limit)
-	cuts := make([]int, len(from))
-	m := 0
-	for r := range from {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		cuts[r] = upperBoundPacked(kw, lanes, from[r], to[r], pivot)
-		m += cuts[r] - from[r]
-	}
-	if err := mergeAndUnpack(ctx, kw, ow, lanes, bank, from, cuts, keys[:m], oids[:m], !p.DisableOVC, workers); err != nil {
-		return 0, err
-	}
-	return m, ctx.Err()
 }
 
 // topKFilterChunk finds the chunk-local key at rank limit with a

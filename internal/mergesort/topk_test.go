@@ -8,14 +8,15 @@ import (
 	"testing"
 )
 
-// Property battery for the bounded-heap partial sort (docs/topk.md).
+// Property battery for the bounded-heap partial sort and the limited
+// merge (docs/topk.md).
 //
 // Two contracts are pinned:
 //
-//   - ParallelMergeTopK keeps the full merge's stable (key, run-index)
-//     tie order byte-for-byte over its survivor prefix, at every worker
-//     count, OVC on or off, including the all-equal-keys input whose
-//     tie stretch exercises the PR 6 OVC fast path.
+//   - MergeRunsContext under a limit returns exactly min(limit, n) rows,
+//     the full merge's stable (key, run-index) prefix byte-for-byte, at
+//     every worker count, including the all-equal-keys input whose cut
+//     falls inside one tie group.
 //   - TopK's survivor count m is value-defined (tie-extended), so it is
 //     identical at every worker count, and keys[:m] equals the fully
 //     sorted key order's prefix with a valid oid permutation.
@@ -30,48 +31,17 @@ func TestParallelMergeTopKMatchesOraclePrefix(t *testing.T) {
 	const n = 3000
 	for _, bank := range Banks {
 		for name, keys := range adversarialInputs(n, bank, int64(bank)) {
-			for _, disableOVC := range []bool{false, true} {
-				for _, nRuns := range []int{2, 5, 9} {
-					oids := make([]uint32, n)
-					for i := range oids {
-						oids[i] = uint32(i)
-					}
-					k := append([]uint64(nil), keys...)
-					runs := sortedRuns(k, oids, nRuns)
-					wantK, wantO := mergeOracle(k, oids, runs)
-					for _, limit := range topkLimits(n) {
-						var prevM = -1
-						for _, w := range parWorkerCounts {
-							p := testParams(bank)
-							p.DisableOVC = disableOVC
-							gotK := append([]uint64(nil), k...)
-							gotO := append([]uint32(nil), oids...)
-							m := mustParallelMergeTopK(t, bank, gotK, gotO, runs, limit, p, w)
-							label := fmt.Sprintf("%s bank=%d ovcOff=%v runs=%d limit=%d workers=%d",
-								name, bank, disableOVC, nRuns, limit, w)
-							if m < limit && m < n {
-								t.Fatalf("%s: m=%d below the limit", label, m)
-							}
-							if m > n {
-								t.Fatalf("%s: m=%d exceeds n", label, m)
-							}
-							if prevM >= 0 && m != prevM {
-								t.Fatalf("%s: m=%d differs from m=%d at the previous worker count", label, m, prevM)
-							}
-							prevM = m
-							// The survivor cut is value-defined: everything
-							// tied with the limit-th key survives, so the
-							// boundary always falls between distinct keys.
-							if m < n && wantK[m-1] == wantK[m] {
-								t.Fatalf("%s: cut at %d splits a tie group (key %d)", label, m, wantK[m])
-							}
-							for i := 0; i < m; i++ {
-								if gotK[i] != wantK[i] || gotO[i] != wantO[i] {
-									t.Fatalf("%s: prefix diverges from the stable merge oracle at %d: got (%d,%d) want (%d,%d)",
-										label, i, gotK[i], gotO[i], wantK[i], wantO[i])
-								}
-							}
-						}
+			for _, nRuns := range []int{2, 5, 9} {
+				oids := identOids(n)
+				k := append([]uint64(nil), keys...)
+				runs := sortedRuns(k, oids, nRuns)
+				wantK, wantO := mergeOracle(k, oids, runs)
+				for _, limit := range topkLimits(n) {
+					m := min(limit, n)
+					for _, w := range parWorkerCounts {
+						gotK, gotO := mustMergeRuns(t, k, oids, runs, limit, w)
+						label := fmt.Sprintf("%s bank=%d runs=%d limit=%d workers=%d", name, bank, nRuns, limit, w)
+						checkMerged(t, label, gotK, gotO, wantK[:m], wantO[:m])
 					}
 				}
 			}
@@ -206,9 +176,9 @@ func TestTopKBoundaryTieStability(t *testing.T) {
 }
 
 // TestTopKValidation pins the one error contract of the entry points:
-// a violated precondition — mismatched slice lengths, malformed or
-// non-ascending run bounds, limit < 1 — is a plain "mergesort:" error,
-// never a panic, and the inputs are left untouched.
+// a violated precondition — mismatched slice lengths or run counts,
+// malformed or non-ascending run bounds, limit < 1 — is a plain
+// "mergesort:" error, never a panic, and the inputs are left untouched.
 func TestTopKValidation(t *testing.T) {
 	ctx := context.Background()
 	keys := make([]uint64, 64)
@@ -222,8 +192,8 @@ func TestTopKValidation(t *testing.T) {
 		_, err := TopKContext(ctx, 32, keys, oids, limit, p, 1)
 		return err
 	}
-	mergeTopK := func(oids []uint32, runs []int, limit int) error {
-		_, err := ParallelMergeTopKContext(ctx, 32, keys, oids, runs, limit, p, 1)
+	merge := func(keys [][]uint64, oids [][]uint32) error {
+		_, _, err := MergeRunsContext(ctx, keys, oids, 0, 1)
 		return err
 	}
 	cases := []struct {
@@ -234,18 +204,16 @@ func TestTopKValidation(t *testing.T) {
 		{"sort on scratch len mismatch", SortScratchContext(ctx, 32, keys, oids[:10], p, new(Scratch))},
 		{"paper kernel sort len mismatch", SortWithParamsContext(ctx, 32, keys, oids[:10], Params{PaperKernel: true})},
 		{"parallel sort len mismatch", ParallelSortWithParamsContext(ctx, 32, keys, oids[:10], p, 4)},
-		{"merge len mismatch", ParallelMergeWithParamsContext(ctx, 32, keys, oids[:10], []int{0, 64}, p, 1)},
-		{"merge no runs", ParallelMergeWithParamsContext(ctx, 32, keys, oids, nil, p, 1)},
-		{"merge runs past the end", ParallelMergeWithParamsContext(ctx, 32, keys, oids, []int{0, 100}, p, 1)},
-		{"merge runs not from 0", ParallelMergeWithParamsContext(ctx, 32, keys, oids, []int{8, 64}, p, 1)},
-		{"merge runs descending", ParallelMergeWithParamsContext(ctx, 32, keys, oids, []int{0, 40, 20, 64}, p, 1)},
+		{"packed merge len mismatch", MergePackedContext(ctx, 32, keys, oids[:10], []int{0, 64}, p)},
+		{"packed merge no runs", MergePackedContext(ctx, 32, keys, oids, nil, p)},
+		{"packed merge runs past the end", MergePackedContext(ctx, 32, keys, oids, []int{0, 100}, p)},
+		{"packed merge runs not from 0", MergePackedContext(ctx, 32, keys, oids, []int{8, 64}, p)},
+		{"packed merge runs descending", MergePackedContext(ctx, 32, keys, oids, []int{0, 40, 20, 64}, p)},
+		{"merge run count mismatch", merge([][]uint64{keys}, nil)},
+		{"merge run len mismatch", merge([][]uint64{keys[:8], keys[8:]}, [][]uint32{oids[:8], oids[9:]})},
 		{"topk limit=0", topK(oids, 0)},
 		{"topk limit=-3", topK(oids, -3)},
 		{"topk len mismatch", topK(oids[:10], 5)},
-		{"merge topk limit=0", mergeTopK(oids, []int{0, 64}, 0)},
-		{"merge topk len mismatch", mergeTopK(oids[:10], []int{0, 64}, 5)},
-		{"merge topk runs past the end", mergeTopK(oids, []int{0, 100}, 5)},
-		{"merge topk runs descending", mergeTopK(oids, []int{0, 40, 20, 64}, 5)},
 	}
 	for _, c := range cases {
 		switch {

@@ -13,6 +13,7 @@ package shard
 import (
 	"context"
 	"errors"
+	"slices"
 	"sort"
 	"testing"
 
@@ -80,11 +81,11 @@ func decodeParts(data []byte, sp mergeSpec, canon, withAux bool) []groupsPart {
 				idx[i] = i
 			}
 			sort.SliceStable(idx, func(x, y int) bool {
-				return compareVec(massagedVec(sp, p.keys[idx[x]]), massagedVec(sp, p.keys[idx[y]])) < 0
+				return slices.Compare(massagedVec(sp, p.keys[idx[x]]), massagedVec(sp, p.keys[idx[y]])) < 0
 			})
 			q := groupsPart{}
 			for _, i := range idx {
-				if len(q.keys) > 0 && sameClauseKey(q.keys[len(q.keys)-1], p.keys[i]) {
+				if len(q.keys) > 0 && slices.Equal(q.keys[len(q.keys)-1], p.keys[i]) {
 					continue
 				}
 				q.keys = append(q.keys, p.keys[i])
@@ -118,11 +119,11 @@ func referenceMerge(parts []groupsPart, sp mergeSpec, withAux bool) *groupsPart 
 		}
 	}
 	sort.SliceStable(rows, func(x, y int) bool {
-		return compareVec(massagedVec(sp, rows[x].vec), massagedVec(sp, rows[y].vec)) < 0
+		return slices.Compare(massagedVec(sp, rows[x].vec), massagedVec(sp, rows[y].vec)) < 0
 	})
 	out := &groupsPart{}
 	for _, r := range rows {
-		if len(out.keys) > 0 && sameClauseKey(out.keys[len(out.keys)-1], r.vec) {
+		if len(out.keys) > 0 && slices.Equal(out.keys[len(out.keys)-1], r.vec) {
 			last := len(out.agg) - 1
 			out.agg[last] += r.agg
 			if withAux {
@@ -172,7 +173,7 @@ func FuzzShardMerge(f *testing.F) {
 		var prev []uint64
 		for g, vec := range merged.keys {
 			cur := massagedVec(sp, vec)
-			if g > 0 && compareVec(prev, cur) >= 0 {
+			if g > 0 && slices.Compare(prev, cur) >= 0 {
 				t.Fatalf("merged group %d out of order", g)
 			}
 			prev = cur
@@ -186,7 +187,7 @@ func FuzzShardMerge(f *testing.F) {
 			t.Fatalf("merged %d groups, reference has %d", len(merged.keys), len(want.keys))
 		}
 		for g := range want.keys {
-			if !sameClauseKey(merged.keys[g], want.keys[g]) || merged.agg[g] != want.agg[g] {
+			if !slices.Equal(merged.keys[g], want.keys[g]) || merged.agg[g] != want.agg[g] {
 				t.Fatalf("group %d = (%v, %d), reference (%v, %d)",
 					g, merged.keys[g], merged.agg[g], want.keys[g], want.agg[g])
 			}

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/testutil"
 )
@@ -102,8 +103,8 @@ func withDoubles(t *testing.T, healthy *Coordinator, doubles map[int]shardDouble
 
 // TestCoordinatorRejectsShortRun: a shard's window run must hold every
 // row it counts — all of them for an unlimited query, min(Rows, cut)
-// under a LIMIT pre-cut — and no shape may count more rows than the
-// shard's range has. A shard that drops rows (say, one applying a
+// under a LIMIT pre-cut — no shape may count more rows than the shard's
+// range has, and no group table may hold more groups than rows. A shard that drops rows (say, one applying a
 // stale cut) would otherwise yield a short, wrong answer that passes
 // every other check.
 func TestCoordinatorRejectsShortRun(t *testing.T) {
@@ -124,6 +125,8 @@ func TestCoordinatorRejectsShortRun(t *testing.T) {
 		}
 	}
 	inflate := func(res *server.QueryResult) { res.Rows++ }
+	// A correct shard cannot return more groups than it has filtered rows.
+	moreGroups := func(res *server.QueryResult) { res.Rows = len(res.GroupKeys) - 1 }
 
 	for _, tc := range []struct {
 		name    string
@@ -134,6 +137,7 @@ func TestCoordinatorRejectsShortRun(t *testing.T) {
 		{"unlimited window, rows inflated", window, inflate},
 		{"pre-cut window, last row dropped", limited, dropLast},
 		{"group table, rows past the range", groups, inflate},
+		{"group table, more groups than rows", groups, moreGroups},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx := context.Background()
@@ -147,6 +151,53 @@ func TestCoordinatorRejectsShortRun(t *testing.T) {
 				t.Errorf("classify = %s/%v/%d, want shard_invalid/false/502 (err: %v)", kind, retryable, status, err)
 			}
 		})
+	}
+}
+
+// TestCoordinatorQueriesSkipPackedMerge: no query shape the coordinator
+// serves — window, LIMIT window, group table, a clause wider than 64
+// bits — reaches the paper's packed stack: neither the packed merge
+// (mergesort.ovc_merges) nor a phase-3 pass of the paper kernel moves,
+// while every clause of at most 64 bits runs MergeRunsContext.
+func TestCoordinatorQueriesSkipPackedMerge(t *testing.T) {
+	defer testutil.CheckNoLeaks(t)()
+	tables := batteryTables(t)
+	coord, done := newTopology(t, tables, 3, Config{DefaultWorkers: 2})
+	defer done()
+
+	window := server.QueryRequest{Table: "narrow99", Kind: "partitionby",
+		SortCols: []server.SortColReq{{Name: "a"}, {Name: "b"}}, Window: &server.WindowReq{OrderCol: "c"}}
+	limited := window
+	limited.Limit, limited.Offset = intp(40), 7
+	groups := server.QueryRequest{Table: "narrow0", Kind: "groupby",
+		SortCols: []server.SortColReq{{Name: "a"}, {Name: "c"}}, Agg: &server.AggReq{Kind: "avg", Col: "v"}}
+	wide := server.QueryRequest{Table: "wide", Kind: "groupby",
+		SortCols: []server.SortColReq{{Name: "w1"}, {Name: "w2"}, {Name: "w3"}, {Name: "w4"}, {Name: "w5"}},
+		Agg:      &server.AggReq{Kind: "count"}}
+	counter := func(name string) int64 { return obs.NewCounter(name).Value() }
+	for _, tc := range []struct {
+		name   string
+		req    server.QueryRequest
+		merges bool // a clause of at most 64 bits: MergeRunsContext runs
+	}{
+		{"window", window, true},
+		{"limit", limited, true},
+		{"group", groups, true},
+		{"wide", wide, false},
+	} {
+		ovc0, p30, elems0 := counter("mergesort.ovc_merges"), counter("mergesort.phase3_merge_passes"), counter("mergesort.parallel_merge_elements")
+		if _, err := coord.Run(context.Background(), tc.req); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if d := counter("mergesort.ovc_merges") - ovc0; d != 0 {
+			t.Errorf("%s: mergesort.ovc_merges moved by %d", tc.name, d)
+		}
+		if d := counter("mergesort.phase3_merge_passes") - p30; d != 0 {
+			t.Errorf("%s: mergesort.phase3_merge_passes moved by %d", tc.name, d)
+		}
+		if merged := counter("mergesort.parallel_merge_elements") > elems0; merged != tc.merges {
+			t.Errorf("%s: MergeRunsContext ran = %v, want %v", tc.name, merged, tc.merges)
+		}
 	}
 }
 

@@ -2,11 +2,10 @@
 // column order; the coordinator turns each shard's answer into a run —
 // validated and keyed column at a time on the fan-out goroutine that
 // received it, while slower shards are still sorting — and merges the
-// runs with the same machinery the engine's sort uses:
-// mergesort.ParallelMergeWithParamsContext for full results,
-// ParallelMergeTopKContext with its tie-extended cut for LIMIT/OFFSET
-// windows — so the gathered output is the single-node output, byte for
-// byte.
+// runs in place, stable by run index, with mergesort.MergeRunsContext
+// (cut at exactly the sub-queries' pre-cut under a LIMIT), or with
+// mergeWide when the keys are code vectors — so the gathered output is
+// the single-node output, byte for byte.
 package shard
 
 import (
@@ -69,33 +68,18 @@ func (sp mergeSpec) totalWidth() int {
 	return w
 }
 
-// compareVec is the lexicographic order of equal-length massaged
-// vectors.
-func compareVec(a, b []uint64) int {
-	for i := range a {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	return 0
-}
-
 // run is one shard's sub-query answer as the merge consumes it: the
 // massaged sort key of every entry, in the shard's order — one packed
-// word per entry (keys), or m massaged codes per entry (codes, entry i
-// at codes[i·m:(i+1)·m]) under a wide spec — and the shape's payload.
-// A window run keeps its entries' global oids and nothing else of the
-// decoded result but its row count; a group run keeps the shard's group
-// table.
+// word per entry, or m massaged codes per entry (entry i at
+// keys[i·m:(i+1)·m]) under a wide spec — and the merge's payload. A
+// window run keeps its entries' global oids as the payload and nothing
+// else of the decoded result but its row count; a group run keeps the
+// shard's group table, and mergeGroupRuns sets its payload.
 type run struct {
-	rows  int        // the shard's filtered row count
-	keys  []uint64   // packed keys
-	codes []uint64   // massaged code vectors, flat (wide spec)
-	oids  []uint32   // window runs: global oids
-	part  groupsPart // group runs
+	rows int        // the shard's filtered row count
+	keys []uint64   // massaged sort keys
+	pay  []uint32   // window runs: global oids; group runs: flat entry index
+	part groupsPart // group runs
 }
 
 // gather is what every run build of one query shares.
@@ -141,7 +125,7 @@ func (g *gather) buildRun(ctx context.Context, si int, res *server.QueryResult) 
 		if len(res.RowOids) != n || len(res.Ranks) != n {
 			return nil, fmt.Errorf("%w: shard %d sent %d oids and %d ranks for %d rows, want %d", errShardInvalid, si, len(res.RowOids), len(res.Ranks), res.Rows, n)
 		}
-		r.oids = make([]uint32, n)
+		r.pay = make([]uint32, n)
 		for i, oid := range res.RowOids {
 			if i&(mergeCtxStride-1) == 0 {
 				if err := ctx.Err(); err != nil {
@@ -151,12 +135,15 @@ func (g *gather) buildRun(ctx context.Context, si int, res *server.QueryResult) 
 			if int(oid) >= rng.Len() {
 				return nil, fmt.Errorf("%w: shard %d row oid %d outside its %d-row range", errShardInvalid, si, oid, rng.Len())
 			}
-			r.oids[i] = uint32(rng.Lo) + oid
+			r.pay[i] = uint32(rng.Lo) + oid
 		}
 	} else {
 		n = len(res.GroupKeys)
 		if len(res.Aggregates) != n {
 			return nil, fmt.Errorf("%w: shard %d sent %d group keys, %d aggregates", errShardInvalid, si, n, len(res.Aggregates))
+		}
+		if n > res.Rows {
+			return nil, fmt.Errorf("%w: shard %d sent %d groups for %d rows", errShardInvalid, si, n, res.Rows)
 		}
 		for i, vec := range res.GroupKeys {
 			if i&(mergeCtxStride-1) == 0 {
@@ -171,11 +158,11 @@ func (g *gather) buildRun(ctx context.Context, si int, res *server.QueryResult) 
 		r.part = groupsPart{keys: res.GroupKeys, agg: res.Aggregates}
 	}
 
+	stride := 1
 	if sp.wide {
-		r.codes = make([]uint64, n*m)
-	} else {
-		r.keys = make([]uint64, n)
+		stride = m
 	}
+	r.keys = make([]uint64, n*stride)
 	for pos, c := range sp.order {
 		w, mask, desc := uint(sp.widths[c]), column.Mask(sp.widths[c]), sp.desc[c]
 		var bs *byteslice.BS
@@ -190,7 +177,7 @@ func (g *gather) buildRun(ctx context.Context, si int, res *server.QueryResult) 
 			}
 			var v uint64
 			if bs != nil {
-				v = bs.Lookup(int(r.oids[i]))
+				v = bs.Lookup(int(r.pay[i]))
 			} else {
 				v = r.part.keys[i][c]
 			}
@@ -201,7 +188,7 @@ func (g *gather) buildRun(ctx context.Context, si int, res *server.QueryResult) 
 				v ^= mask
 			}
 			if sp.wide {
-				r.codes[i*m+pos] = v
+				r.keys[i*m+pos] = v
 			} else {
 				r.keys[i] = r.keys[i]<<w | v
 			}
@@ -216,134 +203,78 @@ func (g *gather) buildRun(ctx context.Context, si int, res *server.QueryResult) 
 		}
 		var order int
 		if sp.wide {
-			order = compareVec(r.codes[(i-1)*m:i*m], r.codes[i*m:(i+1)*m])
+			order = slices.Compare(r.keys[(i-1)*m:i*m], r.keys[i*m:(i+1)*m])
 		} else {
 			order = cmp.Compare(r.keys[i-1], r.keys[i])
 		}
-		if order > 0 || order == 0 && (r.oids == nil || r.oids[i-1] >= r.oids[i]) {
+		if order > 0 || order == 0 && (r.pay == nil || r.pay[i-1] >= r.pay[i]) {
 			return nil, fmt.Errorf("%w: shard %d entry %d out of sort order", errShardInvalid, si, i)
 		}
 	}
 	return r, nil
 }
 
-// runSet is the merge's input — runs concatenated in shard order, with
-// the boundaries between them — and, once merged, its output: keys (or
-// code vectors) and payload permuted into merged order. The payload is
-// a window run's global oids or a group run's flat entry index.
-type runSet struct {
-	m      int // codes per entry (wide spec)
-	keys   []uint64
-	codes  []uint64
-	pay    []uint32
-	bounds []int // bounds[0] = 0, one more per run
-}
-
-// concat joins runs, in shard order, into the merge's input.
-func concat(ctx context.Context, runs []*run, sp mergeSpec) (*runSet, error) {
-	s := &runSet{m: len(sp.order), bounds: make([]int, 1, len(runs)+1)}
-	total := 0
-	for _, r := range runs {
+// mergeRuns merges the runs' keys with their payloads, stable by run
+// index, cut at exactly limit entries when limit > 0. It returns the
+// merged keys, in the runs' key form, and the merged payload. Runs are
+// in range order and a window run's ties are oid-ascending, so the
+// run-index-stable order is the ascending-global-oid canonical order,
+// and a window merge's payload is the answer's row oids.
+func mergeRuns(ctx context.Context, runs []*run, sp mergeSpec, limit, workers int) ([]uint64, []uint32, error) {
+	keys, pay := make([][]uint64, len(runs)), make([][]uint32, len(runs))
+	for i, r := range runs {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		total += len(r.oids) + len(r.part.keys)
+		keys[i], pay[i] = r.keys, r.pay
 	}
-	s.pay = make([]uint32, 0, total)
 	if sp.wide {
-		s.codes = make([]uint64, 0, total*s.m)
-	} else {
-		s.keys = make([]uint64, 0, total)
+		return mergeWide(ctx, keys, pay, len(sp.order), limit)
 	}
-	for _, r := range runs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		s.keys = append(s.keys, r.keys...)
-		s.codes = append(s.codes, r.codes...)
-		s.pay = append(s.pay, r.oids...)
-		for i := range r.part.keys {
-			if i&(mergeCtxStride-1) == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			s.pay = append(s.pay, uint32(len(s.pay)))
-		}
-		s.bounds = append(s.bounds, len(s.pay))
-	}
-	return s, nil
+	return mergesort.MergeRunsContext(ctx, keys, pay, limit, workers)
 }
 
-// vec is entry i's massaged code vector (wide spec).
-func (s *runSet) vec(i int) []uint64 { return s.codes[i*s.m : (i+1)*s.m] }
-
-// merge merges the set's runs, stable by run index, cut at limit when
-// limit > 0: the tie-extended ParallelMergeTopKContext cut, trimmed to
-// exactly limit entries — sound because its first limit entries equal
-// the full merge's. Runs are in range order and a window run's ties are
-// oid-ascending, so the run-index-stable order is the
-// ascending-global-oid canonical order and a window set's payload is
-// the answer's row oids.
-func (s *runSet) merge(ctx context.Context, limit, workers int) error {
-	n := len(s.pay)
-	switch {
-	case n == 0:
-		return nil
-	case s.codes != nil:
-		return s.mergeWide(ctx, limit)
-	case limit > 0 && limit < n:
-		cut, err := mergesort.ParallelMergeTopKContext(ctx, 64, s.keys, s.pay, s.bounds, limit, mergesort.Params{}, workers)
-		if err != nil {
-			return err
-		}
-		cut = min(cut, limit)
-		s.keys, s.pay = s.keys[:cut], s.pay[:cut]
-		return nil
-	}
-	return mergesort.ParallelMergeWithParamsContext(ctx, 64, s.keys, s.pay, s.bounds, mergesort.Params{}, workers)
-}
-
-// mergeWide is the merge of code vectors, for clauses wider than 64
-// bits: a sequential k-way lexicographic merge with the packed merges'
-// lower-run tie preference. Wide clauses are rare and the entry count
-// is per-shard-truncated already.
-func (s *runSet) mergeWide(ctx context.Context, limit int) error {
-	n := len(s.pay)
-	if limit <= 0 || limit > n {
-		limit = n
-	}
-	heads := slices.Clone(s.bounds[:len(s.bounds)-1])
-	codes, pay := make([]uint64, 0, limit*s.m), make([]uint32, 0, limit)
-	for len(pay) < limit {
-		if len(pay)&(mergeCtxStride-1) == 0 {
+// mergeWide is the merge of code vectors (m per entry), for clauses
+// wider than 64 bits: a sequential k-way lexicographic merge with
+// MergeRunsContext's lower-run tie preference and limit cut, reading the
+// runs in place. Wide clauses are rare and the entry count is
+// per-shard-truncated already.
+func mergeWide(ctx context.Context, keys [][]uint64, pay [][]uint32, m, limit int) ([]uint64, []uint32, error) {
+	heads := make([]int, len(pay))
+	vec := func(r int) []uint64 { return keys[r][heads[r]*m : (heads[r]+1)*m] }
+	var outK []uint64
+	var outP []uint32
+	for limit <= 0 || len(outP) < limit {
+		if len(outP)&(mergeCtxStride-1) == 0 {
 			if err := ctx.Err(); err != nil {
-				return err
+				return nil, nil, err
 			}
 		}
 		best := -1
 		for r, h := range heads {
-			if h < s.bounds[r+1] && (best < 0 || compareVec(s.vec(h), s.vec(heads[best])) < 0) {
+			if h < len(pay[r]) && (best < 0 || slices.Compare(vec(r), vec(best)) < 0) {
 				best = r
 			}
 		}
-		codes = append(codes, s.vec(heads[best])...)
-		pay = append(pay, s.pay[heads[best]])
+		if best < 0 {
+			break
+		}
+		outK = append(outK, vec(best)...)
+		outP = append(outP, pay[best][heads[best]])
 		heads[best]++
 	}
-	s.codes, s.pay = codes, pay
-	return nil
+	return outK, outP, nil
 }
 
-// rank is RANK() over a merged window set, read from its merged keys
+// rank is RANK() over a merged window, read from its merged keys
 // instead of looking each row's codes up again. The pinned order keeps
 // the window's ORDER BY column last, so a packed key is the partition
 // in its high bits over the order column in its low width bits, and a
 // code vector is the partition columns followed by the order column;
 // engine.RankSorted only tests codes for equality, which neither the
 // descending complement nor the partition columns' permutation changes.
-func (s *runSet) rank(ctx context.Context, sp mergeSpec) ([]uint32, error) {
-	pos := make([]uint32, len(s.pay))
+func rank(ctx context.Context, keys []uint64, n int, sp mergeSpec) ([]uint32, error) {
+	pos := make([]uint32, n)
 	for i := range pos {
 		if i&(mergeCtxStride-1) == 0 {
 			if err := ctx.Err(); err != nil {
@@ -352,15 +283,16 @@ func (s *runSet) rank(ctx context.Context, sp mergeSpec) ([]uint32, error) {
 		}
 		pos[i] = uint32(i)
 	}
-	if s.codes != nil {
-		return engine.RankSorted(ctx, pos, s.m, func(i uint32, dst []uint64) {
-			copy(dst, s.vec(int(i)))
+	if sp.wide {
+		m := len(sp.order)
+		return engine.RankSorted(ctx, pos, m, func(i uint32, dst []uint64) {
+			copy(dst, keys[int(i)*m:])
 		})
 	}
 	width := sp.widths[sp.order[len(sp.order)-1]]
 	mask := column.Mask(width)
 	return engine.RankSorted(ctx, pos, 2, func(i uint32, dst []uint64) {
-		k := s.keys[i]
+		k := keys[i]
 		dst[0], dst[1] = k>>uint(width), k&mask
 	})
 }
@@ -370,19 +302,16 @@ func (s *runSet) rank(ctx context.Context, sp mergeSpec) ([]uint32, error) {
 // RANK over the merged keys (ranks only look backward, so ranking the
 // merged prefix is exact), and clamps both to the output window.
 func mergeWindowRuns(ctx context.Context, runs []*run, g *gather, limit *int, offset, workers int) ([]uint32, []uint32, error) {
-	s, err := concat(ctx, runs, g.sp)
+	keys, oids, err := mergeRuns(ctx, runs, g.sp, g.cut, workers)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := s.merge(ctx, g.cut, workers); err != nil {
-		return nil, nil, err
-	}
-	ranks, err := s.rank(ctx, g.sp)
+	ranks, err := rank(ctx, keys, len(oids), g.sp)
 	if err != nil {
 		return nil, nil, err
 	}
-	lo, hi := engine.OutputWindow(len(s.pay), limit, offset)
-	return ranks[lo:hi], s.pay[lo:hi], nil
+	lo, hi := engine.OutputWindow(len(oids), limit, offset)
+	return ranks[lo:hi], oids[lo:hi], nil
 }
 
 // groupsPart is a group table in sort order — one shard's decoded one,
@@ -401,7 +330,7 @@ type groupsPart struct {
 // sub-queries agree on its groups exactly when their massaged keys are
 // equal.
 func attachAux(counts, sums *run, si int) error {
-	if !slices.Equal(counts.keys, sums.keys) || !slices.Equal(counts.codes, sums.codes) {
+	if !slices.Equal(counts.keys, sums.keys) {
 		return fmt.Errorf("%w: avg sub-queries disagree on shard %d's groups", errShardInvalid, si)
 	}
 	counts.part.aux = sums.part.agg
@@ -418,44 +347,44 @@ func attachAux(counts, sums *run, si int) error {
 // arithmetic. Run-order stability is irrelevant for groups because
 // equal elements collapse into one output group.
 func mergeGroupRuns(ctx context.Context, runs []*run, sp mergeSpec, workers int) (*groupsPart, error) {
-	hasAux := false
-	for _, r := range runs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		hasAux = hasAux || r.part.aux != nil
-	}
+	// The payload is each entry's index in the concatenated tables.
 	var all groupsPart
 	for _, r := range runs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if hasAux && r.part.aux == nil && len(r.part.keys) > 0 {
-			return nil, fmt.Errorf("%w: aux aggregate present on some shards only", errShardInvalid)
+		r.pay = make([]uint32, len(r.part.keys))
+		for j := range r.pay {
+			if j&(mergeCtxStride-1) == 0 {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
+			}
+			r.pay[j] = uint32(len(all.keys) + j)
 		}
 		all.keys = append(all.keys, r.part.keys...)
 		all.agg = append(all.agg, r.part.agg...)
 		all.aux = append(all.aux, r.part.aux...)
 	}
-	s, err := concat(ctx, runs, sp)
-	if err != nil {
-		return nil, err
+	hasAux := len(all.aux) > 0
+	if hasAux && len(all.aux) != len(all.keys) {
+		return nil, fmt.Errorf("%w: aux aggregate present on some shards only", errShardInvalid)
 	}
-	if err := s.merge(ctx, 0, workers); err != nil {
+	_, order, err := mergeRuns(ctx, runs, sp, 0, workers)
+	if err != nil {
 		return nil, err
 	}
 
 	// Combine adjacent equal keys. The merged order is global, so one
-	// forward pass sees every instance of a key consecutively.
+	// forward pass sees every instance of a key consecutively; massaging
+	// is injective per column, so equal clause-order vectors are equal
+	// sort keys.
 	out := &groupsPart{}
-	for i, f := range s.pay {
+	for i, f := range order {
 		if i&(mergeCtxStride-1) == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
 		vec := all.keys[f]
-		if i > 0 && sameClauseKey(out.keys[len(out.keys)-1], vec) {
+		if i > 0 && slices.Equal(out.keys[len(out.keys)-1], vec) {
 			last := len(out.agg) - 1
 			out.agg[last] += all.agg[f]
 			if hasAux {
@@ -470,16 +399,4 @@ func mergeGroupRuns(ctx context.Context, runs []*run, sp mergeSpec, workers int)
 		}
 	}
 	return out, nil
-}
-
-// sameClauseKey: equality of clause-order key vectors. Massaging is
-// injective per column, so clause-order equality and sort-order
-// equality agree.
-func sameClauseKey(a, b []uint64) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

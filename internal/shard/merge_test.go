@@ -28,17 +28,22 @@ func bothForms(sp mergeSpec) map[string]mergeSpec {
 // groupRuns builds each part the way the coordinator's fan-out does:
 // the count sub-query's run from the keys and agg and, when the part
 // carries an aux vector, the sum sub-query's run from the keys and aux,
-// attached to it.
+// attached to it. Each part answers for a range of one row per group,
+// all of them filtered in.
 func groupRuns(ctx context.Context, parts []groupsPart, sp mergeSpec) ([]*run, error) {
 	g := &gather{sp: sp, ranges: make([]Range, len(parts))}
+	for si, p := range parts {
+		g.ranges[si] = Range{Hi: len(p.keys)}
+	}
 	runs := make([]*run, len(parts))
 	for si, p := range parts {
-		r, err := g.buildRun(ctx, si, &server.QueryResult{GroupKeys: p.keys, Aggregates: p.agg})
+		rows := len(p.keys)
+		r, err := g.buildRun(ctx, si, &server.QueryResult{Rows: rows, GroupKeys: p.keys, Aggregates: p.agg})
 		if err != nil {
 			return nil, err
 		}
 		if p.aux != nil {
-			sums, err := g.buildRun(ctx, si, &server.QueryResult{GroupKeys: p.keys, Aggregates: p.aux})
+			sums, err := g.buildRun(ctx, si, &server.QueryResult{Rows: rows, GroupKeys: p.keys, Aggregates: p.aux})
 			if err != nil {
 				return nil, err
 			}
@@ -61,17 +66,21 @@ func mergeGroups(ctx context.Context, parts []groupsPart, sp mergeSpec, workers 
 	return mergeGroupRuns(ctx, runs, sp, workers)
 }
 
-// mergedPayload concatenates runs and merges them, cut at limit, and
-// returns the merged payload.
+// mergedPayload merges runs, cut at limit, and returns the merged
+// payload: a window run's oids, a group run's flat entry index.
 func mergedPayload(ctx context.Context, runs []*run, sp mergeSpec, limit int) ([]uint32, error) {
-	s, err := concat(ctx, runs, sp)
-	if err != nil {
-		return nil, err
+	flat := 0
+	for _, r := range runs {
+		if r.pay == nil {
+			r.pay = make([]uint32, len(r.part.keys))
+			for j := range r.pay {
+				r.pay[j] = uint32(flat + j)
+			}
+		}
+		flat += len(r.pay)
 	}
-	if err := s.merge(ctx, limit, 2); err != nil {
-		return nil, err
-	}
-	return s.pay, nil
+	_, out, err := mergeRuns(ctx, runs, sp, limit, 2)
+	return out, err
 }
 
 // validateGroups runs one shard's group table through the run builder
@@ -157,7 +166,7 @@ func TestMergeGroupsCombines(t *testing.T) {
 		t.Fatalf("merged %d groups, want %d", len(m.keys), len(wantKeys))
 	}
 	for g := range wantKeys {
-		if !sameClauseKey(m.keys[g], wantKeys[g]) || m.agg[g] != wantAgg[g] || m.aux[g] != wantAux[g] {
+		if !slices.Equal(m.keys[g], wantKeys[g]) || m.agg[g] != wantAgg[g] || m.aux[g] != wantAux[g] {
 			t.Errorf("group %d = (%v, %d, %d), want (%v, %d, %d)",
 				g, m.keys[g], m.agg[g], m.aux[g], wantKeys[g], wantAgg[g], wantAux[g])
 		}
@@ -245,7 +254,7 @@ func windowAnswers(sp mergeSpec, runs [][][]uint64) ([]*byteslice.BS, []Range, [
 			oids[i] = uint32(i)
 		}
 		sort.SliceStable(oids, func(x, y int) bool {
-			return compareVec(massagedVec(sp, run[oids[x]]), massagedVec(sp, run[oids[y]])) < 0
+			return slices.Compare(massagedVec(sp, run[oids[x]]), massagedVec(sp, run[oids[y]])) < 0
 		})
 		ranges = append(ranges, rng)
 		answers = append(answers, &server.QueryResult{Rows: len(run), RowOids: oids, Ranks: make([]uint32, len(run))})
@@ -271,41 +280,32 @@ func massagedVec(sp mergeSpec, vec []uint64) []uint64 {
 	return out
 }
 
-// TestMergeRows64LimitIsPrefix: the tie-extended cut trimmed to the
-// limit must equal the full merge's prefix — that equality is what lets
-// the coordinator merge per-shard pre-cut windows.
+// TestMergeRows64LimitIsPrefix: the merge cut at a limit must equal the
+// full merge's prefix — that equality is what lets the coordinator merge
+// per-shard pre-cut windows.
 func TestMergeRows64LimitIsPrefix(t *testing.T) {
 	rng := chaos.NewRand(7)
-	var keys []uint64
-	runs := []int{0}
+	var runs []*run
 	for r := 0; r < 4; r++ {
-		run := make([]uint64, 33)
-		for i := range run {
-			run[i] = rng.Uint64() % 5
+		keys, pay := make([]uint64, 33), make([]uint32, 33)
+		for i := range keys {
+			keys[i], pay[i] = rng.Uint64()%5, uint32(r*len(keys)+i)
 		}
-		sort.Slice(run, func(a, b int) bool { return run[a] < run[b] })
-		keys = append(keys, run...)
-		runs = append(runs, len(keys))
+		slices.Sort(keys)
+		runs = append(runs, &run{keys: keys, pay: pay})
 	}
 	ctx := context.Background()
 	merge := func(limit int) []uint32 {
-		s := &runSet{keys: slices.Clone(keys), pay: make([]uint32, len(keys)), bounds: runs}
-		for i := range s.pay {
-			s.pay[i] = uint32(i)
-		}
-		if err := s.merge(ctx, limit, 2); err != nil {
+		_, out, err := mergeRuns(ctx, runs, mergeSpec{}, limit, 2)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return s.pay
+		return out
 	}
 	full := merge(0)
-	for _, limit := range []int{1, 9, 50, len(keys), len(keys) + 10} {
+	for _, limit := range []int{1, 9, 50, len(full), len(full) + 10} {
 		cut := merge(limit)
-		wantLen := limit
-		if wantLen > len(full) {
-			wantLen = len(full)
-		}
-		if len(cut) != wantLen {
+		if wantLen := min(limit, len(full)); len(cut) != wantLen {
 			t.Fatalf("limit=%d: got %d elements, want %d", limit, len(cut), wantLen)
 		}
 		for i := range cut {
@@ -378,7 +378,7 @@ func TestRankFromKeysMatchesLookup(t *testing.T) {
 					vecs[i], runs[si][i] = massagedVec(sp, codes(rng.Lo+i)), uint32(i)
 				}
 				sort.SliceStable(runs[si], func(x, y int) bool {
-					return compareVec(vecs[runs[si][x]], vecs[runs[si][y]]) < 0
+					return slices.Compare(vecs[runs[si][x]], vecs[runs[si][y]]) < 0
 				})
 			}
 			gatherCell := func(cell batteryCell) (ranks, oids []uint32) {

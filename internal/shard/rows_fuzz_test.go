@@ -59,7 +59,7 @@ func rowsSpec(shape uint16) mergeSpec {
 func naiveRows(sp mergeSpec, code func(gid uint32) []uint64, gids []uint32, limit *int, offset int) (ranks, oids []uint32) {
 	oids = slices.Clone(gids)
 	sort.SliceStable(oids, func(x, y int) bool {
-		if c := compareVec(massagedVec(sp, code(oids[x])), massagedVec(sp, code(oids[y]))); c != 0 {
+		if c := slices.Compare(massagedVec(sp, code(oids[x])), massagedVec(sp, code(oids[y]))); c != 0 {
 			return c < 0
 		}
 		return oids[x] < oids[y]
@@ -102,7 +102,7 @@ func naiveRunValid(sp mergeSpec, code func(gid uint32) []uint64, rng Range, cut 
 		}
 		if i > 0 {
 			prev, cur := a.RowOids[i-1], oid
-			c := compareVec(massagedVec(sp, code(uint32(rng.Lo)+prev)), massagedVec(sp, code(uint32(rng.Lo)+cur)))
+			c := slices.Compare(massagedVec(sp, code(uint32(rng.Lo)+prev)), massagedVec(sp, code(uint32(rng.Lo)+cur)))
 			if c > 0 || c == 0 && prev >= cur {
 				return false
 			}
@@ -189,7 +189,7 @@ func FuzzShardRows(f *testing.F) {
 					oids[i] = uint32(i)
 				}
 				sort.SliceStable(oids, func(x, y int) bool {
-					return compareVec(massagedVec(sp, code(uint32(rng.Lo)+oids[x])), massagedVec(sp, code(uint32(rng.Lo)+oids[y]))) < 0
+					return slices.Compare(massagedVec(sp, code(uint32(rng.Lo)+oids[x])), massagedVec(sp, code(uint32(rng.Lo)+oids[y]))) < 0
 				})
 				if cut > 0 && cut < len(oids) {
 					oids = oids[:cut]
