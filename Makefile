@@ -26,7 +26,7 @@ lint:
 # fault-injection site, contained worker panics, budget degradation, and
 # goroutine-leak checks (see docs/robustness.md).
 fault:
-	$(GO) test -race -run 'Cancel|Fault|Leak|Panic|Budget|Degrade' ./internal/pipeerr/ ./internal/faultinject/ ./internal/mergesort/ ./internal/mcsort/ ./internal/engine/ ./mcs/
+	$(GO) test -race -run 'Cancel|Fault|Leak|Panic|Budget|Degrade' ./internal/pipeerr/ ./internal/faultinject/ ./internal/mergesort/ ./internal/mergesort/paper/ ./internal/mcsort/ ./internal/engine/ ./mcs/
 
 # Chaos battery under the race detector: seeded fault storms against a
 # live mcsd with concurrent retrying clients, plus the watchdog,
@@ -96,17 +96,18 @@ bench:
 	$(GO) test -run '^$$' -bench BenchmarkPipeline1Mx4 -benchtime 3x .
 
 # The sort-kernel bake-off behind mergesort's kernel choice and its
-# small-run cutoff: paper kernel, radix, insertion and slices.SortFunc
-# per (bank, duplicates, run length) cell, ns/row, one core. The table
-# in EXPERIMENTS.md is this output. Then, at two cores and 2^19 rows,
+# small-run cutoff: radix, insertion and slices.SortFunc per (bank,
+# duplicates, run length) cell, then the paper kernel's cells from
+# internal/mergesort/paper, ns/row, one core. The table in
+# EXPERIMENTS.md is this output. Then, at two cores and 2^19 rows,
 # ns/row: the parallel sort — the production parallel radix sort at
-# workers {1, 2}, the paper kernel's chunk sorts and chunk merge at 2,
-# and the top-K chunk-filter path — and the merge of sorted runs
-# (MergeRunsContext) at k {2, 3, 8} and workers {1, 2}. CI runs all
-# three at -benchtime 1x as a compile-and-run smoke.
+# workers {1, 2} and the top-K chunk-filter path, then the paper
+# kernel's chunk sorts and chunk merge at 2 — and the merge of sorted
+# runs (MergeRunsContext) at k {2, 3, 8} and workers {1, 2}. CI runs
+# them all at -benchtime 1x as a compile-and-run smoke.
 bakeoff:
-	$(GO) test -run '^$$' -bench BenchmarkKernelBakeoff -benchtime 20x -cpu 1 ./internal/mergesort/
-	$(GO) test -run '^$$' -bench BenchmarkParallelSort -benchtime 20x -cpu 2 ./internal/mergesort/
+	$(GO) test -run '^$$' -bench BenchmarkKernelBakeoff -benchtime 20x -cpu 1 ./internal/mergesort/ ./internal/mergesort/paper/
+	$(GO) test -run '^$$' -bench BenchmarkParallelSort -benchtime 20x -cpu 2 ./internal/mergesort/ ./internal/mergesort/paper/
 	$(GO) test -run '^$$' -bench BenchmarkMergeRuns -benchtime 20x -cpu 2 ./internal/mergesort/
 
 # The coordinator's gather without the wire: run builds and merge+rank

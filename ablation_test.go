@@ -2,8 +2,8 @@
 //
 //   - the register-model SIMD sort on its own;
 //   - the paper's merge-sort kernel vs the default (radix) kernel under
-//     the same massage plan, through the mergesort.Params.PaperKernel
-//     selector (the paper's Section 7 future work);
+//     the same massage plan, the paper's plugged in through the
+//     mergesort.Params.Sort hook (the paper's Section 7 future work);
 //   - serial vs goroutine-parallel code massaging;
 //   - ByteSlice scans vs a naive column scan.
 package repro
@@ -18,6 +18,7 @@ import (
 	"repro/internal/massage"
 	"repro/internal/mcsort"
 	"repro/internal/mergesort"
+	"repro/internal/mergesort/paper"
 	"repro/internal/plan"
 )
 
@@ -43,7 +44,7 @@ func BenchmarkAblationRegisterSort32(b *testing.B) {
 		for j := range oids {
 			oids[j] = uint32(j)
 		}
-		if err := mergesort.SortWithParamsContext(context.Background(), 32, keys, oids, mergesort.Params{PaperKernel: true}); err != nil {
+		if err := mergesort.SortWithParamsContext(context.Background(), 32, keys, oids, mergesort.Params{Sort: paper.Params{}.Sort}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -60,9 +61,13 @@ func benchMCSKernel(b *testing.B, paperKernel bool) {
 		{Codes: randKeys64(n, 17, 3), Width: 17},
 	}
 	p := plan.Plan{Rounds: []plan.Round{{Width: 27, Bank: 32}}}
+	var sp mergesort.Params
+	if paperKernel {
+		sp.Sort = paper.Params{}.Sort
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mcsort.ExecuteContext(context.Background(), inputs, p, mcsort.Options{SortParams: &mergesort.Params{PaperKernel: paperKernel}}); err != nil {
+		if _, err := mcsort.ExecuteContext(context.Background(), inputs, p, mcsort.Options{SortParams: &sp}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -19,6 +19,7 @@ import (
 	"repro/internal/massage"
 	"repro/internal/mcsort"
 	"repro/internal/mergesort"
+	"repro/internal/mergesort/paper"
 	"repro/internal/plan"
 )
 
@@ -284,16 +285,15 @@ func benchOVCKeys(n, nRuns int, dup float64) ([]uint64, []uint32, []int) {
 // both sides equally; it returns the best rep of each. One untimed
 // warmup pass faults in the working buffers first.
 func benchOVCPair(keys []uint64, oids []uint32, runs []int, reps int) (off, on time.Duration) {
-	pOff := mergesort.DefaultParams(4)
-	pOff.DisableOVC = true
-	pOn := mergesort.DefaultParams(4)
+	pOff := paper.Params{DisableOVC: true}
+	pOn := paper.Params{}
 	k := make([]uint64, len(keys))
 	o := make([]uint32, len(oids))
-	measure := func(p mergesort.Params) time.Duration {
+	measure := func(p paper.Params) time.Duration {
 		copy(k, keys)
 		copy(o, oids)
 		t0 := time.Now()
-		must(mergesort.MergePackedContext(context.Background(), 32, k, o, runs, p))
+		must(paper.MergePacked(context.Background(), 32, k, o, runs, p))
 		return time.Since(t0)
 	}
 	measure(pOff)

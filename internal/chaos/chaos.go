@@ -71,7 +71,6 @@ const (
 var SiteKinds = map[string][]Kind{
 	faultinject.GroupSort:    {KindPanic, KindDelay, KindCancel},
 	faultinject.Permute:      {KindPanic, KindDelay, KindCancel},
-	faultinject.TieOrder:     {KindPanic, KindDelay, KindCancel},
 	faultinject.ChunkSort:    {KindPanic, KindDelay, KindCancel},
 	faultinject.LoserMerge:   {KindPanic, KindDelay, KindCancel},
 	faultinject.MassageChunk: {KindPanic, KindDelay, KindCancel},

@@ -13,6 +13,7 @@ import (
 	"repro/internal/hw"
 	"repro/internal/massage"
 	"repro/internal/mergesort"
+	"repro/internal/mergesort/paper"
 )
 
 // CalOptions tunes the calibration runs.
@@ -39,7 +40,7 @@ func (o *CalOptions) defaults() {
 // structure (Equation 8) are what calibration fits. Queries sort with
 // the production radix kernel, which the model does not price yet
 // (ROADMAP: a T_sort per non-constant digit).
-var paperKernel = mergesort.Params{PaperKernel: true}
+var paperKernel = mergesort.Params{Sort: paper.Params{}.Sort}
 
 // Calibrate measures the machine and returns a ready-to-use model. The
 // process follows Section 4: each constant (or identifiable group of
@@ -56,7 +57,7 @@ func Calibrate(opts CalOptions) (*Model, error) {
 	m := &Model{
 		L2:     caches.L2,
 		LLC:    caches.LLC,
-		Fanout: mergesort.DefaultFanout,
+		Fanout: paper.DefaultFanout,
 		C: Constants{
 			Bank: make(map[int]BankConstants),
 		},
@@ -120,7 +121,7 @@ func calibrateOVCDiscount(rng *rand.Rand, n int) (float64, error) {
 			copy(keys, base)
 			copy(oids, baseO)
 			start := time.Now()
-			if err := mergesort.MergePackedContext(context.Background(), 32, keys, oids, runs, mergesort.Params{}); err != nil {
+			if err := paper.MergePacked(context.Background(), 32, keys, oids, runs, paper.Params{}); err != nil {
 				return 0, fmt.Errorf("calibrateOVCDiscount: %w", err)
 			}
 			if el := float64(time.Since(start).Nanoseconds()); best == 0 || el < best {

@@ -29,12 +29,11 @@ var (
 //	lookup scratch        8·rows
 //	permutation           4·rows
 //	group boundaries      4·rows (worst case: all singletons)
-//	sort pack buffers    24·rows (packed keys + oids, double-buffered)
+//	radix sort scratch   24·rows (two (key, oid) pairs, 12 B/row each)
 //
-// Parallel execution adds ≈16·rows — the paper kernel's cooperative
-// merge buffers; the production parallel radix sort needs only the
-// sequential scratch, so this over-reserves it — plus a fixed per-worker
-// overhead. It is the one footprint model: the
+// Parallel execution adds a fixed per-worker overhead: the parallel
+// radix sort ping-pongs through the same two scratch pairs as the
+// sequential one. It is the one footprint model: the
 // engine's own two-stage degradation applies it, the mcsd admission
 // controller charges each admitted query against the aggregate budget
 // with it — so the two layers never disagree about whether a query
@@ -45,7 +44,7 @@ func EstimatePipelineBytes(rows, nCols, nRounds, workers int) int64 {
 	perRow := int64(8*(nCols+nRounds) + 8 + 4 + 4 + 24)
 	total := r * perRow
 	if workers > 1 {
-		total += r*16 + int64(workers)*64<<10
+		total += int64(workers) * 64 << 10
 	}
 	return total
 }

@@ -169,10 +169,10 @@ type Options struct {
 	// sequential execution does not fit, the query is refused with
 	// pipeerr.ErrBudgetExceeded. <= 0 means unlimited.
 	MaxBytes int64
-	// SortParams overrides the sorter's phase parameters and parallel
-	// thresholds (tests force the parallel paths on small inputs), and
-	// carries the DisableOVC switch for the offset-value-coded merge
-	// path; output is byte-identical either way.
+	// SortParams overrides the sorter's parallel threshold (tests force
+	// the parallel paths on small inputs) and carries the sort-kernel
+	// hook (mergesort.Params.Sort: the figure experiments plug in the
+	// paper's kernel); output is byte-identical either way.
 	SortParams *mergesort.Params
 	// PlanOverride skips the search and uses the given choice.
 	PlanOverride *planner.Choice

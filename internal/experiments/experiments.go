@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/costmodel"
 	"repro/internal/mergesort"
+	"repro/internal/mergesort/paper"
 )
 
 // Config parameterizes all experiments.
@@ -58,7 +59,7 @@ func (c *Config) context() context.Context {
 
 // kernelNote is the line every report carries under its title: which
 // sort kernel produced the numbers.
-const kernelNote = "sort kernel: paper (three-phase SWAR merge-sort, mergesort.Params.PaperKernel)"
+const kernelNote = "sort kernel: paper (three-phase SWAR merge-sort, internal/mergesort/paper through mergesort.Params.Sort)"
 
 // paperKernel is the one place the experiments pick their sort kernel.
 // Every mcsort.Options and engine.Options literal in this package sets
@@ -67,7 +68,7 @@ const kernelNote = "sort kernel: paper (three-phase SWAR merge-sort, mergesort.P
 // has it — under the production radix kernel a narrower bank buys
 // nothing and fig3b's crossover flips.
 func paperKernel() *mergesort.Params {
-	return &mergesort.Params{PaperKernel: true}
+	return &mergesort.Params{Sort: paper.Params{}.Sort}
 }
 
 func (c *Config) defaults() {

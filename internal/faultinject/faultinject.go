@@ -29,13 +29,10 @@ const (
 	GroupSort = "mcsort.group_sort"
 	// Permute: mcsort's lookup/reorder pass, once per chunk.
 	Permute = "mcsort.permute"
-	// TieOrder: mcsort's pass over the final groups that fixes the order
-	// inside each tied run, once per batch of groups.
-	TieOrder = "mcsort.tie_order"
 	// ChunkSort: mergesort's chunk passes, once per chunk of each: the
 	// parallel radix sort's count and scatter passes (mcsort's round 0
 	// and cooperative group sorts), the top-K chunk filter, and the
-	// paper kernel's parallel chunk sorts.
+	// paper kernel's parallel chunk sorts (internal/mergesort/paper).
 	ChunkSort = "mergesort.chunk_sort"
 	// LoserMerge: mergesort's merge of sorted runs (MergeRunsContext),
 	// once per rank share: the coordinator's cross-shard gather and the
@@ -58,7 +55,7 @@ const (
 
 // Sites lists every named site, for test batteries that iterate them.
 var Sites = []string{
-	GroupSort, Permute, TieOrder, ChunkSort, LoserMerge,
+	GroupSort, Permute, ChunkSort, LoserMerge,
 	MassageChunk, Gather, Aggregate, ShardFanout, ShardMerge,
 }
 

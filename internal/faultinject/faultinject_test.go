@@ -54,7 +54,7 @@ func TestSitesListed(t *testing.T) {
 	want := map[string]bool{
 		GroupSort: true, Permute: true, ChunkSort: true,
 		LoserMerge: true, MassageChunk: true, Gather: true, Aggregate: true,
-		ShardFanout: true, ShardMerge: true, TieOrder: true,
+		ShardFanout: true, ShardMerge: true,
 	}
 	if len(Sites) != len(want) {
 		t.Fatalf("Sites has %d entries, want %d", len(Sites), len(want))

@@ -88,7 +88,7 @@ func TestCancelledContextRefusedUpfront(t *testing.T) {
 
 // TestWorkerPanicContainedAsPipelineError injects a panic at the sites
 // that fire inside parallel workers — round 0's count and scatter
-// chunks, the permute chunks and the tie-order batches: it must surface
+// chunks and the permute chunks: it must surface
 // as a typed *pipeerr.PipelineError naming the stage — never crash the
 // process — and leak no goroutines.
 func TestWorkerPanicContainedAsPipelineError(t *testing.T) {
@@ -101,7 +101,6 @@ func TestWorkerPanicContainedAsPipelineError(t *testing.T) {
 	}{
 		faultinject.ChunkSort: {pipeerr.StageSort, -1},   // mergesort's passes belong to no round
 		faultinject.Permute:   {pipeerr.StagePermute, 1}, // permute only runs after round 0
-		faultinject.TieOrder:  {pipeerr.StageSort, -1},   // the pass belongs to no round
 	} {
 		check := testutil.CheckNoLeaks(t)
 		restore := faultinject.Set(site, func() { panic("injected fault") })
@@ -157,8 +156,8 @@ func TestDeterministicAfterCancelledRun(t *testing.T) {
 	}
 
 	// Cancel one run mid-sort from the group-sort site and one from the
-	// tie-order pass, which has already reordered some final groups...
-	for _, site := range []string{faultinject.GroupSort, faultinject.TieOrder} {
+	// permute pass, which has already reordered some keys...
+	for _, site := range []string{faultinject.GroupSort, faultinject.Permute} {
 		ctx, cancel := context.WithCancel(context.Background())
 		restore := faultinject.Set(site, cancel)
 		res, err := ExecuteContext(ctx, inputs, twoRoundPlan, opts)

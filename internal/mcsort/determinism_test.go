@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/massage"
 	"repro/internal/mergesort"
+	"repro/internal/mergesort/paper"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/testutil"
@@ -376,9 +377,10 @@ func ExampleExecuteContext_deterministic() {
 }
 
 // TestExecuteOVCOnOffIdentical lifts the OVC differential to the whole
-// multi-round sort: for every key cardinality (all-ties to nearly
-// unique) and worker count, disabling offset-value coding must not
-// change a single byte of Perm or Groups.
+// multi-round sort under the paper kernel, the one that codes its
+// merges: for every key cardinality (all-ties to nearly unique) and
+// worker count, disabling offset-value coding must not change a single
+// byte of Perm or Groups.
 func TestExecuteOVCOnOffIdentical(t *testing.T) {
 	defer testutil.CheckNoLeaks(t)()
 	const rows = 4096
@@ -395,8 +397,9 @@ func TestExecuteOVCOnOffIdentical(t *testing.T) {
 		for planName, p := range execPlans() {
 			for _, w := range []int{1, 2, 4, 8} {
 				spOn := forcedParams(16)
+				spOn.Sort = paper.Params{}.Sort
 				spOff := forcedParams(16)
-				spOff.DisableOVC = true
+				spOff.Sort = paper.Params{DisableOVC: true}.Sort
 				on, err := execute(inputs, p, Options{Workers: w, SortParams: &spOn})
 				if err != nil {
 					t.Fatalf("card=%d %s workers=%d: %v", card, planName, w, err)

@@ -10,12 +10,9 @@ package mcsort
 import (
 	"context"
 	"fmt"
-	"math"
-	"slices"
 	"sort"
 	"time"
 
-	"repro/internal/faultinject"
 	"repro/internal/massage"
 	"repro/internal/mergesort"
 	"repro/internal/obs"
@@ -33,7 +30,6 @@ var (
 	obsGroupsFinal  = obs.NewGauge("mcsort.groups_final")
 	obsLimitedExecs = obs.NewCounter("mcsort.limited_executes")
 	obsRowsCut      = obs.NewCounter("mcsort.rows_truncated")
-	obsTieRuns      = obs.NewCounter("mcsort.tie_runs_sorted")
 	obsMassageT     = obs.NewTimer("mcsort.phase_massage")
 	obsSortT        = obs.NewTimer("mcsort.phase_sort")
 	obsLookupT      = obs.NewTimer("mcsort.phase_lookup")
@@ -72,14 +68,15 @@ type RoundStats struct {
 // Result is the outcome of a multi-column sort.
 type Result struct {
 	// Perm is the sorted order: Perm[i] is the oid of the i-th smallest
-	// tuple under the sort specification. Between rounds the order of
-	// rows inside a group is unspecified: every round's sort, scan and
-	// truncation cut sees a group as a set whose members key values alone
-	// decide. After the last round's scan, orderTies sorts the oids of
-	// every final group ascending — before the LimitRows cut, the one
-	// consumer that slices inside a group. Perm is therefore a function
-	// of the inputs and the sort specification only: byte-identical for
-	// any Workers, plan or sort path.
+	// tuple under the sort specification, and tuples equal on every sort
+	// column appear in ascending oid order. The sort kernels guarantee
+	// the tie order (mergesort.Params.Sort): round 0 sorts the identity
+	// permutation, every sort leaves equal keys with ascending oids when
+	// they came in ascending, and each later round sorts groups that
+	// inherit that order — so every final group, and the LimitRows cut
+	// that slices inside one, is oid-ascending. Perm is therefore a
+	// function of the inputs and the sort specification only:
+	// byte-identical for any Workers, plan or sort path.
 	Perm []uint32
 	// Groups are the boundaries of runs of tuples equal on all sort
 	// columns: group g spans Perm[Groups[g]:Groups[g+1]].
@@ -98,12 +95,11 @@ type Options struct {
 	// parallel sort), and the lookup/permute passes. Output is
 	// byte-identical for any value (the tie contract on Result.Perm).
 	Workers int
-	// SortParams overrides the cache-derived mergesort phase parameters
-	// and the parallel-path thresholds, and carries the sort-kernel
-	// selector (mergesort.Params.PaperKernel: the figure experiments
-	// set it, nothing that serves a query does). Zero fields keep their
-	// defaults; tests lower ParallelThreshold to exercise the parallel
-	// paths on small inputs.
+	// SortParams overrides the parallel-path threshold and carries the
+	// sort-kernel hook (mergesort.Params.Sort: the figure experiments
+	// set it to the paper's kernel, nothing that serves a query does).
+	// Zero fields keep their defaults; tests lower ParallelThreshold to
+	// exercise the parallel paths on small inputs.
 	SortParams *mergesort.Params
 	// LimitRows truncates execution to the first LimitRows positions of
 	// the final permutation (docs/topk.md): round 0 runs the bounded-heap
@@ -124,9 +120,7 @@ type Options struct {
 }
 
 // sortParams returns the caller's sorter parameters with the parallel
-// threshold, which this package reads itself, resolved; the phase
-// parameters stay as given — every mergesort entry point overlays the
-// cache-derived defaults for the bank it sorts on whatever is zero.
+// threshold, which this package reads itself, resolved.
 func (o Options) sortParams() mergesort.Params {
 	var p mergesort.Params
 	if o.SortParams != nil {
@@ -343,19 +337,10 @@ func executeContext(ctx context.Context, inputs []massage.Input, p plan.Plan, op
 			AvgGroupSz: float64(sumSz) / float64(nInputGroups),
 		}
 	}
-	// The tie contract of Result.Perm is enforced here and nowhere else,
-	// on the clock of the sort phase.
-	start = time.Now()
-	if err := orderTies(ctx, res.Perm, groups, opts.Workers); err != nil {
-		return nil, err
-	}
-	d := time.Since(start)
-	res.Timings.Sort += d
-	obsSortT.Add(d)
 	if limitRows > 0 && active > limitRows {
-		// Final exact cut: the order inside the boundary group is fixed,
-		// so slicing the permutation at the rank target is deterministic
-		// and equals full-sort-then-slice.
+		// Final exact cut: the order inside the boundary group is fixed
+		// (oid-ascending, Result.Perm), so slicing the permutation at the
+		// rank target is deterministic and equals full-sort-then-slice.
 		g := sort.Search(len(groups), func(i int) bool { return int(groups[i]) >= limitRows })
 		groups = append(groups[:g:g], int32(limitRows))
 		active = limitRows
@@ -368,36 +353,6 @@ func executeContext(ctx context.Context, inputs []massage.Input, p plan.Plan, op
 	obsGroupsFinal.Set(int64(len(groups) - 1))
 	res.Groups = groups
 	return res, nil
-}
-
-// orderTies leaves the oids of every group of two or more rows
-// ascending. It needs no keys: the last scan has already found every
-// equal-key run. Under the production sort kernel it only verifies —
-// the radix sort, sequential or parallel, and the top-K compaction are
-// stable, so every run arrives in oid order and
-// mcsort.tie_runs_sorted stays 0; the paper kernel leaves tied runs in
-// whatever order its merge networks produce, and those are sorted here.
-// The groups are visited in cutGroupBatches' position-ordered batches of
-// about groupBatchRows rows, none set apart as big (one run is one
-// sort), so zipf-skewed group sizes balance by rows; each batch polls
-// the context and fires faultinject.TieOrder first.
-func orderTies(ctx context.Context, perm []uint32, groups []int32, workers int) error {
-	batches, _, _, err := cutGroupBatches(ctx, groups, math.MaxInt)
-	if err != nil {
-		return err
-	}
-	pass := pipeerr.Pass{Stage: pipeerr.StageSort, Round: -1, Site: faultinject.TieOrder}
-	return pass.Ranges(ctx, workers, len(batches)-1, func(_ context.Context, b int) error {
-		sorted := 0
-		for g := batches[b]; g < batches[b+1]; g++ {
-			if run := perm[groups[g]:groups[g+1]]; !slices.IsSorted(run) {
-				slices.Sort(run)
-				sorted++
-			}
-		}
-		obsTieRuns.Add(int64(sorted))
-		return nil
-	})
 }
 
 // refineGroups splits each existing group at positions where the sorted

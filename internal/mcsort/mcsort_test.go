@@ -9,6 +9,7 @@ import (
 	"repro/internal/column"
 	"repro/internal/massage"
 	"repro/internal/mergesort"
+	"repro/internal/mergesort/paper"
 	"repro/internal/plan"
 )
 
@@ -271,7 +272,7 @@ func min(a, b int) int {
 
 // paperKernel selects the paper's SWAR merge-sort for every sort of an
 // execution, the way internal/experiments does.
-var paperKernel = &mergesort.Params{PaperKernel: true}
+var paperKernel = &mergesort.Params{Sort: paper.Params{}.Sort}
 
 // TestRadixExecutorMatchesMergeSort runs the same plan with both sort
 // kernels — the default (stable LSD radix) and the paper's merge-sort,

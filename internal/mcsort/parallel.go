@@ -53,8 +53,8 @@ func truncateGroups(groups []int32, limitRows, limitGroups int) []int32 {
 // tiny groups, and a cancelCtx poll takes a mutex.
 const groupPollRows = 1 << 16
 
-// groupBatchRows is the claim unit of the later-round group sorts and of
-// the tie-order pass: the sortable rows a worker takes between two polls.
+// groupBatchRows is the claim unit of the later-round group sorts: the
+// sortable rows a worker takes between two polls.
 // Dynamic claiming keeps the workers within one batch of each other, and
 // at this size the shared claim counter and the poll cost nothing.
 const groupBatchRows = 1 << 13

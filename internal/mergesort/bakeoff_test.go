@@ -1,4 +1,4 @@
-package mergesort
+package mergesort_test
 
 import (
 	"cmp"
@@ -7,16 +7,19 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	. "repro/internal/mergesort"
 )
 
-// BenchmarkKernelBakeoff is the measurement behind chooseKernel and
-// smallRunCutoff: every candidate kernel on every (bank, run length,
-// duplicates) cell, in ns/row. One iteration sorts bakeoffRows rows cut
-// into runs of n (one run when n is larger), each refilled from the
-// same source first — the refill, a copy and an identity fill, is inside
-// the clock and costs well under 1 ns/row. `make bakeoff` prints the
-// table EXPERIMENTS.md records; CI runs it at -benchtime 1x as a
-// compile-and-run smoke.
+// BenchmarkKernelBakeoff is the measurement behind the production
+// kernel and smallRunCutoff: every candidate kernel on every (bank, run
+// length, duplicates) cell, in ns/row — the paper kernel's cells are
+// internal/mergesort/paper's BenchmarkKernelBakeoff, over the same keys.
+// One iteration sorts bakeoffRows rows cut into runs of n (one run when
+// n is larger), each refilled from the same source first — the refill,
+// a copy and an identity fill, is inside the clock and costs well under
+// 1 ns/row. `make bakeoff` prints the table EXPERIMENTS.md records; CI
+// runs it at -benchtime 1x as a compile-and-run smoke.
 func BenchmarkKernelBakeoff(b *testing.B) {
 	type pair struct {
 		k uint64
@@ -28,16 +31,13 @@ func BenchmarkKernelBakeoff(b *testing.B) {
 		maxN int // quadratic kernels stop here
 		sort func(bank int, keys []uint64, oids []uint32, s *Scratch, pairs []pair)
 	}{
-		{"paper", 1 << 30, func(bank int, keys []uint64, oids []uint32, _ *Scratch, _ []pair) {
-			mustSort(b, bank, keys, oids, Params{PaperKernel: true})
-		}},
 		{"radix", 1 << 30, func(bank int, keys []uint64, oids []uint32, s *Scratch, _ []pair) {
-			if err := radixSort(ctx, bank, keys, oids, s); err != nil {
+			if err := RadixSort(ctx, bank, keys, oids, s); err != nil {
 				b.Fatal(err)
 			}
 		}},
 		{"insertion", 1 << 10, func(_ int, keys []uint64, oids []uint32, _ *Scratch, _ []pair) {
-			insertionSort(keys, oids)
+			InsertionSort(keys, oids)
 		}},
 		{"slicesSortFunc", 1 << 30, func(_ int, keys []uint64, oids []uint32, _ *Scratch, pairs []pair) {
 			pairs = pairs[:len(keys)]
@@ -84,10 +84,11 @@ func BenchmarkKernelBakeoff(b *testing.B) {
 // BenchmarkParallelSort times the parallel sort under the production
 // kernel — the parallel radix sort that mcsort's round 0 and its
 // cooperative group sorts call — in ns/row over parallelBenchRows rows:
-// workers {1, 2} × every bank × {unique, zipf} keys, the paper kernel's
-// chunk sorts and chunk merge at two workers (the path the figure
-// experiments time), and TopKContext at two workers with limits 100 and
-// n/2−1, whose chunk filter no mcsperf workload reaches. One iteration
+// workers {1, 2} × every bank × {unique, zipf} keys, and TopKContext at
+// two workers with limits 100 and n/2−1, whose chunk filter no mcsperf
+// workload reaches. The paper kernel's cell — its chunk sorts and chunk
+// merge at two workers, the path the figure experiments time — is
+// internal/mergesort/paper's BenchmarkParallelSort. One iteration
 // refills the rows first, inside the clock. `make bakeoff` runs it at
 // -cpu 2; CI runs it at -benchtime 1x as a compile-and-run smoke.
 func BenchmarkParallelSort(b *testing.B) {
@@ -115,9 +116,6 @@ func BenchmarkParallelSort(b *testing.B) {
 			for _, w := range []int{1, 2} {
 				cell("sort", func(w int) error { return ParallelSortWithParamsContext(ctx, bank, keys, oids, Params{}, w) }, w)
 			}
-			cell("paper", func(w int) error {
-				return ParallelSortWithParamsContext(ctx, bank, keys, oids, Params{PaperKernel: true}, w)
-			}, 2)
 			for _, limit := range []int{100, n/2 - 1} {
 				cell(fmt.Sprintf("topk=%d", limit), func(w int) error {
 					_, err := TopKContext(ctx, bank, keys, oids, limit, Params{}, w)

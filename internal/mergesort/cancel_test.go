@@ -1,4 +1,4 @@
-package mergesort
+package mergesort_test
 
 import (
 	"context"
@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"repro/internal/faultinject"
+	. "repro/internal/mergesort"
+	"repro/internal/mergesort/paper"
 	"repro/internal/pipeerr"
 	"repro/internal/testutil"
 )
@@ -46,7 +48,9 @@ func TestParallelSortCancelAtSites(t *testing.T) {
 				defer testutil.CheckNoLeaks(t)()
 				keys, oids := cancelKeys(20000, 7)
 				p := cancelParams(16)
-				p.PaperKernel = site == faultinject.LoserMerge
+				if site == faultinject.LoserMerge {
+					p = paperKernel(p, paper.Params{})
+				}
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
 				var fired atomic.Bool
@@ -178,7 +182,7 @@ func TestParallelMergeTopKCancelAtSite(t *testing.T) {
 // gives byte-identical output, at every worker count.
 func TestCancelledMergeRerunsIdentically(t *testing.T) {
 	defer faultinject.Reset()
-	keys, oids := cancelKeys(3*mergeCheckEvery, 37)
+	keys, oids := cancelKeys(3*MergeCheckEvery, 37)
 	runs := sortedRuns(keys, oids, 5)
 	for _, workers := range []int{1, 2, 3} {
 		want, wantO := mustMergeRuns(t, keys, oids, runs, 0, workers)

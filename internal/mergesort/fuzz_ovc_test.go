@@ -1,8 +1,11 @@
-package mergesort
+package mergesort_test
 
 import (
 	"sort"
 	"testing"
+
+	. "repro/internal/mergesort"
+	"repro/internal/mergesort/paper"
 )
 
 // FuzzOVCMerge differences the offset-value-coded packed merge against
@@ -72,15 +75,12 @@ func FuzzOVCMerge(f *testing.F) {
 
 		offK := append([]uint64(nil), keys...)
 		offO := append([]uint32(nil), oids...)
-		mustMergePacked(t, bank, offK, offO, cuts, Params{DisableOVC: true})
+		mustMergePacked(t, bank, offK, offO, cuts, paper.Params{DisableOVC: true})
 
 		onK := append([]uint64(nil), keys...)
 		onO := append([]uint32(nil), oids...)
-		ovcAuditReset()
-		ovcAuditEnabled = true
-		mustMergePacked(t, bank, onK, onO, cuts, Params{})
-		ovcAuditEnabled = false
-		if m := ovcAuditMismatches.Load(); m != 0 {
+		audit := paper.AuditOVC(func() { mustMergePacked(t, bank, onK, onO, cuts, paper.Params{}) })
+		if m := audit.Mismatches; m != 0 {
 			t.Fatalf("bank %d n %d runs %d: %d code verdicts contradicted the keys", bank, n, nRuns, m)
 		}
 

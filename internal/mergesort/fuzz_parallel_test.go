@@ -1,13 +1,17 @@
-package mergesort
+package mergesort_test
 
 import (
 	"sort"
 	"testing"
+
+	. "repro/internal/mergesort"
+	"repro/internal/mergesort/paper"
 )
 
 // FuzzParallelMerge drives MergeRunsContext's rank-split merge with
 // arbitrary keys, run boundaries, and worker counts, and checks it — and
-// the packed MergePackedContext — against the sequential stable oracle:
+// the paper's packed merge, paper.MergePacked — against the sequential
+// stable oracle:
 // merging sorted runs must order records by (key, run index) with
 // within-run order preserved — the exact contract that makes the merge
 // byte-identical for any worker count.
@@ -99,7 +103,7 @@ func FuzzParallelMerge(f *testing.F) {
 		gotK, gotO := mustMergeRuns(t, keys, oids, cuts, 0, workers)
 		packedK := append([]uint64(nil), keys...)
 		packedO := append([]uint32(nil), oids...)
-		mustMergePacked(t, bank, packedK, packedO, cuts, Params{})
+		mustMergePacked(t, bank, packedK, packedO, cuts, paper.Params{})
 
 		for i := 0; i < n; i++ {
 			if packedK[i] != want[i].k || packedO[i] != want[i].oid {

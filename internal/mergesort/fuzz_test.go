@@ -1,10 +1,13 @@
-package mergesort
+package mergesort_test
 
 import (
 	"encoding/binary"
 	"fmt"
 	"slices"
 	"testing"
+
+	. "repro/internal/mergesort"
+	"repro/internal/mergesort/paper"
 )
 
 // fuzzMaxElems caps the sort size per fuzz execution so the engine can
@@ -46,19 +49,18 @@ func keysFromBytes(data []byte, bank int) []uint64 {
 // go through the production kernel and the paper kernel — on the
 // sequential entry point, or from two workers up on the parallel one —
 // and each output is held to checkKernelOutput: the sorted keys, oids a
-// key-carrying permutation, and for the production kernel stability.
+// key-carrying permutation, ascending among equal keys.
 func fuzzKernels(t *testing.T, bank, workers int, keys []uint64) {
 	want := slices.Clone(keys)
 	slices.Sort(want)
-	for _, paper := range []bool{false, true} {
-		p := Params{PaperKernel: paper, ParallelThreshold: 64}
+	for i, p := range []Params{{ParallelThreshold: 64}, paperKernel(Params{ParallelThreshold: 64}, paper.Params{})} {
 		gotK, gotO := slices.Clone(keys), identOids(len(keys))
 		if workers < 2 {
 			mustSort(t, bank, gotK, gotO, p)
 		} else {
 			mustParallelSort(t, bank, gotK, gotO, p, workers)
 		}
-		checkKernelOutput(t, fmt.Sprintf("bank %d n %d workers %d paper=%v", bank, len(keys), workers, paper), keys, want, gotK, gotO, !paper)
+		checkKernelOutput(t, fmt.Sprintf("bank %d n %d workers %d paper=%v", bank, len(keys), workers, i == 1), keys, want, gotK, gotO)
 	}
 }
 
@@ -88,7 +90,7 @@ func FuzzMergesortSort(f *testing.F) {
 // constant and the production kernel skips their scatters — and the
 // second, once a radix size, picks the worker count from
 // fuzzRadixWorkers. From two workers on the keys are repeated to
-// minChunkRows rows per chunk, up to four chunks, so the parallel radix
+// MinChunkRows rows per chunk, up to four chunks, so the parallel radix
 // sort cuts them into chunks that each hold the fuzzed keys: every key
 // ties across chunks.
 func FuzzRadixSort(f *testing.F) {
@@ -98,7 +100,7 @@ func FuzzRadixSort(f *testing.F) {
 		width := int(widthRaw)%64 + 1
 		workers := fuzzRadixWorkers[int(workersRaw)%len(fuzzRadixWorkers)]
 		keys := keysFromBytes(data, width)
-		if rows := min(workers, 4) * minChunkRows; workers > 1 && len(keys) > 0 {
+		if rows := min(workers, 4) * MinChunkRows; workers > 1 && len(keys) > 0 {
 			for len(keys) < rows {
 				keys = append(keys, keys...)
 			}

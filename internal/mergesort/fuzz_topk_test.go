@@ -1,9 +1,11 @@
-package mergesort
+package mergesort_test
 
 import (
 	"fmt"
 	"sort"
 	"testing"
+
+	. "repro/internal/mergesort"
 )
 
 // FuzzTopKMerge drives MergeRunsContext's limit path with arbitrary

@@ -1,8 +1,11 @@
-package mergesort
+package mergesort_test
 
 import (
 	"context"
 	"testing"
+
+	. "repro/internal/mergesort"
+	"repro/internal/mergesort/paper"
 )
 
 // The must* helpers run an entry point under context.Background() and
@@ -23,11 +26,18 @@ func mustParallelSort(tb testing.TB, bank int, keys []uint64, oids []uint32, p P
 	}
 }
 
-func mustMergePacked(tb testing.TB, bank int, keys []uint64, oids []uint32, runs []int, p Params) {
+func mustMergePacked(tb testing.TB, bank int, keys []uint64, oids []uint32, runs []int, p paper.Params) {
 	tb.Helper()
-	if err := MergePackedContext(context.Background(), bank, keys, oids, runs, p); err != nil {
+	if err := paper.MergePacked(context.Background(), bank, keys, oids, runs, p); err != nil {
 		tb.Fatal(err)
 	}
+}
+
+// paperKernel returns p with the paper's kernel, configured by pp,
+// plugged into its Sort hook.
+func paperKernel(p Params, pp paper.Params) Params {
+	p.Sort = pp.Sort
+	return p
 }
 
 // mustMergeRuns cuts keys/oids at the run bounds and merges the runs

@@ -1,10 +1,13 @@
-package mergesort
+package mergesort_test
 
 import (
 	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
+
+	. "repro/internal/mergesort"
+	"repro/internal/mergesort/paper"
 )
 
 // kernelInputs is the duplicate battery of TestKernelsAgree: uniform
@@ -36,10 +39,11 @@ func kernelInputs(n, bank int, seed int64) map[string][]uint64 {
 
 // checkKernelOutput holds one sort output to the oracle: k is the prefix
 // of want (the input keys, sorted) it claims to be, o pairs every slot
-// with a distinct input row carrying that slot's key, and — for a stable
-// kernel — equal keys keep their input order. Together that is exactly
-// sort.SliceStable's answer on (key, oid) pairs.
-func checkKernelOutput(tb testing.TB, where string, keys, want, k []uint64, o []uint32, stable bool) {
+// with a distinct input row carrying that slot's key, and equal keys
+// keep their input order (oids ascending, the input being the identity).
+// Together that is exactly sort.SliceStable's answer on (key, oid)
+// pairs.
+func checkKernelOutput(tb testing.TB, where string, keys, want, k []uint64, o []uint32) {
 	tb.Helper()
 	if !slices.Equal(k, want[:len(k)]) {
 		tb.Fatalf("%s: keys differ from the sorted input", where)
@@ -50,7 +54,7 @@ func checkKernelOutput(tb testing.TB, where string, keys, want, k []uint64, o []
 			tb.Fatalf("%s: oids[%d]=%d is out of range, repeated or carries another key", where, j, oid)
 		}
 		seen[oid] = true
-		if stable && j > 0 && k[j-1] == k[j] && o[j-1] > oid {
+		if j > 0 && k[j-1] == k[j] && o[j-1] > oid {
 			tb.Fatalf("%s: not stable at %d", where, j)
 		}
 	}
@@ -58,13 +62,14 @@ func checkKernelOutput(tb testing.TB, where string, keys, want, k []uint64, o []
 
 // TestKernelsAgree pins the two kernels to one oracle on every entry
 // point that sorts (checkKernelOutput): production ≡ paper kernel ≡
-// the sorted keys, oids a key-preserving permutation, and the production
-// kernel additionally stable — oids ascending inside every run of equal
-// keys, i.e. sort.SliceStable's answer —
-// through the sequential sort, the parallel sort and the top-K sort,
-// across the run lengths where the kernel choice changes.
+// the sorted keys, oids a key-preserving permutation ascending inside
+// every run of equal keys — sort.SliceStable's answer, which the
+// production kernel gives by stability and the paper kernel, plugged in
+// through Params.Sort, by ordering its ties — through the sequential
+// sort, the parallel sort and the top-K sort, across the run lengths
+// where the kernel choice changes.
 func TestKernelsAgree(t *testing.T) {
-	sizes := []int{0, 1, 23, 24, smallRunCutoff - 1, smallRunCutoff, smallRunCutoff + 1, 1 << 10, 1<<16 + 1}
+	sizes := []int{0, 1, 23, 24, SmallRunCutoff - 1, SmallRunCutoff, SmallRunCutoff + 1, 1 << 10, 1<<16 + 1}
 	for _, bank := range Banks {
 		for _, n := range sizes {
 			for name, keys := range kernelInputs(n, bank, int64(bank+n)) {
@@ -78,11 +83,11 @@ func TestKernelsAgree(t *testing.T) {
 						t.Helper()
 						where := fmt.Sprintf("%s bank=%d n=%d %s workers=%d", entry, bank, n, name, workers)
 						var ms [2]int
-						for i, paper := range []bool{false, true} {
+						for i, p := range []Params{{ParallelThreshold: 64}, paperKernel(Params{ParallelThreshold: 64}, paper.Params{})} {
 							k, o := slices.Clone(keys), identOids(n)
-							m := run(Params{PaperKernel: paper, ParallelThreshold: 64}, k, o)
+							m := run(p, k, o)
 							ms[i] = m
-							checkKernelOutput(t, fmt.Sprintf("%s paper=%v", where, paper), keys, want, k[:m], o[:m], !paper)
+							checkKernelOutput(t, fmt.Sprintf("%s paper=%v", where, i == 1), keys, want, k[:m], o[:m])
 						}
 						if ms[0] != ms[1] {
 							t.Fatalf("%s: production sorted %d elements, paper kernel %d", where, ms[0], ms[1])

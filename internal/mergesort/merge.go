@@ -10,9 +10,9 @@ import (
 	"repro/internal/pipeerr"
 )
 
-// The one merge of sorted runs that serves queries, under the
-// coordinator's cross-shard gather (internal/shard) and the paper
-// kernel's chunk merge (ParallelSortWithParamsContext). It reads
+// The one merge of sorted runs, under the coordinator's cross-shard
+// gather (internal/shard) and the paper kernel's chunk merge
+// (internal/mergesort/paper). It reads
 // unpacked runs in place: nothing is concatenated, packed or
 // offset-value coded. Across workers the output is cut into equal rank
 // shares, one selection (splitRuns) resolves each share boundary to a
@@ -27,6 +27,11 @@ var (
 	obsParMergeElems  = obs.NewCounter("mergesort.parallel_merge_elements")
 	obsParSelectProbe = obs.NewCounter("mergesort.parallel_select_probes")
 )
+
+// mergeCheckEvery is how many rows a rank share merges between context
+// polls: frequent enough that cancellation lands well inside a share,
+// rare enough that the poll is free.
+const mergeCheckEvery = 1 << 14
 
 // MergeRunsContext merges the sorted runs keys[r] with their payloads
 // pay[r] into one new pair, stable by run index: equal keys come out in

@@ -1,4 +1,4 @@
-package mergesort
+package mergesort_test
 
 import (
 	"context"
@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 
+	. "repro/internal/mergesort"
+	"repro/internal/mergesort/paper"
 	"repro/internal/pipeerr"
 )
 
@@ -30,7 +32,7 @@ func mergeInputs(n int, seed int64) map[string][]uint64 {
 }
 
 // TestMergeRunsMatchesOracleAndPacked pins MergeRunsContext to the
-// stable (key, run index) oracle and to MergePackedContext byte for
+// stable (key, run index) oracle and to paper.MergePacked byte for
 // byte, at every worker count and limit: the limited merge is the full
 // merge's prefix of exactly min(limit, n) rows.
 func TestMergeRunsMatchesOracleAndPacked(t *testing.T) {
@@ -41,7 +43,7 @@ func TestMergeRunsMatchesOracleAndPacked(t *testing.T) {
 			runs := sortedRuns(k, oids, nRuns)
 			wantK, wantO := mergeOracle(k, oids, runs)
 			packedK, packedO := append([]uint64(nil), k...), append([]uint32(nil), oids...)
-			mustMergePacked(t, 64, packedK, packedO, runs, Params{})
+			mustMergePacked(t, 64, packedK, packedO, runs, paper.Params{})
 			checkMerged(t, fmt.Sprintf("%s runs=%d packed", name, nRuns), packedK, packedO, wantK, wantO)
 			for _, limit := range []int{1, n / 2, n, n + 7} {
 				m := min(limit, n)
@@ -57,13 +59,13 @@ func TestMergeRunsMatchesOracleAndPacked(t *testing.T) {
 // TestPaperKernelParallelSortIsChunkSortsPlusPackedMerge pins the paper
 // kernel's parallel sort to its definition: sort each chunk, then merge
 // the chunks stably by chunk index — here with the packed merge, which
-// the parallel sort no longer calls.
+// the parallel sort does not call. Chunks are cut on whole in-register
+// blocks of v×v elements, v = 256/bank lanes.
 func TestPaperKernelParallelSortIsChunkSortsPlusPackedMerge(t *testing.T) {
 	const n = 20000
 	for _, bank := range Banks {
-		p := testParams(bank)
-		p.PaperKernel = true
-		v := kernelsFor(bank).v
+		p := paperKernel(testParams(bank), paper.Params{})
+		v := 256 / bank
 		for name, keys := range adversarialInputs(n, bank, 13) {
 			for _, w := range []int{2, 3, 8} {
 				wantK, wantO := append([]uint64(nil), keys...), identOids(n)
@@ -71,7 +73,7 @@ func TestPaperKernelParallelSortIsChunkSortsPlusPackedMerge(t *testing.T) {
 				for c := 0; c+1 < len(bounds); c++ {
 					mustSort(t, bank, wantK[bounds[c]:bounds[c+1]], wantO[bounds[c]:bounds[c+1]], p)
 				}
-				mustMergePacked(t, bank, wantK, wantO, bounds, p)
+				mustMergePacked(t, bank, wantK, wantO, bounds, paper.Params{})
 				gotK, gotO := append([]uint64(nil), keys...), identOids(n)
 				mustParallelSort(t, bank, gotK, gotO, p, w)
 				checkMerged(t, fmt.Sprintf("%s bank=%d workers=%d", name, bank, w), gotK, gotO, wantK, wantO)

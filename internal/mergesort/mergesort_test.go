@@ -1,10 +1,13 @@
-package mergesort
+package mergesort_test
 
 import (
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	. "repro/internal/mergesort"
+	"repro/internal/mergesort/paper"
 )
 
 // verifySorted checks the output is ascending and is a key-preserving
@@ -35,7 +38,7 @@ func verifySorted(t *testing.T, orig []uint64, keys []uint64, oids []uint32) {
 // with the paper kernel and verifies each result against the input.
 func checkBothKernels(t *testing.T, bank int, keys []uint64) {
 	t.Helper()
-	for _, p := range []Params{{}, {PaperKernel: true}} {
+	for _, p := range []Params{{}, paperKernel(Params{}, paper.Params{})} {
 		got := append([]uint64(nil), keys...)
 		oids := identOids(len(keys))
 		mustSort(t, bank, got, oids, p)
@@ -151,7 +154,7 @@ func TestSortProperty(t *testing.T) {
 			}
 			want := append([]uint64(nil), keys...)
 			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-			for _, p := range []Params{{}, {PaperKernel: true}} {
+			for _, p := range []Params{{}, paperKernel(Params{}, paper.Params{})} {
 				got := append([]uint64(nil), keys...)
 				oids := identOids(len(keys))
 				mustSort(t, bank, got, oids, p)
@@ -169,11 +172,11 @@ func TestSortProperty(t *testing.T) {
 	}
 }
 
-// TestSortForcedMultiway shrinks the in-cache run target so phase 3 runs
-// several multiway passes through the loser tree, offset-value coded and
-// plain, from all-unique to nearly-all-tied keys: both settings must
-// sort, and agree on the keys and on each key's set of oids (the tie
-// order itself is unspecified).
+// TestSortForcedMultiway shrinks the paper kernel's in-cache run target
+// so phase 3 runs several multiway passes through the loser tree,
+// offset-value coded and plain, from all-unique to nearly-all-tied
+// keys: both settings must sort, and agree byte for byte — the kernel
+// orders its ties, so the oids of each key agree too.
 func TestSortForcedMultiway(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const n = 50000
@@ -189,9 +192,8 @@ func TestSortForcedMultiway(t *testing.T) {
 			var gotO [2][]uint32
 			for i, disable := range []bool{false, true} {
 				gotK[i], gotO[i] = append([]uint64(nil), keys...), identOids(n)
-				mustSort(t, bank, gotK[i], gotO[i], Params{PaperKernel: true, InCacheElems: 64, Fanout: 4, DisableOVC: disable})
+				mustSort(t, bank, gotK[i], gotO[i], paperKernel(Params{}, paper.Params{InCacheElems: 64, Fanout: 4, DisableOVC: disable}))
 				verifySorted(t, keys, gotK[i], gotO[i])
-				canonicalOids(gotK[i], gotO[i])
 			}
 			for i := range keys {
 				if gotK[0][i] != gotK[1][i] || gotO[0][i] != gotO[1][i] {
@@ -202,86 +204,8 @@ func TestSortForcedMultiway(t *testing.T) {
 	}
 }
 
-func TestBatcherNetworkSortsEverything(t *testing.T) {
-	for _, n := range []int{4, 8, 16} {
-		net := batcherNetwork(n)
-		// 0-1 principle: a comparator network sorts all inputs iff it
-		// sorts all 2^n binary sequences.
-		for bits := 0; bits < 1<<uint(n); bits++ {
-			v := make([]int, n)
-			for i := range v {
-				v[i] = (bits >> uint(i)) & 1
-			}
-			for _, c := range net {
-				if v[c[0]] > v[c[1]] {
-					v[c[0]], v[c[1]] = v[c[1]], v[c[0]]
-				}
-			}
-			for i := 1; i < n; i++ {
-				if v[i-1] > v[i] {
-					t.Fatalf("network %d fails on pattern %b", n, bits)
-				}
-			}
-		}
-	}
-}
-
-func TestPackUnpackRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for _, lanes := range []int{1, 2, 4} {
-		bits := 64 / lanes * 8 // not the key width; just bound the values
-		_ = bits
-		n := 1003
-		keys := randKeys(rng, n, 64/lanes)
-		oids := make([]uint32, n)
-		for i := range oids {
-			oids[i] = rng.Uint32()
-		}
-		kw, ow := pack(keys, oids, lanes)
-		outK := make([]uint64, n)
-		outO := make([]uint32, n)
-		unpack(kw, ow, lanes, outK, outO)
-		for i := range keys {
-			if outK[i] != keys[i] || outO[i] != oids[i] {
-				t.Fatalf("lanes %d: round trip mismatch at %d", lanes, i)
-			}
-		}
-	}
-}
-
-func TestPackedAccessors(t *testing.T) {
-	for _, lanes := range []int{1, 2, 4} {
-		n := 37
-		kw := make([]uint64, n+wordsPerReg)
-		ow := make([]uint64, n+wordsPerReg)
-		width := 64 / lanes
-		mask := ^uint64(0)
-		if width < 64 {
-			mask = 1<<uint(width) - 1
-		}
-		rng := rand.New(rand.NewSource(int64(lanes)))
-		want := make([]uint64, n)
-		wantO := make([]uint32, n)
-		for i := 0; i < n; i++ {
-			want[i] = rng.Uint64() & mask
-			wantO[i] = rng.Uint32()
-			setKeyAt(kw, i, lanes, want[i])
-			setOidAt(ow, i, wantO[i])
-		}
-		for i := 0; i < n; i++ {
-			if keyAt(kw, i, lanes) != want[i] {
-				t.Fatalf("lanes %d key %d mismatch", lanes, i)
-			}
-			if oidAt(ow, i) != wantO[i] {
-				t.Fatalf("lanes %d oid %d mismatch", lanes, i)
-			}
-		}
-	}
-}
-
 // randomRuns builds k ascending runs of tie-heavy keys, some of them
-// empty, as one-lane packed words (a key per word, so the array is its
-// own packed form) with the run boundaries.
+// empty, with the run boundaries.
 func randomRuns(rng *rand.Rand, k int) ([]uint64, []int) {
 	var keys []uint64
 	runs := []int{0}
@@ -295,43 +219,6 @@ func randomRuns(rng *rand.Rand, k int) ([]uint64, []int) {
 		runs = append(runs, len(keys))
 	}
 	return keys, runs
-}
-
-// TestLoserTree drains the one loser tree, plain and offset-value
-// coded, over full and partial trees with empty runs: the popped order
-// must be the (key, run index) stable merge, position by position.
-func TestLoserTree(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for trial := 0; trial < 200; trial++ {
-		for _, k := range []int{3, 5, 8, 9} {
-			keys, runs := randomRuns(rng, k)
-			_, want := mergeOracle(keys, identOids(len(keys)), runs)
-			for _, useOVC := range []bool{false, true} {
-				lt := newStableLoserTree(keys, 1, runs[:len(runs)-1], runs[1:], useOVC)
-				var got []uint32
-				for {
-					pos, cnt, key := lt.popStretch(1 + rng.Intn(8))
-					if pos < 0 {
-						break
-					}
-					for i := 0; i < cnt; i++ {
-						if keys[pos+i] != key {
-							t.Fatalf("k=%d ovc=%v: stretch at %d claims key %d, element %d holds %d", k, useOVC, pos, key, pos+i, keys[pos+i])
-						}
-						got = append(got, uint32(pos+i))
-					}
-				}
-				if len(got) != len(want) {
-					t.Fatalf("k=%d ovc=%v: popped %d of %d", k, useOVC, len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("k=%d ovc=%v: position %d pops element %d, stable merge has %d", k, useOVC, i, got[i], want[i])
-					}
-				}
-			}
-		}
-	}
 }
 
 func BenchmarkSortBank16_64K(b *testing.B) { benchSort(b, 16, 1<<16) }

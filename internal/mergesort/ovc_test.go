@@ -1,16 +1,19 @@
-package mergesort
+package mergesort_test
 
 import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	. "repro/internal/mergesort"
+	"repro/internal/mergesort/paper"
 )
 
-// Property and audit tests for offset-value coding (ovc.go). The audit
-// battery re-checks every code-resolved loser-tree comparison against
-// the full keys while the trees run the real merge paths, so a single
-// stale code anywhere in build, replay, or re-derive shows up as a
-// mismatch count.
+// Audit tests for the paper kernel's offset-value coding
+// (internal/mergesort/paper). The audit (paper.AuditOVC) re-checks every
+// code-resolved loser-tree comparison against the full keys while the
+// trees run the real merge paths, so a single stale code anywhere in
+// build, replay, or re-derive shows up as a mismatch count.
 
 // ovcInputs are the adversarial distributions of the OVC battery:
 // all-equal (every comparison resolves at code 0), run-length-skewed
@@ -50,78 +53,23 @@ func ovcInputs(n, bank int, seed int64) map[string][]uint64 {
 	return in
 }
 
-func TestOVCRelProperties(t *testing.T) {
-	// Pinned examples: offset counts bytes from the low end, the value
-	// is the first differing byte of the larger key.
-	cases := []struct {
-		key, base uint64
-		want      uint32
-	}{
-		{0, 0, 0},
-		{42, 42, 0},
-		{1, 0, 1<<8 | 1},
-		{0xFF, 0, 1<<8 | 0xFF},
-		{0x100, 0xFF, 2<<8 | 0x01}, // carry: differs in byte 2
-		{0x1234, 0x1233, 1<<8 | 0x34},
-		{1 << 56, 0, 8<<8 | 1},
-		{^uint64(0), 0, 8<<8 | 0xFF},
-	}
-	for _, c := range cases {
-		if got := ovcRel(c.key, c.base); got != c.want {
-			t.Errorf("ovcRel(%#x, %#x) = %#x, want %#x", c.key, c.base, got, c.want)
-		}
-	}
-
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 200000; trial++ {
-		// Random base ≤ a, b with clustered high bits so equal and
-		// near-equal keys are common.
-		base := rng.Uint64() >> uint(rng.Intn(64))
-		a := base + uint64(rng.Intn(1<<uint(rng.Intn(20))))
-		b := base + uint64(rng.Intn(1<<uint(rng.Intn(20))))
-		ca, cb := ovcRel(a, base), ovcRel(b, base)
-		// Property 1: code order implies key order.
-		if ca < cb && !(a < b) {
-			t.Fatalf("code(%#x)=%#x < code(%#x)=%#x but keys not ordered (base %#x)", a, ca, b, cb, base)
-		}
-		// Property 2: two zero codes mean both equal the base.
-		if ca == 0 && cb == 0 && (a != base || b != base) {
-			t.Fatalf("zero codes for a=%#x b=%#x base=%#x", a, b, base)
-		}
-		// No-update lemma: when codes differ, the loser's code against
-		// the winner equals its code against the old base.
-		if ca < cb {
-			if got := ovcRel(b, a); got != cb {
-				t.Fatalf("no-update lemma: code(%#x, %#x)=%#x, want %#x (base %#x)", b, a, got, cb, base)
-			}
-		}
-	}
-}
-
-// withOVCAudit runs f with the audit instrumentation armed and fails
-// the test if any code verdict contradicted the full keys. It returns
-// the (resolved, fallback) counter values.
-func withOVCAudit(t *testing.T, f func()) (int64, int64) {
+// withOVCAudit runs f with the audit armed and fails the test if any
+// code verdict contradicted the full keys. It returns the audit counts.
+func withOVCAudit(t *testing.T, f func()) paper.OVCAudit {
 	t.Helper()
-	ovcAuditReset()
-	ovcAuditEnabled = true
-	defer func() { ovcAuditEnabled = false }()
-	f()
-	if m := ovcAuditMismatches.Load(); m != 0 {
-		t.Fatalf("%d OVC comparisons contradicted the full keys", m)
+	a := paper.AuditOVC(f)
+	if a.Mismatches != 0 {
+		t.Fatalf("%d OVC comparisons contradicted the full keys", a.Mismatches)
 	}
-	return ovcAuditResolved.Load(), ovcAuditFallbacks.Load()
+	return a
 }
 
-// forcePhase3 selects the paper kernel and lowers its in-cache run
-// target so phase 3 (the only OVC consumer in the sequential sort)
-// always runs on test-sized inputs.
-func forcePhase3(bank int) Params {
-	p := testParams(bank)
-	p.PaperKernel = true
-	p.InCacheElems = 64
-	p.Fanout = 4
-	return p
+// forcePhase3 plugs in the paper kernel, configured by pp, with its
+// in-cache run target lowered so phase 3 (the only OVC consumer in the
+// sequential sort) always runs on test-sized inputs.
+func forcePhase3(bank int, pp paper.Params) Params {
+	pp.InCacheElems, pp.Fanout = 64, 4
+	return paperKernel(testParams(bank), pp)
 }
 
 func TestOVCAuditSequentialSort(t *testing.T) {
@@ -134,21 +82,19 @@ func TestOVCAuditSequentialSort(t *testing.T) {
 			for i := range wantO {
 				wantO[i], gotO[i] = uint32(i), uint32(i)
 			}
-			off := forcePhase3(bank)
-			off.DisableOVC = true
-			mustSort(t, bank, wantK, wantO, off)
+			mustSort(t, bank, wantK, wantO, forcePhase3(bank, paper.Params{DisableOVC: true}))
 
 			gotK := append([]uint64(nil), keys...)
-			resolved, _ := withOVCAudit(t, func() {
-				mustSort(t, bank, gotK, gotO, forcePhase3(bank))
+			a := withOVCAudit(t, func() {
+				mustSort(t, bank, gotK, gotO, forcePhase3(bank, paper.Params{}))
 			})
 			// A tie-only merge resolves nothing by comparison: the
 			// code-0 replay skip claims whole stretches instead.
-			if resolved == 0 && ovcAuditSkips.Load() == 0 {
+			if a.Resolved == 0 && a.Skips == 0 {
 				t.Errorf("%s bank=%d: no comparisons resolved or skipped by codes", name, bank)
 			}
 			if name == "allequal" {
-				if fb := ovcAuditFallbacks.Load(); fb != 0 {
+				if fb := a.Fallbacks; fb != 0 {
 					t.Errorf("allequal bank=%d: %d key-byte fallbacks, want 0", bank, fb)
 				}
 			}
@@ -161,7 +107,7 @@ func TestOVCAuditSequentialSort(t *testing.T) {
 	}
 }
 
-// TestOVCAuditParallelMerge audits the packed merge, MergePackedContext:
+// TestOVCAuditParallelMerge audits the packed merge, paper.MergePacked:
 // every code verdict must agree with the full keys, and the output must
 // be the stable oracle's.
 func TestOVCAuditParallelMerge(t *testing.T) {
@@ -177,20 +123,20 @@ func TestOVCAuditParallelMerge(t *testing.T) {
 			wantK, wantO := mergeOracle(k, oids, runs)
 			gotK := append([]uint64(nil), k...)
 			gotO := append([]uint32(nil), oids...)
-			resolved, _ := withOVCAudit(t, func() {
-				mustMergePacked(t, bank, gotK, gotO, runs, Params{})
+			a := withOVCAudit(t, func() {
+				mustMergePacked(t, bank, gotK, gotO, runs, paper.Params{})
 			})
 			// Duplicate-heavy inputs may bypass comparisons entirely via
 			// the code-0 replay skip; either a code verdict or a skipped
 			// replay proves codes were live.
-			if resolved == 0 && ovcAuditSkips.Load() == 0 {
+			if a.Resolved == 0 && a.Skips == 0 {
 				t.Errorf("%s bank=%d: no comparisons resolved or skipped by codes", name, bank)
 			}
 			if name == "allequal" {
-				if fb := ovcAuditFallbacks.Load(); fb != 0 {
+				if fb := a.Fallbacks; fb != 0 {
 					t.Errorf("allequal bank=%d: %d key-byte fallbacks, want 0", bank, fb)
 				}
-				if sk := ovcAuditSkips.Load(); sk == 0 {
+				if sk := a.Skips; sk == 0 {
 					t.Errorf("allequal bank=%d: code-0 fast path never fired", bank)
 				}
 			}
@@ -208,10 +154,7 @@ func TestOVCAuditParallelSort(t *testing.T) {
 			for i := range wantO {
 				wantO[i] = uint32(i)
 			}
-			off := forcePhase3(bank)
-			off.DisableOVC = true
-			mustParallelSort(t, bank, wantK, wantO, off, 4)
-			canonicalOids(wantK, wantO)
+			mustParallelSort(t, bank, wantK, wantO, forcePhase3(bank, paper.Params{DisableOVC: true}), 4)
 			for _, w := range []int{2, 8} {
 				gotK := append([]uint64(nil), keys...)
 				gotO := make([]uint32, n)
@@ -219,9 +162,8 @@ func TestOVCAuditParallelSort(t *testing.T) {
 					gotO[i] = uint32(i)
 				}
 				withOVCAudit(t, func() {
-					mustParallelSort(t, bank, gotK, gotO, forcePhase3(bank), w)
+					mustParallelSort(t, bank, gotK, gotO, forcePhase3(bank, paper.Params{}), w)
 				})
-				canonicalOids(gotK, gotO)
 				for i := range gotK {
 					if gotK[i] != wantK[i] || gotO[i] != wantO[i] {
 						t.Fatalf("%s bank=%d workers=%d: diverges at %d", name, bank, w, i)

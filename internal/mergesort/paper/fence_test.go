@@ -1,0 +1,148 @@
+package paper
+
+import (
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// The fence around the paper kernel: it is measurement apparatus, so
+// only the apparatus may import it, and the production sort stack must
+// not link it. Both tests read the import clauses of every non-test Go
+// file in the module.
+
+const modulePath = "repro"
+
+// paperImporters are the only places outside this package that may
+// import it: the figure experiments and cost-model calibration.
+var paperImporters = []string{"internal/experiments/", "internal/costmodel/calibrate.go"}
+
+// TestOnlyApparatusImportsPaper fails when a non-test file outside this
+// package and paperImporters imports it.
+func TestOnlyApparatusImportsPaper(t *testing.T) {
+	self := modulePath + "/internal/mergesort/paper"
+	for file, imports := range moduleImports(t) {
+		if strings.HasPrefix(file, "internal/mergesort/paper/") || allowedImporter(file) {
+			continue
+		}
+		for _, imp := range imports {
+			if imp == self {
+				t.Errorf("%s imports %s: only the experiments and calibration may", file, self)
+			}
+		}
+	}
+}
+
+func allowedImporter(file string) bool {
+	for _, p := range paperImporters {
+		if file == p || strings.HasSuffix(p, "/") && strings.HasPrefix(file, p) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestMcsortDoesNotLinkPaper walks the in-module imports of
+// internal/mcsort — what `go list -deps ./internal/mcsort` lists — and
+// fails if they reach this package, or the SIMD register model and the
+// cache detection only this package's kernels use.
+func TestMcsortDoesNotLinkPaper(t *testing.T) {
+	byPkg := map[string][]string{}
+	for file, imports := range moduleImports(t) {
+		pkg := modulePath + "/" + filepath.Dir(file)
+		byPkg[pkg] = append(byPkg[pkg], imports...)
+	}
+	deps := map[string]bool{}
+	var walk func(pkg string)
+	walk = func(pkg string) {
+		if deps[pkg] {
+			return
+		}
+		deps[pkg] = true
+		for _, imp := range byPkg[pkg] {
+			if strings.HasPrefix(imp, modulePath+"/") {
+				walk(imp)
+			}
+		}
+	}
+	walk(modulePath + "/internal/mcsort")
+	if !deps[modulePath+"/internal/mergesort"] {
+		t.Fatal("the import walk never reached internal/mergesort: it reads the wrong files")
+	}
+	for _, banned := range []string{"internal/mergesort/paper", "internal/simd", "internal/hw"} {
+		if deps[modulePath+"/"+banned] {
+			t.Errorf("internal/mcsort depends on %s", banned)
+		}
+	}
+}
+
+// moduleImports returns the import paths of every non-test Go file in
+// the module, keyed by the file's slash-separated path from the module
+// root. testdata, vendor and hidden directories are skipped, as the go
+// tool skips them.
+func moduleImports(t *testing.T) map[string][]string {
+	t.Helper()
+	root := moduleRoot(t)
+	files := map[string][]string{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path != root && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		var imports []string
+		for _, spec := range f.Imports {
+			imp, err := strconv.Unquote(spec.Path.Value)
+			if err != nil {
+				return err
+			}
+			imports = append(imports, imp)
+		}
+		files[filepath.ToSlash(rel)] = imports
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+func moduleRoot(t *testing.T) string {
+	t.Helper()
+	dir, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+			return dir
+		}
+		parent := filepath.Dir(dir)
+		if parent == dir {
+			t.Fatal("no go.mod above the test directory")
+		}
+		dir = parent
+	}
+}

@@ -1,4 +1,4 @@
-package mergesort
+package mergesort_test
 
 import (
 	"fmt"
@@ -6,6 +6,8 @@ import (
 	"sort"
 	"testing"
 
+	. "repro/internal/mergesort"
+	"repro/internal/mergesort/paper"
 	"repro/internal/obs"
 	"repro/internal/testutil"
 )
@@ -14,11 +16,11 @@ import (
 // parallel sort.
 //
 // MergeRunsContext promises byte-identical output for every worker
-// count, and MergePackedContext the same merge (stable by run index);
-// the oracle is an independent implementation — sort.SliceStable over
-// (key, run index), which preserves intra-run order by stability.
-// ParallelSort under the production kernel promises exactly Sort's
-// output, ties included.
+// count, and the paper's packed merge (paper.MergePacked) the same merge
+// (stable by run index); the oracle is an independent implementation —
+// sort.SliceStable over (key, run index), which preserves intra-run
+// order by stability. ParallelSort under the production kernel promises
+// exactly Sort's output, ties included.
 
 var parWorkerCounts = []int{1, 2, 3, 4, 8}
 
@@ -103,7 +105,7 @@ func TestParallelMergeMatchesOracle(t *testing.T) {
 				wantK, wantO := mergeOracle(k, oids, runs)
 				packedK := append([]uint64(nil), k...)
 				packedO := append([]uint32(nil), oids...)
-				mustMergePacked(t, bank, packedK, packedO, runs, Params{})
+				mustMergePacked(t, bank, packedK, packedO, runs, paper.Params{})
 				checkMerged(t, fmt.Sprintf("%s bank=%d runs=%d packed", name, bank, nRuns), packedK, packedO, wantK, wantO)
 				for _, w := range parWorkerCounts {
 					gotK, gotO := mustMergeRuns(t, k, oids, runs, 0, w)
@@ -163,15 +165,16 @@ func sortedRuns(keys []uint64, oids []uint32, nRuns int) []int {
 // to the sequential one byte for byte, oids included — stability is a
 // property of the parallel radix sort itself — at every worker count,
 // including more workers than chunks, on both sides of the chunk floor:
-// below two chunks of minChunkRows rows the sequential kernel runs, from
+// below two chunks of MinChunkRows rows the sequential kernel runs, from
 // there on the chunked one does.
 func TestParallelSortMatchesSequential(t *testing.T) {
 	defer testutil.CheckNoLeaks(t)()
 	obs.Enable()
 	defer obs.Disable()
+	parSorts := obs.NewCounter("mergesort.parallel_sorts")
 	for _, bank := range Banks {
 		p := testParams(bank)
-		for _, n := range []int{0, 1, 65, 1000, 5000, 2 * minChunkRows, 3*minChunkRows + 5} {
+		for _, n := range []int{0, 1, 65, 1000, 5000, 2 * MinChunkRows, 3*MinChunkRows + 5} {
 			for name, keys := range adversarialInputs(n, bank, 7) {
 				wantK := append([]uint64(nil), keys...)
 				wantO := identOids(n)
@@ -179,9 +182,9 @@ func TestParallelSortMatchesSequential(t *testing.T) {
 				for _, w := range append(parWorkerCounts[1:], 300) {
 					gotK := append([]uint64(nil), keys...)
 					gotO := identOids(n)
-					before := obsParSorts.Value()
+					before := parSorts.Value()
 					mustParallelSort(t, bank, gotK, gotO, p, w)
-					if chunked := len(radixChunks(n, w)) > 2; (obsParSorts.Value() > before) != chunked {
+					if chunked := len(RadixChunks(n, w)) > 2; (parSorts.Value() > before) != chunked {
 						t.Fatalf("%s bank=%d n=%d workers=%d: parallel path taken = %v, want %v", name, bank, n, w, !chunked, chunked)
 					}
 					for i := range gotK {
@@ -199,32 +202,19 @@ func TestParallelSortMatchesSequential(t *testing.T) {
 }
 
 // TestParallelSortChunksCountPhases pins that the chunk sorts of the
-// parallel sort run the one three-phase driver: with the in-cache run
-// target forced down, every chunk needs multiway passes, and they show
-// up on the same counter the sequential sort feeds.
+// paper kernel's parallel sort run the one three-phase driver: with the
+// in-cache run target forced down, every chunk needs multiway passes,
+// and they show up on the same counter the sequential sort feeds.
 func TestParallelSortChunksCountPhases(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
 	const n = 20000
 	keys := adversarialInputs(n, 32, 5)["uniform"]
-	before := obsPhase3Passes.Value()
-	mustParallelSort(t, 32, keys, identOids(n), forcePhase3(32), 4)
-	if got := obsPhase3Passes.Value() - before; got < 4 {
+	phase3 := obs.NewCounter("mergesort.phase3_merge_passes")
+	before := phase3.Value()
+	mustParallelSort(t, 32, keys, identOids(n), forcePhase3(32, paper.Params{}), 4)
+	if got := phase3.Value() - before; got < 4 {
 		t.Fatalf("4 chunk sorts with forced multiway merging counted %d phase-3 passes", got)
-	}
-}
-
-// canonicalOids sorts oids ascending within every equal-key run, the
-// same canonical form mcsort produces.
-func canonicalOids(keys []uint64, oids []uint32) {
-	for i := 0; i < len(keys); {
-		j := i + 1
-		for j < len(keys) && keys[j] == keys[i] {
-			j++
-		}
-		run := oids[i:j]
-		sort.Slice(run, func(a, b int) bool { return run[a] < run[b] })
-		i = j
 	}
 }
 
@@ -241,11 +231,11 @@ func TestSplitRunsConsistency(t *testing.T) {
 			split, _ := splitAt(keys, identOids(len(keys)), runs)
 			for t0 := 0; t0 <= len(wantK); t0++ {
 				if t0 > 0 {
-					if got := keyAtRank(split, t0); got != wantK[t0-1] {
+					if got := KeyAtRank(split, t0); got != wantK[t0-1] {
 						t.Fatalf("k=%d rank %d: selected key %d, merge has %d", k, t0, got, wantK[t0-1])
 					}
 				}
-				cuts := splitRuns(split, t0)
+				cuts := SplitRuns(split, t0)
 				below := map[uint32]bool{}
 				for r := range split {
 					if cuts[r] < 0 || cuts[r] > len(split[r]) {
@@ -289,7 +279,7 @@ func TestParallelMergeOVCOnOffIdentical(t *testing.T) {
 			for _, disableOVC := range []bool{false, true} {
 				gotK := append([]uint64(nil), keys...)
 				gotO := append([]uint32(nil), oids...)
-				mustMergePacked(t, bank, gotK, gotO, runs, Params{DisableOVC: disableOVC})
+				mustMergePacked(t, bank, gotK, gotO, runs, paper.Params{DisableOVC: disableOVC})
 				checkMerged(t, fmt.Sprintf("bank=%d card=%d ovcOff=%v", bank, card, disableOVC), gotK, gotO, wantK, wantO)
 			}
 			for _, w := range []int{1, 2, 4, 8} {
@@ -303,25 +293,21 @@ func TestParallelMergeOVCOnOffIdentical(t *testing.T) {
 // TestZeroParamsResolveToDefaults pins the Params resolver every entry
 // point applies: the zero Params is DefaultParams(bank/8), and a
 // partial override keeps the defaults of the fields it leaves zero —
-// byte for byte, ties included, on all four entry points that take one.
+// byte for byte, ties included, on all three entry points that take one.
 func TestZeroParamsResolveToDefaults(t *testing.T) {
 	const n, workers, limit = 40000, 4, 3000 // n above DefaultParallelThreshold
-	type run func(p Params, keys []uint64, oids []uint32, runs []int) int
+	type run func(p Params, keys []uint64, oids []uint32) int
 	for _, bank := range Banks {
 		entries := map[string]run{
-			"Sort": func(p Params, k []uint64, o []uint32, _ []int) int {
+			"Sort": func(p Params, k []uint64, o []uint32) int {
 				mustSort(t, bank, k, o, p)
 				return len(k)
 			},
-			"ParallelSort": func(p Params, k []uint64, o []uint32, _ []int) int {
+			"ParallelSort": func(p Params, k []uint64, o []uint32) int {
 				mustParallelSort(t, bank, k, o, p, workers)
 				return len(k)
 			},
-			"MergePacked": func(p Params, k []uint64, o []uint32, runs []int) int {
-				mustMergePacked(t, bank, k, o, runs, p)
-				return len(k)
-			},
-			"TopK": func(p Params, k []uint64, o []uint32, _ []int) int {
+			"TopK": func(p Params, k []uint64, o []uint32) int {
 				return mustTopK(t, bank, k, o, limit, p, workers)
 			},
 		}
@@ -344,8 +330,7 @@ func TestZeroParamsResolveToDefaults(t *testing.T) {
 				for i, p := range []Params{pair.zero, pair.set} {
 					k := append([]uint64(nil), src...)
 					o := identOids(n)
-					runs := sortedRuns(k, o, 7)
-					m[i] = entry(p, k, o, runs)
+					m[i] = entry(p, k, o)
 					got[i], gotO[i] = k[:m[i]], o[:m[i]]
 				}
 				if m[0] != m[1] {

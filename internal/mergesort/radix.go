@@ -7,7 +7,7 @@ package mergesort
 // three-phase SWAR merge-sort in every (bank, n, duplicates) cell of
 // BenchmarkKernelBakeoff (EXPERIMENTS.md), so it sorts every run that
 // serves a query, and the paper kernel stays what the figures and the
-// cost model measure (Params.PaperKernel).
+// cost model measure (internal/mergesort/paper).
 //
 // One counting pre-pass fills the histograms of all bank/8 digits, so a
 // digit on which every key agrees is known before any data moves and
@@ -33,6 +33,9 @@ import (
 var (
 	obsRadixSorts  = obs.NewCounter("mergesort.radix_sorts")
 	obsRadixPasses = obs.NewCounter("mergesort.radix_passes")
+	obsParSorts    = obs.NewCounter("mergesort.parallel_sorts")
+	obsParWorkers  = obs.NewGauge("mergesort.parallel_workers")
+	obsParEffX1000 = obs.NewGauge("mergesort.parallel_efficiency_x1000")
 )
 
 // radixBuckets is the bucket count of one 8-bit digit: 256 uint32
@@ -56,7 +59,7 @@ type radixHist = [8][radixBuckets]uint32
 // call the same Scratch and allocates once per batch instead of once per
 // group; it grows to the largest run it has served. The zero value is
 // ready to use. A Scratch must not be shared between concurrent sorts.
-// The paper kernel ignores it (it packs into arrays of its own).
+// A Params.Sort hook ignores it.
 type Scratch struct {
 	k [2][]uint64
 	o [2][]uint32
@@ -119,6 +122,42 @@ func radixSort(ctx context.Context, bank int, keys []uint64, oids []uint32, s *S
 		srcK, srcO = dstK, dstO
 	}
 	return s.copyBack(ctx, passes, keys, oids)
+}
+
+// ParallelSortWithParamsContext sorts keys (each value < 2^bank) with
+// their oids in place across `workers` goroutines (Section 6.4 of the
+// paper): by-row chunks with parallelRadixSort, whose output is
+// byte-identical to SortWithParamsContext's. Inputs below
+// p.ParallelThreshold or two chunks, or workers < 2, take the sequential
+// path; a p.Sort hook gets every input from the threshold on, with the
+// worker count. A cancelled context aborts between passes and chunks; a
+// worker panic surfaces as a *pipeerr.PipelineError with stage "sort"
+// and cancels its siblings. On any error keys/oids are in unspecified
+// (but memory-safe) order, and callers discard them (docs/robustness.md).
+func ParallelSortWithParamsContext(ctx context.Context, bank int, keys []uint64, oids []uint32, p Params, workers int) error {
+	if err := checkArgs(bank, keys, oids); err != nil {
+		return err
+	}
+	n := len(keys)
+	p = p.resolved()
+	if workers < 2 || n < p.ParallelThreshold {
+		return SortWithParamsContext(ctx, bank, keys, oids, p)
+	}
+	if p.Sort != nil {
+		return p.Sort(ctx, bank, keys, oids, workers)
+	}
+	bounds := radixChunks(n, workers)
+	if len(bounds) < 3 {
+		return SortWithParamsContext(ctx, bank, keys, oids, p)
+	}
+	obsParSorts.Inc()
+	obsParWorkers.Set(int64(workers))
+	busy := pipeerr.StartBusy(workers)
+	if err := parallelRadixSort(ctx, bank, keys, oids, bounds, workers, busy); err != nil {
+		return err
+	}
+	busy.Publish(obsParEffX1000)
+	return ctx.Err()
 }
 
 // radixChunks cuts n rows into the chunks of the parallel radix sort:

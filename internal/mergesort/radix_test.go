@@ -1,4 +1,4 @@
-package mergesort
+package mergesort_test
 
 import (
 	"context"
@@ -8,6 +8,8 @@ import (
 	"sort"
 	"testing"
 
+	. "repro/internal/mergesort"
+	"repro/internal/mergesort/paper"
 	"repro/internal/obs"
 	"repro/internal/testutil"
 )
@@ -26,7 +28,7 @@ func bankFor(width int) int {
 // length, under context.Background().
 func mustRadix(tb testing.TB, bank int, keys []uint64, oids []uint32) {
 	tb.Helper()
-	if err := radixSort(context.Background(), bank, keys, oids, new(Scratch)); err != nil {
+	if err := RadixSort(context.Background(), bank, keys, oids, new(Scratch)); err != nil {
 		tb.Fatal(err)
 	}
 }
@@ -67,7 +69,7 @@ func TestRadixSortMatchesMergeSort(t *testing.T) {
 		keys := randKeys(rng, 30000, bank)
 		k2 := append([]uint64(nil), keys...)
 		o1, o2 := identOids(30000), identOids(30000)
-		mustSort(t, bank, keys, o1, Params{PaperKernel: true})
+		mustSort(t, bank, keys, o1, paperKernel(Params{}, paper.Params{}))
 		mustSort(t, bank, k2, o2, Params{})
 		for i := range keys {
 			if keys[i] != k2[i] {
@@ -97,6 +99,7 @@ func TestRadixSortPresortedAndTies(t *testing.T) {
 func TestRadixSortSkipsConstantDigits(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
+	radixPasses := obs.NewCounter("mergesort.radix_passes")
 	rng := rand.New(rand.NewSource(6))
 	const n = 4096
 	gen := func(f func() uint64) []uint64 {
@@ -122,14 +125,14 @@ func TestRadixSortSkipsConstantDigits(t *testing.T) {
 	} {
 		orig := append([]uint64(nil), c.keys...)
 		oids := identOids(n)
-		before := obsRadixPasses.Value()
+		before := radixPasses.Value()
 		mustRadix(t, c.bank, c.keys, oids)
-		if got := obsRadixPasses.Value() - before; got != c.passes {
+		if got := radixPasses.Value() - before; got != c.passes {
 			t.Errorf("%s: %d scatter passes, want %d", c.name, got, c.passes)
 		}
 		want := slices.Clone(orig)
 		slices.Sort(want)
-		checkKernelOutput(t, c.name, orig, want, c.keys, oids, true)
+		checkKernelOutput(t, c.name, orig, want, c.keys, oids)
 	}
 }
 
@@ -157,14 +160,14 @@ func TestRadixSortCancelBetweenScatters(t *testing.T) {
 		oids := identOids(n)
 		wantK, wantO := slices.Clone(keys), slices.Clone(oids)
 		for polls := int64(0); polls < c.polls; polls++ {
-			if err := radixSort(testutil.NewPollCtx(polls), c.bank, keys, oids, new(Scratch)); !errors.Is(err, context.Canceled) {
+			if err := RadixSort(testutil.NewPollCtx(polls), c.bank, keys, oids, new(Scratch)); !errors.Is(err, context.Canceled) {
 				t.Fatalf("%s cancelled at poll %d: err = %v, want context.Canceled", c.name, polls+1, err)
 			}
 			if !slices.Equal(keys, wantK) || !slices.Equal(oids, wantO) {
 				t.Fatalf("%s cancelled at poll %d: inputs modified", c.name, polls+1)
 			}
 		}
-		if err := radixSort(testutil.NewPollCtx(c.polls), c.bank, keys, oids, new(Scratch)); err != nil {
+		if err := RadixSort(testutil.NewPollCtx(c.polls), c.bank, keys, oids, new(Scratch)); err != nil {
 			t.Fatalf("%s: %v within a budget of %d polls", c.name, err, c.polls)
 		}
 		verifySorted(t, wantK, keys, oids)
@@ -179,7 +182,7 @@ func TestSmallAndBatchedSortsDoNotAllocate(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(9))
 	for _, bank := range Banks {
-		n := 4 * smallRunCutoff
+		n := 4 * SmallRunCutoff
 		src := randKeys(rng, n, bank)
 		keys, oids := make([]uint64, n), make([]uint32, n)
 		refill := func() {
@@ -188,7 +191,7 @@ func TestSmallAndBatchedSortsDoNotAllocate(t *testing.T) {
 				oids[i] = uint32(i)
 			}
 		}
-		small := smallRunCutoff - 1
+		small := SmallRunCutoff - 1
 		if got := testing.AllocsPerRun(20, func() {
 			refill()
 			if err := SortWithParamsContext(ctx, bank, keys[:small], oids[:small], Params{}); err != nil {
@@ -220,11 +223,11 @@ func TestSmallAndBatchedSortsDoNotAllocate(t *testing.T) {
 // bounds — a 16,384-row cooperative group at the 1,024 workers the
 // server admits is four chunks, not 1,024 chunks of 16 rows.
 func TestRadixChunksCapped(t *testing.T) {
-	for _, n := range []int{0, 1, minChunkRows - 1, minChunkRows, 2*minChunkRows - 1, 2 * minChunkRows, 1 << 14, 1<<14 + 1, 1 << 20} {
+	for _, n := range []int{0, 1, MinChunkRows - 1, MinChunkRows, 2*MinChunkRows - 1, 2 * MinChunkRows, 1 << 14, 1<<14 + 1, 1 << 20} {
 		for _, w := range []int{1, 2, 3, 8, 256, 257, 300, 1024} {
-			bounds := radixChunks(n, w)
-			if chunks := len(bounds) - 1; chunks > w || chunks > max(n/minChunkRows, 1) {
-				t.Fatalf("n=%d workers=%d: %d chunks, cap %d", n, w, chunks, min(w, max(n/minChunkRows, 1)))
+			bounds := RadixChunks(n, w)
+			if chunks := len(bounds) - 1; chunks > w || chunks > max(n/MinChunkRows, 1) {
+				t.Fatalf("n=%d workers=%d: %d chunks, cap %d", n, w, chunks, min(w, max(n/MinChunkRows, 1)))
 			}
 			if bounds[0] != 0 || bounds[len(bounds)-1] != n {
 				t.Fatalf("n=%d workers=%d: bounds %v do not span [0, %d]", n, w, bounds, n)
@@ -236,7 +239,7 @@ func TestRadixChunksCapped(t *testing.T) {
 			}
 		}
 	}
-	if got := len(radixChunks(1<<14, 1024)) - 1; got != 4 {
+	if got := len(RadixChunks(1<<14, 1024)) - 1; got != 4 {
 		t.Fatalf("a 16,384-row sort at 1,024 workers cut into %d chunks, want 4", got)
 	}
 }
@@ -254,7 +257,7 @@ func BenchmarkRadixSort32_64K(b *testing.B) {
 		for j := range oids {
 			oids[j] = uint32(j)
 		}
-		if err := radixSort(context.Background(), 32, keys, oids, &s); err != nil {
+		if err := RadixSort(context.Background(), 32, keys, oids, &s); err != nil {
 			b.Fatal(err)
 		}
 	}

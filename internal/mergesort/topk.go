@@ -22,9 +22,10 @@ import (
 // key is ≤ the R-th smallest key, so the survivor set is defined by key
 // values alone and is byte-identical for every worker count. The
 // returned count m is therefore ≥ limit, and the caller that needs an
-// exact rank-R prefix (internal/mcsort) orders the ties and slices
-// afterwards. Cutting at the raw rank instead would split a tied group
-// at a chunk-dependent point and leak the worker count into the result.
+// exact rank-R prefix (internal/mcsort) sorts the later rounds and
+// slices afterwards. Cutting at the raw rank instead would split a tied
+// group at a chunk-dependent point and leak the worker count into the
+// result.
 //
 // Robustness: TopKContext polls the context inside the heap filter
 // (every topkCheckEvery elements) and at chunk and pass boundaries;
@@ -44,27 +45,28 @@ const topkCheckEvery = 1 << 16
 
 // TopKContext partially sorts keys (each value < 2^bank) with their
 // oids: on return the first m elements are the m smallest in ascending
-// key order (ties ordered as ParallelSortWithParamsContext leaves them:
-// in input order under the production kernel), where m is
-// at least the tie-extended cut at rank limit — every element whose key
-// is ≤ the limit-th smallest key is among the first m. A near-full limit
-// (or a tiny input) degrades to the full sort with m = n. keys[m:] are
+// key order (ties in input order, as ParallelSortWithParamsContext
+// leaves them), where m is at least the tie-extended cut at rank limit —
+// every element whose key is ≤ the limit-th smallest key is among the
+// first m. A near-full limit (or an input below smallRunCutoff, which
+// the insertion sort handles whole) degrades to the full sort with
+// m = n. keys[m:] are
 // in unspecified order. limit must be ≥ 1. On cancellation or a
 // contained worker panic the returned count is 0 and keys/oids are in
 // unspecified order.
 func TopKContext(ctx context.Context, bank int, keys []uint64, oids []uint32, limit int, p Params, workers int) (int, error) {
-	if err := checkArgs(keys, oids); err != nil {
+	if err := checkArgs(bank, keys, oids); err != nil {
 		return 0, err
 	}
 	if limit < 1 {
 		return 0, fmt.Errorf("mergesort: top-K limit %d, must be >= 1", limit)
 	}
 	n := len(keys)
-	p = p.resolved(bank)
+	p = p.resolved()
 	// The heap filter pays off only when it discards most of the input:
 	// near-full limits sort everything anyway, so route them through the
 	// plain parallel sort (whose m = n prefix is trivially tie-extended).
-	if limit*2 >= n || n < insertionThreshold {
+	if limit*2 >= n || n < smallRunCutoff {
 		if err := ParallelSortWithParamsContext(ctx, bank, keys, oids, p, workers); err != nil {
 			return 0, err
 		}
@@ -127,11 +129,12 @@ func TopKContext(ctx context.Context, bank int, keys []uint64, oids []uint32, li
 
 // topKFilterChunk finds the chunk-local key at rank limit with a
 // bounded max-heap over keys alone, then compacts every element whose
-// key is ≤ that pivot to the chunk front (survivor order unspecified —
-// the chunk sort follows). It returns the survivor count s; chunk
-// elements beyond s are garbage. A chunk smaller than limit keeps
-// everything. Both scans poll the context every topkCheckEvery
-// elements, the bounded-heap loop shape the ctxpoll analyzer accepts.
+// key is ≤ that pivot to the chunk front, in input order — the order
+// the stable sort that follows keeps for ties. It returns the survivor
+// count s; chunk elements beyond s are garbage. A chunk smaller than
+// limit keeps everything. Both scans poll the context every
+// topkCheckEvery elements, the bounded-heap loop shape the ctxpoll
+// analyzer accepts.
 func topKFilterChunk(ctx context.Context, keys []uint64, oids []uint32, lo, hi, limit int) (int, error) {
 	n := hi - lo
 	if n <= limit {

@@ -1,4 +1,4 @@
-package mergesort
+package mergesort_test
 
 import (
 	"context"
@@ -6,6 +6,9 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	. "repro/internal/mergesort"
+	"repro/internal/mergesort/paper"
 )
 
 // Property battery for the bounded-heap partial sort and the limited
@@ -18,11 +21,12 @@ import (
 //     every worker count, including the all-equal-keys input whose cut
 //     falls inside one tie group.
 //   - TopK's survivor count m is value-defined (tie-extended), so it is
-//     identical at every worker count, and keys[:m] equals the fully
-//     sorted key order's prefix with a valid oid permutation.
+//     identical at every worker count and under either kernel, and
+//     keys[:m] equals the fully sorted key order's prefix with a valid
+//     oid permutation.
 
-// topkLimits is the limit sweep relative to n. TopK panics on limit < 1
-// by contract, so 0 is covered by the validation test instead.
+// topkLimits is the limit sweep relative to n. TopK refuses limit < 1,
+// so 0 is covered by the validation test instead.
 func topkLimits(n int) []int {
 	return []int{1, 7, 100, n - 1, n, n + 7}
 }
@@ -55,20 +59,22 @@ func TestTopKMatchesFullSortPrefix(t *testing.T) {
 		for name, keys := range adversarialInputs(n, bank, int64(bank)+99) {
 			sorted := append([]uint64(nil), keys...)
 			sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-			for _, disableOVC := range []bool{false, true} {
+			for _, paperK := range []bool{false, true} {
 				for _, limit := range topkLimits(n) {
 					var prevM = -1
 					for _, w := range parWorkerCounts {
 						p := testParams(bank)
-						p.DisableOVC = disableOVC
+						if paperK {
+							p = paperKernel(p, paper.Params{})
+						}
 						gotK := append([]uint64(nil), keys...)
 						gotO := make([]uint32, n)
 						for i := range gotO {
 							gotO[i] = uint32(i)
 						}
 						m := mustTopK(t, bank, gotK, gotO, limit, p, w)
-						label := fmt.Sprintf("%s bank=%d ovcOff=%v limit=%d workers=%d",
-							name, bank, disableOVC, limit, w)
+						label := fmt.Sprintf("%s bank=%d paper=%v limit=%d workers=%d",
+							name, bank, paperK, limit, w)
 						if m < limit && m < n {
 							t.Fatalf("%s: m=%d below the limit", label, m)
 						}
@@ -105,13 +111,13 @@ func TestTopKMatchesFullSortPrefix(t *testing.T) {
 // TestTopKBoundaryTieStability pins the truncation boundary against a
 // constructed tie stretch: with exactly limit-1 keys below a large
 // all-equal plateau, the survivor set must extend through the whole
-// plateau and the plateau's oids must come out in the merge's stable
-// (key, run-index) order, OVC on and off.
+// plateau and the plateau's oids must come out in a reproducible order,
+// under either kernel.
 func TestTopKBoundaryTieStability(t *testing.T) {
 	const n = 2048
 	const limit = 100
 	for _, bank := range Banks {
-		for _, disableOVC := range []bool{false, true} {
+		for _, paperK := range []bool{false, true} {
 			keys := make([]uint64, n)
 			for i := 0; i < limit-1; i++ {
 				keys[i] = uint64(i)
@@ -129,7 +135,9 @@ func TestTopKBoundaryTieStability(t *testing.T) {
 			var base []uint32
 			for _, w := range parWorkerCounts {
 				p := testParams(bank)
-				p.DisableOVC = disableOVC
+				if paperK {
+					p = paperKernel(p, paper.Params{})
+				}
 				gotK := append([]uint64(nil), keys...)
 				gotO := make([]uint32, n)
 				for i := range gotO {
@@ -137,17 +145,17 @@ func TestTopKBoundaryTieStability(t *testing.T) {
 				}
 				m := mustTopK(t, bank, gotK, gotO, limit, p, w)
 				if m != n {
-					t.Fatalf("bank=%d ovcOff=%v workers=%d: plateau not tie-extended: m=%d, want %d",
-						bank, disableOVC, w, m, n)
+					t.Fatalf("bank=%d paper=%v workers=%d: plateau not tie-extended: m=%d, want %d",
+						bank, paperK, w, m, n)
 				}
 				for i := 1; i < limit-1; i++ {
 					if gotK[i] < gotK[i-1] {
 						t.Fatalf("bank=%d workers=%d: prefix unsorted at %d", bank, w, i)
 					}
 				}
-				// The plateau's internal oid order may differ between
-				// worker counts at this layer (mcsort canonicalizes ties
-				// above); within ONE worker count it must be reproducible.
+				// Both kernels leave the plateau oid-ascending (the tie
+				// contract TestKernelsAgree pins); within ONE worker count
+				// it must at least be reproducible.
 				gotK2 := append([]uint64(nil), keys...)
 				gotO2 := make([]uint32, n)
 				for i := range gotO2 {
@@ -158,7 +166,7 @@ func TestTopKBoundaryTieStability(t *testing.T) {
 				}
 				for i := range gotO {
 					if gotO[i] != gotO2[i] {
-						t.Fatalf("bank=%d ovcOff=%v workers=%d: rerun diverges at %d", bank, disableOVC, w, i)
+						t.Fatalf("bank=%d paper=%v workers=%d: rerun diverges at %d", bank, paperK, w, i)
 					}
 				}
 				if w == 1 {
@@ -176,9 +184,9 @@ func TestTopKBoundaryTieStability(t *testing.T) {
 }
 
 // TestTopKValidation pins the one error contract of the entry points:
-// a violated precondition — mismatched slice lengths or run counts,
-// malformed or non-ascending run bounds, limit < 1 — is a plain
-// "mergesort:" error, never a panic, and the inputs are left untouched.
+// a violated precondition — mismatched slice lengths or run counts, an
+// unsupported bank, limit < 1 — is a plain "mergesort:" error, never a
+// panic, and the inputs are left untouched.
 func TestTopKValidation(t *testing.T) {
 	ctx := context.Background()
 	keys := make([]uint64, 64)
@@ -202,18 +210,19 @@ func TestTopKValidation(t *testing.T) {
 	}{
 		{"sort len mismatch", SortWithParamsContext(ctx, 32, keys, oids[:10], p)}, // 64 keys: the radix kernel's side of the cutoff
 		{"sort on scratch len mismatch", SortScratchContext(ctx, 32, keys, oids[:10], p, new(Scratch))},
-		{"paper kernel sort len mismatch", SortWithParamsContext(ctx, 32, keys, oids[:10], Params{PaperKernel: true})},
+		{"paper kernel sort len mismatch", SortWithParamsContext(ctx, 32, keys, oids[:10], paperKernel(p, paper.Params{}))},
 		{"parallel sort len mismatch", ParallelSortWithParamsContext(ctx, 32, keys, oids[:10], p, 4)},
-		{"packed merge len mismatch", MergePackedContext(ctx, 32, keys, oids[:10], []int{0, 64}, p)},
-		{"packed merge no runs", MergePackedContext(ctx, 32, keys, oids, nil, p)},
-		{"packed merge runs past the end", MergePackedContext(ctx, 32, keys, oids, []int{0, 100}, p)},
-		{"packed merge runs not from 0", MergePackedContext(ctx, 32, keys, oids, []int{8, 64}, p)},
-		{"packed merge runs descending", MergePackedContext(ctx, 32, keys, oids, []int{0, 40, 20, 64}, p)},
+		{"sort bank 48", SortWithParamsContext(ctx, 48, keys, oids, p)},
+		{"sort on scratch bank 48", SortScratchContext(ctx, 48, keys, oids, p, new(Scratch))},
+		{"small sort bank 48", SortScratchContext(ctx, 48, keys[:8], oids[:8], p, nil)},
+		{"paper kernel sort bank 48", SortWithParamsContext(ctx, 48, keys, oids, paperKernel(p, paper.Params{}))},
+		{"parallel sort bank 48", ParallelSortWithParamsContext(ctx, 48, keys, oids, Params{ParallelThreshold: 8}, 4)},
 		{"merge run count mismatch", merge([][]uint64{keys}, nil)},
 		{"merge run len mismatch", merge([][]uint64{keys[:8], keys[8:]}, [][]uint32{oids[:8], oids[9:]})},
 		{"topk limit=0", topK(oids, 0)},
 		{"topk limit=-3", topK(oids, -3)},
 		{"topk len mismatch", topK(oids[:10], 5)},
+		{"topk bank 48", func() error { _, err := TopKContext(ctx, 48, keys, oids, 5, p, 4); return err }()},
 	}
 	for _, c := range cases {
 		switch {
