@@ -110,11 +110,16 @@ bakeoff:
 	$(GO) test -run '^$$' -bench BenchmarkParallelSort -benchtime 20x -cpu 2 ./internal/mergesort/ ./internal/mergesort/paper/
 	$(GO) test -run '^$$' -bench BenchmarkMergeRuns -benchtime 20x -cpu 2 ./internal/mergesort/
 
-# The coordinator's gather without the wire: run builds and merge+rank
-# timed separately (ns/row) on the pinned window shape of mcsperf's
-# shard3_window_full over a 2^18-row TPC-H table in 3 ranges. CI runs
-# it at -benchtime 1x as a compile-and-run smoke.
+# The ByteSlice gather, then the coordinator's gather without the wire.
+# BenchmarkGather: ns/row of a per-row Lookup loop against the batch
+# Gather at widths {6, 21, 32} on identity rows and on a 96 % subset,
+# 2^19 rows (the table in EXPERIMENTS.md). BenchmarkCoordinatorGather:
+# run builds and merge+rank timed separately (ns/row) on the pinned
+# window shape of mcsperf's shard3_window_full over a 2^18-row TPC-H
+# table in 3 ranges. CI runs both at -benchtime 1x as a compile-and-run
+# smoke.
 bench-gather:
+	$(GO) test -run '^$$' -bench BenchmarkGather -benchtime 20x ./internal/byteslice/
 	$(GO) test -run '^$$' -bench BenchmarkCoordinatorGather -benchtime 20x ./internal/shard/
 
 # The relative gates that still live beside mcsperf: each compares two

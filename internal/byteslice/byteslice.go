@@ -46,13 +46,72 @@ func FromColumn(c *column.Column) *BS {
 	return bs
 }
 
-// Lookup reconstructs the code at row i by stitching its bytes.
+// Lookup reconstructs the code at row i by stitching its bytes. It is
+// the single-row reference Gather is tested against.
 func (bs *BS) Lookup(i int) uint64 {
 	var v uint64
 	for p := range bs.planes {
 		v = v<<8 | uint64(bs.planes[p][i])
 	}
 	return v >> bs.shift
+}
+
+// gatherBlock is the number of rows Gather decodes before moving on: a
+// block's row ids (4 KiB) and codes (8 KiB) stay in L1 across all of
+// its passes, so only the plane bytes are random reads.
+const gatherBlock = 1024
+
+// Gather sets dst[j] to the code at row rows[j] for every j. It decodes
+// blocks of gatherBlock rows plane-major, in passes of up to four
+// planes with their slice headers hoisted: codes of up to 32 bits take
+// one pass that assigns and undoes the left-align shift; wider ones
+// first assign their leading planes, then shift the last four in.
+// len(dst) must be at least len(rows); dst beyond len(rows) is left
+// untouched.
+func (bs *BS) Gather(dst []uint64, rows []uint32) {
+	n := len(bs.planes)
+	k := (n-1)%4 + 1 // planes of the first pass; the second, if any, takes four
+	for lo := 0; lo < len(rows); lo += gatherBlock {
+		r := rows[lo:min(lo+gatherBlock, len(rows))]
+		d := dst[lo : lo+len(r)]
+		if k == n {
+			assignPlanes(d, r, bs.planes, bs.shift)
+			continue
+		}
+		assignPlanes(d, r, bs.planes[:k], 0)
+		p0, p1, p2, p3 := bs.planes[k], bs.planes[k+1], bs.planes[k+2], bs.planes[k+3]
+		for j, row := range r {
+			d[j] = (d[j]<<32 | uint64(p0[row])<<24 | uint64(p1[row])<<16 | uint64(p2[row])<<8 | uint64(p3[row])) >> bs.shift
+		}
+	}
+}
+
+// assignPlanes sets d[j] to the bytes of up to four planes at row r[j],
+// shifted right by shift.
+func assignPlanes(d []uint64, r []uint32, ps [][]byte, shift uint) {
+	d = d[:len(r)]
+	switch len(ps) {
+	case 1:
+		p0 := ps[0]
+		for j, row := range r {
+			d[j] = uint64(p0[row]) >> shift
+		}
+	case 2:
+		p0, p1 := ps[0], ps[1]
+		for j, row := range r {
+			d[j] = (uint64(p0[row])<<8 | uint64(p1[row])) >> shift
+		}
+	case 3:
+		p0, p1, p2 := ps[0], ps[1], ps[2]
+		for j, row := range r {
+			d[j] = (uint64(p0[row])<<16 | uint64(p1[row])<<8 | uint64(p2[row])) >> shift
+		}
+	default:
+		p0, p1, p2, p3 := ps[0], ps[1], ps[2], ps[3]
+		for j, row := range r {
+			d[j] = (uint64(p0[row])<<24 | uint64(p1[row])<<16 | uint64(p2[row])<<8 | uint64(p3[row])) >> shift
+		}
+	}
 }
 
 // Op is a comparison predicate operator.

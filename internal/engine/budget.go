@@ -33,7 +33,9 @@ var (
 //
 // Parallel execution adds a fixed per-worker overhead: the parallel
 // radix sort ping-pongs through the same two scratch pairs as the
-// sequential one. It is the one footprint model: the
+// sequential one. Aggregation's 8·rows gathered column comes after the
+// sort, when its ≥ 40·rows of keys and scratch are dead: under the
+// peak. It is the one footprint model: the
 // engine's own two-stage degradation applies it, the mcsd admission
 // controller charges each admitted query against the aggregate budget
 // with it — so the two layers never disagree about whether a query

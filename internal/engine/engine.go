@@ -1,6 +1,6 @@
 // Package engine executes the evaluation queries over WideTables with
 // the paper's physical operators: ByteSlice-Scan (filters),
-// ByteSlice-Lookup (materialization), Code-Massage + SIMD-Sort
+// ByteSlice-Lookup (materialization), Code-Massage + radix sort
 // (multi-column sorting, via internal/mcsort), grouped aggregation, and
 // window RANK. Every operator's wall time is recorded so experiments can
 // reproduce the paper's per-query time breakdowns (Figures 1 and 9).
@@ -404,9 +404,20 @@ func recordCostAccuracy(predictedNS float64, measured time.Duration) {
 
 // aggregate computes per-group keys and the aggregate, scanning
 // contiguous group ranges across workers (each group's output slot is
-// owned by exactly one range).
+// owned by exactly one range). It gathers the aggregate column once,
+// after the sort (EstimatePipelineBytes), and each group's keys are a
+// full-slice window of one flat table, so appending to them cannot
+// write into the next group's.
 func aggregate(ctx context.Context, res *Result, b *Bound, inputs []massage.Input, rows []uint32, mres *mcsort.Result, workers int) error {
-	nGroups := len(mres.Groups) - 1
+	var vals []uint64
+	if b.agg != nil {
+		vals = make([]uint64, len(rows))
+		if err := gatherParallel(ctx, vals, rows, b.agg, workers); err != nil {
+			return err
+		}
+	}
+	nGroups, m := len(mres.Groups)-1, len(inputs)
+	flat := make([]uint64, nGroups*m)
 	res.GroupKeys = make([][]uint64, nGroups)
 	res.Aggregates = make([]uint64, nGroups)
 	avg := b.agg != nil && b.Query.Agg.Kind == Avg
@@ -418,16 +429,16 @@ func aggregate(ctx context.Context, res *Result, b *Bound, inputs []massage.Inpu
 		for g := first; g < end; g++ {
 			lo, hi := int(mres.Groups[g]), int(mres.Groups[g+1])
 			rep := mres.Perm[lo] // any row of the group carries its keys
-			keys := make([]uint64, len(inputs))
+			keys := flat[g*m : (g+1)*m : (g+1)*m]
 			for c, in := range inputs {
 				keys[c] = in.Codes[rep]
 			}
 			res.GroupKeys[g] = keys
 			acc := uint64(hi - lo) // Count, or no aggregate
-			if b.agg != nil {
+			if vals != nil {
 				acc = 0
 				for i := lo; i < hi; i++ {
-					acc += b.agg.Lookup(int(rows[mres.Perm[i]]))
+					acc += vals[mres.Perm[i]]
 				}
 				if avg {
 					acc /= uint64(hi - lo)
@@ -440,7 +451,7 @@ func aggregate(ctx context.Context, res *Result, b *Bound, inputs []massage.Inpu
 
 // SortGroupsByAggregate returns the group table reordered by descending
 // aggregate — the trailing ORDER BY <aggregate> DESC — using the
-// 64-bit-bank single-column SIMD-sort over complemented aggregates. The
+// 64-bit-bank single-column radix sort over complemented aggregates. The
 // sharded coordinator re-sorts its merged groups through this same
 // function, so for equal group tables the two orders agree entry for
 // entry, ties included. The group count is data-bound, so the fill,

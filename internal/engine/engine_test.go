@@ -129,27 +129,59 @@ func runBoth(t *testing.T, tbl *table.Table, q Query) (*Result, *Result) {
 	return off, on
 }
 
+// TestGroupByAggregateMatchesReference: every aggregate kind, at worker
+// counts on both sides of the parallel gather and aggregation passes,
+// over a uniform grouping and a skewed one (one group holds at least
+// half the rows), with massaging off and on, equals refGroups. Group
+// keys are in clause order whatever column order the plan chose, and
+// each group's key slice is capped at its own columns: appending to it
+// must not write into the next group's keys.
 func TestGroupByAggregateMatchesReference(t *testing.T) {
 	tbl := makeTable(t, 5000, 1)
-	q := Query{
-		ID:       "g1",
-		Kind:     planner.GroupBy,
-		SortCols: []SortCol{{Name: "a"}, {Name: "b"}},
-		Agg:      &Agg{Kind: Sum, Col: "v"},
-	}
-	want := refGroups(tbl, q)
-	off, on := runBoth(t, tbl, q)
-	for _, res := range []*Result{off, on} {
-		if len(res.GroupKeys) != len(want) {
-			t.Fatalf("%d groups, want %d", len(res.GroupKeys), len(want))
+	rng := rand.New(rand.NewSource(11))
+	skew := make([]uint64, tbl.N)
+	for i := range skew {
+		if i%2 == 1 {
+			skew[i] = uint64(rng.Intn(32))
 		}
-		for g, keys := range res.GroupKeys {
-			// The engine may have permuted the sort columns; map back.
-			orig := make([]uint64, len(keys))
-			copy(orig, keys) // inputs order == clause order in GroupKeys
-			k := keyOf(orig)
-			if want[k] != res.Aggregates[g] {
-				t.Fatalf("group %s: agg %d, want %d", k, res.Aggregates[g], want[k])
+	}
+	if err := tbl.Add(column.FromCodes("s", 5, skew)); err != nil {
+		t.Fatal(err)
+	}
+	groupings := map[string][]SortCol{
+		"uniform": {{Name: "a"}, {Name: "b"}},
+		"skewed":  {{Name: "s"}},
+	}
+	for gname, cols := range groupings {
+		for _, agg := range []Agg{{Kind: Count}, {Kind: Sum, Col: "v"}, {Kind: Avg, Col: "c"}} {
+			q := Query{ID: "g1", Kind: planner.GroupBy, SortCols: cols, Agg: &agg}
+			want := refGroups(tbl, q)
+			for _, workers := range []int{1, 2, 3, 8} {
+				for _, opts := range []Options{
+					{Workers: workers},
+					{Massaging: true, Model: costmodel.Builtin(), Rho: 0.5, Workers: workers},
+				} {
+					name := fmt.Sprintf("%s/agg%d/workers=%d/massaging=%v", gname, agg.Kind, workers, opts.Massaging)
+					res, err := run(tbl, q, opts)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if len(res.GroupKeys) != len(want) {
+						t.Fatalf("%s: %d groups, want %d", name, len(res.GroupKeys), len(want))
+					}
+					for g, keys := range res.GroupKeys {
+						if k := keyOf(keys); want[k] != res.Aggregates[g] {
+							t.Fatalf("%s: group %s: agg %d, want %d", name, k, res.Aggregates[g], want[k])
+						}
+					}
+					for g := 0; g+1 < len(res.GroupKeys); g++ {
+						next := keyOf(res.GroupKeys[g+1])
+						_ = append(res.GroupKeys[g], 1)
+						if got := keyOf(res.GroupKeys[g+1]); got != next {
+							t.Fatalf("%s: appending to group %d's keys changed group %d's from %s to %s", name, g, g+1, next, got)
+						}
+					}
+				}
 			}
 		}
 	}

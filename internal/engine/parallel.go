@@ -1,10 +1,11 @@
 // Parallel gather/scatter passes of the engine: ByteSlice-Lookup
-// materialization (a gather through the selection vector, below) and
-// the per-group aggregation scan (aggregate, engine.go) are chunked
-// across workers when Options.Workers > 1. Chunks are output-contiguous
-// and aligned to 64-byte cache lines, so workers never share a store
-// line; all shared inputs (ByteSlices, the permutation, the selection
-// vector) are read-only during the pass.
+// materialization (a batch gather through the selection vector, below;
+// the aggregate column is gathered the same way) and the per-group
+// aggregation scan (aggregate, engine.go) are chunked across workers
+// when Options.Workers > 1. Chunks are output-contiguous and aligned to
+// 64-byte cache lines, so workers never share a store line; all shared
+// inputs (ByteSlices, the permutation, the selection vector) are
+// read-only during the pass.
 //
 // Both are passes of the pipeline's one driver (pipeerr.Pass): every
 // chunk polls the context and fires its engine.gather /
@@ -16,6 +17,7 @@ package engine
 import (
 	"context"
 
+	"repro/internal/byteslice"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/pipeerr"
@@ -37,16 +39,14 @@ const lineAlign = 8
 // engine's own sequential row loops (selection fill, group-table sort).
 const seqGatherCheckRows = pipeerr.BlockRows
 
-// gatherParallel fills codes[j] = lookup(rows[j]) for every selected
-// row, chunked across workers.
-func gatherParallel(ctx context.Context, codes []uint64, rows []uint32, lookup func(int) uint64, workers int) error {
+// gatherParallel fills codes[j] with bs's code at row rows[j] for every
+// selected row, one batch Gather per range, chunked across workers.
+func gatherParallel(ctx context.Context, codes []uint64, rows []uint32, bs *byteslice.BS, workers int) error {
 	pass := pipeerr.Pass{Stage: pipeerr.StageGather, Round: -1, Site: faultinject.Gather, Align: lineAlign, MinRows: gatherMinRows}
 	if pass.Parallel(len(rows), workers) {
 		obsGatherRows.Add(int64(len(rows)))
 	}
 	return pass.Rows(ctx, len(rows), workers, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			codes[j] = lookup(int(rows[j]))
-		}
+		bs.Gather(codes[lo:hi], rows[lo:hi])
 	})
 }

@@ -148,7 +148,7 @@ func (b *Bound) materialize(ctx context.Context, rows []uint32, workers int) ([]
 	inputs := make([]massage.Input, len(b.Cols))
 	for i, bs := range b.Cols {
 		codes := make([]uint64, len(rows))
-		if err := gatherParallel(ctx, codes, rows, bs.Lookup, workers); err != nil {
+		if err := gatherParallel(ctx, codes, rows, bs, workers); err != nil {
 			return nil, err
 		}
 		inputs[i] = massage.Input{Codes: codes, Width: bs.Width, Desc: b.Sort[i].Desc}

@@ -1,7 +1,8 @@
 // Package mcsort executes multi-column sorting under a code-massage plan
 // (Figure 2 of the paper): it massages the input columns into round
-// keys, then alternates SIMD sorting, lookup-based reordering, and
-// group-extraction scans, one round per plan entry. It records the
+// keys, then alternates sorting (radix, or the paper's SIMD-sort through
+// mergesort.Params.Sort), lookup-based reordering, and group-extraction
+// scans, one round per plan entry. It records the
 // per-phase wall time so experiments can reproduce the paper's time
 // breakdowns, and the per-round N_sort / N_group statistics behind
 // Figure 4b.
@@ -40,7 +41,7 @@ var (
 // the four subcosts of the paper's cost model.
 type Timings struct {
 	Massage time.Duration // forming round keys (Step ① of Fig. 2b)
-	Sort    time.Duration // SIMD-sort invocations
+	Sort    time.Duration // sort-kernel invocations (radix unless Params.Sort is set)
 	Lookup  time.Duration // reordering round keys by the running permutation
 	Scan    time.Duration // extracting group boundaries from sorted keys
 }
@@ -57,10 +58,10 @@ func (t *Timings) Add(other Timings) {
 }
 
 // RoundStats captures the quantities the paper's Figure 4b tabulates for
-// each round: how many SIMD-sort invocations it made, how many groups the
-// round produced, and the average size of the groups it had to sort.
+// each round: how many sort-kernel invocations it made, how many groups
+// the round produced, and the average size of the groups it had to sort.
 type RoundStats struct {
-	NSort      int     // SIMD-sorts invoked (groups of size > 1)
+	NSort      int     // sorts invoked (groups of size > 1)
 	NGroup     int     // groups after this round's scan
 	AvgGroupSz float64 // average input group size for this round
 }

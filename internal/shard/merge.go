@@ -100,8 +100,10 @@ type gather struct {
 // then requires the order the merge relies on: keys non-decreasing,
 // and ties strictly oid-ascending (groups are distinct keys, so for
 // them every tie is out of order). It works column at a time: one pass
-// over the oids, one Lookup gather per pinned column that masks,
-// complements and shifts the code into the keys, one order pass.
+// over the oids, then per pinned column one pass of mergeCtxStride-row
+// blocks — a window run's block of codes batch-Gathered into one buffer
+// reused across blocks and columns — that masks, complements and
+// shifts each code into the keys, then one order pass.
 // Anything a confused or truncated shard could get wrong fails here
 // with errShardInvalid instead of reaching the merge.
 func (g *gather) buildRun(ctx context.Context, si int, res *server.QueryResult) (*run, error) {
@@ -163,34 +165,38 @@ func (g *gather) buildRun(ctx context.Context, si int, res *server.QueryResult) 
 		stride = m
 	}
 	r.keys = make([]uint64, n*stride)
+	var codes []uint64 // window runs: one block of one pinned column's codes
+	if g.cols != nil {
+		codes = make([]uint64, mergeCtxStride)
+	}
 	for pos, c := range sp.order {
 		w, mask, desc := uint(sp.widths[c]), column.Mask(sp.widths[c]), sp.desc[c]
-		var bs *byteslice.BS
-		if g.cols != nil {
-			bs = g.cols[c]
-		}
-		for i := 0; i < n; i++ {
-			if i&(mergeCtxStride-1) == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
+		for lo := 0; lo < n; lo += mergeCtxStride {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			hi := min(lo+mergeCtxStride, n)
+			if codes != nil {
+				g.cols[c].Gather(codes, r.pay[lo:hi])
+			}
+			for i := lo; i < hi; i++ {
+				var v uint64
+				if codes != nil {
+					v = codes[i-lo]
+				} else {
+					v = r.part.keys[i][c]
 				}
-			}
-			var v uint64
-			if bs != nil {
-				v = bs.Lookup(int(r.pay[i]))
-			} else {
-				v = r.part.keys[i][c]
-			}
-			if v&^mask != 0 {
-				return nil, fmt.Errorf("%w: shard %d entry %d key column %d value %d exceeds width %d", errShardInvalid, si, i, c, v, w)
-			}
-			if desc {
-				v ^= mask
-			}
-			if sp.wide {
-				r.keys[i*m+pos] = v
-			} else {
-				r.keys[i] = r.keys[i]<<w | v
+				if v&^mask != 0 {
+					return nil, fmt.Errorf("%w: shard %d entry %d key column %d value %d exceeds width %d", errShardInvalid, si, i, c, v, w)
+				}
+				if desc {
+					v ^= mask
+				}
+				if sp.wide {
+					r.keys[i*m+pos] = v
+				} else {
+					r.keys[i] = r.keys[i]<<w | v
+				}
 			}
 		}
 	}
