@@ -57,6 +57,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzMassageRoundTrip -fuzztime=30s ./internal/massage/
 	$(GO) test -fuzz=FuzzQueryRequest -fuzztime=20s ./internal/server/
 	$(GO) test -fuzz=FuzzTopKMerge -fuzztime=30s ./internal/mergesort/
+	$(GO) test -fuzz=FuzzTopKContext -fuzztime=30s ./internal/mergesort/
 	$(GO) test -fuzz=FuzzLimitQuery -fuzztime=20s ./internal/server/
 	$(GO) test -fuzz=FuzzResultFrame -fuzztime=20s ./internal/server/
 	$(GO) test -fuzz=FuzzShardMerge -fuzztime=20s ./internal/shard/
@@ -101,10 +102,11 @@ bench:
 # internal/mergesort/paper, ns/row, one core. The table in
 # EXPERIMENTS.md is this output. Then, at two cores and 2^19 rows,
 # ns/row: the parallel sort — the production parallel radix sort at
-# workers {1, 2} and the top-K chunk-filter path, then the paper
-# kernel's chunk sorts and chunk merge at 2 — and the merge of sorted
-# runs (MergeRunsContext) at k {2, 3, 8} and workers {1, 2}. CI runs
-# them all at -benchtime 1x as a compile-and-run smoke.
+# workers {1, 2} and the top-K sort (the radix select) at limits
+# {100, n/8, n/2−1, n−1} × workers {1, 2}, then the paper kernel's
+# chunk sorts and chunk merge at 2 — and the
+# merge of sorted runs (MergeRunsContext) at k {2, 3, 8} and workers
+# {1, 2}. CI runs them all at -benchtime 1x as a compile-and-run smoke.
 bakeoff:
 	$(GO) test -run '^$$' -bench BenchmarkKernelBakeoff -benchtime 20x -cpu 1 ./internal/mergesort/ ./internal/mergesort/paper/
 	$(GO) test -run '^$$' -bench BenchmarkParallelSort -benchtime 20x -cpu 2 ./internal/mergesort/ ./internal/mergesort/paper/

@@ -211,7 +211,7 @@ func BadCreditBatch(ctx context.Context, batches [][]int) int {
 	}
 }
 
-// BoundedHeap is the top-K chunk-filter shape: a data-bound scan that
+// BoundedHeap is a bounded-heap top-K filter shape: a data-bound scan that
 // polls on a decrementing credit and displaces the heap root on a
 // smaller key. The heapify countdown is bounded by the limit parameter
 // rather than the data, so it is exempt; the sift helper owns no

@@ -221,14 +221,13 @@ func (pf *Profile) tSortAfterWidth(bitsBefore, width, bank int) float64 {
 	dup := pf.dup[pf.row(bitsBefore+width)]
 	if bitsBefore <= 0 {
 		if n := pf.st.N; pf.st.LimitRows > 0 && n > 0 {
-			// Round 1 of a row-truncated query is the bounded-heap top-K
-			// sort: a sequential filter pass over all N rows (costed with
-			// the scan constant — same access pattern, no new calibrated
-			// constant so the model fingerprint is unchanged) plus a sort
-			// of only the survivors. This is what teaches ROGA that wide
-			// stitched first rounds are nearly free under small K — the
-			// sort term collapses — so massaging pays only via its own
-			// upfront cost.
+			// Round 1 of a row-truncated query is the top-K sort: the radix
+			// select streams all N rows to find and compact the cut (the
+			// scan constant: no new calibrated constant, so the model
+			// fingerprint is unchanged), plus a sort of only the survivors.
+			// This teaches ROGA that wide stitched first rounds are nearly
+			// free under small K — the sort term collapses — so massaging
+			// pays only via its own upfront cost.
 			if surv := pf.surv[pf.row(width)]; surv < float64(n) {
 				return pf.m.TScan(n) + pf.m.TSortOneDup(surv, bank, dup)
 			}

@@ -58,8 +58,8 @@ func TestRunContextCancelAtSites(t *testing.T) {
 }
 
 // TestRunContextLimitedCancelAtTopKSite cancels a LIMIT query from the
-// top-K sort's chunk site, which its chunk filter fires at every worker
-// count: the limited pipeline must unwind with context.Canceled and leak
+// top-K sort's chunk site, which its cut and compaction fire at every
+// worker count: the limited pipeline must unwind with context.Canceled and leak
 // nothing.
 func TestRunContextLimitedCancelAtTopKSite(t *testing.T) {
 	defer faultinject.Reset()

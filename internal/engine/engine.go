@@ -190,7 +190,7 @@ type Options struct {
 	// Limit caps the output entries (docs/topk.md): ranked rows for
 	// window queries, groups otherwise. nil is unlimited; 0 produces an
 	// empty result without sorting. When set, the sort pipeline runs the
-	// truncated path — bounded-heap round 0, survivors-only later rounds
+	// truncated path — a top-K round 0, survivors-only later rounds
 	// — cut at rank Offset+Limit, and the result is byte-identical to
 	// the unlimited result sliced to [Offset, Offset+Limit) at any
 	// worker count, cached or uncached.

@@ -31,8 +31,8 @@ const (
 	Permute = "mcsort.permute"
 	// ChunkSort: mergesort's chunk passes, once per chunk of each: the
 	// parallel radix sort's count and scatter passes (mcsort's round 0
-	// and cooperative group sorts), the top-K chunk filter, and the
-	// paper kernel's parallel chunk sorts (internal/mergesort/paper).
+	// and cooperative group sorts), the top-K cut and compaction, and
+	// the paper kernel's parallel chunk sorts (internal/mergesort/paper).
 	ChunkSort = "mergesort.chunk_sort"
 	// LoserMerge: mergesort's merge of sorted runs (MergeRunsContext),
 	// once per rank share: the coordinator's cross-shard gather and the

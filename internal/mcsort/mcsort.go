@@ -103,14 +103,14 @@ type Options struct {
 	// exercise the parallel paths on small inputs.
 	SortParams *mergesort.Params
 	// LimitRows truncates execution to the first LimitRows positions of
-	// the final permutation (docs/topk.md): round 0 runs the bounded-heap
-	// top-K sort instead of the full sort, later rounds only massage,
-	// gather, and sort the surviving prefix, and intermediate truncation
-	// always cuts at group boundaries (a raw rank cut would split a tied
-	// group whose internal order later rounds still change). The returned
-	// Perm has exactly min(LimitRows, rows) entries — byte-identical to
-	// the unlimited Perm's prefix at any worker count — and Groups covers
-	// it, the last group clipped at the cut. 0 disables.
+	// the final permutation (docs/topk.md): round 0 runs the top-K sort
+	// instead of the full sort, later rounds only massage, gather, and
+	// sort the surviving prefix, and intermediate truncation always cuts
+	// at group boundaries (a raw rank cut would split a tied group whose
+	// internal order later rounds still change). The returned Perm has
+	// exactly min(LimitRows, rows) entries — byte-identical to the
+	// unlimited Perm's prefix at any worker count — and Groups covers it,
+	// the last group clipped at the cut. 0 disables.
 	LimitRows int
 	// LimitGroups truncates to the first LimitGroups full groups (the
 	// group-by analogue of LimitRows): round 0 sorts fully, then each
@@ -283,8 +283,8 @@ func executeContext(ctx context.Context, inputs []massage.Input, p plan.Plan, op
 		switch {
 		case r == 0:
 			// Full-table sort (a single sorted run for Workers < 2). Under
-			// LimitRows the bounded-heap top-K sort replaces it: only the
-			// tie-extended first limitRows positions come back sorted —
+			// LimitRows the top-K sort replaces it: only the tie-extended
+			// first limitRows positions come back sorted —
 			// every row whose key is ≤ the limitRows-th smallest, a
 			// value-defined survivor set that is the same at every worker
 			// count. keys[m:] and Perm[m:] are garbage from here on; the

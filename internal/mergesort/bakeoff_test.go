@@ -84,9 +84,11 @@ func BenchmarkKernelBakeoff(b *testing.B) {
 // BenchmarkParallelSort times the parallel sort under the production
 // kernel — the parallel radix sort that mcsort's round 0 and its
 // cooperative group sorts call — in ns/row over parallelBenchRows rows:
-// workers {1, 2} × every bank × {unique, zipf} keys, and TopKContext at
-// two workers with limits 100 and n/2−1, whose chunk filter no mcsperf
-// workload reaches. The paper kernel's cell — its chunk sorts and chunk
+// workers {1, 2} × every bank × {unique, zipf} keys, and TopKContext,
+// the radix select, at limits {100, n/8, n/2−1, n−1} × workers {1, 2}:
+// its one-worker cells are the shape mcsperf's serve_topk_cold runs
+// (limits 100 to 51,200), and n−1, beside the full sort, is the most
+// rows a limit below n sorts after its count and compaction. The paper kernel's cell — its chunk sorts and chunk
 // merge at two workers, the path the figure experiments time — is
 // internal/mergesort/paper's BenchmarkParallelSort. One iteration
 // refills the rows first, inside the clock. `make bakeoff` runs it at
@@ -116,11 +118,13 @@ func BenchmarkParallelSort(b *testing.B) {
 			for _, w := range []int{1, 2} {
 				cell("sort", func(w int) error { return ParallelSortWithParamsContext(ctx, bank, keys, oids, Params{}, w) }, w)
 			}
-			for _, limit := range []int{100, n/2 - 1} {
-				cell(fmt.Sprintf("topk=%d", limit), func(w int) error {
-					_, err := TopKContext(ctx, bank, keys, oids, limit, Params{}, w)
-					return err
-				}, 2)
+			for _, limit := range []int{100, n / 8, n/2 - 1, n - 1} {
+				for _, w := range []int{1, 2} {
+					cell(fmt.Sprintf("topk=%d", limit), func(w int) error {
+						_, err := TopKContext(ctx, bank, keys, oids, limit, Params{}, w)
+						return err
+					}, w)
+				}
 			}
 		}
 	}

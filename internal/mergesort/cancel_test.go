@@ -111,36 +111,66 @@ func TestChunkSortPanicContained(t *testing.T) {
 	}
 }
 
-// TestTopKCancelAtSites cancels the bounded-heap partial sort from the
-// chunk-filter site, which its filter and its survivor sort both fire: a
-// fired site must yield context.Canceled promptly with no leaked
-// goroutines.
+// TestTopKCancelAtSites cancels the top-K sort from the chunk-sort
+// site, which every pass of its cut, its compaction and its survivor
+// sort fires: a fired site must yield context.Canceled promptly with no
+// leaked goroutines. On zipf keys at limit n/8 the radix select's
+// boundary bucket — a heavy tie — is counted a second time, and the
+// zipf case cancels at every firing in turn, so cancellation lands
+// inside that refinement too.
 func TestTopKCancelAtSites(t *testing.T) {
 	defer faultinject.Reset()
-	for _, workers := range []int{1, 4, 8} {
-		workers := workers
-		t.Run(fmt.Sprintf("%s/workers=%d", faultinject.ChunkSort, workers), func(t *testing.T) {
-			defer testutil.CheckNoLeaks(t)()
-			keys, oids := cancelKeys(20000, 19)
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			var fired atomic.Bool
-			restore := faultinject.Set(faultinject.ChunkSort, func() {
-				fired.Store(true)
-				cancel()
+	const n = 20000
+	uniform, _ := cancelKeys(n, 19)
+	rng := rand.New(rand.NewSource(19))
+	zipf := rand.NewZipf(rng, 1.2, 1.3, 1<<16-1)
+	skewed := make([]uint64, n)
+	for i := range skewed {
+		skewed[i] = zipf.Uint64()
+	}
+	for _, c := range []struct {
+		name     string
+		keys     []uint64
+		limit    int
+		everyHit bool
+	}{
+		{"", uniform, 64, false},
+		{"zipf-limit-n8/", skewed, n / 8, true},
+	} {
+		for _, workers := range []int{1, 4, 8} {
+			t.Run(fmt.Sprintf("%s/%sworkers=%d", faultinject.ChunkSort, c.name, workers), func(t *testing.T) {
+				defer testutil.CheckNoLeaks(t)()
+				hits := 1
+				if c.everyHit {
+					var fires atomic.Int64
+					restore := faultinject.Set(faultinject.ChunkSort, func() { fires.Add(1) })
+					mustTopK(t, 16, append([]uint64(nil), c.keys...), identOids(n), c.limit, cancelParams(16), workers)
+					restore()
+					hits = int(fires.Load())
+				}
+				for hit := 1; hit <= hits; hit++ {
+					ctx, cancel := context.WithCancel(context.Background())
+					var fires atomic.Int64
+					restore := faultinject.Set(faultinject.ChunkSort, func() {
+						if fires.Add(1) == int64(hit) {
+							cancel()
+						}
+					})
+					m, err := TopKContext(ctx, 16, append([]uint64(nil), c.keys...), identOids(n), c.limit, cancelParams(16), workers)
+					restore()
+					cancel()
+					if fires.Load() < int64(hit) {
+						t.Fatalf("the top-K sort fired its site %d times, want %d", fires.Load(), hit)
+					}
+					if !errors.Is(err, context.Canceled) {
+						t.Fatalf("site fired (hit %d of %d) but err = %v, want context.Canceled", hit, hits, err)
+					}
+					if m != 0 {
+						t.Fatalf("cancelled TopK (hit %d of %d) returned m=%d, want 0", hit, hits, m)
+					}
+				}
 			})
-			defer restore()
-			m, err := TopKContext(ctx, 16, keys, oids, 64, cancelParams(16), workers)
-			if !fired.Load() {
-				t.Fatal("the chunk filter never fired its site")
-			}
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("site fired but err = %v, want context.Canceled", err)
-			}
-			if m != 0 {
-				t.Fatalf("cancelled TopK returned m=%d, want 0", m)
-			}
-		})
+		}
 	}
 }
 
@@ -219,8 +249,8 @@ func TestMergeSharePanicContained(t *testing.T) {
 	}
 }
 
-// TestTopKChunkPanicContained injects a panic into the bounded-heap
-// chunk workers: it must surface as a typed *pipeerr.PipelineError with
+// TestTopKChunkPanicContained injects a panic into the radix select's
+// count workers: it must surface as a typed *pipeerr.PipelineError with
 // stage "sort", not crash the process.
 func TestTopKChunkPanicContained(t *testing.T) {
 	defer faultinject.Reset()

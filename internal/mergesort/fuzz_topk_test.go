@@ -2,6 +2,7 @@ package mergesort_test
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -106,5 +107,73 @@ func FuzzTopKMerge(f *testing.F) {
 		// The output does not depend on the worker count.
 		gotK2, gotO2 := mustMergeRuns(t, keys, oids, cuts, limit, workers%8+1)
 		checkMerged(t, fmt.Sprintf("bank %d n %d limit %d workers %d", bank, n, limit, workers%8+1), gotK2, gotO2, gotK, gotO)
+	})
+}
+
+// FuzzTopKContext drives TopKContext with arbitrary keys, banks and
+// limits against the stable full sort: m must be the tie-extended count
+// — every key ≤ the limit-th smallest, n when limit ≥ n or n is below
+// SmallRunCutoff — and keys[:m], oids[:m] the stable sort's prefix byte
+// for byte, at workers {1, 2, 3}. shape picks how many low bits of each
+// key stay live and whether the bits above them are zero (a bank wider
+// than the keys) or a constant 0xA5… pattern (digits every key shares,
+// which the select must carry into its cut); from its bit 8 on, the
+// keys are repeated to 3·MinChunkRows rows, so two and three workers cut
+// them into chunks.
+func FuzzTopKContext(f *testing.F) {
+	f.Add(uint16(0), uint16(1), uint16(16), []byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0})
+	f.Add(uint16(1), uint16(100), uint16(18|1<<8), []byte("top-k keys of modest entropy, repeated: top-k keys of modest entropy"))
+	f.Add(uint16(2), uint16(7), uint16(40|1<<9), make([]byte, 700)) // one giant tie
+	seed := make([]byte, 4096)
+	for i := range seed {
+		seed[i] = byte(i * 167)
+	}
+	f.Add(uint16(1), uint16(2000), uint16(12|3<<8), seed)
+	f.Add(uint16(2), uint16(40000), uint16(63|1<<9), seed)
+
+	f.Fuzz(func(t *testing.T, bankSel, limitRaw, shape uint16, data []byte) {
+		bank := Banks[int(bankSel)%len(Banks)]
+		keys := keysFromBytes(data, bank)
+		if len(keys) == 0 {
+			return
+		}
+		live := int(shape&0xff)%bank + 1
+		high := uint64(0)
+		if shape&(1<<9) != 0 {
+			high = 0xA5A5A5A5A5A5A5A5 & maskFor(bank) &^ maskFor(live)
+		}
+		if shape&(1<<8) != 0 {
+			for len(keys) < 3*MinChunkRows {
+				keys = append(keys, keys...)
+			}
+			keys = keys[:3*MinChunkRows]
+		}
+		for i := range keys {
+			keys[i] = high | keys[i]&maskFor(live)
+		}
+		n := len(keys)
+		limit := int(limitRaw)%(n+8) + 1
+		wantO := stableOrder(keys)
+		wantM := n
+		if limit < n && n >= SmallRunCutoff {
+			pivot := keys[wantO[limit-1]]
+			wantM = limit
+			for wantM < n && keys[wantO[wantM]] == pivot {
+				wantM++
+			}
+		}
+		for _, workers := range []int{1, 2, 3} {
+			gotK, gotO := slices.Clone(keys), identOids(n)
+			m := mustTopK(t, bank, gotK, gotO, limit, Params{ParallelThreshold: 64}, workers)
+			if m != wantM {
+				t.Fatalf("bank %d n %d limit %d workers %d: m=%d, want %d", bank, n, limit, workers, m, wantM)
+			}
+			for i := 0; i < m; i++ {
+				if gotO[i] != wantO[i] || gotK[i] != keys[wantO[i]] {
+					t.Fatalf("bank %d n %d limit %d workers %d: prefix diverges at %d: got (%d,%d) want (%d,%d)",
+						bank, n, limit, workers, i, gotK[i], gotO[i], keys[wantO[i]], wantO[i])
+				}
+			}
+		}
 	})
 }

@@ -103,18 +103,19 @@ func TestKernelsAgree(t *testing.T) {
 						mustParallelSort(t, bank, k, o, p, workers)
 						return n
 					})
-					// A limit past n/2 is the parallel sort again: the
-					// largest size leaves it to the smaller ones.
-					limits := []int{1, n / 8, n/2 + 1}
-					if n > 1<<10 {
-						limits = limits[:2]
-					}
-					for _, limit := range limits {
+					// The top-K sort returns at least min(limit, n)
+					// sorted elements: a cut that lost rows would pass
+					// checkKernelOutput on its short prefix.
+					for _, limit := range []int{1, n / 8, n/2 + 1} {
 						if limit < 1 {
 							continue
 						}
 						check(fmt.Sprintf("TopK limit=%d", limit), func(p Params, k []uint64, o []uint32) int {
-							return mustTopK(t, bank, k, o, limit, p, workers)
+							m := mustTopK(t, bank, k, o, limit, p, workers)
+							if m < min(limit, n) {
+								t.Fatalf("TopK bank=%d n=%d %s workers=%d limit=%d: m=%d", bank, n, name, workers, limit, m)
+							}
+							return m
 						})
 					}
 				}

@@ -40,25 +40,34 @@ func maskFor(bank int) uint64 {
 }
 
 // adversarialInputs builds the distributions the determinism battery
-// runs: uniform random, all-equal, pre-sorted, reverse-sorted, and
-// zipf-skewed (a handful of huge tie runs plus a long tail).
+// runs: uniform random, all-equal, pre-sorted, reverse-sorted,
+// zipf-skewed (a handful of huge tie runs plus a long tail), keys whose
+// top byte is 0xA5 in every row above varied low digits (highdigit),
+// and keys 18 bits wide, 10 in bank 16, so the bank's top digits are
+// zero (deadtop) — the two shapes where a select must carry the digits
+// every key shares into its cut.
 func adversarialInputs(n int, bank int, seed int64) map[string][]uint64 {
 	rng := rand.New(rand.NewSource(seed))
 	mask := maskFor(bank)
 	zipf := rand.NewZipf(rng, 1.3, 1.5, uint64(n/4+1))
 	cases := map[string][]uint64{
-		"uniform":  make([]uint64, n),
-		"allequal": make([]uint64, n),
-		"sorted":   make([]uint64, n),
-		"reverse":  make([]uint64, n),
-		"zipf":     make([]uint64, n),
+		"uniform":   make([]uint64, n),
+		"allequal":  make([]uint64, n),
+		"sorted":    make([]uint64, n),
+		"reverse":   make([]uint64, n),
+		"zipf":      make([]uint64, n),
+		"highdigit": make([]uint64, n),
+		"deadtop":   make([]uint64, n),
 	}
 	for i := 0; i < n; i++ {
-		cases["uniform"][i] = rng.Uint64() & mask
+		u := rng.Uint64()
+		cases["uniform"][i] = u & mask
 		cases["allequal"][i] = 42 & mask
 		cases["sorted"][i] = uint64(i) & mask
 		cases["reverse"][i] = uint64(n-i) & mask
 		cases["zipf"][i] = zipf.Uint64() & mask
+		cases["highdigit"][i] = 0xA5<<uint(bank-8) | u&(mask>>8)
+		cases["deadtop"][i] = u & maskFor(min(18, bank-6))
 	}
 	return cases
 }

@@ -3,6 +3,7 @@ package mergesort
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/faultinject"
@@ -10,27 +11,16 @@ import (
 	"repro/internal/pipeerr"
 )
 
-// Top-K partial sorting: the LIMIT/OFFSET execution path. A query that
-// only consumes the first R rows of the sorted output does not need the
-// other N−R rows in order — it needs them *eliminated*. TopKContext
-// filters each worker chunk through a bounded max-heap (the classic
-// top-K filter), so one parallel sort of the compacted survivors is all
-// that runs, and a binary search cuts its output at the rank.
-//
-// Truncation contract (the determinism keystone, docs/topk.md): the
-// cut is *tie-extended* — the returned prefix holds every element whose
-// key is ≤ the R-th smallest key, so the survivor set is defined by key
-// values alone and is byte-identical for every worker count. The
-// returned count m is therefore ≥ limit, and the caller that needs an
-// exact rank-R prefix (internal/mcsort) sorts the later rounds and
-// slices afterwards. Cutting at the raw rank instead would split a tied
-// group at a chunk-dependent point and leak the worker count into the
-// result.
-//
-// Robustness: TopKContext polls the context inside the heap filter
-// (every topkCheckEvery elements) and at chunk and pass boundaries;
-// worker panics surface as *pipeerr.PipelineError. On any error the
-// keys/oids are in unspecified (but memory-safe) order.
+// Top-K partial sorting, the LIMIT/OFFSET path (docs/topk.md): a query
+// that consumes the first R sorted rows needs the other N−R eliminated,
+// not ordered. TopKContext finds the cut with a radix select — one
+// digit's histogram names the bucket that holds rank R — compacts the
+// rows at or below it, sorts them once and cuts them at the rank. The
+// cut is tie-extended, every key ≤ the R-th smallest, so the survivor
+// set is defined by key values alone and the same at every worker count
+// (a raw rank cut would split a tie at a chunk-dependent point); mcsort
+// slices the exact prefix after its later rounds. Every pass is a
+// pipeerr.Pass whose ranges fire faultinject.ChunkSort.
 
 var (
 	obsTopKSorts     = obs.NewCounter("mergesort.topk_sorts")
@@ -38,22 +28,23 @@ var (
 	obsTopKFiltered  = obs.NewCounter("mergesort.topk_filtered_out")
 )
 
-// topkCheckEvery is how many elements the heap filter and partition
-// scans process between context polls — the same cadence as the merge
-// strides, frequent enough that cancellation lands inside a chunk.
-const topkCheckEvery = 1 << 16
+// selectDigitBits is the width of the digit a select pass counts, 4 KB
+// of counters per range: 10 bits resolve a 20-bit zipf-skewed key in two
+// passes where 8 need three, and 12 are no faster (EXPERIMENTS.md).
+const selectDigitBits = 10
+
+// selectRefineShare: a boundary bucket of more than n/selectRefineShare
+// rows is counted again on the next digit, one more pass over n keys.
+// Shares 8, 16 and 32 time the same within noise (EXPERIMENTS.md).
+const selectRefineShare = 16
 
 // TopKContext partially sorts keys (each value < 2^bank) with their
-// oids: on return the first m elements are the m smallest in ascending
-// key order (ties in input order, as ParallelSortWithParamsContext
-// leaves them), where m is at least the tie-extended cut at rank limit —
-// every element whose key is ≤ the limit-th smallest key is among the
-// first m. A near-full limit (or an input below smallRunCutoff, which
-// the insertion sort handles whole) degrades to the full sort with
-// m = n. keys[m:] are
-// in unspecified order. limit must be ≥ 1. On cancellation or a
-// contained worker panic the returned count is 0 and keys/oids are in
-// unspecified order.
+// oids: the first m come back in ascending key order, ties in input
+// order, where m counts every key ≤ the limit-th smallest. A limit ≥ n,
+// or n < smallRunCutoff, is the full sort with m = n. keys[m:] are in
+// unspecified order; limit must be ≥ 1. On cancellation or a contained
+// worker panic it returns 0 and keys/oids in unspecified (memory-safe)
+// order.
 func TopKContext(ctx context.Context, bank int, keys []uint64, oids []uint32, limit int, p Params, workers int) (int, error) {
 	if err := checkArgs(bank, keys, oids); err != nil {
 		return 0, err
@@ -63,10 +54,7 @@ func TopKContext(ctx context.Context, bank int, keys []uint64, oids []uint32, li
 	}
 	n := len(keys)
 	p = p.resolved()
-	// The heap filter pays off only when it discards most of the input:
-	// near-full limits sort everything anyway, so route them through the
-	// plain parallel sort (whose m = n prefix is trivially tie-extended).
-	if limit*2 >= n || n < smallRunCutoff {
+	if limit >= n || n < smallRunCutoff {
 		if err := ParallelSortWithParamsContext(ctx, bank, keys, oids, p, workers); err != nil {
 			return 0, err
 		}
@@ -74,52 +62,55 @@ func TopKContext(ctx context.Context, bank int, keys []uint64, oids []uint32, li
 	}
 	obsTopKSorts.Inc()
 
-	// Run generation: each chunk keeps every element ≤ its chunk-local
-	// rank-limit pivot. The global pivot is ≤ every chunk pivot (an order
-	// statistic can only move down when the pool grows), so each chunk's
-	// survivor set contains all of its elements that survive globally —
-	// no chunk can discard a global survivor. Below the parallel
-	// threshold the one chunk's pivot is the global pivot.
-	chunks := 1
+	// BlockRows-row ranges, or one per worker (of at least minChunkRows
+	// rows) when the input is parallel.
+	parts := (n + pipeerr.BlockRows - 1) / pipeerr.BlockRows
 	if workers >= 2 && n >= p.ParallelThreshold {
-		chunks = workers
+		parts = max(parts, min(workers, n/minChunkRows))
+	} else {
+		workers = 1
 	}
-	bounds := pipeerr.Cut(n, chunks, 1)
-	surv := make([]int, len(bounds)-1)
-	filter := pipeerr.Pass{Stage: pipeerr.StageSort, Round: -1, Site: faultinject.ChunkSort}
-	err := filter.Ranges(ctx, chunks, len(surv), func(gctx context.Context, c int) error {
-		var err error
-		surv[c], err = topKFilterChunk(gctx, keys, oids, bounds[c], bounds[c+1], limit)
-		return err
-	})
+	bounds := pipeerr.Cut(n, parts, 1)
+	chunks := pipeerr.Pass{Stage: pipeerr.StageSort, Round: -1, Site: faultinject.ChunkSort}
+	top, kept, err := radixSelect(ctx, bank, keys, bounds, limit, workers)
 	if err != nil {
 		return 0, err
 	}
 
-	// Compact the survivors to the front in chunk order (pos never
-	// passes lo, so the forward copies cannot clobber unread survivors):
-	// they keep their input order, so the stable sort that follows leaves
-	// them where the sequential path would.
-	pos := 0
-	for c, s := range surv {
-		if err := ctx.Err(); err != nil {
+	// Compact the kept rows (none move when all are kept) to each range's
+	// front, then the ranges forward (pos never passes lo): input order,
+	// so the stable sort leaves ties where the sequential path would.
+	if kept < n {
+		surv := make([]int, len(bounds)-1)
+		err = chunks.Ranges(ctx, workers, len(surv), func(_ context.Context, c int) error {
+			lo, hi := bounds[c], bounds[c+1]
+			surv[c] = compactAtMost(keys[lo:hi], oids[lo:hi], top)
+			return nil
+		})
+		if err != nil {
 			return 0, err
 		}
-		if lo := bounds[c]; pos != lo {
-			copy(keys[pos:pos+s], keys[lo:lo+s])
-			copy(oids[pos:pos+s], oids[lo:lo+s])
+		pos := 0
+		for c, s := range surv {
+			if err := ctx.Err(); err != nil {
+				return 0, err
+			}
+			if lo := bounds[c]; pos != lo {
+				copy(keys[pos:pos+s], keys[lo:lo+s])
+				copy(oids[pos:pos+s], oids[lo:lo+s])
+			}
+			pos += s
 		}
-		pos += s
 	}
-	if err := ParallelSortWithParamsContext(ctx, bank, keys[:pos], oids[:pos], p, workers); err != nil {
+	obsTopKFiltered.Add(int64(n - kept))
+	if err := ParallelSortWithParamsContext(ctx, bank, keys[:kept], oids[:kept], p, workers); err != nil {
 		return 0, err
 	}
 
-	// The tie-extended cut: every survivor whose key is ≤ the limit-th
-	// smallest. Each chunk kept at least min(limit, its rows), so pos ≥
-	// limit.
+	// The tie-extended cut. The survivors, every key ≤ top and at least
+	// limit of them, hold every copy of the limit-th smallest key.
 	pivot := keys[limit-1]
-	m := limit + sort.Search(pos-limit, func(i int) bool { return keys[limit+i] > pivot })
+	m := limit + sort.Search(kept-limit, func(i int) bool { return keys[limit+i] > pivot })
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
@@ -127,76 +118,86 @@ func TopKContext(ctx context.Context, bank int, keys []uint64, oids []uint32, li
 	return m, nil
 }
 
-// topKFilterChunk finds the chunk-local key at rank limit with a
-// bounded max-heap over keys alone, then compacts every element whose
-// key is ≤ that pivot to the chunk front, in input order — the order
-// the stable sort that follows keeps for ties. It returns the survivor
-// count s; chunk elements beyond s are garbage. A chunk smaller than
-// limit keeps everything. Both scans poll the context every
-// topkCheckEvery elements, the bounded-heap loop shape the ctxpoll
-// analyzer accepts.
-func topKFilterChunk(ctx context.Context, keys []uint64, oids []uint32, lo, hi, limit int) (int, error) {
-	n := hi - lo
-	if n <= limit {
-		return n, ctx.Err()
-	}
-	heap := make([]uint64, limit)
-	copy(heap, keys[lo:lo+limit])
-	for i := limit/2 - 1; i >= 0; i-- {
-		siftDownMax(heap, i)
-	}
-	credit := topkCheckEvery
-	for i := lo + limit; i < hi; i++ {
-		if credit--; credit <= 0 {
-			if err := ctx.Err(); err != nil {
-				return 0, err
+// selectCount is one range's share of a select pass: its candidates'
+// histogram on the counted digit, and their OR and AND.
+type selectCount struct {
+	hist    [1 << selectDigitBits]uint32
+	or, and uint64
+}
+
+// radixSelect returns top and kept, the count of keys ≤ top: at least
+// limit, every key ≤ the limit-th smallest among them. It narrows a
+// candidate range [lo, top] of key values, below rows under lo, from the
+// whole bank: a pass counts the candidates on the digit at shift, and
+// the bucket that holds rank limit becomes the range, until that bucket
+// is one value, small (selectRefineShare), or all equal keys — a heavy
+// tie survives whole. A digit the candidates all share (their OR and AND
+// tell) is counted again at their top live digit.
+func radixSelect(ctx context.Context, bank int, keys []uint64, bounds []int, limit, workers int) (uint64, int, error) {
+	chunks := pipeerr.Pass{Stage: pipeerr.StageSort, Round: -1, Site: faultinject.ChunkSort}
+	counts := make([]selectCount, len(bounds)-1)
+	lo, top, below := uint64(0), ^uint64(0)>>uint(64-bank), 0
+	shift := uint(bank - selectDigitBits)
+	for {
+		err := chunks.Ranges(ctx, workers, len(counts), func(_ context.Context, c int) error {
+			counts[c].count(keys[bounds[c]:bounds[c+1]], lo, top, shift)
+			return nil
+		})
+		if err != nil {
+			return 0, 0, err
+		}
+		var hist [1 << selectDigitBits]int
+		or, and := uint64(0), ^uint64(0)
+		for c := range counts {
+			for v, k := range counts[c].hist {
+				hist[v] += int(k)
 			}
-			credit = topkCheckEvery
+			or, and = or|counts[c].or, and&counts[c].and
 		}
-		if k := keys[i]; k < heap[0] {
-			heap[0] = k
-			siftDownMax(heap, 0)
+		if live := bits.Len64(or ^ and); or != and && live <= int(shift) {
+			shift = uint(max(live-selectDigitBits, 0))
+			continue
+		}
+		b := 0
+		for below+hist[b] < limit {
+			below += hist[b]
+			b++
+		}
+		// and holds the bits above the digit, which every candidate shares.
+		lo = and&^(^uint64(0)>>(64-selectDigitBits-shift)) | uint64(b)<<shift
+		top = lo | (1<<shift - 1)
+		if shift == 0 || or == and || hist[b] <= len(keys)/selectRefineShare {
+			return top, below + hist[b], nil
+		}
+		shift = uint(max(int(shift)-selectDigitBits, 0))
+	}
+}
+
+// count fills s from the keys in [lo, top]: their histogram on the
+// digit at shift, and their OR and AND.
+func (s *selectCount) count(keys []uint64, lo, top uint64, shift uint) {
+	s.hist = [1 << selectDigitBits]uint32{}
+	or, and, span := uint64(0), ^uint64(0), top-lo
+	for _, k := range keys {
+		if k-lo <= span {
+			s.hist[(k>>shift)%(1<<selectDigitBits)]++
+			or |= k
+			and &= k
 		}
 	}
-	// heap[0] is the limit-th smallest chunk key: the heap holds a
-	// multiset of limit smallest elements (an incoming tie of the max
-	// is interchangeable with the stored copy), so its max is the
-	// rank-limit order statistic exactly, ties or not.
-	pivot := heap[0]
-	w := lo
-	credit = topkCheckEvery
-	for i := lo; i < hi; i++ {
-		if credit--; credit <= 0 {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-			credit = topkCheckEvery
-		}
-		if keys[i] <= pivot {
-			keys[w], oids[w] = keys[i], oids[i]
+	s.or, s.and = or, and
+}
+
+// compactAtMost moves the pairs whose key is ≤ top to the front in input
+// order and counts them; every pair is written, so no branch mispredicts.
+func compactAtMost(keys []uint64, oids []uint32, top uint64) int {
+	oids = oids[:len(keys)]
+	w := 0
+	for i, k := range keys {
+		keys[w], oids[w] = k, oids[i]
+		if k <= top {
 			w++
 		}
 	}
-	obsTopKFiltered.Add(int64(hi - w))
-	return w - lo, nil
-}
-
-// siftDownMax restores the max-heap property below node i.
-func siftDownMax(h []uint64, i int) {
-	n := len(h)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		big := l
-		if r := l + 1; r < n && h[r] > h[l] {
-			big = r
-		}
-		if h[big] <= h[i] {
-			return
-		}
-		h[i], h[big] = h[big], h[i]
-		i = big
-	}
+	return w
 }

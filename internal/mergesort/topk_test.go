@@ -9,10 +9,11 @@ import (
 
 	. "repro/internal/mergesort"
 	"repro/internal/mergesort/paper"
+	"repro/internal/obs"
 )
 
-// Property battery for the bounded-heap partial sort and the limited
-// merge (docs/topk.md).
+// Property battery for the top-K partial sort and the limited merge
+// (docs/topk.md).
 //
 // Two contracts are pinned:
 //
@@ -22,13 +23,22 @@ import (
 //     falls inside one tie group.
 //   - TopK's survivor count m is value-defined (tie-extended), so it is
 //     identical at every worker count and under either kernel, and
-//     keys[:m] equals the fully sorted key order's prefix with a valid
-//     oid permutation.
+//     keys[:m] and oids[:m] equal the stable full sort's prefix byte for
+//     byte.
 
-// topkLimits is the limit sweep relative to n. TopK refuses limit < 1,
-// so 0 is covered by the validation test instead.
+// topkLimits is the limit sweep relative to n: small limits, and larger
+// ones on both sides of n/2 and just below n. TopK refuses
+// limit < 1, so 0 is covered by the validation test instead.
 func topkLimits(n int) []int {
-	return []int{1, 7, 100, n - 1, n, n + 7}
+	return []int{1, 7, 100, n / 8, n/2 - 1, n / 2, n - 1, n, n + 7}
+}
+
+// stableOrder is the oracle of a sort of keys with identity oids: the
+// oids in stable ascending key order.
+func stableOrder(keys []uint64) []uint32 {
+	o := identOids(len(keys))
+	sort.SliceStable(o, func(i, j int) bool { return keys[o[i]] < keys[o[j]] })
+	return o
 }
 
 func TestParallelMergeTopKMatchesOraclePrefix(t *testing.T) {
@@ -59,6 +69,7 @@ func TestTopKMatchesFullSortPrefix(t *testing.T) {
 		for name, keys := range adversarialInputs(n, bank, int64(bank)+99) {
 			sorted := append([]uint64(nil), keys...)
 			sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+			stable := stableOrder(keys)
 			for _, paperK := range []bool{false, true} {
 				for _, limit := range topkLimits(n) {
 					var prevM = -1
@@ -99,6 +110,9 @@ func TestTopKMatchesFullSortPrefix(t *testing.T) {
 							if keys[oid] != gotK[i] {
 								t.Fatalf("%s: oids[%d]=%d points at key %d, output key is %d",
 									label, i, oid, keys[oid], gotK[i])
+							}
+							if oid != stable[i] {
+								t.Fatalf("%s: oids[%d]=%d, the stable full sort has %d", label, i, oid, stable[i])
 							}
 						}
 					}
@@ -235,6 +249,37 @@ func TestTopKValidation(t *testing.T) {
 	for i := range keys {
 		if keys[i] != uint64(64-i) || oids[i] != uint32(i) {
 			t.Fatalf("a rejected call modified its inputs at %d", i)
+		}
+	}
+}
+
+// TestTopKFiltersBeforeTheSort pins what the radix select is for,
+// through mergesort.topk_filtered_out: at a small limit on keys without
+// a heavy tie, the cut keeps at most limit + n/16 rows (the boundary
+// bucket stops refining at n/16 rows), so every other row is dropped
+// before the survivor sort — in bank 16, and in bank 32, whose 16-bit
+// keys share its top digit.
+func TestTopKFiltersBeforeTheSort(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	filtered := func() int64 {
+		for _, c := range obs.Snapshot().Counters {
+			if c.Name == "mergesort.topk_filtered_out" {
+				return c.Value
+			}
+		}
+		t.Fatal("no mergesort.topk_filtered_out counter")
+		return 0
+	}
+	const n, limit = 20000, 100
+	for _, bank := range []int{16, 32} {
+		for _, w := range []int{1, 4} {
+			keys, oids := cancelKeys(n, 31)
+			before := filtered()
+			mustTopK(t, bank, keys, oids, limit, cancelParams(bank), w)
+			if got, want := filtered()-before, int64(n-limit-n/16); got < want {
+				t.Errorf("bank %d workers %d: %d rows filtered before the sort, want ≥ %d", bank, w, got, want)
+			}
 		}
 	}
 }
