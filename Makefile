@@ -12,8 +12,8 @@ race:
 
 # Project-invariant static analysis (docs/static-analysis.md): go vet
 # plus the mcslint suite (ctxpoll, nopanic, determinism, obsnames,
-# errchecklite, atomicmix, goroutinecapture, grouped, faultsite,
-# hotalloc) over every package, with vetted exceptions in
+# errchecklite, grouped, faultsite) over every package, with vetted
+# exceptions in
 # lint/allow.txt. -strict-allow keeps the allowlist honest: an entry
 # that stops matching anything fails the build until it is deleted.
 # gofmt -l must print nothing.

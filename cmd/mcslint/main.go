@@ -118,7 +118,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	diags = allow.Filter(root, diags)
 
-	unused := allow.Unused()
+	unused := unusedInRun(allow, root, pkgs, analyzers)
 	severity := "warning"
 	if *strict {
 		severity = "error"
@@ -173,6 +173,32 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// unusedInRun returns the allowlist entries this run could have matched
+// but did not: an entry counts only when its analyzer ran and its file
+// belongs to a loaded package, so a run narrowed by -only, -disable or
+// a package pattern does not report the rest of the list as stale.
+func unusedInRun(allow *analysis.Allowlist, root string, pkgs []*analysis.Package, analyzers []*analysis.Analyzer) []*analysis.AllowEntry {
+	ran := map[string]bool{}
+	for _, a := range analyzers {
+		ran[a.Name] = true
+	}
+	loaded := map[string]bool{}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			if rel, err := filepath.Rel(root, pkg.Fset.File(f.Pos()).Name()); err == nil {
+				loaded[filepath.ToSlash(rel)] = true
+			}
+		}
+	}
+	var out []*analysis.AllowEntry
+	for _, e := range allow.Unused() {
+		if ran[e.Analyzer] && loaded[e.Path] {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 func pluralY(n int) string {

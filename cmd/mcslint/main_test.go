@@ -39,7 +39,7 @@ func TestListPrintsAllAnalyzers(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0", code)
 	}
-	for _, name := range []string{"ctxpoll", "nopanic", "determinism", "obsnames", "errchecklite", "atomicmix", "goroutinecapture", "grouped", "faultsite", "hotalloc"} {
+	for _, name := range []string{"ctxpoll", "nopanic", "determinism", "obsnames", "errchecklite", "grouped", "faultsite"} {
 		if !strings.Contains(out, name) {
 			t.Errorf("-list output missing %s:\n%s", name, out)
 		}
@@ -105,7 +105,7 @@ func TestFlagErrorsExitTwo(t *testing.T) {
 		{"-only", "nopanic", "-disable", "ctxpoll"}, // mutually exclusive
 		{"-only", "nosuch"},
 		{"-disable", "nosuch"},
-		{"-disable", "ctxpoll,nopanic,determinism,obsnames,errchecklite,atomicmix,goroutinecapture,grouped,faultsite,hotalloc"},
+		{"-disable", "ctxpoll,nopanic,determinism,obsnames,errchecklite,grouped,faultsite"},
 		{"-bogusflag"},
 	}
 	for _, args := range cases {
@@ -189,6 +189,32 @@ func TestStrictAllowFailsOnUnusedEntry(t *testing.T) {
 	// The same stale entry without the flag stays a warning.
 	if code, _, _ := runLint(t, "-allow", path, cleanPkg); code != 0 {
 		t.Errorf("exit = %d, want 0 without -strict-allow", code)
+	}
+}
+
+// TestStrictAllowIgnoresEntriesOutsideTheRun pins the scope of the
+// stale-entry check: an entry for an analyzer the run skipped, or for a
+// file no loaded package contains, could never have matched, so a
+// narrowed run must not call it unused.
+func TestStrictAllowIgnoresEntriesOutsideTheRun(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "allow.txt")
+	allow := "nopanic internal/analysis/testdata/src/nopanic/a/a.go golden fixture panics on purpose\n" +
+		"ctxpoll internal/analysis/testdata/src/nopanic/a/a.go:3 analyzer the run skips\n" +
+		"nopanic internal/chaos/chaos.go:230 file outside the loaded packages\n"
+	if err := os.WriteFile(path, []byte(allow), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-strict-allow", "-only", "nopanic", "-allow", path, seededPkg},
+		{"-strict-allow", "-disable", "ctxpoll", "-allow", path, seededPkg},
+	} {
+		code, _, stderr := runLint(t, args...)
+		if code != 0 {
+			t.Errorf("run(%v) exit = %d, want 0; stderr:\n%s", args, code, stderr)
+		}
+		if strings.Contains(stderr, "unused allowlist entry") {
+			t.Errorf("run(%v) reported an entry it could not match:\n%s", args, stderr)
+		}
 	}
 }
 

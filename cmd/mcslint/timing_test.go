@@ -9,9 +9,9 @@ import (
 )
 
 // lintBudget pins the wall-time cost of the full suite over ./... so
-// analyzer growth cannot silently slow CI: ten analyzers over every
-// package, including the CFG dataflow passes, must finish well inside
-// it. The budget is deliberately loose against a quiet machine (the
+// analyzer growth cannot silently slow CI: the seven analyzers
+// (ctxpoll, nopanic, determinism, obsnames, errchecklite, grouped,
+// faultsite) over every package must finish well inside it. The budget is deliberately loose against a quiet machine (the
 // suite runs in a few seconds) and tight against the failure mode it
 // guards — an accidentally quadratic analyzer or a loader regression
 // that re-type-checks the stdlib per pattern turns minutes, not

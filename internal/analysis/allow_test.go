@@ -17,7 +17,7 @@ func diag(analyzer, file string, line int) Diagnostic {
 func TestParseAllowlist(t *testing.T) {
 	src := `
 # comment
-determinism internal/obs/obs.go span timers read the wall clock by design
+determinism internal/obs/obs.go snapshots are sorted by name before rendering
 
 ctxpoll internal/experiments/planspace.go:42 tiny plan-space loop, bounded by column count
 `

@@ -3,9 +3,9 @@
 // diagnostic reporting, allowlisting) plus the project-specific
 // analyzers that mechanically enforce the pipeline's correctness
 // contracts — cancellation polling in data-bound loops, no panics in
-// library code, deterministic iteration on output paths, Context/plain
-// entry-point pairing, obs metric naming discipline, and checked
-// intra-repo errors.
+// library code, map-order-free output and no global random source,
+// obs metric naming discipline, checked intra-repo errors, spawns
+// through pipeerr, and fault-site coverage.
 //
 // The framework deliberately uses only go/ast, go/parser, go/token,
 // go/types, and go/importer (no golang.org/x/tools dependency): the
@@ -16,7 +16,6 @@ package analysis
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 	"sort"
 )
@@ -101,17 +100,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 // IsLibrary reports whether the package is library code for the
 // purpose of the nopanic and determinism analyzers: anything that is
 // not a main package. cmd/ binaries and examples/ are main packages
-// and may exit, panic, and read the clock freely.
+// and may exit, panic, and draw from the global random source freely.
 func (p *Pass) IsLibrary() bool {
 	return p.Pkg.Types == nil || p.Pkg.Types.Name() != "main"
-}
-
-// FileOf returns the *ast.File containing pos, for import lookups.
-func (p *Pass) FileOf(pos token.Pos) *ast.File {
-	for _, f := range p.Pkg.Files {
-		if f.FileStart <= pos && pos <= f.FileEnd {
-			return f
-		}
-	}
-	return nil
 }

@@ -38,20 +38,6 @@ func TestErrCheckLite(t *testing.T) {
 	analysistest.Run(t, analysis.ErrCheckLite, "testdata/src/errchecklite/a")
 }
 
-func TestAtomicMix(t *testing.T) {
-	analysistest.Run(t, analysis.AtomicMix, "testdata/src/atomicmix/a")
-}
-
-func TestGoroutineCapture(t *testing.T) {
-	analysistest.Run(t, analysis.GoroutineCapture, "testdata/src/goroutinecapture/a")
-}
-
-// TestGoroutineCaptureDisjoint pins the canonical chunked-write shape:
-// workers writing bounds[w]:bounds[w+1] ranges must NOT be flagged.
-func TestGoroutineCaptureDisjoint(t *testing.T) {
-	analysistest.RunClean(t, analysis.GoroutineCapture, "testdata/src/goroutinecapture/disjoint")
-}
-
 func TestGrouped(t *testing.T) {
 	analysistest.Run(t, analysis.Grouped, "testdata/src/grouped/a")
 }
@@ -60,46 +46,26 @@ func TestFaultSite(t *testing.T) {
 	analysistest.Run(t, analysis.FaultSite, "testdata/src/faultsite/a")
 }
 
-func TestHotAlloc(t *testing.T) {
-	analysistest.Run(t, analysis.HotAlloc, "testdata/src/hotalloc/a")
-}
-
-// TestHotAllocColdPaths pins the CFG exemptions: allocations on paths
-// that do not re-reach the loop head (early return, labeled break) and
-// loops that are not data-bound stay clean.
-func TestHotAllocColdPaths(t *testing.T) {
-	analysistest.RunClean(t, analysis.HotAlloc, "testdata/src/hotalloc/cold")
-}
-
-// TestRegistry pins the analyzer catalogue: the issue contract is
-// ten project-specific analyzers, addressable by name.
+// TestRegistry pins the analyzer catalogue: exactly these seven
+// project-specific analyzers, in this order, addressable by name.
 func TestRegistry(t *testing.T) {
+	want := []string{"ctxpoll", "nopanic", "determinism", "obsnames", "errchecklite", "grouped", "faultsite"}
 	all := analysis.All()
-	if len(all) < 10 {
-		t.Fatalf("All() = %d analyzers, want >= 10", len(all))
+	if len(all) != len(want) {
+		t.Fatalf("All() = %d analyzers, want %d", len(all), len(want))
 	}
-	seen := map[string]bool{}
-	for _, a := range all {
-		if a.Name == "" || a.Doc == "" || a.Run == nil {
-			t.Errorf("analyzer %+v missing name, doc, or run", a)
+	for i, a := range all {
+		if a.Name != want[i] {
+			t.Errorf("All()[%d] = %q, want %q", i, a.Name, want[i])
 		}
-		if seen[a.Name] {
-			t.Errorf("duplicate analyzer name %q", a.Name)
+		if a.Doc == "" || a.Run == nil {
+			t.Errorf("analyzer %q missing doc or run", a.Name)
 		}
-		seen[a.Name] = true
 		if analysis.ByName(a.Name) != a {
 			t.Errorf("ByName(%q) did not round-trip", a.Name)
 		}
 	}
 	if analysis.ByName("nosuch") != nil {
 		t.Errorf("ByName(nosuch) = non-nil")
-	}
-	for _, want := range []string{
-		"ctxpoll", "nopanic", "determinism", "obsnames", "errchecklite",
-		"atomicmix", "goroutinecapture", "grouped", "faultsite", "hotalloc",
-	} {
-		if !seen[want] {
-			t.Errorf("analyzer %q missing from All()", want)
-		}
 	}
 }

@@ -3,8 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-
-	"repro/internal/analysis/cfg"
 )
 
 // CtxPoll enforces the pipeline's cancellation contract: a function
@@ -63,14 +61,10 @@ func runCtxPoll(pass *Pass) error {
 // separate ctxpoll subjects, visited by the outer Inspect). It carries
 // an enclosing-poll flag: once a loop's body polls, every loop nested
 // under it is chunk-bounded by that poll and exempt.
-//
-// The length-derivation taint is the CFG-based dataflow from the cfg
-// subpackage: each loop is classified against the tainted set holding
-// at its own loop head, and derivation chains of any depth are
-// tracked (the old AST pass reached two levels).
+// Every loop is classified against the function's lenTaint set.
 func checkCtxFunc(pass *Pass, fn ast.Node, body *ast.BlockStmt) {
 	info := pass.Pkg.Info
-	taint := cfg.LenTaint(info, cfg.New(body))
+	taint := lenTaint(info, body)
 	var walk func(root ast.Node, polledEnclosing bool)
 	handleLoop := func(loop ast.Node, loopBody *ast.BlockStmt, dataBound, polledEnclosing bool) {
 		polls := pollsCtx(info, loopBody)
@@ -88,10 +82,10 @@ func checkCtxFunc(pass *Pass, fn ast.Node, body *ast.BlockStmt) {
 			case *ast.FuncLit:
 				return len(ctxParams(info, x.Type)) == 0
 			case *ast.RangeStmt:
-				handleLoop(x, x.Body, rangeIsDataBound(info, x, taint.At(x)), polledEnclosing)
+				handleLoop(x, x.Body, rangeIsDataBound(info, x, taint), polledEnclosing)
 				return false
 			case *ast.ForStmt:
-				handleLoop(x, x.Body, forIsDataBound(info, x, taint.At(x)), polledEnclosing)
+				handleLoop(x, x.Body, forIsDataBound(info, x, taint), polledEnclosing)
 				return false
 			}
 			return true
@@ -100,7 +94,7 @@ func checkCtxFunc(pass *Pass, fn ast.Node, body *ast.BlockStmt) {
 	walk(body, false)
 }
 
-func rangeIsDataBound(info *types.Info, loop *ast.RangeStmt, lenVars cfg.ObjSet) bool {
+func rangeIsDataBound(info *types.Info, loop *ast.RangeStmt, lenVars map[types.Object]bool) bool {
 	tv, ok := info.Types[loop.X]
 	if !ok || tv.Type == nil {
 		return false
@@ -119,7 +113,7 @@ func rangeIsDataBound(info *types.Info, loop *ast.RangeStmt, lenVars cfg.ObjSet)
 		// Integer-typed range: data-bound only when the bound is
 		// length-derived, mirroring the ForStmt condition rule.
 		if t.Info()&types.IsInteger != 0 {
-			return cfg.MentionsLen(info, loop.X, lenVars)
+			return mentionsLen(info, loop.X, lenVars)
 		}
 		// Strings are data.
 		return t.Info()&types.IsString != 0
@@ -128,11 +122,88 @@ func rangeIsDataBound(info *types.Info, loop *ast.RangeStmt, lenVars cfg.ObjSet)
 	}
 }
 
-func forIsDataBound(info *types.Info, loop *ast.ForStmt, lenVars cfg.ObjSet) bool {
+func forIsDataBound(info *types.Info, loop *ast.ForStmt, lenVars map[types.Object]bool) bool {
 	if loop.Cond == nil {
 		return true // for {}: unbounded, must poll (or select on ctx.Done)
 	}
-	return cfg.MentionsLen(info, loop.Cond, lenVars)
+	return mentionsLen(info, loop.Cond, lenVars)
+}
+
+// lenTaint returns the variables of body whose value derives from
+// len()/cap() of something. It is a fixpoint over every assignment and
+// var declaration in the function, function literals included, so a
+// derivation chain of any depth (n := len(xs); m := n/2; k := m+1)
+// taints every link, and a bound a closure assigns taints the loop
+// that reads it. The set is flow-insensitive and gen-only: a variable
+// that any assignment makes a length bound is one at every loop, even
+// one that runs before the assignment or after a reassignment to a
+// constant, because its role in the function is a length bound.
+func lenTaint(info *types.Info, body *ast.BlockStmt) map[types.Object]bool {
+	tainted := map[types.Object]bool{}
+	for changed := true; changed; {
+		changed = false
+		mark := func(id *ast.Ident) {
+			obj := info.Defs[id]
+			if obj == nil {
+				obj = info.Uses[id]
+			}
+			if obj != nil && !tainted[obj] {
+				tainted[obj] = true
+				changed = true
+			}
+		}
+		ast.Inspect(body, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.AssignStmt:
+				if anyMentionsLen(info, x.Rhs, tainted) {
+					for _, lhs := range x.Lhs {
+						if id, ok := lhs.(*ast.Ident); ok {
+							mark(id)
+						}
+					}
+				}
+			case *ast.ValueSpec:
+				if anyMentionsLen(info, x.Values, tainted) {
+					for _, id := range x.Names {
+						mark(id)
+					}
+				}
+			}
+			return true
+		})
+	}
+	return tainted
+}
+
+func anyMentionsLen(info *types.Info, es []ast.Expr, tainted map[types.Object]bool) bool {
+	for _, e := range es {
+		if mentionsLen(info, e, tainted) {
+			return true
+		}
+	}
+	return false
+}
+
+// mentionsLen reports whether e contains a len()/cap() call or a
+// reference to a variable in tainted.
+func mentionsLen(info *types.Info, e ast.Expr, tainted map[types.Object]bool) bool {
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.CallExpr:
+			if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok {
+				if b, ok := info.Uses[id].(*types.Builtin); ok && (b.Name() == "len" || b.Name() == "cap") {
+					found = true
+				}
+			}
+		case *ast.Ident:
+			if obj := info.Uses[x]; obj != nil && tainted[obj] {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
 }
 
 // pollsCtx reports whether the loop body contains a cancellation poll:

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strconv"
 	"strings"
 )
 
@@ -20,17 +19,15 @@ import (
 //     passed to a sort.*/slices.Sort* call later in the same function
 //     is exempt, because the sort erases the iteration order before
 //     anyone observes it;
-//  2. time.Now may not be read — wall-clock values leaking into
-//     results break run-to-run comparability (instrumentation goes
-//     through internal/obs, measurement files are allowlisted);
-//  3. math/rand may not be imported — randomness belongs in test
-//     inputs and explicitly allowlisted generators/search heuristics
-//     with pinned seeds.
+//  2. math/rand's and math/rand/v2's package-level functions may not
+//     be used: they draw from a global source seeded at random on
+//     every run. Randomness goes through a generator built with the
+//     packages' New* constructors from a caller-pinned seed.
 //
 // Main packages (cmd/, examples/) are exempt.
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc:  "no order-dependent map iteration, time.Now, or math/rand in library code",
+	Doc:  "no order-dependent map iteration or global math/rand draws in library code",
 	Run:  runDeterminism,
 }
 
@@ -40,21 +37,10 @@ func runDeterminism(pass *Pass) error {
 	}
 	info := pass.Pkg.Info
 	for _, file := range pass.Pkg.Files {
-		for _, imp := range file.Imports {
-			path, err := strconv.Unquote(imp.Path.Value)
-			if err != nil {
-				continue
-			}
-			if path == "math/rand" || path == "math/rand/v2" {
-				pass.Reportf(imp.Pos(), "import of %s in library code: randomness breaks deterministic output; use pinned-seed generators in allowlisted files only", path)
-			}
-		}
 		ast.Inspect(file, func(n ast.Node) bool {
-			if x, ok := n.(*ast.CallExpr); ok {
-				if sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr); ok {
-					if obj := info.Uses[sel.Sel]; objFromPkg(obj, "time") && sel.Sel.Name == "Now" {
-						pass.Reportf(x.Pos(), "time.Now in library code: wall-clock reads make output run-dependent; route timing through internal/obs or allowlist the measurement file")
-					}
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if obj := info.Uses[sel.Sel]; drawsGlobalRand(obj) {
+					pass.Reportf(sel.Pos(), "%s.%s draws from the auto-seeded global source: output changes run to run; draw from rand.New with a pinned seed", obj.Pkg().Path(), obj.Name())
 				}
 			}
 			return true
@@ -84,6 +70,17 @@ func runDeterminism(pass *Pass) error {
 		}
 	}
 	return nil
+}
+
+// drawsGlobalRand reports whether obj is a package-level function of
+// math/rand or math/rand/v2 other than a New* constructor: every such
+// function reads or reseeds the global source.
+func drawsGlobalRand(obj types.Object) bool {
+	fn, ok := obj.(*types.Func)
+	if !ok || !(objFromPkg(fn, "math/rand") || objFromPkg(fn, "math/rand/v2")) {
+		return false
+	}
+	return fn.Type().(*types.Signature).Recv() == nil && !strings.HasPrefix(fn.Name(), "New")
 }
 
 // sortedAfter reports whether scope contains, after pos, a call to a

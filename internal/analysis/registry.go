@@ -9,11 +9,8 @@ func All() []*Analyzer {
 		Determinism,
 		ObsNames,
 		ErrCheckLite,
-		AtomicMix,
-		GoroutineCapture,
 		Grouped,
 		FaultSite,
-		HotAlloc,
 	}
 }
 

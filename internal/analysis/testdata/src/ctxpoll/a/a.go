@@ -75,6 +75,44 @@ func BadLenFor(ctx context.Context, xs []int) int {
 	return total
 }
 
+// BadDeepChain derives its bound three assignments from len: every
+// link of the chain is a length bound.
+func BadDeepChain(ctx context.Context, xs []int) int {
+	n := len(xs)
+	m := n / 2
+	k := m + 1
+	s := 0
+	for i := 0; i < k; i++ { // want `data-bound loop in BadDeepChain does not poll ctx`
+		s += i
+	}
+	return s
+}
+
+// LocalConstBound loops up to a local set from a constant, beside a
+// length-derived variable it never reads: exempt.
+func LocalConstBound(ctx context.Context, xs []int) int {
+	n := len(xs)
+	c := 7
+	s := n
+	for j := 0; j < c; j++ {
+		s += j
+	}
+	return s
+}
+
+// BadClosureBound assigns its bound inside a closure: the loop that
+// reads it is data-bound all the same.
+func BadClosureBound(ctx context.Context, xs []int) int {
+	n := 0
+	get := func() { n = len(xs) }
+	get()
+	s := 0
+	for i := 0; i < n; i++ { // want `data-bound loop in BadClosureBound does not poll ctx`
+		s += i
+	}
+	return s
+}
+
 // BadRangeLen ranges over len(xs) directly.
 func BadRangeLen(ctx context.Context, xs []int) int {
 	total := 0
