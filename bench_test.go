@@ -30,7 +30,7 @@ var (
 func benchConfig(b *testing.B) experiments.Config {
 	b.Helper()
 	benchModelOnce.Do(func() {
-		m, err := costmodel.Calibrate(costmodel.CalOptions{})
+		m, err := experiments.Calibrate(experiments.CalOptions{})
 		if err != nil {
 			b.Fatalf("calibrate: %v", err)
 		}

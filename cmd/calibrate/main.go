@@ -1,7 +1,8 @@
 // Command calibrate measures this machine's cost-model constants
 // (Section 4 of the paper: C_cache, C_mem, C_massage, C_scan and the
 // per-bank sorting constants, solved from controlled runs) and prints
-// or saves them as a JSON profile for reuse by mcsbench and the library.
+// or saves them as a JSON profile for reuse by mcsbench, mcsd and the
+// library (mcs.LoadModel).
 //
 //	calibrate                 # print the profile
 //	calibrate -o profile.json # save it; later: mcsbench -calibration profile.json
@@ -14,19 +15,19 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/costmodel"
+	"repro/internal/experiments"
 )
 
 func main() {
 	var (
 		out  = flag.String("o", "", "write the profile to this path")
-		ncal = flag.Int("ncal", 0, "calibration array size (default 2^18)")
+		ncal = flag.Int("ncal", 0, "calibration array size (default 2^16)")
 	)
 	flag.Parse()
 
 	fmt.Fprintln(os.Stderr, "calibrating (controlled runs for lookup, massage, scan, and per-bank sorts with the paper's merge-sort kernel, which the model prices)...")
 	start := time.Now()
-	m, err := costmodel.Calibrate(costmodel.CalOptions{NCal: *ncal})
+	m, err := experiments.Calibrate(experiments.CalOptions{NCal: *ncal})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "calibrate: %v\n", err)
 		os.Exit(1)

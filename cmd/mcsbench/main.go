@@ -95,7 +95,7 @@ func main() {
 	} else {
 		fmt.Fprintln(os.Stderr, "mcsbench: calibrating the cost model (a few seconds; use -calibration to reuse a profile)...")
 		start := time.Now()
-		m, err := costmodel.Calibrate(costmodel.CalOptions{})
+		m, err := experiments.Calibrate(experiments.CalOptions{})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mcsbench: calibrate: %v\n", err)
 			os.Exit(1)

@@ -1,14 +1,15 @@
 // Command mcsd is the MCS query daemon: a long-running concurrent
 // query service over WideTables (docs/serving.md). It loads the
 // requested workload tables once, shares them read-only across
-// queries, memoizes ROGA plan search in a calibration-aware plan
-// cache, and bounds concurrent work with an admission controller
-// (queue with deadline-aware timeouts, memory-budget worker
-// degradation, graceful drain on SIGINT/SIGTERM).
+// queries, memoizes ROGA plan search in an LRU plan cache, and bounds
+// concurrent work with an admission controller (queue with
+// deadline-aware timeouts, memory-budget worker degradation, graceful
+// drain on SIGINT/SIGTERM). Plans are priced by the builtin cost model,
+// or by a profile saved with `calibrate -o` and named by -calibration;
+// the daemon never calibrates.
 //
 //	mcsd -addr :8080 -tables tpch -tablerows 60000
 //	mcsd -addr :8080 -tables tpch,tpcds,airline -max-concurrent 8 -max-bytes 2147483648
-//	mcsd -addr :8080 -tables tpch -model builtin       # skip calibration (smoke tests)
 //	mcsd -addr :8080 -tables tpch -calibration prof.json
 //
 // PR 8 self-healing (docs/robustness.md): a per-query watchdog
@@ -20,7 +21,7 @@
 // per-kind probabilities arms an in-process fault storm at every
 // pipeline site:
 //
-//	mcsd -addr :8080 -tables tpch -model builtin \
+//	mcsd -addr :8080 -tables tpch \
 //	  -chaos-seed 0xC0FFEE -chaos-panic 0.001 -chaos-delay 0.01 -chaos-cancel 0.005
 //
 // PR 10 sharding (docs/sharding.md): -shard-index/-shard-count serve
@@ -28,10 +29,10 @@
 // the daemon into a scatter-gather coordinator over those shards,
 // byte-identical to a single-node mcsd from the client's seat:
 //
-//	mcsd -addr :8081 -tables tpch -model builtin -shard-index 0 -shard-count 3
-//	mcsd -addr :8082 -tables tpch -model builtin -shard-index 1 -shard-count 3
-//	mcsd -addr :8083 -tables tpch -model builtin -shard-index 2 -shard-count 3
-//	mcsd -addr :8080 -tables tpch -model builtin \
+//	mcsd -addr :8081 -tables tpch -shard-index 0 -shard-count 3
+//	mcsd -addr :8082 -tables tpch -shard-index 1 -shard-count 3
+//	mcsd -addr :8083 -tables tpch -shard-index 2 -shard-count 3
+//	mcsd -addr :8080 -tables tpch \
 //	  -shards http://localhost:8081,http://localhost:8082,http://localhost:8083
 //
 // Endpoints: POST /query, GET /jobs/{id}, GET /jobs/{id}/result,
@@ -77,7 +78,7 @@ type options struct {
 	maxConcurrent, workers int
 	maxBytes               int64
 	planCache, maxPlans    int
-	model, calPath         string
+	calPath                string
 	drainTimeout           time.Duration
 	watchdogMult           float64
 	watchdogFloor          time.Duration
@@ -104,8 +105,7 @@ func main() {
 	flag.IntVar(&o.workers, "workers", 1, "default per-query worker count (requests may override)")
 	flag.IntVar(&o.planCache, "plancache", server.DefaultPlanCacheSize, "plan cache capacity (entries)")
 	flag.IntVar(&o.maxPlans, "max-plans", server.DefaultMaxPlans, "counted plan-search budget per query (deterministic, machine-independent)")
-	flag.StringVar(&o.model, "model", "calibrate", "cost model: calibrate | builtin")
-	flag.StringVar(&o.calPath, "calibration", "", "load a saved calibration profile instead of calibrating")
+	flag.StringVar(&o.calPath, "calibration", "", "price plans with this saved calibration profile instead of the builtin cost model")
 	flag.DurationVar(&o.drainTimeout, "drain-timeout", 10*time.Second, "graceful-shutdown drain budget before running queries are cancelled")
 	flag.Float64Var(&o.watchdogMult, "watchdog-mult", 200, "force-cancel a query running this multiple of its predicted cost (0 disables the watchdog)")
 	flag.DurationVar(&o.watchdogFloor, "watchdog-floor", 2*time.Second, "minimum watchdog budget regardless of predicted cost")
@@ -133,15 +133,17 @@ func run(o options) error {
 	tableRows, seed := o.tableRows, o.seed
 	maxConcurrent, maxBytes, workers := o.maxConcurrent, o.maxBytes, o.workers
 	planCache, maxPlans := o.planCache, o.maxPlans
-	modelMode, calPath := o.model, o.calPath
 	drainTimeout := o.drainTimeout
 	// The daemon's whole point is observability of the serving layer;
 	// obs is always on and scraped at /metrics.
 	obs.Enable()
 
-	m, err := loadModel(modelMode, calPath)
-	if err != nil {
-		return err
+	m := server.BuiltinModel()
+	if o.calPath != "" {
+		var err error
+		if m, err = costmodel.Load(o.calPath); err != nil {
+			return err
+		}
 	}
 
 	reg := server.NewRegistry()
@@ -318,28 +320,6 @@ func serveAndDrain(addr, banner string, drainTimeout time.Duration, handler http
 		return shutdownErr
 	}
 	return nil
-}
-
-// loadModel resolves the cost model per the -model/-calibration flags.
-func loadModel(mode, calPath string) (*costmodel.Model, error) {
-	if calPath != "" {
-		return costmodel.Load(calPath)
-	}
-	switch mode {
-	case "builtin":
-		return server.BuiltinModel(), nil
-	case "calibrate":
-		fmt.Fprintln(os.Stderr, "mcsd: calibrating the cost model (a few seconds; use -model builtin or -calibration to skip)...")
-		start := time.Now()
-		m, err := costmodel.Calibrate(costmodel.CalOptions{})
-		if err != nil {
-			return nil, fmt.Errorf("calibrate: %w", err)
-		}
-		fmt.Fprintf(os.Stderr, "mcsd: calibration done in %v\n", time.Since(start).Round(time.Millisecond))
-		return m, nil
-	default:
-		return nil, fmt.Errorf("-model must be 'calibrate' or 'builtin', got %q", mode)
-	}
 }
 
 // loadWorkload generates the named workload's WideTable(s).

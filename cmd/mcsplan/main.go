@@ -22,6 +22,7 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/datagen"
 	"repro/internal/engine"
+	"repro/internal/experiments"
 	"repro/internal/massage"
 	"repro/internal/mcsort"
 	"repro/internal/obs"
@@ -99,7 +100,7 @@ func main() {
 	st.N = *rows
 
 	fmt.Fprintln(os.Stderr, "calibrating the cost model...")
-	model, err := costmodel.Calibrate(costmodel.CalOptions{})
+	model, err := experiments.Calibrate(experiments.CalOptions{})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mcsplan: calibrate: %v\n", err)
 		os.Exit(1)

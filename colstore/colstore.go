@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/byteslice"
 	"repro/internal/column"
-	"repro/internal/costmodel"
 	"repro/internal/engine"
 	"repro/internal/pipeerr"
 	"repro/internal/table"
@@ -84,8 +83,8 @@ type PipelineError = pipeerr.PipelineError
 var ErrBudgetExceeded = pipeerr.ErrBudgetExceeded
 
 // Run executes a query against a table. Options.Massaging toggles code
-// massaging; Options.Model supplies a calibrated cost model (defaulting
-// to a process-wide calibration on first use).
+// massaging; Options.Model supplies the cost model (nil means
+// costmodel.Builtin).
 func Run(t *Table, q Query, opts Options) (*Result, error) {
 	return engine.RunContext(context.Background(), t, q, opts)
 }
@@ -96,6 +95,3 @@ func Run(t *Table, q Query, opts Options) (*Result, error) {
 func RunContext(ctx context.Context, t *Table, q Query, opts Options) (*Result, error) {
 	return engine.RunContext(ctx, t, q, opts)
 }
-
-// DefaultModel returns the process-wide calibrated cost model.
-func DefaultModel() (*costmodel.Model, error) { return costmodel.Default() }

@@ -1,16 +1,21 @@
 // Package costmodel implements the architecture-aware cost model of the
 // paper (Section 4): closed-form estimates of the four subcosts of
 // multi-column sorting — lookup, massaging, SIMD-sort, and scan — with
-// machine-dependent constants calibrated from controlled experiments and
-// solved as linear systems.
+// machine-dependent constants. Production plans with Builtin or a
+// profile saved by Save; the calibration that fits a profile from
+// controlled runs lives with the experiments (internal/experiments).
 //
 // All times are in nanoseconds. Constants are "per element" unless noted.
 package costmodel
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
+	"os"
 
 	"repro/internal/column"
+	"repro/internal/plan"
 )
 
 // BankConstants are the calibrated per-bank sorting constants of
@@ -60,12 +65,11 @@ type Model struct {
 }
 
 // Builtin returns a process-independent model with fixed, conservative
-// constants, for environments where a multi-second calibration run at
-// startup is unwanted (mcsd -model builtin, CI smoke tests, containers
-// with noisy neighbors) and for tests that need plan choices to be
-// deterministic across machines. The constants are in the same regime
-// as a real calibration on a modern x86 server; plan quality degrades
-// gracefully when they are off, correctness never depends on them.
+// constants: the model of every engine, library and mcsd process that
+// is not handed a saved profile, so plan choices are deterministic
+// across machines. The constants are in the same regime as a real
+// calibration on a modern x86 server; plan quality degrades gracefully
+// when they are off, correctness never depends on them.
 func Builtin() *Model {
 	return &Model{
 		L2:     1 << 21,
@@ -106,8 +110,7 @@ type Stats struct {
 	// queries): round 1 becomes a top-K filter plus a sort of the ~
 	// LimitRows survivors, and later rounds massage, gather, sort, and
 	// scan survivors only (docs/topk.md). 0 = unlimited; then every
-	// estimate reproduces the unlimited model exactly, so the plan-cache
-	// model fingerprint does not change.
+	// estimate reproduces the unlimited model exactly.
 	LimitRows int
 	// LimitGroups is the truncation target in group units (group-by
 	// queries): round 1 sorts fully, later rounds shrink to the rows of
@@ -185,9 +188,9 @@ func (m *Model) TScan(n int) float64 {
 	return m.C.CScan * float64(n)
 }
 
-// outOfCachePasses is the ⌈log_F(N·(b/8)/(M_L2/2))⌉ factor of Equation 8
+// OutOfCachePasses is the ⌈log_F(N·(b/8)/(M_L2/2))⌉ factor of Equation 8
 // (zero when the data already fits half the L2 cache).
-func (m *Model) outOfCachePasses(n float64, bank int) float64 {
+func (m *Model) OutOfCachePasses(n float64, bank int) float64 {
 	if n <= 0 {
 		return 0
 	}
@@ -220,7 +223,7 @@ func (m *Model) TSortOneDup(n float64, bank int, dup float64) float64 {
 		return m.C.SmallCall + m.C.SmallElem*n + m.C.SmallQuad*n*n
 	}
 	bc := m.C.Bank[bank]
-	ooc := bc.COutOfCache * n * m.outOfCachePasses(n, bank)
+	ooc := bc.COutOfCache * n * m.OutOfCachePasses(n, bank)
 	if dup > 0 && m.C.OVCMergeDiscount > 0 {
 		disc := m.C.OVCMergeDiscount
 		if disc > 1 {
@@ -318,4 +321,57 @@ func sortUint64(a []uint64) {
 	}
 	// 64/8 = 8 passes (an even count), so the result ends up back in the
 	// caller's slice.
+}
+
+// Save writes the model (constants and geometry) as JSON.
+func (m *Model) Save(path string) error {
+	data, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, data, 0o644)
+}
+
+// Load reads a model saved by Save. It refuses a profile the estimators
+// cannot price: a missing bank would make that bank's sorts free, a
+// fanout below 2 or a non-positive cache size makes every out-of-cache
+// sort infinite, and a negative or non-finite constant is no
+// measurement. Zero constants are legal; calibration clamps noise to 0.
+func Load(path string) (*Model, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var m Model
+	if err := json.Unmarshal(data, &m); err != nil {
+		return nil, err
+	}
+	if err := m.validate(); err != nil {
+		return nil, fmt.Errorf("costmodel: profile %s: %w", path, err)
+	}
+	return &m, nil
+}
+
+func (m *Model) validate() error {
+	if m.Fanout < 2 {
+		return fmt.Errorf("fanout %d, want >= 2", m.Fanout)
+	}
+	if m.L2 <= 0 || m.LLC <= 0 {
+		return fmt.Errorf("cache sizes L2 %d, LLC %d, want > 0", m.L2, m.LLC)
+	}
+	c := m.C
+	consts := []float64{c.CCache, c.CMem, c.CMassage, c.CScan, c.SmallCall, c.SmallElem, c.SmallQuad, c.OVCMergeDiscount}
+	for _, bank := range plan.Banks {
+		bc, ok := c.Bank[bank]
+		if !ok {
+			return fmt.Errorf("no constants for bank %d", bank)
+		}
+		consts = append(consts, bc.COverhead, bc.CLinear, bc.COutOfCache)
+	}
+	for _, v := range consts {
+		if !(v >= 0) || math.IsInf(v, 1) { // also catches NaN
+			return fmt.Errorf("constant %v, want finite and >= 0", v)
+		}
+	}
+	return nil
 }

@@ -112,10 +112,10 @@ func TestTSortOneShape(t *testing.T) {
 		t.Error("per-bank sort costs must increase with bank width")
 	}
 	// Out-of-cache passes kick in for large n.
-	if m.outOfCachePasses(1e7, 64) == 0 {
+	if m.OutOfCachePasses(1e7, 64) == 0 {
 		t.Error("10M 64-bit elements must be out of cache for a 2MiB L2")
 	}
-	if m.outOfCachePasses(1000, 16) != 0 {
+	if m.OutOfCachePasses(1000, 16) != 0 {
 		t.Error("1000 elements must fit in cache")
 	}
 }
@@ -174,25 +174,6 @@ func TestGroupProfileOccupancy(t *testing.T) {
 	}
 }
 
-func TestLeastSquares3(t *testing.T) {
-	// Recover known coefficients from noise-free data.
-	want := [3]float64{500, 3, 7}
-	var a [][3]float64
-	var b []float64
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 20; i++ {
-		row := [3]float64{float64(1 + rng.Intn(100)), float64(1000 + rng.Intn(100000)), float64(rng.Intn(5000))}
-		a = append(a, row)
-		b = append(b, want[0]*row[0]+want[1]*row[1]+want[2]*row[2])
-	}
-	got := leastSquares3(a, b)
-	for i := range want {
-		if abs(got[i]-want[i]) > 1e-6*want[i] {
-			t.Errorf("coef %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
 func TestSaveLoadRoundTrip(t *testing.T) {
 	m := Builtin()
 	path := filepath.Join(t.TempDir(), "cal.json")
@@ -208,6 +189,57 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if _, err := Load(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Error("loading missing file must fail")
+	}
+}
+
+// TestLoadRejectsMalformedProfiles pins Load's validation: each refused
+// profile would make the estimators price some sort at 0 or +Inf. Zero
+// constants stay legal, as calibration clamps noise to 0.
+func TestLoadRejectsMalformedProfiles(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(m *Model)
+		ok     bool
+	}{
+		{"builtin", func(*Model) {}, true},
+		{"zero COverhead", func(m *Model) {
+			for _, b := range plan.Banks {
+				bc := m.C.Bank[b]
+				bc.COverhead = 0
+				m.C.Bank[b] = bc
+			}
+		}, true},
+		{"no bank 64", func(m *Model) { delete(m.C.Bank, 64) }, false},
+		{"no banks", func(m *Model) { m.C.Bank = nil }, false},
+		{"fanout 1", func(m *Model) { m.Fanout = 1 }, false},
+		{"L2 0", func(m *Model) { m.L2 = 0 }, false},
+		{"LLC negative", func(m *Model) { m.LLC = -1 }, false},
+		{"negative CMem", func(m *Model) { m.C.CMem = -1 }, false},
+		{"negative COutOfCache", func(m *Model) {
+			bc := m.C.Bank[32]
+			bc.COutOfCache = -0.5
+			m.C.Bank[32] = bc
+		}, false},
+	}
+	for _, c := range cases {
+		m := Builtin()
+		c.mutate(m)
+		path := filepath.Join(t.TempDir(), "cal.json")
+		if err := m.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(path); (err == nil) != c.ok {
+			t.Errorf("%s: Load error = %v, want ok=%v", c.name, err, c.ok)
+		}
+	}
+	// JSON cannot carry NaN or Inf, so only a Model built in code can
+	// hold one; validate refuses it all the same.
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		m := Builtin()
+		m.C.CScan = v
+		if m.validate() == nil {
+			t.Errorf("validate accepted CScan = %v", v)
+		}
 	}
 }
 
@@ -287,7 +319,7 @@ func TestTSortOneDupDiscount(t *testing.T) {
 
 	// The discount removes exactly disc·dup of the out-of-cache term.
 	bc := m.C.Bank[32]
-	ooc := bc.COutOfCache * n * m.outOfCachePasses(n, 32)
+	ooc := bc.COutOfCache * n * m.OutOfCachePasses(n, 32)
 	if ooc <= 0 {
 		t.Fatal("test input must be out of cache")
 	}

@@ -89,7 +89,7 @@ func refTSortOneDup(m *Model, n float64, bank int, dup float64) float64 {
 		return m.C.SmallCall + m.C.SmallElem*n + m.C.SmallQuad*n*n
 	}
 	bc := m.C.Bank[bank]
-	ooc := bc.COutOfCache * n * m.outOfCachePasses(n, bank)
+	ooc := bc.COutOfCache * n * m.OutOfCachePasses(n, bank)
 	if dup > 0 && m.C.OVCMergeDiscount > 0 {
 		disc := m.C.OVCMergeDiscount
 		if disc > 1 {

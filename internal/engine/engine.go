@@ -152,8 +152,9 @@ func (r *Result) CostRatio() float64 {
 type Options struct {
 	// Massaging enables plan search; disabled runs column-at-a-time.
 	Massaging bool
-	Model     *costmodel.Model
-	Rho       float64
+	// Model prices the plan search; nil means costmodel.Builtin().
+	Model *costmodel.Model
+	Rho   float64
 	// MaxPlans caps the number of candidate plans the search costs
 	// (planner.Search.MaxPlans): a counted, machine-independent budget.
 	// Pair it with a negative Rho for deterministic plan choice under

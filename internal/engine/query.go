@@ -269,11 +269,7 @@ func (b *Bound) ChoosePlan(ctx context.Context, rows int, opts Options) (planner
 	}
 	model := opts.Model
 	if model == nil {
-		var err error
-		model, err = costmodel.Default()
-		if err != nil {
-			return planner.Choice{}, 0, err
-		}
+		model = costmodel.Builtin()
 	}
 	st := costmodel.Stats{N: rows}
 	// Teach the search about the truncation (docs/topk.md): the

@@ -31,7 +31,8 @@ type Config struct {
 	TableRows int
 	// Seed drives all generators.
 	Seed int64
-	// Model is the calibrated cost model; nil calibrates once.
+	// Model is the calibrated cost model; nil runs Calibrate once per
+	// RunContext call that needs a model.
 	Model *costmodel.Model
 	// Quick trims plan populations and repetitions for CI-speed runs.
 	Quick bool
@@ -85,7 +86,7 @@ func (c *Config) defaults() {
 
 func (c *Config) model() (*costmodel.Model, error) {
 	if c.Model == nil {
-		m, err := costmodel.Default()
+		m, err := Calibrate(CalOptions{})
 		if err != nil {
 			return nil, err
 		}

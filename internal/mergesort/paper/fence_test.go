@@ -12,15 +12,16 @@ import (
 )
 
 // The fence around the paper kernel: it is measurement apparatus, so
-// only the apparatus may import it, and the production sort stack must
-// not link it. Both tests read the import clauses of every non-test Go
-// file in the module.
+// only the apparatus may import it, and neither the production sort
+// stack nor a production binary may link it. The tests read the import
+// clauses of every non-test Go file in the module.
 
 const modulePath = "repro"
 
 // paperImporters are the only places outside this package that may
-// import it: the figure experiments and cost-model calibration.
-var paperImporters = []string{"internal/experiments/", "internal/costmodel/calibrate.go"}
+// import it: the figure experiments, which also hold cost-model
+// calibration.
+var paperImporters = []string{"internal/experiments/"}
 
 // TestOnlyApparatusImportsPaper fails when a non-test file outside this
 // package and paperImporters imports it.
@@ -32,7 +33,7 @@ func TestOnlyApparatusImportsPaper(t *testing.T) {
 		}
 		for _, imp := range imports {
 			if imp == self {
-				t.Errorf("%s imports %s: only the experiments and calibration may", file, self)
+				t.Errorf("%s imports %s: only the experiments may", file, self)
 			}
 		}
 	}
@@ -52,6 +53,23 @@ func allowedImporter(file string) bool {
 // fails if they reach this package, or the SIMD register model and the
 // cache detection only this package's kernels use.
 func TestMcsortDoesNotLinkPaper(t *testing.T) {
+	assertNotLinked(t, "internal/mcsort", "internal/mergesort/paper", "internal/simd", "internal/hw")
+}
+
+// TestProductionDoesNotLinkPaper pins the binary fence: the daemon, its
+// client and the public library packages price plans with a fixed or
+// loaded cost model and never calibrate, so neither this package nor
+// the cache detection calibration uses is linked into them.
+func TestProductionDoesNotLinkPaper(t *testing.T) {
+	for _, root := range []string{"cmd/mcsd", "cmd/mcsquery", "mcs", "colstore"} {
+		assertNotLinked(t, root, "internal/mergesort/paper", "internal/hw")
+	}
+}
+
+// assertNotLinked walks the in-module imports of root (a directory
+// relative to the module root) and fails if they reach a banned one.
+func assertNotLinked(t *testing.T, root string, banned ...string) {
+	t.Helper()
 	byPkg := map[string][]string{}
 	for file, imports := range moduleImports(t) {
 		pkg := modulePath + "/" + filepath.Dir(file)
@@ -70,13 +88,13 @@ func TestMcsortDoesNotLinkPaper(t *testing.T) {
 			}
 		}
 	}
-	walk(modulePath + "/internal/mcsort")
+	walk(modulePath + "/" + root)
 	if !deps[modulePath+"/internal/mergesort"] {
-		t.Fatal("the import walk never reached internal/mergesort: it reads the wrong files")
+		t.Fatalf("the import walk from %s never reached internal/mergesort: it reads the wrong files", root)
 	}
-	for _, banned := range []string{"internal/mergesort/paper", "internal/simd", "internal/hw"} {
-		if deps[modulePath+"/"+banned] {
-			t.Errorf("internal/mcsort depends on %s", banned)
+	for _, b := range banned {
+		if deps[modulePath+"/"+b] {
+			t.Errorf("%s depends on %s", root, b)
 		}
 	}
 }

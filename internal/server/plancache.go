@@ -4,20 +4,15 @@
 // everything the search result depends on — table, clause kind, the
 // sort-column list with widths and directions, the filter signature
 // (filters change the row count the cost model sees), rho, and the
-// worker count — and carry the fingerprint of the calibrated cost model
-// they were computed under: swapping the model (recalibration, a loaded
-// profile) invalidates stale entries on their next lookup instead of
-// serving plans priced by dead constants.
+// worker count. The cost model is not part of the key: a process holds
+// one model, fixed at start, for its whole life.
 package server
 
 import (
-	"encoding/json"
-	"fmt"
-	"hash/fnv"
+	"container/list"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/costmodel"
 	"repro/internal/obs"
 	"repro/internal/planner"
 )
@@ -32,32 +27,11 @@ var (
 // DefaultPlanCacheSize bounds the cache when Config.PlanCacheSize is 0.
 const DefaultPlanCacheSize = 256
 
-// ModelFingerprint derives a stable identity for a calibrated cost
-// model from its constants and geometry. Two models with identical
-// parameters fingerprint identically (JSON marshals map keys sorted),
-// so reloading the same profile does not invalidate the cache.
-func ModelFingerprint(m *costmodel.Model) string {
-	if m == nil {
-		return "nil"
-	}
-	data, err := json.Marshal(m)
-	if err != nil {
-		// Model is plain data; Marshal cannot fail on it. Degrade to an
-		// always-distinct fingerprint rather than panicking in a server.
-		return fmt.Sprintf("unmarshalable:%p", m)
-	}
-	h := fnv.New64a()
-	h.Write(data)
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// planEntry is one memoized search result with the model fingerprint
-// it was computed under and its LRU links.
+// planEntry is one memoized search result; it is the Value of its LRU
+// list element.
 type planEntry struct {
-	key         string
-	choice      planner.Choice
-	fingerprint string
-	prev, next  *planEntry
+	key    string
+	choice planner.Choice
 }
 
 // PlanCache is a bounded, mutex-guarded LRU of plan-search results.
@@ -65,11 +39,10 @@ type planEntry struct {
 // used by tests and the scheduler) and as obs metrics (visible on
 // /metrics once obs is enabled).
 type PlanCache struct {
-	mu          sync.Mutex
-	cap         int
-	fingerprint string // fingerprint entries must match to be served
-	entries     map[string]*planEntry
-	head, tail  *planEntry // head = most recently used
+	mu      sync.Mutex
+	cap     int
+	entries map[string]*list.Element
+	lru     *list.List // front = most recently used
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -77,71 +50,44 @@ type PlanCache struct {
 }
 
 // NewPlanCache returns a cache holding up to capacity entries
-// (DefaultPlanCacheSize when capacity <= 0) valid under the given
-// model.
-func NewPlanCache(capacity int, model *costmodel.Model) *PlanCache {
+// (DefaultPlanCacheSize when capacity <= 0).
+func NewPlanCache(capacity int) *PlanCache {
 	if capacity <= 0 {
 		capacity = DefaultPlanCacheSize
 	}
-	return &PlanCache{
-		cap:         capacity,
-		fingerprint: ModelFingerprint(model),
-		entries:     make(map[string]*planEntry),
-	}
+	return &PlanCache{cap: capacity, entries: make(map[string]*list.Element), lru: list.New()}
 }
 
-// SetModel swaps the calibrated model the cache is valid under.
-// Entries computed under a different fingerprint are invalidated
-// lazily: the next Get on one misses and evicts it.
-func (c *PlanCache) SetModel(model *costmodel.Model) {
-	c.mu.Lock()
-	c.fingerprint = ModelFingerprint(model)
-	c.mu.Unlock()
-}
-
-// Get returns the memoized choice for key, if present and computed
-// under the current model fingerprint. A fingerprint mismatch counts
-// as both a miss and an eviction (the stale entry is dropped).
+// Get returns the memoized choice for key, if present.
 func (c *PlanCache) Get(key string) (planner.Choice, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e := c.entries[key]
-	if e == nil {
+	el := c.entries[key]
+	if el == nil {
 		c.misses.Add(1)
 		obsPCMisses.Inc()
 		return planner.Choice{}, false
 	}
-	if e.fingerprint != c.fingerprint {
-		c.removeLocked(e)
-		c.misses.Add(1)
-		c.evictions.Add(1)
-		obsPCMisses.Inc()
-		obsPCEvictions.Inc()
-		return planner.Choice{}, false
-	}
-	c.moveToFrontLocked(e)
+	c.lru.MoveToFront(el)
 	c.hits.Add(1)
 	obsPCHits.Inc()
-	return e.choice, true
+	return el.Value.(*planEntry).choice, true
 }
 
-// Put memoizes choice under key with the current model fingerprint,
-// evicting the least recently used entry when the cache is full.
+// Put memoizes choice under key, evicting the least recently used entry
+// when the cache is full.
 func (c *PlanCache) Put(key string, choice planner.Choice) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e := c.entries[key]; e != nil {
-		e.choice = choice
-		e.fingerprint = c.fingerprint
-		c.moveToFrontLocked(e)
+	if el := c.entries[key]; el != nil {
+		el.Value.(*planEntry).choice = choice
+		c.lru.MoveToFront(el)
 		return
 	}
-	e := &planEntry{key: key, choice: choice, fingerprint: c.fingerprint}
-	c.entries[key] = e
-	c.pushFrontLocked(e)
-	if len(c.entries) > c.cap {
-		lru := c.tail
-		c.removeLocked(lru)
+	c.entries[key] = c.lru.PushFront(&planEntry{key: key, choice: choice})
+	if c.lru.Len() > c.cap {
+		lru := c.lru.Remove(c.lru.Back()).(*planEntry)
+		delete(c.entries, lru.key)
 		c.evictions.Add(1)
 		obsPCEvictions.Inc()
 	}
@@ -159,48 +105,4 @@ func (c *PlanCache) Len() int {
 // monotone for the life of the cache regardless of obs state.
 func (c *PlanCache) Stats() (hits, misses, evictions int64) {
 	return c.hits.Load(), c.misses.Load(), c.evictions.Load()
-}
-
-func (c *PlanCache) pushFrontLocked(e *planEntry) {
-	e.prev, e.next = nil, c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
-func (c *PlanCache) moveToFrontLocked(e *planEntry) {
-	if c.head == e {
-		return
-	}
-	// Unlink.
-	if e.prev != nil {
-		e.prev.next = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	}
-	if c.tail == e {
-		c.tail = e.prev
-	}
-	c.pushFrontLocked(e)
-}
-
-func (c *PlanCache) removeLocked(e *planEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		c.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-	delete(c.entries, e.key)
-	obsPCSize.Set(int64(len(c.entries)))
 }

@@ -3,41 +3,11 @@ package server
 import (
 	"testing"
 
-	"repro/internal/costmodel"
 	"repro/internal/planner"
 )
 
-func cacheModelA() *costmodel.Model {
-	return BuiltinModel()
-}
-
-func cacheModelB() *costmodel.Model {
-	m := BuiltinModel()
-	m.C.CMem *= 2 // recalibration changed a constant
-	return m
-}
-
-func TestModelFingerprint(t *testing.T) {
-	if got, want := ModelFingerprint(cacheModelA()), ModelFingerprint(cacheModelA()); got != want {
-		t.Errorf("identical models fingerprint differently: %s vs %s", got, want)
-	}
-	if ModelFingerprint(cacheModelA()) == ModelFingerprint(cacheModelB()) {
-		t.Error("models with different constants share a fingerprint")
-	}
-	if ModelFingerprint(nil) == ModelFingerprint(cacheModelA()) {
-		t.Error("nil model shares a fingerprint with a real one")
-	}
-	// Recalibrating only the OVC merge discount must invalidate cached
-	// plans too: the discount shifts ROGA's round assignments.
-	ovc := cacheModelA()
-	ovc.C.OVCMergeDiscount = 0.4
-	if ModelFingerprint(cacheModelA()) == ModelFingerprint(ovc) {
-		t.Error("models differing only in OVCMergeDiscount share a fingerprint")
-	}
-}
-
 func TestPlanCacheHitMissStats(t *testing.T) {
-	c := NewPlanCache(4, cacheModelA())
+	c := NewPlanCache(4)
 	if _, ok := c.Get("k1"); ok {
 		t.Fatal("hit on empty cache")
 	}
@@ -56,7 +26,7 @@ func TestPlanCacheHitMissStats(t *testing.T) {
 }
 
 func TestPlanCacheUpdateExisting(t *testing.T) {
-	c := NewPlanCache(4, cacheModelA())
+	c := NewPlanCache(4)
 	c.Put("k", planner.Choice{Est: 1})
 	c.Put("k", planner.Choice{Est: 2})
 	if c.Len() != 1 {
@@ -68,7 +38,7 @@ func TestPlanCacheUpdateExisting(t *testing.T) {
 }
 
 func TestPlanCacheLRUEviction(t *testing.T) {
-	c := NewPlanCache(2, cacheModelA())
+	c := NewPlanCache(2)
 	c.Put("a", planner.Choice{Est: 1})
 	c.Put("b", planner.Choice{Est: 2})
 	if _, ok := c.Get("a"); !ok { // touch a: b becomes LRU
@@ -89,34 +59,5 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	}
 	if c.Len() != 2 {
 		t.Errorf("Len = %d, want 2", c.Len())
-	}
-}
-
-func TestPlanCacheModelInvalidation(t *testing.T) {
-	c := NewPlanCache(4, cacheModelA())
-	c.Put("k", planner.Choice{Est: 1})
-
-	// A recalibration with different constants invalidates lazily.
-	c.SetModel(cacheModelB())
-	if _, ok := c.Get("k"); ok {
-		t.Fatal("entry computed under the old model served after SetModel")
-	}
-	if _, _, evictions := c.Stats(); evictions != 1 {
-		t.Errorf("fingerprint-mismatch Get counted %d evictions, want 1", evictions)
-	}
-	if c.Len() != 0 {
-		t.Errorf("stale entry still resident: Len = %d", c.Len())
-	}
-
-	// Entries re-learned under the new model hit again.
-	c.Put("k", planner.Choice{Est: 2})
-	if _, ok := c.Get("k"); !ok {
-		t.Error("entry under the new model misses")
-	}
-
-	// Reloading an equal model must NOT invalidate (fingerprint equality).
-	c.SetModel(cacheModelB())
-	if _, ok := c.Get("k"); !ok {
-		t.Error("reloading an identical model invalidated the cache")
 	}
 }

@@ -1,7 +1,7 @@
 // Package server is the serving layer over the MCS engine: a
 // long-running concurrent query service (`cmd/mcsd`) that loads
 // WideTables once, shares them read-only across queries, memoizes ROGA
-// plan search in a calibration-aware plan cache, and bounds concurrent
+// plan search in an LRU plan cache, and bounds concurrent
 // work with an admission controller built on the PR 3 budget machinery
 // (queue with deadline-aware timeouts, worker degradation, typed
 // pipeerr.ErrBudgetExceeded refusals, graceful drain on shutdown).

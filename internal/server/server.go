@@ -35,16 +35,16 @@ var (
 const DefaultMaxPlans = 1 << 16
 
 // BuiltinModel returns costmodel.Builtin, the fixed-constant cost model
-// mcsd uses under -model builtin.
+// mcsd uses unless -calibration names a saved profile.
 func BuiltinModel() *costmodel.Model { return costmodel.Builtin() }
 
 // Config tunes a Server.
 type Config struct {
 	// Registry holds the queryable tables; required.
 	Registry *Registry
-	// Model is the calibrated cost model every plan search uses;
-	// required (mcsd calibrates or loads one at startup, tests inject a
-	// synthetic one).
+	// Model is the cost model every plan search uses, fixed for the
+	// server's life; required (mcsd passes BuiltinModel or a profile
+	// loaded at startup).
 	Model *costmodel.Model
 	// Rho is the plan-search time threshold (planner.Search.Rho).
 	// mcsd runs with a negative value — no wall-clock cutoff — so the
@@ -129,7 +129,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:     cfg,
-		cache:   NewPlanCache(cfg.PlanCacheSize, cfg.Model),
+		cache:   NewPlanCache(cfg.PlanCacheSize),
 		adm:     newAdmission(cfg.MaxConcurrent, cfg.MaxBytes),
 		breaker: newPanicBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
 	}

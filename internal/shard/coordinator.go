@@ -123,7 +123,7 @@ func New(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:    cfg,
 		pool:   client.NewPool(cfg.Client),
-		cache:  server.NewPlanCache(cfg.PlanCacheSize, cfg.Model),
+		cache:  server.NewPlanCache(cfg.PlanCacheSize),
 		ranges: ranges,
 	}
 	c.Front = server.NewFront(server.Backend{

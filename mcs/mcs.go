@@ -63,7 +63,8 @@ const (
 	PartitionBy = planner.PartitionBy
 )
 
-// Model is the calibrated architecture-aware cost model.
+// Model is the architecture-aware cost model the plan search prices
+// plans with.
 type Model = costmodel.Model
 
 // PipelineError is the typed failure of one pipeline worker: the stage
@@ -86,7 +87,7 @@ var ErrBudgetExceeded = pipeerr.ErrBudgetExceeded
 type Timings = mcsort.Timings
 
 // Options tunes Sort. The zero value (or nil) means: massaging on,
-// ORDER BY semantics, ρ = 0.1%, process-wide calibrated model,
+// ORDER BY semantics, ρ = 0.1%, the builtin cost model,
 // single-threaded.
 type Options struct {
 	// Massaging disables the plan search when false: the columns are
@@ -96,8 +97,8 @@ type Options struct {
 	Clause Clause
 	// Rho is the plan-search time threshold ρ (default 0.001 = 0.1%).
 	Rho float64
-	// Model overrides the cost model (default: calibrate once per
-	// process, or load the profile named by MCS_CALIBRATION).
+	// Model overrides the cost model; nil means the builtin model
+	// (costmodel.Builtin). LoadModel reads a saved calibration profile.
 	Model *Model
 	// Plan skips the search entirely and executes the given plan.
 	Plan *Plan
@@ -178,11 +179,7 @@ func SortContext(ctx context.Context, cols []Column, opts *Options) (*Result, er
 	case o.Massaging == nil || *o.Massaging:
 		model := o.Model
 		if model == nil {
-			var err error
-			model, err = costmodel.Default()
-			if err != nil {
-				return nil, err
-			}
+			model = costmodel.Builtin()
 		}
 		cols2 := make([][]uint64, len(inputs))
 		for i := range inputs {
@@ -232,11 +229,8 @@ func SortContext(ctx context.Context, cols []Column, opts *Options) (*Result, er
 // ColumnAtATime returns the baseline plan P₀ for the column widths.
 func ColumnAtATime(widths []int) Plan { return plan.ColumnAtATime(widths) }
 
-// Calibrate measures this machine and returns a cost model; expensive
-// (a few seconds), so reuse the result or persist it with Model.Save.
-func Calibrate() (*Model, error) { return costmodel.Calibrate(costmodel.CalOptions{}) }
-
-// LoadModel reads a model saved with Model.Save.
+// LoadModel reads a model saved with Model.Save (cmd/calibrate writes
+// one) and refuses a malformed profile.
 func LoadModel(path string) (*Model, error) { return costmodel.Load(path) }
 
 // statsSampleLimit bounds the rows inspected when collecting planning

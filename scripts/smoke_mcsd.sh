@@ -31,7 +31,7 @@ echo "smoke_mcsd: building mcsd"
 go build -o "$BIN" ./cmd/mcsd
 
 echo "smoke_mcsd: starting mcsd on $ADDR"
-"$BIN" -addr "$ADDR" -tables tpch -tablerows 8000 -model builtin \
+"$BIN" -addr "$ADDR" -tables tpch -tablerows 8000 \
   -max-concurrent 2 -workers 2 -drain-timeout 20s >"$LOG" 2>&1 &
 MCSD_PID=$!
 
@@ -42,6 +42,8 @@ for _ in $(seq 1 100); do
   sleep 0.2
 done
 curl -fsS "$BASE/healthz" | grep -q '"ok"' || fail "healthz not ok"
+# mcsd prices plans with the builtin model; it must never calibrate.
+if grep -qi "calibrat" "$LOG"; then fail "mcsd calibrated at startup"; fi
 
 QUERY='{"table":"tpch_wide","kind":"groupby","sort_cols":[{"name":"p_brand"},{"name":"p_type"},{"name":"p_size"}],"filters":[{"col":"p_size","op":"neq","const":15}],"agg":{"kind":"count"},"order_by_agg":true,"workers":2}'
 

@@ -40,7 +40,7 @@ fail() {
 
 # Every daemon generates the same deterministic table; the shards slice
 # it by -shard-index, the coordinator and the oracle keep it whole.
-TABLE_FLAGS=(-tables tpch -tablerows 8000 -seed 1 -model builtin -workers 2 -max-concurrent 2 -drain-timeout 20s)
+TABLE_FLAGS=(-tables tpch -tablerows 8000 -seed 1 -workers 2 -max-concurrent 2 -drain-timeout 20s)
 
 echo "smoke_shards: building mcsd"
 go build -o "$BIN" ./cmd/mcsd
