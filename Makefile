@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: test race lint fault chaos chaos-soak fuzz-smoke smoke shard-smoke perf-smoke bench bakeoff bench-gather bench-regress
+.PHONY: test race lint fault chaos chaos-soak fuzz-smoke smoke shard-smoke perf-smoke bench bakeoff bench-gather plan-flip bench-regress
 
 test:
 	$(GO) vet ./...
@@ -123,6 +123,16 @@ bakeoff:
 bench-gather:
 	$(GO) test -run '^$$' -bench BenchmarkGather -benchtime 20x ./internal/byteslice/
 	$(GO) test -run '^$$' -bench BenchmarkCoordinatorGather -benchtime 20x ./internal/shard/
+
+# The plan table of the four benchmark workloads under the shipped cost
+# model (BenchmarkPlanFlip, internal/engine): per workload query shape
+# on mcsperf's seeded 2^19-row tables, the plan costmodel.Builtin()
+# chooses against PlanOverride alternatives (the plan the paper-kernel
+# model chose, and one round where the clause fits 64 bits), 21
+# interleaved runs each: median wall ms per plan and the chosen plan's
+# predicted/measured T_mcs. Rerun it after any change to the model.
+plan-flip:
+	$(GO) test -run '^$$' -bench BenchmarkPlanFlip -benchtime 21x -timeout 30m ./internal/engine/
 
 # The relative gates that still live beside mcsperf: each compares two
 # measurements taken in the same process (truncated vs full sort, OVC on

@@ -1,8 +1,14 @@
 // Command calibrate measures this machine's cost-model constants
-// (Section 4 of the paper: C_cache, C_mem, C_massage, C_scan and the
-// per-bank sorting constants, solved from controlled runs) and prints
-// or saves them as a JSON profile for reuse by mcsbench, mcsd and the
-// library (mcs.LoadModel).
+// (Section 4 of the paper, solved from seeded controlled runs) and
+// prints or saves them as a JSON profile for reuse by mcsbench, mcsd
+// and the library (mcs.LoadModel). The profile holds C_cache, C_mem,
+// C_massage and C_scan with their per-key and per-group extensions; the
+// production radix kernel's terms (C.Radix*, C.Select, the insertion
+// regime C.Small*), which price every served plan; and the paper
+// kernel's per-bank terms and OVC discount, which the figures plug in.
+// costmodel.Load refuses a profile without positive radix count,
+// scatter and select constants, such as one saved before the model
+// priced the radix kernel.
 //
 //	calibrate                 # print the profile
 //	calibrate -o profile.json # save it; later: mcsbench -calibration profile.json
@@ -25,7 +31,7 @@ func main() {
 	)
 	flag.Parse()
 
-	fmt.Fprintln(os.Stderr, "calibrating (controlled runs for lookup, massage, scan, and per-bank sorts with the paper's merge-sort kernel, which the model prices)...")
+	fmt.Fprintln(os.Stderr, "calibrating (controlled runs for lookup, massage and scan, radix sorts with the production kernel, and per-bank sorts with the paper's merge-sort kernel)...")
 	start := time.Now()
 	m, err := experiments.Calibrate(experiments.CalOptions{NCal: *ncal})
 	if err != nil {

@@ -1,9 +1,12 @@
 // Quickstart: multi-column sorting with and without code massaging.
 //
 // Two encoded columns — a 12-bit order date and a 17-bit price — are
-// sorted lexicographically. With massaging enabled the planner stitches
-// them into one 29-bit key and sorts in a single round; the example
-// prints both plans, their times, and verifies the permutations agree.
+// sorted lexicographically. With massaging enabled the planner searches
+// for at most ρ = 0.1 % of the best plan's estimated time (the paper's
+// default, Options.Rho); at this size that ends at column-at-a-time,
+// while an unbounded search (Rho < 0) stitches the two into one 29-bit
+// key sorted in a single round. The example prints both plans, their
+// times, and verifies the permutations agree.
 //
 //	go run ./examples/quickstart
 package main

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/column"
@@ -120,11 +121,19 @@ func TestTSortOneShape(t *testing.T) {
 	}
 }
 
-// TestModelPrefersPaperPlans replays the paper's Examples with the
-// synthetic model: the qualitative plan preferences of Section 3 must
-// hold.
-func TestModelPrefersPaperPlans(t *testing.T) {
+// paperModel is Builtin with the paper kernel's sort term plugged in,
+// as the figure experiments price plans.
+func paperModel() *Model {
 	m := Builtin()
+	m.Sort = PaperSort
+	return m
+}
+
+// TestModelPrefersPaperPlans replays the paper's Examples with the
+// paper term plugged in: the qualitative plan preferences of Section 3
+// must hold.
+func TestModelPrefersPaperPlans(t *testing.T) {
+	m := paperModel()
 	n := 1 << 20
 	d := 1 << 13
 
@@ -220,6 +229,11 @@ func TestLoadRejectsMalformedProfiles(t *testing.T) {
 			bc.COutOfCache = -0.5
 			m.C.Bank[32] = bc
 		}, false},
+		{"zero RadixScatter", func(m *Model) { m.C.RadixScatter = 0 }, false},
+		{"zero RadixCount", func(m *Model) { m.C.RadixCount = 0 }, false},
+		{"zero Select", func(m *Model) { m.C.Select = 0 }, false},
+		{"negative RadixAlloc", func(m *Model) { m.C.RadixAlloc = -1 }, false},
+		{"zero RadixAlloc", func(m *Model) { m.C.RadixAlloc = 0 }, true},
 	}
 	for _, c := range cases {
 		m := Builtin()
@@ -240,6 +254,82 @@ func TestLoadRejectsMalformedProfiles(t *testing.T) {
 		if m.validate() == nil {
 			t.Errorf("validate accepted CScan = %v", v)
 		}
+	}
+}
+
+// TestLoadRejectsProfileWithoutRadixTerm loads a profile saved before
+// the model priced the radix kernel (testdata): it has no radix
+// constants, so every production sort would cost 0 ns and every search
+// would pick one round. Load must refuse it.
+func TestLoadRejectsProfileWithoutRadixTerm(t *testing.T) {
+	_, err := Load(filepath.Join("testdata", "profile_before_radix.json"))
+	if err == nil || !strings.Contains(err.Error(), "radix") {
+		t.Fatalf("Load error = %v, want a refusal naming the radix constants", err)
+	}
+}
+
+// TestTRadixShape pins the radix term's structure: free below two rows,
+// the insertion regime below RadixCutoff, one scatter per live 8-bit
+// digit — the width, not the bank — and a wider bank costing only the
+// histograms its counting sweep fills.
+func TestTRadixShape(t *testing.T) {
+	m := Builtin()
+	if m.TRadix(1, 32, 18) != 0 {
+		t.Error("a one-row sort must be free")
+	}
+	if got, want := m.TRadix(RadixCutoff-1, 64, 64), m.tSmall(RadixCutoff-1); got != want {
+		t.Errorf("below the cutoff: %v, want the insertion regime %v", got, want)
+	}
+	n := float64(1 << 16)
+	if got, want := m.TRadix(n, 32, 17), m.TRadix(n, 32, 24); got != want {
+		t.Errorf("17 and 24 bits are three live digits each: %v vs %v", got, want)
+	}
+	if !(m.TRadix(n, 32, 16) < m.TRadix(n, 32, 17)) {
+		t.Error("a third live digit must cost a scatter")
+	}
+	if got, want := m.TRadix(n, 64, 16)-m.TRadix(n, 16, 16), 6*n*m.C.RadixCountHist; math.Abs(got-want) > 1e-9*want {
+		t.Errorf("bank 64 over bank 16 at width 16 costs %v, want the six extra histograms' %v", got, want)
+	}
+	if !(m.TRadix(1<<20, 32, 32)/(1<<20) > m.TRadix(1<<14, 32, 32)/(1<<14)) {
+		t.Error("a scatter beyond M_L2 must cost more per row")
+	}
+}
+
+// zipfStats is a zipf-skewed GROUP BY over four columns of 5, 5, 3 and
+// 5 bits (W = 18) and 2^19 rows, profiled from a seeded 2^16-row
+// sample the way a table's statistics are.
+func zipfStats() Stats {
+	rng := rand.New(rand.NewSource(7))
+	widths := []int{5, 5, 3, 5}
+	cols := make([][]uint64, len(widths))
+	for i, w := range widths {
+		z := rand.NewZipf(rng, 1.2, 1, uint64(1)<<w-1)
+		cols[i] = make([]uint64, 1<<16)
+		for r := range cols[i] {
+			cols[i][r] = z.Uint64()
+		}
+	}
+	st := CollectStats(cols, widths)
+	st.N = 1 << 19
+	return st
+}
+
+// TestRadixPrefersOneRoundOnZipfGroupBy: an 18-bit GROUP BY is one
+// 32-bit round of three scatters under the radix kernel; splitting it
+// {16/[16], 2/[16]} saves one scatter over all rows but pays a lookup,
+// a scan and a sort per group. The paper kernel's term priced the split
+// cheaper, which is the plan production ran before.
+func TestRadixPrefersOneRoundOnZipfGroupBy(t *testing.T) {
+	st := zipfStats()
+	one := plan.Plan{Rounds: []plan.Round{{Width: 18, Bank: 32}}}
+	split := plan.Plan{Rounds: []plan.Round{{Width: 16, Bank: 16}, {Width: 2, Bank: 16}}}
+	m := Builtin()
+	if !(m.TMCS(one, st) < m.TMCS(split, st)) {
+		t.Errorf("radix term: one round %.4g, split %.4g; want one round cheaper", m.TMCS(one, st), m.TMCS(split, st))
+	}
+	pm := paperModel()
+	if !(pm.TMCS(split, st) < pm.TMCS(one, st)) {
+		t.Errorf("paper term: split %.4g, one round %.4g; want the split cheaper", pm.TMCS(split, st), pm.TMCS(one, st))
 	}
 }
 
@@ -345,8 +435,8 @@ func TestTSortAfterDupAware(t *testing.T) {
 	// 2^16 rows over 16 distinct 20-bit values: heavy duplication. A
 	// discounted model must estimate the dup-heavy sort cheaper than
 	// the undiscounted one, and an all-distinct column must be immune.
-	m := Builtin()
-	md := Builtin()
+	m := paperModel()
+	md := paperModel()
 	md.C.OVCMergeDiscount = 0.9
 	heavy := uniformStats(1<<18, []int{20}, []int{16})
 	if !(md.Profile(heavy).TSortAfter(0, 32) < m.Profile(heavy).TSortAfter(0, 32)) {

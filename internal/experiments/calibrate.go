@@ -2,23 +2,30 @@ package experiments
 
 // Cost-model calibration (Section 4 of the paper): controlled runs on
 // this machine whose timings are solved for the constants of
-// costmodel.Model. The model's T_sort describes the paper's three-phase
-// merge-sort, so calibration sorts with paperKernel, like the figures;
-// queries sort with the production radix kernel, which the model does
-// not price yet.
+// costmodel.Model. The radix terms, which price every production plan,
+// are solved from seeded runs of the production kernel (no Params.Sort
+// hook): segmented radix sorts over banks, key widths and group counts,
+// the top-K select, and the insertion sorts below its cutoff. The paper
+// term's per-bank constants and OVC discount, which the figures plug in
+// (costmodel.PaperSort), are solved from runs of paperKernel.
+// costmodel.Builtin freezes the median of nine runs of this calibration.
 
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
 	"repro/internal/column"
 	"repro/internal/costmodel"
+	"repro/internal/datagen"
 	"repro/internal/hw"
 	"repro/internal/massage"
+	"repro/internal/mcsort"
 	"repro/internal/mergesort"
 	"repro/internal/mergesort/paper"
+	"repro/internal/plan"
 )
 
 // CalOptions tunes the calibration runs.
@@ -42,13 +49,13 @@ func (o *CalOptions) defaults() {
 
 // Calibrate measures the machine and returns a ready-to-use model. The
 // process follows Section 4: each constant (or identifiable group of
-// constants) is solved from controlled runs, the sort constants as a
-// least-squares linear system over runs with varying group counts. An
-// error means a calibration workload could not be compiled or sorted —
-// a library bug surfaced to the caller instead of a panic. Calibration
-// is not cancellable: its sorts run under context.Background() with the
-// cache-derived default parameters of the paper's sort kernel, which is
-// what it measures.
+// constants) is solved from controlled runs, the sort constants as
+// least-squares linear systems over runs with varying group counts and
+// key widths. An error means a calibration workload could not be
+// compiled or sorted — a library bug surfaced to the caller instead of
+// a panic. Calibration is not cancellable: its sorts run under
+// context.Background(), with the production kernel for the radix,
+// select and insertion terms and with paperKernel for the paper term's.
 func Calibrate(opts CalOptions) (*costmodel.Model, error) {
 	opts.defaults()
 	caches := hw.Detect()
@@ -62,10 +69,17 @@ func Calibrate(opts CalOptions) (*costmodel.Model, error) {
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 
-	m.C.CScan = calibrateScan(rng, opts.NCal)
-	m.C.CCache, m.C.CMem = calibrateLookup(rng, opts.NCal, caches.LLC)
+	// Lookup, massage and scan are timed at 8·NCal rows (2^19 by
+	// default), the table size the sort kernels meet in queries.
+	m.C.CCache, m.C.CMem = calibrateLookup(rng, 8*opts.NCal, caches.LLC)
 	var err error
-	if m.C.CMassage, err = calibrateMassage(rng, opts.NCal); err != nil {
+	if err = calibrateExecute(rng, 8*opts.NCal, m); err != nil {
+		return nil, err
+	}
+	if err = calibrateRadix(rng, opts.NCal, m); err != nil {
+		return nil, err
+	}
+	if m.C.Select, err = calibrateSelect(rng, opts.NCal, m); err != nil {
 		return nil, err
 	}
 	for _, bank := range mergesort.Banks {
@@ -152,80 +166,184 @@ func calibrateOVCDiscount(rng *rand.Rand, n int) (float64, error) {
 	return disc, nil
 }
 
-// calibrateSmall measures the small-sort regime: segmented sorts whose
-// groups fall below the insertion threshold never enter the merge-sort
-// phases, so their cost is a per-call constant plus linear and quadratic
-// per-element terms, fitted from runs at several group sizes.
+// calibrateSmall measures the small-sort regime: runs below the
+// kernels' insertion cutoffs are insertion-sorted
+// (mergesort.InsertionSort under both kernels), so their cost is a
+// per-call constant plus linear and quadratic per-element terms, fitted
+// from segmented sorts at sizes up to the radix kernel's cutoff.
 func calibrateSmall(rng *rand.Rand, n int) (call, elem, quad float64, err error) {
 	keys := make([]uint64, n)
 	oids := make([]uint32, n)
-	kernel := *paperKernel()
-	var rows [][3]float64
+	var rows [][]float64
 	var ts []float64
-	for _, size := range []int{2, 3, 5, 8, 12, 16, 20} {
-		for i := range keys {
-			keys[i] = rng.Uint64() & ((1 << 20) - 1)
-			oids[i] = uint32(i)
-		}
+	for _, size := range []int{2, 3, 5, 8, 12, 16, 20, 24, 32, 40, 48, 56, costmodel.RadixCutoff - 1} {
 		g := n / size
-		start := time.Now()
-		for s := 0; s < g; s++ {
-			lo := s * size
-			if err := mergesort.SortWithParamsContext(context.Background(), 32, keys[lo:lo+size], oids[lo:lo+size], kernel); err != nil {
-				return 0, 0, 0, fmt.Errorf("calibrateSmall: %w", err)
+		best := 0.0
+		for rep := 0; rep < 3; rep++ {
+			for i := range keys {
+				keys[i] = rng.Uint64() & ((1 << 20) - 1)
+				oids[i] = uint32(i)
+			}
+			start := time.Now()
+			for s := 0; s < g; s++ {
+				lo := s * size
+				if err := mergesort.SortWithParamsContext(context.Background(), 32, keys[lo:lo+size], oids[lo:lo+size], mergesort.Params{}); err != nil {
+					return 0, 0, 0, fmt.Errorf("calibrateSmall: %w", err)
+				}
+			}
+			if t := float64(time.Since(start).Nanoseconds()) / float64(g); rep == 0 || t < best {
+				best = t
 			}
 		}
-		t := float64(time.Since(start).Nanoseconds()) / float64(g)
-		rows = append(rows, [3]float64{1, float64(size), float64(size * size)})
-		ts = append(ts, t)
+		rows = append(rows, []float64{1 / best, float64(size) / best, float64(size*size) / best})
+		ts = append(ts, 1)
 	}
-	sol := leastSquares3(rows, ts)
-	call, elem, quad = sol[0], sol[1], sol[2]
-	if call < 0 {
-		call = 0
-	}
-	if elem < 0 {
-		elem = 0
-	}
-	if quad < 0 {
-		quad = 0
-	}
+	sol := leastSquares(rows, ts) // relative error: each size weighted by 1/T
+	call, elem, quad = max(sol[0], 0), max(sol[1], 0), max(sol[2], 0)
 	if call == 0 && elem == 0 && quad == 0 {
 		elem = 20 // degenerate measurement; any small positive slope works
 	}
 	return call, elem, quad, nil
 }
 
-// calibrateScan measures C_scan: a sequential pass over sorted codes that
-// writes group boundaries.
-func calibrateScan(rng *rand.Rand, n int) float64 {
-	codes := make([]uint64, n)
-	for i := range codes {
-		codes[i] = uint64(i / 7) // sorted with ties, like real scan input
+// radixCalWidths are the key widths of the radix calibration runs, per
+// bank: from none to bank/8 live digits (width 0 is all-equal keys,
+// which only the counting sweep reads).
+var radixCalWidths = map[int][]int{16: {0, 8, 16}, 32: {0, 8, 18, 24, 32}, 64: {0, 16, 32, 48, 64}}
+
+// calibrateRadix solves the radix kernel's constants as one
+// least-squares system over production-kernel sorts (no Params.Sort
+// hook) of uniform keys. Per bank and key width: n rows cut into 1, 16,
+// 256 and 1,024 groups, and single sorts of 2n to 8n rows, on one shared
+// scratch, as a later round's group sorts run; and the same single sorts
+// again allocating their scratch, as a first round's sort does — so the
+// scatter is timed on both sides of M_L2, at the sizes queries sort,
+// apart from the cost of fresh scratch. A run of G calls of N/G rows,
+// H = bank/8 histograms and D = ⌈width/8⌉ live digits takes
+// (costmodel.Model.TRadix)
+// T = G·D·RadixOffsets + N·(RadixCount + H·RadixCountHist) +
+// N·(D·hit·RadixScatter + width/8·(1−hit)·RadixScatterMem)
+// [+ N·RadixAlloc when the sort allocates its scratch], hit =
+// min(1, M_L2/(24·N/G)). The system is solved for relative error, each
+// run weighted by 1/T.
+func calibrateRadix(rng *rand.Rand, n int, m *costmodel.Model) error {
+	var rows [][]float64
+	var ts []float64
+	var s mergesort.Scratch
+	type run struct {
+		rows, groups int
+		fresh        bool // allocate the scratch, do not share s
 	}
-	bounds := make([]int32, 0, n/7+2)
-	start := time.Now()
-	const reps = 3
-	for r := 0; r < reps; r++ {
-		bounds = bounds[:0]
-		bounds = append(bounds, 0)
-		for i := 1; i < n; i++ {
-			if codes[i] != codes[i-1] {
-				bounds = append(bounds, int32(i))
+	runs := []run{{n, 1, false}, {n, 16, false}, {n, 256, false}, {n, 1024, false}}
+	for _, size := range []int{2 * n, 4 * n, 8 * n} {
+		runs = append(runs, run{size, 1, false}, run{size, 1, true})
+	}
+	for _, bank := range mergesort.Banks {
+		for _, width := range radixCalWidths[bank] {
+			for _, run := range runs {
+				keys := make([]uint64, run.rows)
+				oids := make([]uint32, run.rows)
+				base := make([]uint64, run.rows)
+				for i := range base {
+					base[i] = rng.Uint64() & column.Mask(width)
+				}
+				per := run.rows / run.groups
+				scratch := &s
+				best := 0.0
+				for rep := 0; rep < 5; rep++ {
+					copy(keys, base)
+					for i := range oids {
+						oids[i] = uint32(i)
+					}
+					if run.fresh {
+						scratch = nil
+					}
+					start := time.Now()
+					for g := 0; g < run.groups; g++ {
+						lo := g * per
+						if err := mergesort.SortScratchContext(context.Background(), bank, keys[lo:lo+per], oids[lo:lo+per], mergesort.Params{}, scratch); err != nil {
+							return fmt.Errorf("calibrateRadix %d/%d: %w", width, bank, err)
+						}
+					}
+					if t := float64(time.Since(start).Nanoseconds()); rep == 0 || t < best {
+						best = t
+					}
+				}
+				h, d, rn := float64(bank/8), float64((width+7)/8), float64(per*run.groups)
+				hit := min(float64(m.L2)/(24*float64(per)), 1)
+				alloc := 0.0
+				if run.fresh && width > 0 {
+					alloc = rn
+				}
+				row := []float64{float64(run.groups) * d, rn, rn * h, rn * d * hit, rn * float64(width) / 8 * (1 - hit), alloc}
+				for j := range row {
+					row[j] /= best
+				}
+				rows = append(rows, row)
+				ts = append(ts, 1)
 			}
 		}
-		bounds = append(bounds, int32(n))
 	}
-	_ = bounds
-	return float64(time.Since(start).Nanoseconds()) / float64(n*reps)
+	sol := leastSquares(rows, ts)
+	c := &m.C
+	c.RadixOffsets, c.RadixCount, c.RadixCountHist = max(sol[0], 0), sol[1], max(sol[2], 0)
+	c.RadixScatter, c.RadixScatterMem, c.RadixAlloc = sol[3], max(sol[4], 0), max(sol[5], 0)
+	if c.RadixCount <= 0 || c.RadixScatter <= 0 {
+		return fmt.Errorf("calibrateRadix: degenerate fit %v", sol)
+	}
+	return nil
+}
+
+// calibrateSelect solves the top-K sort's per-row select constant from
+// production-kernel top-K sorts of uniform keys at limit 100 — one
+// select pass each, and two for a key that leaves the bank's top digit
+// empty — after subtracting the radix term of the survivor sort.
+func calibrateSelect(rng *rand.Rand, n int, m *costmodel.Model) (float64, error) {
+	const limit = 100
+	var work, rowPasses float64
+	for _, run := range []struct{ rows, bank, width int }{{n, 32, 32}, {8 * n, 32, 32}, {8 * n, 64, 48}, {8 * n, 16, 16}} {
+		keys := make([]uint64, run.rows)
+		oids := make([]uint32, run.rows)
+		base := make([]uint64, run.rows)
+		for i := range base {
+			base[i] = rng.Uint64() & column.Mask(run.width)
+		}
+		best := 0.0
+		for rep := 0; rep < 3; rep++ {
+			copy(keys, base)
+			for i := range oids {
+				oids[i] = uint32(i)
+			}
+			start := time.Now()
+			if _, err := mergesort.TopKContext(context.Background(), run.bank, keys, oids, limit, mergesort.Params{}, 1); err != nil {
+				return 0, fmt.Errorf("calibrateSelect: %w", err)
+			}
+			if t := float64(time.Since(start).Nanoseconds()); rep == 0 || t < best {
+				best = t
+			}
+		}
+		passes := 1.0
+		if run.width <= run.bank-costmodel.SelectDigitBits {
+			passes++
+		}
+		kept := limit + float64(run.rows)/float64(uint64(1)<<min(costmodel.SelectDigitBits, run.width))
+		work += best - m.TRadix(kept, run.bank, run.width) - m.C.RadixAlloc*kept
+		rowPasses += float64(run.rows) * passes
+	}
+	if work <= 0 {
+		return 0, fmt.Errorf("calibrateSelect: survivor sorts outweigh the select (%v ns)", work)
+	}
+	return work / rowPasses, nil
 }
 
 // calibrateLookup measures C_cache and C_mem by running the lookup
-// procedure at two target cache-hit ratios and solving the 2×2 system of
-// Equation 3. On machines whose LLC exceeds what we can afford to
-// exceed, both runs are fully cached and the system is singular; we then
-// fall back to C_cache = measured and C_mem = 4×C_cache, which leaves
-// the model exact in the regime the experiments actually run in.
+// procedure (a gather of 64-bit codes through a random permutation, as
+// mcsort's lookup pass runs it) at nBase rows and at an affordable
+// footprint far beyond it, and solving the 2×2 system of Equation 3 for
+// their cache-hit ratios. When the LLC exceeds what we can afford to
+// exceed, both runs count as cached and the system is singular; C_cache
+// is then the nBase run, the regime queries run in, and C_mem the large
+// one, the best available estimate of a miss.
 func calibrateLookup(rng *rand.Rand, nBase int, llc int64) (cCache, cMem float64) {
 	const w = 32 // calibration column width
 	sz := int64(column.Size(w))
@@ -237,101 +355,115 @@ func calibrateLookup(rng *rand.Rand, nBase int, llc int64) (cCache, cMem float64
 		}
 		perm := rng.Perm(n)
 		out := make([]uint64, n)
-		start := time.Now()
-		for i, p := range perm {
-			out[i] = codes[p]
+		best := 0.0
+		for rep := 0; rep < 3; rep++ {
+			start := time.Now()
+			for i, p := range perm {
+				out[i] = codes[p]
+			}
+			if el := float64(time.Since(start).Nanoseconds()) / float64(n); rep == 0 || el < best {
+				best = el
+			}
 		}
-		el := float64(time.Since(start).Nanoseconds()) / float64(n)
-		_ = out
-		return el
+		return best
 	}
 
 	hitRatio := func(n int) float64 {
-		h := float64(llc) / (float64(n) * float64(sz))
-		if h > 1 {
-			return 1
-		}
-		return h
+		return min(float64(llc)/(float64(n)*float64(sz)), 1)
 	}
 
-	// Target hit ratios 0.9 and 0.1, bounded by an affordable footprint.
-	n1 := int(float64(llc) / 0.9 / float64(sz))
-	n2 := int(float64(llc) / 0.1 / float64(sz))
-	const maxN = 1 << 23 // 8 Mi codes ≈ 32 MiB: the affordability bound
-	if n1 > maxN {
-		n1 = maxN
-	}
-	if n2 > maxN {
-		n2 = maxN
-	}
-	if n1 < nBase {
-		n1 = nBase
-	}
-	if n2 <= n1 {
-		n2 = 2 * n1
-	}
+	const maxN = 1 << 23 // 8 Mi codes: the affordability bound
+	n1, n2 := nBase, max(maxN, 2*nBase)
 	t1, t2 := measure(n1), measure(n2)
 	h1, h2 := hitRatio(n1), hitRatio(n2)
 	det := h1*(1-h2) - h2*(1-h1)
 	if det < 0.05 && det > -0.05 {
-		// Singular: both runs effectively at the same hit ratio.
-		c := (t1 + t2) / 2
-		return c, 4 * c
+		return t1, max(t2, t1)
 	}
 	// Solve [h 1-h][cCache cMem]ᵀ = t for the two runs.
 	cCache = (t1*(1-h2) - t2*(1-h1)) / det
 	cMem = (h1*t2 - h2*t1) / det
 	if cCache <= 0 {
-		cCache = (t1 + t2) / 2
+		cCache = t1
 	}
 	if cMem <= cCache {
-		cMem = 4 * cCache
+		cMem = max(t2, cCache)
 	}
 	return cCache, cMem
 }
 
-// calibrateMassage measures C_massage (per FIP per row) on the massage
-// plans of the paper's Examples Ex1–Ex4.
-func calibrateMassage(rng *rand.Rand, n int) (float64, error) {
-	type cal struct {
-		in  []int
-		out []int
+// calibrateExecute fits C_massage, C_massage-key, C_scan, C_scan-group
+// and C_cache against the phases of seeded multi-column sorts run as
+// queries run them (mcsort.ExecuteContext, production kernel, one
+// worker) over the paper's synthetic columns of Examples Ex1–Ex4, each
+// plan's fastest of five runs: the massage as a least-squares fit over
+// FIP invocations × rows and round keys × rows; the scan over rounds ×
+// rows and the group boundaries its rounds emit; and the lookup's
+// cached share, once its misses are priced at the C_mem calibrateLookup
+// measured, over its cached rows. The fits are solved for relative
+// error, each plan weighted by 1/T.
+func calibrateExecute(rng *rand.Rand, n int, m *costmodel.Model) error {
+	cases := []struct {
+		in    []int
+		plans []plan.Plan
+	}{
+		{[]int{10, 17}, []plan.Plan{plan.FromWidths([]int{10, 17}), plan.FromWidths([]int{27})}},         // Ex1
+		{[]int{15, 31}, []plan.Plan{plan.FromWidths([]int{15, 31}), plan.FromWidths([]int{46})}},         // Ex2
+		{[]int{17, 33}, []plan.Plan{plan.FromWidths([]int{17, 33}), plan.FromWidths([]int{18, 32})}},     // Ex3
+		{[]int{48, 48}, []plan.Plan{plan.FromWidths([]int{48, 48}), plan.FromWidths([]int{32, 32, 32})}}, // Ex4
 	}
-	cases := []cal{
-		{[]int{10, 17}, []int{27}},         // Ex1 stitch
-		{[]int{15, 31}, []int{46}},         // Ex2 stitch
-		{[]int{17, 33}, []int{18, 32}},     // Ex3 optimal
-		{[]int{48, 48}, []int{32, 32, 32}}, // Ex4 three rounds
-	}
-	var totalNS, totalWork float64
+	var massageFit, scanFit [][]float64 // per plan: the regressors over the phase's time
+	var ones []float64
+	var lookupNS, hitRows, missRows float64
 	for _, c := range cases {
 		inputs := make([]massage.Input, len(c.in))
 		for i, w := range c.in {
-			codes := make([]uint64, n)
-			for r := range codes {
-				codes[r] = rng.Uint64() & column.Mask(w)
+			inputs[i] = massage.Input{Codes: datagen.Uniform(rng, n, w, min(1<<13, 1<<w)).Codes, Width: w}
+		}
+		for _, p := range c.plans {
+			var best mcsort.Timings
+			groups := 0
+			for rep := 0; rep < 5; rep++ {
+				res, err := mcsort.ExecuteContext(context.Background(), inputs, p, mcsort.Options{})
+				if err != nil {
+					return fmt.Errorf("calibrateExecute: %w", err)
+				}
+				if rep == 0 || res.Timings.Total() < best.Total() {
+					best = res.Timings
+				}
+				groups = 0
+				for _, r := range res.Rounds {
+					groups += r.NGroup
+				}
 			}
-			inputs[i] = massage.Input{Codes: codes, Width: w}
+			t := float64(best.Massage)
+			massageFit = append(massageFit, []float64{float64(plan.IFIP(c.in, p.Widths())*n) / t, float64(len(p.Rounds)*n) / t})
+			t = float64(best.Scan)
+			scanFit = append(scanFit, []float64{float64(len(p.Rounds)*n) / t, float64(groups) / t})
+			ones = append(ones, 1)
+			lookupNS += float64(best.Lookup)
+			for _, r := range p.Rounds[1:] {
+				hit := min(float64(m.LLC)/(float64(n)*float64(column.Size(r.Width))), 1)
+				hitRows += hit * float64(n)
+				missRows += (1 - hit) * float64(n)
+			}
 		}
-		prog, err := massage.Compile(inputs, c.out)
-		if err != nil {
-			return 0, fmt.Errorf("calibrateMassage: %w", err)
-		}
-		start := time.Now()
-		if _, err := prog.RunParallelContext(context.Background(), inputs, n, 1); err != nil {
-			return 0, fmt.Errorf("calibrateMassage: %w", err)
-		}
-		totalNS += float64(time.Since(start).Nanoseconds())
-		totalWork += float64(prog.FIPCount() * n)
 	}
-	return totalNS / totalWork, nil
+	sol := leastSquares(massageFit, ones)
+	m.C.CMassage, m.C.CMassageKey = max(sol[0], 0), max(sol[1], 0)
+	sol = leastSquares(scanFit, ones)
+	m.C.CScan, m.C.CScanGroup = max(sol[0], 0), max(sol[1], 0)
+	if cached := lookupNS - m.C.CMem*missRows; hitRows > 0 && cached > 0 {
+		m.C.CCache = cached / hitRows
+	}
+	return nil
 }
 
 // calibrateBank solves C_overhead, CLinear and C_out-of-cache for one
 // bank as a least-squares system over segmented sorts with group counts
 // 1, 4, 16, …: T = G·C_overhead + N·CLinear + (Σ n_g·passes(n_g))·C_ooc.
 func calibrateBank(rng *rand.Rand, n, bank int, m *costmodel.Model) (costmodel.BankConstants, error) {
-	var rows [][3]float64
+	var rows [][]float64
 	var ts []float64
 	kernel := *paperKernel()
 
@@ -359,7 +491,7 @@ func calibrateBank(rng *rand.Rand, n, bank int, m *costmodel.Model) (costmodel.B
 		}
 		t := float64(time.Since(start).Nanoseconds())
 		passes := m.OutOfCachePasses(float64(per), bank)
-		rows = append(rows, [3]float64{float64(g), float64(nRun), float64(nRun) * passes})
+		rows = append(rows, []float64{float64(g), float64(nRun), float64(nRun) * passes})
 		ts = append(ts, t)
 		return nil
 	}
@@ -383,7 +515,7 @@ func calibrateBank(rng *rand.Rand, n, bank int, m *costmodel.Model) (costmodel.B
 		return costmodel.BankConstants{}, err
 	}
 
-	sol := leastSquares3(rows, ts)
+	sol := leastSquares(rows, ts)
 	bc := costmodel.BankConstants{COverhead: sol[0], CLinear: sol[1], COutOfCache: sol[2]}
 	// Guard against small negative solutions from measurement noise.
 	if bc.COverhead < 0 {
@@ -398,52 +530,49 @@ func calibrateBank(rng *rand.Rand, n, bank int, m *costmodel.Model) (costmodel.B
 	return bc, nil
 }
 
-// leastSquares3 solves min ‖A·x − b‖ for three unknowns via the normal
-// equations and Gaussian elimination with partial pivoting.
-func leastSquares3(a [][3]float64, b []float64) [3]float64 {
-	var ata [3][4]float64 // augmented [AᵀA | Aᵀb]
+// leastSquares solves min ‖A·x − b‖ for len(a[0]) unknowns via the
+// normal equations and Gaussian elimination with partial pivoting. A
+// degenerate direction is left at zero.
+func leastSquares(a [][]float64, b []float64) []float64 {
+	k := len(a[0])
+	ata := make([][]float64, k) // augmented [AᵀA | Aᵀb]
+	for i := range ata {
+		ata[i] = make([]float64, k+1)
+	}
 	for r, row := range a {
-		for i := 0; i < 3; i++ {
-			for j := 0; j < 3; j++ {
+		for i := 0; i < k; i++ {
+			for j := 0; j < k; j++ {
 				ata[i][j] += row[i] * row[j]
 			}
-			ata[i][3] += row[i] * b[r]
+			ata[i][k] += row[i] * b[r]
 		}
 	}
-	// Gaussian elimination.
-	for col := 0; col < 3; col++ {
+	for col := 0; col < k; col++ {
 		piv := col
-		for r := col + 1; r < 3; r++ {
-			if abs(ata[r][col]) > abs(ata[piv][col]) {
+		for r := col + 1; r < k; r++ {
+			if math.Abs(ata[r][col]) > math.Abs(ata[piv][col]) {
 				piv = r
 			}
 		}
 		ata[col], ata[piv] = ata[piv], ata[col]
-		if abs(ata[col][col]) < 1e-12 {
-			continue // degenerate direction; leave as zero
+		if math.Abs(ata[col][col]) < 1e-12 {
+			continue
 		}
-		for r := 0; r < 3; r++ {
+		for r := 0; r < k; r++ {
 			if r == col {
 				continue
 			}
 			f := ata[r][col] / ata[col][col]
-			for j := col; j < 4; j++ {
+			for j := col; j <= k; j++ {
 				ata[r][j] -= f * ata[col][j]
 			}
 		}
 	}
-	var x [3]float64
-	for i := 0; i < 3; i++ {
-		if abs(ata[i][i]) > 1e-12 {
-			x[i] = ata[i][3] / ata[i][i]
+	x := make([]float64, k)
+	for i := range x {
+		if math.Abs(ata[i][i]) > 1e-12 {
+			x[i] = ata[i][k] / ata[i][i]
 		}
-	}
-	return x
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
 	}
 	return x
 }

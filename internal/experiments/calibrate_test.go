@@ -12,15 +12,15 @@ import (
 func TestLeastSquares3(t *testing.T) {
 	// Recover known coefficients from noise-free data.
 	want := [3]float64{500, 3, 7}
-	var a [][3]float64
+	var a [][]float64
 	var b []float64
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 20; i++ {
-		row := [3]float64{float64(1 + rng.Intn(100)), float64(1000 + rng.Intn(100000)), float64(rng.Intn(5000))}
+		row := []float64{float64(1 + rng.Intn(100)), float64(1000 + rng.Intn(100000)), float64(rng.Intn(5000))}
 		a = append(a, row)
 		b = append(b, want[0]*row[0]+want[1]*row[1]+want[2]*row[2])
 	}
-	got := leastSquares3(a, b)
+	got := leastSquares(a, b)
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-6*want[i] {
 			t.Errorf("coef %d = %v, want %v", i, got[i], want[i])

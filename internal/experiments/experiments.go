@@ -58,9 +58,12 @@ func (c *Config) context() context.Context {
 	return c.ctx
 }
 
-// kernelNote is the line every report carries under its title: which
-// sort kernel produced the numbers.
-const kernelNote = "sort kernel: paper (three-phase SWAR merge-sort, internal/mergesort/paper through mergesort.Params.Sort)"
+// kernelNote is the line a report carries under its title: which sort
+// kernel produced the numbers. Every report but radix's ran the paper's.
+const (
+	kernelNote      = "sort kernel: paper (three-phase SWAR merge-sort, internal/mergesort/paper through mergesort.Params.Sort)"
+	radixKernelNote = "sort kernel: production (stable LSD radix sort, internal/mergesort/radix.go)"
+)
 
 // paperKernel is the one place the experiments pick their sort kernel.
 // Every mcsort.Options and engine.Options literal in this package sets
@@ -84,7 +87,8 @@ func (c *Config) defaults() {
 	}
 }
 
-func (c *Config) model() (*costmodel.Model, error) {
+// calibrated returns Config.Model, calibrating once when it is nil.
+func (c *Config) calibrated() (*costmodel.Model, error) {
 	if c.Model == nil {
 		m, err := Calibrate(CalOptions{})
 		if err != nil {
@@ -95,10 +99,24 @@ func (c *Config) model() (*costmodel.Model, error) {
 	return c.Model, nil
 }
 
+// model is the model the figures price plans with: Config.Model with
+// the paper kernel's sort term plugged in, as paperKernel is plugged
+// into every sort they measure.
+func (c *Config) model() (*costmodel.Model, error) {
+	m, err := c.calibrated()
+	if err != nil {
+		return nil, err
+	}
+	pm := *m
+	pm.Sort = costmodel.PaperSort
+	return &pm, nil
+}
+
 // Report is a printable experiment result.
 type Report struct {
 	ID     string
 	Title  string
+	Kernel string // the kernel line; empty means kernelNote
 	Header []string
 	Rows   [][]string
 	Notes  []string
@@ -107,7 +125,11 @@ type Report struct {
 // String renders the report as an aligned text table.
 func (r *Report) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "== %s: %s ==\n%s\n", r.ID, r.Title, kernelNote)
+	kernel := r.Kernel
+	if kernel == "" {
+		kernel = kernelNote
+	}
+	fmt.Fprintf(&sb, "== %s: %s ==\n%s\n", r.ID, r.Title, kernel)
 	widths := make([]int, len(r.Header))
 	for i, h := range r.Header {
 		widths[i] = len(h)
@@ -157,7 +179,7 @@ func speedup(base, improved time.Duration) string {
 // All lists every experiment id, in presentation order.
 var All = []string{
 	"fig1", "fig3a", "fig3b", "fig3c", "fig4a", "fig4b", "fig5",
-	"fig7", "tab1", "tab2", "fig8", "fig9", "fig10", "fig12", "topk",
+	"fig7", "tab1", "tab2", "fig8", "fig9", "fig10", "fig12", "topk", "radix",
 }
 
 // RunContext dispatches an experiment by id. The context is threaded
@@ -197,6 +219,8 @@ func RunContext(ctx context.Context, id string, cfg Config) (*Report, error) {
 		return Figure12(cfg)
 	case "topk":
 		return TopK(cfg)
+	case "radix":
+		return RadixModel(cfg)
 	default:
 		return nil, fmt.Errorf("unknown experiment %q (have %v)", id, All)
 	}

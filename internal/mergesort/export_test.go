@@ -11,7 +11,9 @@ var (
 )
 
 const (
-	MinChunkRows    = minChunkRows
-	SmallRunCutoff  = smallRunCutoff
-	MergeCheckEvery = mergeCheckEvery
+	MinChunkRows      = minChunkRows
+	SmallRunCutoff    = smallRunCutoff
+	MergeCheckEvery   = mergeCheckEvery
+	SelectDigitBits   = selectDigitBits
+	SelectRefineShare = selectRefineShare
 )

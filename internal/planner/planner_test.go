@@ -84,9 +84,12 @@ func TestROGAFindsStitchForEx1(t *testing.T) {
 }
 
 func TestROGAAvoidsRecklessStitchForEx2(t *testing.T) {
-	// Ex2 (15-bit + 31-bit): stitching into 46/[64] is worse than P0;
-	// ROGA must not return the stitch-all plan.
-	m := costmodel.Builtin()
+	// Ex2 (15-bit + 31-bit): under the paper kernel, whose 64-bit bank
+	// sorts the fewest lanes per instruction, stitching into 46/[64] is
+	// worse than P0; ROGA must not return the stitch-all plan. (The
+	// radix kernel has no bank-level parallelism, and there the stitch
+	// wins, as fig3b's note says.)
+	m := paperModel()
 	s := &Search{Model: m, Stats: uniformStats(3, 1<<18, []int{15, 31}, []int{1 << 13, 1 << 13}), Kind: OrderBy, Rho: -1}
 	got := roga(s)
 	if len(got.Plan.Rounds) == 1 && got.Plan.Rounds[0].Bank == 64 {
@@ -318,6 +321,14 @@ func TestPermutationsCount(t *testing.T) {
 	}
 }
 
+// paperModel is Builtin with the paper kernel's sort term plugged in,
+// as the figure experiments price plans.
+func paperModel() *costmodel.Model {
+	m := costmodel.Builtin()
+	m.Sort = costmodel.PaperSort
+	return m
+}
+
 func TestROGAExploitsOVCDiscount(t *testing.T) {
 	// Dup-heavy columns (16×4 distinct value combinations over 2^20
 	// rows) make the big stitched sort almost all ties, so the
@@ -326,8 +337,8 @@ func TestROGAExploitsOVCDiscount(t *testing.T) {
 	// sorting column-at-a-time; with it, the one-round stitch wins —
 	// and ROGA must follow the model both times.
 	st := uniformStats(31, 1<<20, []int{15, 31}, []int{16, 4})
-	m0 := costmodel.Builtin()
-	m9 := costmodel.Builtin()
+	m0 := paperModel()
+	m9 := paperModel()
 	m9.C.OVCMergeDiscount = 0.9
 
 	stitch := plan.Plan{Rounds: []plan.Round{{Width: 46, Bank: 64}}}
