@@ -241,7 +241,9 @@ func ValidateColOrder(order []int, m int, kind planner.ClauseKind, window bool) 
 // selected rows of the bound query: opts.PlanOverride verbatim,
 // column-at-a-time with massaging off, otherwise the ROGA search over
 // the table's precomputed column statistics (as in any DBMS), taught
-// the LIMIT truncation, with a window's ORDER BY column pinned last and
+// the LIMIT truncation (which sets the round widths; a free column
+// order is the unlimited search's, so a page is the unlimited result
+// sliced), with a window's ORDER BY column pinned last and
 // opts.FixedColOrder confining the permutation. Only the search itself
 // is timed. The sharded coordinator pins its plan by calling this over
 // the full table with the full table's filtered row count — the pin is
