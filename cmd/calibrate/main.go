@@ -7,8 +7,8 @@
 // regime C.Small*), which price every served plan; and the paper
 // kernel's per-bank terms and OVC discount, which the figures plug in.
 // costmodel.Load refuses a profile without positive radix count,
-// scatter and select constants, such as one saved before the model
-// priced the radix kernel.
+// scatter, word scatter and select constants, such as one saved before
+// the model priced the radix kernel or its packed words.
 //
 //	calibrate                 # print the profile
 //	calibrate -o profile.json # save it; later: mcsbench -calibration profile.json

@@ -48,15 +48,20 @@ type Constants struct {
 	CScanGroup float64
 	// The radix kernel (internal/mergesort/radix.go), T_sort of every
 	// plan that has no Model.Sort plugged in (TRadix):
-	RadixOffsets    float64 // per call per live digit: prefix-summing its 256 counters
+	RadixOffsets    float64 // per call per live digit per 256 counters it prefix-sums
 	RadixCount      float64 // per row: the counting sweep
-	RadixCountHist  float64 // per row per bank/8 histogram the sweep fills
+	RadixCountHist  float64 // per row per histogram the sweep fills
 	RadixScatter    float64 // per row per live 8-bit digit, pairs within M_L2
 	RadixScatterMem float64 // per row per 8 key bits, pairs beyond M_L2
-	// RadixAlloc is per row of a sort that allocates its scratch pairs:
-	// a first round's sort of all rows and the top-K survivor sort, whose
-	// scratch is fresh memory. Later rounds' group sorts share one
-	// scratch per batch.
+	// RadixWordScatter and RadixWordScatterMem are RadixScatter and
+	// RadixScatterMem for the packed key<<32 | oid words the kernel sorts
+	// in banks of at most 32 bits from RadixPackMinRows rows on.
+	RadixWordScatter    float64
+	RadixWordScatterMem float64
+	// RadixAlloc is per row of a sort that allocates its scratch, per 24
+	// bytes of it: a first round's sort of all rows and the top-K
+	// survivor sort, whose scratch is fresh memory. Later rounds' group
+	// sorts share one scratch per batch.
 	RadixAlloc float64
 	// Select is the top-K sort's radix select (mergesort/topk.go): per
 	// row per pass, the compaction of the kept rows included.
@@ -82,6 +87,50 @@ type Constants struct {
 // insertion-sort cutoff: runs below it never reach the radix passes.
 // A mergesort test fails if the two drift apart.
 const RadixCutoff = 64
+
+// RadixPackMinRows and RadixPackMaxBits mirror mergesort.packMinRows and
+// packMaxBits: from RadixPackMinRows rows on, a bank of at most 32 bits
+// sorts packed words on digits of at most RadixPackMaxBits bits. The
+// same mergesort test pins them.
+const (
+	RadixPackMinRows = 2048
+	RadixPackMaxBits = 11
+)
+
+// RadixLayout is how the radix kernel sorts one run (RadixLayoutOf).
+type RadixLayout struct {
+	Bits   int  // digit width
+	Hists  int  // histograms the counting sweep fills
+	Digits int  // live digits of the key, ⌈width/Bits⌉
+	Packed bool // key<<32 | oid words, not (key, oid) pairs
+	// RowBytes is what a scatter streams per row, its source and its
+	// destination: 16 bytes of words or 24 of pairs.
+	RowBytes float64
+	// ScratchBytes is the scratch per row: one word array or pair for at
+	// most two live digits, two for more.
+	ScratchBytes float64
+}
+
+// RadixLayoutOf returns how the kernel sorts n rows of a width-bit key in
+// a bank-bit bank: from RadixPackMinRows rows on, a bank of at most 32
+// bits as packed words on the narrowest digits of at most
+// RadixPackMaxBits bits that take the bank in as few passes — 11 bits
+// for bank 32, 8 for bank 16 — and every other run as pairs on 8-bit
+// digits.
+func RadixLayoutOf(n float64, bank, width int) RadixLayout {
+	l := RadixLayout{Bits: 8, Hists: bank / 8, RowBytes: 24}
+	if bank <= 32 && n >= RadixPackMinRows {
+		l.Hists = (bank + RadixPackMaxBits - 1) / RadixPackMaxBits
+		l.Bits = (bank + l.Hists - 1) / l.Hists
+		l.Packed, l.RowBytes = true, 16
+	}
+	l.Digits = (width + l.Bits - 1) / l.Bits
+	l.ScratchBytes = l.RowBytes
+	if l.Digits <= 2 {
+		l.ScratchBytes /= 2
+	}
+	return l
+}
 
 // SelectDigitBits and SelectRefineShare mirror the radix select's
 // mergesort.selectDigitBits and selectRefineShare: a select pass counts
@@ -125,10 +174,13 @@ type Model struct {
 // Builtin returns a process-independent model with fixed constants: the
 // model of every engine, library and mcsd process that is not handed a
 // saved profile, so plan choices are deterministic across machines. Its
-// radix, insertion, select, lookup, massage and scan constants are the
-// per-constant medians of nine seeded runs of internal/experiments'
-// Calibrate on a 2-vCPU KVM Xeon (2 MB L2), frozen (EXPERIMENTS.md has
-// the fit and its per-term error); M_L2 is that machine's, M_LLC a
+// insertion, lookup, massage and scan constants are the per-constant
+// medians of nine seeded runs of internal/experiments' Calibrate on a
+// 2-vCPU KVM Xeon (2 MB L2), frozen; its radix and select constants
+// were refit when the kernel began packing words, as those medians
+// scaled by the ratio of the new calibrateRadix fit to the old one over
+// 15 interleaved pairs on the same machine (EXPERIMENTS.md has the fits
+// and their per-term error); M_L2 is that machine's, M_LLC a
 // conservative 8 MB. Plan quality degrades gracefully when they are
 // off, correctness never depends on them. The paper-kernel constants
 // (Bank, Fanout, OVCMergeDiscount) are the conservative regime of a
@@ -139,22 +191,24 @@ func Builtin() *Model {
 		LLC:    1 << 23,
 		Fanout: 8,
 		C: Constants{
-			CCache:          3.97,
-			CMem:            9.00,
-			CMassage:        1.54,
-			CMassageKey:     1.47,
-			CScan:           1.34,
-			CScanGroup:      2.82,
-			RadixOffsets:    40.3,
-			RadixCount:      1.76,
-			RadixCountHist:  0.317,
-			RadixScatter:    2.43,
-			RadixScatterMem: 6.39,
-			RadixAlloc:      2.62,
-			Select:          2.58,
-			SmallCall:       0,
-			SmallElem:       10.1,
-			SmallQuad:       0.196,
+			CCache:              3.97,
+			CMem:                9.00,
+			CMassage:            1.54,
+			CMassageKey:         1.47,
+			CScan:               1.34,
+			CScanGroup:          2.82,
+			RadixOffsets:        21.8,
+			RadixCount:          1.78,
+			RadixCountHist:      0.373,
+			RadixScatter:        1.77,
+			RadixScatterMem:     5.69,
+			RadixWordScatter:    2.31,
+			RadixWordScatterMem: 4.02,
+			RadixAlloc:          2.62,
+			Select:              2.76,
+			SmallCall:           0,
+			SmallElem:           10.1,
+			SmallQuad:           0.196,
 			Bank: map[int]BankConstants{
 				16: {COverhead: 400, CLinear: 220, COutOfCache: 40},
 				32: {COverhead: 400, CLinear: 300, COutOfCache: 55},
@@ -277,16 +331,20 @@ func (m *Model) TScan(n int, groups float64) float64 {
 }
 
 // TRadix is the radix kernel's T_sort: one sort call over n (key, oid)
-// pairs whose key is width bits wide in a bank-bit bank, as
+// rows whose key is width bits wide in a bank-bit bank, as
 // mergesort.SortScratchContext runs it on a reused scratch. Below
 // RadixCutoff rows it is the insertion sort. Above, it is one counting
-// sweep that fills the bank/8 histograms, then per live 8-bit digit a
-// prefix sum of its counters and a scatter of every row. A digit every
-// key agrees on is skipped, so there are ⌈width/8⌉ live digits: the
-// round's width and not its bank sets the scatter count. A scatter's
-// cost per row follows where its two ping-pong pairs (24 bytes a row)
-// live, as Equation 3 prices a lookup: RadixScatter per pass within
-// M_L2; beyond it RadixScatterMem per 8 key bits, since a digit of b
+// sweep that fills every digit's histogram, then per live digit a prefix
+// sum of its counters and a scatter of every row. A digit every key
+// agrees on is skipped, so there are ⌈width/b⌉ live digits of b bits:
+// the round's width and not its bank sets the scatter count. The layout
+// follows the kernel (RadixLayoutOf): from RadixPackMinRows rows on, a
+// bank of at most 32 bits moves 8-byte packed words on digits of up to
+// RadixPackMaxBits bits (RadixWordScatter*), every other sort 12-byte
+// (key, oid) pairs on 8-bit digits (RadixScatter*). A scatter's cost per
+// row follows where its source and destination (16 or 24 bytes a row)
+// live, as Equation 3 prices a lookup: the per-pass constant within
+// M_L2; beyond it the Mem constant per 8 key bits, since a digit of b
 // live bits spreads its writes over 2^b buckets — the 2-bit top digit
 // of an 18-bit key misses far less than a full one.
 func (m *Model) TRadix(n float64, bank, width int) float64 {
@@ -296,18 +354,23 @@ func (m *Model) TRadix(n float64, bank, width int) float64 {
 	if n < RadixCutoff {
 		return m.tSmall(n)
 	}
-	hists := float64(bank / 8)
-	digits := float64((width + 7) / 8)
-	hit := min(float64(m.L2)/(24*n), 1)
-	scatter := m.C.RadixScatter*digits*hit + m.C.RadixScatterMem*float64(width)/8*(1-hit)
-	return m.C.RadixOffsets*digits + n*(m.C.RadixCount+m.C.RadixCountHist*hists+scatter)
+	l := RadixLayoutOf(n, bank, width)
+	scatter, mem := m.C.RadixScatter, m.C.RadixScatterMem
+	if l.Packed {
+		scatter, mem = m.C.RadixWordScatter, m.C.RadixWordScatterMem
+	}
+	digits := float64(l.Digits)
+	hit := min(float64(m.L2)/(l.RowBytes*n), 1)
+	perRow := scatter*digits*hit + mem*float64(width)/8*(1-hit)
+	offsets := m.C.RadixOffsets * digits * float64(int(1)<<l.Bits) / 256
+	return offsets + n*(m.C.RadixCount+m.C.RadixCountHist*float64(l.Hists)+perRow)
 }
 
 // tRadixFresh is TRadix for a sort that allocates its scratch.
 func (m *Model) tRadixFresh(n float64, bank, width int) float64 {
 	t := m.TRadix(n, bank, width)
 	if n >= RadixCutoff {
-		t += m.C.RadixAlloc * n
+		t += m.C.RadixAlloc * n * RadixLayoutOf(n, bank, width).ScratchBytes / 24
 	}
 	return t
 }
@@ -462,9 +525,11 @@ func (m *Model) Save(path string) error {
 }
 
 // Load reads a model saved by Save. It refuses a profile the estimators
-// cannot price: zero radix count, scatter or select constants (a profile
-// saved before the model priced the radix kernel has none) would make
-// every sort free and every plan one round; a missing bank would make
+// cannot price: zero radix count, scatter, word scatter or select
+// constants (a profile saved before the model priced the radix kernel
+// has none, one saved before it priced packed words no word scatter)
+// would make every sort, or every packed one, free and bias every plan
+// toward the free rounds; a missing bank would make
 // that bank's paper-term sorts free, a fanout below 2 or a non-positive
 // cache size makes every out-of-cache sort infinite, and a negative or
 // non-finite constant is no measurement. Other zero constants are legal;
@@ -492,12 +557,13 @@ func (m *Model) validate() error {
 		return fmt.Errorf("cache sizes L2 %d, LLC %d, want > 0", m.L2, m.LLC)
 	}
 	c := m.C
-	if !(c.RadixCount > 0 && c.RadixScatter > 0 && c.Select > 0) {
-		return fmt.Errorf("radix constants count %v, scatter %v, select %v, want > 0 (a profile that does not price the radix kernel)",
-			c.RadixCount, c.RadixScatter, c.Select)
+	if !(c.RadixCount > 0 && c.RadixScatter > 0 && c.RadixWordScatter > 0 && c.Select > 0) {
+		return fmt.Errorf("radix constants count %v, scatter %v, word scatter %v, select %v, want > 0 (a profile that does not price the radix kernel)",
+			c.RadixCount, c.RadixScatter, c.RadixWordScatter, c.Select)
 	}
 	consts := []float64{c.CCache, c.CMem, c.CMassage, c.CMassageKey, c.CScan, c.CScanGroup,
-		c.RadixOffsets, c.RadixCount, c.RadixCountHist, c.RadixScatter, c.RadixScatterMem, c.RadixAlloc, c.Select,
+		c.RadixOffsets, c.RadixCount, c.RadixCountHist, c.RadixScatter, c.RadixScatterMem,
+		c.RadixWordScatter, c.RadixWordScatterMem, c.RadixAlloc, c.Select,
 		c.SmallCall, c.SmallElem, c.SmallQuad, c.OVCMergeDiscount}
 	for _, bank := range plan.Banks {
 		bc, ok := c.Bank[bank]

@@ -230,6 +230,8 @@ func TestLoadRejectsMalformedProfiles(t *testing.T) {
 			m.C.Bank[32] = bc
 		}, false},
 		{"zero RadixScatter", func(m *Model) { m.C.RadixScatter = 0 }, false},
+		{"zero RadixWordScatter", func(m *Model) { m.C.RadixWordScatter = 0 }, false},
+		{"zero RadixWordScatterMem", func(m *Model) { m.C.RadixWordScatterMem = 0 }, true},
 		{"zero RadixCount", func(m *Model) { m.C.RadixCount = 0 }, false},
 		{"zero Select", func(m *Model) { m.C.Select = 0 }, false},
 		{"negative RadixAlloc", func(m *Model) { m.C.RadixAlloc = -1 }, false},
@@ -269,9 +271,10 @@ func TestLoadRejectsProfileWithoutRadixTerm(t *testing.T) {
 }
 
 // TestTRadixShape pins the radix term's structure: free below two rows,
-// the insertion regime below RadixCutoff, one scatter per live 8-bit
-// digit — the width, not the bank — and a wider bank costing only the
-// histograms its counting sweep fills.
+// the insertion regime below RadixCutoff, one scatter per live digit —
+// the width, not the bank — of 8 bits on pairs and of 11 on the packed
+// words of a 32-bit bank from RadixPackMinRows rows on, and a wider
+// bank costing only the histograms its counting sweep fills.
 func TestTRadixShape(t *testing.T) {
 	m := Builtin()
 	if m.TRadix(1, 32, 18) != 0 {
@@ -281,13 +284,23 @@ func TestTRadixShape(t *testing.T) {
 		t.Errorf("below the cutoff: %v, want the insertion regime %v", got, want)
 	}
 	n := float64(1 << 16)
-	if got, want := m.TRadix(n, 32, 17), m.TRadix(n, 32, 24); got != want {
-		t.Errorf("17 and 24 bits are three live digits each: %v vs %v", got, want)
+	if got, want := m.TRadix(n, 64, 17), m.TRadix(n, 64, 24); got != want {
+		t.Errorf("17 and 24 bits are three live pair digits each: %v vs %v", got, want)
 	}
-	if !(m.TRadix(n, 32, 16) < m.TRadix(n, 32, 17)) {
-		t.Error("a third live digit must cost a scatter")
+	if !(m.TRadix(n, 64, 16) < m.TRadix(n, 64, 17)) {
+		t.Error("a third live pair digit must cost a scatter")
 	}
-	if got, want := m.TRadix(n, 64, 16)-m.TRadix(n, 16, 16), 6*n*m.C.RadixCountHist; math.Abs(got-want) > 1e-9*want {
+	if got, want := m.TRadix(n, 32, 12), m.TRadix(n, 32, 22); got != want {
+		t.Errorf("12 and 22 bits are two live packed digits each: %v vs %v", got, want)
+	}
+	if !(m.TRadix(n, 32, 22) < m.TRadix(n, 32, 23)) {
+		t.Error("a third live packed digit must cost a scatter")
+	}
+	if !(m.TRadix(n, 32, 18) < m.TRadix(n, 64, 18)) {
+		t.Error("18 bits on two packed digits must cost less than on three pair digits")
+	}
+	small := float64(RadixPackMinRows - 1)
+	if got, want := m.TRadix(small, 64, 16)-m.TRadix(small, 16, 16), 6*small*m.C.RadixCountHist; math.Abs(got-want) > 1e-9*want {
 		t.Errorf("bank 64 over bank 16 at width 16 costs %v, want the six extra histograms' %v", got, want)
 	}
 	if !(m.TRadix(1<<20, 32, 32)/(1<<20) > m.TRadix(1<<14, 32, 32)/(1<<14)) {
@@ -315,8 +328,8 @@ func zipfStats() Stats {
 }
 
 // TestRadixPrefersOneRoundOnZipfGroupBy: an 18-bit GROUP BY is one
-// 32-bit round of three scatters under the radix kernel; splitting it
-// {16/[16], 2/[16]} saves one scatter over all rows but pays a lookup,
+// 32-bit round of two packed scatters under the radix kernel; splitting
+// it {16/[16], 2/[16]} saves no scatter over all rows but pays a lookup,
 // a scan and a sort per group. The paper kernel's term priced the split
 // cheaper, which is the plan production ran before.
 func TestRadixPrefersOneRoundOnZipfGroupBy(t *testing.T) {

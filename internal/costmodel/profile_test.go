@@ -118,12 +118,27 @@ func refTRadix(m *Model, n float64, bank, width int, fresh bool) float64 {
 	if n < 64 {
 		return m.C.SmallCall + m.C.SmallElem*n + m.C.SmallQuad*n*n
 	}
-	hists, digits := float64(bank/8), float64((width+7)/8)
-	hit := math.Min(float64(m.L2)/(24*n), 1)
-	scatter := m.C.RadixScatter*digits*hit + m.C.RadixScatterMem*float64(width)/8*(1-hit)
-	t := m.C.RadixOffsets*digits + n*(m.C.RadixCount+m.C.RadixCountHist*hists+scatter)
+	// Pairs on 8-bit digits, or from 2,048 rows on in banks 16 and 32
+	// packed words on two 8-bit or three 11-bit digits.
+	bits, hists, rowBytes := 8, bank/8, 24.0
+	scatterC, memC := m.C.RadixScatter, m.C.RadixScatterMem
+	if bank <= 32 && n >= 2048 {
+		bits, hists, rowBytes = 8, 2, 16
+		if bank == 32 {
+			bits, hists = 11, 3
+		}
+		scatterC, memC = m.C.RadixWordScatter, m.C.RadixWordScatterMem
+	}
+	digits := math.Ceil(float64(width) / float64(bits))
+	hit := math.Min(float64(m.L2)/(rowBytes*n), 1)
+	scatter := scatterC*digits*hit + memC*float64(width)/8*(1-hit)
+	t := m.C.RadixOffsets*digits*math.Exp2(float64(bits))/256 + n*(m.C.RadixCount+m.C.RadixCountHist*float64(hists)+scatter)
 	if fresh {
-		t += m.C.RadixAlloc * n
+		scratch := rowBytes
+		if digits <= 2 {
+			scratch /= 2
+		}
+		t += m.C.RadixAlloc * n * scratch / 24
 	}
 	return t
 }

@@ -31,9 +31,12 @@ var (
 //	group boundaries      4·rows (worst case: all singletons)
 //	radix sort scratch   24·rows (two (key, oid) pairs, 12 B/row each)
 //
-// Parallel execution adds a fixed per-worker overhead: the parallel
-// radix sort ping-pongs through the same two scratch pairs as the
-// sequential one. Aggregation's 8·rows gathered column comes after the
+// The radix term is an upper bound: a 64-bit bank, or a run below the
+// packed crossover, ping-pongs through two pairs, but a bank of at most
+// 32 bits needs one or two 8-byte words a row (8 or 16 B), and the
+// bound keeps the widest. Parallel execution adds a fixed per-worker
+// overhead: the parallel radix sort ping-pongs through the same scratch
+// as the sequential one. Aggregation's 8·rows gathered column comes after the
 // sort, when its ≥ 40·rows of keys and scratch are dead: under the
 // peak. It is the one footprint model: the
 // engine's own two-stage degradation applies it, the mcsd admission

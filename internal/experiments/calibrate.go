@@ -217,15 +217,18 @@ var radixCalWidths = map[int][]int{16: {0, 8, 16}, 32: {0, 8, 18, 24, 32}, 64: {
 // 256 and 1,024 groups, and single sorts of 2n to 8n rows, on one shared
 // scratch, as a later round's group sorts run; and the same single sorts
 // again allocating their scratch, as a first round's sort does — so the
-// scatter is timed on both sides of M_L2, at the sizes queries sort,
-// apart from the cost of fresh scratch. A run of G calls of N/G rows,
-// H = bank/8 histograms and D = ⌈width/8⌉ live digits takes
-// (costmodel.Model.TRadix)
-// T = G·D·RadixOffsets + N·(RadixCount + H·RadixCountHist) +
-// N·(D·hit·RadixScatter + width/8·(1−hit)·RadixScatterMem)
-// [+ N·RadixAlloc when the sort allocates its scratch], hit =
-// min(1, M_L2/(24·N/G)). The system is solved for relative error, each
-// run weighted by 1/T.
+// scatter is timed on both sides of M_L2, on pairs (bank 64, and groups
+// below costmodel.RadixPackMinRows rows) and on packed words (banks 16
+// and 32 from there on), apart from the cost of fresh scratch. A run of
+// G calls of N/G rows whose layout (costmodel.RadixLayoutOf) has H
+// histograms and D live digits of b bits takes (costmodel.Model.TRadix)
+// T = G·D·2^b/256·RadixOffsets + N·(RadixCount + H·RadixCountHist) +
+// N·(D·hit·S + width/8·(1−hit)·S_mem)
+// [+ N·B/24·RadixAlloc when the sort allocates its B bytes a row of
+// scratch], where S and S_mem are RadixScatter and RadixScatterMem on
+// pairs, RadixWordScatter and RadixWordScatterMem on words, and hit =
+// min(1, M_L2/(R·N/G)) for the R bytes a row a scatter streams. The
+// system is solved for relative error, each run weighted by 1/T.
 func calibrateRadix(rng *rand.Rand, n int, m *costmodel.Model) error {
 	var rows [][]float64
 	var ts []float64
@@ -269,13 +272,18 @@ func calibrateRadix(rng *rand.Rand, n int, m *costmodel.Model) error {
 						best = t
 					}
 				}
-				h, d, rn := float64(bank/8), float64((width+7)/8), float64(per*run.groups)
-				hit := min(float64(m.L2)/(24*float64(per)), 1)
+				l := costmodel.RadixLayoutOf(float64(per), bank, width)
+				d, rn := float64(l.Digits), float64(per*run.groups)
+				hit := min(float64(m.L2)/(l.RowBytes*float64(per)), 1)
 				alloc := 0.0
 				if run.fresh && width > 0 {
-					alloc = rn
+					alloc = rn * l.ScratchBytes / 24
 				}
-				row := []float64{float64(run.groups) * d, rn, rn * h, rn * d * hit, rn * float64(width) / 8 * (1 - hit), alloc}
+				in, mem := rn*d*hit, rn*float64(width)/8*(1-hit)
+				row := []float64{float64(run.groups) * d * float64(int(1)<<l.Bits) / 256, rn, rn * float64(l.Hists), in, mem, 0, 0, alloc}
+				if l.Packed {
+					row[3], row[4], row[5], row[6] = 0, 0, in, mem
+				}
 				for j := range row {
 					row[j] /= best
 				}
@@ -287,8 +295,9 @@ func calibrateRadix(rng *rand.Rand, n int, m *costmodel.Model) error {
 	sol := leastSquares(rows, ts)
 	c := &m.C
 	c.RadixOffsets, c.RadixCount, c.RadixCountHist = max(sol[0], 0), sol[1], max(sol[2], 0)
-	c.RadixScatter, c.RadixScatterMem, c.RadixAlloc = sol[3], max(sol[4], 0), max(sol[5], 0)
-	if c.RadixCount <= 0 || c.RadixScatter <= 0 {
+	c.RadixScatter, c.RadixScatterMem = sol[3], max(sol[4], 0)
+	c.RadixWordScatter, c.RadixWordScatterMem, c.RadixAlloc = sol[5], max(sol[6], 0), max(sol[7], 0)
+	if c.RadixCount <= 0 || c.RadixScatter <= 0 || c.RadixWordScatter <= 0 {
 		return fmt.Errorf("calibrateRadix: degenerate fit %v", sol)
 	}
 	return nil
@@ -327,7 +336,7 @@ func calibrateSelect(rng *rand.Rand, n int, m *costmodel.Model) (float64, error)
 			passes++
 		}
 		kept := limit + float64(run.rows)/float64(uint64(1)<<min(costmodel.SelectDigitBits, run.width))
-		work += best - m.TRadix(kept, run.bank, run.width) - m.C.RadixAlloc*kept
+		work += best - m.TRadix(kept, run.bank, run.width) - m.C.RadixAlloc*kept*costmodel.RadixLayoutOf(kept, run.bank, run.width).ScratchBytes/24
 		rowPasses += float64(run.rows) * passes
 	}
 	if work <= 0 {

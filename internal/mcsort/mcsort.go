@@ -226,8 +226,10 @@ func executeContext(ctx context.Context, inputs []massage.Input, p plan.Plan, op
 	sp := opts.sortParams()
 	groups := []int32{0, int32(rows)}
 	active := rows
+	// The lookup's permute target: only an unlimited plan of more than
+	// one round permutes keys.
 	var scratch []uint64
-	if !limited {
+	if !limited && len(p.Rounds) > 1 {
 		scratch = make([]uint64, rows)
 	}
 	for r, round := range p.Rounds {

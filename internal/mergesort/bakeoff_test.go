@@ -18,8 +18,11 @@ import (
 // One iteration sorts bakeoffRows rows cut into runs of n (one run when
 // n is larger), each refilled from the same source first — the refill,
 // a copy and an identity fill, is inside the clock and costs well under
-// 1 ns/row. `make bakeoff` prints the table EXPERIMENTS.md records; CI
-// runs it at -benchtime 1x as a compile-and-run smoke.
+// 1 ns/row. Keys fill the bank; the radix kernel also runs keys of the
+// narrower widths rounds sort in (bakeoffWidths, cells named w=W), on
+// both sides of its packed crossover. `make bakeoff` prints the table
+// EXPERIMENTS.md records; CI runs it at -benchtime 1x as a
+// compile-and-run smoke.
 func BenchmarkKernelBakeoff(b *testing.B) {
 	type pair struct {
 		k uint64
@@ -50,31 +53,43 @@ func BenchmarkKernelBakeoff(b *testing.B) {
 			}
 		}},
 	}
+	cell := func(name string, bank, width int, dup string, n int) {
+		rows := max(n, bakeoffRows) / n * n
+		src := bakeoffKeys(rows, bank, width, dup)
+		keys := make([]uint64, rows)
+		oids := make([]uint32, rows)
+		pairs := make([]pair, n)
+		var s Scratch
+		for _, k := range kernels {
+			if n > k.maxN || (width < bank && k.name != "radix") {
+				continue
+			}
+			b.Run(name+"/"+k.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					copy(keys, src)
+					for j := range oids {
+						oids[j] = uint32(j)
+					}
+					for lo := 0; lo < rows; lo += n {
+						k.sort(bank, keys[lo:lo+n], oids[lo:lo+n], &s, pairs)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
+			})
+		}
+	}
 	for _, bank := range Banks {
 		for _, dup := range []string{"unique", "zipf", "allequal"} {
 			for _, n := range []int{24, 32, 48, 64, 96, 128, 256, 1 << 10, 1 << 14, 1 << 16, 1 << 19} {
-				rows := max(n, bakeoffRows) / n * n
-				src := bakeoffKeys(rows, bank, dup)
-				keys := make([]uint64, rows)
-				oids := make([]uint32, rows)
-				pairs := make([]pair, n)
-				var s Scratch
-				for _, k := range kernels {
-					if n > k.maxN {
-						continue
-					}
-					b.Run(fmt.Sprintf("bank=%d/%s/n=%d/%s", bank, dup, n, k.name), func(b *testing.B) {
-						for i := 0; i < b.N; i++ {
-							copy(keys, src)
-							for j := range oids {
-								oids[j] = uint32(j)
-							}
-							for lo := 0; lo < rows; lo += n {
-								k.sort(bank, keys[lo:lo+n], oids[lo:lo+n], &s, pairs)
-							}
-						}
-						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
-					})
+				cell(fmt.Sprintf("bank=%d/%s/n=%d", bank, dup, n), bank, bank, dup, n)
+			}
+		}
+	}
+	for _, bank := range Banks {
+		for _, width := range bakeoffWidths[bank] {
+			for _, dup := range []string{"unique", "zipf"} {
+				for _, n := range []int{1 << 10, PackMinRows, 1 << 14, 1 << 16, 1 << 19} {
+					cell(fmt.Sprintf("bank=%d/w=%d/%s/n=%d", bank, width, dup, n), bank, width, dup, n)
 				}
 			}
 		}
@@ -84,7 +99,8 @@ func BenchmarkKernelBakeoff(b *testing.B) {
 // BenchmarkParallelSort times the parallel sort under the production
 // kernel — the parallel radix sort that mcsort's round 0 and its
 // cooperative group sorts call — in ns/row over parallelBenchRows rows:
-// workers {1, 2} × every bank × {unique, zipf} keys, and TopKContext,
+// workers {1, 2} × every bank × {unique, zipf} keys, full-bank and of
+// the narrower bakeoffWidths (cells named w=W), and TopKContext,
 // the radix select, at limits {100, n/8, n/2−1, n−1} × workers {1, 2}:
 // its one-worker cells are the shape mcsperf's serve_topk_cold runs
 // (limits 100 to 51,200), and n−1, beside the full sort, is the most
@@ -99,31 +115,40 @@ func BenchmarkParallelSort(b *testing.B) {
 	keys := make([]uint64, n)
 	oids := make([]uint32, n)
 	for _, bank := range Banks {
-		for _, dup := range []string{"unique", "zipf"} {
-			src := bakeoffKeys(n, bank, dup)
-			cell := func(name string, sort func(w int) error, w int) {
-				b.Run(fmt.Sprintf("bank=%d/%s/%s/workers=%d", bank, dup, name, w), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						copy(keys, src)
-						for j := range oids {
-							oids[j] = uint32(j)
+		for _, width := range append([]int{bank}, bakeoffWidths[bank]...) {
+			for _, dup := range []string{"unique", "zipf"} {
+				src := bakeoffKeys(n, bank, width, dup)
+				prefix := fmt.Sprintf("bank=%d/%s", bank, dup)
+				if width < bank {
+					prefix = fmt.Sprintf("bank=%d/w=%d/%s", bank, width, dup)
+				}
+				cell := func(name string, sort func(w int) error, w int) {
+					b.Run(fmt.Sprintf("%s/%s/workers=%d", prefix, name, w), func(b *testing.B) {
+						for i := 0; i < b.N; i++ {
+							copy(keys, src)
+							for j := range oids {
+								oids[j] = uint32(j)
+							}
+							if err := sort(w); err != nil {
+								b.Fatal(err)
+							}
 						}
-						if err := sort(w); err != nil {
-							b.Fatal(err)
-						}
-					}
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/row")
-				})
-			}
-			for _, w := range []int{1, 2} {
-				cell("sort", func(w int) error { return ParallelSortWithParamsContext(ctx, bank, keys, oids, Params{}, w) }, w)
-			}
-			for _, limit := range []int{100, n / 8, n/2 - 1, n - 1} {
+						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/row")
+					})
+				}
 				for _, w := range []int{1, 2} {
-					cell(fmt.Sprintf("topk=%d", limit), func(w int) error {
-						_, err := TopKContext(ctx, bank, keys, oids, limit, Params{}, w)
-						return err
-					}, w)
+					cell("sort", func(w int) error { return ParallelSortWithParamsContext(ctx, bank, keys, oids, Params{}, w) }, w)
+				}
+				if width < bank {
+					continue
+				}
+				for _, limit := range []int{100, n / 8, n/2 - 1, n - 1} {
+					for _, w := range []int{1, 2} {
+						cell(fmt.Sprintf("topk=%d", limit), func(w int) error {
+							_, err := TopKContext(ctx, bank, keys, oids, limit, Params{}, w)
+							return err
+						}, w)
+					}
 				}
 			}
 		}
@@ -141,7 +166,7 @@ func BenchmarkMergeRuns(b *testing.B) {
 	const n = parallelBenchRows
 	for _, k := range []int{2, 3, 8} {
 		for _, dup := range []string{"unique", "zipf"} {
-			keys := bakeoffKeys(n, 64, dup)
+			keys := bakeoffKeys(n, 64, 64, dup)
 			runs := make([]int, k+1)
 			for r := range runs {
 				runs[r] = n * r / k
@@ -177,20 +202,31 @@ const parallelBenchRows = 1 << 19
 // bakeoffRows is the work of one bake-off iteration.
 const bakeoffRows = 1 << 16
 
-// bakeoffKeys draws rows keys of the bank's width: uniform random
-// ("unique": distinct with near certainty in the 32- and 64-bit banks,
-// every digit live in all three), zipf-skewed like datagen's skewed
-// tables, or all equal.
-func bakeoffKeys(rows, bank int, dup string) []uint64 {
-	rng := rand.New(rand.NewSource(int64(bank)))
+// bakeoffWidths are the key widths below the full bank that the
+// bake-off and BenchmarkParallelSort also sort, per bank: the widths
+// rounds run at (lib_ties 18 bits, a shard3_window_full shard 29) and
+// the packed kernel's digit boundaries around them.
+var bakeoffWidths = map[int][]int{16: {12}, 32: {18, 24, 29}}
+
+// bakeoffKeys draws rows keys of width bits in the bank: uniform random
+// ("unique": distinct with near certainty at 32 bits and more, every
+// digit live), zipf-skewed like datagen's skewed tables, or all equal.
+// The full-bank keys are seeded by the bank alone, as before the
+// narrower widths were added.
+func bakeoffKeys(rows, bank, width int, dup string) []uint64 {
+	seed := int64(bank)
+	if width < bank {
+		seed = int64(bank<<8 | width)
+	}
+	rng := rand.New(rand.NewSource(seed))
 	zipf := rand.NewZipf(rng, 1.2, 1.3, uint64(rows))
 	keys := make([]uint64, rows)
 	for i := range keys {
 		switch dup {
 		case "unique":
-			keys[i] = rng.Uint64() & maskFor(bank)
+			keys[i] = rng.Uint64() & maskFor(width)
 		case "zipf":
-			keys[i] = zipf.Uint64() & maskFor(bank)
+			keys[i] = zipf.Uint64() & maskFor(width)
 		default:
 			keys[i] = 42
 		}

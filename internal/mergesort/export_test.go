@@ -13,6 +13,8 @@ var (
 const (
 	MinChunkRows      = minChunkRows
 	SmallRunCutoff    = smallRunCutoff
+	PackMaxBits       = packMaxBits
+	PackMinRows       = packMinRows
 	MergeCheckEvery   = mergeCheckEvery
 	SelectDigitBits   = selectDigitBits
 	SelectRefineShare = selectRefineShare

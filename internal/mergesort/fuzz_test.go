@@ -89,18 +89,25 @@ func FuzzMergesortSort(f *testing.F) {
 // the narrowest bank that holds it — so the top digits of the bank are
 // constant and the production kernel skips their scatters — and the
 // second, once a radix size, picks the worker count from
-// fuzzRadixWorkers. From two workers on the keys are repeated to
-// MinChunkRows rows per chunk, up to four chunks, so the parallel radix
-// sort cuts them into chunks that each hold the fuzzed keys: every key
-// ties across chunks.
+// fuzzRadixWorkers. The keys are repeated past the packed kernel's
+// crossover — on the sequential path to PackMinRows rows more than were
+// fuzzed, and from two workers on to MinChunkRows rows per chunk, up to
+// four chunks, so the parallel radix sort cuts them into chunks that
+// each hold the fuzzed keys — so every key ties far from its copies,
+// and banks of at most 32 bits sort packed words.
 func FuzzRadixSort(f *testing.F) {
 	f.Add(uint16(20), uint16(8), []byte{3, 1, 2})
 	f.Add(uint16(64), uint16(11), make([]byte, 300))
+	f.Add(uint16(29), uint16(0), []byte{7, 0, 0, 0, 9, 0, 1, 0, 255, 255, 255, 31})
 	f.Fuzz(func(t *testing.T, widthRaw, workersRaw uint16, data []byte) {
 		width := int(widthRaw)%64 + 1
 		workers := fuzzRadixWorkers[int(workersRaw)%len(fuzzRadixWorkers)]
 		keys := keysFromBytes(data, width)
-		if rows := min(workers, 4) * MinChunkRows; workers > 1 && len(keys) > 0 {
+		rows := PackMinRows + len(keys)
+		if workers > 1 {
+			rows = min(workers, 4) * MinChunkRows
+		}
+		if len(keys) > 0 {
 			for len(keys) < rows {
 				keys = append(keys, keys...)
 			}

@@ -1,21 +1,30 @@
 package mergesort
 
 // The production sort kernel: a stable LSD radix sort of (key, oid)
-// pairs over 8-bit digits. The paper names radix sorting as future work
-// (Section 7: "code massaging would allow a careful choice of the radix
-// size when radix-sorting multiple columns"); in scalar Go it beats the
+// pairs. The paper names radix sorting as future work (Section 7: "code
+// massaging would allow a careful choice of the radix size when
+// radix-sorting multiple columns"); in scalar Go it beats the
 // three-phase SWAR merge-sort in every (bank, n, duplicates) cell of
 // BenchmarkKernelBakeoff (EXPERIMENTS.md), so it sorts every run that
 // serves a query, and the paper kernel stays what the figures and the
 // cost model measure (internal/mergesort/paper).
 //
-// One counting pre-pass fills the histograms of all bank/8 digits, so a
-// digit on which every key agrees is known before any data moves and
-// its scatter is skipped: an 18-bit round key in a 32-bit bank costs
-// three scatters, not four — the round's real width sets the cost, not
-// the bank. Stability makes the kernel usable round by round and leaves
-// every run of equal keys in input order, which is oid order wherever
-// mcsort calls it.
+// The kernel has two layouts, chosen by the bank and the run length
+// (packDigitBits). A bank of at most 32 bits and a run of at least
+// packMinRows rows sort one packed key<<32 | oid word per row — one load
+// and one store per move, as the paper kernel's own lanes pack (key,
+// oid) — on digits of up to packMaxBits bits: an 18-bit round is two
+// scatters, a 29-bit one three. The first scatter reads the caller's
+// keys and oids and writes words, the last writes them back. Every
+// other run — a 64-bit bank, or a run too short to pay for the wider
+// histograms — moves (key, oid) pairs over 8-bit digits.
+//
+// One counting pre-pass fills the histograms of every digit of the
+// bank, so a digit on which every key agrees is known before any data
+// moves and its scatter is skipped: the round's real width sets the
+// cost, not the bank. Stability makes the kernel usable round by round
+// and leaves every run of equal keys in input order, which is oid order
+// wherever mcsort calls it.
 //
 // Across workers (parallelRadixSort) it is the same kernel over by-row
 // chunks, so it is stable, byte-identical to the sequential sort, and
@@ -38,44 +47,102 @@ var (
 	obsParEffX1000 = obs.NewGauge("mergesort.parallel_efficiency_x1000")
 )
 
-// radixBuckets is the bucket count of one 8-bit digit: 256 uint32
+// radixBuckets is the bucket count of one 8-bit pair digit: 256 uint32
 // counters per histogram, so even the eight histograms of a 64-bit bank
 // stay L1-resident.
 const radixBuckets = 1 << 8
 
-// minChunkRows bounds the parallel radix sort's chunks from below,
-// whatever the worker count: a chunk costs bank/8 histograms and
-// radixBuckets prefix steps per live digit, a sixteenth of its rows'
-// work at 16 rows per bucket. Without it the server's 1,024 workers would
-// cut a 16,384-row group into 16-row chunks, 8 MB of histograms.
-const minChunkRows = 16 * radixBuckets
+// packBuckets is the bucket count of the widest packed digit.
+const packBuckets = 1 << packMaxBits
 
-// radixHist holds the histograms of every digit of one chunk.
+// minChunkRows bounds the parallel radix sort's chunks from below,
+// whatever the worker count. A chunk costs one histogram per digit and,
+// per live digit, its share of the offset walk radixOffsets runs on one
+// goroutine: 256 counters for a pair digit, a sixteenth of a minimum
+// chunk's rows, and 2,048 for a packed 11-bit digit, half of them — so
+// a minimum chunk is twice packMinRows, the run length from which the
+// packed kernel pays for its histograms at all. Floors of 8,192 to
+// 32,768 rows measured no faster at two and four workers once n holds
+// two chunks under each (EXPERIMENTS.md "One-word radix"); below that
+// a floor only decides whether the sort runs on one goroutine.
+// Without it the server's 1,024 workers would cut a 16,384-row group
+// into 16-row chunks, 24 MB of packed histograms.
+const minChunkRows = 2 * packMinRows
+
+// radixHist holds the pair histograms of every digit of one chunk.
 type radixHist = [8][radixBuckets]uint32
 
+// packHist holds the packed histograms of every digit of one chunk: a
+// 32-bit bank is three digits of 11, 11 and 10 bits, a 16-bit bank two
+// of 8.
+type packHist = [3][packBuckets]uint32
+
+// packDigitBits returns the digit width the kernel sorts n rows of the
+// bank on: 0 for (key, oid) pairs on 8-bit digits, else packed words on
+// the narrowest digits that take the bank in ⌈bank/packMaxBits⌉ passes.
+func packDigitBits(bank, n int) uint {
+	if bank > 32 || n < packMinRows {
+		return 0
+	}
+	digits := (bank + packMaxBits - 1) / packMaxBits
+	return uint((bank + digits - 1) / digits)
+}
+
 // Scratch is the working memory of the production kernel: the two
-// (key, oid) pairs its scatter passes ping-pong between. A goroutine
-// that sorts many runs in a row (mcsort's group batches) hands every
-// call the same Scratch and allocates once per batch instead of once per
-// group; it grows to the largest run it has served. The zero value is
-// ready to use. A Scratch must not be shared between concurrent sorts.
-// A Params.Sort hook ignores it.
+// (key, oid) pairs the pair scatters ping-pong between — of which the
+// packed scatters use only the key arrays, as word arrays, one for a
+// sort of two passes and two for three — and the histograms of both
+// layouts. A goroutine that sorts many runs in a row (mcsort's group
+// batches) hands every call the same Scratch and allocates once per
+// batch instead of once per group; it grows to the largest run it has
+// served. The zero value is ready to use. A Scratch must not be shared
+// between concurrent sorts. A Params.Sort hook ignores it.
 type Scratch struct {
-	k [2][]uint64
-	o [2][]uint32
+	k  [2][]uint64
+	o  [2][]uint32
+	ph *radixHist
+	wh *packHist
+}
+
+// words returns scratch word array i with room for n words.
+func (s *Scratch) words(i, n int) []uint64 {
+	if cap(s.k[i]) < n {
+		s.k[i] = make([]uint64, n)
+	}
+	return s.k[i][:n]
 }
 
 // pair returns scratch pair i with room for n elements.
 func (s *Scratch) pair(i, n int) ([]uint64, []uint32) {
-	if cap(s.k[i]) < n {
-		s.k[i] = make([]uint64, n)
+	if cap(s.o[i]) < n {
 		s.o[i] = make([]uint32, n)
 	}
-	return s.k[i][:n], s.o[i][:n]
+	return s.words(i, n), s.o[i][:n]
 }
 
-// passDst returns where scatter pass i of passes writes: pass i reads
-// what pass i-1 wrote, from the caller's keys/oids through the two
+// pairHists returns the pair histograms, the first digits zeroed.
+func (s *Scratch) pairHists(digits int) *radixHist {
+	if s.ph == nil {
+		s.ph = new(radixHist)
+	}
+	clear(s.ph[:digits])
+	return s.ph
+}
+
+// wordHists returns the packed histograms, the first 2^bits counters of
+// each of the first digits zeroed.
+func (s *Scratch) wordHists(bits uint, digits int) *packHist {
+	if s.wh == nil {
+		s.wh = new(packHist)
+	}
+	for d := range s.wh[:digits] {
+		clear(s.wh[d][:1<<bits])
+	}
+	return s.wh
+}
+
+// passDst returns where pair scatter pass i of passes writes: pass i
+// reads what pass i-1 wrote, from the caller's keys/oids through the two
 // scratch pairs back to them, and a single pass scatters into scratch
 // for copyBack, so only a sort's last step writes the caller's slices.
 func (s *Scratch) passDst(i, passes int, keys []uint64, oids []uint32) ([]uint64, []uint32) {
@@ -85,14 +152,28 @@ func (s *Scratch) passDst(i, passes int, keys []uint64, oids []uint32) ([]uint64
 	return keys, oids
 }
 
+// wordDst returns where packed scatter pass i of passes writes its
+// words: the two word arrays in turn; the last pass of several writes
+// the caller's pairs instead (nil).
+func (s *Scratch) wordDst(i, passes, n int) []uint64 {
+	if i < passes-1 || passes == 1 {
+		return s.words(i&1, n)
+	}
+	return nil
+}
+
 // copyBack ends a sort: after one pass, and one more poll, it copies
-// scratch pair 0 into keys/oids.
-func (s *Scratch) copyBack(ctx context.Context, passes int, keys []uint64, oids []uint32) error {
+// scratch pair 0 into keys/oids — or, packed, unpacks word array 0.
+func (s *Scratch) copyBack(ctx context.Context, packed bool, passes int, keys []uint64, oids []uint32) error {
 	if passes != 1 {
 		return nil
 	}
 	if err := ctx.Err(); err != nil {
 		return err
+	}
+	if packed {
+		unpack(s.words(0, len(keys)), keys, oids)
+		return nil
 	}
 	k, o := s.pair(0, len(keys))
 	copy(keys, k)
@@ -100,28 +181,60 @@ func (s *Scratch) copyBack(ctx context.Context, passes int, keys []uint64, oids 
 	return nil
 }
 
+// unpack splits key<<32 | oid words into keys and oids.
+func unpack(words, keys []uint64, oids []uint32) {
+	keys, oids = keys[:len(words)], oids[:len(words)]
+	for i, w := range words {
+		keys[i], oids[i] = w>>32, uint32(w)
+	}
+}
+
 // radixSort sorts keys (each value < 2^bank) with their oids in place,
 // stably: the one-chunk case of the kernel. len(keys) == len(oids) and
 // the poll before the counting pre-pass are the entry point's
 // (SortScratchContext); the context is polled again before each scatter
 // and the copy-back, so every O(n) pass follows a poll, and every pass
-// but the last writes scratch only (passDst): on cancellation radixSort
-// returns ctx.Err() with keys and oids exactly as passed in.
+// but the last writes scratch only: on cancellation radixSort returns
+// ctx.Err() with keys and oids exactly as passed in.
 func radixSort(ctx context.Context, bank int, keys []uint64, oids []uint32, s *Scratch) error {
-	var hist [1]radixHist
-	radixCount(keys, bank/8, &hist[0])
-	live, passes := liveDigits(hist[:], bank/8, keys[0], len(keys))
+	if bits := packDigitBits(bank, len(keys)); bits > 0 {
+		return packSort(ctx, bank, bits, keys, oids, s)
+	}
+	hist := s.pairHists(bank / 8)
+	radixCount(keys, bank/8, hist)
+	col := func(_, d int) []uint32 { return hist[d][:] }
+	live, passes := liveDigits(1, bank/8, 8, keys[0], len(keys), col)
 	srcK, srcO := keys, oids
 	for i, d := range live[:passes] {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		dstK, dstO := s.passDst(i, passes, keys, oids)
-		radixOffsets(hist[:], d)
-		radixScatter(srcK, srcO, dstK, dstO, &hist[0][d], 8*uint(d))
+		radixOffsets(1, d, col)
+		radixScatter(srcK, srcO, dstK, dstO, &hist[d], 8*uint(d))
 		srcK, srcO = dstK, dstO
 	}
-	return s.copyBack(ctx, passes, keys, oids)
+	return s.copyBack(ctx, false, passes, keys, oids)
+}
+
+// packSort is radixSort on packed words and digits of bits bits.
+func packSort(ctx context.Context, bank int, bits uint, keys []uint64, oids []uint32, s *Scratch) error {
+	digits := (bank + int(bits) - 1) / int(bits)
+	hist := s.wordHists(bits, digits)
+	packCount(keys, bank, hist)
+	col := func(_, d int) []uint32 { return hist[d][:1<<bits] }
+	live, passes := liveDigits(1, digits, bits, keys[0], len(keys), col)
+	var src []uint64
+	for i, d := range live[:passes] {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		dst := s.wordDst(i, passes, len(keys))
+		radixOffsets(1, d, col)
+		packScatter(i, keys, oids, src, dst, keys, oids, &hist[d], bits*uint(d), bits)
+		src = dst
+	}
+	return s.copyBack(ctx, true, passes, keys, oids)
 }
 
 // ParallelSortWithParamsContext sorts keys (each value < 2^bank) with
@@ -175,9 +288,12 @@ func radixChunks(n, workers int) []int {
 // range polls and fires faultinject.ChunkSort; on error keys and oids
 // are in unspecified order.
 func parallelRadixSort(ctx context.Context, bank int, keys []uint64, oids []uint32, bounds []int, workers int, busy *pipeerr.Busy) error {
+	if bits := packDigitBits(bank, len(keys)/(len(bounds)-1)); bits > 0 {
+		return parallelPackSort(ctx, bank, bits, keys, oids, bounds, workers, busy)
+	}
+	chunks := pipeerr.Pass{Stage: pipeerr.StageSort, Round: -1, Site: faultinject.ChunkSort, Busy: busy}
 	digits := bank / 8
 	hists := make([]radixHist, len(bounds)-1)
-	chunks := pipeerr.Pass{Stage: pipeerr.StageSort, Round: -1, Site: faultinject.ChunkSort, Busy: busy}
 	err := chunks.Ranges(ctx, workers, len(hists), func(_ context.Context, c int) error {
 		radixCount(keys[bounds[c]:bounds[c+1]], digits, &hists[c])
 		return nil
@@ -185,7 +301,8 @@ func parallelRadixSort(ctx context.Context, bank int, keys []uint64, oids []uint
 	if err != nil {
 		return err
 	}
-	live, passes := liveDigits(hists, digits, keys[0], len(keys))
+	col := func(c, d int) []uint32 { return hists[c][d][:] }
+	live, passes := liveDigits(len(hists), digits, 8, keys[0], len(keys), col)
 	var s Scratch
 	srcK, srcO := keys, oids
 	for i, d := range live[:passes] {
@@ -199,7 +316,7 @@ func parallelRadixSort(ctx context.Context, bank int, keys []uint64, oids []uint
 				return err
 			}
 		}
-		radixOffsets(hists, d)
+		radixOffsets(len(hists), d, col)
 		dstK, dstO := s.passDst(i, passes, keys, oids)
 		err := chunks.Ranges(ctx, workers, len(hists), func(_ context.Context, c int) error {
 			lo, hi := bounds[c], bounds[c+1]
@@ -211,11 +328,59 @@ func parallelRadixSort(ctx context.Context, bank int, keys []uint64, oids []uint
 		}
 		srcK, srcO = dstK, dstO
 	}
-	return s.copyBack(ctx, passes, keys, oids)
+	return s.copyBack(ctx, false, passes, keys, oids)
+}
+
+// parallelPackSort is parallelRadixSort on packed words and digits of
+// bits bits: each pass scatters every chunk's pairs or words into the
+// pass's destination, as packSort does for one chunk.
+func parallelPackSort(ctx context.Context, bank int, bits uint, keys []uint64, oids []uint32, bounds []int, workers int, busy *pipeerr.Busy) error {
+	chunks := pipeerr.Pass{Stage: pipeerr.StageSort, Round: -1, Site: faultinject.ChunkSort, Busy: busy}
+	digits := (bank + int(bits) - 1) / int(bits)
+	hists := make([]packHist, len(bounds)-1)
+	err := chunks.Ranges(ctx, workers, len(hists), func(_ context.Context, c int) error {
+		packCount(keys[bounds[c]:bounds[c+1]], bank, &hists[c])
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	col := func(c, d int) []uint32 { return hists[c][d][:1<<bits] }
+	live, passes := liveDigits(len(hists), digits, bits, keys[0], len(keys), col)
+	var s Scratch
+	var src []uint64
+	for i, d := range live[:passes] {
+		shift := bits * uint(d)
+		if i > 0 {
+			err := chunks.Ranges(ctx, workers, len(hists), func(_ context.Context, c int) error {
+				packCountDigit(src[bounds[c]:bounds[c+1]], shift, bits, &hists[c][d])
+				return nil
+			})
+			if err != nil {
+				return err
+			}
+		}
+		radixOffsets(len(hists), d, col)
+		dst := s.wordDst(i, passes, len(keys))
+		err := chunks.Ranges(ctx, workers, len(hists), func(_ context.Context, c int) error {
+			lo, hi := bounds[c], bounds[c+1]
+			var in []uint64
+			if i > 0 {
+				in = src[lo:hi]
+			}
+			packScatter(i, keys[lo:hi], oids[lo:hi], in, dst, keys, oids, &hists[c][d], shift, bits)
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		src = dst
+	}
+	return s.copyBack(ctx, true, passes, keys, oids)
 }
 
 // radixCount is the counting pre-pass: one sweep over keys that fills
-// the histogram of every digit of the bank.
+// the histogram of every 8-bit digit of the bank.
 func radixCount(keys []uint64, digits int, hist *radixHist) {
 	switch digits {
 	case 2:
@@ -244,6 +409,24 @@ func radixCount(keys []uint64, digits int, hist *radixHist) {
 	}
 }
 
+// packCount is the packed counting pre-pass over the digits
+// packDigitBits gives the bank: 8 and 8 bits for bank 16, 11, 11 and 10
+// for bank 32.
+func packCount(keys []uint64, bank int, hist *packHist) {
+	if bank == 16 {
+		for _, k := range keys {
+			hist[0][uint8(k)]++
+			hist[1][uint8(k>>8)]++
+		}
+		return
+	}
+	for _, k := range keys {
+		hist[0][k&(packBuckets-1)]++
+		hist[1][(k>>packMaxBits)&(packBuckets-1)]++
+		hist[2][(k>>(2*packMaxBits))&(packBuckets-1)]++
+	}
+}
+
 // radixCountDigit recounts the one digit at shift over keys into hist.
 func radixCountDigit(keys []uint64, shift uint, hist *[radixBuckets]uint32) {
 	*hist = [radixBuckets]uint32{}
@@ -252,15 +435,28 @@ func radixCountDigit(keys []uint64, shift uint, hist *[radixBuckets]uint32) {
 	}
 }
 
-// liveDigits lists, ascending, the digits the n keys counted into hists
-// do not all agree on, and counts the sort and its passes: a digit whose
-// summed histogram has one full bucket is constant, its scatter the
-// identity.
-func liveDigits(hists []radixHist, digits int, first uint64, n int) (live [8]int, passes int) {
+// packCountDigit recounts the one digit of bits bits at key bit shift
+// over words into hist.
+func packCountDigit(words []uint64, shift, bits uint, hist *[packBuckets]uint32) {
+	clear(hist[:1<<bits])
+	m := uint64(1)<<(bits&63) - 1
+	shift = (shift + 32) & 63
+	for _, w := range words {
+		hist[(w>>shift)&m&(packBuckets-1)]++
+	}
+}
+
+// liveDigits lists, ascending, the digits of bits bits the n keys
+// counted into the chunks' histograms (col(c, d) is chunk c's of digit
+// d) do not all agree on, and counts the sort and its passes: a digit
+// whose summed histogram counts n keys of the first key's value is
+// constant, its scatter the identity.
+func liveDigits(chunks, digits int, bits uint, first uint64, n int, col func(c, d int) []uint32) (live [8]int, passes int) {
+	m := uint64(1)<<bits - 1
 	for d := 0; d < digits; d++ {
-		b, sum := uint8(first>>(8*uint(d))), 0
-		for c := range hists {
-			sum += int(hists[c][d][b])
+		v, sum := first>>(bits*uint(d))&m, 0
+		for c := 0; c < chunks; c++ {
+			sum += int(col(c, d)[v])
 		}
 		if sum != n {
 			live[passes] = d
@@ -275,30 +471,35 @@ func liveDigits(hists []radixHist, digits int, first uint64, n int) (live [8]int
 // radixOffsets turns the chunks' counts of digit d into write offsets in
 // place, an exclusive prefix over (digit value, chunk): chunk c's rows of
 // value v follow those of earlier chunks, where a sequential stable pass
-// puts them. One chunk, whose fixed cost sets smallRunCutoff, takes the
-// flat prefix; the nested walk costs it several times as much.
-func radixOffsets(hists []radixHist, d int) {
+// puts them. One chunk, whose fixed cost sets smallRunCutoff and
+// packMinRows, takes the flat prefix; the nested walk costs it several
+// times as much.
+func radixOffsets(chunks, d int, col func(c, d int) []uint32) {
 	sum := uint32(0)
-	if len(hists) == 1 {
-		h := &hists[0][d]
+	if chunks == 1 {
+		h := col(0, d)
 		for v, n := range h {
 			h[v] = sum
 			sum += n
 		}
 		return
 	}
-	for v := 0; v < radixBuckets; v++ {
-		for c := range hists {
-			n := hists[c][d][v]
-			hists[c][d][v] = sum
+	cols := make([][]uint32, chunks)
+	for c := range cols {
+		cols[c] = col(c, d)
+	}
+	for v := range cols[0] {
+		for _, h := range cols {
+			n := h[v]
+			h[v] = sum
 			sum += n
 		}
 	}
 }
 
-// radixScatter is one stable counting-sort pass of a chunk on the digit
-// at shift: every (key, oid) pair of src goes to its bucket's next slot
-// in dst, starting from the chunk's offsets.
+// radixScatter is one stable counting-sort pass of a chunk on the 8-bit
+// digit at shift: every (key, oid) pair of src goes to its bucket's next
+// slot in dst, starting from the chunk's offsets.
 func radixScatter(srcK []uint64, srcO []uint32, dstK []uint64, dstO []uint32, off *[radixBuckets]uint32, shift uint) {
 	srcO = srcO[:len(srcK)]
 	for i, k := range srcK {
@@ -307,5 +508,54 @@ func radixScatter(srcK []uint64, srcO []uint32, dstK []uint64, dstO []uint32, of
 		off[b] = p + 1
 		dstK[p] = k
 		dstO[p] = srcO[i]
+	}
+}
+
+// packScatter is one chunk's stable counting-sort pass i on the packed
+// digit of bits bits at key bit shift, from the chunk's offsets: the
+// first pass reads the chunk's pairs srcK/srcO, every later one its
+// words src; a pass with a word destination dst writes key<<32 | oid
+// words, the last of several the pairs dstK/dstO.
+func packScatter(i int, srcK []uint64, srcO []uint32, src, dst []uint64, dstK []uint64, dstO []uint32, off *[packBuckets]uint32, shift, bits uint) {
+	m := uint64(1)<<(bits&63) - 1
+	switch {
+	case i == 0:
+		packIn(srcK, srcO, dst, off, shift&63, m)
+	case dst != nil:
+		packMove(src, dst, off, (shift+32)&63, m)
+	default:
+		packOut(src, dstK, dstO, off, (shift+32)&63, m)
+	}
+}
+
+// packIn scatters pairs into words.
+func packIn(srcK []uint64, srcO []uint32, dst []uint64, off *[packBuckets]uint32, shift uint, m uint64) {
+	srcO = srcO[:len(srcK)]
+	for i, k := range srcK {
+		b := k >> shift & m & (packBuckets - 1)
+		p := off[b]
+		off[b] = p + 1
+		dst[p] = k<<32 | uint64(srcO[i])
+	}
+}
+
+// packMove scatters words into words.
+func packMove(src, dst []uint64, off *[packBuckets]uint32, shift uint, m uint64) {
+	for _, w := range src {
+		b := w >> shift & m & (packBuckets - 1)
+		p := off[b]
+		off[b] = p + 1
+		dst[p] = w
+	}
+}
+
+// packOut scatters words into pairs.
+func packOut(src []uint64, dstK []uint64, dstO []uint32, off *[packBuckets]uint32, shift uint, m uint64) {
+	for _, w := range src {
+		b := w >> shift & m & (packBuckets - 1)
+		p := off[b]
+		off[b] = p + 1
+		dstK[p] = w >> 32
+		dstO[p] = uint32(w)
 	}
 }

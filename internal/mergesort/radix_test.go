@@ -33,10 +33,14 @@ func mustRadix(tb testing.TB, bank int, keys []uint64, oids []uint32) {
 	}
 }
 
+// TestRadixSortAllWidths sorts every kind of width — one digit, digit
+// boundaries of the 8-bit pair digits and of the packed 11-bit ones
+// (11, 12, 22, 23), full banks — at run lengths on both sides of the
+// packed kernel's crossover.
 func TestRadixSortAllWidths(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, width := range []int{1, 5, 8, 9, 16, 17, 27, 32, 33, 48, 64} {
-		for _, n := range []int{1, 2, 23, 24, 100, 4096, 20000} {
+	for _, width := range []int{1, 5, 8, 9, 11, 12, 16, 17, 22, 23, 27, 32, 33, 48, 64} {
+		for _, n := range []int{1, 2, 23, 24, 100, PackMinRows - 1, PackMinRows, PackMinRows + 1, 4096, 20000} {
 			keys := randKeys(rng, n, width)
 			orig := append([]uint64(nil), keys...)
 			oids := identOids(n)
@@ -93,7 +97,8 @@ func TestRadixSortPresortedAndTies(t *testing.T) {
 
 // TestRadixSortSkipsConstantDigits pins the width-awareness: the one
 // counting pre-pass finds the digits every key agrees on, and only the
-// others cost a scatter — an 18-bit key in a 32-bit bank three, keys
+// others cost a scatter — an 18-bit key in a 32-bit bank two packed
+// 11-bit digits (three 8-bit pair digits below the crossover), keys
 // that differ in the top digit only one, equal keys none — whatever the
 // bank has room for.
 func TestRadixSortSkipsConstantDigits(t *testing.T) {
@@ -115,7 +120,10 @@ func TestRadixSortSkipsConstantDigits(t *testing.T) {
 		keys   []uint64
 		passes int64
 	}{
-		{"18 bits in bank 32", 32, randKeys(rng, n, 18), 3},
+		{"18 bits in bank 32", 32, randKeys(rng, n, 18), 2},
+		{"18 bits in bank 32, pairs", 32, randKeys(rng, PackMinRows-1, 18), 3},
+		{"29 bits in bank 32", 32, randKeys(rng, n, 29), 3},
+		{"16 bits in bank 16", 16, randKeys(rng, n, 16), 2},
 		{"16 bits in bank 64", 64, randKeys(rng, n, 16), 2},
 		{"full bank 64", 64, randKeys(rng, n, 64), 8},
 		{"top digit only", 64, gen(func() uint64 { return uint64(rng.Intn(256))<<56 | 0x00c0ffee }), 1},
@@ -124,7 +132,7 @@ func TestRadixSortSkipsConstantDigits(t *testing.T) {
 		{"all equal", 16, gen(func() uint64 { return 42 }), 0},
 	} {
 		orig := append([]uint64(nil), c.keys...)
-		oids := identOids(n)
+		oids := identOids(len(c.keys))
 		before := radixPasses.Value()
 		mustRadix(t, c.bank, c.keys, oids)
 		if got := radixPasses.Value() - before; got != c.passes {
@@ -139,10 +147,11 @@ func TestRadixSortSkipsConstantDigits(t *testing.T) {
 // TestRadixSortCancelBetweenScatters cancels a sort at every poll the
 // kernel makes — before each scatter, the one between the second and
 // third scatter of a 64-bit-bank sort among them, and before the
-// copy-back of a single-digit sort: it returns
-// ctx.Err() with keys and oids exactly as passed in, and one poll more
-// than that lets it finish — the last pass, the only one that writes
-// the caller's slices, is not interruptible.
+// copy-back of a single-digit sort — on pairs and on packed words,
+// whose middle scatter of three moves words between scratch arrays
+// only: it returns ctx.Err() with keys and oids exactly as passed in,
+// and one poll more than that lets it finish — the last pass, the only
+// one that writes the caller's slices, is not interruptible.
 func TestRadixSortCancelBetweenScatters(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	const n = 5000
@@ -150,14 +159,18 @@ func TestRadixSortCancelBetweenScatters(t *testing.T) {
 		name  string
 		bank  int
 		width int
+		rows  int
 		polls int64 // one per scatter (+ the copy-back)
 	}{
-		{"bank 64", 64, 64, 8},
-		{"bank 32, 18 bits", 32, 18, 3},
-		{"bank 16, one digit", 16, 8, 1 + 1},
+		{"bank 64", 64, 64, n, 8},
+		{"bank 32, 18 bits", 32, 18, n, 2},
+		{"bank 32, 18 bits, pairs", 32, 18, PackMinRows - 1, 3},
+		{"bank 32, 29 bits, packed", 32, 29, n, 3},
+		{"bank 32, one packed digit", 32, 11, n, 1 + 1},
+		{"bank 16, one digit", 16, 8, n, 1 + 1},
 	} {
-		keys := randKeys(rng, n, c.width)
-		oids := identOids(n)
+		keys := randKeys(rng, c.rows, c.width)
+		oids := identOids(c.rows)
 		wantK, wantO := slices.Clone(keys), slices.Clone(oids)
 		for polls := int64(0); polls < c.polls; polls++ {
 			if err := RadixSort(testutil.NewPollCtx(polls), c.bank, keys, oids, new(Scratch)); !errors.Is(err, context.Canceled) {
@@ -177,12 +190,17 @@ func TestRadixSortCancelBetweenScatters(t *testing.T) {
 // TestSmallAndBatchedSortsDoNotAllocate pins the two allocation facts
 // mcsort's later rounds rely on: a run below the small-run cutoff is an
 // in-place insertion sort, and runs above it sharing one Scratch
-// allocate once, for the largest, not once each.
+// allocate once, for the largest, not once each — on pairs, and on
+// packed words past the crossover, whose histograms live in the
+// Scratch too.
 func TestSmallAndBatchedSortsDoNotAllocate(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(9))
-	for _, bank := range Banks {
-		n := 4 * SmallRunCutoff
+	for _, c := range []struct{ bank, n int }{
+		{16, 4 * SmallRunCutoff}, {32, 4 * SmallRunCutoff}, {64, 4 * SmallRunCutoff},
+		{16, 4 * PackMinRows}, {32, 4 * PackMinRows},
+	} {
+		bank, n := c.bank, c.n
 		src := randKeys(rng, n, bank)
 		keys, oids := make([]uint64, n), make([]uint32, n)
 		refill := func() {
@@ -198,7 +216,7 @@ func TestSmallAndBatchedSortsDoNotAllocate(t *testing.T) {
 				t.Fatal(err)
 			}
 		}); got != 0 {
-			t.Errorf("bank %d: a %d-row sort made %v allocations, want 0", bank, small, got)
+			t.Errorf("bank %d, %d rows: a %d-row sort made %v allocations, want 0", bank, n, small, got)
 		}
 		var s Scratch
 		if err := SortScratchContext(ctx, bank, keys, oids, Params{}, &s); err != nil { // sizes s
@@ -212,7 +230,7 @@ func TestSmallAndBatchedSortsDoNotAllocate(t *testing.T) {
 				}
 			}
 		}); got != 0 {
-			t.Errorf("bank %d: sorts on a sized Scratch made %v allocations, want 0", bank, got)
+			t.Errorf("bank %d, %d rows: sorts on a sized Scratch made %v allocations, want 0", bank, n, got)
 		}
 	}
 }

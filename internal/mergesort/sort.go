@@ -1,6 +1,8 @@
 // Package mergesort is the sort stack that serves queries: a stable LSD
-// radix sort of (key, oid) pairs, sequential and across workers
-// (radix.go), with an insertion sort below smallRunCutoff rows; the
+// radix sort, sequential and across workers (radix.go), of packed
+// key<<32 | oid words on digits of up to 11 bits in banks of at most 32
+// bits and of (key, oid) pairs on 8-bit digits otherwise, with an
+// insertion sort below smallRunCutoff rows; the
 // top-K partial sort behind LIMIT (topk.go); and the one merge of sorted
 // runs, under the coordinator's cross-shard gather (merge.go).
 //
@@ -99,6 +101,22 @@ var (
 // radix sort is within 21 % of the insertion sort in its worst cell, and
 // below 64 the insertion sort never costs more than 23 ns/row.
 const smallRunCutoff = 64
+
+// packMaxBits and packMinRows shape the packed kernel (radix.go), and
+// are measured facts like smallRunCutoff, not knobs. A bank of at most
+// 32 bits sorts packed words on digits of at most packMaxBits bits — 11,
+// 11 and 10 for bank 32, 8 and 8 for bank 16 — from packMinRows rows
+// on, and (key, oid) pairs on 8-bit digits below. Interleaved medians
+// of 15 runs (EXPERIMENTS.md "One-word radix") put the 11-bit packed
+// kernel 5 to 20 % behind the pairs at 1,024 rows, level at 1,536, and
+// ahead at 2,048 rows on uniform and zipf keys of 18, 29 and 32 bits;
+// at 2^19 rows it is about 40 % ahead. Wider digits than 11 bits would
+// take bank 32 in two passes, but their 2^12 counters per histogram
+// leave L1.
+const (
+	packMaxBits = 11
+	packMinRows = 2048
+)
 
 // SortWithParamsContext sorts keys (each value < 2^bank) together with
 // their oids in place, stably: equal keys keep their input order. It is

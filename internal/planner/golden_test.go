@@ -15,7 +15,8 @@ import (
 
 // The plan golden: every row was recorded when the builtin model began
 // pricing the radix kernel and truncated free-order searches began
-// taking their column order from the search without the limit, so a
+// taking their column order from the search without the limit, and
+// re-recorded when the radix term began pricing packed words, so a
 // passing table means a refactored search — capped or not, pinned or
 // free — still returns the ColOrder, Plan and bit-equal Est that model
 // chose, and stops a capped search at the same candidate (a truncated
@@ -135,34 +136,34 @@ func TestPlanGolden(t *testing.T) {
 
 // planGolden: search name → what the search chose when recorded.
 var planGolden = map[string]goldenRow{
-	"topk/limit100":              {"[0 1 2 3 4]", "{R1: 14/[16], R2: 9/[16], R3: 25/[32]}", 0x41517b037cd42feb, 4650},
-	"topk/limit100/cap1":         {"[0 1 2 3 4]", "{R1: 5/[16], R2: 5/[16], R3: 5/[16], R4: 12/[16], R5: 21/[32]}", 0x41522b743aa798f7, 2},
-	"topk/limit100/cap50":        {"[0 1 2 3 4]", "{R1: 14/[16], R2: 9/[16], R3: 25/[32]}", 0x41517b037cd42feb, 100},
-	"topk/limit100/cap500":       {"[0 1 2 3 4]", "{R1: 14/[16], R2: 9/[16], R3: 25/[32]}", 0x41517b037cd42feb, 686},
-	"topk/limit3700":             {"[0 1 2 3 4]", "{R1: 12/[16], R2: 11/[16], R3: 25/[32]}", 0x415283f5f8d33de9, 4650},
-	"topk/limit3700/cap1":        {"[0 1 2 3 4]", "{R1: 5/[16], R2: 5/[16], R3: 5/[16], R4: 12/[16], R5: 21/[32]}", 0x4153361523759e78, 2},
-	"topk/limit3700/cap50":       {"[0 1 2 3 4]", "{R1: 12/[16], R2: 11/[16], R3: 25/[32]}", 0x415283f5f8d33de9, 100},
-	"topk/limit3700/cap500":      {"[0 1 2 3 4]", "{R1: 12/[16], R2: 11/[16], R3: 25/[32]}", 0x415283f5f8d33de9, 686},
-	"topk/limit51200":            {"[0 1 2 3 4]", "{R1: 16/[16], R2: 32/[32]}", 0x415c7af6842820a6, 4650},
-	"topk/limit51200/cap1":       {"[0 1 2 3 4]", "{R1: 5/[16], R2: 5/[16], R3: 5/[16], R4: 12/[16], R5: 21/[32]}", 0x41607a0c9198338c, 2},
-	"topk/limit51200/cap50":      {"[0 1 2 3 4]", "{R1: 16/[16], R2: 32/[32]}", 0x415c7af6842820a6, 100},
-	"topk/limit51200/cap500":     {"[0 1 2 3 4]", "{R1: 16/[16], R2: 32/[32]}", 0x415c7af6842820a6, 686},
-	"topk/unlimited":             {"[0 1 2 3 4]", "{R1: 23/[32], R2: 25/[32]}", 0x417828a20f18840e, 4464},
-	"topk/unlimited/cap1":        {"[0 1 2 3 4]", "{R1: 48/[64]}", 0x417b269a76f43d15, 1},
-	"topk/unlimited/cap50":       {"[0 1 2 3 4]", "{R1: 23/[32], R2: 25/[32]}", 0x417828a20f18840e, 50},
-	"topk/unlimited/cap500":      {"[0 1 2 3 4]", "{R1: 23/[32], R2: 25/[32]}", 0x417828a20f18840e, 500},
-	"topk/fixedorder":            {"[2 0 3 1 4]", "{R1: 16/[16], R2: 32/[32]}", 0x41521e4eac60b516, 186},
-	"topk/fixedorder/cap1":       {"[2 0 3 1 4]", "{R1: 5/[16], R2: 5/[16], R3: 12/[16], R4: 5/[16], R5: 21/[32]}", 0x4153194dffa1e169, 1},
-	"topk/fixedorder/cap50":      {"[2 0 3 1 4]", "{R1: 16/[16], R2: 32/[32]}", 0x41521e4eac60b516, 50},
-	"topk/fixedorder/cap500":     {"[2 0 3 1 4]", "{R1: 16/[16], R2: 32/[32]}", 0x41521e4eac60b516, 186},
-	"groupby/limitgroups":        {"[0 1 2]", "{R1: 9/[16], R2: 14/[16], R3: 20/[32]}", 0x4152cf495e4958f3, 1302},
-	"groupby/limitgroups/cap1":   {"[0 1 2]", "{R1: 9/[16], R2: 14/[16], R3: 20/[32]}", 0x4152cf495e4958f3, 2},
-	"groupby/limitgroups/cap50":  {"[0 1 2]", "{R1: 9/[16], R2: 14/[16], R3: 20/[32]}", 0x4152cf495e4958f3, 100},
-	"groupby/limitgroups/cap500": {"[0 1 2]", "{R1: 9/[16], R2: 14/[16], R3: 20/[32]}", 0x4152cf495e4958f3, 686},
-	"orderby":                    {"[0 1 2]", "{R1: 23/[32], R2: 36/[64]}", 0x4122014c7183cc42, 759},
-	"orderby/cap1":               {"[0 1 2]", "{R1: 59/[64]}", 0x4122268152f6038a, 1},
-	"orderby/cap50":              {"[0 1 2]", "{R1: 23/[32], R2: 36/[64]}", 0x4122014c7183cc42, 50},
-	"orderby/cap500":             {"[0 1 2]", "{R1: 23/[32], R2: 36/[64]}", 0x4122014c7183cc42, 500},
+	"topk/limit100":              {"[0 1 2 3 4]", "{R1: 14/[16], R2: 9/[16], R3: 25/[32]}", 0x4151d13f448b11ff, 4650},
+	"topk/limit100/cap1":         {"[0 1 2 3 4]", "{R1: 5/[16], R2: 5/[16], R3: 5/[16], R4: 12/[16], R5: 21/[32]}", 0x4152bfc8f845f68e, 2},
+	"topk/limit100/cap50":        {"[0 1 2 3 4]", "{R1: 14/[16], R2: 9/[16], R3: 25/[32]}", 0x4151d13f448b11ff, 100},
+	"topk/limit100/cap500":       {"[0 1 2 3 4]", "{R1: 14/[16], R2: 9/[16], R3: 25/[32]}", 0x4151d13f448b11ff, 686},
+	"topk/limit3700":             {"[0 1 2 3 4]", "{R1: 12/[16], R2: 11/[16], R3: 25/[32]}", 0x4152c12e95c1c8d3, 4650},
+	"topk/limit3700/cap1":        {"[0 1 2 3 4]", "{R1: 5/[16], R2: 5/[16], R3: 5/[16], R4: 12/[16], R5: 21/[32]}", 0x4153c26ba30de277, 2},
+	"topk/limit3700/cap50":       {"[0 1 2 3 4]", "{R1: 12/[16], R2: 11/[16], R3: 25/[32]}", 0x4152c12e95c1c8d3, 100},
+	"topk/limit3700/cap500":      {"[0 1 2 3 4]", "{R1: 12/[16], R2: 11/[16], R3: 25/[32]}", 0x4152c12e95c1c8d3, 686},
+	"topk/limit51200":            {"[0 1 2 3 4]", "{R1: 16/[16], R2: 32/[32]}", 0x415c78d58a866234, 4650},
+	"topk/limit51200/cap1":       {"[0 1 2 3 4]", "{R1: 5/[16], R2: 5/[16], R3: 5/[16], R4: 12/[16], R5: 21/[32]}", 0x41608b7c4d8a5036, 2},
+	"topk/limit51200/cap50":      {"[0 1 2 3 4]", "{R1: 16/[16], R2: 32/[32]}", 0x415c78d58a866234, 100},
+	"topk/limit51200/cap500":     {"[0 1 2 3 4]", "{R1: 16/[16], R2: 32/[32]}", 0x415c78d58a866234, 686},
+	"topk/unlimited":             {"[0 1 2 3 4]", "{R1: 23/[32], R2: 25/[32]}", 0x41749897b43cb279, 4464},
+	"topk/unlimited/cap1":        {"[0 1 2 3 4]", "{R1: 48/[64]}", 0x41794e001237d296, 1},
+	"topk/unlimited/cap50":       {"[0 1 2 3 4]", "{R1: 23/[32], R2: 25/[32]}", 0x41749897b43cb279, 50},
+	"topk/unlimited/cap500":      {"[0 1 2 3 4]", "{R1: 23/[32], R2: 25/[32]}", 0x41749897b43cb279, 500},
+	"topk/fixedorder":            {"[2 0 3 1 4]", "{R1: 16/[16], R2: 32/[32]}", 0x41527235dd69a14e, 186},
+	"topk/fixedorder/cap1":       {"[2 0 3 1 4]", "{R1: 5/[16], R2: 5/[16], R3: 12/[16], R4: 5/[16], R5: 21/[32]}", 0x4153a29e8f6d278a, 1},
+	"topk/fixedorder/cap50":      {"[2 0 3 1 4]", "{R1: 16/[16], R2: 32/[32]}", 0x41527235dd69a14e, 50},
+	"topk/fixedorder/cap500":     {"[2 0 3 1 4]", "{R1: 16/[16], R2: 32/[32]}", 0x41527235dd69a14e, 186},
+	"groupby/limitgroups":        {"[0 1 2]", "{R1: 9/[16], R2: 14/[16], R3: 20/[32]}", 0x414e4c15123f68d7, 1302},
+	"groupby/limitgroups/cap1":   {"[0 1 2]", "{R1: 9/[16], R2: 14/[16], R3: 20/[32]}", 0x414e4c15123f68d7, 2},
+	"groupby/limitgroups/cap50":  {"[0 1 2]", "{R1: 9/[16], R2: 14/[16], R3: 20/[32]}", 0x414e4c15123f68d7, 100},
+	"groupby/limitgroups/cap500": {"[0 1 2]", "{R1: 9/[16], R2: 14/[16], R3: 20/[32]}", 0x414e4c15123f68d7, 686},
+	"orderby":                    {"[0 1 2]", "{R1: 59/[64]}", 0x411f7ad36a87acf6, 759},
+	"orderby/cap1":               {"[0 1 2]", "{R1: 59/[64]}", 0x411f7ad36a87acf6, 1},
+	"orderby/cap50":              {"[0 1 2]", "{R1: 59/[64]}", 0x411f7ad36a87acf6, 50},
+	"orderby/cap500":             {"[0 1 2]", "{R1: 59/[64]}", 0x411f7ad36a87acf6, 500},
 	"orderby/ovc":                {"[0 1]", "{R1: 46/[64]}", 0x41bb9e63b51eb852, 186},
 	"orderby/ovc/cap1":           {"[0 1]", "{R1: 46/[64]}", 0x41bb9e63b51eb852, 1},
 	"orderby/ovc/cap50":          {"[0 1]", "{R1: 46/[64]}", 0x41bb9e63b51eb852, 50},
