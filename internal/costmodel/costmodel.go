@@ -42,7 +42,11 @@ type Constants struct {
 	// CMassageKey is per row per round key the massage writes: the
 	// allocation and store of one key, which Equation 4 leaves out.
 	CMassageKey float64
-	CScan       float64 // per row of group-extraction scan
+	// CGatherPlane is per row per byte plane of the ByteSlice gather a
+	// truncated first round runs over its source columns: under a row or
+	// group limit nothing is materialized before the sort (tSourceGather).
+	CGatherPlane float64
+	CScan        float64 // per row of group-extraction scan
 	// CScanGroup is per group boundary the scan emits, which Equation 9
 	// leaves out.
 	CScanGroup float64
@@ -181,8 +185,11 @@ type Model struct {
 // scaled by the ratio of the new calibrateRadix fit to the old one over
 // 15 interleaved pairs on the same machine (EXPERIMENTS.md has the fits
 // and their per-term error); M_L2 is that machine's, M_LLC a
-// conservative 8 MB. Plan quality degrades gracefully when they are
-// off, correctness never depends on them. The paper-kernel constants
+// conservative 8 MB. CGatherPlane came later: the median of nine runs
+// on a 2-vCPU KVM machine that ran the massage 2.2× slower than the
+// freeze (1.33 ns), scaled by the ratio of CMassage to those runs'
+// median CMassage (1.54 / 3.42). Plan quality degrades gracefully when
+// they are off, correctness never depends on them. The paper-kernel constants
 // (Bank, Fanout, OVCMergeDiscount) are the conservative regime of a
 // modern x86 server, read only when a caller plugs PaperSort into Sort.
 func Builtin() *Model {
@@ -195,6 +202,7 @@ func Builtin() *Model {
 			CMem:                9.00,
 			CMassage:            1.54,
 			CMassageKey:         1.47,
+			CGatherPlane:        0.60,
 			CScan:               1.34,
 			CScanGroup:          2.82,
 			RadixOffsets:        21.8,
@@ -307,14 +315,24 @@ func (m *Model) TLookup(n int, w int) float64 {
 // tGather is the lookup of a deferred round under a row or group limit
 // (mcsort's gather-fused massage): count survivors read from each of
 // the round's fips input columns through the permutation — a random
-// access into n 64-bit codes per column, the columns' footprint against
-// M_LLC setting the hit ratio as in Equation 3.
-func (m *Model) tGather(count, n, fips int) float64 {
+// access per column into its ByteSlice, whose planes (n bytes each,
+// planes of them over the fips columns) set the hit ratio against M_LLC
+// as in Equation 3.
+func (m *Model) tGather(count, n, fips, planes int) float64 {
 	if count == 0 || fips == 0 {
 		return 0
 	}
-	hit := min(float64(m.LLC)/(8*float64(n)*float64(fips)), 1)
+	hit := min(float64(m.LLC)/(float64(n)*float64(planes)), 1)
 	return float64(fips*count) * (m.C.CCache*hit + m.C.CMem*(1-hit))
+}
+
+// tSourceGather is the first round's read of its source columns under a
+// row or group limit: nothing is materialized before the sort, so the
+// round's massage first decodes every row's code of each source column
+// from its ByteSlice, a block at a time in selection order — planes
+// byte planes per row.
+func (m *Model) tSourceGather(n, planes int) float64 {
+	return m.C.CGatherPlane * float64(n) * float64(planes)
 }
 
 // TMassage is Equation 4, I_FIP four-instruction programs over n rows,
@@ -561,7 +579,7 @@ func (m *Model) validate() error {
 		return fmt.Errorf("radix constants count %v, scatter %v, word scatter %v, select %v, want > 0 (a profile that does not price the radix kernel)",
 			c.RadixCount, c.RadixScatter, c.RadixWordScatter, c.Select)
 	}
-	consts := []float64{c.CCache, c.CMem, c.CMassage, c.CMassageKey, c.CScan, c.CScanGroup,
+	consts := []float64{c.CCache, c.CMem, c.CMassage, c.CMassageKey, c.CGatherPlane, c.CScan, c.CScanGroup,
 		c.RadixOffsets, c.RadixCount, c.RadixCountHist, c.RadixScatter, c.RadixScatterMem,
 		c.RadixWordScatter, c.RadixWordScatterMem, c.RadixAlloc, c.Select,
 		c.SmallCall, c.SmallElem, c.SmallQuad, c.OVCMergeDiscount}

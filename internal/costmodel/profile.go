@@ -316,6 +316,20 @@ func (pf *Profile) roundFIPs(lo, width int) int {
 	return pf.colOf[hi-1] - pf.colOf[lo] + 1
 }
 
+// roundPlanes is the ByteSlice byte planes, ⌈width/8⌉ per column, of
+// the input columns a round key over bits [lo, lo+width) draws from.
+func (pf *Profile) roundPlanes(lo, width int) int {
+	hi := pf.at(lo + width)
+	lo = pf.at(lo)
+	planes := 0
+	if lo < hi {
+		for c := pf.colOf[lo]; c <= pf.colOf[hi-1]; c++ {
+			planes += (pf.st.Cols[c].Width + 7) / 8
+		}
+	}
+	return planes
+}
+
 // Terms is a T_mcs estimate split into the paper's four subcosts, the
 // phases mcsort.Timings measures.
 type Terms struct {
@@ -330,6 +344,7 @@ func (t Terms) Total() float64 { return t.Massage + t.Sort + t.Lookup + t.Scan }
 // lookup (rounds ≥ 2), the sorts, and a group-extraction scan.
 // Truncated stats (LimitRows/LimitGroups > 0) model the deferred
 // execution instead: massage is paid per round — in full for round 1,
+// with the gather of its source columns' ByteSlices (tSourceGather),
 // then only over the surviving prefix, whose round keys are gathered
 // from the input columns through the permutation (tGather) — and the
 // scan passes shrink with the survivors, which is what makes massaging
@@ -372,6 +387,9 @@ func (pf *Profile) tmcs(p plan.Plan, incumbent float64, terms *Terms) (t float64
 			}
 			fips = pf.roundFIPs(bitsBefore, r.Width)
 			v := m.TMassage(fips, 1, surv)
+			if k == 0 {
+				v += m.tSourceGather(surv, pf.roundPlanes(0, r.Width))
+			}
 			t += v
 			if terms != nil {
 				terms.Massage += v
@@ -380,7 +398,7 @@ func (pf *Profile) tmcs(p plan.Plan, incumbent float64, terms *Terms) (t float64
 		if k > 0 {
 			var v float64
 			if pf.limited {
-				v = m.tGather(surv, pf.st.N, fips)
+				v = m.tGather(surv, pf.st.N, fips, pf.roundPlanes(bitsBefore, r.Width))
 			} else {
 				v = m.TLookup(surv, r.Width)
 			}

@@ -226,8 +226,11 @@ func refTMCS(m *Model, p plan.Plan, st Stats) float64 {
 				surv = int(refSurvivorsAfter(st, bitsBefore))
 			}
 			t += m.TMassage(rf[k-1], 1, surv)
-			if k > 1 {
-				t += m.tGather(surv, st.N, rf[k-1])
+			planes := refRoundPlanes(st, bitsBefore, p.Rounds[k-1].Width)
+			if k == 1 {
+				t += m.C.CGatherPlane * float64(surv) * float64(planes)
+			} else {
+				t += m.tGather(surv, st.N, rf[k-1], planes)
 			}
 			t += refTSortRound(m, p, st, k)
 			if k == 1 && st.LimitRows > 0 {
@@ -249,6 +252,19 @@ func refTMCS(m *Model, p plan.Plan, st Stats) float64 {
 		t += m.TScan(st.N, refGroupsScanned(st, bitsBefore, st.N))
 	}
 	return t
+}
+
+// refRoundPlanes is the byte planes of the columns bits [lo, lo+width)
+// of the concatenation overlap.
+func refRoundPlanes(st Stats, lo, width int) int {
+	planes, start := 0, 0
+	for _, c := range st.Cols {
+		if start < lo+width && lo < start+c.Width {
+			planes += (c.Width + 7) / 8
+		}
+		start += c.Width
+	}
+	return planes
 }
 
 // refGroupsScanned is the groups of the bits-bit prefix among the rows

@@ -43,7 +43,8 @@ var (
 // controller charges each admitted query against the aggregate budget
 // with it — so the two layers never disagree about whether a query
 // fits — and mcs.Sort calls it with nCols = 0 (its input codes are
-// caller-owned and exist either way).
+// caller-owned and exist either way), as both layers do for a truncated
+// sort, which materializes no inputs (Bound.SortInputCols).
 func EstimatePipelineBytes(rows, nCols, nRounds, workers int) int64 {
 	r := int64(rows)
 	perRow := int64(8*(nCols+nRounds) + 8 + 4 + 4 + 24)

@@ -22,37 +22,63 @@ func cancelQuery() Query {
 	}
 }
 
-// TestRunContextCancelAtSites cancels from the engine's own faultinject
-// sites (gather, aggregate) at several worker counts: a fired site must
-// yield context.Canceled promptly with no leaked goroutines.
+// TestRunContextCancelAtSites cancels from the engine's gather and
+// aggregate sites and massage's chunk site at several worker counts: a
+// fired site must yield context.Canceled promptly with no leaked
+// goroutines. Which sites a query reaches depends on its kind: a
+// truncated sort reads the ByteSlices itself, so a window query under a
+// limit never gathers, and a GROUP BY under one gathers only its
+// survivors, after the sort. The unlimited GROUP BY's subtests carry no
+// kind prefix.
 func TestRunContextCancelAtSites(t *testing.T) {
 	defer faultinject.Reset()
 	tbl := makeTable(t, 8000, 21)
-	for _, site := range []string{faultinject.Gather, faultinject.Aggregate} {
-		for _, workers := range []int{1, 4, 8} {
-			site, workers := site, workers
-			t.Run(fmt.Sprintf("%s/workers=%d", site, workers), func(t *testing.T) {
-				defer testutil.CheckNoLeaks(t)()
-				ctx, cancel := context.WithCancel(context.Background())
-				defer cancel()
-				var fired atomic.Bool
-				restore := faultinject.Set(site, func() {
-					fired.Store(true)
-					cancel()
-				})
-				defer restore()
-				res, err := RunContext(ctx, tbl, cancelQuery(), Options{Workers: workers})
-				if fired.Load() {
-					if !errors.Is(err, context.Canceled) {
-						t.Fatalf("site fired but err = %v, want context.Canceled", err)
-					}
-					if res != nil {
-						t.Fatal("cancelled query must not return a result")
-					}
-				} else if err != nil {
-					t.Fatalf("site never fired but err = %v", err)
+	lim := 5
+	window := Query{ID: "cancel-window", Kind: planner.PartitionBy, SortCols: []SortCol{{Name: "a"}}, Window: &Window{OrderCol: "c"}}
+	for _, tc := range []struct {
+		name  string
+		q     Query
+		limit *int
+		fires map[string]bool
+	}{
+		{"", cancelQuery(), nil, map[string]bool{faultinject.Gather: true, faultinject.MassageChunk: true, faultinject.Aggregate: true}},
+		{"groupby-limit", cancelQuery(), &lim, map[string]bool{faultinject.Gather: true, faultinject.MassageChunk: true, faultinject.Aggregate: true}},
+		{"window", window, nil, map[string]bool{faultinject.Gather: true, faultinject.MassageChunk: true}},
+		{"window-limit", window, &lim, map[string]bool{faultinject.MassageChunk: true}},
+	} {
+		for _, site := range []string{faultinject.Gather, faultinject.MassageChunk, faultinject.Aggregate} {
+			for _, workers := range []int{1, 4, 8} {
+				tc, site, workers := tc, site, workers
+				name := fmt.Sprintf("%s/workers=%d", site, workers)
+				if tc.name != "" {
+					name = tc.name + "/" + name
 				}
-			})
+				t.Run(name, func(t *testing.T) {
+					defer testutil.CheckNoLeaks(t)()
+					ctx, cancel := context.WithCancel(context.Background())
+					defer cancel()
+					var fired atomic.Bool
+					restore := faultinject.Set(site, func() {
+						fired.Store(true)
+						cancel()
+					})
+					defer restore()
+					res, err := RunContext(ctx, tbl, tc.q, Options{Workers: workers, Limit: tc.limit})
+					if fired.Load() != tc.fires[site] {
+						t.Fatalf("site fired = %v, want %v", fired.Load(), tc.fires[site])
+					}
+					if fired.Load() {
+						if !errors.Is(err, context.Canceled) {
+							t.Fatalf("site fired but err = %v, want context.Canceled", err)
+						}
+						if res != nil {
+							t.Fatal("cancelled query must not return a result")
+						}
+					} else if err != nil {
+						t.Fatalf("site never fired but err = %v", err)
+					}
+				})
+			}
 		}
 	}
 }
@@ -150,6 +176,33 @@ func TestGatherPanicContained(t *testing.T) {
 	}
 }
 
+// TestFusedGatherPanicContained injects a panic into round 0 of a
+// truncated window query, whose massage gathers its source columns
+// straight from the ByteSlices: the failure is contained as stage
+// massage, round 0, with no goroutine left behind. Containment is a
+// property of the pipeline's workers, so the pass runs parallel.
+func TestFusedGatherPanicContained(t *testing.T) {
+	defer faultinject.Reset()
+	tbl := makeTable(t, 8000, 28)
+	q := Query{ID: "fused", Kind: planner.PartitionBy, SortCols: []SortCol{{Name: "a"}, {Name: "b"}}, Window: &Window{OrderCol: "c"}}
+	for _, workers := range []int{2, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			defer testutil.CheckNoLeaks(t)()
+			restore := faultinject.Set(faultinject.MassageChunk, func() { panic("injected massage fault") })
+			defer restore()
+			lim := 10
+			_, err := RunContext(context.Background(), tbl, q, Options{Workers: workers, Limit: &lim})
+			var pe *pipeerr.PipelineError
+			if !errors.As(err, &pe) {
+				t.Fatalf("err = %T %v, want *pipeerr.PipelineError", err, err)
+			}
+			if pe.Stage != pipeerr.StageMassage || pe.Round != 0 {
+				t.Errorf("stage %q round %d, want %q round 0", pe.Stage, pe.Round, pipeerr.StageMassage)
+			}
+		})
+	}
+}
+
 // TestBudgetRefusedWhenTooSmall pins the typed refusal: a budget too
 // small for even sequential execution returns ErrBudgetExceeded and
 // names the query.
@@ -193,6 +246,102 @@ func TestBudgetDegradesWorkers(t *testing.T) {
 		if full.Aggregates[g] != degraded.Aggregates[g] {
 			t.Fatalf("degraded run changed aggregate %d", g)
 		}
+	}
+}
+
+// TestBudgetTruncatedChargesNoInputs pins what a truncated query is
+// charged: no materialized input columns. A budget that degrades the
+// unlimited query runs the same query under a limit at the full worker
+// count.
+func TestBudgetTruncatedChargesNoInputs(t *testing.T) {
+	tbl := makeTable(t, 40000, 29)
+	q := cancelQuery()
+	budget := EstimatePipelineBytes(tbl.N, 2, 2, 1) + 64<<10
+	full, err := RunContext(context.Background(), tbl, q, Options{Workers: 8, MaxBytes: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Workers >= 8 {
+		t.Fatalf("unlimited query: effective workers = %d, want fewer than 8", full.Workers)
+	}
+	lim := 10
+	limited, err := RunContext(context.Background(), tbl, q, Options{Workers: 8, MaxBytes: budget, Limit: &lim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if limited.Workers != 8 {
+		t.Fatalf("limited query: effective workers = %d, want 8", limited.Workers)
+	}
+}
+
+// TestPartitionStartCancel pins invariant 4 of docs/robustness.md on
+// the page ranking's walk back to its partition start, which may cross
+// every row: a context cancelled before the call, or mid-walk, yields
+// context.Canceled within one poll stride, and an uncancelled walk
+// stops at the partition's first row.
+func TestPartitionStartCancel(t *testing.T) {
+	const n = 5 * rankCheckRows
+	order := make([]uint32, n)
+	for i := range order {
+		order[i] = uint32(i)
+	}
+	onePartition := func(reads *int) func(uint32, []uint64) {
+		return func(id uint32, dst []uint64) {
+			*reads++
+			dst[0] = 1
+		}
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, tc := range map[string]struct {
+		ctx      context.Context
+		maxReads int
+	}{
+		"pre-cancelled": {cancelled, 1},
+		"mid-walk":      {testutil.NewPollCtx(2), 1 + 2*rankCheckRows},
+	} {
+		reads := 0
+		if _, err := PartitionStart(tc.ctx, order, n-1, 1, onePartition(&reads)); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", name, err)
+		}
+		if reads != tc.maxReads {
+			t.Errorf("%s: read %d rows before stopping, want %d", name, reads, tc.maxReads)
+		}
+	}
+	reads := 0
+	if first, err := PartitionStart(context.Background(), order, n-1, 1, onePartition(&reads)); err != nil || first != 0 {
+		t.Fatalf("one partition: start %d, %v; want 0", first, err)
+	}
+	first, err := PartitionStart(context.Background(), order, 100, 1, func(id uint32, dst []uint64) { dst[0] = uint64(id) / 7 })
+	if err != nil || first != 98 {
+		t.Fatalf("partitions of 7: start %d, %v; want 98", first, err)
+	}
+}
+
+// TestRunContextCancelDuringWalkBack cancels a page query on a table
+// with one partition across all rows while the ranking walks back from
+// the page to the partition's first row: the query returns
+// context.Canceled and no result. The walk's polls come right before
+// the ranking's (which ranks from the partition start, here row 0),
+// the row-id poll and RunContext's final poll, so the cancellation is
+// placed by counting the polls of an uncancelled run.
+func TestRunContextCancelDuringWalkBack(t *testing.T) {
+	defer testutil.CheckNoLeaks(t)()
+	const n = 5*rankCheckRows + 100
+	tbl := pageTable(t, n, 39)
+	q := Query{ID: "walk", Kind: planner.PartitionBy, SortCols: []SortCol{{Name: "one"}}, Window: &Window{OrderCol: "v"}}
+	lim := 10
+	opts := Options{Workers: 1, Limit: &lim, Offset: n - 50}
+	counter := testutil.NewPollCtx(1 << 40)
+	if _, err := RunContext(counter, tbl, q, opts); err != nil {
+		t.Fatal(err)
+	}
+	polls := int(1<<40 - counter.Left())
+	walk := (n - 50 + rankCheckRows - 1) / rankCheckRows
+	rank := (n - 40 + rankCheckRows - 1) / rankCheckRows
+	res, err := RunContext(testutil.NewPollCtx(int64(polls-2-rank-walk/2)), tbl, q, opts)
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("got (%v, %v), want context.Canceled and no result", res, err)
 	}
 }
 

@@ -280,19 +280,28 @@ func runContext(ctx context.Context, t *table.Table, q Query, opts Options) (*Re
 	// Budget, stage 1 (row count known, plan not yet): refuse before
 	// materializing anything when even a minimal sequential pipeline
 	// cannot fit, and bound the workers used by the gather stage.
-	workers, err := budgetWorkers(opts.Workers, opts.MaxBytes, len(rows), len(b.Sort), 1)
+	nCols := b.SortInputCols(len(rows), opts.Limit, opts.Offset)
+	workers, err := budgetWorkers(opts.Workers, opts.MaxBytes, len(rows), nCols, 1)
 	if err != nil {
 		return nil, q.wrap(err)
 	}
 
 	// 2. Materialize the sort columns for the selected rows with
-	// ByteSlice lookups.
-	start = time.Now()
-	inputs, err := b.materialize(ctx, rows, workers)
-	if err != nil {
-		return nil, err
+	// ByteSlice lookups — unless the sort is truncated (SortInputCols
+	// is 0): then it reads the ByteSlices itself, round 0's source
+	// columns a block at a time and later rounds' at the survivors only
+	// (late materialisation, docs/topk.md).
+	late := nCols < len(b.Sort)
+	var inputs []massage.Input
+	if late {
+		inputs = b.sources(rows)
+	} else {
+		start = time.Now()
+		if inputs, err = b.materialize(ctx, rows, workers); err != nil {
+			return nil, err
+		}
+		res.Timing.Materialize = time.Since(start)
 	}
-	res.Timing.Materialize = time.Since(start)
 
 	// 3. Plan: search (massaging on) or column-at-a-time (off).
 	choice, searchTime, err := b.ChoosePlan(ctx, len(rows), opts)
@@ -308,7 +317,7 @@ func runContext(ctx context.Context, t *table.Table, q Query, opts Options) (*Re
 
 	// Budget, stage 2 (plan known): re-run degradation with the real
 	// round count, which dominates the round-key footprint.
-	workers, err = budgetWorkers(workers, opts.MaxBytes, len(rows), len(b.Sort), len(choice.Plan.Rounds))
+	workers, err = budgetWorkers(workers, opts.MaxBytes, len(rows), nCols, len(choice.Plan.Rounds))
 	if err != nil {
 		return nil, q.wrap(err)
 	}
@@ -333,19 +342,36 @@ func runContext(ctx context.Context, t *table.Table, q Query, opts Options) (*Re
 	// 5. Consume the sorted output.
 	start = time.Now()
 	if q.Window != nil {
-		// The permutation indexes the materialized arrays; ranks are
-		// prefix-computable, so ranking the truncated permutation and
-		// slicing off the offset equals slicing the full ranking.
-		res.Ranks, err = RankSorted(ctx, mres.Perm, len(inputs), func(p uint32, dst []uint64) {
+		// The permutation indexes the selection: read a row's codes from
+		// the materialized arrays, or look them up in the ByteSlices when
+		// the sort was truncated. Ranks only look back to the start of
+		// their partition, so ranking from the page's partition start
+		// and dropping the rows before the page equals slicing the full
+		// ranking.
+		read := func(p uint32, dst []uint64) {
 			for c := range dst {
 				dst[c] = inputs[c].Codes[p]
 			}
-		})
+		}
+		if late {
+			read = func(p uint32, dst []uint64) {
+				for c := range dst {
+					dst[c] = b.Cols[c].Lookup(int(rows[p]))
+				}
+			}
+		}
+		lo, hi := OutputWindow(len(mres.Perm), opts.Limit, opts.Offset)
+		first, err := PartitionStart(ctx, mres.Perm, lo, len(b.Sort)-1, read)
 		if err != nil {
 			return nil, err
 		}
-		res.RowOids = make([]uint32, len(mres.Perm))
-		for i, p := range mres.Perm {
+		ranks, err := RankSorted(ctx, mres.Perm[first:hi], len(b.Sort), read)
+		if err != nil {
+			return nil, err
+		}
+		res.Ranks = ranks[lo-first:]
+		res.RowOids = make([]uint32, hi-lo)
+		for i, p := range mres.Perm[lo:hi] {
 			if i&(seqGatherCheckRows-1) == 0 {
 				if err := ctx.Err(); err != nil {
 					return nil, err
@@ -353,10 +379,26 @@ func runContext(ctx context.Context, t *table.Table, q Query, opts Options) (*Re
 			}
 			res.RowOids[i] = rows[p]
 		}
-		lo, hi := OutputWindow(len(res.Ranks), opts.Limit, opts.Offset)
-		res.Ranks, res.RowOids = res.Ranks[lo:hi], res.RowOids[lo:hi]
 		res.Timing.Aggregate = time.Since(start)
 		return res, nil
+	}
+	if late {
+		// Only the kept groups' rows reach the aggregation: materialize
+		// the sort columns for them alone, in sorted order, and let the
+		// permutation address them in place.
+		surv := make([]uint32, len(mres.Perm))
+		for i, p := range mres.Perm {
+			if i&(seqGatherCheckRows-1) == 0 {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
+			}
+			surv[i], mres.Perm[i] = rows[p], uint32(i)
+		}
+		rows = surv
+		if inputs, err = b.materialize(ctx, rows, workers); err != nil {
+			return nil, err
+		}
 	}
 	if err := aggregate(ctx, res, b, inputs, rows, mres, workers); err != nil {
 		return nil, err

@@ -216,3 +216,71 @@ func TestLimitValidation(t *testing.T) {
 		t.Error("overflowing offset+limit accepted")
 	}
 }
+
+// pageTable builds a table for the page battery: "one" is constant (a
+// single partition across all rows), "few" has 7 values (partitions of
+// about n/7 rows), "v" is the ORDER BY column with ties, "f" a filter
+// column.
+func pageTable(t *testing.T, n int, seed int64) *table.Table {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	tbl := table.New("pages", n)
+	for _, c := range []struct {
+		name        string
+		width, card int
+	}{{"one", 3, 1}, {"few", 5, 7}, {"v", 10, 300}, {"f", 6, 50}} {
+		codes := make([]uint64, n)
+		for i := range codes {
+			codes[i] = uint64(rng.Intn(c.card))
+		}
+		if err := tbl.Add(column.FromCodes(c.name, c.width, codes)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tbl
+}
+
+// TestLimitPagesMidPartition is the page battery of the truncated window
+// path, which ranks only from the page's partition start: pages that
+// start inside a partition (a single partition across all rows
+// included), at and past the last row, over an unfiltered and a
+// filtered selection, at every worker count — each byte-identical to
+// the unlimited ranking sliced.
+func TestLimitPagesMidPartition(t *testing.T) {
+	defer testutil.CheckNoLeaks(t)()
+	const n = 3000
+	tbl := pageTable(t, n, 38)
+	filter := []Filter{{Col: "f", Between: true, Lo: 3, Hi: 40}}
+	for _, q := range []Query{
+		{ID: "one", Kind: planner.PartitionBy, SortCols: []SortCol{{Name: "one"}}, Window: &Window{OrderCol: "v", Desc: true}},
+		{ID: "few", Kind: planner.PartitionBy, SortCols: []SortCol{{Name: "few"}}, Window: &Window{OrderCol: "v"}},
+		{ID: "few-filtered", Kind: planner.PartitionBy, SortCols: []SortCol{{Name: "few"}}, Window: &Window{OrderCol: "v"}, Filters: filter},
+	} {
+		full, err := run(tbl, q, limitOptions(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := full.Rows
+		for _, workers := range []int{1, 2, 4} {
+			for _, off := range []int{1, 37, 99, 101, rows / 2, rows - 3, rows, rows + 9} {
+				for _, k := range []int{1, 10, 100} {
+					k := k
+					opts := limitOptions(workers)
+					opts.Limit, opts.Offset = &k, off
+					got, err := run(tbl, q, opts)
+					if err != nil {
+						t.Fatalf("%s workers=%d k=%d off=%d: %v", q.ID, workers, k, off, err)
+					}
+					want := sliceOracle(full, true, &k, off)
+					if g, w := canonResult(got), canonResult(want); g != w {
+						t.Fatalf("%s workers=%d k=%d off=%d: diverges from full-sort-then-slice\ngot:\n%s\nwant:\n%s",
+							q.ID, workers, k, off, g, w)
+					}
+					if got.Timing.Materialize != 0 && off+k < rows {
+						t.Errorf("%s k=%d off=%d: a truncated query materialized its sort columns", q.ID, k, off)
+					}
+				}
+			}
+		}
+	}
+}

@@ -6,19 +6,23 @@
 // single node holds by construction: Bind (column names → ByteSlices,
 // sort clause in materialization order), Select (filters → selection),
 // SortCut (LIMIT/OFFSET → where the sort may stop), ChoosePlan (query +
-// row count → Stats → Search → ROGA), RankSorted (RANK over a sorted
-// order), OutputWindow (the [offset, offset+limit) clamp).
+// row count → Stats → Search → ROGA), SortInputCols (which sort
+// columns are materialized), PartitionStart and RankSorted (RANK over a
+// sorted order, from a page's partition start), OutputWindow (the
+// [offset, offset+limit) clamp).
 package engine
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/byteslice"
 	"repro/internal/costmodel"
 	"repro/internal/massage"
+	"repro/internal/mcsort"
 	"repro/internal/plan"
 	"repro/internal/planner"
 	"repro/internal/table"
@@ -154,6 +158,30 @@ func (b *Bound) materialize(ctx context.Context, rows []uint32, workers int) ([]
 		inputs[i] = massage.Input{Codes: codes, Width: bs.Width, Desc: b.Sort[i].Desc}
 	}
 	return inputs, nil
+}
+
+// sources describes every Sort column as a ByteSlice-backed sort input
+// over the selected rows: what a truncated sort reads instead of
+// materialized codes.
+func (b *Bound) sources(rows []uint32) []massage.Input {
+	inputs := make([]massage.Input, len(b.Cols))
+	for i, bs := range b.Cols {
+		inputs[i] = massage.Input{Width: bs.Width, Desc: b.Sort[i].Desc, Source: &massage.Source{Column: bs, Rows: rows}}
+	}
+	return inputs
+}
+
+// SortInputCols is the number of sort columns RunContext materializes
+// before sorting rows selected rows under limit and offset: none when
+// the sort is truncated (mcsort.Truncated at SortCut's cut), since it
+// reads the ByteSlices itself, every one otherwise. It is the nCols
+// both callers of EstimatePipelineBytes charge: the engine's
+// degradation and mcsd's admission.
+func (b *Bound) SortInputCols(rows int, limit *int, offset int) int {
+	if limitRows, limitGroups := SortCut(b.Query, limit, offset); mcsort.Truncated(rows, limitRows, limitGroups) {
+		return 0
+	}
+	return len(b.Sort)
 }
 
 // MaterializeSortInputsContext runs a query's filter and materialization
@@ -302,6 +330,35 @@ func (b *Bound) ChoosePlan(ctx context.Context, rows int, opts Options) (planner
 // rankCheckRows is the number of rows RankSorted ranks between context
 // polls.
 const rankCheckRows = 1 << 12
+
+// PartitionStart returns the position of the first row of the
+// partition holding order[at]: it walks back from at while the rows
+// agree with order[at] on the nPart partition columns, read(id, dst)
+// filling dst with a row's first len(dst) sort-column codes as in
+// RankSorted. Ranking order from there ranks order[at:] exactly, so a
+// page starting at at needs nothing before its partition. at =
+// len(order) returns at. The walk is data-bound (one partition may span
+// every row), so it polls ctx every rankCheckRows rows.
+func PartitionStart(ctx context.Context, order []uint32, at, nPart int, read func(id uint32, dst []uint64)) (int, error) {
+	if at == 0 || at == len(order) {
+		return at, nil
+	}
+	want, cur := make([]uint64, nPart), make([]uint64, nPart)
+	read(order[at], want)
+	i := at
+	for ; i > 0; i-- {
+		if (at-i)&(rankCheckRows-1) == 0 {
+			if err := ctx.Err(); err != nil {
+				return 0, err
+			}
+		}
+		read(order[i-1], cur)
+		if !slices.Equal(cur, want) {
+			break
+		}
+	}
+	return i, nil
+}
 
 // RankSorted assigns RANK() OVER (PARTITION BY … ORDER BY …) to rows
 // already in sorted order. order[i] identifies the i-th sorted row and

@@ -7,7 +7,9 @@ package experiments
 // hook): segmented radix sorts over banks, key widths and group counts,
 // the top-K select, and the insertion sorts below its cutoff. The paper
 // term's per-bank constants and OVC discount, which the figures plug in
-// (costmodel.PaperSort), are solved from runs of paperKernel.
+// (costmodel.PaperSort), are solved from runs of paperKernel. The
+// truncated first round's ByteSlice gather is solved against the same
+// round over materialized codes.
 // costmodel.Builtin freezes the median of nine runs of this calibration.
 
 import (
@@ -17,6 +19,7 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/byteslice"
 	"repro/internal/column"
 	"repro/internal/costmodel"
 	"repro/internal/datagen"
@@ -93,7 +96,65 @@ func Calibrate(opts CalOptions) (*costmodel.Model, error) {
 	if m.C.OVCMergeDiscount, err = calibrateOVCDiscount(rng, opts.NCal); err != nil {
 		return nil, err
 	}
+	if m.C.CGatherPlane, err = calibrateGather(rng, 8*opts.NCal); err != nil {
+		return nil, err
+	}
 	return m, nil
+}
+
+// calibrateGather solves C_gather-plane from the first round of
+// truncated sorts as queries run it: the round massaged from
+// ByteSlice-backed inputs over a filtered selection of n of 2n rows,
+// less the same round over the selection's materialized codes, per row
+// per byte plane of the source columns — fastest of five runs each, over
+// rounds of two to seven planes. Noise below zero clamps to 0.
+func calibrateGather(rng *rand.Rand, n int) (float64, error) {
+	sel := make([]uint32, n)
+	for i := range sel {
+		sel[i] = uint32(2*i + rng.Intn(2))
+	}
+	var extra, rowPlanes float64
+	for _, widths := range [][]int{{6, 7}, {14, 11}, {20, 3}, {33, 9, 17}} {
+		src := make([]massage.Input, len(widths))
+		mat := make([]massage.Input, len(widths))
+		total, planes := 0, 0
+		for c, w := range widths {
+			bs := byteslice.FromColumn(datagen.Uniform(rng, 2*n, w, min(1<<13, 1<<w)))
+			codes := make([]uint64, n)
+			bs.Gather(codes, sel)
+			src[c] = massage.Input{Width: w, Source: &massage.Source{Column: bs, Rows: sel}}
+			mat[c] = massage.Input{Codes: codes, Width: w}
+			total, planes = total+w, planes+(w+7)/8
+		}
+		prog, err := massage.Compile(mat, []int{total})
+		if err != nil {
+			return 0, fmt.Errorf("calibrateGather: %w", err)
+		}
+		fastest := func(inputs []massage.Input) (float64, error) {
+			best := 0.0
+			for rep := 0; rep < 5; rep++ {
+				start := time.Now()
+				if _, err := prog.RunRoundParallelContext(context.Background(), inputs, n, 0, 1); err != nil {
+					return 0, fmt.Errorf("calibrateGather: %w", err)
+				}
+				if t := float64(time.Since(start).Nanoseconds()); rep == 0 || t < best {
+					best = t
+				}
+			}
+			return best, nil
+		}
+		tSrc, err := fastest(src)
+		if err != nil {
+			return 0, err
+		}
+		tMat, err := fastest(mat)
+		if err != nil {
+			return 0, err
+		}
+		extra += tSrc - tMat
+		rowPlanes += float64(n * planes)
+	}
+	return max(extra/rowPlanes, 0), nil
 }
 
 // calibrateOVCDiscount measures how much cheaper the offset-value-coded

@@ -1,0 +1,215 @@
+package massage
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/byteslice"
+	"repro/internal/column"
+)
+
+// selection returns a filtered, non-identity row-id list: about two
+// thirds of [0, n), ascending, so input row i is table row sel[i] ≠ i.
+func selection(rng *rand.Rand, n int) []uint32 {
+	sel := make([]uint32, 0, n)
+	for i := 0; i < n; i++ {
+		if rng.Intn(3) != 0 {
+			sel = append(sel, uint32(i))
+		}
+	}
+	return sel
+}
+
+// sourcedInputs builds one column per width over a table of tableRows
+// rows and describes it three ways over the selection sel: materialised
+// (the selected codes), ByteSlice-backed (the column's ByteSlice and
+// sel), and mixed (every other column ByteSlice-backed).
+func sourcedInputs(rng *rand.Rand, widths []int, desc []bool, tableRows int, sel []uint32) (mat, bs, mixed []Input) {
+	for c, w := range widths {
+		codes := make([]uint64, tableRows)
+		for r := range codes {
+			codes[r] = rng.Uint64() & column.Mask(w)
+		}
+		picked := make([]uint64, len(sel))
+		for i, r := range sel {
+			picked[i] = codes[r]
+		}
+		m := Input{Codes: picked, Width: w, Desc: desc[c]}
+		b := Input{Width: w, Desc: desc[c], Source: &Source{Column: byteslice.FromColumn(column.FromCodes("c", w, codes)), Rows: sel}}
+		mat, bs = append(mat, m), append(bs, b)
+		if c%2 == 0 {
+			mixed = append(mixed, b)
+		} else {
+			mixed = append(mixed, m)
+		}
+	}
+	return mat, bs, mixed
+}
+
+// TestByteSliceInputsMatchMaterialised is the late-materialisation
+// differential: every entry point given ByteSlice-backed (or mixed)
+// inputs over a filtered selection must produce exactly the keys it
+// produces from the materialised codes of the same rows — widths 1–64
+// (one to eight planes), ASC and DESC, row counts around the gather
+// block and the sequential block, workers {1, 2, 4}.
+func TestByteSliceInputsMatchMaterialised(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(38))
+	for _, rows := range []int{gatherBlock - 1, gatherBlock, gatherBlock + 1, seqCheckRows + 1} {
+		for g := 0; g < 16; g++ {
+			if rows > seqCheckRows && g%4 != 3 {
+				continue // the big row count covers one width group per plane pair
+			}
+			// Group g covers widths 4g+1 … 4g+4; directions alternate,
+			// flipped per group.
+			widths := []int{4*g + 1, 4*g + 2, 4*g + 3, 4*g + 4}
+			desc := []bool{g%2 == 0, g%2 == 1, g%2 == 0, g%2 == 1}
+			sel := selection(rng, rows+rows/2)
+			sel = sel[:min(rows, len(sel))]
+			mat, bs, mixed := sourcedInputs(rng, widths, desc, rows+rows/2, sel)
+			n := len(sel)
+			total := 0
+			for _, w := range widths {
+				total += w
+			}
+			var outWidths []int // rounds of 1–64 bits, stitches and borrows alike
+			for rem := total; rem > 0; {
+				w := 1 + rng.Intn(min(64, rem))
+				outWidths, rem = append(outWidths, w), rem-w
+			}
+			prog, err := Compile(mat, outWidths)
+			if err != nil {
+				t.Fatal(err)
+			}
+			perm := rng.Perm(n)[:n-n/3]
+			survivors := make([]uint32, len(perm))
+			for i, p := range perm {
+				survivors[i] = uint32(p)
+			}
+			for _, workers := range []int{1, 2, 4} {
+				want, err := prog.RunParallelContext(ctx, mat, n, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for v, in := range [][]Input{bs, mixed} {
+					tag := fmt.Sprintf("rows=%d widths=%v %s workers=%d", n, widths, []string{"bs", "mixed"}[v], workers)
+					got, err := prog.RunParallelContext(ctx, in, n, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for d := range want {
+						if !slices.Equal(got[d], want[d]) {
+							t.Fatalf("%s: RunParallelContext round %d differs", tag, d)
+						}
+						round, err := prog.RunRoundParallelContext(ctx, in, n, d, workers)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !slices.Equal(round, want[d]) {
+							t.Fatalf("%s: RunRoundParallelContext round %d differs", tag, d)
+						}
+						fusedWant, err := prog.RunRoundGatherContext(ctx, mat, survivors, d, workers)
+						if err != nil {
+							t.Fatal(err)
+						}
+						fused, err := prog.RunRoundGatherContext(ctx, in, survivors, d, workers)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !slices.Equal(fused, fusedWant) {
+							t.Fatalf("%s: RunRoundGatherContext round %d differs", tag, d)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestByteSlicePassAllocatesPerRange pins that the fused gather
+// allocates its block buffers once per range, never per block: on the
+// caller's goroutine one range of 2 blocks and one of 64 allocate the
+// same, for round 0 and for a survivors' round.
+func TestByteSlicePassAllocatesPerRange(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(5))
+	allocs := func(rows int) (round0, gather float64) {
+		sel := selection(rng, 2*rows)[:rows]
+		_, bs, _ := sourcedInputs(rng, []int{11, 14, 3}, []bool{false, true, false}, 2*rows, sel)
+		prog, err := Compile(bs, []int{16, 12})
+		if err != nil {
+			t.Fatal(err)
+		}
+		perm := make([]uint32, rows)
+		for i := range perm {
+			perm[i] = uint32(rows - 1 - i)
+		}
+		round0 = testing.AllocsPerRun(5, func() {
+			if _, err := prog.RunRoundParallelContext(ctx, bs, rows, 0, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+		gather = testing.AllocsPerRun(5, func() {
+			if _, err := prog.RunRoundGatherContext(ctx, bs, perm, 1, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return round0, gather
+	}
+	r2, g2 := allocs(2 * gatherBlock)
+	r64, g64 := allocs(seqCheckRows)
+	if r64 != r2 || g64 != g2 {
+		t.Errorf("allocs per pass: round 0 %v at 2 blocks, %v at 64; gather %v at 2 blocks, %v at 64 — want equal", r2, r64, g2, g64)
+	}
+}
+
+// BenchmarkRoundFromByteSlice times round 0 of a truncated sort over
+// 2^19 rows, its source columns materialised against read straight from
+// their ByteSlices (a filtered selection of 2^19 of 2^20 rows), for
+// one to three source planes, workers 1 and 2. The materialised case
+// includes the gather that builds its codes (on the caller's
+// goroutine), as the engine's materialisation did.
+func BenchmarkRoundFromByteSlice(b *testing.B) {
+	const rows = 1 << 19
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(1))
+	sel := make([]uint32, rows)
+	for i := range sel {
+		sel[i] = uint32(2*i + rng.Intn(2))
+	}
+	for planes := 1; planes <= 3; planes++ {
+		widths := []int{8*planes - 3, 8*planes - 1}
+		_, bs, _ := sourcedInputs(rng, widths, []bool{false, true}, 2*rows, sel)
+		prog, err := Compile(bs, []int{widths[0] + widths[1]})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("planes=%d/workers=%d/materialised", planes, workers), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					mat := make([]Input, len(bs))
+					for c, in := range bs {
+						codes := make([]uint64, rows)
+						in.Source.Column.Gather(codes, in.Source.Rows)
+						mat[c] = Input{Codes: codes, Width: in.Width, Desc: in.Desc}
+					}
+					if _, err := prog.RunRoundParallelContext(ctx, mat, rows, 0, workers); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
+			})
+			b.Run(fmt.Sprintf("planes=%d/workers=%d/byteslice", planes, workers), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := prog.RunRoundParallelContext(ctx, bs, rows, 0, workers); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
+			})
+		}
+	}
+}

@@ -2,15 +2,19 @@ package massage
 
 import (
 	"testing"
+
+	"repro/internal/byteslice"
+	"repro/internal/column"
 )
 
 // fuzzMaxRows bounds the row count so the all-pairs order comparison
 // stays cheap per fuzz execution.
 const fuzzMaxRows = 48
 
-// buildFuzzInputs derives 1–4 columns (widths 1–16, optional DESC) and
-// their codes from fuzz bytes. Codes come from raw data bytes masked to
-// the column width, which yields tie-heavy, structured distributions.
+// buildFuzzInputs derives 1–4 columns (widths 1–16, DESC when bit c of
+// descMask is set) and their codes from fuzz bytes. Codes come from raw
+// data bytes masked to the column width, which yields tie-heavy,
+// structured distributions.
 func buildFuzzInputs(widthsRaw uint32, descMask uint8, data []byte) []Input {
 	m := int(widthsRaw&3) + 1
 	inputs := make([]Input, m)
@@ -30,6 +34,26 @@ func buildFuzzInputs(widthsRaw uint32, descMask uint8, data []byte) []Input {
 		inputs[c] = Input{Codes: codes, Width: w, Desc: descMask>>uint(c)&1 == 1}
 	}
 	return inputs
+}
+
+// byteSliceBacked returns inputs with column c ByteSlice-backed when bit
+// 4+c of mask is set: its codes stored in reverse row order and read
+// through the reversed row ids, so input row i is never table row i.
+func byteSliceBacked(inputs []Input, mask uint8) []Input {
+	out := append([]Input(nil), inputs...)
+	for c, in := range inputs {
+		if mask>>uint(4+c)&1 == 0 {
+			continue
+		}
+		n := len(in.Codes)
+		codes, rows := make([]uint64, n), make([]uint32, n)
+		for i := range codes {
+			codes[n-1-i], rows[i] = in.Codes[i], uint32(n-1-i)
+		}
+		bs := byteslice.FromColumn(column.FromCodes("c", in.Width, codes))
+		out[c] = Input{Width: in.Width, Desc: in.Desc, Source: &Source{Column: bs, Rows: rows}}
+	}
+	return out
 }
 
 // splitWidths partitions totalW bits into round widths (each 1..64)
@@ -56,7 +80,8 @@ func splitWidths(totalW int, cuts uint32) []int {
 // baseline — for every row pair, the lexicographic comparison of the
 // massaged round keys equals both the baseline program's comparison and
 // a direct comparison of the raw codes with DESC semantics. RunParallel
-// must agree with Run bit for bit.
+// must agree with Run bit for bit, and so must a run whose inputs are
+// partly ByteSlice-backed (descMask's high bits pick the columns).
 func FuzzMassageRoundTrip(f *testing.F) {
 	f.Add(uint32(0), uint8(0), uint32(0), []byte{1, 2, 3})
 	f.Add(uint32(0xFFFF), uint8(3), uint32(0xAAAA), []byte("massage me"))
@@ -87,10 +112,14 @@ func FuzzMassageRoundTrip(f *testing.F) {
 		baseline := mustRun(t, base, inputs, rows, 1)
 
 		parallel := mustRun(t, prog, inputs, rows, 3)
+		sourced := mustRun(t, prog, byteSliceBacked(inputs, descMask), rows, 1)
 		for r := range massaged {
 			for i := 0; i < rows; i++ {
 				if massaged[r][i] != parallel[r][i] {
 					t.Fatalf("RunParallel diverges from Run at round %d row %d", r, i)
+				}
+				if massaged[r][i] != sourced[r][i] {
+					t.Fatalf("ByteSlice-backed inputs (mask %#x) diverge at round %d row %d", descMask>>4, r, i)
 				}
 			}
 		}

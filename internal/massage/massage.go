@@ -40,10 +40,52 @@ var (
 // Desc columns are complemented before stitching (Figure 5 of the
 // paper), which converts a descending order requirement into the uniform
 // ascending order the sorter implements.
+//
+// The codes are Codes, or — when Source is set — a column stored
+// elsewhere, decoded a block at a time as a pass reads it, so a
+// truncated sort never builds a code array for it (late
+// materialisation, docs/topk.md).
 type Input struct {
-	Codes []uint64
-	Width int
-	Desc  bool
+	Codes  []uint64
+	Width  int
+	Desc   bool
+	Source *Source
+}
+
+// Source is where a late-materialised input's codes live: input row i
+// is row Rows[i] of Column. It sits behind a pointer because the
+// engine's per-group loops range over inputs by value: an Input of two
+// more fields is copied by a runtime call there, once per group and
+// column.
+type Source struct {
+	Column Gatherer
+	Rows   []uint32
+}
+
+// Gatherer is a column layout a pass decodes codes from: the engine's
+// is the ByteSlice (*byteslice.BS).
+type Gatherer interface {
+	// Gather sets dst[j] to the code at row rows[j] for every j.
+	Gather(dst []uint64, rows []uint32)
+}
+
+// Len is the input's row count.
+func (in Input) Len() int {
+	if in.Source != nil {
+		return len(in.Source.Rows)
+	}
+	return len(in.Codes)
+}
+
+// anySource reports whether some input reads a Source, which sends a
+// pass through runBlocks.
+func anySource(inputs []Input) bool {
+	for _, in := range inputs {
+		if in.Source != nil {
+			return true
+		}
+	}
+	return false
 }
 
 // segment is one contiguous bit range of the concatenation that maps
@@ -206,9 +248,11 @@ func (p *Program) RunParallelContext(ctx context.Context, inputs []Input, rows, 
 	for d := range out {
 		out[d] = make([]uint64, rows)
 	}
-	err := forEachChunk(ctx, rows, workers, -1, func(lo, hi int) {
-		runRange(p.segments, inputs, out, lo, hi)
-	})
+	run := func(lo, hi int) { runRange(p.segments, inputs, out, lo, hi) }
+	if anySource(inputs) {
+		run = func(lo, hi int) { runBlocks(p.segments, inputs, out, nil, lo, hi) }
+	}
+	err := forEachChunk(ctx, rows, workers, -1, run)
 	if err != nil {
 		return nil, err
 	}
@@ -239,6 +283,69 @@ func runRange(segs []segment, inputs []Input, out [][]uint64, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			dst[i] |= ((src[i] >> srcShift) & mask) << dstShift
 		}
+	}
+}
+
+// gatherBlock is the row count runBlocks decodes at a time: a block of
+// every source column a pass reads (8 KiB each) stays in L1 while the
+// pass's FIPs read it.
+const gatherBlock = 1024
+
+// runBlocks is runRange for inputs some of which read a Source: it
+// runs segs over rows [lo, hi) — or, when perm is non-nil, over
+// positions [lo, hi) of perm, out[d][i] getting row perm[i]'s bits —
+// gatherBlock rows at a time. Each block of every source column segs
+// read is gathered into an L1 buffer (a materialised column read
+// without perm is only windowed), then runRange, the one FIP loop, runs
+// segs over the block's aligned windows. The buffers are allocated once
+// per range, never per block.
+func runBlocks(segs []segment, inputs []Input, out [][]uint64, perm []uint32, lo, hi int) {
+	size := min(gatherBlock, hi-lo)
+	block := make([]Input, len(inputs)) // the block's view of inputs
+	bufs := make([][]uint64, len(inputs))
+	for _, sg := range segs {
+		in := inputs[sg.src]
+		block[sg.src] = Input{Width: in.Width, Desc: in.Desc}
+		if bufs[sg.src] == nil && (in.Source != nil || perm != nil) {
+			bufs[sg.src] = make([]uint64, size)
+		}
+	}
+	var ids []uint32 // a block's Source row ids under perm
+	if perm != nil {
+		ids = make([]uint32, size)
+	}
+	dst := make([][]uint64, len(out))
+	for blo := lo; blo < hi; blo += gatherBlock {
+		bhi := min(blo+gatherBlock, hi)
+		for s, in := range inputs {
+			buf := bufs[s][:min(len(bufs[s]), bhi-blo)]
+			switch {
+			case block[s].Width == 0: // no segment reads it
+				continue
+			case perm == nil && in.Source == nil:
+				block[s].Codes = in.Codes[blo:bhi]
+				continue
+			case perm == nil:
+				in.Source.Column.Gather(buf, in.Source.Rows[blo:bhi])
+			case in.Source == nil:
+				for j, p := range perm[blo:bhi] {
+					buf[j] = in.Codes[p]
+				}
+			default:
+				ids := ids[:len(buf)]
+				for j, p := range perm[blo:bhi] {
+					ids[j] = in.Source.Rows[p]
+				}
+				in.Source.Column.Gather(buf, ids)
+			}
+			block[s].Codes = buf
+		}
+		for d := range out {
+			if out[d] != nil {
+				dst[d] = out[d][blo:bhi]
+			}
+		}
+		runRange(segs, block, dst, 0, bhi-blo)
 	}
 }
 

@@ -7,7 +7,11 @@
 // RunRoundGatherContext fuses the lookup/permute step into the FIP pass
 // by indexing the source codes through the survivor permutation — one
 // read-modify-write stream per surviving row instead of
-// permute-then-massage over all rows.
+// permute-then-massage over all rows. With ByteSlice-backed inputs
+// (Input.Source) both read the codes straight from the byte planes, a
+// block at a time (runBlocks): round 0 decodes only its own source
+// columns, later rounds only the survivors' codes, so the truncated
+// pipeline materialises nothing up front.
 package massage
 
 import (
@@ -42,7 +46,9 @@ func (p *Program) roundSegments(d int) ([]segment, error) {
 // rows — the other rounds' segments are not executed — with the rows
 // partitioned across workers goroutines, and cancellation and
 // containment, exactly like RunParallelContext. A worker panic surfaces
-// as a *pipeerr.PipelineError with stage "massage" and round d.
+// as a *pipeerr.PipelineError with stage "massage" and round d. A
+// ByteSlice-backed input is gathered in gatherBlock-row blocks, and only
+// when round d reads it.
 func (p *Program) RunRoundParallelContext(ctx context.Context, inputs []Input, rows, d, workers int) ([]uint64, error) {
 	segs, err := p.roundSegments(d)
 	if err != nil {
@@ -53,9 +59,11 @@ func (p *Program) RunRoundParallelContext(ctx context.Context, inputs []Input, r
 	// so only that key array exists.
 	out := make([][]uint64, p.nRounds)
 	out[d] = make([]uint64, rows)
-	err = forEachChunk(ctx, rows, workers, d, func(lo, hi int) {
-		runRange(segs, inputs, out, lo, hi)
-	})
+	run := func(lo, hi int) { runRange(segs, inputs, out, lo, hi) }
+	if anySource(inputs) {
+		run = func(lo, hi int) { runBlocks(segs, inputs, out, nil, lo, hi) }
+	}
+	err = forEachChunk(ctx, rows, workers, d, run)
 	if err != nil {
 		return nil, err
 	}
@@ -66,7 +74,8 @@ func (p *Program) RunRoundParallelContext(ctx context.Context, inputs []Input, r
 // named by perm: out[i] is row perm[i]'s round-d key. This fuses the
 // truncated pipeline's gather into the FIP pass — the permute step that
 // would first reorder all codes is skipped entirely, and only
-// len(perm) rows are touched. Cancellation and containment match
+// len(perm) rows are touched; a ByteSlice-backed input is decoded at
+// its rows Rows[perm[i]]. Cancellation and containment match
 // RunRoundParallelContext.
 func (p *Program) RunRoundGatherContext(ctx context.Context, inputs []Input, perm []uint32, d, workers int) ([]uint64, error) {
 	segs, err := p.roundSegments(d)
@@ -75,9 +84,14 @@ func (p *Program) RunRoundGatherContext(ctx context.Context, inputs []Input, per
 	}
 	obsGatherRuns.Inc()
 	out := make([]uint64, len(perm))
-	err = forEachChunk(ctx, len(perm), workers, d, func(lo, hi int) {
-		runGatherRange(segs, inputs, out, perm, lo, hi)
-	})
+	run := func(lo, hi int) { runGatherRange(segs, inputs, out, perm, lo, hi) }
+	if anySource(inputs) {
+		// runBlocks indexes its destination by round, as runRange does.
+		outs := make([][]uint64, p.nRounds)
+		outs[d] = out
+		run = func(lo, hi int) { runBlocks(segs, inputs, outs, perm, lo, hi) }
+	}
+	err = forEachChunk(ctx, len(perm), workers, d, run)
 	if err != nil {
 		return nil, err
 	}

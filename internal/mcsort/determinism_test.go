@@ -8,6 +8,8 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/byteslice"
+	"repro/internal/column"
 	"repro/internal/massage"
 	"repro/internal/mergesort"
 	"repro/internal/mergesort/paper"
@@ -314,6 +316,65 @@ func TestExecuteDeterministicAcrossWorkers(t *testing.T) {
 					if res.Groups[i] != baseline.Groups[i] {
 						t.Fatalf("%s/%s workers=%d: Groups diverge at %d", dist, planName, w, i)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestExecuteByteSliceInputsMatchMaterialised pins late
+// materialisation at the sort layer: the same rows described as
+// ByteSlice-backed inputs over a filtered selection (massage.Input.Source)
+// must sort to exactly the Perm and Groups of their materialised codes,
+// for every plan, every worker count, the full path and both truncated
+// ones.
+func TestExecuteByteSliceInputsMatchMaterialised(t *testing.T) {
+	defer testutil.CheckNoLeaks(t)()
+	const rows, tableRows = 4096, 6000
+	sp := forcedParams(16)
+	rng := rand.New(rand.NewSource(29))
+	var sel []uint32
+	for i := 0; i < tableRows && len(sel) < rows; i++ {
+		if rng.Intn(4) != 0 {
+			sel = append(sel, uint32(i))
+		}
+	}
+	if len(sel) != rows {
+		t.Fatalf("selected %d rows, want %d", len(sel), rows)
+	}
+	widths, desc := []int{9, 13}, []bool{false, true}
+	for dist, leading := range adversarialKeys(tableRows, 9, 31) {
+		mat := make([]massage.Input, len(widths))
+		bs := make([]massage.Input, len(widths))
+		for c, w := range widths {
+			codes := make([]uint64, tableRows)
+			for i := range codes {
+				codes[i] = uint64(rng.Intn(4096)) & column.Mask(w)
+				if c == 0 {
+					codes[i] = leading[i] & column.Mask(w) // adversarial leading column
+				}
+			}
+			picked := make([]uint64, rows)
+			for i, r := range sel {
+				picked[i] = codes[r]
+			}
+			mat[c] = massage.Input{Codes: picked, Width: w, Desc: desc[c]}
+			bs[c] = massage.Input{Width: w, Desc: desc[c], Source: &massage.Source{Column: byteslice.FromColumn(column.FromCodes("c", w, codes)), Rows: sel}}
+		}
+		for planName, p := range execPlans() {
+			for _, o := range []Options{{}, {LimitRows: 100}, {LimitRows: rows / 2}, {LimitGroups: 40}} {
+				for _, w := range workerCounts {
+					o.Workers, o.SortParams = w, &sp
+					tag := fmt.Sprintf("%s/%s limitRows=%d limitGroups=%d workers=%d", dist, planName, o.LimitRows, o.LimitGroups, w)
+					want, err := execute(mat, p, o)
+					if err != nil {
+						t.Fatalf("%s: %v", tag, err)
+					}
+					got, err := execute(bs, p, o)
+					if err != nil {
+						t.Fatalf("%s: %v", tag, err)
+					}
+					identicalResults(t, tag, got, want)
 				}
 			}
 		}

@@ -133,9 +133,21 @@ func (o Options) sortParams() mergesort.Params {
 	return p
 }
 
+// Truncated reports whether ExecuteContext runs its truncated path for
+// rows rows under Options{LimitRows: limitRows, LimitGroups:
+// limitGroups}: a row limit short of the row count, or any group limit.
+// That path massages round by round (round 0 over every row, later
+// rounds over the survivors only), so it reads ByteSlice-backed inputs
+// (massage.Input.Source) without ever materialising them; the full path
+// reads every input for every row of every round, and wants them
+// materialised.
+func Truncated(rows, limitRows, limitGroups int) bool {
+	return (limitRows > 0 && limitRows < rows) || limitGroups > 0
+}
+
 // ExecuteContext sorts the rows described by inputs according to p. All
-// input columns must have the same length, and the plan's total width
-// must equal the summed input widths. Cancellation is cooperative and
+// input columns must have the same length (massage.Input.Len), and the
+// plan's total width must equal the summed input widths. Cancellation is cooperative and
 // faults are contained: the context is polled at round, chunk, and group
 // boundaries, so a cancelled or deadline-expired sort returns
 // ctx.Err() within one chunk of work, with no goroutine leaks. A
@@ -161,11 +173,11 @@ func executeContext(ctx context.Context, inputs []massage.Input, p plan.Plan, op
 	if len(inputs) == 0 {
 		return nil, fmt.Errorf("mcsort: no input columns")
 	}
-	rows := len(inputs[0].Codes)
+	rows := inputs[0].Len()
 	totalW := 0
 	for i, in := range inputs {
-		if len(in.Codes) != rows {
-			return nil, fmt.Errorf("mcsort: column %d has %d rows, want %d", i, len(in.Codes), rows)
+		if in.Len() != rows {
+			return nil, fmt.Errorf("mcsort: column %d has %d rows, want %d", i, in.Len(), rows)
 		}
 		totalW += in.Width
 	}
@@ -198,14 +210,11 @@ func executeContext(ctx context.Context, inputs []massage.Input, p plan.Plan, op
 	// the full sort; either limit switches execution to the deferred
 	// per-round massage path, where later rounds massage and gather only
 	// the surviving prefix.
-	limitRows, limitGroups := opts.LimitRows, opts.LimitGroups
-	if limitRows < 0 || limitRows >= rows {
+	limited := Truncated(rows, opts.LimitRows, opts.LimitGroups)
+	limitRows, limitGroups := max(opts.LimitRows, 0), max(opts.LimitGroups, 0)
+	if limitRows >= rows {
 		limitRows = 0
 	}
-	if limitGroups < 0 {
-		limitGroups = 0
-	}
-	limited := limitRows > 0 || limitGroups > 0
 
 	obsExecutes.Inc()
 	start := time.Now()

@@ -136,30 +136,30 @@ func TestPlanGolden(t *testing.T) {
 
 // planGolden: search name → what the search chose when recorded.
 var planGolden = map[string]goldenRow{
-	"topk/limit100":              {"[0 1 2 3 4]", "{R1: 14/[16], R2: 9/[16], R3: 25/[32]}", 0x4151d13f448b11ff, 4650},
-	"topk/limit100/cap1":         {"[0 1 2 3 4]", "{R1: 5/[16], R2: 5/[16], R3: 5/[16], R4: 12/[16], R5: 21/[32]}", 0x4152bfc8f845f68e, 2},
-	"topk/limit100/cap50":        {"[0 1 2 3 4]", "{R1: 14/[16], R2: 9/[16], R3: 25/[32]}", 0x4151d13f448b11ff, 100},
-	"topk/limit100/cap500":       {"[0 1 2 3 4]", "{R1: 14/[16], R2: 9/[16], R3: 25/[32]}", 0x4151d13f448b11ff, 686},
-	"topk/limit3700":             {"[0 1 2 3 4]", "{R1: 12/[16], R2: 11/[16], R3: 25/[32]}", 0x4152c12e95c1c8d3, 4650},
-	"topk/limit3700/cap1":        {"[0 1 2 3 4]", "{R1: 5/[16], R2: 5/[16], R3: 5/[16], R4: 12/[16], R5: 21/[32]}", 0x4153c26ba30de277, 2},
-	"topk/limit3700/cap50":       {"[0 1 2 3 4]", "{R1: 12/[16], R2: 11/[16], R3: 25/[32]}", 0x4152c12e95c1c8d3, 100},
-	"topk/limit3700/cap500":      {"[0 1 2 3 4]", "{R1: 12/[16], R2: 11/[16], R3: 25/[32]}", 0x4152c12e95c1c8d3, 686},
-	"topk/limit51200":            {"[0 1 2 3 4]", "{R1: 16/[16], R2: 32/[32]}", 0x415c78d58a866234, 4650},
-	"topk/limit51200/cap1":       {"[0 1 2 3 4]", "{R1: 5/[16], R2: 5/[16], R3: 5/[16], R4: 12/[16], R5: 21/[32]}", 0x41608b7c4d8a5036, 2},
-	"topk/limit51200/cap50":      {"[0 1 2 3 4]", "{R1: 16/[16], R2: 32/[32]}", 0x415c78d58a866234, 100},
-	"topk/limit51200/cap500":     {"[0 1 2 3 4]", "{R1: 16/[16], R2: 32/[32]}", 0x415c78d58a866234, 686},
+	"topk/limit100":              {"[0 1 2 3 4]", "{R1: 5/[16], R2: 5/[16], R3: 5/[16], R4: 12/[16], R5: 21/[32]}", 0x4153f2fc2b7929c1, 4650},
+	"topk/limit100/cap1":         {"[0 1 2 3 4]", "{R1: 5/[16], R2: 5/[16], R3: 5/[16], R4: 12/[16], R5: 21/[32]}", 0x4153f2fc2b7929c1, 2},
+	"topk/limit100/cap50":        {"[0 1 2 3 4]", "{R1: 5/[16], R2: 5/[16], R3: 5/[16], R4: 12/[16], R5: 21/[32]}", 0x4153f2fc2b7929c1, 100},
+	"topk/limit100/cap500":       {"[0 1 2 3 4]", "{R1: 5/[16], R2: 5/[16], R3: 5/[16], R4: 12/[16], R5: 21/[32]}", 0x4153f2fc2b7929c1, 686},
+	"topk/limit3700":             {"[0 1 2 3 4]", "{R1: 5/[16], R2: 5/[16], R3: 5/[16], R4: 12/[16], R5: 21/[32]}", 0x4154f59ed64115aa, 4650},
+	"topk/limit3700/cap1":        {"[0 1 2 3 4]", "{R1: 5/[16], R2: 5/[16], R3: 5/[16], R4: 12/[16], R5: 21/[32]}", 0x4154f59ed64115aa, 2},
+	"topk/limit3700/cap50":       {"[0 1 2 3 4]", "{R1: 5/[16], R2: 5/[16], R3: 5/[16], R4: 12/[16], R5: 21/[32]}", 0x4154f59ed64115aa, 100},
+	"topk/limit3700/cap500":      {"[0 1 2 3 4]", "{R1: 5/[16], R2: 5/[16], R3: 5/[16], R4: 12/[16], R5: 21/[32]}", 0x4154f59ed64115aa, 686},
+	"topk/limit51200":            {"[0 1 2 3 4]", "{R1: 10/[16], R2: 13/[16], R3: 25/[32]}", 0x41603f8efbd3b923, 4650},
+	"topk/limit51200/cap1":       {"[0 1 2 3 4]", "{R1: 5/[16], R2: 5/[16], R3: 5/[16], R4: 12/[16], R5: 21/[32]}", 0x41612515e723e9d0, 2},
+	"topk/limit51200/cap50":      {"[0 1 2 3 4]", "{R1: 10/[16], R2: 13/[16], R3: 25/[32]}", 0x41603f8efbd3b923, 100},
+	"topk/limit51200/cap500":     {"[0 1 2 3 4]", "{R1: 10/[16], R2: 13/[16], R3: 25/[32]}", 0x41603f8efbd3b923, 686},
 	"topk/unlimited":             {"[0 1 2 3 4]", "{R1: 23/[32], R2: 25/[32]}", 0x41749897b43cb279, 4464},
 	"topk/unlimited/cap1":        {"[0 1 2 3 4]", "{R1: 48/[64]}", 0x41794e001237d296, 1},
 	"topk/unlimited/cap50":       {"[0 1 2 3 4]", "{R1: 23/[32], R2: 25/[32]}", 0x41749897b43cb279, 50},
 	"topk/unlimited/cap500":      {"[0 1 2 3 4]", "{R1: 23/[32], R2: 25/[32]}", 0x41749897b43cb279, 500},
-	"topk/fixedorder":            {"[2 0 3 1 4]", "{R1: 16/[16], R2: 32/[32]}", 0x41527235dd69a14e, 186},
-	"topk/fixedorder/cap1":       {"[2 0 3 1 4]", "{R1: 5/[16], R2: 5/[16], R3: 12/[16], R4: 5/[16], R5: 21/[32]}", 0x4153a29e8f6d278a, 1},
-	"topk/fixedorder/cap50":      {"[2 0 3 1 4]", "{R1: 16/[16], R2: 32/[32]}", 0x41527235dd69a14e, 50},
-	"topk/fixedorder/cap500":     {"[2 0 3 1 4]", "{R1: 16/[16], R2: 32/[32]}", 0x41527235dd69a14e, 186},
-	"groupby/limitgroups":        {"[0 1 2]", "{R1: 9/[16], R2: 14/[16], R3: 20/[32]}", 0x414e4c15123f68d7, 1302},
-	"groupby/limitgroups/cap1":   {"[0 1 2]", "{R1: 9/[16], R2: 14/[16], R3: 20/[32]}", 0x414e4c15123f68d7, 2},
-	"groupby/limitgroups/cap50":  {"[0 1 2]", "{R1: 9/[16], R2: 14/[16], R3: 20/[32]}", 0x414e4c15123f68d7, 100},
-	"groupby/limitgroups/cap500": {"[0 1 2]", "{R1: 9/[16], R2: 14/[16], R3: 20/[32]}", 0x414e4c15123f68d7, 686},
+	"topk/fixedorder":            {"[2 0 3 1 4]", "{R1: 5/[16], R2: 5/[16], R3: 12/[16], R4: 5/[16], R5: 21/[32]}", 0x4154d5d1c2a05abd, 186},
+	"topk/fixedorder/cap1":       {"[2 0 3 1 4]", "{R1: 5/[16], R2: 5/[16], R3: 12/[16], R4: 5/[16], R5: 21/[32]}", 0x4154d5d1c2a05abd, 1},
+	"topk/fixedorder/cap50":      {"[2 0 3 1 4]", "{R1: 5/[16], R2: 5/[16], R3: 12/[16], R4: 5/[16], R5: 21/[32]}", 0x4154d5d1c2a05abd, 50},
+	"topk/fixedorder/cap500":     {"[2 0 3 1 4]", "{R1: 5/[16], R2: 5/[16], R3: 12/[16], R4: 5/[16], R5: 21/[32]}", 0x4154d5d1c2a05abd, 186},
+	"groupby/limitgroups":        {"[0 1 2]", "{R1: 9/[16], R2: 14/[16], R3: 20/[32]}", 0x4150593dbc52e7a1, 1302},
+	"groupby/limitgroups/cap1":   {"[0 1 2]", "{R1: 9/[16], R2: 14/[16], R3: 20/[32]}", 0x4150593dbc52e7a1, 2},
+	"groupby/limitgroups/cap50":  {"[0 1 2]", "{R1: 9/[16], R2: 14/[16], R3: 20/[32]}", 0x4150593dbc52e7a1, 100},
+	"groupby/limitgroups/cap500": {"[0 1 2]", "{R1: 9/[16], R2: 14/[16], R3: 20/[32]}", 0x4150593dbc52e7a1, 686},
 	"orderby":                    {"[0 1 2]", "{R1: 59/[64]}", 0x411f7ad36a87acf6, 759},
 	"orderby/cap1":               {"[0 1 2]", "{R1: 59/[64]}", 0x411f7ad36a87acf6, 1},
 	"orderby/cap50":              {"[0 1 2]", "{R1: 59/[64]}", 0x411f7ad36a87acf6, 50},

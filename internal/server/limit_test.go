@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
+	"repro/internal/planner"
 	"repro/internal/table"
 	"repro/internal/testutil"
 	"repro/internal/workloads"
@@ -244,5 +246,60 @@ func TestLimitPlanCacheKeySeparation(t *testing.T) {
 		if res.PlanCacheHit {
 			t.Errorf("variant %d: hit the cache on first submission — limit/offset missing from the plan key", i)
 		}
+	}
+}
+
+// TestAdmissionChargesTruncatedQueryNoInputs pins what admission
+// charges a truncated query: no materialized input columns, since its
+// sort reads the ByteSlices itself. A server byte budget that degrades
+// the unlimited query admits the same query under a limit at the full
+// worker count.
+func TestAdmissionChargesTruncatedQueryNoInputs(t *testing.T) {
+	defer testutil.CheckNoLeaks(t)()
+	tbl := testTPCH(t, 40000)
+	q := engine.Query{
+		Kind:     planner.GroupBy,
+		SortCols: []engine.SortCol{{Name: "l_returnflag"}, {Name: "l_linestatus"}},
+		Agg:      &engine.Agg{Kind: engine.Count},
+	}
+	// The sequential unlimited footprint as admission prices it, plus
+	// one worker's partition scratch: too little for 8 workers.
+	b, err := engine.Bind(tbl, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	totalW := 0
+	for _, bs := range b.Cols {
+		totalW += bs.Width
+	}
+	maxRounds := max((totalW+15)/16, len(b.Cols))
+	budget := engine.EstimatePipelineBytes(tbl.N, len(b.Cols), maxRounds, 1) + 64<<10
+	srv := newTestServer(t, Config{MaxBytes: budget}, tbl)
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Error(err)
+		}
+	}()
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+
+	req := reqFromQuery(t, tbl.Name, q, 8)
+	full, err := doQuery(hs.URL, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Workers >= 8 {
+		t.Fatalf("unlimited query ran at %d workers, want fewer than 8", full.Workers)
+	}
+	lim := 2
+	req.Limit = &lim
+	limited, err := doQuery(hs.URL, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if limited.Workers != 8 {
+		t.Fatalf("limited query ran at %d workers, want 8", limited.Workers)
 	}
 }

@@ -218,17 +218,22 @@ func (s *Server) runEngine(ctx context.Context, jobID string, req QueryRequest, 
 		workers = s.cfg.DefaultWorkers
 	}
 	// Worst-case footprint: every table row selected, one round per
-	// 16-bit slice of the concatenated key (no plan can have more).
-	nCols, totalW := len(b.Cols), 0
+	// 16-bit slice of the concatenated key (no plan can have more). A
+	// truncated sort materializes no input columns (SortInputCols); but
+	// a filter may leave no more rows than a row cut, and then the
+	// engine materializes all of them, so that case is charged too.
+	nCols, totalW := b.SortInputCols(t.N, req.Limit, req.Offset), 0
 	for _, bs := range b.Cols {
 		totalW += bs.Width
 	}
-	maxRounds := (totalW + 15) / 16
-	if maxRounds < nCols {
-		maxRounds = nCols
-	}
+	maxRounds := max((totalW+15)/16, len(b.Cols))
+	cutRows, _ := engine.SortCut(q, req.Limit, req.Offset)
 	estimate := func(w int) int64 {
-		return engine.EstimatePipelineBytes(t.N, nCols, maxRounds, w)
+		est := engine.EstimatePipelineBytes(t.N, nCols, maxRounds, w)
+		if nCols == 0 && cutRows > 0 {
+			est = max(est, engine.EstimatePipelineBytes(cutRows, len(b.Cols), maxRounds, w))
+		}
+		return est
 	}
 	workers, err = s.adm.refuseOverBudget(workers, estimate)
 	if err != nil {

@@ -28,3 +28,7 @@ func (c *PollCtx) Err() error {
 	}
 	return nil
 }
+
+// Left returns how many more polls report no cancellation: a run under
+// NewPollCtx(k) that was never cancelled polled k − Left() times.
+func (c *PollCtx) Left() int64 { return c.polls.Load() }
