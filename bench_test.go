@@ -18,15 +18,18 @@ import (
 
 	"repro/internal/costmodel"
 	"repro/internal/experiments"
+	"repro/internal/mergesort/paper"
 )
 
 var (
 	benchModelOnce sync.Once
 	benchModel     *costmodel.Model
+	benchPaper     *paper.Model
 )
 
-// benchConfig calibrates once per process and returns the shared
-// reduced-scale configuration.
+// benchConfig calibrates once per process — the production model and
+// the paper kernel's term — and returns the shared reduced-scale
+// configuration.
 func benchConfig(b *testing.B) experiments.Config {
 	b.Helper()
 	benchModelOnce.Do(func() {
@@ -34,13 +37,18 @@ func benchConfig(b *testing.B) experiments.Config {
 		if err != nil {
 			b.Fatalf("calibrate: %v", err)
 		}
-		benchModel = m
+		pm, err := experiments.CalibratePaper(experiments.CalOptions{})
+		if err != nil {
+			b.Fatalf("calibrate: %v", err)
+		}
+		benchModel, benchPaper = m, pm
 	})
 	return experiments.Config{
 		Rows:      1 << 16,
 		TableRows: 20_000,
 		Seed:      1,
 		Model:     benchModel,
+		Paper:     benchPaper,
 		Quick:     true,
 	}
 }

@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"repro/internal/cliutil"
-	"repro/internal/costmodel"
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/pipeerr"
@@ -86,12 +85,12 @@ func main() {
 		Limit:     *limit,
 	}
 	if *calPath != "" {
-		m, err := costmodel.Load(*calPath)
+		m, pm, err := experiments.LoadProfile(*calPath)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mcsbench: %v\n", err)
 			os.Exit(1)
 		}
-		cfg.Model = m
+		cfg.Model, cfg.Paper = m, pm
 	} else {
 		fmt.Fprintln(os.Stderr, "mcsbench: calibrating the cost model (a few seconds; use -calibration to reuse a profile)...")
 		start := time.Now()
@@ -100,7 +99,12 @@ func main() {
 			fmt.Fprintf(os.Stderr, "mcsbench: calibrate: %v\n", err)
 			os.Exit(1)
 		}
-		cfg.Model = m
+		pm, err := experiments.CalibratePaper(experiments.CalOptions{})
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "mcsbench: calibrate: %v\n", err)
+			os.Exit(1)
+		}
+		cfg.Model, cfg.Paper = m, pm
 		fmt.Fprintf(os.Stderr, "mcsbench: calibration done in %v\n", time.Since(start).Round(time.Millisecond))
 	}
 

@@ -1,7 +1,10 @@
 // Command mcsplan explains a code-massage plan search for an ad-hoc
 // multi-column sort: given column widths (and optional distinct counts),
-// it prints the baseline plan, the ROGA pick with its estimate, and the
-// RRS pick for comparison.
+// it prints the baseline plan and the ROGA pick with its estimate. The
+// search is mcsd's: costmodel.Builtin(), the model mcsd plans with when
+// it is not handed a calibration, no wall-clock threshold unless -rho
+// sets one, and the daemon's default counted budget — so the pick is the
+// plan mcsd would choose for the same statistics.
 //
 //	mcsplan -widths 12,17
 //	mcsplan -widths 17,33 -distinct 8192,8192 -rows 16777216
@@ -22,11 +25,11 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/datagen"
 	"repro/internal/engine"
-	"repro/internal/experiments"
 	"repro/internal/massage"
 	"repro/internal/mcsort"
 	"repro/internal/obs"
 	"repro/internal/planner"
+	"repro/internal/server"
 )
 
 func main() {
@@ -35,7 +38,7 @@ func main() {
 		distinctFlag = flag.String("distinct", "", "comma-separated distinct counts (default 2^13 per column)")
 		rows         = flag.Int("rows", 1<<20, "row count N")
 		clause       = flag.String("clause", "orderby", "orderby | groupby | partitionby")
-		rho          = flag.Float64("rho", planner.DefaultRho, "search time threshold (negative = unbounded)")
+		rho          = flag.Float64("rho", -1, "search time threshold (negative = unbounded, as mcsd runs)")
 		seed         = flag.Int64("seed", 1, "generator seed")
 		metrics      = flag.String("metrics", "", "emit an obs metrics snapshot (search counters) at exit: json | text")
 		execute      = flag.Bool("execute", false, "generate -rows rows and execute the ROGA pick")
@@ -99,21 +102,15 @@ func main() {
 	st := costmodel.CollectStats(cols, widths)
 	st.N = *rows
 
-	fmt.Fprintln(os.Stderr, "calibrating the cost model...")
-	model, err := experiments.Calibrate(experiments.CalOptions{})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mcsplan: calibrate: %v\n", err)
-		os.Exit(1)
-	}
-
-	s := &planner.Search{Model: model, Stats: st, Kind: kind, Rho: *rho}
+	s := &planner.Search{Model: costmodel.Builtin(), Stats: st, Kind: kind, Rho: *rho, MaxPlans: server.DefaultMaxPlans}
 	w := st.TotalWidth()
 	fmt.Printf("columns: widths=%v distinct=%v rows=%d (W=%d bits, clause=%s)\n",
 		widths, distinct, *rows, w, *clause)
 
-	// Admission point: a -timeout that already expired (calibration ate
-	// the budget, or the deadline was pre-expired) is a queue-wait
-	// timeout — fail fast and typed rather than entering the search.
+	// Admission point: a -timeout that already expired (sampling the
+	// statistics ate the budget, or the deadline was pre-expired) is a
+	// queue-wait timeout — fail fast and typed rather than entering the
+	// search.
 	if err := cliutil.CheckAdmission(ctx); err != nil {
 		fmt.Fprintf(os.Stderr, "mcsplan: plan search not started: %v\n", err)
 		dumpMetrics(*metrics)
@@ -128,9 +125,6 @@ func main() {
 	}
 	fmt.Printf("ROGA pick:             %-40s est %8.2f ms (order %v, %.2fx vs P0)\n",
 		roga.Plan, roga.Est/1e6, roga.ColOrder, base.Est/roga.Est)
-	rrs := planner.RRS(s, *seed)
-	fmt.Printf("RRS pick:              %-40s est %8.2f ms (order %v)\n",
-		rrs.Plan, rrs.Est/1e6, rrs.ColOrder)
 
 	if *limit < 0 || *offset < 0 {
 		fmt.Fprintln(os.Stderr, "mcsplan: -limit and -offset must be non-negative")

@@ -3,11 +3,12 @@
 // multi-column sorting — lookup, massaging, sort, and scan — with
 // machine-dependent constants. The sort term prices the kernel that
 // serves queries, the stable LSD radix sort of internal/mergesort
-// (TRadix); the paper's SIMD merge-sort term (TSortOneDup) is read only
-// where an experiment plugs it in through Model.Sort. Production plans
-// with Builtin or a profile saved by Save; the calibration that fits a
-// profile from controlled runs lives with the experiments
-// (internal/experiments).
+// (TRadix). Model.Sort is the one seam for another kernel's term: the
+// paper's SIMD merge-sort term lives beside that kernel
+// (internal/mergesort/paper's Model), and only the experiments plug it
+// in. Production plans with Builtin or a profile saved by Save; the
+// calibration that fits a profile from controlled runs lives with the
+// experiments (internal/experiments).
 //
 // All times are in nanoseconds. Constants are "per element" unless noted.
 package costmodel
@@ -19,20 +20,7 @@ import (
 	"os"
 
 	"repro/internal/column"
-	"repro/internal/plan"
 )
-
-// BankConstants are the calibrated per-bank sorting constants of
-// Equations 5–8, the paper kernel's term. The in-register
-// (C_sort-network) and in-cache-merge constants both multiply N with no
-// other distinguishing regressor in the calibration runs, so they are
-// calibrated as one identifiable sum, CLinear = C_sort-network +
-// C_in-cache-merge (see DESIGN.md).
-type BankConstants struct {
-	COverhead   float64 // per SIMD-sort call: allocation + setup (C_overhead)
-	CLinear     float64 // per element: in-register + in-cache phases
-	COutOfCache float64 // per element per out-of-cache pass
-}
 
 // Constants holds every calibrated parameter of the model.
 type Constants struct {
@@ -70,21 +58,13 @@ type Constants struct {
 	// Select is the top-K sort's radix select (mergesort/topk.go): per
 	// row per pass, the compaction of the kept rows included.
 	Select float64
-	// Small-sort regime: runs below the kernel's insertion cutoff
-	// (RadixCutoff for the radix kernel, SmallSortThreshold for the
-	// paper term) are insertion-sorted by mergesort.InsertionSort under
-	// both kernels: T = SmallCall + SmallElem·n + SmallQuad·n².
+	// Small-sort regime (TSmall): runs below a kernel's insertion
+	// cutoff (RadixCutoff for the radix kernel) are insertion-sorted by
+	// mergesort.InsertionSort under both kernels:
+	// T = SmallCall + SmallElem·n + SmallQuad·n².
 	SmallCall float64
 	SmallElem float64
 	SmallQuad float64
-	// The paper kernel's terms, read only through PaperSort.
-	Bank map[int]BankConstants
-	// OVCMergeDiscount is the measured fraction of the out-of-cache
-	// merge cost that offset-value coding removes on all-duplicate
-	// input (mergesort/paper/ovc.go): the effective per-pass constant is
-	// COutOfCache·(1 − OVCMergeDiscount·dupFrac). Zero disables the
-	// duplicate discount.
-	OVCMergeDiscount float64
 }
 
 // RadixCutoff mirrors mergesort.smallRunCutoff, the radix kernel's
@@ -145,29 +125,18 @@ const (
 	SelectRefineShare = 16
 )
 
-// SmallSortThreshold is the paper kernel's insertion-sort cutoff
-// (internal/mergesort/paper): groups below it never enter the
-// three-phase merge-sort. Only PaperSort reads it.
-const SmallSortThreshold = 24
-
 // SortTerm prices one sort call of n rows whose round key is width bits
 // wide in a bank-bit bank; dup is the duplicate fraction of the keys.
+// The paper kernel's term (internal/mergesort/paper's Model.Sort) is
+// one.
 type SortTerm func(m *Model, n float64, bank, width int, dup float64) float64
 
-// PaperSort is the paper kernel's T_sort (Equation 2 with the OVC merge
-// discount) as a SortTerm: what internal/experiments plugs into
-// Model.Sort, as it plugs the paper kernel into every sort it measures.
-func PaperSort(m *Model, n float64, bank, _ int, dup float64) float64 {
-	return m.TSortOneDup(n, bank, dup)
-}
-
 // Model is the cost model: calibrated constants plus the cache geometry
-// and merge fanout they were calibrated against.
+// they were calibrated against.
 type Model struct {
-	C      Constants
-	L2     int64 // M_L2 in bytes
-	LLC    int64 // M_LLC in bytes
-	Fanout int   // out-of-cache merge fanout F (paper term)
+	C   Constants
+	L2  int64 // M_L2 in bytes
+	LLC int64 // M_LLC in bytes
 	// Sort, when set, replaces the radix kernel's sort term, the top-K
 	// sort's sort of its kept rows included. Nil — every
 	// model production plans with — prices the radix kernel. It is not
@@ -189,14 +158,11 @@ type Model struct {
 // on a 2-vCPU KVM machine that ran the massage 2.2× slower than the
 // freeze (1.33 ns), scaled by the ratio of CMassage to those runs'
 // median CMassage (1.54 / 3.42). Plan quality degrades gracefully when
-// they are off, correctness never depends on them. The paper-kernel constants
-// (Bank, Fanout, OVCMergeDiscount) are the conservative regime of a
-// modern x86 server, read only when a caller plugs PaperSort into Sort.
+// they are off, correctness never depends on them.
 func Builtin() *Model {
 	return &Model{
-		L2:     1 << 21,
-		LLC:    1 << 23,
-		Fanout: 8,
+		L2:  1 << 21,
+		LLC: 1 << 23,
 		C: Constants{
 			CCache:              3.97,
 			CMem:                9.00,
@@ -217,11 +183,6 @@ func Builtin() *Model {
 			SmallCall:           0,
 			SmallElem:           10.1,
 			SmallQuad:           0.196,
-			Bank: map[int]BankConstants{
-				16: {COverhead: 400, CLinear: 220, COutOfCache: 40},
-				32: {COverhead: 400, CLinear: 300, COutOfCache: 55},
-				64: {COverhead: 400, CLinear: 420, COutOfCache: 80},
-			},
 		},
 	}
 }
@@ -370,7 +331,7 @@ func (m *Model) TRadix(n float64, bank, width int) float64 {
 		return 0
 	}
 	if n < RadixCutoff {
-		return m.tSmall(n)
+		return m.TSmall(n)
 	}
 	l := RadixLayoutOf(n, bank, width)
 	scatter, mem := m.C.RadixScatter, m.C.RadixScatterMem
@@ -393,58 +354,10 @@ func (m *Model) tRadixFresh(n float64, bank, width int) float64 {
 	return t
 }
 
-// tSmall is the insertion-sort regime shared by both kernels.
-func (m *Model) tSmall(n float64) float64 {
+// TSmall is the insertion-sort regime shared by both kernels: one
+// mergesort.InsertionSort call over n rows.
+func (m *Model) TSmall(n float64) float64 {
 	return m.C.SmallCall + m.C.SmallElem*n + m.C.SmallQuad*n*n
-}
-
-// OutOfCachePasses is the ⌈log_F(N·(b/8)/(M_L2/2))⌉ factor of Equation 8
-// (zero when the data already fits half the L2 cache).
-func (m *Model) OutOfCachePasses(n float64, bank int) float64 {
-	if n <= 0 {
-		return 0
-	}
-	bytes := n * float64(bank/8+4) // key plus 32-bit oid, as implemented
-	half := float64(m.L2) / 2
-	if bytes <= half {
-		return 0
-	}
-	return math.Ceil(math.Log(bytes/half) / math.Log(float64(m.Fanout)))
-}
-
-// TSortOne is Equation 2: the cost of one SIMD-sort call over n codes
-// with a b-bit bank. Below the insertion threshold the sorter never
-// enters the merge-sort phases, so the small-sort regime applies.
-func (m *Model) TSortOne(n float64, bank int) float64 {
-	return m.TSortOneDup(n, bank, 0)
-}
-
-// TSortOneDup is TSortOne with a duplicate fraction: the out-of-cache
-// merge term shrinks by OVCMergeDiscount·dup, modeling the offset-value
-// coded loser trees resolving tied comparisons without key accesses.
-// The in-cache phases are compare-exchange networks with no early-out,
-// so only the merge term is duplicate-sensitive.
-func (m *Model) TSortOneDup(n float64, bank int, dup float64) float64 {
-	if n < 2 {
-		// Singleton groups are not sorted at all.
-		return 0
-	}
-	if n < SmallSortThreshold {
-		return m.tSmall(n)
-	}
-	bc := m.C.Bank[bank]
-	ooc := bc.COutOfCache * n * m.OutOfCachePasses(n, bank)
-	if dup > 0 && m.C.OVCMergeDiscount > 0 {
-		disc := m.C.OVCMergeDiscount
-		if disc > 1 {
-			disc = 1
-		}
-		if dup > 1 {
-			dup = 1
-		}
-		ooc *= 1 - disc*dup
-	}
-	return bc.COverhead + bc.CLinear*n + ooc
 }
 
 // CollectStats computes exact prefix-distinct profiles for each column
@@ -542,16 +455,17 @@ func (m *Model) Save(path string) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-// Load reads a model saved by Save. It refuses a profile the estimators
-// cannot price: zero radix count, scatter, word scatter or select
-// constants (a profile saved before the model priced the radix kernel
-// has none, one saved before it priced packed words no word scatter)
-// would make every sort, or every packed one, free and bias every plan
-// toward the free rounds; a missing bank would make
-// that bank's paper-term sorts free, a fanout below 2 or a non-positive
-// cache size makes every out-of-cache sort infinite, and a negative or
-// non-finite constant is no measurement. Other zero constants are legal;
-// calibration clamps noise to 0.
+// Load reads a model saved by Save. It ignores keys the model does not
+// hold, such as the paper kernel's constants a calibration saves beside
+// it (C.Bank, C.OVCMergeDiscount, Fanout), which only the experiments
+// read. It refuses a profile the estimators cannot price: zero radix
+// count, scatter, word scatter or select constants (a profile saved
+// before the model priced the radix kernel has none, one saved before it
+// priced packed words no word scatter) would make every sort, or every
+// packed one, free and bias every plan toward the free rounds; a
+// non-positive cache size makes every lookup and scatter beyond it
+// infinite, and a negative or non-finite constant is no measurement.
+// Other zero constants are legal; calibration clamps noise to 0.
 func Load(path string) (*Model, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -568,9 +482,6 @@ func Load(path string) (*Model, error) {
 }
 
 func (m *Model) validate() error {
-	if m.Fanout < 2 {
-		return fmt.Errorf("fanout %d, want >= 2", m.Fanout)
-	}
 	if m.L2 <= 0 || m.LLC <= 0 {
 		return fmt.Errorf("cache sizes L2 %d, LLC %d, want > 0", m.L2, m.LLC)
 	}
@@ -582,14 +493,7 @@ func (m *Model) validate() error {
 	consts := []float64{c.CCache, c.CMem, c.CMassage, c.CMassageKey, c.CGatherPlane, c.CScan, c.CScanGroup,
 		c.RadixOffsets, c.RadixCount, c.RadixCountHist, c.RadixScatter, c.RadixScatterMem,
 		c.RadixWordScatter, c.RadixWordScatterMem, c.RadixAlloc, c.Select,
-		c.SmallCall, c.SmallElem, c.SmallQuad, c.OVCMergeDiscount}
-	for _, bank := range plan.Banks {
-		bc, ok := c.Bank[bank]
-		if !ok {
-			return fmt.Errorf("no constants for bank %d", bank)
-		}
-		consts = append(consts, bc.COverhead, bc.CLinear, bc.COutOfCache)
-	}
+		c.SmallCall, c.SmallElem, c.SmallQuad}
 	for _, v := range consts {
 		if !(v >= 0) || math.IsInf(v, 1) { // also catches NaN
 			return fmt.Errorf("constant %v, want finite and >= 0", v)

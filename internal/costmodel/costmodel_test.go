@@ -101,68 +101,6 @@ func TestTLookupHitRatio(t *testing.T) {
 	}
 }
 
-func TestTSortOneShape(t *testing.T) {
-	m := Builtin()
-	// Singleton groups cost nothing (paper: one-tuple groups skip sorting).
-	if m.TSortOne(1, 32) != 0 {
-		t.Error("singleton sort must be free")
-	}
-	// A wider bank must cost more for the same n.
-	n := 100000.0
-	if !(m.TSortOne(n, 16) < m.TSortOne(n, 32) && m.TSortOne(n, 32) < m.TSortOne(n, 64)) {
-		t.Error("per-bank sort costs must increase with bank width")
-	}
-	// Out-of-cache passes kick in for large n.
-	if m.OutOfCachePasses(1e7, 64) == 0 {
-		t.Error("10M 64-bit elements must be out of cache for a 2MiB L2")
-	}
-	if m.OutOfCachePasses(1000, 16) != 0 {
-		t.Error("1000 elements must fit in cache")
-	}
-}
-
-// paperModel is Builtin with the paper kernel's sort term plugged in,
-// as the figure experiments price plans.
-func paperModel() *Model {
-	m := Builtin()
-	m.Sort = PaperSort
-	return m
-}
-
-// TestModelPrefersPaperPlans replays the paper's Examples with the
-// paper term plugged in: the qualitative plan preferences of Section 3
-// must hold.
-func TestModelPrefersPaperPlans(t *testing.T) {
-	m := paperModel()
-	n := 1 << 20
-	d := 1 << 13
-
-	// Ex1: 10-bit + 17-bit. Stitching into 27/[32] must win over P0.
-	st := uniformStats(n, []int{10, 17}, []int{1 << 10, d})
-	p0 := plan.ColumnAtATime([]int{10, 17})
-	stitch := plan.Plan{Rounds: []plan.Round{{Width: 27, Bank: 32}}}
-	if !(m.TMCS(stitch, st) < m.TMCS(p0, st)) {
-		t.Errorf("Ex1: stitch %v should beat P0 %v", m.TMCS(stitch, st), m.TMCS(p0, st))
-	}
-
-	// Ex2: 15-bit + 31-bit. The reckless stitch to 46/[64] must lose.
-	st = uniformStats(n, []int{15, 31}, []int{d, d})
-	p0 = plan.ColumnAtATime([]int{15, 31})
-	stitch = plan.Plan{Rounds: []plan.Round{{Width: 46, Bank: 64}}}
-	if !(m.TMCS(p0, st) < m.TMCS(stitch, st)) {
-		t.Errorf("Ex2: P0 %v should beat stitch-all %v", m.TMCS(p0, st), m.TMCS(stitch, st))
-	}
-
-	// Ex4: 48-bit + 48-bit. Three 32/[32] rounds must beat two 48/[64].
-	st = uniformStats(n, []int{48, 48}, []int{d, d})
-	p0 = plan.ColumnAtATime([]int{48, 48})
-	three := plan.Plan{Rounds: []plan.Round{
-		{Width: 32, Bank: 32}, {Width: 32, Bank: 32}, {Width: 32, Bank: 32}}}
-	if !(m.TMCS(three, st) < m.TMCS(p0, st)) {
-		t.Errorf("Ex4: 3×32 %v should beat P0 %v", m.TMCS(three, st), m.TMCS(p0, st))
-	}
-}
-
 func TestGroupProfileOccupancy(t *testing.T) {
 	st := uniformStats(100000, []int{8}, []int{256})
 	nGroup, nSort, rows := groupProfile(float64(st.N), st.distinctOfPrefix(8))
@@ -193,8 +131,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.C.CCache != m.C.CCache || got.C.Bank[32] != m.C.Bank[32] || got.Fanout != m.Fanout {
-		t.Error("round trip lost fields")
+	if got.C != m.C || got.L2 != m.L2 || got.LLC != m.LLC {
+		t.Errorf("round trip lost fields: %+v, want %+v", got, m)
 	}
 	if _, err := Load(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Error("loading missing file must fail")
@@ -211,24 +149,9 @@ func TestLoadRejectsMalformedProfiles(t *testing.T) {
 		ok     bool
 	}{
 		{"builtin", func(*Model) {}, true},
-		{"zero COverhead", func(m *Model) {
-			for _, b := range plan.Banks {
-				bc := m.C.Bank[b]
-				bc.COverhead = 0
-				m.C.Bank[b] = bc
-			}
-		}, true},
-		{"no bank 64", func(m *Model) { delete(m.C.Bank, 64) }, false},
-		{"no banks", func(m *Model) { m.C.Bank = nil }, false},
-		{"fanout 1", func(m *Model) { m.Fanout = 1 }, false},
 		{"L2 0", func(m *Model) { m.L2 = 0 }, false},
 		{"LLC negative", func(m *Model) { m.LLC = -1 }, false},
 		{"negative CMem", func(m *Model) { m.C.CMem = -1 }, false},
-		{"negative COutOfCache", func(m *Model) {
-			bc := m.C.Bank[32]
-			bc.COutOfCache = -0.5
-			m.C.Bank[32] = bc
-		}, false},
 		{"zero RadixScatter", func(m *Model) { m.C.RadixScatter = 0 }, false},
 		{"zero RadixWordScatter", func(m *Model) { m.C.RadixWordScatter = 0 }, false},
 		{"zero RadixWordScatterMem", func(m *Model) { m.C.RadixWordScatterMem = 0 }, true},
@@ -259,6 +182,20 @@ func TestLoadRejectsMalformedProfiles(t *testing.T) {
 	}
 }
 
+// TestLoadIgnoresPaperKeys loads a profile saved by Builtin().Save when
+// the model still held the paper kernel's term (testdata): C.Bank,
+// C.OVCMergeDiscount and Fanout are not the model's, and the rest must
+// load as Builtin, so a saved profile prices every plan as before.
+func TestLoadIgnoresPaperKeys(t *testing.T) {
+	got, err := Load(filepath.Join("testdata", "profile_builtin_with_paper_term.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := Builtin(); got.C != want.C || got.L2 != want.L2 || got.LLC != want.LLC || got.Sort != nil {
+		t.Errorf("loaded %+v, want Builtin %+v", got, want)
+	}
+}
+
 // TestLoadRejectsProfileWithoutRadixTerm loads a profile saved before
 // the model priced the radix kernel (testdata): it has no radix
 // constants, so every production sort would cost 0 ns and every search
@@ -280,7 +217,7 @@ func TestTRadixShape(t *testing.T) {
 	if m.TRadix(1, 32, 18) != 0 {
 		t.Error("a one-row sort must be free")
 	}
-	if got, want := m.TRadix(RadixCutoff-1, 64, 64), m.tSmall(RadixCutoff-1); got != want {
+	if got, want := m.TRadix(RadixCutoff-1, 64, 64), m.TSmall(RadixCutoff-1); got != want {
 		t.Errorf("below the cutoff: %v, want the insertion regime %v", got, want)
 	}
 	n := float64(1 << 16)
@@ -330,8 +267,9 @@ func zipfStats() Stats {
 // TestRadixPrefersOneRoundOnZipfGroupBy: an 18-bit GROUP BY is one
 // 32-bit round of two packed scatters under the radix kernel; splitting
 // it {16/[16], 2/[16]} saves no scatter over all rows but pays a lookup,
-// a scan and a sort per group. The paper kernel's term priced the split
-// cheaper, which is the plan production ran before.
+// a scan and a sort per group. The paper kernel's term prices the split
+// cheaper (internal/mergesort/paper's TestPaperPrefersSplitOnZipfGroupBy),
+// which is the plan production ran before.
 func TestRadixPrefersOneRoundOnZipfGroupBy(t *testing.T) {
 	st := zipfStats()
 	one := plan.Plan{Rounds: []plan.Round{{Width: 18, Bank: 32}}}
@@ -339,10 +277,6 @@ func TestRadixPrefersOneRoundOnZipfGroupBy(t *testing.T) {
 	m := Builtin()
 	if !(m.TMCS(one, st) < m.TMCS(split, st)) {
 		t.Errorf("radix term: one round %.4g, split %.4g; want one round cheaper", m.TMCS(one, st), m.TMCS(split, st))
-	}
-	pm := paperModel()
-	if !(pm.TMCS(split, st) < pm.TMCS(one, st)) {
-		t.Errorf("paper term: split %.4g, one round %.4g; want the split cheaper", pm.TMCS(split, st), pm.TMCS(one, st))
 	}
 }
 
@@ -406,51 +340,37 @@ func TestDupFrac(t *testing.T) {
 	}
 }
 
-func TestTSortOneDupDiscount(t *testing.T) {
-	m := Builtin()
-	m.C.OVCMergeDiscount = 0.5
-	n := float64(1 << 20) // out of cache for every bank
-
-	// dup = 0 reproduces TSortOne exactly; so does a zero discount.
-	if got, want := m.TSortOneDup(n, 32, 0), m.TSortOne(n, 32); got != want {
-		t.Errorf("dup=0: %v, want %v", got, want)
-	}
-	m0 := Builtin() // OVCMergeDiscount zero
-	if got, want := m0.TSortOneDup(n, 32, 1), m0.TSortOne(n, 32); got != want {
-		t.Errorf("zero discount: %v, want %v", got, want)
-	}
-
-	// The discount removes exactly disc·dup of the out-of-cache term.
-	bc := m.C.Bank[32]
-	ooc := bc.COutOfCache * n * m.OutOfCachePasses(n, 32)
-	if ooc <= 0 {
-		t.Fatal("test input must be out of cache")
-	}
-	got := m.TSortOneDup(n, 32, 1)
-	want := m.TSortOne(n, 32) - 0.5*ooc
-	if math.Abs(got-want) > 1e-6*want {
-		t.Errorf("dup=1: %v, want %v", got, want)
-	}
-	// Monotone in dup, and clamped beyond 1.
-	if !(m.TSortOneDup(n, 32, 0.9) < m.TSortOneDup(n, 32, 0.5)) {
-		t.Error("cost must decrease with dup fraction")
-	}
-	if m.TSortOneDup(n, 32, 5) != m.TSortOneDup(n, 32, 1) {
-		t.Error("dup must clamp at 1")
-	}
-	// The in-cache regime ignores duplicates entirely.
-	if m.TSortOneDup(10, 32, 1) != m.TSortOne(10, 32) {
-		t.Error("small-sort regime must not be discounted")
+// dupTerm returns a test-local SortTerm for the Model.Sort hook: below
+// 24 rows the insertion regime, above it a per-row cost that grows with
+// the bank and the key width and shrinks by disc·dup — so every argument
+// the hook receives moves it.
+func dupTerm(disc float64) SortTerm {
+	return func(m *Model, n float64, bank, width int, dup float64) float64 {
+		if n < 2 {
+			return 0
+		}
+		if n < 24 {
+			return m.TSmall(n)
+		}
+		return n * (float64(bank) + float64(width)/8) * (1 - disc*dup)
 	}
 }
 
+// hooked returns Builtin with term plugged into Model.Sort.
+func hooked(term SortTerm) *Model {
+	m := Builtin()
+	m.Sort = term
+	return m
+}
+
 func TestTSortAfterDupAware(t *testing.T) {
-	// 2^16 rows over 16 distinct 20-bit values: heavy duplication. A
-	// discounted model must estimate the dup-heavy sort cheaper than
-	// the undiscounted one, and an all-distinct column must be immune.
-	m := paperModel()
-	md := paperModel()
-	md.C.OVCMergeDiscount = 0.9
+	// 2^18 rows over 16 distinct 20-bit values: heavy duplication. The
+	// Model.Sort hook receives the duplicate fraction of the round's
+	// key, so a term that discounts duplicates must estimate the
+	// dup-heavy sort cheaper than one that does not, and an
+	// all-distinct column must be immune.
+	m := hooked(dupTerm(0))
+	md := hooked(dupTerm(0.9))
 	heavy := uniformStats(1<<18, []int{20}, []int{16})
 	if !(md.Profile(heavy).TSortAfter(0, 32) < m.Profile(heavy).TSortAfter(0, 32)) {
 		t.Error("discounted model must price dup-heavy sorts cheaper")

@@ -81,28 +81,6 @@ func refGroupProfile(s Stats, bits int) (nGroup, nSort, rowsInSorts float64) {
 	return nGroup, nSort, rowsInSorts
 }
 
-func refTSortOneDup(m *Model, n float64, bank int, dup float64) float64 {
-	if n < 2 {
-		return 0
-	}
-	if n < SmallSortThreshold {
-		return m.C.SmallCall + m.C.SmallElem*n + m.C.SmallQuad*n*n
-	}
-	bc := m.C.Bank[bank]
-	ooc := bc.COutOfCache * n * m.OutOfCachePasses(n, bank)
-	if dup > 0 && m.C.OVCMergeDiscount > 0 {
-		disc := m.C.OVCMergeDiscount
-		if disc > 1 {
-			disc = 1
-		}
-		if dup > 1 {
-			dup = 1
-		}
-		ooc *= 1 - disc*dup
-	}
-	return bc.COverhead + bc.CLinear*n + ooc
-}
-
 func refTSortAfter(m *Model, st Stats, bitsBefore, bank int) float64 {
 	width := st.TotalWidth() - bitsBefore
 	if width > bank {
@@ -168,11 +146,11 @@ func refTopK(m *Model, st Stats, width, bank int) float64 {
 	return m.C.Select*n*passes + refTSortFresh(m, st, kept, width, bank)
 }
 
-// refTSortFresh is a first round's sort of n rows: the paper term when
-// the model plugs it in, else the radix kernel on fresh scratch.
+// refTSortFresh is a first round's sort of n rows: the plugged-in term
+// when the model has one, else the radix kernel on fresh scratch.
 func refTSortFresh(m *Model, st Stats, n float64, width, bank int) float64 {
 	if m.Sort != nil {
-		return refTSortOneDup(m, n, bank, refDupFrac(st, width))
+		return m.Sort(m, n, bank, width, refDupFrac(st, width))
 	}
 	return refTRadix(m, n, bank, width, true)
 }
@@ -198,7 +176,7 @@ func refTSortAfterWidth(m *Model, st Stats, bitsBefore, width, bank int) float64
 	}
 	avg := rows / nSort
 	if m.Sort != nil {
-		return nSort * refTSortOneDup(m, avg, bank, dup)
+		return nSort * m.Sort(m, avg, bank, width, dup)
 	}
 	return nSort * refTRadix(m, avg, bank, width, false)
 }
@@ -329,9 +307,9 @@ func (pf *Profile) tSortRound(p plan.Plan, k int) float64 {
 
 func TestProfileMatchesDirectFormulas(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	// The radix term, and the paper term with its OVC discount.
-	models := []*Model{Builtin(), paperModel()}
-	models[1].C.OVCMergeDiscount = 0.6
+	// The radix term, and a term plugged into Model.Sort that discounts
+	// duplicates, as the paper kernel's does.
+	models := []*Model{Builtin(), hooked(dupTerm(0.6))}
 	for _, m := range models {
 		m.C.CScanGroup, m.C.CMassageKey = 2.5, 1.5
 	}

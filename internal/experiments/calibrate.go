@@ -2,15 +2,16 @@ package experiments
 
 // Cost-model calibration (Section 4 of the paper): controlled runs on
 // this machine whose timings are solved for the constants of
-// costmodel.Model. The radix terms, which price every production plan,
+// costmodel.Model (Calibrate) and of the paper kernel's term, paper.Model
+// (CalibratePaper). The radix terms, which price every production plan,
 // are solved from seeded runs of the production kernel (no Params.Sort
 // hook): segmented radix sorts over banks, key widths and group counts,
 // the top-K select, and the insertion sorts below its cutoff. The paper
 // term's per-bank constants and OVC discount, which the figures plug in
-// (costmodel.PaperSort), are solved from runs of paperKernel. The
-// truncated first round's ByteSlice gather is solved against the same
-// round over materialized codes.
-// costmodel.Builtin freezes the median of nine runs of this calibration.
+// (Config.model), are solved from runs of paperKernel. The truncated
+// first round's ByteSlice gather is solved against the same round over
+// materialized codes.
+// costmodel.Builtin freezes the median of nine runs of Calibrate.
 
 import (
 	"context"
@@ -50,26 +51,19 @@ func (o *CalOptions) defaults() {
 	}
 }
 
-// Calibrate measures the machine and returns a ready-to-use model. The
-// process follows Section 4: each constant (or identifiable group of
+// Calibrate measures the machine and returns a ready-to-use model: the
+// constants production reads, and no paper-kernel term (CalibratePaper).
+// The process follows Section 4: each constant (or identifiable group of
 // constants) is solved from controlled runs, the sort constants as
 // least-squares linear systems over runs with varying group counts and
 // key widths. An error means a calibration workload could not be
 // compiled or sorted — a library bug surfaced to the caller instead of
 // a panic. Calibration is not cancellable: its sorts run under
-// context.Background(), with the production kernel for the radix,
-// select and insertion terms and with paperKernel for the paper term's.
+// context.Background(), with the production kernel.
 func Calibrate(opts CalOptions) (*costmodel.Model, error) {
 	opts.defaults()
 	caches := hw.Detect()
-	m := &costmodel.Model{
-		L2:     caches.L2,
-		LLC:    caches.LLC,
-		Fanout: paper.DefaultFanout,
-		C: costmodel.Constants{
-			Bank: make(map[int]costmodel.BankConstants),
-		},
-	}
+	m := &costmodel.Model{L2: caches.L2, LLC: caches.LLC}
 	rng := rand.New(rand.NewSource(opts.Seed))
 
 	// Lookup, massage and scan are timed at 8·NCal rows (2^19 by
@@ -85,21 +79,36 @@ func Calibrate(opts CalOptions) (*costmodel.Model, error) {
 	if m.C.Select, err = calibrateSelect(rng, opts.NCal, m); err != nil {
 		return nil, err
 	}
-	for _, bank := range mergesort.Banks {
-		if m.C.Bank[bank], err = calibrateBank(rng, opts.NCal, bank, m); err != nil {
-			return nil, err
-		}
-	}
 	if m.C.SmallCall, m.C.SmallElem, m.C.SmallQuad, err = calibrateSmall(rng, opts.NCal); err != nil {
-		return nil, err
-	}
-	if m.C.OVCMergeDiscount, err = calibrateOVCDiscount(rng, opts.NCal); err != nil {
 		return nil, err
 	}
 	if m.C.CGatherPlane, err = calibrateGather(rng, 8*opts.NCal); err != nil {
 		return nil, err
 	}
 	return m, nil
+}
+
+// CalibratePaper measures the paper kernel's term on this machine: its
+// per-bank constants and its OVC merge discount, solved from sorts and
+// merges run with paperKernel under context.Background(). The small-sort
+// regime it shares with the radix kernel, and the M_L2 its out-of-cache
+// passes are counted against, are those of the costmodel.Model it is
+// plugged into.
+func CalibratePaper(opts CalOptions) (*paper.Model, error) {
+	opts.defaults()
+	l2 := hw.Detect().L2
+	rng := rand.New(rand.NewSource(opts.Seed))
+	pm := &paper.Model{Bank: make(map[int]paper.BankConstants)}
+	var err error
+	for _, bank := range mergesort.Banks {
+		if pm.Bank[bank], err = calibrateBank(rng, opts.NCal, bank, l2); err != nil {
+			return nil, err
+		}
+	}
+	if pm.OVCMergeDiscount, err = calibrateOVCDiscount(rng, opts.NCal); err != nil {
+		return nil, err
+	}
+	return pm, nil
 }
 
 // calibrateGather solves C_gather-plane from the first round of
@@ -160,7 +169,7 @@ func calibrateGather(rng *rand.Rand, n int) (float64, error) {
 // calibrateOVCDiscount measures how much cheaper the offset-value-coded
 // multiway merge gets on all-duplicate input relative to unique input:
 // the discount applied to the out-of-cache term at duplicate fraction 1
-// (TSortOneDup). Both runs pay the same pack/unpack overhead, so the
+// (paper.Model.Sort). Both runs pay the same pack/unpack overhead, so the
 // measured ratio understates the pure merge saving — a conservative
 // discount. Clamped to [0, 0.9]: even an all-ties merge keeps its data
 // movement.
@@ -217,14 +226,7 @@ func calibrateOVCDiscount(rng *rand.Rand, n int) (float64, error) {
 	if tUnique <= 0 {
 		return 0, nil
 	}
-	disc := 1 - tDup/tUnique
-	if disc < 0 {
-		return 0, nil
-	}
-	if disc > 0.9 {
-		return 0.9, nil
-	}
-	return disc, nil
+	return min(max(1-tDup/tUnique, 0), 0.9), nil
 }
 
 // calibrateSmall measures the small-sort regime: runs below the
@@ -531,8 +533,9 @@ func calibrateExecute(rng *rand.Rand, n int, m *costmodel.Model) error {
 
 // calibrateBank solves C_overhead, CLinear and C_out-of-cache for one
 // bank as a least-squares system over segmented sorts with group counts
-// 1, 4, 16, …: T = G·C_overhead + N·CLinear + (Σ n_g·passes(n_g))·C_ooc.
-func calibrateBank(rng *rand.Rand, n, bank int, m *costmodel.Model) (costmodel.BankConstants, error) {
+// 1, 4, 16, …: T = G·C_overhead + N·CLinear + (Σ n_g·passes(n_g))·C_ooc,
+// the passes counted against an l2-byte M_L2.
+func calibrateBank(rng *rand.Rand, n, bank int, l2 int64) (paper.BankConstants, error) {
 	var rows [][]float64
 	var ts []float64
 	kernel := *paperKernel()
@@ -560,7 +563,7 @@ func calibrateBank(rng *rand.Rand, n, bank int, m *costmodel.Model) (costmodel.B
 			}
 		}
 		t := float64(time.Since(start).Nanoseconds())
-		passes := m.OutOfCachePasses(float64(per), bank)
+		passes := paper.OutOfCachePasses(l2, float64(per), bank)
 		rows = append(rows, []float64{float64(g), float64(nRun), float64(nRun) * passes})
 		ts = append(ts, t)
 		return nil
@@ -568,32 +571,23 @@ func calibrateBank(rng *rand.Rand, n, bank int, m *costmodel.Model) (costmodel.B
 
 	for g := 1; g <= n/64; g *= 4 {
 		if err := runOnce(n, g); err != nil {
-			return costmodel.BankConstants{}, err
+			return paper.BankConstants{}, err
 		}
 	}
 	// Two runs large enough to exceed half the L2 cache, so the
 	// out-of-cache constant has a non-zero regressor.
-	elemBytes := bank/8 + 4
-	big := int(m.L2) / elemBytes * 2
-	if big < 2*n {
-		big = 2 * n
-	}
+	big := max(int(l2)/(bank/8+4)*2, 2*n)
 	if err := runOnce(big, 1); err != nil {
-		return costmodel.BankConstants{}, err
+		return paper.BankConstants{}, err
 	}
 	if err := runOnce(big*4, 1); err != nil {
-		return costmodel.BankConstants{}, err
+		return paper.BankConstants{}, err
 	}
 
 	sol := leastSquares(rows, ts)
-	bc := costmodel.BankConstants{COverhead: sol[0], CLinear: sol[1], COutOfCache: sol[2]}
+	bc := paper.BankConstants{COverhead: sol[0], CLinear: sol[1], COutOfCache: sol[2]}
 	// Guard against small negative solutions from measurement noise.
-	if bc.COverhead < 0 {
-		bc.COverhead = 0
-	}
-	if bc.CLinear < 1e-3 {
-		bc.CLinear = 1e-3
-	}
+	bc.COverhead, bc.CLinear = max(bc.COverhead, 0), max(bc.CLinear, 1e-3)
 	if bc.COutOfCache <= 0 {
 		bc.COutOfCache = bc.CLinear * 0.25
 	}

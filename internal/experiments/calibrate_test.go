@@ -3,7 +3,9 @@ package experiments
 import (
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/costmodel"
@@ -28,20 +30,37 @@ func TestLeastSquares3(t *testing.T) {
 	}
 }
 
-// TestCalibrateSaveLoad runs the real calibration once and requires
-// that the profile it saves passes costmodel.Load's validation, the
-// only way a calibrated model reaches mcsd. It takes several seconds:
-// the lookup experiment scales with the LLC, not with NCal.
+// TestCalibrateSaveLoad runs the real calibration once, both parts, and
+// requires that the profile MarshalProfile writes passes both readers'
+// validation: costmodel.Load, the only way a calibrated model reaches
+// mcsd, and LoadProfile, the one mcsbench -calibration uses, which must
+// return both parts as calibrated. It takes several seconds: the lookup
+// experiment scales with the LLC, not with NCal.
 func TestCalibrateSaveLoad(t *testing.T) {
 	m, err := Calibrate(CalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	pm, err := CalibratePaper(CalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := MarshalProfile(m, pm)
+	if err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(t.TempDir(), "profile.json")
-	if err := m.Save(path); err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := costmodel.Load(path); err != nil {
-		t.Fatalf("a calibrated profile fails Load: %v", err)
+		t.Fatalf("a calibrated profile fails costmodel.Load: %v", err)
+	}
+	gotM, gotPM, err := LoadProfile(path)
+	if err != nil {
+		t.Fatalf("a calibrated profile fails LoadProfile: %v", err)
+	}
+	if gotM.C != m.C || gotM.L2 != m.L2 || gotM.LLC != m.LLC || !reflect.DeepEqual(gotPM, pm) {
+		t.Errorf("round trip: got %+v and %+v, want %+v and %+v", gotM, gotPM, m, pm)
 	}
 }

@@ -34,6 +34,11 @@ type Config struct {
 	// Model is the calibrated cost model; nil runs Calibrate once per
 	// RunContext call that needs a model.
 	Model *costmodel.Model
+	// Paper is the paper kernel's sort term, plugged into Model by every
+	// report that prices plans with the paper kernel (all but radix's);
+	// nil runs CalibratePaper once per RunContext call that needs it.
+	// Tests that do not measure calibration pass paper.DefaultModel().
+	Paper *paper.Model
 	// Quick trims plan populations and repetitions for CI-speed runs.
 	Quick bool
 	// Workers parallelizes the engine passes around the experiments
@@ -100,15 +105,21 @@ func (c *Config) calibrated() (*costmodel.Model, error) {
 }
 
 // model is the model the figures price plans with: Config.Model with
-// the paper kernel's sort term plugged in, as paperKernel is plugged
-// into every sort they measure.
+// the paper kernel's sort term, Config.Paper, plugged in, as paperKernel
+// is plugged into every sort they measure. A nil Paper is calibrated
+// once, as a nil Model is.
 func (c *Config) model() (*costmodel.Model, error) {
 	m, err := c.calibrated()
 	if err != nil {
 		return nil, err
 	}
+	if c.Paper == nil {
+		if c.Paper, err = CalibratePaper(CalOptions{}); err != nil {
+			return nil, err
+		}
+	}
 	pm := *m
-	pm.Sort = costmodel.PaperSort
+	pm.Sort = c.Paper.Sort
 	return &pm, nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/costmodel"
+	"repro/internal/mergesort/paper"
 )
 
 // quickCfg keeps experiment tests fast while still exercising every
@@ -17,13 +18,14 @@ func quickCfg() Config {
 		TableRows: 5000,
 		Seed:      7,
 		Model:     costmodel.Builtin(),
+		Paper:     paper.DefaultModel(),
 		Quick:     true,
 	}
 }
 
 // shapeCfg is large enough for the Section 3 crossovers to manifest.
 func shapeCfg() Config {
-	return Config{Rows: 1 << 18, Seed: 7, Model: costmodel.Builtin()}
+	return Config{Rows: 1 << 18, Seed: 7, Model: costmodel.Builtin(), Paper: paper.DefaultModel()}
 }
 
 func totalOf(t *testing.T, rep *Report, rowLabel string) float64 {
@@ -185,7 +187,7 @@ func TestFigure4FactorsMonotone(t *testing.T) {
 	if testing.Short() {
 		t.Skip("needs larger rows")
 	}
-	cfg := Config{Rows: 1 << 16, Seed: 3, Model: costmodel.Builtin()}
+	cfg := Config{Rows: 1 << 16, Seed: 3, Model: costmodel.Builtin(), Paper: paper.DefaultModel()}
 	rep, err := Figure4b(cfg)
 	if err != nil {
 		t.Fatal(err)

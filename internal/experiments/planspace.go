@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -57,7 +58,7 @@ func queryPlanSpace(cfg Config, item workloads.Item) ([]massage.Input, *planner.
 }
 
 // executePlan measures the wall time of one candidate over the inputs.
-func executePlan(cfg Config, inputs []massage.Input, cand planner.Candidate) (time.Duration, error) {
+func executePlan(cfg Config, inputs []massage.Input, cand candidate) (time.Duration, error) {
 	ordered := make([]massage.Input, len(inputs))
 	for i, c := range cand.ColOrder {
 		ordered[i] = inputs[c]
@@ -97,22 +98,22 @@ func Figure7(cfg Config) (*Report, error) {
 		return rep, nil
 	}
 	budget := populationBudget(cfg)
-	pop, exact := planner.Enumerate(search, planner.EnumerateOptions{Budget: budget, Seed: cfg.Seed})
+	pop, exact := enumerate(search, enumerateOptions{Budget: budget, Seed: cfg.Seed})
 
 	rogaPick, err := planner.ROGAContext(cfg.context(), search)
 	if err != nil {
 		return nil, err
 	}
-	rrsPick := planner.RRS(search, cfg.Seed)
+	rrsPick := rrs(search, cfg.Seed)
 	pop = ensureIncluded(pop, rogaPick, rrsPick)
 
 	type scored struct {
-		cand   planner.Candidate
+		cand   candidate
 		actual time.Duration
 		est    float64
 	}
 	var rows []scored
-	estimate := search.Estimator()
+	estimate := estimator(search)
 	for _, cand := range pop {
 		actual, err := executePlan(cfg, inputs, cand)
 		if err != nil {
@@ -155,29 +156,14 @@ func Figure7(cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-func sameCand(a planner.Candidate, c planner.Choice) bool {
-	if !a.Plan.Equal(c.Plan) || len(a.ColOrder) != len(c.ColOrder) {
-		return false
-	}
-	for i := range a.ColOrder {
-		if a.ColOrder[i] != c.ColOrder[i] {
-			return false
-		}
-	}
-	return true
+func sameCand(a candidate, c planner.Choice) bool {
+	return a.Plan.Equal(c.Plan) && slices.Equal(a.ColOrder, c.ColOrder)
 }
 
-func ensureIncluded(pop []planner.Candidate, picks ...planner.Choice) []planner.Candidate {
+func ensureIncluded(pop []candidate, picks ...planner.Choice) []candidate {
 	for _, p := range picks {
-		found := false
-		for _, c := range pop {
-			if sameCand(c, p) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			pop = append(pop, planner.Candidate{ColOrder: p.ColOrder, Plan: p.Plan})
+		if !slices.ContainsFunc(pop, func(c candidate) bool { return sameCand(c, p) }) {
+			pop = append(pop, candidate{ColOrder: p.ColOrder, Plan: p.Plan})
 		}
 	}
 	return pop
@@ -221,16 +207,16 @@ func Table1(cfg Config) (*Report, error) {
 				}
 				continue
 			}
-			pop, _ := planner.Enumerate(search, planner.EnumerateOptions{Budget: budget, Seed: cfg.Seed})
+			pop, _ := enumerate(search, enumerateOptions{Budget: budget, Seed: cfg.Seed})
 			rogaPick, err := planner.ROGAContext(cfg.context(), search)
 			if err != nil {
 				return nil, err
 			}
-			rrsPick := planner.RRS(search, cfg.Seed)
+			rrsPick := rrs(search, cfg.Seed)
 			pop = ensureIncluded(pop, rogaPick, rrsPick)
 
 			actual := make(map[int]time.Duration, len(pop))
-			estimate := search.Estimator()
+			estimate := estimator(search)
 			for i, cand := range pop {
 				t, err := executePlan(cfg, inputs, cand)
 				if err != nil {
@@ -267,12 +253,8 @@ func Table1(cfg Config) (*Report, error) {
 			rogaRanks = append(rogaRanks, rank(rogaPick))
 			rrsRanks = append(rrsRanks, rank(rrsPick))
 		}
-		rep.Rows = append(rep.Rows, []string{
-			g.name,
-			fmt.Sprintf("%.1f", mean(rogaRanks)), fmt.Sprintf("%d", minOf(rogaRanks)), fmt.Sprintf("%d", maxOf(rogaRanks)),
-			fmt.Sprintf("%.1f", mean(rrsRanks)), fmt.Sprintf("%d", minOf(rrsRanks)), fmt.Sprintf("%d", maxOf(rrsRanks)),
-			fmt.Sprintf("%.2f", meanF(relErrs)),
-		})
+		row := append(append([]string{g.name}, rankRow(rogaRanks)...), rankRow(rrsRanks)...)
+		rep.Rows = append(rep.Rows, append(row, fmt.Sprintf("%.2f", mean(relErrs))))
 	}
 	rep.Notes = append(rep.Notes,
 		fmt.Sprintf("population budget %d plans/query (paper: full exhaustion, weeks of compute)", budget),
@@ -280,52 +262,24 @@ func Table1(cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-func mean(xs []int) float64 {
+func mean[T int | float64](xs []T) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	s := 0
+	var s T
 	for _, x := range xs {
 		s += x
 	}
 	return float64(s) / float64(len(xs))
 }
 
-func meanF(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
+// rankRow formats the mean, best and worst of ranks; all 0 when empty.
+func rankRow(ranks []int) []string {
+	best, worst := 0, 0
+	if len(ranks) > 0 {
+		best, worst = slices.Min(ranks), slices.Max(ranks)
 	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-func minOf(xs []int) int {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-func maxOf(xs []int) int {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
+	return []string{fmt.Sprintf("%.1f", mean(ranks)), fmt.Sprint(best), fmt.Sprint(worst)}
 }
 
 // Figure12 — sensitivity to the time threshold ρ: search time, chosen
@@ -374,7 +328,7 @@ func Figure12(cfg Config) (*Report, error) {
 				return nil, err
 			}
 			searchTime := time.Since(start)
-			actual, err := executePlan(cfg, inputs, planner.Candidate{ColOrder: pick.ColOrder, Plan: pick.Plan})
+			actual, err := executePlan(cfg, inputs, candidate{ColOrder: pick.ColOrder, Plan: pick.Plan})
 			if err != nil {
 				if pipeerr.IsCtxErr(err) {
 					return nil, err

@@ -57,12 +57,15 @@ func TestMcsortDoesNotLinkPaper(t *testing.T) {
 }
 
 // TestProductionDoesNotLinkPaper pins the binary fence: the daemon, its
-// client and the public library packages price plans with a fixed or
-// loaded cost model and never calibrate, so neither this package nor
-// the cache detection calibration uses is linked into them.
+// client, the public library packages and mcsplan, which explains the
+// daemon's plan choice, price plans with a fixed or loaded cost model and
+// never calibrate, so neither this package, nor the cache detection
+// calibration uses, nor the experiments — which hold calibration, this
+// kernel's cost term and the paper's baseline searches (RRS and the plan
+// enumerator) — is linked into them.
 func TestProductionDoesNotLinkPaper(t *testing.T) {
-	for _, root := range []string{"cmd/mcsd", "cmd/mcsquery", "mcs", "colstore"} {
-		assertNotLinked(t, root, "internal/mergesort/paper", "internal/hw")
+	for _, root := range []string{"cmd/mcsd", "cmd/mcsquery", "cmd/mcsplan", "mcs", "colstore"} {
+		assertNotLinked(t, root, "internal/mergesort/paper", "internal/hw", "internal/experiments")
 	}
 }
 

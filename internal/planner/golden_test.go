@@ -3,6 +3,7 @@ package planner
 import (
 	"fmt"
 	"math"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -20,8 +21,10 @@ import (
 // passing table means a refactored search — capped or not, pinned or
 // free — still returns the ColOrder, Plan and bit-equal Est that model
 // chose, and stops a capped search at the same candidate (a truncated
-// free-order search counts the candidates of both its searches). The orderby/ovc searches price with the paper
-// kernel's term plugged in (costmodel.PaperSort), as the figures do.
+// free-order search counts the candidates of both its searches). The
+// orderby/ovc searches price with the paper kernel's term plugged in
+// (internal/mergesort/paper's Model.Sort), as the figures do; the rows
+// were recorded when that term was still part of costmodel.Model.
 // Est bits are those of an amd64 build; architectures whose compiler
 // fuses a + b*n round differently, so they compare everything but the
 // bits.
@@ -63,8 +66,7 @@ type goldenSearch struct {
 // goldenSearches is the recorded battery, each search once at its own
 // budget and once per cap.
 func goldenSearches(tb testing.TB) []goldenSearch {
-	m9 := paperModel()
-	m9.C.OVCMergeDiscount = 0.9
+	m9 := paperModel(0.9)
 	pinned := topKSearch(tb, 3700)
 	pinned.FixedOrder = []int{2, 0, 3, 1, 4}
 	groups := uniformStats(21, 1<<18, []int{9, 14, 20}, []int{300, 9000, 200000})
@@ -125,6 +127,33 @@ func TestPlanGolden(t *testing.T) {
 			continue
 		}
 		got := runGolden(g.s)
+		if runtime.GOARCH != "amd64" {
+			got.estBits = want.estBits
+		}
+		if got != want {
+			t.Errorf("%s:\n got  %+v\n want %+v", g.name, got, want)
+		}
+	}
+}
+
+// TestPlanGoldenFromSavedProfile replays the golden with the model
+// loaded from a profile saved by Builtin().Save when costmodel.Model
+// still held the paper kernel's term: costmodel.Load ignores those keys,
+// and every search must choose as it does under Builtin, bit for bit.
+// (internal/experiments' loader reads the paper keys of the same file.)
+func TestPlanGoldenFromSavedProfile(t *testing.T) {
+	loaded, err := costmodel.Load(filepath.Join("..", "costmodel", "testdata", "profile_builtin_with_paper_term.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs.Enable()
+	defer obs.Disable()
+	for _, g := range goldenSearches(t) {
+		m := *loaded
+		m.Sort = g.s.Model.Sort
+		s := *g.s
+		s.Model = &m
+		got, want := runGolden(&s), planGolden[g.name]
 		if runtime.GOARCH != "amd64" {
 			got.estBits = want.estBits
 		}

@@ -1,11 +1,11 @@
 // Package planner searches the code-massage plan space (Section 5 of the
-// paper). It provides three search strategies over the same cost model:
-//
-//   - ROGA, the paper's round-based greedy algorithm (Algorithm 1);
-//   - RRS, a recursive-random-search baseline, the comparison point of
-//     the paper's Table 1;
-//   - an exhaustive enumerator (sampled above a budget) that serves as
-//     the "perfect cost model" oracle of Figure 7 and the rank metric.
+// paper) with ROGA, the paper's round-based greedy algorithm
+// (Algorithm 1), over a cost model. The baselines the paper compares
+// ROGA against — RRS, the recursive random search of Table 1, and the
+// exhaustive "perfect cost model" oracle of Figure 7 — are measurement
+// apparatus and live with the experiments (internal/experiments), which
+// build them on Search, FreePrefix, IdentityOrder, Permutations and the
+// Stopwatch.
 //
 // The plan space for an ORDER BY over columns of total width W is the set
 // of integer compositions of W (2^(W−1) plans); GROUP BY and PARTITION BY
@@ -43,8 +43,8 @@ type Choice struct {
 	Est      float64 // estimated T_mcs in nanoseconds
 }
 
-// identityOrder returns [0, 1, …, m).
-func identityOrder(m int) []int {
+// IdentityOrder returns [0, 1, …, m).
+func IdentityOrder(m int) []int {
 	p := make([]int, m)
 	for i := range p {
 		p[i] = i
@@ -92,8 +92,8 @@ type Search struct {
 	FixedOrder []int
 }
 
-// freePrefix returns how many leading columns the search may permute.
-func (s *Search) freePrefix() int {
+// FreePrefix returns how many leading columns the search may permute.
+func (s *Search) FreePrefix() int {
 	m := len(s.Stats.Cols)
 	if !s.Kind.FreeOrder() {
 		return 0
@@ -112,15 +112,20 @@ func (s *Search) rho() float64 {
 	return s.Rho
 }
 
-// stopwatch implements the ρ-threshold early stop of Algorithm 1.
-type stopwatch struct {
+// Stopwatch implements the ρ-threshold early stop of Algorithm 1.
+type Stopwatch struct {
 	start time.Time
 	rho   float64
 }
 
-// expired reports whether the elapsed time exceeds ρ × bestEstNS.
+// Stopwatch starts the search's ρ stopwatch.
+func (s *Search) Stopwatch() *Stopwatch {
+	return &Stopwatch{start: time.Now(), rho: s.rho()}
+}
+
+// Expired reports whether the elapsed time exceeds ρ × bestEstNS.
 // A negative ρ disables the threshold.
-func (sw *stopwatch) expired(bestEstNS float64) bool {
+func (sw *Stopwatch) Expired(bestEstNS float64) bool {
 	if sw.rho < 0 {
 		return false
 	}
@@ -134,27 +139,10 @@ func (sw *stopwatch) expired(bestEstNS float64) bool {
 func (s *Search) Baseline() Choice {
 	order := s.FixedOrder
 	if len(order) == 0 {
-		order = identityOrder(len(s.Stats.Cols))
+		order = IdentityOrder(len(s.Stats.Cols))
 	}
 	st := s.Stats.Permute(order)
 	return baselineOn(s.Model.Profile(st), st, order)
-}
-
-// Estimator returns the model's estimate of any plan of the search in
-// any column order, building one costmodel.Profile per order asked
-// about. Like a Profile, the function is not safe for concurrent use.
-func (s *Search) Estimator() func(order []int, p plan.Plan) float64 {
-	profiles := map[string]*costmodel.Profile{}
-	return func(order []int, p plan.Plan) float64 {
-		key := candKey(order, plan.Plan{})
-		pf := profiles[key]
-		if pf == nil {
-			pf = s.Model.Profile(s.Stats.Permute(order))
-			profiles[key] = pf
-		}
-		est, _ := pf.TMCS(p, math.Inf(1))
-		return est
-	}
 }
 
 // baselineOn is P₀ of the column order pf profiles, costed in full.
@@ -168,10 +156,10 @@ func baselineOn(pf *costmodel.Profile, st costmodel.Stats, order []int) Choice {
 	return Choice{ColOrder: append([]int(nil), order...), Plan: p0, Est: est}
 }
 
-// permutations yields every permutation of 0..m-1 in lexicographic
+// Permutations yields every permutation of 0..m-1 in lexicographic
 // succession starting from identity, calling f until it returns false.
-func permutations(m int, f func(perm []int) bool) {
-	perm := identityOrder(m)
+func Permutations(m int, f func(perm []int) bool) {
+	perm := IdentityOrder(m)
 	for {
 		if !f(perm) {
 			return

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/column"
 	"repro/internal/costmodel"
+	"repro/internal/mergesort/paper"
 	"repro/internal/plan"
 )
 
@@ -89,7 +90,7 @@ func TestROGAAvoidsRecklessStitchForEx2(t *testing.T) {
 	// worse than P0; ROGA must not return the stitch-all plan. (The
 	// radix kernel has no bank-level parallelism, and there the stitch
 	// wins, as fig3b's note says.)
-	m := paperModel()
+	m := paperModel(0)
 	s := &Search{Model: m, Stats: uniformStats(3, 1<<18, []int{15, 31}, []int{1 << 13, 1 << 13}), Kind: OrderBy, Rho: -1}
 	got := roga(s)
 	if len(got.Plan.Rounds) == 1 && got.Plan.Rounds[0].Bank == 64 {
@@ -163,128 +164,6 @@ func equalOrder(a, b []int) bool {
 	return true
 }
 
-func TestRRSFindsValidPlans(t *testing.T) {
-	m := costmodel.Builtin()
-	st := uniformStats(5, 1<<16, []int{17, 33}, []int{1 << 13, 1 << 13})
-	s := &Search{Model: m, Stats: st, Kind: OrderBy, Rho: 0.05}
-	got := RRS(s, 42)
-	if err := got.Plan.Validate(st.TotalWidth()); err != nil {
-		t.Fatalf("RRS returned invalid plan: %v", err)
-	}
-	base := s.Baseline()
-	if got.Est > base.Est {
-		t.Errorf("RRS est %.3g worse than baseline %.3g", got.Est, base.Est)
-	}
-}
-
-func TestROGABeatsRRSOnAverage(t *testing.T) {
-	// Table 1's qualitative claim, in miniature: over several instances,
-	// ROGA's estimated cost should win or tie RRS far more often than
-	// it loses (both run under the same generous budget).
-	m := costmodel.Builtin()
-	wins, losses := 0, 0
-	for seed := int64(0); seed < 8; seed++ {
-		widths := []int{int(10 + seed), int(20 + seed*2)}
-		st := uniformStats(seed+10, 1<<16, widths, []int{1 << 9, 1 << 11})
-		s := &Search{Model: m, Stats: st, Kind: OrderBy, Rho: 0.02}
-		r := roga(s)
-		x := RRS(s, seed)
-		switch {
-		case r.Est <= x.Est:
-			wins++
-		default:
-			losses++
-		}
-	}
-	if wins < losses {
-		t.Errorf("ROGA won %d, lost %d against RRS", wins, losses)
-	}
-}
-
-func TestEnumerateExactSmall(t *testing.T) {
-	// W=5, maxK = ⌊2·4/16⌋+1 = 1 → only {5/[16]}.
-	m := costmodel.Builtin()
-	st := uniformStats(6, 1000, []int{2, 3}, []int{4, 8})
-	s := &Search{Model: m, Stats: st, Kind: OrderBy}
-	cands, exact := Enumerate(s, EnumerateOptions{Budget: 1000})
-	if !exact {
-		t.Fatal("small space must enumerate exactly")
-	}
-	if len(cands) != 1 {
-		t.Fatalf("W=5 has 1 feasible plan, got %d", len(cands))
-	}
-	if cands[0].Plan.TotalWidth() != 5 {
-		t.Errorf("bad plan %v", cands[0].Plan)
-	}
-}
-
-func TestEnumerateCountMatchesDP(t *testing.T) {
-	// W=19 → maxK=3: compositions into ≤3 parts = 1+18+C(18,2)=172.
-	m := costmodel.Builtin()
-	st := uniformStats(7, 1000, []int{5, 8, 6}, []int{30, 250, 60})
-	s := &Search{Model: m, Stats: st, Kind: OrderBy}
-	cands, exact := Enumerate(s, EnumerateOptions{Budget: 10000})
-	if !exact {
-		t.Fatal("expected exact enumeration")
-	}
-	if len(cands) != 172 {
-		t.Errorf("got %d candidates, want 172", len(cands))
-	}
-	if c := countCompositions(19, 3); c != 172 {
-		t.Errorf("countCompositions(19,3) = %v, want 172", c)
-	}
-	// Free order multiplies by 3! = 6.
-	s.Kind = GroupBy
-	cands, exact = Enumerate(s, EnumerateOptions{Budget: 10000})
-	if !exact || len(cands) != 172*6 {
-		t.Errorf("free-order candidates = %d, want %d", len(cands), 172*6)
-	}
-}
-
-func TestEnumerateSampling(t *testing.T) {
-	m := costmodel.Builtin()
-	st := uniformStats(8, 1000, []int{30, 40}, []int{1000, 1000})
-	s := &Search{Model: m, Stats: st, Kind: OrderBy}
-	cands, exact := Enumerate(s, EnumerateOptions{Budget: 500, Seed: 1})
-	if exact {
-		t.Fatal("W=70 space must be sampled")
-	}
-	if len(cands) != 500 {
-		t.Fatalf("sample size %d, want 500", len(cands))
-	}
-	seen := map[string]bool{}
-	for _, c := range cands {
-		if err := c.Plan.Validate(70); err != nil {
-			t.Fatalf("sampled invalid plan: %v", err)
-		}
-		k := candKey(c.ColOrder, c.Plan)
-		if seen[k] {
-			t.Fatal("duplicate candidate in sample")
-		}
-		seen[k] = true
-	}
-}
-
-func TestRankOf(t *testing.T) {
-	pop := []Candidate{
-		{ColOrder: []int{0}, Plan: plan.FromWidths([]int{10})},
-		{ColOrder: []int{0}, Plan: plan.FromWidths([]int{5, 5})},
-		{ColOrder: []int{0}, Plan: plan.FromWidths([]int{3, 3, 4})},
-	}
-	cost := func(c Candidate) float64 { return float64(len(c.Plan.Rounds)) }
-	if r := RankOf(pop[0], pop, cost); r != 1 {
-		t.Errorf("rank of best = %d", r)
-	}
-	if r := RankOf(pop[2], pop, cost); r != 3 {
-		t.Errorf("rank of worst = %d", r)
-	}
-	// A pick outside the population is inserted.
-	outside := Candidate{ColOrder: []int{0}, Plan: plan.FromWidths([]int{2, 2, 2, 4})}
-	if r := RankOf(outside, pop, cost); r != 4 {
-		t.Errorf("rank of outsider = %d", r)
-	}
-}
-
 func TestMaxRoundsBoundRespected(t *testing.T) {
 	m := costmodel.Builtin()
 	st := uniformStats(9, 1<<14, []int{17, 30, 12}, []int{1 << 10, 1 << 12, 1 << 8}) // the paper's W=59 example
@@ -309,23 +188,26 @@ func TestStopwatchRho(t *testing.T) {
 
 func TestPermutationsCount(t *testing.T) {
 	count := 0
-	permutations(4, func(p []int) bool { count++; return true })
+	Permutations(4, func(p []int) bool { count++; return true })
 	if count != 24 {
 		t.Errorf("4! = %d, want 24", count)
 	}
 	// Early abort.
 	count = 0
-	permutations(4, func(p []int) bool { count++; return count < 5 })
+	Permutations(4, func(p []int) bool { count++; return count < 5 })
 	if count != 5 {
 		t.Errorf("aborted enumeration ran %d times", count)
 	}
 }
 
 // paperModel is Builtin with the paper kernel's sort term plugged in,
-// as the figure experiments price plans.
-func paperModel() *costmodel.Model {
+// as the figure experiments price plans, at the given OVC merge
+// discount.
+func paperModel(ovcDiscount float64) *costmodel.Model {
+	pm := paper.DefaultModel()
+	pm.OVCMergeDiscount = ovcDiscount
 	m := costmodel.Builtin()
-	m.Sort = costmodel.PaperSort
+	m.Sort = pm.Sort
 	return m
 }
 
@@ -337,9 +219,8 @@ func TestROGAExploitsOVCDiscount(t *testing.T) {
 	// sorting column-at-a-time; with it, the one-round stitch wins —
 	// and ROGA must follow the model both times.
 	st := uniformStats(31, 1<<20, []int{15, 31}, []int{16, 4})
-	m0 := paperModel()
-	m9 := paperModel()
-	m9.C.OVCMergeDiscount = 0.9
+	m0 := paperModel(0)
+	m9 := paperModel(0.9)
 
 	stitch := plan.Plan{Rounds: []plan.Round{{Width: 46, Bank: 64}}}
 	byCol := plan.Plan{Rounds: []plan.Round{{Width: 15, Bank: 16}, {Width: 31, Bank: 32}}}

@@ -2,7 +2,6 @@ package planner
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/costmodel"
 	"repro/internal/obs"
@@ -55,7 +54,7 @@ func ROGAContext(ctx context.Context, s *Search) (Choice, error) {
 	defer span.End()
 	var best Choice
 	var err error
-	if len(s.FixedOrder) == 0 && s.freePrefix() > 1 && (s.Stats.LimitRows > 0 || s.Stats.LimitGroups > 0) {
+	if len(s.FixedOrder) == 0 && s.FreePrefix() > 1 && (s.Stats.LimitRows > 0 || s.Stats.LimitGroups > 0) {
 		unlimited := *s
 		unlimited.Stats.LimitRows, unlimited.Stats.LimitGroups = 0, 0
 		if best, err = rogaSearch(ctx, &unlimited); err == nil {
@@ -74,7 +73,7 @@ func ROGAContext(ctx context.Context, s *Search) (Choice, error) {
 // rogaSearch is one ROGA search over the orders s allows, the limit
 // included.
 func rogaSearch(ctx context.Context, s *Search) (Choice, error) {
-	sw := &stopwatch{start: time.Now(), rho: s.rho()}
+	sw := s.Stopwatch()
 	m := len(s.Stats.Cols)
 	var best Choice
 	seeded := false
@@ -97,7 +96,7 @@ func rogaSearch(ctx context.Context, s *Search) (Choice, error) {
 				ctxErr = err
 				return false
 			}
-			if sw.expired(best.Est) {
+			if sw.Expired(best.Est) {
 				obsSearchExpired.Inc()
 				return false
 			}
@@ -137,13 +136,13 @@ func rogaSearch(ctx context.Context, s *Search) (Choice, error) {
 
 	if len(s.FixedOrder) > 0 {
 		tryOrder(s.FixedOrder)
-	} else if free := s.freePrefix(); free > 1 {
-		permutations(free, func(prefix []int) bool {
-			order := append(append([]int(nil), prefix...), identityOrder(m)[free:]...)
+	} else if free := s.FreePrefix(); free > 1 {
+		Permutations(free, func(prefix []int) bool {
+			order := append(append([]int(nil), prefix...), IdentityOrder(m)[free:]...)
 			return tryOrder(order)
 		})
 	} else {
-		tryOrder(identityOrder(m))
+		tryOrder(IdentityOrder(m))
 	}
 	return best, ctxErr
 }
