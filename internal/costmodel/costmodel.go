@@ -30,9 +30,10 @@ type Constants struct {
 	// CMassageKey is per row per round key the massage writes: the
 	// allocation and store of one key, which Equation 4 leaves out.
 	CMassageKey float64
-	// CGatherPlane is per row per byte plane of the ByteSlice gather a
-	// truncated first round runs over its source columns: under a row or
-	// group limit nothing is materialized before the sort (tSourceGather).
+	// CGatherPlane is per row per byte plane of the ByteSlice gather the
+	// massage runs over its source columns — an unlimited plan's over
+	// every column, a truncated first round's over its own — since no
+	// sort column is materialized before the sort (tSourceGather).
 	CGatherPlane float64
 	CScan        float64 // per row of group-extraction scan
 	// CScanGroup is per group boundary the scan emits, which Equation 9
@@ -287,11 +288,12 @@ func (m *Model) tGather(count, n, fips, planes int) float64 {
 	return float64(fips*count) * (m.C.CCache*hit + m.C.CMem*(1-hit))
 }
 
-// tSourceGather is the first round's read of its source columns under a
-// row or group limit: nothing is materialized before the sort, so the
-// round's massage first decodes every row's code of each source column
-// from its ByteSlice, a block at a time in selection order — planes
-// byte planes per row.
+// tSourceGather is the massage's read of its source columns: nothing is
+// materialized before the sort, so the massage first decodes every
+// row's code of each source column from its ByteSlice, a block at a
+// time in selection order — planes byte planes per row. An unlimited
+// plan reads every column once; under a row or group limit it is the
+// first round's columns.
 func (m *Model) tSourceGather(n, planes int) float64 {
 	return m.C.CGatherPlane * float64(n) * float64(planes)
 }

@@ -340,8 +340,10 @@ type Terms struct {
 func (t Terms) Total() float64 { return t.Massage + t.Sort + t.Lookup + t.Scan }
 
 // TMCS estimates the total multi-column sorting time of plan p, which
-// must cover the profile's W bits: massage upfront, then per round a
-// lookup (rounds ≥ 2), the sorts, and a group-extraction scan.
+// must cover the profile's W bits: massage upfront — with the gather of
+// every source column's ByteSlice once (tSourceGather), since no query
+// materializes its sort columns — then per round a lookup (rounds ≥ 2),
+// the sorts, and a group-extraction scan.
 // Truncated stats (LimitRows/LimitGroups > 0) model the deferred
 // execution instead: massage is paid per round — in full for round 1,
 // with the gather of its source columns' ByteSlices (tSourceGather),
@@ -369,7 +371,7 @@ func (pf *Profile) tmcs(p plan.Plan, incumbent float64, terms *Terms) (t float64
 			iFIP += pf.roundFIPs(lo, r.Width)
 			lo += r.Width
 		}
-		t = m.TMassage(iFIP, len(p.Rounds), pf.st.N)
+		t = m.TMassage(iFIP, len(p.Rounds), pf.st.N) + m.tSourceGather(pf.st.N, pf.roundPlanes(0, lo))
 		if terms != nil {
 			terms.Massage = t
 		}

@@ -219,7 +219,8 @@ func refTMCS(m *Model, p plan.Plan, st Stats) float64 {
 		}
 		return t
 	}
-	t := m.TMassage(plan.IFIP(inWidths, p.Widths()), len(p.Rounds), st.N)
+	t := m.TMassage(plan.IFIP(inWidths, p.Widths()), len(p.Rounds), st.N) +
+		m.C.CGatherPlane*float64(st.N)*float64(refRoundPlanes(st, 0, st.TotalWidth()))
 	bitsBefore := 0
 	for k := 1; k <= len(p.Rounds); k++ {
 		if k > 1 {

@@ -21,33 +21,35 @@ var (
 )
 
 // EstimatePipelineBytes models the peak transient allocation of sorting
-// `rows` selected rows over nCols sort columns with an nRounds plan at
-// the given worker count:
+// `rows` selected rows with an nRounds plan at the given worker count,
+// and of consuming the sorted rows:
 //
-//	materialized inputs   8·nCols·rows
 //	massaged round keys   8·nRounds·rows
 //	lookup scratch        8·rows
 //	permutation           4·rows
 //	group boundaries      4·rows (worst case: all singletons)
 //	radix sort scratch   24·rows (two (key, oid) pairs, 12 B/row each)
 //
-// The radix term is an upper bound: a 64-bit bank, or a run below the
-// packed crossover, ping-pongs through two pairs, but a bank of at most
-// 32 bits needs one or two 8-byte words a row (8 or 16 B), and the
-// bound keeps the widest. Parallel execution adds a fixed per-worker
-// overhead: the parallel radix sort ping-pongs through the same scratch
-// as the sequential one. Aggregation's 8·rows gathered column comes after the
-// sort, when its ≥ 40·rows of keys and scratch are dead: under the
-// peak. It is the one footprint model: the
-// engine's own two-stage degradation applies it, the mcsd admission
-// controller charges each admitted query against the aggregate budget
-// with it — so the two layers never disagree about whether a query
-// fits — and mcs.Sort calls it with nCols = 0 (its input codes are
-// caller-owned and exist either way), as both layers do for a truncated
-// sort, which materializes no inputs (Bound.SortInputCols).
-func EstimatePipelineBytes(rows, nCols, nRounds, workers int) int64 {
+// No sort column is materialised: the massage reads them straight from
+// their ByteSlices, a block of rows at a time. The radix term is an
+// upper bound: a 64-bit bank, or a run below the packed crossover,
+// ping-pongs through two pairs, but a bank of at most 32 bits needs one
+// or two 8-byte words a row (8 or 16 B), and the bound keeps the widest.
+// Parallel execution adds a fixed per-worker overhead: the parallel
+// radix sort ping-pongs through the same scratch as the sequential one.
+// The round keys stay live after the sort — the consumer decodes group
+// keys and ranks windows from them — beside the permutation and the
+// groups; what the consumer adds, at most 8·rows (the aggregate column
+// gathered for aggregation, or a page's ranks and row ids), comes when
+// the 32·rows of lookup and radix scratch are dead: under the peak. It
+// is the one footprint model: the engine's own two-stage degradation
+// applies it, the mcsd admission controller charges each admitted query
+// against the aggregate budget with it — so the two layers never
+// disagree about whether a query fits — and mcs.Sort calls it too (its
+// input codes are caller-owned and exist either way).
+func EstimatePipelineBytes(rows, nRounds, workers int) int64 {
 	r := int64(rows)
-	perRow := int64(8*(nCols+nRounds) + 8 + 4 + 4 + 24)
+	perRow := int64(8*nRounds + 8 + 4 + 4 + 24)
 	total := r * perRow
 	if workers > 1 {
 		total += int64(workers) * 64 << 10
@@ -59,9 +61,9 @@ func EstimatePipelineBytes(rows, nCols, nRounds, workers int) int64 {
 // budget check and keeps the obs counters/gauge current. It returns the
 // effective worker count, or ErrBudgetExceeded when the query cannot
 // fit the budget at all.
-func budgetWorkers(requested int, maxBytes int64, rows, nCols, nRounds int) (int, error) {
+func budgetWorkers(requested int, maxBytes int64, rows, nRounds int) (int, error) {
 	w, err := pipeerr.DegradeWorkers(requested, maxBytes, func(w int) int64 {
-		return EstimatePipelineBytes(rows, nCols, nRounds, w)
+		return EstimatePipelineBytes(rows, nRounds, w)
 	})
 	if err != nil {
 		obsBudgetRefused.Inc()

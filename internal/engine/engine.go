@@ -1,9 +1,10 @@
 // Package engine executes the evaluation queries over WideTables with
 // the paper's physical operators: ByteSlice-Scan (filters),
-// ByteSlice-Lookup (materialization), Code-Massage + radix sort
-// (multi-column sorting, via internal/mcsort), grouped aggregation, and
-// window RANK. Every operator's wall time is recorded so experiments can
-// reproduce the paper's per-query time breakdowns (Figures 1 and 9).
+// Code-Massage + radix sort (multi-column sorting, via internal/mcsort,
+// which reads the sort columns straight from their ByteSlices), grouped
+// aggregation, and window RANK — both read from the sorted round keys.
+// Every operator's wall time is recorded so experiments can reproduce
+// the paper's per-query time breakdowns (Figures 1 and 9).
 //
 // RunContext is the entry point: the context is polled at
 // operator, round, and chunk boundaries, worker panics are contained
@@ -15,6 +16,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"sort"
 	"time"
 
 	"repro/internal/byteslice"
@@ -93,18 +95,16 @@ type Query struct {
 
 // Timing is the per-operator wall-time breakdown of one execution.
 type Timing struct {
-	PlanSearch  time.Duration
-	FilterScan  time.Duration
-	Materialize time.Duration
-	MCS         mcsort.Timings
-	Aggregate   time.Duration
-	PostSort    time.Duration // single-column sorting after aggregation
+	PlanSearch time.Duration
+	FilterScan time.Duration
+	MCS        mcsort.Timings
+	Aggregate  time.Duration // aggregation or ranking of the sorted rows
+	PostSort   time.Duration // single-column sorting after aggregation
 }
 
 // Total sums all phases.
 func (t Timing) Total() time.Duration {
-	return t.PlanSearch + t.FilterScan + t.Materialize + t.MCS.Total() +
-		t.Aggregate + t.PostSort
+	return t.PlanSearch + t.FilterScan + t.MCS.Total() + t.Aggregate + t.PostSort
 }
 
 // NonMCS is everything but the multi-column sort: the paper's
@@ -160,8 +160,8 @@ type Options struct {
 	// Pair it with a negative Rho for deterministic plan choice under
 	// bounded search work; 0 means no cap.
 	MaxPlans int
-	// Workers parallelizes the whole pipeline when > 1: materialization
-	// gathers, massaging, every sorting round, and the aggregation
+	// Workers parallelizes the whole pipeline when > 1: massaging, every
+	// sorting round, the aggregate column's gather and the aggregation
 	// scan. Results are byte-identical for any value.
 	Workers int
 	// MaxBytes bounds the estimated transient memory footprint of the
@@ -278,32 +278,14 @@ func runContext(ctx context.Context, t *table.Table, q Query, opts Options) (*Re
 	}
 
 	// Budget, stage 1 (row count known, plan not yet): refuse before
-	// materializing anything when even a minimal sequential pipeline
-	// cannot fit, and bound the workers used by the gather stage.
-	nCols := b.SortInputCols(len(rows), opts.Limit, opts.Offset)
-	workers, err := budgetWorkers(opts.Workers, opts.MaxBytes, len(rows), nCols, 1)
+	// sorting anything when even a minimal sequential pipeline cannot
+	// fit.
+	workers, err := budgetWorkers(opts.Workers, opts.MaxBytes, len(rows), 1)
 	if err != nil {
 		return nil, q.wrap(err)
 	}
 
-	// 2. Materialize the sort columns for the selected rows with
-	// ByteSlice lookups — unless the sort is truncated (SortInputCols
-	// is 0): then it reads the ByteSlices itself, round 0's source
-	// columns a block at a time and later rounds' at the survivors only
-	// (late materialisation, docs/topk.md).
-	late := nCols < len(b.Sort)
-	var inputs []massage.Input
-	if late {
-		inputs = b.sources(rows)
-	} else {
-		start = time.Now()
-		if inputs, err = b.materialize(ctx, rows, workers); err != nil {
-			return nil, err
-		}
-		res.Timing.Materialize = time.Since(start)
-	}
-
-	// 3. Plan: search (massaging on) or column-at-a-time (off).
+	// 2. Plan: search (massaging on) or column-at-a-time (off).
 	choice, searchTime, err := b.ChoosePlan(ctx, len(rows), opts)
 	if err != nil {
 		return nil, q.wrap(err)
@@ -317,16 +299,20 @@ func runContext(ctx context.Context, t *table.Table, q Query, opts Options) (*Re
 
 	// Budget, stage 2 (plan known): re-run degradation with the real
 	// round count, which dominates the round-key footprint.
-	workers, err = budgetWorkers(workers, opts.MaxBytes, len(rows), nCols, len(choice.Plan.Rounds))
+	workers, err = budgetWorkers(workers, opts.MaxBytes, len(rows), len(choice.Plan.Rounds))
 	if err != nil {
 		return nil, q.wrap(err)
 	}
 	res.Workers = workers
 
-	// 4. Multi-column sort under the chosen column order and plan. A
-	// Limit truncates the sort itself, at the rank SortCut names.
+	// 3. Multi-column sort under the chosen column order and plan. Its
+	// massage reads the sort columns straight from the ByteSlices, a
+	// block at a time, so no sort column is ever materialised (late
+	// materialisation, docs/topk.md). A Limit truncates the sort itself,
+	// at the rank SortCut names.
 	mopts := mcsort.Options{Workers: workers, SortParams: opts.SortParams}
 	mopts.LimitRows, mopts.LimitGroups = SortCut(q, opts.Limit, opts.Offset)
+	inputs := b.sources(rows)
 	ordered := make([]massage.Input, len(inputs))
 	for i, c := range choice.ColOrder {
 		ordered[i] = inputs[c]
@@ -339,37 +325,15 @@ func runContext(ctx context.Context, t *table.Table, q Query, opts Options) (*Re
 	res.PredictedMCS = choice.Est
 	recordCostAccuracy(choice.Est, mres.Timings.Total())
 
-	// 5. Consume the sorted output.
+	// 4. Consume the sorted output: ranks and group keys come from the
+	// sorted round keys, never from the sort columns through the
+	// permutation.
 	start = time.Now()
 	if q.Window != nil {
-		// The permutation indexes the selection: read a row's codes from
-		// the materialized arrays, or look them up in the ByteSlices when
-		// the sort was truncated. Ranks only look back to the start of
-		// their partition, so ranking from the page's partition start
-		// and dropping the rows before the page equals slicing the full
-		// ranking.
-		read := func(p uint32, dst []uint64) {
-			for c := range dst {
-				dst[c] = inputs[c].Codes[p]
-			}
-		}
-		if late {
-			read = func(p uint32, dst []uint64) {
-				for c := range dst {
-					dst[c] = b.Cols[c].Lookup(int(rows[p]))
-				}
-			}
-		}
 		lo, hi := OutputWindow(len(mres.Perm), opts.Limit, opts.Offset)
-		first, err := PartitionStart(ctx, mres.Perm, lo, len(b.Sort)-1, read)
-		if err != nil {
+		if res.Ranks, err = rankPage(ctx, mres, b.partitionBits(), lo, hi); err != nil {
 			return nil, err
 		}
-		ranks, err := RankSorted(ctx, mres.Perm[first:hi], len(b.Sort), read)
-		if err != nil {
-			return nil, err
-		}
-		res.Ranks = ranks[lo-first:]
 		res.RowOids = make([]uint32, hi-lo)
 		for i, p := range mres.Perm[lo:hi] {
 			if i&(seqGatherCheckRows-1) == 0 {
@@ -382,30 +346,12 @@ func runContext(ctx context.Context, t *table.Table, q Query, opts Options) (*Re
 		res.Timing.Aggregate = time.Since(start)
 		return res, nil
 	}
-	if late {
-		// Only the kept groups' rows reach the aggregation: materialize
-		// the sort columns for them alone, in sorted order, and let the
-		// permutation address them in place.
-		surv := make([]uint32, len(mres.Perm))
-		for i, p := range mres.Perm {
-			if i&(seqGatherCheckRows-1) == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			surv[i], mres.Perm[i] = rows[p], uint32(i)
-		}
-		rows = surv
-		if inputs, err = b.materialize(ctx, rows, workers); err != nil {
-			return nil, err
-		}
-	}
-	if err := aggregate(ctx, res, b, inputs, rows, mres, workers); err != nil {
+	if err := aggregate(ctx, res, b, rows, mres, choice.ColOrder, workers); err != nil {
 		return nil, err
 	}
 	res.Timing.Aggregate = time.Since(start)
 
-	// 6. ORDER BY aggregate DESC: single-column sort over groups.
+	// 5. ORDER BY aggregate DESC: single-column sort over groups.
 	if q.OrderByAgg {
 		start = time.Now()
 		res.GroupKeys, res.Aggregates, err = SortGroupsByAggregate(ctx, res.GroupKeys, res.Aggregates)
@@ -415,7 +361,7 @@ func runContext(ctx context.Context, t *table.Table, q Query, opts Options) (*Re
 		res.Timing.PostSort = time.Since(start)
 	}
 
-	// 7. Slice the group table to [Offset, Offset+Limit). The sort
+	// 6. Slice the group table to [Offset, Offset+Limit). The sort
 	// already truncated to at most Offset+Limit groups unless OrderByAgg
 	// reordered them above (then every group was kept and the slice does
 	// all the work).
@@ -447,41 +393,58 @@ func recordCostAccuracy(predictedNS float64, measured time.Duration) {
 
 // aggregate computes per-group keys and the aggregate, scanning
 // contiguous group ranges across workers (each group's output slot is
-// owned by exactly one range). It gathers the aggregate column once,
-// after the sort (EstimatePipelineBytes), and each group's keys are a
-// full-slice window of one flat table, so appending to them cannot
-// write into the next group's.
-func aggregate(ctx context.Context, res *Result, b *Bound, inputs []massage.Input, rows []uint32, mres *mcsort.Result, workers int) error {
+// owned by exactly one range), cut where the rows, not the groups, split
+// evenly (rowCut). A group's keys are decoded from the sorted round keys
+// at its first position (mcsort.Result.Codes), into clause order through
+// order — the column order the sort ran in. The aggregate column is
+// gathered once, after the sort (EstimatePipelineBytes): in selection
+// order, or — when a truncated sort kept only some rows — for the
+// survivors alone, in sorted order. Each group's keys are a full-slice
+// window of one flat table, so appending to them cannot write into the
+// next group's.
+func aggregate(ctx context.Context, res *Result, b *Bound, rows []uint32, mres *mcsort.Result, order []int, workers int) error {
 	var vals []uint64
+	perm := mres.Perm
 	if b.agg != nil {
-		vals = make([]uint64, len(rows))
-		if err := gatherParallel(ctx, vals, rows, b.agg, workers); err != nil {
+		ids := rows
+		if len(perm) < len(rows) {
+			// Sum the survivors' values in place: perm becomes the
+			// identity over them.
+			ids = make([]uint32, len(perm))
+			for i, p := range perm {
+				if i&(seqGatherCheckRows-1) == 0 {
+					if err := ctx.Err(); err != nil {
+						return err
+					}
+				}
+				ids[i], perm[i] = rows[p], uint32(i)
+			}
+		}
+		vals = make([]uint64, len(ids))
+		if err := gatherParallel(ctx, vals, ids, b.agg, workers); err != nil {
 			return err
 		}
 	}
-	nGroups, m := len(mres.Groups)-1, len(inputs)
+	nGroups, m := len(mres.Groups)-1, len(b.Sort)
 	flat := make([]uint64, nGroups*m)
 	res.GroupKeys = make([][]uint64, nGroups)
 	res.Aggregates = make([]uint64, nGroups)
 	avg := b.agg != nil && b.Query.Agg.Kind == Avg
-	pass := pipeerr.Pass{Stage: pipeerr.StageAggregate, Round: -1, Site: faultinject.Aggregate, MinRows: 2 * workers}
-	if pass.Parallel(nGroups, workers) {
-		obsAggGroups.Add(int64(nGroups))
-	}
-	return pass.Rows(ctx, nGroups, workers, func(first, end int) {
+	run := func(first, end int) {
+		codes := make([]uint64, m)
 		for g := first; g < end; g++ {
 			lo, hi := int(mres.Groups[g]), int(mres.Groups[g+1])
-			rep := mres.Perm[lo] // any row of the group carries its keys
 			keys := flat[g*m : (g+1)*m : (g+1)*m]
-			for c, in := range inputs {
-				keys[c] = in.Codes[rep]
+			mres.Codes(lo, codes)
+			for j, c := range order {
+				keys[c] = codes[j]
 			}
 			res.GroupKeys[g] = keys
 			acc := uint64(hi - lo) // Count, or no aggregate
 			if vals != nil {
 				acc = 0
 				for i := lo; i < hi; i++ {
-					acc += vals[mres.Perm[i]]
+					acc += vals[perm[i]]
 				}
 				if avg {
 					acc /= uint64(hi - lo)
@@ -489,7 +452,37 @@ func aggregate(ctx context.Context, res *Result, b *Bound, inputs []massage.Inpu
 			}
 			res.Aggregates[g] = acc
 		}
+	}
+	pass := pipeerr.Pass{Stage: pipeerr.StageAggregate, Round: -1, Site: faultinject.Aggregate, MinRows: 2 * workers}
+	if !pass.Parallel(nGroups, workers) {
+		return pass.Rows(ctx, nGroups, workers, run)
+	}
+	obsAggGroups.Add(int64(nGroups))
+	bounds := rowCut(mres.Groups, workers)
+	return pass.Ranges(ctx, workers, len(bounds)-1, func(_ context.Context, i int) error {
+		run(bounds[i], bounds[i+1])
+		return nil
 	})
+}
+
+// rowCut cuts the groups of a sorted order into at most workers ranges
+// of about equal rows — range i is groups [bounds[i], bounds[i+1]) — at
+// the group starts nearest the row quantiles: a group count cut leaves
+// one worker most of the sums when the first groups are the big ones.
+func rowCut(groups []int32, workers int) []int {
+	nGroups, rows := len(groups)-1, int(groups[len(groups)-1])
+	bounds := make([]int, 1, workers+1)
+	for k := 1; k < workers; k++ {
+		target := int32(k * rows / workers)
+		g := sort.Search(nGroups, func(g int) bool { return groups[g] >= target })
+		if g > 0 && target-groups[g-1] < groups[g]-target {
+			g-- // the start below is nearer
+		}
+		if g > bounds[len(bounds)-1] && g < nGroups {
+			bounds = append(bounds, g)
+		}
+	}
+	return append(bounds, nGroups)
 }
 
 // SortGroupsByAggregate returns the group table reordered by descending

@@ -276,9 +276,6 @@ func TestLimitPagesMidPartition(t *testing.T) {
 						t.Fatalf("%s workers=%d k=%d off=%d: diverges from full-sort-then-slice\ngot:\n%s\nwant:\n%s",
 							q.ID, workers, k, off, g, w)
 					}
-					if got.Timing.Materialize != 0 && off+k < rows {
-						t.Errorf("%s k=%d off=%d: a truncated query materialized its sort columns", q.ID, k, off)
-					}
 				}
 			}
 		}

@@ -1,8 +1,8 @@
-// Parallel gather/scatter passes of the engine: ByteSlice-Lookup
-// materialization (a batch gather through the selection vector, below;
-// the aggregate column is gathered the same way) and the per-group
-// aggregation scan (aggregate, engine.go) are chunked across workers
-// when Options.Workers > 1. Chunks are output-contiguous and aligned to
+// Parallel gather/scatter passes of the engine: the aggregate column's
+// ByteSlice-Lookup (a batch gather through the selection vector, below;
+// MaterializeSortInputsContext gathers the sort columns the same way)
+// and the per-group aggregation scan (aggregate, engine.go) are chunked
+// across workers when Options.Workers > 1. Chunks are output-contiguous and aligned to
 // 64-byte cache lines, so workers never share a store line; all shared
 // inputs (ByteSlices, the permutation, the selection vector) are
 // read-only during the pass.

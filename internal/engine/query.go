@@ -4,19 +4,18 @@
 // cross-shard merge, the experiments' materializer — calls them instead
 // of re-deriving them, so byte-identity between a coordinator and a
 // single node holds by construction: Bind (column names → ByteSlices,
-// sort clause in materialization order), Select (filters → selection),
-// SortCut (LIMIT/OFFSET → where the sort may stop), ChoosePlan (query +
-// row count → Stats → Search → ROGA), SortInputCols (which sort
-// columns are materialized), PartitionStart and RankSorted (RANK over a
-// sorted order, from a page's partition start), OutputWindow (the
-// [offset, offset+limit) clamp).
+// sort clause in clause order), Select (filters → selection), SortCut
+// (LIMIT/OFFSET → where the sort may stop), ChoosePlan (query + row
+// count → Stats → Search → ROGA), OutputWindow (the [offset,
+// offset+limit) clamp). rankPage is RANK over a sorted page, from its
+// groups.
 package engine
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
+	"sort"
 	"time"
 
 	"repro/internal/byteslice"
@@ -40,9 +39,9 @@ var ErrUnknownColumn = errors.New("engine: unknown column")
 type Bound struct {
 	Table *table.Table
 	Query Query
-	// Sort is the full sort clause in materialization order: the
-	// query's sort columns, then a window's ORDER BY column. Cols holds
-	// the ByteSlice of each entry.
+	// Sort is the full sort clause in clause order: the query's sort
+	// columns, then a window's ORDER BY column. Cols holds the ByteSlice
+	// of each entry.
 	Sort []SortCol
 	Cols []*byteslice.BS
 
@@ -146,23 +145,9 @@ func (s Selection) Rows(ctx context.Context) ([]uint32, error) {
 	return rows, nil
 }
 
-// materialize gathers every Sort column's codes for the selected rows
-// with ByteSlice lookups, chunked across workers.
-func (b *Bound) materialize(ctx context.Context, rows []uint32, workers int) ([]massage.Input, error) {
-	inputs := make([]massage.Input, len(b.Cols))
-	for i, bs := range b.Cols {
-		codes := make([]uint64, len(rows))
-		if err := gatherParallel(ctx, codes, rows, bs, workers); err != nil {
-			return nil, err
-		}
-		inputs[i] = massage.Input{Codes: codes, Width: bs.Width, Desc: b.Sort[i].Desc}
-	}
-	return inputs, nil
-}
-
 // sources describes every Sort column as a ByteSlice-backed sort input
-// over the selected rows: what a truncated sort reads instead of
-// materialized codes.
+// over the selected rows: the sort reads the codes from the byte
+// planes, a block at a time, and no code array is built for them.
 func (b *Bound) sources(rows []uint32) []massage.Input {
 	inputs := make([]massage.Input, len(b.Cols))
 	for i, bs := range b.Cols {
@@ -171,22 +156,11 @@ func (b *Bound) sources(rows []uint32) []massage.Input {
 	return inputs
 }
 
-// SortInputCols is the number of sort columns RunContext materializes
-// before sorting rows selected rows under limit and offset: none when
-// the sort is truncated (mcsort.Truncated at SortCut's cut), since it
-// reads the ByteSlices itself, every one otherwise. It is the nCols
-// both callers of EstimatePipelineBytes charge: the engine's
-// degradation and mcsd's admission.
-func (b *Bound) SortInputCols(rows int, limit *int, offset int) int {
-	if limitRows, limitGroups := SortCut(b.Query, limit, offset); mcsort.Truncated(rows, limitRows, limitGroups) {
-		return 0
-	}
-	return len(b.Sort)
-}
-
-// MaterializeSortInputsContext runs a query's filter and materialization
-// stages only, returning the multi-column-sort inputs (in clause order,
-// with the window order column appended for window queries). Plan-space
+// MaterializeSortInputsContext runs a query's filter stage and gathers
+// every sort column's codes for the selected rows with ByteSlice
+// lookups, returning them as multi-column-sort inputs (in clause order,
+// with the window order column appended for window queries).
+// RunContext never materialises its sort columns; plan-space
 // experiments use this to execute many plans over identical inputs.
 // The gathers are chunked across workers when workers > 1 and poll the
 // context like RunContext's.
@@ -203,7 +177,15 @@ func MaterializeSortInputsContext(ctx context.Context, t *table.Table, q Query, 
 	if err != nil {
 		return nil, err
 	}
-	return b.materialize(ctx, rows, workers)
+	inputs := make([]massage.Input, len(b.Cols))
+	for i, bs := range b.Cols {
+		codes := make([]uint64, len(rows))
+		if err := gatherParallel(ctx, codes, rows, bs, workers); err != nil {
+			return nil, err
+		}
+		inputs[i] = massage.Input{Codes: codes, Width: bs.Width, Desc: b.Sort[i].Desc}
+	}
+	return inputs, nil
 }
 
 // SortCut maps a LIMIT/OFFSET to the rank the multi-column sort may
@@ -244,7 +226,8 @@ func OutputWindow(n int, limit *int, offset int) (lo, hi int) {
 // the col_order wire field) that is not a permutation of the m sort
 // columns, permutes an ORDER BY (whose column order is semantic), or
 // moves a window's ORDER BY column off the last position (partition
-// ranges must stay contiguous in the sorted output).
+// ranges must stay contiguous in the sorted output, and rankPage reads
+// the partition as the concatenated key's leading bits).
 func ValidateColOrder(order []int, m int, kind planner.ClauseKind, window bool) error {
 	if len(order) != m {
 		return fmt.Errorf("col order has %d entries for %d sort columns", len(order), m)
@@ -266,8 +249,9 @@ func ValidateColOrder(order []int, m int, kind planner.ClauseKind, window bool) 
 }
 
 // ChoosePlan fixes the column order and massage plan for sorting rows
-// selected rows of the bound query: opts.PlanOverride verbatim,
-// column-at-a-time with massaging off, otherwise the ROGA search over
+// selected rows of the bound query: opts.PlanOverride verbatim (a
+// window's must keep its ORDER BY column last), column-at-a-time with
+// massaging off, otherwise the ROGA search over
 // the table's precomputed column statistics (as in any DBMS), taught
 // the LIMIT truncation (which sets the round widths; a free column
 // order is the unlimited search's, so a page is the unlimited result
@@ -277,10 +261,15 @@ func ValidateColOrder(order []int, m int, kind planner.ClauseKind, window bool) 
 // the full table with the full table's filtered row count — the pin is
 // the single node's choice, not a replica of it.
 func (b *Bound) ChoosePlan(ctx context.Context, rows int, opts Options) (planner.Choice, time.Duration, error) {
+	q := b.Query
 	if opts.PlanOverride != nil {
+		if q.Window != nil {
+			if err := ValidateColOrder(opts.PlanOverride.ColOrder, len(b.Sort), q.Kind, true); err != nil {
+				return planner.Choice{}, 0, err
+			}
+		}
 		return *opts.PlanOverride, 0, nil
 	}
-	q := b.Query
 	if len(opts.FixedColOrder) > 0 {
 		if err := ValidateColOrder(opts.FixedColOrder, len(b.Sort), q.Kind, q.Window != nil); err != nil {
 			return planner.Choice{}, 0, err
@@ -327,79 +316,80 @@ func (b *Bound) ChoosePlan(ctx context.Context, rows int, opts Options) (planner
 	return choice, time.Since(start), nil
 }
 
-// rankCheckRows is the number of rows RankSorted ranks between context
-// polls.
-const rankCheckRows = 1 << 12
+// rankCheckGroups is the number of groups the window ranking visits
+// between context polls.
+const rankCheckGroups = 1 << 12
 
-// PartitionStart returns the position of the first row of the
-// partition holding order[at]: it walks back from at while the rows
-// agree with order[at] on the nPart partition columns, read(id, dst)
-// filling dst with a row's first len(dst) sort-column codes as in
-// RankSorted. Ranking order from there ranks order[at:] exactly, so a
-// page starting at at needs nothing before its partition. at =
-// len(order) returns at. The walk is data-bound (one partition may span
-// every row), so it polls ctx every rankCheckRows rows.
-func PartitionStart(ctx context.Context, order []uint32, at, nPart int, read func(id uint32, dst []uint64)) (int, error) {
-	if at == 0 || at == len(order) {
-		return at, nil
+// partitionBits is the width of a window's partition key: every sort
+// column's but the ORDER BY column's, which stays last in any column
+// order (ValidateColOrder), so the partition is the leading bits of the
+// sorted concatenated key.
+func (b *Bound) partitionBits() int {
+	bits := 0
+	for _, bs := range b.Cols[:len(b.Cols)-1] {
+		bits += bs.Width
 	}
-	want, cur := make([]uint64, nPart), make([]uint64, nPart)
-	read(order[at], want)
-	i := at
-	for ; i > 0; i-- {
-		if (at-i)&(rankCheckRows-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-		}
-		read(order[i-1], cur)
-		if !slices.Equal(cur, want) {
-			break
-		}
-	}
-	return i, nil
+	return bits
 }
 
-// RankSorted assigns RANK() OVER (PARTITION BY … ORDER BY …) to rows
-// already in sorted order. order[i] identifies the i-th sorted row and
-// read(id, dst) fills dst with that row's nCols sort-column codes —
-// partition columns first, the ORDER BY column last; the engine reads
-// its materialized arrays by selection index, the coordinator
-// ByteSlice-looks-up the full table by global oid. Rows tied on the
-// partition columns form a partition; within it, rows share a rank when
-// tied on the order column, and rank counts rows, not distinct values
-// (code inequality is invariant under the descending complement, so raw
-// codes suffice). order may be a truncated prefix of the sorted rows:
-// ranks only look backward, so ranking the prefix is exact. The row
-// count is data-bound, so the pass polls ctx every rankCheckRows rows.
-func RankSorted(ctx context.Context, order []uint32, nCols int, read func(id uint32, dst []uint64)) ([]uint32, error) {
-	ranks := make([]uint32, len(order))
-	prev, cur := make([]uint64, nCols), make([]uint64, nCols)
-	nPart := nCols - 1
-	var rank, seen uint32
-	for i, id := range order {
-		if i&(rankCheckRows-1) == 0 {
+// rankPage assigns RANK() OVER (PARTITION BY … ORDER BY …) to positions
+// [lo, hi) of a window query's sorted order, whose partition is the
+// first partBits bits of the concatenated key. The ORDER BY column is
+// last, so mres.Groups — runs equal on every sort column — are the runs
+// of tied ranks, and a row's rank is its group's start minus its
+// partition's start plus one (rank counts rows, not distinct values).
+// A partition begins only at a group start, so the partition test runs
+// once per group, on the sorted keys (mcsort.Result.SamePrefix), and
+// the walk back from lo to its partition's first row steps over groups
+// (partitionStart): ranks only look back to the partition start, so a
+// page needs nothing before it, and a truncated sort's prefix ranks
+// exactly. Groups may number as many as rows, so both loops poll ctx
+// every rankCheckGroups groups.
+func rankPage(ctx context.Context, mres *mcsort.Result, partBits, lo, hi int) ([]uint32, error) {
+	ranks := make([]uint32, hi-lo)
+	if lo == hi {
+		return ranks, nil
+	}
+	groups := mres.Groups
+	g := sort.Search(len(groups)-1, func(g int) bool { return int(groups[g+1]) > lo })
+	part, err := partitionStart(ctx, mres, g, partBits)
+	if err != nil {
+		return nil, err
+	}
+	for g0 := g; int(groups[g]) < hi; g++ {
+		if (g-g0)&(rankCheckGroups-1) == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		read(id, cur)
-		// Partitions are contiguous in sorted order, so "same partition as
-		// the previous row" is "same partition as the partition's first".
-		samePartition := i > 0
-		for c := 0; samePartition && c < nPart; c++ {
-			samePartition = cur[c] == prev[c]
+		start, end := int(groups[g]), min(int(groups[g+1]), hi)
+		if start > lo && !mres.SamePrefix(start-1, start, partBits) {
+			part = start
 		}
-		if !samePartition {
-			rank, seen = 1, 1
-		} else {
-			seen++
-			if cur[nPart] != prev[nPart] {
-				rank = seen
-			}
+		rank := uint32(start - part + 1)
+		for i := max(start, lo); i < end; i++ {
+			ranks[i-lo] = rank
 		}
-		ranks[i] = rank
-		prev, cur = cur, prev
 	}
 	return ranks, nil
+}
+
+// partitionStart returns the position of the first row of the partition
+// holding group g of a window query's sorted order: it walks back over
+// the groups while each starts in the same partition as the one before
+// it. The walk is data-bound (one partition may span every row), so it
+// polls ctx every rankCheckGroups groups.
+func partitionStart(ctx context.Context, mres *mcsort.Result, g, partBits int) (int, error) {
+	groups := mres.Groups
+	for k := g; k > 0; k-- {
+		if (g-k)&(rankCheckGroups-1) == 0 {
+			if err := ctx.Err(); err != nil {
+				return 0, err
+			}
+		}
+		if !mres.SamePrefix(int(groups[k-1]), int(groups[k]), partBits) {
+			return int(groups[k]), nil
+		}
+	}
+	return 0, nil
 }

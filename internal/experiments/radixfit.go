@@ -5,7 +5,10 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/byteslice"
+	"repro/internal/column"
 	"repro/internal/costmodel"
+	"repro/internal/massage"
 	"repro/internal/mcsort"
 	"repro/internal/pipeerr"
 	"repro/internal/plan"
@@ -15,8 +18,10 @@ import (
 // sort term, no Model.Sort plugged in — against the production kernel,
 // term by term: every plan below runs on the seeded synthetic columns
 // of the Section 3 examples with the radix kernel (no Params.Sort hook,
-// one worker), and each of its four predicted subcosts is compared with
-// the mcsort phase it prices. MRE is the mean of |pred − meas| / meas
+// one worker), read from ByteSlices as the engine's sort reads its
+// columns (the model's massage term prices that gather), and each of
+// its four predicted subcosts is compared with the mcsort phase it
+// prices. MRE is the mean of |pred − meas| / meas
 // over the plans, for costmodel.Builtin() and for the run's own
 // calibrated model (Config.Model).
 func RadixModel(cfg Config) (*Report, error) {
@@ -51,6 +56,7 @@ func RadixModel(cfg Config) (*Report, error) {
 			cols[i] = in.Codes
 		}
 		st := costmodel.CollectStats(cols, c.widths)
+		inputs = byteSliceInputs(inputs)
 		for _, ws := range c.plans {
 			p := plan.FromWidths(ws)
 			var best mcsort.Timings
@@ -99,4 +105,19 @@ func RadixModel(cfg Config) (*Report, error) {
 		fmt.Sprintf("N=%d rows per plan, 2^13 distinct values per column (2^w when w<13); each plan's fastest of %d runs", cfg.Rows, reps),
 		"T_lookup counts only plans of more than one round")
 	return rep, nil
+}
+
+// byteSliceInputs stores each input's codes as a ByteSlice and returns
+// inputs that read them from it, every row in order.
+func byteSliceInputs(inputs []massage.Input) []massage.Input {
+	rows := make([]uint32, inputs[0].Len())
+	for i := range rows {
+		rows[i] = uint32(i)
+	}
+	out := make([]massage.Input, len(inputs))
+	for i, in := range inputs {
+		bs := byteslice.FromColumn(column.FromCodes(fmt.Sprintf("c%d", i), in.Width, in.Codes))
+		out[i] = massage.Input{Width: in.Width, Desc: in.Desc, Source: &massage.Source{Column: bs, Rows: rows}}
+	}
+	return out
 }

@@ -119,17 +119,17 @@ func TestRRSGolden(t *testing.T) {
 		run{&planner.Search{Model: m, Stats: uniformStats(7, 1000, []int{5, 8, 6}, []int{30, 250, 60}), Kind: planner.GroupBy, Rho: -1}, 3},
 		run{&planner.Search{Model: m, Stats: uniformStats(4, 1<<16, []int{24, 4, 9}, []int{60000, 16, 300}), Kind: planner.PartitionBy, FixedTail: 1, Rho: -1}, 9})
 	want := []golden{
-		{"valid", "[0 1]", "{R1: 16/[16], R2: 34/[64]}", 0x416f18a5706537ef},
-		{"avg0", "[0 1]", "{R1: 16/[16], R2: 14/[16]}", 0x416ee5058ebd316b},
-		{"avg1", "[0 1]", "{R1: 16/[16], R2: 17/[32]}", 0x416f04cd3d51c2f5},
-		{"avg2", "[0 1]", "{R1: 16/[16], R2: 20/[32]}", 0x416f176be709ace0},
-		{"avg3", "[0 1]", "{R1: 16/[16], R2: 23/[32]}", 0x416f43f39f34ec27},
-		{"avg4", "[0 1]", "{R1: 27/[32], R2: 15/[16]}", 0x4174187ead32a382},
-		{"avg5", "[0 1]", "{R1: 28/[32], R2: 17/[32]}", 0x4174187ead32a382},
-		{"avg6", "[0 1]", "{R1: 31/[32], R2: 17/[32]}", 0x4174187ead32a382},
-		{"avg7", "[0 1]", "{R1: 29/[32], R2: 22/[32]}", 0x4174187ead32a382},
-		{"groupby", "[0 1 2]", "{R1: 13/[16], R2: 6/[16]}", 0x410d881cbf66ec8d},
-		{"window", "[1 0 2]", "{R1: 16/[16], R2: 21/[32]}", 0x416ed6e45a4738c8},
+		{"valid", "[0 1]", "{R1: 16/[16], R2: 34/[64]}", 0x416fb23f09fed189},
+		{"avg0", "[0 1]", "{R1: 16/[16], R2: 14/[16]}", 0x416f45058ebd316b},
+		{"avg1", "[0 1]", "{R1: 16/[16], R2: 17/[32]}", 0x416f64cd3d51c2f5},
+		{"avg2", "[0 1]", "{R1: 16/[16], R2: 20/[32]}", 0x416f776be709ace0},
+		{"avg3", "[0 1]", "{R1: 16/[16], R2: 23/[32]}", 0x416fb726d2681f5a},
+		{"avg4", "[0 1]", "{R1: 27/[32], R2: 15/[16]}", 0x4174521846cc3d1c},
+		{"avg5", "[0 1]", "{R1: 28/[32], R2: 17/[32]}", 0x4174521846cc3d1c},
+		{"avg6", "[0 1]", "{R1: 31/[32], R2: 17/[32]}", 0x4174521846cc3d1c},
+		{"avg7", "[0 1]", "{R1: 29/[32], R2: 22/[32]}", 0x4174654b79ff704f},
+		{"groupby", "[0 1 2]", "{R1: 13/[16], R2: 6/[16]}", 0x410dc05cbf66ec8d},
+		{"window", "[1 0 2]", "{R1: 16/[16], R2: 21/[32]}", 0x416f4a178d7a6bfb},
 	}
 	for i, r := range runs {
 		c := rrs(r.s, r.seed)

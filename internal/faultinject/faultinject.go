@@ -40,7 +40,7 @@ const (
 	LoserMerge = "mergesort.loser_merge"
 	// MassageChunk: the massage FIP pass, once per row chunk.
 	MassageChunk = "massage.chunk"
-	// Gather: the engine's materialization gather, once per chunk.
+	// Gather: the engine's aggregate-column gather, once per chunk.
 	Gather = "engine.gather"
 	// Aggregate: the engine's group-aggregation scan, once per chunk.
 	Aggregate = "engine.aggregate"

@@ -82,6 +82,7 @@ func splitWidths(totalW int, cuts uint32) []int {
 // a direct comparison of the raw codes with DESC semantics. RunParallel
 // must agree with Run bit for bit, and so must a run whose inputs are
 // partly ByteSlice-backed (descMask's high bits pick the columns).
+// Decode must give every row's codes back from its round keys.
 func FuzzMassageRoundTrip(f *testing.F) {
 	f.Add(uint32(0), uint8(0), uint32(0), []byte{1, 2, 3})
 	f.Add(uint32(0xFFFF), uint8(3), uint32(0xAAAA), []byte("massage me"))
@@ -120,6 +121,16 @@ func FuzzMassageRoundTrip(f *testing.F) {
 				}
 				if massaged[r][i] != sourced[r][i] {
 					t.Fatalf("ByteSlice-backed inputs (mask %#x) diverge at round %d row %d", descMask>>4, r, i)
+				}
+			}
+		}
+
+		codes := make([]uint64, len(inputs))
+		for i := 0; i < rows; i++ {
+			prog.Decode(massaged, i, codes)
+			for c, in := range inputs {
+				if codes[c] != in.Codes[i] {
+					t.Fatalf("Decode (widths %v -> %v) row %d column %d = %#x, want %#x", inWidths, outWidths, i, c, codes[c], in.Codes[i])
 				}
 			}
 		}

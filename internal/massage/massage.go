@@ -42,9 +42,9 @@ var (
 // ascending order the sorter implements.
 //
 // The codes are Codes, or — when Source is set — a column stored
-// elsewhere, decoded a block at a time as a pass reads it, so a
-// truncated sort never builds a code array for it (late
-// materialisation, docs/topk.md).
+// elsewhere, decoded a block at a time as a pass reads it, so a sort
+// never builds a code array for it (late materialisation,
+// docs/topk.md).
 type Input struct {
 	Codes  []uint64
 	Width  int
@@ -105,7 +105,9 @@ type Program struct {
 	nRounds   int
 	inWidths  []int
 	outWidths []int
-	desc      []bool
+	// flip is each input's complement mask: its width's mask for a DESC
+	// column, 0 otherwise (Decode).
+	flip []uint64
 }
 
 // Compile builds the FIP program that reshapes columns with widths
@@ -113,14 +115,16 @@ type Program struct {
 // cover the same total bit width.
 func Compile(inputs []Input, outWidths []int) (*Program, error) {
 	inWidths := make([]int, len(inputs))
-	desc := make([]bool, len(inputs))
+	flip := make([]uint64, len(inputs))
 	totalIn := 0
 	for i, in := range inputs {
 		if in.Width < 1 || in.Width > 64 {
 			return nil, fmt.Errorf("massage: input %d width %d out of range", i, in.Width)
 		}
 		inWidths[i] = in.Width
-		desc[i] = in.Desc
+		if in.Desc {
+			flip[i] = column.Mask(in.Width)
+		}
 		totalIn += in.Width
 	}
 	totalOut := 0
@@ -189,7 +193,7 @@ func Compile(inputs []Input, outWidths []int) (*Program, error) {
 		nRounds:   len(outWidths),
 		inWidths:  inWidths,
 		outWidths: append([]int(nil), outWidths...),
-		desc:      desc,
+		flip:      flip,
 	}, nil
 }
 
@@ -208,6 +212,19 @@ func prefixStarts(widths []int) []int {
 // I_FIP (the union of the two prefix-sum sequences); the property test
 // asserts this.
 func (p *Program) FIPCount() int { return len(p.segments) }
+
+// Decode inverts the program at one row: keys[d][i] is the row's
+// round-d key, and dst — one entry per input — gets the input codes it
+// was massaged from. Every segment runs in reverse, moving its bits from
+// the round key back to their column, and a DESC column is complemented
+// back. By Lemma 1 the round keys are the concatenation C₁‖…‖C_m cut
+// into rounds, so a row's sorted keys alone give back its sort columns.
+func (p *Program) Decode(keys [][]uint64, i int, dst []uint64) {
+	copy(dst, p.flip)
+	for _, sg := range p.segments {
+		dst[sg.src] ^= (keys[sg.dst][i] >> sg.dstShift & sg.mask) << sg.srcShift
+	}
+}
 
 // parallelMinRows is the row count below which a pass runs
 // sequentially whatever the worker count: a FIP pass over fewer rows

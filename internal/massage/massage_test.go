@@ -133,6 +133,80 @@ func TestRepartitionProperty(t *testing.T) {
 	}
 }
 
+// TestDecodeInvertsProgram checks that Decode gives back every row's
+// input codes from its round keys, for input widths 1–64, ASC and DESC,
+// under column-at-a-time, stitching and bit-borrowing programs — each of
+// which the trials must reach.
+func TestDecodeInvertsProgram(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var stitched, borrowed int
+	for w := 1; w <= 64; w++ {
+		for trial := 0; trial < 12; trial++ {
+			widths := []int{w}
+			for extra := rng.Intn(4); extra > 0; extra-- {
+				widths = append(widths, 1+rng.Intn(64))
+			}
+			rng.Shuffle(len(widths), func(i, j int) { widths[i], widths[j] = widths[j], widths[i] })
+			total := 0
+			for _, cw := range widths {
+				total += cw
+			}
+			var outWidths []int
+			switch trial % 3 {
+			case 0: // column at a time
+				outWidths = widths
+			case 1: // as few rounds as fit: stitches, and borrows at 64-bit cuts
+				for remaining := total; remaining > 0; remaining -= min(remaining, 64) {
+					outWidths = append(outWidths, min(remaining, 64))
+				}
+			default: // random cuts
+				for remaining := total; remaining > 0; {
+					rw := min(1+rng.Intn(remaining), 64)
+					outWidths = append(outWidths, rw)
+					remaining -= rw
+				}
+			}
+			rows := 40
+			inputs := randInputs(rng, widths, rows)
+			for c := range inputs {
+				inputs[c].Desc = rng.Intn(2) == 0
+				if rows > 1 {
+					inputs[c].Codes[0], inputs[c].Codes[1] = 0, column.Mask(inputs[c].Width)
+				}
+			}
+			prog, err := Compile(inputs, outWidths)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srcs, dsts := map[int]int{}, map[int]int{}
+			for _, sg := range prog.segments {
+				srcs[sg.dst]++
+				dsts[sg.src]++
+			}
+			if len(srcs) < len(prog.segments) {
+				stitched++
+			}
+			if len(dsts) < len(prog.segments) {
+				borrowed++
+			}
+			keys := mustRun(t, prog, inputs, rows, 1)
+			codes := make([]uint64, len(inputs))
+			for r := 0; r < rows; r++ {
+				prog.Decode(keys, r, codes)
+				for c, in := range inputs {
+					if codes[c] != in.Codes[r] {
+						t.Fatalf("widths %v -> %v row %d column %d (desc %v): decoded %#x, want %#x",
+							widths, outWidths, r, c, in.Desc, codes[c], in.Codes[r])
+					}
+				}
+			}
+		}
+	}
+	if stitched == 0 || borrowed == 0 {
+		t.Fatalf("trials reached %d stitching and %d borrowing programs; want both", stitched, borrowed)
+	}
+}
+
 func TestFIPCountMatchesIFIP(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 500; trial++ {

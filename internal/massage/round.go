@@ -10,8 +10,7 @@
 // permute-then-massage over all rows. With ByteSlice-backed inputs
 // (Input.Source) both read the codes straight from the byte planes, a
 // block at a time (runBlocks): round 0 decodes only its own source
-// columns, later rounds only the survivors' codes, so the truncated
-// pipeline materialises nothing up front.
+// columns, later rounds only the survivors' codes.
 package massage
 
 import (

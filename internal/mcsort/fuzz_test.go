@@ -16,7 +16,8 @@ import (
 // fraction, sorted under a random valid plan with optional LimitRows /
 // LimitGroups, must give the same Perm and Groups at workers 1, 2 and 3
 // — and they must be those of a stable reference sort over
-// (columns, oid), truncated the way docs/topk.md says. The thresholds
+// (columns, oid), truncated the way docs/topk.md says — and Codes must
+// decode every position's row from the sorted keys. The thresholds
 // are lowered so two and three workers take the parallel paths. The
 // seed corpus is testdata/fuzz/FuzzExecuteDeterministic.
 func FuzzExecuteDeterministic(f *testing.F) {
@@ -84,6 +85,15 @@ func FuzzExecuteDeterministic(f *testing.F) {
 			}
 			if !slices.Equal(res.Groups, wantGroups) {
 				t.Fatalf("plan %v limits %d/%d workers=%d: Groups = %v, want %v", p, limitRows, limitGroups, w, res.Groups, wantGroups)
+			}
+			codes := make([]uint64, len(inputs))
+			for i, o := range res.Perm {
+				res.Codes(i, codes)
+				for c, in := range inputs {
+					if codes[c] != in.Codes[o] {
+						t.Fatalf("plan %v limits %d/%d workers=%d: Codes(%d) column %d = %#x, not row %d's", p, limitRows, limitGroups, w, i, c, codes[c], o)
+					}
+				}
 			}
 		}
 	})

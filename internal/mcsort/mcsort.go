@@ -82,10 +82,49 @@ type Result struct {
 	// Groups are the boundaries of runs of tuples equal on all sort
 	// columns: group g spans Perm[Groups[g]:Groups[g+1]].
 	Groups []int32
+	// Keys are the sorted round keys: Keys[r][i] is round r's key of
+	// row Perm[i]. They cost nothing extra — round 0 sorts its keys in
+	// place, each later round sorts a permuted copy no later round
+	// reuses, and every sort after a round only reorders rows that tie
+	// on it — and by Lemma 1 they are the concatenation C₁‖…‖C_m of the
+	// sort columns cut into rounds, so the consumers of the sort read
+	// them (Codes, SamePrefix) instead of the inputs through Perm.
+	Keys [][]uint64
 	// Timings is the per-phase wall-time breakdown.
 	Timings Timings
 	// Rounds holds per-round statistics.
 	Rounds []RoundStats
+
+	prog   *massage.Program // the massage that built Keys, for Codes
+	widths []int            // the round widths, for SamePrefix
+}
+
+// Codes sets dst, one entry per input column in the order
+// ExecuteContext was given them, to the codes of the row at position i
+// (row Perm[i]): the round keys at i, massaged back
+// (massage.Program.Decode). Reading them is sequential in i, where the
+// inputs at Perm[i] are a random access per column.
+func (r *Result) Codes(i int, dst []uint64) { r.prog.Decode(r.Keys, i, dst) }
+
+// SamePrefix reports whether the rows at positions i and j agree on the
+// first bits bits of the concatenated key C₁‖…‖C_m: whole round keys
+// while bits covers them, then the top bits of the round it ends in.
+// A DESC column is complemented in the keys, which equality ignores.
+func (r *Result) SamePrefix(i, j, bits int) bool {
+	for d, w := range r.widths {
+		if bits <= 0 {
+			break
+		}
+		x := r.Keys[d][i] ^ r.Keys[d][j]
+		if bits < w {
+			return x>>uint(w-bits) == 0
+		}
+		if x != 0 {
+			return false
+		}
+		bits -= w
+	}
+	return true
 }
 
 // Options tunes the execution.
@@ -131,18 +170,6 @@ func (o Options) sortParams() mergesort.Params {
 		p.ParallelThreshold = mergesort.DefaultParallelThreshold
 	}
 	return p
-}
-
-// Truncated reports whether ExecuteContext runs its truncated path for
-// rows rows under Options{LimitRows: limitRows, LimitGroups:
-// limitGroups}: a row limit short of the row count, or any group limit.
-// That path massages round by round (round 0 over every row, later
-// rounds over the survivors only), so it reads ByteSlice-backed inputs
-// (massage.Input.Source) without ever materialising them; the full path
-// reads every input for every row of every round, and wants them
-// materialised.
-func Truncated(rows, limitRows, limitGroups int) bool {
-	return (limitRows > 0 && limitRows < rows) || limitGroups > 0
 }
 
 // ExecuteContext sorts the rows described by inputs according to p. All
@@ -191,7 +218,10 @@ func executeContext(ctx context.Context, inputs []massage.Input, p plan.Plan, op
 
 	res := &Result{
 		Perm:   make([]uint32, rows),
+		Keys:   make([][]uint64, len(p.Rounds)),
 		Rounds: make([]RoundStats, len(p.Rounds)),
+		prog:   prog,
+		widths: p.Widths(),
 	}
 	for i := range res.Perm {
 		if i&(1<<16-1) == 0 {
@@ -209,8 +239,9 @@ func executeContext(ctx context.Context, inputs []massage.Input, p plan.Plan, op
 	// Truncation (docs/topk.md): a LimitRows at or past the row count is
 	// the full sort; either limit switches execution to the deferred
 	// per-round massage path, where later rounds massage and gather only
-	// the surviving prefix.
-	limited := Truncated(rows, opts.LimitRows, opts.LimitGroups)
+	// the surviving prefix. Either path reads ByteSlice-backed inputs
+	// (massage.Input.Source) straight from their byte planes.
+	limited := (opts.LimitRows > 0 && opts.LimitRows < rows) || opts.LimitGroups > 0
 	limitRows, limitGroups := max(opts.LimitRows, 0), max(opts.LimitGroups, 0)
 	if limitRows >= rows {
 		limitRows = 0
@@ -268,13 +299,13 @@ func executeContext(ctx context.Context, inputs []massage.Input, p plan.Plan, op
 			if r > 0 {
 				// Lookup: reorder this round's keys by the permutation
 				// established so far (random access, the paper's T_lookup),
-				// output-chunked across workers.
+				// output-chunked across workers. The unpermuted keys are the
+				// next round's target.
 				start = time.Now()
 				if err := parallelPermute(ctx, scratch, keys, res.Perm, opts.Workers, r); err != nil {
 					return nil, err
 				}
-				keys, roundKeys[r] = scratch, keys
-				scratch = roundKeys[r]
+				keys, scratch = scratch, keys
 				d := time.Since(start)
 				res.Timings.Lookup += d
 				obsLookupT.Add(d)
@@ -321,6 +352,7 @@ func executeContext(ctx context.Context, inputs []massage.Input, p plan.Plan, op
 				return nil, err
 			}
 		}
+		res.Keys[r] = keys
 		d := time.Since(start)
 		res.Timings.Sort += d
 		obsSortT.Add(d)
@@ -359,6 +391,9 @@ func executeContext(ctx context.Context, inputs []massage.Input, p plan.Plan, op
 	}
 	if limited {
 		res.Perm = res.Perm[:active]
+		for r := range res.Keys {
+			res.Keys[r] = res.Keys[r][:active]
+		}
 		obsRowsCut.Add(int64(rows - active))
 	}
 	obsRoundsRun.Add(int64(len(p.Rounds)))

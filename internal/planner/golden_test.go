@@ -177,10 +177,10 @@ var planGolden = map[string]goldenRow{
 	"topk/limit51200/cap1":       {"[0 1 2 3 4]", "{R1: 5/[16], R2: 5/[16], R3: 5/[16], R4: 12/[16], R5: 21/[32]}", 0x41612515e723e9d0, 2},
 	"topk/limit51200/cap50":      {"[0 1 2 3 4]", "{R1: 10/[16], R2: 13/[16], R3: 25/[32]}", 0x41603f8efbd3b923, 100},
 	"topk/limit51200/cap500":     {"[0 1 2 3 4]", "{R1: 10/[16], R2: 13/[16], R3: 25/[32]}", 0x41603f8efbd3b923, 686},
-	"topk/unlimited":             {"[0 1 2 3 4]", "{R1: 23/[32], R2: 25/[32]}", 0x41749897b43cb279, 4464},
-	"topk/unlimited/cap1":        {"[0 1 2 3 4]", "{R1: 48/[64]}", 0x41794e001237d296, 1},
-	"topk/unlimited/cap50":       {"[0 1 2 3 4]", "{R1: 23/[32], R2: 25/[32]}", 0x41749897b43cb279, 50},
-	"topk/unlimited/cap500":      {"[0 1 2 3 4]", "{R1: 23/[32], R2: 25/[32]}", 0x41749897b43cb279, 500},
+	"topk/unlimited":             {"[0 1 2 3 4]", "{R1: 23/[32], R2: 25/[32]}", 0x4176fefe1aa318df, 4464},
+	"topk/unlimited/cap1":        {"[0 1 2 3 4]", "{R1: 48/[64]}", 0x417bb466789e38fc, 1},
+	"topk/unlimited/cap50":       {"[0 1 2 3 4]", "{R1: 23/[32], R2: 25/[32]}", 0x4176fefe1aa318df, 50},
+	"topk/unlimited/cap500":      {"[0 1 2 3 4]", "{R1: 23/[32], R2: 25/[32]}", 0x4176fefe1aa318df, 500},
 	"topk/fixedorder":            {"[2 0 3 1 4]", "{R1: 5/[16], R2: 5/[16], R3: 12/[16], R4: 5/[16], R5: 21/[32]}", 0x4154d5d1c2a05abd, 186},
 	"topk/fixedorder/cap1":       {"[2 0 3 1 4]", "{R1: 5/[16], R2: 5/[16], R3: 12/[16], R4: 5/[16], R5: 21/[32]}", 0x4154d5d1c2a05abd, 1},
 	"topk/fixedorder/cap50":      {"[2 0 3 1 4]", "{R1: 5/[16], R2: 5/[16], R3: 12/[16], R4: 5/[16], R5: 21/[32]}", 0x4154d5d1c2a05abd, 50},
@@ -189,14 +189,14 @@ var planGolden = map[string]goldenRow{
 	"groupby/limitgroups/cap1":   {"[0 1 2]", "{R1: 9/[16], R2: 14/[16], R3: 20/[32]}", 0x4150593dbc52e7a1, 2},
 	"groupby/limitgroups/cap50":  {"[0 1 2]", "{R1: 9/[16], R2: 14/[16], R3: 20/[32]}", 0x4150593dbc52e7a1, 100},
 	"groupby/limitgroups/cap500": {"[0 1 2]", "{R1: 9/[16], R2: 14/[16], R3: 20/[32]}", 0x4150593dbc52e7a1, 686},
-	"orderby":                    {"[0 1 2]", "{R1: 59/[64]}", 0x411f7ad36a87acf6, 759},
-	"orderby/cap1":               {"[0 1 2]", "{R1: 59/[64]}", 0x411f7ad36a87acf6, 1},
-	"orderby/cap50":              {"[0 1 2]", "{R1: 59/[64]}", 0x411f7ad36a87acf6, 50},
-	"orderby/cap500":             {"[0 1 2]", "{R1: 59/[64]}", 0x411f7ad36a87acf6, 500},
-	"orderby/ovc":                {"[0 1]", "{R1: 46/[64]}", 0x41bb9e63b51eb852, 186},
-	"orderby/ovc/cap1":           {"[0 1]", "{R1: 46/[64]}", 0x41bb9e63b51eb852, 1},
-	"orderby/ovc/cap50":          {"[0 1]", "{R1: 46/[64]}", 0x41bb9e63b51eb852, 50},
-	"orderby/ovc/cap500":         {"[0 1]", "{R1: 46/[64]}", 0x41bb9e63b51eb852, 186},
+	"orderby":                    {"[0 1 2]", "{R1: 59/[64]}", 0x4122709ce87709ae, 759},
+	"orderby/cap1":               {"[0 1 2]", "{R1: 59/[64]}", 0x4122709ce87709ae, 1},
+	"orderby/cap50":              {"[0 1 2]", "{R1: 59/[64]}", 0x4122709ce87709ae, 50},
+	"orderby/cap500":             {"[0 1 2]", "{R1: 59/[64]}", 0x4122709ce87709ae, 500},
+	"orderby/ovc":                {"[0 1]", "{R1: 46/[64]}", 0x41bbd7fd4eb851eb, 186},
+	"orderby/ovc/cap1":           {"[0 1]", "{R1: 46/[64]}", 0x41bbd7fd4eb851eb, 1},
+	"orderby/ovc/cap50":          {"[0 1]", "{R1: 46/[64]}", 0x41bbd7fd4eb851eb, 50},
+	"orderby/ovc/cap500":         {"[0 1]", "{R1: 46/[64]}", 0x41bbd7fd4eb851eb, 186},
 }
 
 // TestTopKLimit100KeepsRoundZeroNarrow guards the LIMIT path's pricing:

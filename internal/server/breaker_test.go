@@ -125,10 +125,10 @@ func TestBreakerTripHalfOpenRecover(t *testing.T) {
 		t.Fatalf("initial readyz = %d/%s, want 200/closed", code, br)
 	}
 
-	// Wedge every gather with a panic and run queries until the
+	// Wedge every massage chunk with a panic and run queries until the
 	// breaker trips. Each failure must be a typed contained panic, not
 	// a process crash.
-	restore := faultinject.Set(faultinject.Gather, func() {
+	restore := faultinject.Set(faultinject.MassageChunk, func() {
 		panic("breaker_test: injected panic")
 	})
 	req := QueryRequest{Table: tbl.Name, Kind: "orderby", SortCols: []SortColReq{{Name: "l_returnflag"}}, Workers: 1}

@@ -78,9 +78,9 @@ type Config struct {
 	// retryable pipeerr.ErrWatchdog. 0 disables the watchdog.
 	WatchdogMult float64
 	// WatchdogFloor is the watchdog's minimum kill budget: it covers
-	// the stages the T_mcs estimate does not (filter scans,
-	// materialization, aggregation) and is the whole budget until the
-	// plan is chosen. Default 2s when the watchdog is armed.
+	// the stages the T_mcs estimate does not (filter scans, aggregation)
+	// and is the whole budget until the plan is chosen. Default 2s when
+	// the watchdog is armed.
 	WatchdogFloor time.Duration
 	// BreakerThreshold trips the readiness breaker after this many
 	// consecutive contained panics (serve-layer or worker): /readyz
@@ -218,23 +218,14 @@ func (s *Server) runEngine(ctx context.Context, jobID string, req QueryRequest, 
 		workers = s.cfg.DefaultWorkers
 	}
 	// Worst-case footprint: every table row selected, one round per
-	// 16-bit slice of the concatenated key (no plan can have more). A
-	// truncated sort materializes no input columns (SortInputCols); but
-	// a filter may leave no more rows than a row cut, and then the
-	// engine materializes all of them, so that case is charged too.
-	nCols, totalW := b.SortInputCols(t.N, req.Limit, req.Offset), 0
+	// 16-bit slice of the concatenated key (no plan can have more). No
+	// query materializes its sort columns, so none are charged.
+	totalW := 0
 	for _, bs := range b.Cols {
 		totalW += bs.Width
 	}
 	maxRounds := max((totalW+15)/16, len(b.Cols))
-	cutRows, _ := engine.SortCut(q, req.Limit, req.Offset)
-	estimate := func(w int) int64 {
-		est := engine.EstimatePipelineBytes(t.N, nCols, maxRounds, w)
-		if nCols == 0 && cutRows > 0 {
-			est = max(est, engine.EstimatePipelineBytes(cutRows, len(b.Cols), maxRounds, w))
-		}
-		return est
-	}
+	estimate := func(w int) int64 { return engine.EstimatePipelineBytes(t.N, maxRounds, w) }
 	workers, err = s.adm.refuseOverBudget(workers, estimate)
 	if err != nil {
 		return nil, err

@@ -18,11 +18,11 @@ import (
 // bounded in wall-clock, and no goroutine outlives the test.
 func TestWatchdogKillsStuckQuery(t *testing.T) {
 	defer testutil.CheckNoLeaks(t)()
-	// The gather hook sleeps well past the watchdog budget. The sleep
+	// The massage-chunk hook sleeps well past the watchdog budget. The sleep
 	// itself is uncancellable, so the watchdog's cancel is observed at
 	// the next pipeline poll after the hook returns — exactly the
 	// stuck-operator shape the watchdog exists for.
-	defer faultinject.Set(faultinject.Gather, func() {
+	defer faultinject.Set(faultinject.MassageChunk, func() {
 		time.Sleep(400 * time.Millisecond)
 	})()
 

@@ -262,10 +262,10 @@ func TestWireContract(t *testing.T) {
 				w.wantFailed(label, payload, "invalid", http.StatusBadRequest)
 			}
 
-			// Result before finish: hold the query inside the engine's
-			// gather (the coordinator's shards run in this process too).
+			// Result before finish: hold the query inside the sort's
+			// massage (the coordinator's shards run in this process too).
 			release := make(chan struct{})
-			restore := faultinject.Set(faultinject.Gather, func() { <-release })
+			restore := faultinject.Set(faultinject.MassageChunk, func() { <-release })
 			id := w.submit("held query", valid)
 			resp, body := w.get("/jobs/" + id + "/result")
 			w.wantError("result before finish", resp, body, http.StatusConflict, "not_finished")

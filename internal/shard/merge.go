@@ -277,36 +277,67 @@ func mergeWide(ctx context.Context, keys [][]uint64, pay [][]uint32, m, limit in
 // the window's ORDER BY column last, so a packed key is the partition
 // in its high bits over the order column in its low width bits, and a
 // code vector is the partition columns followed by the order column;
-// engine.RankSorted only tests codes for equality, which neither the
+// rankSorted only tests codes for equality, which neither the
 // descending complement nor the partition columns' permutation changes.
 func rank(ctx context.Context, keys []uint64, n int, sp mergeSpec) ([]uint32, error) {
-	pos := make([]uint32, n)
-	for i := range pos {
-		if i&(mergeCtxStride-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		pos[i] = uint32(i)
-	}
 	if sp.wide {
 		m := len(sp.order)
-		return engine.RankSorted(ctx, pos, m, func(i uint32, dst []uint64) {
-			copy(dst, keys[int(i)*m:])
+		return rankSorted(ctx, n, m, func(i int, dst []uint64) {
+			copy(dst, keys[i*m:])
 		})
 	}
 	width := sp.widths[sp.order[len(sp.order)-1]]
 	mask := column.Mask(width)
-	return engine.RankSorted(ctx, pos, 2, func(i uint32, dst []uint64) {
+	return rankSorted(ctx, n, 2, func(i int, dst []uint64) {
 		k := keys[i]
 		dst[0], dst[1] = k>>uint(width), k&mask
 	})
 }
 
+// rankSorted assigns RANK() OVER (PARTITION BY … ORDER BY …) to n rows
+// already in sorted order: read(i, dst) fills dst with the nCols
+// sort-column codes of the row at position i — partition columns first,
+// the ORDER BY column last. Rows tied on the partition columns form a
+// partition; within it, rows share a rank when tied on the order
+// column, and rank counts rows, not distinct values. Ranks only look
+// backward, so ranking a prefix of the sorted rows is exact. The row
+// count is data-bound, so the pass polls ctx every mergeCtxStride rows.
+func rankSorted(ctx context.Context, n, nCols int, read func(i int, dst []uint64)) ([]uint32, error) {
+	ranks := make([]uint32, n)
+	prev, cur := make([]uint64, nCols), make([]uint64, nCols)
+	nPart := nCols - 1
+	var rank, seen uint32
+	for i := range ranks {
+		if i&(mergeCtxStride-1) == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		read(i, cur)
+		// Partitions are contiguous in sorted order, so "same partition as
+		// the previous row" is "same partition as the partition's first".
+		samePartition := i > 0
+		for c := 0; samePartition && c < nPart; c++ {
+			samePartition = cur[c] == prev[c]
+		}
+		if !samePartition {
+			rank, seen = 1, 1
+		} else {
+			seen++
+			if cur[nPart] != prev[nPart] {
+				rank = seen
+			}
+		}
+		ranks[i] = rank
+		prev, cur = cur, prev
+	}
+	return ranks, nil
+}
+
 // mergeWindowRuns merges a window query's runs — cut at the sub-queries'
-// pre-cut under a LIMIT — ranks the merged order with the engine's own
-// RANK over the merged keys (ranks only look backward, so ranking the
-// merged prefix is exact), and clamps both to the output window.
+// pre-cut under a LIMIT — ranks the merged order from the merged keys
+// (rank; ranks only look backward, so ranking the merged prefix is
+// exact), and clamps both to the output window.
 func mergeWindowRuns(ctx context.Context, runs []*run, g *gather, limit *int, offset, workers int) ([]uint32, []uint32, error) {
 	keys, oids, err := mergeRuns(ctx, runs, g.sp, g.cut, workers)
 	if err != nil {

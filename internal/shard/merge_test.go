@@ -14,6 +14,7 @@ import (
 	"repro/internal/column"
 	"repro/internal/engine"
 	"repro/internal/server"
+	"repro/internal/testutil"
 )
 
 // bothForms returns the spec in each key form: the packed one the
@@ -316,10 +317,53 @@ func TestMergeRows64LimitIsPrefix(t *testing.T) {
 	}
 }
 
+// TestRankSortedCancel pins invariant 4 of docs/robustness.md on the
+// coordinator's window RANK pass, which is one step per merged row: a
+// context cancelled before the call, or one that is cancelled mid-pass,
+// yields context.Canceled and no ranks — and the pass stops within one
+// poll stride of the cancellation instead of ranking every row.
+func TestRankSortedCancel(t *testing.T) {
+	const n = 5 * mergeCtxStride
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, tc := range map[string]struct {
+		ctx      context.Context
+		maxReads int
+	}{
+		"pre-cancelled": {cancelled, 0},
+		"mid-pass":      {testutil.NewPollCtx(2), 2 * mergeCtxStride},
+	} {
+		reads := 0
+		ranks, err := rankSorted(tc.ctx, n, 2, func(i int, dst []uint64) {
+			reads++
+			dst[0], dst[1] = uint64(i)/7, uint64(i)
+		})
+		if !errors.Is(err, context.Canceled) || ranks != nil {
+			t.Fatalf("%s: got (%d ranks, %v), want context.Canceled and no result", name, len(ranks), err)
+		}
+		if reads != tc.maxReads {
+			t.Errorf("%s: ranked %d rows before stopping, want %d", name, reads, tc.maxReads)
+		}
+	}
+
+	// Uncancelled, the same input ranks 1..7 within each partition of 7.
+	ranks, err := rankSorted(context.Background(), n, 2, func(i int, dst []uint64) {
+		dst[0], dst[1] = uint64(i)/7, uint64(i)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range ranks {
+		if r != uint32(i%7)+1 {
+			t.Fatalf("row %d: rank %d, want %d", i, r, i%7+1)
+		}
+	}
+}
+
 // TestRankFromKeysMatchesLookup: the window gather ranks from the keys
 // the merge already holds; the definition it must agree with is
-// engine.RankSorted reading every sort column's code by global oid —
-// how the gather ranked before. Swept over ascending and descending
+// rankSorted reading every sort column's code by global oid — how the
+// gather ranked before. Swept over ascending and descending
 // ORDER BY columns, a permuted pin, the tie-heavy table, a clause wider
 // than 64 bits, each key form, shard counts, and LIMIT/OFFSET cuts
 // (whose ranks are a slice of the full ranking).
@@ -406,14 +450,14 @@ func TestRankFromKeysMatchesLookup(t *testing.T) {
 
 			label := fmt.Sprintf("%s order=%s desc=%v pin=%v shards=%d", tbl.Name, tc.req.Window.OrderCol, tc.req.Window.Desc, tc.pin, nShards)
 			ranks, oids := gatherCell(batteryCell{label: "full"})
-			want, err := engine.RankSorted(ctx, oids, len(b.Cols), func(oid uint32, dst []uint64) {
-				copy(dst, codes(int(oid)))
+			want, err := rankSorted(ctx, len(oids), len(b.Cols), func(i int, dst []uint64) {
+				copy(dst, codes(int(oids[i])))
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(oids) != tbl.N || !reflect.DeepEqual(ranks, want) {
-				t.Errorf("%s: ranks from the merged keys differ from the lookup-based RankSorted", label)
+				t.Errorf("%s: ranks from the merged keys differ from rankSorted reading the codes by oid", label)
 			}
 			if sp.wide != (tc.tbl == 2) {
 				t.Errorf("%s: wide key form = %v", label, sp.wide)

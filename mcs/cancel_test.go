@@ -130,7 +130,7 @@ func TestSortBudget(t *testing.T) {
 	}
 	// Sequential footprint plus one worker's scratch: forces degradation
 	// below 8 workers without refusing.
-	budget := engine.EstimatePipelineBytes(n, 0, len(acceptancePlan.Rounds), 1) + 64<<10
+	budget := engine.EstimatePipelineBytes(n, len(acceptancePlan.Rounds), 1) + 64<<10
 	degraded, err := Sort(cols, &Options{Plan: &acceptancePlan, Workers: 8, MaxBytes: budget})
 	if err != nil {
 		t.Fatalf("degraded sort failed: %v", err)

@@ -198,11 +198,10 @@ func SortContext(ctx context.Context, cols []Column, opts *Options) (*Result, er
 
 	// Budget: with the round count known, degrade workers until the
 	// estimated sort footprint fits MaxBytes, refusing when even
-	// sequential execution does not. The estimate is the engine's, with
-	// no materialized columns: the caller-owned input codes exist either
-	// way.
+	// sequential execution does not. The estimate is the engine's: the
+	// caller-owned input codes exist either way.
 	workers, err := pipeerr.DegradeWorkers(o.Workers, o.MaxBytes, func(w int) int64 {
-		return engine.EstimatePipelineBytes(n, 0, len(choice.Plan.Rounds), w)
+		return engine.EstimatePipelineBytes(n, len(choice.Plan.Rounds), w)
 	})
 	if err != nil {
 		return nil, err
