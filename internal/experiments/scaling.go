@@ -17,7 +17,7 @@ import (
 // The paper pins one thread per physical core on 4- and 10-core CPUs
 // and observes linear scaling. This container exposes the code path —
 // parallel massaging, the paper kernel's parallel first-round sort
-// (chunk sorts, then the rank-split MergeRunsContext), and
+// (chunk sorts, then the rank-split chunk merge), and
 // group-parallel later rounds — but runtime.NumCPU() may be 1, in which
 // case measured throughput is flat; see EXPERIMENTS.md.
 func Figure10(cfg Config) (*Report, error) {

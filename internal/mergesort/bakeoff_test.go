@@ -156,11 +156,11 @@ func BenchmarkParallelSort(b *testing.B) {
 }
 
 // BenchmarkMergeRuns times MergeRunsContext in ns/row over
-// parallelBenchRows rows cut into k equal sorted runs: k ∈ {2, 3, 8} ×
-// {unique, zipf} keys × workers {1, 2}. k = 3 is the coordinator's
-// gather over three shards, k = 8 the paper kernel's chunk merge at
-// eight workers. The runs are read only, so one iteration is the merge
-// alone. `make bakeoff` runs it at -cpu 2; CI at -benchtime 1x.
+// parallelBenchRows words cut into k equal sorted runs: k ∈ {2, 3, 8} ×
+// {unique, zipf} words × workers {1, 2}. k = 3 is the coordinator's
+// gather over three shards. The runs are read only, so one iteration is
+// the merge alone. `make bakeoff` runs it at -cpu 2; CI at -benchtime
+// 1x.
 func BenchmarkMergeRuns(b *testing.B) {
 	ctx := context.Background()
 	const n = parallelBenchRows
@@ -171,21 +171,14 @@ func BenchmarkMergeRuns(b *testing.B) {
 			for r := range runs {
 				runs[r] = n * r / k
 			}
-			oids := make([]uint32, n)
 			for r := 0; r < k; r++ {
-				lo, hi := runs[r], runs[r+1]
-				for i := lo; i < hi; i++ {
-					oids[i] = uint32(i)
-				}
-				if err := SortWithParamsContext(ctx, 64, keys[lo:hi], oids[lo:hi], Params{}); err != nil {
-					b.Fatal(err)
-				}
+				slices.Sort(keys[runs[r]:runs[r+1]])
 			}
-			runK, runO := splitAt(keys, oids, runs)
+			runK := splitAt(keys, runs)
 			for _, w := range []int{1, 2} {
 				b.Run(fmt.Sprintf("k=%d/%s/workers=%d", k, dup, w), func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						if _, _, err := MergeRunsContext(ctx, runK, runO, 0, w); err != nil {
+						if _, err := MergeRunsContext(ctx, runK, 0, w); err != nil {
 							b.Fatal(err)
 						}
 					}

@@ -184,7 +184,7 @@ func TestParallelMergeTopKCancelAtSite(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			defer testutil.CheckNoLeaks(t)()
 			keys, oids := cancelKeys(20000, 23)
-			runK, runO := splitAt(keys, oids, sortedRuns(keys, oids, 6))
+			runK := splitAt(keys, sortedRuns(keys, oids, 6))
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			var fired atomic.Bool
@@ -193,14 +193,14 @@ func TestParallelMergeTopKCancelAtSite(t *testing.T) {
 				cancel()
 			})
 			defer restore()
-			k, o, err := MergeRunsContext(ctx, runK, runO, 64, workers)
+			k, err := MergeRunsContext(ctx, runK, 64, workers)
 			if !fired.Load() {
 				t.Fatal("LoserMerge site never fired on a truncating merge")
 			}
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}
-			if k != nil || o != nil {
+			if k != nil {
 				t.Fatalf("cancelled merge returned %d rows, want none", len(k))
 			}
 		})
@@ -215,17 +215,16 @@ func TestCancelledMergeRerunsIdentically(t *testing.T) {
 	keys, oids := cancelKeys(3*MergeCheckEvery, 37)
 	runs := sortedRuns(keys, oids, 5)
 	for _, workers := range []int{1, 2, 3} {
-		want, wantO := mustMergeRuns(t, keys, oids, runs, 0, workers)
-		runK, runO := splitAt(keys, oids, runs)
+		want := mustMergeRuns(t, keys, runs, 0, workers)
 		ctx, cancel := context.WithCancel(context.Background())
 		restore := faultinject.Set(faultinject.LoserMerge, cancel)
-		_, _, err := MergeRunsContext(ctx, runK, runO, 0, workers)
+		_, err := MergeRunsContext(ctx, splitAt(keys, runs), 0, workers)
 		restore()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: cancelled merge: err = %v", workers, err)
 		}
-		got, gotO := mustMergeRuns(t, keys, oids, runs, 0, workers)
-		checkMerged(t, fmt.Sprintf("workers=%d rerun", workers), got, gotO, want, wantO)
+		got := mustMergeRuns(t, keys, runs, 0, workers)
+		checkWords(t, fmt.Sprintf("workers=%d rerun", workers), got, want)
 	}
 }
 
@@ -236,10 +235,10 @@ func TestMergeSharePanicContained(t *testing.T) {
 	defer faultinject.Reset()
 	defer testutil.CheckNoLeaks(t)()
 	keys, oids := cancelKeys(20000, 41)
-	runK, runO := splitAt(keys, oids, sortedRuns(keys, oids, 4))
+	runK := splitAt(keys, sortedRuns(keys, oids, 4))
 	restore := faultinject.Set(faultinject.LoserMerge, func() { panic("injected share fault") })
 	defer restore()
-	_, _, err := MergeRunsContext(context.Background(), runK, runO, 0, 4)
+	_, err := MergeRunsContext(context.Background(), runK, 0, 4)
 	var pe *pipeerr.PipelineError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %T %v, want *pipeerr.PipelineError", err, err)

@@ -6,7 +6,6 @@ package mergesort
 var (
 	RadixSort   = radixSort
 	RadixChunks = radixChunks
-	SplitRuns   = splitRuns
 	KeyAtRank   = keyAtRank
 )
 

@@ -9,10 +9,10 @@ import (
 )
 
 // FuzzOVCMerge differences the offset-value-coded packed merge against
-// the plain one, and both against MergeRunsContext at the fuzzed worker
-// count, on arbitrary keys and run boundaries: all three must be
-// byte-identical in both keys and oids — OVC is a comparison surrogate,
-// never a tie-break change. The audit instrumentation is armed for the
+// the plain one on arbitrary keys and run boundaries: both must be
+// byte-identical in keys and oids — OVC is a comparison surrogate,
+// never a tie-break change — and their keys MergeRunsContext's words at
+// the fuzzed worker count. The audit instrumentation is armed for the
 // coded merge, so any code verdict contradicting the full keys fails
 // the run even when the outputs happen to agree.
 //
@@ -84,15 +84,15 @@ func FuzzOVCMerge(f *testing.F) {
 			t.Fatalf("bank %d n %d runs %d: %d code verdicts contradicted the keys", bank, n, nRuns, m)
 		}
 
-		runK, runO := mustMergeRuns(t, keys, oids, cuts, 0, workers)
+		runK := mustMergeRuns(t, keys, cuts, 0, workers)
 		for i := 0; i < n; i++ {
 			if onK[i] != offK[i] || onO[i] != offO[i] {
 				t.Fatalf("bank %d n %d runs %d: OVC diverges at %d: (%d,%d) vs (%d,%d)",
 					bank, n, nRuns, i, onK[i], onO[i], offK[i], offO[i])
 			}
-			if runK[i] != offK[i] || runO[i] != offO[i] {
-				t.Fatalf("bank %d n %d runs %d workers %d: MergeRunsContext diverges at %d: (%d,%d) vs (%d,%d)",
-					bank, n, nRuns, workers, i, runK[i], runO[i], offK[i], offO[i])
+			if runK[i] != offK[i] {
+				t.Fatalf("bank %d n %d runs %d workers %d: MergeRunsContext diverges at %d: %d vs %d",
+					bank, n, nRuns, workers, i, runK[i], offK[i])
 			}
 		}
 	})

@@ -10,11 +10,11 @@ import (
 )
 
 // FuzzTopKMerge drives MergeRunsContext's limit path with arbitrary
-// keys, fuzzed run boundaries, worker counts, and limits, against the
-// same stable (key, run-index) oracle as FuzzParallelMerge: the merge
-// must stop after exactly min(limit, n) rows, those rows must equal the
-// full merge's prefix byte-for-byte, and a second worker count must
-// return the same bytes.
+// words, fuzzed run boundaries, worker counts, and limits, against the
+// same slices.Sort oracle as FuzzParallelMerge: the merge must stop
+// after exactly min(limit, n) words, those words must equal the sorted
+// input's prefix, and a second worker count must return the same
+// bytes.
 func FuzzTopKMerge(f *testing.F) {
 	f.Add(uint16(0), uint16(2), uint16(2), uint16(1), []byte{})
 	f.Add(uint16(1), uint16(3), uint16(3), uint16(5), []byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0})
@@ -52,61 +52,19 @@ func FuzzTopKMerge(f *testing.F) {
 		cuts = append(cuts, n)
 		sort.Ints(cuts)
 
-		oids := make([]uint32, n)
-		for i := range oids {
-			oids[i] = uint32(i)
-		}
-		runOf := make([]int, n)
 		for r := 0; r+1 < len(cuts); r++ {
-			lo, hi := cuts[r], cuts[r+1]
-			seg := make([]int, hi-lo)
-			for i := range seg {
-				seg[i] = lo + i
-			}
-			sort.SliceStable(seg, func(a, b int) bool { return keys[seg[a]] < keys[seg[b]] })
-			sk := make([]uint64, hi-lo)
-			so := make([]uint32, hi-lo)
-			for i, idx := range seg {
-				sk[i] = keys[idx]
-				so[i] = oids[idx]
-			}
-			copy(keys[lo:hi], sk)
-			copy(oids[lo:hi], so)
-			for i := lo; i < hi; i++ {
-				runOf[i] = r
-			}
+			slices.Sort(keys[cuts[r]:cuts[r+1]])
 		}
 
-		type rec struct {
-			k   uint64
-			run int
-			oid uint32
+		got := mustMergeRuns(t, keys, cuts, limit, workers)
+		if want := min(limit, n); len(got) != want {
+			t.Fatalf("bank %d n %d limit %d workers %d: %d words, want %d", bank, n, limit, workers, len(got), want)
 		}
-		want := make([]rec, n)
-		for i := range want {
-			want[i] = rec{keys[i], runOf[i], oids[i]}
-		}
-		sort.SliceStable(want, func(a, b int) bool {
-			if want[a].k != want[b].k {
-				return want[a].k < want[b].k
-			}
-			return want[a].run < want[b].run
-		})
-
-		gotK, gotO := mustMergeRuns(t, keys, oids, cuts, limit, workers)
-		if want := min(limit, n); len(gotK) != want || len(gotO) != want {
-			t.Fatalf("bank %d n %d limit %d workers %d: %d keys and %d oids, want %d", bank, n, limit, workers, len(gotK), len(gotO), want)
-		}
-		for i := range gotK {
-			if gotK[i] != want[i].k || gotO[i] != want[i].oid {
-				t.Fatalf("bank %d n %d runs %d limit %d workers %d: prefix diverges at %d: got (%d,%d) want (%d,%d)",
-					bank, n, nRuns, limit, workers, i, gotK[i], gotO[i], want[i].k, want[i].oid)
-			}
-		}
+		checkWords(t, fmt.Sprintf("bank %d n %d runs %d limit %d workers %d", bank, n, nRuns, limit, workers), got, sortedPrefix(keys, limit))
 
 		// The output does not depend on the worker count.
-		gotK2, gotO2 := mustMergeRuns(t, keys, oids, cuts, limit, workers%8+1)
-		checkMerged(t, fmt.Sprintf("bank %d n %d limit %d workers %d", bank, n, limit, workers%8+1), gotK2, gotO2, gotK, gotO)
+		got2 := mustMergeRuns(t, keys, cuts, limit, workers%8+1)
+		checkWords(t, fmt.Sprintf("bank %d n %d limit %d workers %d", bank, n, limit, workers%8+1), got2, got)
 	})
 }
 

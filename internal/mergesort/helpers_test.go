@@ -2,6 +2,7 @@ package mergesort_test
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	. "repro/internal/mergesort"
@@ -40,26 +41,48 @@ func paperKernel(p Params, pp paper.Params) Params {
 	return p
 }
 
-// mustMergeRuns cuts keys/oids at the run bounds and merges the runs
-// with MergeRunsContext.
-func mustMergeRuns(tb testing.TB, keys []uint64, oids []uint32, runs []int, limit, workers int) ([]uint64, []uint32) {
+// mustMergeRuns cuts keys at the run bounds and merges the runs with
+// MergeRunsContext.
+func mustMergeRuns(tb testing.TB, keys []uint64, runs []int, limit, workers int) []uint64 {
 	tb.Helper()
-	k, o := splitAt(keys, oids, runs)
-	mk, mo, err := MergeRunsContext(context.Background(), k, o, limit, workers)
+	mk, err := MergeRunsContext(context.Background(), splitAt(keys, runs), limit, workers)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return mk, mo
+	return mk
 }
 
-// splitAt cuts keys/oids into the runs bounded by runs.
-func splitAt(keys []uint64, oids []uint32, runs []int) ([][]uint64, [][]uint32) {
+// splitAt cuts keys into the runs bounded by runs.
+func splitAt(keys []uint64, runs []int) [][]uint64 {
 	k := make([][]uint64, len(runs)-1)
-	o := make([][]uint32, len(runs)-1)
 	for r := range k {
-		k[r], o[r] = keys[runs[r]:runs[r+1]], oids[runs[r]:runs[r+1]]
+		k[r] = keys[runs[r]:runs[r+1]]
 	}
-	return k, o
+	return k
+}
+
+// sortedPrefix is the word merge's oracle: the first min(limit, n) of
+// keys in ascending order (limit ≤ 0: all of them).
+func sortedPrefix(keys []uint64, limit int) []uint64 {
+	out := slices.Clone(keys)
+	slices.Sort(out)
+	if limit > 0 && limit < len(out) {
+		out = out[:limit]
+	}
+	return out
+}
+
+// checkWords fails unless got is exactly want.
+func checkWords(t *testing.T, label string, got, want []uint64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d words, want %d", label, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s: diverges at %d: got %d want %d", label, i, got[i], want[i])
+		}
+	}
 }
 
 func mustTopK(tb testing.TB, bank int, keys []uint64, oids []uint32, limit int, p Params, workers int) int {

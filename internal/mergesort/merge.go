@@ -2,7 +2,7 @@ package mergesort
 
 import (
 	"context"
-	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/faultinject"
@@ -10,17 +10,18 @@ import (
 	"repro/internal/pipeerr"
 )
 
-// The one merge of sorted runs, under the coordinator's cross-shard
-// gather (internal/shard) and the paper kernel's chunk merge
-// (internal/mergesort/paper). It reads
-// unpacked runs in place: nothing is concatenated, packed or
-// offset-value coded. Across workers the output is cut into equal rank
-// shares, one selection (splitRuns) resolves each share boundary to a
-// cut in every run, and each share merges its co-partition with a loser
-// tree over the run heads, O(log k) per row — balanced by output rank
-// whatever the key skew. The merge is stable by run index and the
-// selection cuts equal keys by the same rule, so the output is
-// byte-identical at every worker count.
+// The one merge of sorted runs of words, under the coordinator's
+// cross-shard gather (internal/shard). It reads the runs in place:
+// nothing is concatenated, packed or offset-value coded, and no payload
+// travels with a word — a caller that needs one, or a stable order,
+// ends every word in it (the coordinator ends each in its entry's
+// global index, which makes the words distinct). Across workers the
+// output is cut into equal rank shares, one selection (SplitRuns)
+// resolves each share boundary to a cut in every run, and each share
+// merges its co-partitions one run at a time with a branch-free two-way
+// merge — balanced by output rank whatever the key skew.
+// Equal words are indistinguishable, so the output is byte-identical
+// at every worker count.
 
 var (
 	obsParMerges      = obs.NewCounter("mergesort.parallel_merges")
@@ -33,94 +34,83 @@ var (
 // rare enough that the poll is free.
 const mergeCheckEvery = 1 << 14
 
-// MergeRunsContext merges the sorted runs keys[r] with their payloads
-// pay[r] into one new pair, stable by run index: equal keys come out in
-// run order, and within a run in input order. It stops after exactly
-// min(limit, total) rows; limit ≤ 0 means all of them. A single
-// non-empty run comes back uncopied, cut to the limit. At workers ≥ 2
-// the rank shares merge concurrently, one pipeerr.Pass range each (site
-// faultinject.LoserMerge), and the output is byte-identical at every
-// worker count. The context is polled on entry, at every share boundary
-// and every mergeCheckEvery rows inside a share; on error no rows are
-// returned, and a share panic surfaces as a *pipeerr.PipelineError with
-// stage "merge". The runs are never written.
-func MergeRunsContext(ctx context.Context, keys [][]uint64, pay [][]uint32, limit, workers int) ([]uint64, []uint32, error) {
-	total, only, err := runTotal(keys, pay)
-	if err != nil {
-		return nil, nil, err
-	}
+// MergeRunsContext merges the ascending runs of words into one new
+// ascending run. It stops after exactly min(limit, total) words; limit
+// ≤ 0 means all of them. A single non-empty run comes back uncopied,
+// cut to the limit. At workers ≥ 2 the rank shares merge concurrently,
+// one pipeerr.Pass range each (site faultinject.LoserMerge), and the
+// output is byte-identical at every worker count. The context is polled
+// on entry, at every share boundary and every mergeCheckEvery rows
+// inside a share; on error no rows are returned, and a share panic
+// surfaces as a *pipeerr.PipelineError with stage "merge". The runs are
+// never written.
+func MergeRunsContext(ctx context.Context, runs [][]uint64, limit, workers int) ([]uint64, error) {
+	total, only := runTotal(runs)
 	n := total
 	if limit > 0 && limit < n {
 		n = limit
 	}
 	switch {
 	case ctx.Err() != nil:
-		return nil, nil, ctx.Err()
+		return nil, ctx.Err()
 	case n == 0:
-		return nil, nil, nil
+		return nil, nil
 	case only >= 0:
-		return keys[only][:n], pay[only][:n], nil
+		return runs[only][:n], nil
 	}
 	obsParMerges.Inc()
 	obsParMergeElems.Add(int64(n))
 
 	targets := pipeerr.Cut(n, workers, 1)
 	cuts := make([][]int, len(targets))
-	cuts[0] = make([]int, len(keys))
+	cuts[0] = make([]int, len(runs))
 	for i := 1; i < len(targets); i++ {
 		if err := ctx.Err(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		cuts[i] = splitRuns(keys, targets[i])
+		cuts[i] = SplitRuns(runs, targets[i])
 	}
 
-	outK, outP := make([]uint64, n), make([]uint32, n)
+	out := make([]uint64, n)
 	busy := pipeerr.StartBusy(workers)
 	shares := pipeerr.Pass{Stage: pipeerr.StageMerge, Round: -1, Site: faultinject.LoserMerge, Busy: busy}
-	err = shares.Ranges(ctx, workers, len(targets)-1, func(gctx context.Context, w int) error {
-		lo, hi := targets[w], targets[w+1]
-		return mergeShare(gctx, keys, pay, cuts[w], cuts[w+1], outK[lo:hi], outP[lo:hi])
+	err := shares.Ranges(ctx, workers, len(targets)-1, func(gctx context.Context, w int) error {
+		return mergeShare(gctx, runs, cuts[w], cuts[w+1], out[targets[w]:targets[w+1]])
 	})
 	if err == nil {
 		err = ctx.Err() // a cancellation during the last stride still counts
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	busy.Publish(obsParEffX1000)
-	return outK, outP, nil
+	return out, nil
 }
 
-// runTotal checks that every run pairs its keys with payloads and
-// returns the runs' total length and the index of the one non-empty run
-// (-1 when none or several are).
-func runTotal(keys [][]uint64, pay [][]uint32) (total, only int, err error) {
-	if len(keys) != len(pay) {
-		return 0, 0, fmt.Errorf("mergesort: %d key runs but %d payload runs", len(keys), len(pay))
-	}
+// runTotal returns the runs' total length and the index of the one
+// non-empty run (-1 when none or several are).
+func runTotal(runs [][]uint64) (total, only int) {
 	only = -1
-	for r := range keys {
-		if len(keys[r]) != len(pay[r]) {
-			return 0, 0, fmt.Errorf("mergesort: run %d has %d keys but %d payloads", r, len(keys[r]), len(pay[r]))
-		}
+	for r, run := range runs {
 		switch {
-		case len(keys[r]) == 0:
+		case len(run) == 0:
 		case total == 0:
 			only = r
 		default:
 			only = -1
 		}
-		total += len(keys[r])
+		total += len(run)
 	}
-	return total, only, nil
+	return total, only
 }
 
-// splitRuns returns, for output rank t of the stable merge of runs, the
-// cut in every run such that the merge's first t rows are exactly the
-// rows below the cuts. Rows below the key at rank t are all in; the ties
-// of that key go to runs in index order — the rule the merge itself
-// breaks ties by — until the rank is met.
-func splitRuns(runs [][]uint64, t int) []int {
+// SplitRuns returns, for output rank t of the merge of the ascending
+// runs, the cut in every run such that the merge's first t rows are
+// exactly the rows below the cuts. Rows below the key at rank t are all
+// in; the ties of that key go to runs in index order until the rank is
+// met — the rule a merge stable by run index breaks ties by, so the
+// paper kernel's merge of (key, oid) pairs shares this selection.
+func SplitRuns(runs [][]uint64, t int) []int {
 	cuts := make([]int, len(runs))
 	v := keyAtRank(runs, t+1)
 	extra := t
@@ -168,75 +158,62 @@ func upperBound(run []uint64, lo int, v uint64) int {
 	return lo + sort.Search(len(run)-lo, func(i int) bool { return run[lo+i] > v })
 }
 
-// mergeShare merges the co-partition keys[r][from[r]:to[r]] of every
-// run into dk/dp with its payload — exactly len(dk) rows — popping the
-// winner of a loser tree over the run heads (leafHeads) and polling the
-// context every mergeCheckEvery rows.
-func mergeShare(ctx context.Context, keys [][]uint64, pay [][]uint32, from, to []int, dk []uint64, dp []uint32) error {
-	head, tag, tree := leafHeads(keys, from, to)
-	pos := append([]int(nil), from...)
-	kp, k := len(tree), len(keys)
-	w := tree[0]
-	credit := mergeCheckEvery
-	for d := range dk {
-		if credit--; credit == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			credit = mergeCheckEvery
+// mergeShare merges the co-partitions runs[r][from[r]:to[r]] into dst
+// — exactly len(dst) rows — one run at a time: the merge of the first
+// p+1 runs is written to the tail of dst that the later runs leave
+// free, where the next merge reads it while writing ahead of it (it
+// writes row i+j only after reading row i of the merged runs, which
+// sits len(next run) rows later), so no scratch is needed. A two-way
+// merge is branch-free, and for the few runs a merge sees (one per
+// shard) cheaper per pass than a loser tree's walk is per row.
+func mergeShare(ctx context.Context, runs [][]uint64, from, to []int, dst []uint64) error {
+	parts := coPartitions(runs, from, to)
+	if len(parts) == 1 {
+		copy(dst, parts[0]) // one co-partition: the share itself
+	}
+	if len(parts) < 2 {
+		return nil
+	}
+	acc, rest := parts[0], len(dst)-len(parts[0])
+	for _, run := range parts[1:] {
+		rest -= len(run)
+		out := dst[rest : rest+len(acc)+len(run)]
+		if err := merge2(ctx, acc, run, out); err != nil {
+			return err
 		}
-		key, p := head[w], pos[w]
-		dk[d], dp[d] = key, pay[w][p]
-		p++
-		pos[w] = p
-		if p < to[w] {
-			if head[w] = keys[w][p]; head[w] == key {
-				continue // an equal successor wins every duel its predecessor did
-			}
-		} else {
-			head[w], tag[w] = ^uint64(0), w+k
-		}
-		for node := (kp + w) / 2; node >= 1; node /= 2 {
-			if s := tree[node]; beats(head, tag, s, w) {
-				tree[node], w = w, s
-			}
-		}
+		acc = out
 	}
 	return nil
 }
 
-// leafHeads builds a loser tree over the heads of the co-runs
-// keys[r][from[r]:to[r]], padded to a power of two leaves, under the
-// strict order (head, tag): a live leaf's tag is its run index and an
-// exhausted leaf's lies past every index, its head all ones, so
-// exhausted runs and padding lose every duel without a branch of their
-// own, and ties go to the lower run. tree[node] is the loser stored at
-// node, tree[0] the winner.
-func leafHeads(keys [][]uint64, from, to []int) (head []uint64, tag, tree []int) {
-	k, kp := len(keys), 1
-	for kp < k {
-		kp *= 2
-	}
-	head, tag, tree = make([]uint64, kp), make([]int, kp), make([]int, kp)
-	win := make([]int, 2*kp)
-	for r := range head {
-		head[r], tag[r], win[kp+r] = ^uint64(0), r+k, r
-		if r < k && from[r] < to[r] {
-			head[r], tag[r] = keys[r][from[r]], r
+// coPartitions returns the non-empty co-partitions runs[r][from[r]:to[r]].
+func coPartitions(runs [][]uint64, from, to []int) [][]uint64 {
+	parts := make([][]uint64, 0, len(runs))
+	for r, run := range runs {
+		if from[r] < to[r] {
+			parts = append(parts, run[from[r]:to[r]])
 		}
 	}
-	for node := kp - 1; node >= 1; node-- {
-		a, b := win[2*node], win[2*node+1]
-		if beats(head, tag, b, a) {
-			a, b = b, a
-		}
-		win[node], tree[node] = a, b
-	}
-	tree[0] = win[1]
-	return head, tag, tree
+	return parts
 }
 
-// beats reports whether leaf a's head precedes leaf b's.
-func beats(head []uint64, tag []int, a, b int) bool {
-	return head[a] < head[b] || head[a] == head[b] && tag[a] < tag[b]
+// merge2 merges the ascending a and b into dst, polling the context
+// every mergeCheckEvery rows. The borrow of one subtraction picks the
+// smaller head and advances its run, without a branch.
+func merge2(ctx context.Context, a, b, dst []uint64) error {
+	i, j, d := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		for end := min(d+mergeCheckEvery, len(dst)); d < end && i < len(a) && j < len(b); d++ {
+			x, y := a[i], b[j]
+			_, c := bits.Sub64(y, x, 0) // 1 when b's head is the smaller
+			dst[d] = x ^ (x^y)&-c
+			i, j = i+int(c^1), j+int(c)
+		}
+	}
+	d += copy(dst[d:], a[i:])
+	copy(dst[d:], b[j:])
+	return nil
 }

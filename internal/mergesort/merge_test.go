@@ -31,10 +31,11 @@ func mergeInputs(n int, seed int64) map[string][]uint64 {
 	return in
 }
 
-// TestMergeRunsMatchesOracleAndPacked pins MergeRunsContext to the
-// stable (key, run index) oracle and to paper.MergePacked byte for
-// byte, at every worker count and limit: the limited merge is the full
-// merge's prefix of exactly min(limit, n) rows.
+// TestMergeRunsMatchesOracleAndPacked pins paper.MergePacked to the
+// stable (key, run index) oracle and MergeRunsContext to the sorted
+// words — the packed merge's keys — at every worker count and limit:
+// the limited merge is the full merge's prefix of exactly min(limit, n)
+// words.
 func TestMergeRunsMatchesOracleAndPacked(t *testing.T) {
 	const n = 5000
 	for name, keys := range mergeInputs(n, 5) {
@@ -46,10 +47,11 @@ func TestMergeRunsMatchesOracleAndPacked(t *testing.T) {
 			mustMergePacked(t, 64, packedK, packedO, runs, paper.Params{})
 			checkMerged(t, fmt.Sprintf("%s runs=%d packed", name, nRuns), packedK, packedO, wantK, wantO)
 			for _, limit := range []int{1, n / 2, n, n + 7} {
-				m := min(limit, n)
+				want := sortedPrefix(k, limit)
+				checkWords(t, fmt.Sprintf("%s runs=%d limit=%d oracle", name, nRuns, limit), want, packedK[:min(limit, n)])
 				for _, w := range []int{1, 2, 3, 8} {
-					gotK, gotO := mustMergeRuns(t, k, oids, runs, limit, w)
-					checkMerged(t, fmt.Sprintf("%s runs=%d limit=%d workers=%d", name, nRuns, limit, w), gotK, gotO, packedK[:m], packedO[:m])
+					got := mustMergeRuns(t, k, runs, limit, w)
+					checkWords(t, fmt.Sprintf("%s runs=%d limit=%d workers=%d", name, nRuns, limit, w), got, want)
 				}
 			}
 		}
@@ -87,13 +89,12 @@ func TestPaperKernelParallelSortIsChunkSortsPlusPackedMerge(t *testing.T) {
 // limit, not a copy.
 func TestMergeRunsSingleRunUncopied(t *testing.T) {
 	keys := []uint64{1, 2, 2, 5}
-	oids := []uint32{9, 8, 7, 6}
 	for _, c := range []struct{ limit, want int }{{0, 4}, {3, 3}} {
-		k, o, err := MergeRunsContext(context.Background(), [][]uint64{nil, keys, {}}, [][]uint32{nil, oids, {}}, c.limit, 2)
+		k, err := MergeRunsContext(context.Background(), [][]uint64{nil, keys, {}}, c.limit, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(k) != c.want || len(o) != c.want || &k[0] != &keys[0] || &o[0] != &oids[0] {
+		if len(k) != c.want || &k[0] != &keys[0] {
 			t.Fatalf("limit=%d: got %d rows at %p, want %d rows of the run itself at %p", c.limit, len(k), &k[0], c.want, &keys[0])
 		}
 	}

@@ -1,11 +1,14 @@
 package paper
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -73,6 +76,18 @@ func TestProductionDoesNotLinkPaper(t *testing.T) {
 // relative to the module root) and fails if they reach a banned one.
 func assertNotLinked(t *testing.T, root string, banned ...string) {
 	t.Helper()
+	deps := moduleDeps(t, root)
+	for _, b := range banned {
+		if deps[modulePath+"/"+b] {
+			t.Errorf("%s depends on %s", root, b)
+		}
+	}
+}
+
+// moduleDeps returns the in-module packages root (a directory relative
+// to the module root) imports, directly or not, root included.
+func moduleDeps(t *testing.T, root string) map[string]bool {
+	t.Helper()
 	byPkg := map[string][]string{}
 	for file, imports := range moduleImports(t) {
 		pkg := modulePath + "/" + filepath.Dir(file)
@@ -95,11 +110,61 @@ func assertNotLinked(t *testing.T, root string, banned ...string) {
 	if !deps[modulePath+"/internal/mergesort"] {
 		t.Fatalf("the import walk from %s never reached internal/mergesort: it reads the wrong files", root)
 	}
-	for _, b := range banned {
-		if deps[modulePath+"/"+b] {
-			t.Errorf("%s depends on %s", root, b)
+	return deps
+}
+
+// TestDaemonHasNoPairMerge pins that the daemon merges sorted runs of
+// words only: no non-test function in cmd/mcsd's in-module dependencies
+// takes runs of keys beside runs of payloads ([][]uint64 and
+// [][]uint32) — the pair form of the merge, which only this package's
+// chunk merge keeps. The same detector must find that chunk merge here,
+// so that it cannot pass by reading nothing.
+func TestDaemonHasNoPairMerge(t *testing.T) {
+	root := moduleRoot(t)
+	for pkg := range moduleDeps(t, "cmd/mcsd") {
+		for _, fn := range pairMerges(t, filepath.Join(root, strings.TrimPrefix(pkg, modulePath+"/"))) {
+			t.Errorf("%s: %s merges (key, payload) runs", pkg, fn)
 		}
 	}
+	if got := pairMerges(t, filepath.Join(root, "internal/mergesort/paper")); !slices.Contains(got, "mergeChunks") {
+		t.Errorf("the detector finds %v in the paper kernel, want mergeChunks among them", got)
+	}
+}
+
+// pairMerges names the functions of the non-test Go files in dir whose
+// parameters include both a [][]uint64 and a [][]uint32.
+func pairMerges(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var found []string
+	fset := token.NewFileSet()
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			seen := map[string]bool{}
+			for _, field := range fn.Type.Params.List {
+				seen[types.ExprString(field.Type)] = true
+			}
+			if seen["[][]uint64"] && seen["[][]uint32"] {
+				found = append(found, fn.Name.Name)
+			}
+		}
+	}
+	return found
 }
 
 // moduleImports returns the import paths of every non-test Go file in

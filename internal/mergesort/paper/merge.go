@@ -17,8 +17,8 @@ const mergeCheckEvery = 1 << 14
 // with the paper's packed merge: pack, one offset-value-coded loser tree
 // over every run (treeMerge), unpack. The output is byte-identical for
 // either setting of p.DisableOVC, which differential tests use to
-// compare the coded merge against the plain one, and to
-// mergesort.MergeRunsContext's. It serves the paper-side measurements:
+// compare the coded merge against the plain one, and its keys to
+// mergesort.MergeRunsContext's words. It serves the paper-side measurements:
 // the cost model's OVC discount calibration, the OVC skew sweep, and the
 // OVC on/off and audit batteries. Keys and oids must pair up and runs
 // bound ascending runs covering them exactly. On cancellation keys and

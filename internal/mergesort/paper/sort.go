@@ -83,7 +83,7 @@ var (
 // 2^bank) with their oids in place, the caller having checked that they
 // pair up. Across workers it sorts one chunk per worker — cut on whole
 // v×v in-register blocks, so phase 1 sees the blocks the whole-input
-// sort would — merges them with mergesort.MergeRunsContext and copies
+// sort would — merges them stably by chunk index (mergeChunks) and copies
 // the rows back. Its networks leave ties in no particular order, so a
 // last scan sorts the oids of every run of equal keys: ties come back
 // oid-ascending, the hook's contract. The context is polled between
@@ -146,7 +146,7 @@ func sortChunks(ctx context.Context, k bankKernels, keys []uint64, oids []uint32
 	if err != nil {
 		return err
 	}
-	mk, mo, err := mergesort.MergeRunsContext(ctx, runK, runO, 0, workers)
+	mk, mo, err := mergeChunks(ctx, runK, runO, workers)
 	if err != nil {
 		return err
 	}

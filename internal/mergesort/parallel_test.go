@@ -15,12 +15,13 @@ import (
 // Oracle-differential tests for the merges of sorted runs and the
 // parallel sort.
 //
-// MergeRunsContext promises byte-identical output for every worker
-// count, and the paper's packed merge (paper.MergePacked) the same merge
-// (stable by run index); the oracle is an independent implementation —
-// sort.SliceStable over (key, run index), which preserves intra-run
-// order by stability. ParallelSort under the production kernel promises
-// exactly Sort's output, ties included.
+// MergeRunsContext promises the ascending merge of its words for every
+// worker count — the oracle is slices.Sort over the concatenated runs —
+// and the paper's packed merge (paper.MergePacked) the merge of (key,
+// oid) pairs stable by run index; its oracle is an independent
+// implementation — sort.SliceStable over (key, run index), which
+// preserves intra-run order by stability. ParallelSort under the
+// production kernel promises exactly Sort's output, ties included.
 
 var parWorkerCounts = []int{1, 2, 3, 4, 8}
 
@@ -116,9 +117,10 @@ func TestParallelMergeMatchesOracle(t *testing.T) {
 				packedO := append([]uint32(nil), oids...)
 				mustMergePacked(t, bank, packedK, packedO, runs, paper.Params{})
 				checkMerged(t, fmt.Sprintf("%s bank=%d runs=%d packed", name, bank, nRuns), packedK, packedO, wantK, wantO)
+				want := sortedPrefix(k, 0)
 				for _, w := range parWorkerCounts {
-					gotK, gotO := mustMergeRuns(t, k, oids, runs, 0, w)
-					checkMerged(t, fmt.Sprintf("%s bank=%d runs=%d workers=%d", name, bank, nRuns, w), gotK, gotO, wantK, wantO)
+					got := mustMergeRuns(t, k, runs, 0, w)
+					checkWords(t, fmt.Sprintf("%s bank=%d runs=%d workers=%d", name, bank, nRuns, w), got, want)
 				}
 			}
 		}
@@ -229,7 +231,8 @@ func TestParallelSortChunksCountPhases(t *testing.T) {
 
 // TestSplitRunsConsistency pins the one selection against the stable
 // merge oracle, over runs some of which are empty: for any rank t the
-// cuts select exactly the first t rows of the (key, run index) merge,
+// cuts select exactly the first t rows of the (key, run index) merge —
+// the word merge's shares and the paper kernel's pair merge's alike —
 // and keyAtRank names the key at each rank.
 func TestSplitRunsConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -237,7 +240,7 @@ func TestSplitRunsConsistency(t *testing.T) {
 		for _, k := range []int{3, 5, 8, 9} {
 			keys, runs := randomRuns(rng, k)
 			wantK, wantPos := mergeOracle(keys, identOids(len(keys)), runs)
-			split, _ := splitAt(keys, identOids(len(keys)), runs)
+			split := splitAt(keys, runs)
 			for t0 := 0; t0 <= len(wantK); t0++ {
 				if t0 > 0 {
 					if got := KeyAtRank(split, t0); got != wantK[t0-1] {
@@ -269,8 +272,9 @@ func TestSplitRunsConsistency(t *testing.T) {
 
 // TestParallelMergeOVCOnOffIdentical sweeps key cardinality (all-ties
 // through nearly-unique) and pins that the offset-value-coded packed
-// merge, the plain one, and MergeRunsContext at every worker count
-// produce byte-identical (keys, oids) — the stable oracle's.
+// merge and the plain one produce byte-identical (keys, oids) — the
+// stable oracle's — and MergeRunsContext at every worker count their
+// keys.
 func TestParallelMergeOVCOnOffIdentical(t *testing.T) {
 	const n = 4000
 	for _, bank := range Banks {
@@ -292,8 +296,8 @@ func TestParallelMergeOVCOnOffIdentical(t *testing.T) {
 				checkMerged(t, fmt.Sprintf("bank=%d card=%d ovcOff=%v", bank, card, disableOVC), gotK, gotO, wantK, wantO)
 			}
 			for _, w := range []int{1, 2, 4, 8} {
-				gotK, gotO := mustMergeRuns(t, keys, oids, runs, 0, w)
-				checkMerged(t, fmt.Sprintf("bank=%d card=%d workers=%d", bank, card, w), gotK, gotO, wantK, wantO)
+				got := mustMergeRuns(t, keys, runs, 0, w)
+				checkWords(t, fmt.Sprintf("bank=%d card=%d workers=%d", bank, card, w), got, wantK)
 			}
 		}
 	}

@@ -17,10 +17,9 @@ import (
 //
 // Two contracts are pinned:
 //
-//   - MergeRunsContext under a limit returns exactly min(limit, n) rows,
-//     the full merge's stable (key, run-index) prefix byte-for-byte, at
-//     every worker count, including the all-equal-keys input whose cut
-//     falls inside one tie group.
+//   - MergeRunsContext under a limit returns exactly min(limit, n) words,
+//     the sorted input's prefix, at every worker count, including the
+//     all-equal-keys input whose cut falls inside one tie group.
 //   - TopK's survivor count m is value-defined (tie-extended), so it is
 //     identical at every worker count and under either kernel, and
 //     keys[:m] and oids[:m] equal the stable full sort's prefix byte for
@@ -49,13 +48,11 @@ func TestParallelMergeTopKMatchesOraclePrefix(t *testing.T) {
 				oids := identOids(n)
 				k := append([]uint64(nil), keys...)
 				runs := sortedRuns(k, oids, nRuns)
-				wantK, wantO := mergeOracle(k, oids, runs)
 				for _, limit := range topkLimits(n) {
-					m := min(limit, n)
+					want := sortedPrefix(k, limit)
 					for _, w := range parWorkerCounts {
-						gotK, gotO := mustMergeRuns(t, k, oids, runs, limit, w)
-						label := fmt.Sprintf("%s bank=%d runs=%d limit=%d workers=%d", name, bank, nRuns, limit, w)
-						checkMerged(t, label, gotK, gotO, wantK[:m], wantO[:m])
+						got := mustMergeRuns(t, k, runs, limit, w)
+						checkWords(t, fmt.Sprintf("%s bank=%d runs=%d limit=%d workers=%d", name, bank, nRuns, limit, w), got, want)
 					}
 				}
 			}
@@ -214,10 +211,6 @@ func TestTopKValidation(t *testing.T) {
 		_, err := TopKContext(ctx, 32, keys, oids, limit, p, 1)
 		return err
 	}
-	merge := func(keys [][]uint64, oids [][]uint32) error {
-		_, _, err := MergeRunsContext(ctx, keys, oids, 0, 1)
-		return err
-	}
 	cases := []struct {
 		name string
 		err  error
@@ -231,8 +224,6 @@ func TestTopKValidation(t *testing.T) {
 		{"small sort bank 48", SortScratchContext(ctx, 48, keys[:8], oids[:8], p, nil)},
 		{"paper kernel sort bank 48", SortWithParamsContext(ctx, 48, keys, oids, paperKernel(p, paper.Params{}))},
 		{"parallel sort bank 48", ParallelSortWithParamsContext(ctx, 48, keys, oids, Params{ParallelThreshold: 8}, 4)},
-		{"merge run count mismatch", merge([][]uint64{keys}, nil)},
-		{"merge run len mismatch", merge([][]uint64{keys[:8], keys[8:]}, [][]uint32{oids[:8], oids[9:]})},
 		{"topk limit=0", topK(oids, 0)},
 		{"topk limit=-3", topK(oids, -3)},
 		{"topk len mismatch", topK(oids[:10], 5)},

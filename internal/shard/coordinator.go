@@ -300,7 +300,7 @@ func (c *Coordinator) execute(ctx context.Context, jobID string, req server.Quer
 	if q.Window != nil {
 		res.Ranks, res.RowOids, err = mergeWindowRuns(ctx, runs[0], gth, req.Limit, req.Offset, workers)
 	} else {
-		res.GroupKeys, res.Aggregates, err = mergeGroupParts(ctx, q, req, gth.sp, runs, workers)
+		res.GroupKeys, res.Aggregates, err = mergeGroupParts(ctx, q, req, gth, runs, workers)
 	}
 	span.End()
 	if err != nil {
@@ -354,7 +354,7 @@ func buildSubRequests(req server.QueryRequest, q engine.Query, pin []int) []serv
 // table: cross-check avg's two sub-queries, merge-and-combine, then
 // re-apply the pieces the sub-queries stripped (the aggregate sort of
 // ORDER BY <agg>, the avg division, the LIMIT/OFFSET window).
-func mergeGroupParts(ctx context.Context, q engine.Query, req server.QueryRequest, sp mergeSpec, runs [][]*run, workers int) ([][]uint64, []uint64, error) {
+func mergeGroupParts(ctx context.Context, q engine.Query, req server.QueryRequest, g *gather, runs [][]*run, workers int) ([][]uint64, []uint64, error) {
 	avg := q.Agg != nil && q.Agg.Kind == engine.Avg
 	if avg {
 		for si := range runs[0] {
@@ -367,7 +367,7 @@ func mergeGroupParts(ctx context.Context, q engine.Query, req server.QueryReques
 		}
 	}
 
-	merged, err := mergeGroupRuns(ctx, runs[0], sp, workers)
+	merged, err := mergeGroupRuns(ctx, runs[0], g, workers)
 	if err != nil {
 		return nil, nil, err
 	}

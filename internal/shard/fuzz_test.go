@@ -140,6 +140,24 @@ func referenceMerge(parts []groupsPart, sp mergeSpec, withAux bool) *groupsPart 
 	return out
 }
 
+// boundarySpec is sp with its widths stretched so that the key and the
+// index of a table of n rows take exactly total bits: the key bits
+// spread evenly over the columns, the first column taking the rest.
+// Every column is then at least 19 bits wide, so codes that fit sp's
+// widths fit these, and keep their order under each column's
+// direction.
+func boundarySpec(sp mergeSpec, n, total int) mergeSpec {
+	m := len(sp.order)
+	key := total - sp.forRows(n).idxBits
+	widths := make([]int, m)
+	for c := range widths {
+		widths[c] = key / m
+	}
+	widths[0] += key % m
+	sp.widths = widths
+	return sp.forRows(n)
+}
+
 func FuzzShardMerge(f *testing.F) {
 	f.Add(uint16(0), []byte{})
 	f.Add(uint16(1), []byte{2, 3, 1, 2, 3, 2, 4, 5, 6, 3, 1, 1, 9})
@@ -152,73 +170,85 @@ func FuzzShardMerge(f *testing.F) {
 		withAux := shape>>1&1 == 1
 		canon := shape&1 == 1
 		parts := decodeParts(data, sp, canon, withAux)
-		ctx := context.Background()
-
-		merged, err := mergeGroups(ctx, parts, sp, 2)
-		if err != nil {
-			if canon {
-				t.Fatalf("canonical parts rejected: %v", err)
-			}
-			if !errors.Is(err, errShardInvalid) {
-				t.Fatalf("raw parts rejected with a non-taxonomy error: %v", err)
-			}
-			return
-		}
-
-		// Whatever survived must be a well-formed combined table: strict
-		// ascending massaged order, lengths aligned.
-		if len(merged.agg) != len(merged.keys) || (merged.aux != nil && len(merged.aux) != len(merged.keys)) {
-			t.Fatalf("merged table misaligned: %d keys, %d agg, %d aux", len(merged.keys), len(merged.agg), len(merged.aux))
-		}
-		var prev []uint64
-		for g, vec := range merged.keys {
-			cur := massagedVec(sp, vec)
-			if g > 0 && slices.Compare(prev, cur) >= 0 {
-				t.Fatalf("merged group %d out of order", g)
-			}
-			prev = cur
-		}
-
-		if !canon {
-			return
-		}
-		want := referenceMerge(parts, sp, withAux)
-		if len(merged.keys) != len(want.keys) {
-			t.Fatalf("merged %d groups, reference has %d", len(merged.keys), len(want.keys))
-		}
-		for g := range want.keys {
-			if !slices.Equal(merged.keys[g], want.keys[g]) || merged.agg[g] != want.agg[g] {
-				t.Fatalf("group %d = (%v, %d), reference (%v, %d)",
-					g, merged.keys[g], merged.agg[g], want.keys[g], want.agg[g])
-			}
-			if withAux && merged.aux[g] != want.aux[g] {
-				t.Fatalf("group %d aux = %d, reference %d", g, merged.aux[g], want.aux[g])
-			}
-		}
-
-		// Path equivalence: the packed-64 and wide lexicographic merges
-		// must order the same valid runs identically.
-		if sp.totalWidth() > 64 {
-			return
-		}
-		flat := make(map[string][]uint32)
-		for form, fsp := range bothForms(sp) {
-			runs, err := groupRuns(ctx, parts, fsp)
-			if err != nil {
-				t.Fatalf("%s keys: canonical part rejected: %v", form, err)
-			}
-			if flat[form], err = mergedPayload(ctx, runs, fsp, 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-		packed, wide := flat["packed"], flat["wide"]
-		if len(packed) != len(wide) {
-			t.Fatalf("packed merge has %d elements, wide %d", len(packed), len(wide))
-		}
-		for i := range packed {
-			if packed[i] != wide[i] {
-				t.Fatalf("flat order diverges at %d: packed %d, wide %d", i, packed[i], wide[i])
-			}
-		}
+		// Every input runs under its decoded widths and again with the
+		// widths stretched so that key and index take 62, 63 or 64 bits:
+		// the last packed word, and the first code vector.
+		checkGroupMerge(t, parts, sp, canon, withAux)
+		checkGroupMerge(t, parts, boundarySpec(sp, groupRows(parts), 62+int(shape>>2)%3), canon, withAux)
 	})
+}
+
+// checkGroupMerge is one FuzzShardMerge case: the merge of parts under
+// sp, at workers 1 and 2 and in every key form the spec fits.
+func checkGroupMerge(t *testing.T, parts []groupsPart, sp mergeSpec, canon, withAux bool) {
+	t.Helper()
+	ctx := context.Background()
+	merged, err := mergeGroups(ctx, parts, sp, 2)
+	if err != nil {
+		if canon {
+			t.Fatalf("canonical parts rejected: %v", err)
+		}
+		if !errors.Is(err, errShardInvalid) {
+			t.Fatalf("raw parts rejected with a non-taxonomy error: %v", err)
+		}
+		return
+	}
+
+	// Whatever survived must be a well-formed combined table: strict
+	// ascending massaged order, lengths aligned.
+	if len(merged.agg) != len(merged.keys) || (merged.aux != nil && len(merged.aux) != len(merged.keys)) {
+		t.Fatalf("merged table misaligned: %d keys, %d agg, %d aux", len(merged.keys), len(merged.agg), len(merged.aux))
+	}
+	var prev []uint64
+	for g, vec := range merged.keys {
+		cur := massagedVec(sp, vec)
+		if g > 0 && slices.Compare(prev, cur) >= 0 {
+			t.Fatalf("merged group %d out of order", g)
+		}
+		prev = cur
+	}
+
+	if !canon {
+		return
+	}
+	want := referenceMerge(parts, sp, withAux)
+	forms := bothForms(sp, groupRows(parts))
+	if forms["packed"].wide {
+		delete(forms, "packed")
+	}
+	flat := make(map[string][]uint32)
+	for form, fsp := range forms {
+		for _, workers := range []int{1, 2} {
+			merged, err := mergeGroups(ctx, parts, fsp, workers)
+			if err != nil {
+				t.Fatalf("%s keys: canonical parts rejected: %v", form, err)
+			}
+			if len(merged.keys) != len(want.keys) {
+				t.Fatalf("%s keys, workers %d: merged %d groups, reference has %d", form, workers, len(merged.keys), len(want.keys))
+			}
+			for g := range want.keys {
+				if !slices.Equal(merged.keys[g], want.keys[g]) || merged.agg[g] != want.agg[g] {
+					t.Fatalf("%s keys, workers %d: group %d = (%v, %d), reference (%v, %d)",
+						form, workers, g, merged.keys[g], merged.agg[g], want.keys[g], want.agg[g])
+				}
+				if withAux && merged.aux[g] != want.aux[g] {
+					t.Fatalf("%s keys, workers %d: group %d aux = %d, reference %d", form, workers, g, merged.aux[g], want.aux[g])
+				}
+			}
+		}
+
+		// Path equivalence: the packed and code-vector merges must order
+		// the same valid runs identically.
+		g := groupGather(parts, fsp)
+		runs, err := groupRuns(ctx, g, parts)
+		if err != nil {
+			t.Fatalf("%s keys: canonical part rejected: %v", form, err)
+		}
+		if flat[form], err = mergedIndexes(ctx, runs, fsp, 0, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if packed, ok := flat["packed"]; ok && !slices.Equal(packed, flat["wide"]) {
+		t.Fatalf("flat order diverges: packed %v, wide %v", packed, flat["wide"])
+	}
 }

@@ -18,9 +18,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/column"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/server"
+	"repro/internal/table"
 	"repro/internal/testutil"
 )
 
@@ -158,10 +160,22 @@ func TestCoordinatorRejectsShortRun(t *testing.T) {
 // serves — window, LIMIT window, group table, a clause wider than 64
 // bits — reaches the paper's packed stack: neither the packed merge
 // (mergesort.ovc_merges) nor a phase-3 pass of the paper kernel moves,
-// while every clause of at most 64 bits runs MergeRunsContext.
+// while every clause whose key and global index fit 63 bits runs
+// MergeRunsContext and every wider one mergeWide. The boundary pair
+// sits on the edge table (1,501 rows, an 11-bit index): a 52-bit
+// window key takes 63 bits with its index and merges as words, a 53-bit
+// one takes 64 and merges as code vectors; both answer byte for byte
+// what the single node does.
 func TestCoordinatorQueriesSkipPackedMerge(t *testing.T) {
 	defer testutil.CheckNoLeaks(t)()
-	tables := batteryTables(t)
+	const n = 1501
+	edge := table.New("edge", n)
+	for _, c := range []*column.Column{synthCol("e1", 26, n, 4, 21), synthCol("e2", 26, n, 0, 22), synthCol("e3", 1, n, 0, 23)} {
+		if err := edge.Add(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tables := append(batteryTables(t), edge)
 	coord, done := newTopology(t, tables, 3, Config{DefaultWorkers: 2})
 	defer done()
 
@@ -174,19 +188,26 @@ func TestCoordinatorQueriesSkipPackedMerge(t *testing.T) {
 	wide := server.QueryRequest{Table: "wide", Kind: "groupby",
 		SortCols: []server.SortColReq{{Name: "w1"}, {Name: "w2"}, {Name: "w3"}, {Name: "w4"}, {Name: "w5"}},
 		Agg:      &server.AggReq{Kind: "count"}}
+	edge63 := server.QueryRequest{Table: "edge", Kind: "partitionby",
+		SortCols: []server.SortColReq{{Name: "e1"}}, Window: &server.WindowReq{OrderCol: "e2", Desc: true}}
+	edge64 := edge63
+	edge64.SortCols = []server.SortColReq{{Name: "e1"}, {Name: "e3"}}
 	counter := func(name string) int64 { return obs.NewCounter(name).Value() }
 	for _, tc := range []struct {
 		name   string
 		req    server.QueryRequest
-		merges bool // a clause of at most 64 bits: MergeRunsContext runs
+		merges bool // key and index fit 63 bits: MergeRunsContext runs
 	}{
 		{"window", window, true},
 		{"limit", limited, true},
 		{"group", groups, true},
 		{"wide", wide, false},
+		{"edge63", edge63, true},
+		{"edge64", edge64, false},
 	} {
 		ovc0, p30, elems0 := counter("mergesort.ovc_merges"), counter("mergesort.phase3_merge_passes"), counter("mergesort.parallel_merge_elements")
-		if _, err := coord.Run(context.Background(), tc.req); err != nil {
+		res, err := coord.Run(context.Background(), tc.req)
+		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if d := counter("mergesort.ovc_merges") - ovc0; d != 0 {
@@ -197,6 +218,11 @@ func TestCoordinatorQueriesSkipPackedMerge(t *testing.T) {
 		}
 		if merged := counter("mergesort.parallel_merge_elements") > elems0; merged != tc.merges {
 			t.Errorf("%s: MergeRunsContext ran = %v, want %v", tc.name, merged, tc.merges)
+		}
+		if tc.req.Table == "edge" {
+			if got, want := canonServer(t, res), runOracle(t, edge, tc.req, 2); !bytes.Equal(got, want) {
+				t.Errorf("%s: the coordinator's answer differs from the single node's", tc.name)
+			}
 		}
 	}
 }

@@ -1,11 +1,13 @@
 // Cross-shard merging. Shards return results sorted in the pinned
 // column order; the coordinator turns each shard's answer into a run —
-// validated and keyed column at a time on the fan-out goroutine that
-// received it, while slower shards are still sorting — and merges the
-// runs in place, stable by run index, with mergesort.MergeRunsContext
-// (cut at exactly the sub-queries' pre-cut under a LIMIT), or with
-// mergeWide when the keys are code vectors — so the gathered output is
-// the single-node output, byte for byte.
+// validated and keyed on the fan-out goroutine that received it, while
+// slower shards are still sorting — and merges the runs in place. Every
+// key ends in its entry's global index, so the keys are distinct, a
+// plain ascending merge is the run-index-stable one, and no payload
+// travels with them: mergesort.MergeRunsContext merges packed words (cut
+// at exactly the sub-queries' pre-cut under a LIMIT), mergeWide code
+// vectors. The gathered output is the single-node output, byte for
+// byte.
 package shard
 
 import (
@@ -13,7 +15,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
+	"sort"
 
 	"repro/internal/byteslice"
 	"repro/internal/column"
@@ -39,14 +43,19 @@ var errShardInvalid = errors.New("shard: invalid shard response")
 const mergeCtxStride = 1 << 12
 
 // mergeSpec says how to turn a clause-order key vector into the sort
-// key the shards sorted by: permute by order (the pinned ColOrder),
-// complement descending columns, and concatenate widths — the earlier
-// sort column in the higher bits, exactly like the engine's massage.
+// key the shards sorted by — permute by order (the pinned ColOrder),
+// complement descending columns, concatenate widths, the earlier sort
+// column in the higher bits, exactly like the engine's massage — and
+// how the merge key ends in the entry's global index: one packed word
+// key<<idxBits | index when the W key bits and the index fit 63 bits,
+// otherwise a code vector of the m massaged codes and the index.
 type mergeSpec struct {
-	order  []int  // pinned ColOrder: position i sorts clause column order[i]
-	widths []int  // bit width per clause position
-	desc   []bool // descending flag per clause position
-	wide   bool   // keys are massaged code vectors, not packed words (set when the widths exceed 64 bits)
+	order   []int  // pinned ColOrder: position i sorts clause column order[i]
+	widths  []int  // bit width per clause position
+	desc    []bool // descending flag per clause position
+	idxBits int    // bits of a global index: bits.Len(n−1) for an n-row table
+	wide    bool   // keys are code vectors, not packed words
+	drop    []uint // packed words: the low bits after the first p sort positions, p = 0…m+1
 }
 
 // newMergeSpec is the spec of a bound query under the pinned order.
@@ -55,30 +64,56 @@ func newMergeSpec(b *engine.Bound, pin []int) mergeSpec {
 	for i, sc := range b.Sort {
 		sp.widths[i], sp.desc[i] = b.Cols[i].Width, sc.Desc
 	}
-	sp.wide = sp.totalWidth() > 64
+	return sp.forRows(b.Table.N)
+}
+
+// forRows sizes the index for a table of n rows and picks the key form.
+func (sp mergeSpec) forRows(n int) mergeSpec {
+	sp.idxBits = bits.Len(uint(max(n, 1) - 1))
+	m := len(sp.order)
+	sp.drop = make([]uint, m+2) // drop[m+1] = 0: the whole word
+	sp.drop[m] = uint(sp.idxBits)
+	for p := m - 1; p >= 0; p-- {
+		sp.drop[p] = sp.drop[p+1] + uint(sp.widths[sp.order[p]])
+	}
+	sp.wide = sp.drop[0] > 63
 	return sp
 }
 
-// totalWidth is the concatenated key width.
-func (sp mergeSpec) totalWidth() int {
-	w := 0
-	for _, x := range sp.widths {
-		w += x
+// stride is how many words one entry's merge key takes.
+func (sp *mergeSpec) stride() int {
+	if sp.wide {
+		return len(sp.order) + 1
 	}
-	return w
+	return 1
+}
+
+// compare orders entries i and j of keys (in sp's form) by their first
+// p sort positions; p = m+1 compares the whole key, index included.
+func (sp *mergeSpec) compare(keys []uint64, i, j, p int) int {
+	if sp.wide {
+		st := sp.stride()
+		return slices.Compare(keys[i*st:i*st+p], keys[j*st:j*st+p])
+	}
+	return cmp.Compare(keys[i]>>sp.drop[p], keys[j]>>sp.drop[p])
+}
+
+// index is the global index entry i of keys ends in.
+func (sp *mergeSpec) index(keys []uint64, i int) int {
+	if sp.wide {
+		return int(keys[(i+1)*sp.stride()-1])
+	}
+	return int(keys[i] & column.Mask(sp.idxBits))
 }
 
 // run is one shard's sub-query answer as the merge consumes it: the
-// massaged sort key of every entry, in the shard's order — one packed
-// word per entry, or m massaged codes per entry (entry i at
-// keys[i·m:(i+1)·m]) under a wide spec — and the merge's payload. A
-// window run keeps its entries' global oids as the payload and nothing
-// else of the decoded result but its row count; a group run keeps the
-// shard's group table, and mergeGroupRuns sets its payload.
+// merge key of every entry, in the shard's order (entry i at
+// keys[i·stride:(i+1)·stride]). A window run keeps nothing else of the
+// decoded result but its row count; a group run keeps the shard's
+// group table, read through the index its keys end in.
 type run struct {
 	rows int        // the shard's filtered row count
-	keys []uint64   // massaged sort keys
-	pay  []uint32   // window runs: global oids; group runs: flat entry index
+	keys []uint64   // merge keys
 	part groupsPart // group runs
 }
 
@@ -92,20 +127,18 @@ type gather struct {
 }
 
 // buildRun is the one place a shard's answer becomes a merge run. It
-// checks the answer against the query shape and rebuilds its massaged
-// sort keys from codes the coordinator trusts — a window run's from the
-// coordinator's own full table at the global oid (the shards do not
-// ship keys: deriving them here is the stronger check), a group table's
-// from its key vectors after checking each code against its width —
-// then requires the order the merge relies on: keys non-decreasing,
-// and ties strictly oid-ascending (groups are distinct keys, so for
-// them every tie is out of order). It works column at a time: one pass
-// over the oids, then per pinned column one pass of mergeCtxStride-row
-// blocks — a window run's block of codes batch-Gathered into one buffer
-// reused across blocks and columns — that masks, complements and
-// shifts each code into the keys, then one order pass.
-// Anything a confused or truncated shard could get wrong fails here
-// with errShardInvalid instead of reaching the merge.
+// checks the answer against the query shape and rebuilds its merge
+// keys from codes the coordinator trusts — a window run's from its own
+// full table at the global oid (the shards do not ship keys: deriving
+// them here is the stronger check), a group table's from its key
+// vectors. One loop over mergeCtxStride-row blocks range-checks the
+// oids into global indexes (a group's is its range base plus its
+// number), gathers each pinned column's codes into one buffer and
+// composes them into the keys with one OR-accumulated width check, and
+// requires the order the merge relies on: window keys strictly
+// ascending with their index (ties oid-ascending), group keys without
+// it (groups are distinct keys). Anything a confused or truncated shard
+// could get wrong fails with errShardInvalid before the merge.
 func (g *gather) buildRun(ctx context.Context, si int, res *server.QueryResult) (*run, error) {
 	faultinject.Fire(faultinject.ShardMerge)
 	defer obsRunBuild.Start().End()
@@ -118,232 +151,207 @@ func (g *gather) buildRun(ctx context.Context, si int, res *server.QueryResult) 
 		return r, nil
 	}
 	sp, m := g.sp, len(g.sp.order)
-	var n int
+	n, ordered := res.Rows, m+1 // entries, and the sort positions the order check reads
 	if g.cols != nil {
-		n = res.Rows
 		if g.cut > 0 && g.cut < n {
 			n = g.cut
 		}
 		if len(res.RowOids) != n || len(res.Ranks) != n {
 			return nil, fmt.Errorf("%w: shard %d sent %d oids and %d ranks for %d rows, want %d", errShardInvalid, si, len(res.RowOids), len(res.Ranks), res.Rows, n)
 		}
-		r.pay = make([]uint32, n)
-		for i, oid := range res.RowOids {
-			if i&(mergeCtxStride-1) == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			if int(oid) >= rng.Len() {
-				return nil, fmt.Errorf("%w: shard %d row oid %d outside its %d-row range", errShardInvalid, si, oid, rng.Len())
-			}
-			r.pay[i] = uint32(rng.Lo) + oid
-		}
 	} else {
-		n = len(res.GroupKeys)
+		n, ordered = len(res.GroupKeys), m
 		if len(res.Aggregates) != n {
 			return nil, fmt.Errorf("%w: shard %d sent %d group keys, %d aggregates", errShardInvalid, si, n, len(res.Aggregates))
 		}
 		if n > res.Rows {
 			return nil, fmt.Errorf("%w: shard %d sent %d groups for %d rows", errShardInvalid, si, n, res.Rows)
 		}
-		for i, vec := range res.GroupKeys {
-			if i&(mergeCtxStride-1) == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			if len(vec) != m {
-				return nil, fmt.Errorf("%w: shard %d group %d has %d key columns, want %d", errShardInvalid, si, i, len(vec), m)
-			}
-		}
 		r.part = groupsPart{keys: res.GroupKeys, agg: res.Aggregates}
 	}
 
-	stride := 1
-	if sp.wide {
-		stride = m
-	}
-	r.keys = make([]uint64, n*stride)
-	var codes []uint64 // window runs: one block of one pinned column's codes
-	if g.cols != nil {
-		codes = make([]uint64, mergeCtxStride)
-	}
-	for pos, c := range sp.order {
-		w, mask, desc := uint(sp.widths[c]), column.Mask(sp.widths[c]), sp.desc[c]
-		for lo := 0; lo < n; lo += mergeCtxStride {
-			if err := ctx.Err(); err != nil {
-				return nil, err
+	st := sp.stride()
+	r.keys = make([]uint64, n*st)
+	gids, codes := make([]uint32, mergeCtxStride), make([]uint64, mergeCtxStride)
+	for lo := 0; lo < n; lo += mergeCtxStride {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		hi := min(lo+mergeCtxStride, n)
+		keys, gids, codes := r.keys[lo*st:hi*st], gids[:hi-lo], codes[:hi-lo]
+		for i := range gids {
+			if g.cols == nil {
+				if len(res.GroupKeys[lo+i]) != m {
+					return nil, fmt.Errorf("%w: shard %d group %d has %d key columns, want %d", errShardInvalid, si, lo+i, len(res.GroupKeys[lo+i]), m)
+				}
+				gids[i] = uint32(rng.Lo + lo + i)
+			} else if oid := res.RowOids[lo+i]; int(oid) < rng.Len() {
+				gids[i] = uint32(rng.Lo) + oid
+			} else {
+				return nil, fmt.Errorf("%w: shard %d row oid %d outside its %d-row range", errShardInvalid, si, oid, rng.Len())
 			}
-			hi := min(lo+mergeCtxStride, n)
-			if codes != nil {
-				g.cols[c].Gather(codes, r.pay[lo:hi])
+			keys[i*st+st-1] = uint64(gids[i])
+		}
+		for pos, c := range sp.order {
+			if g.cols != nil {
+				g.cols[c].Gather(codes, gids)
+			} else {
+				for i, vec := range res.GroupKeys[lo:hi] {
+					codes[i] = vec[c]
+				}
 			}
-			for i := lo; i < hi; i++ {
-				var v uint64
-				if codes != nil {
-					v = codes[i-lo]
-				} else {
-					v = r.part.keys[i][c]
+			mask, flip, or := column.Mask(sp.widths[c]), uint64(0), uint64(0)
+			if sp.desc[c] {
+				flip = mask
+			}
+			if shift := sp.drop[pos+1]; sp.wide {
+				for i, v := range codes {
+					or |= v
+					keys[i*st+pos] = v ^ flip
 				}
-				if v&^mask != 0 {
-					return nil, fmt.Errorf("%w: shard %d entry %d key column %d value %d exceeds width %d", errShardInvalid, si, i, c, v, w)
+			} else {
+				for i, v := range codes {
+					or |= v
+					keys[i] |= (v ^ flip) << shift
 				}
-				if desc {
-					v ^= mask
-				}
-				if sp.wide {
-					r.keys[i*m+pos] = v
-				} else {
-					r.keys[i] = r.keys[i]<<w | v
-				}
+			}
+			if or&^mask != 0 {
+				i := slices.IndexFunc(codes, func(v uint64) bool { return v&^mask != 0 })
+				return nil, fmt.Errorf("%w: shard %d entry %d key column %d value %d exceeds width %d", errShardInvalid, si, lo+i, c, codes[i], sp.widths[c])
 			}
 		}
-	}
-
-	for i := 1; i < n; i++ {
-		if i&(mergeCtxStride-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
+		for i, shift := max(lo, 1), sp.drop[ordered]; i < hi; i++ {
+			if sp.wide && sp.compare(r.keys, i-1, i, ordered) >= 0 || !sp.wide && r.keys[i-1]>>shift >= r.keys[i]>>shift {
+				return nil, fmt.Errorf("%w: shard %d entry %d out of sort order", errShardInvalid, si, i)
 			}
-		}
-		var order int
-		if sp.wide {
-			order = slices.Compare(r.keys[(i-1)*m:i*m], r.keys[i*m:(i+1)*m])
-		} else {
-			order = cmp.Compare(r.keys[i-1], r.keys[i])
-		}
-		if order > 0 || order == 0 && (r.pay == nil || r.pay[i-1] >= r.pay[i]) {
-			return nil, fmt.Errorf("%w: shard %d entry %d out of sort order", errShardInvalid, si, i)
 		}
 	}
 	return r, nil
 }
 
-// mergeRuns merges the runs' keys with their payloads, stable by run
-// index, cut at exactly limit entries when limit > 0. It returns the
-// merged keys, in the runs' key form, and the merged payload. Runs are
-// in range order and a window run's ties are oid-ascending, so the
-// run-index-stable order is the ascending-global-oid canonical order,
-// and a window merge's payload is the answer's row oids.
-func mergeRuns(ctx context.Context, runs []*run, sp mergeSpec, limit, workers int) ([]uint64, []uint32, error) {
-	keys, pay := make([][]uint64, len(runs)), make([][]uint32, len(runs))
+// mergeRuns merges the runs' keys, cut at exactly limit entries when
+// limit > 0. Runs are in range order and their keys end in ascending
+// global indexes, so the ascending order is the run-index-stable one:
+// for a window, the ascending-global-oid canonical order.
+func mergeRuns(ctx context.Context, runs []*run, sp mergeSpec, limit, workers int) ([]uint64, error) {
+	keys := make([][]uint64, len(runs))
 	for i, r := range runs {
 		if err := ctx.Err(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		keys[i], pay[i] = r.keys, r.pay
+		keys[i] = r.keys
 	}
 	if sp.wide {
-		return mergeWide(ctx, keys, pay, len(sp.order), limit)
+		return mergeWide(ctx, keys, sp, limit)
 	}
-	return mergesort.MergeRunsContext(ctx, keys, pay, limit, workers)
+	return mergesort.MergeRunsContext(ctx, keys, limit, workers)
 }
 
-// mergeWide is the merge of code vectors (m per entry), for clauses
-// wider than 64 bits: a sequential k-way lexicographic merge with
-// MergeRunsContext's lower-run tie preference and limit cut, reading the
-// runs in place. Wide clauses are rare and the entry count is
+// mergeWide is the merge of code vectors, for keys that do not fit one
+// word: a sequential k-way merge reading the runs in place, with
+// MergeRunsContext's limit cut. The vectors are distinct, so no tie
+// rule is needed. Wide clauses are rare and the entry count is
 // per-shard-truncated already.
-func mergeWide(ctx context.Context, keys [][]uint64, pay [][]uint32, m, limit int) ([]uint64, []uint32, error) {
-	heads := make([]int, len(pay))
-	vec := func(r int) []uint64 { return keys[r][heads[r]*m : (heads[r]+1)*m] }
-	var outK []uint64
-	var outP []uint32
-	for limit <= 0 || len(outP) < limit {
-		if len(outP)&(mergeCtxStride-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, err
-			}
+func mergeWide(ctx context.Context, runs [][]uint64, sp mergeSpec, limit int) ([]uint64, error) {
+	st, n := sp.stride(), 0
+	for _, r := range runs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		best := -1
-		for r, h := range heads {
-			if h < len(pay[r]) && (best < 0 || slices.Compare(vec(r), vec(best)) < 0) {
-				best = r
-			}
-		}
-		if best < 0 {
-			break
-		}
-		outK = append(outK, vec(best)...)
-		outP = append(outP, pay[best][heads[best]])
-		heads[best]++
+		n += len(r) / st
 	}
-	return outK, outP, nil
-}
-
-// rank is RANK() over a merged window, read from its merged keys
-// instead of looking each row's codes up again. The pinned order keeps
-// the window's ORDER BY column last, so a packed key is the partition
-// in its high bits over the order column in its low width bits, and a
-// code vector is the partition columns followed by the order column;
-// rankSorted only tests codes for equality, which neither the
-// descending complement nor the partition columns' permutation changes.
-func rank(ctx context.Context, keys []uint64, n int, sp mergeSpec) ([]uint32, error) {
-	if sp.wide {
-		m := len(sp.order)
-		return rankSorted(ctx, n, m, func(i int, dst []uint64) {
-			copy(dst, keys[i*m:])
-		})
+	if limit > 0 && limit < n {
+		n = limit
 	}
-	width := sp.widths[sp.order[len(sp.order)-1]]
-	mask := column.Mask(width)
-	return rankSorted(ctx, n, 2, func(i int, dst []uint64) {
-		k := keys[i]
-		dst[0], dst[1] = k>>uint(width), k&mask
-	})
-}
-
-// rankSorted assigns RANK() OVER (PARTITION BY … ORDER BY …) to n rows
-// already in sorted order: read(i, dst) fills dst with the nCols
-// sort-column codes of the row at position i — partition columns first,
-// the ORDER BY column last. Rows tied on the partition columns form a
-// partition; within it, rows share a rank when tied on the order
-// column, and rank counts rows, not distinct values. Ranks only look
-// backward, so ranking a prefix of the sorted rows is exact. The row
-// count is data-bound, so the pass polls ctx every mergeCtxStride rows.
-func rankSorted(ctx context.Context, n, nCols int, read func(i int, dst []uint64)) ([]uint32, error) {
-	ranks := make([]uint32, n)
-	prev, cur := make([]uint64, nCols), make([]uint64, nCols)
-	nPart := nCols - 1
-	var rank, seen uint32
-	for i := range ranks {
-		if i&(mergeCtxStride-1) == 0 {
+	heads := make([]int, len(runs))
+	out := make([]uint64, n*st)
+	for d := 0; d < len(out); d += st {
+		if d&(mergeCtxStride-1) == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		read(i, cur)
-		// Partitions are contiguous in sorted order, so "same partition as
-		// the previous row" is "same partition as the partition's first".
-		samePartition := i > 0
-		for c := 0; samePartition && c < nPart; c++ {
-			samePartition = cur[c] == prev[c]
-		}
-		if !samePartition {
-			rank, seen = 1, 1
-		} else {
-			seen++
-			if cur[nPart] != prev[nPart] {
-				rank = seen
+		best, head := 0, []uint64(nil)
+		for r, h := range heads {
+			if v := runs[r][h:min(h+st, len(runs[r]))]; len(v) > 0 && (head == nil || vecLess(v, head)) {
+				best, head = r, v
 			}
 		}
-		ranks[i] = rank
-		prev, cur = cur, prev
+		for i, x := range head {
+			out[d+i] = x
+		}
+		heads[best] += st
 	}
-	return ranks, nil
+	return out, nil
+}
+
+// vecLess reports whether code vector a precedes b (b may run on).
+func vecLess(a, b []uint64) bool {
+	for i, x := range a {
+		if x != b[i] {
+			return x < b[i]
+		}
+	}
+	return false
+}
+
+// unpackWindow turns a merged window's keys into the answer's row oids
+// — the index each key ends in — and RANK() OVER (PARTITION BY … ORDER
+// BY …), from group boundaries. The pinned order keeps the ORDER BY
+// column last, so a new group starts where the m sort positions change,
+// a new partition where the first m−1 do, and a row's rank is its
+// group's start minus its partition's start plus one (rank counts rows,
+// not values); neither the descending complement nor the partition
+// columns' permutation changes which keys are equal. Ranks only look
+// backward, so ranking a prefix of the merged rows is exact. The pass
+// polls ctx every mergeCtxStride rows.
+func unpackWindow(ctx context.Context, keys []uint64, sp mergeSpec) (ranks, oids []uint32, err error) {
+	m, idx := len(sp.order), column.Mask(sp.idxBits)
+	groupShift, partShift := sp.drop[m], sp.drop[m-1]
+	n := len(keys) / sp.stride()
+	ranks, oids = make([]uint32, n), make([]uint32, n)
+	group, part := 0, 0 // the current group's and partition's first row
+	for lo := 0; lo < n; lo += mergeCtxStride {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
+		for i := lo; i < min(lo+mergeCtxStride, n); i++ {
+			oid := keys[i] & idx
+			if sp.wide {
+				cur, c := keys[i*(m+1):(i+1)*(m+1)], 0 // c: the first sort position the row differs in
+				for ; i > 0 && c < m && cur[c] == keys[(i-1)*(m+1)+c]; c++ {
+				}
+				if i > 0 && c < m {
+					group = i
+				}
+				if i > 0 && c < m-1 {
+					part = i
+				}
+				oid = cur[m]
+			} else if i > 0 {
+				d := keys[i] ^ keys[i-1]
+				if d>>groupShift != 0 {
+					group = i
+				}
+				if d>>partShift != 0 {
+					part = i
+				}
+			}
+			oids[i], ranks[i] = uint32(oid), uint32(group-part+1)
+		}
+	}
+	return ranks, oids, nil
 }
 
 // mergeWindowRuns merges a window query's runs — cut at the sub-queries'
-// pre-cut under a LIMIT — ranks the merged order from the merged keys
-// (rank; ranks only look backward, so ranking the merged prefix is
-// exact), and clamps both to the output window.
+// pre-cut under a LIMIT — unpacks the merged keys into row oids and
+// ranks, and clamps both to the output window.
 func mergeWindowRuns(ctx context.Context, runs []*run, g *gather, limit *int, offset, workers int) ([]uint32, []uint32, error) {
-	keys, oids, err := mergeRuns(ctx, runs, g.sp, g.cut, workers)
+	keys, err := mergeRuns(ctx, runs, g.sp, g.cut, workers)
 	if err != nil {
 		return nil, nil, err
 	}
-	ranks, err := rank(ctx, keys, len(oids), g.sp)
+	ranks, oids, err := unpackWindow(ctx, keys, g.sp)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -364,7 +372,7 @@ type groupsPart struct {
 
 // attachAux makes an avg query's sum run the auxiliary aggregate of its
 // count run. Both were built against the same spec, so the shard's two
-// sub-queries agree on its groups exactly when their massaged keys are
+// sub-queries agree on its groups exactly when their merge keys are
 // equal.
 func attachAux(counts, sums *run, si int) error {
 	if !slices.Equal(counts.keys, sums.keys) {
@@ -381,58 +389,50 @@ func attachAux(counts, sums *run, si int) error {
 // and aux summed per distinct key: for count and sum aggregates the sum
 // IS the global aggregate; for avg the caller divides aux (global sum)
 // by agg (global count), which is exactly the engine's integer
-// arithmetic. Run-order stability is irrelevant for groups because
-// equal elements collapse into one output group.
-func mergeGroupRuns(ctx context.Context, runs []*run, sp mergeSpec, workers int) (*groupsPart, error) {
-	// The payload is each entry's index in the concatenated tables.
-	var all groupsPart
+// arithmetic. The merged order is global, so every instance of a key
+// is adjacent to the others; massaging is injective per column, so
+// equal sort positions are equal clause-order vectors. One pass reads
+// each merged entry through its index; the combined key vectors are
+// slices of one flat block.
+func mergeGroupRuns(ctx context.Context, runs []*run, g *gather, workers int) (*groupsPart, error) {
+	hasAux, partial := false, false
 	for _, r := range runs {
-		r.pay = make([]uint32, len(r.part.keys))
-		for j := range r.pay {
-			if j&(mergeCtxStride-1) == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			r.pay[j] = uint32(len(all.keys) + j)
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		all.keys = append(all.keys, r.part.keys...)
-		all.agg = append(all.agg, r.part.agg...)
-		all.aux = append(all.aux, r.part.aux...)
+		hasAux = hasAux || len(r.part.aux) > 0
+		partial = partial || len(r.part.aux) != len(r.part.keys)
 	}
-	hasAux := len(all.aux) > 0
-	if hasAux && len(all.aux) != len(all.keys) {
+	if hasAux && partial {
 		return nil, fmt.Errorf("%w: aux aggregate present on some shards only", errShardInvalid)
 	}
-	_, order, err := mergeRuns(ctx, runs, sp, 0, workers)
+	sp, m := g.sp, len(g.sp.order)
+	keys, err := mergeRuns(ctx, runs, sp, 0, workers)
 	if err != nil {
 		return nil, err
 	}
-
-	// Combine adjacent equal keys. The merged order is global, so one
-	// forward pass sees every instance of a key consecutively; massaging
-	// is injective per column, so equal clause-order vectors are equal
-	// sort keys.
-	out := &groupsPart{}
-	for i, f := range order {
+	entries := len(keys) / sp.stride()
+	out, flat := &groupsPart{}, make([]uint64, 0, entries*m)
+	for i := 0; i < entries; i++ {
 		if i&(mergeCtxStride-1) == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		vec := all.keys[f]
-		if i > 0 && slices.Equal(out.keys[len(out.keys)-1], vec) {
-			last := len(out.agg) - 1
-			out.agg[last] += all.agg[f]
+		idx := sp.index(keys, i)
+		si := sort.Search(len(g.ranges), func(s int) bool { return g.ranges[s].Hi > idx })
+		part, j := &runs[si].part, idx-g.ranges[si].Lo
+		if i > 0 && sp.compare(keys, i-1, i, m) == 0 {
+			out.agg[len(out.agg)-1] += part.agg[j]
 			if hasAux {
-				out.aux[last] += all.aux[f]
+				out.aux[len(out.aux)-1] += part.aux[j]
 			}
 			continue
 		}
-		out.keys = append(out.keys, append([]uint64(nil), vec...))
-		out.agg = append(out.agg, all.agg[f])
+		flat = append(flat, part.keys[j]...)
+		out.keys, out.agg = append(out.keys, flat[len(flat)-m:len(flat):len(flat)]), append(out.agg, part.agg[j])
 		if hasAux {
-			out.aux = append(out.aux, all.aux[f])
+			out.aux = append(out.aux, part.aux[j])
 		}
 	}
 	return out, nil

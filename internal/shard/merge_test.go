@@ -17,25 +17,42 @@ import (
 	"repro/internal/testutil"
 )
 
-// bothForms returns the spec in each key form: the packed one the
-// width selects (every spec in these tests fits 64 bits) and one forced
-// onto the wide, code-vector path.
-func bothForms(sp mergeSpec) map[string]mergeSpec {
+// bothForms returns the spec sized for an n-row table in each key form:
+// the one its widths select (a packed word for every narrow spec in
+// these tests) and one forced onto the code-vector path.
+func bothForms(sp mergeSpec, n int) map[string]mergeSpec {
+	sp = sp.forRows(n)
 	wide := sp
 	wide.wide = true
 	return map[string]mergeSpec{"packed": sp, "wide": wide}
 }
 
+// groupGather is the gather of group runs built from parts: each part
+// answers for a range of one row per group, the ranges consecutive.
+func groupGather(parts []groupsPart, sp mergeSpec) *gather {
+	g := &gather{sp: sp, ranges: make([]Range, len(parts))}
+	lo := 0
+	for si, p := range parts {
+		g.ranges[si] = Range{Lo: lo, Hi: lo + len(p.keys)}
+		lo += len(p.keys)
+	}
+	return g
+}
+
+// groupRows is the table a set of parts answers for: one row per group.
+func groupRows(parts []groupsPart) int {
+	n := 0
+	for _, p := range parts {
+		n += len(p.keys)
+	}
+	return n
+}
+
 // groupRuns builds each part the way the coordinator's fan-out does:
 // the count sub-query's run from the keys and agg and, when the part
 // carries an aux vector, the sum sub-query's run from the keys and aux,
-// attached to it. Each part answers for a range of one row per group,
-// all of them filtered in.
-func groupRuns(ctx context.Context, parts []groupsPart, sp mergeSpec) ([]*run, error) {
-	g := &gather{sp: sp, ranges: make([]Range, len(parts))}
-	for si, p := range parts {
-		g.ranges[si] = Range{Hi: len(p.keys)}
-	}
+// attached to it, all of them filtered in.
+func groupRuns(ctx context.Context, g *gather, parts []groupsPart) ([]*run, error) {
 	runs := make([]*run, len(parts))
 	for si, p := range parts {
 		rows := len(p.keys)
@@ -57,40 +74,44 @@ func groupRuns(ctx context.Context, parts []groupsPart, sp mergeSpec) ([]*run, e
 	return runs, nil
 }
 
-// mergeGroups is the coordinator's group gather over decoded parts:
-// build every run, then merge and combine.
+// mergeGroups is the coordinator's group gather over decoded parts,
+// under sp sized for their table: build every run, then merge and
+// combine.
 func mergeGroups(ctx context.Context, parts []groupsPart, sp mergeSpec, workers int) (*groupsPart, error) {
-	runs, err := groupRuns(ctx, parts, sp)
+	forced := sp.wide
+	sp = sp.forRows(groupRows(parts))
+	sp.wide = sp.wide || forced // a spec forced onto the code-vector path stays there
+	g := groupGather(parts, sp)
+	runs, err := groupRuns(ctx, g, parts)
 	if err != nil {
 		return nil, err
 	}
-	return mergeGroupRuns(ctx, runs, sp, workers)
+	return mergeGroupRuns(ctx, runs, g, workers)
 }
 
-// mergedPayload merges runs, cut at limit, and returns the merged
-// payload: a window run's oids, a group run's flat entry index.
-func mergedPayload(ctx context.Context, runs []*run, sp mergeSpec, limit int) ([]uint32, error) {
-	flat := 0
-	for _, r := range runs {
-		if r.pay == nil {
-			r.pay = make([]uint32, len(r.part.keys))
-			for j := range r.pay {
-				r.pay[j] = uint32(flat + j)
-			}
-		}
-		flat += len(r.pay)
+// mergedIndexes merges runs, cut at limit, and returns the global index
+// every merged key ends in: a window row's oid, a group's range base
+// plus its number.
+func mergedIndexes(ctx context.Context, runs []*run, sp mergeSpec, limit, workers int) ([]uint32, error) {
+	keys, err := mergeRuns(ctx, runs, sp, limit, workers)
+	if err != nil {
+		return nil, err
 	}
-	_, out, err := mergeRuns(ctx, runs, sp, limit, 2)
-	return out, err
+	out := make([]uint32, len(keys)/sp.stride())
+	for i := range out {
+		out[i] = uint32(sp.index(keys, i))
+	}
+	return out, nil
 }
 
 // validateGroups runs one shard's group table through the run builder
 // in both key forms, which must agree on the verdict.
 func validateGroups(t *testing.T, p groupsPart, sp mergeSpec) error {
 	t.Helper()
-	forms := bothForms(sp)
-	_, err := groupRuns(context.Background(), []groupsPart{p}, forms["packed"])
-	if _, werr := groupRuns(context.Background(), []groupsPart{p}, forms["wide"]); (err == nil) != (werr == nil) {
+	parts := []groupsPart{p}
+	forms := bothForms(sp, len(p.keys))
+	_, err := groupRuns(context.Background(), groupGather(parts, forms["packed"]), parts)
+	if _, werr := groupRuns(context.Background(), groupGather(parts, forms["wide"]), parts); (err == nil) != (werr == nil) {
 		t.Errorf("packed keys say %v, wide keys say %v", err, werr)
 	}
 	return err
@@ -185,54 +206,68 @@ func TestMergeGroupsRejectsPartialAux(t *testing.T) {
 	}
 }
 
-// TestMergeWideMatchesPacked: the wide lexicographic fallback and the
-// packed-64 parallel path implement the same (key, run) order — run a
-// spec whose total width fits both, with heavy duplication so ties
-// cross runs, and require identical merged output, with and without a
-// limit cut.
+// TestMergeWideMatchesPacked: the code-vector merge and the packed
+// word merge implement the same order. Specs around the boundary — key
+// and index W + idxBits ∈ {62, 63, 64} bits — run in every form they
+// fit (packed up to 63 bits, which the spec selects there; the code
+// vector always), with two values per column in its top and bottom bit
+// so ties cross runs, and each must equal the naive stable sort by
+// (massaged key, global oid), with and without a limit cut, at workers
+// 1 and 2.
 func TestMergeWideMatchesPacked(t *testing.T) {
-	sp := mergeSpec{order: []int{2, 0, 1}, widths: []int{9, 7, 5}, desc: []bool{false, true, false}}
-	rng := chaos.NewRand(42)
-	const runLen = 40
-	var runs [][][]uint64
-	for r := 0; r < 3; r++ {
-		run := make([][]uint64, runLen)
-		for i := range run {
-			// Domain 3 per column: most keys collide across runs.
-			run[i] = []uint64{rng.Uint64() % 3, rng.Uint64() % 3, rng.Uint64() % 3}
-		}
-		runs = append(runs, run)
-	}
-	cols, ranges, answers := windowAnswers(sp, runs)
-
+	const runs, runLen = 3, 40 // 120 rows: a 7-bit index
 	ctx := context.Background()
-	for _, limit := range []int{0, 17} {
-		merged := make(map[string][]uint32)
-		for form, fsp := range bothForms(sp) {
+	for _, total := range []int{62, 63, 64} {
+		key := total - 7
+		sp := mergeSpec{order: []int{2, 0, 1}, widths: []int{key - 30, 17, 13}, desc: []bool{false, true, false}}
+		rng := chaos.NewRand(uint64(total))
+		vecs := make([][][]uint64, runs)
+		for r := range vecs {
+			vecs[r] = make([][]uint64, runLen)
+			for i := range vecs[r] {
+				vec := make([]uint64, len(sp.widths))
+				for c, w := range sp.widths {
+					v := rng.Uint64()
+					vec[c] = v%2<<uint(w-1) | v>>8%2
+				}
+				vecs[r][i] = vec
+			}
+		}
+		cols, ranges, answers := windowAnswers(sp, vecs)
+		code := func(gid uint32) []uint64 { return vecs[gid/runLen][gid%runLen] }
+		gids := make([]uint32, runs*runLen)
+		for i := range gids {
+			gids[i] = uint32(i)
+		}
+		forms := bothForms(sp, len(gids))
+		if forms["packed"].wide != (total > 63) {
+			t.Errorf("W+idxBits=%d: the spec selects wide = %v", total, forms["packed"].wide)
+		}
+		for form, fsp := range forms {
 			g := &gather{sp: fsp, ranges: ranges, cols: cols}
 			built := make([]*run, len(answers))
 			for si, a := range answers {
 				var err error
 				if built[si], err = g.buildRun(ctx, si, a); err != nil {
-					t.Fatalf("%s keys: sorted run %d rejected: %v", form, si, err)
+					t.Fatalf("W+idxBits=%d %s keys: sorted run %d rejected: %v", total, form, si, err)
 				}
 			}
-			var err error
-			if merged[form], err = mergedPayload(ctx, built, fsp, limit); err != nil {
-				t.Fatal(err)
+			for _, limit := range []int{0, 17} {
+				var lim *int
+				if limit > 0 {
+					lim = &limit
+				}
+				_, want := naiveRows(fsp, code, gids, lim, 0)
+				for _, workers := range []int{1, 2} {
+					got, err := mergedIndexes(ctx, built, fsp, limit, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("W+idxBits=%d %s keys limit=%d workers=%d: merged %v, reference %v", total, form, limit, workers, got, want)
+					}
+				}
 			}
-		}
-		packed, wide := merged["packed"], merged["wide"]
-		if len(packed) != len(wide) {
-			t.Fatalf("limit=%d: packed %d elements, wide %d", limit, len(packed), len(wide))
-		}
-		for i := range packed {
-			if packed[i] != wide[i] {
-				t.Fatalf("limit=%d: order diverges at %d: packed %d, wide %d", limit, i, packed[i], wide[i])
-			}
-		}
-		if limit > 0 && len(packed) != limit {
-			t.Errorf("limit=%d: got %d elements", limit, len(packed))
 		}
 	}
 }
@@ -285,19 +320,24 @@ func massagedVec(sp mergeSpec, vec []uint64) []uint64 {
 // full merge's prefix — that equality is what lets the coordinator merge
 // per-shard pre-cut windows.
 func TestMergeRows64LimitIsPrefix(t *testing.T) {
+	const nRuns, runLen = 4, 33
 	rng := chaos.NewRand(7)
+	sp := mergeSpec{order: []int{0}, widths: []int{3}, desc: []bool{false}}.forRows(nRuns * runLen)
 	var runs []*run
-	for r := 0; r < 4; r++ {
-		keys, pay := make([]uint64, 33), make([]uint32, 33)
+	for r := 0; r < nRuns; r++ {
+		keys := make([]uint64, runLen)
 		for i := range keys {
-			keys[i], pay[i] = rng.Uint64()%5, uint32(r*len(keys)+i)
+			keys[i] = rng.Uint64() % 5
 		}
 		slices.Sort(keys)
-		runs = append(runs, &run{keys: keys, pay: pay})
+		for i := range keys {
+			keys[i] = keys[i]<<uint(sp.idxBits) | uint64(r*runLen+i)
+		}
+		runs = append(runs, &run{keys: keys})
 	}
 	ctx := context.Background()
 	merge := func(limit int) []uint32 {
-		_, out, err := mergeRuns(ctx, runs, mergeSpec{}, limit, 2)
+		out, err := mergedIndexes(ctx, runs, sp, limit, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,59 +351,83 @@ func TestMergeRows64LimitIsPrefix(t *testing.T) {
 		}
 		for i := range cut {
 			if cut[i] != full[i] {
-				t.Fatalf("limit=%d: element %d is flat %d, full merge has %d", limit, i, cut[i], full[i])
+				t.Fatalf("limit=%d: element %d is entry %d, full merge has %d", limit, i, cut[i], full[i])
 			}
 		}
 	}
 }
 
 // TestRankSortedCancel pins invariant 4 of docs/robustness.md on the
-// coordinator's window RANK pass, which is one step per merged row: a
-// context cancelled before the call, or one that is cancelled mid-pass,
-// yields context.Canceled and no ranks — and the pass stops within one
-// poll stride of the cancellation instead of ranking every row.
+// coordinator's window rank pass (unpackWindow), which is one step per
+// merged row: a context cancelled before the call, or one that is
+// cancelled mid-pass, yields context.Canceled and no result — and the
+// pass stops at the first poll that sees the cancellation instead of
+// ranking every row.
 func TestRankSortedCancel(t *testing.T) {
 	const n = 5 * mergeCtxStride
+	// Partitions of 7 rows, every row its own order value.
+	sp := mergeSpec{order: []int{0, 1}, widths: []int{12, 15}, desc: []bool{false, false}}.forRows(n)
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = (uint64(i/7)<<15|uint64(i))<<uint(sp.idxBits) | uint64(i)
+	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	for name, tc := range map[string]struct {
-		ctx      context.Context
-		maxReads int
-	}{
-		"pre-cancelled": {cancelled, 0},
-		"mid-pass":      {testutil.NewPollCtx(2), 2 * mergeCtxStride},
-	} {
-		reads := 0
-		ranks, err := rankSorted(tc.ctx, n, 2, func(i int, dst []uint64) {
-			reads++
-			dst[0], dst[1] = uint64(i)/7, uint64(i)
-		})
-		if !errors.Is(err, context.Canceled) || ranks != nil {
-			t.Fatalf("%s: got (%d ranks, %v), want context.Canceled and no result", name, len(ranks), err)
+	mid := testutil.NewPollCtx(2)
+	for name, ctx := range map[string]context.Context{"pre-cancelled": cancelled, "mid-pass": mid} {
+		ranks, oids, err := unpackWindow(ctx, keys, sp)
+		if !errors.Is(err, context.Canceled) || ranks != nil || oids != nil {
+			t.Fatalf("%s: got (%d ranks, %d oids, %v), want context.Canceled and no result", name, len(ranks), len(oids), err)
 		}
-		if reads != tc.maxReads {
-			t.Errorf("%s: ranked %d rows before stopping, want %d", name, reads, tc.maxReads)
-		}
+	}
+	if left := mid.Left(); left != -1 {
+		t.Errorf("mid-pass: %d polls left, want -1: the pass polled on past the cancellation", left)
 	}
 
 	// Uncancelled, the same input ranks 1..7 within each partition of 7.
-	ranks, err := rankSorted(context.Background(), n, 2, func(i int, dst []uint64) {
-		dst[0], dst[1] = uint64(i)/7, uint64(i)
-	})
+	ranks, oids, err := unpackWindow(context.Background(), keys, sp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, r := range ranks {
-		if r != uint32(i%7)+1 {
-			t.Fatalf("row %d: rank %d, want %d", i, r, i%7+1)
+		if r != uint32(i%7)+1 || oids[i] != uint32(i) {
+			t.Fatalf("row %d: (rank %d, oid %d), want (%d, %d)", i, r, oids[i], i%7+1, i)
 		}
 	}
 }
 
+// rankByLookup is the per-row reference for a window's ranks: it reads
+// every clause column's code of each merged row by oid from the full
+// table — the partition columns, then the ORDER BY column — and ranks
+// the rows in the given order.
+func rankByLookup(cols []*byteslice.BS, oids []uint32) []uint32 {
+	m := len(cols)
+	ranks := make([]uint32, len(oids))
+	var prev []uint64
+	first := 0 // the current partition's first row
+	for i, oid := range oids {
+		cur := make([]uint64, m)
+		for c, bs := range cols {
+			cur[c] = bs.Lookup(int(oid))
+		}
+		switch {
+		case i == 0 || !slices.Equal(prev[:m-1], cur[:m-1]):
+			first, ranks[i] = i, 1
+		case prev[m-1] == cur[m-1]:
+			ranks[i] = ranks[i-1]
+		default:
+			ranks[i] = uint32(i - first + 1)
+		}
+		prev = cur
+	}
+	return ranks
+}
+
 // TestRankFromKeysMatchesLookup: the window gather ranks from the keys
-// the merge already holds; the definition it must agree with is
-// rankSorted reading every sort column's code by global oid — how the
-// gather ranked before. Swept over ascending and descending
+// the merge already holds; the definition it must agree with is a
+// per-row reference (rankByLookup) reading every sort column's code by
+// global oid from the full table, over the reference order — every
+// oid stably sorted by massaged key. Swept over ascending and descending
 // ORDER BY columns, a permuted pin, the tie-heavy table, a clause wider
 // than 64 bits, each key form, shard counts, and LIMIT/OFFSET cuts
 // (whose ranks are a slice of the full ranking).
@@ -411,6 +475,14 @@ func TestRankFromKeysMatchesLookup(t *testing.T) {
 			}
 			return vals
 		}
+		// The reference order: every oid, stably sorted by massaged key.
+		order := make([]uint32, tbl.N)
+		for i := range order {
+			order[i] = uint32(i)
+		}
+		sort.SliceStable(order, func(x, y int) bool {
+			return slices.Compare(massagedVec(sp, codes(int(order[x]))), massagedVec(sp, codes(int(order[y])))) < 0
+		})
 		for _, nShards := range []int{1, 3} {
 			// Each shard's run: its local oids, stably sorted by massaged key.
 			ranges := Ranges(tbl.N, nShards)
@@ -450,14 +522,12 @@ func TestRankFromKeysMatchesLookup(t *testing.T) {
 
 			label := fmt.Sprintf("%s order=%s desc=%v pin=%v shards=%d", tbl.Name, tc.req.Window.OrderCol, tc.req.Window.Desc, tc.pin, nShards)
 			ranks, oids := gatherCell(batteryCell{label: "full"})
-			want, err := rankSorted(ctx, len(oids), len(b.Cols), func(i int, dst []uint64) {
-				copy(dst, codes(int(oids[i])))
-			})
-			if err != nil {
-				t.Fatal(err)
+			if !slices.Equal(oids, order) {
+				t.Errorf("%s: the merged oids are not the stable sort by massaged key", label)
 			}
-			if len(oids) != tbl.N || !reflect.DeepEqual(ranks, want) {
-				t.Errorf("%s: ranks from the merged keys differ from rankSorted reading the codes by oid", label)
+			want := rankByLookup(b.Cols, oids)
+			if !reflect.DeepEqual(ranks, want) {
+				t.Errorf("%s: ranks from the merged keys differ from ranking the codes read by oid", label)
 			}
 			if sp.wide != (tc.tbl == 2) {
 				t.Errorf("%s: wide key form = %v", label, sp.wide)

@@ -3,16 +3,18 @@ package shard
 // FuzzShardRows fuzzes the window shape of the coordinator's trust
 // boundary: the run build (gather.buildRun) over a shard's answer — row
 // oids in the shard's sort order — and the merge and rank behind it.
-// Each input decodes to a window clause (packed or wider than 64 bits,
-// ascending and descending columns), a table of seeded codes cut into
+// Each input decodes to a window clause (ascending and descending
+// columns whose key and index fit one word, take 62, 63 or 64 bits, or
+// far more), a table of seeded codes cut into
 // 1–4 shard ranges (empty ones included), an optional LIMIT pre-cut
 // with its window, and each range's canonical answer, one of which a
 // mutation may then damage. The builder must reject exactly the
 // answers a naive reference rejects; when every answer is accepted, the
 // gathered (ranks, global oids) must equal a naive stable sort of the
 // answered rows by (massaged key, global oid) followed by RANK, in
-// both key forms, and a canonical answer cut at a LIMIT must be the
-// window of the uncut table's ranking.
+// every key form the clause fits and at workers 1 and 2, and a
+// canonical answer cut at a LIMIT must be the window of the uncut
+// table's ranking.
 
 import (
 	"context"
@@ -29,12 +31,15 @@ import (
 	"repro/internal/server"
 )
 
-// rowsSpec derives a window clause from the shape word: 2 or 3 clause
-// columns — partition columns, then the ORDER BY column, which every
-// pin keeps last — each ascending or descending, 1–4 bits wide (packed
-// and tie-heavy) or, with the top bit set, 28–43 bits (more than 64 in
-// all for three columns: the code-vector path).
-func rowsSpec(shape uint16) mergeSpec {
+// rowsSpec derives a window clause over an n-row table from the shape
+// word: 2 or 3 clause columns — partition columns, then the ORDER BY
+// column, which every pin keeps last — each ascending or descending,
+// 1–4 bits wide (packed and tie-heavy) or, with the top bit set, 28–43
+// bits (more than 64 in all for three columns: the code-vector path).
+// With bit 11 set the widths are instead stretched so that key and
+// index take 62, 63 or 64 bits (bits 12–13): the boundary between the
+// last packed word and the first code vector.
+func rowsSpec(shape uint16, n int) mergeSpec {
 	m := int(shape)%2 + 2
 	sp := mergeSpec{order: make([]int, m), widths: make([]int, m), desc: make([]bool, m)}
 	for c := 0; c < m; c++ {
@@ -48,8 +53,10 @@ func rowsSpec(shape uint16) mergeSpec {
 	if m == 3 && shape>>10&1 == 1 {
 		sp.order[0], sp.order[1] = 1, 0
 	}
-	sp.wide = sp.totalWidth() > 64
-	return sp
+	if shape>>11&1 == 1 {
+		return boundarySpec(sp, n, 62+int(shape>>12&3)%3)
+	}
+	return sp.forRows(n)
 }
 
 // naiveRows is the reference for one window gather: the rows the
@@ -113,7 +120,7 @@ func naiveRunValid(sp mergeSpec, code func(gid uint32) []uint64, rng Range, cut 
 
 // gatherRows builds every answer into a run and merges them, as the
 // coordinator does; it returns the first build error.
-func gatherRows(ctx context.Context, g *gather, answers []*server.QueryResult, limit *int, offset int) ([]uint32, []uint32, error) {
+func gatherRows(ctx context.Context, g *gather, answers []*server.QueryResult, limit *int, offset, workers int) ([]uint32, []uint32, error) {
 	runs := make([]*run, len(answers))
 	for si, a := range answers {
 		var err error
@@ -121,7 +128,7 @@ func gatherRows(ctx context.Context, g *gather, answers []*server.QueryResult, l
 			return nil, nil, err
 		}
 	}
-	return mergeWindowRuns(ctx, runs, g, limit, offset, 2)
+	return mergeWindowRuns(ctx, runs, g, limit, offset, workers)
 }
 
 func FuzzShardRows(f *testing.F) {
@@ -131,6 +138,9 @@ func FuzzShardRows(f *testing.F) {
 	f.Add(uint16(0x0406), []byte{7, 12, 4, 7, 3, 2, 1, 4})
 	f.Add(uint16(0x8001), []byte{3, 23, 3, 0, 0, 5, 0, 1})
 	f.Add(uint16(0x0155), []byte{1, 2, 4, 1, 0, 6, 3, 0})
+	f.Add(uint16(0x0817), []byte{11, 19, 2, 0, 9, 0, 0}) // 62 bits
+	f.Add(uint16(0x1806), []byte{4, 23, 3, 5, 0, 2, 0})  // 63 bits
+	f.Add(uint16(0x2c13), []byte{6, 21, 3, 0, 14, 0, 0}) // 64 bits
 
 	f.Fuzz(func(t *testing.T, shape uint16, data []byte) {
 		next := func() int {
@@ -141,13 +151,13 @@ func FuzzShardRows(f *testing.F) {
 			data = data[1:]
 			return int(b)
 		}
-		sp := rowsSpec(shape)
+		rnd := chaos.NewRand(uint64(next()))
+		n := next() % 24
+		sp := rowsSpec(shape, n)
 		m := len(sp.order)
 
 		// Seeded codes with tiny domains (mostly ties), set in the top bits
 		// of wide columns so the high words of a key vector collide too.
-		rnd := chaos.NewRand(uint64(next()))
-		n := next() % 24
 		codes := make([][]uint64, m)
 		cols := make([]*byteslice.BS, m)
 		for c := range codes {
@@ -246,26 +256,32 @@ func FuzzShardRows(f *testing.F) {
 			}
 		}
 		wantRanks, wantOids := naiveRows(sp, code, gids, limit, offset)
-		forms := map[string]mergeSpec{"spec": sp}
-		if !sp.wide {
-			forms = bothForms(sp)
+		forms := bothForms(sp, n)
+		if sp.wide {
+			delete(forms, "packed")
 		}
 		for form, fsp := range forms {
 			g := &gather{sp: fsp, ranges: ranges, cols: cols, cut: cut}
-			ranks, oids, err := gatherRows(ctx, g, answers, limit, offset)
-			if err != nil {
-				t.Fatalf("%s keys: %v", form, err)
-			}
-			if !slices.Equal(oids, wantOids) || !slices.Equal(ranks, wantRanks) {
-				t.Fatalf("%s keys (op %d, cut %d): gathered\n  oids %v ranks %v\nreference\n  oids %v ranks %v", form, op, cut, oids, ranks, wantOids, wantRanks)
+			for _, workers := range []int{1, 2} {
+				ranks, oids, err := gatherRows(ctx, g, answers, limit, offset, workers)
+				if err != nil {
+					t.Fatalf("%s keys: %v", form, err)
+				}
+				if !slices.Equal(oids, wantOids) || !slices.Equal(ranks, wantRanks) {
+					t.Fatalf("%s keys, workers %d (op %d, cut %d): gathered\n  oids %v ranks %v\nreference\n  oids %v ranks %v", form, workers, op, cut, oids, ranks, wantOids, wantRanks)
+				}
 			}
 			if op != 0 || cut == 0 {
 				continue
 			}
 			// A canonical pre-cut loses nothing: the gathered window is the
 			// same window of the uncut table's gather.
+			ranks, oids, err := gatherRows(ctx, g, answers, limit, offset, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
 			g.cut = 0
-			fullRanks, fullOids, err := gatherRows(ctx, g, canon(0), nil, 0)
+			fullRanks, fullOids, err := gatherRows(ctx, g, canon(0), nil, 0, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
