@@ -17,9 +17,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/bits"
 	"os"
 
 	"repro/internal/column"
+	"repro/internal/mergesort"
 )
 
 // Constants holds every calibrated parameter of the model.
@@ -48,7 +50,7 @@ type Constants struct {
 	RadixScatterMem float64 // per row per 8 key bits, pairs beyond M_L2
 	// RadixWordScatter and RadixWordScatterMem are RadixScatter and
 	// RadixScatterMem for the packed key<<32 | oid words the kernel sorts
-	// in banks of at most 32 bits from RadixPackMinRows rows on.
+	// in banks of at most 32 bits from mergesort.PackMinRows rows on.
 	RadixWordScatter    float64
 	RadixWordScatterMem float64
 	// RadixAlloc is per row of a sort that allocates its scratch, per 24
@@ -60,71 +62,13 @@ type Constants struct {
 	// row per pass, the compaction of the kept rows included.
 	Select float64
 	// Small-sort regime (TSmall): runs below a kernel's insertion
-	// cutoff (RadixCutoff for the radix kernel) are insertion-sorted by
-	// mergesort.InsertionSort under both kernels:
+	// cutoff (mergesort.SmallRunCutoff for the radix kernel) are
+	// insertion-sorted by mergesort.InsertionSort under both kernels:
 	// T = SmallCall + SmallElem·n + SmallQuad·n².
 	SmallCall float64
 	SmallElem float64
 	SmallQuad float64
 }
-
-// RadixCutoff mirrors mergesort.smallRunCutoff, the radix kernel's
-// insertion-sort cutoff: runs below it never reach the radix passes.
-// A mergesort test fails if the two drift apart.
-const RadixCutoff = 64
-
-// RadixPackMinRows and RadixPackMaxBits mirror mergesort.packMinRows and
-// packMaxBits: from RadixPackMinRows rows on, a bank of at most 32 bits
-// sorts packed words on digits of at most RadixPackMaxBits bits. The
-// same mergesort test pins them.
-const (
-	RadixPackMinRows = 2048
-	RadixPackMaxBits = 11
-)
-
-// RadixLayout is how the radix kernel sorts one run (RadixLayoutOf).
-type RadixLayout struct {
-	Bits   int  // digit width
-	Hists  int  // histograms the counting sweep fills
-	Digits int  // live digits of the key, ⌈width/Bits⌉
-	Packed bool // key<<32 | oid words, not (key, oid) pairs
-	// RowBytes is what a scatter streams per row, its source and its
-	// destination: 16 bytes of words or 24 of pairs.
-	RowBytes float64
-	// ScratchBytes is the scratch per row: one word array or pair for at
-	// most two live digits, two for more.
-	ScratchBytes float64
-}
-
-// RadixLayoutOf returns how the kernel sorts n rows of a width-bit key in
-// a bank-bit bank: from RadixPackMinRows rows on, a bank of at most 32
-// bits as packed words on the narrowest digits of at most
-// RadixPackMaxBits bits that take the bank in as few passes — 11 bits
-// for bank 32, 8 for bank 16 — and every other run as pairs on 8-bit
-// digits.
-func RadixLayoutOf(n float64, bank, width int) RadixLayout {
-	l := RadixLayout{Bits: 8, Hists: bank / 8, RowBytes: 24}
-	if bank <= 32 && n >= RadixPackMinRows {
-		l.Hists = (bank + RadixPackMaxBits - 1) / RadixPackMaxBits
-		l.Bits = (bank + l.Hists - 1) / l.Hists
-		l.Packed, l.RowBytes = true, 16
-	}
-	l.Digits = (width + l.Bits - 1) / l.Bits
-	l.ScratchBytes = l.RowBytes
-	if l.Digits <= 2 {
-		l.ScratchBytes /= 2
-	}
-	return l
-}
-
-// SelectDigitBits and SelectRefineShare mirror the radix select's
-// mergesort.selectDigitBits and selectRefineShare: a select pass counts
-// a digit this wide, and refines a boundary bucket of more than
-// n/SelectRefineShare rows on the next digit.
-const (
-	SelectDigitBits   = 10
-	SelectRefineShare = 16
-)
 
 // SortTerm prices one sort call of n rows whose round key is width bits
 // wide in a bank-bit bank; dup is the duplicate fraction of the keys.
@@ -314,15 +258,15 @@ func (m *Model) TScan(n int, groups float64) float64 {
 // TRadix is the radix kernel's T_sort: one sort call over n (key, oid)
 // rows whose key is width bits wide in a bank-bit bank, as
 // mergesort.SortScratchContext runs it on a reused scratch. Below
-// RadixCutoff rows it is the insertion sort. Above, it is one counting
-// sweep that fills every digit's histogram, then per live digit a prefix
-// sum of its counters and a scatter of every row. A digit every key
-// agrees on is skipped, so there are ⌈width/b⌉ live digits of b bits:
-// the round's width and not its bank sets the scatter count. The layout
-// follows the kernel (RadixLayoutOf): from RadixPackMinRows rows on, a
-// bank of at most 32 bits moves 8-byte packed words on digits of up to
-// RadixPackMaxBits bits (RadixWordScatter*), every other sort 12-byte
-// (key, oid) pairs on 8-bit digits (RadixScatter*). A scatter's cost per
+// mergesort.SmallRunCutoff rows it is the insertion sort. Above, it is
+// one counting sweep that fills every digit's histogram, then per live
+// digit a prefix sum of its counters and a scatter of every row. A digit
+// every key agrees on is skipped, so there are ⌈width/b⌉ live digits of
+// b bits: the round's width and not its bank sets the scatter count. The
+// layout is the kernel's own (mergesort.LayoutOf): from
+// mergesort.PackMinRows rows on, a bank of at most 32 bits moves 8-byte
+// packed words on digits of up to 11 bits (RadixWordScatter*), every
+// other sort 12-byte (key, oid) pairs on 8-bit digits (RadixScatter*). A scatter's cost per
 // row follows where its source and destination (16 or 24 bytes a row)
 // live, as Equation 3 prices a lookup: the per-pass constant within
 // M_L2; beyond it the Mem constant per 8 key bits, since a digit of b
@@ -332,10 +276,10 @@ func (m *Model) TRadix(n float64, bank, width int) float64 {
 	if n < 2 {
 		return 0
 	}
-	if n < RadixCutoff {
+	if n < mergesort.SmallRunCutoff {
 		return m.TSmall(n)
 	}
-	l := RadixLayoutOf(n, bank, width)
+	l := mergesort.LayoutOf(n, bank, width)
 	scatter, mem := m.C.RadixScatter, m.C.RadixScatterMem
 	if l.Packed {
 		scatter, mem = m.C.RadixWordScatter, m.C.RadixWordScatterMem
@@ -350,8 +294,8 @@ func (m *Model) TRadix(n float64, bank, width int) float64 {
 // tRadixFresh is TRadix for a sort that allocates its scratch.
 func (m *Model) tRadixFresh(n float64, bank, width int) float64 {
 	t := m.TRadix(n, bank, width)
-	if n >= RadixCutoff {
-		t += m.C.RadixAlloc * n * RadixLayoutOf(n, bank, width).ScratchBytes / 24
+	if n >= mergesort.SmallRunCutoff {
+		t += m.C.RadixAlloc * n * mergesort.LayoutOf(n, bank, width).ScratchBytes / 24
 	}
 	return t
 }
@@ -371,7 +315,7 @@ func CollectStats(cols [][]uint64, widths []int) Stats {
 		st.N = len(cols[0])
 	}
 	for i, codes := range cols {
-		st.Cols[i] = collectColumnStats(codes, widths[i])
+		st.Cols[i] = CollectColumnStats(codes, widths[i])
 	}
 	return st
 }
@@ -381,10 +325,6 @@ func CollectStats(cols [][]uint64, widths []int) Stats {
 // statistics collection at query time (as in any DBMS, statistics are
 // maintained ahead of queries).
 func CollectColumnStats(codes []uint64, width int) ColumnStats {
-	return collectColumnStats(codes, width)
-}
-
-func collectColumnStats(codes []uint64, width int) ColumnStats {
 	cs := ColumnStats{Width: width, PrefixDistinct: make([]float64, width+1)}
 	cs.PrefixDistinct[0] = 1
 	if len(codes) == 0 {
@@ -403,11 +343,7 @@ func collectColumnStats(codes []uint64, width int) ColumnStats {
 		if x == 0 {
 			continue
 		}
-		lcp := width - bitLen(x)
-		if lcp < 0 {
-			lcp = 0
-		}
-		splits[lcp]++
+		splits[max(width-bits.Len64(x), 0)]++
 	}
 	acc := 0
 	for t := 1; t <= width; t++ {
@@ -415,15 +351,6 @@ func collectColumnStats(codes []uint64, width int) ColumnStats {
 		cs.PrefixDistinct[t] = float64(1 + acc)
 	}
 	return cs
-}
-
-func bitLen(x uint64) int {
-	n := 0
-	for x != 0 {
-		x >>= 1
-		n++
-	}
-	return n
 }
 
 func sortUint64(a []uint64) {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/column"
+	"repro/internal/mergesort"
 	"repro/internal/plan"
 )
 
@@ -208,16 +209,17 @@ func TestLoadRejectsProfileWithoutRadixTerm(t *testing.T) {
 }
 
 // TestTRadixShape pins the radix term's structure: free below two rows,
-// the insertion regime below RadixCutoff, one scatter per live digit —
-// the width, not the bank — of 8 bits on pairs and of 11 on the packed
-// words of a 32-bit bank from RadixPackMinRows rows on, and a wider
+// the insertion regime below mergesort.SmallRunCutoff, one scatter per
+// live digit — the width, not the bank — of 8 bits on pairs and of 11
+// on the packed words of a 32-bit bank from mergesort.PackMinRows rows
+// on, and a wider
 // bank costing only the histograms its counting sweep fills.
 func TestTRadixShape(t *testing.T) {
 	m := Builtin()
 	if m.TRadix(1, 32, 18) != 0 {
 		t.Error("a one-row sort must be free")
 	}
-	if got, want := m.TRadix(RadixCutoff-1, 64, 64), m.TSmall(RadixCutoff-1); got != want {
+	if got, want := m.TRadix(mergesort.SmallRunCutoff-1, 64, 64), m.TSmall(mergesort.SmallRunCutoff-1); got != want {
 		t.Errorf("below the cutoff: %v, want the insertion regime %v", got, want)
 	}
 	n := float64(1 << 16)
@@ -236,7 +238,7 @@ func TestTRadixShape(t *testing.T) {
 	if !(m.TRadix(n, 32, 18) < m.TRadix(n, 64, 18)) {
 		t.Error("18 bits on two packed digits must cost less than on three pair digits")
 	}
-	small := float64(RadixPackMinRows - 1)
+	small := float64(mergesort.PackMinRows - 1)
 	if got, want := m.TRadix(small, 64, 16)-m.TRadix(small, 16, 16), 6*small*m.C.RadixCountHist; math.Abs(got-want) > 1e-9*want {
 		t.Errorf("bank 64 over bank 16 at width 16 costs %v, want the six extra histograms' %v", got, want)
 	}

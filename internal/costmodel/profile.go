@@ -3,6 +3,7 @@ package costmodel
 import (
 	"math"
 
+	"repro/internal/mergesort"
 	"repro/internal/obs"
 	"repro/internal/plan"
 )
@@ -261,7 +262,7 @@ func (pf *Profile) tSortAfterWidth(bitsBefore, width, bank int) float64 {
 // all N rows, or under a row limit the top-K sort.
 func (pf *Profile) tSortFirst(width, bank int) float64 {
 	n := pf.st.N
-	if pf.st.LimitRows > 0 && pf.st.LimitRows < n && n >= RadixCutoff {
+	if pf.st.LimitRows > 0 && pf.st.LimitRows < n && n >= mergesort.SmallRunCutoff {
 		return pf.tTopK(width, bank)
 	}
 	return pf.tSortFresh(float64(n), width, bank)
@@ -281,23 +282,23 @@ func (pf *Profile) tSortFresh(n float64, width, bank int) float64 {
 // radix-select passes over all N rows, then a sort of the kept rows —
 // those below the bucket that holds rank LimitRows, and that bucket —
 // by whichever kernel sorts (tSortFresh). A pass counts the
-// SelectDigitBits-bit digit at shift, starting at the bank's top digit,
-// and so resolves the key's bits from shift up: none when the key is no
-// wider than shift, and then every candidate agrees and the next pass
-// counts the key's top digit instead. The select refines, one digit
-// lower, while the boundary bucket — on average N over the distinct
-// values of the bits resolved so far — holds more than
-// N/SelectRefineShare rows.
+// mergesort.SelectDigitBits-bit digit at shift, starting at the bank's
+// top digit, and so resolves the key's bits from shift up: none when the
+// key is no wider than shift, and then every candidate agrees and the
+// next pass counts the key's top digit instead. The select refines, one
+// digit lower, while the boundary bucket — on average N over the
+// distinct values of the bits resolved so far — holds more than
+// N/mergesort.SelectRefineShare rows.
 func (pf *Profile) tTopK(width, bank int) float64 {
 	n := float64(pf.st.N)
-	passes, shift := 1.0, bank-SelectDigitBits
+	passes, shift := 1.0, bank-mergesort.SelectDigitBits
 	if width <= shift {
 		passes++
-		shift = max(width-SelectDigitBits, 0)
+		shift = max(width-mergesort.SelectDigitBits, 0)
 	}
 	bucket := n / pf.st.distinctOfPrefix(width-shift)
-	for shift > 0 && bucket > n/SelectRefineShare {
-		shift = max(shift-SelectDigitBits, 0)
+	for shift > 0 && bucket > n/mergesort.SelectRefineShare {
+		shift = max(shift-mergesort.SelectDigitBits, 0)
 		passes++
 		bucket = n / pf.st.distinctOfPrefix(width-shift)
 	}

@@ -239,7 +239,7 @@ func calibrateSmall(rng *rand.Rand, n int) (call, elem, quad float64, err error)
 	oids := make([]uint32, n)
 	var rows [][]float64
 	var ts []float64
-	for _, size := range []int{2, 3, 5, 8, 12, 16, 20, 24, 32, 40, 48, 56, costmodel.RadixCutoff - 1} {
+	for _, size := range []int{2, 3, 5, 8, 12, 16, 20, 24, 32, 40, 48, 56, mergesort.SmallRunCutoff - 1} {
 		g := n / size
 		best := 0.0
 		for rep := 0; rep < 3; rep++ {
@@ -281,9 +281,9 @@ var radixCalWidths = map[int][]int{16: {0, 8, 16}, 32: {0, 8, 18, 24, 32}, 64: {
 // scratch, as a later round's group sorts run; and the same single sorts
 // again allocating their scratch, as a first round's sort does — so the
 // scatter is timed on both sides of M_L2, on pairs (bank 64, and groups
-// below costmodel.RadixPackMinRows rows) and on packed words (banks 16
+// below mergesort.PackMinRows rows) and on packed words (banks 16
 // and 32 from there on), apart from the cost of fresh scratch. A run of
-// G calls of N/G rows whose layout (costmodel.RadixLayoutOf) has H
+// G calls of N/G rows whose layout (mergesort.LayoutOf) has H
 // histograms and D live digits of b bits takes (costmodel.Model.TRadix)
 // T = G·D·2^b/256·RadixOffsets + N·(RadixCount + H·RadixCountHist) +
 // N·(D·hit·S + width/8·(1−hit)·S_mem)
@@ -335,7 +335,7 @@ func calibrateRadix(rng *rand.Rand, n int, m *costmodel.Model) error {
 						best = t
 					}
 				}
-				l := costmodel.RadixLayoutOf(float64(per), bank, width)
+				l := mergesort.LayoutOf(float64(per), bank, width)
 				d, rn := float64(l.Digits), float64(per*run.groups)
 				hit := min(float64(m.L2)/(l.RowBytes*float64(per)), 1)
 				alloc := 0.0
@@ -395,11 +395,11 @@ func calibrateSelect(rng *rand.Rand, n int, m *costmodel.Model) (float64, error)
 			}
 		}
 		passes := 1.0
-		if run.width <= run.bank-costmodel.SelectDigitBits {
+		if run.width <= run.bank-mergesort.SelectDigitBits {
 			passes++
 		}
-		kept := limit + float64(run.rows)/float64(uint64(1)<<min(costmodel.SelectDigitBits, run.width))
-		work += best - m.TRadix(kept, run.bank, run.width) - m.C.RadixAlloc*kept*costmodel.RadixLayoutOf(kept, run.bank, run.width).ScratchBytes/24
+		kept := limit + float64(run.rows)/float64(uint64(1)<<min(mergesort.SelectDigitBits, run.width))
+		work += best - m.TRadix(kept, run.bank, run.width) - m.C.RadixAlloc*kept*mergesort.LayoutOf(kept, run.bank, run.width).ScratchBytes/24
 		rowPasses += float64(run.rows) * passes
 	}
 	if work <= 0 {

@@ -1,6 +1,8 @@
 package massage
 
 import (
+	"context"
+	"math/rand"
 	"testing"
 
 	"repro/internal/byteslice"
@@ -82,12 +84,18 @@ func splitWidths(totalW int, cuts uint32) []int {
 // a direct comparison of the raw codes with DESC semantics. RunParallel
 // must agree with Run bit for bit, and so must a run whose inputs are
 // partly ByteSlice-backed (descMask's high bits pick the columns).
-// Decode must give every row's codes back from its round keys.
+// RunRoundGatherContext over a seeded survivor permutation must give,
+// for materialised and ByteSlice-backed inputs alike, the full pass's
+// keys read through the permutation. Decode must give every row's codes
+// back from its round keys.
 func FuzzMassageRoundTrip(f *testing.F) {
 	f.Add(uint32(0), uint8(0), uint32(0), []byte{1, 2, 3})
 	f.Add(uint32(0xFFFF), uint8(3), uint32(0xAAAA), []byte("massage me"))
 	f.Add(uint32(2+(15<<2)+(15<<6)), uint8(0), uint32(1<<14), make([]byte, 48))
 	f.Add(uint32(3+(8<<2)+(1<<6)+(16<<10)), uint8(9), uint32(0x0F0F), []byte{255, 0, 255, 0, 128, 64, 32, 16})
+	// A DESC 5-bit column lending round 0 one bit of a 7-bit one: rounds
+	// of 6 and 6 bits, both columns ByteSlice-backed.
+	f.Add(uint32(1+(4<<2)+(6<<6)), uint8(0x31), uint32(1<<5), []byte("borrow a bit, descending"))
 
 	f.Fuzz(func(t *testing.T, widthsRaw uint32, descMask uint8, cuts uint32, data []byte) {
 		inputs := buildFuzzInputs(widthsRaw, descMask, data)
@@ -121,6 +129,26 @@ func FuzzMassageRoundTrip(f *testing.F) {
 				}
 				if massaged[r][i] != sourced[r][i] {
 					t.Fatalf("ByteSlice-backed inputs (mask %#x) diverge at round %d row %d", descMask>>4, r, i)
+				}
+			}
+		}
+
+		// A truncated sort's survivors: a shuffled two-thirds of the rows.
+		perm := make([]uint32, rows)
+		for i, r := range rand.New(rand.NewSource(int64(cuts))).Perm(rows) {
+			perm[i] = uint32(r)
+		}
+		perm = perm[:rows-rows/3]
+		for _, in := range [][]Input{inputs, byteSliceBacked(inputs, descMask)} {
+			for d := range outWidths {
+				got, err := prog.RunRoundGatherContext(context.Background(), in, perm, d, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, r := range perm {
+					if got[i] != massaged[d][r] {
+						t.Fatalf("RunRoundGatherContext round %d survivor %d (row %d) = %#x, full pass %#x", d, i, r, got[i], massaged[d][r])
+					}
 				}
 			}
 		}

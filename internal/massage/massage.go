@@ -53,10 +53,7 @@ type Input struct {
 }
 
 // Source is where a late-materialised input's codes live: input row i
-// is row Rows[i] of Column. It sits behind a pointer because the
-// engine's per-group loops range over inputs by value: an Input of two
-// more fields is copied by a runtime call there, once per group and
-// column.
+// is row Rows[i] of Column.
 type Source struct {
 	Column Gatherer
 	Rows   []uint32
@@ -77,17 +74,6 @@ func (in Input) Len() int {
 	return len(in.Codes)
 }
 
-// anySource reports whether some input reads a Source, which sends a
-// pass through runBlocks.
-func anySource(inputs []Input) bool {
-	for _, in := range inputs {
-		if in.Source != nil {
-			return true
-		}
-	}
-	return false
-}
-
 // segment is one contiguous bit range of the concatenation that maps
 // from a single source column into a single round key; executing it is
 // one FIP invocation.
@@ -97,34 +83,29 @@ type segment struct {
 	srcShift uint   // right-shift applied to the source code
 	dstShift uint   // left-shift applied before OR-ing into the key
 	mask     uint64 // width mask after the source shift
+	// flip is mask for a DESC column, 0 otherwise: complementing the
+	// whole column and then extracting the segment equals extracting and
+	// then complementing within the mask.
+	flip uint64
 }
 
 // Program is a compiled massage plan: the segments to execute per row.
 type Program struct {
-	segments  []segment
-	nRounds   int
-	inWidths  []int
-	outWidths []int
-	// flip is each input's complement mask: its width's mask for a DESC
-	// column, 0 otherwise (Decode).
-	flip []uint64
+	segments []segment
+	nRounds  int
 }
 
-// Compile builds the FIP program that reshapes columns with widths
-// inWidths into round keys with widths outWidths. Both partitions must
-// cover the same total bit width.
+// Compile builds the FIP program that reshapes the inputs' columns into
+// round keys with widths outWidths. Both partitions must cover the same
+// total bit width.
 func Compile(inputs []Input, outWidths []int) (*Program, error) {
 	inWidths := make([]int, len(inputs))
-	flip := make([]uint64, len(inputs))
 	totalIn := 0
 	for i, in := range inputs {
 		if in.Width < 1 || in.Width > 64 {
 			return nil, fmt.Errorf("massage: input %d width %d out of range", i, in.Width)
 		}
 		inWidths[i] = in.Width
-		if in.Desc {
-			flip[i] = column.Mask(in.Width)
-		}
 		totalIn += in.Width
 	}
 	totalOut := 0
@@ -155,19 +136,20 @@ func Compile(inputs []Input, outWidths []int) (*Program, error) {
 			if lo >= hi {
 				continue
 			}
-			segW := hi - lo
 			// Within source column s, the segment covers local bits
 			// counted from the MSB side: [lo-sLo, hi-sLo). The code is
 			// right-aligned, so the right-shift is the bits below it.
-			srcShift := uint(sHi - hi)
-			dstShift := uint(dHi - hi)
-			segs = append(segs, segment{
+			sg := segment{
 				src:      s,
 				dst:      d,
-				srcShift: srcShift,
-				dstShift: dstShift,
-				mask:     column.Mask(segW),
-			})
+				srcShift: uint(sHi - hi),
+				dstShift: uint(dHi - hi),
+				mask:     column.Mask(hi - lo),
+			}
+			if inputs[s].Desc {
+				sg.flip = sg.mask
+			}
+			segs = append(segs, sg)
 		}
 	}
 	obsCompiles.Inc()
@@ -188,13 +170,7 @@ func Compile(inputs []Input, outWidths []int) (*Program, error) {
 			obsBorrowOps.Add(int64(d - 1))
 		}
 	}
-	return &Program{
-		segments:  segs,
-		nRounds:   len(outWidths),
-		inWidths:  inWidths,
-		outWidths: append([]int(nil), outWidths...),
-		flip:      flip,
-	}, nil
+	return &Program{segments: segs, nRounds: len(outWidths)}, nil
 }
 
 func prefixStarts(widths []int) []int {
@@ -216,13 +192,14 @@ func (p *Program) FIPCount() int { return len(p.segments) }
 // Decode inverts the program at one row: keys[d][i] is the row's
 // round-d key, and dst — one entry per input — gets the input codes it
 // was massaged from. Every segment runs in reverse, moving its bits from
-// the round key back to their column, and a DESC column is complemented
-// back. By Lemma 1 the round keys are the concatenation C₁‖…‖C_m cut
-// into rounds, so a row's sorted keys alone give back its sort columns.
+// the round key back to their column, and a DESC column's bits are
+// complemented back. By Lemma 1 the round keys are the concatenation
+// C₁‖…‖C_m cut into rounds, so a row's sorted keys alone give back its
+// sort columns.
 func (p *Program) Decode(keys [][]uint64, i int, dst []uint64) {
-	copy(dst, p.flip)
+	clear(dst)
 	for _, sg := range p.segments {
-		dst[sg.src] ^= (keys[sg.dst][i] >> sg.dstShift & sg.mask) << sg.srcShift
+		dst[sg.src] |= (keys[sg.dst][i]>>sg.dstShift&sg.mask ^ sg.flip) << sg.srcShift
 	}
 }
 
@@ -258,72 +235,41 @@ func forEachChunk(ctx context.Context, rows, workers, round int, run func(lo, hi
 // RunParallelContext massages the input columns into one key array per
 // round, partitioning the rows across workers goroutines (workers < 2
 // runs on the caller's). Rows is the row count; all inputs must have at
-// least that many codes. On error the partially massaged keys are
+// least that many rows. On error the partially massaged keys are
 // discarded.
 func (p *Program) RunParallelContext(ctx context.Context, inputs []Input, rows, workers int) ([][]uint64, error) {
 	out := make([][]uint64, p.nRounds)
 	for d := range out {
 		out[d] = make([]uint64, rows)
 	}
-	run := func(lo, hi int) { runRange(p.segments, inputs, out, lo, hi) }
-	if anySource(inputs) {
-		run = func(lo, hi int) { runBlocks(p.segments, inputs, out, nil, lo, hi) }
-	}
-	err := forEachChunk(ctx, rows, workers, -1, run)
+	err := forEachChunk(ctx, rows, workers, -1, func(lo, hi int) { runBlocks(p.segments, inputs, out, nil, lo, hi) })
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// runRange executes segs for rows [lo, hi), OR-ing each segment's bits
-// into its destination round's key array. The per-segment loop is
-// sequential and branch-free, matching the paper's characterization of
-// the massaging cost.
-func runRange(segs []segment, inputs []Input, out [][]uint64, lo, hi int) {
-	countFIPs(len(segs), hi-lo)
-	for _, seg := range segs {
-		src := inputs[seg.src].Codes
-		dst := out[seg.dst]
-		srcShift, dstShift, mask := seg.srcShift, seg.dstShift, seg.mask
-		if inputs[seg.src].Desc {
-			// Complement-before-stitch for DESC columns: complementing
-			// the full column then extracting equals extracting then
-			// complementing within the segment mask.
-			cmask := column.Mask(inputs[seg.src].Width)
-			for i := lo; i < hi; i++ {
-				v := ((^src[i] & cmask) >> srcShift) & mask
-				dst[i] |= v << dstShift
-			}
-			continue
-		}
-		for i := lo; i < hi; i++ {
-			dst[i] |= ((src[i] >> srcShift) & mask) << dstShift
-		}
-	}
-}
-
-// gatherBlock is the row count runBlocks decodes at a time: a block of
+// gatherBlock is the row count runBlocks massages at a time: a block of
 // every source column a pass reads (8 KiB each) stays in L1 while the
 // pass's FIPs read it.
 const gatherBlock = 1024
 
-// runBlocks is runRange for inputs some of which read a Source: it
-// runs segs over rows [lo, hi) — or, when perm is non-nil, over
-// positions [lo, hi) of perm, out[d][i] getting row perm[i]'s bits —
-// gatherBlock rows at a time. Each block of every source column segs
-// read is gathered into an L1 buffer (a materialised column read
-// without perm is only windowed), then runRange, the one FIP loop, runs
-// segs over the block's aligned windows. The buffers are allocated once
-// per range, never per block.
+// runBlocks is the one row loop of every pass: it runs segs over rows
+// [lo, hi) — or, when perm is non-nil, over positions [lo, hi) of perm,
+// out[d][i] getting row perm[i]'s bits — gatherBlock rows at a time.
+// Each block of every input segs read is windowed when it is
+// materialised and read without perm, and otherwise gathered into an L1
+// buffer (from its Source, or through perm); then runRange runs segs
+// over the block. The buffers are allocated once per range, never per
+// block.
 func runBlocks(segs []segment, inputs []Input, out [][]uint64, perm []uint32, lo, hi int) {
+	countFIPs(len(segs), hi-lo)
 	size := min(gatherBlock, hi-lo)
-	block := make([]Input, len(inputs)) // the block's view of inputs
+	read := make([]bool, len(inputs)) // some segment reads the input
 	bufs := make([][]uint64, len(inputs))
 	for _, sg := range segs {
-		in := inputs[sg.src]
-		block[sg.src] = Input{Width: in.Width, Desc: in.Desc}
-		if bufs[sg.src] == nil && (in.Source != nil || perm != nil) {
+		read[sg.src] = true
+		if bufs[sg.src] == nil && (inputs[sg.src].Source != nil || perm != nil) {
 			bufs[sg.src] = make([]uint64, size)
 		}
 	}
@@ -331,17 +277,17 @@ func runBlocks(segs []segment, inputs []Input, out [][]uint64, perm []uint32, lo
 	if perm != nil {
 		ids = make([]uint32, size)
 	}
+	block := make([][]uint64, len(inputs)) // the block's codes per input
 	dst := make([][]uint64, len(out))
 	for blo := lo; blo < hi; blo += gatherBlock {
 		bhi := min(blo+gatherBlock, hi)
 		for s, in := range inputs {
 			buf := bufs[s][:min(len(bufs[s]), bhi-blo)]
 			switch {
-			case block[s].Width == 0: // no segment reads it
+			case !read[s]:
 				continue
 			case perm == nil && in.Source == nil:
-				block[s].Codes = in.Codes[blo:bhi]
-				continue
+				buf = in.Codes[blo:bhi]
 			case perm == nil:
 				in.Source.Column.Gather(buf, in.Source.Rows[blo:bhi])
 			case in.Source == nil:
@@ -355,14 +301,30 @@ func runBlocks(segs []segment, inputs []Input, out [][]uint64, perm []uint32, lo
 				}
 				in.Source.Column.Gather(buf, ids)
 			}
-			block[s].Codes = buf
+			block[s] = buf
 		}
 		for d := range out {
 			if out[d] != nil {
 				dst[d] = out[d][blo:bhi]
 			}
 		}
-		runRange(segs, block, dst, 0, bhi-blo)
+		runRange(segs, block, dst)
+	}
+}
+
+// runRange is the FIP kernel: it executes segs over one block, OR-ing
+// each segment's bits of its input's codes (codes, per input) into its
+// round's keys (dst, per round). The per-segment loop is sequential and
+// branch-free, matching the paper's characterization of the massaging
+// cost.
+func runRange(segs []segment, codes, dst [][]uint64) {
+	for _, seg := range segs {
+		keys := dst[seg.dst]
+		src := codes[seg.src][:len(keys)]
+		srcShift, dstShift, mask, flip := seg.srcShift, seg.dstShift, seg.mask, seg.flip
+		for i, c := range src {
+			keys[i] |= (c>>srcShift&mask ^ flip) << dstShift
+		}
 	}
 }
 

@@ -7,17 +7,15 @@
 // RunRoundGatherContext fuses the lookup/permute step into the FIP pass
 // by indexing the source codes through the survivor permutation — one
 // read-modify-write stream per surviving row instead of
-// permute-then-massage over all rows. With ByteSlice-backed inputs
-// (Input.Source) both read the codes straight from the byte planes, a
-// block at a time (runBlocks): round 0 decodes only its own source
-// columns, later rounds only the survivors' codes.
+// permute-then-massage over all rows. Both run the one block loop
+// (runBlocks): round 0 decodes only its own source columns, later
+// rounds only the survivors' codes.
 package massage
 
 import (
 	"context"
 	"fmt"
 
-	"repro/internal/column"
 	"repro/internal/obs"
 )
 
@@ -26,11 +24,12 @@ var (
 	obsGatherRuns = obs.NewCounter("massage.gather_fused_runs")
 )
 
-// roundSegments returns the segments feeding round d, or an error when
-// d is out of range.
-func (p *Program) roundSegments(d int) ([]segment, error) {
+// round returns the segments feeding round d and an output indexed by
+// round, as runBlocks writes it, whose one key array is round d's rows
+// keys; or an error when d is out of range.
+func (p *Program) round(d, rows int) ([]segment, [][]uint64, error) {
 	if d < 0 || d >= p.nRounds {
-		return nil, fmt.Errorf("massage: round %d out of range [0,%d)", d, p.nRounds)
+		return nil, nil, fmt.Errorf("massage: round %d out of range [0,%d)", d, p.nRounds)
 	}
 	segs := make([]segment, 0, 2)
 	for _, sg := range p.segments {
@@ -38,7 +37,9 @@ func (p *Program) roundSegments(d int) ([]segment, error) {
 			segs = append(segs, sg)
 		}
 	}
-	return segs, nil
+	out := make([][]uint64, p.nRounds)
+	out[d] = make([]uint64, rows)
+	return segs, out, nil
 }
 
 // RunRoundParallelContext massages only round d's key array for rows
@@ -49,20 +50,12 @@ func (p *Program) roundSegments(d int) ([]segment, error) {
 // ByteSlice-backed input is gathered in gatherBlock-row blocks, and only
 // when round d reads it.
 func (p *Program) RunRoundParallelContext(ctx context.Context, inputs []Input, rows, d, workers int) ([]uint64, error) {
-	segs, err := p.roundSegments(d)
+	segs, out, err := p.round(d, rows)
 	if err != nil {
 		return nil, err
 	}
 	obsRoundRuns.Inc()
-	// runRange indexes its destination by round; segs only feed round d,
-	// so only that key array exists.
-	out := make([][]uint64, p.nRounds)
-	out[d] = make([]uint64, rows)
-	run := func(lo, hi int) { runRange(segs, inputs, out, lo, hi) }
-	if anySource(inputs) {
-		run = func(lo, hi int) { runBlocks(segs, inputs, out, nil, lo, hi) }
-	}
-	err = forEachChunk(ctx, rows, workers, d, run)
+	err = forEachChunk(ctx, rows, workers, d, func(lo, hi int) { runBlocks(segs, inputs, out, nil, lo, hi) })
 	if err != nil {
 		return nil, err
 	}
@@ -77,44 +70,14 @@ func (p *Program) RunRoundParallelContext(ctx context.Context, inputs []Input, r
 // its rows Rows[perm[i]]. Cancellation and containment match
 // RunRoundParallelContext.
 func (p *Program) RunRoundGatherContext(ctx context.Context, inputs []Input, perm []uint32, d, workers int) ([]uint64, error) {
-	segs, err := p.roundSegments(d)
+	segs, out, err := p.round(d, len(perm))
 	if err != nil {
 		return nil, err
 	}
 	obsGatherRuns.Inc()
-	out := make([]uint64, len(perm))
-	run := func(lo, hi int) { runGatherRange(segs, inputs, out, perm, lo, hi) }
-	if anySource(inputs) {
-		// runBlocks indexes its destination by round, as runRange does.
-		outs := make([][]uint64, p.nRounds)
-		outs[d] = out
-		run = func(lo, hi int) { runBlocks(segs, inputs, outs, perm, lo, hi) }
-	}
-	err = forEachChunk(ctx, len(perm), workers, d, run)
+	err = forEachChunk(ctx, len(perm), workers, d, func(lo, hi int) { runBlocks(segs, inputs, out, perm, lo, hi) })
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
-}
-
-// runGatherRange is runRange for one round with the source codes
-// indexed through perm: out[i] accumulates row perm[i]'s segment bits.
-func runGatherRange(segs []segment, inputs []Input, out []uint64, perm []uint32, lo, hi int) {
-	countFIPs(len(segs), hi-lo)
-	for _, seg := range segs {
-		src := inputs[seg.src].Codes
-		dst := out
-		srcShift, dstShift, mask := seg.srcShift, seg.dstShift, seg.mask
-		if inputs[seg.src].Desc {
-			cmask := column.Mask(inputs[seg.src].Width)
-			for i := lo; i < hi; i++ {
-				v := ((^src[perm[i]] & cmask) >> srcShift) & mask
-				dst[i] |= v << dstShift
-			}
-			continue
-		}
-		for i := lo; i < hi; i++ {
-			dst[i] |= ((src[perm[i]] >> srcShift) & mask) << dstShift
-		}
-	}
+	return out[d], nil
 }

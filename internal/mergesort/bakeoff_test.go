@@ -12,7 +12,7 @@ import (
 )
 
 // BenchmarkKernelBakeoff is the measurement behind the production
-// kernel and smallRunCutoff: every candidate kernel on every (bank, run
+// kernel and SmallRunCutoff: every candidate kernel on every (bank, run
 // length, duplicates) cell, in ns/row — the paper kernel's cells are
 // internal/mergesort/paper's BenchmarkKernelBakeoff, over the same keys.
 // One iteration sorts bakeoffRows rows cut into runs of n (one run when

@@ -10,11 +10,7 @@ var (
 )
 
 const (
-	MinChunkRows      = minChunkRows
-	SmallRunCutoff    = smallRunCutoff
-	PackMaxBits       = packMaxBits
-	PackMinRows       = packMinRows
-	MergeCheckEvery   = mergeCheckEvery
-	SelectDigitBits   = selectDigitBits
-	SelectRefineShare = selectRefineShare
+	MinChunkRows    = minChunkRows
+	PackMaxBits     = packMaxBits
+	MergeCheckEvery = mergeCheckEvery
 )

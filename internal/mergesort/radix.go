@@ -10,8 +10,8 @@ package mergesort
 // cost model measure (internal/mergesort/paper).
 //
 // The kernel has two layouts, chosen by the bank and the run length
-// (packDigitBits). A bank of at most 32 bits and a run of at least
-// packMinRows rows sort one packed key<<32 | oid word per row — one load
+// (LayoutOf). A bank of at most 32 bits and a run of at least
+// PackMinRows rows sort one packed key<<32 | oid word per row — one load
 // and one store per move, as the paper kernel's own lanes pack (key,
 // oid) — on digits of up to packMaxBits bits: an 18-bit round is two
 // scatters, a 29-bit one three. The first scatter reads the caller's
@@ -60,14 +60,14 @@ const packBuckets = 1 << packMaxBits
 // per live digit, its share of the offset walk radixOffsets runs on one
 // goroutine: 256 counters for a pair digit, a sixteenth of a minimum
 // chunk's rows, and 2,048 for a packed 11-bit digit, half of them — so
-// a minimum chunk is twice packMinRows, the run length from which the
+// a minimum chunk is twice PackMinRows, the run length from which the
 // packed kernel pays for its histograms at all. Floors of 8,192 to
 // 32,768 rows measured no faster at two and four workers once n holds
 // two chunks under each (EXPERIMENTS.md "One-word radix"); below that
 // a floor only decides whether the sort runs on one goroutine.
 // Without it the server's 1,024 workers would cut a 16,384-row group
 // into 16-row chunks, 24 MB of packed histograms.
-const minChunkRows = 2 * packMinRows
+const minChunkRows = 2 * PackMinRows
 
 // radixHist holds the pair histograms of every digit of one chunk.
 type radixHist = [8][radixBuckets]uint32
@@ -77,15 +77,42 @@ type radixHist = [8][radixBuckets]uint32
 // of 8.
 type packHist = [3][packBuckets]uint32
 
-// packDigitBits returns the digit width the kernel sorts n rows of the
-// bank on: 0 for (key, oid) pairs on 8-bit digits, else packed words on
-// the narrowest digits that take the bank in ⌈bank/packMaxBits⌉ passes.
-func packDigitBits(bank, n int) uint {
-	if bank > 32 || n < packMinRows {
-		return 0
+// Layout is how the kernel sorts one run (LayoutOf): the dispatch of
+// radixSort and parallelRadixSort, and what the cost model prices
+// (costmodel.TRadix).
+type Layout struct {
+	Bits   int  // digit width
+	Hists  int  // histograms the counting sweep fills
+	Digits int  // live digits of the key, ⌈width/Bits⌉
+	Packed bool // key<<32 | oid words, not (key, oid) pairs
+	// RowBytes is what a scatter streams per row, its source and its
+	// destination: 16 bytes of words or 24 of pairs.
+	RowBytes float64
+	// ScratchBytes is the scratch per row: one word array or pair for at
+	// most two live digits, two for more.
+	ScratchBytes float64
+}
+
+// LayoutOf returns how the kernel sorts n rows of a width-bit key in a
+// bank-bit bank: from PackMinRows rows on, a bank of at most 32 bits as
+// packed words on the narrowest digits of at most packMaxBits bits that
+// take the bank in as few passes — 11 bits for bank 32, 8 for bank 16 —
+// and every other run as pairs on 8-bit digits. A digit every key agrees
+// on is skipped, so a key whose every digit below width varies costs
+// Digits scatters (TestCostModelMirrorsKernel).
+func LayoutOf(n float64, bank, width int) Layout {
+	l := Layout{Bits: 8, Hists: bank / 8, RowBytes: 24}
+	if bank <= 32 && n >= PackMinRows {
+		l.Hists = (bank + packMaxBits - 1) / packMaxBits
+		l.Bits = (bank + l.Hists - 1) / l.Hists
+		l.Packed, l.RowBytes = true, 16
 	}
-	digits := (bank + packMaxBits - 1) / packMaxBits
-	return uint((bank + digits - 1) / digits)
+	l.Digits = (width + l.Bits - 1) / l.Bits
+	l.ScratchBytes = l.RowBytes
+	if l.Digits <= 2 {
+		l.ScratchBytes /= 2
+	}
+	return l
 }
 
 // Scratch is the working memory of the production kernel: the two
@@ -197,13 +224,14 @@ func unpack(words, keys []uint64, oids []uint32) {
 // but the last writes scratch only: on cancellation radixSort returns
 // ctx.Err() with keys and oids exactly as passed in.
 func radixSort(ctx context.Context, bank int, keys []uint64, oids []uint32, s *Scratch) error {
-	if bits := packDigitBits(bank, len(keys)); bits > 0 {
-		return packSort(ctx, bank, bits, keys, oids, s)
+	l := LayoutOf(float64(len(keys)), bank, bank)
+	if l.Packed {
+		return packSort(ctx, bank, l, keys, oids, s)
 	}
-	hist := s.pairHists(bank / 8)
-	radixCount(keys, bank/8, hist)
+	hist := s.pairHists(l.Hists)
+	radixCount(keys, l.Hists, hist)
 	col := func(_, d int) []uint32 { return hist[d][:] }
-	live, passes := liveDigits(1, bank/8, 8, keys[0], len(keys), col)
+	live, passes := liveDigits(1, l.Hists, 8, keys[0], len(keys), col)
 	srcK, srcO := keys, oids
 	for i, d := range live[:passes] {
 		if err := ctx.Err(); err != nil {
@@ -217,13 +245,13 @@ func radixSort(ctx context.Context, bank int, keys []uint64, oids []uint32, s *S
 	return s.copyBack(ctx, false, passes, keys, oids)
 }
 
-// packSort is radixSort on packed words and digits of bits bits.
-func packSort(ctx context.Context, bank int, bits uint, keys []uint64, oids []uint32, s *Scratch) error {
-	digits := (bank + int(bits) - 1) / int(bits)
-	hist := s.wordHists(bits, digits)
+// packSort is radixSort on packed words, laid out by l.
+func packSort(ctx context.Context, bank int, l Layout, keys []uint64, oids []uint32, s *Scratch) error {
+	bits := uint(l.Bits)
+	hist := s.wordHists(bits, l.Hists)
 	packCount(keys, bank, hist)
 	col := func(_, d int) []uint32 { return hist[d][:1<<bits] }
-	live, passes := liveDigits(1, digits, bits, keys[0], len(keys), col)
+	live, passes := liveDigits(1, l.Hists, bits, keys[0], len(keys), col)
 	var src []uint64
 	for i, d := range live[:passes] {
 		if err := ctx.Err(); err != nil {
@@ -288,11 +316,12 @@ func radixChunks(n, workers int) []int {
 // range polls and fires faultinject.ChunkSort; on error keys and oids
 // are in unspecified order.
 func parallelRadixSort(ctx context.Context, bank int, keys []uint64, oids []uint32, bounds []int, workers int, busy *pipeerr.Busy) error {
-	if bits := packDigitBits(bank, len(keys)/(len(bounds)-1)); bits > 0 {
-		return parallelPackSort(ctx, bank, bits, keys, oids, bounds, workers, busy)
+	l := LayoutOf(float64(len(keys)/(len(bounds)-1)), bank, bank)
+	if l.Packed {
+		return parallelPackSort(ctx, bank, l, keys, oids, bounds, workers, busy)
 	}
 	chunks := pipeerr.Pass{Stage: pipeerr.StageSort, Round: -1, Site: faultinject.ChunkSort, Busy: busy}
-	digits := bank / 8
+	digits := l.Hists
 	hists := make([]radixHist, len(bounds)-1)
 	err := chunks.Ranges(ctx, workers, len(hists), func(_ context.Context, c int) error {
 		radixCount(keys[bounds[c]:bounds[c+1]], digits, &hists[c])
@@ -331,12 +360,12 @@ func parallelRadixSort(ctx context.Context, bank int, keys []uint64, oids []uint
 	return s.copyBack(ctx, false, passes, keys, oids)
 }
 
-// parallelPackSort is parallelRadixSort on packed words and digits of
-// bits bits: each pass scatters every chunk's pairs or words into the
-// pass's destination, as packSort does for one chunk.
-func parallelPackSort(ctx context.Context, bank int, bits uint, keys []uint64, oids []uint32, bounds []int, workers int, busy *pipeerr.Busy) error {
+// parallelPackSort is parallelRadixSort on packed words, laid out by l:
+// each pass scatters every chunk's pairs or words into the pass's
+// destination, as packSort does for one chunk.
+func parallelPackSort(ctx context.Context, bank int, l Layout, keys []uint64, oids []uint32, bounds []int, workers int, busy *pipeerr.Busy) error {
 	chunks := pipeerr.Pass{Stage: pipeerr.StageSort, Round: -1, Site: faultinject.ChunkSort, Busy: busy}
-	digits := (bank + int(bits) - 1) / int(bits)
+	bits, digits := uint(l.Bits), l.Hists
 	hists := make([]packHist, len(bounds)-1)
 	err := chunks.Ranges(ctx, workers, len(hists), func(_ context.Context, c int) error {
 		packCount(keys[bounds[c]:bounds[c+1]], bank, &hists[c])
@@ -410,7 +439,7 @@ func radixCount(keys []uint64, digits int, hist *radixHist) {
 }
 
 // packCount is the packed counting pre-pass over the digits
-// packDigitBits gives the bank: 8 and 8 bits for bank 16, 11, 11 and 10
+// LayoutOf gives the bank: 8 and 8 bits for bank 16, 11, 11 and 10
 // for bank 32.
 func packCount(keys []uint64, bank int, hist *packHist) {
 	if bank == 16 {
@@ -471,8 +500,8 @@ func liveDigits(chunks, digits int, bits uint, first uint64, n int, col func(c, 
 // radixOffsets turns the chunks' counts of digit d into write offsets in
 // place, an exclusive prefix over (digit value, chunk): chunk c's rows of
 // value v follow those of earlier chunks, where a sequential stable pass
-// puts them. One chunk, whose fixed cost sets smallRunCutoff and
-// packMinRows, takes the flat prefix; the nested walk costs it several
+// puts them. One chunk, whose fixed cost sets SmallRunCutoff and
+// PackMinRows, takes the flat prefix; the nested walk costs it several
 // times as much.
 func radixOffsets(chunks, d int, col func(c, d int) []uint32) {
 	sum := uint32(0)

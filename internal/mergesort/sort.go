@@ -2,7 +2,7 @@
 // radix sort, sequential and across workers (radix.go), of packed
 // key<<32 | oid words on digits of up to 11 bits in banks of at most 32
 // bits and of (key, oid) pairs on 8-bit digits otherwise, with an
-// insertion sort below smallRunCutoff rows; the
+// insertion sort below SmallRunCutoff rows; the
 // top-K partial sort behind LIMIT (topk.go); and the one merge of sorted
 // runs, under the coordinator's cross-shard gather (merge.go).
 //
@@ -90,7 +90,7 @@ var (
 	obsInsertionSorts = obs.NewCounter("mergesort.insertion_sorts")
 )
 
-// smallRunCutoff is the run length below which the production kernel is
+// SmallRunCutoff is the run length below which the production kernel is
 // an insertion sort: the radix sort's fixed cost — zeroing and
 // prefix-summing bank/8 histograms of 256 counters, 0.3 to 1.2 µs —
 // only pays off beyond it. A measured fact, not a knob:
@@ -99,13 +99,14 @@ var (
 // about 28 rows on zipf-skewed keys for all three — the distribution
 // moves it as much as the bank, so it is one constant: at 64 rows the
 // radix sort is within 21 % of the insertion sort in its worst cell, and
-// below 64 the insertion sort never costs more than 23 ns/row.
-const smallRunCutoff = 64
+// below 64 the insertion sort never costs more than 23 ns/row. The cost
+// model prices an insertion sort below it (costmodel.TRadix).
+const SmallRunCutoff = 64
 
-// packMaxBits and packMinRows shape the packed kernel (radix.go), and
-// are measured facts like smallRunCutoff, not knobs. A bank of at most
+// packMaxBits and PackMinRows shape the packed kernel (LayoutOf), and
+// are measured facts like SmallRunCutoff, not knobs. A bank of at most
 // 32 bits sorts packed words on digits of at most packMaxBits bits — 11,
-// 11 and 10 for bank 32, 8 and 8 for bank 16 — from packMinRows rows
+// 11 and 10 for bank 32, 8 and 8 for bank 16 — from PackMinRows rows
 // on, and (key, oid) pairs on 8-bit digits below. Interleaved medians
 // of 15 runs (EXPERIMENTS.md "One-word radix") put the 11-bit packed
 // kernel 5 to 20 % behind the pairs at 1,024 rows, level at 1,536, and
@@ -115,7 +116,7 @@ const smallRunCutoff = 64
 // leave L1.
 const (
 	packMaxBits = 11
-	packMinRows = 2048
+	PackMinRows = 2048
 )
 
 // SortWithParamsContext sorts keys (each value < 2^bank) together with
@@ -145,7 +146,7 @@ func SortScratchContext(ctx context.Context, bank int, keys []uint64, oids []uin
 	switch {
 	case p.Sort != nil:
 		return p.Sort(ctx, bank, keys, oids, 1)
-	case len(keys) < smallRunCutoff:
+	case len(keys) < SmallRunCutoff:
 		obsInsertionSorts.Inc()
 		InsertionSort(keys, oids)
 		return nil
@@ -157,7 +158,7 @@ func SortScratchContext(ctx context.Context, bank int, keys []uint64, oids []uin
 }
 
 // InsertionSort sorts keys (and oids) in place, stably: the production
-// kernel below smallRunCutoff rows, and the paper kernel's below its
+// kernel below SmallRunCutoff rows, and the paper kernel's below its
 // own threshold.
 func InsertionSort(keys []uint64, oids []uint32) {
 	for i := 1; i < len(keys); i++ {

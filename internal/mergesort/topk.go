@@ -28,20 +28,20 @@ var (
 	obsTopKFiltered  = obs.NewCounter("mergesort.topk_filtered_out")
 )
 
-// selectDigitBits is the width of the digit a select pass counts, 4 KB
+// SelectDigitBits is the width of the digit a select pass counts, 4 KB
 // of counters per range: 10 bits resolve a 20-bit zipf-skewed key in two
 // passes where 8 need three, and 12 are no faster (EXPERIMENTS.md).
-const selectDigitBits = 10
+const SelectDigitBits = 10
 
-// selectRefineShare: a boundary bucket of more than n/selectRefineShare
+// SelectRefineShare: a boundary bucket of more than n/SelectRefineShare
 // rows is counted again on the next digit, one more pass over n keys.
 // Shares 8, 16 and 32 time the same within noise (EXPERIMENTS.md).
-const selectRefineShare = 16
+const SelectRefineShare = 16
 
 // TopKContext partially sorts keys (each value < 2^bank) with their
 // oids: the first m come back in ascending key order, ties in input
 // order, where m counts every key ≤ the limit-th smallest. A limit ≥ n,
-// or n < smallRunCutoff, is the full sort with m = n. keys[m:] are in
+// or n < SmallRunCutoff, is the full sort with m = n. keys[m:] are in
 // unspecified order; limit must be ≥ 1. On cancellation or a contained
 // worker panic it returns 0 and keys/oids in unspecified (memory-safe)
 // order.
@@ -54,7 +54,7 @@ func TopKContext(ctx context.Context, bank int, keys []uint64, oids []uint32, li
 	}
 	n := len(keys)
 	p = p.resolved()
-	if limit >= n || n < smallRunCutoff {
+	if limit >= n || n < SmallRunCutoff {
 		if err := ParallelSortWithParamsContext(ctx, bank, keys, oids, p, workers); err != nil {
 			return 0, err
 		}
@@ -121,7 +121,7 @@ func TopKContext(ctx context.Context, bank int, keys []uint64, oids []uint32, li
 // selectCount is one range's share of a select pass: its candidates'
 // histogram on the counted digit, and their OR and AND.
 type selectCount struct {
-	hist    [1 << selectDigitBits]uint32
+	hist    [1 << SelectDigitBits]uint32
 	or, and uint64
 }
 
@@ -130,14 +130,14 @@ type selectCount struct {
 // candidate range [lo, top] of key values, below rows under lo, from the
 // whole bank: a pass counts the candidates on the digit at shift, and
 // the bucket that holds rank limit becomes the range, until that bucket
-// is one value, small (selectRefineShare), or all equal keys — a heavy
+// is one value, small (SelectRefineShare), or all equal keys — a heavy
 // tie survives whole. A digit the candidates all share (their OR and AND
 // tell) is counted again at their top live digit.
 func radixSelect(ctx context.Context, bank int, keys []uint64, bounds []int, limit, workers int) (uint64, int, error) {
 	chunks := pipeerr.Pass{Stage: pipeerr.StageSort, Round: -1, Site: faultinject.ChunkSort}
 	counts := make([]selectCount, len(bounds)-1)
 	lo, top, below := uint64(0), ^uint64(0)>>uint(64-bank), 0
-	shift := uint(bank - selectDigitBits)
+	shift := uint(bank - SelectDigitBits)
 	for {
 		err := chunks.Ranges(ctx, workers, len(counts), func(_ context.Context, c int) error {
 			counts[c].count(keys[bounds[c]:bounds[c+1]], lo, top, shift)
@@ -146,7 +146,7 @@ func radixSelect(ctx context.Context, bank int, keys []uint64, bounds []int, lim
 		if err != nil {
 			return 0, 0, err
 		}
-		var hist [1 << selectDigitBits]int
+		var hist [1 << SelectDigitBits]int
 		or, and := uint64(0), ^uint64(0)
 		for c := range counts {
 			for v, k := range counts[c].hist {
@@ -155,7 +155,7 @@ func radixSelect(ctx context.Context, bank int, keys []uint64, bounds []int, lim
 			or, and = or|counts[c].or, and&counts[c].and
 		}
 		if live := bits.Len64(or ^ and); or != and && live <= int(shift) {
-			shift = uint(max(live-selectDigitBits, 0))
+			shift = uint(max(live-SelectDigitBits, 0))
 			continue
 		}
 		b := 0
@@ -164,23 +164,23 @@ func radixSelect(ctx context.Context, bank int, keys []uint64, bounds []int, lim
 			b++
 		}
 		// and holds the bits above the digit, which every candidate shares.
-		lo = and&^(^uint64(0)>>(64-selectDigitBits-shift)) | uint64(b)<<shift
+		lo = and&^(^uint64(0)>>(64-SelectDigitBits-shift)) | uint64(b)<<shift
 		top = lo | (1<<shift - 1)
-		if shift == 0 || or == and || hist[b] <= len(keys)/selectRefineShare {
+		if shift == 0 || or == and || hist[b] <= len(keys)/SelectRefineShare {
 			return top, below + hist[b], nil
 		}
-		shift = uint(max(int(shift)-selectDigitBits, 0))
+		shift = uint(max(int(shift)-SelectDigitBits, 0))
 	}
 }
 
 // count fills s from the keys in [lo, top]: their histogram on the
 // digit at shift, and their OR and AND.
 func (s *selectCount) count(keys []uint64, lo, top uint64, shift uint) {
-	s.hist = [1 << selectDigitBits]uint32{}
+	s.hist = [1 << SelectDigitBits]uint32{}
 	or, and, span := uint64(0), ^uint64(0), top-lo
 	for _, k := range keys {
 		if k-lo <= span {
-			s.hist[(k>>shift)%(1<<selectDigitBits)]++
+			s.hist[(k>>shift)%(1<<SelectDigitBits)]++
 			or |= k
 			and &= k
 		}

@@ -7,7 +7,10 @@
 // (readyz degraded), after a cooldown it goes half-open (readyz ready
 // again — the server never stopped executing queries, so readiness is
 // advisory), and the next panic-free query closes it. A panic during
-// half-open re-opens it for another full cooldown.
+// half-open re-opens it for another full cooldown. Unlike the client's
+// consecutive-failure breaker (internal/client/breaker.go), which gates
+// calls and admits one half-open probe, this one never refuses a query:
+// a server that stops executing could not see the fix that closes it.
 package server
 
 import (
