@@ -48,7 +48,8 @@ chaos-soak:
 # oracle (fuzzKernels: production kernel ≡ paper kernel ≡
 # sort.SliceStable): full-bank keys on the sequential entry point, and
 # narrow keys in a wider bank at workers {1, 2, 3, 8, 300}, repeated
-# past the parallel radix sort's chunk floor from two workers on.
+# to mergesort.ParallelMinRows rows from two workers on, so the
+# parallel radix sort runs.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzMergesortSort -fuzztime=25s ./internal/mergesort/
 	$(GO) test -fuzz=FuzzRadixSort -fuzztime=25s ./internal/mergesort/

@@ -44,7 +44,7 @@ func BenchmarkAblationRegisterSort32(b *testing.B) {
 		for j := range oids {
 			oids[j] = uint32(j)
 		}
-		if err := mergesort.SortWithParamsContext(context.Background(), 32, keys, oids, mergesort.Params{Sort: paper.Params{}.Sort}); err != nil {
+		if err := mergesort.SortScratchContext(context.Background(), 32, keys, oids, mergesort.Params{Sort: paper.Params{}.Sort}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -275,7 +275,7 @@ func benchOVCKeys(n, nRuns int, dup float64) ([]uint64, []uint32, []int) {
 		runs[r] = n * r / nRuns
 	}
 	for r := 0; r < nRuns; r++ {
-		must(mergesort.SortWithParamsContext(context.Background(), 32, keys[runs[r]:runs[r+1]], oids[runs[r]:runs[r+1]], mergesort.Params{}))
+		must(mergesort.SortScratchContext(context.Background(), 32, keys[runs[r]:runs[r+1]], oids[runs[r]:runs[r+1]], mergesort.Params{}, nil))
 	}
 	return keys, oids, runs
 }

@@ -16,13 +16,14 @@
 // force-cancels queries running far past their predicted cost
 // (-watchdog-mult / -watchdog-floor), a contained-panic circuit
 // breaker degrades /readyz on repeated panics (-breaker-threshold /
-// -breaker-cooldown), and -max-queued bounds the admission queue depth
+// -breaker-cooldown; a coordinator arms its per-shard client breakers
+// with them instead), and -max-queued bounds the admission queue depth
 // /readyz reports as saturated. For fault drills, -chaos-seed with
 // per-kind probabilities arms an in-process fault storm at every
 // pipeline site:
 //
 //	mcsd -addr :8080 -tables tpch \
-//	  -chaos-seed 0xC0FFEE -chaos-panic 0.001 -chaos-delay 0.01 -chaos-cancel 0.005
+//	  -chaos-seed 0xC0FFEE -chaos-panic 0.001 -chaos-delay 0.01
 //
 // PR 10 sharding (docs/sharding.md): -shard-index/-shard-count serve
 // one contiguous row range of every loaded table, and -shards turns
@@ -87,7 +88,6 @@ type options struct {
 	maxQueued              int
 	chaosSeed              uint64
 	chaosPanic, chaosDelay float64
-	chaosCancel            float64
 	chaosMaxDelay          time.Duration
 	shards                 string
 	shardIndex, shardCount int
@@ -109,13 +109,12 @@ func main() {
 	flag.DurationVar(&o.drainTimeout, "drain-timeout", 10*time.Second, "graceful-shutdown drain budget before running queries are cancelled")
 	flag.Float64Var(&o.watchdogMult, "watchdog-mult", 200, "force-cancel a query running this multiple of its predicted cost (0 disables the watchdog)")
 	flag.DurationVar(&o.watchdogFloor, "watchdog-floor", 2*time.Second, "minimum watchdog budget regardless of predicted cost")
-	flag.IntVar(&o.breakerThreshold, "breaker-threshold", 8, "consecutive contained panics that degrade /readyz (0 disables the breaker)")
-	flag.DurationVar(&o.breakerCooldown, "breaker-cooldown", time.Second, "how long the panic breaker stays open before half-open probing")
+	flag.IntVar(&o.breakerThreshold, "breaker-threshold", 8, "single node: consecutive contained panics that degrade /readyz; coordinator: consecutive failed sub-queries to one shard that open its client breaker (0 disables the breaker)")
+	flag.DurationVar(&o.breakerCooldown, "breaker-cooldown", time.Second, "how long an open breaker (the panic breaker, or a coordinator's shard breaker) waits before half-open probing")
 	flag.IntVar(&o.maxQueued, "max-queued", 0, "admission queue depth /readyz reports as saturated (0 = 8x max-concurrent)")
 	flag.Uint64Var(&o.chaosSeed, "chaos-seed", 0, "arm an in-process fault storm with this seed (0 = no storm unless a -chaos-* probability is set)")
 	flag.Float64Var(&o.chaosPanic, "chaos-panic", 0, "per-site-visit injected panic probability")
 	flag.Float64Var(&o.chaosDelay, "chaos-delay", 0, "per-site-visit injected delay probability")
-	flag.Float64Var(&o.chaosCancel, "chaos-cancel", 0, "per-site-visit forced-cancel probability (needs tracked queries; mainly for drills)")
 	flag.DurationVar(&o.chaosMaxDelay, "chaos-max-delay", 2*time.Millisecond, "upper bound of one injected delay")
 	flag.StringVar(&o.shards, "shards", "", "coordinator mode: comma-separated shard base URLs in range order (e.g. http://h1:8081,http://h2:8081)")
 	flag.IntVar(&o.shardIndex, "shard-index", -1, "shard mode: serve only rows [i*n/N,(i+1)*n/N) of every loaded table (requires -shard-count)")
@@ -237,13 +236,29 @@ func run(o options) error {
 // query is fanned out to the -shards daemons and gathered back
 // (docs/sharding.md).
 func runCoordinator(o options, reg *server.Registry, m *costmodel.Model) error {
+	cfg := coordinatorConfig(o, reg, m)
+	coord, err := shard.New(cfg)
+	if err != nil {
+		return err
+	}
+
+	disarm := armChaos(o)
+	defer disarm()
+
+	banner := fmt.Sprintf("coordinating %v over %d shards %v", reg.Names(), len(cfg.Shards), cfg.Shards)
+	return serveAndDrain(o.addr, banner, o.drainTimeout, coord.Handler(), coord.Shutdown)
+}
+
+// coordinatorConfig is the coordinator's configuration from the flags;
+// -breaker-threshold/-breaker-cooldown arm its per-shard client breakers.
+func coordinatorConfig(o options, reg *server.Registry, m *costmodel.Model) shard.Config {
 	var shards []string
 	for _, s := range strings.Split(o.shards, ",") {
 		if s = strings.TrimSpace(s); s != "" {
 			shards = append(shards, s)
 		}
 	}
-	coord, err := shard.New(shard.Config{
+	return shard.Config{
 		Registry:       reg,
 		Shards:         shards,
 		Model:          m,
@@ -253,36 +268,26 @@ func runCoordinator(o options, reg *server.Registry, m *costmodel.Model) error {
 		PlanCacheSize:  o.planCache,
 		WatchdogMult:   o.watchdogMult,
 		WatchdogFloor:  o.watchdogFloor,
-		Client:         client.Config{MaxRetries: o.clientRetries},
-	})
-	if err != nil {
-		return err
+		Client:         client.Config{MaxRetries: o.clientRetries, BreakerThreshold: o.breakerThreshold, BreakerCooldown: o.breakerCooldown},
 	}
-
-	disarm := armChaos(o)
-	defer disarm()
-
-	banner := fmt.Sprintf("coordinating %v over %d shards %v", reg.Names(), len(shards), shards)
-	return serveAndDrain(o.addr, banner, o.drainTimeout, coord.Handler(), coord.Shutdown)
 }
 
 // armChaos arms the seeded storm when any chaos flag is set and
 // returns the disarm func (a no-op otherwise). The seed is always
 // printed so an incident reproduces.
 func armChaos(o options) func() {
-	if o.chaosSeed == 0 && o.chaosPanic <= 0 && o.chaosDelay <= 0 && o.chaosCancel <= 0 {
+	if o.chaosSeed == 0 && o.chaosPanic <= 0 && o.chaosDelay <= 0 {
 		return func() {}
 	}
 	storm := chaos.New(chaos.Config{
-		Seed:       o.chaosSeed,
-		PanicProb:  o.chaosPanic,
-		DelayProb:  o.chaosDelay,
-		CancelProb: o.chaosCancel,
-		MaxDelay:   o.chaosMaxDelay,
+		Seed:      o.chaosSeed,
+		PanicProb: o.chaosPanic,
+		DelayProb: o.chaosDelay,
+		MaxDelay:  o.chaosMaxDelay,
 	})
 	disarm := storm.Arm()
-	fmt.Fprintf(os.Stderr, "mcsd: CHAOS ARMED seed=%#x panic=%g delay=%g cancel=%g max-delay=%v\n",
-		storm.Seed(), o.chaosPanic, o.chaosDelay, o.chaosCancel, o.chaosMaxDelay)
+	fmt.Fprintf(os.Stderr, "mcsd: CHAOS ARMED seed=%#x panic=%g delay=%g max-delay=%v\n",
+		storm.Seed(), o.chaosPanic, o.chaosDelay, o.chaosMaxDelay)
 	return disarm
 }
 

@@ -9,7 +9,13 @@
 //	mcsplan -widths 12,17
 //	mcsplan -widths 17,33 -distinct 8192,8192 -rows 16777216
 //	mcsplan -widths 5,8,6 -clause groupby
+//	mcsplan -widths 12,17,20 -clause partitionby -limit 100
 //	mcsplan -widths 12,17 -execute -workers 4   # run the ROGA pick too
+//
+// Under -clause partitionby the last width is the window's ORDER BY
+// column, which stays last, and -limit/-offset cut ranked rows; under
+// the other clauses they cut groups. The search prices that cut as
+// mcsd does, and -execute runs it.
 package main
 
 import (
@@ -37,14 +43,14 @@ func main() {
 		widthsFlag   = flag.String("widths", "", "comma-separated column widths in bits (required)")
 		distinctFlag = flag.String("distinct", "", "comma-separated distinct counts (default 2^13 per column)")
 		rows         = flag.Int("rows", 1<<20, "row count N")
-		clause       = flag.String("clause", "orderby", "orderby | groupby | partitionby")
+		clause       = flag.String("clause", "orderby", "orderby | groupby | partitionby (the last width is the window's ORDER BY column)")
 		rho          = flag.Float64("rho", -1, "search time threshold (negative = unbounded, as mcsd runs)")
 		seed         = flag.Int64("seed", 1, "generator seed")
 		metrics      = flag.String("metrics", "", "emit an obs metrics snapshot (search counters) at exit: json | text")
 		execute      = flag.Bool("execute", false, "generate -rows rows and execute the ROGA pick")
 		workers      = flag.Int("workers", 1, "worker goroutines for -execute (output is identical for any value)")
-		limit        = flag.Int("limit", 0, "with -execute: top-K run, materializing only the first limit+offset rows of the sort order (0 = full output)")
-		offset       = flag.Int("offset", 0, "with -execute and -limit: leading rows to skip before the limit window")
+		limit        = flag.Int("limit", 0, "LIMIT: search and -execute the truncated sort of the first limit+offset ranked rows (partitionby) or groups (0 = full output)")
+		offset       = flag.Int("offset", 0, "with -limit: leading rows or groups to skip before the limit window")
 		timeout      = flag.Duration("timeout", 0, "cancel the search and execution after this duration (0 = no limit); queue-wait vs execution expiries are split under pipeline.cancellations_* in -metrics")
 	)
 	flag.Parse()
@@ -102,7 +108,11 @@ func main() {
 	st := costmodel.CollectStats(cols, widths)
 	st.N = *rows
 
-	s := &planner.Search{Model: costmodel.Builtin(), Stats: st, Kind: kind, Rho: *rho, MaxPlans: server.DefaultMaxPlans}
+	if *limit < 0 || *offset < 0 {
+		fmt.Fprintln(os.Stderr, "mcsplan: -limit and -offset must be non-negative")
+		os.Exit(2)
+	}
+	s := newSearch(kind, st, *rho, *limit, *offset)
 	w := st.TotalWidth()
 	fmt.Printf("columns: widths=%v distinct=%v rows=%d (W=%d bits, clause=%s)\n",
 		widths, distinct, *rows, w, *clause)
@@ -126,11 +136,6 @@ func main() {
 	fmt.Printf("ROGA pick:             %-40s est %8.2f ms (order %v, %.2fx vs P0)\n",
 		roga.Plan, roga.Est/1e6, roga.ColOrder, base.Est/roga.Est)
 
-	if *limit < 0 || *offset < 0 {
-		fmt.Fprintln(os.Stderr, "mcsplan: -limit and -offset must be non-negative")
-		os.Exit(2)
-	}
-
 	if *execute {
 		inputs := make([]massage.Input, len(widths))
 		for _, c := range roga.ColOrder {
@@ -143,11 +148,8 @@ func main() {
 		for i, c := range roga.ColOrder {
 			ordered[i] = inputs[c]
 		}
-		// The engine's LIMIT/OFFSET semantics in row units, as for a
-		// window query: materialize the first offset+limit rows, then
-		// drop the leading offset ones.
-		mopts := mcsort.Options{Workers: *workers}
-		mopts.LimitRows, _ = engine.SortCut(engine.Query{Window: &engine.Window{}}, limit, *offset)
+		// The cut the search priced.
+		mopts := mcsort.Options{Workers: *workers, LimitRows: s.Stats.LimitRows, LimitGroups: s.Stats.LimitGroups}
 		res, err := mcsort.ExecuteContext(ctx, ordered, roga.Plan, mopts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mcsplan: execute: %v\n", err)
@@ -161,16 +163,34 @@ func main() {
 			float64(t.Lookup.Nanoseconds())/1e6, float64(t.Scan.Nanoseconds())/1e6,
 			len(res.Groups)-1)
 		if *limit > 0 {
-			kept := len(res.Perm) - *offset
-			if kept < 0 {
-				kept = 0
+			unit, n := "groups", len(res.Groups)-1
+			if s.Stats.LimitRows > 0 {
+				unit, n = "rows", len(res.Perm)
 			}
-			fmt.Printf("top-K: limit=%d offset=%d materialized %d of %d rows, returned %d\n",
-				*limit, *offset, len(res.Perm), *rows, kept)
+			fmt.Printf("top-K: limit=%d offset=%d materialized %d of %d rows, returned %d %s\n",
+				*limit, *offset, len(res.Perm), *rows, max(0, min(n, *offset+*limit)-*offset), unit)
 		}
 	}
 
 	dumpMetrics(*metrics)
+}
+
+// newSearch is the plan search mcsd runs for a clause over st under
+// LIMIT limit OFFSET offset (limit 0: none), as engine.Bound.ChoosePlan
+// builds it: the statistics carry the query's sort cut (engine.SortCut,
+// which -execute runs too), and a window keeps its ORDER BY column, the
+// last, in place.
+func newSearch(kind planner.ClauseKind, st costmodel.Stats, rho float64, limit, offset int) *planner.Search {
+	q := engine.Query{Kind: kind}
+	if kind == planner.PartitionBy {
+		q.Window = &engine.Window{}
+	}
+	st.LimitRows, st.LimitGroups = engine.SortCut(q, &limit, offset)
+	s := &planner.Search{Model: costmodel.Builtin(), Stats: st, Kind: kind, Rho: rho, MaxPlans: server.DefaultMaxPlans}
+	if q.Window != nil {
+		s.FixedTail = 1
+	}
+	return s
 }
 
 // dumpMetrics emits the obs snapshot, which includes the robustness

@@ -14,13 +14,13 @@ import (
 // The engine must tolerate concurrent queries over one shared table:
 // Run only reads the table, so N goroutines issuing queries — each with
 // its own internal worker pool — must neither race (the CI -race job
-// runs this) nor perturb each other's results. The worker parallelism
-// inside each query is forced on by a low ParallelThreshold so the
-// parallel sort/gather/aggregate paths all run concurrently with each
-// other.
+// runs this) nor perturb each other's results. Each query runs four
+// workers, and the table holds more than mergesort.ParallelMinRows rows,
+// so the parallel sort, gather and aggregate paths all run concurrently
+// with each other.
 func TestConcurrentQueriesSharedTable(t *testing.T) {
 	defer testutil.CheckNoLeaks(t)()
-	tbl := makeTable(t, 6000, 31)
+	tbl := makeTable(t, 2*mergesort.ParallelMinRows, 31)
 	queries := []Query{
 		{
 			ID:       "cg",
@@ -41,18 +41,21 @@ func TestConcurrentQueriesSharedTable(t *testing.T) {
 			Agg:      &Agg{Kind: Count},
 		},
 	}
-	sp := mergesort.DefaultParams(2)
-	sp.ParallelThreshold = 256
-	opts := Options{Massaging: true, Model: costmodel.Builtin(), Rho: 0.5, Workers: 4, SortParams: &sp}
+	opts := Options{Massaging: true, Model: costmodel.Builtin(), Rho: 0.5, Workers: 4}
 
 	// Sequential baselines, one per query.
 	base := make([]*Result, len(queries))
-	for i, q := range queries {
-		res, err := run(tbl, q, opts)
-		if err != nil {
-			t.Fatal(err)
+	par := testutil.Bumps(func() {
+		for i, q := range queries {
+			res, err := run(tbl, q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base[i] = res
 		}
-		base[i] = res
+	}, "mergesort.parallel_sorts")[0]
+	if par == 0 {
+		t.Fatal("no query sorted in parallel")
 	}
 
 	const goroutines = 8

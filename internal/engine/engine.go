@@ -506,7 +506,7 @@ func SortGroupsByAggregate(ctx context.Context, groupKeys [][]uint64, aggregates
 		keys[i] = ^a // descending via complement
 		idx[i] = uint32(i)
 	}
-	if err := mergesort.SortWithParamsContext(ctx, 64, keys, idx, mergesort.Params{}); err != nil {
+	if err := mergesort.SortScratchContext(ctx, 64, keys, idx, mergesort.Params{}, nil); err != nil {
 		return nil, nil, err
 	}
 	gk := make([][]uint64, n)

@@ -92,19 +92,15 @@ func limitQueries() []Query {
 	}
 }
 
-// limitOptions forces the parallel sort paths at battery scale and
-// keeps the plan choice deterministic (counted search budget, no wall
-// clock).
+// limitOptions keeps the plan choice deterministic (counted search
+// budget, no wall clock).
 func limitOptions(workers int) Options {
-	p := mergesort.DefaultParams(4)
-	p.ParallelThreshold = 256
 	return Options{
-		Massaging:  true,
-		Model:      costmodel.Builtin(),
-		Rho:        -1,
-		MaxPlans:   64,
-		Workers:    workers,
-		SortParams: &p,
+		Massaging: true,
+		Model:     costmodel.Builtin(),
+		Rho:       -1,
+		MaxPlans:  64,
+		Workers:   workers,
 	}
 }
 
@@ -158,7 +154,8 @@ func canonResult(res *Result) string {
 // TestLimitOffsetOracleDifferential is the engine-layer battery:
 // workers {1,2,4,8} x K {nil,0,1,100,n-1,n,n+7} x offsets {0,3,n} x
 // duplicate fractions {0,0.99}, every combination compared against
-// full-sort-then-slice.
+// full-sort-then-slice; then one table past mergesort.ParallelMinRows,
+// where the truncated queries run the top-K select and sort in parallel.
 func TestLimitOffsetOracleDifferential(t *testing.T) {
 	defer testutil.CheckNoLeaks(t)()
 	const n = 1200
@@ -196,6 +193,39 @@ func TestLimitOffsetOracleDifferential(t *testing.T) {
 				}
 			})
 		}
+	}
+	checkLargeLimits(t)
+}
+
+// checkLargeLimits runs the battery's queries over 2·ParallelMinRows
+// nearly-all-tied rows at two workers, K {100, n/2}: each must match
+// full-sort-then-slice, and together they must reach the top-K select
+// (mergesort.topk_sorts) and the parallel radix sort
+// (mergesort.parallel_sorts).
+func checkLargeLimits(t *testing.T) {
+	const n = 2 * mergesort.ParallelMinRows
+	tbl := makeDupTable(t, n, 0.99, 42)
+	bumps := testutil.Bumps(func() {
+		for _, q := range limitQueries() {
+			full, err := run(tbl, q, limitOptions(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range []int{100, n / 2} {
+				opts := limitOptions(2)
+				opts.Limit = &k
+				got, err := run(tbl, q, opts)
+				if err != nil {
+					t.Fatalf("n=%d %s k=%d: %v", n, q.ID, k, err)
+				}
+				if g, w := canonResult(got), canonResult(sliceOracle(full, q.Window != nil, &k, 0)); g != w {
+					t.Fatalf("n=%d %s k=%d: diverges from full-sort-then-slice", n, q.ID, k)
+				}
+			}
+		}
+	}, "mergesort.topk_sorts", "mergesort.parallel_sorts")
+	if bumps[0] == 0 || bumps[1] == 0 {
+		t.Fatalf("n=%d: %d top-K selects, %d parallel sorts; want both", n, bumps[0], bumps[1])
 	}
 }
 

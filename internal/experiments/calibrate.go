@@ -194,7 +194,7 @@ func calibrateOVCDiscount(rng *rand.Rand, n int) (float64, error) {
 			baseO[i] = uint32(i)
 		}
 		for r := 0; r+1 < len(runs); r++ {
-			if err := mergesort.SortWithParamsContext(context.Background(), 32, base[runs[r]:runs[r+1]], baseO[runs[r]:runs[r+1]], kernel); err != nil {
+			if err := mergesort.SortScratchContext(context.Background(), 32, base[runs[r]:runs[r+1]], baseO[runs[r]:runs[r+1]], kernel, nil); err != nil {
 				return 0, fmt.Errorf("calibrateOVCDiscount: %w", err)
 			}
 		}
@@ -250,7 +250,7 @@ func calibrateSmall(rng *rand.Rand, n int) (call, elem, quad float64, err error)
 			start := time.Now()
 			for s := 0; s < g; s++ {
 				lo := s * size
-				if err := mergesort.SortWithParamsContext(context.Background(), 32, keys[lo:lo+size], oids[lo:lo+size], mergesort.Params{}); err != nil {
+				if err := mergesort.SortScratchContext(context.Background(), 32, keys[lo:lo+size], oids[lo:lo+size], mergesort.Params{}, nil); err != nil {
 					return 0, 0, 0, fmt.Errorf("calibrateSmall: %w", err)
 				}
 			}
@@ -558,7 +558,7 @@ func calibrateBank(rng *rand.Rand, n, bank int, l2 int64) (paper.BankConstants, 
 			if s == g-1 {
 				hi = nRun
 			}
-			if err := mergesort.SortWithParamsContext(context.Background(), bank, keys[lo:hi], oids[lo:hi], kernel); err != nil {
+			if err := mergesort.SortScratchContext(context.Background(), bank, keys[lo:hi], oids[lo:hi], kernel, nil); err != nil {
 				return fmt.Errorf("calibrateBank %d: %w", bank, err)
 			}
 		}

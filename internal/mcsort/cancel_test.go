@@ -16,8 +16,8 @@ import (
 	"repro/internal/testutil"
 )
 
-// cancelInputs builds a two-column input large enough that the forced
-// parallel thresholds route every phase through the parallel paths.
+// cancelInputs builds a two-column input; from mergesort.ParallelMinRows
+// rows on, round 0 sorts in parallel.
 func cancelInputs(rows int, seed int64) []massage.Input {
 	rng := rand.New(rand.NewSource(seed))
 	inputs := []massage.Input{
@@ -44,7 +44,6 @@ var twoRoundPlan = plan.Plan{Rounds: []plan.Round{{Width: 9, Bank: 16}, {Width: 
 func TestCancelAtEverySite(t *testing.T) {
 	defer faultinject.Reset()
 	inputs := cancelInputs(20000, 29)
-	sp := forcedParams(16)
 	for _, site := range faultinject.Sites {
 		for _, workers := range []int{1, 4, 8} {
 			site, workers := site, workers
@@ -59,7 +58,7 @@ func TestCancelAtEverySite(t *testing.T) {
 				})
 				defer restore()
 				res, err := ExecuteContext(ctx, inputs, twoRoundPlan,
-					Options{Workers: workers, SortParams: &sp})
+					Options{Workers: workers})
 				if fired.Load() {
 					if !errors.Is(err, context.Canceled) {
 						t.Fatalf("site fired but err = %v, want context.Canceled", err)
@@ -94,7 +93,6 @@ func TestCancelledContextRefusedUpfront(t *testing.T) {
 func TestWorkerPanicContainedAsPipelineError(t *testing.T) {
 	defer faultinject.Reset()
 	inputs := cancelInputs(20000, 31)
-	sp := forcedParams(16)
 	for site, want := range map[string]struct {
 		stage    string
 		minRound int
@@ -105,7 +103,7 @@ func TestWorkerPanicContainedAsPipelineError(t *testing.T) {
 		check := testutil.CheckNoLeaks(t)
 		restore := faultinject.Set(site, func() { panic("injected fault") })
 		_, err := ExecuteContext(context.Background(), inputs, twoRoundPlan,
-			Options{Workers: 4, SortParams: &sp})
+			Options{Workers: 4})
 		restore()
 		var pe *pipeerr.PipelineError
 		if !errors.As(err, &pe) {
@@ -124,14 +122,13 @@ func TestSortWorkerPanicContained(t *testing.T) {
 	defer faultinject.Reset()
 	defer testutil.CheckNoLeaks(t)()
 	inputs := cancelInputs(20000, 37)
-	sp := forcedParams(16)
 	// GroupSort fires on the caller goroutine at the round boundary;
 	// panic instead in the massage chunk workers, which run under the
 	// pipeline group.
 	restore := faultinject.Set(faultinject.MassageChunk, func() { panic("injected massage fault") })
 	defer restore()
 	_, err := ExecuteContext(context.Background(), inputs, twoRoundPlan,
-		Options{Workers: 4, SortParams: &sp})
+		Options{Workers: 4})
 	var pe *pipeerr.PipelineError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %T %v, want *pipeerr.PipelineError", err, err)
@@ -147,10 +144,13 @@ func TestSortWorkerPanicContained(t *testing.T) {
 func TestDeterministicAfterCancelledRun(t *testing.T) {
 	defer faultinject.Reset()
 	inputs := cancelInputs(20000, 41)
-	sp := forcedParams(16)
-	opts := Options{Workers: 4, SortParams: &sp}
+	opts := Options{Workers: 4}
 
-	baseline, err := ExecuteContext(context.Background(), inputs, twoRoundPlan, opts)
+	var baseline *Result
+	var err error
+	if testutil.Bumps(func() { baseline, err = ExecuteContext(context.Background(), inputs, twoRoundPlan, opts) }, "mergesort.parallel_sorts")[0] == 0 {
+		t.Fatal("round 0 did not sort in parallel")
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,26 +208,18 @@ func TestSequentialGiantGroupCancel(t *testing.T) {
 	}
 	wantKeys := append([]uint64(nil), keys...)
 	wantPerm := append([]uint32(nil), perm...)
-	sp := Options{}.sortParams()
+	var sp mergesort.Params
 	oneGroup := []int32{0, n}
 
-	// At the default threshold the group is dominant and goes to the
-	// parallel radix sort's sequential fallback; below a raised one it is
-	// batched, and as a group of at least groupPollRows rows still gets
-	// the real context.
-	batched := sp
-	batched.ParallelThreshold = n + 1
+	// The group is dominant and goes to the parallel radix sort's
+	// sequential path, under the real context.
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	for name, tc := range map[string]struct {
-		ctx context.Context
-		sp  mergesort.Params
-	}{
-		"pre-cancelled":     {cancelled, sp},
-		"mid-sort dominant": {testutil.NewPollCtx(1 + 1 + 1), sp},      // the classification poll, the sort's entry poll, its first scatter
-		"mid-sort batched":  {testutil.NewPollCtx(1 + 1 + 1), batched}, // the classification poll, the batch poll, the sort's entry poll
+	for name, ctx := range map[string]context.Context{
+		"pre-cancelled":     cancelled,
+		"mid-sort dominant": testutil.NewPollCtx(1 + 1 + 1), // the classification poll, the sort's entry poll, its first scatter
 	} {
-		_, err := parallelGroupSort(tc.ctx, 16, keys, perm, oneGroup, 1, tc.sp, 1)
+		_, err := parallelGroupSort(ctx, 16, keys, perm, oneGroup, 1, sp, 1)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: err = %v, want context.Canceled", name, err)
 		}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/massage"
-	"repro/internal/mergesort"
 	"repro/internal/plan"
 )
 
@@ -17,9 +16,11 @@ import (
 // LimitGroups, must give the same Perm and Groups at workers 1, 2 and 3
 // — and they must be those of a stable reference sort over
 // (columns, oid), truncated the way docs/topk.md says — and Codes must
-// decode every position's row from the sorted keys. The thresholds
-// are lowered so two and three workers take the parallel paths. The
-// seed corpus is testdata/fuzz/FuzzExecuteDeterministic.
+// decode every position's row from the sorted keys. Its inputs stay
+// below mergesort.ParallelMinRows, so two and three workers share the
+// later rounds' batched groups; the parallel sorts are the
+// determinism battery's. The seed corpus is
+// testdata/fuzz/FuzzExecuteDeterministic.
 func FuzzExecuteDeterministic(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, rowsRaw uint16, colsRaw, dupRaw uint8, limitRowsRaw, limitGroupsRaw uint16) {
 		rng := rand.New(rand.NewSource(seed))
@@ -74,9 +75,8 @@ func FuzzExecuteDeterministic(f *testing.F) {
 		}
 		wantPerm = wantPerm[:wantGroups[len(wantGroups)-1]]
 
-		sp := mergesort.Params{ParallelThreshold: 256}
 		for _, w := range []int{1, 2, 3} {
-			res, err := execute(inputs, p, Options{Workers: w, SortParams: &sp, LimitRows: limitRows, LimitGroups: limitGroups})
+			res, err := execute(inputs, p, Options{Workers: w, LimitRows: limitRows, LimitGroups: limitGroups})
 			if err != nil {
 				t.Fatalf("plan %v workers=%d: %v", p, w, err)
 			}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/massage"
 	"repro/internal/mergesort"
 	"repro/internal/plan"
+	"repro/internal/testutil"
 )
 
 // checkKeys asserts what Result.Keys promise: Codes(i) is the input
@@ -65,11 +66,11 @@ func checkKeys(t *testing.T, rng *rand.Rand, inputs []massage.Input, res *Result
 
 // TestResultKeysDecode runs random columns (DESC ones included) under
 // random plans — stitched and borrowing rounds among them — on the full
-// path and both truncated paths at workers 1, 2 and 4, with the parallel
-// thresholds lowered, and checks the sorted keys with checkKeys.
+// path and both truncated paths at workers 1, 2 and 4, and one input
+// past mergesort.ParallelMinRows whose later round sorts a group
+// cooperatively, and checks the sorted keys with checkKeys.
 func TestResultKeysDecode(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	sp := mergesort.Params{ParallelThreshold: 256}
 	for trial := 0; trial < 24; trial++ {
 		m := 1 + rng.Intn(4)
 		widths, distinct := make([]int, m), make([]int, m)
@@ -93,7 +94,7 @@ func TestResultKeysDecode(t *testing.T) {
 		for _, lim := range []struct{ rows, groups int }{{0, 0}, {1 + rng.Intn(rows/2), 0}, {0, 1 + rng.Intn(20)}} {
 			for _, workers := range []int{1, 2, 4} {
 				t.Run(fmt.Sprintf("trial=%d/plan=%v/limit=%d,%d/workers=%d", trial, p.Widths(), lim.rows, lim.groups, workers), func(t *testing.T) {
-					res, err := execute(inputs, p, Options{Workers: workers, SortParams: &sp, LimitRows: lim.rows, LimitGroups: lim.groups})
+					res, err := execute(inputs, p, Options{Workers: workers, LimitRows: lim.rows, LimitGroups: lim.groups})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -101,5 +102,22 @@ func TestResultKeysDecode(t *testing.T) {
 				})
 			}
 		}
+	}
+
+	// Round 1's two groups share 2·ParallelMinRows rows: one of them is
+	// sorted cooperatively.
+	rows := 2 * mergesort.ParallelMinRows
+	inputs := randInputs(rng, []int{1, 20}, []int{2, 1 << 20}, rows)
+	p := plan.ColumnAtATime([]int{1, 20})
+	for _, workers := range []int{1, 2, 4} {
+		var res *Result
+		var err error
+		if testutil.Bumps(func() { res, err = execute(inputs, p, Options{Workers: workers}) }, "mcsort.cooperative_group_sorts")[0] == 0 {
+			t.Fatalf("rows=%d workers=%d: no group was sorted cooperatively", rows, workers)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkKeys(t, rng, inputs, res)
 	}
 }

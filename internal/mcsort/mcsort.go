@@ -135,11 +135,9 @@ type Options struct {
 	// parallel sort), and the lookup/permute passes. Output is
 	// byte-identical for any value (the tie contract on Result.Perm).
 	Workers int
-	// SortParams overrides the parallel-path threshold and carries the
-	// sort-kernel hook (mergesort.Params.Sort: the figure experiments
-	// set it to the paper's kernel, nothing that serves a query does).
-	// Zero fields keep their defaults; tests lower ParallelThreshold to
-	// exercise the parallel paths on small inputs.
+	// SortParams carries the sort-kernel hook (mergesort.Params.Sort:
+	// the figure experiments set it to the paper's kernel, nothing that
+	// serves a query does). nil sorts with the production kernel.
 	SortParams *mergesort.Params
 	// LimitRows truncates execution to the first LimitRows positions of
 	// the final permutation (docs/topk.md): round 0 runs the top-K sort
@@ -157,19 +155,6 @@ type Options struct {
 	// LimitGroups final groups. Perm covers exactly the surviving rows.
 	// 0 disables.
 	LimitGroups int
-}
-
-// sortParams returns the caller's sorter parameters with the parallel
-// threshold, which this package reads itself, resolved.
-func (o Options) sortParams() mergesort.Params {
-	var p mergesort.Params
-	if o.SortParams != nil {
-		p = *o.SortParams
-	}
-	if p.ParallelThreshold <= 0 {
-		p.ParallelThreshold = mergesort.DefaultParallelThreshold
-	}
-	return p
 }
 
 // ExecuteContext sorts the rows described by inputs according to p. All
@@ -263,7 +248,10 @@ func executeContext(ctx context.Context, inputs []massage.Input, p plan.Plan, op
 	res.Timings.Massage = time.Since(start)
 	obsMassageT.Add(res.Timings.Massage)
 
-	sp := opts.sortParams()
+	var sp mergesort.Params
+	if opts.SortParams != nil {
+		sp = *opts.SortParams
+	}
 	groups := []int32{0, int32(rows)}
 	active := rows
 	// The lookup's permute target: only an unlimited plan of more than

@@ -15,13 +15,6 @@ import (
 	"repro/internal/testutil"
 )
 
-// cancelParams forces the parallel paths on test-sized inputs.
-func cancelParams(bank int) Params {
-	p := DefaultParams(bank / 8)
-	p.ParallelThreshold = 256
-	return p
-}
-
 func cancelKeys(n int, seed int64) ([]uint64, []uint32) {
 	rng := rand.New(rand.NewSource(seed))
 	keys := make([]uint64, n)
@@ -47,7 +40,7 @@ func TestParallelSortCancelAtSites(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/workers=%d", site, workers), func(t *testing.T) {
 				defer testutil.CheckNoLeaks(t)()
 				keys, oids := cancelKeys(20000, 7)
-				p := cancelParams(16)
+				var p Params
 				if site == faultinject.LoserMerge {
 					p = paperKernel(p, paper.Params{})
 				}
@@ -83,7 +76,7 @@ func TestParallelSortPreCancelled(t *testing.T) {
 	cancel()
 	for _, workers := range []int{1, 4} {
 		keys, oids := cancelKeys(4096, 9)
-		err := ParallelSortWithParamsContext(ctx, 16, keys, oids, cancelParams(16), workers)
+		err := ParallelSortWithParamsContext(ctx, 16, keys, oids, Params{}, workers)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
@@ -98,7 +91,7 @@ func TestChunkSortPanicContained(t *testing.T) {
 	keys, oids := cancelKeys(20000, 11)
 	restore := faultinject.Set(faultinject.ChunkSort, func() { panic("injected chunk fault") })
 	defer restore()
-	err := ParallelSortWithParamsContext(context.Background(), 16, keys, oids, cancelParams(16), 4)
+	err := ParallelSortWithParamsContext(context.Background(), 16, keys, oids, Params{}, 4)
 	var pe *pipeerr.PipelineError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %T %v, want *pipeerr.PipelineError", err, err)
@@ -144,7 +137,7 @@ func TestTopKCancelAtSites(t *testing.T) {
 				if c.everyHit {
 					var fires atomic.Int64
 					restore := faultinject.Set(faultinject.ChunkSort, func() { fires.Add(1) })
-					mustTopK(t, 16, append([]uint64(nil), c.keys...), identOids(n), c.limit, cancelParams(16), workers)
+					mustTopK(t, 16, append([]uint64(nil), c.keys...), identOids(n), c.limit, Params{}, workers)
 					restore()
 					hits = int(fires.Load())
 				}
@@ -156,7 +149,7 @@ func TestTopKCancelAtSites(t *testing.T) {
 							cancel()
 						}
 					})
-					m, err := TopKContext(ctx, 16, append([]uint64(nil), c.keys...), identOids(n), c.limit, cancelParams(16), workers)
+					m, err := TopKContext(ctx, 16, append([]uint64(nil), c.keys...), identOids(n), c.limit, Params{}, workers)
 					restore()
 					cancel()
 					if fires.Load() < int64(hit) {
@@ -257,7 +250,7 @@ func TestTopKChunkPanicContained(t *testing.T) {
 	keys, oids := cancelKeys(20000, 29)
 	restore := faultinject.Set(faultinject.ChunkSort, func() { panic("injected topk chunk fault") })
 	defer restore()
-	_, err := TopKContext(context.Background(), 16, keys, oids, 64, cancelParams(16), 4)
+	_, err := TopKContext(context.Background(), 16, keys, oids, 64, Params{}, 4)
 	var pe *pipeerr.PipelineError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %T %v, want *pipeerr.PipelineError", err, err)
@@ -272,13 +265,17 @@ func TestTopKChunkPanicContained(t *testing.T) {
 // survivor prefix.
 func TestCancelledTopKRerunsIdentically(t *testing.T) {
 	defer faultinject.Reset()
-	p := cancelParams(16)
+	var p Params
 	const limit = 64
 	base, baseO := cancelKeys(20000, 31)
 
 	want := append([]uint64(nil), base...)
 	wantO := append([]uint32(nil), baseO...)
-	wantM, err := TopKContext(context.Background(), 16, want, wantO, limit, p, 4)
+	var wantM int
+	var err error
+	if testutil.Bumps(func() { wantM, err = TopKContext(context.Background(), 16, want, wantO, limit, p, 4) }, "mergesort.topk_sorts")[0] == 0 {
+		t.Fatal("the radix select never ran")
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,12 +310,16 @@ func TestCancelledTopKRerunsIdentically(t *testing.T) {
 // residue: rerunning after a cancelled sort gives byte-identical output.
 func TestCancelledSortRerunsIdentically(t *testing.T) {
 	defer faultinject.Reset()
-	p := cancelParams(16)
+	var p Params
 	base, baseO := cancelKeys(20000, 17)
 
 	want := append([]uint64(nil), base...)
 	wantO := append([]uint32(nil), baseO...)
-	if err := ParallelSortWithParamsContext(context.Background(), 16, want, wantO, p, 4); err != nil {
+	var err error
+	if testutil.Bumps(func() { err = ParallelSortWithParamsContext(context.Background(), 16, want, wantO, p, 4) }, "mergesort.parallel_sorts")[0] == 0 {
+		t.Fatal("the parallel radix sort never ran")
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 

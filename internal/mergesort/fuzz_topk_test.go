@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	. "repro/internal/mergesort"
+	"repro/internal/testutil"
 )
 
 // FuzzTopKMerge drives MergeRunsContext's limit path with arbitrary
@@ -76,8 +77,9 @@ func FuzzTopKMerge(f *testing.F) {
 // key stay live and whether the bits above them are zero (a bank wider
 // than the keys) or a constant 0xA5… pattern (digits every key shares,
 // which the select must carry into its cut); from its bit 8 on, the
-// keys are repeated to 3·MinChunkRows rows, so two and three workers cut
-// them into chunks.
+// keys are repeated past ParallelMinRows rows, so two and three workers
+// cut them into chunks, and a cut that keeps ParallelMinRows rows must
+// sort them in parallel (mergesort.parallel_sorts).
 func FuzzTopKContext(f *testing.F) {
 	f.Add(uint16(0), uint16(1), uint16(16), []byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0})
 	f.Add(uint16(1), uint16(100), uint16(18|1<<8), []byte("top-k keys of modest entropy, repeated: top-k keys of modest entropy"))
@@ -88,6 +90,7 @@ func FuzzTopKContext(f *testing.F) {
 	}
 	f.Add(uint16(1), uint16(2000), uint16(12|3<<8), seed)
 	f.Add(uint16(2), uint16(40000), uint16(63|1<<9), seed)
+	f.Add(uint16(0), uint16(17000), uint16(16|1<<8), seed)
 
 	f.Fuzz(func(t *testing.T, bankSel, limitRaw, shape uint16, data []byte) {
 		bank := Banks[int(bankSel)%len(Banks)]
@@ -101,10 +104,10 @@ func FuzzTopKContext(f *testing.F) {
 			high = 0xA5A5A5A5A5A5A5A5 & maskFor(bank) &^ maskFor(live)
 		}
 		if shape&(1<<8) != 0 {
-			for len(keys) < 3*MinChunkRows {
+			for len(keys) < ParallelMinRows+MinChunkRows {
 				keys = append(keys, keys...)
 			}
-			keys = keys[:3*MinChunkRows]
+			keys = keys[:ParallelMinRows+MinChunkRows]
 		}
 		for i := range keys {
 			keys[i] = high | keys[i]&maskFor(live)
@@ -122,7 +125,14 @@ func FuzzTopKContext(f *testing.F) {
 		}
 		for _, workers := range []int{1, 2, 3} {
 			gotK, gotO := slices.Clone(keys), identOids(n)
-			m := mustTopK(t, bank, gotK, gotO, limit, Params{ParallelThreshold: 64}, workers)
+			var m int
+			bumps := testutil.Bumps(func() { m = mustTopK(t, bank, gotK, gotO, limit, Params{}, workers) }, "mergesort.topk_sorts", "mergesort.parallel_sorts")
+			if limit < n && n >= SmallRunCutoff && bumps[0] == 0 {
+				t.Fatalf("bank %d n %d limit %d workers %d: the radix select never ran", bank, n, limit, workers)
+			}
+			if workers >= 2 && min(limit, n) >= ParallelMinRows && bumps[1] == 0 {
+				t.Fatalf("bank %d n %d limit %d workers %d: the survivors were not sorted in parallel", bank, n, limit, workers)
+			}
 			if m != wantM {
 				t.Fatalf("bank %d n %d limit %d workers %d: m=%d, want %d", bank, n, limit, workers, m, wantM)
 			}

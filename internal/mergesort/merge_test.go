@@ -66,7 +66,7 @@ func TestMergeRunsMatchesOracleAndPacked(t *testing.T) {
 func TestPaperKernelParallelSortIsChunkSortsPlusPackedMerge(t *testing.T) {
 	const n = 20000
 	for _, bank := range Banks {
-		p := paperKernel(testParams(bank), paper.Params{})
+		p := paperKernel(Params{}, paper.Params{})
 		v := 256 / bank
 		for name, keys := range adversarialInputs(n, bank, 13) {
 			for _, w := range []int{2, 3, 8} {
@@ -77,7 +77,9 @@ func TestPaperKernelParallelSortIsChunkSortsPlusPackedMerge(t *testing.T) {
 				}
 				mustMergePacked(t, bank, wantK, wantO, bounds, paper.Params{})
 				gotK, gotO := append([]uint64(nil), keys...), identOids(n)
-				mustParallelSort(t, bank, gotK, gotO, p, w)
+				if chunkMerges(func() { mustParallelSort(t, bank, gotK, gotO, p, w) }) == 0 {
+					t.Fatalf("%s bank=%d workers=%d: the chunk merge never ran", name, bank, w)
+				}
 				checkMerged(t, fmt.Sprintf("%s bank=%d workers=%d", name, bank, w), gotK, gotO, wantK, wantO)
 			}
 		}

@@ -69,7 +69,7 @@ func withOVCAudit(t *testing.T, f func()) paper.OVCAudit {
 // sequential sort) always runs on test-sized inputs.
 func forcePhase3(bank int, pp paper.Params) Params {
 	pp.InCacheElems, pp.Fanout = 64, 4
-	return paperKernel(testParams(bank), pp)
+	return paperKernel(Params{}, pp)
 }
 
 func TestOVCAuditSequentialSort(t *testing.T) {
@@ -145,8 +145,11 @@ func TestOVCAuditParallelMerge(t *testing.T) {
 	}
 }
 
+// TestOVCAuditParallelSort audits the paper kernel's parallel sort,
+// whose chunk merge (faultinject.LoserMerge) the hook reaches from
+// ParallelMinRows rows on.
 func TestOVCAuditParallelSort(t *testing.T) {
-	const n = 5000
+	const n = ParallelMinRows
 	for _, bank := range Banks {
 		for name, keys := range ovcInputs(n, bank, 131+int64(bank)) {
 			wantK := append([]uint64(nil), keys...)
@@ -161,9 +164,13 @@ func TestOVCAuditParallelSort(t *testing.T) {
 				for i := range gotO {
 					gotO[i] = uint32(i)
 				}
-				withOVCAudit(t, func() {
-					mustParallelSort(t, bank, gotK, gotO, forcePhase3(bank, paper.Params{}), w)
-				})
+				if chunkMerges(func() {
+					withOVCAudit(t, func() {
+						mustParallelSort(t, bank, gotK, gotO, forcePhase3(bank, paper.Params{}), w)
+					})
+				}) == 0 {
+					t.Fatalf("%s bank=%d workers=%d: the chunk merge never ran", name, bank, w)
+				}
 				for i := range gotK {
 					if gotK[i] != wantK[i] || gotO[i] != wantO[i] {
 						t.Fatalf("%s bank=%d workers=%d: diverges at %d", name, bank, w, i)

@@ -53,9 +53,9 @@ const DefaultFanout = 8
 // later rounds, whose fixed cost the paper models as C_overhead).
 const insertionThreshold = 24
 
-// resolved overlays the defaults for bank on the unset (non-positive)
+// withDefaults overlays the defaults for bank on the unset (non-positive)
 // fields of p.
-func (p Params) resolved(bank int) Params {
+func (p Params) withDefaults(bank int) Params {
 	if p.InCacheElems <= 0 {
 		p.InCacheElems = max(int(hw.Detect().L2/2)/(bank/8+4), 64)
 	}
@@ -94,7 +94,7 @@ func (p Params) Sort(ctx context.Context, bank int, keys []uint64, oids []uint32
 	if err != nil {
 		return err
 	}
-	p = p.resolved(bank)
+	p = p.withDefaults(bank)
 	switch bounds := pipeerr.Cut(len(keys), workers, k.v*k.v); {
 	case len(keys) < insertionThreshold:
 		mergesort.InsertionSort(keys, oids) // stable: no tie to order

@@ -25,14 +25,6 @@ import (
 
 var parWorkerCounts = []int{1, 2, 3, 4, 8}
 
-// testParams forces the parallel paths on small inputs (the satellite
-// fix: thresholds route through Params instead of hard-coded consts).
-func testParams(bank int) Params {
-	p := DefaultParams(bank / 8)
-	p.ParallelThreshold = 64
-	return p
-}
-
 func maskFor(bank int) uint64 {
 	if bank < 64 {
 		return uint64(1)<<uint(bank) - 1
@@ -175,17 +167,17 @@ func sortedRuns(keys []uint64, oids []uint32, nRuns int) []int {
 // TestParallelSortMatchesSequential pins the production parallel sort
 // to the sequential one byte for byte, oids included — stability is a
 // property of the parallel radix sort itself — at every worker count,
-// including more workers than chunks, on both sides of the chunk floor:
-// below two chunks of MinChunkRows rows the sequential kernel runs, from
-// there on the chunked one does.
+// including more workers than chunks, on both sides of the cut-off:
+// below ParallelMinRows rows the sequential kernel runs, from there on
+// the chunked one does.
 func TestParallelSortMatchesSequential(t *testing.T) {
 	defer testutil.CheckNoLeaks(t)()
 	obs.Enable()
 	defer obs.Disable()
 	parSorts := obs.NewCounter("mergesort.parallel_sorts")
 	for _, bank := range Banks {
-		p := testParams(bank)
-		for _, n := range []int{0, 1, 65, 1000, 5000, 2 * MinChunkRows, 3*MinChunkRows + 5} {
+		var p Params
+		for _, n := range []int{0, 1, 65, 1000, 5000, 2 * MinChunkRows, ParallelMinRows - 1, ParallelMinRows, ParallelMinRows + 3*MinChunkRows + 5} {
 			for name, keys := range adversarialInputs(n, bank, 7) {
 				wantK := append([]uint64(nil), keys...)
 				wantO := identOids(n)
@@ -195,8 +187,8 @@ func TestParallelSortMatchesSequential(t *testing.T) {
 					gotO := identOids(n)
 					before := parSorts.Value()
 					mustParallelSort(t, bank, gotK, gotO, p, w)
-					if chunked := len(RadixChunks(n, w)) > 2; (parSorts.Value() > before) != chunked {
-						t.Fatalf("%s bank=%d n=%d workers=%d: parallel path taken = %v, want %v", name, bank, n, w, !chunked, chunked)
+					if parallel := n >= ParallelMinRows; (parSorts.Value() > before) != parallel {
+						t.Fatalf("%s bank=%d n=%d workers=%d: parallel path taken = %v, want %v", name, bank, n, w, !parallel, parallel)
 					}
 					for i := range gotK {
 						if gotK[i] != wantK[i] {
@@ -303,12 +295,13 @@ func TestParallelMergeOVCOnOffIdentical(t *testing.T) {
 	}
 }
 
-// TestZeroParamsResolveToDefaults pins the Params resolver every entry
-// point applies: the zero Params is DefaultParams(bank/8), and a
-// partial override keeps the defaults of the fields it leaves zero —
-// byte for byte, ties included, on all three entry points that take one.
+// TestZeroParamsResolveToDefaults pins that the zero Params is
+// DefaultParams(bank/8), byte for byte, ties included, on all three
+// entry points that take one, and that it sorts in parallel from
+// ParallelMinRows rows on: the parallel sort (mergesort.parallel_sorts)
+// and the top-K select (mergesort.topk_sorts) both run at n.
 func TestZeroParamsResolveToDefaults(t *testing.T) {
-	const n, workers, limit = 40000, 4, 3000 // n above DefaultParallelThreshold
+	const n, workers, limit = 40000, 4, 3000 // n above ParallelMinRows
 	type run func(p Params, keys []uint64, oids []uint32) int
 	for _, bank := range Banks {
 		entries := map[string]run{
@@ -324,35 +317,26 @@ func TestZeroParamsResolveToDefaults(t *testing.T) {
 				return mustTopK(t, bank, k, o, limit, p, workers)
 			},
 		}
-		full := DefaultParams(bank / 8)
-		partialFull := full
-		partialFull.ParallelThreshold = 64
-		pairs := []struct {
-			name      string
-			zero, set Params
-		}{
-			{"zero", Params{}, full},
-			{"partial", Params{ParallelThreshold: 64}, partialFull},
-		}
 		src := adversarialInputs(n, bank, int64(bank))["zipf"]
 		for name, entry := range entries {
-			for _, pair := range pairs {
-				var got [2][]uint64
-				var gotO [2][]uint32
-				var m [2]int
-				for i, p := range []Params{pair.zero, pair.set} {
-					k := append([]uint64(nil), src...)
-					o := identOids(n)
-					m[i] = entry(p, k, o)
-					got[i], gotO[i] = k[:m[i]], o[:m[i]]
+			var got [2][]uint64
+			var gotO [2][]uint32
+			var m [2]int
+			for i, p := range []Params{{}, DefaultParams(bank / 8)} {
+				k := append([]uint64(nil), src...)
+				o := identOids(n)
+				bumps := testutil.Bumps(func() { m[i] = entry(p, k, o) }, "mergesort.parallel_sorts", "mergesort.topk_sorts")
+				if par, topK := bumps[0] > 0, bumps[1] > 0; name == "ParallelSort" && !par || name == "TopK" && !topK {
+					t.Fatalf("bank=%d %s: parallel sort %v, top-K select %v at %d rows", bank, name, par, topK, n)
 				}
-				if m[0] != m[1] {
-					t.Fatalf("bank=%d %s %s: %d elements, want %d", bank, name, pair.name, m[0], m[1])
-				}
-				for i := range got[0] {
-					if got[0][i] != got[1][i] || gotO[0][i] != gotO[1][i] {
-						t.Fatalf("bank=%d %s %s: diverges from explicit defaults at %d", bank, name, pair.name, i)
-					}
+				got[i], gotO[i] = k[:m[i]], o[:m[i]]
+			}
+			if m[0] != m[1] {
+				t.Fatalf("bank=%d %s: %d elements, want %d", bank, name, m[0], m[1])
+			}
+			for i := range got[0] {
+				if got[0][i] != got[1][i] || gotO[0][i] != gotO[1][i] {
+					t.Fatalf("bank=%d %s: diverges from explicit defaults at %d", bank, name, i)
 				}
 			}
 		}

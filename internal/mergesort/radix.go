@@ -63,10 +63,9 @@ const packBuckets = 1 << packMaxBits
 // a minimum chunk is twice PackMinRows, the run length from which the
 // packed kernel pays for its histograms at all. Floors of 8,192 to
 // 32,768 rows measured no faster at two and four workers once n holds
-// two chunks under each (EXPERIMENTS.md "One-word radix"); below that
-// a floor only decides whether the sort runs on one goroutine.
-// Without it the server's 1,024 workers would cut a 16,384-row group
-// into 16-row chunks, 24 MB of packed histograms.
+// two chunks under each (EXPERIMENTS.md "One-word radix"). Without it
+// the server's 1,024 workers would cut a 16,384-row group into 16-row
+// chunks, 24 MB of packed histograms.
 const minChunkRows = 2 * PackMinRows
 
 // radixHist holds the pair histograms of every digit of one chunk.
@@ -268,33 +267,27 @@ func packSort(ctx context.Context, bank int, l Layout, keys []uint64, oids []uin
 // ParallelSortWithParamsContext sorts keys (each value < 2^bank) with
 // their oids in place across `workers` goroutines (Section 6.4 of the
 // paper): by-row chunks with parallelRadixSort, whose output is
-// byte-identical to SortWithParamsContext's. Inputs below
-// p.ParallelThreshold or two chunks, or workers < 2, take the sequential
-// path; a p.Sort hook gets every input from the threshold on, with the
-// worker count. A cancelled context aborts between passes and chunks; a
-// worker panic surfaces as a *pipeerr.PipelineError with stage "sort"
-// and cancels its siblings. On any error keys/oids are in unspecified
-// (but memory-safe) order, and callers discard them (docs/robustness.md).
+// byte-identical to SortScratchContext's. Inputs below ParallelMinRows
+// rows, or workers < 2, take the sequential path; a p.Sort hook gets
+// every input from ParallelMinRows on, with the worker count. A
+// cancelled context aborts between passes and chunks; a worker panic
+// surfaces as a *pipeerr.PipelineError with stage "sort" and cancels its
+// siblings. On any error keys/oids are in unspecified (but memory-safe)
+// order, and callers discard them (docs/robustness.md).
 func ParallelSortWithParamsContext(ctx context.Context, bank int, keys []uint64, oids []uint32, p Params, workers int) error {
 	if err := checkArgs(bank, keys, oids); err != nil {
 		return err
 	}
-	n := len(keys)
-	p = p.resolved()
-	if workers < 2 || n < p.ParallelThreshold {
-		return SortWithParamsContext(ctx, bank, keys, oids, p)
+	if workers < 2 || len(keys) < ParallelMinRows {
+		return SortScratchContext(ctx, bank, keys, oids, p, nil)
 	}
 	if p.Sort != nil {
 		return p.Sort(ctx, bank, keys, oids, workers)
 	}
-	bounds := radixChunks(n, workers)
-	if len(bounds) < 3 {
-		return SortWithParamsContext(ctx, bank, keys, oids, p)
-	}
 	obsParSorts.Inc()
 	obsParWorkers.Set(int64(workers))
 	busy := pipeerr.StartBusy(workers)
-	if err := parallelRadixSort(ctx, bank, keys, oids, bounds, workers, busy); err != nil {
+	if err := parallelRadixSort(ctx, bank, keys, oids, radixChunks(len(keys), workers), workers, busy); err != nil {
 		return err
 	}
 	busy.Publish(obsParEffX1000)
@@ -302,8 +295,7 @@ func ParallelSortWithParamsContext(ctx context.Context, bank int, keys []uint64,
 }
 
 // radixChunks cuts n rows into the chunks of the parallel radix sort:
-// one per worker, but never more than n/minChunkRows. Fewer than two
-// chunks means the sequential kernel sorts the rows.
+// one per worker, but never more than n/minChunkRows.
 func radixChunks(n, workers int) []int {
 	return pipeerr.Cut(n, min(workers, n/minChunkRows), 1)
 }

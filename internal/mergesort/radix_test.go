@@ -212,7 +212,7 @@ func TestSmallAndBatchedSortsDoNotAllocate(t *testing.T) {
 		small := SmallRunCutoff - 1
 		if got := testing.AllocsPerRun(20, func() {
 			refill()
-			if err := SortWithParamsContext(ctx, bank, keys[:small], oids[:small], Params{}); err != nil {
+			if err := SortScratchContext(ctx, bank, keys[:small], oids[:small], Params{}, nil); err != nil {
 				t.Fatal(err)
 			}
 		}); got != 0 {

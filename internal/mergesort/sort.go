@@ -21,45 +21,36 @@ import (
 	"repro/internal/obs"
 )
 
-// Params bundles the knobs of a sort. Every entry point resolves zero
-// fields to their defaults, so Params{} means DefaultParams.
+// Params carries the sort-kernel hook. The zero Params sorts with the
+// production kernel.
 type Params struct {
-	// ParallelThreshold is the input size (elements) below which the
-	// parallel sort and top-K paths fall back to their sequential
-	// counterparts; tests lower it to exercise the parallel code on
-	// small inputs. Zero means DefaultParallelThreshold.
-	ParallelThreshold int
 	// Sort, when set, replaces the radix kernel (nil) for every sort:
 	// SortScratchContext calls it at one worker, and
 	// ParallelSortWithParamsContext at its worker count from
-	// ParallelThreshold on, so TopKContext inherits it too. It gets checked
-	// arguments and must leave keys ascending with their oids, and equal
-	// keys with ascending oids whenever they came in ascending — what the
-	// radix kernel does by stability and internal/mcsort's tie order rests
-	// on. Only the paper's kernel (internal/mergesort/paper) is plugged in,
-	// by the figure experiments, the ablations and calibration.
+	// ParallelMinRows rows on, so TopKContext inherits it too. It gets
+	// checked arguments and must leave keys ascending with their oids, and
+	// equal keys with ascending oids whenever they came in ascending —
+	// what the radix kernel does by stability and internal/mcsort's tie
+	// order rests on. Only the paper's kernel (internal/mergesort/paper)
+	// is plugged in, by the figure experiments, the ablations and
+	// calibration.
 	Sort func(ctx context.Context, bank int, keys []uint64, oids []uint32, workers int) error
 }
 
-// DefaultParallelThreshold is the input size below which threading is
-// not worth the coordination cost.
-const DefaultParallelThreshold = 1 << 14
+// ParallelMinRows is the input size from which a sort, a top-K select
+// and a later round's group go parallel (Section 6.4 of the paper):
+// below it threading is not worth the coordination cost. It holds two
+// minimum chunks or more (the blank constant fails to compile
+// otherwise), so the parallel radix sort never falls back.
+const (
+	ParallelMinRows = 1 << 14
+	_               = uint(ParallelMinRows - 2*minChunkRows)
+)
 
-// DefaultParams returns what the zero Params resolves to. No default of
-// the production kernel depends on the key width; keyBytes stays so
-// that callers which derive their parameters per bank keep compiling.
+// DefaultParams returns the zero Params; keyBytes stays for the callers
+// that derive their parameters per bank.
 func DefaultParams(keyBytes int) Params {
-	return Params{ParallelThreshold: DefaultParallelThreshold}
-}
-
-// resolved overlays the defaults on the unset (non-positive) fields of
-// p. Every entry point applies it, so callers override only the knobs
-// they care about.
-func (p Params) resolved() Params {
-	if p.ParallelThreshold <= 0 {
-		p.ParallelThreshold = DefaultParallelThreshold
-	}
-	return p
+	return Params{}
 }
 
 // checkArgs is the precondition check shared by the sort entry points:
@@ -119,21 +110,15 @@ const (
 	PackMinRows = 2048
 )
 
-// SortWithParamsContext sorts keys (each value < 2^bank) together with
+// SortScratchContext sorts keys (each value < 2^bank) together with
 // their oids in place, stably: equal keys keep their input order. It is
-// the entry point every sort of one run bottoms out in. The context is
-// polled on entry and before every O(n) pass (each radix scatter and
-// the copy-back). The kernel works in scratch until its last pass, so
-// on cancellation the sort returns ctx.Err() with keys and oids exactly
-// as passed in. A p.Sort hook replaces the kernel, with its own
-// cancellation contract.
-func SortWithParamsContext(ctx context.Context, bank int, keys []uint64, oids []uint32, p Params) error {
-	return SortScratchContext(ctx, bank, keys, oids, p, nil)
-}
-
-// SortScratchContext is SortWithParamsContext on caller-owned working
-// memory: s is reused across calls by a goroutine that sorts many runs
-// in a row. nil allocates per call.
+// the entry point every sort of one run bottoms out in. s is working
+// memory a goroutine that sorts many runs in a row reuses across calls;
+// nil allocates per call. The context is polled on entry and before
+// every O(n) pass (each radix scatter and the copy-back). The kernel
+// works in scratch until its last pass, so on cancellation the sort
+// returns ctx.Err() with keys and oids exactly as passed in. A p.Sort
+// hook replaces the kernel, with its own cancellation contract.
 func SortScratchContext(ctx context.Context, bank int, keys []uint64, oids []uint32, p Params, s *Scratch) error {
 	if err := checkArgs(bank, keys, oids); err != nil {
 		return err

@@ -53,7 +53,6 @@ func TopKContext(ctx context.Context, bank int, keys []uint64, oids []uint32, li
 		return 0, fmt.Errorf("mergesort: top-K limit %d, must be >= 1", limit)
 	}
 	n := len(keys)
-	p = p.resolved()
 	if limit >= n || n < SmallRunCutoff {
 		if err := ParallelSortWithParamsContext(ctx, bank, keys, oids, p, workers); err != nil {
 			return 0, err
@@ -65,7 +64,7 @@ func TopKContext(ctx context.Context, bank int, keys []uint64, oids []uint32, li
 	// BlockRows-row ranges, or one per worker (of at least minChunkRows
 	// rows) when the input is parallel.
 	parts := (n + pipeerr.BlockRows - 1) / pipeerr.BlockRows
-	if workers >= 2 && n >= p.ParallelThreshold {
+	if workers >= 2 && n >= ParallelMinRows {
 		parts = max(parts, min(workers, n/minChunkRows))
 	} else {
 		workers = 1

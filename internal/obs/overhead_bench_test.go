@@ -39,7 +39,7 @@ func benchSort(b *testing.B, bank int) {
 			oids[j] = uint32(j)
 		}
 		b.StartTimer()
-		if err := mergesort.SortWithParamsContext(context.Background(), bank, work, oids, mergesort.Params{}); err != nil {
+		if err := mergesort.SortScratchContext(context.Background(), bank, work, oids, mergesort.Params{}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -374,6 +374,7 @@ func (f *Front) run(ctx context.Context, j *job, req QueryRequest) (res *QueryRe
 	runCtx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
 	var wd *watchdog
+	defer func() { wd.stop() }()
 	markRunning := func() {
 		if j != nil {
 			j.mu.Lock()
@@ -381,7 +382,7 @@ func (f *Front) run(ctx context.Context, j *job, req QueryRequest) (res *QueryRe
 			j.mu.Unlock()
 		}
 		if f.b.WatchdogMult > 0 && wd == nil {
-			wd = startWatchdog(runCtx, cancel, f.b.WatchdogFloor)
+			wd = startWatchdog(cancel, f.b.WatchdogFloor)
 		}
 	}
 	extendWatchdog := func(predictedNS float64) {

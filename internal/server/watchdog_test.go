@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -99,9 +100,10 @@ func TestWatchdogSparesHealthyQuery(t *testing.T) {
 // extend never shrinks an armed budget, so a cheap re-plan cannot
 // tighten the noose on a query already granted more time.
 func TestWatchdogExtendOnlyRaises(t *testing.T) {
-	ctx, cancel := context.WithCancelCause(context.Background())
+	_, cancel := context.WithCancelCause(context.Background())
 	defer cancel(nil)
-	w := startWatchdog(ctx, cancel, time.Hour)
+	w := startWatchdog(cancel, time.Hour)
+	defer w.stop()
 	w.extend(time.Minute) // lower: must be ignored
 	w.mu.Lock()
 	got := w.budget
@@ -117,4 +119,57 @@ func TestWatchdogExtendOnlyRaises(t *testing.T) {
 		t.Errorf("budget = %v, want 2h", got)
 	}
 	cancel(nil)
+}
+
+// TestWatchdogFireRechecksBudget drives the timer's callback directly:
+// an expiry that lands after an extension (the timer was already
+// running fire when extend re-armed it) must not kill the query; one
+// past the budget kills it with the typed cause, once; after stop
+// nothing fires. Concurrent extensions against a firing timer must not
+// race (run under -race).
+func TestWatchdogFireRechecksBudget(t *testing.T) {
+	ctx, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
+	w := startWatchdog(cancel, time.Hour)
+	defer w.stop()
+	w.extend(2 * time.Hour)
+	w.fire() // an expiry that raced the extension
+	if ctx.Err() != nil {
+		t.Fatalf("killed within its budget: %v", context.Cause(ctx))
+	}
+	w.mu.Lock()
+	w.start = time.Now().Add(-3 * time.Hour)
+	w.mu.Unlock()
+	w.fire()
+	if cause := context.Cause(ctx); !errors.Is(cause, pipeerr.ErrWatchdog) {
+		t.Fatalf("past the budget: cause %v, want pipeerr.ErrWatchdog", cause)
+	}
+
+	ctx2, cancel2 := context.WithCancelCause(context.Background())
+	defer cancel2(nil)
+	w2 := startWatchdog(cancel2, time.Hour)
+	w2.stop()
+	w2.mu.Lock()
+	w2.start = time.Now().Add(-3 * time.Hour)
+	w2.mu.Unlock()
+	w2.fire()
+	if ctx2.Err() != nil {
+		t.Fatal("a stopped watchdog killed its query")
+	}
+
+	_, cancel3 := context.WithCancelCause(context.Background())
+	defer cancel3(nil)
+	w3 := startWatchdog(cancel3, time.Microsecond)
+	var wg sync.WaitGroup
+	for g := 1; g <= 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 1; i <= 100; i++ {
+				w3.extend(time.Duration(g*i) * time.Microsecond)
+			}
+		}(g)
+	}
+	wg.Wait()
+	w3.stop()
 }
