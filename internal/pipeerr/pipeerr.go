@@ -243,7 +243,7 @@ func (g *Group) Go(stage string, round, worker int, fn func(ctx context.Context)
 // the process. onPanic may be nil when the caller has nothing to
 // record. It is the sanctioned spawn path for fire-and-forget library
 // goroutines that do not belong to a worker Group — job runners,
-// watchdog loops, shutdown waiters; the mcslint grouped analyzer flags
+// shutdown waiters; the mcslint grouped analyzer flags
 // bare go statements in library code, and this helper (with Group.Go)
 // is how they are spelled instead.
 func Spawn(stage string, onPanic func(*PipelineError), fn func()) {
