@@ -118,7 +118,8 @@ type Result struct {
 	// Aggregates[g] is the aggregate of group g (group queries). For
 	// Avg it is the scaled integer mean.
 	Aggregates []uint64
-	// Ranks[i] pairs with RowOids[i] for window queries.
+	// Ranks[i] pairs with RowOids[i] for window queries; nil under
+	// Options.OidsOnly.
 	Ranks   []uint32
 	RowOids []uint32
 	Timing  Timing
@@ -170,10 +171,9 @@ type Options struct {
 	// sequential execution does not fit, the query is refused with
 	// pipeerr.ErrBudgetExceeded. <= 0 means unlimited.
 	MaxBytes int64
-	// SortParams overrides the sorter's parallel threshold (tests force
-	// the parallel paths on small inputs) and carries the sort-kernel
-	// hook (mergesort.Params.Sort: the figure experiments plug in the
-	// paper's kernel); output is byte-identical either way.
+	// SortParams carries the sort-kernel hook (mergesort.Params.Sort:
+	// the figure experiments plug in the paper's kernel); output is
+	// byte-identical either way.
 	SortParams *mergesort.Params
 	// PlanOverride skips the search and uses the given choice.
 	PlanOverride *planner.Choice
@@ -200,6 +200,12 @@ type Options struct {
 	// sort, before Limit counts). Negative values are rejected. An
 	// Offset without a Limit slices the full result.
 	Offset int
+	// OidsOnly makes a window query return its rows' oids in sorted
+	// order without their ranks (Result.Ranks stays nil). The sharded
+	// coordinator's sub-queries set it: the coordinator ranks the merged
+	// rows itself from their sort keys, so a shard's ranks would be
+	// computed, shipped and dropped. Ignored by group queries.
+	OidsOnly bool
 	// OnPlanChosen, when non-nil, is invoked on the caller's goroutine
 	// right after the plan is fixed (searched, overridden, or trivial),
 	// with the cost model's predicted T_mcs in nanoseconds (0 when no
@@ -331,8 +337,10 @@ func runContext(ctx context.Context, t *table.Table, q Query, opts Options) (*Re
 	start = time.Now()
 	if q.Window != nil {
 		lo, hi := OutputWindow(len(mres.Perm), opts.Limit, opts.Offset)
-		if res.Ranks, err = rankPage(ctx, mres, b.partitionBits(), lo, hi); err != nil {
-			return nil, err
+		if !opts.OidsOnly {
+			if res.Ranks, err = rankPage(ctx, mres, b.partitionBits(), lo, hi); err != nil {
+				return nil, err
+			}
 		}
 		res.RowOids = make([]uint32, hi-lo)
 		for i, p := range mres.Perm[lo:hi] {

@@ -7,7 +7,8 @@ import (
 
 // FuzzQueryRequest fuzzes the strict JSON request decoder. Properties:
 // never panic, accepted requests re-validate and re-encode losslessly,
-// and acceptance implies the engine form is constructible.
+// carry oids_only only on a window query, and acceptance implies the
+// engine form is constructible.
 func FuzzQueryRequest(f *testing.F) {
 	seeds := []string{
 		`{"table":"tpch_wide","kind":"orderby","sort_cols":[{"name":"l_returnflag"},{"name":"l_linestatus","desc":true}]}`,
@@ -24,6 +25,9 @@ func FuzzQueryRequest(f *testing.F) {
 		`null`,
 		`[]`,
 		`{"workers":-1}`,
+		`{"table":"ticket","kind":"partitionby","sort_cols":[{"name":"RPCarrier"}],"window":{"order_col":"FarePerMile"},"oids_only":true}`,
+		`{"table":"tpch_wide","kind":"orderby","sort_cols":[{"name":"l_returnflag"}],"oids_only":true}`,
+		`{"table":"tpch_wide","kind":"groupby","sort_cols":[{"name":"p_brand"}],"agg":{"kind":"count"},"oids_only":true}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -39,6 +43,10 @@ func FuzzQueryRequest(f *testing.F) {
 		// Accepted ⇒ validation is idempotent.
 		if err := req.Validate(); err != nil {
 			t.Fatalf("accepted request fails re-validation: %v", err)
+		}
+		// Accepted ⇒ oids_only only on a window query.
+		if req.OidsOnly && req.Kind != "partitionby" {
+			t.Fatalf("accepted oids_only on kind %q", req.Kind)
 		}
 		// Accepted ⇒ the engine form is constructible.
 		if _, err := req.ToEngineQuery(); err != nil {

@@ -124,6 +124,12 @@ type QueryRequest struct {
 	// order column last, counted as the final position); orderby accepts
 	// only the identity. Absent = the server searches freely.
 	ColOrder []int `json:"col_order,omitempty"`
+	// OidsOnly makes a partitionby query answer with its rows' oids in
+	// sorted order and no ranks (engine.Options.OidsOnly). The sharded
+	// coordinator sets it on every window sub-query: it ranks the merged
+	// rows from their sort keys itself. Refused on other kinds; the
+	// coordinator refuses it from its own callers.
+	OidsOnly bool `json:"oids_only,omitempty"`
 }
 
 // QueryResult is the wire form of a finished query. The data fields
@@ -241,6 +247,9 @@ func (r *QueryRequest) Validate() error {
 	}
 	if r.OrderByAgg && r.Agg == nil {
 		return bad("order_by_agg requires an agg")
+	}
+	if r.OidsOnly && r.Kind != "partitionby" {
+		return bad("oids_only requires kind partitionby, got %q", r.Kind)
 	}
 	if r.Workers < 0 || r.Workers > MaxWorkers {
 		return bad("workers %d out of range [0, %d]", r.Workers, MaxWorkers)

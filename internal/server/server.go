@@ -260,6 +260,7 @@ func (s *Server) runEngine(ctx context.Context, jobID string, req QueryRequest, 
 		Workers:   workers,
 		MaxBytes:  maxQueryBytes(req.MaxBytes, s.cfg.MaxBytes, est),
 		Offset:    req.Offset,
+		OidsOnly:  req.OidsOnly,
 		// The plan is fixed here, before the expensive stages begin: the
 		// watchdog budget grows from its floor to cover the estimate.
 		OnPlanChosen: extendWatchdog,

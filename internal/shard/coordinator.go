@@ -191,6 +191,11 @@ func (c *Coordinator) execute(ctx context.Context, jobID string, req server.Quer
 		// the merge keys are built in.
 		return nil, fmt.Errorf("%w: col_order is reserved for the coordinator's shard sub-queries", server.ErrInvalidRequest)
 	}
+	if req.OidsOnly {
+		// The coordinator ranks the merged rows itself; its answer always
+		// carries ranks.
+		return nil, fmt.Errorf("%w: oids_only is reserved for the coordinator's shard sub-queries", server.ErrInvalidRequest)
+	}
 	q, err := req.ToEngineQuery()
 	if err != nil {
 		return nil, err
@@ -324,7 +329,8 @@ func (c *Coordinator) execute(ctx context.Context, jobID string, req server.Quer
 // a subsequence of the global order), so the pre-cut loses nothing.
 // ORDER BY <agg> sorts by a value only the gather knows, so those
 // sub-queries drop the cut and the agg-sort entirely and return full
-// key-ordered group tables.
+// key-ordered group tables. Window sub-queries ask for oids only: the
+// coordinator ranks the merged rows from their keys (unpackWindow).
 func buildSubRequests(req server.QueryRequest, q engine.Query, pin []int) []server.QueryRequest {
 	sub := req
 	sub.TimeoutMS = 0
@@ -332,6 +338,7 @@ func buildSubRequests(req server.QueryRequest, q engine.Query, pin []int) []serv
 	if len(pin) > 0 {
 		sub.ColOrder = append([]int(nil), pin...)
 	}
+	sub.OidsOnly = q.Window != nil
 	sub.OrderByAgg = false
 	sub.Limit, sub.Offset = nil, 0
 	if req.Limit != nil && !req.OrderByAgg {

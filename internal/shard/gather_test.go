@@ -123,7 +123,7 @@ func TestCoordinatorRejectsShortRun(t *testing.T) {
 		SortCols: []server.SortColReq{{Name: "a"}}, Agg: &server.AggReq{Kind: "count"}}
 	dropLast := func(res *server.QueryResult) {
 		if n := len(res.RowOids); n > 0 {
-			res.RowOids, res.Ranks = res.RowOids[:n-1], res.Ranks[:n-1]
+			res.RowOids = res.RowOids[:n-1]
 		}
 	}
 	inflate := func(res *server.QueryResult) { res.Rows++ }

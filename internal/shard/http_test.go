@@ -6,7 +6,6 @@ package shard
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -342,8 +341,8 @@ func TestWireContract(t *testing.T) {
 }
 
 // TestCoordinatorHTTPErrors covers the rows of the wire contract only a
-// coordinator has: the reserved col_order field, the "shards" field on
-// /healthz, and the shard taxonomy's statuses.
+// coordinator has: the reserved col_order and oids_only fields, the
+// "shards" field on /healthz, and the shard taxonomy's statuses.
 func TestCoordinatorHTTPErrors(t *testing.T) {
 	defer testutil.CheckNoLeaks(t)()
 	tables := batteryTables(t)
@@ -361,6 +360,10 @@ func TestCoordinatorHTTPErrors(t *testing.T) {
 	// the coordinator's own sub-queries.
 	w.wantFailed("reserved col_order",
 		`{"table":"narrow0","kind":"orderby","sort_cols":[{"name":"a"},{"name":"b"}],"col_order":[0,1]}`,
+		"invalid", http.StatusBadRequest)
+	// So is oids_only: the coordinator's answer always carries ranks.
+	w.wantFailed("reserved oids_only",
+		`{"table":"narrow0","kind":"partitionby","sort_cols":[{"name":"a"}],"window":{"order_col":"c"},"oids_only":true}`,
 		"invalid", http.StatusBadRequest)
 
 	for _, tc := range []struct {
@@ -390,7 +393,7 @@ func TestCoordinatorHTTPErrors(t *testing.T) {
 }
 
 // TestCoordinatorShardFrameCorrupt: a shard whose result frame arrives
-// whole with one payload bit flipped fails the coordinator's job as
+// whole with one header bit flipped fails the coordinator's job as
 // shard_invalid — 502, not retryable — after executing the fan-out
 // once: the checksum catches what the merge's validation cannot, and a
 // frame that violates the format is no transport failure to retry.
@@ -400,9 +403,9 @@ func TestCoordinatorShardFrameCorrupt(t *testing.T) {
 	healthy, done := newTopology(t, tables, 2, Config{})
 	defer done()
 
-	// The double: shard 1 behind a proxy that flips one bit of the first
-	// payload byte of every result frame — for a window result the first
-	// rank, which the gather recomputes and so never looks at.
+	// The double: shard 1 behind a proxy that flips one bit of every
+	// result frame's exec_ns, a header field the gather never looks at,
+	// so only the checksum can tell the frame is damaged.
 	backend, err := url.Parse(healthy.cfg.Shards[1])
 	if err != nil {
 		t.Fatal(err)
@@ -420,7 +423,7 @@ func TestCoordinatorShardFrameCorrupt(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		frame[12+binary.LittleEndian.Uint32(frame[8:])] ^= 1 // just past the prefix and header
+		frame[12+24] ^= 1 // past the prefix: exec_ns follows rows, workers and queue_wait_ns
 		resp.Body = io.NopCloser(bytes.NewReader(frame))
 		return nil
 	}

@@ -1,5 +1,6 @@
 // Cross-shard merging. Shards return results sorted in the pinned
-// column order; the coordinator turns each shard's answer into a run —
+// column order (a window answer is its sorted oids, with no ranks); the
+// coordinator turns each shard's answer into a run —
 // validated and keyed on the fan-out goroutine that received it, while
 // slower shards are still sorting — and merges the runs in place. Every
 // key ends in its entry's global index, so the keys are distinct, a
@@ -129,16 +130,19 @@ type gather struct {
 // buildRun is the one place a shard's answer becomes a merge run. It
 // checks the answer against the query shape and rebuilds its merge
 // keys from codes the coordinator trusts — a window run's from its own
-// full table at the global oid (the shards do not ship keys: deriving
-// them here is the stronger check), a group table's from its key
-// vectors. One loop over mergeCtxStride-row blocks range-checks the
-// oids into global indexes (a group's is its range base plus its
-// number), gathers each pinned column's codes into one buffer and
-// composes them into the keys with one OR-accumulated width check, and
-// requires the order the merge relies on: window keys strictly
-// ascending with their index (ties oid-ascending), group keys without
-// it (groups are distinct keys). Anything a confused or truncated shard
-// could get wrong fails with errShardInvalid before the merge.
+// full table at the global oid, a group table's from its key vectors. A
+// window answer is oids only (the sub-queries set oids_only): shards
+// ship neither keys, since deriving them here is the stronger check, nor
+// ranks, which unpackWindow computes from the merged keys; an answer
+// that carries ranks comes from a confused shard. One loop over
+// mergeCtxStride-row blocks range-checks the oids into global indexes
+// (a group's is its range base plus its number), gathers each pinned
+// column's codes into one buffer and composes them into the keys with
+// one OR-accumulated width check, and requires the order the merge
+// relies on: window keys strictly ascending with their index (ties
+// oid-ascending), group keys without it (groups are distinct keys).
+// Anything a confused or truncated shard could get wrong fails with
+// errShardInvalid before the merge.
 func (g *gather) buildRun(ctx context.Context, si int, res *server.QueryResult) (*run, error) {
 	faultinject.Fire(faultinject.ShardMerge)
 	defer obsRunBuild.Start().End()
@@ -156,8 +160,8 @@ func (g *gather) buildRun(ctx context.Context, si int, res *server.QueryResult) 
 		if g.cut > 0 && g.cut < n {
 			n = g.cut
 		}
-		if len(res.RowOids) != n || len(res.Ranks) != n {
-			return nil, fmt.Errorf("%w: shard %d sent %d oids and %d ranks for %d rows, want %d", errShardInvalid, si, len(res.RowOids), len(res.Ranks), res.Rows, n)
+		if len(res.RowOids) != n || len(res.Ranks) != 0 {
+			return nil, fmt.Errorf("%w: shard %d sent %d oids and %d ranks for %d rows, want %d oids and no ranks", errShardInvalid, si, len(res.RowOids), len(res.Ranks), res.Rows, n)
 		}
 	} else {
 		n, ordered = len(res.GroupKeys), m

@@ -293,13 +293,49 @@ func windowAnswers(sp mergeSpec, runs [][][]uint64) ([]*byteslice.BS, []Range, [
 			return slices.Compare(massagedVec(sp, run[oids[x]]), massagedVec(sp, run[oids[y]])) < 0
 		})
 		ranges = append(ranges, rng)
-		answers = append(answers, &server.QueryResult{Rows: len(run), RowOids: oids, Ranks: make([]uint32, len(run))})
+		answers = append(answers, &server.QueryResult{Rows: len(run), RowOids: oids})
 	}
 	cols := make([]*byteslice.BS, len(codes))
 	for c := range codes {
 		cols[c] = byteslice.FromColumn(column.FromCodes(fmt.Sprint("c", c), sp.widths[c], codes[c]))
 	}
 	return cols, ranges, answers
+}
+
+// TestBuildRunRefusesRanks: a window answer is oids only. The run build
+// accepts a shard's sorted oids and refuses the same answer with ranks
+// beside them, in both key forms and under a LIMIT pre-cut: a shard
+// that sends ranks ignored the sub-query's oids_only and is confused.
+func TestBuildRunRefusesRanks(t *testing.T) {
+	ctx := context.Background()
+	sp := mergeSpec{order: []int{1, 0}, widths: []int{3, 5}, desc: []bool{true, false}}
+	vecs := make([][][]uint64, 2)
+	rng := chaos.NewRand(3)
+	for r := range vecs {
+		for i := 0; i < 20; i++ {
+			vecs[r] = append(vecs[r], []uint64{rng.Uint64() % 8, rng.Uint64() % 32})
+		}
+	}
+	cols, ranges, answers := windowAnswers(sp, vecs)
+	for form, fsp := range bothForms(sp, 40) {
+		for _, cut := range []int{0, 7} {
+			g := &gather{sp: fsp, ranges: ranges, cols: cols, cut: cut}
+			for si, a := range answers {
+				oids := a.RowOids
+				if cut > 0 {
+					oids = oids[:cut]
+				}
+				bare := &server.QueryResult{Rows: a.Rows, RowOids: oids}
+				if _, err := g.buildRun(ctx, si, bare); err != nil {
+					t.Fatalf("%s keys, cut %d: shard %d's oids rejected: %v", form, cut, si, err)
+				}
+				ranked := &server.QueryResult{Rows: a.Rows, RowOids: oids, Ranks: make([]uint32, len(oids))}
+				if _, err := g.buildRun(ctx, si, ranked); !errors.Is(err, errShardInvalid) {
+					t.Errorf("%s keys, cut %d: shard %d's answer with ranks: err %v, want errShardInvalid", form, cut, si, err)
+				}
+			}
+		}
+	}
 }
 
 // massagedVec is the naive reference for a clause-order vector's sort
@@ -508,7 +544,7 @@ func TestRankFromKeysMatchesLookup(t *testing.T) {
 						run = run[:g.cut] // the sub-queries' pre-cut
 					}
 					var err error
-					part := &server.QueryResult{Rows: ranges[si].Len(), RowOids: run, Ranks: make([]uint32, len(run))}
+					part := &server.QueryResult{Rows: ranges[si].Len(), RowOids: run}
 					if built[si], err = g.buildRun(ctx, si, part); err != nil {
 						t.Fatalf("%s %v: %v", tbl.Name, tc.pin, err)
 					}

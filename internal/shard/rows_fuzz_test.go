@@ -2,7 +2,8 @@ package shard
 
 // FuzzShardRows fuzzes the window shape of the coordinator's trust
 // boundary: the run build (gather.buildRun) over a shard's answer — row
-// oids in the shard's sort order — and the merge and rank behind it.
+// oids in the shard's sort order, with no ranks — and the merge and rank
+// behind it.
 // Each input decodes to a window clause (ascending and descending
 // columns whose key and index fit one word, take 62, 63 or 64 bits, or
 // far more), a table of seeded codes cut into
@@ -92,15 +93,15 @@ func naiveRows(sp mergeSpec, code func(gid uint32) []uint64, gids []uint32, limi
 }
 
 // naiveRunValid is the reference verdict on one shard's answer: a row
-// count inside the range, exactly min(Rows, cut) oids and ranks, every
-// oid inside the range, and each row after its predecessor in (massaged
-// key, oid) order.
+// count inside the range, exactly min(Rows, cut) oids and no ranks,
+// every oid inside the range, and each row after its predecessor in
+// (massaged key, oid) order.
 func naiveRunValid(sp mergeSpec, code func(gid uint32) []uint64, rng Range, cut int, a *server.QueryResult) bool {
 	want := a.Rows
 	if cut > 0 && cut < want {
 		want = cut
 	}
-	if a.Rows < 0 || a.Rows > rng.Len() || len(a.RowOids) != want || len(a.Ranks) != want {
+	if a.Rows < 0 || a.Rows > rng.Len() || len(a.RowOids) != want || len(a.Ranks) != 0 {
 		return false
 	}
 	for i, oid := range a.RowOids {
@@ -138,9 +139,10 @@ func FuzzShardRows(f *testing.F) {
 	f.Add(uint16(0x0406), []byte{7, 12, 4, 7, 3, 2, 1, 4})
 	f.Add(uint16(0x8001), []byte{3, 23, 3, 0, 0, 5, 0, 1})
 	f.Add(uint16(0x0155), []byte{1, 2, 4, 1, 0, 6, 3, 0})
-	f.Add(uint16(0x0817), []byte{11, 19, 2, 0, 9, 0, 0}) // 62 bits
-	f.Add(uint16(0x1806), []byte{4, 23, 3, 5, 0, 2, 0})  // 63 bits
-	f.Add(uint16(0x2c13), []byte{6, 21, 3, 0, 14, 0, 0}) // 64 bits
+	f.Add(uint16(0x0817), []byte{11, 19, 2, 0, 9, 0, 0})   // 62 bits
+	f.Add(uint16(0x1806), []byte{4, 23, 3, 5, 0, 2, 0})    // 63 bits
+	f.Add(uint16(0x2c13), []byte{6, 21, 3, 0, 14, 0, 0})   // 64 bits
+	f.Add(uint16(0x0406), []byte{7, 12, 2, 3, 0, 8, 1, 0}) // ranks sent
 
 	f.Fuzz(func(t *testing.T, shape uint16, data []byte) {
 		next := func() int {
@@ -204,12 +206,12 @@ func FuzzShardRows(f *testing.F) {
 				if cut > 0 && cut < len(oids) {
 					oids = oids[:cut]
 				}
-				answers[si] = &server.QueryResult{Rows: rng.Len(), RowOids: oids, Ranks: make([]uint32, len(oids))}
+				answers[si] = &server.QueryResult{Rows: rng.Len(), RowOids: oids}
 			}
 			return answers
 		}
 		answers := canon(cut)
-		op, ti, at := next()%8, next()%len(answers), next()
+		op, ti, at := next()%9, next()%len(answers), next()
 		a, k := answers[ti], len(answers[ti].RowOids)
 		switch {
 		case op == 1 && k > 0: // an oid outside the range
@@ -221,15 +223,17 @@ func FuzzShardRows(f *testing.F) {
 			i := at%(k-1) + 1
 			a.RowOids[i] = a.RowOids[i-1]
 		case op == 4 && k > 0: // the last row dropped: a short run
-			a.RowOids, a.Ranks = a.RowOids[:k-1], a.Ranks[:k-1]
+			a.RowOids = a.RowOids[:k-1]
 		case op == 5: // an inflated row count
 			a.Rows += at%2 + 1
 		case op == 6 && k > 0: // the last row dropped and counted out: a filtered shard, valid unless the pre-cut ended the run
-			a.RowOids, a.Ranks, a.Rows = a.RowOids[:k-1], a.Ranks[:k-1], a.Rows-1
+			a.RowOids, a.Rows = a.RowOids[:k-1], a.Rows-1
 		case op == 7: // arbitrary oids of the right length
 			for i := range a.RowOids {
 				a.RowOids[i] = uint32(next() % (ranges[ti].Len() + 2))
 			}
+		case op == 8 && k > 0: // ranks sent beside the oids: a shard that ignored oids_only
+			a.Ranks = make([]uint32, k)
 		}
 
 		ctx := context.Background()

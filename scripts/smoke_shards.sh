@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # End-to-end smoke test for the sharded mcsd topology (docs/sharding.md):
 # build, start three shard daemons plus a coordinator over them plus one
-# unsharded daemon as the oracle, run the same query through both
-# fronts, and require byte-identical data fields. Then check the
-# coordinator's shard.* metrics moved, SIGTERM everything, and require
-# clean drains (exit 0).
+# unsharded daemon as the oracle, run the same queries (a group table
+# and an unlimited window) through both fronts, and require
+# byte-identical data fields. Then check the coordinator's shard.*
+# metrics moved, SIGTERM everything, and require clean drains (exit 0).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -79,11 +79,14 @@ wait_ready "$COORD" "coordinator"
 grep -q "shard 0/3 serves" "$LOGDIR/shard0.log" || fail "shard 0 did not log its range"
 grep -q "coordinating .* over 3 shards" "$LOGDIR/coord.log" || fail "coordinator did not log its topology"
 
-QUERY='{"table":"tpch_wide","kind":"groupby","sort_cols":[{"name":"p_brand"},{"name":"p_type"},{"name":"p_size"}],"filters":[{"col":"p_size","op":"neq","const":15}],"agg":{"kind":"count"},"order_by_agg":true,"workers":2}'
+GROUP_QUERY='{"table":"tpch_wide","kind":"groupby","sort_cols":[{"name":"p_brand"},{"name":"p_type"},{"name":"p_size"}],"filters":[{"col":"p_size","op":"neq","const":15}],"agg":{"kind":"count"},"order_by_agg":true,"workers":2}'
+# The shard3_window_full shape: every row ranked, so the shards' oids-only
+# answers and the coordinator's merge and ranking cover the whole table.
+WINDOW_QUERY='{"table":"tpch_wide","kind":"partitionby","sort_cols":[{"name":"supp_nation"},{"name":"l_year"}],"window":{"order_col":"l_extendedprice","desc":true},"workers":2}'
 
 run_query() {
-  local base=$1 job state
-  job=$(curl -fsS "$base/query" -d "$QUERY" | sed -n 's/.*"job_id":"\([^"]*\)".*/\1/p')
+  local base=$1 query=$2 job state
+  job=$(curl -fsS "$base/query" -d "$query" | sed -n 's/.*"job_id":"\([^"]*\)".*/\1/p')
   [[ -n "$job" ]] || fail "submit to $base returned no job_id"
   for _ in $(seq 1 200); do
     state=$(curl -fsS "$base/jobs/$job" | sed -n 's/.*"state":"\([^"]*\)".*/\1/p')
@@ -102,21 +105,28 @@ canon() {
   tr -d ' \n' | sed -e 's/.*"rows":/"rows":/' -e 's/,"workers":.*//' -e 's/,"plan":.*//'
 }
 
-echo "smoke_shards: querying the coordinator and the oracle daemon"
-GOT=$(run_query "$COORD" | canon)
-WANT=$(run_query "$FULL" | canon)
-[[ -n "$WANT" ]] || fail "oracle produced no data fields"
-if [[ "$GOT" != "$WANT" ]]; then
-  fail "coordinator result diverges from the unsharded daemon:
-  coordinator: $GOT
-  oracle:      $WANT"
-fi
-echo "smoke_shards: 3-shard result is byte-identical to the unsharded daemon"
+# compare runs one query through both fronts and requires identical
+# data fields.
+compare() {
+  local name=$1 query=$2 got want
+  echo "smoke_shards: querying the coordinator and the oracle daemon ($name)"
+  got=$(run_query "$COORD" "$query" | canon)
+  want=$(run_query "$FULL" "$query" | canon)
+  [[ -n "$want" ]] || fail "oracle produced no data fields ($name)"
+  if [[ "$got" != "$want" ]]; then
+    fail "coordinator $name result diverges from the unsharded daemon:
+  coordinator: ${got:0:400}
+  oracle:      ${want:0:400}"
+  fi
+  echo "smoke_shards: 3-shard $name result is byte-identical to the unsharded daemon"
+}
+compare "group table" "$GROUP_QUERY"
+compare "window" "$WINDOW_QUERY"
 
 echo "smoke_shards: checking coordinator /metrics for shard counters"
 METRICS=$(curl -fsS "$COORD/metrics" | tr -d ' \n')
 FANOUT=$(printf '%s' "$METRICS" | sed -n 's/.*"name":"shard\.fanout_subqueries","value":\([0-9]*\).*/\1/p')
-[[ -n "$FANOUT" && "$FANOUT" -ge 3 ]] || fail "shard.fanout_subqueries=$FANOUT, want >= 3"
+[[ -n "$FANOUT" && "$FANOUT" -ge 6 ]] || fail "shard.fanout_subqueries=$FANOUT, want >= 6: 3 per query"
 
 echo "smoke_shards: draining everything with SIGTERM"
 for pid in "${PIDS[@]}"; do kill -TERM "$pid"; done
