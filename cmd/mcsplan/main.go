@@ -1,10 +1,11 @@
 // Command mcsplan explains a code-massage plan search for an ad-hoc
 // multi-column sort: given column widths (and optional distinct counts),
 // it prints the baseline plan and the ROGA pick with its estimate. The
-// search is mcsd's: costmodel.Builtin(), the model mcsd plans with when
-// it is not handed a calibration, no wall-clock threshold unless -rho
-// sets one, and the daemon's default counted budget — so the pick is the
-// plan mcsd would choose for the same statistics.
+// search is mcsd's, engine.NewSearch: costmodel.Builtin(), the model
+// mcsd plans with when it is not handed a calibration, no wall-clock
+// threshold unless -rho sets one, and the daemon's default counted
+// budget — so the pick is the plan mcsd would choose for the same
+// statistics.
 //
 //	mcsplan -widths 12,17
 //	mcsplan -widths 17,33 -distinct 8192,8192 -rows 16777216
@@ -15,7 +16,8 @@
 // Under -clause partitionby the last width is the window's ORDER BY
 // column, which stays last, and -limit/-offset cut ranked rows; under
 // the other clauses they cut groups. The search prices that cut as
-// mcsd does, and -execute runs it.
+// mcsd does, and -execute runs it with the engine's sort
+// (engine.SortColumns).
 package main
 
 import (
@@ -32,7 +34,6 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/engine"
 	"repro/internal/massage"
-	"repro/internal/mcsort"
 	"repro/internal/obs"
 	"repro/internal/planner"
 	"repro/internal/server"
@@ -112,7 +113,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mcsplan: -limit and -offset must be non-negative")
 		os.Exit(2)
 	}
-	s := newSearch(kind, st, *rho, *limit, *offset)
+	// The last width is a window's ORDER BY column; -limit 0 is no LIMIT.
+	q := engine.Query{Kind: kind}
+	if kind == planner.PartitionBy {
+		q.Window = &engine.Window{}
+	}
+	opts := engine.Options{Rho: *rho, MaxPlans: server.DefaultMaxPlans, Workers: *workers, Offset: *offset}
+	if *limit > 0 {
+		opts.Limit = limit
+	}
+	s := engine.NewSearch(q, st, opts)
 	w := st.TotalWidth()
 	fmt.Printf("columns: widths=%v distinct=%v rows=%d (W=%d bits, clause=%s)\n",
 		widths, distinct, *rows, w, *clause)
@@ -144,13 +154,8 @@ func main() {
 				Width: widths[c],
 			}
 		}
-		ordered := make([]massage.Input, len(inputs))
-		for i, c := range roga.ColOrder {
-			ordered[i] = inputs[c]
-		}
-		// The cut the search priced.
-		mopts := mcsort.Options{Workers: *workers, LimitRows: s.Stats.LimitRows, LimitGroups: s.Stats.LimitGroups}
-		res, err := mcsort.ExecuteContext(ctx, ordered, roga.Plan, mopts)
+		// The engine's sort, cut where the search priced it.
+		res, _, err := engine.SortColumns(ctx, q, inputs, roga, opts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mcsplan: execute: %v\n", err)
 			dumpMetrics(*metrics)
@@ -173,24 +178,6 @@ func main() {
 	}
 
 	dumpMetrics(*metrics)
-}
-
-// newSearch is the plan search mcsd runs for a clause over st under
-// LIMIT limit OFFSET offset (limit 0: none), as engine.Bound.ChoosePlan
-// builds it: the statistics carry the query's sort cut (engine.SortCut,
-// which -execute runs too), and a window keeps its ORDER BY column, the
-// last, in place.
-func newSearch(kind planner.ClauseKind, st costmodel.Stats, rho float64, limit, offset int) *planner.Search {
-	q := engine.Query{Kind: kind}
-	if kind == planner.PartitionBy {
-		q.Window = &engine.Window{}
-	}
-	st.LimitRows, st.LimitGroups = engine.SortCut(q, &limit, offset)
-	s := &planner.Search{Model: costmodel.Builtin(), Stats: st, Kind: kind, Rho: rho, MaxPlans: server.DefaultMaxPlans}
-	if q.Window != nil {
-		s.FixedTail = 1
-	}
-	return s
 }
 
 // dumpMetrics emits the obs snapshot, which includes the robustness

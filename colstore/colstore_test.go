@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -102,5 +103,21 @@ func TestDecimalEncoding(t *testing.T) {
 	}
 	if dict.Decode(col.Codes[0]) != 1999 {
 		t.Errorf("decoded %d, want 1999", dict.Decode(col.Codes[0]))
+	}
+}
+
+// TestAddRefusesCodesWiderThanWidth: the ByteSlice layout keeps only a
+// column's Width low bits, so a code wider than its width would group
+// and sort as another code (4 in 2 bits as 0). Add refuses the column,
+// naming it and the row, and a query on it then fails on the name.
+func TestAddRefusesCodesWiderThanWidth(t *testing.T) {
+	tbl := NewTable("t", 3)
+	err := tbl.Add(FromCodes("a", 2, []uint64{4, 1, 2}))
+	if err == nil || !strings.Contains(err.Error(), `column "a"`) || !strings.Contains(err.Error(), "row 0") {
+		t.Fatalf("Add error = %v, want one naming column a and row 0", err)
+	}
+	q := Query{Kind: 1, SortCols: []SortCol{{Name: "a"}}} // GroupBy
+	if res, err := Run(tbl, q, Options{}); err == nil {
+		t.Errorf("grouping on the refused column returned keys %v", res.GroupKeys)
 	}
 }

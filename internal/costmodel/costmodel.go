@@ -6,7 +6,7 @@
 // (TRadix). Model.Sort is the one seam for another kernel's term: the
 // paper's SIMD merge-sort term lives beside that kernel
 // (internal/mergesort/paper's Model), and only the experiments plug it
-// in. Production plans with Builtin or a profile saved by Save; the
+// in. Production plans with Builtin or a profile read by Load; the
 // calibration that fits a profile from controlled runs lives with the
 // experiments (internal/experiments).
 //
@@ -375,19 +375,10 @@ func sortUint64(a []uint64) {
 	// caller's slice.
 }
 
-// Save writes the model (constants and geometry) as JSON.
-func (m *Model) Save(path string) error {
-	data, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
-}
-
-// Load reads a model saved by Save. It ignores keys the model does not
-// hold, such as the paper kernel's constants a calibration saves beside
-// it (C.Bank, C.OVCMergeDiscount, Fanout), which only the experiments
-// read. It refuses a profile the estimators cannot price: zero radix
+// Load reads a model from a JSON profile (cmd/calibrate writes one). It
+// ignores keys the model does not hold, such as the paper kernel's
+// constants a calibration saves beside it (C.Bank, C.OVCMergeDiscount,
+// Fanout), which only the experiments read. It refuses a profile the estimators cannot price: zero radix
 // count, scatter, word scatter or select constants (a profile saved
 // before the model priced the radix kernel has none, one saved before it
 // priced packed words no word scatter) would make every sort, or every

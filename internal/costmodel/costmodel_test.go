@@ -1,8 +1,10 @@
 package costmodel
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -125,9 +127,7 @@ func TestGroupProfileOccupancy(t *testing.T) {
 func TestSaveLoadRoundTrip(t *testing.T) {
 	m := Builtin()
 	path := filepath.Join(t.TempDir(), "cal.json")
-	if err := m.Save(path); err != nil {
-		t.Fatal(err)
-	}
+	writeProfile(t, path, m)
 	got, err := Load(path)
 	if err != nil {
 		t.Fatal(err)
@@ -165,9 +165,7 @@ func TestLoadRejectsMalformedProfiles(t *testing.T) {
 		m := Builtin()
 		c.mutate(m)
 		path := filepath.Join(t.TempDir(), "cal.json")
-		if err := m.Save(path); err != nil {
-			t.Fatal(err)
-		}
+		writeProfile(t, path, m)
 		if _, err := Load(path); (err == nil) != c.ok {
 			t.Errorf("%s: Load error = %v, want ok=%v", c.name, err, c.ok)
 		}
@@ -183,7 +181,19 @@ func TestLoadRejectsMalformedProfiles(t *testing.T) {
 	}
 }
 
-// TestLoadIgnoresPaperKeys loads a profile saved by Builtin().Save when
+// writeProfile writes m as the JSON profile Load reads.
+func writeProfile(t *testing.T, path string, m *Model) {
+	t.Helper()
+	data, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLoadIgnoresPaperKeys loads a profile of Builtin() written when
 // the model still held the paper kernel's term (testdata): C.Bank,
 // C.OVCMergeDiscount and Fanout are not the model's, and the rest must
 // load as Builtin, so a saved profile prices every plan as before.

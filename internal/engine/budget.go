@@ -45,8 +45,8 @@ var (
 // is the one footprint model: the engine's own two-stage degradation
 // applies it, the mcsd admission controller charges each admitted query
 // against the aggregate budget with it — so the two layers never
-// disagree about whether a query fits — and mcs.Sort calls it too (its
-// input codes are caller-owned and exist either way).
+// disagree about whether a query fits — and SortColumns applies it to
+// mcs.Sort too (whose input codes are caller-owned and exist anyway).
 func EstimatePipelineBytes(rows, nRounds, workers int) int64 {
 	r := int64(rows)
 	perRow := int64(8*nRounds + 8 + 4 + 4 + 24)

@@ -22,7 +22,6 @@ import (
 	"repro/internal/byteslice"
 	"repro/internal/costmodel"
 	"repro/internal/faultinject"
-	"repro/internal/massage"
 	"repro/internal/mcsort"
 	"repro/internal/mergesort"
 	"repro/internal/obs"
@@ -286,8 +285,7 @@ func runContext(ctx context.Context, t *table.Table, q Query, opts Options) (*Re
 	// Budget, stage 1 (row count known, plan not yet): refuse before
 	// sorting anything when even a minimal sequential pipeline cannot
 	// fit.
-	workers, err := budgetWorkers(opts.Workers, opts.MaxBytes, len(rows), 1)
-	if err != nil {
+	if opts.Workers, err = budgetWorkers(opts.Workers, opts.MaxBytes, len(rows), 1); err != nil {
 		return nil, q.wrap(err)
 	}
 
@@ -303,30 +301,17 @@ func runContext(ctx context.Context, t *table.Table, q Query, opts Options) (*Re
 		opts.OnPlanChosen(choice.Est)
 	}
 
-	// Budget, stage 2 (plan known): re-run degradation with the real
-	// round count, which dominates the round-key footprint.
-	workers, err = budgetWorkers(workers, opts.MaxBytes, len(rows), len(choice.Plan.Rounds))
-	if err != nil {
-		return nil, q.wrap(err)
-	}
-	res.Workers = workers
-
-	// 3. Multi-column sort under the chosen column order and plan. Its
-	// massage reads the sort columns straight from the ByteSlices, a
-	// block at a time, so no sort column is ever materialised (late
-	// materialisation, docs/topk.md). A Limit truncates the sort itself,
-	// at the rank SortCut names.
-	mopts := mcsort.Options{Workers: workers, SortParams: opts.SortParams}
-	mopts.LimitRows, mopts.LimitGroups = SortCut(q, opts.Limit, opts.Offset)
-	inputs := b.sources(rows)
-	ordered := make([]massage.Input, len(inputs))
-	for i, c := range choice.ColOrder {
-		ordered[i] = inputs[c]
-	}
-	mres, err := mcsort.ExecuteContext(ctx, ordered, choice.Plan, mopts)
+	// 3. Multi-column sort under the chosen column order and plan, after
+	// stage 2 of the budget (plan known: the real round count dominates
+	// the round-key footprint). Its massage reads the sort columns
+	// straight from the ByteSlices, a block at a time, so no sort column
+	// is ever materialised (late materialisation, docs/topk.md). A Limit
+	// truncates the sort itself, at the rank SortCut names.
+	mres, workers, err := SortColumns(ctx, q, b.sources(rows), choice, opts)
 	if err != nil {
 		return nil, err
 	}
+	res.Workers = workers
 	res.Timing.MCS = mres.Timings
 	res.PredictedMCS = choice.Est
 	recordCostAccuracy(choice.Est, mres.Timings.Total())

@@ -6,9 +6,10 @@
 // single node holds by construction: Bind (column names → ByteSlices,
 // sort clause in clause order), Select (filters → selection), SortCut
 // (LIMIT/OFFSET → where the sort may stop), ChoosePlan (query + row
-// count → Stats → Search → ROGA), OutputWindow (the [offset,
-// offset+limit) clamp). rankPage is RANK over a sorted page, from its
-// groups.
+// count → Stats → Choose), OutputWindow (the [offset, offset+limit)
+// clamp). rankPage is RANK over a sorted page, from its groups. The
+// plan search (NewSearch), plan choice (Choose) and sort (SortColumns)
+// also serve mcs.Sort, mcsplan and the plan-space experiments.
 package engine
 
 import (
@@ -248,72 +249,118 @@ func ValidateColOrder(order []int, m int, kind planner.ClauseKind, window bool) 
 	return nil
 }
 
-// ChoosePlan fixes the column order and massage plan for sorting rows
-// selected rows of the bound query: opts.PlanOverride verbatim (a
-// window's must keep its ORDER BY column last), column-at-a-time with
-// massaging off, otherwise the ROGA search over
-// the table's precomputed column statistics (as in any DBMS), taught
-// the LIMIT truncation (which sets the round widths; a free column
-// order is the unlimited search's, so a page is the unlimited result
-// sliced), with a window's ORDER BY column pinned last and
-// opts.FixedColOrder confining the permutation. Only the search itself
-// is timed. The sharded coordinator pins its plan by calling this over
-// the full table with the full table's filtered row count — the pin is
-// the single node's choice, not a replica of it.
+// ChoosePlan is Choose for rows selected rows of the bound query, over
+// the table's precomputed column statistics (as in any DBMS). The
+// coordinator pins its plan with it over the full table's filtered row
+// count: the pin is the single node's choice, not a replica of it.
 func (b *Bound) ChoosePlan(ctx context.Context, rows int, opts Options) (planner.Choice, time.Duration, error) {
-	q := b.Query
+	return Choose(ctx, b.Query, b.widths(), func() (costmodel.Stats, error) { return b.stats(rows) }, opts)
+}
+
+func (b *Bound) widths() []int {
+	widths := make([]int, len(b.Cols))
+	for i, bs := range b.Cols {
+		widths[i] = bs.Width
+	}
+	return widths
+}
+
+// stats are the table's statistics of the sort columns, over rows rows.
+func (b *Bound) stats(rows int) (costmodel.Stats, error) {
+	st := costmodel.Stats{N: rows}
+	for _, sc := range b.Sort {
+		cs, err := b.Table.Stats(sc.Name)
+		if err != nil {
+			return costmodel.Stats{}, err
+		}
+		st.Cols = append(st.Cols, cs)
+	}
+	return st, nil
+}
+
+// Choose fixes the column order and massage plan for sorting q's sort
+// columns of the given widths: opts.PlanOverride verbatim (a window's
+// must keep its ORDER BY column last), column-at-a-time with massaging
+// off, otherwise ROGA over NewSearch(q, stats(), opts) — stats is called
+// only then, and only the search is timed.
+func Choose(ctx context.Context, q Query, widths []int, stats func() (costmodel.Stats, error), opts Options) (planner.Choice, time.Duration, error) {
+	m := len(widths)
 	if opts.PlanOverride != nil {
 		if q.Window != nil {
-			if err := ValidateColOrder(opts.PlanOverride.ColOrder, len(b.Sort), q.Kind, true); err != nil {
+			if err := ValidateColOrder(opts.PlanOverride.ColOrder, m, q.Kind, true); err != nil {
 				return planner.Choice{}, 0, err
 			}
 		}
 		return *opts.PlanOverride, 0, nil
 	}
 	if len(opts.FixedColOrder) > 0 {
-		if err := ValidateColOrder(opts.FixedColOrder, len(b.Sort), q.Kind, q.Window != nil); err != nil {
+		if err := ValidateColOrder(opts.FixedColOrder, m, q.Kind, q.Window != nil); err != nil {
 			return planner.Choice{}, 0, err
 		}
 	}
 	if !opts.Massaging {
-		order, widths := make([]int, len(b.Sort)), make([]int, len(b.Sort))
+		order, ws := make([]int, m), make([]int, m)
 		for i := range order {
 			order[i] = i
 			if len(opts.FixedColOrder) > 0 {
 				order[i] = opts.FixedColOrder[i]
 			}
-			widths[i] = b.Cols[order[i]].Width
+			ws[i] = widths[order[i]]
 		}
-		return planner.Choice{ColOrder: order, Plan: plan.ColumnAtATime(widths)}, 0, nil
+		return planner.Choice{ColOrder: order, Plan: plan.ColumnAtATime(ws)}, 0, nil
 	}
-	model := opts.Model
-	if model == nil {
-		model = costmodel.Builtin()
-	}
-	st := costmodel.Stats{N: rows}
-	// Teach the search about the truncation (docs/topk.md): the
-	// truncated TMCS pays massage per round over a shrinking survivor
-	// set, which shifts the stitch-vs-sort crossovers toward narrow
-	// plans at small K.
-	st.LimitRows, st.LimitGroups = SortCut(q, opts.Limit, opts.Offset)
-	for _, sc := range b.Sort {
-		cs, err := b.Table.Stats(sc.Name)
-		if err != nil {
-			return planner.Choice{}, 0, err
-		}
-		st.Cols = append(st.Cols, cs)
+	st, err := stats()
+	if err != nil {
+		return planner.Choice{}, 0, err
 	}
 	start := time.Now()
-	search := &planner.Search{Model: model, Stats: st, Kind: q.Kind, Rho: opts.Rho, MaxPlans: opts.MaxPlans,
-		FixedOrder: opts.FixedColOrder}
-	if q.Window != nil {
-		search.FixedTail = 1 // the window's ORDER BY column stays last
-	}
-	choice, err := planner.ROGAContext(ctx, search)
+	choice, err := planner.ROGAContext(ctx, NewSearch(q, st, opts))
 	if err != nil {
 		return planner.Choice{}, 0, err
 	}
 	return choice, time.Since(start), nil
+}
+
+// NewSearch is the production plan search for q's sort columns over st
+// (clause order): opts.Model (nil: costmodel.Builtin()), Rho, MaxPlans
+// and FixedColOrder, a window's ORDER BY column pinned last, and the
+// LIMIT cut (docs/topk.md), which sets only the round widths: a free
+// column order is the unlimited search's, so a page is the result sliced.
+func NewSearch(q Query, st costmodel.Stats, opts Options) *planner.Search {
+	model := opts.Model
+	if model == nil {
+		model = costmodel.Builtin()
+	}
+	st.LimitRows, st.LimitGroups = SortCut(q, opts.Limit, opts.Offset)
+	s := &planner.Search{Model: model, Stats: st, Kind: q.Kind, Rho: opts.Rho, MaxPlans: opts.MaxPlans,
+		FixedOrder: opts.FixedColOrder}
+	if q.Window != nil {
+		s.FixedTail = 1 // the window's ORDER BY column stays last
+	}
+	return s
+}
+
+// SortColumns sorts inputs (q's sort columns in clause order) under
+// choice: the budget's stage 2 degrades opts.Workers until the plan's
+// rounds fit opts.MaxBytes, then mcsort runs the inputs in
+// choice.ColOrder, cut at q's SortCut. It also returns the workers used.
+func SortColumns(ctx context.Context, q Query, inputs []massage.Input, choice planner.Choice, opts Options) (*mcsort.Result, int, error) {
+	rows := 0
+	if len(inputs) > 0 {
+		rows = inputs[0].Len()
+	}
+	workers, err := budgetWorkers(opts.Workers, opts.MaxBytes, rows, len(choice.Plan.Rounds))
+	if err != nil {
+		return nil, 0, q.wrap(err)
+	}
+	ordered := make([]massage.Input, len(inputs))
+	for i, c := range choice.ColOrder {
+		ordered[i] = inputs[c]
+	}
+	mopts := mcsort.Options{Workers: workers, SortParams: opts.SortParams}
+	mopts.LimitRows, mopts.LimitGroups = SortCut(q, opts.Limit, opts.Offset)
+	mres, err := mcsort.ExecuteContext(ctx, ordered, choice.Plan, mopts)
+	return mres, workers, err
 }
 
 // rankCheckGroups is the number of groups the window ranking visits

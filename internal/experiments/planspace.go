@@ -10,7 +10,6 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/engine"
 	"repro/internal/massage"
-	"repro/internal/mcsort"
 	"repro/internal/pipeerr"
 	"repro/internal/planner"
 	"repro/internal/workloads"
@@ -30,7 +29,8 @@ func populationBudget(cfg Config) int {
 	return 256
 }
 
-// queryPlanSpace prepares a query's sort inputs, statistics, and search.
+// queryPlanSpace prepares a query's sort inputs and the engine's search
+// over their statistics, priced by the paper kernel's model.
 func queryPlanSpace(cfg Config, item workloads.Item) ([]massage.Input, *planner.Search, error) {
 	inputs, err := engine.MaterializeSortInputsContext(cfg.context(), item.Table, item.Query, cfg.Workers)
 	if err != nil {
@@ -50,20 +50,14 @@ func queryPlanSpace(cfg Config, item workloads.Item) ([]massage.Input, *planner.
 	if err != nil {
 		return nil, nil, err
 	}
-	search := &planner.Search{Model: model, Stats: st, Kind: item.Query.Kind}
-	if item.Query.Window != nil {
-		search.FixedTail = 1
-	}
-	return inputs, search, nil
+	return inputs, engine.NewSearch(item.Query, st, engine.Options{Model: model}), nil
 }
 
-// executePlan measures the wall time of one candidate over the inputs.
+// executePlan measures the wall time of the engine's full sort (no
+// LIMIT) of the inputs under one candidate, with the paper kernel.
 func executePlan(cfg Config, inputs []massage.Input, cand candidate) (time.Duration, error) {
-	ordered := make([]massage.Input, len(inputs))
-	for i, c := range cand.ColOrder {
-		ordered[i] = inputs[c]
-	}
-	res, err := mcsort.ExecuteContext(cfg.context(), ordered, cand.Plan, mcsort.Options{SortParams: paperKernel()})
+	choice := planner.Choice{ColOrder: cand.ColOrder, Plan: cand.Plan}
+	res, _, err := engine.SortColumns(cfg.context(), engine.Query{}, inputs, choice, engine.Options{SortParams: paperKernel()})
 	if err != nil {
 		return 0, err
 	}

@@ -36,10 +36,14 @@ func New(name string, n int) *Table {
 	}
 }
 
-// Add attaches a column; its length must match the table.
+// Add attaches a column; its length must match the table and its codes
+// fit its width (the ByteSlice layout keeps only Width bits of a code).
 func (t *Table) Add(c *column.Column) error {
 	if c.Len() != t.N {
 		return fmt.Errorf("table %s: column %s has %d rows, want %d", t.Name, c.Name, c.Len(), t.N)
+	}
+	if err := c.Validate(); err != nil {
+		return fmt.Errorf("table %s: %w", t.Name, err)
 	}
 	if _, dup := t.cols[c.Name]; dup {
 		return fmt.Errorf("table %s: duplicate column %s", t.Name, c.Name)

@@ -25,7 +25,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 
+	"repro/internal/column"
 	"repro/internal/costmodel"
 	"repro/internal/engine"
 	"repro/internal/massage"
@@ -36,7 +38,7 @@ import (
 )
 
 // Column is one sort key column: fixed-width codes (each < 2^Width, as
-// produced by the colstore encoders) and its sort direction.
+// the colstore encoders produce; Sort refuses others) and a direction.
 type Column struct {
 	Codes []uint64
 	Width int
@@ -159,59 +161,31 @@ func SortContext(ctx context.Context, cols []Column, opts *Options) (*Result, er
 	inputs := make([]massage.Input, len(cols))
 	widths := make([]int, len(cols))
 	for i, c := range cols {
-		if c.Width < 1 || c.Width > 64 {
-			return nil, fmt.Errorf("mcs: column %d width %d out of range [1,64]", i, c.Width)
+		if err := ctx.Err(); err != nil {
+			return nil, pipeerr.NoteCancel(err)
 		}
 		if len(c.Codes) != n {
 			return nil, fmt.Errorf("mcs: column %d has %d rows, want %d", i, len(c.Codes), n)
 		}
+		if err := (&column.Column{Name: strconv.Itoa(i), Width: c.Width, Codes: c.Codes}).Validate(); err != nil {
+			return nil, fmt.Errorf("mcs: %w", err)
+		}
 		inputs[i] = massage.Input{Codes: c.Codes, Width: c.Width, Desc: c.Desc}
 		widths[i] = c.Width
 	}
-	if err := ctx.Err(); err != nil {
+
+	// The engine plans and sorts: a supplied plan keeps the clause order.
+	q := engine.Query{Kind: o.Clause}
+	eopts := engine.Options{Massaging: o.Massaging == nil || *o.Massaging, Model: o.Model, Rho: o.Rho,
+		Workers: o.Workers, MaxBytes: o.MaxBytes}
+	if o.Plan != nil {
+		eopts.PlanOverride = &planner.Choice{ColOrder: planner.IdentityOrder(len(cols)), Plan: *o.Plan}
+	}
+	choice, _, err := engine.Choose(ctx, q, widths, func() (costmodel.Stats, error) { return sampleStats(cols, widths), nil }, eopts)
+	if err != nil {
 		return nil, pipeerr.NoteCancel(err)
 	}
-
-	choice := planner.Choice{ColOrder: identity(len(cols)), Plan: plan.ColumnAtATime(widths)}
-	switch {
-	case o.Plan != nil:
-		choice.Plan = *o.Plan
-	case o.Massaging == nil || *o.Massaging:
-		model := o.Model
-		if model == nil {
-			model = costmodel.Builtin()
-		}
-		cols2 := make([][]uint64, len(inputs))
-		for i := range inputs {
-			cols2[i] = sample(inputs[i].Codes)
-		}
-		st := costmodel.CollectStats(cols2, widths)
-		st.N = n
-		var err error
-		choice, err = planner.ROGAContext(ctx, &planner.Search{
-			Model: model, Stats: st, Kind: o.Clause, Rho: o.Rho,
-		})
-		if err != nil {
-			return nil, pipeerr.NoteCancel(err)
-		}
-	}
-
-	// Budget: with the round count known, degrade workers until the
-	// estimated sort footprint fits MaxBytes, refusing when even
-	// sequential execution does not. The estimate is the engine's: the
-	// caller-owned input codes exist either way.
-	workers, err := pipeerr.DegradeWorkers(o.Workers, o.MaxBytes, func(w int) int64 {
-		return engine.EstimatePipelineBytes(n, len(choice.Plan.Rounds), w)
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	ordered := make([]massage.Input, len(inputs))
-	for i, c := range choice.ColOrder {
-		ordered[i] = inputs[c]
-	}
-	mres, err := mcsort.ExecuteContext(ctx, ordered, choice.Plan, mcsort.Options{Workers: workers})
+	mres, _, err := engine.SortColumns(ctx, q, inputs, choice, eopts)
 	if err != nil {
 		return nil, err
 	}
@@ -228,27 +202,22 @@ func SortContext(ctx context.Context, cols []Column, opts *Options) (*Result, er
 // ColumnAtATime returns the baseline plan P₀ for the column widths.
 func ColumnAtATime(widths []int) Plan { return plan.ColumnAtATime(widths) }
 
-// LoadModel reads a model saved with Model.Save (cmd/calibrate writes
-// one) and refuses a malformed profile.
+// LoadModel reads a calibration profile (cmd/calibrate writes one) and
+// refuses a malformed one.
 func LoadModel(path string) (*Model, error) { return costmodel.Load(path) }
 
-// statsSampleLimit bounds the rows inspected when collecting planning
-// statistics; beyond this, prefix-distinct profiles change little.
+// statsSampleLimit bounds the codes of a column the plan statistics
+// profile; beyond it, prefix-distinct profiles change little.
 const statsSampleLimit = 1 << 16
 
-func sample(codes []uint64) []uint64 {
-	if len(codes) > statsSampleLimit {
-		return codes[:statsSampleLimit]
+func sampleStats(cols []Column, widths []int) costmodel.Stats {
+	sampled := make([][]uint64, len(cols))
+	for i, c := range cols {
+		sampled[i] = c.Codes[:min(len(c.Codes), statsSampleLimit)]
 	}
-	return codes
-}
-
-func identity(m int) []int {
-	p := make([]int, m)
-	for i := range p {
-		p[i] = i
-	}
-	return p
+	st := costmodel.CollectStats(sampled, widths)
+	st.N = len(cols[0].Codes)
+	return st
 }
 
 // Off and On are convenience pointers for Options.Massaging.

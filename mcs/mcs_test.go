@@ -1,11 +1,17 @@
 package mcs
 
 import (
+	"context"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/costmodel"
+	"repro/internal/datagen"
+	"repro/internal/engine"
+	"repro/internal/planner"
 )
 
 func twoColumns(n int, seed int64) ([]Column, []uint64, []uint64) {
@@ -136,5 +142,50 @@ func TestFreeOrderClause(t *testing.T) {
 	// Whatever order was chosen, the groups must partition all rows.
 	if res.Groups[len(res.Groups)-1] != 3000 {
 		t.Error("groups do not span all rows")
+	}
+}
+
+// TestSortRefusesCodesWiderThanWidth: a code that does not fit its
+// column's width would sort by its low bits, so Sort refuses it, naming
+// the column and the row, with massaging on or off.
+func TestSortRefusesCodesWiderThanWidth(t *testing.T) {
+	cols := []Column{{Codes: []uint64{1, 2, 3}, Width: 2}, {Codes: []uint64{3, 4, 1}, Width: 2}}
+	for _, o := range []*Options{nil, {Massaging: Off}} {
+		res, err := Sort(cols, o)
+		if err == nil || !strings.Contains(err.Error(), `column "1"`) || !strings.Contains(err.Error(), "row 1") {
+			t.Errorf("Sort error = %v, want one naming column 1 and row 1", err)
+		}
+		if res != nil {
+			t.Errorf("Sort returned perm %v beside the error", res.Perm)
+		}
+	}
+}
+
+// TestSortPlansAsTheEngine pins that Sort plans with the engine's
+// search: under OrderBy and GroupBy, its Plan and ColOrder are ROGA's
+// over engine.NewSearch of the same statistics.
+func TestSortPlansAsTheEngine(t *testing.T) {
+	const n = 20000
+	rng := rand.New(rand.NewSource(9))
+	widths, distinct := []int{30, 4, 36}, []int{8192, 16, 1 << 16}
+	cols := make([]Column, len(widths))
+	codes := make([][]uint64, len(widths))
+	for i, w := range widths {
+		codes[i] = datagen.Uniform(rng, n, w, distinct[i]).Codes
+		cols[i] = Column{Codes: codes[i], Width: w}
+	}
+	st := costmodel.CollectStats(codes, widths)
+	for _, clause := range []Clause{OrderBy, GroupBy} {
+		res, err := Sort(cols, &Options{Clause: clause, Rho: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := planner.ROGAContext(context.Background(), engine.NewSearch(engine.Query{Kind: clause}, st, engine.Options{Rho: -1}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Plan.Equal(want.Plan) || !slices.Equal(res.ColOrder, want.ColOrder) {
+			t.Errorf("%v: Sort chose %v order %v, the engine's search %v order %v", clause, res.Plan, res.ColOrder, want.Plan, want.ColOrder)
+		}
 	}
 }
