@@ -36,15 +36,13 @@
 //	mcsd -addr :8080 -tables tpch \
 //	  -shards http://localhost:8081,http://localhost:8082,http://localhost:8083
 //
-// Endpoints: POST /query, GET /jobs/{id}, GET /jobs/{id}/result,
-// GET /tables, GET /metrics, GET /healthz, GET /livez, GET /readyz.
-// Example session:
+// Endpoints: POST /query, GET /jobs/{id}, GET /jobs/{id}/result (the
+// binary result frame), GET /tables, GET /metrics, GET /healthz,
+// GET /livez, GET /readyz. Example session — mcsquery submits, polls,
+// decodes the frame and prints the result as JSON:
 //
-//	curl -s localhost:8080/query -d '{"table":"tpch_wide","kind":"groupby",
-//	  "sort_cols":[{"name":"p_brand"},{"name":"p_size"}],
-//	  "agg":{"kind":"count"},"workers":4}'
-//	curl -s localhost:8080/jobs/j1
-//	curl -s localhost:8080/jobs/j1/result
+//	mcsquery -addr localhost:8080 -full -request '{"table":"tpch_wide","kind":"groupby",
+//	  "sort_cols":[{"name":"p_brand"},{"name":"p_size"}],"agg":{"kind":"count"},"workers":4}'
 package main
 
 import (

@@ -13,6 +13,13 @@
 //	mcsquery -addr http://localhost:8080 -table tpch_wide \
 //	  -kind orderby -sort l_shipdate:desc -retries 8 -seed 0xC0FFEE
 //
+// -request sends a wire QueryRequest as it is, for what the clause
+// flags cannot say (filters, order_by_agg, timeout_ms); it excludes
+// every clause flag:
+//
+//	mcsquery -full -request '{"table":"tpch_wide","kind":"groupby",
+//	  "sort_cols":[{"name":"p_brand"}],"agg":{"kind":"count"},"order_by_agg":true}'
+//
 // Exit status: 0 on success, 1 on a non-retryable or
 // retries-exhausted failure (the typed kind and retryable verdict are
 // printed to stderr).
@@ -48,9 +55,10 @@ func main() {
 		timeout  = flag.Duration("timeout", 2*time.Minute, "total budget for the query including retries")
 		seed     = flag.Uint64("seed", 0, "backoff-jitter seed (0 = fixed default; print-and-reuse for replays)")
 		full     = flag.Bool("full", false, "print the full result payload instead of the summary")
+		request  = flag.String("request", "", "the query as a wire QueryRequest JSON object, instead of the clause flags")
 	)
 	flag.Parse()
-	if err := run(*addr, *tbl, *kind, *sortCols, *agg, *window, *workers, *maxBytes,
+	if err := run(*addr, *request, *tbl, *kind, *sortCols, *agg, *window, *workers, *maxBytes,
 		*limit, *offset, *retries, *timeout, *seed, *full); err != nil {
 		fmt.Fprintf(os.Stderr, "mcsquery: %v\n", err)
 		var we *client.Error
@@ -61,30 +69,45 @@ func main() {
 	}
 }
 
-func run(addr, tbl, kind, sortCols, agg, window string, workers int, maxBytes int64,
+func run(addr, request, tbl, kind, sortCols, agg, window string, workers int, maxBytes int64,
 	limit, offset, retries int, timeout time.Duration, seed uint64, full bool) error {
 	// Accept bare host:port — the scheme is implied for a local daemon.
 	if !strings.Contains(addr, "://") {
 		addr = "http://" + addr
 	}
-	req := server.QueryRequest{Table: tbl, Kind: kind, Workers: workers, MaxBytes: maxBytes, Offset: offset}
-	if sortCols == "" {
+	req := &server.QueryRequest{Table: tbl, Kind: kind, Workers: workers, MaxBytes: maxBytes, Offset: offset}
+	switch {
+	case request != "":
+		var err error
+		flag.Visit(func(f *flag.Flag) {
+			if !strings.Contains(" addr request retries timeout seed full ", " "+f.Name+" ") {
+				err = fmt.Errorf("excludes the clause flag -%s", f.Name)
+			}
+		})
+		if err == nil {
+			req, err = server.ParseQueryRequest([]byte(request)) // as strict as mcsd
+		}
+		if err != nil {
+			return fmt.Errorf("-request: %w", err)
+		}
+	case sortCols == "":
 		return errors.New("-sort is required")
-	}
-	for _, c := range strings.Split(sortCols, ",") {
-		name, desc := strings.CutSuffix(strings.TrimSpace(c), ":desc")
-		req.SortCols = append(req.SortCols, server.SortColReq{Name: name, Desc: desc})
-	}
-	if agg != "" {
-		k, col, _ := strings.Cut(agg, ":")
-		req.Agg = &server.AggReq{Kind: k, Col: col}
-	}
-	if window != "" {
-		col, desc := strings.CutSuffix(window, ":desc")
-		req.Window = &server.WindowReq{OrderCol: col, Desc: desc}
-	}
-	if limit >= 0 {
-		req.Limit = &limit
+	default:
+		for _, c := range strings.Split(sortCols, ",") {
+			name, desc := strings.CutSuffix(strings.TrimSpace(c), ":desc")
+			req.SortCols = append(req.SortCols, server.SortColReq{Name: name, Desc: desc})
+		}
+		if agg != "" {
+			k, col, _ := strings.Cut(agg, ":")
+			req.Agg = &server.AggReq{Kind: k, Col: col}
+		}
+		if window != "" {
+			col, desc := strings.CutSuffix(window, ":desc")
+			req.Window = &server.WindowReq{OrderCol: col, Desc: desc}
+		}
+		if limit >= 0 {
+			req.Limit = &limit
+		}
 	}
 
 	cl, err := client.New(client.Config{BaseURL: addr, MaxRetries: retries, Seed: seed})
@@ -93,7 +116,7 @@ func run(addr, tbl, kind, sortCols, agg, window string, workers int, maxBytes in
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	res, err := cl.Query(ctx, req)
+	res, err := cl.Query(ctx, *req)
 	if err != nil {
 		return err
 	}

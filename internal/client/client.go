@@ -259,22 +259,18 @@ func (c *Client) once(ctx context.Context, req server.QueryRequest) (*server.Que
 	}
 }
 
-// reply is how a call wants its success body: the media type it asks
-// for and the decoder of that type.
-type reply struct {
-	accept string
-	decode func(*http.Response) error
-}
+// reply decodes a call's success body.
+type reply func(*http.Response) error
 
 // jsonReply decodes a small JSON body (submit, status) into out.
 func jsonReply(out any) reply {
-	return reply{"application/json", func(resp *http.Response) error {
+	return func(resp *http.Response) error {
 		raw, err := readBody(resp)
 		if err != nil {
 			return err
 		}
 		return json.Unmarshal(raw, out)
-	}}
+	}
 }
 
 // readBody reads a JSON body whole, up to the response limit.
@@ -282,11 +278,10 @@ func readBody(resp *http.Response) ([]byte, error) {
 	return io.ReadAll(io.LimitReader(resp.Body, server.MaxResultBytes))
 }
 
-// frameReply is the client's one result decoder: it asks for the result
-// frame, requires it, and decodes it off the socket, bounded by the
-// response limit.
+// frameReply is the client's one result decoder: it requires the result
+// frame and decodes it off the socket, bounded by the response limit.
 func frameReply(out *server.QueryResult) reply {
-	return reply{server.ResultFrameType, func(resp *http.Response) error {
+	return func(resp *http.Response) error {
 		if ct := resp.Header.Get("Content-Type"); ct != server.ResultFrameType {
 			return fmt.Errorf("%w: Content-Type %q, want %q", server.ErrBadFrame, ct, server.ResultFrameType)
 		}
@@ -296,13 +291,13 @@ func frameReply(out *server.QueryResult) reply {
 		}
 		*out = *res
 		return nil
-	}}
+	}
 }
 
 // do performs one HTTP call under its own deadline and hands a reply of
-// the expected status to want's decoder; any other status is read as
-// the typed JSON error body.
-func (c *Client) do(ctx context.Context, method, path string, body []byte, wantStatus int, want reply) error {
+// the expected status to decode; any other status is read as the typed
+// JSON error body.
+func (c *Client) do(ctx context.Context, method, path string, body []byte, wantStatus int, decode reply) error {
 	rctx, cancel := context.WithTimeout(ctx, c.cfg.RequestTimeout)
 	defer cancel()
 	var rd io.Reader
@@ -316,14 +311,13 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, wantS
 	if body != nil {
 		hreq.Header.Set("Content-Type", "application/json")
 	}
-	hreq.Header.Set("Accept", want.accept)
 	resp, err := c.hc.Do(hreq)
 	if err != nil {
 		return fmt.Errorf("client: %s %s: %w", method, path, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode == wantStatus {
-		if err := want.decode(resp); err != nil {
+		if err := decode(resp); err != nil {
 			return fmt.Errorf("client: decoding %s %s: %w", method, path, err)
 		}
 		return nil

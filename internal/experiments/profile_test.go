@@ -13,16 +13,17 @@ import (
 	"repro/internal/plan"
 )
 
-// savedBuiltin is a profile saved by Builtin().Save when costmodel.Model
-// still held the paper kernel's term: the default paper constants in
-// C.Bank and C.OVCMergeDiscount, and Fanout 8.
+// savedBuiltin is a profile of Builtin() that the since-deleted
+// costmodel.Model.Save wrote while the model still held the paper
+// kernel's term: the default paper constants in C.Bank and
+// C.OVCMergeDiscount, and Fanout 8.
 var savedBuiltin = filepath.Join("..", "costmodel", "testdata", "profile_builtin_with_paper_term.json")
 
 // TestProfileLayoutUnchanged: MarshalProfile writes Builtin and the
-// default paper term byte for byte as Builtin().Save wrote them when
-// the model held that term, so a profile keeps its keys across the
-// split and older readers, which validate C.Bank and Fanout, still load
-// it.
+// default paper term byte for byte as the since-deleted
+// costmodel.Model.Save wrote them while the model held that term, so a
+// profile keeps its keys across the split and older readers, which
+// validate C.Bank and Fanout, still load it.
 func TestProfileLayoutUnchanged(t *testing.T) {
 	want, err := os.ReadFile(savedBuiltin)
 	if err != nil {

@@ -137,9 +137,10 @@ func TestPlanGolden(t *testing.T) {
 }
 
 // TestPlanGoldenFromSavedProfile replays the golden with the model
-// loaded from a profile saved by Builtin().Save when costmodel.Model
-// still held the paper kernel's term: costmodel.Load ignores those keys,
-// and every search must choose as it does under Builtin, bit for bit.
+// loaded from a profile of Builtin() that the since-deleted
+// costmodel.Model.Save wrote while the model still held the paper
+// kernel's term: costmodel.Load ignores those keys, and every search
+// must choose as it does under Builtin, bit for bit.
 // (internal/experiments' loader reads the paper keys of the same file.)
 func TestPlanGoldenFromSavedProfile(t *testing.T) {
 	loaded, err := costmodel.Load(filepath.Join("..", "costmodel", "testdata", "profile_builtin_with_paper_term.json"))

@@ -1,6 +1,6 @@
-// The result frame: QueryResult's binary encoding, beside its JSON one.
-// WriteResultFrame and ReadResultFrame are the only two functions that
-// know the format (docs/serving.md has the byte-layout table):
+// The result frame: QueryResult's wire encoding, the one body of GET
+// /jobs/{id}/result. WriteResultFrame and ReadResultFrame alone know the
+// format (docs/serving.md has the byte-layout table):
 //
 //	magic "MCSR" · version u32 · header length u32
 //	header: rows, workers, queue_wait_ns, exec_ns (i64 each) · flags u8 ·
@@ -13,10 +13,8 @@
 //
 // Every integer is little-endian. The encoding is canonical — frame
 // bytes are a pure function of the result, and a frame that decodes
-// re-encodes to the same bytes — and decodes to exactly what the JSON
-// body of the same result decodes to, nil-versus-empty included: an
-// empty data block is a nil slice (the JSON fields are omitempty), and
-// col_order keeps its null/[] distinction in a flag.
+// re-encodes to the same bytes. An empty data block decodes to a nil
+// slice; col_order keeps its nil/[] distinction in a flag.
 package server
 
 import (
@@ -27,9 +25,8 @@ import (
 	"io"
 )
 
-// ResultFrameType is the media type of the result frame. GET
-// /jobs/{id}/result answers with it exactly when the request's Accept
-// header names it.
+// ResultFrameType is the media type of the result frame, the
+// Content-Type of every successful GET /jobs/{id}/result.
 const ResultFrameType = "application/vnd.mcs.result-frame"
 
 // MaxResultBytes is the response limit: the largest result body a
@@ -251,7 +248,7 @@ func (fr *frameReader) fill(p []byte) error {
 }
 
 // u64s reads a block of n elements, allocated once at that size; an
-// empty block is a nil slice, as the omitempty JSON field decodes.
+// empty block is a nil slice.
 func (fr *frameReader) u64s(n uint64) ([]uint64, error) {
 	if n == 0 {
 		return nil, nil

@@ -1,10 +1,10 @@
 // Wire surface of mcsd — single node and coordinator alike, served by
-// the Front: HTTP/JSON on the stdlib mux.
+// the Front: HTTP on the stdlib mux, JSON except for a result.
 //
 //	POST /query            submit a query; returns {"job_id": "..."}
 //	GET  /jobs/{id}        poll a job's status
-//	GET  /jobs/{id}/result fetch a finished job's result (JSON, or the
-//	                       binary result frame when Accept names it)
+//	GET  /jobs/{id}/result fetch a finished job's result as the binary
+//	                       result frame (frame.go), whatever Accept says
 //	GET  /tables           list registered tables
 //	GET  /metrics          obs snapshot as JSON (plan cache, admission,
 //	                       pipeline counters)
@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"repro/internal/byteslice"
 	"repro/internal/engine"
@@ -399,17 +398,12 @@ func (f *Front) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-// handleResult answers with the result frame (frame.go) exactly when
-// the request's Accept names it, and with JSON otherwise; errors are
-// JSON either way.
+// handleResult answers with the result frame (frame.go); errors are
+// JSON. Like every route it has one representation and ignores Accept.
 func (f *Front) handleResult(w http.ResponseWriter, r *http.Request) {
 	res, err := f.Result(r.PathValue("id"))
 	if err != nil {
 		writeError(w, f.b.Classify, err)
-		return
-	}
-	if !acceptsFrame(r) {
-		writeJSON(w, http.StatusOK, res)
 		return
 	}
 	fr, err := newResultFrame(res)
@@ -421,20 +415,6 @@ func (f *Front) handleResult(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Length", strconv.FormatInt(fr.size(), 10))
 	w.WriteHeader(http.StatusOK)
 	_ = fr.writeTo(w) // the peer hung up; nothing to report to
-}
-
-// acceptsFrame reports whether an Accept header names the result-frame
-// media type. A wildcard does not: curl's */* keeps getting JSON.
-func acceptsFrame(r *http.Request) bool {
-	for _, h := range r.Header.Values("Accept") {
-		for _, part := range strings.Split(h, ",") {
-			mediaType, _, _ := strings.Cut(part, ";")
-			if strings.EqualFold(strings.TrimSpace(mediaType), ResultFrameType) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 func (f *Front) handleTables(w http.ResponseWriter, _ *http.Request) {

@@ -6,8 +6,8 @@
 // (queue with deadline-aware timeouts, worker degradation, typed
 // pipeerr.ErrBudgetExceeded refusals, graceful drain on shutdown).
 //
-// The wire surface is HTTP/JSON on the stdlib mux (http.go): submit a
-// query, poll its status, fetch its result, scrape /metrics, probe
+// The wire surface is HTTP on the stdlib mux (http.go): submit a
+// query, poll its status, fetch its result frame, scrape /metrics, probe
 // /healthz. Every query that enters through the handler path executes
 // through exactly the same engine.RunContext call a direct embedder
 // would make, which the differential test battery exploits to prove

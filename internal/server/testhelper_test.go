@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"reflect"
 	"testing"
 	"time"
 
@@ -213,7 +212,7 @@ func doQuery(baseURL string, req QueryRequest) (*QueryResult, error) {
 		}
 		switch st.State {
 		case JobDone:
-			return fetchBothWays(baseURL + "/jobs/" + submit.JobID + "/result")
+			return fetchResult(baseURL + "/jobs/" + submit.JobID + "/result")
 		case JobFailed:
 			return nil, fmt.Errorf("job %s failed (%s): %s", st.ID, st.Kind, st.Error)
 		}
@@ -224,41 +223,17 @@ func doQuery(baseURL string, req QueryRequest) (*QueryResult, error) {
 	}
 }
 
-// fetchBothWays fetches one finished job's result as JSON and as a
-// result frame and returns the JSON decoding. The two must be deeply
-// equal — nil-versus-empty included — so every battery that reads
-// results through doQuery also holds frame ≡ JSON on each of its cells.
-func fetchBothWays(url string) (*QueryResult, error) {
+// fetchResult fetches one finished job's result frame and decodes it.
+func fetchResult(url string) (*QueryResult, error) {
 	resp, err := http.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	var res QueryResult
-	if err := decodeBody(resp, &res); err != nil {
-		return nil, err
-	}
-
-	hreq, err := http.NewRequest(http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	hreq.Header.Set("Accept", ResultFrameType)
-	resp, err = http.DefaultClient.Do(hreq)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
 	if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != ResultFrameType {
-		return nil, fmt.Errorf("frame fetch: status %d, Content-Type %q", resp.StatusCode, ct)
+		return nil, fmt.Errorf("result fetch: status %d, Content-Type %q", resp.StatusCode, ct)
 	}
-	framed, err := ReadResultFrame(resp.Body, MaxResultBytes)
-	if err != nil {
-		return nil, fmt.Errorf("frame fetch: %w", err)
-	}
-	if !reflect.DeepEqual(framed, &res) {
-		return nil, fmt.Errorf("frame and JSON decodings of %s differ:\nframe %+v\n json %+v", url, framed, &res)
-	}
-	return &res, nil
+	return ReadResultFrame(resp.Body, MaxResultBytes)
 }
 
 func decodeBody(resp *http.Response, v any) error {

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"os"
-	"reflect"
 	"testing"
 	"time"
 
@@ -237,11 +236,9 @@ func runOracleResult(t *testing.T, tbl *table.Table, req server.QueryRequest, wo
 	return res
 }
 
-// fetchBothWays runs req as a job on coord and fetches its result
-// through the handler twice, as JSON and as a result frame. The two
-// decodings must be deeply equal, nil-versus-empty included; it returns
-// the JSON one.
-func fetchBothWays(t *testing.T, label string, coord *Coordinator, req server.QueryRequest) *server.QueryResult {
+// fetchResult runs req as a job on coord and fetches its result frame
+// through the handler.
+func fetchResult(t *testing.T, label string, coord *Coordinator, req server.QueryRequest) *server.QueryResult {
 	t.Helper()
 	id, err := coord.Submit(req)
 	if err != nil {
@@ -250,28 +247,16 @@ func fetchBothWays(t *testing.T, label string, coord *Coordinator, req server.Qu
 	if _, err := coord.Wait(context.Background(), id); err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	fetch := func(accept, wantType string) *httptest.ResponseRecorder {
-		hreq := httptest.NewRequest("GET", "/jobs/"+id+"/result", nil)
-		hreq.Header.Set("Accept", accept)
-		rec := httptest.NewRecorder()
-		coord.Handler().ServeHTTP(rec, hreq)
-		if ct := rec.Header().Get("Content-Type"); rec.Code != 200 || ct != wantType {
-			t.Fatalf("%s: Accept %q answered %d %q", label, accept, rec.Code, ct)
-		}
-		return rec
+	rec := httptest.NewRecorder()
+	coord.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/jobs/"+id+"/result", nil))
+	if ct := rec.Header().Get("Content-Type"); rec.Code != 200 || ct != server.ResultFrameType {
+		t.Fatalf("%s: result fetch answered %d %q", label, rec.Code, ct)
 	}
-	var viaJSON server.QueryResult
-	if err := json.Unmarshal(fetch("application/json", "application/json").Body.Bytes(), &viaJSON); err != nil {
-		t.Fatalf("%s: %v", label, err)
-	}
-	framed, err := server.ReadResultFrame(fetch(server.ResultFrameType, server.ResultFrameType).Body, server.MaxResultBytes)
+	res, err := server.ReadResultFrame(rec.Body, server.MaxResultBytes)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	if !reflect.DeepEqual(framed, &viaJSON) {
-		t.Errorf("%s: frame and JSON decodings differ:\nframe %+v\n json %+v", label, framed, &viaJSON)
-	}
-	return &viaJSON
+	return res
 }
 
 // intp makes limit pointers readable in table literals.

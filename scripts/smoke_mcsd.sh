@@ -1,22 +1,22 @@
 #!/usr/bin/env bash
 # End-to-end smoke test for the mcsd query daemon (docs/serving.md):
-# build, start against a small TPC-H table, run the same query twice,
-# assert the second run hit the plan cache (visible on /metrics),
-# then SIGTERM and require a clean drain (exit 0).
+# build, start against a small TPC-H table, run the same query twice
+# through mcsquery, assert the second run hit the plan cache (visible on
+# /metrics), then SIGTERM and require a clean drain (exit 0).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 ADDR="${MCSD_ADDR:-127.0.0.1:18080}"
 BASE="http://$ADDR"
-BIN="$(mktemp -d)/mcsd"
+BINDIR="$(mktemp -d)"
 LOG="$(mktemp)"
 
 cleanup() {
   if [[ -n "${MCSD_PID:-}" ]] && kill -0 "$MCSD_PID" 2>/dev/null; then
     kill -KILL "$MCSD_PID" 2>/dev/null || true
   fi
-  rm -f "$BIN" "$LOG"
+  rm -rf "$BINDIR" "$LOG"
 }
 trap cleanup EXIT
 
@@ -27,11 +27,11 @@ fail() {
   exit 1
 }
 
-echo "smoke_mcsd: building mcsd"
-go build -o "$BIN" ./cmd/mcsd
+echo "smoke_mcsd: building mcsd and mcsquery"
+go build -o "$BINDIR" ./cmd/mcsd ./cmd/mcsquery
 
 echo "smoke_mcsd: starting mcsd on $ADDR"
-"$BIN" -addr "$ADDR" -tables tpch -tablerows 8000 \
+"$BINDIR/mcsd" -addr "$ADDR" -tables tpch -tablerows 8000 \
   -max-concurrent 2 -workers 2 -drain-timeout 20s >"$LOG" 2>&1 &
 MCSD_PID=$!
 
@@ -47,19 +47,9 @@ if grep -qi "calibrat" "$LOG"; then fail "mcsd calibrated at startup"; fi
 
 QUERY='{"table":"tpch_wide","kind":"groupby","sort_cols":[{"name":"p_brand"},{"name":"p_type"},{"name":"p_size"}],"filters":[{"col":"p_size","op":"neq","const":15}],"agg":{"kind":"count"},"order_by_agg":true,"workers":2}'
 
+# run_query prints the result compacted, so the greps see "key":value.
 run_query() {
-  local job state
-  job=$(curl -fsS "$BASE/query" -d "$QUERY" | sed -n 's/.*"job_id":"\([^"]*\)".*/\1/p')
-  [[ -n "$job" ]] || fail "submit returned no job_id"
-  for _ in $(seq 1 200); do
-    state=$(curl -fsS "$BASE/jobs/$job" | sed -n 's/.*"state":"\([^"]*\)".*/\1/p')
-    case "$state" in
-      done) curl -fsS "$BASE/jobs/$job/result"; return 0 ;;
-      failed) fail "job $job failed: $(curl -fsS "$BASE/jobs/$job")" ;;
-    esac
-    sleep 0.1
-  done
-  fail "job $job did not finish"
+  "$BINDIR/mcsquery" -addr "$BASE" -request "$QUERY" -full | tr -d ' \n'
 }
 
 echo "smoke_mcsd: first query (plan-cache miss)"

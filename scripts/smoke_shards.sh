@@ -2,8 +2,8 @@
 # End-to-end smoke test for the sharded mcsd topology (docs/sharding.md):
 # build, start three shard daemons plus a coordinator over them plus one
 # unsharded daemon as the oracle, run the same queries (a group table
-# and an unlimited window) through both fronts, and require
-# byte-identical data fields. Then check the coordinator's shard.*
+# and an unlimited window) through both fronts with mcsquery, and
+# require byte-identical data fields. Then check the coordinator's shard.*
 # metrics moved, SIGTERM everything, and require clean drains (exit 0).
 set -euo pipefail
 
@@ -15,7 +15,7 @@ FULL_PORT="${MCSD_FULL_PORT:-18094}"
 SHARD_PORTS=(18091 18092 18093)
 COORD="http://$HOST:$COORD_PORT"
 FULL="http://$HOST:$FULL_PORT"
-BIN="$(mktemp -d)/mcsd"
+BINDIR="$(mktemp -d)"
 LOGDIR="$(mktemp -d)"
 PIDS=()
 
@@ -25,7 +25,7 @@ cleanup() {
       kill -KILL "$pid" 2>/dev/null || true
     fi
   done
-  rm -rf "$BIN" "$LOGDIR"
+  rm -rf "$BINDIR" "$LOGDIR"
 }
 trap cleanup EXIT
 
@@ -42,25 +42,25 @@ fail() {
 # it by -shard-index, the coordinator and the oracle keep it whole.
 TABLE_FLAGS=(-tables tpch -tablerows 8000 -seed 1 -workers 2 -max-concurrent 2 -drain-timeout 20s)
 
-echo "smoke_shards: building mcsd"
-go build -o "$BIN" ./cmd/mcsd
+echo "smoke_shards: building mcsd and mcsquery"
+go build -o "$BINDIR" ./cmd/mcsd ./cmd/mcsquery
 
 SHARD_URLS=""
 for i in 0 1 2; do
   port=${SHARD_PORTS[$i]}
   echo "smoke_shards: starting shard $i/3 on :$port"
-  "$BIN" -addr "$HOST:$port" "${TABLE_FLAGS[@]}" \
+  "$BINDIR/mcsd" -addr "$HOST:$port" "${TABLE_FLAGS[@]}" \
     -shard-index "$i" -shard-count 3 >"$LOGDIR/shard$i.log" 2>&1 &
   PIDS+=($!)
   SHARD_URLS="${SHARD_URLS:+$SHARD_URLS,}http://$HOST:$port"
 done
 
 echo "smoke_shards: starting the unsharded oracle daemon on :$FULL_PORT"
-"$BIN" -addr "$HOST:$FULL_PORT" "${TABLE_FLAGS[@]}" >"$LOGDIR/full.log" 2>&1 &
+"$BINDIR/mcsd" -addr "$HOST:$FULL_PORT" "${TABLE_FLAGS[@]}" >"$LOGDIR/full.log" 2>&1 &
 PIDS+=($!)
 
 echo "smoke_shards: starting the coordinator on :$COORD_PORT over $SHARD_URLS"
-"$BIN" -addr "$HOST:$COORD_PORT" "${TABLE_FLAGS[@]}" \
+"$BINDIR/mcsd" -addr "$HOST:$COORD_PORT" "${TABLE_FLAGS[@]}" \
   -shards "$SHARD_URLS" >"$LOGDIR/coord.log" 2>&1 &
 PIDS+=($!)
 
@@ -85,18 +85,7 @@ GROUP_QUERY='{"table":"tpch_wide","kind":"groupby","sort_cols":[{"name":"p_brand
 WINDOW_QUERY='{"table":"tpch_wide","kind":"partitionby","sort_cols":[{"name":"supp_nation"},{"name":"l_year"}],"window":{"order_col":"l_extendedprice","desc":true},"workers":2}'
 
 run_query() {
-  local base=$1 query=$2 job state
-  job=$(curl -fsS "$base/query" -d "$query" | sed -n 's/.*"job_id":"\([^"]*\)".*/\1/p')
-  [[ -n "$job" ]] || fail "submit to $base returned no job_id"
-  for _ in $(seq 1 200); do
-    state=$(curl -fsS "$base/jobs/$job" | sed -n 's/.*"state":"\([^"]*\)".*/\1/p')
-    case "$state" in
-      done) curl -fsS "$base/jobs/$job/result"; return 0 ;;
-      failed) fail "job $job on $base failed: $(curl -fsS "$base/jobs/$job")" ;;
-    esac
-    sleep 0.1
-  done
-  fail "job $job on $base did not finish"
+  "$BINDIR/mcsquery" -addr "$1" -request "$2" -full
 }
 
 # canon keeps only the data fields (rows through row_oids) — job ids,
@@ -110,8 +99,8 @@ canon() {
 compare() {
   local name=$1 query=$2 got want
   echo "smoke_shards: querying the coordinator and the oracle daemon ($name)"
-  got=$(run_query "$COORD" "$query" | canon)
-  want=$(run_query "$FULL" "$query" | canon)
+  got=$(run_query "$COORD" "$query" | canon) || fail "mcsquery against the coordinator failed ($name)"
+  want=$(run_query "$FULL" "$query" | canon) || fail "mcsquery against the oracle daemon failed ($name)"
   [[ -n "$want" ]] || fail "oracle produced no data fields ($name)"
   if [[ "$got" != "$want" ]]; then
     fail "coordinator $name result diverges from the unsharded daemon:
