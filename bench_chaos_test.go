@@ -51,13 +51,12 @@ type benchChaosReport struct {
 }
 
 // benchChaosServer builds one serving stack (deterministic builtin
-// model, no wall-clock rho) with or without the PR 8 guards.
+// model; a server's search reads no clock) with or without the PR 8 guards.
 func benchChaosServer(tb testing.TB, reg *server.Registry, guarded bool) *server.Server {
 	tb.Helper()
 	cfg := server.Config{
 		Registry:      reg,
 		Model:         server.BuiltinModel(),
-		Rho:           -1,
 		MaxPlans:      8192,
 		MaxConcurrent: 1,
 	}

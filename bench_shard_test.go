@@ -75,7 +75,6 @@ func TestBenchShardOverhead(t *testing.T) {
 		return server.Config{
 			Registry:      reg,
 			Model:         server.BuiltinModel(),
-			Rho:           -1,
 			MaxPlans:      8192,
 			MaxConcurrent: 1,
 		}
@@ -94,7 +93,6 @@ func TestBenchShardOverhead(t *testing.T) {
 		Registry: newReg(true),
 		Shards:   []string{hs.URL},
 		Model:    server.BuiltinModel(),
-		Rho:      -1,
 		MaxPlans: 8192,
 		Client:   client.Config{PollInterval: time.Millisecond},
 	})

@@ -201,11 +201,8 @@ func run(o options) error {
 	}
 
 	srv, err := server.New(server.Config{
-		Registry: reg,
-		Model:    m,
-		// No wall-clock rho + a counted search budget: plan choice is
-		// deterministic, so a plan-cache hit can never change a result.
-		Rho:              -1,
+		Registry:         reg,
+		Model:            m,
 		MaxPlans:         maxPlans,
 		MaxConcurrent:    maxConcurrent,
 		MaxBytes:         maxBytes,
@@ -260,7 +257,6 @@ func coordinatorConfig(o options, reg *server.Registry, m *costmodel.Model) shar
 		Registry:       reg,
 		Shards:         shards,
 		Model:          m,
-		Rho:            -1,
 		MaxPlans:       o.maxPlans,
 		DefaultWorkers: o.workers,
 		PlanCacheSize:  o.planCache,

@@ -1,12 +1,14 @@
 // Quickstart: multi-column sorting with and without code massaging.
 //
 // Two encoded columns — a 12-bit order date and a 17-bit price — are
-// sorted lexicographically. With massaging enabled the planner searches
-// for at most ρ = 0.1 % of the best plan's estimated time (the paper's
-// default, Options.Rho); at this size that ends at column-at-a-time,
-// while an unbounded search (Rho < 0) stitches the two into one 29-bit
-// key sorted in a single round. The example prints both plans, their
-// times, and verifies the permutations agree.
+// sorted lexicographically, column-at-a-time and then with massaging,
+// searched two ways: the library default (Options.Rho = 0), which
+// stops after ρ = 0.1 % of the best plan's estimated time (the paper's
+// threshold) and at this size ends at column-at-a-time, and the
+// clock-free search mcsd runs (Rho -1), which stitches the two columns
+// into one 29-bit key sorted in a single round. The example prints all
+// three plans and their times, verifies the permutations agree, and
+// exits non-zero if the clock-free plan keeps two rounds.
 //
 //	go run ./examples/quickstart
 package main
@@ -41,24 +43,32 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("column-at-a-time: plan %-30s  %8.2f ms\n",
+	fmt.Printf("%-17s plan %-30s  %8.2f ms\n", "column-at-a-time:",
 		off.Plan, float64(off.Timings.Total().Microseconds())/1000)
 
-	// With code massaging: the planner searches for a better plan.
-	on, err := mcs.Sort(cols, nil) // nil options = massaging on
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("code massaging:   plan %-30s  %8.2f ms (%.2fx)\n",
-		on.Plan, float64(on.Timings.Total().Microseconds())/1000,
-		float64(off.Timings.Total())/float64(on.Timings.Total()))
-
-	// Both orders must agree on every (date, price) pair.
-	for i := range on.Perm {
-		a, b := off.Perm[i], on.Perm[i]
-		if dates[a] != dates[b] || prices[a] != prices[b] {
-			log.Fatalf("order mismatch at position %d", i)
+	// With code massaging: the planner searches for a better plan, under
+	// the library's default ρ and without a clock. Every order must agree
+	// with the baseline on every (date, price) pair.
+	var on *mcs.Result
+	for _, search := range []struct {
+		label string
+		rho   float64
+	}{{"massaging, ρ 0.1%", 0}, {"massaging, Rho -1", -1}} {
+		if on, err = mcs.Sort(cols, &mcs.Options{Rho: search.rho}); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("%-17s plan %-30s  %8.2f ms (%.2fx)\n", search.label+":",
+			on.Plan, float64(on.Timings.Total().Microseconds())/1000,
+			float64(off.Timings.Total())/float64(on.Timings.Total()))
+		for i := range on.Perm {
+			a, b := off.Perm[i], on.Perm[i]
+			if dates[a] != dates[b] || prices[a] != prices[b] {
+				log.Fatalf("%s: order mismatch at position %d", search.label, i)
+			}
 		}
 	}
 	fmt.Printf("orders agree across %d rows; %d tie groups\n", n, len(on.Groups)-1)
+	if len(on.Plan.Rounds) > 1 {
+		log.Fatalf("the clock-free search kept %d rounds; want the 29-bit key in one", len(on.Plan.Rounds))
+	}
 }

@@ -111,9 +111,6 @@ func runStorm(t *testing.T, p stormParams) {
 	if scfg.Model == nil {
 		scfg.Model = server.BuiltinModel()
 	}
-	if scfg.Rho == 0 {
-		scfg.Rho = -1
-	}
 	if scfg.MaxPlans == 0 {
 		scfg.MaxPlans = 8192
 	}

@@ -9,7 +9,8 @@
 // count → Stats → Choose), OutputWindow (the [offset, offset+limit)
 // clamp). rankPage is RANK over a sorted page, from its groups. The
 // plan search (NewSearch), plan choice (Choose) and sort (SortColumns)
-// also serve mcs.Sort, mcsplan and the plan-space experiments.
+// also serve mcs.Sort, mcsplan and the plan-space experiments; PlanKey
+// says what a memoized choice of that search depends on.
 package engine
 
 import (
@@ -17,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/byteslice"
@@ -338,6 +340,36 @@ func NewSearch(q Query, st costmodel.Stats, opts Options) *planner.Search {
 		s.FixedTail = 1 // the window's ORDER BY column stays last
 	}
 	return s
+}
+
+// PlanKey is the plan-cache key of the bound query cut at (limit,
+// offset) with the column order pinned to pin (nil: free): exactly what
+// NewSearch reads from the query — the table and its row count (the
+// filters stand for the selected count), the clause kind, the sort
+// columns (their statistics, widths and the window's fixed tail), the
+// SortCut and the pinned order. The model, Rho and MaxPlans are fixed
+// for a serving process, and workers never reach the search, so a
+// cached choice is shared by every request whose search it answers.
+func (b *Bound) PlanKey(limit *int, offset int, pin []int) string {
+	t, q := b.Table, b.Query
+	rows, groups := SortCut(q, limit, offset)
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "t=%s|n=%d|k=%d|cut=%d/%d|pin=%v", t.Name, t.N, q.Kind, rows, groups, pin)
+	for i, sc := range b.Sort {
+		tag := "c"
+		if i == len(q.SortCols) {
+			tag = "win" // the window's ORDER BY column
+		}
+		fmt.Fprintf(&sb, "|%s=%s/%d/%t", tag, sc.Name, b.Cols[i].Width, sc.Desc)
+	}
+	for _, f := range q.Filters {
+		if f.Between {
+			fmt.Fprintf(&sb, "|f=%s between %d %d", f.Col, f.Lo, f.Hi)
+		} else {
+			fmt.Fprintf(&sb, "|f=%s %d %d", f.Col, f.Op, f.Const)
+		}
+	}
+	return sb.String()
 }
 
 // SortColumns sorts inputs (q's sort columns in clause order) under

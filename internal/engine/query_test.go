@@ -3,7 +3,9 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/byteslice"
@@ -240,6 +242,60 @@ func TestNewSearchPicksTheTruncatedPlan(t *testing.T) {
 	}
 	if top.Plan.String() == full.Plan.String() {
 		t.Errorf("the limit did not change the pick: %v", top.Plan)
+	}
+}
+
+// TestPlanKeyIsTheSearch holds the plan-cache key to what the search
+// reads: over limits, offsets, workers, ORDER BY <aggregate>, a filter
+// and a pinned order, two requests get equal keys exactly when
+// NewSearch builds equal searches for them.
+func TestPlanKeyIsTheSearch(t *testing.T) {
+	tbl := makeTable(t, 3000, 31)
+	window := Query{Kind: planner.PartitionBy, SortCols: []SortCol{{Name: "a"}}, Window: &Window{OrderCol: "b", Desc: true}}
+	group := Query{Kind: planner.GroupBy, SortCols: []SortCol{{Name: "a"}, {Name: "c"}}, Agg: &Agg{Kind: Sum, Col: "v"}}
+	byAgg, filtered := group, group
+	byAgg.OrderByAgg = true
+	filtered.Filters = []Filter{{Col: "f", Op: byteslice.LT, Const: 25}}
+
+	model := costmodel.Builtin()
+	var labels, keys []string
+	var searches []*planner.Search
+	for qi, q := range []Query{window, group, byAgg, filtered} {
+		b, err := Bind(tbl, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel, err := b.Select(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := b.stats(sel.Count())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pin := range [][]int{nil, {0, 1}} {
+			for _, limit := range []int{-1, 0, 5, 8} { // -1: no limit
+				for _, offset := range []int{0, 3} {
+					for _, workers := range []int{1, 4} {
+						opts := Options{Model: model, Rho: -1, MaxPlans: 8192, Workers: workers,
+							Offset: offset, FixedColOrder: pin}
+						if limit >= 0 {
+							opts.Limit = &limit
+						}
+						labels = append(labels, fmt.Sprintf("query %d pin %v limit %d offset %d workers %d", qi, pin, limit, offset, workers))
+						keys = append(keys, b.PlanKey(opts.Limit, offset, pin))
+						searches = append(searches, NewSearch(q, st, opts))
+					}
+				}
+			}
+		}
+	}
+	for i := range keys {
+		for j := i + 1; j < len(keys); j++ {
+			if same := reflect.DeepEqual(searches[i], searches[j]); (keys[i] == keys[j]) != same {
+				t.Errorf("%s and %s: equal keys %v, equal searches %v", labels[i], labels[j], keys[i] == keys[j], same)
+			}
+		}
 	}
 }
 

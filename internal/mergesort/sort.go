@@ -70,10 +70,6 @@ func checkArgs(bank int, keys []uint64, oids []uint32) error {
 // (footnote 4 excludes 8-bit banks).
 var Banks = []int{16, 32, 64}
 
-// MinBank is b_min of the paper — the narrowest available bank, used by
-// the plan-search round bound ⌊2(W−1)/b_min⌋+1.
-const MinBank = 16
-
 // Per-call instrumentation. All writes are no-ops until obs.Enable().
 var (
 	obsSorts          = obs.NewCounter("mergesort.sorts")

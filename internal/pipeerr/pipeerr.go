@@ -42,7 +42,6 @@ const (
 	StagePermute   = "permute"
 	StageGather    = "gather"
 	StageAggregate = "aggregate"
-	StagePlan      = "plan"
 	// StageServe marks a failure contained at the serving layer: a panic
 	// that escaped on the query's own goroutine (the pipeline's
 	// sequential paths run on the caller, where no worker Group can

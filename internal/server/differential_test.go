@@ -40,28 +40,35 @@ func directOracle(t *testing.T, srv *Server, items []workloads.Item, workers int
 // through the mcsd handler path and asserts the result encoding is
 // byte-identical to a direct engine.RunContext call, at workers
 // {1, 4, 8}, on both the uncached (plan-search) and cached
-// (PlanOverride replay) paths.
+// (PlanOverride replay) paths. Workers never reach the plan search, so
+// each worker count gets a fresh server: a shared one would answer the
+// later counts from the first's cache entries.
 func TestDifferentialHandlerVsEngine(t *testing.T) {
 	defer testutil.CheckNoLeaks(t)()
 	tbl := testTPCH(t, 4000)
 	items := workloads.TPCHQueries(tbl, "")
 	big := testTPCH(t, 40000)
 	big.Name += "_big"
-	srv := newTestServer(t, Config{MaxConcurrent: 4}, tbl, big)
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
-	defer func() {
-		if err := srv.Shutdown(context.Background()); err != nil {
-			t.Errorf("shutdown: %v", err)
+	serve := func() (*Server, string, func()) {
+		srv := newTestServer(t, Config{MaxConcurrent: 4}, tbl, big)
+		hs := httptest.NewServer(srv.Handler())
+		return srv, hs.URL, func() {
+			hs.Close()
+			if err := srv.Shutdown(context.Background()); err != nil {
+				t.Errorf("shutdown: %v", err)
+			}
 		}
-	}()
+	}
 
 	for _, workers := range diffWorkers {
+		srv, url, done := serve()
 		oracle := directOracle(t, srv, items, workers)
+		seen := make(map[string]bool) // plan keys this server has cached
 		for _, it := range items {
 			req := reqFromQuery(t, tbl.Name, it.Query, workers)
-			for pass, wantHit := range []bool{false, true} {
-				res, err := doQuery(hs.URL, req)
+			key := planKey(t, srv, req)
+			for pass, wantHit := range []bool{seen[key], true} {
+				res, err := doQuery(url, req)
 				if err != nil {
 					t.Fatalf("%s workers=%d pass=%d: %v", it.ID, workers, pass, err)
 				}
@@ -78,7 +85,9 @@ func TestDifferentialHandlerVsEngine(t *testing.T) {
 						it.ID, workers, pass, wantHit, got, oracle[it.ID])
 				}
 			}
+			seen[key] = true
 		}
+		done()
 	}
 
 	// One cell past 256 workers (the wire admits MaxWorkers), against the
@@ -92,8 +101,10 @@ func TestDifferentialHandlerVsEngine(t *testing.T) {
 		t.Fatal("the TPC-H workload no longer has tpch.q13")
 	}
 	it := bigItems[q13]
+	srv, url, done := serve()
+	defer done()
 	want := directOracle(t, srv, bigItems[q13:q13+1], 1)[it.ID]
-	res, err := doQuery(hs.URL, reqFromQuery(t, big.Name, it.Query, 300))
+	res, err := doQuery(url, reqFromQuery(t, big.Name, it.Query, 300))
 	if err != nil {
 		t.Fatalf("%s workers=300: %v", it.ID, err)
 	}
@@ -196,6 +207,45 @@ func TestDifferentialSynchronousRun(t *testing.T) {
 			if !bytes.Equal(got, oracle[it.ID]) {
 				t.Errorf("Run %s workers=%d: result diverges from direct engine run", it.ID, workers)
 			}
+		}
+	}
+}
+
+// TestServedSearchReadsNoClock pins that a server configured without a
+// Rho plans every TPC-H query like the clock-free engine search
+// (Rho -1), the plan a cache hit replays and a coordinator pins, and
+// that a positive Rho is refused.
+func TestServedSearchReadsNoClock(t *testing.T) {
+	defer testutil.CheckNoLeaks(t)()
+	tbl := testTPCH(t, 40000)
+	reg := NewRegistry()
+	if err := reg.Register(tbl); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Config{Registry: reg, Model: BuiltinModel(), Rho: 0.001}); err == nil {
+		t.Error("New accepted a positive Rho")
+	}
+	srv, err := New(Config{Registry: reg, Model: BuiltinModel(), MaxPlans: 8192})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := srv.Shutdown(context.Background()); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+	for _, it := range workloads.TPCHQueries(tbl, "") {
+		want, err := engine.RunContext(context.Background(), tbl, it.Query,
+			engine.Options{Massaging: true, Model: BuiltinModel(), Rho: -1, MaxPlans: 8192})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := srv.Run(context.Background(), reqFromQuery(t, tbl.Name, it.Query, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fmt.Sprint(res.Plan, res.ColOrder), fmt.Sprint(want.Plan.String(), want.ColOrder); got != want {
+			t.Errorf("%s: server planned %s, the clock-free search %s", it.ID, got, want)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -106,28 +107,27 @@ func limitBatteryItems(t *testing.T, rows int) ([]workloads.Item, []*table.Table
 
 // TestLimitDifferentialRun sweeps the in-process Run path (admission +
 // plan cache + engine) over workers {1,2,4,8} x K {0,1,100,n-1,n,n+7}
-// x offsets {0,3,n}, two passes per point: the first must miss the
-// plan cache, the second must hit it — except LIMIT 0, which skips the
-// cache entirely — and both must equal the sliced oracle.
+// x offsets {0,3,n}, two passes per point: the first misses the plan
+// cache unless an earlier point had the same sort cut (offset+K, or
+// none at all for ORDER BY <aggregate>), the second hits it — except
+// LIMIT 0, which skips the cache entirely — and both must equal the
+// sliced oracle. Each worker count gets a fresh server, so every count
+// runs the uncached path too.
 func TestLimitDifferentialRun(t *testing.T) {
 	defer testutil.CheckNoLeaks(t)()
 	const n = 2000
 	items, tables := limitBatteryItems(t, n)
-	srv := newTestServer(t, Config{MaxConcurrent: 4}, tables...)
-	defer func() {
-		if err := srv.Shutdown(context.Background()); err != nil {
-			t.Errorf("shutdown: %v", err)
-		}
-	}()
 
 	for _, it := range items {
 		it := it
 		t.Run(it.ID, func(t *testing.T) {
-			full, err := engine.RunContext(context.Background(), it.Table, it.Query, directOptions(srv, 1))
-			if err != nil {
-				t.Fatal(err)
-			}
 			for _, workers := range []int{1, 2, 4, 8} {
+				srv := newTestServer(t, Config{MaxConcurrent: 4}, tables...)
+				full, err := engine.RunContext(context.Background(), it.Table, it.Query, directOptions(srv, 1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				seen := make(map[string]bool) // plan keys this server has cached
 				for _, k := range []int{0, 1, 100, n - 1, n, n + 7} {
 					for _, off := range []int{0, 3, n} {
 						k, off := k, off
@@ -135,16 +135,16 @@ func TestLimitDifferentialRun(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
+						req := reqFromQuery(t, it.Table.Name, it.Query, workers)
+						req.Limit = &k
+						req.Offset = off
+						key := planKey(t, srv, req)
 						for pass := 0; pass < 2; pass++ {
-							req := reqFromQuery(t, it.Table.Name, it.Query, workers)
-							lim := k
-							req.Limit = &lim
-							req.Offset = off
 							res, err := srv.Run(context.Background(), req)
 							if err != nil {
 								t.Fatalf("workers=%d k=%d off=%d pass=%d: %v", workers, k, off, pass, err)
 							}
-							wantHit := pass == 1 && k > 0
+							wantHit := k > 0 && (pass == 1 || seen[key])
 							if res.PlanCacheHit != wantHit {
 								t.Errorf("workers=%d k=%d off=%d pass=%d: PlanCacheHit=%v, want %v",
 									workers, k, off, pass, res.PlanCacheHit, wantHit)
@@ -158,7 +158,11 @@ func TestLimitDifferentialRun(t *testing.T) {
 									workers, k, off, pass, got, want)
 							}
 						}
+						seen[key] = seen[key] || k > 0
 					}
+				}
+				if err := srv.Shutdown(context.Background()); err != nil {
+					t.Errorf("shutdown: %v", err)
 				}
 			}
 		})
@@ -215,10 +219,13 @@ func TestLimitDifferentialHandler(t *testing.T) {
 	}
 }
 
-// TestLimitPlanCacheKeySeparation pins that distinct (limit, offset)
-// pairs occupy distinct plan-cache entries: a full-sort plan replayed
-// for a truncated query (or vice versa) would silently produce the
-// wrong plan economics even when results stay correct.
+// TestLimitPlanCacheKeySeparation pins that the plan cache keys a
+// LIMIT/OFFSET query by its sort cut (engine.SortCut), the only part
+// of it the plan search reads: a different cut misses (a full-sort plan
+// replayed for a truncated query, or vice versa, would carry the wrong
+// plan economics even when results stay correct), an equal cut hits,
+// and an offset without a limit hits the unlimited entry and returns
+// the unlimited result sliced.
 func TestLimitPlanCacheKeySeparation(t *testing.T) {
 	defer testutil.CheckNoLeaks(t)()
 	items, tables := limitBatteryItems(t, 1000)
@@ -229,22 +236,44 @@ func TestLimitPlanCacheKeySeparation(t *testing.T) {
 		}
 	}()
 
-	it := items[0]
-	variants := []func(req *QueryRequest){
-		func(req *QueryRequest) {},
-		func(req *QueryRequest) { lim := 10; req.Limit = &lim },
-		func(req *QueryRequest) { lim := 10; req.Limit = &lim; req.Offset = 3 },
-		func(req *QueryRequest) { req.Offset = 3 },
+	it := items[0] // the window query: its cut is offset+limit rows
+	full, err := engine.RunContext(context.Background(), it.Table, it.Query, directOptions(srv, 1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, variant := range variants {
+	for _, v := range []struct {
+		limit, offset int // limit -1: none
+		wantHit       bool
+	}{
+		{-1, 0, false}, // unlimited: no cut
+		{10, 0, false}, // cut 10
+		{10, 3, false}, // cut 13
+		{13, 0, true},  // cut 13 again
+		{-1, 3, true},  // no cut: the unlimited entry
+	} {
+		label := fmt.Sprintf("limit=%d offset=%d", v.limit, v.offset)
 		req := reqFromQuery(t, it.Table.Name, it.Query, 1)
-		variant(&req)
+		req.Offset = v.offset
+		if v.limit >= 0 {
+			req.Limit = &v.limit
+		}
 		res, err := srv.Run(context.Background(), req)
 		if err != nil {
-			t.Fatalf("variant %d: %v", i, err)
+			t.Fatalf("%s: %v", label, err)
 		}
-		if res.PlanCacheHit {
-			t.Errorf("variant %d: hit the cache on first submission — limit/offset missing from the plan key", i)
+		if res.PlanCacheHit != v.wantHit {
+			t.Errorf("%s: PlanCacheHit=%v, want %v", label, res.PlanCacheHit, v.wantHit)
+		}
+		want, err := sliceServerOracle(full, true, req.Limit, v.offset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := canonServerLimited(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: diverges from the unlimited result sliced\ngot:  %s\nwant: %s", label, got, want)
 		}
 	}
 }

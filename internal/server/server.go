@@ -11,7 +11,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/costmodel"
@@ -34,6 +33,19 @@ var (
 // bounded.
 const DefaultMaxPlans = 1 << 16
 
+// ServedRho is the plan-search ρ a daemon stores for a configured one:
+// a served search never reads the clock, so 0 becomes -1 (no
+// threshold) and a positive value is refused.
+func ServedRho(rho float64) (float64, error) {
+	switch {
+	case rho > 0:
+		return 0, fmt.Errorf("Rho %g: a served plan search reads no clock (0 or negative)", rho)
+	case rho == 0:
+		return -1, nil
+	}
+	return rho, nil
+}
+
 // BuiltinModel returns costmodel.Builtin, the fixed-constant cost model
 // mcsd uses unless -calibration names a saved profile.
 func BuiltinModel() *costmodel.Model { return costmodel.Builtin() }
@@ -46,17 +58,18 @@ type Config struct {
 	// server's life; required (mcsd passes BuiltinModel or a profile
 	// loaded at startup).
 	Model *costmodel.Model
-	// Rho is the plan-search time threshold (planner.Search.Rho).
-	// mcsd runs with a negative value — no wall-clock cutoff — so the
-	// search outcome never depends on machine speed.
+	// Rho is the plan-search time threshold (planner.Search.Rho). A
+	// served search never reads the clock: New stores 0 as -1 (no
+	// threshold) and refuses a positive value, so the search outcome
+	// never depends on machine speed.
 	Rho float64
 	// MaxPlans is the counted plan-search budget (engine.Options
-	// .MaxPlans, DefaultMaxPlans when 0). Together with a negative Rho
-	// it makes plan choice deterministic: repeated identical queries
-	// pick identical plans, so a plan-cache hit can never change a
-	// query's result — only skip the search. It also bounds the
-	// m!-order search of wide GROUP BY clauses, which is combinatorially
-	// infeasible to run exhaustively.
+	// .MaxPlans, DefaultMaxPlans when 0). Without a clock it makes plan
+	// choice deterministic: repeated identical queries pick identical
+	// plans, so a plan-cache hit can never change a query's result —
+	// only skip the search. It also bounds the m!-order search of wide
+	// GROUP BY clauses, which is combinatorially infeasible to run
+	// exhaustively.
 	MaxPlans int
 	// MaxConcurrent bounds the number of queries executing at once
 	// (default 1). Excess queries wait in the admission queue.
@@ -114,6 +127,10 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Model == nil {
 		return nil, errors.New("server: Config.Model is required")
+	}
+	var err error
+	if cfg.Rho, err = ServedRho(cfg.Rho); err != nil {
+		return nil, fmt.Errorf("server: %w", err)
 	}
 	if cfg.MaxConcurrent < 1 {
 		cfg.MaxConcurrent = 1
@@ -244,9 +261,9 @@ func (s *Server) runEngine(ctx context.Context, jobID string, req QueryRequest, 
 	// LIMIT 0 queries never run a plan search (the engine returns the
 	// empty result straight after the filter), so they neither consult
 	// nor populate the plan cache — a zero-value plan must not be
-	// memoized under their key.
+	// memoized under their key, which is the unlimited query's.
 	cacheable := req.Limit == nil || *req.Limit > 0
-	key := PlanKey(b, workers, s.cfg.Rho, s.cfg.MaxPlans, req.Limit, req.Offset, req.ColOrder)
+	key := b.PlanKey(req.Limit, req.Offset, req.ColOrder)
 	var choice planner.Choice
 	hit := false
 	if cacheable {
@@ -304,43 +321,6 @@ func maxQueryBytes(reqBytes, serverBytes, reserved int64) int64 {
 		return reserved
 	}
 	return 0
-}
-
-// PlanKey builds the plan-cache key of a bound query: everything the
-// search outcome depends on. Filters are included because they change
-// the row count the cost model sees; workers because calibration may
-// become worker-aware; limit and offset because the truncated cost
-// model shifts plan crossovers with the cut rank (-1 encodes "no
-// limit", which is distinct from every literal value); a pinned column
-// order because it confines the search to one permutation. The
-// coordinator extends the key with its shard topology so a cached
-// pinned order is never replayed across re-partitionings.
-func PlanKey(b *engine.Bound, workers int, rho float64, maxPlans int, limit *int, offset int, colOrder []int) string {
-	t, q := b.Table, b.Query
-	lim := -1
-	if limit != nil {
-		lim = *limit
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "t=%s|n=%d|k=%d|rho=%g|mp=%d|w=%d|oba=%t|lim=%d|off=%d", t.Name, t.N, q.Kind, rho, maxPlans, workers, q.OrderByAgg, lim, offset)
-	if len(colOrder) > 0 {
-		fmt.Fprintf(&sb, "|co=%v", colOrder)
-	}
-	for i, sc := range b.Sort {
-		tag := "c"
-		if i == len(q.SortCols) {
-			tag = "win" // the window's ORDER BY column
-		}
-		fmt.Fprintf(&sb, "|%s=%s/%d/%t", tag, sc.Name, b.Cols[i].Width, sc.Desc)
-	}
-	for _, f := range q.Filters {
-		if f.Between {
-			fmt.Fprintf(&sb, "|f=%s between %d %d", f.Col, f.Lo, f.Hi)
-		} else {
-			fmt.Fprintf(&sb, "|f=%s %d %d", f.Col, f.Op, f.Const)
-		}
-	}
-	return sb.String()
 }
 
 // buildResult converts an engine result into the wire form.

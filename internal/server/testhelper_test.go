@@ -34,8 +34,8 @@ func testTPCDS(t *testing.T, rows int) *table.Table {
 }
 
 // newTestServer builds a server over the given tables with the
-// deterministic builtin model and unbounded plan search (the serving
-// configuration: cached and uncached plans must be identical).
+// deterministic builtin model and its own clock-free plan search (the
+// serving configuration: cached and uncached plans must be identical).
 func newTestServer(t *testing.T, cfg Config, tables ...*table.Table) *Server {
 	t.Helper()
 	reg := NewRegistry()
@@ -48,9 +48,6 @@ func newTestServer(t *testing.T, cfg Config, tables ...*table.Table) *Server {
 	if cfg.Model == nil {
 		cfg.Model = BuiltinModel()
 	}
-	if cfg.Rho == 0 {
-		cfg.Rho = -1
-	}
 	if cfg.MaxPlans == 0 {
 		// Smaller than the serving default: deterministic all the same,
 		// and it keeps the wide-clause searches fast under -race.
@@ -61,6 +58,25 @@ func newTestServer(t *testing.T, cfg Config, tables ...*table.Table) *Server {
 		t.Fatal(err)
 	}
 	return srv
+}
+
+// planKey is the plan-cache key the server files req under, so a
+// battery can predict which requests share a cached plan.
+func planKey(t *testing.T, srv *Server, req QueryRequest) string {
+	t.Helper()
+	tbl, err := srv.cfg.Registry.Lookup(req.Table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := req.ToEngineQuery()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := engine.Bind(tbl, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.PlanKey(req.Limit, req.Offset, req.ColOrder)
 }
 
 // directOptions are the engine options the server path is differenced

@@ -277,7 +277,7 @@ func TestKilledShardSurfacesTypedError(t *testing.T) {
 			}
 		}
 		srv, err := server.New(server.Config{
-			Registry: reg, Model: server.BuiltinModel(), Rho: -1,
+			Registry: reg, Model: server.BuiltinModel(),
 			MaxPlans: testMaxPlans, MaxConcurrent: 4,
 		})
 		if err != nil {
@@ -305,7 +305,7 @@ func TestKilledShardSurfacesTypedError(t *testing.T) {
 	}
 	coord, err := New(Config{
 		Registry: fullReg, Shards: urls,
-		Model: server.BuiltinModel(), Rho: -1, MaxPlans: testMaxPlans,
+		Model: server.BuiltinModel(), MaxPlans: testMaxPlans,
 		Client: client.Config{
 			MaxRetries:   1,
 			BaseBackoff:  time.Millisecond,

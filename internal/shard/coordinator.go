@@ -54,9 +54,9 @@ type Config struct {
 	// only the single-node order if both searches cost plans identically.
 	Model *costmodel.Model
 	// Rho and MaxPlans are the plan-search determinism keystone, exactly
-	// as on the single-node server: a negative Rho (no wall-clock
-	// cutoff) plus a counted budget make the pinned order a pure
-	// function of the query and the statistics.
+	// as on the single-node server: New stores 0 as -1 (no wall-clock
+	// cutoff) and refuses a positive Rho, and a counted budget makes the
+	// pinned order a pure function of the query and the statistics.
 	Rho      float64
 	MaxPlans int
 	// DefaultWorkers is the merge-side worker count used when a request
@@ -105,6 +105,10 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	if len(cfg.Shards) == 0 {
 		return nil, errors.New("shard: Config.Shards is required")
+	}
+	var err error
+	if cfg.Rho, err = server.ServedRho(cfg.Rho); err != nil {
+		return nil, fmt.Errorf("shard: %w", err)
 	}
 	if cfg.DefaultWorkers < 1 {
 		cfg.DefaultWorkers = 1
@@ -227,7 +231,7 @@ func (c *Coordinator) execute(ctx context.Context, jobID string, req server.Quer
 	var choice planner.Choice
 	planHit := false
 	if !limit0 {
-		choice, planHit, err = c.pinnedChoice(ctx, b, req, workers)
+		choice, planHit, err = c.pinnedChoice(ctx, b, req)
 		if err != nil {
 			return nil, err
 		}

@@ -127,9 +127,10 @@ func TestCrossShardDifferentialBattery(t *testing.T) {
 			coord, done := newTopology(t, tables, nShards, Config{})
 			defer done()
 			// Pin keys the fresh coordinator has cached so far. The key
-			// excludes the aggregate (the search never sees it), so e.g.
-			// gb_count and gb_avg over the same sort columns legitimately
-			// share a pin — the expectation must model that.
+			// holds only what the search reads — not the aggregate, the
+			// workers or a cut-free offset — so e.g. gb_count and gb_avg
+			// over the same sort columns, or one query at every worker
+			// count, legitimately share a pin; the expectation models that.
 			seen := make(map[string]bool)
 			for _, p := range pairs {
 				for _, c := range cells {
@@ -148,7 +149,7 @@ func TestCrossShardDifferentialBattery(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							pk = server.PlanKey(b, w, -1, testMaxPlans, c.limit, c.offset, nil)
+							pk = b.PlanKey(c.limit, c.offset, nil)
 						}
 
 						res, err := coord.Run(ctx, req)
@@ -227,6 +228,35 @@ func TestCrossShardTPCHWorkload(t *testing.T) {
 		}
 		if g := canonServer(t, got); !bytes.Equal(g, want) {
 			t.Errorf("%s: 3-shard result diverges from the single-node engine\n got: %s\nwant: %s", it.ID, g, want)
+		}
+	}
+}
+
+// TestPinReadsNoClock pins that a coordinator configured without a Rho
+// pins every TPC-H query to the clock-free engine search's plan
+// (Rho -1), and that a positive Rho is refused.
+func TestPinReadsNoClock(t *testing.T) {
+	defer testutil.CheckNoLeaks(t)()
+	tbl := testutilTPCH(t, 40000)
+	if _, err := New(Config{Registry: server.NewRegistry(), Shards: []string{"http://127.0.0.1:1"},
+		Model: server.BuiltinModel(), Rho: 0.001}); err == nil {
+		t.Error("New accepted a positive Rho")
+	}
+	coord, done := newTopology(t, []*table.Table{tbl}, 2, Config{})
+	defer done()
+	for _, it := range workloads.TPCHQueries(tbl, "") {
+		want, err := engine.RunContext(context.Background(), tbl, it.Query, engine.Options{
+			Massaging: true, Model: server.BuiltinModel(), Rho: -1, MaxPlans: testMaxPlans,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := coord.Run(context.Background(), wireRequest(t, tbl.Name, it.Query, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fmt.Sprint(res.Plan, res.ColOrder), fmt.Sprint(want.Plan.String(), want.ColOrder); got != want {
+			t.Errorf("%s: coordinator pinned %s, the clock-free search %s", it.ID, got, want)
 		}
 	}
 }

@@ -192,7 +192,7 @@ func TestWireContract(t *testing.T) {
 				}
 			}
 			srv, err := server.New(server.Config{Registry: reg, Model: server.BuiltinModel(),
-				Rho: -1, MaxPlans: testMaxPlans, MaxConcurrent: 2})
+				MaxPlans: testMaxPlans, MaxConcurrent: 2})
 			if err != nil {
 				t.Fatal(err)
 			}

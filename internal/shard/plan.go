@@ -4,16 +4,15 @@
 // themselves, two shards could sort the same query in different column
 // orders and the gather would compare apples to oranges. The
 // coordinator therefore runs the search once, over the full table's
-// statistics with the deterministic keystone (MaxPlans + negative
-// rho), and replays the winning ColOrder on every shard via the
-// col_order wire field. The choice is memoized in a server.PlanCache
-// under the single-node plan key extended with the shard topology, so
-// re-partitioning can never replay a stale pin.
+// statistics with the deterministic keystone (MaxPlans, no clock), and
+// replays the winning ColOrder on every shard via the col_order wire
+// field. The choice is memoized in a server.PlanCache under the single
+// node's plan key (engine.Bound.PlanKey): the search reads the full
+// table, never the shard topology.
 package shard
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
@@ -31,9 +30,8 @@ var (
 // filtered row count is exactly what a direct single-node run of the
 // same query executes, so the pinned ColOrder is the single node's by
 // construction — and the differential battery compares both.
-func (c *Coordinator) pinnedChoice(ctx context.Context, b *engine.Bound, req server.QueryRequest, workers int) (planner.Choice, bool, error) {
-	key := server.PlanKey(b, workers, c.cfg.Rho, c.cfg.MaxPlans, req.Limit, req.Offset, nil) +
-		fmt.Sprintf("|shards=%d", len(c.cfg.Shards))
+func (c *Coordinator) pinnedChoice(ctx context.Context, b *engine.Bound, req server.QueryRequest) (planner.Choice, bool, error) {
+	key := b.PlanKey(req.Limit, req.Offset, nil)
 	if choice, ok := c.cache.Get(key); ok {
 		obsPinHits.Inc()
 		return choice, true, nil

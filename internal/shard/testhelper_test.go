@@ -97,7 +97,8 @@ func batteryTables(t *testing.T) []*table.Table {
 
 // newTopology spins up nShards single-node servers over Slice'd
 // registries plus a coordinator over them, all with the deterministic
-// test keystone (builtin model, Rho -1, the same MaxPlans). The
+// test keystone (builtin model, the same MaxPlans; the daemons read
+// no clock). The
 // returned func shuts everything down; call it before the leak check
 // runs.
 func newTopology(t *testing.T, tables []*table.Table, nShards int, coordCfg Config) (*Coordinator, func()) {
@@ -118,7 +119,6 @@ func newTopology(t *testing.T, tables []*table.Table, nShards int, coordCfg Conf
 		srv, err := server.New(server.Config{
 			Registry:      reg,
 			Model:         server.BuiltinModel(),
-			Rho:           -1,
 			MaxPlans:      testMaxPlans,
 			MaxConcurrent: 4,
 		})
@@ -145,9 +145,6 @@ func newTopology(t *testing.T, tables []*table.Table, nShards int, coordCfg Conf
 	coordCfg.Shards = urls
 	if coordCfg.Model == nil {
 		coordCfg.Model = server.BuiltinModel()
-	}
-	if coordCfg.Rho == 0 {
-		coordCfg.Rho = -1
 	}
 	if coordCfg.MaxPlans == 0 {
 		coordCfg.MaxPlans = testMaxPlans

@@ -20,13 +20,6 @@
 // Like the paper (footnote 4), 8-bit banks are not used: b ∈ {16, 32, 64}.
 package simd
 
-// Lanes per 64-bit word for each supported bank size.
-const (
-	Lanes16 = 4 // four 16-bit lanes
-	Lanes32 = 2 // two 32-bit lanes
-	Lanes64 = 1 // one 64-bit lane
-)
-
 const (
 	lowHalves = 0x0000FFFF_0000FFFF
 	low32     = 0x00000000_FFFFFFFF

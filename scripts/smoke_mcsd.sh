@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end smoke test for the mcsd query daemon (docs/serving.md):
-# build, start against a small TPC-H table, run the same query twice
-# through mcsquery, assert the second run hit the plan cache (visible on
-# /metrics), then SIGTERM and require a clean drain (exit 0).
+# build, start against a small TPC-H table, run a query through
+# mcsquery and then again with only its worker count changed, assert the
+# second run hit the plan cache (workers never reach the plan search;
+# visible on /metrics), then SIGTERM and require a clean drain (exit 0).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -47,16 +48,19 @@ if grep -qi "calibrat" "$LOG"; then fail "mcsd calibrated at startup"; fi
 
 QUERY='{"table":"tpch_wide","kind":"groupby","sort_cols":[{"name":"p_brand"},{"name":"p_type"},{"name":"p_size"}],"filters":[{"col":"p_size","op":"neq","const":15}],"agg":{"kind":"count"},"order_by_agg":true,"workers":2}'
 
-# run_query prints the result compacted, so the greps see "key":value.
+# run_query sends its argument and prints the result compacted, so the
+# greps see "key":value.
 run_query() {
-  "$BINDIR/mcsquery" -addr "$BASE" -request "$QUERY" -full | tr -d ' \n'
+  "$BINDIR/mcsquery" -addr "$BASE" -request "$1" -full | tr -d ' \n'
 }
 
 echo "smoke_mcsd: first query (plan-cache miss)"
-run_query | grep -q '"plan_cache_hit":false' || fail "first query reported a cache hit"
+run_query "$QUERY" | grep -q '"plan_cache_hit":false' || fail "first query reported a cache hit"
 
-echo "smoke_mcsd: second query (plan-cache hit)"
-run_query | grep -q '"plan_cache_hit":true' || fail "second query missed the plan cache"
+echo "smoke_mcsd: second query, workers 2 -> 1 (plan-cache hit)"
+QUERY_W1="${QUERY/\"workers\":2/\"workers\":1}"
+[[ "$QUERY_W1" != "$QUERY" ]] || fail "the query names no \"workers\":2 to change"
+run_query "$QUERY_W1" | grep -q '"plan_cache_hit":true' || fail "second query (workers 1) missed the plan cache"
 
 echo "smoke_mcsd: checking /metrics for plancache hits"
 METRICS=$(curl -fsS "$BASE/metrics")
