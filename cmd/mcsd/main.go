@@ -36,10 +36,12 @@
 //	mcsd -addr :8080 -tables tpch \
 //	  -shards http://localhost:8081,http://localhost:8082,http://localhost:8083
 //
-// Endpoints: POST /query, GET /jobs/{id}, GET /jobs/{id}/result (the
-// binary result frame), GET /tables, GET /metrics, GET /healthz,
-// GET /livez, GET /readyz. Example session — mcsquery submits, polls,
-// decodes the frame and prints the result as JSON:
+// Endpoints: POST /query (with Prefer: wait=N, answered with the
+// result frame once the job settles), GET /jobs/{id} (a long-poll with
+// the same header), GET /jobs/{id}/result (the binary result frame),
+// GET /tables, GET /metrics, GET /healthz, GET /livez, GET /readyz.
+// Example session — mcsquery submits and waits, decodes the frame and
+// prints the result as JSON:
 //
 //	mcsquery -addr localhost:8080 -full -request '{"table":"tpch_wide","kind":"groupby",
 //	  "sort_cols":[{"name":"p_brand"},{"name":"p_size"}],"agg":{"kind":"count"},"workers":4}'

@@ -83,9 +83,12 @@ type Config struct {
 	MaxBackoff  time.Duration
 	// RequestTimeout bounds each individual HTTP round-trip (submit,
 	// one status poll, result fetch) — a wedged server fails the call
-	// instead of hanging it. Default 10s.
+	// instead of hanging it. Half of it, in whole seconds, is the wait
+	// the submit and each status poll ask the server for (Prefer:
+	// wait=N); under 2s they ask for none. Default 10s.
 	RequestTimeout time.Duration
-	// PollInterval is the job-status polling cadence. Default 2ms.
+	// PollInterval is the pause between two status polls of a job that
+	// outlived the submit's wait. Default 2ms.
 	PollInterval time.Duration
 	// BreakerThreshold consecutive failed queries open the client-side
 	// breaker; 0 disables it. BreakerCooldown (default 1s) is how long
@@ -103,6 +106,8 @@ type Client struct {
 	hc  *http.Client
 	rng *chaos.Rand
 	br  *breaker
+	// prefer is the Prefer header every call carries ("" for none).
+	prefer string
 }
 
 // New validates cfg and returns a client.
@@ -135,15 +140,20 @@ func New(cfg Config) (*Client, error) {
 	if seed == 0 {
 		seed = chaos.DefaultSeed
 	}
-	return &Client{
+	c := &Client{
 		cfg: cfg,
 		hc:  cfg.HTTPClient,
 		rng: chaos.NewRand(seed),
 		br:  newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
-	}, nil
+	}
+	if wait := cfg.RequestTimeout / 2 / time.Second; wait > 0 {
+		c.prefer = "wait=" + strconv.FormatInt(int64(wait), 10)
+	}
+	return c, nil
 }
 
-// Query runs one query end to end — submit, poll, fetch — retrying the
+// Query runs one query end to end — one round trip, or submit, poll,
+// fetch when the job outlives the submit's wait — retrying the
 // whole round-trip with jittered exponential backoff while the failure
 // is retryable (the server's verdict, or a transport error that never
 // produced a verdict). The caller's ctx bounds the total attempt
@@ -221,35 +231,48 @@ func (c *Client) backoff(attempt int, err error) time.Duration {
 	return d
 }
 
-// once is a single submit → poll → result round-trip.
+// once is one query. The submit asks the server to wait for the job
+// (Prefer: wait) and, when the job settles within the wait, is answered
+// with the result frame or the job's failure: one round trip, and the
+// server keeps nothing. Only a 202 — the job outlived the wait, or the
+// server ignores the preference — falls back to polling the status,
+// each poll a long-poll too with PollInterval between them, and
+// fetching the result.
 func (c *Client) once(ctx context.Context, req server.QueryRequest) (*server.QueryResult, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, fmt.Errorf("client: encoding request: %w", err)
 	}
+	var res server.QueryResult
 	var submit struct {
 		JobID string `json:"job_id"`
 	}
-	if err := c.do(ctx, http.MethodPost, "/query", body, http.StatusAccepted, jsonReply(&submit)); err != nil {
+	status, err := c.do(ctx, http.MethodPost, "/query", body, map[int]reply{
+		http.StatusOK:       frameReply(&res),
+		http.StatusAccepted: jsonReply(&submit),
+	})
+	if err != nil {
 		return nil, err
+	}
+	if status == http.StatusOK {
+		return &res, nil
 	}
 	if submit.JobID == "" {
 		return nil, &Error{Kind: "internal", Msg: "submit returned no job id"}
 	}
 	for {
 		var st server.JobStatus
-		if err := c.do(ctx, http.MethodGet, "/jobs/"+submit.JobID, nil, http.StatusOK, jsonReply(&st)); err != nil {
+		if _, err := c.do(ctx, http.MethodGet, "/jobs/"+submit.JobID, nil, map[int]reply{http.StatusOK: jsonReply(&st)}); err != nil {
 			return nil, err
 		}
 		switch st.State {
 		case server.JobDone:
-			var res server.QueryResult
-			if err := c.do(ctx, http.MethodGet, "/jobs/"+submit.JobID+"/result", nil, http.StatusOK, frameReply(&res)); err != nil {
+			if _, err := c.do(ctx, http.MethodGet, "/jobs/"+submit.JobID+"/result", nil, map[int]reply{http.StatusOK: frameReply(&res)}); err != nil {
 				return nil, err
 			}
 			return &res, nil
 		case server.JobFailed:
-			return nil, &Error{Kind: st.Kind, Retryable: st.Retryable, Msg: st.Error}
+			return nil, jobFailure(st.Kind, st.Retryable, st.Error)
 		}
 		select {
 		case <-time.After(c.cfg.PollInterval):
@@ -257,6 +280,15 @@ func (c *Client) once(ctx context.Context, req server.QueryRequest) (*server.Que
 			return nil, fmt.Errorf("client: polling job %s: %w", submit.JobID, ctx.Err())
 		}
 	}
+}
+
+// jobFailure is a job's own failure, however it reached the client — a
+// polled status or the outcome on a waited submit's response: the
+// server's kind, verdict and message, without an HTTP status or a
+// Retry-After floor, so the retry schedule does not depend on which
+// round trip carried it.
+func jobFailure(kind string, retryable bool, msg string) *Error {
+	return &Error{Kind: kind, Retryable: retryable, Msg: msg}
 }
 
 // reply decodes a call's success body.
@@ -294,10 +326,11 @@ func frameReply(out *server.QueryResult) reply {
 	}
 }
 
-// do performs one HTTP call under its own deadline and hands a reply of
-// the expected status to decode; any other status is read as the typed
-// JSON error body.
-func (c *Client) do(ctx context.Context, method, path string, body []byte, wantStatus int, decode reply) error {
+// do performs one HTTP call under its own deadline, carrying the
+// client's Prefer header, and hands a reply of an expected status to
+// its decoder, returning that status; any other status is read as the
+// typed JSON error body.
+func (c *Client) do(ctx context.Context, method, path string, body []byte, replies map[int]reply) (int, error) {
 	rctx, cancel := context.WithTimeout(ctx, c.cfg.RequestTimeout)
 	defer cancel()
 	var rd io.Reader
@@ -306,33 +339,42 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, wantS
 	}
 	hreq, err := http.NewRequestWithContext(rctx, method, c.cfg.BaseURL+path, rd)
 	if err != nil {
-		return fmt.Errorf("client: building request: %w", err)
+		return 0, fmt.Errorf("client: building request: %w", err)
 	}
 	if body != nil {
 		hreq.Header.Set("Content-Type", "application/json")
 	}
+	if c.prefer != "" {
+		hreq.Header.Set("Prefer", c.prefer)
+	}
 	resp, err := c.hc.Do(hreq)
 	if err != nil {
-		return fmt.Errorf("client: %s %s: %w", method, path, err)
+		return 0, fmt.Errorf("client: %s %s: %w", method, path, err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == wantStatus {
+	if decode, ok := replies[resp.StatusCode]; ok {
 		if err := decode(resp); err != nil {
-			return fmt.Errorf("client: decoding %s %s: %w", method, path, err)
+			return 0, fmt.Errorf("client: decoding %s %s: %w", method, path, err)
 		}
-		return nil
+		return resp.StatusCode, nil
 	}
 	raw, err := readBody(resp)
 	if err != nil {
-		return fmt.Errorf("client: reading %s %s: %w", method, path, err)
+		return 0, fmt.Errorf("client: reading %s %s: %w", method, path, err)
 	}
-	we := &Error{Status: resp.StatusCode, Kind: "internal", Msg: fmt.Sprintf("%s %s: status %d", method, path, resp.StatusCode)}
 	var eb struct {
 		Error     string `json:"error"`
 		Kind      string `json:"kind"`
 		Retryable bool   `json:"retryable"`
 	}
-	if json.Unmarshal(raw, &eb) == nil && eb.Error != "" {
+	parsed := json.Unmarshal(raw, &eb) == nil && eb.Error != ""
+	if parsed && resp.Header.Get("Preference-Applied") == "wait" {
+		// The job settled within the wait and failed: its outcome, not a
+		// refusal of the call.
+		return 0, jobFailure(eb.Kind, eb.Retryable, eb.Error)
+	}
+	we := &Error{Status: resp.StatusCode, Kind: "internal", Msg: fmt.Sprintf("%s %s: status %d", method, path, resp.StatusCode)}
+	if parsed {
 		we.Kind = eb.Kind
 		we.Retryable = eb.Retryable
 		we.Msg = eb.Error
@@ -342,5 +384,5 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, wantS
 			we.retryAfter = time.Duration(secs) * time.Second
 		}
 	}
-	return we
+	return 0, we
 }

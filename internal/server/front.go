@@ -1,7 +1,8 @@
 // The job front: the one job surface both mcsd daemons serve. A Front
 // owns the job table (Submit registers a query as an asynchronous job
-// under the base context; Status and Result poll it; Run is the
-// synchronous form the handlers and tests share), the drain, the
+// under the base context; Status, Wait and Result poll it; submitWait
+// hands a job that settles within its submitter's wait to that
+// submitter alone; Run is the synchronous form), the drain, the
 // serve-layer containment boundary, the per-query watchdog, and the
 // HTTP mux (http.go). What a query actually does — and how its
 // failures read on the wire — comes from the Backend: the single-node
@@ -26,9 +27,11 @@ import (
 // weigh together. Beyond either the oldest-finished job is evicted and
 // its id answers 404 not_found; queued and running jobs are never
 // evicted, nor is the newest finished one, so a result of the largest
-// size a client accepts is always fetchable. A client fetches its
-// result right after the job settles, so the bounds only have to
-// outlast the poll interval of concurrently finishing jobs.
+// size a client accepts is always fetchable. Only jobs whose submitter
+// did not wait for them are retained (a job delivered on its submit
+// response never is), and such a client long-polls the status and
+// fetches right after the job settles, so the bounds only have to
+// outlast one status answer of concurrently finishing jobs.
 const maxFinishedJobs = 256
 
 // retainedJob is one entry of the retention ring: a terminal job's id
@@ -118,11 +121,15 @@ const (
 type job struct {
 	id string
 
-	mu     sync.Mutex
-	state  JobState
-	res    *QueryResult
-	err    error
-	doneCh chan struct{}
+	mu    sync.Mutex
+	state JobState
+	res   *QueryResult
+	err   error
+	// claimed: the submitter is still waiting to be handed the outcome
+	// (submitWait), so the job is in neither the job table nor the
+	// retention ring and settling it delivers it to that waiter alone.
+	claimed bool
+	doneCh  chan struct{}
 }
 
 // JobStatus is the pollable view of a job.
@@ -148,17 +155,63 @@ type JobStatus struct {
 // front's base context (plus the request's own timeout, if any). It
 // returns the job id to poll.
 func (f *Front) Submit(req QueryRequest) (string, error) {
-	if err := req.Validate(); err != nil {
+	j, _, err := f.submitWait(context.Background(), req, 0)
+	if err != nil {
 		return "", err
+	}
+	return j.id, nil
+}
+
+// submitWait submits req and waits up to wait (none: Submit), or until
+// ctx ends, for the job to settle. A job that settles in time is
+// delivered — done is true and j's res and err are its outcome — and
+// never enters the job table: nobody else has seen its id, so it
+// answers 404 like an evicted one and its result is the caller's alone
+// to hold. Otherwise j is a job polled and fetched like a Submit's. err
+// is a refusal (validation, drain): no job exists.
+func (f *Front) submitWait(ctx context.Context, req QueryRequest, wait time.Duration) (j *job, done bool, err error) {
+	if j, err = f.submit(req, wait > 0); err != nil || wait <= 0 {
+		return j, false, err
+	}
+	t := time.NewTimer(wait)
+	defer t.Stop()
+	select {
+	case <-j.doneCh:
+	case <-t.C:
+	case <-ctx.Done():
+	}
+	// settle reads claimed under j.mu in the step that makes the job
+	// terminal, so under the same lock the job is either terminal and
+	// delivered here, or unclaimed and entered into the table before it
+	// can settle: never both, never neither.
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.state == JobDone || j.state == JobFailed {
+		return j, true, nil
+	}
+	j.claimed = false
+	f.mu.Lock()
+	f.jobs[j.id] = j
+	f.mu.Unlock()
+	return j, false, nil
+}
+
+// submit registers and schedules one job; a claimed one stays out of
+// the job table (submitWait).
+func (f *Front) submit(req QueryRequest, claimed bool) (*job, error) {
+	if err := req.Validate(); err != nil {
+		return nil, err
 	}
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
-		return "", ErrShuttingDown
+		return nil, ErrShuttingDown
 	}
 	f.nextID++
-	j := &job{id: fmt.Sprintf("j%d", f.nextID), state: JobQueued, doneCh: make(chan struct{})}
-	f.jobs[j.id] = j
+	j := &job{id: fmt.Sprintf("j%d", f.nextID), state: JobQueued, claimed: claimed, doneCh: make(chan struct{})}
+	if !claimed {
+		f.jobs[j.id] = j
+	}
 	f.wg.Add(1)
 	f.mu.Unlock()
 
@@ -179,12 +232,13 @@ func (f *Front) Submit(req QueryRequest) (string, error) {
 		res, err := f.run(ctx, j, req)
 		f.settle(j, res, err)
 	})
-	return j.id, nil
+	return j, nil
 }
 
 // settle moves j to its terminal state (once), enters it into the
-// retention ring — evicting oldest-first whatever no longer fits the
-// count and weight bounds — and wakes its waiters.
+// retention ring unless a waiting submitter claims it — evicting
+// oldest-first whatever no longer fits the count and weight bounds —
+// and wakes its waiters.
 func (f *Front) settle(j *job, res *QueryResult, err error) {
 	j.mu.Lock()
 	if j.state == JobDone || j.state == JobFailed {
@@ -198,7 +252,12 @@ func (f *Front) settle(j *job, res *QueryResult, err error) {
 		j.state, j.res = JobDone, res
 		weight = res.payloadBytes()
 	}
+	claimed := j.claimed
 	j.mu.Unlock()
+	if claimed {
+		close(j.doneCh)
+		return
+	}
 
 	f.mu.Lock()
 	f.retainedBytes += weight

@@ -1,8 +1,14 @@
 // Wire surface of mcsd — single node and coordinator alike, served by
 // the Front: HTTP on the stdlib mux, JSON except for a result.
 //
-//	POST /query            submit a query; returns {"job_id": "..."}
-//	GET  /jobs/{id}        poll a job's status
+//	POST /query            submit a query; returns 202 {"job_id": "..."}.
+//	                       With Prefer: wait=N it waits up to N seconds
+//	                       and, if the job settles, answers with its
+//	                       outcome instead: 200 and the result frame,
+//	                       or the job's error body (Preference-Applied:
+//	                       wait); that job is never retained
+//	GET  /jobs/{id}        a job's status; Prefer: wait=N long-polls
+//	                       until it settles or N seconds pass
 //	GET  /jobs/{id}/result fetch a finished job's result as the binary
 //	                       result frame (frame.go), whatever Accept says
 //	GET  /tables           list registered tables
@@ -20,11 +26,14 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
+	"time"
 
 	"repro/internal/byteslice"
 	"repro/internal/engine"
@@ -381,21 +390,66 @@ func (f *Front) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, f.b.Classify, err)
 		return
 	}
-	id, err := f.Submit(*req)
-	if err != nil {
+	j, done, err := f.submitWait(r.Context(), *req, preferredWait(r.Header))
+	switch {
+	case err != nil:
 		writeError(w, f.b.Classify, err)
-		return
+	case !done:
+		writeJSON(w, http.StatusAccepted, map[string]string{"job_id": j.id})
+	default:
+		// The outcome reads as GET /jobs/{id}/result would have read it.
+		w.Header().Set("Preference-Applied", "wait")
+		if j.err != nil {
+			writeError(w, f.b.Classify, j.err)
+			return
+		}
+		f.writeFrame(w, j.res)
 	}
-	writeJSON(w, http.StatusAccepted, map[string]string{"job_id": id})
 }
 
+// handleStatus answers with the job's status; a Prefer: wait first
+// waits for the job to settle.
 func (f *Front) handleStatus(w http.ResponseWriter, r *http.Request) {
-	st, err := f.Status(r.PathValue("id"))
+	id := r.PathValue("id")
+	if wait := preferredWait(r.Header); wait > 0 {
+		ctx, cancel := context.WithTimeout(r.Context(), wait)
+		_, _ = f.Wait(ctx, id) // the status below says how it ended
+		cancel()
+	}
+	st, err := f.Status(id)
 	if err != nil {
 		writeError(w, f.b.Classify, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, st)
+}
+
+// maxPreferWait caps the wait a request may ask for with RFC 7240's
+// Prefer: wait=N. A client that wants to wait longer asks again: the
+// status long-poll.
+const maxPreferWait = 30 * time.Second
+
+// preferredWait is the wait a request asks for with RFC 7240's
+// Prefer: wait=N (whole seconds), capped at maxPreferWait; 0 when it
+// asks for none. As the RFC says, what the server does not understand
+// is ignored: other preferences, parameters, a malformed value; only
+// the first wait counts.
+func preferredWait(h http.Header) time.Duration {
+	for _, v := range h.Values("Prefer") {
+		for _, pref := range strings.Split(v, ",") {
+			pref, _, _ = strings.Cut(pref, ";")
+			name, val, _ := strings.Cut(pref, "=")
+			if !strings.EqualFold(strings.TrimSpace(name), "wait") {
+				continue
+			}
+			secs, err := strconv.ParseUint(strings.Trim(strings.TrimSpace(val), `"`), 10, 63)
+			if err != nil {
+				return 0
+			}
+			return time.Duration(min(secs, uint64(maxPreferWait/time.Second))) * time.Second
+		}
+	}
+	return 0
 }
 
 // handleResult answers with the result frame (frame.go); errors are
@@ -406,6 +460,12 @@ func (f *Front) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, f.b.Classify, err)
 		return
 	}
+	f.writeFrame(w, res)
+}
+
+// writeFrame answers 200 with res as the result frame, its length up
+// front.
+func (f *Front) writeFrame(w http.ResponseWriter, res *QueryResult) {
 	fr, err := newResultFrame(res)
 	if err != nil {
 		writeError(w, f.b.Classify, err)

@@ -113,6 +113,44 @@ func (w wire) fetch(path, accept string) (*http.Response, []byte) {
 	return resp, body
 }
 
+// query POSTs payload with the given Prefer header ("" sends none) and
+// returns the response with its whole body.
+func (w wire) query(payload, prefer string) (*http.Response, []byte) {
+	w.t.Helper()
+	req, err := http.NewRequest(http.MethodPost, w.url+"/query", strings.NewReader(payload))
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	if prefer != "" {
+		req.Header.Set("Prefer", prefer)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		w.t.Fatalf("POST /query: reading body: %v", err)
+	}
+	return resp, body
+}
+
+// accepted asserts a 202 {"job_id"} answer and returns the id.
+func (w wire) accepted(label string, resp *http.Response, body []byte) string {
+	w.t.Helper()
+	var submit struct {
+		JobID string `json:"job_id"`
+	}
+	if err := json.Unmarshal(body, &submit); resp.StatusCode != http.StatusAccepted || err != nil || submit.JobID == "" {
+		w.t.Fatalf("%s: status %d body %q, want 202 with a job id", label, resp.StatusCode, body)
+	}
+	if resp.Header.Get("Preference-Applied") != "" {
+		w.t.Errorf("%s: a 202 says Preference-Applied %q", label, resp.Header.Get("Preference-Applied"))
+	}
+	return submit.JobID
+}
+
 // wantError asserts an error response: status, machine-readable kind, a
 // message, and Retry-After exactly on the load-induced statuses.
 func (w wire) wantError(label string, resp *http.Response, body map[string]any, status int, kind string) {
@@ -308,6 +346,65 @@ func TestWireContract(t *testing.T) {
 				}
 			}
 
+			// Prefer: wait (RFC 7240). A query that settles within the wait
+			// is answered on the submit itself: 200, the frame with the
+			// data of the async fetch above, Preference-Applied: wait. The
+			// daemon keeps nothing of it, so its id answers 404.
+			resp, frame := w.query(valid, "wait=5")
+			if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != server.ResultFrameType ||
+				resp.Header.Get("Preference-Applied") != "wait" || resp.Header.Get("Content-Length") != strconv.Itoa(len(frame)) {
+				t.Fatalf("waited query: status %d Content-Type %q Preference-Applied %q Content-Length %q for %d bytes",
+					resp.StatusCode, ct, resp.Header.Get("Preference-Applied"), resp.Header.Get("Content-Length"), len(frame))
+			}
+			got, err := server.ReadResultFrame(bytes.NewReader(frame), server.MaxResultBytes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.JobID == "" || got.JobID == id || !bytes.Equal(canonServer(t, got), canonServer(t, held)) {
+				t.Errorf("waited query: job %q, data equal to the async fetch's: %v", got.JobID, bytes.Equal(canonServer(t, got), canonServer(t, held)))
+			}
+			for _, path := range []string{"/jobs/" + got.JobID, "/jobs/" + got.JobID + "/result"} {
+				resp, body := w.get(path)
+				w.wantError("delivered job "+path, resp, body, http.StatusNotFound, "not_found")
+			}
+			// A query that fails within the wait answers with what the
+			// result fetch of the same failed job answers.
+			const unknownTable = `{"table":"nope","kind":"orderby","sort_cols":[{"name":"a"}]}`
+			failedID := w.submit("failing query", unknownTable)
+			w.settled("failing query", failedID)
+			wantResp, wantBody := w.get("/jobs/" + failedID + "/result")
+			resp, raw := w.query(unknownTable, "wait=5")
+			var failure map[string]any
+			if err := json.Unmarshal(raw, &failure); err != nil {
+				t.Fatalf("waited failure: body %q: %v", raw, err)
+			}
+			if resp.StatusCode != wantResp.StatusCode || failure["kind"] != wantBody["kind"] || failure["retryable"] != wantBody["retryable"] ||
+				resp.Header.Get("Preference-Applied") != "wait" {
+				t.Errorf("waited failure: %d %v (Preference-Applied %q), want the result fetch's %d %v",
+					resp.StatusCode, failure, resp.Header.Get("Preference-Applied"), wantResp.StatusCode, wantBody)
+			}
+			// A query still running when the wait ends answers 202, and its
+			// result is fetched as an async submit's.
+			release = make(chan struct{})
+			restore = faultinject.Set(faultinject.MassageChunk, func() { <-release })
+			resp, raw = w.query(valid, "wait=1")
+			close(release)
+			restore()
+			id = w.accepted("query outliving its wait", resp, raw)
+			if st := w.settled("query outliving its wait", id); st["state"] != string(server.JobDone) {
+				t.Errorf("query outliving its wait: %v, want done", st)
+			}
+			if resp, frame := w.fetch("/jobs/"+id+"/result", ""); resp.StatusCode != http.StatusOK {
+				t.Errorf("query outliving its wait: result %d %q", resp.StatusCode, frame)
+			}
+			// What the daemon does not understand it ignores (RFC 7240):
+			// today's 202.
+			for _, prefer := range []string{"", "wait=0", "wait=soon", "wait=-3", "respond-async", "return=minimal"} {
+				resp, raw := w.query(valid, prefer)
+				id := w.accepted("Prefer "+prefer, resp, raw)
+				w.settled("Prefer "+prefer, id)
+			}
+
 			// Drain: health and readiness flip to 503, liveness stays up,
 			// submissions are refused with 503 + Retry-After.
 			if err := d.shutdown(context.Background()); err != nil {
@@ -439,6 +536,60 @@ func TestCoordinatorShardFrameCorrupt(t *testing.T) {
 	}
 	if got := submits.Load(); got != 1 {
 		t.Errorf("the corrupt shard was asked %d times, want 1: a bad frame must not be retried", got)
+	}
+}
+
+// TestDeliveredResultsNotRetained: a client query is one waited submit
+// on the coordinator and one on each shard, so once it returns no
+// daemon holds its result: every job id the queries minted — ids are
+// sequential — answers 404 on the coordinator and on every shard.
+// Async submits without the preference are retained as before.
+func TestDeliveredResultsNotRetained(t *testing.T) {
+	defer testutil.CheckNoLeaks(t)()
+	tables := batteryTables(t)
+	coord, done := newTopology(t, tables, 3, Config{})
+	hs := httptest.NewServer(coord.Handler())
+	defer done()
+	defer hs.Close()
+	cl, err := client.New(client.Config{BaseURL: hs.URL, PollInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const n = 12
+	req := server.QueryRequest{Table: "narrow0", Kind: "partitionby",
+		SortCols: []server.SortColReq{{Name: "a"}}, Window: &server.WindowReq{OrderCol: "c"}}
+	for i := 0; i < n; i++ {
+		if _, err := cl.Query(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	daemons := append([]string{hs.URL}, coord.cfg.Shards...)
+	for _, url := range daemons {
+		w := wire{t, url}
+		for i := 1; i <= n; i++ {
+			resp, body := w.get(fmt.Sprintf("/jobs/j%d", i))
+			w.wantError(fmt.Sprintf("%s delivered j%d", url, i), resp, body, http.StatusNotFound, "not_found")
+		}
+	}
+
+	w := wire{t, hs.URL}
+	for i := n + 1; i <= 2*n; i++ {
+		id, err := coord.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("j%d", i); id != want {
+			t.Fatalf("job id %q, want %q", id, want)
+		}
+		if _, err := coord.Wait(context.Background(), id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := n + 1; i <= 2*n; i++ {
+		if resp, _ := w.fetch(fmt.Sprintf("/jobs/j%d/result", i), ""); resp.StatusCode != http.StatusOK {
+			t.Errorf("async j%d: result %d, want it retained", i, resp.StatusCode)
+		}
 	}
 }
 

@@ -3,7 +3,9 @@
 # build, start against a small TPC-H table, run a query through
 # mcsquery and then again with only its worker count changed, assert the
 # second run hit the plan cache (workers never reach the plan search;
-# visible on /metrics), then SIGTERM and require a clean drain (exit 0).
+# visible on /metrics), that the daemon kept no result mcsquery was
+# handed and a plain POST /query is still answered 202, then SIGTERM and
+# require a clean drain (exit 0).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -54,8 +56,25 @@ run_query() {
   "$BINDIR/mcsquery" -addr "$BASE" -request "$1" -full | tr -d ' \n'
 }
 
+# job_of prints the job id of a compacted result.
+job_of() {
+  sed -n 's/.*"job_id":"\([^"]*\)".*/\1/p'
+}
+
 echo "smoke_mcsd: first query (plan-cache miss)"
-run_query "$QUERY" | grep -q '"plan_cache_hit":false' || fail "first query reported a cache hit"
+FIRST=$(run_query "$QUERY")
+grep -q '"plan_cache_hit":false' <<<"$FIRST" || fail "first query reported a cache hit"
+
+# mcsquery's waited submit is answered with the result, which the
+# daemon then does not keep: its job id is unknown.
+JOB=$(job_of <<<"$FIRST")
+[[ -n "$JOB" ]] || fail "no job_id in the result"
+CODE=$(curl -s -o /dev/null -w '%{http_code}' "$BASE/jobs/$JOB")
+[[ "$CODE" == 404 ]] || fail "delivered job $JOB answers $CODE, want 404: the daemon retained it"
+
+echo "smoke_mcsd: async submit without Prefer"
+ASYNC=$(curl -sS -o - -w ' %{http_code}' -X POST -H 'Content-Type: application/json' -d "$QUERY" "$BASE/query" | tr -d '\n')
+[[ "$ASYNC" =~ ^\{\"job_id\":\"j[0-9]+\"\}\ 202$ ]] || fail "plain POST /query answered '$ASYNC', want 202 with a job_id"
 
 echo "smoke_mcsd: second query, workers 2 -> 1 (plan-cache hit)"
 QUERY_W1="${QUERY/\"workers\":2/\"workers\":1}"

@@ -3,8 +3,10 @@
 # build, start three shard daemons plus a coordinator over them plus one
 # unsharded daemon as the oracle, run the same queries (a group table
 # and an unlimited window) through both fronts with mcsquery, and
-# require byte-identical data fields. Then check the coordinator's shard.*
-# metrics moved, SIGTERM everything, and require clean drains (exit 0).
+# require byte-identical data fields. Then check that no daemon kept a
+# result its client was handed and a plain POST /query is still answered
+# 202, that the coordinator's shard.* metrics moved, SIGTERM everything,
+# and require clean drains (exit 0).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -111,6 +113,29 @@ compare() {
 }
 compare "group table" "$GROUP_QUERY"
 compare "window" "$WINDOW_QUERY"
+
+# Each hop is one waited submit, so no daemon keeps a result its client
+# was handed. The result's job id answers 404 on the front that served
+# it; and with the two queries above, the coordinator has run three
+# queries and sent each shard three sub-queries, ids j1..j3, all unknown
+# now.
+echo "smoke_shards: checking no daemon retained a delivered result"
+for base in "$COORD" "$FULL"; do
+  JOB=$(run_query "$base" "$GROUP_QUERY" | tr -d ' \n' | sed -n 's/.*"job_id":"\([^"]*\)".*/\1/p')
+  [[ -n "$JOB" ]] || fail "no job_id in the result from $base"
+  code=$(curl -s -o /dev/null -w '%{http_code}' "$base/jobs/$JOB")
+  [[ "$code" == 404 ]] || fail "delivered job $JOB answers $code on $base, want 404"
+done
+for base in $(tr ',' ' ' <<<"$SHARD_URLS"); do
+  for job in j1 j2 j3; do
+    code=$(curl -s -o /dev/null -w '%{http_code}' "$base/jobs/$job")
+    [[ "$code" == 404 ]] || fail "sub-query job $job answers $code on shard $base, want 404"
+  done
+done
+
+echo "smoke_shards: async submit without Prefer"
+ASYNC=$(curl -sS -o - -w ' %{http_code}' -X POST -H 'Content-Type: application/json' -d "$GROUP_QUERY" "$COORD/query" | tr -d '\n')
+[[ "$ASYNC" =~ ^\{\"job_id\":\"j[0-9]+\"\}\ 202$ ]] || fail "plain POST /query answered '$ASYNC', want 202 with a job_id"
 
 echo "smoke_shards: checking coordinator /metrics for shard counters"
 METRICS=$(curl -fsS "$COORD/metrics" | tr -d ' \n')
