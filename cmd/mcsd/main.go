@@ -160,8 +160,8 @@ func run(o options) error {
 			if err := reg.Register(t); err != nil {
 				return err
 			}
-			fmt.Fprintf(os.Stderr, "mcsd: loaded table %s (%d rows, %d cols) in %v\n",
-				t.Name, t.N, len(t.Columns()), time.Since(start).Round(time.Millisecond))
+			fmt.Fprintf(os.Stderr, "mcsd: loaded table %s (%d rows, %d cols, %d B) in %v\n",
+				t.Name, t.N, len(t.Columns()), t.Bytes(), time.Since(start).Round(time.Millisecond))
 		}
 	}
 	if len(reg.Names()) == 0 {

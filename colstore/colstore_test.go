@@ -2,7 +2,10 @@ package colstore
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -119,5 +122,46 @@ func TestAddRefusesCodesWiderThanWidth(t *testing.T) {
 	q := Query{Kind: 1, SortCols: []SortCol{{Name: "a"}}} // GroupBy
 	if res, err := Run(tbl, q, Options{}); err == nil {
 		t.Errorf("grouping on the refused column returned keys %v", res.GroupKeys)
+	}
+}
+
+// TestConcurrentQueriesOnFreshTable: a built table is immutable, so two
+// queries may run on it at once before anything else has touched it —
+// no registration or warm-up first. Run under -race.
+func TestConcurrentQueriesOnFreshTable(t *testing.T) {
+	const n = 5000
+	rng := rand.New(rand.NewSource(2))
+	a, b := make([]uint64, n), make([]uint64, n)
+	for i := range a {
+		a[i], b[i] = uint64(rng.Intn(1<<10)), uint64(rng.Intn(1<<12))
+	}
+	tbl := NewTable("fresh", n)
+	mustAdd(t, tbl, FromCodes("a", 10, a))
+	mustAdd(t, tbl, FromCodes("b", 12, b))
+	q := Query{
+		Kind:     1, // GroupBy
+		SortCols: []SortCol{{Name: "a"}, {Name: "b", Desc: true}},
+		Filters:  []Filter{{Col: "b", Op: GE, Const: 100}},
+		Agg:      &Agg{Kind: Sum, Col: "b"},
+	}
+	results := make([]*Result, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = Run(tbl, q, Options{Massaging: true})
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(results[0].GroupKeys, results[1].GroupKeys) ||
+		!slices.Equal(results[0].Aggregates, results[1].Aggregates) || len(results[0].GroupKeys) == 0 {
+		t.Errorf("concurrent runs disagree: %d and %d groups", len(results[0].GroupKeys), len(results[1].GroupKeys))
 	}
 }

@@ -46,6 +46,20 @@ func FromColumn(c *column.Column) *BS {
 	return bs
 }
 
+// Slice returns rows [lo, hi) of bs as a ByteSlice of the same width
+// with planes of its own, zero-padded like FromColumn's.
+func (bs *BS) Slice(lo, hi int) *BS {
+	s := &BS{Width: bs.Width, N: hi - lo, planes: make([][]byte, len(bs.planes)), shift: bs.shift}
+	for p, plane := range bs.planes {
+		s.planes[p] = make([]byte, (s.N+7)&^7)
+		copy(s.planes[p], plane[lo:hi])
+	}
+	return s
+}
+
+// Bytes returns the size of bs's planes, padding included.
+func (bs *BS) Bytes() int { return len(bs.planes) * ((bs.N + 7) &^ 7) }
+
 // Lookup reconstructs the code at row i by stitching its bytes. It is
 // the single-row reference Gather is tested against.
 func (bs *BS) Lookup(i int) uint64 {
@@ -54,6 +68,15 @@ func (bs *BS) Lookup(i int) uint64 {
 		v = v<<8 | uint64(bs.planes[p][i])
 	}
 	return v >> bs.shift
+}
+
+// Codes decodes the codes of rows [0, n).
+func (bs *BS) Codes(n int) []uint64 {
+	codes := make([]uint64, n)
+	for i := range codes {
+		codes[i] = bs.Lookup(i)
+	}
+	return codes
 }
 
 // gatherBlock is the number of rows Gather decodes before moving on: a

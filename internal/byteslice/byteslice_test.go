@@ -3,6 +3,8 @@ package byteslice
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/column"
@@ -154,6 +156,55 @@ func TestNonMultipleOf8Rows(t *testing.T) {
 		}
 		if bv.Count() != n {
 			t.Fatalf("n=%d: count %d", n, bv.Count())
+		}
+	}
+}
+
+// TestSliceMatchesFromColumn: Slice(lo, hi) is FromColumn over the
+// codes of rows [lo, hi) — planes and zero padding byte for byte, and
+// the same Scan and Gather answers — at every plane count, on unaligned
+// and empty ranges.
+func TestSliceMatchesFromColumn(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	const n = 1000
+	for _, width := range []int{1, 7, 8, 9, 21, 33, 64} {
+		codes := make([]uint64, n)
+		for i := range codes {
+			codes[i] = rng.Uint64() & column.Mask(width)
+		}
+		bs := FromColumn(column.FromCodes("c", width, codes))
+		ranges := [][2]int{{0, n}, {0, 0}, {n, n}, {5, 5}, {3, 4}, {8, 16}}
+		for len(ranges) < 16 {
+			lo := rng.Intn(n + 1)
+			ranges = append(ranges, [2]int{lo, lo + rng.Intn(n+1-lo)})
+		}
+		for _, r := range ranges {
+			got := bs.Slice(r[0], r[1])
+			want := FromColumn(column.FromCodes("c", width, codes[r[0]:r[1]]))
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("width %d rows %v: Slice differs from FromColumn", width, r)
+			}
+			rows := make([]uint32, got.N)
+			for i := range rows {
+				rows[i] = uint32(i)
+			}
+			g, w := make([]uint64, got.N), make([]uint64, got.N)
+			got.Gather(g, rows)
+			want.Gather(w, rows)
+			if !slices.Equal(g, w) || !slices.Equal(g, codes[r[0]:r[1]]) {
+				t.Fatalf("width %d rows %v: Gather differs", width, r)
+			}
+			for _, op := range []Op{LT, LE, GT, GE, EQ, NEQ} {
+				k := codes[rng.Intn(n)]
+				gb, err := got.Scan(op, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wb, _ := want.Scan(op, k)
+				if !reflect.DeepEqual(gb, wb) {
+					t.Fatalf("width %d rows %v: Scan %v %d differs", width, r, op, k)
+				}
+			}
 		}
 	}
 }

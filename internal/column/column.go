@@ -19,9 +19,6 @@ type Column struct {
 	Codes []uint64 // one code per row
 }
 
-// Len returns the number of rows.
-func (c *Column) Len() int { return len(c.Codes) }
-
 // Validate checks that every code fits the declared width.
 func (c *Column) Validate() error {
 	if c.Width < 1 || c.Width > 64 {

@@ -6,11 +6,12 @@ import (
 
 	"repro/internal/column"
 	"repro/internal/table"
+	"repro/internal/testutil"
 )
 
 func mustCol(t *testing.T, tbl *table.Table, name string) *column.Column {
 	t.Helper()
-	c, err := tbl.Col(name)
+	c, err := testutil.Column(tbl.ByteSlice(name))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestTPCHSchemaAndDependencies(t *testing.T) {
 		"s_name", "s_acctbal", "supp_nation", "cust_nation",
 		"c_mktsegment", "l_extendedprice", "l_quantity", "o_year", "l_year",
 	} {
-		c, err := tbl.Col(name)
+		c, err := testutil.Column(tbl.ByteSlice(name))
 		if err != nil {
 			t.Fatalf("missing column %s", name)
 		}
@@ -167,7 +168,7 @@ func TestTPCDSSchema(t *testing.T) {
 		"s_store_sk", "s_state", "s_company_id", "d_year", "d_moy",
 		"d_qoy", "ss_sales_price", "ss_quantity", "ss_net_profit",
 	} {
-		if _, err := tbl.Col(name); err != nil {
+		if _, err := tbl.ByteSlice(name); err != nil {
 			t.Errorf("missing column %s", name)
 		}
 	}
@@ -198,7 +199,7 @@ func TestAirlineSchemas(t *testing.T) {
 		"OriginStateName", "RoundTrip", "DollarCred", "FarePerMile",
 		"RPCarrier", "Passengers", "Distance", "DistanceGroup", "ItinGeoType",
 	} {
-		if _, err := ticket.Col(name); err != nil {
+		if _, err := ticket.ByteSlice(name); err != nil {
 			t.Errorf("ticket missing %s", name)
 		}
 	}
@@ -207,7 +208,7 @@ func TestAirlineSchemas(t *testing.T) {
 		"DestAirportID", "OpCarrier", "Passengers", "MktFare",
 		"MktDistance", "MktDistanceGroup", "MktMilesFlown", "ItinGeoType",
 	} {
-		if _, err := market.Col(name); err != nil {
+		if _, err := market.ByteSlice(name); err != nil {
 			t.Errorf("market missing %s", name)
 		}
 	}

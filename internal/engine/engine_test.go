@@ -13,6 +13,7 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/planner"
 	"repro/internal/table"
+	"repro/internal/testutil"
 )
 
 // run executes a query under context.Background(): most tests exercise
@@ -21,10 +22,10 @@ func run(t *table.Table, q Query, opts Options) (*Result, error) {
 	return RunContext(context.Background(), t, q, opts)
 }
 
-// mustCol fetches a column that the test itself added; reference
+// mustCol decodes a column that the test itself added; reference
 // helpers below have no *testing.T, so a missing column panics.
 func mustCol(tbl *table.Table, name string) *column.Column {
-	c, err := tbl.Col(name)
+	c, err := testutil.Column(tbl.ByteSlice(name))
 	if err != nil {
 		panic(err)
 	}
@@ -272,13 +273,17 @@ func refRanks(tbl *table.Table, part []string, orderCol string, filter *Filter) 
 	if filter != nil {
 		fc = mustCol(tbl, filter.Col)
 	}
+	pcs := make([]*column.Column, len(part))
+	for i, name := range part {
+		pcs[i] = mustCol(tbl, name)
+	}
 	for r := 0; r < n; r++ {
 		if fc != nil && fc.Codes[r] != filter.Const {
 			continue
 		}
 		p := make([]uint64, len(part))
-		for i, name := range part {
-			p[i] = mustCol(tbl, name).Codes[r]
+		for i, pc := range pcs {
+			p[i] = pc.Codes[r]
 		}
 		rowsArr = append(rowsArr, row{oid: uint32(r), p: p, o: oc.Codes[r]})
 	}

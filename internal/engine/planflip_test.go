@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/byteslice"
-	"repro/internal/column"
 	"repro/internal/datagen"
 	"repro/internal/plan"
 	"repro/internal/planner"
@@ -195,17 +194,7 @@ func planFlipTable(b *testing.B, skew, shard bool) *table.Table {
 		b.Fatal(err)
 	}
 	if shard {
-		st := table.New(t.Name, t.N/3)
-		for _, name := range t.Columns() {
-			c, err := t.Col(name)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := st.Add(column.FromCodes(c.Name, c.Width, c.Codes[:t.N/3])); err != nil {
-				b.Fatal(err)
-			}
-		}
-		t = st
+		t = t.Slice(0, t.N/3)
 	}
 	planFlipTables.Store(key, t)
 	return t

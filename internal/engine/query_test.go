@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/byteslice"
+	"repro/internal/column"
 	"repro/internal/costmodel"
 	"repro/internal/datagen"
 	"repro/internal/planner"
@@ -51,10 +52,14 @@ func TestSelectMatchesPredicates(t *testing.T) {
 	ctx := context.Background()
 	for name, filters := range cases {
 		var want []uint32
+		fcs := make([]*column.Column, len(filters))
+		for i, f := range filters {
+			fcs[i] = mustCol(tbl, f.Col)
+		}
 		for r := 0; r < tbl.N; r++ {
 			keep := true
-			for _, f := range filters {
-				keep = keep && evalFilter(f, mustCol(tbl, f.Col).Codes[r])
+			for i, f := range filters {
+				keep = keep && evalFilter(f, fcs[i].Codes[r])
 			}
 			if keep {
 				want = append(want, uint32(r))

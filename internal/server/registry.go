@@ -25,12 +25,8 @@ import (
 
 var obsTables = obs.NewGauge("server.tables")
 
-// Registry holds the tables a server instance may query. Registration
-// warms every column's ByteSlice layout and statistics profile so a
-// registered table is effectively immutable: concurrent queries only
-// ever read it, which is the property the engine's shared-table
-// concurrency contract requires (lazy per-column builds racing from
-// two queries would not be safe).
+// Registry holds the tables a server instance may query. A built table
+// is immutable, so concurrent queries share it and only ever read it.
 type Registry struct {
 	mu     sync.RWMutex
 	tables map[string]*table.Table
@@ -41,20 +37,10 @@ func NewRegistry() *Registry {
 	return &Registry{tables: make(map[string]*table.Table)}
 }
 
-// Register adds t under t.Name, building the ByteSlice representation
-// and statistics profile of every column up front. Duplicate names are
-// refused.
+// Register adds t under t.Name. Duplicate names are refused.
 func (r *Registry) Register(t *table.Table) error {
 	if t == nil || t.Name == "" {
 		return fmt.Errorf("server: register: table must be named")
-	}
-	for _, col := range t.Columns() {
-		if _, err := t.ByteSlice(col); err != nil {
-			return fmt.Errorf("server: register %s: %w", t.Name, err)
-		}
-		if _, err := t.Stats(col); err != nil {
-			return fmt.Errorf("server: register %s: %w", t.Name, err)
-		}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -17,7 +17,6 @@ package shard
 import (
 	"fmt"
 
-	"repro/internal/column"
 	"repro/internal/table"
 )
 
@@ -46,24 +45,14 @@ func Ranges(n, shards int) []Range {
 	return rs
 }
 
-// Slice materializes one shard's portion of t: the same name and
-// column widths over the rows of r. Widths are copied, not re-derived,
-// so a shard whose local value range happens to be narrower still
-// agrees with its peers (and with the coordinator) on every code's bit
-// width — the merge keys depend on it.
+// Slice materializes one shard's portion of t, the rows of r, with
+// t.Slice. Widths are carried, not re-derived, so a shard whose local
+// value range happens to be narrower still agrees with its peers (and
+// with the coordinator) on every code's bit width — the merge keys
+// depend on it.
 func Slice(t *table.Table, r Range) (*table.Table, error) {
 	if r.Lo < 0 || r.Hi > t.N || r.Lo > r.Hi {
 		return nil, fmt.Errorf("shard: range [%d,%d) outside table %q of %d rows", r.Lo, r.Hi, t.Name, t.N)
 	}
-	st := table.New(t.Name, r.Len())
-	for _, name := range t.Columns() {
-		c, err := t.Col(name)
-		if err != nil {
-			return nil, err
-		}
-		if err := st.Add(column.FromCodes(c.Name, c.Width, c.Codes[r.Lo:r.Hi])); err != nil {
-			return nil, err
-		}
-	}
-	return st, nil
+	return t.Slice(r.Lo, r.Hi), nil
 }

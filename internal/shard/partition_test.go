@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/column"
 	"repro/internal/table"
+	"repro/internal/testutil"
 )
 
 // TestRangesPartition checks the partitioning law every other property
@@ -54,9 +55,9 @@ func TestRangesClampsShardCount(t *testing.T) {
 }
 
 // TestSliceRoundTrip: a slice carries the owning range's codes verbatim
-// and keeps the FULL table's column width even when the sliced values
-// would fit narrower — the merge keys depend on every shard agreeing on
-// widths.
+// (read back through its ByteSlice) and keeps the FULL table's column
+// width even when the sliced values would fit narrower — the merge keys
+// depend on every shard agreeing on widths.
 func TestSliceRoundTrip(t *testing.T) {
 	const n = 11
 	codes := []uint64{63, 58, 41, 7, 1, 0, 2, 3, 60, 59, 33}
@@ -73,7 +74,7 @@ func TestSliceRoundTrip(t *testing.T) {
 	if st.Name != "t" || st.N != r.Len() {
 		t.Fatalf("slice is %q/%d rows, want %q/%d", st.Name, st.N, "t", r.Len())
 	}
-	c, err := st.Col("x")
+	c, err := testutil.Column(st.ByteSlice("x"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,14 @@
 package table
 
 import (
+	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/column"
+	"repro/internal/costmodel"
+	"repro/internal/testutil"
 )
 
 func mustAdd(t *testing.T, tbl *Table, c *column.Column) {
@@ -13,25 +18,37 @@ func mustAdd(t *testing.T, tbl *Table, c *column.Column) {
 	}
 }
 
-func TestAddAndCol(t *testing.T) {
+// randCodes returns n random w-bit codes drawn from distinct values.
+func randCodes(rng *rand.Rand, n, w, distinct int) []uint64 {
+	codes := make([]uint64, n)
+	for i := range codes {
+		codes[i] = uint64(rng.Intn(distinct)) & column.Mask(w)
+	}
+	return codes
+}
+
+// TestAdd: a column is validated and kept as a copy in its ByteSlice
+// layout, so changing the caller's codes afterwards changes nothing.
+func TestAdd(t *testing.T) {
 	tbl := New("t", 4)
 	c := column.FromCodes("a", 3, []uint64{1, 2, 3, 4})
-	if err := tbl.Add(c); err != nil {
-		t.Fatal(err)
+	mustAdd(t, tbl, c)
+	c.Codes[0] = 7
+	got, err := testutil.Column(tbl.ByteSlice("a"))
+	if err != nil || got.Width != 3 || !reflect.DeepEqual(got.Codes, []uint64{1, 2, 3, 4}) {
+		t.Fatalf("column a = %+v, %v", got, err)
 	}
-	got, err := tbl.Col("a")
-	if err != nil || got != c {
-		t.Fatalf("Col: %v %v", got, err)
-	}
-	if _, err := tbl.Col("missing"); err == nil {
+	if _, err := tbl.ByteSlice("missing"); err == nil {
 		t.Error("missing column accepted")
 	}
 	if err := tbl.Add(c); err == nil {
 		t.Error("duplicate column accepted")
 	}
-	short := column.FromCodes("b", 3, []uint64{1})
-	if err := tbl.Add(short); err == nil {
+	if err := tbl.Add(column.FromCodes("b", 3, []uint64{1})); err == nil {
 		t.Error("length mismatch accepted")
+	}
+	if err := tbl.Add(column.FromCodes("b", 3, []uint64{1, 2, 8, 4})); err == nil {
+		t.Error("code wider than its column accepted")
 	}
 }
 
@@ -50,6 +67,9 @@ func TestByteSliceCached(t *testing.T) {
 		if bs1.Lookup(i) != want {
 			t.Errorf("row %d: %d", i, bs1.Lookup(i))
 		}
+	}
+	if got := tbl.Bytes(); got != 2*8 {
+		t.Errorf("Bytes = %d, want two planes of 8 padded rows", got)
 	}
 }
 
@@ -70,6 +90,65 @@ func TestStatsCachedAndCorrect(t *testing.T) {
 	if _, err := tbl.Stats("missing"); err == nil {
 		t.Error("missing column accepted")
 	}
+}
+
+// TestStatsSample: a column's profile is that of its first statsSample
+// codes, and a table cut from another's planes profiles its own first
+// rows.
+func TestStatsSample(t *testing.T) {
+	const n, w = statsSample + 5000, 21
+	codes := randCodes(rand.New(rand.NewSource(3)), n, w, 1<<w)
+	tbl := New("t", n)
+	mustAdd(t, tbl, column.FromCodes("a", w, codes))
+	got, err := tbl.Stats("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := costmodel.CollectColumnStats(codes[:statsSample], w); !reflect.DeepEqual(got, want) {
+		t.Errorf("Stats = %v, want %v", got, want)
+	}
+
+	for _, r := range [][2]int{{3000, n}, {n - 100, n}, {7, 7}} {
+		got, _ := tbl.Slice(r[0], r[1]).Stats("a")
+		sample := codes[r[0]:min(r[1], r[0]+statsSample)]
+		if want := costmodel.CollectColumnStats(sample, w); !reflect.DeepEqual(got, want) {
+			t.Errorf("rows %v: Stats = %v, want %v", r, got, want)
+		}
+	}
+}
+
+// TestHeapHoldsOnlyPlanes: once built, a table costs its ByteSlice
+// planes and statistics on the heap, not the code arrays it was built
+// from. Not parallel: it reads the process's live heap.
+func TestHeapHoldsOnlyPlanes(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	tbl := wideTable(t)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+
+	limit := 1.25 * float64(tbl.Bytes())
+	for _, name := range tbl.Columns() {
+		st, _ := tbl.Stats(name)
+		limit += float64(8 * len(st.PrefixDistinct))
+	}
+	if grew := float64(after.HeapAlloc) - float64(before.HeapAlloc); grew > limit {
+		t.Errorf("live heap grew %.0f B for a table of %d plane bytes, want at most %.0f", grew, tbl.Bytes(), limit)
+	}
+	runtime.KeepAlive(tbl)
+}
+
+// wideTable builds 8 columns of 2^16 rows; their code arrays are
+// garbage once it returns.
+func wideTable(t *testing.T) *Table {
+	const n = 1 << 16
+	rng := rand.New(rand.NewSource(4))
+	tbl := New("wide", n)
+	for i, w := range []int{5, 9, 13, 17, 21, 25, 29, 33} {
+		mustAdd(t, tbl, column.FromCodes(string(rune('a'+i)), w, randCodes(rng, n, w, 1<<min(w, 30))))
+	}
+	return tbl
 }
 
 func TestColumnsListing(t *testing.T) {

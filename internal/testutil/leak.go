@@ -1,6 +1,5 @@
-// Package testutil holds shared test-only helpers. It is stdlib-only so
-// any package in the module can import it without widening the
-// dependency graph.
+// Package testutil holds shared test-only helpers. It imports only the
+// standard library, obs, column and byteslice.
 package testutil
 
 import (
