@@ -351,10 +351,32 @@ func NewSearch(q Query, st costmodel.Stats, opts Options) *planner.Search {
 // for a serving process, and workers never reach the search, so a
 // cached choice is shared by every request whose search it answers.
 func (b *Bound) PlanKey(limit *int, offset int, pin []int) string {
+	rows, groups := SortCut(b.Query, limit, offset)
+	return b.searchKey(fmt.Sprintf("|cut=%d/%d|pin=%v", rows, groups, pin))
+}
+
+// OrderKey is the key of the column order the plan search of the bound
+// query cut at (limit, offset), with its order pinned to pin, picks in
+// its first half when it splits (planner.Search.Splits): PlanKey
+// without the cut, which that half does not read. ok is false when the
+// search does not split — no cut (no limit, LIMIT 0, ORDER BY
+// <aggregate>), a pinned order, an ORDER BY, or a free prefix of one
+// column — and then it has no order to share.
+func (b *Bound) OrderKey(limit *int, offset int, pin []int) (key string, ok bool) {
+	shape := costmodel.Stats{Cols: make([]costmodel.ColumnStats, len(b.Sort))}
+	if !NewSearch(b.Query, shape, Options{Limit: limit, Offset: offset, FixedColOrder: pin}).Splits() {
+		return "", false
+	}
+	return b.searchKey("|order"), true
+}
+
+// searchKey is the table, its row count, the clause kind, cut (the
+// search's cut and pin, or the order tag), the sort columns and the
+// filters: the key format PlanKey and OrderKey share.
+func (b *Bound) searchKey(cut string) string {
 	t, q := b.Table, b.Query
-	rows, groups := SortCut(q, limit, offset)
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "t=%s|n=%d|k=%d|cut=%d/%d|pin=%v", t.Name, t.N, q.Kind, rows, groups, pin)
+	fmt.Fprintf(&sb, "t=%s|n=%d|k=%d%s", t.Name, t.N, q.Kind, cut)
 	for i, sc := range b.Sort {
 		tag := "c"
 		if i == len(q.SortCols) {

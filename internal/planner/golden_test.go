@@ -238,3 +238,32 @@ func TestTruncatedSearchKeepsUnlimitedOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestPinnedOrderIsTheSplitsSecondHalf guards what a serving plan
+// cache's order entries rely on: a truncated search pinned to the order
+// its unlimited search chose (what any earlier page of the query found)
+// returns exactly the choice of the whole split search, at every cut
+// and budget.
+func TestPinnedOrderIsTheSplitsSecondHalf(t *testing.T) {
+	groups := uniformStats(21, 1<<18, []int{9, 14, 20}, []int{300, 9000, 200000})
+	for _, maxPlans := range []int{8192, 50} {
+		for _, limit := range []int{1, 100, 3700, 51200} {
+			topk := topKSearch(t, limit)
+			topk.MaxPlans = maxPlans
+			group := &Search{Model: costmodel.Builtin(), Stats: groups, Kind: GroupBy, Rho: -1, MaxPlans: maxPlans}
+			group.Stats.LimitGroups = limit
+			for _, s := range []*Search{topk, group} {
+				if !s.Splits() {
+					t.Fatalf("cap %d limit %d kind %v: search does not split", maxPlans, limit, s.Kind)
+				}
+				unlimited := *s
+				unlimited.Stats.LimitRows, unlimited.Stats.LimitGroups = 0, 0
+				pinned := *s
+				pinned.FixedOrder = roga(&unlimited).ColOrder
+				if got, want := fmt.Sprint(roga(&pinned)), fmt.Sprint(roga(s)); got != want {
+					t.Errorf("cap %d limit %d kind %v: pinned search chose %s, the split search %s", maxPlans, limit, s.Kind, got, want)
+				}
+			}
+		}
+	}
+}

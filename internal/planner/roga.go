@@ -54,7 +54,7 @@ func ROGAContext(ctx context.Context, s *Search) (Choice, error) {
 	defer span.End()
 	var best Choice
 	var err error
-	if len(s.FixedOrder) == 0 && s.FreePrefix() > 1 && (s.Stats.LimitRows > 0 || s.Stats.LimitGroups > 0) {
+	if s.Splits() {
 		unlimited := *s
 		unlimited.Stats.LimitRows, unlimited.Stats.LimitGroups = 0, 0
 		if best, err = rogaSearch(ctx, &unlimited); err == nil {
@@ -68,6 +68,15 @@ func ROGAContext(ctx context.Context, s *Search) (Choice, error) {
 	obsChosenCostNS.Set(int64(best.Est))
 	obsChosenRounds.Set(int64(len(best.Plan.Rounds)))
 	return best, err
+}
+
+// Splits reports whether ROGAContext runs s as two searches: a
+// truncated search whose column order is free to move. Its first half
+// reads nothing of the limit, so any truncated search of the same
+// query picks the same order, and a caller that has it may pin it
+// (FixedOrder) to run the second half alone.
+func (s *Search) Splits() bool {
+	return len(s.FixedOrder) == 0 && s.FreePrefix() > 1 && (s.Stats.LimitRows > 0 || s.Stats.LimitGroups > 0)
 }
 
 // rogaSearch is one ROGA search over the orders s allows, the limit

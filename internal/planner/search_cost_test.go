@@ -139,14 +139,25 @@ func TestComboWalkMatchesReferenceGreedy(t *testing.T) {
 
 var benchChoice Choice
 
-// BenchmarkROGATopKSearch times the cold plan search every
-// serve_topk_cold query pays.
+// BenchmarkROGATopKSearch times the cold plan search of a
+// serve_topk_cold page: /split is the whole truncated search (the
+// unlimited order search, then the widths under the cut), what the
+// first page of the query pays; /pinned-order is its second half
+// alone, what a later page that pins the cached order pays.
 func BenchmarkROGATopKSearch(b *testing.B) {
-	s := topKSearch(b, 3700)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchChoice = roga(s)
+	split := topKSearch(b, 3700)
+	pinned := *split
+	pinned.FixedOrder = roga(split).ColOrder
+	for _, bc := range []struct {
+		name string
+		s    *Search
+	}{{"split", split}, {"pinned-order", &pinned}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchChoice = roga(bc.s)
+			}
+		})
 	}
 }
 

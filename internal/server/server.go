@@ -289,8 +289,17 @@ func (s *Server) runEngine(ctx context.Context, jobID string, req QueryRequest, 
 		lim := *req.Limit
 		opts.Limit = &lim
 	}
+	// A page that missed its plan entry pins the column order an
+	// earlier page of its shape found and searches only the widths
+	// (PlanCache.PageOrder).
+	var orderKey string
+	var order []int
 	if hit {
 		opts.PlanOverride = &choice
+	} else if cacheable {
+		if orderKey, order = s.cache.PageOrder(b, req.Limit, req.Offset, req.ColOrder); order != nil {
+			opts.FixedColOrder = order
+		}
 	}
 
 	execStart := time.Now()
@@ -305,6 +314,9 @@ func (s *Server) runEngine(ctx context.Context, jobID string, req QueryRequest, 
 			Plan:     eres.Plan,
 			Est:      eres.PredictedMCS,
 		})
+		if order == nil {
+			s.cache.FillOrder(orderKey, eres.ColOrder)
+		}
 	}
 	return buildResult(jobID, req, eres, hit, queueWait, time.Since(execStart)), nil
 }

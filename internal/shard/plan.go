@@ -8,7 +8,9 @@
 // replays the winning ColOrder on every shard via the col_order wire
 // field. The choice is memoized in a server.PlanCache under the single
 // node's plan key (engine.Bound.PlanKey): the search reads the full
-// table, never the shard topology.
+// table, never the shard topology. A page that misses it reuses the
+// cache's order entry as the single node does (PlanCache.PageOrder), so
+// its pin search costs only the widths.
 package shard
 
 import (
@@ -41,13 +43,17 @@ func (c *Coordinator) pinnedChoice(ctx context.Context, b *engine.Bound, req ser
 		return planner.Choice{}, false, err
 	}
 	obsPinSearches.Inc()
+	orderKey, order := c.cache.PageOrder(b, req.Limit, req.Offset, nil)
 	choice, _, err := b.ChoosePlan(ctx, sel.Count(), engine.Options{
 		Massaging: true, Model: c.cfg.Model, Rho: c.cfg.Rho, MaxPlans: c.cfg.MaxPlans,
-		Limit: req.Limit, Offset: req.Offset,
+		Limit: req.Limit, Offset: req.Offset, FixedColOrder: order,
 	})
 	if err != nil {
 		return planner.Choice{}, false, err
 	}
 	c.cache.Put(key, choice)
+	if order == nil {
+		c.cache.FillOrder(orderKey, choice.ColOrder)
+	}
 	return choice, false, nil
 }

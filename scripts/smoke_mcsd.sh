@@ -3,7 +3,9 @@
 # build, start against a small TPC-H table, run a query through
 # mcsquery and then again with only its worker count changed, assert the
 # second run hit the plan cache (workers never reach the plan search;
-# visible on /metrics), that the daemon kept no result mcsquery was
+# visible on /metrics), that a second page of a window query reused the
+# column order its first page found (server.plancache_order_hits on
+# /metrics), that the daemon kept no result mcsquery was
 # handed and a plain POST /query is still answered 202, then SIGTERM and
 # require a clean drain (exit 0).
 set -euo pipefail
@@ -81,11 +83,26 @@ QUERY_W1="${QUERY/\"workers\":2/\"workers\":1}"
 [[ "$QUERY_W1" != "$QUERY" ]] || fail "the query names no \"workers\":2 to change"
 run_query "$QUERY_W1" | grep -q '"plan_cache_hit":true' || fail "second query (workers 1) missed the plan cache"
 
-echo "smoke_mcsd: checking /metrics for plancache hits"
-METRICS=$(curl -fsS "$BASE/metrics")
-HITS=$(printf '%s' "$METRICS" | tr -d ' \n' \
+# Two pages of one window query: the second misses its own plan entry
+# but pins the column order the first page's search found.
+PAGE='{"table":"tpch_wide","kind":"partitionby","sort_cols":[{"name":"supp_nation"},{"name":"cust_nation"},{"name":"p_brand"}],"window":{"order_col":"l_extendedprice","desc":true},"limit":50,"offset":0}'
+echo "smoke_mcsd: two pages of a window query (order-entry reuse)"
+FIRST_PAGE=$(run_query "$PAGE")
+PAGE2="${PAGE/\"offset\":0/\"offset\":200}"
+[[ "$PAGE2" != "$PAGE" ]] || fail "the page names no \"offset\":0 to change"
+SECOND_PAGE=$(run_query "$PAGE2")
+for P in "$FIRST_PAGE" "$SECOND_PAGE"; do
+  grep -q '"plan_cache_hit":false' <<<"$P" || fail "a page of a new cut reported a plan-cache hit"
+done
+
+echo "smoke_mcsd: checking /metrics for plancache hits and order hits"
+METRICS=$(curl -fsS "$BASE/metrics" | tr -d ' \n')
+HITS=$(printf '%s' "$METRICS" \
   | sed -n 's/.*"name":"server\.plancache_hits","value":\([0-9]*\).*/\1/p')
 [[ -n "$HITS" && "$HITS" -ge 1 ]] || fail "server.plancache_hits=$HITS, want >= 1"
+ORDER_HITS=$(printf '%s' "$METRICS" \
+  | sed -n 's/.*"name":"server\.plancache_order_hits","value":\([0-9]*\).*/\1/p')
+[[ -n "$ORDER_HITS" && "$ORDER_HITS" -ge 1 ]] || fail "server.plancache_order_hits=$ORDER_HITS, want >= 1"
 
 echo "smoke_mcsd: draining with SIGTERM"
 kill -TERM "$MCSD_PID"
