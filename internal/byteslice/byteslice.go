@@ -24,30 +24,43 @@ type BS struct {
 	shift  uint     // left-align shift: planes store code << shift
 }
 
-// FromColumn converts an encoded column to the ByteSlice layout.
-func FromColumn(c *column.Column) *BS {
-	nPlanes := (c.Width + 7) / 8
+// New returns an n-row ByteSlice of the given width (1..64) whose
+// codes are all 0; Set fills it in.
+func New(width, n int) *BS {
+	nPlanes := (width + 7) / 8
 	bs := &BS{
-		Width:  c.Width,
-		N:      len(c.Codes),
+		Width:  width,
+		N:      n,
 		planes: make([][]byte, nPlanes),
-		shift:  uint(nPlanes*8 - c.Width),
+		shift:  uint(nPlanes*8 - width),
 	}
-	padded := (bs.N + 7) &^ 7
+	padded := (n + 7) &^ 7
 	for p := range bs.planes {
 		bs.planes[p] = make([]byte, padded)
 	}
+	return bs
+}
+
+// Set stores code, which must fit bs.Width bits, at row i.
+func (bs *BS) Set(i int, code uint64) {
+	v := code << bs.shift
+	for p := len(bs.planes) - 1; p >= 0; p-- {
+		bs.planes[p][i] = byte(v)
+		v >>= 8
+	}
+}
+
+// FromColumn converts an encoded column to the ByteSlice layout.
+func FromColumn(c *column.Column) *BS {
+	bs := New(c.Width, len(c.Codes))
 	for i, code := range c.Codes {
-		v := code << bs.shift
-		for p := 0; p < nPlanes; p++ {
-			bs.planes[p][i] = byte(v >> uint(8*(nPlanes-1-p)))
-		}
+		bs.Set(i, code)
 	}
 	return bs
 }
 
 // Slice returns rows [lo, hi) of bs as a ByteSlice of the same width
-// with planes of its own, zero-padded like FromColumn's.
+// with planes of its own, zero-padded like New's.
 func (bs *BS) Slice(lo, hi int) *BS {
 	s := &BS{Width: bs.Width, N: hi - lo, planes: make([][]byte, len(bs.planes)), shift: bs.shift}
 	for p, plane := range bs.planes {
@@ -70,13 +83,11 @@ func (bs *BS) Lookup(i int) uint64 {
 	return v >> bs.shift
 }
 
-// Codes decodes the codes of rows [0, n).
-func (bs *BS) Codes(n int) []uint64 {
-	codes := make([]uint64, n)
-	for i := range codes {
-		codes[i] = bs.Lookup(i)
+// Decode sets dst[i] to the code at row i for every i < len(dst) <= bs.N.
+func (bs *BS) Decode(dst []uint64) {
+	for i := range dst {
+		dst[i] = bs.Lookup(i)
 	}
-	return codes
 }
 
 // gatherBlock is the number of rows Gather decodes before moving on: a

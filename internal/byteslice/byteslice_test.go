@@ -160,6 +160,51 @@ func TestNonMultipleOf8Rows(t *testing.T) {
 	}
 }
 
+// TestNewSetEncodes: New plus Set, with the rows set in any order and
+// set again over an earlier code, lays out every plane byte as the
+// layout defines it — code << shift, most significant byte first, the
+// padding zero — and equals FromColumn, at every width 1..64 and on row
+// counts that are not multiples of 8.
+func TestNewSetEncodes(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	for width := 1; width <= 64; width++ {
+		for _, n := range []int{0, 1, 7, 8, 9, 100, 1001} {
+			codes := make([]uint64, n)
+			for i := range codes {
+				codes[i] = rng.Uint64() & column.Mask(width)
+			}
+			bs := New(width, n)
+			for _, i := range rng.Perm(n) {
+				bs.Set(i, ^codes[i]&column.Mask(width))
+			}
+			for _, i := range rng.Perm(n) {
+				bs.Set(i, codes[i])
+			}
+			nPlanes := (width + 7) / 8
+			if len(bs.planes) != nPlanes || bs.shift != uint(8*nPlanes-width) || bs.Width != width || bs.N != n {
+				t.Fatalf("width %d n %d: %d planes, shift %d", width, n, len(bs.planes), bs.shift)
+			}
+			for p, plane := range bs.planes {
+				if len(plane) != (n+7)&^7 {
+					t.Fatalf("width %d n %d: plane %d holds %d bytes", width, n, p, len(plane))
+				}
+				for i, b := range plane {
+					want := byte(0)
+					if i < n {
+						want = byte(codes[i] << bs.shift >> (8 * (nPlanes - 1 - p)))
+					}
+					if b != want {
+						t.Fatalf("width %d n %d: plane %d row %d = %#x, want %#x", width, n, p, i, b, want)
+					}
+				}
+			}
+			if want := FromColumn(column.FromCodes("c", width, codes)); !reflect.DeepEqual(bs, want) {
+				t.Fatalf("width %d n %d: New+Set differs from FromColumn", width, n)
+			}
+		}
+	}
+}
+
 // TestSliceMatchesFromColumn: Slice(lo, hi) is FromColumn over the
 // codes of rows [lo, hi) — planes and zero padding byte for byte, and
 // the same Scan and Gather answers — at every plane count, on unaligned

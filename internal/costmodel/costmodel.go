@@ -323,8 +323,18 @@ func CollectStats(cols [][]uint64, widths []int) Stats {
 // CollectColumnStats computes one column's prefix-distinct profile; the
 // WideTable caches these per column so plan search does not pay for
 // statistics collection at query time (as in any DBMS, statistics are
-// maintained ahead of queries).
+// maintained ahead of queries). It sorts a copy of codes, which must
+// fit width bits.
 func CollectColumnStats(codes []uint64, width int) ColumnStats {
+	buf := make([]uint64, 2*len(codes))
+	copy(buf, codes)
+	return CollectColumnStatsInPlace(buf[:len(codes)], buf[len(codes):], width)
+}
+
+// CollectColumnStatsInPlace is CollectColumnStats that sorts codes
+// itself, with scratch (at least as long) as the sort's second buffer:
+// a caller that owns its sample allocates nothing more.
+func CollectColumnStatsInPlace(codes, scratch []uint64, width int) ColumnStats {
 	cs := ColumnStats{Width: width, PrefixDistinct: make([]float64, width+1)}
 	cs.PrefixDistinct[0] = 1
 	if len(codes) == 0 {
@@ -333,13 +343,12 @@ func CollectColumnStats(codes []uint64, width int) ColumnStats {
 		}
 		return cs
 	}
-	sorted := append([]uint64(nil), codes...)
-	sortUint64(sorted)
+	sortUint64(codes, scratch, width)
 	// splits[L] = adjacent pairs whose longest common prefix is exactly
 	// L bits (counted from the top of the w-bit code).
 	splits := make([]int, width+1)
-	for i := 1; i < len(sorted); i++ {
-		x := sorted[i-1] ^ sorted[i]
+	for i := 1; i < len(codes); i++ {
+		x := codes[i-1] ^ codes[i]
 		if x == 0 {
 			continue
 		}
@@ -353,26 +362,31 @@ func CollectColumnStats(codes []uint64, width int) ColumnStats {
 	return cs
 }
 
-func sortUint64(a []uint64) {
-	// Simple LSD radix sort by bytes: O(8N), fine for stats collection.
-	buf := make([]uint64, len(a))
-	for shift := uint(0); shift < 64; shift += 8 {
+// sortUint64 sorts a, whose values fit width bits, with an LSD radix
+// sort over its ⌈width/8⌉ low bytes, using buf (at least len(a) long)
+// as the second buffer.
+func sortUint64(a, buf []uint64, width int) {
+	buf = buf[:len(a)]
+	src, dst := a, buf
+	passes := (width + 7) / 8
+	for shift := uint(0); shift < uint(8*passes); shift += 8 {
 		var count [257]int
-		for _, v := range a {
+		for _, v := range src {
 			count[int(byte(v>>shift))+1]++
 		}
 		for i := 1; i < 257; i++ {
 			count[i] += count[i-1]
 		}
-		for _, v := range a {
+		for _, v := range src {
 			b := int(byte(v >> shift))
-			buf[count[b]] = v
+			dst[count[b]] = v
 			count[b]++
 		}
-		a, buf = buf, a
+		src, dst = dst, src
 	}
-	// 64/8 = 8 passes (an even count), so the result ends up back in the
-	// caller's slice.
+	if passes%2 == 1 {
+		copy(a, buf)
+	}
 }
 
 // Load reads a model from a JSON profile (cmd/calibrate writes one). It

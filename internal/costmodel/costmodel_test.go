@@ -68,19 +68,24 @@ func TestCollectStatsSkewed(t *testing.T) {
 	}
 }
 
+// TestSortUint64: the width-bounded radix sort sorts codes of every
+// width 1..64, whether it makes an odd or an even number of byte
+// passes, and empty and one-code inputs.
 func TestSortUint64(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{0, 1, 2, 100, 4096} {
-		a := make([]uint64, n)
-		for i := range a {
-			a[i] = rng.Uint64()
-		}
-		want := append([]uint64(nil), a...)
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		sortUint64(a)
-		for i := range a {
-			if a[i] != want[i] {
-				t.Fatalf("n=%d: mismatch at %d", n, i)
+	for w := 1; w <= 64; w++ {
+		for _, n := range []int{0, 1, 2, 100, 4096} {
+			a := make([]uint64, n)
+			for i := range a {
+				a[i] = rng.Uint64() & column.Mask(w)
+			}
+			want := append([]uint64(nil), a...)
+			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+			sortUint64(a, make([]uint64, n), w)
+			for i := range a {
+				if a[i] != want[i] {
+					t.Fatalf("w=%d n=%d: mismatch at %d", w, n, i)
+				}
 			}
 		}
 	}

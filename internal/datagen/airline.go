@@ -3,7 +3,6 @@ package datagen
 import (
 	"math/rand"
 
-	"repro/internal/column"
 	"repro/internal/table"
 )
 
@@ -37,39 +36,23 @@ func AirlineTicket(cfg AirlineConfig) (*table.Table, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	n := cfg.Rows
-	t := table.New("ticket", n)
-
-	var addErr error
-	add := func(name string, width int, gen func(int) uint64) {
-		if addErr != nil {
-			return
-		}
-		codes := make([]uint64, n)
-		for i := range codes {
-			codes[i] = gen(i)
-		}
-		addErr = t.Add(column.FromCodes(name, width, codes))
-	}
-
-	add("ItinID", bits(n), func(i int) uint64 { return uint64(i) })
-	add("Year", bits(nYears), drawFn(rng, nYears, false))
-	add("Quarter", 2, drawFn(rng, nQuarters, false))
-	add("OriginAirportID", bits(nAirports), drawFn(rng, nAirports, false))
-	add("OriginCountry", bits(nCountries), drawFn(rng, nCountries, false))
-	add("OriginStateName", bits(nStates), drawFn(rng, nStates, false))
-	add("RoundTrip", 1, drawFn(rng, 2, false))
-	add("DollarCred", 1, drawFn(rng, 2, false))
-	// Fare per mile in hundredths of a cent: heavily skewed in reality.
-	add("FarePerMile", 17, priceDraw(rng, 0, 100_000, true))
-	add("RPCarrier", bits(nCarriers), drawFn(rng, nCarriers, false))
-	add("Passengers", 8, drawFn(rng, 200, true))
-	add("Distance", 13, drawFn(rng, 6_000, false))
-	add("DistanceGroup", bits(nDistGroup), drawFn(rng, nDistGroup, false))
-	add("ItinGeoType", 2, drawFn(rng, nGeoTypes, false))
-	if addErr != nil {
-		return nil, addErr
-	}
-	return t, nil
+	return addColumns(table.New("ticket", n), []spec{
+		{"ItinID", bits(n), func(i int) uint64 { return uint64(i) }},
+		{"Year", bits(nYears), drawFn(rng, nYears, false)},
+		{"Quarter", 2, drawFn(rng, nQuarters, false)},
+		{"OriginAirportID", bits(nAirports), drawFn(rng, nAirports, false)},
+		{"OriginCountry", bits(nCountries), drawFn(rng, nCountries, false)},
+		{"OriginStateName", bits(nStates), drawFn(rng, nStates, false)},
+		{"RoundTrip", 1, drawFn(rng, 2, false)},
+		{"DollarCred", 1, drawFn(rng, 2, false)},
+		// Fare per mile in hundredths of a cent: heavily skewed in reality.
+		{"FarePerMile", 17, priceDraw(rng, 0, 100_000, true)},
+		{"RPCarrier", bits(nCarriers), drawFn(rng, nCarriers, false)},
+		{"Passengers", 8, drawFn(rng, 200, true)},
+		{"Distance", 13, drawFn(rng, 6_000, false)},
+		{"DistanceGroup", bits(nDistGroup), drawFn(rng, nDistGroup, false)},
+		{"ItinGeoType", 2, drawFn(rng, nGeoTypes, false)},
+	})
 }
 
 // AirlineMarket generates the Market relation of Table 4.
@@ -79,35 +62,19 @@ func AirlineMarket(cfg AirlineConfig) (*table.Table, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
 	n := cfg.Rows
-	t := table.New("market", n)
-
-	var addErr error
-	add := func(name string, width int, gen func(int) uint64) {
-		if addErr != nil {
-			return
-		}
-		codes := make([]uint64, n)
-		for i := range codes {
-			codes[i] = gen(i)
-		}
-		addErr = t.Add(column.FromCodes(name, width, codes))
-	}
-
-	add("ItinID", bits(n), func(i int) uint64 { return uint64(i) })
-	add("MktID", bits(2*n), func(i int) uint64 { return uint64(2 * i) })
-	add("Year", bits(nYears), drawFn(rng, nYears, false))
-	add("Quarter", 2, drawFn(rng, nQuarters, false))
-	add("OriginAirportID", bits(nAirports), drawFn(rng, nAirports, false))
-	add("DestAirportID", bits(nAirports), drawFn(rng, nAirports, false))
-	add("OpCarrier", bits(nCarriers), drawFn(rng, nCarriers, false))
-	add("Passengers", 8, drawFn(rng, 200, true))
-	add("MktFare", 20, priceDraw(rng, 0, 800_000, true))
-	add("MktDistance", 13, drawFn(rng, 6_000, false))
-	add("MktDistanceGroup", bits(nDistGroup), drawFn(rng, nDistGroup, false))
-	add("MktMilesFlown", 13, drawFn(rng, 6_000, false))
-	add("ItinGeoType", 2, drawFn(rng, nGeoTypes, false))
-	if addErr != nil {
-		return nil, addErr
-	}
-	return t, nil
+	return addColumns(table.New("market", n), []spec{
+		{"ItinID", bits(n), func(i int) uint64 { return uint64(i) }},
+		{"MktID", bits(2 * n), func(i int) uint64 { return uint64(2 * i) }},
+		{"Year", bits(nYears), drawFn(rng, nYears, false)},
+		{"Quarter", 2, drawFn(rng, nQuarters, false)},
+		{"OriginAirportID", bits(nAirports), drawFn(rng, nAirports, false)},
+		{"DestAirportID", bits(nAirports), drawFn(rng, nAirports, false)},
+		{"OpCarrier", bits(nCarriers), drawFn(rng, nCarriers, false)},
+		{"Passengers", 8, drawFn(rng, 200, true)},
+		{"MktFare", 20, priceDraw(rng, 0, 800_000, true)},
+		{"MktDistance", 13, drawFn(rng, 6_000, false)},
+		{"MktDistanceGroup", bits(nDistGroup), drawFn(rng, nDistGroup, false)},
+		{"MktMilesFlown", 13, drawFn(rng, 6_000, false)},
+		{"ItinGeoType", 2, drawFn(rng, nGeoTypes, false)},
+	})
 }

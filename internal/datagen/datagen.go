@@ -7,12 +7,19 @@
 // consume: the schema, the encoded code widths, the distinct-value
 // cardinalities, and the functional dependencies between columns (via
 // proper dimension→fact expansion), at a configurable row count.
+//
+// The table generators write each column straight into its ByteSlice
+// planes (table.AddCodes) and hold no code arrays: dimension attributes
+// and fact references are 32-bit, and per-row-unique or constant
+// attributes are computed, not stored. Every random draw is made in a
+// fixed order, so a seed fixes each table byte for byte.
 package datagen
 
 import (
 	"math/rand"
 
 	"repro/internal/column"
+	"repro/internal/table"
 )
 
 // Uniform generates the paper's synthetic column (Section 3): n codes
@@ -81,29 +88,42 @@ func newZipf(rng *rand.Rand, n int) zipf {
 
 func (z zipf) next() int { return int(z.z.Uint64()) }
 
-// dimension is a helper for fact-table generation: a pool of dimension
-// rows, each holding one encoded attribute value per attribute.
-type dimension struct {
-	n     int
-	attrs map[string][]uint64
-}
-
-// newDimension creates a dimension with n rows.
-func newDimension(n int) *dimension {
-	return &dimension{n: n, attrs: make(map[string][]uint64)}
-}
-
-// attr adds an attribute whose per-row values are drawn by gen.
-func (d *dimension) attr(name string, gen func(row int) uint64) {
-	vals := make([]uint64, d.n)
+// attr draws one attribute of a dimension's rows 0..n-1, in row order.
+// Every attribute's domain fits 32 bits: it is a small constant or a
+// pool of dimension rows, no larger than the key domain sparseKeys
+// checks.
+func attr(n int, gen func(row int) uint64) []uint32 {
+	vals := make([]uint32, n)
 	for i := range vals {
-		vals[i] = gen(i)
+		vals[i] = uint32(gen(i))
 	}
-	d.attrs[name] = vals
+	return vals
 }
 
-// pick returns attribute values of dimension row r.
-func (d *dimension) get(name string, r int) uint64 { return d.attrs[name][r] }
+// via returns the codes of a fact column that reads a dimension
+// attribute through a reference column: row i's code is vals[ref[i]].
+func via(vals, ref []uint32) func(int) uint64 {
+	return func(i int) uint64 { return uint64(vals[ref[i]]) }
+}
+
+// spec is a generated column: its name, its width and the code of each
+// row.
+type spec struct {
+	name  string
+	width int
+	code  func(row int) uint64
+}
+
+// addColumns encodes the columns into t, in order: a column whose codes
+// are draws makes them while it is added.
+func addColumns(t *table.Table, cols []spec) (*table.Table, error) {
+	for _, c := range cols {
+		if err := t.AddCodes(c.name, c.width, c.code); err != nil {
+			return nil, err
+		}
+	}
+	return t, nil
+}
 
 // uniformDraw returns a generator of uniform draws over [0, card).
 func uniformDraw(rng *rand.Rand, card int) func(int) uint64 {

@@ -236,3 +236,33 @@ func TestDistinctValuesUnique(t *testing.T) {
 		t.Errorf("3-bit domain: got %d values, want 8", len(vals))
 	}
 }
+
+// TestSparseKeys: the 32-bit permutation takes exactly math/rand's Perm
+// draws, so a seed gives the same keys and leaves the stream where
+// Perm leaves it; a pool wider than the permutation wraps; and a key
+// domain beyond 32 bits is refused, by TPCH too.
+func TestSparseKeys(t *testing.T) {
+	for _, domain := range []int{1, 2, 7, 1000} {
+		got, err := sparseKeys(rand.New(rand.NewSource(11)), domain, 2*domain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(11))
+		want := rng.Perm(domain)
+		for r, k := range got {
+			if int(k) != want[r%domain] {
+				t.Fatalf("domain %d: key %d = %d, want %d", domain, r, k, want[r%domain])
+			}
+		}
+		after := rand.New(rand.NewSource(11))
+		if _, err := sparseKeys(after, domain, 0); err != nil || after.Int63() != rng.Int63() {
+			t.Fatalf("domain %d: the stream after sparseKeys differs from the one after Perm", domain)
+		}
+	}
+	if _, err := sparseKeys(rand.New(rand.NewSource(1)), 1<<32+1, 1); err == nil {
+		t.Error("a key domain of 2^32+1 accepted")
+	}
+	if _, err := TPCH(TPCHConfig{SF: 2864, Rows: 100}); err == nil {
+		t.Error("TPCH at SF 2864 (order keys beyond 32 bits) accepted")
+	}
+}

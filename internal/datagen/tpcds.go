@@ -3,7 +3,6 @@ package datagen
 import (
 	"math/rand"
 
-	"repro/internal/column"
 	"repro/internal/table"
 )
 
@@ -17,7 +16,8 @@ type TPCDSConfig struct {
 // TPCDS generates a store_sales-grain WideTable carrying the columns of
 // the four evaluated queries (Q36, Q53, Q67, Q89 — PARTITION BY window
 // queries over item/date/store dimensions, the class the paper selects
-// from the twelve eligible TPC-DS queries).
+// from the twelve eligible TPC-DS queries). It fails only on a key
+// domain that does not fit 32 bits.
 func TPCDS(cfg TPCDSConfig) (*table.Table, error) {
 	if cfg.SF < 1 {
 		cfg.SF = 1
@@ -33,84 +33,56 @@ func TPCDS(cfg TPCDSConfig) (*table.Table, error) {
 	const nCategories = 10
 	const nClasses = 100
 	const nBrands = 714
-	const nMonths = 12
 	const nMoy = 12
 	const nQoy = 4
 
 	poolItems := minInt(nItems, cfg.Rows)
-	items := newDimension(poolItems)
-	items.attr("i_key", sparseKeys(rng, nItems))
-	items.attr("i_category", drawFn(rng, nCategories, false))
-	items.attr("i_class", drawFn(rng, nClasses, false))
-	items.attr("i_brand", drawFn(rng, nBrands, false))
-	items.attr("i_manufact", drawFn(rng, 1000, false))
+	iKey, err := sparseKeys(rng, nItems, poolItems)
+	if err != nil {
+		return nil, err
+	}
+	iCategory := attr(poolItems, drawFn(rng, nCategories, false))
+	iClass := attr(poolItems, drawFn(rng, nClasses, false))
+	iBrand := attr(poolItems, drawFn(rng, nBrands, false))
+	iManufact := attr(poolItems, drawFn(rng, 1000, false))
 
-	poolStores := minInt(nStores*4, cfg.Rows) // a few stores even at SF1
-	stores := newDimension(maxInt(poolStores, 4))
-	stores.attr("s_key", sparseKeys(rng, maxInt(nStores, 4)))
-	stores.attr("s_state", drawFn(rng, 9, false))
-	stores.attr("s_company", drawFn(rng, 2, false))
+	poolStores := maxInt(minInt(nStores*4, cfg.Rows), 4) // a few stores even at SF1
+	sKey, err := sparseKeys(rng, maxInt(nStores, 4), poolStores)
+	if err != nil {
+		return nil, err
+	}
+	sState := attr(poolStores, drawFn(rng, 9, false))
+	sCompany := attr(poolStores, drawFn(rng, 2, false))
 
-	dates := newDimension(nDates)
-	dates.attr("d_year", func(i int) uint64 { return uint64(i / 365) })
-	dates.attr("d_moy", func(i int) uint64 { return uint64((i / 30) % nMoy) })
-	dates.attr("d_qoy", func(i int) uint64 { return uint64((i / 91) % nQoy) })
-
+	// The date dimension's attributes are functions of the date row.
 	n := cfg.Rows
-	t := table.New("tpcds_wide", n)
-
-	itemRef := make([]int, n)
-	storeRef := make([]int, n)
-	dateRef := make([]int, n)
+	itemRef := make([]uint32, n)
+	storeRef := make([]uint32, n)
+	dateRef := make([]uint32, n)
 	for i := 0; i < n; i++ {
-		itemRef[i] = rng.Intn(items.n)
-		storeRef[i] = rng.Intn(stores.n)
-		dateRef[i] = rng.Intn(nDates)
+		itemRef[i] = uint32(rng.Intn(poolItems))
+		storeRef[i] = uint32(rng.Intn(poolStores))
+		dateRef[i] = uint32(rng.Intn(nDates))
 	}
 
-	var addErr error
-	addVia := func(name string, width int, dim *dimension, attr string, ref []int) {
-		if addErr != nil {
-			return
-		}
-		codes := make([]uint64, n)
-		for i := range codes {
-			codes[i] = dim.get(attr, ref[i])
-		}
-		addErr = t.Add(column.FromCodes(name, width, codes))
-	}
-	addDirect := func(name string, width int, gen func(int) uint64) {
-		if addErr != nil {
-			return
-		}
-		codes := make([]uint64, n)
-		for i := range codes {
-			codes[i] = gen(i)
-		}
-		addErr = t.Add(column.FromCodes(name, width, codes))
-	}
+	return addColumns(table.New("tpcds_wide", n), []spec{
+		{"i_item_sk", bits(nItems), via(iKey, itemRef)},
+		{"i_category", bits(nCategories), via(iCategory, itemRef)},
+		{"i_class", bits(nClasses), via(iClass, itemRef)},
+		{"i_brand", bits(nBrands), via(iBrand, itemRef)},
+		{"i_manufact_id", 10, via(iManufact, itemRef)},
 
-	addVia("i_item_sk", bits(nItems), items, "i_key", itemRef)
-	addVia("i_category", bits(nCategories), items, "i_category", itemRef)
-	addVia("i_class", bits(nClasses), items, "i_class", itemRef)
-	addVia("i_brand", bits(nBrands), items, "i_brand", itemRef)
-	addVia("i_manufact_id", 10, items, "i_manufact", itemRef)
+		{"s_store_sk", bits(maxInt(nStores, 4)), via(sKey, storeRef)},
+		{"s_state", 4, via(sState, storeRef)},
+		{"s_company_id", 1, via(sCompany, storeRef)},
 
-	addVia("s_store_sk", bits(maxInt(nStores, 4)), stores, "s_key", storeRef)
-	addVia("s_state", 4, stores, "s_state", storeRef)
-	addVia("s_company_id", 1, stores, "s_company", storeRef)
+		{"d_year", 3, func(i int) uint64 { return uint64(dateRef[i] / 365) }},
+		{"d_moy", 4, func(i int) uint64 { return uint64(dateRef[i] / 30 % nMoy) }},
+		{"d_qoy", 2, func(i int) uint64 { return uint64(dateRef[i] / 91 % nQoy) }},
 
-	addVia("d_year", 3, dates, "d_year", dateRef)
-	addVia("d_moy", 4, dates, "d_moy", dateRef)
-	addVia("d_qoy", 2, dates, "d_qoy", dateRef)
-
-	addDirect("ss_sales_price", 20, priceDraw(rng, 0, 300_00, false))
-	addDirect("ss_quantity", 7, drawFn(rng, 100, false))
-	addDirect("ss_net_profit", 21, priceDraw(rng, -10_000_00, 10_000_00, false))
-	_ = nClasses
-	_ = nMonths
-	if addErr != nil {
-		return nil, addErr
-	}
-	return t, nil
+		// Sales-grain columns, drawn row by row as they are added.
+		{"ss_sales_price", 20, priceDraw(rng, 0, 300_00, false)},
+		{"ss_quantity", 7, drawFn(rng, 100, false)},
+		{"ss_net_profit", 21, priceDraw(rng, -10_000_00, 10_000_00, false)},
+	})
 }

@@ -1,9 +1,9 @@
 package datagen
 
 import (
+	"fmt"
 	"math/rand"
 
-	"repro/internal/column"
 	"repro/internal/table"
 )
 
@@ -29,8 +29,8 @@ type TPCHConfig struct {
 // functional dependencies (o_orderkey → o_orderdate, c_custkey →
 // c_name, …) hold exactly as in real data — they are what makes later
 // sort rounds cheap or free, so they matter for reproduction fidelity.
-// The only error condition is an inconsistent schema (duplicate or
-// length-mismatched column), reported instead of panicking.
+// It fails only on a key domain that does not fit 32 bits (an SF above
+// 2,863).
 func TPCH(cfg TPCHConfig) (*table.Table, error) {
 	if cfg.SF < 1 {
 		cfg.SF = 1
@@ -58,145 +58,125 @@ func TPCH(cfg TPCHConfig) (*table.Table, error) {
 	poolParts := minInt(nParts, cfg.Rows)
 	poolSupp := minInt(nSupp, cfg.Rows)
 
-	orders := newDimension(poolOrders)
-	orders.attr("o_key", sparseKeys(rng, nOrders))
-	orders.attr("o_orderdate", drawFn(rng, nDates, cfg.Skew))
-	orders.attr("o_totalprice", priceDraw(rng, 100, 500_000, cfg.Skew))
-	orders.attr("o_shippriority", func(int) uint64 { return 0 })
-	orders.attr("o_custref", drawFn(rng, poolCust, cfg.Skew))
-	// Year is functionally dependent on the date.
-	orders.attr("o_year", func(i int) uint64 {
-		return orders.get("o_orderdate", i) / 366
-	})
+	// Dimension attributes. An order's year is functionally dependent
+	// on its date, and a customer's name, phone, address and comment are
+	// its row number, so none of those is stored.
+	oKey, err := sparseKeys(rng, nOrders, poolOrders)
+	if err != nil {
+		return nil, err
+	}
+	oDate := attr(poolOrders, drawFn(rng, nDates, cfg.Skew))
+	oPrice := attr(poolOrders, priceDraw(rng, 100, 500_000, cfg.Skew))
+	oCust := attr(poolOrders, drawFn(rng, poolCust, cfg.Skew))
 
-	cust := newDimension(poolCust)
-	cust.attr("c_key", sparseKeys(rng, nCust))
-	cust.attr("c_name", identityKeys())
-	cust.attr("c_acctbal", priceDraw(rng, -99_999, 999_999, cfg.Skew))
-	cust.attr("c_phone", identityKeys())
-	cust.attr("c_nation", drawFn(rng, nNations, cfg.Skew))
-	cust.attr("c_address", identityKeys())
-	cust.attr("c_comment", identityKeys())
-	cust.attr("c_mktsegment", drawFn(rng, 5, cfg.Skew))
+	cKey, err := sparseKeys(rng, nCust, poolCust)
+	if err != nil {
+		return nil, err
+	}
+	cBal := attr(poolCust, priceDraw(rng, -99_999, 999_999, cfg.Skew))
+	cNation := attr(poolCust, drawFn(rng, nNations, cfg.Skew))
+	cSegment := attr(poolCust, drawFn(rng, 5, cfg.Skew))
 
-	parts := newDimension(poolParts)
-	parts.attr("p_key", sparseKeys(rng, nParts))
-	parts.attr("p_brand", drawFn(rng, 25, cfg.Skew))
-	parts.attr("p_type", drawFn(rng, 150, cfg.Skew))
-	parts.attr("p_size", drawFn(rng, 50, cfg.Skew))
+	pKey, err := sparseKeys(rng, nParts, poolParts)
+	if err != nil {
+		return nil, err
+	}
+	pBrand := attr(poolParts, drawFn(rng, 25, cfg.Skew))
+	pType := attr(poolParts, drawFn(rng, 150, cfg.Skew))
+	pSize := attr(poolParts, drawFn(rng, 50, cfg.Skew))
 
-	supp := newDimension(poolSupp)
-	supp.attr("s_key", sparseKeys(rng, nSupp))
-	supp.attr("s_name", identityKeys())
-	supp.attr("s_acctbal", priceDraw(rng, -99_999, 999_999, cfg.Skew))
-	supp.attr("s_nation", drawFn(rng, nNations, cfg.Skew))
+	// No column reads the supplier keys, but their permutation's draws
+	// keep their place in the stream.
+	if _, err := sparseKeys(rng, nSupp, 0); err != nil {
+		return nil, err
+	}
+	sBal := attr(poolSupp, priceDraw(rng, -99_999, 999_999, cfg.Skew))
+	sNation := attr(poolSupp, drawFn(rng, nNations, cfg.Skew))
 
+	// Fact-grain foreign keys: roughly 4 lineitems per order. A
+	// lineitem's customer is read through its order's o_custref.
 	n := cfg.Rows
-	t := table.New("tpch_wide", n)
-
-	// Fact-grain foreign keys: roughly 4 lineitems per order.
-	orderRef := make([]int, n)
-	partRef := make([]int, n)
-	suppRef := make([]int, n)
+	orderRef := make([]uint32, n)
+	partRef := make([]uint32, n)
+	suppRef := make([]uint32, n)
 	drawOrder := drawFn(rng, poolOrders, cfg.Skew)
 	drawPart := drawFn(rng, poolParts, cfg.Skew)
 	drawSupp := drawFn(rng, poolSupp, cfg.Skew)
 	for i := range orderRef {
-		if i%4 == 0 || i == 0 {
-			orderRef[i] = int(drawOrder(i))
+		if i%4 == 0 {
+			orderRef[i] = uint32(drawOrder(i))
 		} else {
 			orderRef[i] = orderRef[i-1] // cluster lineitems per order
 		}
-		partRef[i] = int(drawPart(i))
-		suppRef[i] = int(drawSupp(i))
+		partRef[i] = uint32(drawPart(i))
+		suppRef[i] = uint32(drawSupp(i))
+	}
+	custRow := func(i int) uint64 { return uint64(oCust[orderRef[i]]) }
+	viaCust := func(vals []uint32) func(int) uint64 {
+		return func(i int) uint64 { return uint64(vals[oCust[orderRef[i]]]) }
 	}
 
-	var addErr error
-	addVia := func(name string, width int, dim *dimension, attr string, ref []int) {
-		if addErr != nil {
-			return
-		}
-		codes := make([]uint64, n)
-		for i := range codes {
-			codes[i] = dim.get(attr, ref[i])
-		}
-		addErr = t.Add(column.FromCodes(name, width, codes))
-	}
+	return addColumns(table.New("tpch_wide", n), []spec{
+		// Lineitem-grain columns, drawn row by row as they are added.
+		{"l_returnflag", 2, drawFn(rng, 3, cfg.Skew)},
+		{"l_linestatus", 1, drawFn(rng, 2, cfg.Skew)},
+		{"l_quantity", 6, drawFn(rng, 50, cfg.Skew)},
+		{"l_extendedprice", 21, priceDraw(rng, 90_000, 2_000_000, cfg.Skew)},
+		{"l_discount", 4, drawFn(rng, 11, cfg.Skew)},
+		{"l_tax", 4, drawFn(rng, 9, cfg.Skew)},
+		{"l_shipdate", bits(nDates), drawFn(rng, nDates, cfg.Skew)},
+		{"l_year", 3, drawFn(rng, nYears, cfg.Skew)},
 
-	// Lineitem-grain columns.
-	addDirect := func(name string, width int, gen func(int) uint64) {
-		if addErr != nil {
-			return
-		}
-		codes := make([]uint64, n)
-		for i := range codes {
-			codes[i] = gen(i)
-		}
-		addErr = t.Add(column.FromCodes(name, width, codes))
-	}
-	addDirect("l_returnflag", 2, drawFn(rng, 3, cfg.Skew))
-	addDirect("l_linestatus", 1, drawFn(rng, 2, cfg.Skew))
-	addDirect("l_quantity", 6, drawFn(rng, 50, cfg.Skew))
-	addDirect("l_extendedprice", 21, priceDraw(rng, 90_000, 2_000_000, cfg.Skew))
-	addDirect("l_discount", 4, drawFn(rng, 11, cfg.Skew))
-	addDirect("l_tax", 4, drawFn(rng, 9, cfg.Skew))
-	addDirect("l_shipdate", bits(nDates), drawFn(rng, nDates, cfg.Skew))
-	addDirect("l_year", 3, drawFn(rng, nYears, cfg.Skew))
+		{"l_orderkey", bits(nOrders), via(oKey, orderRef)},
+		{"o_orderdate", bits(nDates), via(oDate, orderRef)},
+		{"o_year", 3, func(i int) uint64 { return uint64(oDate[orderRef[i]] / 366) }},
+		{"o_totalprice", 21, via(oPrice, orderRef)},
+		{"o_shippriority", 1, func(int) uint64 { return 0 }},
 
-	addVia("l_orderkey", bits(nOrders), orders, "o_key", orderRef)
-	addVia("o_orderdate", bits(nDates), orders, "o_orderdate", orderRef)
-	addVia("o_year", 3, orders, "o_year", orderRef)
-	addVia("o_totalprice", 21, orders, "o_totalprice", orderRef)
-	addVia("o_shippriority", 1, orders, "o_shippriority", orderRef)
+		{"c_custkey", bits(nCust), viaCust(cKey)},
+		{"c_name", bits(poolCust), custRow},
+		{"c_acctbal", 21, viaCust(cBal)},
+		{"c_phone", bits(poolCust), custRow},
+		{"n_name", 5, viaCust(cNation)},
+		{"c_address", bits(poolCust), custRow},
+		{"c_comment", bits(poolCust), custRow},
+		{"c_mktsegment", 3, viaCust(cSegment)},
+		{"cust_nation", 5, viaCust(cNation)},
 
-	custRef := make([]int, n)
-	for i := range custRef {
-		custRef[i] = int(orders.get("o_custref", orderRef[i]))
-	}
-	addVia("c_custkey", bits(nCust), cust, "c_key", custRef)
-	addVia("c_name", bits(poolCust), cust, "c_name", custRef)
-	addVia("c_acctbal", 21, cust, "c_acctbal", custRef)
-	addVia("c_phone", bits(poolCust), cust, "c_phone", custRef)
-	addVia("n_name", 5, cust, "c_nation", custRef)
-	addVia("c_address", bits(poolCust), cust, "c_address", custRef)
-	addVia("c_comment", bits(poolCust), cust, "c_comment", custRef)
-	addVia("c_mktsegment", 3, cust, "c_mktsegment", custRef)
-	addVia("cust_nation", 5, cust, "c_nation", custRef)
+		{"p_partkey", bits(nParts), via(pKey, partRef)},
+		{"p_brand", 5, via(pBrand, partRef)},
+		{"p_type", 8, via(pType, partRef)},
+		{"p_size", 6, via(pSize, partRef)},
 
-	addVia("p_partkey", bits(nParts), parts, "p_key", partRef)
-	addVia("p_brand", 5, parts, "p_brand", partRef)
-	addVia("p_type", 8, parts, "p_type", partRef)
-	addVia("p_size", 6, parts, "p_size", partRef)
-
-	addVia("s_name", bits(poolSupp), supp, "s_name", suppRef)
-	addVia("s_acctbal", 21, supp, "s_acctbal", suppRef)
-	addVia("supp_nation", 5, supp, "s_nation", suppRef)
-
-	if addErr != nil {
-		return nil, addErr
-	}
-	return t, nil
+		{"s_name", bits(poolSupp), func(i int) uint64 { return uint64(suppRef[i]) }},
+		{"s_acctbal", 21, via(sBal, suppRef)},
+		{"supp_nation", 5, via(sNation, suppRef)},
+	})
 }
 
-// sparseKeys returns a generator of unique key codes spread over a
-// domain-sized space: the i-th dimension row gets a stable pseudo-random
-// key below `domain`, so key-column widths match the full-scale domain.
-func sparseKeys(rng *rand.Rand, domain int) func(int) uint64 {
-	perm := rng.Perm(minInt(domain, 1<<22))
-	scale := domain / len(perm)
-	if scale < 1 {
-		scale = 1
+// sparseKeys returns the keys of a dimension's rows 0..pool-1: unique
+// codes spread over a domain-sized space, so key-column widths match
+// the full-scale domain. Row r's key is entry r (cyclically) of a
+// random permutation of min(domain, 2^22) slots, scaled up to the
+// domain. The permutation takes math/rand's Perm draws, one Intn(i+1)
+// per slot in order, but holds 32-bit entries; a domain whose keys do
+// not fit 32 bits is refused.
+func sparseKeys(rng *rand.Rand, domain, pool int) ([]uint32, error) {
+	if domain < 1 || uint64(domain) > 1<<32 {
+		return nil, fmt.Errorf("datagen: key domain %d outside 1..2^32", domain)
 	}
-	return func(row int) uint64 {
-		return uint64(perm[row%len(perm)] * scale)
+	perm := make([]uint32, minInt(domain, 1<<22))
+	for i := range perm {
+		j := rng.Intn(i + 1)
+		perm[i] = perm[j]
+		perm[j] = uint32(i)
 	}
-}
-
-// identityKeys makes the attribute equal to the dimension row number —
-// used for per-row-unique attributes (names, phones, addresses) whose
-// dictionary code is dense.
-func identityKeys() func(int) uint64 {
-	return func(row int) uint64 { return uint64(row) }
+	scale := uint32(domain / len(perm))
+	keys := make([]uint32, pool)
+	for r := range keys {
+		keys[r] = perm[r%len(perm)] * scale
+	}
+	return keys, nil
 }
 
 // priceDraw returns scaled-decimal codes over [lo, hi] (in cents); the

@@ -37,26 +37,49 @@ func New(name string, n int) *Table {
 }
 
 // Add attaches a column in its ByteSlice layout; its length must match
-// the table and its codes fit its width (the layout keeps only Width
-// bits of a code). The table keeps neither c nor its codes.
+// the table, and AddCodes refuses what else is wrong with it. The table
+// keeps neither c nor its codes.
 func (t *Table) Add(c *column.Column) error {
 	if len(c.Codes) != t.N {
 		return fmt.Errorf("table %s: column %s has %d rows, want %d", t.Name, c.Name, len(c.Codes), t.N)
 	}
-	if err := c.Validate(); err != nil {
-		return fmt.Errorf("table %s: %w", t.Name, err)
+	return t.AddCodes(c.Name, c.Width, func(row int) uint64 { return c.Codes[row] })
+}
+
+// AddCodes attaches a column of the given width whose code at each row
+// is code(row), encoding the codes straight into its ByteSlice planes
+// (the layout keeps only width bits of a code). It refuses a width
+// outside 1..64, a duplicate name and a code wider than width, and a
+// refused column leaves t as it was.
+func (t *Table) AddCodes(name string, width int, code func(row int) uint64) error {
+	if width < 1 || width > 64 {
+		return fmt.Errorf("table %s: column %q: width %d out of range", t.Name, name, width)
 	}
-	if _, dup := t.bs[c.Name]; dup {
-		return fmt.Errorf("table %s: duplicate column %s", t.Name, c.Name)
+	if _, dup := t.bs[name]; dup {
+		return fmt.Errorf("table %s: duplicate column %s", t.Name, name)
 	}
-	t.put(c.Name, byteslice.FromColumn(c))
+	bs := byteslice.New(width, t.N)
+	mask := column.Mask(width)
+	for i := 0; i < t.N; i++ {
+		v := code(i)
+		if v&^mask != 0 {
+			return fmt.Errorf("table %s: column %q: code %d at row %d exceeds %d bits", t.Name, name, v, i, width)
+		}
+		bs.Set(i, v)
+	}
+	t.put(name, bs)
 	return nil
 }
 
-// put attaches bs with the statistics profile of its first rows.
+// put attaches bs with the statistics profile of its first rows,
+// decoded into one buffer that also serves as the profile sort's
+// scratch.
 func (t *Table) put(name string, bs *byteslice.BS) {
+	n := min(bs.N, statsSample)
+	buf := make([]uint64, 2*n)
+	bs.Decode(buf[:n])
 	t.bs[name] = bs
-	t.stats[name] = costmodel.CollectColumnStats(bs.Codes(min(bs.N, statsSample)), bs.Width)
+	t.stats[name] = costmodel.CollectColumnStatsInPlace(buf[:n], buf[n:], bs.Width)
 }
 
 // Slice returns rows [lo, hi) of t, 0 <= lo <= hi <= t.N, as a table of

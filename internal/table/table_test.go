@@ -52,6 +52,54 @@ func TestAdd(t *testing.T) {
 	}
 }
 
+// TestAddCodes: AddCodes encodes a column straight from its code
+// function; it refuses an out-of-range width, a duplicate name and a
+// code one bit too wide with Add's error text, and a refused column
+// leaves the table as it was.
+func TestAddCodes(t *testing.T) {
+	tbl := New("t", 4)
+	if err := tbl.AddCodes("a", 3, func(row int) uint64 { return uint64(row) + 4 }); err != nil {
+		t.Fatal(err)
+	}
+	got, err := testutil.Column(tbl.ByteSlice("a"))
+	if err != nil || got.Width != 3 || !reflect.DeepEqual(got.Codes, []uint64{4, 5, 6, 7}) {
+		t.Fatalf("column a = %+v, %v", got, err)
+	}
+	cols, bytes := tbl.Columns(), tbl.Bytes()
+	stats, _ := tbl.Stats("a")
+	fits := func(int) uint64 { return 1 }
+	for _, c := range []struct {
+		name  string
+		width int
+		code  func(int) uint64
+		want  string
+	}{
+		{"b", 0, fits, `table t: column "b": width 0 out of range`},
+		{"b", 65, fits, `table t: column "b": width 65 out of range`},
+		{"a", 3, fits, `table t: duplicate column a`},
+		{"b", 5, func(row int) uint64 { return uint64(row/3) << 5 }, `table t: column "b": code 32 at row 3 exceeds 5 bits`},
+	} {
+		err := tbl.AddCodes(c.name, c.width, c.code)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("AddCodes(%q, %d) = %v, want %q", c.name, c.width, err, c.want)
+		}
+		codes := make([]uint64, tbl.N)
+		for i := range codes {
+			codes[i] = c.code(i)
+		}
+		if err := tbl.Add(column.FromCodes(c.name, c.width, codes)); err == nil || err.Error() != c.want {
+			t.Errorf("Add(%q, %d) = %v, want %q", c.name, c.width, err, c.want)
+		}
+		st, _ := tbl.Stats("a")
+		if !reflect.DeepEqual(tbl.Columns(), cols) || tbl.Bytes() != bytes || !reflect.DeepEqual(st, stats) {
+			t.Errorf("refused column %q changed the table: columns %v, %d bytes", c.name, tbl.Columns(), tbl.Bytes())
+		}
+		if _, err := tbl.Stats("b"); err == nil && c.name == "b" {
+			t.Errorf("refused column %q has a statistics profile", c.name)
+		}
+	}
+}
+
 func TestByteSliceCached(t *testing.T) {
 	tbl := New("t", 3)
 	mustAdd(t, tbl, column.FromCodes("a", 9, []uint64{100, 200, 300}))

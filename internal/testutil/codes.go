@@ -12,5 +12,7 @@ func Column(bs *byteslice.BS, err error) (*column.Column, error) {
 	if err != nil {
 		return nil, err
 	}
-	return column.FromCodes("", bs.Width, bs.Codes(bs.N)), nil
+	codes := make([]uint64, bs.N)
+	bs.Decode(codes)
+	return column.FromCodes("", bs.Width, codes), nil
 }
