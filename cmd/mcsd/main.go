@@ -1,7 +1,7 @@
 // Command mcsd is the MCS query daemon: a long-running concurrent
 // query service over WideTables (docs/serving.md). It loads the
 // requested workload tables once, shares them read-only across
-// queries, memoizes ROGA plan search in an LRU plan cache, and bounds
+// queries, memoizes the plan search in an LRU plan cache, and bounds
 // concurrent work with an admission controller (queue with
 // deadline-aware timeouts, memory-budget worker degradation, graceful
 // drain on SIGINT/SIGTERM). Plans are priced by the builtin cost model,

@@ -1,7 +1,7 @@
 // Command mcsplan explains a code-massage plan search for an ad-hoc
 // multi-column sort: given column widths (and optional distinct counts),
-// it prints the baseline plan and the ROGA pick with its estimate. The
-// search is mcsd's, engine.NewSearch: costmodel.Builtin(), the model
+// it prints the baseline plan and the search's pick with its estimate.
+// The search is mcsd's, engine.NewSearch: costmodel.Builtin(), the model
 // mcsd plans with when it is not handed a calibration, no wall-clock
 // threshold unless -rho sets one, and the daemon's default counted
 // budget — so the pick is the plan mcsd would choose for the same
@@ -11,7 +11,7 @@
 //	mcsplan -widths 17,33 -distinct 8192,8192 -rows 16777216
 //	mcsplan -widths 5,8,6 -clause groupby
 //	mcsplan -widths 12,17,20 -clause partitionby -limit 100
-//	mcsplan -widths 12,17 -execute -workers 4   # run the ROGA pick too
+//	mcsplan -widths 12,17 -execute -workers 4   # run the search pick too
 //
 // Under -clause partitionby the last width is the window's ORDER BY
 // column, which stays last, and -limit/-offset cut ranked rows; under
@@ -48,7 +48,7 @@ func main() {
 		rho          = flag.Float64("rho", -1, "search time threshold (negative = unbounded, as mcsd runs)")
 		seed         = flag.Int64("seed", 1, "generator seed")
 		metrics      = flag.String("metrics", "", "emit an obs metrics snapshot (search counters) at exit: json | text")
-		execute      = flag.Bool("execute", false, "generate -rows rows and execute the ROGA pick")
+		execute      = flag.Bool("execute", false, "generate -rows rows and execute the search pick")
 		workers      = flag.Int("workers", 1, "worker goroutines for -execute (output is identical for any value)")
 		limit        = flag.Int("limit", 0, "LIMIT: search and -execute the truncated sort of the first limit+offset ranked rows (partitionby) or groups (0 = full output)")
 		offset       = flag.Int("offset", 0, "with -limit: leading rows or groups to skip before the limit window")
@@ -138,24 +138,24 @@ func main() {
 	}
 	base := s.Baseline()
 	fmt.Printf("P0 (column-at-a-time): %-40s est %8.2f ms\n", base.Plan, base.Est/1e6)
-	roga, err := planner.ROGAContext(ctx, s)
+	pick, err := planner.ROGAContext(ctx, s)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mcsplan: plan search: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("ROGA pick:             %-40s est %8.2f ms (order %v, %.2fx vs P0)\n",
-		roga.Plan, roga.Est/1e6, roga.ColOrder, base.Est/roga.Est)
+	fmt.Printf("search pick:           %-40s est %8.2f ms (order %v, %.2fx vs P0)\n",
+		pick.Plan, pick.Est/1e6, pick.ColOrder, base.Est/pick.Est)
 
 	if *execute {
 		inputs := make([]massage.Input, len(widths))
-		for _, c := range roga.ColOrder {
+		for _, c := range pick.ColOrder {
 			inputs[c] = massage.Input{
 				Codes: datagen.Uniform(rng, *rows, widths[c], distinct[c]).Codes,
 				Width: widths[c],
 			}
 		}
 		// The engine's sort, cut where the search priced it.
-		res, _, err := engine.SortColumns(ctx, q, inputs, roga, opts)
+		res, _, err := engine.SortColumns(ctx, q, inputs, pick, opts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mcsplan: execute: %v\n", err)
 			dumpMetrics(*metrics)

@@ -65,9 +65,9 @@ func main() {
 	}
 
 	fmt.Printf("groups: %d (of %d filtered rows)\n", len(on.GroupKeys), on.Rows)
-	fmt.Printf("P0:   plan %-38s mcs %7.2f ms\n",
+	fmt.Printf("P0:          plan %-38s mcs %7.2f ms\n",
 		off.Plan, float64(off.Timing.MCS.Total().Microseconds())/1000)
-	fmt.Printf("ROGA: plan %-38s mcs %7.2f ms (%.2fx), column order %v\n",
+	fmt.Printf("search pick: plan %-38s mcs %7.2f ms (%.2fx), column order %v\n",
 		on.Plan, float64(on.Timing.MCS.Total().Microseconds())/1000,
 		float64(off.Timing.MCS.Total())/float64(on.Timing.MCS.Total()),
 		on.ColOrder)

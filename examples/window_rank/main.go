@@ -67,9 +67,9 @@ func main() {
 	}
 
 	fmt.Printf("ranked %d rows across partitions\n", on.Rows)
-	fmt.Printf("P0:   plan %-40s mcs %7.2f ms\n",
+	fmt.Printf("P0:          plan %-40s mcs %7.2f ms\n",
 		off.Plan, float64(off.Timing.MCS.Total().Microseconds())/1000)
-	fmt.Printf("ROGA: plan %-40s mcs %7.2f ms (%.2fx)\n",
+	fmt.Printf("search pick: plan %-40s mcs %7.2f ms (%.2fx)\n",
 		on.Plan, float64(on.Timing.MCS.Total().Microseconds())/1000,
 		float64(off.Timing.MCS.Total())/float64(on.Timing.MCS.Total()))
 

@@ -380,7 +380,7 @@ func hooked(term SortTerm) *Model {
 	return m
 }
 
-func TestTSortAfterDupAware(t *testing.T) {
+func TestRoundSortDupAware(t *testing.T) {
 	// 2^18 rows over 16 distinct 20-bit values: heavy duplication. The
 	// Model.Sort hook receives the duplicate fraction of the round's
 	// key, so a term that discounts duplicates must estimate the
@@ -389,7 +389,7 @@ func TestTSortAfterDupAware(t *testing.T) {
 	m := hooked(dupTerm(0))
 	md := hooked(dupTerm(0.9))
 	heavy := uniformStats(1<<18, []int{20}, []int{16})
-	if !(md.Profile(heavy).TSortAfter(0, 32) < m.Profile(heavy).TSortAfter(0, 32)) {
+	if !(md.Profile(heavy).Round(0, 20, 32).Sort < m.Profile(heavy).Round(0, 20, 32).Sort) {
 		t.Error("discounted model must price dup-heavy sorts cheaper")
 	}
 	// An all-unique column has duplicate fraction 0 — the discount must not move it.
@@ -398,7 +398,7 @@ func TestTSortAfterDupAware(t *testing.T) {
 		uniq[i] = uint64(i)
 	}
 	light := CollectStats([][]uint64{uniq}, []int{20})
-	lg, lw := md.Profile(light).TSortAfter(0, 32), m.Profile(light).TSortAfter(0, 32)
+	lg, lw := md.Profile(light).Round(0, 20, 32).Sort, m.Profile(light).Round(0, 20, 32).Sort
 	if lg != lw {
 		t.Errorf("unique column must be unaffected: %v vs %v", lg, lw)
 	}

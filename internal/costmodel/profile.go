@@ -2,6 +2,7 @@ package costmodel
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/mergesort"
 	"repro/internal/obs"
@@ -12,13 +13,11 @@ var obsProfiles = obs.NewCounter("costmodel.profiles_built")
 
 // Profile is the cost model bound to one column order: everything the
 // round terms need of (model, stats), tabulated per prefix length
-// bits ∈ [0, W], so costing a plan is array arithmetic. A plan search
-// costs thousands of plans per order and every one asks the same ≤ W+1
-// questions of the statistics; asking them per plan was 5/6 of the
-// search. Rows and memos fill on first use — a search its stopwatch ends
-// after a few candidates pays only for the prefixes it asked about — so
-// a Profile is not safe for concurrent use; it is per-search scratch,
-// dropped with the search.
+// bits ∈ [0, W], so costing a round is array arithmetic. The plan search
+// costs every round of the order (Optimal), and all of them ask the
+// same ≤ W+1 questions of the statistics, so each is asked once. Rows
+// fill on first use, so a Profile is not safe for concurrent use; it is
+// per-search scratch, dropped with the search.
 type Profile struct {
 	m       *Model
 	st      Stats
@@ -33,24 +32,6 @@ type Profile struct {
 	surv  []float64 // rows surviving truncation at group boundaries
 	calls []float64 // sort calls of the next round (N_sort); 0 = none
 	avg   []float64 // rows per call
-
-	// after[bankSlot][bits] memoises TSortAfter(bits, bank), and
-	// first[bankSlot][width] the sort cost of a first round width bits
-	// wide; −1 = not computed yet.
-	after, first [3][]float64
-}
-
-// bankSlot is bank's index in plan.Banks; −1 for a bank no plan may use.
-func bankSlot(bank int) int {
-	switch bank {
-	case 16:
-		return 0
-	case 32:
-		return 1
-	case 64:
-		return 2
-	}
-	return -1
 }
 
 // Profile binds the model to st's column order.
@@ -64,7 +45,7 @@ func (m *Model) Profile(st Stats) *Profile {
 			pf.colOf = append(pf.colOf, i)
 		}
 	}
-	tables := make([]float64, 11*(w+1))
+	tables := make([]float64, 5*(w+1))
 	for i := range tables {
 		tables[i] = -1
 	}
@@ -74,9 +55,6 @@ func (m *Model) Profile(st Stats) *Profile {
 		return t
 	}
 	pf.dup, pf.group, pf.surv, pf.calls, pf.avg = take(), take(), take(), take(), take()
-	for s := range pf.after {
-		pf.after[s], pf.first[s] = take(), take()
-	}
 	return pf
 }
 
@@ -202,51 +180,16 @@ func (pf *Profile) at(bits int) int {
 	return bits
 }
 
-// TSortAfter estimates the summed sort cost of a round that uses a
-// b-bit bank after bitsBefore bits have already been sorted: Equation 1
-// over the group profile those bits induce. This is the quantity the
-// greedy plan search minimizes when assigning bits to a round; since
-// the round width is not fixed yet, the widest key the bank could hold
-// stands in for it. bank is one of plan.Banks.
-func (pf *Profile) TSortAfter(bitsBefore, bank int) float64 {
-	memo := &pf.after[bankSlot(bank)][pf.at(bitsBefore)]
-	if *memo < 0 {
-		*memo = pf.tSortAfterWidth(bitsBefore, min(pf.w-bitsBefore, bank), bank)
-	}
-	return *memo
-}
-
-// ArgminSortAfter returns the first bitsBefore in [from, to] that
-// minimises TSortAfter(bitsBefore, bank): the greedy width choice of the
-// plan search, read straight off the memo row.
-func (pf *Profile) ArgminSortAfter(from, to, bank int) int {
-	memo := pf.after[bankSlot(bank)]
-	best, bestCost := from, 0.0
-	for b := from; b <= to; b++ {
-		c := memo[pf.at(b)]
-		if c < 0 {
-			c = pf.TSortAfter(b, bank)
-		}
-		if b == from || c < bestCost {
-			best, bestCost = b, c
-		}
-	}
-	return best
-}
-
-// tSortAfterWidth is TSortAfter with the round's actual key width: the
-// radix kernel scatters once per live digit of exactly the bits this
-// round sorts, and the paper term's duplicate fraction covers them. The
-// fraction is taken over all rows (not only rows in non-singleton
-// groups) — an approximation that errs toward less discount, since
-// singleton rows are globally unique.
+// tSortAfterWidth is Equation 1 for a round that sorts width bits in a
+// bank-bit bank after bitsBefore bits have already been sorted, over the
+// group profile those bits induce: the radix kernel scatters once per
+// live digit of exactly the bits this round sorts, and the paper term's
+// duplicate fraction covers them. The fraction is taken over all rows
+// (not only rows in non-singleton groups) — an approximation that errs
+// toward less discount, since singleton rows are globally unique.
 func (pf *Profile) tSortAfterWidth(bitsBefore, width, bank int) float64 {
 	if bitsBefore <= 0 {
-		memo := &pf.first[bankSlot(bank)][pf.at(width)]
-		if *memo < 0 {
-			*memo = pf.tSortFirst(width, bank)
-		}
-		return *memo
+		return pf.tSortFirst(width, bank)
 	}
 	i := pf.row(bitsBefore)
 	if pf.calls[i] < 1 {
@@ -341,108 +284,149 @@ type Terms struct {
 func (t Terms) Total() float64 { return t.Massage + t.Sort + t.Lookup + t.Scan }
 
 // TMCS estimates the total multi-column sorting time of plan p, which
-// must cover the profile's W bits: massage upfront — with the gather of
-// every source column's ByteSlice once (tSourceGather), since no query
-// materializes its sort columns — then per round a lookup (rounds ≥ 2),
-// the sorts, and a group-extraction scan.
-// Truncated stats (LimitRows/LimitGroups > 0) model the deferred
-// execution instead: massage is paid per round — in full for round 1,
-// with the gather of its source columns' ByteSlices (tSourceGather),
-// then only over the surviving prefix, whose round keys are gathered
-// from the input columns through the permutation (tGather) — and the
-// scan passes shrink with the survivors, which is what makes massaging
-// rarely pay below small K (the upfront FIP work no longer amortizes
-// over cheap later rounds).
-//
-// incumbent is the estimate to beat. Every term is ≥ 0, so the running
-// sum is a lower bound of the total in floating point too; once it
-// reaches incumbent the plan cannot win and TMCS returns the partial
-// sum (≥ incumbent) with complete = false. Pass +Inf to cost in full.
-func (pf *Profile) TMCS(p plan.Plan, incumbent float64) (est float64, complete bool) {
-	return pf.tmcs(p, incumbent, nil)
+// must cover the profile's W bits: Base, then each round's cost (Round)
+// in round order.
+func (pf *Profile) TMCS(p plan.Plan) float64 {
+	t, lo := pf.Base(), 0
+	for _, r := range p.Rounds {
+		t += pf.Round(lo, r.Width, r.Bank).Total()
+		lo += r.Width
+	}
+	return t
 }
 
-// tmcs is TMCS that also splits the sum into terms when terms is
-// non-nil; the search passes nil.
-func (pf *Profile) tmcs(p plan.Plan, incumbent float64, terms *Terms) (t float64, complete bool) {
-	m := pf.m
-	if !pf.limited {
-		iFIP, lo := 0, 0
-		for _, r := range p.Rounds {
-			iFIP += pf.roundFIPs(lo, r.Width)
-			lo += r.Width
+// Base is the part of T_mcs no plan choice moves. An unlimited plan
+// massages every row of every source column, and nothing is
+// materialized before the sort, so the massage first gathers each
+// column's ByteSlice once (tSourceGather). Under a row or group limit
+// the gather is the first round's, part of that round's massage.
+func (pf *Profile) Base() float64 {
+	if pf.limited {
+		return 0
+	}
+	return pf.m.tSourceGather(pf.st.N, pf.roundPlanes(0, pf.w))
+}
+
+// Round estimates one round of a plan, term by term: the round that
+// sorts bits [lo, lo+width) of the concatenation in a bank-bit bank. It
+// massages its key (its FIPs and one key write per row), looks the key
+// up through the permutation unless it is the first round, sorts, and
+// scans for group boundaries. Every input is fixed by lo, width and
+// bank, which is what lets Optimal search an order's plans as paths.
+// Truncated stats (LimitRows/LimitGroups > 0) model the deferred
+// execution: the first round gathers its own source columns
+// (tSourceGather); a later round massages only the surviving prefix,
+// whose keys it gathers from the input columns through the permutation
+// (tGather); and the scans shrink with the survivors, which is what
+// makes massaging rarely pay below small K.
+func (pf *Profile) Round(lo, width, bank int) Terms {
+	t := pf.unsorted(lo, width)
+	t.Sort = pf.tSortAfterWidth(lo, width, bank)
+	return t
+}
+
+// unsorted is Round without its sort term: the terms the bank does not
+// move.
+func (pf *Profile) unsorted(lo, width int) Terms {
+	m, n := pf.m, pf.st.N
+	surv, fips := n, pf.roundFIPs(lo, width)
+	var t Terms
+	if pf.limited {
+		if lo > 0 {
+			surv = int(pf.surv[pf.row(lo)])
+			t.Lookup = m.tGather(surv, n, fips, pf.roundPlanes(lo, width))
 		}
-		t = m.TMassage(iFIP, len(p.Rounds), pf.st.N) + m.tSourceGather(pf.st.N, pf.roundPlanes(0, lo))
-		if terms != nil {
-			terms.Massage = t
+		t.Massage = m.TMassage(fips, 1, surv)
+		if lo == 0 {
+			t.Massage += m.tSourceGather(surv, pf.roundPlanes(0, width))
+		}
+	} else {
+		t.Massage = m.TMassage(fips, 1, n)
+		if lo > 0 {
+			t.Lookup = m.TLookup(n, width)
 		}
 	}
-	bitsBefore := 0
-	for k, r := range p.Rounds {
-		if t >= incumbent {
-			return t, false
-		}
-		surv := pf.st.N
-		fips := 0
-		if pf.limited {
-			if k > 0 {
-				surv = int(pf.surv[pf.row(bitsBefore)])
-			}
-			fips = pf.roundFIPs(bitsBefore, r.Width)
-			v := m.TMassage(fips, 1, surv)
-			if k == 0 {
-				v += m.tSourceGather(surv, pf.roundPlanes(0, r.Width))
-			}
-			t += v
-			if terms != nil {
-				terms.Massage += v
-			}
-		}
-		if k > 0 {
-			var v float64
-			if pf.limited {
-				v = m.tGather(surv, pf.st.N, fips, pf.roundPlanes(bitsBefore, r.Width))
-			} else {
-				v = m.TLookup(surv, r.Width)
-			}
-			t += v
-			if terms != nil {
-				terms.Lookup += v
-			}
-		}
-		v := pf.tSortAfterWidth(bitsBefore, r.Width, r.Bank)
-		t += v
-		if terms != nil {
-			terms.Sort += v
-		}
-		if k == 0 && pf.st.LimitRows > 0 {
-			// The top-K sort hands the scan only the rows up to its
-			// tie-extended cut.
-			surv = int(pf.surv[pf.row(r.Width)])
-		}
-		// The scan emits the groups of the prefix sorted so far that
-		// fall among the rows it reads.
-		groups := pf.group[pf.row(bitsBefore+r.Width)] * float64(surv) / float64(max(pf.st.N, 1))
-		v = m.TScan(surv, groups)
-		t += v
-		if terms != nil {
-			terms.Scan += v
-		}
-		bitsBefore += r.Width
+	if lo == 0 && pf.st.LimitRows > 0 {
+		// The top-K sort hands the scan only the rows up to its
+		// tie-extended cut.
+		surv = int(pf.surv[pf.row(width)])
 	}
-	return t, true
+	// The scan emits the groups of the prefix sorted so far that fall
+	// among the rows it reads.
+	t.Scan = m.TScan(surv, pf.group[pf.row(lo+width)]*float64(surv)/float64(max(n, 1)))
+	return t
+}
+
+// Optimal returns the plan of least TMCS over the profile's column
+// order, and that estimate. Every plan is a path of rounds from bit 0
+// to bit W, and a round's cost depends only on its first bit, width and
+// bank (Round), so the cheapest plan is a shortest path over the W+1 bit
+// positions: cost[0] = Base, and each round (s → s+width, bank) relaxes
+// cost[s+width] in (s, width, bank) ascending order, strictly, so ties
+// resolve to the earliest. The path cost adds the same terms in the same
+// order as TMCS, so it is TMCS of the plan bit for bit. Optimal costs
+// Edges rounds.
+func (pf *Profile) Optimal() (plan.Plan, float64) {
+	type via struct{ from, bank int }
+	cost, prev := make([]float64, pf.w+1), make([]via, pf.w+1)
+	cost[0] = pf.Base()
+	for e := 1; e <= pf.w; e++ {
+		cost[e] = math.Inf(1)
+	}
+	pf.edges(func(s, width int, banks []int) {
+		t := pf.unsorted(s, width)
+		for _, bank := range banks {
+			t.Sort = pf.tSortAfterWidth(s, width, bank)
+			if c := cost[s] + t.Total(); c < cost[s+width] {
+				cost[s+width], prev[s+width] = c, via{s, bank}
+			}
+		}
+	})
+	var rounds []plan.Round
+	for e := pf.w; e > 0; e = prev[e].from {
+		rounds = append(rounds, plan.Round{Width: e - prev[e].from, Bank: prev[e].bank})
+	}
+	slices.Reverse(rounds)
+	return plan.Plan{Rounds: rounds}, cost[pf.w]
+}
+
+// Edges is the number of rounds Optimal costs.
+func (pf *Profile) Edges() int {
+	n := 0
+	pf.edges(func(_, _ int, banks []int) { n += len(banks) })
+	return n
+}
+
+// edges calls f with every first bit s and width a round of the order
+// may have, in (s, width) ascending order, and the banks that hold the
+// width, ascending.
+func (pf *Profile) edges(f func(s, width int, banks []int)) {
+	for s := 0; s < pf.w; s++ {
+		for width, i := 1, 0; width <= min(plan.MaxWidth, pf.w-s); width++ {
+			for plan.Banks[i] < width {
+				i++
+			}
+			f(s, width, plan.Banks[i:])
+		}
+	}
 }
 
 // TMCS costs plan p over st in full: a one-plan Profile. Callers costing
 // many plans of one column order build the Profile once instead.
 func (m *Model) TMCS(p plan.Plan, st Stats) float64 {
-	est, _ := m.Profile(st).TMCS(p, math.Inf(1))
-	return est
+	return m.Profile(st).TMCS(p)
 }
 
-// Terms costs plan p over st in full, term by term; their sum is TMCS.
+// Terms costs plan p over st in full, term by term: Base is massage, and
+// each round adds its Round terms. Their sum is TMCS up to the order of
+// the additions.
 func (m *Model) Terms(p plan.Plan, st Stats) Terms {
-	var terms Terms
-	m.Profile(st).tmcs(p, math.Inf(1), &terms)
+	pf := m.Profile(st)
+	terms, lo := Terms{Massage: pf.Base()}, 0
+	for _, r := range p.Rounds {
+		rt := pf.Round(lo, r.Width, r.Bank)
+		terms = Terms{terms.Massage + rt.Massage, terms.Sort + rt.Sort, terms.Lookup + rt.Lookup, terms.Scan + rt.Scan}
+		lo += r.Width
+	}
 	return terms
 }

@@ -189,46 +189,42 @@ func refTSortRound(m *Model, p plan.Plan, st Stats, k int) float64 {
 	return refTSortAfterWidth(m, st, bitsBefore, p.Rounds[k-1].Width, p.Rounds[k-1].Bank)
 }
 
+// refTMCS adds the terms in TMCS's order: the unlimited source gather
+// first, then per round its massage, sort, lookup and scan.
 func refTMCS(m *Model, p plan.Plan, st Stats) float64 {
 	inWidths := make([]int, len(st.Cols))
 	for i, c := range st.Cols {
 		inWidths[i] = c.Width
 	}
-	if st.LimitRows > 0 || st.LimitGroups > 0 {
-		rf := plan.RoundFIPs(inWidths, p.Widths())
-		t := 0.0
-		bitsBefore := 0
-		for k := 1; k <= len(p.Rounds); k++ {
-			surv := st.N
-			if k > 1 {
-				surv = int(refSurvivorsAfter(st, bitsBefore))
-			}
-			t += m.TMassage(rf[k-1], 1, surv)
-			planes := refRoundPlanes(st, bitsBefore, p.Rounds[k-1].Width)
-			if k == 1 {
-				t += m.C.CGatherPlane * float64(surv) * float64(planes)
-			} else {
-				t += m.tGather(surv, st.N, rf[k-1], planes)
-			}
-			t += refTSortRound(m, p, st, k)
-			if k == 1 && st.LimitRows > 0 {
-				surv = int(refSurvivorsAfter(st, p.Rounds[0].Width))
-			}
-			t += m.TScan(surv, refGroupsScanned(st, bitsBefore+p.Rounds[k-1].Width, surv))
-			bitsBefore += p.Rounds[k-1].Width
-		}
-		return t
+	limited := st.LimitRows > 0 || st.LimitGroups > 0
+	rf := plan.RoundFIPs(inWidths, p.Widths())
+	t := 0.0
+	if !limited {
+		t = m.C.CGatherPlane * float64(st.N) * float64(refRoundPlanes(st, 0, st.TotalWidth()))
 	}
-	t := m.TMassage(plan.IFIP(inWidths, p.Widths()), len(p.Rounds), st.N) +
-		m.C.CGatherPlane*float64(st.N)*float64(refRoundPlanes(st, 0, st.TotalWidth()))
 	bitsBefore := 0
 	for k := 1; k <= len(p.Rounds); k++ {
+		width := p.Rounds[k-1].Width
+		surv := st.N
 		if k > 1 {
-			t += m.TLookup(st.N, p.Rounds[k-1].Width)
+			surv = int(refSurvivorsAfter(st, bitsBefore))
 		}
-		t += refTSortRound(m, p, st, k)
-		bitsBefore += p.Rounds[k-1].Width
-		t += m.TScan(st.N, refGroupsScanned(st, bitsBefore, st.N))
+		massage, lookup := m.TMassage(rf[k-1], 1, surv), 0.0
+		planes := refRoundPlanes(st, bitsBefore, width)
+		switch {
+		case k == 1 && limited:
+			massage += m.C.CGatherPlane * float64(surv) * float64(planes)
+		case k > 1 && limited:
+			lookup = m.tGather(surv, st.N, rf[k-1], planes)
+		case k > 1:
+			lookup = m.TLookup(st.N, width)
+		}
+		sort := refTSortRound(m, p, st, k)
+		if k == 1 && st.LimitRows > 0 {
+			surv = int(refSurvivorsAfter(st, width))
+		}
+		t += massage + sort + lookup + m.TScan(surv, refGroupsScanned(st, bitsBefore+width, surv))
+		bitsBefore += width
 	}
 	return t
 }
@@ -323,9 +319,9 @@ func TestProfileMatchesDirectFormulas(t *testing.T) {
 			for bits := 0; bits <= W; bits++ {
 				// Twice: the second read is the memo.
 				for rep := 0; rep < 2; rep++ {
-					got, want := pf.TSortAfter(bits, bank), refTSortAfter(m, st, bits, bank)
+					got, want := pf.Round(bits, min(W-bits, bank), bank).Sort, refTSortAfter(m, st, bits, bank)
 					if math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("iter %d: TSortAfter(%d, %d) = %v, direct %v (stats %+v)", iter, bits, bank, got, want, st)
+						t.Fatalf("iter %d: Round(%d, widest, %d).Sort = %v, direct %v (stats %+v)", iter, bits, bank, got, want, st)
 					}
 				}
 			}
@@ -339,9 +335,8 @@ func TestProfileMatchesDirectFormulas(t *testing.T) {
 				}
 			}
 			want := refTMCS(m, p, st)
-			got, complete := pf.TMCS(p, math.Inf(1))
-			if !complete || math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("iter %d: TMCS(%v) = %v (complete %v), direct %v (stats %+v)", iter, p, got, complete, want, st)
+			if got := pf.TMCS(p); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("iter %d: TMCS(%v) = %v, direct %v (stats %+v)", iter, p, got, want, st)
 			}
 			if w := m.TMCS(p, st); math.Float64bits(w) != math.Float64bits(want) {
 				t.Fatalf("iter %d: Model.TMCS(%v) = %v, direct %v", iter, p, w, want)
@@ -349,21 +344,41 @@ func TestProfileMatchesDirectFormulas(t *testing.T) {
 			if terms := m.Terms(p, st); math.Abs(terms.Total()-want) > 1e-9*want {
 				t.Fatalf("iter %d: Terms(%v) sum to %v, TMCS %v", iter, p, terms.Total(), want)
 			}
-			// Abandoning against an incumbent: the full sum whenever it
-			// beats the incumbent, otherwise anything ≥ the incumbent.
-			for _, incumbent := range []float64{0, want * rng.Float64(), want, math.Nextafter(want, math.Inf(1)), want * 2} {
-				got, complete := pf.TMCS(p, incumbent)
-				switch {
-				case want < incumbent:
-					if !complete || math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("iter %d: TMCS(%v, incumbent %v) = %v (complete %v), want the full sum %v", iter, p, incumbent, got, complete, want)
-					}
-				case got < incumbent:
-					t.Fatalf("iter %d: TMCS(%v, incumbent %v) = %v < incumbent; full sum %v", iter, p, incumbent, got, want)
-				case complete && math.Float64bits(got) != math.Float64bits(want):
-					t.Fatalf("iter %d: TMCS(%v, incumbent %v) complete with %v, full sum %v", iter, p, incumbent, got, want)
-				}
+		}
+	}
+}
+
+// TestOptimalIsTheLeastTMCS: Optimal returns a valid plan whose TMCS is
+// its estimate bit for bit, no random plan of the order costs less, and
+// it costs Edges rounds: one per first bit, width and bank that holds
+// the width.
+func TestOptimalIsTheLeastTMCS(t *testing.T) {
+	rng := rand.New(rand.NewSource(54))
+	models := []*Model{Builtin(), hooked(dupTerm(0.6))}
+	for iter := 0; iter < 300; iter++ {
+		m, st := models[iter%2], randomStats(rng)
+		W := st.TotalWidth()
+		pf := m.Profile(st)
+		p, est := pf.Optimal()
+		if err := p.Validate(W); err != nil {
+			t.Fatalf("iter %d: invalid plan %v: %v", iter, p, err)
+		}
+		if got := m.TMCS(p, st); math.Float64bits(got) != math.Float64bits(est) {
+			t.Fatalf("iter %d: Optimal %v estimates %v, TMCS %v", iter, p, est, got)
+		}
+		for j := 0; j < 50; j++ {
+			if q := randomPlanOf(rng, W); pf.TMCS(q) < est {
+				t.Fatalf("iter %d: %v costs %v, below Optimal's %v %v", iter, q, pf.TMCS(q), p, est)
 			}
+		}
+		edges := 0
+		for s := 0; s < W; s++ {
+			for width := 1; width <= min(W-s, 64); width++ {
+				edges += 3 - min(2, (width-1)/16)
+			}
+		}
+		if pf.Edges() != edges {
+			t.Fatalf("iter %d: W %d: %d edges, want %d", iter, W, pf.Edges(), edges)
 		}
 	}
 }

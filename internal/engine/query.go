@@ -283,8 +283,8 @@ func (b *Bound) stats(rows int) (costmodel.Stats, error) {
 // Choose fixes the column order and massage plan for sorting q's sort
 // columns of the given widths: opts.PlanOverride verbatim (a window's
 // must keep its ORDER BY column last), column-at-a-time with massaging
-// off, otherwise ROGA over NewSearch(q, stats(), opts) — stats is called
-// only then, and only the search is timed.
+// off, otherwise the plan search over NewSearch(q, stats(), opts) —
+// stats is called only then, and only the search is timed.
 func Choose(ctx context.Context, q Query, widths []int, stats func() (costmodel.Stats, error), opts Options) (planner.Choice, time.Duration, error) {
 	m := len(widths)
 	if opts.PlanOverride != nil {

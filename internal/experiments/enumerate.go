@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"math"
 	"math/rand"
 
 	"repro/internal/costmodel"
@@ -54,7 +53,7 @@ func enumerate(s *planner.Search, opts enumerateOptions) ([]candidate, bool) {
 
 	if total <= float64(opts.Budget) {
 		var out []candidate
-		collect := func(order []int) bool {
+		s.Orders(func(order []int) bool {
 			forEachComposition(W, maxK, func(widths []int) bool {
 				out = append(out, candidate{
 					ColOrder: append([]int(nil), order...),
@@ -63,15 +62,7 @@ func enumerate(s *planner.Search, opts enumerateOptions) ([]candidate, bool) {
 				return true
 			})
 			return true
-		}
-		if free > 1 {
-			planner.Permutations(free, func(prefix []int) bool {
-				order := append(append([]int(nil), prefix...), planner.IdentityOrder(m)[free:]...)
-				return collect(order)
-			})
-		} else {
-			collect(planner.IdentityOrder(m))
-		}
+		})
 		return out, true
 	}
 
@@ -109,8 +100,7 @@ func estimator(s *planner.Search) func(order []int, p plan.Plan) float64 {
 			pf = s.Model.Profile(s.Stats.Permute(order))
 			profiles[key] = pf
 		}
-		est, _ := pf.TMCS(p, math.Inf(1))
-		return est
+		return pf.TMCS(p)
 	}
 }
 

@@ -94,7 +94,7 @@ func Figure7(cfg Config) (*Report, error) {
 	budget := populationBudget(cfg)
 	pop, exact := enumerate(search, enumerateOptions{Budget: budget, Seed: cfg.Seed})
 
-	rogaPick, err := planner.ROGAContext(cfg.context(), search)
+	rogaPick, err := roga(cfg.context(), search)
 	if err != nil {
 		return nil, err
 	}
@@ -202,7 +202,7 @@ func Table1(cfg Config) (*Report, error) {
 				continue
 			}
 			pop, _ := enumerate(search, enumerateOptions{Budget: budget, Seed: cfg.Seed})
-			rogaPick, err := planner.ROGAContext(cfg.context(), search)
+			rogaPick, err := roga(cfg.context(), search)
 			if err != nil {
 				return nil, err
 			}
@@ -317,7 +317,7 @@ func Figure12(cfg Config) (*Report, error) {
 			}
 			search.Rho = rho.value
 			start := time.Now()
-			pick, err := planner.ROGAContext(cfg.context(), search)
+			pick, err := roga(cfg.context(), search)
 			if err != nil {
 				return nil, err
 			}

@@ -255,13 +255,13 @@ func Figure9(cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// Table2 — plan-search time: ROGA's wall time per query next to the
-// multi-column sorting time it optimizes (the search must be negligible).
+// Table2 — plan-search time: the engine's search's wall time per query
+// next to the multi-column sorting time it optimizes (it must be small).
 func Table2(cfg Config) (*Report, error) {
 	cfg.defaults()
 	rep := &Report{
 		ID:     "tab2",
-		Title:  "ROGA plan-search time vs multi-column sorting time",
+		Title:  "plan-search time vs multi-column sorting time",
 		Header: []string{"query", "search_ms", "mcs_ms", "search_share"},
 	}
 	model, err := cfg.model()
@@ -291,7 +291,7 @@ func Table2(cfg Config) (*Report, error) {
 		})
 	}
 	rep.Notes = append(rep.Notes,
-		"search time includes statistics sampling; the rho threshold (0.1%) bounds enumeration",
+		"search time includes statistics sampling; the rho threshold (0.1%) bounds the column orders searched",
 		fmt.Sprintf("generated at %s", time.Now().Format(time.RFC3339)))
 	return rep, nil
 }

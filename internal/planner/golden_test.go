@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/byteslice"
 	"repro/internal/costmodel"
 	"repro/internal/datagen"
 	"repro/internal/obs"
@@ -16,12 +17,15 @@ import (
 
 // The plan golden: every row was recorded when the builtin model began
 // pricing the radix kernel and truncated free-order searches began
-// taking their column order from the search without the limit, and
-// re-recorded when the radix term began pricing packed words, so a
+// taking their column order from the search without the limit,
+// re-recorded when the radix term began pricing packed words, and again
+// when the search became one shortest path per column order: then every
+// estimate fell, or, where the plan held, moved only in its last bits,
+// and the three bench/ rows, recorded just before, held bit for bit. A
 // passing table means a refactored search — capped or not, pinned or
 // free — still returns the ColOrder, Plan and bit-equal Est that model
-// chose, and stops a capped search at the same candidate (a truncated
-// free-order search counts the candidates of both its searches). The
+// chose, and stops a capped search after the same number of round costs
+// (a truncated free-order search counts those of both its searches). The
 // orderby/ovc searches price with the paper kernel's term plugged in
 // (internal/mergesort/paper's Model.Sort), as the figures do; the rows
 // were recorded when that term was still part of costmodel.Model.
@@ -29,10 +33,41 @@ import (
 // fuses a + b*n round differently, so they compare everything but the
 // bits.
 
-var topKTable struct {
+// tpchTables are bench/mcsperf's two tables: 2^19 TPC-H rows, seed 7,
+// uniform (tpch_wide) and zipf-skewed (tpch_skew).
+var tpchTables [2]struct {
 	once sync.Once
 	tbl  *table.Table
 	err  error
+}
+
+func tpchTable(tb testing.TB, skew bool) *table.Table {
+	tb.Helper()
+	t := &tpchTables[0]
+	if skew {
+		t = &tpchTables[1]
+	}
+	t.once.Do(func() {
+		t.tbl, t.err = datagen.TPCH(datagen.TPCHConfig{SF: 1, Rows: 1 << 19, Seed: 7, Skew: skew})
+	})
+	if t.err != nil {
+		tb.Fatal(t.err)
+	}
+	return t.tbl
+}
+
+// tableStats are tbl's statistics of the named columns over n rows.
+func tableStats(tb testing.TB, tbl *table.Table, n int, names ...string) costmodel.Stats {
+	tb.Helper()
+	st := costmodel.Stats{N: n}
+	for _, name := range names {
+		cs, err := tbl.Stats(name)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		st.Cols = append(st.Cols, cs)
+	}
+	return st
 }
 
 // topKSearch is the plan search mcsperf's serve_topk_cold pays per
@@ -40,22 +75,35 @@ var topKTable struct {
 // pinned last (W = 48), over a 2^19-row TPC-H table, with the daemon's
 // deterministic keystone (ρ off, counted budget).
 func topKSearch(tb testing.TB, limitRows int) *Search {
-	tb.Helper()
-	topKTable.once.Do(func() {
-		topKTable.tbl, topKTable.err = datagen.TPCH(datagen.TPCHConfig{SF: 1, Rows: 1 << 19, Seed: 7})
-	})
-	if topKTable.err != nil {
-		tb.Fatal(topKTable.err)
-	}
-	st := costmodel.Stats{N: 1 << 19, LimitRows: limitRows}
-	for _, name := range []string{"supp_nation", "cust_nation", "p_brand", "o_orderdate", "l_extendedprice"} {
-		cs, err := topKTable.tbl.Stats(name)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		st.Cols = append(st.Cols, cs)
-	}
+	st := tableStats(tb, tpchTable(tb, false), 1<<19, "supp_nation", "cust_nation", "p_brand", "o_orderdate", "l_extendedprice")
+	st.LimitRows = limitRows
 	return &Search{Model: costmodel.Builtin(), Stats: st, Kind: PartitionBy, FixedTail: 1, Rho: -1, MaxPlans: 8192}
+}
+
+// benchSearches are the searches bench/mcsperf's other three workloads
+// run once each, at its budget: lib_wide_unique's ORDER BY over the rows
+// its filter keeps, lib_ties' GROUP BY on the skewed table, and the
+// coordinator's pin search of shard3_window_full.
+func benchSearches(tb testing.TB) []goldenSearch {
+	wide := tpchTable(tb, false)
+	shipdate, err := wide.ByteSlice("l_shipdate")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	kept, err := shipdate.Scan(byteslice.LE, 2300)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	search := func(kind ClauseKind, st costmodel.Stats) *Search {
+		return &Search{Model: costmodel.Builtin(), Stats: st, Kind: kind, Rho: -1, MaxPlans: 8192}
+	}
+	window := search(PartitionBy, tableStats(tb, wide, 1<<19, "supp_nation", "l_year", "l_extendedprice"))
+	window.FixedTail = 1
+	return []goldenSearch{
+		{"bench/lib_wide_unique", search(OrderBy, tableStats(tb, wide, kept.Count(), "o_totalprice", "o_orderdate", "c_name", "c_custkey", "l_orderkey"))},
+		{"bench/lib_ties", search(GroupBy, tableStats(tb, tpchTable(tb, true), 1<<19, "supp_nation", "cust_nation", "l_year", "p_brand"))},
+		{"bench/shard3_window_full", window},
+	}
 }
 
 type goldenSearch struct {
@@ -92,24 +140,24 @@ func goldenSearches(tb testing.TB) []goldenSearch {
 			out = append(out, goldenSearch{fmt.Sprintf("%s/cap%d", g.name, budget), &c})
 		}
 	}
-	return out
+	return append(out, benchSearches(tb)...)
 }
 
 type goldenRow struct {
-	order      string
-	plan       string
-	estBits    uint64
-	enumerated int64 // candidates the search counted against MaxPlans
+	order   string
+	plan    string
+	estBits uint64
+	costed  int64 // round costs the search counted against MaxPlans
 }
 
 func runGolden(s *Search) goldenRow {
-	before := obsCandidates.Value()
+	before := obsPlansCosted.Value()
 	c := roga(s)
 	return goldenRow{
-		order:      fmt.Sprint(c.ColOrder),
-		plan:       c.Plan.String(),
-		estBits:    math.Float64bits(c.Est),
-		enumerated: obsCandidates.Value() - before,
+		order:   fmt.Sprint(c.ColOrder),
+		plan:    c.Plan.String(),
+		estBits: math.Float64bits(c.Est),
+		costed:  obsPlansCosted.Value() - before,
 	}
 }
 
@@ -166,38 +214,41 @@ func TestPlanGoldenFromSavedProfile(t *testing.T) {
 
 // planGolden: search name → what the search chose when recorded.
 var planGolden = map[string]goldenRow{
-	"topk/limit100":              {"[0 1 2 3 4]", "{R1: 5/[16], R2: 5/[16], R3: 5/[16], R4: 12/[16], R5: 21/[32]}", 0x4153f2fc2b7929c1, 4650},
-	"topk/limit100/cap1":         {"[0 1 2 3 4]", "{R1: 5/[16], R2: 5/[16], R3: 5/[16], R4: 12/[16], R5: 21/[32]}", 0x4153f2fc2b7929c1, 2},
-	"topk/limit100/cap50":        {"[0 1 2 3 4]", "{R1: 5/[16], R2: 5/[16], R3: 5/[16], R4: 12/[16], R5: 21/[32]}", 0x4153f2fc2b7929c1, 100},
-	"topk/limit100/cap500":       {"[0 1 2 3 4]", "{R1: 5/[16], R2: 5/[16], R3: 5/[16], R4: 12/[16], R5: 21/[32]}", 0x4153f2fc2b7929c1, 686},
-	"topk/limit3700":             {"[0 1 2 3 4]", "{R1: 5/[16], R2: 5/[16], R3: 5/[16], R4: 12/[16], R5: 21/[32]}", 0x4154f59ed64115aa, 4650},
-	"topk/limit3700/cap1":        {"[0 1 2 3 4]", "{R1: 5/[16], R2: 5/[16], R3: 5/[16], R4: 12/[16], R5: 21/[32]}", 0x4154f59ed64115aa, 2},
-	"topk/limit3700/cap50":       {"[0 1 2 3 4]", "{R1: 5/[16], R2: 5/[16], R3: 5/[16], R4: 12/[16], R5: 21/[32]}", 0x4154f59ed64115aa, 100},
-	"topk/limit3700/cap500":      {"[0 1 2 3 4]", "{R1: 5/[16], R2: 5/[16], R3: 5/[16], R4: 12/[16], R5: 21/[32]}", 0x4154f59ed64115aa, 686},
-	"topk/limit51200":            {"[0 1 2 3 4]", "{R1: 10/[16], R2: 13/[16], R3: 25/[32]}", 0x41603f8efbd3b923, 4650},
-	"topk/limit51200/cap1":       {"[0 1 2 3 4]", "{R1: 5/[16], R2: 5/[16], R3: 5/[16], R4: 12/[16], R5: 21/[32]}", 0x41612515e723e9d0, 2},
-	"topk/limit51200/cap50":      {"[0 1 2 3 4]", "{R1: 10/[16], R2: 13/[16], R3: 25/[32]}", 0x41603f8efbd3b923, 100},
-	"topk/limit51200/cap500":     {"[0 1 2 3 4]", "{R1: 10/[16], R2: 13/[16], R3: 25/[32]}", 0x41603f8efbd3b923, 686},
-	"topk/unlimited":             {"[0 1 2 3 4]", "{R1: 23/[32], R2: 25/[32]}", 0x4176fefe1aa318df, 4464},
-	"topk/unlimited/cap1":        {"[0 1 2 3 4]", "{R1: 48/[64]}", 0x417bb466789e38fc, 1},
-	"topk/unlimited/cap50":       {"[0 1 2 3 4]", "{R1: 23/[32], R2: 25/[32]}", 0x4176fefe1aa318df, 50},
-	"topk/unlimited/cap500":      {"[0 1 2 3 4]", "{R1: 23/[32], R2: 25/[32]}", 0x4176fefe1aa318df, 500},
-	"topk/fixedorder":            {"[2 0 3 1 4]", "{R1: 5/[16], R2: 5/[16], R3: 12/[16], R4: 5/[16], R5: 21/[32]}", 0x4154d5d1c2a05abd, 186},
-	"topk/fixedorder/cap1":       {"[2 0 3 1 4]", "{R1: 5/[16], R2: 5/[16], R3: 12/[16], R4: 5/[16], R5: 21/[32]}", 0x4154d5d1c2a05abd, 1},
-	"topk/fixedorder/cap50":      {"[2 0 3 1 4]", "{R1: 5/[16], R2: 5/[16], R3: 12/[16], R4: 5/[16], R5: 21/[32]}", 0x4154d5d1c2a05abd, 50},
-	"topk/fixedorder/cap500":     {"[2 0 3 1 4]", "{R1: 5/[16], R2: 5/[16], R3: 12/[16], R4: 5/[16], R5: 21/[32]}", 0x4154d5d1c2a05abd, 186},
-	"groupby/limitgroups":        {"[0 1 2]", "{R1: 9/[16], R2: 14/[16], R3: 20/[32]}", 0x4150593dbc52e7a1, 1302},
-	"groupby/limitgroups/cap1":   {"[0 1 2]", "{R1: 9/[16], R2: 14/[16], R3: 20/[32]}", 0x4150593dbc52e7a1, 2},
-	"groupby/limitgroups/cap50":  {"[0 1 2]", "{R1: 9/[16], R2: 14/[16], R3: 20/[32]}", 0x4150593dbc52e7a1, 100},
-	"groupby/limitgroups/cap500": {"[0 1 2]", "{R1: 9/[16], R2: 14/[16], R3: 20/[32]}", 0x4150593dbc52e7a1, 686},
-	"orderby":                    {"[0 1 2]", "{R1: 59/[64]}", 0x4122709ce87709ae, 759},
-	"orderby/cap1":               {"[0 1 2]", "{R1: 59/[64]}", 0x4122709ce87709ae, 1},
-	"orderby/cap50":              {"[0 1 2]", "{R1: 59/[64]}", 0x4122709ce87709ae, 50},
-	"orderby/cap500":             {"[0 1 2]", "{R1: 59/[64]}", 0x4122709ce87709ae, 500},
-	"orderby/ovc":                {"[0 1]", "{R1: 46/[64]}", 0x41bbd7fd4eb851eb, 186},
-	"orderby/ovc/cap1":           {"[0 1]", "{R1: 46/[64]}", 0x41bbd7fd4eb851eb, 1},
-	"orderby/ovc/cap50":          {"[0 1]", "{R1: 46/[64]}", 0x41bbd7fd4eb851eb, 50},
-	"orderby/ovc/cap500":         {"[0 1]", "{R1: 46/[64]}", 0x41bbd7fd4eb851eb, 186},
+	"topk/limit100":              {"[0 1 3 2 4]", "{R1: 5/[16], R2: 5/[16], R3: 8/[16], R4: 30/[32]}", 0x4153f1e2c0c180b9, 8592},
+	"topk/limit100/cap1":         {"[0 1 2 3 4]", "{R1: 5/[16], R2: 5/[16], R3: 5/[16], R4: 33/[64]}", 0x4153f267861f35a7, 5728},
+	"topk/limit100/cap50":        {"[0 1 2 3 4]", "{R1: 5/[16], R2: 5/[16], R3: 5/[16], R4: 33/[64]}", 0x4153f267861f35a7, 5728},
+	"topk/limit100/cap500":       {"[0 1 2 3 4]", "{R1: 5/[16], R2: 5/[16], R3: 5/[16], R4: 33/[64]}", 0x4153f267861f35a7, 5728},
+	"topk/limit3700":             {"[0 1 3 2 4]", "{R1: 5/[16], R2: 5/[16], R3: 12/[16], R4: 26/[32]}", 0x4154ba3e4b115314, 8592},
+	"topk/limit3700/cap1":        {"[0 1 2 3 4]", "{R1: 5/[16], R2: 5/[16], R3: 38/[64]}", 0x4154c72f022b03b2, 5728},
+	"topk/limit3700/cap50":       {"[0 1 2 3 4]", "{R1: 5/[16], R2: 5/[16], R3: 38/[64]}", 0x4154c72f022b03b2, 5728},
+	"topk/limit3700/cap500":      {"[0 1 2 3 4]", "{R1: 5/[16], R2: 5/[16], R3: 38/[64]}", 0x4154c72f022b03b2, 5728},
+	"topk/limit51200":            {"[0 1 3 2 4]", "{R1: 5/[16], R2: 17/[32], R3: 26/[32]}", 0x415e884befa43bf2, 8592},
+	"topk/limit51200/cap1":       {"[0 1 2 3 4]", "{R1: 15/[16], R2: 33/[64]}", 0x415da4da6a0a8422, 5728},
+	"topk/limit51200/cap50":      {"[0 1 2 3 4]", "{R1: 15/[16], R2: 33/[64]}", 0x415da4da6a0a8422, 5728},
+	"topk/limit51200/cap500":     {"[0 1 2 3 4]", "{R1: 15/[16], R2: 33/[64]}", 0x415da4da6a0a8422, 5728},
+	"topk/unlimited":             {"[0 1 3 2 4]", "{R1: 22/[32], R2: 26/[32]}", 0x4175a469b90b66b6, 5728},
+	"topk/unlimited/cap1":        {"[0 1 2 3 4]", "{R1: 22/[32], R2: 26/[32]}", 0x4176b0aa3f12495c, 2864},
+	"topk/unlimited/cap50":       {"[0 1 2 3 4]", "{R1: 22/[32], R2: 26/[32]}", 0x4176b0aa3f12495c, 2864},
+	"topk/unlimited/cap500":      {"[0 1 2 3 4]", "{R1: 22/[32], R2: 26/[32]}", 0x4176b0aa3f12495c, 2864},
+	"topk/fixedorder":            {"[2 0 3 1 4]", "{R1: 5/[16], R2: 5/[16], R3: 12/[16], R4: 26/[32]}", 0x4154ba3e4b115314, 2864},
+	"topk/fixedorder/cap1":       {"[2 0 3 1 4]", "{R1: 5/[16], R2: 5/[16], R3: 12/[16], R4: 26/[32]}", 0x4154ba3e4b115314, 2864},
+	"topk/fixedorder/cap50":      {"[2 0 3 1 4]", "{R1: 5/[16], R2: 5/[16], R3: 12/[16], R4: 26/[32]}", 0x4154ba3e4b115314, 2864},
+	"topk/fixedorder/cap500":     {"[2 0 3 1 4]", "{R1: 5/[16], R2: 5/[16], R3: 12/[16], R4: 26/[32]}", 0x4154ba3e4b115314, 2864},
+	"groupby/limitgroups":        {"[0 1 2]", "{R1: 9/[32], R2: 6/[16], R3: 8/[16], R4: 20/[32]}", 0x414de5560b25b4b0, 9576},
+	"groupby/limitgroups/cap1":   {"[0 1 2]", "{R1: 9/[32], R2: 6/[16], R3: 8/[16], R4: 20/[32]}", 0x414de5560b25b4b0, 4788},
+	"groupby/limitgroups/cap50":  {"[0 1 2]", "{R1: 9/[32], R2: 6/[16], R3: 8/[16], R4: 20/[32]}", 0x414de5560b25b4b0, 4788},
+	"groupby/limitgroups/cap500": {"[0 1 2]", "{R1: 9/[32], R2: 6/[16], R3: 8/[16], R4: 20/[32]}", 0x414de5560b25b4b0, 4788},
+	"orderby":                    {"[0 1 2]", "{R1: 59/[64]}", 0x4122709ce87709ae, 3986},
+	"orderby/cap1":               {"[0 1 2]", "{R1: 59/[64]}", 0x4122709ce87709ae, 3986},
+	"orderby/cap50":              {"[0 1 2]", "{R1: 59/[64]}", 0x4122709ce87709ae, 3986},
+	"orderby/cap500":             {"[0 1 2]", "{R1: 59/[64]}", 0x4122709ce87709ae, 3986},
+	"orderby/ovc":                {"[0 1]", "{R1: 46/[64]}", 0x41bbd7fd4eb851ec, 2673},
+	"orderby/ovc/cap1":           {"[0 1]", "{R1: 46/[64]}", 0x41bbd7fd4eb851ec, 2673},
+	"orderby/ovc/cap50":          {"[0 1]", "{R1: 46/[64]}", 0x41bbd7fd4eb851ec, 2673},
+	"orderby/ovc/cap500":         {"[0 1]", "{R1: 46/[64]}", 0x41bbd7fd4eb851ec, 2673},
+	"bench/lib_wide_unique":      {"[0 1 2 3 4]", "{R1: 29/[32], R2: 60/[64]}", 0x4178c1e9d0bb7ed2, 7336},
+	"bench/lib_ties":             {"[0 1 2 3]", "{R1: 18/[32]}", 0x4167aa48cde468f0, 8160},
+	"bench/shard3_window_full":   {"[0 1 2]", "{R1: 29/[32]}", 0x416e3bd19e7678cb, 2428},
 }
 
 // TestTopKLimit100KeepsRoundZeroNarrow guards the LIMIT path's pricing:

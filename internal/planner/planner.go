@@ -1,19 +1,19 @@
 // Package planner searches the code-massage plan space (Section 5 of the
-// paper) with ROGA, the paper's round-based greedy algorithm
-// (Algorithm 1), over a cost model. The baselines the paper compares
-// ROGA against — RRS, the recursive random search of Table 1, and the
-// exhaustive "perfect cost model" oracle of Figure 7 — are measurement
-// apparatus and live with the experiments (internal/experiments), which
-// build them on Search, FreePrefix, IdentityOrder, Permutations and the
-// Stopwatch.
+// paper) over a cost model: per column order, the exact optimum the
+// model admits (ROGAContext). The paper's searches — ROGA, its
+// round-based greedy algorithm (Algorithm 1), RRS, the recursive random
+// search of Table 1, and the exhaustive "perfect cost model" oracle of
+// Figure 7 — are measurement apparatus and live with the experiments
+// (internal/experiments), which build them on Search, Orders, Baseline
+// and the Stopwatch.
 //
 // The plan space for an ORDER BY over columns of total width W is the set
-// of integer compositions of W (2^(W−1) plans); GROUP BY and PARTITION BY
-// additionally permute the column order (m! larger).
+// of integer compositions of W (2^(W−1) plans), each round in any bank
+// that holds it; GROUP BY and PARTITION BY additionally permute the
+// column order (m! larger).
 package planner
 
 import (
-	"math"
 	"time"
 
 	"repro/internal/costmodel"
@@ -61,19 +61,21 @@ type Search struct {
 	Stats costmodel.Stats // column stats in clause order
 	Kind  ClauseKind
 	// Rho is the time threshold ρ: the search stops once its elapsed
-	// time exceeds Rho × the estimated cost of the best plan so far.
-	// Zero means DefaultRho; negative means no threshold (N/S).
+	// time exceeds Rho × the estimated cost of the best plan so far,
+	// read between column orders, never before the first. Zero means
+	// DefaultRho; negative means no threshold (N/S).
 	Rho float64
-	// MaxPlans caps how many candidate plans the search enumerates
-	// (costed in full or abandoned against the incumbent alike) before
-	// stopping with the best found so far; 0 means no cap. Unlike the
-	// ρ stopwatch, the cap is counted, not timed: two searches over the
-	// same inputs visit the same candidates in the same enumeration
-	// order and choose the same plan on every machine. Long-running
-	// services (mcsd) rely on this for plan-cache coherence — a
-	// memoized choice must equal the choice a fresh search would make —
-	// while still bounding the m!-order searches of wide GROUP BY
-	// clauses (disable ρ with a negative value, set MaxPlans instead).
+	// MaxPlans caps how many round costs the search evaluates before
+	// stopping with the best plan found so far; 0 means no cap. The
+	// search costs whole column orders (ROGAContext), so the cap ends
+	// it between two orders. Unlike the ρ stopwatch, the cap is
+	// counted, not timed: two searches over the same inputs cost the
+	// same orders and choose the same plan on every machine.
+	// Long-running services (mcsd) rely on this for plan-cache
+	// coherence — a memoized choice must equal the choice a fresh
+	// search would make — while still bounding the m!-order searches of
+	// wide GROUP BY clauses (disable ρ with a negative value, set
+	// MaxPlans instead).
 	MaxPlans int
 	// FixedTail pins the last FixedTail columns in place when the
 	// clause kind would otherwise permute them: a window function's
@@ -94,22 +96,10 @@ type Search struct {
 
 // FreePrefix returns how many leading columns the search may permute.
 func (s *Search) FreePrefix() int {
-	m := len(s.Stats.Cols)
 	if !s.Kind.FreeOrder() {
 		return 0
 	}
-	free := m - s.FixedTail
-	if free < 0 {
-		return 0
-	}
-	return free
-}
-
-func (s *Search) rho() float64 {
-	if s.Rho == 0 {
-		return DefaultRho
-	}
-	return s.Rho
+	return max(len(s.Stats.Cols)-s.FixedTail, 0)
 }
 
 // Stopwatch implements the ρ-threshold early stop of Algorithm 1.
@@ -120,7 +110,11 @@ type Stopwatch struct {
 
 // Stopwatch starts the search's ρ stopwatch.
 func (s *Search) Stopwatch() *Stopwatch {
-	return &Stopwatch{start: time.Now(), rho: s.rho()}
+	rho := s.Rho
+	if rho == 0 {
+		rho = DefaultRho
+	}
+	return &Stopwatch{start: time.Now(), rho: rho}
 }
 
 // Expired reports whether the elapsed time exceeds ρ × bestEstNS.
@@ -133,27 +127,37 @@ func (sw *Stopwatch) Expired(bestEstNS float64) bool {
 }
 
 // Baseline returns the column-at-a-time plan P₀ in clause order — or,
-// when FixedOrder pins the permutation, in that order: the baseline
-// seeds the search's running best, so a baseline in any other order
-// could win the search and leak an unpinned ColOrder to the caller.
+// when FixedOrder pins the permutation, in that order: the paper's
+// searches seed their running best with it, so a baseline in any other
+// order could win a pinned search and leak an unpinned ColOrder.
 func (s *Search) Baseline() Choice {
 	order := s.FixedOrder
 	if len(order) == 0 {
 		order = IdentityOrder(len(s.Stats.Cols))
 	}
 	st := s.Stats.Permute(order)
-	return baselineOn(s.Model.Profile(st), st, order)
-}
-
-// baselineOn is P₀ of the column order pf profiles, costed in full.
-func baselineOn(pf *costmodel.Profile, st costmodel.Stats, order []int) Choice {
 	widths := make([]int, len(st.Cols))
 	for i, c := range st.Cols {
 		widths[i] = c.Width
 	}
 	p0 := plan.ColumnAtATime(widths)
-	est, _ := pf.TMCS(p0, math.Inf(1))
-	return Choice{ColOrder: append([]int(nil), order...), Plan: p0, Est: est}
+	return Choice{ColOrder: append([]int(nil), order...), Plan: p0, Est: s.Model.Profile(st).TMCS(p0)}
+}
+
+// Orders calls f with every column order the search considers, in
+// search order, until f returns false: the pin (FixedOrder), else every
+// permutation of the free prefix in lexicographic succession from
+// identity, the rest in place. f must not keep or change order.
+func (s *Search) Orders(f func(order []int) bool) {
+	if len(s.FixedOrder) > 0 {
+		f(s.FixedOrder)
+		return
+	}
+	order := IdentityOrder(len(s.Stats.Cols))
+	Permutations(s.FreePrefix(), func(prefix []int) bool {
+		copy(order, prefix)
+		return f(order)
+	})
 }
 
 // Permutations yields every permutation of 0..m-1 in lexicographic

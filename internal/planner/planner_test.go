@@ -2,6 +2,7 @@ package planner
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -130,14 +131,14 @@ func TestROGAFixedOrder(t *testing.T) {
 	// Output bytes depend only on the column order, not the round
 	// decomposition, so the pinned search may legitimately pick a
 	// different Plan — but never a worse estimate than the free winner
-	// (it fully enumerates the winning order plus its own baseline).
+	// (it searches the winning order whole).
 	if pinned.Est > free.Est {
 		t.Errorf("pinned est %.6g worse than free est %.6g", pinned.Est, free.Est)
 	}
 
 	// Any pinned order — even one the free search would reject — must
-	// come back verbatim, including from the baseline seed (MaxPlans: 1
-	// caps the search almost immediately, so the baseline can win).
+	// come back verbatim, under a budget too small for one order (the
+	// first order is always searched) and a large one.
 	for _, mp := range []int{1, 4096} {
 		for _, order := range [][]int{{2, 0, 1}, {1, 2, 0}, {0, 1, 2}} {
 			got := roga(&Search{Model: m, Stats: st, Kind: GroupBy, Rho: -1, MaxPlans: mp,
@@ -164,6 +165,9 @@ func equalOrder(a, b []int) bool {
 	return true
 }
 
+// TestMaxRoundsBoundRespected: nothing caps the search's round count,
+// but on the paper's W=59 example its optimum stays within Lemma 2's
+// bound, as the paper says an optimum does.
 func TestMaxRoundsBoundRespected(t *testing.T) {
 	m := costmodel.Builtin()
 	st := uniformStats(9, 1<<14, []int{17, 30, 12}, []int{1 << 10, 1 << 12, 1 << 8}) // the paper's W=59 example
@@ -176,13 +180,29 @@ func TestMaxRoundsBoundRespected(t *testing.T) {
 
 func TestStopwatchRho(t *testing.T) {
 	// A tiny ρ must stop the search quickly and still return a valid
-	// (baseline at worst) plan.
+	// plan: the first order's optimum at worst.
 	m := costmodel.Builtin()
 	st := uniformStats(10, 1<<14, []int{20, 20, 19}, []int{1 << 10, 1 << 10, 1 << 10})
 	s := &Search{Model: m, Stats: st, Kind: GroupBy, Rho: 1e-9}
 	got := roga(s)
 	if err := got.Plan.Validate(59); err != nil {
 		t.Fatalf("invalid plan under tight rho: %v", err)
+	}
+}
+
+// TestRhoNeverEndsTheFirstOrder: ρ is read between column orders only,
+// so an ORDER BY search, which has one, returns the same choice under
+// any ρ — here one that has expired before the search starts.
+func TestRhoNeverEndsTheFirstOrder(t *testing.T) {
+	st := uniformStats(9, 1<<14, []int{17, 30, 12}, []int{1 << 10, 1 << 12, 1 << 8})
+	s := &Search{Model: costmodel.Builtin(), Stats: st, Kind: OrderBy, Rho: 1e-12}
+	clocked := roga(s)
+	s.Rho = -1
+	if want := roga(s); fmt.Sprint(clocked) != fmt.Sprint(want) {
+		t.Errorf("ρ 1e-12 chose %v, no ρ %v", clocked, want)
+	}
+	if clocked.Plan.Equal(s.Baseline().Plan) {
+		t.Errorf("ρ 1e-12 stopped at P0 %v", clocked.Plan)
 	}
 }
 

@@ -1,4 +1,4 @@
-// Plan cache: memoizes ROGA plan-search output per query signature so
+// Plan cache: memoizes the plan search's output per query signature so
 // repeated queries skip the search entirely (engine.Options.PlanOverride
 // carries the cached choice back into RunContext). A plan entry is keyed
 // by engine.Bound.PlanKey, exactly what the search reads: the table and

@@ -15,13 +15,14 @@ import (
 // PARTITION BY columns of a 2^19-row TPC-H table, the workload's search
 // budget, one worker — end to end through Server.Run, at the
 // workload's first, middle and last page: /fresh with an
-// empty plan cache, so the page runs the split search (every column
-// order, then the widths under the cut), /cached-order with only the
-// page's order entry, so it runs the width search alone. Both miss
-// their plan entry and choose the same plan. orders/op and
-// plans_costed/op are the planner.orders_considered and
-// planner.plans_costed counts per page: deterministic, so they repeat
-// exactly on every machine.
+// empty plan cache, so the page runs the split search (the column
+// orders the budget holds, then the widths under the cut),
+// /cached-order with only the page's order entry, so it runs the width
+// search alone. Both miss their plan entry and choose the same plan.
+// orders/op and plans_costed/op are the planner.orders_considered and
+// planner.plans_costed counts per page, the latter in round costs
+// evaluated (the unit of MaxPlans, 2,864 per order here): deterministic,
+// so they repeat exactly on every machine.
 func BenchmarkColdPageSearch(b *testing.B) {
 	tbl, err := datagen.TPCH(datagen.TPCHConfig{SF: 1, Rows: 1 << 19, Seed: 7})
 	if err != nil {

@@ -1,6 +1,6 @@
 // Package server is the serving layer over the MCS engine: a
 // long-running concurrent query service (`cmd/mcsd`) that loads
-// WideTables once, shares them read-only across queries, memoizes ROGA
+// WideTables once, shares them read-only across queries, memoizes the
 // plan search in an LRU plan cache, and bounds concurrent
 // work with an admission controller built on the PR 3 budget machinery
 // (queue with deadline-aware timeouts, worker degradation, typed

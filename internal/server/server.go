@@ -1,7 +1,7 @@
 // Server core: the single-node Backend of the job front (front.go).
 // The Front owns the job table, watchdog and HTTP mux; this file
 // supplies what a single mcsd does with a query — admission, the plan
-// cache deciding whether the ROGA search runs or a memoized choice is
+// cache deciding whether the plan search runs or a memoized choice is
 // replayed via PlanOverride, and exactly one engine.RunContext call —
 // plus the server's failure taxonomy and its readiness probe (the
 // contained-panic breaker and the admission queue depth).

@@ -5,10 +5,10 @@
 // The entry point is Sort: give it the encoded sort columns (codes,
 // widths, directions) and it plans and executes a multi-column sort,
 // returning the sorted permutation of object identifiers and the tied
-// groups. With massaging enabled (the default), a cost-based search
-// (ROGA) first chooses how to repartition the columns' bits into
-// sorting rounds — stitching columns together or borrowing bits between
-// them — to minimize the total SIMD sorting time.
+// groups. With massaging enabled (the default), a cost-based plan search
+// first chooses how to repartition the columns' bits into sorting
+// rounds — stitching columns together or borrowing bits between them —
+// to minimize the model's estimated multi-column sorting time.
 //
 //	cols := []mcs.Column{
 //	    {Codes: dates, Width: 12},
@@ -97,7 +97,9 @@ type Options struct {
 	Massaging *bool
 	// Clause selects the planner's freedom; defaults to OrderBy.
 	Clause Clause
-	// Rho is the plan-search time threshold ρ (default 0.001 = 0.1%).
+	// Rho is the plan-search time threshold ρ (default 0.001 = 0.1%),
+	// read between column orders: a GROUP BY search may stop after its
+	// first order, an ORDER BY search, which has one, never depends on it.
 	Rho float64
 	// Model overrides the cost model; nil means the builtin model
 	// (costmodel.Builtin). LoadModel reads a saved calibration profile.
