@@ -11,6 +11,7 @@ package byteslice
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/column"
 	"repro/internal/simd"
@@ -193,27 +194,26 @@ func (bv *BitVector) Get(i int) bool {
 func (bv *BitVector) Count() int {
 	c := 0
 	for _, w := range bv.Words {
-		c += popcount(w)
+		c += bits.OnesCount64(w)
 	}
 	return c
 }
 
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
-}
-
 // Rows converts the bit vector to a list of row numbers (the record
-// numbers passed to lookups).
+// numbers passed to lookups), a word at a time: an all-ones word is a
+// run of 64 rows, any other word yields its set bits lowest first.
 func (bv *BitVector) Rows() []uint32 {
 	out := make([]uint32, 0, bv.Count())
-	for i := 0; i < bv.N; i++ {
-		if bv.Get(i) {
-			out = append(out, uint32(i))
+	for wi, w := range bv.Words {
+		base := uint32(wi) << 6
+		if w == ^uint64(0) {
+			for b := uint32(0); b < 64; b++ {
+				out = append(out, base+b)
+			}
+			continue
+		}
+		for ; w != 0; w &= w - 1 {
+			out = append(out, base+uint32(bits.TrailingZeros64(w)))
 		}
 	}
 	return out
@@ -277,16 +277,14 @@ func (bs *BS) Scan(op Op, constant uint64) (*BitVector, error) {
 		case NEQ:
 			res = lt | gt
 		}
-		// Compact the per-lane byte masks into result bits.
-		for lane := 0; lane < 8; lane++ {
-			row := base + lane
-			if row >= bs.N {
-				break
-			}
-			if res&(0x80<<(8*uint(lane))) != 0 {
-				bv.Words[row>>6] |= 1 << (uint(row) & 63)
-			}
+		// Compact the per-lane byte masks into result bits: the lane
+		// flags, one per byte's low bit, times 0x0102040810204080 land
+		// lane i's flag on bit 56+i with no carries between them.
+		lanes := ((res & 0x8080808080808080) >> 7) * 0x0102040810204080 >> 56
+		if tail := bs.N - base; tail < 8 {
+			lanes &= 1<<uint(tail) - 1
 		}
+		bv.Words[base>>6] |= lanes << (uint(base) & 63)
 	}
 	return bv, nil
 }

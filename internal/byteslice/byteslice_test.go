@@ -21,22 +21,27 @@ func randColumn(rng *rand.Rand, n, width, distinct int) *column.Column {
 func naiveScan(c *column.Column, op Op, k uint64) []bool {
 	out := make([]bool, len(c.Codes))
 	for i, v := range c.Codes {
-		switch op {
-		case LT:
-			out[i] = v < k
-		case LE:
-			out[i] = v <= k
-		case GT:
-			out[i] = v > k
-		case GE:
-			out[i] = v >= k
-		case EQ:
-			out[i] = v == k
-		case NEQ:
-			out[i] = v != k
-		}
+		out[i] = matches(op, v, k)
 	}
 	return out
+}
+
+// matches evaluates v op k.
+func matches(op Op, v, k uint64) bool {
+	switch op {
+	case LT:
+		return v < k
+	case LE:
+		return v <= k
+	case GT:
+		return v > k
+	case GE:
+		return v >= k
+	case EQ:
+		return v == k
+	default:
+		return v != k
+	}
 }
 
 func TestLookupRoundTrip(t *testing.T) {
@@ -122,40 +127,126 @@ func TestScanBetween(t *testing.T) {
 	}
 }
 
+// selectionPatterns are the code columns the selection tests scan: one
+// value everywhere (every op's word is all ones or all zeros), values
+// alternating row by row (alternating words), whole 64-row words
+// alternating (all-ones words between all-zeros ones) and random codes.
+func selectionPatterns(rng *rand.Rand, n int) map[string][]uint64 {
+	pats := map[string][]uint64{}
+	for _, name := range []string{"const", "alternating", "words", "random"} {
+		codes := make([]uint64, n)
+		for i := range codes {
+			switch name {
+			case "const":
+				codes[i] = 3
+			case "alternating":
+				codes[i] = 3 + uint64(i&1)
+			case "words":
+				codes[i] = 3 + uint64(i>>6&1)
+			default:
+				codes[i] = uint64(rng.Intn(8))
+			}
+		}
+		pats[name] = codes
+	}
+	return pats
+}
+
+// checkSelection compares bv with want, row by row through Get, bit
+// by bit past N (no padding lane may leak), and through Count and Rows,
+// which must list exactly the wanted rows in ascending order.
+func checkSelection(t *testing.T, tag string, bv *BitVector, want []bool) {
+	t.Helper()
+	var rows []uint32
+	for i, w := range want {
+		if bv.Get(i) != w {
+			t.Fatalf("%s: row %d got %v, want %v", tag, i, bv.Get(i), w)
+		}
+		if w {
+			rows = append(rows, uint32(i))
+		}
+	}
+	if len(bv.Words) != (len(want)+63)/64 {
+		t.Fatalf("%s: %d words for %d rows", tag, len(bv.Words), len(want))
+	}
+	if tail := len(want) & 63; tail != 0 && bv.Words[len(bv.Words)-1]>>uint(tail) != 0 {
+		t.Fatalf("%s: bits set past row %d", tag, len(want))
+	}
+	if got := bv.Count(); got != len(rows) {
+		t.Fatalf("%s: Count %d, want %d", tag, got, len(rows))
+	}
+	if got := bv.Rows(); len(got) != len(rows) || (len(rows) > 0 && !slices.Equal(got, rows)) {
+		t.Fatalf("%s: Rows %v, want %v", tag, got, rows)
+	}
+}
+
+// TestBitVectorRowsAndCount: every Op at constants below, at and above
+// the codes, and ScanBetween over several windows, on row counts around
+// the byte and word edges, select exactly the rows whose Lookup passes
+// the predicate — through Get, Count and Rows alike.
 func TestBitVectorRowsAndCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	col := randColumn(rng, 1003, 8, 256)
-	bs := FromColumn(col)
-	bv, err := bs.Scan(LT, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := bv.Rows()
-	if len(rows) != bv.Count() {
-		t.Fatalf("Rows len %d != Count %d", len(rows), bv.Count())
-	}
-	for _, r := range rows {
-		if col.Codes[r] >= 128 {
-			t.Fatalf("row %d does not satisfy predicate", r)
+	for _, n := range []int{0, 1, 7, 8, 63, 64, 65, 1001} {
+		for name, codes := range selectionPatterns(rng, n) {
+			for _, width := range []int{5, 12} {
+				bs := FromColumn(column.FromCodes("c", width, codes))
+				want := make([]bool, n)
+				for _, op := range []Op{LT, LE, GT, GE, EQ, NEQ} {
+					for _, k := range []uint64{0, 2, 3, 4, 5, 7, column.Mask(width)} {
+						bv, err := bs.Scan(op, k)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for i := range want {
+							want[i] = matches(op, bs.Lookup(i), k)
+						}
+						checkSelection(t, fmt.Sprintf("n=%d %s w=%d code %v %d", n, name, width, op, k), bv, want)
+					}
+				}
+				for _, win := range [][2]uint64{{0, 2}, {3, 3}, {3, 4}, {4, 7}, {0, column.Mask(width)}} {
+					bv, err := bs.ScanBetween(win[0], win[1])
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := range want {
+						v := bs.Lookup(i)
+						want[i] = v >= win[0] && v <= win[1]
+					}
+					checkSelection(t, fmt.Sprintf("n=%d %s w=%d between %v", n, name, width, win), bv, want)
+				}
+			}
 		}
 	}
 }
 
+// TestNonMultipleOf8Rows: padding lanes never leak into results, on
+// every row count up to 17 and around the word edges, whether the
+// predicate matches every real row or none.
 func TestNonMultipleOf8Rows(t *testing.T) {
-	// Padding lanes must never leak into results.
-	for n := 1; n <= 17; n++ {
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 63, 64, 65, 1001} {
 		codes := make([]uint64, n)
 		for i := range codes {
-			codes[i] = uint64(i)
+			codes[i] = uint64(i % 32)
 		}
-		col := column.FromCodes("c", 5, codes)
-		bs := FromColumn(col)
-		bv, err := bs.Scan(GE, 0) // matches every real row
-		if err != nil {
-			t.Fatal(err)
+		bs := FromColumn(column.FromCodes("c", 5, codes))
+		all, none := make([]bool, n), make([]bool, n)
+		for i := range all {
+			all[i] = true
 		}
-		if bv.Count() != n {
-			t.Fatalf("n=%d: count %d", n, bv.Count())
+		for _, tc := range []struct {
+			op   Op
+			k    uint64
+			want []bool
+		}{{GE, 0, all}, {LE, 31, all}, {NEQ, 31, nil}, {LT, 0, none}, {GT, 31, none}} {
+			bv, err := bs.Scan(tc.op, tc.k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := tc.want
+			if want == nil {
+				want = naiveScan(column.FromCodes("c", 5, codes), tc.op, tc.k)
+			}
+			checkSelection(t, fmt.Sprintf("n=%d %v %d", n, tc.op, tc.k), bv, want)
 		}
 	}
 }

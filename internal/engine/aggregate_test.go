@@ -1,0 +1,298 @@
+package engine
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
+	"sort"
+	"strconv"
+	"testing"
+	"time"
+
+	"repro/internal/byteslice"
+	"repro/internal/column"
+	"repro/internal/planner"
+	"repro/internal/table"
+	"repro/internal/testutil"
+)
+
+// sweepWidths are the aggregate column widths the sweep battery sums:
+// one to four planes, which Gather decodes in one pass, and five to
+// eight, which an unlimited query gathers in selection order instead.
+var sweepWidths = []int{1, 6, 21, 32, 33, 40, 64}
+
+// sweepTable builds a table grouped by g whose groups are sized against
+// aggBlock: in sorted order aggBlock rows (a block edge on the group
+// boundary), aggBlock−1 and aggBlock+1 (edges inside groups), aggBlock
+// again (back on an edge) and one group over three blocks, then 2,500
+// groups of 1–7 rows and aggBlock−1 and aggBlock+1 again at the end.
+// Those rows have f = 0; noise more rows, f = 1, join random groups. The
+// rows are shuffled, and column a<w> holds random w-bit codes for every
+// width of sweepWidths.
+func sweepTable(t testing.TB, noise int, seed int64) *table.Table {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	sizes := []int{aggBlock, aggBlock - 1, aggBlock + 1, aggBlock, 3*aggBlock + 5}
+	for len(sizes) < 2505 {
+		sizes = append(sizes, 1+rng.Intn(7))
+	}
+	sizes = append(sizes, aggBlock-1, aggBlock+1)
+	var g, f []uint64
+	for v, size := range sizes {
+		for i := 0; i < size; i++ {
+			g, f = append(g, uint64(v)), append(f, 0)
+		}
+	}
+	for i := 0; i < noise; i++ {
+		g, f = append(g, uint64(rng.Intn(len(sizes)))), append(f, 1)
+	}
+	n := len(g)
+	rng.Shuffle(n, func(i, j int) { g[i], g[j], f[i], f[j] = g[j], g[i], f[j], f[i] })
+	tbl := table.New("sweep", n)
+	cols := []*column.Column{column.FromCodes("g", 12, g), column.FromCodes("f", 1, f)}
+	for _, w := range sweepWidths {
+		codes := make([]uint64, n)
+		for i := range codes {
+			codes[i] = rng.Uint64() >> uint(64-w)
+		}
+		cols = append(cols, column.FromCodes(fmt.Sprintf("a%d", w), w, codes))
+	}
+	for _, c := range cols {
+		if err := tbl.Add(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tbl
+}
+
+// sweepRef is the full sort then sum: the selected rows stably sorted
+// by g, each run of equal g counted and summed (wrapping) in that order,
+// then for OrderByAgg the groups stably sorted by descending aggregate.
+func sweepRef(tbl *table.Table, q Query) *Result {
+	g, f := mustCol(tbl, "g").Codes, mustCol(tbl, "f").Codes
+	var vals []uint64
+	if q.Agg.Kind != Count {
+		vals = mustCol(tbl, q.Agg.Col).Codes
+	}
+	var rows []int
+	for r := range g {
+		if len(q.Filters) == 0 || f[r] == q.Filters[0].Const {
+			rows = append(rows, r)
+		}
+	}
+	sort.SliceStable(rows, func(i, j int) bool { return g[rows[i]] < g[rows[j]] })
+	res := &Result{Rows: len(rows)}
+	for lo := 0; lo < len(rows); {
+		hi, acc := lo, uint64(0)
+		for ; hi < len(rows) && g[rows[hi]] == g[rows[lo]]; hi++ {
+			if vals != nil {
+				acc += vals[rows[hi]]
+			}
+		}
+		switch q.Agg.Kind {
+		case Count:
+			acc = uint64(hi - lo)
+		case Avg:
+			acc /= uint64(hi - lo)
+		}
+		res.GroupKeys = append(res.GroupKeys, []uint64{g[rows[lo]]})
+		res.Aggregates = append(res.Aggregates, acc)
+		lo = hi
+	}
+	if q.OrderByAgg {
+		idx := make([]int, len(res.Aggregates))
+		for i := range idx {
+			idx[i] = i
+		}
+		sort.SliceStable(idx, func(i, j int) bool { return res.Aggregates[idx[i]] > res.Aggregates[idx[j]] })
+		gk, ag := make([][]uint64, len(idx)), make([]uint64, len(idx))
+		for i, j := range idx {
+			gk[i], ag[i] = res.GroupKeys[j], res.Aggregates[j]
+		}
+		res.GroupKeys, res.Aggregates = gk, ag
+	}
+	return res
+}
+
+// TestAggregateSweepDifferential is the battery of the sorted-order
+// aggregation sweep: Sum and Avg over every width of sweepWidths, and
+// Count, unfiltered (the identity selection: the sweep gathers through
+// the permutation itself) and filtered (through the selected rows),
+// unlimited, under LIMIT/OFFSET pages and under ORDER BY <aggregate>,
+// at workers 1, 2 and 4, must equal sweepRef sliced to the page.
+func TestAggregateSweepDifferential(t *testing.T) {
+	defer testutil.CheckNoLeaks(t)()
+	exact, noisy := sweepTable(t, 0, 51), sweepTable(t, 3000, 52)
+	keep := []Filter{{Col: "f", Op: byteslice.EQ, Const: 0}}
+	type page struct {
+		limit *int
+		off   int
+	}
+	pages := []page{{nil, 0}, {lim(1), 0}, {lim(2), 1}, {lim(3), 4}, {lim(100), 2}, {nil, 3}}
+	var aggs []Agg
+	for _, w := range sweepWidths {
+		col := fmt.Sprintf("a%d", w)
+		aggs = append(aggs, Agg{Kind: Sum, Col: col}, Agg{Kind: Avg, Col: col})
+	}
+	aggs = append(aggs, Agg{Kind: Count})
+	for _, tc := range []struct {
+		name    string
+		tbl     *table.Table
+		filters []Filter
+	}{{"exact", exact, nil}, {"noisy", noisy, nil}, {"filtered", noisy, keep}} {
+		for _, agg := range aggs {
+			for _, byAgg := range []bool{false, true} {
+				agg := agg
+				q := Query{ID: "sweep", Kind: planner.GroupBy, SortCols: []SortCol{{Name: "g"}}, Filters: tc.filters, Agg: &agg, OrderByAgg: byAgg}
+				ref := sweepRef(tc.tbl, q)
+				for _, workers := range []int{1, 2, 4} {
+					for _, p := range pages {
+						opts := limitOptions(workers)
+						opts.Limit, opts.Offset = p.limit, p.off
+						res, err := run(tc.tbl, q, opts)
+						limit := "none"
+						if p.limit != nil {
+							limit = strconv.Itoa(*p.limit)
+						}
+						name := fmt.Sprintf("%s/agg%d(%s)/byagg=%v/workers=%d/limit=%s/offset=%d", tc.name, agg.Kind, agg.Col, byAgg, workers, limit, p.off)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						if got, want := canonResult(res), canonResult(sliceOracle(ref, false, p.limit, p.off)); got != want {
+							t.Fatalf("%s: result differs from the full sort then sum\ngot:\n%.600s\nwant:\n%.600s", name, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAggregateAllocatesNoRowArray: summing an aggregate column of up
+// to 32 bits allocates nothing per row, unlimited or truncated, at one
+// worker or two — less than 1 B/row where the column gathered in
+// selection order alone is 8 — while an unlimited query over a wider
+// column still gathers that column.
+func TestAggregateAllocatesNoRowArray(t *testing.T) {
+	const n = 1 << 16
+	rng := rand.New(rand.NewSource(53))
+	tbl := table.New("alloc", n)
+	g, a21, a40 := make([]uint64, n), make([]uint64, n), make([]uint64, n)
+	for i := range g {
+		g[i], a21[i], a40[i] = uint64(rng.Intn(16)), rng.Uint64()>>43, rng.Uint64()>>24
+	}
+	for _, c := range []*column.Column{column.FromCodes("g", 4, g), column.FromCodes("a21", 21, a21), column.FromCodes("a40", 40, a40)} {
+		if err := tbl.Add(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		col       string
+		limit     *int
+		wantBytes func(uint64) bool
+		want      string
+	}{
+		{"a21", nil, func(b uint64) bool { return b < n }, "< 1 B/row"},
+		{"a21", lim(3), func(b uint64) bool { return b < n }, "< 1 B/row"},
+		{"a40", nil, func(b uint64) bool { return b >= 8*n }, ">= 8 B/row"},
+	} {
+		for _, workers := range []int{1, 2} {
+			q := Query{ID: "alloc", Kind: planner.GroupBy, SortCols: []SortCol{{Name: "g"}}, Agg: &Agg{Kind: Sum, Col: tc.col}}
+			opts := Options{Workers: workers, Limit: tc.limit}
+			b, err := Bind(tbl, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sel, err := b.Select(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, err := sel.Rows(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			choice, _, err := b.ChoosePlan(ctx, len(rows), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mres, w, err := SortColumns(ctx, q, b.sources(rows), choice, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			res := &Result{}
+			runtime.ReadMemStats(&before)
+			err = aggregate(ctx, res, b, rows, mres, choice.ColOrder, w)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; !tc.wantBytes(got) {
+				t.Errorf("%s limit=%v workers=%d: aggregate allocated %d B over %d rows, want %s", tc.col, tc.limit != nil, workers, got, n, tc.want)
+			}
+			if len(res.Aggregates) == 0 {
+				t.Errorf("%s limit=%v workers=%d: no groups", tc.col, tc.limit != nil, workers)
+			}
+		}
+	}
+}
+
+// BenchmarkAggregate times the aggregation stage (Timing.Aggregate:
+// group keys decoded from the sorted round keys, the aggregate column
+// summed) of an unlimited GROUP BY at 2^19 rows and two workers, with
+// the plan pinned to one round: a tied grouping (g zipf-skewed over
+// 2^18 values) and a nearly unique one (u uniform over 2^17), each
+// summing random codes of 6, 21, 32, 40 and 64 bits. agg-ms is the
+// median over the b.N runs; columns over 32 bits take the selection-
+// order gather, the rest the sweep straight from the planes.
+func BenchmarkAggregate(b *testing.B) {
+	const rows = 1 << 19
+	rng := rand.New(rand.NewSource(1))
+	tbl := table.New("agg", rows)
+	zipf := rand.NewZipf(rng, 1.1, 1, 1<<18-1)
+	g, u := make([]uint64, rows), make([]uint64, rows)
+	for i := range g {
+		g[i], u[i] = zipf.Uint64(), uint64(rng.Intn(1<<17))
+	}
+	cols := []*column.Column{column.FromCodes("g", 18, g), column.FromCodes("u", 17, u)}
+	widths := []int{6, 21, 32, 40, 64}
+	for _, w := range widths {
+		codes := make([]uint64, rows)
+		for i := range codes {
+			codes[i] = rng.Uint64() >> uint(64-w)
+		}
+		cols = append(cols, column.FromCodes(fmt.Sprintf("a%d", w), w, codes))
+	}
+	for _, c := range cols {
+		if err := tbl.Add(c); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, grouping := range []struct{ name, col string }{{"tied", "g"}, {"unique", "u"}} {
+		bs, err := tbl.ByteSlice(grouping.col)
+		if err != nil {
+			b.Fatal(err)
+		}
+		choice := override([]int{0}, bs.Width)
+		for _, w := range widths {
+			q := Query{ID: "agg", Kind: planner.GroupBy, SortCols: []SortCol{{Name: grouping.col}}, Agg: &Agg{Kind: Sum, Col: fmt.Sprintf("a%d", w)}}
+			b.Run(fmt.Sprintf("%s/width=%d", grouping.name, w), func(b *testing.B) {
+				times := make([]time.Duration, b.N)
+				groups := 0
+				for i := range times {
+					res, err := run(tbl, q, Options{PlanOverride: choice, Workers: 2})
+					if err != nil {
+						b.Fatal(err)
+					}
+					times[i], groups = res.Timing.Aggregate, len(res.Aggregates)
+				}
+				slices.Sort(times)
+				b.ReportMetric(float64(times[len(times)/2].Nanoseconds())/1e6, "agg-ms")
+				b.ReportMetric(float64(groups), "groups")
+			})
+		}
+	}
+}

@@ -39,14 +39,16 @@ var (
 // radix sort ping-pongs through the same scratch as the sequential one.
 // The round keys stay live after the sort — the consumer decodes group
 // keys and ranks windows from them — beside the permutation and the
-// groups; what the consumer adds, at most 8·rows (the aggregate column
-// gathered for aggregation, or a page's ranks and row ids), comes when
-// the 32·rows of lookup and radix scratch are dead: under the peak. It
-// is the one footprint model: the engine's own two-stage degradation
-// applies it, the mcsd admission controller charges each admitted query
-// against the aggregate budget with it — so the two layers never
-// disagree about whether a query fits — and SortColumns applies it to
-// mcs.Sort too (whose input codes are caller-owned and exist anyway).
+// groups; what the consumer adds, at most 8·rows (an aggregate column
+// wider than 32 bits, gathered in selection order for an unlimited
+// query, or a page's ranks and row ids; a narrower one is summed
+// straight from its planes), comes when the 32·rows of lookup and
+// radix scratch are dead: under the peak. It is the one footprint
+// model: the engine's own two-stage degradation applies it, the mcsd
+// admission controller charges each admitted query against the
+// aggregate budget with it — so the two layers never disagree about
+// whether a query fits — and SortColumns applies it to mcs.Sort too
+// (whose input codes are caller-owned and exist anyway).
 func EstimatePipelineBytes(rows, nRounds, workers int) int64 {
 	r := int64(rows)
 	perRow := int64(8*nRounds + 8 + 4 + 4 + 24)

@@ -28,17 +28,42 @@ func cancelQuery() Query {
 	}
 }
 
+// wideQuery is cancelQuery summing the 40-bit column w of wideTable:
+// more planes than one Gather pass decodes, so an unlimited query
+// gathers it in selection order before the aggregation sweep.
+func wideQuery() Query {
+	q := cancelQuery()
+	q.ID, q.Agg = "cancel-wide", &Agg{Kind: Sum, Col: "w"}
+	return q
+}
+
+// wideTable is makeTable plus w, a 40-bit column.
+func wideTable(t *testing.T, n int, seed int64) *table.Table {
+	t.Helper()
+	tbl := makeTable(t, n, seed)
+	rng := rand.New(rand.NewSource(seed))
+	w := make([]uint64, n)
+	for i := range w {
+		w[i] = rng.Uint64() >> 24
+	}
+	if err := tbl.Add(column.FromCodes("w", 40, w)); err != nil {
+		t.Fatal(err)
+	}
+	return tbl
+}
+
 // TestRunContextCancelAtSites cancels from the engine's gather and
 // aggregate sites and massage's chunk site at several worker counts: a
 // fired site must yield context.Canceled promptly with no leaked
 // goroutines. Which sites a query reaches depends on its kind: the sort
-// reads the ByteSlices itself, so only an aggregate column is gathered —
-// a window query never gathers, and a GROUP BY under a limit gathers
-// only its survivors' values, after the sort. The unlimited GROUP BY's
-// subtests carry no kind prefix.
+// reads the ByteSlices itself, and the aggregation sweep reads an
+// aggregate column of up to 32 bits from its planes in sorted order, so
+// only an unlimited query over a wider aggregate column gathers — a
+// window query never does, nor does a GROUP BY over v (8 bits), limited
+// or not. The unlimited GROUP BY's subtests carry no kind prefix.
 func TestRunContextCancelAtSites(t *testing.T) {
 	defer faultinject.Reset()
-	tbl := makeTable(t, 8000, 21)
+	tbl := wideTable(t, 8000, 21)
 	lim := 5
 	window := Query{ID: "cancel-window", Kind: planner.PartitionBy, SortCols: []SortCol{{Name: "a"}}, Window: &Window{OrderCol: "c"}}
 	for _, tc := range []struct {
@@ -47,8 +72,9 @@ func TestRunContextCancelAtSites(t *testing.T) {
 		limit *int
 		fires map[string]bool
 	}{
-		{"", cancelQuery(), nil, map[string]bool{faultinject.Gather: true, faultinject.MassageChunk: true, faultinject.Aggregate: true}},
-		{"groupby-limit", cancelQuery(), &lim, map[string]bool{faultinject.Gather: true, faultinject.MassageChunk: true, faultinject.Aggregate: true}},
+		{"", cancelQuery(), nil, map[string]bool{faultinject.MassageChunk: true, faultinject.Aggregate: true}},
+		{"groupby-limit", cancelQuery(), &lim, map[string]bool{faultinject.MassageChunk: true, faultinject.Aggregate: true}},
+		{"groupby-wide", wideQuery(), nil, map[string]bool{faultinject.Gather: true, faultinject.MassageChunk: true, faultinject.Aggregate: true}},
 		{"window", window, nil, map[string]bool{faultinject.MassageChunk: true}},
 		{"window-limit", window, &lim, map[string]bool{faultinject.MassageChunk: true}},
 	} {
@@ -142,37 +168,41 @@ func TestRunContextPreCancelled(t *testing.T) {
 	}
 }
 
-// TestAggregatePanicContained injects a panic into the parallel
-// aggregation workers: the query must fail with a typed
-// *pipeerr.PipelineError naming the aggregate stage, not crash.
+// TestAggregatePanicContained injects a panic into the aggregation
+// sweep: the query must fail with a typed *pipeerr.PipelineError naming
+// the aggregate stage, not crash — on the caller's goroutine at one
+// worker, and at 2 and 4 in the group-parallel path (thousands of (a,b)
+// groups >= 2*workers), where the site fires inside pipeline workers.
 func TestAggregatePanicContained(t *testing.T) {
 	defer faultinject.Reset()
-	defer testutil.CheckNoLeaks(t)()
 	tbl := makeTable(t, 8000, 23)
-	restore := faultinject.Set(faultinject.Aggregate, func() { panic("injected aggregate fault") })
-	defer restore()
-	// workers=4 routes aggregation through the group-parallel path
-	// (thousands of (a,b) groups >= 2*workers), where the site fires
-	// inside pipeline workers.
-	_, err := RunContext(context.Background(), tbl, cancelQuery(), Options{Workers: 4})
-	var pe *pipeerr.PipelineError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %T %v, want *pipeerr.PipelineError", err, err)
-	}
-	if pe.Stage != pipeerr.StageAggregate {
-		t.Errorf("stage = %q, want %q", pe.Stage, pipeerr.StageAggregate)
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			defer testutil.CheckNoLeaks(t)()
+			restore := faultinject.Set(faultinject.Aggregate, func() { panic("injected aggregate fault") })
+			defer restore()
+			_, err := RunContext(context.Background(), tbl, cancelQuery(), Options{Workers: workers})
+			var pe *pipeerr.PipelineError
+			if !errors.As(err, &pe) {
+				t.Fatalf("err = %T %v, want *pipeerr.PipelineError", err, err)
+			}
+			if pe.Stage != pipeerr.StageAggregate {
+				t.Errorf("stage = %q, want %q", pe.Stage, pipeerr.StageAggregate)
+			}
+		})
 	}
 }
 
-// TestGatherPanicContained injects the panic into the aggregate column's
-// gather workers instead.
+// TestGatherPanicContained injects the panic into the gather workers
+// instead, which only an unlimited query over an aggregate column wider
+// than 32 bits runs.
 func TestGatherPanicContained(t *testing.T) {
 	defer faultinject.Reset()
 	defer testutil.CheckNoLeaks(t)()
-	tbl := makeTable(t, 8000, 24)
+	tbl := wideTable(t, 8000, 24)
 	restore := faultinject.Set(faultinject.Gather, func() { panic("injected gather fault") })
 	defer restore()
-	_, err := RunContext(context.Background(), tbl, cancelQuery(), Options{Workers: 4})
+	_, err := RunContext(context.Background(), tbl, wideQuery(), Options{Workers: 4})
 	var pe *pipeerr.PipelineError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %T %v, want *pipeerr.PipelineError", err, err)

@@ -389,32 +389,22 @@ func recordCostAccuracy(predictedNS float64, measured time.Duration) {
 // owned by exactly one range), cut where the rows, not the groups, split
 // evenly (rowCut). A group's keys are decoded from the sorted round keys
 // at its first position (mcsort.Result.Codes), into clause order through
-// order — the column order the sort ran in. The aggregate column is
-// gathered once, after the sort (EstimatePipelineBytes): in selection
-// order, or — when a truncated sort kept only some rows — for the
-// survivors alone, in sorted order. Each group's keys are a full-slice
-// window of one flat table, so appending to them cannot write into the
-// next group's.
+// order — the column order the sort ran in. Sum and Avg read the
+// aggregate column in sorted order, one aggSweep block at a time, so
+// each range sums sequentially and nothing per row is built: unlimited
+// or truncated, the sweep takes the block's rows from the permutation
+// and gathers their codes from the ByteSlice planes. The exception is
+// a column wider than 32 bits, more planes than one assignPlanes pass
+// decodes, when the sort kept every row (always, without a LIMIT): a
+// random row then spans five to eight cache lines, and one 8-byte read
+// of the column gathered in selection order (EstimatePipelineBytes) is
+// cheaper. Each group's keys are a full-slice window of one flat
+// table, so appending to them cannot write into the next group's.
 func aggregate(ctx context.Context, res *Result, b *Bound, rows []uint32, mres *mcsort.Result, order []int, workers int) error {
-	var vals []uint64
-	perm := mres.Perm
-	if b.agg != nil {
-		ids := rows
-		if len(perm) < len(rows) {
-			// Sum the survivors' values in place: perm becomes the
-			// identity over them.
-			ids = make([]uint32, len(perm))
-			for i, p := range perm {
-				if i&(seqGatherCheckRows-1) == 0 {
-					if err := ctx.Err(); err != nil {
-						return err
-					}
-				}
-				ids[i], perm[i] = rows[p], uint32(i)
-			}
-		}
-		vals = make([]uint64, len(ids))
-		if err := gatherParallel(ctx, vals, ids, b.agg, workers); err != nil {
+	var sel []uint64
+	if b.agg != nil && b.agg.Width > 32 && len(mres.Perm) == len(rows) {
+		sel = make([]uint64, len(rows))
+		if err := gatherParallel(ctx, sel, rows, b.agg, workers); err != nil {
 			return err
 		}
 	}
@@ -425,6 +415,10 @@ func aggregate(ctx context.Context, res *Result, b *Bound, rows []uint32, mres *
 	avg := b.agg != nil && b.Query.Agg.Kind == Avg
 	run := func(first, end int) {
 		codes := make([]uint64, m)
+		var sw *aggSweep
+		if b.agg != nil {
+			sw = newAggSweep(b, rows, mres.Perm, sel, int(mres.Groups[end]))
+		}
 		for g := first; g < end; g++ {
 			lo, hi := int(mres.Groups[g]), int(mres.Groups[g+1])
 			keys := flat[g*m : (g+1)*m : (g+1)*m]
@@ -434,11 +428,8 @@ func aggregate(ctx context.Context, res *Result, b *Bound, rows []uint32, mres *
 			}
 			res.GroupKeys[g] = keys
 			acc := uint64(hi - lo) // Count, or no aggregate
-			if vals != nil {
-				acc = 0
-				for i := lo; i < hi; i++ {
-					acc += vals[perm[i]]
-				}
+			if sw != nil {
+				acc = sw.sum(lo, hi)
 				if avg {
 					acc /= uint64(hi - lo)
 				}
@@ -456,6 +447,71 @@ func aggregate(ctx context.Context, res *Result, b *Bound, rows []uint32, mres *
 		run(bounds[i], bounds[i+1])
 		return nil
 	})
+}
+
+// aggBlock is the number of sorted positions an aggSweep decodes at
+// once: their row ids (4 KiB) and values (8 KiB) stay in L1 while the
+// block is summed.
+const aggBlock = 1024
+
+// aggSweep reads the aggregate column of one range of groups in sorted
+// order. Position i holds the code of row rows[perm[i]]: gathered from
+// the planes a block at a time, or read from sel, the column in
+// selection order, when the aggregate gathered one.
+type aggSweep struct {
+	bs     *byteslice.BS
+	rows   []uint32 // nil: the selection is every row, rows[p] == p
+	perm   []uint32
+	sel    []uint64
+	end    int // the range's last position + 1: no block reads past it
+	lo, hi int // the positions vals holds
+	ids    []uint32
+	vals   []uint64
+}
+
+func newAggSweep(b *Bound, rows, perm []uint32, sel []uint64, end int) *aggSweep {
+	if len(rows) == b.Table.N {
+		rows = nil // an ascending selection of every row is the identity
+	}
+	return &aggSweep{bs: b.agg, rows: rows, perm: perm, sel: sel, end: end,
+		ids: make([]uint32, aggBlock), vals: make([]uint64, aggBlock)}
+}
+
+// sum returns the wrapping sum of positions [lo, hi), which must follow
+// the positions of the previous call.
+func (s *aggSweep) sum(lo, hi int) uint64 {
+	var acc uint64
+	for lo < hi {
+		if lo >= s.hi {
+			s.fill(lo)
+		}
+		stop := min(hi, s.hi)
+		for _, v := range s.vals[lo-s.lo : stop-s.lo] {
+			acc += v
+		}
+		lo = stop
+	}
+	return acc
+}
+
+// fill decodes the block of positions that starts at lo.
+func (s *aggSweep) fill(lo int) {
+	s.lo, s.hi = lo, min(lo+aggBlock, s.end)
+	perm, vals := s.perm[s.lo:s.hi], s.vals[:s.hi-s.lo]
+	switch {
+	case s.sel != nil:
+		for j, p := range perm {
+			vals[j] = s.sel[p]
+		}
+	case s.rows == nil:
+		s.bs.Gather(vals, perm)
+	default:
+		ids := s.ids[:len(perm)]
+		for j, p := range perm {
+			ids[j] = s.rows[p]
+		}
+		s.bs.Gather(vals, ids)
+	}
 }
 
 // rowCut cuts the groups of a sorted order into at most workers ranges

@@ -1,8 +1,9 @@
-// Parallel gather/scatter passes of the engine: the aggregate column's
-// ByteSlice-Lookup (a batch gather through the selection vector, below;
-// MaterializeSortInputsContext gathers the sort columns the same way)
-// and the per-group aggregation scan (aggregate, engine.go) are chunked
-// across workers when Options.Workers > 1. Chunks are output-contiguous and aligned to
+// Parallel gather/scatter passes of the engine: the ByteSlice-Lookup
+// of a column through the selection vector (below: an aggregate column
+// wider than 32 bits under an unlimited query, and the sort columns
+// MaterializeSortInputsContext gathers) and the per-group aggregation
+// sweep (aggregate, engine.go) are chunked across workers when
+// Options.Workers > 1. Chunks are output-contiguous and aligned to
 // 64-byte cache lines, so workers never share a store line; all shared
 // inputs (ByteSlices, the permutation, the selection vector) are
 // read-only during the pass.

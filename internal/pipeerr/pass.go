@@ -77,24 +77,17 @@ func (p Pass) Rows(ctx context.Context, n, workers int, run func(lo, hi int)) er
 // the caller's goroutine when workers < 2, otherwise on min(workers, n)
 // goroutines of one Group that claim the ranges in order. Either way a
 // range first polls the context and fires the pass's site, so a
-// cancelled pass starts no further range and returns ctx.Err(); in a
-// Group a failing or panicking range also cancels its siblings and
-// surfaces as a *PipelineError carrying the pass's stage and round.
+// cancelled pass starts no further range and returns ctx.Err(), and a
+// panicking range surfaces as a *PipelineError carrying the pass's
+// stage and round; in a Group a failing or panicking range also cancels
+// its siblings.
 // run must write only state its range owns.
 func (p Pass) Ranges(ctx context.Context, workers, n int, run func(ctx context.Context, i int) error) error {
 	if n == 0 {
 		return ctx.Err()
 	}
 	if workers < 2 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := p.visit(ctx, i, run); err != nil {
-				return err
-			}
-		}
-		return nil
+		return p.sequential(ctx, n, run)
 	}
 	var next atomic.Int64
 	g := NewGroup(ctx)
@@ -117,6 +110,26 @@ func (p Pass) Ranges(ctx context.Context, workers, n int, run func(ctx context.C
 		})
 	}
 	return g.Wait()
+}
+
+// sequential is Ranges on the caller's goroutine. A panicking range is
+// contained as worker 0's, as a Group would contain it.
+func (p Pass) sequential(ctx context.Context, n int, run func(ctx context.Context, i int) error) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			obsRecoveredPanics.Inc()
+			err = &PipelineError{Stage: p.Stage, Round: p.Round, Worker: 0, Err: AsError(v)}
+		}
+	}()
+	for i := 0; i < n; i++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := p.visit(ctx, i, run); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // visit is what a range does once its worker has polled the context:

@@ -152,7 +152,8 @@ func TestRangesCancel(t *testing.T) {
 
 // TestRangesPanicContained: a panicking range surfaces as a
 // *PipelineError with the pass's stage and round and a real worker
-// index, and cancels its siblings (which here wait for exactly that).
+// index, and cancels its siblings (which here wait for exactly that);
+// at one worker it is worker 0's and ends the pass.
 func TestRangesPanicContained(t *testing.T) {
 	pass := Pass{Stage: StagePermute, Round: 4}
 	err := pass.Ranges(context.Background(), 3, 6, func(gctx context.Context, i int) error {
@@ -172,6 +173,23 @@ func TestRangesPanicContained(t *testing.T) {
 	}
 	if pe.Stage != StagePermute || pe.Round != 4 || pe.Worker < 0 || pe.Err.Error() != "panic: range poisoned" {
 		t.Errorf("contained as %s/%d/%d: %v", pe.Stage, pe.Round, pe.Worker, pe.Err)
+	}
+
+	// On the caller's goroutine the panic is contained the same way, as
+	// worker 0's, and no later range runs.
+	ran := 0
+	err = pass.Ranges(context.Background(), 1, 6, func(_ context.Context, i int) error {
+		ran++
+		if i == 2 {
+			panic("range poisoned")
+		}
+		return nil
+	})
+	if !errors.As(err, &pe) {
+		t.Fatalf("sequential: err = %T %v, want *PipelineError", err, err)
+	}
+	if pe.Stage != StagePermute || pe.Round != 4 || pe.Worker != 0 || pe.Err.Error() != "panic: range poisoned" || ran != 3 {
+		t.Errorf("sequential: contained as %s/%d/%d after %d ranges: %v", pe.Stage, pe.Round, pe.Worker, ran, pe.Err)
 	}
 }
 

@@ -43,9 +43,9 @@ const (
 	StageGather    = "gather"
 	StageAggregate = "aggregate"
 	// StageServe marks a failure contained at the serving layer: a panic
-	// that escaped on the query's own goroutine (the pipeline's
-	// sequential paths run on the caller, where no worker Group can
-	// recover it) and was caught by mcsd's job-level containment.
+	// that escaped on the query's own goroutine (sequential code outside
+	// a Pass runs on the caller, where neither a Pass nor a worker Group
+	// recovers it) and was caught by mcsd's job-level containment.
 	StageServe = "serve"
 )
 
