@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: test race lint fault chaos chaos-soak fuzz-smoke smoke shard-smoke perf-smoke bench bakeoff bench-gather plan-flip bench-regress
+.PHONY: test race lint fault chaos chaos-soak fuzz-smoke smoke shard-smoke perf-smoke bench-smoke bench bakeoff bench-gather plan-flip bench-regress
 
 test:
 	$(GO) vet ./...
@@ -93,6 +93,22 @@ perf-smoke:
 		case "$$out" in *'"correct":true'*'"failed":0,'*) ;; *) echo "perf-smoke: $$w did not finish correct with failed:0" >&2; exit 1;; esac; \
 	done
 
+# Compile-and-run smoke of every repo benchmark CI checks: one
+# iteration per cell, no timing gate (the full runs are bakeoff,
+# bench-gather and the commands EXPERIMENTS.md records).
+bench-smoke:
+	$(GO) test -run '^$$' -bench BenchmarkKernelBakeoff -benchtime 1x ./internal/mergesort/ ./internal/mergesort/paper/
+	$(GO) test -run '^$$' -bench BenchmarkParallelSort -benchtime 1x -cpu 2 ./internal/mergesort/ ./internal/mergesort/paper/
+	$(GO) test -run '^$$' -bench BenchmarkMergeRuns -benchtime 1x -cpu 2 ./internal/mergesort/
+	$(GO) test -run '^$$' -bench BenchmarkGather -benchtime 1x ./internal/byteslice/
+	$(GO) test -run '^$$' -bench BenchmarkRoundFromByteSlice -benchtime 1x ./internal/massage/
+	$(GO) test -run '^$$' -bench BenchmarkWindowRank -benchtime 1x ./internal/engine/
+	$(GO) test -run '^$$' -bench BenchmarkAggregate -benchtime 1x ./internal/engine/
+	$(GO) test -run '^$$' -bench BenchmarkCoordinatorGather -benchtime 1x ./internal/shard/
+	$(GO) test -run '^$$' -bench BenchmarkColdPageSearch -benchtime 1x ./internal/server/
+	$(GO) test -run '^$$' -bench BenchmarkCatalogSearch -benchtime 1x ./internal/experiments/
+	$(GO) test -run '^$$' -bench BenchmarkTPCH -benchtime 1x ./internal/datagen/
+
 # Human-readable worker-scaling numbers for the fixed 1M-row workload.
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkPipeline1Mx4 -benchtime 3x .
@@ -107,7 +123,7 @@ bench:
 # {100, n/8, n/2−1, n−1} × workers {1, 2}, then the paper kernel's
 # chunk sorts and chunk merge at 2 — and the
 # merge of sorted runs (MergeRunsContext) at k {2, 3, 8} and workers
-# {1, 2}. CI runs them all at -benchtime 1x as a compile-and-run smoke.
+# {1, 2}. bench-smoke runs them all at -benchtime 1x.
 bakeoff:
 	$(GO) test -run '^$$' -bench BenchmarkKernelBakeoff -benchtime 20x -cpu 1 ./internal/mergesort/ ./internal/mergesort/paper/
 	$(GO) test -run '^$$' -bench BenchmarkParallelSort -benchtime 20x -cpu 2 ./internal/mergesort/ ./internal/mergesort/paper/
@@ -119,8 +135,7 @@ bakeoff:
 # 2^19 rows (the table in EXPERIMENTS.md). BenchmarkCoordinatorGather:
 # run builds and merge+rank timed separately (ns/row) on the pinned
 # window shape of mcsperf's shard3_window_full over a 2^18-row TPC-H
-# table in 3 ranges. CI runs both at -benchtime 1x as a compile-and-run
-# smoke.
+# table in 3 ranges. bench-smoke runs both at -benchtime 1x.
 bench-gather:
 	$(GO) test -run '^$$' -bench BenchmarkGather -benchtime 20x ./internal/byteslice/
 	$(GO) test -run '^$$' -bench BenchmarkCoordinatorGather -benchtime 20x ./internal/shard/

@@ -19,6 +19,7 @@ import (
 	"math"
 	"math/bits"
 	"os"
+	"sync"
 
 	"repro/internal/column"
 	"repro/internal/mergesort"
@@ -321,20 +322,44 @@ func CollectStats(cols [][]uint64, widths []int) Stats {
 }
 
 // CollectColumnStats computes one column's prefix-distinct profile; the
-// WideTable caches these per column so plan search does not pay for
-// statistics collection at query time (as in any DBMS, statistics are
-// maintained ahead of queries). It sorts a copy of codes, which must
-// fit width bits.
+// WideTable caches these per column (SampleColumnStats) so plan search
+// does not pay for statistics collection at query time (as in any DBMS,
+// statistics are maintained ahead of queries). It sorts a copy of
+// codes, which must fit width bits.
 func CollectColumnStats(codes []uint64, width int) ColumnStats {
 	buf := make([]uint64, 2*len(codes))
 	copy(buf, codes)
-	return CollectColumnStatsInPlace(buf[:len(codes)], buf[len(codes):], width)
+	return collectInPlace(buf[:len(codes)], buf[len(codes):], width)
 }
 
-// CollectColumnStatsInPlace is CollectColumnStats that sorts codes
-// itself, with scratch (at least as long) as the sort's second buffer:
-// a caller that owns its sample allocates nothing more.
-func CollectColumnStatsInPlace(codes, scratch []uint64, width int) ColumnStats {
+// StatsSample is the number of leading rows a column's statistics
+// profile samples: beyond it, prefix-distinct profiles change little.
+const StatsSample = 1 << 16
+
+// samplePool holds the buffers SampleColumnStats decodes a sample into
+// and sorts it with, so profiling one column after another reuses one
+// buffer and no profile keeps it alive.
+var samplePool = sync.Pool{New: func() any { return new([]uint64) }}
+
+// SampleColumnStats is the prefix-distinct profile of a column of n
+// codes of the given width, taken from its first min(n, StatsSample)
+// codes, which decode writes into the slice it is handed.
+func SampleColumnStats(n, width int, decode func(sample []uint64)) ColumnStats {
+	k := min(n, StatsSample)
+	bp := samplePool.Get().(*[]uint64)
+	if cap(*bp) < 2*k {
+		*bp = make([]uint64, 2*StatsSample)
+	}
+	buf := (*bp)[:2*k]
+	decode(buf[:k])
+	cs := collectInPlace(buf[:k], buf[k:], width)
+	samplePool.Put(bp)
+	return cs
+}
+
+// collectInPlace is CollectColumnStats that sorts codes itself, with
+// scratch (at least as long) as the sort's second buffer.
+func collectInPlace(codes, scratch []uint64, width int) ColumnStats {
 	cs := ColumnStats{Width: width, PrefixDistinct: make([]float64, width+1)}
 	cs.PrefixDistinct[0] = 1
 	if len(codes) == 0 {

@@ -10,10 +10,11 @@ const allocRows = 1 << 19
 
 // maxAllocPerPlaneByte bounds what generating a table may allocate per
 // byte of its ByteSlice planes. Encoding straight into the planes
-// allocates about 3.05 bytes per plane byte at allocRows (the planes,
-// one statistics sample per column, the key permutations, and the
-// 32-bit dimension attributes and references); building every column
-// as a code array first allocated about 9.5.
+// allocates about 2.05 bytes per plane byte at allocRows (the planes,
+// the key permutations, the 32-bit dimension attributes and references,
+// and the pooled statistics sample buffer); building every column as a
+// code array first allocated about 9.5, and a fresh sample buffer per
+// column about 3.05.
 const maxAllocPerPlaneByte = 4.0
 
 // TestTPCHAllocation: datagen.TPCH allocates a bounded multiple of the

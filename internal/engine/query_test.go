@@ -304,72 +304,6 @@ func TestPlanKeyIsTheSearch(t *testing.T) {
 	}
 }
 
-// TestOrderKeyIsTheOrderSearch holds the order-entry key to the first
-// half of a split search: over the grid of TestPlanKeyIsTheSearch plus
-// a window and an ORDER BY free to split, OrderKey answers exactly when
-// the search splits, and two splitting requests get equal keys exactly
-// when their unlimited order searches are equal.
-func TestOrderKeyIsTheOrderSearch(t *testing.T) {
-	tbl := makeTable(t, 3000, 31)
-	window := Query{Kind: planner.PartitionBy, SortCols: []SortCol{{Name: "a"}}, Window: &Window{OrderCol: "b", Desc: true}}
-	window2 := Query{Kind: planner.PartitionBy, SortCols: []SortCol{{Name: "a"}, {Name: "c"}}, Window: &Window{OrderCol: "b", Desc: true}}
-	group := Query{Kind: planner.GroupBy, SortCols: []SortCol{{Name: "a"}, {Name: "c"}}, Agg: &Agg{Kind: Sum, Col: "v"}}
-	orderBy := Query{Kind: planner.OrderBy, SortCols: []SortCol{{Name: "a"}, {Name: "c"}}}
-	byAgg, filtered := group, group
-	byAgg.OrderByAgg = true
-	filtered.Filters = []Filter{{Col: "f", Op: byteslice.LT, Const: 25}}
-
-	model := costmodel.Builtin()
-	var labels, keys []string
-	var orderSearches []*planner.Search
-	for qi, q := range []Query{window, window2, group, orderBy, byAgg, filtered} {
-		b, err := Bind(tbl, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sel, err := b.Select(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := b.stats(sel.Count())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, pin := range [][]int{nil, {0, 1}} {
-			for _, limit := range []int{-1, 0, 5, 8} { // -1: no limit
-				for _, offset := range []int{0, 3} {
-					opts := Options{Model: model, Rho: -1, MaxPlans: 8192, Offset: offset, FixedColOrder: pin}
-					if limit >= 0 {
-						opts.Limit = &limit
-					}
-					label := fmt.Sprintf("query %d pin %v limit %d offset %d", qi, pin, limit, offset)
-					s := NewSearch(q, st, opts)
-					key, ok := b.OrderKey(opts.Limit, offset, pin)
-					if ok != s.Splits() {
-						t.Errorf("%s: OrderKey ok %v, search splits %v", label, ok, s.Splits())
-					}
-					if !ok {
-						continue
-					}
-					unlimited := *s
-					unlimited.Stats.LimitRows, unlimited.Stats.LimitGroups = 0, 0
-					labels, keys, orderSearches = append(labels, label), append(keys, key), append(orderSearches, &unlimited)
-				}
-			}
-		}
-	}
-	if len(keys) == 0 {
-		t.Fatal("no request split its search")
-	}
-	for i := range keys {
-		for j := i + 1; j < len(keys); j++ {
-			if same := reflect.DeepEqual(orderSearches[i], orderSearches[j]); (keys[i] == keys[j]) != same {
-				t.Errorf("%s and %s: equal keys %v, equal order searches %v", labels[i], labels[j], keys[i] == keys[j], same)
-			}
-		}
-	}
-}
-
 // windowQuery is a query of clause kind with no columns, a window for
 // PartitionBy: all NewSearch reads of a query.
 func windowQuery(kind planner.ClauseKind) Query {

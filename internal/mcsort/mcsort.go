@@ -306,10 +306,7 @@ func executeContext(ctx context.Context, inputs []massage.Input, p plan.Plan, op
 		// the groups across workers.
 		start = time.Now()
 		nSort := 0
-		var sumSz int
-		for g := 0; g+1 < len(groups); g++ {
-			sumSz += int(groups[g+1] - groups[g])
-		}
+		sumSz := int(groups[len(groups)-1] - groups[0]) // the input groups' rows
 		switch {
 		case r == 0:
 			// Full-table sort (a single sorted run for Workers < 2). Under

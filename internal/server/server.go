@@ -33,19 +33,6 @@ var (
 // bounded.
 const DefaultMaxPlans = 1 << 16
 
-// ServedRho is the plan-search ρ a daemon stores for a configured one:
-// a served search never reads the clock, so 0 becomes -1 (no
-// threshold) and a positive value is refused.
-func ServedRho(rho float64) (float64, error) {
-	switch {
-	case rho > 0:
-		return 0, fmt.Errorf("Rho %g: a served plan search reads no clock (0 or negative)", rho)
-	case rho == 0:
-		return -1, nil
-	}
-	return rho, nil
-}
-
 // BuiltinModel returns costmodel.Builtin, the fixed-constant cost model
 // mcsd uses unless -calibration names a saved profile.
 func BuiltinModel() *costmodel.Model { return costmodel.Builtin() }
@@ -58,18 +45,13 @@ type Config struct {
 	// server's life; required (mcsd passes BuiltinModel or a profile
 	// loaded at startup).
 	Model *costmodel.Model
-	// Rho is the plan-search time threshold (planner.Search.Rho). A
-	// served search never reads the clock: New stores 0 as -1 (no
-	// threshold) and refuses a positive value, so the search outcome
-	// never depends on machine speed.
-	Rho float64
-	// MaxPlans is the counted plan-search budget (engine.Options
-	// .MaxPlans, DefaultMaxPlans when 0). Without a clock it makes plan
-	// choice deterministic: repeated identical queries pick identical
-	// plans, so a plan-cache hit can never change a query's result —
-	// only skip the search. It also bounds the m!-order search of wide
-	// GROUP BY clauses, which is combinatorially infeasible to run
-	// exhaustively.
+	// Rho is the plan-search time threshold (planner.Search.Rho) and
+	// MaxPlans the counted budget (engine.Options.MaxPlans), both
+	// normalized by NewPlanCache: a served search reads no clock, so its
+	// plan choice is deterministic and a plan-cache hit can only skip the
+	// search. The budget also bounds the m!-order search of wide GROUP BY
+	// clauses.
+	Rho      float64
 	MaxPlans int
 	// MaxConcurrent bounds the number of queries executing at once
 	// (default 1). Excess queries wait in the admission queue.
@@ -128,8 +110,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Model == nil {
 		return nil, errors.New("server: Config.Model is required")
 	}
-	var err error
-	if cfg.Rho, err = ServedRho(cfg.Rho); err != nil {
+	cache, err := NewPlanCache(cfg.Model, cfg.Rho, cfg.MaxPlans, cfg.PlanCacheSize)
+	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
 	if cfg.MaxConcurrent < 1 {
@@ -138,15 +120,12 @@ func New(cfg Config) (*Server, error) {
 	if cfg.DefaultWorkers < 1 {
 		cfg.DefaultWorkers = 1
 	}
-	if cfg.MaxPlans <= 0 {
-		cfg.MaxPlans = DefaultMaxPlans
-	}
 	if cfg.MaxQueued == 0 {
 		cfg.MaxQueued = 8 * cfg.MaxConcurrent
 	}
 	s := &Server{
 		cfg:     cfg,
-		cache:   NewPlanCache(cfg.PlanCacheSize),
+		cache:   cache,
 		adm:     newAdmission(cfg.MaxConcurrent, cfg.MaxBytes),
 		breaker: newPanicBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
 	}
@@ -258,49 +237,15 @@ func (s *Server) runEngine(ctx context.Context, jobID string, req QueryRequest, 
 	defer release()
 	markRunning()
 
-	// LIMIT 0 queries never run a plan search (the engine returns the
-	// empty result straight after the filter), so they neither consult
-	// nor populate the plan cache — a zero-value plan must not be
-	// memoized under their key, which is the unlimited query's.
-	cacheable := req.Limit == nil || *req.Limit > 0
-	key := b.PlanKey(req.Limit, req.Offset, req.ColOrder)
-	var choice planner.Choice
-	hit := false
-	if cacheable {
-		choice, hit = s.cache.Get(key)
-	}
-	opts := engine.Options{
-		Massaging: true,
-		Model:     s.cfg.Model,
-		Rho:       s.cfg.Rho,
-		MaxPlans:  s.cfg.MaxPlans,
-		Workers:   workers,
-		MaxBytes:  maxQueryBytes(req.MaxBytes, s.cfg.MaxBytes, est),
-		Offset:    req.Offset,
-		OidsOnly:  req.OidsOnly,
-		// The plan is fixed here, before the expensive stages begin: the
-		// watchdog budget grows from its floor to cover the estimate.
-		OnPlanChosen: extendWatchdog,
-	}
-	if len(req.ColOrder) > 0 {
-		opts.FixedColOrder = append([]int(nil), req.ColOrder...)
-	}
-	if req.Limit != nil {
-		lim := *req.Limit
-		opts.Limit = &lim
-	}
-	// A page that missed its plan entry pins the column order an
-	// earlier page of its shape found and searches only the widths
-	// (PlanCache.PageOrder).
-	var orderKey string
-	var order []int
-	if hit {
-		opts.PlanOverride = &choice
-	} else if cacheable {
-		if orderKey, order = s.cache.PageOrder(b, req.Limit, req.Offset, req.ColOrder); order != nil {
-			opts.FixedColOrder = order
-		}
-	}
+	page := s.cache.Page(b, req.Limit, req.Offset, req.ColOrder)
+	opts := page.Options()
+	hit := opts.PlanOverride != nil
+	opts.Workers = workers
+	opts.MaxBytes = maxQueryBytes(req.MaxBytes, s.cfg.MaxBytes, est)
+	opts.OidsOnly = req.OidsOnly
+	// The plan is fixed here, before the expensive stages begin: the
+	// watchdog budget grows from its floor to cover the estimate.
+	opts.OnPlanChosen = extendWatchdog
 
 	execStart := time.Now()
 	eres, err := engine.RunContext(ctx, t, q, opts)
@@ -308,16 +253,7 @@ func (s *Server) runEngine(ctx context.Context, jobID string, req QueryRequest, 
 		return nil, err
 	}
 	obsExecTime.Add(time.Since(execStart))
-	if cacheable && !hit {
-		s.cache.Put(key, planner.Choice{
-			ColOrder: eres.ColOrder,
-			Plan:     eres.Plan,
-			Est:      eres.PredictedMCS,
-		})
-		if order == nil {
-			s.cache.FillOrder(orderKey, eres.ColOrder)
-		}
-	}
+	page.Fill(planner.Choice{ColOrder: eres.ColOrder, Plan: eres.Plan, Est: eres.PredictedMCS})
 	return buildResult(jobID, req, eres, hit, queueWait, time.Since(execStart)), nil
 }
 

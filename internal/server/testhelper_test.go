@@ -85,9 +85,9 @@ func planKey(t *testing.T, srv *Server, req QueryRequest) string {
 func directOptions(srv *Server, workers int) engine.Options {
 	return engine.Options{
 		Massaging: true,
-		Model:     srv.cfg.Model,
-		Rho:       srv.cfg.Rho,
-		MaxPlans:  srv.cfg.MaxPlans,
+		Model:     srv.cache.model,
+		Rho:       srv.cache.rho,
+		MaxPlans:  srv.cache.maxPlans,
 		Workers:   workers,
 	}
 }

@@ -54,9 +54,10 @@ type Config struct {
 	// only the single-node order if both searches cost plans identically.
 	Model *costmodel.Model
 	// Rho and MaxPlans are the plan-search determinism keystone, exactly
-	// as on the single-node server: New stores 0 as -1 (no wall-clock
-	// cutoff) and refuses a positive Rho, and a counted budget makes the
-	// pinned order a pure function of the query and the statistics.
+	// as on the single-node server (server.NewPlanCache): 0 is stored as
+	// -1 (no wall-clock cutoff), a positive Rho is refused, and a counted
+	// budget makes the pinned order a pure function of the query and the
+	// statistics.
 	Rho      float64
 	MaxPlans int
 	// DefaultWorkers is the merge-side worker count used when a request
@@ -106,15 +107,12 @@ func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, errors.New("shard: Config.Shards is required")
 	}
-	var err error
-	if cfg.Rho, err = server.ServedRho(cfg.Rho); err != nil {
+	cache, err := server.NewPlanCache(cfg.Model, cfg.Rho, cfg.MaxPlans, cfg.PlanCacheSize)
+	if err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
 	}
 	if cfg.DefaultWorkers < 1 {
 		cfg.DefaultWorkers = 1
-	}
-	if cfg.MaxPlans <= 0 {
-		cfg.MaxPlans = server.DefaultMaxPlans
 	}
 	ranges := make(map[string][]Range)
 	for _, name := range cfg.Registry.Names() {
@@ -127,7 +125,7 @@ func New(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:    cfg,
 		pool:   client.NewPool(cfg.Client),
-		cache:  server.NewPlanCache(cfg.PlanCacheSize),
+		cache:  cache,
 		ranges: ranges,
 	}
 	c.Front = server.NewFront(server.Backend{

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/engine"
+	"repro/internal/planner"
 	"repro/internal/server"
 	"repro/internal/table"
 	"repro/internal/testutil"
@@ -121,5 +123,32 @@ func TestUnsplitPinsTouchNoOrder(t *testing.T) {
 				t.Errorf("%s limit %d offset %d: %d order entries, %d order hits; want none", req.ID, cut[0], cut[1], n, bumps[0])
 			}
 		}
+	}
+}
+
+// TestCoordinatorServedSettings: a coordinator's planner carries the
+// single node's settings — Rho 0 stored as -1 (no clock) and MaxPlans 0
+// the serving default — into every pin search.
+func TestCoordinatorServedSettings(t *testing.T) {
+	tbl := testutilTPCH(t, 2000)
+	reg := server.NewRegistry()
+	if err := reg.Register(tbl); err != nil {
+		t.Fatal(err)
+	}
+	coord, err := New(Config{Registry: reg, Shards: []string{"http://127.0.0.1:1"}, Model: server.BuiltinModel()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := coord.Shutdown(context.Background()); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+	b, err := engine.Bind(tbl, engine.Query{Kind: planner.OrderBy, SortCols: []engine.SortCol{{Name: "p_brand"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o := coord.PlanCache().Page(b, nil, 0, nil).Options(); o.Rho != -1 || o.MaxPlans != server.DefaultMaxPlans {
+		t.Errorf("pin search options Rho %g MaxPlans %d, want -1 and %d", o.Rho, o.MaxPlans, server.DefaultMaxPlans)
 	}
 }

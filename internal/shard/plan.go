@@ -6,25 +6,19 @@
 // coordinator therefore runs the search once, over the full table's
 // statistics with the deterministic keystone (MaxPlans, no clock), and
 // replays the winning ColOrder on every shard via the col_order wire
-// field. The choice is memoized in a server.PlanCache under the single
-// node's plan key (engine.Bound.PlanKey): the search reads the full
-// table, never the shard topology. A page that misses it reuses the
-// cache's order entry as the single node does (PlanCache.PageOrder), so
-// its pin search costs only the widths.
+// field. Its server.PlanCache is the single node's served planner: the
+// same lookup (PlanCache.Page) under the single node's plan key, which
+// reads the full table, never the shard topology, and the same order
+// entries, so a page that misses its plan entry pins the order an
+// earlier page found and its pin search costs only the widths.
 package shard
 
 import (
 	"context"
 
 	"repro/internal/engine"
-	"repro/internal/obs"
 	"repro/internal/planner"
 	"repro/internal/server"
-)
-
-var (
-	obsPinSearches = obs.NewCounter("shard.plan_pin_searches")
-	obsPinHits     = obs.NewCounter("shard.plan_pin_cache_hits")
 )
 
 // pinnedChoice is a cache lookup plus the engine's own plan function
@@ -33,27 +27,18 @@ var (
 // same query executes, so the pinned ColOrder is the single node's by
 // construction — and the differential battery compares both.
 func (c *Coordinator) pinnedChoice(ctx context.Context, b *engine.Bound, req server.QueryRequest) (planner.Choice, bool, error) {
-	key := b.PlanKey(req.Limit, req.Offset, nil)
-	if choice, ok := c.cache.Get(key); ok {
-		obsPinHits.Inc()
-		return choice, true, nil
+	page := c.cache.Page(b, req.Limit, req.Offset, nil)
+	if hit := page.Options().PlanOverride; hit != nil {
+		return *hit, true, nil
 	}
 	sel, err := b.Select(ctx)
 	if err != nil {
 		return planner.Choice{}, false, err
 	}
-	obsPinSearches.Inc()
-	orderKey, order := c.cache.PageOrder(b, req.Limit, req.Offset, nil)
-	choice, _, err := b.ChoosePlan(ctx, sel.Count(), engine.Options{
-		Massaging: true, Model: c.cfg.Model, Rho: c.cfg.Rho, MaxPlans: c.cfg.MaxPlans,
-		Limit: req.Limit, Offset: req.Offset, FixedColOrder: order,
-	})
+	choice, _, err := b.ChoosePlan(ctx, sel.Count(), page.Options())
 	if err != nil {
 		return planner.Choice{}, false, err
 	}
-	c.cache.Put(key, choice)
-	if order == nil {
-		c.cache.FillOrder(orderKey, choice.ColOrder)
-	}
+	page.Fill(choice)
 	return choice, false, nil
 }

@@ -14,8 +14,6 @@ import (
 	"repro/internal/costmodel"
 )
 
-const statsSample = 1 << 16 // leading rows a statistics profile samples
-
 // Table is a named collection of equal-length columns, each kept only
 // as its ByteSlice layout and statistics profile, built as it is added:
 // a built table is immutable, so any number of queries may share it.
@@ -71,15 +69,11 @@ func (t *Table) AddCodes(name string, width int, code func(row int) uint64) erro
 	return nil
 }
 
-// put attaches bs with the statistics profile of its first rows,
-// decoded into one buffer that also serves as the profile sort's
-// scratch.
+// put attaches bs with the statistics profile of its first rows
+// (costmodel.SampleColumnStats).
 func (t *Table) put(name string, bs *byteslice.BS) {
-	n := min(bs.N, statsSample)
-	buf := make([]uint64, 2*n)
-	bs.Decode(buf[:n])
 	t.bs[name] = bs
-	t.stats[name] = costmodel.CollectColumnStatsInPlace(buf[:n], buf[n:], bs.Width)
+	t.stats[name] = costmodel.SampleColumnStats(bs.N, bs.Width, bs.Decode)
 }
 
 // Slice returns rows [lo, hi) of t, 0 <= lo <= hi <= t.N, as a table of

@@ -140,11 +140,11 @@ func TestStatsCachedAndCorrect(t *testing.T) {
 	}
 }
 
-// TestStatsSample: a column's profile is that of its first statsSample
-// codes, and a table cut from another's planes profiles its own first
-// rows.
+// TestStatsSample: a column's profile is that of its first
+// costmodel.StatsSample codes, and a table cut from another's planes
+// profiles its own first rows.
 func TestStatsSample(t *testing.T) {
-	const n, w = statsSample + 5000, 21
+	const n, w = costmodel.StatsSample + 5000, 21
 	codes := randCodes(rand.New(rand.NewSource(3)), n, w, 1<<w)
 	tbl := New("t", n)
 	mustAdd(t, tbl, column.FromCodes("a", w, codes))
@@ -152,13 +152,13 @@ func TestStatsSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := costmodel.CollectColumnStats(codes[:statsSample], w); !reflect.DeepEqual(got, want) {
+	if want := costmodel.CollectColumnStats(codes[:costmodel.StatsSample], w); !reflect.DeepEqual(got, want) {
 		t.Errorf("Stats = %v, want %v", got, want)
 	}
 
 	for _, r := range [][2]int{{3000, n}, {n - 100, n}, {7, 7}} {
 		got, _ := tbl.Slice(r[0], r[1]).Stats("a")
-		sample := codes[r[0]:min(r[1], r[0]+statsSample)]
+		sample := codes[r[0]:min(r[1], r[0]+costmodel.StatsSample)]
 		if want := costmodel.CollectColumnStats(sample, w); !reflect.DeepEqual(got, want) {
 			t.Errorf("rows %v: Stats = %v, want %v", r, got, want)
 		}

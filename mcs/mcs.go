@@ -208,17 +208,13 @@ func ColumnAtATime(widths []int) Plan { return plan.ColumnAtATime(widths) }
 // refuses a malformed one.
 func LoadModel(path string) (*Model, error) { return costmodel.Load(path) }
 
-// statsSampleLimit bounds the codes of a column the plan statistics
-// profile; beyond it, prefix-distinct profiles change little.
-const statsSampleLimit = 1 << 16
-
+// sampleStats profiles each column's leading rows
+// (costmodel.SampleColumnStats) for the plan search.
 func sampleStats(cols []Column, widths []int) costmodel.Stats {
-	sampled := make([][]uint64, len(cols))
+	st := costmodel.Stats{N: len(cols[0].Codes), Cols: make([]costmodel.ColumnStats, len(cols))}
 	for i, c := range cols {
-		sampled[i] = c.Codes[:min(len(c.Codes), statsSampleLimit)]
+		st.Cols[i] = costmodel.SampleColumnStats(len(c.Codes), widths[i], func(sample []uint64) { copy(sample, c.Codes) })
 	}
-	st := costmodel.CollectStats(sampled, widths)
-	st.N = len(cols[0].Codes)
 	return st
 }
 
