@@ -9,12 +9,12 @@
 package byteslice
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
 
 	"repro/internal/column"
-	"repro/internal/simd"
 )
 
 // BS is a ByteSlice-encoded column.
@@ -84,17 +84,24 @@ func (bs *BS) Lookup(i int) uint64 {
 	return v >> bs.shift
 }
 
-// Decode sets dst[i] to the code at row i for every i < len(dst) <= bs.N.
-func (bs *BS) Decode(dst []uint64) {
-	for i := range dst {
-		dst[i] = bs.Lookup(i)
+// gatherBlock is the number of rows Gather and Decode decode before
+// moving on: a block's row ids (4 KiB) and codes (8 KiB) stay in L1
+// across all of its passes, so only the plane bytes come from memory.
+const gatherBlock = 1024
+
+// Decode sets dst[j] to the code at row lo+j for every j: the range
+// read of rows [lo, lo+len(dst)). It runs Gather's passes block by
+// block, each over the block's window of its planes: sequential reads.
+func (bs *BS) Decode(dst []uint64, lo int) {
+	var ps [8][]byte
+	for b := 0; b < len(dst); b += gatherBlock {
+		d := dst[b:min(b+gatherBlock, len(dst))]
+		for p, plane := range bs.planes {
+			ps[p] = plane[lo+b : lo+b+len(d)]
+		}
+		decodePlanes(d, ps[:len(bs.planes)], bs.shift)
 	}
 }
-
-// gatherBlock is the number of rows Gather decodes before moving on: a
-// block's row ids (4 KiB) and codes (8 KiB) stay in L1 across all of
-// its passes, so only the plane bytes are random reads.
-const gatherBlock = 1024
 
 // Gather sets dst[j] to the code at row rows[j] for every j. It decodes
 // blocks of gatherBlock rows plane-major, in passes of up to four
@@ -104,25 +111,16 @@ const gatherBlock = 1024
 // len(dst) must be at least len(rows); dst beyond len(rows) is left
 // untouched.
 func (bs *BS) Gather(dst []uint64, rows []uint32) {
-	n := len(bs.planes)
-	k := (n-1)%4 + 1 // planes of the first pass; the second, if any, takes four
 	for lo := 0; lo < len(rows); lo += gatherBlock {
 		r := rows[lo:min(lo+gatherBlock, len(rows))]
-		d := dst[lo : lo+len(r)]
-		if k == n {
-			assignPlanes(d, r, bs.planes, bs.shift)
-			continue
-		}
-		assignPlanes(d, r, bs.planes[:k], 0)
-		p0, p1, p2, p3 := bs.planes[k], bs.planes[k+1], bs.planes[k+2], bs.planes[k+3]
-		for j, row := range r {
-			d[j] = (d[j]<<32 | uint64(p0[row])<<24 | uint64(p1[row])<<16 | uint64(p2[row])<<8 | uint64(p3[row])) >> bs.shift
-		}
+		assignPlanes(dst[lo:lo+len(r)], r, bs.planes, bs.shift)
 	}
 }
 
-// assignPlanes sets d[j] to the bytes of up to four planes at row r[j],
-// shifted right by shift.
+// assignPlanes sets d[j] to the bytes of the planes ps at row r[j],
+// shifted right by shift: one pass of up to four planes, or, for five
+// to eight, a pass of the leading ones and one shifting the last four
+// in.
 func assignPlanes(d []uint64, r []uint32, ps [][]byte, shift uint) {
 	d = d[:len(r)]
 	switch len(ps) {
@@ -141,10 +139,51 @@ func assignPlanes(d []uint64, r []uint32, ps [][]byte, shift uint) {
 		for j, row := range r {
 			d[j] = (uint64(p0[row])<<16 | uint64(p1[row])<<8 | uint64(p2[row])) >> shift
 		}
-	default:
+	case 4:
 		p0, p1, p2, p3 := ps[0], ps[1], ps[2], ps[3]
 		for j, row := range r {
 			d[j] = (uint64(p0[row])<<24 | uint64(p1[row])<<16 | uint64(p2[row])<<8 | uint64(p3[row])) >> shift
+		}
+	default:
+		k := len(ps) - 4
+		assignPlanes(d, r, ps[:k], 0)
+		p0, p1, p2, p3 := ps[k], ps[k+1], ps[k+2], ps[k+3]
+		for j, row := range r {
+			d[j] = (d[j]<<32 | uint64(p0[row])<<24 | uint64(p1[row])<<16 | uint64(p2[row])<<8 | uint64(p3[row])) >> shift
+		}
+	}
+}
+
+// decodePlanes is assignPlanes at rows 0..len(d)-1 of planes that each
+// hold one block: the same passes, over sequential bytes.
+func decodePlanes(d []uint64, ps [][]byte, shift uint) {
+	switch len(ps) {
+	case 1:
+		p0 := ps[0][:len(d)]
+		for j := range d {
+			d[j] = uint64(p0[j]) >> shift
+		}
+	case 2:
+		p0, p1 := ps[0][:len(d)], ps[1][:len(d)]
+		for j := range d {
+			d[j] = (uint64(p0[j])<<8 | uint64(p1[j])) >> shift
+		}
+	case 3:
+		p0, p1, p2 := ps[0][:len(d)], ps[1][:len(d)], ps[2][:len(d)]
+		for j := range d {
+			d[j] = (uint64(p0[j])<<16 | uint64(p1[j])<<8 | uint64(p2[j])) >> shift
+		}
+	case 4:
+		p0, p1, p2, p3 := ps[0][:len(d)], ps[1][:len(d)], ps[2][:len(d)], ps[3][:len(d)]
+		for j := range d {
+			d[j] = (uint64(p0[j])<<24 | uint64(p1[j])<<16 | uint64(p2[j])<<8 | uint64(p3[j])) >> shift
+		}
+	default:
+		k := len(ps) - 4
+		decodePlanes(d, ps[:k], 0)
+		p0, p1, p2, p3 := ps[k][:len(d)], ps[k+1][:len(d)], ps[k+2][:len(d)], ps[k+3][:len(d)]
+		for j := range d {
+			d[j] = (d[j]<<32 | uint64(p0[j])<<24 | uint64(p1[j])<<16 | uint64(p2[j])<<8 | uint64(p3[j])) >> shift
 		}
 	}
 }
@@ -243,7 +282,7 @@ func (bs *BS) Scan(op Op, constant uint64) (*BitVector, error) {
 	cShift := constant << bs.shift
 	constBytes := make([]uint64, nPlanes) // broadcast constant per plane
 	for p := 0; p < nPlanes; p++ {
-		constBytes[p] = simd.Broadcast8(byte(cShift >> uint(8*(nPlanes-1-p))))
+		constBytes[p] = uint64(byte(cShift>>uint(8*(nPlanes-1-p)))) * 0x0101_0101_0101_0101
 	}
 
 	bv := &BitVector{Words: make([]uint64, (bs.N+63)/64), N: bs.N}
@@ -252,9 +291,9 @@ func (bs *BS) Scan(op Op, constant uint64) (*BitVector, error) {
 		var lt, gt uint64 // per-lane byte masks, sticky across planes
 		eq := ^uint64(0)  // lanes still undecided (equal so far)
 		for p := 0; p < nPlanes; p++ {
-			w := loadWord(bs.planes[p], base)
-			geM := simd.GE8(w, constBytes[p])
-			eqM := simd.EQ8(w, constBytes[p])
+			w := binary.LittleEndian.Uint64(bs.planes[p][base:]) // lane i is row base+i
+			geM := ge8(w, constBytes[p])
+			eqM := geM & ge8(constBytes[p], w)
 			lt |= eq & ^geM
 			gt |= eq & (geM &^ eqM)
 			eq &= eqM
@@ -303,9 +342,13 @@ func (bs *BS) ScanBetween(lo, hi uint64) (*BitVector, error) {
 	return a, nil
 }
 
-// loadWord loads 8 plane bytes as one word (lane i = plane[base+i]).
-func loadWord(plane []byte, base int) uint64 {
-	b := plane[base : base+8]
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+// ge8 is a lane mask over eight byte lanes: 0xFF in lane i when byte i
+// of x is at least byte i of y (unsigned), else 0. It is SWAR: a
+// lane-wise subtraction whose borrow-out marks x < y (Hacker's Delight
+// §2-18), eight codes' bytes compared in one word.
+func ge8(x, y uint64) uint64 {
+	const m = 0x8080_8080_8080_8080
+	d := ((x | m) - (y &^ m)) ^ ((x ^ ^y) & m) // lane-wise x - y
+	lt := ((^x & y) | ((^x | y) & d)) & m      // borrow-out (x < y) at lane MSBs
+	return ^((lt >> 7) * 0xFF)
 }

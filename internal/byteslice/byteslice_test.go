@@ -397,35 +397,87 @@ func TestGatherMatchesLookup(t *testing.T) {
 	}
 }
 
+// TestDecodeMatchesLookup: the range read equals a per-row Lookup at
+// every width (every plane count and left-align shift), with the column
+// length and the range's first row on and beside the 8-row plane padding
+// and the gatherBlock edge, to the column's end or short of it, and
+// leaves dst beyond the range untouched.
+func TestDecodeMatchesLookup(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	const sentinel = 0xdeadbeefcafef00d
+	edges := []int{0, 1, 7, 8, 9, 1023, 1024, 1025, 2047, 2048, 2049}
+	for width := 1; width <= 64; width++ {
+		for _, n := range edges[1:] {
+			codes := make([]uint64, n)
+			for i := range codes {
+				codes[i] = rng.Uint64() & column.Mask(width)
+			}
+			bs := FromColumn(column.FromCodes("c", width, codes))
+			for _, lo := range edges {
+				if lo > n {
+					break
+				}
+				for _, k := range []int{n - lo, (n - lo) / 2} {
+					dst := make([]uint64, k+3)
+					for j := range dst {
+						dst[j] = sentinel
+					}
+					bs.Decode(dst[:k], lo)
+					for j := 0; j < k; j++ {
+						if want := bs.Lookup(lo + j); dst[j] != want {
+							t.Fatalf("width %d n %d lo %d len %d: dst[%d] = %d, Lookup(%d) = %d", width, n, lo, k, j, dst[j], lo+j, want)
+						}
+					}
+					for j := k; j < len(dst); j++ {
+						if dst[j] != sentinel {
+							t.Fatalf("width %d n %d lo %d len %d: dst[%d] beyond the range overwritten", width, n, lo, k, j)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkGather: ns/row of a per-row Lookup loop against Gather over
-// 2^19 rows, at widths of one, three and four planes, on identity rows
-// and on an ascending 96 % subset.
+// 2^19 rows, at widths of one, three, four and six planes, on identity
+// rows and on an ascending 96 % subset; and of the range read, Decode,
+// over the same 2^19 rows in 1,024-row blocks, as a pass over an
+// unfiltered selection reads them.
 func BenchmarkGather(b *testing.B) {
 	const n = 1 << 19
 	rng := rand.New(rand.NewSource(7))
 	sets := gatherRowSets(rng, n)
-	for _, width := range []int{6, 21, 32} {
+	for _, width := range []int{6, 21, 32, 48} {
 		bs := FromColumn(randColumn(rng, n, width, 1<<uint(width)))
+		dst := make([]uint64, n)
+		report := func(b *testing.B, rows int) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+		}
 		for _, set := range []string{"identity", "subset96"} {
 			rows := sets[set]
-			dst := make([]uint64, len(rows))
-			report := func(b *testing.B) {
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rows)), "ns/row")
-			}
 			b.Run(fmt.Sprintf("w%d/%s/lookup", width, set), func(b *testing.B) {
 				for it := 0; it < b.N; it++ {
 					for j, row := range rows {
 						dst[j] = bs.Lookup(int(row))
 					}
 				}
-				report(b)
+				report(b, len(rows))
 			})
 			b.Run(fmt.Sprintf("w%d/%s/gather", width, set), func(b *testing.B) {
 				for it := 0; it < b.N; it++ {
 					bs.Gather(dst, rows)
 				}
-				report(b)
+				report(b, len(rows))
 			})
 		}
+		b.Run(fmt.Sprintf("w%d/range/decode", width), func(b *testing.B) {
+			for it := 0; it < b.N; it++ {
+				for lo := 0; lo < n; lo += gatherBlock {
+					bs.Decode(dst[lo:lo+gatherBlock], lo)
+				}
+			}
+			report(b, n)
+		})
 	}
 }

@@ -210,11 +210,8 @@ func TestAggregateAllocatesNoRowArray(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows, err := sel.Rows(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			choice, _, err := b.ChoosePlan(ctx, len(rows), opts)
+			rows := sel.Rows()
+			choice, _, err := b.ChoosePlan(ctx, sel.Count(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -223,7 +220,7 @@ func TestAggregateAllocatesNoRowArray(t *testing.T) {
 				t.Fatal(err)
 			}
 			var before, after runtime.MemStats
-			res := &Result{}
+			res := &Result{Rows: sel.Count()}
 			runtime.ReadMemStats(&before)
 			err = aggregate(ctx, res, b, rows, mres, choice.ColOrder, w)
 			runtime.ReadMemStats(&after)
@@ -236,6 +233,52 @@ func TestAggregateAllocatesNoRowArray(t *testing.T) {
 			if len(res.Aggregates) == 0 {
 				t.Errorf("%s limit=%v workers=%d: no groups", tc.col, tc.limit != nil, workers)
 			}
+		}
+	}
+}
+
+// TestUnfilteredRunAllocatesNoRowList: an unfiltered RunContext lists
+// no selected rows. Against the same query under a filter that keeps
+// every row — whose selection is the only difference — it allocates at
+// least the 4 B/row of that list less: for a GROUP BY, and for an
+// unlimited window query, whose row ids are then the permutation
+// itself rather than a copy through the list.
+func TestUnfilteredRunAllocatesNoRowList(t *testing.T) {
+	const n = 1 << 16
+	rng := rand.New(rand.NewSource(59))
+	tbl := table.New("rows", n)
+	g, v := make([]uint64, n), make([]uint64, n)
+	for i := range g {
+		g[i], v[i] = uint64(rng.Intn(16)), uint64(rng.Intn(1<<12))
+	}
+	for _, c := range []*column.Column{column.FromCodes("g", 4, g), column.FromCodes("v", 12, v)} {
+		if err := tbl.Add(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		q    Query
+		plan *planner.Choice
+		want uint64 // bytes the row list costs the filtered run beyond the unfiltered
+	}{
+		{Query{ID: "gb", Kind: planner.GroupBy, SortCols: []SortCol{{Name: "g"}}, Agg: &Agg{Kind: Sum, Col: "v"}}, override([]int{0}, 4), 4 * n},
+		{Query{ID: "win", Kind: planner.PartitionBy, SortCols: []SortCol{{Name: "g"}}, Window: &Window{OrderCol: "v"}}, override([]int{0, 1}, 16), 8 * n},
+	} {
+		opts := Options{Workers: 1, PlanOverride: tc.plan}
+		alloc := func(q Query) uint64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := RunContext(ctx, tbl, q, opts); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		alloc(tc.q) // warm the pools and caches both runs share
+		none, all := alloc(tc.q), alloc(keepEveryRow(tc.q))
+		if none+tc.want > all {
+			t.Errorf("%s: unfiltered run allocated %d B, keep-all run %d B: want at least %d B less", tc.q.ID, none, all, tc.want)
 		}
 	}
 }

@@ -30,25 +30,19 @@ var (
 //	group boundaries      4·rows (worst case: all singletons)
 //	radix sort scratch   24·rows (two (key, oid) pairs, 12 B/row each)
 //
-// No sort column is materialised: the massage reads them straight from
-// their ByteSlices, a block of rows at a time. The radix term is an
-// upper bound: a 64-bit bank, or a run below the packed crossover,
-// ping-pongs through two pairs, but a bank of at most 32 bits needs one
-// or two 8-byte words a row (8 or 16 B), and the bound keeps the widest.
-// Parallel execution adds a fixed per-worker overhead: the parallel
-// radix sort ping-pongs through the same scratch as the sequential one.
-// The round keys stay live after the sort — the consumer decodes group
-// keys and ranks windows from them — beside the permutation and the
-// groups; what the consumer adds, at most 8·rows (an aggregate column
-// wider than 32 bits, gathered in selection order for an unlimited
-// query, or a page's ranks and row ids; a narrower one is summed
-// straight from its planes), comes when the 32·rows of lookup and
-// radix scratch are dead: under the peak. It is the one footprint
-// model: the engine's own two-stage degradation applies it, the mcsd
-// admission controller charges each admitted query against the
-// aggregate budget with it — so the two layers never disagree about
-// whether a query fits — and SortColumns applies it to mcs.Sort too
-// (whose input codes are caller-owned and exist anyway).
+// Nothing is charged for the sort columns, which the massage reads
+// straight from their ByteSlices a block at a time, nor for the
+// selection: an unfiltered query lists no rows, and a filter's row list
+// (4 B a selected row) is left out. The radix term
+// keeps the widest bank's two ping-pong pairs; a bank of at most 32
+// bits needs one or two 8-byte words a row. Parallel execution adds a
+// fixed per-worker overhead. The round keys, permutation and groups
+// stay live while the consumer runs; what it adds, at most 8·rows (an
+// aggregate column wider than 32 bits read in selection order, or a
+// page's ranks and row ids), comes when the lookup and radix scratch
+// are dead. It is the one footprint model: the engine's two-stage
+// degradation, mcsd's admission controller and mcs.Sort all apply it,
+// so no two layers disagree about whether a query fits.
 func EstimatePipelineBytes(rows, nRounds, workers int) int64 {
 	r := int64(rows)
 	perRow := int64(8*nRounds + 8 + 4 + 4 + 24)

@@ -364,9 +364,10 @@ func TestPartitionStartCancel(t *testing.T) {
 // partition across all rows, each row its own group, while the ranking
 // walks back over the groups from the page to the partition's first
 // row: the query returns context.Canceled and no result. The walk's
-// polls come right before the ranking's, the row-id poll and
-// RunContext's final poll, so the cancellation is placed by counting the
-// polls of an uncancelled run.
+// polls come right before the ranking's and RunContext's final poll
+// (the unfiltered page's row ids are the permutation, read without a
+// poll), so the cancellation is placed by counting the polls of an
+// uncancelled run.
 func TestRunContextCancelDuringWalkBack(t *testing.T) {
 	defer testutil.CheckNoLeaks(t)()
 	const n = 5*rankCheckGroups + 100
@@ -390,7 +391,7 @@ func TestRunContextCancelDuringWalkBack(t *testing.T) {
 	polls := int(1<<40 - counter.Left())
 	walk := (n-50-1)/rankCheckGroups + 1 // groups n-50 down to 1
 	const rank = 1                       // the page's 10 groups
-	res, err := RunContext(testutil.NewPollCtx(int64(polls-2-rank-walk/2)), tbl, q, opts)
+	res, err := RunContext(testutil.NewPollCtx(int64(polls-1-rank-walk/2)), tbl, q, opts)
 	if !errors.Is(err, context.Canceled) || res != nil {
 		t.Fatalf("got (%v, %v), want context.Canceled and no result", res, err)
 	}

@@ -22,6 +22,7 @@ import (
 	"repro/internal/byteslice"
 	"repro/internal/costmodel"
 	"repro/internal/faultinject"
+	"repro/internal/massage"
 	"repro/internal/mcsort"
 	"repro/internal/mergesort"
 	"repro/internal/obs"
@@ -268,12 +269,9 @@ func runContext(ctx context.Context, t *table.Table, q Query, opts Options) (*Re
 	if err != nil {
 		return nil, q.wrap(err)
 	}
-	rows, err := sel.Rows(ctx)
-	if err != nil {
-		return nil, err
-	}
+	rows := sel.Rows()
 	res.Timing.FilterScan = time.Since(start)
-	res.Rows = len(rows)
+	res.Rows = sel.Count()
 
 	// LIMIT 0: the result is empty whatever the data; skip the sort
 	// pipeline entirely (the filter already ran, so Rows is still the
@@ -285,12 +283,12 @@ func runContext(ctx context.Context, t *table.Table, q Query, opts Options) (*Re
 	// Budget, stage 1 (row count known, plan not yet): refuse before
 	// sorting anything when even a minimal sequential pipeline cannot
 	// fit.
-	if opts.Workers, err = budgetWorkers(opts.Workers, opts.MaxBytes, len(rows), 1); err != nil {
+	if opts.Workers, err = budgetWorkers(opts.Workers, opts.MaxBytes, res.Rows, 1); err != nil {
 		return nil, q.wrap(err)
 	}
 
 	// 2. Plan: search (massaging on) or column-at-a-time (off).
-	choice, searchTime, err := b.ChoosePlan(ctx, len(rows), opts)
+	choice, searchTime, err := b.ChoosePlan(ctx, res.Rows, opts)
 	if err != nil {
 		return nil, q.wrap(err)
 	}
@@ -327,14 +325,18 @@ func runContext(ctx context.Context, t *table.Table, q Query, opts Options) (*Re
 				return nil, err
 			}
 		}
-		res.RowOids = make([]uint32, hi-lo)
-		for i, p := range mres.Perm[lo:hi] {
-			if i&(seqGatherCheckRows-1) == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
+		// An unfiltered selection's positions are its row ids.
+		res.RowOids = mres.Perm[lo:hi:hi]
+		if rows != nil {
+			res.RowOids = make([]uint32, hi-lo)
+			for i, p := range mres.Perm[lo:hi] {
+				if i&(seqGatherCheckRows-1) == 0 {
+					if err := ctx.Err(); err != nil {
+						return nil, err
+					}
 				}
+				res.RowOids[i] = rows[p]
 			}
-			res.RowOids[i] = rows[p]
 		}
 		res.Timing.Aggregate = time.Since(start)
 		return res, nil
@@ -384,28 +386,28 @@ func recordCostAccuracy(predictedNS float64, measured time.Duration) {
 	}
 }
 
-// aggregate computes per-group keys and the aggregate, scanning
-// contiguous group ranges across workers (each group's output slot is
-// owned by exactly one range), cut where the rows, not the groups, split
-// evenly (rowCut). A group's keys are decoded from the sorted round keys
-// at its first position (mcsort.Result.Codes), into clause order through
-// order — the column order the sort ran in. Sum and Avg read the
-// aggregate column in sorted order, one aggSweep block at a time, so
-// each range sums sequentially and nothing per row is built: unlimited
-// or truncated, the sweep takes the block's rows from the permutation
-// and gathers their codes from the ByteSlice planes. The exception is
-// a column wider than 32 bits, more planes than one assignPlanes pass
-// decodes, when the sort kept every row (always, without a LIMIT): a
-// random row then spans five to eight cache lines, and one 8-byte read
-// of the column gathered in selection order (EstimatePipelineBytes) is
-// cheaper. Each group's keys are a full-slice window of one flat
-// table, so appending to them cannot write into the next group's.
+// aggregate computes per-group keys and the aggregate over contiguous
+// group ranges across workers, cut where the rows, not the groups,
+// split evenly (rowCut). A group's keys are decoded from the sorted
+// round keys at its first position (mcsort.Result.Codes) into clause
+// order through order, the column order the sort ran in; each is a
+// full-slice window of one flat table, so appending to it cannot write
+// into the next group's. Sum and Avg sum the aggregate column in sorted
+// order, one aggSweep block of positions read from its massage.Source
+// at a time (At). A column wider than 32 bits, when the sort kept every
+// row, is first read whole in selection order (Range): a random row of
+// five to eight planes spans as many cache lines, one 8-byte read does
+// not (EstimatePipelineBytes). res.Rows is the selection's row count.
 func aggregate(ctx context.Context, res *Result, b *Bound, rows []uint32, mres *mcsort.Result, order []int, workers int) error {
+	var src *massage.Source
 	var sel []uint64
-	if b.agg != nil && b.agg.Width > 32 && len(mres.Perm) == len(rows) {
-		sel = make([]uint64, len(rows))
-		if err := gatherParallel(ctx, sel, rows, b.agg, workers); err != nil {
-			return err
+	if b.agg != nil {
+		src = &massage.Source{Column: b.agg, Rows: rows}
+		if b.agg.Width > 32 && len(mres.Perm) == res.Rows {
+			sel = make([]uint64, res.Rows)
+			if err := gatherParallel(ctx, sel, src, workers); err != nil {
+				return err
+			}
 		}
 	}
 	nGroups, m := len(mres.Groups)-1, len(b.Sort)
@@ -416,8 +418,9 @@ func aggregate(ctx context.Context, res *Result, b *Bound, rows []uint32, mres *
 	run := func(first, end int) {
 		codes := make([]uint64, m)
 		var sw *aggSweep
-		if b.agg != nil {
-			sw = newAggSweep(b, rows, mres.Perm, sel, int(mres.Groups[end]))
+		if src != nil {
+			sw = &aggSweep{src: src, perm: mres.Perm, sel: sel, end: int(mres.Groups[end]),
+				ids: make([]uint32, aggBlock), vals: make([]uint64, aggBlock)}
 		}
 		for g := first; g < end; g++ {
 			lo, hi := int(mres.Groups[g]), int(mres.Groups[g+1])
@@ -455,26 +458,17 @@ func aggregate(ctx context.Context, res *Result, b *Bound, rows []uint32, mres *
 const aggBlock = 1024
 
 // aggSweep reads the aggregate column of one range of groups in sorted
-// order. Position i holds the code of row rows[perm[i]]: gathered from
-// the planes a block at a time, or read from sel, the column in
-// selection order, when the aggregate gathered one.
+// order. Position i holds the code of selection row perm[i]: read from
+// src a block at a time, or from sel, the column in selection order,
+// when the aggregate read one.
 type aggSweep struct {
-	bs     *byteslice.BS
-	rows   []uint32 // nil: the selection is every row, rows[p] == p
+	src    *massage.Source
 	perm   []uint32
 	sel    []uint64
 	end    int // the range's last position + 1: no block reads past it
 	lo, hi int // the positions vals holds
 	ids    []uint32
 	vals   []uint64
-}
-
-func newAggSweep(b *Bound, rows, perm []uint32, sel []uint64, end int) *aggSweep {
-	if len(rows) == b.Table.N {
-		rows = nil // an ascending selection of every row is the identity
-	}
-	return &aggSweep{bs: b.agg, rows: rows, perm: perm, sel: sel, end: end,
-		ids: make([]uint32, aggBlock), vals: make([]uint64, aggBlock)}
 }
 
 // sum returns the wrapping sum of positions [lo, hi), which must follow
@@ -498,19 +492,12 @@ func (s *aggSweep) sum(lo, hi int) uint64 {
 func (s *aggSweep) fill(lo int) {
 	s.lo, s.hi = lo, min(lo+aggBlock, s.end)
 	perm, vals := s.perm[s.lo:s.hi], s.vals[:s.hi-s.lo]
-	switch {
-	case s.sel != nil:
-		for j, p := range perm {
-			vals[j] = s.sel[p]
-		}
-	case s.rows == nil:
-		s.bs.Gather(vals, perm)
-	default:
-		ids := s.ids[:len(perm)]
-		for j, p := range perm {
-			ids[j] = s.rows[p]
-		}
-		s.bs.Gather(vals, ids)
+	if s.sel == nil {
+		s.src.At(vals, perm, s.ids)
+		return
+	}
+	for j, p := range perm {
+		vals[j] = s.sel[p]
 	}
 }
 

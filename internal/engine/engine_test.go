@@ -189,6 +189,39 @@ func TestGroupByAggregateMatchesReference(t *testing.T) {
 	}
 }
 
+// TestKeepAllFilterMatchesNoFilter: a query whose selection lists every
+// row gives the same bytes as the query with no filter, whose selection
+// lists none — every clause kind, aggregate columns of 8 and 40 bits
+// (the wide one read in selection order), massaging off and on, at one
+// and two workers.
+func TestKeepAllFilterMatchesNoFilter(t *testing.T) {
+	tbl := wideTable(t, 6000, 5)
+	for _, q := range []Query{
+		{ID: "gb-sum", Kind: planner.GroupBy, SortCols: []SortCol{{Name: "a"}, {Name: "b"}}, Agg: &Agg{Kind: Sum, Col: "v"}},
+		{ID: "gb-avg-wide", Kind: planner.GroupBy, SortCols: []SortCol{{Name: "b"}, {Name: "a", Desc: true}}, Agg: &Agg{Kind: Avg, Col: "w"}},
+		{ID: "gb-count-oba", Kind: planner.GroupBy, SortCols: []SortCol{{Name: "c"}}, Agg: &Agg{Kind: Count}, OrderByAgg: true},
+		{ID: "ob", Kind: planner.OrderBy, SortCols: []SortCol{{Name: "c", Desc: true}, {Name: "a"}}},
+		{ID: "win", Kind: planner.PartitionBy, SortCols: []SortCol{{Name: "a"}}, Window: &Window{OrderCol: "c", Desc: true}},
+	} {
+		for _, workers := range []int{1, 2} {
+			for _, opts := range []Options{{Workers: workers}, {Massaging: true, Model: costmodel.Builtin(), Rho: -1, MaxPlans: 64, Workers: workers}} {
+				label := fmt.Sprintf("%s workers=%d massaging=%v", q.ID, workers, opts.Massaging)
+				none, err := run(tbl, q, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				all, err := run(tbl, keepEveryRow(q), opts)
+				if err != nil {
+					t.Fatalf("%s keep-all: %v", label, err)
+				}
+				if none.Rows != tbl.N || canonResult(all) != canonResult(none) {
+					t.Fatalf("%s: a filter keeping every row diverges from no filter (%d and %d rows)", label, all.Rows, none.Rows)
+				}
+			}
+		}
+	}
+}
+
 func TestGroupByWithFilter(t *testing.T) {
 	tbl := makeTable(t, 8000, 2)
 	q := Query{

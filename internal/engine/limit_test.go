@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/byteslice"
 	"repro/internal/column"
 	"repro/internal/costmodel"
 	"repro/internal/mergesort"
@@ -92,6 +93,14 @@ func limitQueries() []Query {
 	}
 }
 
+// keepEveryRow returns q with one more filter, on its first sort
+// column, that every row passes: its selection lists all n rows, where
+// no filter lists none.
+func keepEveryRow(q Query) Query {
+	q.Filters = append(append([]Filter(nil), q.Filters...), Filter{Col: q.SortCols[0].Name, Op: byteslice.GE, Const: 0})
+	return q
+}
+
 // limitOptions keeps the plan choice deterministic (counted search
 // budget, no wall clock).
 func limitOptions(workers int) Options {
@@ -154,8 +163,10 @@ func canonResult(res *Result) string {
 // TestLimitOffsetOracleDifferential is the engine-layer battery:
 // workers {1,2,4,8} x K {nil,0,1,100,n-1,n,n+7} x offsets {0,3,n} x
 // duplicate fractions {0,0.99}, every combination compared against
-// full-sort-then-slice; then one table past mergesort.ParallelMinRows,
-// where the truncated queries run the top-K select and sort in parallel.
+// full-sort-then-slice, and an unfiltered query also against itself
+// under a filter that keeps every row; then one table past
+// mergesort.ParallelMinRows, where the truncated queries run the top-K
+// select and sort in parallel.
 func TestLimitOffsetOracleDifferential(t *testing.T) {
 	defer testutil.CheckNoLeaks(t)()
 	const n = 1200
@@ -187,6 +198,16 @@ func TestLimitOffsetOracleDifferential(t *testing.T) {
 							if g, w := canonResult(got), canonResult(want); g != w {
 								t.Fatalf("workers=%d k=%d off=%d: diverges from full-sort-then-slice\ngot:\n%s\nwant:\n%s",
 									workers, k, off, g, w)
+							}
+							if len(q.Filters) > 0 {
+								continue
+							}
+							kept, err := run(tbl, keepEveryRow(q), opts)
+							if err != nil {
+								t.Fatalf("workers=%d k=%d off=%d keep-all: %v", workers, k, off, err)
+							}
+							if g, w := canonResult(kept), canonResult(got); g != w {
+								t.Fatalf("workers=%d k=%d off=%d: a filter keeping every row diverges from no filter", workers, k, off)
 							}
 						}
 					}

@@ -129,23 +129,14 @@ func (s Selection) Count() int {
 	return s.bv.Count()
 }
 
-// Rows lists the selected row ids in ascending order. The unfiltered
-// identity fill polls ctx at the sequential-gather stride so a
-// cancelled query does not pay the full O(n) pass.
-func (s Selection) Rows(ctx context.Context) ([]uint32, error) {
-	if s.bv != nil {
-		return s.bv.Rows(), nil
+// Rows lists the selected row ids in ascending order, or is nil when
+// no filter ran: every row is selected, and a massage.Source reads a
+// nil list as every row in order.
+func (s Selection) Rows() []uint32 {
+	if s.bv == nil {
+		return nil
 	}
-	rows := make([]uint32, s.n)
-	for i := range rows {
-		if i&(seqGatherCheckRows-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		rows[i] = uint32(i)
-	}
-	return rows, nil
+	return s.bv.Rows()
 }
 
 // sources describes every Sort column as a ByteSlice-backed sort input
@@ -176,17 +167,13 @@ func MaterializeSortInputsContext(ctx context.Context, t *table.Table, q Query, 
 	if err != nil {
 		return nil, err
 	}
-	rows, err := sel.Rows(ctx)
-	if err != nil {
-		return nil, err
-	}
-	inputs := make([]massage.Input, len(b.Cols))
-	for i, bs := range b.Cols {
-		codes := make([]uint64, len(rows))
-		if err := gatherParallel(ctx, codes, rows, bs, workers); err != nil {
+	inputs := b.sources(sel.Rows())
+	for i, in := range inputs {
+		codes := make([]uint64, in.Len())
+		if err := gatherParallel(ctx, codes, in.Source, workers); err != nil {
 			return nil, err
 		}
-		inputs[i] = massage.Input{Codes: codes, Width: bs.Width, Desc: b.Sort[i].Desc}
+		inputs[i] = massage.Input{Codes: codes, Width: in.Width, Desc: in.Desc}
 	}
 	return inputs, nil
 }

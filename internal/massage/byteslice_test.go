@@ -24,10 +24,11 @@ func selection(rng *rand.Rand, n int) []uint32 {
 }
 
 // sourcedInputs builds one column per width over a table of tableRows
-// rows and describes it three ways over the selection sel: materialised
+// rows and describes it four ways over the selection sel: materialised
 // (the selected codes), ByteSlice-backed (the column's ByteSlice and
-// sel), and mixed (every other column ByteSlice-backed).
-func sourcedInputs(rng *rand.Rand, widths []int, desc []bool, tableRows int, sel []uint32) (mat, bs, mixed []Input) {
+// sel), mixed (every other column ByteSlice-backed), and whole (a
+// ByteSlice of the selected codes alone with no row list: every row).
+func sourcedInputs(rng *rand.Rand, widths []int, desc []bool, tableRows int, sel []uint32) (mat, bs, mixed, whole []Input) {
 	for c, w := range widths {
 		codes := make([]uint64, tableRows)
 		for r := range codes {
@@ -40,19 +41,21 @@ func sourcedInputs(rng *rand.Rand, widths []int, desc []bool, tableRows int, sel
 		m := Input{Codes: picked, Width: w, Desc: desc[c]}
 		b := Input{Width: w, Desc: desc[c], Source: &Source{Column: byteslice.FromColumn(column.FromCodes("c", w, codes)), Rows: sel}}
 		mat, bs = append(mat, m), append(bs, b)
+		whole = append(whole, Input{Width: w, Desc: desc[c], Source: &Source{Column: byteslice.FromColumn(column.FromCodes("c", w, picked))}})
 		if c%2 == 0 {
 			mixed = append(mixed, b)
 		} else {
 			mixed = append(mixed, m)
 		}
 	}
-	return mat, bs, mixed
+	return mat, bs, mixed, whole
 }
 
 // TestByteSliceInputsMatchMaterialised is the late-materialisation
 // differential: every entry point given ByteSlice-backed (or mixed)
-// inputs over a filtered selection must produce exactly the keys it
-// produces from the materialised codes of the same rows — widths 1–64
+// inputs over a filtered selection, or over every row of a column with
+// no row list, must produce exactly the keys it produces from the
+// materialised codes of the same rows — widths 1–64
 // (one to eight planes), ASC and DESC, row counts around the gather
 // block and the sequential block, workers {1, 2, 4}.
 func TestByteSliceInputsMatchMaterialised(t *testing.T) {
@@ -69,7 +72,7 @@ func TestByteSliceInputsMatchMaterialised(t *testing.T) {
 			desc := []bool{g%2 == 0, g%2 == 1, g%2 == 0, g%2 == 1}
 			sel := selection(rng, rows+rows/2)
 			sel = sel[:min(rows, len(sel))]
-			mat, bs, mixed := sourcedInputs(rng, widths, desc, rows+rows/2, sel)
+			mat, bs, mixed, whole := sourcedInputs(rng, widths, desc, rows+rows/2, sel)
 			n := len(sel)
 			total := 0
 			for _, w := range widths {
@@ -94,8 +97,8 @@ func TestByteSliceInputsMatchMaterialised(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for v, in := range [][]Input{bs, mixed} {
-					tag := fmt.Sprintf("rows=%d widths=%v %s workers=%d", n, widths, []string{"bs", "mixed"}[v], workers)
+				for v, in := range [][]Input{bs, mixed, whole} {
+					tag := fmt.Sprintf("rows=%d widths=%v %s workers=%d", n, widths, []string{"bs", "mixed", "whole"}[v], workers)
 					got, err := prog.RunParallelContext(ctx, in, n, workers)
 					if err != nil {
 						t.Fatal(err)
@@ -138,7 +141,7 @@ func TestByteSlicePassAllocatesPerRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	allocs := func(rows int) (round0, gather float64) {
 		sel := selection(rng, 2*rows)[:rows]
-		_, bs, _ := sourcedInputs(rng, []int{11, 14, 3}, []bool{false, true, false}, 2*rows, sel)
+		_, bs, _, _ := sourcedInputs(rng, []int{11, 14, 3}, []bool{false, true, false}, 2*rows, sel)
 		prog, err := Compile(bs, []int{16, 12})
 		if err != nil {
 			t.Fatal(err)
@@ -182,7 +185,7 @@ func BenchmarkRoundFromByteSlice(b *testing.B) {
 	}
 	for planes := 1; planes <= 3; planes++ {
 		widths := []int{8*planes - 3, 8*planes - 1}
-		_, bs, _ := sourcedInputs(rng, widths, []bool{false, true}, 2*rows, sel)
+		_, bs, _, _ := sourcedInputs(rng, widths, []bool{false, true}, 2*rows, sel)
 		prog, err := Compile(bs, []int{widths[0] + widths[1]})
 		if err != nil {
 			b.Fatal(err)

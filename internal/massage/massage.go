@@ -16,6 +16,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/byteslice"
 	"repro/internal/column"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
@@ -39,12 +40,10 @@ var (
 // Input describes one sort column: its codes, width, and direction.
 // Desc columns are complemented before stitching (Figure 5 of the
 // paper), which converts a descending order requirement into the uniform
-// ascending order the sorter implements.
-//
-// The codes are Codes, or — when Source is set — a column stored
-// elsewhere, decoded a block at a time as a pass reads it, so a sort
-// never builds a code array for it (late materialisation,
-// docs/topk.md).
+// ascending order the sorter implements. The codes are Codes, or, when
+// Source is set, read from a ByteSlice a block at a time as a pass
+// needs them, so a sort never builds a code array for them (late
+// materialisation, docs/topk.md).
 type Input struct {
 	Codes  []uint64
 	Width  int
@@ -53,25 +52,48 @@ type Input struct {
 }
 
 // Source is where a late-materialised input's codes live: input row i
-// is row Rows[i] of Column.
+// is row Rows[i] of Column, or row i when Rows is nil (a selection of
+// every row, in order, names none). It is the one way a stage reads a
+// column's codes: a range of the selection (Range) or the selection
+// rows at sorted positions (At).
 type Source struct {
-	Column Gatherer
+	Column *byteslice.BS
 	Rows   []uint32
 }
 
-// Gatherer is a column layout a pass decodes codes from: the engine's
-// is the ByteSlice (*byteslice.BS).
-type Gatherer interface {
-	// Gather sets dst[j] to the code at row rows[j] for every j.
-	Gather(dst []uint64, rows []uint32)
+// Range sets dst[j] to the code of selection row lo+j: a contiguous
+// plane decode when the selection is every row.
+func (s *Source) Range(dst []uint64, lo int) {
+	if s.Rows == nil {
+		s.Column.Decode(dst, lo)
+		return
+	}
+	s.Column.Gather(dst, s.Rows[lo:lo+len(dst)])
+}
+
+// At sets dst[j] to the code of selection row pos[j], mapping the
+// positions to row ids in ids (scratch of at least len(pos)) when the
+// selection has a row list.
+func (s *Source) At(dst []uint64, pos, ids []uint32) {
+	if s.Rows != nil {
+		ids = ids[:len(pos)]
+		for j, p := range pos {
+			ids[j] = s.Rows[p]
+		}
+		pos = ids
+	}
+	s.Column.Gather(dst, pos)
 }
 
 // Len is the input's row count.
 func (in Input) Len() int {
-	if in.Source != nil {
-		return len(in.Source.Rows)
+	switch {
+	case in.Source == nil:
+		return len(in.Codes)
+	case in.Source.Rows == nil:
+		return in.Source.Column.N
 	}
-	return len(in.Codes)
+	return len(in.Source.Rows)
 }
 
 // segment is one contiguous bit range of the concatenation that maps
@@ -154,22 +176,11 @@ func Compile(inputs []Input, outWidths []int) (*Program, error) {
 	}
 	obsCompiles.Inc()
 	obsSegments.Add(int64(len(segs)))
-	if obs.Enabled() {
-		// Stitches: a round fed by s source columns merged s-1 of them.
-		// Borrows: a column split across d rounds lent bits d-1 times.
-		srcPerRound := make(map[int]int, len(outWidths))
-		dstPerCol := make(map[int]int, len(inputs))
-		for _, sg := range segs {
-			srcPerRound[sg.dst]++
-			dstPerCol[sg.src]++
-		}
-		for _, s := range srcPerRound {
-			obsStitchOps.Add(int64(s - 1))
-		}
-		for _, d := range dstPerCol {
-			obsBorrowOps.Add(int64(d - 1))
-		}
-	}
+	// Every round and every column has a segment. Stitches: a round fed
+	// by s columns merged s-1 of them; borrows: a column split across d
+	// rounds lent bits d-1 times.
+	obsStitchOps.Add(int64(len(segs) - len(outWidths)))
+	obsBorrowOps.Add(int64(len(segs) - len(inputs)))
 	return &Program{segments: segs, nRounds: len(outWidths)}, nil
 }
 
@@ -242,8 +253,7 @@ func (p *Program) RunParallelContext(ctx context.Context, inputs []Input, rows, 
 	for d := range out {
 		out[d] = make([]uint64, rows)
 	}
-	err := forEachChunk(ctx, rows, workers, -1, func(lo, hi int) { runBlocks(p.segments, inputs, out, nil, lo, hi) })
-	if err != nil {
+	if err := forEachChunk(ctx, rows, workers, -1, func(lo, hi int) { runBlocks(p.segments, inputs, out, nil, lo, hi) }); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -258,10 +268,10 @@ const gatherBlock = 1024
 // [lo, hi) — or, when perm is non-nil, over positions [lo, hi) of perm,
 // out[d][i] getting row perm[i]'s bits — gatherBlock rows at a time.
 // Each block of every input segs read is windowed when it is
-// materialised and read without perm, and otherwise gathered into an L1
-// buffer (from its Source, or through perm); then runRange runs segs
-// over the block. The buffers are allocated once per range, never per
-// block.
+// materialised and read without perm, and otherwise read into an L1
+// buffer (through perm, or from its Source: Range without perm, At
+// with it); then runRange runs segs over the block. The buffers are
+// allocated once per range, never per block.
 func runBlocks(segs []segment, inputs []Input, out [][]uint64, perm []uint32, lo, hi int) {
 	countFIPs(len(segs), hi-lo)
 	size := min(gatherBlock, hi-lo)
@@ -289,17 +299,13 @@ func runBlocks(segs []segment, inputs []Input, out [][]uint64, perm []uint32, lo
 			case perm == nil && in.Source == nil:
 				buf = in.Codes[blo:bhi]
 			case perm == nil:
-				in.Source.Column.Gather(buf, in.Source.Rows[blo:bhi])
+				in.Source.Range(buf, blo)
 			case in.Source == nil:
 				for j, p := range perm[blo:bhi] {
 					buf[j] = in.Codes[p]
 				}
 			default:
-				ids := ids[:len(buf)]
-				for j, p := range perm[blo:bhi] {
-					ids[j] = in.Source.Rows[p]
-				}
-				in.Source.Column.Gather(buf, ids)
+				in.Source.At(buf, perm[blo:bhi], ids)
 			}
 			block[s] = buf
 		}

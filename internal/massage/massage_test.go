@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/column"
 	"repro/internal/plan"
+	"repro/internal/testutil"
 )
 
 func randInputs(rng *rand.Rand, widths []int, rows int) []Input {
@@ -207,6 +208,9 @@ func TestDecodeInvertsProgram(t *testing.T) {
 	}
 }
 
+// TestFIPCountMatchesIFIP: a compiled program runs the paper's I_FIP
+// FIPs, and books its stitches (a round fed by s columns merged s-1)
+// and borrows (a column split across d rounds lent bits d-1 times).
 func TestFIPCountMatchesIFIP(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 500; trial++ {
@@ -228,13 +232,36 @@ func TestFIPCountMatchesIFIP(t *testing.T) {
 			remaining -= w
 		}
 		inputs := randInputs(rng, widths, 1)
-		prog, err := Compile(inputs, outWidths)
+		var prog *Program
+		var err error
+		booked := testutil.Bumps(func() { prog, err = Compile(inputs, outWidths) }, "massage.stitch_ops", "massage.borrow_ops")
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got, want := prog.FIPCount(), plan.IFIP(widths, outWidths); got != want {
 			t.Fatalf("trial %d: FIPCount=%d, IFIP=%d (in=%v out=%v)",
 				trial, got, want, widths, outWidths)
+		}
+		srcs, dsts := make([]map[int]bool, len(outWidths)), make([]map[int]bool, m)
+		for _, sg := range prog.segments {
+			if srcs[sg.dst] == nil {
+				srcs[sg.dst] = map[int]bool{}
+			}
+			if dsts[sg.src] == nil {
+				dsts[sg.src] = map[int]bool{}
+			}
+			srcs[sg.dst][sg.src], dsts[sg.src][sg.dst] = true, true
+		}
+		var stitches, borrows int64
+		for _, s := range srcs {
+			stitches += int64(len(s) - 1)
+		}
+		for _, d := range dsts {
+			borrows += int64(len(d) - 1)
+		}
+		if booked[0] != stitches || booked[1] != borrows {
+			t.Fatalf("trial %d: booked %d stitches and %d borrows, want %d and %d (in=%v out=%v)",
+				trial, booked[0], booked[1], stitches, borrows, widths, outWidths)
 		}
 	}
 }

@@ -15,6 +15,7 @@ package massage
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"repro/internal/obs"
 )
@@ -24,59 +25,44 @@ var (
 	obsGatherRuns = obs.NewCounter("massage.gather_fused_runs")
 )
 
-// round returns the segments feeding round d and an output indexed by
-// round, as runBlocks writes it, whose one key array is round d's rows
-// keys; or an error when d is out of range.
-func (p *Program) round(d, rows int) ([]segment, [][]uint64, error) {
-	if d < 0 || d >= p.nRounds {
-		return nil, nil, fmt.Errorf("massage: round %d out of range [0,%d)", d, p.nRounds)
-	}
-	segs := make([]segment, 0, 2)
-	for _, sg := range p.segments {
-		if sg.dst == d {
-			segs = append(segs, sg)
-		}
-	}
-	out := make([][]uint64, p.nRounds)
-	out[d] = make([]uint64, rows)
-	return segs, out, nil
-}
-
 // RunRoundParallelContext massages only round d's key array for rows
 // rows — the other rounds' segments are not executed — with the rows
 // partitioned across workers goroutines, and cancellation and
 // containment, exactly like RunParallelContext. A worker panic surfaces
 // as a *pipeerr.PipelineError with stage "massage" and round d. A
-// ByteSlice-backed input is gathered in gatherBlock-row blocks, and only
+// ByteSlice-backed input is read in gatherBlock-row blocks, and only
 // when round d reads it.
 func (p *Program) RunRoundParallelContext(ctx context.Context, inputs []Input, rows, d, workers int) ([]uint64, error) {
-	segs, out, err := p.round(d, rows)
-	if err != nil {
-		return nil, err
-	}
 	obsRoundRuns.Inc()
-	err = forEachChunk(ctx, rows, workers, d, func(lo, hi int) { runBlocks(segs, inputs, out, nil, lo, hi) })
-	if err != nil {
-		return nil, err
-	}
-	return out[d], nil
+	return p.runRound(ctx, inputs, nil, rows, d, workers)
 }
 
 // RunRoundGatherContext massages round d's key for the surviving rows
 // named by perm: out[i] is row perm[i]'s round-d key. This fuses the
 // truncated pipeline's gather into the FIP pass — the permute step that
 // would first reorder all codes is skipped entirely, and only
-// len(perm) rows are touched; a ByteSlice-backed input is decoded at
-// its rows Rows[perm[i]]. Cancellation and containment match
+// len(perm) rows are touched; a ByteSlice-backed input is read at the
+// positions perm names (Source.At). Cancellation and containment match
 // RunRoundParallelContext.
 func (p *Program) RunRoundGatherContext(ctx context.Context, inputs []Input, perm []uint32, d, workers int) ([]uint64, error) {
-	segs, out, err := p.round(d, len(perm))
-	if err != nil {
-		return nil, err
-	}
 	obsGatherRuns.Inc()
-	err = forEachChunk(ctx, len(perm), workers, d, func(lo, hi int) { runBlocks(segs, inputs, out, perm, lo, hi) })
-	if err != nil {
+	return p.runRound(ctx, inputs, perm, len(perm), d, workers)
+}
+
+// runRound runs the segments feeding round d over rows rows — positions
+// of perm when it is non-nil — and returns round d's keys, or an error
+// when d is out of range.
+func (p *Program) runRound(ctx context.Context, inputs []Input, perm []uint32, rows, d, workers int) ([]uint64, error) {
+	if d < 0 || d >= p.nRounds {
+		return nil, fmt.Errorf("massage: round %d out of range [0,%d)", d, p.nRounds)
+	}
+	// Compile emits the segments round by round.
+	first := sort.Search(len(p.segments), func(i int) bool { return p.segments[i].dst >= d })
+	end := sort.Search(len(p.segments), func(i int) bool { return p.segments[i].dst > d })
+	segs := p.segments[first:end]
+	out := make([][]uint64, p.nRounds) // indexed by round, as runBlocks writes it
+	out[d] = make([]uint64, rows)
+	if err := forEachChunk(ctx, rows, workers, d, func(lo, hi int) { runBlocks(segs, inputs, out, perm, lo, hi) }); err != nil {
 		return nil, err
 	}
 	return out[d], nil

@@ -197,7 +197,8 @@ func TestWorkersBeyondAByteMatchSequential(t *testing.T) {
 // TestTiedIntermediateRoundsDeterministic runs a three-round plan whose
 // first two rounds leave nearly every row tied (2 and then 6 groups,
 // over 8192 rows and over twice ParallelMinRows, where round 1's larger
-// group is sorted cooperatively), so every group the later rounds sort
+// group holds half the rows and is sorted cooperatively from two
+// workers on), so every group the later rounds sort
 // arrives in whatever order the previous round's path left it. Only the final
 // groups' order is observable, and it must be the stable reference at
 // every worker count.
@@ -214,9 +215,10 @@ func TestTiedIntermediateRoundsDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatalf("rows=%d workers=%d: %v", rows, w, err)
 			}
-			// Round 1's two groups share 2·ParallelMinRows rows: one of
-			// them is sorted cooperatively.
-			if big := rows >= 2*mergesort.ParallelMinRows; (coop > 0) != big {
+			// Round 1's two groups share 2·ParallelMinRows rows: the
+			// larger dominates the round at two workers or more. At one
+			// worker a group dominates only when it holds every row.
+			if big := rows >= 2*mergesort.ParallelMinRows && w >= 2; (coop > 0) != big {
 				t.Fatalf("rows=%d workers=%d: %d cooperative group sorts", rows, w, coop)
 			}
 			if res.Rounds[0].NGroup != 2 || res.Rounds[1].NGroup != 6 {
@@ -559,9 +561,10 @@ func TestGroupSortManyTinyGroupsDeterministic(t *testing.T) {
 }
 
 // TestCutGroupBatches pins the batch cutter: the batches cover every
-// sortable sub-threshold group exactly once, in position order, and
-// each holds fewer sortable rows than groupBatchRows plus its largest
-// group; groups at or above the cooperative threshold are listed apart.
+// sortable non-dominant group exactly once, in position order, and each
+// holds fewer sortable rows than groupBatchRows plus its largest group;
+// groups that dominate the round at the worker count — at least
+// ParallelMinRows rows and 1/workers of the round's — are listed apart.
 func TestCutGroupBatches(t *testing.T) {
 	const coop = mergesort.ParallelMinRows
 	rng := rand.New(rand.NewSource(31))
@@ -569,6 +572,8 @@ func TestCutGroupBatches(t *testing.T) {
 	sizes := map[string][]int{
 		"singletons":   make([]int, 50000),
 		"one-big-less": {coop - 1},
+		"one-big":      {coop},
+		"dominates":    {3 * coop, coop, 2, coop + 1, 5},
 		"zipf":         make([]int, 20000),
 		"straddle": {groupBatchRows - 1, 1, 1, 2, groupBatchRows, 1, groupBatchRows + 1,
 			groupBatchRows / 2, groupBatchRows/2 - 1, 1, 2, coop, 3},
@@ -581,49 +586,63 @@ func TestCutGroupBatches(t *testing.T) {
 	}
 	for name, szs := range sizes {
 		groups := []int32{0}
-		wantSort, wantBig := 0, 0
 		for _, sz := range szs {
 			groups = append(groups, groups[len(groups)-1]+int32(sz))
-			if sz >= 2 {
-				wantSort++
-			}
-			if sz >= coop {
-				wantBig++
-			}
 		}
-		batches, big, nSort, err := cutGroupBatches(context.Background(), groups)
-		if err != nil || nSort != wantSort || len(big) != wantBig {
-			t.Fatalf("%s: nSort %d (want %d), %d big (want %d), err %v", name, nSort, wantSort, len(big), wantBig, err)
-		}
-		for _, g := range big {
-			if szs[g] < coop {
-				t.Fatalf("%s: group %d of %d rows listed as cooperative", name, g, szs[g])
+		rows := int(groups[len(groups)-1])
+		for _, workers := range []int{1, 2, 8} {
+			label := fmt.Sprintf("%s workers=%d", name, workers)
+			dominant := dominantRows(rows, workers)
+			if dominant < coop || dominant*workers < rows {
+				t.Fatalf("%s: dominant size %d over %d rows", label, dominant, rows)
 			}
-		}
-		if batches[0] != 0 {
-			t.Fatalf("%s: batches start at group %d", name, batches[0])
-		}
-		covered := 0
-		for b := 1; b < len(batches); b++ {
-			if batches[b] <= batches[b-1] {
-				t.Fatalf("%s: batch %d is empty or out of order: %v", name, b, batches[b-1:b+1])
-			}
-			rows, largest := 0, 0
-			for g := batches[b-1]; g < batches[b]; g++ {
-				if sz := szs[g]; sz >= 2 && sz < coop {
-					covered++
-					rows += sz
-					largest = max(largest, sz)
+			wantSort, wantBig := 0, 0
+			for _, sz := range szs {
+				if sz >= 2 {
+					wantSort++
+				}
+				if sz >= dominant {
+					wantBig++
 				}
 			}
-			if rows == 0 || rows >= groupBatchRows+largest {
-				t.Fatalf("%s: batch %d holds %d sortable rows (largest group %d)", name, b, rows, largest)
+			batches, big, nSort, err := cutGroupBatches(context.Background(), groups, dominant)
+			if err != nil || nSort != wantSort || len(big) != wantBig {
+				t.Fatalf("%s: nSort %d (want %d), %d big (want %d), err %v", label, nSort, wantSort, len(big), wantBig, err)
+			}
+			for _, g := range big {
+				if szs[g] < dominant {
+					t.Fatalf("%s: group %d of %d rows listed as dominant", label, g, szs[g])
+				}
+			}
+			if batches[0] != 0 {
+				t.Fatalf("%s: batches start at group %d", label, batches[0])
+			}
+			covered := 0
+			for b := 1; b < len(batches); b++ {
+				if batches[b] <= batches[b-1] {
+					t.Fatalf("%s: batch %d is empty or out of order: %v", label, b, batches[b-1:b+1])
+				}
+				rows, largest := 0, 0
+				for g := batches[b-1]; g < batches[b]; g++ {
+					if sz := szs[g]; sz >= 2 && sz < dominant {
+						covered++
+						rows += sz
+						largest = max(largest, sz)
+					}
+				}
+				if rows == 0 || rows >= groupBatchRows+largest {
+					t.Fatalf("%s: batch %d holds %d sortable rows (largest group %d)", label, b, rows, largest)
+				}
+			}
+			// Adjacent, ascending batches starting at 0 visit a group at
+			// most once; together they must reach every sortable one.
+			if covered != wantSort-wantBig {
+				t.Fatalf("%s: batches cover %d of %d sortable non-dominant groups", label, covered, wantSort-wantBig)
 			}
 		}
-		// Adjacent, ascending batches starting at 0 visit a group at
-		// most once; together they must reach every sortable one.
-		if covered != wantSort-wantBig {
-			t.Fatalf("%s: batches cover %d of %d sortable sub-threshold groups", name, covered, wantSort-wantBig)
-		}
+	}
+	// At two workers only the 3·coop group holds half the round.
+	if got := dominantRows(5*coop+8, 2); got != (5*coop+8)/2 {
+		t.Fatalf("dominantRows(5·coop+8, 2) = %d", got)
 	}
 }

@@ -104,16 +104,17 @@ func TestResultKeysDecode(t *testing.T) {
 		}
 	}
 
-	// Round 1's two groups share 2·ParallelMinRows rows: one of them is
-	// sorted cooperatively.
+	// Round 1's two groups share 2·ParallelMinRows rows: from two
+	// workers on, the larger dominates the round and is sorted
+	// cooperatively.
 	rows := 2 * mergesort.ParallelMinRows
 	inputs := randInputs(rng, []int{1, 20}, []int{2, 1 << 20}, rows)
 	p := plan.ColumnAtATime([]int{1, 20})
 	for _, workers := range []int{1, 2, 4} {
 		var res *Result
 		var err error
-		if testutil.Bumps(func() { res, err = execute(inputs, p, Options{Workers: workers}) }, "mcsort.cooperative_group_sorts")[0] == 0 {
-			t.Fatalf("rows=%d workers=%d: no group was sorted cooperatively", rows, workers)
+		if coop := testutil.Bumps(func() { res, err = execute(inputs, p, Options{Workers: workers}) }, "mcsort.cooperative_group_sorts")[0]; (coop > 0) != (workers >= 2) {
+			t.Fatalf("rows=%d workers=%d: %d groups sorted cooperatively", rows, workers, coop)
 		}
 		if err != nil {
 			t.Fatal(err)

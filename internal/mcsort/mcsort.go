@@ -49,14 +49,6 @@ type Timings struct {
 // Total returns the summed duration of all phases.
 func (t Timings) Total() time.Duration { return t.Massage + t.Sort + t.Lookup + t.Scan }
 
-// Add accumulates other into t.
-func (t *Timings) Add(other Timings) {
-	t.Massage += other.Massage
-	t.Sort += other.Sort
-	t.Lookup += other.Lookup
-	t.Scan += other.Scan
-}
-
 // RoundStats captures the quantities the paper's Figure 4b tabulates for
 // each round: how many sort-kernel invocations it made, how many groups
 // the round produced, and the average size of the groups it had to sort.

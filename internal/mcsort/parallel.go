@@ -14,8 +14,10 @@ import (
 // its measurements are docs/parallelism.md). Round 0 is one call of
 // mergesort's parallel stable radix sort over the whole table. Later
 // rounds hand the tied groups to a bounded pool in position-ordered
-// batches claimed dynamically; a group big enough to dominate a round
-// is sorted by the same parallel radix sort, all workers cooperating.
+// batches claimed dynamically; a group that dominates its round — at
+// least 1/workers of the round's rows, and at least
+// mergesort.ParallelMinRows — is sorted by the same parallel radix
+// sort, all workers cooperating.
 // Every batch and chunk is a range of a pipeerr.Pass: it polls the
 // context first, and a panicking worker surfaces as a
 // *pipeerr.PipelineError instead of crashing the process. No function
@@ -53,16 +55,25 @@ func truncateGroups(groups []int32, limitRows, limitGroups int) []int32 {
 // at this size the shared claim counter and the poll cost nothing.
 const groupBatchRows = 1 << 13
 
+// dominantRows is the size from which a group dominates a round of
+// rows rows over workers: at least mergesort.ParallelMinRows rows and
+// at least 1/workers of the round's. A smaller group sorted by all
+// workers loses to the workers each sorting groups of their own.
+func dominantRows(rows, workers int) int {
+	w := max(workers, 1)
+	return max(mergesort.ParallelMinRows, (rows+w-1)/w)
+}
+
 // cutGroupBatches classifies the groups a pass is about to visit: nSort
 // counts the sortable (≥ 2-row) ones, big lists those of at least
-// mergesort.ParallelMinRows rows, and the rest are cut in position order into batches —
+// dominant rows, and the rest are cut in position order into batches —
 // batch b covers groups [batches[b], batches[b+1]) — each closed once it
 // holds groupBatchRows sortable rows, so a batch stays below
 // groupBatchRows plus its largest group.
-func cutGroupBatches(ctx context.Context, groups []int32) (batches, big []int, nSort int, err error) {
+func cutGroupBatches(ctx context.Context, groups []int32, dominant int) (batches, big []int, nSort int, err error) {
 	rows := int(groups[len(groups)-1] - groups[0])
 	batches = make([]int, 1, rows/groupBatchRows+2)
-	big = make([]int, 0, rows/mergesort.ParallelMinRows)
+	big = make([]int, 0, rows/dominant)
 	pending := 0
 	for g := 0; g+1 < len(groups); g++ {
 		// Group counts approach the row count on high-cardinality
@@ -77,7 +88,7 @@ func cutGroupBatches(ctx context.Context, groups []int32) (batches, big []int, n
 			continue
 		}
 		nSort++
-		if sz >= mergesort.ParallelMinRows {
+		if sz >= dominant {
 			big = append(big, g)
 		} else if pending += sz; pending >= groupBatchRows {
 			batches, pending = append(batches, g+1), 0
@@ -90,8 +101,8 @@ func cutGroupBatches(ctx context.Context, groups []int32) (batches, big []int, n
 }
 
 // parallelGroupSort sorts each group [groups[g], groups[g+1]) of keys.
-// Groups large enough to starve the pool (≥ mergesort.ParallelMinRows)
-// go one at a time to the parallel radix sort, all workers cooperating
+// Groups that dominate the round (cutGroupBatches) go one at a time to
+// the parallel radix sort, all workers cooperating
 // (for workers < 2 that is the sequential sort); the rest are one pass
 // whose ranges are the batches — more of them than workers, claimed in
 // order, each polled on entry. A batched group sorts under a context
@@ -99,7 +110,8 @@ func cutGroupBatches(ctx context.Context, groups []int32) (batches, big []int, n
 // tiny groups, and a cancelCtx poll takes a mutex.
 func parallelGroupSort(ctx context.Context, bank int, keys []uint64, perm []uint32, groups []int32, workers int, p mergesort.Params, round int) (int, error) {
 	faultinject.Fire(faultinject.GroupSort)
-	batches, big, nSort, err := cutGroupBatches(ctx, groups)
+	dominant := dominantRows(int(groups[len(groups)-1]-groups[0]), workers)
+	batches, big, nSort, err := cutGroupBatches(ctx, groups, dominant)
 	if err != nil {
 		return 0, err
 	}
@@ -122,7 +134,7 @@ func parallelGroupSort(ctx context.Context, bank int, keys []uint64, perm []uint
 		var scratch mergesort.Scratch
 		for g := batches[b]; g < batches[b+1]; g++ {
 			lo, hi := int(groups[g]), int(groups[g+1])
-			if hi-lo < 2 || hi-lo >= mergesort.ParallelMinRows {
+			if hi-lo < 2 || hi-lo >= dominant {
 				continue
 			}
 			if err := mergesort.SortScratchContext(quiet, bank, keys[lo:hi], perm[lo:hi], p, &scratch); err != nil {

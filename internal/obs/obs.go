@@ -47,7 +47,8 @@ func Disable() { enabled.Store(false) }
 func Enabled() bool { return enabled.Load() }
 
 // registry is the process-global metric namespace. Registration is
-// rare (package init, plus one dynamic name per query id); lookups on
+// rare: every name is fixed at package init (a per-query number travels
+// in the query's result, never under a name of its own); lookups on
 // re-registration take the read lock only.
 var registry = struct {
 	mu       sync.RWMutex

@@ -206,10 +206,6 @@ func NewGroup(parent context.Context) *Group {
 	return &Group{ctx: ctx, cancel: cancel}
 }
 
-// Context returns the group's context; workers poll it at chunk
-// boundaries.
-func (g *Group) Context() context.Context { return g.ctx }
-
 // Go spawns fn as a worker of the given stage/round/worker coordinates.
 // fn receives the group context and should return promptly once it is
 // cancelled. A non-nil return or a panic fails the group and cancels

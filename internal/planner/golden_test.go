@@ -12,6 +12,7 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/datagen"
 	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/table"
 )
 
@@ -208,6 +209,24 @@ func TestPlanGoldenFromSavedProfile(t *testing.T) {
 		}
 		if got != want {
 			t.Errorf("%s:\n got  %+v\n want %+v", g.name, got, want)
+		}
+	}
+}
+
+// TestPlanGoldenWithinRoundBound: mcsd's admission reserves
+// max(plan.MaxRounds(W), m) rounds for a query of m sort columns and W
+// bits, and every golden search's plan stays within it.
+// groupby/limitgroups (W = 43, m = 3) chooses four rounds, more than
+// the ⌈W/16⌉ admission once reserved.
+func TestPlanGoldenWithinRoundBound(t *testing.T) {
+	for _, g := range goldenSearches(t) {
+		c := roga(g.s)
+		w := 0
+		for _, rw := range c.Plan.Widths() {
+			w += rw
+		}
+		if bound := max(plan.MaxRounds(w), len(c.ColOrder)); len(c.Plan.Rounds) > bound {
+			t.Errorf("%s: %d rounds over %d bits and %d columns, bound %d", g.name, len(c.Plan.Rounds), w, len(c.ColOrder), bound)
 		}
 	}
 }

@@ -3,11 +3,20 @@ package server
 import (
 	"context"
 	"errors"
+	"math/rand"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/column"
+	"repro/internal/datagen"
+	"repro/internal/engine"
 	"repro/internal/pipeerr"
+	"repro/internal/planner"
+	"repro/internal/table"
 	"repro/internal/testutil"
+	"repro/internal/workloads"
 )
 
 func TestAdmissionConcurrencyLimit(t *testing.T) {
@@ -171,5 +180,113 @@ func TestRefuseOverBudget(t *testing.T) {
 	// Even sequential execution over budget: typed refusal.
 	if _, err := a.refuseOverBudget(4, func(int) int64 { return 1000 }); !errors.Is(err, pipeerr.ErrBudgetExceeded) {
 		t.Errorf("non-degradable query error = %v, want ErrBudgetExceeded", err)
+	}
+}
+
+// TestReservedRoundsBoundWorkloadPlans: admission charges a query for
+// reservedRounds rounds, so no plan the served search chooses may have
+// more: every workload query's plan over 2^15-row tables, unlimited and
+// for its first page of ten, stays within it.
+func TestReservedRoundsBoundWorkloadPlans(t *testing.T) {
+	const rows = 1 << 15
+	tpch := testTPCH(t, rows)
+	skew, err := datagen.TPCH(datagen.TPCHConfig{SF: 1, Rows: rows, Skew: true, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ticket, err := datagen.AirlineTicket(datagen.AirlineConfig{Rows: rows, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	market, err := datagen.AirlineMarket(datagen.AirlineConfig{Rows: rows, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := append(workloads.TPCHQueries(tpch, ""), workloads.TPCHQueries(skew, ".skew")...)
+	items = append(items, workloads.TPCDSQueries(testTPCDS(t, rows))...)
+	items = append(items, workloads.AirlineQueries(ticket, market)...)
+	srv := newTestServer(t, Config{})
+	ctx := context.Background()
+	defer func() {
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Error(err)
+		}
+	}()
+	ten := 10
+	for _, it := range items {
+		b, err := engine.Bind(it.Table, it.Query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel, err := b.Select(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, limit := range []*int{nil, &ten} {
+			opts := directOptions(srv, 1)
+			opts.Limit = limit
+			choice, _, err := b.ChoosePlan(ctx, sel.Count(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, bound := len(choice.Plan.Rounds), reservedRounds(b); got > bound {
+				t.Errorf("%s limit=%v: plan %v has %d rounds, admission reserves %d", it.ID, limit != nil, choice.Plan, got, bound)
+			}
+		}
+	}
+}
+
+// TestAdmissionReservesEveryRound pins the reservation on a query whose
+// plan has more rounds than one per 16 bits of its key: a LIMIT 50
+// GROUP BY over 9-, 14- and 20-bit columns (W = 43) whose plan takes
+// four rounds. Under a server budget of exactly its reservation at one
+// worker it runs; a reservation of ⌈W/16⌉ = 3 rounds is below the
+// plan's own footprint, so the engine's stage-2 check would refuse it.
+func TestAdmissionReservesEveryRound(t *testing.T) {
+	defer testutil.CheckNoLeaks(t)()
+	const n = 1 << 16
+	rng := rand.New(rand.NewSource(21))
+	tbl := table.New("rounds", n)
+	for _, c := range []struct {
+		name        string
+		width, card int
+	}{{"g9", 9, 300}, {"g14", 14, 9000}, {"g20", 20, 200000}} {
+		codes := make([]uint64, n)
+		for i := range codes {
+			codes[i] = uint64(rng.Intn(c.card))
+		}
+		if err := tbl.Add(column.FromCodes(c.name, c.width, codes)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := engine.Query{ID: "rounds", Kind: planner.GroupBy, Agg: &engine.Agg{Kind: engine.Count},
+		SortCols: []engine.SortCol{{Name: "g9"}, {Name: "g14"}, {Name: "g20"}}}
+	b, err := engine.Bind(tbl, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reserved := reservedRounds(b)
+	budget := engine.EstimatePipelineBytes(n, reserved, 1)
+	srv := newTestServer(t, Config{MaxBytes: budget}, tbl)
+	defer func() {
+		if err := srv.Shutdown(context.Background()); err != nil {
+			t.Error(err)
+		}
+	}()
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	req := reqFromQuery(t, tbl.Name, q, 1)
+	fifty := 50
+	req.Limit = &fifty
+	res, err := doQuery(hs.URL, req)
+	if err != nil {
+		t.Fatalf("query under a budget of its reservation (%d rounds): %v", reserved, err)
+	}
+	rounds := strings.Count(res.Plan, "R")
+	if old := (43 + 15) / 16; rounds <= old || rounds > reserved {
+		t.Fatalf("plan %s has %d rounds; want more than %d and at most %d", res.Plan, rounds, old, reserved)
+	}
+	if len(res.GroupKeys) != 50 {
+		t.Fatalf("%d groups, want 50", len(res.GroupKeys))
 	}
 }

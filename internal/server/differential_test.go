@@ -211,6 +211,67 @@ func TestDifferentialSynchronousRun(t *testing.T) {
 	}
 }
 
+// TestDifferentialKeepAllFilter: every unfiltered TPC-H query, sent
+// through the handler under a filter on its first sort column that
+// keeps every row, answers with the bytes of the direct engine run
+// without the filter — whose selection lists no rows — unlimited and on
+// a page, at one and four workers.
+func TestDifferentialKeepAllFilter(t *testing.T) {
+	defer testutil.CheckNoLeaks(t)()
+	tbl := testTPCH(t, 4000)
+	srv := newTestServer(t, Config{MaxConcurrent: 4}, tbl)
+	hs := httptest.NewServer(srv.Handler())
+	defer func() {
+		hs.Close()
+		if err := srv.Shutdown(context.Background()); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+	seven := 7
+	cells := 0
+	for _, it := range workloads.TPCHQueries(tbl, "") {
+		if len(it.Query.Filters) > 0 {
+			continue
+		}
+		for _, workers := range []int{1, 4} {
+			for _, page := range []struct {
+				limit  *int
+				offset int
+			}{{nil, 0}, {&seven, 5}} {
+				limit := page.limit
+				opts := directOptions(srv, workers)
+				opts.Limit, opts.Offset = limit, page.offset
+				direct, err := engine.RunContext(context.Background(), tbl, it.Query, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := canonEngine(direct)
+				if err != nil {
+					t.Fatal(err)
+				}
+				req := reqFromQuery(t, tbl.Name, it.Query, workers)
+				req.Filters = []FilterReq{{Col: it.Query.SortCols[0].Name, Op: "ge", Const: 0}}
+				req.Limit, req.Offset = opts.Limit, opts.Offset
+				res, err := doQuery(hs.URL, req)
+				if err != nil {
+					t.Fatalf("%s workers=%d limit=%v: %v", it.ID, workers, limit != nil, err)
+				}
+				got, err := canonServer(res)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s workers=%d limit=%v: a filter keeping every row diverges from no filter\n got: %s\nwant: %s", it.ID, workers, limit != nil, got, want)
+				}
+				cells++
+			}
+		}
+	}
+	if cells == 0 {
+		t.Fatal("no unfiltered TPC-H query")
+	}
+}
+
 // TestServedSearchReadsNoClock pins that a server configured without a
 // Rho plans every TPC-H query like the clock-free engine search
 // (Rho -1), the plan a cache hit replays and a coordinator pins, and

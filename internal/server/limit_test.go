@@ -296,12 +296,7 @@ func TestAdmissionChargesTruncatedQueryNoInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	totalW := 0
-	for _, bs := range b.Cols {
-		totalW += bs.Width
-	}
-	maxRounds := max((totalW+15)/16, len(b.Cols))
-	budget := engine.EstimatePipelineBytes(tbl.N, maxRounds, 8)
+	budget := engine.EstimatePipelineBytes(tbl.N, reservedRounds(b), 8)
 	for _, tc := range []struct {
 		budget  int64
 		workers func(int) bool

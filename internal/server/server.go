@@ -17,6 +17,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/pipeerr"
+	"repro/internal/plan"
 	"repro/internal/planner"
 )
 
@@ -213,14 +214,10 @@ func (s *Server) runEngine(ctx context.Context, jobID string, req QueryRequest, 
 	if workers <= 0 {
 		workers = s.cfg.DefaultWorkers
 	}
-	// Worst-case footprint: every table row selected, one round per
-	// 16-bit slice of the concatenated key (no plan can have more). No
-	// query materializes its sort columns, so none are charged.
-	totalW := 0
-	for _, bs := range b.Cols {
-		totalW += bs.Width
-	}
-	maxRounds := max((totalW+15)/16, len(b.Cols))
+	// Worst-case footprint: every table row selected, at the most
+	// rounds a plan can have. No query materializes its sort columns,
+	// so none are charged.
+	maxRounds := reservedRounds(b)
 	estimate := func(w int) int64 { return engine.EstimatePipelineBytes(t.N, maxRounds, w) }
 	workers, err = s.adm.refuseOverBudget(workers, estimate)
 	if err != nil {
@@ -255,6 +252,17 @@ func (s *Server) runEngine(ctx context.Context, jobID string, req QueryRequest, 
 	obsExecTime.Add(time.Since(execStart))
 	page.Fill(planner.Choice{ColOrder: eres.ColOrder, Plan: eres.Plan, Est: eres.PredictedMCS})
 	return buildResult(jobID, req, eres, hit, queueWait, time.Since(execStart)), nil
+}
+
+// reservedRounds is the round count admission charges b for: the
+// paper's Lemma 2 bound on its concatenated key (plan.MaxRounds), or
+// one round per column when that is more (column-at-a-time).
+func reservedRounds(b *engine.Bound) int {
+	totalW := 0
+	for _, bs := range b.Cols {
+		totalW += bs.Width
+	}
+	return max(plan.MaxRounds(totalW), len(b.Cols))
 }
 
 // maxQueryBytes resolves the per-query engine budget: the request's own

@@ -199,6 +199,40 @@ func TestCrossShardDifferentialBattery(t *testing.T) {
 	}
 }
 
+// TestCrossShardKeepAllFilter: every unfiltered battery query, sent to
+// a 3-shard coordinator under a filter on its first sort column that
+// keeps every row, answers with the bytes of the single-node engine run
+// without the filter — whose selection, and every shard's, lists no
+// rows — on every LIMIT/OFFSET window, at one and four workers.
+func TestCrossShardKeepAllFilter(t *testing.T) {
+	defer testutil.CheckNoLeaks(t)()
+	tables := batteryTables(t)
+	coord, done := newTopology(t, tables, 3, Config{})
+	defer done()
+	ctx := context.Background()
+	for _, p := range batteryQueries(tables) {
+		if len(p.req.Filters) > 0 {
+			continue
+		}
+		for _, c := range batteryCells() {
+			req := p.req
+			req.Limit, req.Offset = c.limit, c.offset
+			want := canonEngine(t, runOracleResult(t, p.tbl, req, 4))
+			req.Filters = []server.FilterReq{{Col: req.SortCols[0].Name, Op: "ge", Const: 0}}
+			for _, w := range []int{1, 4} {
+				req.Workers = w
+				res, err := coord.Run(ctx, req)
+				if err != nil {
+					t.Fatalf("%s|%s|w%d: %v", p.label, c.label, w, err)
+				}
+				if got := canonServer(t, res); !bytes.Equal(got, want) {
+					t.Errorf("%s|%s|w%d: a filter keeping every row diverges from no filter\n got: %s\nwant: %s", p.label, c.label, w, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestCrossShardTPCHWorkload replays the full TPC-H workload battery —
 // the same queries the single-node differential suite runs — through a
 // 3-shard topology.

@@ -33,7 +33,6 @@ const (
 // uniformity is what lets the measured per-element throughput scale with
 // the degree of data-level parallelism 64/b, as the paper's model assumes.
 const (
-	msb8  = 0x8080_8080_8080_8080
 	msb16 = 0x8000_8000_8000_8000
 	msb32 = 0x80000000_80000000
 	msb64 = 0x80000000_00000000
@@ -57,19 +56,6 @@ func laneOnes(l uint) uint64 {
 	}
 	return (1 << l) - 1
 }
-
-// GE8 returns a lane mask for eight 8-bit lanes: lane i of the result is
-// 0xFF when lane i of x is >= lane i of y (unsigned), else 0. The paper
-// does not sort with 8-bit banks, but ByteSlice scans compare codes one
-// byte-plane at a time — eight codes' bytes per word here.
-func GE8(x, y uint64) uint64 { return geGeneric(x, y, msb8, 8) }
-
-// EQ8 returns a lane mask for eight 8-bit lanes: 0xFF where the byte
-// lanes are equal (x ≥ y and y ≥ x).
-func EQ8(x, y uint64) uint64 { return GE8(x, y) & GE8(y, x) }
-
-// Broadcast8 replicates a byte across all eight lanes.
-func Broadcast8(b byte) uint64 { return uint64(b) * 0x0101_0101_0101_0101 }
 
 // GE16 returns a lane mask for four 16-bit lanes: lane i of the result is
 // 0xFFFF when lane i of x is >= lane i of y (unsigned), else 0.

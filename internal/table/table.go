@@ -73,7 +73,7 @@ func (t *Table) AddCodes(name string, width int, code func(row int) uint64) erro
 // (costmodel.SampleColumnStats).
 func (t *Table) put(name string, bs *byteslice.BS) {
 	t.bs[name] = bs
-	t.stats[name] = costmodel.SampleColumnStats(bs.N, bs.Width, bs.Decode)
+	t.stats[name] = costmodel.SampleColumnStats(bs.N, bs.Width, func(sample []uint64) { bs.Decode(sample, 0) })
 }
 
 // Slice returns rows [lo, hi) of t, 0 <= lo <= hi <= t.N, as a table of

@@ -13,6 +13,6 @@ func Column(bs *byteslice.BS, err error) (*column.Column, error) {
 		return nil, err
 	}
 	codes := make([]uint64, bs.N)
-	bs.Decode(codes)
+	bs.Decode(codes, 0)
 	return column.FromCodes("", bs.Width, codes), nil
 }
