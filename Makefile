@@ -49,13 +49,15 @@ chaos-soak:
 # sort.SliceStable): full-bank keys on the sequential entry point, and
 # narrow keys in a wider bank at workers {1, 2, 3, 8, 300}, repeated
 # to mergesort.ParallelMinRows rows from two workers on, so the
-# parallel radix sort runs.
+# parallel radix sort runs. FuzzOrBits checks the massage's plane kernel
+# (byteslice.BS.OrBits) against a per-row Lookup.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzMergesortSort -fuzztime=25s ./internal/mergesort/
 	$(GO) test -fuzz=FuzzRadixSort -fuzztime=25s ./internal/mergesort/
 	$(GO) test -fuzz=FuzzParallelMerge -fuzztime=30s ./internal/mergesort/
 	$(GO) test -fuzz=FuzzOVCMerge -fuzztime=30s ./internal/mergesort/
 	$(GO) test -fuzz=FuzzMassageRoundTrip -fuzztime=30s ./internal/massage/
+	$(GO) test -fuzz=FuzzOrBits -fuzztime=20s ./internal/byteslice/
 	$(GO) test -fuzz=FuzzQueryRequest -fuzztime=20s ./internal/server/
 	$(GO) test -fuzz=FuzzTopKMerge -fuzztime=30s ./internal/mergesort/
 	$(GO) test -fuzz=FuzzTopKContext -fuzztime=30s ./internal/mergesort/
@@ -104,6 +106,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkRoundFromByteSlice -benchtime 1x ./internal/massage/
 	$(GO) test -run '^$$' -bench BenchmarkWindowRank -benchtime 1x ./internal/engine/
 	$(GO) test -run '^$$' -bench BenchmarkAggregate -benchtime 1x ./internal/engine/
+	$(GO) test -run '^$$' -bench BenchmarkQueryPhases -benchtime 1x ./internal/engine/
 	$(GO) test -run '^$$' -bench BenchmarkCoordinatorGather -benchtime 1x ./internal/shard/
 	$(GO) test -run '^$$' -bench BenchmarkColdPageSearch -benchtime 1x ./internal/server/
 	$(GO) test -run '^$$' -bench BenchmarkCatalogSearch -benchtime 1x ./internal/experiments/

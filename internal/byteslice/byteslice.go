@@ -26,7 +26,7 @@ type BS struct {
 }
 
 // New returns an n-row ByteSlice of the given width (1..64) whose
-// codes are all 0; Set fills it in.
+// codes are all 0; Encode fills it in.
 func New(width, n int) *BS {
 	nPlanes := (width + 7) / 8
 	bs := &BS{
@@ -42,21 +42,10 @@ func New(width, n int) *BS {
 	return bs
 }
 
-// Set stores code, which must fit bs.Width bits, at row i.
-func (bs *BS) Set(i int, code uint64) {
-	v := code << bs.shift
-	for p := len(bs.planes) - 1; p >= 0; p-- {
-		bs.planes[p][i] = byte(v)
-		v >>= 8
-	}
-}
-
 // FromColumn converts an encoded column to the ByteSlice layout.
 func FromColumn(c *column.Column) *BS {
 	bs := New(c.Width, len(c.Codes))
-	for i, code := range c.Codes {
-		bs.Set(i, code)
-	}
+	bs.Encode(c.Codes, 0)
 	return bs
 }
 
@@ -84,9 +73,9 @@ func (bs *BS) Lookup(i int) uint64 {
 	return v >> bs.shift
 }
 
-// gatherBlock is the number of rows Gather and Decode decode before
-// moving on: a block's row ids (4 KiB) and codes (8 KiB) stay in L1
-// across all of its passes, so only the plane bytes come from memory.
+// gatherBlock is the number of rows Gather, Decode and Encode take
+// before moving on: a block's row ids (4 KiB) and codes (8 KiB) stay in
+// L1 across all of its passes, so only the plane bytes come from memory.
 const gatherBlock = 1024
 
 // Decode sets dst[j] to the code at row lo+j for every j: the range
@@ -100,6 +89,28 @@ func (bs *BS) Decode(dst []uint64, lo int) {
 			ps[p] = plane[lo+b : lo+b+len(d)]
 		}
 		decodePlanes(d, ps[:len(bs.planes)], bs.shift)
+	}
+}
+
+// Encode stores codes[j], each of which must fit bs.Width bits, at row
+// lo+j for every j: the mirror of Decode, block by block, each block
+// written one plane at a time (sequential writes).
+func (bs *BS) Encode(codes []uint64, lo int) {
+	last := len(bs.planes) - 1
+	for b := 0; b < len(codes); b += gatherBlock {
+		c := codes[b:min(b+gatherBlock, len(codes))]
+		// Plane p holds byte p of code << shift, most significant first.
+		for p, plane := range bs.planes[:last] {
+			d := plane[lo+b:][:len(c)]
+			s := uint(8*(last-p)) - bs.shift
+			for j, v := range c {
+				d[j] = byte(v >> (s & 63))
+			}
+		}
+		d := bs.planes[last][lo+b:][:len(c)]
+		for j, v := range c {
+			d[j] = byte(v << (bs.shift & 63))
+		}
 	}
 }
 
@@ -184,6 +195,129 @@ func decodePlanes(d []uint64, ps [][]byte, shift uint) {
 		p0, p1, p2, p3 := ps[k][:len(d)], ps[k+1][:len(d)], ps[k+2][:len(d)], ps[k+3][:len(d)]
 		for j := range d {
 			d[j] = (d[j]<<32 | uint64(p0[j])<<24 | uint64(p1[j])<<16 | uint64(p2[j])<<8 | uint64(p3[j])) >> shift
+		}
+	}
+}
+
+// Bits is a bit range of a column's codes compiled for OrBits: bits
+// [lo, hi) of a code, counted from its most significant bit,
+// complemented for a descending column and shifted left into a key.
+// Codes are left-aligned, so the range lies in planes lo/8 … (hi−1)/8
+// and no other plane is read. A range over up to four planes is one
+// run over them; a wider one is two, its leading planes and its last
+// four, each ORed in at its own shift.
+type Bits struct {
+	runs [2]bitRun
+	n    int // runs in use
+}
+
+// bitRun stitches up to four planes' bytes into one value, shifts it
+// right by rshift, masks it, complements it with flip and shifts it
+// left by lshift.
+type bitRun struct {
+	plane, planes  int // first plane, plane count (1..4)
+	rshift, lshift uint
+	mask, flip     uint64
+}
+
+// NewBits compiles bits [lo, hi) of a code, 0 <= lo < hi <= 64, into
+// a key at left shift shift (shift + hi − lo <= 64), complemented when
+// desc.
+func NewBits(lo, hi int, shift uint, desc bool) Bits {
+	if first, last := lo/8, (hi-1)/8; last-first >= 4 {
+		mid := 8 * (last - 3) // the first bit of the last four planes
+		return Bits{runs: [2]bitRun{newBitRun(lo, mid, shift+uint(hi-mid), desc), newBitRun(mid, hi, shift, desc)}, n: 2}
+	}
+	return Bits{runs: [2]bitRun{newBitRun(lo, hi, shift, desc)}, n: 1}
+}
+
+func newBitRun(lo, hi int, shift uint, desc bool) bitRun {
+	first, last := lo/8, (hi-1)/8
+	r := bitRun{plane: first, planes: last - first + 1, rshift: uint(8*(last+1) - hi), lshift: shift, mask: column.Mask(hi - lo)}
+	if desc {
+		r.flip = r.mask
+	}
+	return r
+}
+
+// OrBits ORs b's bits of the code at each row into dst: those of row
+// rows[j] into dst[j], or, when rows is nil, those of row from+j. It
+// is the massage's four-instruction program read straight from the
+// planes: one pass per run, a byte of each covered plane per row, and
+// no code is decoded whole. len(rows), when rows is not nil, must equal
+// len(dst).
+func (bs *BS) OrBits(dst []uint64, rows []uint32, from int, b *Bits) {
+	for i := range b.runs[:b.n] {
+		r := &b.runs[i]
+		ps := bs.planes[r.plane : r.plane+r.planes]
+		if rows == nil {
+			orRange(dst, ps, from, r)
+		} else {
+			orRows(dst, rows, ps, r)
+		}
+	}
+}
+
+// orRange is OrBits' run over rows from … from+len(d)−1: sequential
+// bytes, one loop per plane count with the plane windows hoisted. The
+// shift counts are masked so that no over-shift guard is compiled in.
+func orRange(d []uint64, ps [][]byte, from int, r *bitRun) {
+	rs, ls, mask, flip := r.rshift, r.lshift, r.mask, r.flip
+	to := from + len(d)
+	switch len(ps) {
+	case 1:
+		p0 := ps[0][from:to]
+		for j := range d {
+			d[j] |= (uint64(p0[j])>>(rs&63)&mask ^ flip) << (ls & 63)
+		}
+	case 2:
+		p0, p1 := ps[0][from:to], ps[1][from:to]
+		for j := range d {
+			v := uint64(p0[j])<<8 | uint64(p1[j])
+			d[j] |= (v>>(rs&63)&mask ^ flip) << (ls & 63)
+		}
+	case 3:
+		p0, p1, p2 := ps[0][from:to], ps[1][from:to], ps[2][from:to]
+		for j := range d {
+			v := uint64(p0[j])<<16 | uint64(p1[j])<<8 | uint64(p2[j])
+			d[j] |= (v>>(rs&63)&mask ^ flip) << (ls & 63)
+		}
+	default:
+		p0, p1, p2, p3 := ps[0][from:to], ps[1][from:to], ps[2][from:to], ps[3][from:to]
+		for j := range d {
+			v := uint64(p0[j])<<24 | uint64(p1[j])<<16 | uint64(p2[j])<<8 | uint64(p3[j])
+			d[j] |= (v>>(rs&63)&mask ^ flip) << (ls & 63)
+		}
+	}
+}
+
+// orRows is orRange at the rows r names.
+func orRows(d []uint64, r []uint32, ps [][]byte, run *bitRun) {
+	rs, ls, mask, flip := run.rshift, run.lshift, run.mask, run.flip
+	d = d[:len(r)]
+	switch len(ps) {
+	case 1:
+		p0 := ps[0]
+		for j, row := range r {
+			d[j] |= (uint64(p0[row])>>(rs&63)&mask ^ flip) << (ls & 63)
+		}
+	case 2:
+		p0, p1 := ps[0], ps[1]
+		for j, row := range r {
+			v := uint64(p0[row])<<8 | uint64(p1[row])
+			d[j] |= (v>>(rs&63)&mask ^ flip) << (ls & 63)
+		}
+	case 3:
+		p0, p1, p2 := ps[0], ps[1], ps[2]
+		for j, row := range r {
+			v := uint64(p0[row])<<16 | uint64(p1[row])<<8 | uint64(p2[row])
+			d[j] |= (v>>(rs&63)&mask ^ flip) << (ls & 63)
+		}
+	default:
+		p0, p1, p2, p3 := ps[0], ps[1], ps[2], ps[3]
+		for j, row := range r {
+			v := uint64(p0[row])<<24 | uint64(p1[row])<<16 | uint64(p2[row])<<8 | uint64(p3[row])
+			d[j] |= (v>>(rs&63)&mask ^ flip) << (ls & 63)
 		}
 	}
 }

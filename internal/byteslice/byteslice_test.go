@@ -251,25 +251,33 @@ func TestNonMultipleOf8Rows(t *testing.T) {
 	}
 }
 
-// TestNewSetEncodes: New plus Set, with the rows set in any order and
-// set again over an earlier code, lays out every plane byte as the
+// TestEncodeLayout: New plus Encode, over ranges encoded in any order
+// and encoded again over earlier codes, lays out every plane byte as the
 // layout defines it — code << shift, most significant byte first, the
 // padding zero — and equals FromColumn, at every width 1..64 and on row
-// counts that are not multiples of 8.
-func TestNewSetEncodes(t *testing.T) {
+// counts that are not multiples of 8 or of the encode block.
+func TestEncodeLayout(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	for width := 1; width <= 64; width++ {
-		for _, n := range []int{0, 1, 7, 8, 9, 100, 1001} {
+		for _, n := range []int{0, 1, 7, 8, 9, 100, 1001, 2*gatherBlock + 3} {
 			codes := make([]uint64, n)
+			flipped := make([]uint64, n)
 			for i := range codes {
 				codes[i] = rng.Uint64() & column.Mask(width)
+				flipped[i] = ^codes[i] & column.Mask(width)
 			}
 			bs := New(width, n)
-			for _, i := range rng.Perm(n) {
-				bs.Set(i, ^codes[i]&column.Mask(width))
-			}
-			for _, i := range rng.Perm(n) {
-				bs.Set(i, codes[i])
+			for _, src := range [][]uint64{flipped, codes} {
+				// Cut [0, n) at random rows and encode the pieces in any order.
+				cuts := []int{0, n}
+				for k := 0; k < 4; k++ {
+					cuts = append(cuts, rng.Intn(n+1))
+				}
+				slices.Sort(cuts)
+				for _, k := range rng.Perm(len(cuts) - 1) {
+					lo, hi := cuts[k], cuts[k+1]
+					bs.Encode(src[lo:hi], lo)
+				}
 			}
 			nPlanes := (width + 7) / 8
 			if len(bs.planes) != nPlanes || bs.shift != uint(8*nPlanes-width) || bs.Width != width || bs.N != n {
@@ -290,7 +298,7 @@ func TestNewSetEncodes(t *testing.T) {
 				}
 			}
 			if want := FromColumn(column.FromCodes("c", width, codes)); !reflect.DeepEqual(bs, want) {
-				t.Fatalf("width %d n %d: New+Set differs from FromColumn", width, n)
+				t.Fatalf("width %d n %d: New+Encode differs from FromColumn", width, n)
 			}
 		}
 	}
@@ -437,6 +445,171 @@ func TestDecodeMatchesLookup(t *testing.T) {
 			}
 		}
 	}
+}
+
+// orBitsRef is OrBits by Lookup: bits [lo, hi) of the code at each
+// row, complemented when desc, ORed into dst at left shift shift.
+func orBitsRef(bs *BS, dst []uint64, rows []uint32, from, lo, hi int, shift uint, desc bool) {
+	mask := column.Mask(hi - lo)
+	for j := range dst {
+		row := from + j
+		if rows != nil {
+			row = int(rows[j])
+		}
+		v := bs.Lookup(row) >> uint(bs.Width-hi) & mask
+		if desc {
+			v ^= mask
+		}
+		dst[j] |= v << shift
+	}
+}
+
+// checkOrBits runs OrBits and orBitsRef over the same random keys and
+// fails on the first difference.
+func checkOrBits(t *testing.T, rng *rand.Rand, bs *BS, rows []uint32, from, n, lo, hi int, desc bool) {
+	t.Helper()
+	shift := uint(rng.Intn(64 - (hi - lo) + 1))
+	got := make([]uint64, n)
+	for j := range got {
+		got[j] = rng.Uint64()
+	}
+	want := slices.Clone(got)
+	b := NewBits(lo, hi, shift, desc)
+	bs.OrBits(got, rows, from, &b)
+	orBitsRef(bs, want, rows, from, lo, hi, shift, desc)
+	for j := range got {
+		if got[j] != want[j] {
+			t.Fatalf("width %d bits [%d,%d) shift %d desc %v from %d rows %v (n %d): dst[%d] = %#x, want %#x",
+				bs.Width, lo, hi, shift, desc, from, rows != nil, n, j, got[j], want[j])
+		}
+	}
+}
+
+// orBitsRows is a row list of k rows of an n-row column in one of the
+// shapes OrBits is checked on: an ascending subset (a filter's
+// selection), arbitrary order (a permutation's reads through a
+// selection), or a few rows repeated (ties).
+func orBitsRows(rng *rand.Rand, n, k, shape int) []uint32 {
+	rows := make([]uint32, 0, k)
+	switch shape % 3 {
+	case 0:
+		for i := rng.Intn(8); i < n && len(rows) < k; i += 1 + rng.Intn(3) {
+			rows = append(rows, uint32(i))
+		}
+	case 1:
+		for len(rows) < k {
+			rows = append(rows, uint32(rng.Intn(n)))
+		}
+	default:
+		for len(rows) < k {
+			rows = append(rows, uint32(rng.Intn(min(n, 5))))
+		}
+	}
+	return rows
+}
+
+// TestOrBitsMatchesLookup is the plane kernel's differential against a
+// Lookup reference: every bit range [lo, hi) of every width 1–64 (one to
+// eight planes, every run split), ASC and DESC, over contiguous rows at
+// offsets that are not multiples of 8 — up to the last padded row — and
+// over row lists in ascending, arbitrary and repeating order; then, for
+// a sample of ranges per width, at lengths 1, 1,023, 1,024 and 1,025.
+func TestOrBitsMatchesLookup(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	const n = 2 * gatherBlock
+	for width := 1; width <= 64; width++ {
+		codes := make([]uint64, n)
+		for i := range codes {
+			codes[i] = rng.Uint64() & column.Mask(width)
+		}
+		bs := FromColumn(column.FromCodes("c", width, codes[:n-3])) // 3 padded rows
+		padded := (bs.N + 7) &^ 7
+		for lo := 0; lo < width; lo++ {
+			for hi := lo + 1; hi <= width; hi++ {
+				// The row shapes take turns across the ranges.
+				for _, desc := range []bool{false, true} {
+					from := 3 + 8*rng.Intn(8)
+					if (lo+hi)%2 == 0 {
+						from = padded - 11
+					}
+					checkOrBits(t, rng, bs, nil, from, 11, lo, hi, desc)
+					rows := orBitsRows(rng, bs.N, 9, lo+hi)
+					checkOrBits(t, rng, bs, rows, 0, len(rows), lo, hi, desc)
+				}
+			}
+		}
+		for k := 0; k < 6; k++ {
+			lo := rng.Intn(width)
+			hi := lo + 1 + rng.Intn(width-lo)
+			if k == 0 {
+				lo, hi = 0, width
+			}
+			desc := k%2 == 1
+			for _, length := range []int{1, gatherBlock - 1, gatherBlock, gatherBlock + 1} {
+				from := rng.Intn(padded-length+1) | 1
+				if from+length > padded {
+					from -= 2
+				}
+				checkOrBits(t, rng, bs, nil, from, length, lo, hi, desc)
+				checkOrBits(t, rng, bs, nil, padded-length, length, lo, hi, desc)
+				for shape := 0; shape < 3; shape++ {
+					rows := orBitsRows(rng, bs.N, length, shape)
+					checkOrBits(t, rng, bs, rows, 0, len(rows), lo, hi, desc)
+				}
+			}
+		}
+	}
+}
+
+// FuzzOrBits is TestOrBitsMatchesLookup's property on fuzzed columns,
+// bit ranges, shifts and rows: OrBits equals the Lookup reference.
+func FuzzOrBits(f *testing.F) {
+	f.Add([]byte("byte planes"), uint8(21), uint8(3), uint8(17), uint8(9), false, uint16(5), uint16(0))
+	f.Add([]byte{0xff, 0, 0x80, 1, 0x7f, 0xaa, 0x55, 3, 9, 200}, uint8(64), uint8(0), uint8(64), uint8(0), true, uint16(1), uint16(0x3a5))
+	f.Add([]byte{1, 2, 3}, uint8(40), uint8(1), uint8(39), uint8(20), true, uint16(0), uint16(0x8001))
+	f.Fuzz(func(t *testing.T, data []byte, width, lo, hi, shift uint8, desc bool, from, rowSeed uint16) {
+		w := int(width)%64 + 1
+		l := int(lo) % w
+		h := l + 1 + int(hi)%(w-l)
+		s := uint(shift) % uint(64-(h-l)+1)
+		n := min(len(data), 2*gatherBlock+9)
+		codes := make([]uint64, n)
+		for i := range codes {
+			// Spread each byte across the code so every plane varies.
+			b := uint64(data[i])
+			codes[i] = (b*0x0101_0101_0101_0101 ^ uint64(i)*0x9e37_79b9_7f4a_7c15) & column.Mask(w)
+		}
+		bs := FromColumn(column.FromCodes("c", w, codes))
+		padded := (n + 7) &^ 7
+		var rows []uint32
+		first := 0
+		length := 0
+		if rowSeed&0x8000 == 0 || n == 0 {
+			first = int(from) % (padded + 1)
+			length = padded - first
+			if rowSeed != 0 {
+				length = min(length, int(rowSeed))
+			}
+		} else {
+			rng := rand.New(rand.NewSource(int64(rowSeed)))
+			rows = make([]uint32, int(from)%(2*gatherBlock+2))
+			for j := range rows {
+				rows[j] = uint32(rng.Intn(n))
+			}
+			length = len(rows)
+		}
+		got := make([]uint64, length)
+		for j := range got {
+			got[j] = uint64(j) * 0x2545_f491_4f6c_dd1d
+		}
+		want := slices.Clone(got)
+		b := NewBits(l, h, s, desc)
+		bs.OrBits(got, rows, first, &b)
+		orBitsRef(bs, want, rows, first, l, h, s, desc)
+		if !slices.Equal(got, want) {
+			t.Fatalf("width %d bits [%d,%d) shift %d desc %v from %d rows %v: OrBits differs from Lookup", w, l, h, s, desc, first, rows != nil)
+		}
+	})
 }
 
 // BenchmarkGather: ns/row of a per-row Lookup loop against Gather over

@@ -30,8 +30,9 @@ var (
 //	group boundaries      4·rows (worst case: all singletons)
 //	radix sort scratch   24·rows (two (key, oid) pairs, 12 B/row each)
 //
-// Nothing is charged for the sort columns, which the massage reads
-// straight from their ByteSlices a block at a time, nor for the
+// Nothing is charged for the sort columns, whose bits the massage ORs
+// into the round keys straight from their ByteSlices' planes, with no
+// code buffer between, nor for the
 // selection: an unfiltered query lists no rows, and a filter's row list
 // (4 B a selected row) is left out. The radix term
 // keeps the widest bank's two ping-pong pairs; a bank of at most 32

@@ -301,9 +301,9 @@ func runContext(ctx context.Context, t *table.Table, q Query, opts Options) (*Re
 
 	// 3. Multi-column sort under the chosen column order and plan, after
 	// stage 2 of the budget (plan known: the real round count dominates
-	// the round-key footprint). Its massage reads the sort columns
-	// straight from the ByteSlices, a block at a time, so no sort column
-	// is ever materialised (late materialisation, docs/topk.md). A Limit
+	// the round-key footprint). Its massage reads the sort columns' bits
+	// straight from the ByteSlices' planes, so no sort column is ever
+	// materialised (late materialisation, docs/topk.md). A Limit
 	// truncates the sort itself, at the rank SortCut names.
 	mres, workers, err := SortColumns(ctx, q, b.sources(rows), choice, opts)
 	if err != nil {

@@ -140,8 +140,8 @@ func (s Selection) Rows() []uint32 {
 }
 
 // sources describes every Sort column as a ByteSlice-backed sort input
-// over the selected rows: the sort reads the codes from the byte
-// planes, a block at a time, and no code array is built for them.
+// over the selected rows: the massage reads each segment's bits from
+// the byte planes they lie in, and no code array is built for them.
 func (b *Bound) sources(rows []uint32) []massage.Input {
 	inputs := make([]massage.Input, len(b.Cols))
 	for i, bs := range b.Cols {

@@ -172,9 +172,15 @@ func TestByteSlicePassAllocatesPerRange(t *testing.T) {
 // BenchmarkRoundFromByteSlice times round 0 of a truncated sort over
 // 2^19 rows, its source columns materialised against read straight from
 // their ByteSlices (a filtered selection of 2^19 of 2^20 rows), for
-// one to three source planes, workers 1 and 2. The materialised case
-// includes the gather that builds its codes (on the caller's
-// goroutine), as the engine's materialisation did.
+// source segments of one, two, three, four and six planes (two columns
+// of 8p−3 and 8p−1 bits, stitched into one round while they fit 64
+// bits), workers 1 and 2. The materialised case includes the gather
+// that builds its codes (on the caller's goroutine), as the engine's
+// materialisation did. The all-rounds cells time the whole massage of
+// two workload shapes from their ByteSlices: lib_ties (four columns of
+// 5, 5, 3 and 5 bits, every row, one 18-bit round) and lib_wide_unique
+// (21, 12, 17, 18 and 21 bits, a 96 % selection, rounds of 29 and 60
+// bits).
 func BenchmarkRoundFromByteSlice(b *testing.B) {
 	const rows = 1 << 19
 	ctx := context.Background()
@@ -183,10 +189,17 @@ func BenchmarkRoundFromByteSlice(b *testing.B) {
 	for i := range sel {
 		sel[i] = uint32(2*i + rng.Intn(2))
 	}
-	for planes := 1; planes <= 3; planes++ {
+	perRow := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
+	}
+	for _, planes := range []int{1, 2, 3, 4, 6} {
 		widths := []int{8*planes - 3, 8*planes - 1}
+		outWidths := []int{widths[0] + widths[1]}
+		if outWidths[0] > 64 {
+			outWidths = widths
+		}
 		_, bs, _, _ := sourcedInputs(rng, widths, []bool{false, true}, 2*rows, sel)
-		prog, err := Compile(bs, []int{widths[0] + widths[1]})
+		prog, err := Compile(bs, outWidths)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -203,7 +216,7 @@ func BenchmarkRoundFromByteSlice(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
+				perRow(b)
 			})
 			b.Run(fmt.Sprintf("planes=%d/workers=%d/byteslice", planes, workers), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
@@ -211,8 +224,53 @@ func BenchmarkRoundFromByteSlice(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
+				perRow(b)
 			})
 		}
 	}
+	every := make([]uint32, 0, rows) // a 96 % selection of rows·25/24 rows
+	for i := 0; len(every) < rows; i++ {
+		if rng.Intn(25) != 0 {
+			every = append(every, uint32(i))
+		}
+	}
+	for _, shape := range []struct {
+		name      string
+		widths    []int
+		sel       []uint32 // nil: every row of a rows-row column
+		outWidths []int
+	}{
+		{"lib_ties", []int{5, 5, 3, 5}, nil, []int{18}},
+		{"lib_wide_unique", []int{21, 12, 17, 18, 21}, every, []int{29, 60}},
+	} {
+		var inputs []Input
+		if shape.sel == nil {
+			_, _, _, inputs = sourcedInputs(rng, shape.widths, make([]bool, len(shape.widths)), rows, identity(rows))
+		} else {
+			_, inputs, _, _ = sourcedInputs(rng, shape.widths, make([]bool, len(shape.widths)), int(shape.sel[rows-1])+1, shape.sel)
+		}
+		prog, err := Compile(inputs, shape.outWidths)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/workers=%d/all-rounds", shape.name, workers), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := prog.RunParallelContext(ctx, inputs, rows, workers); err != nil {
+						b.Fatal(err)
+					}
+				}
+				perRow(b)
+			})
+		}
+	}
+}
+
+// identity is the selection of every row of an n-row column, in order.
+func identity(n int) []uint32 {
+	rows := make([]uint32, n)
+	for i := range rows {
+		rows[i] = uint32(i)
+	}
+	return rows
 }

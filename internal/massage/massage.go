@@ -9,7 +9,9 @@
 // The massaging process itself is the paper's four-instruction program
 // (FIP) — shift, mask, bitwise-or, shift — executed once per segment of
 // the union of input/output prefix-sum boundaries; the access pattern is
-// sequential and branchless, so it is cheap relative to sorting.
+// sequential and branchless, so it is cheap relative to sorting. Over a
+// ByteSlice-backed column a segment reads only the byte planes its bits
+// lie in, and no code is decoded whole.
 package massage
 
 import (
@@ -41,9 +43,10 @@ var (
 // Desc columns are complemented before stitching (Figure 5 of the
 // paper), which converts a descending order requirement into the uniform
 // ascending order the sorter implements. The codes are Codes, or, when
-// Source is set, read from a ByteSlice a block at a time as a pass
-// needs them, so a sort never builds a code array for them (late
-// materialisation, docs/topk.md).
+// Source is set, a ByteSlice whose planes every pass reads a segment's
+// bits from (byteslice.BS.OrBits), so a sort never builds a code array
+// for them (late materialisation, docs/topk.md). Width must then be the
+// ByteSlice's.
 type Input struct {
 	Codes  []uint64
 	Width  int
@@ -53,9 +56,10 @@ type Input struct {
 
 // Source is where a late-materialised input's codes live: input row i
 // is row Rows[i] of Column, or row i when Rows is nil (a selection of
-// every row, in order, names none). It is the one way a stage reads a
-// column's codes: a range of the selection (Range) or the selection
-// rows at sorted positions (At).
+// every row, in order, names none). The massage reads its planes at
+// those rows; a stage after the sort reads its codes through it: a
+// range of the selection (Range) or the selection rows at sorted
+// positions (At).
 type Source struct {
 	Column *byteslice.BS
 	Rows   []uint32
@@ -109,6 +113,9 @@ type segment struct {
 	// whole column and then extracting the segment equals extracting and
 	// then complementing within the mask.
 	flip uint64
+	// bits is the segment compiled for a Source input: the planes its
+	// bit range covers, with the same shifts, mask and flip.
+	bits byteslice.Bits
 }
 
 // Program is a compiled massage plan: the segments to execute per row.
@@ -126,6 +133,9 @@ func Compile(inputs []Input, outWidths []int) (*Program, error) {
 	for i, in := range inputs {
 		if in.Width < 1 || in.Width > 64 {
 			return nil, fmt.Errorf("massage: input %d width %d out of range", i, in.Width)
+		}
+		if in.Source != nil && in.Source.Column.Width != in.Width {
+			return nil, fmt.Errorf("massage: input %d width %d, its column's %d", i, in.Width, in.Source.Column.Width)
 		}
 		inWidths[i] = in.Width
 		totalIn += in.Width
@@ -171,6 +181,7 @@ func Compile(inputs []Input, outWidths []int) (*Program, error) {
 			if inputs[s].Desc {
 				sg.flip = sg.mask
 			}
+			sg.bits = byteslice.NewBits(lo-sLo, hi-sLo, sg.dstShift, inputs[s].Desc)
 			segs = append(segs, sg)
 		}
 	}
@@ -209,7 +220,8 @@ func (p *Program) FIPCount() int { return len(p.segments) }
 // sort columns.
 func (p *Program) Decode(keys [][]uint64, i int, dst []uint64) {
 	clear(dst)
-	for _, sg := range p.segments {
+	for k := range p.segments {
+		sg := &p.segments[k]
 		dst[sg.src] |= (keys[sg.dst][i]>>sg.dstShift&sg.mask ^ sg.flip) << sg.srcShift
 	}
 }
@@ -259,84 +271,108 @@ func (p *Program) RunParallelContext(ctx context.Context, inputs []Input, rows, 
 	return out, nil
 }
 
-// gatherBlock is the row count runBlocks massages at a time: a block of
-// every source column a pass reads (8 KiB each) stays in L1 while the
-// pass's FIPs read it.
+// gatherBlock is the row count runBlocks massages at a time: a block
+// of every round key a pass writes (8 KiB each) stays in L1 while the
+// pass's segments OR their bits into it.
 const gatherBlock = 1024
 
 // runBlocks is the one row loop of every pass: it runs segs over rows
 // [lo, hi) — or, when perm is non-nil, over positions [lo, hi) of perm,
-// out[d][i] getting row perm[i]'s bits — gatherBlock rows at a time.
-// Each block of every input segs read is windowed when it is
-// materialised and read without perm, and otherwise read into an L1
-// buffer (through perm, or from its Source: Range without perm, At
-// with it); then runRange runs segs over the block. The buffers are
-// allocated once per range, never per block.
+// out[d][i] getting row perm[i]'s bits — gatherBlock rows at a time. A
+// segment of a Source input ORs its bits into the block's keys straight
+// from the byte planes it covers (byteslice.BS.OrBits), at the block's
+// rows: contiguous from the block's start, or the row ids its positions
+// map to, mapped once per block and row list for all of the block's
+// segments. A segment of a materialised input runs runRange over the
+// block of its codes: a window without perm, a copy through perm into
+// a buffer with it. The buffers are allocated once per range, never
+// per block.
 func runBlocks(segs []segment, inputs []Input, out [][]uint64, perm []uint32, lo, hi int) {
 	countFIPs(len(segs), hi-lo)
 	size := min(gatherBlock, hi-lo)
-	read := make([]bool, len(inputs)) // some segment reads the input
-	bufs := make([][]uint64, len(inputs))
-	for _, sg := range segs {
-		read[sg.src] = true
-		if bufs[sg.src] == nil && (inputs[sg.src].Source != nil || perm != nil) {
-			bufs[sg.src] = make([]uint64, size)
+	read := make([]bool, len(inputs)) // some segment reads the materialised input
+	var bufs [][]uint64               // under perm, a materialised input's block
+	var ids []uint32                  // under perm, a block's positions mapped through a row list
+	if perm != nil {
+		bufs = make([][]uint64, len(inputs))
+	}
+	for i := range segs {
+		s := segs[i].src
+		switch src := inputs[s].Source; {
+		case src == nil:
+			read[s] = true
+			if perm != nil && bufs[s] == nil {
+				bufs[s] = make([]uint64, size)
+			}
+		case perm != nil && src.Rows != nil && ids == nil:
+			ids = make([]uint32, size)
 		}
 	}
-	var ids []uint32 // a block's Source row ids under perm
-	if perm != nil {
-		ids = make([]uint32, size)
-	}
-	block := make([][]uint64, len(inputs)) // the block's codes per input
-	dst := make([][]uint64, len(out))
+	codes := make([][]uint64, len(inputs)) // the block's codes per materialised input
 	for blo := lo; blo < hi; blo += gatherBlock {
 		bhi := min(blo+gatherBlock, hi)
 		for s, in := range inputs {
-			buf := bufs[s][:min(len(bufs[s]), bhi-blo)]
 			switch {
 			case !read[s]:
-				continue
-			case perm == nil && in.Source == nil:
-				buf = in.Codes[blo:bhi]
 			case perm == nil:
-				in.Source.Range(buf, blo)
-			case in.Source == nil:
+				codes[s] = in.Codes[blo:bhi]
+			default:
+				buf := bufs[s][:bhi-blo]
 				for j, p := range perm[blo:bhi] {
 					buf[j] = in.Codes[p]
 				}
+				codes[s] = buf
+			}
+		}
+		var mapped []uint32 // the row list ids holds this block's rows of
+		for i := range segs {
+			sg := &segs[i]
+			keys := out[sg.dst][blo:bhi]
+			src := inputs[sg.src].Source
+			switch {
+			case src == nil:
+				runRange(sg, codes[sg.src], keys)
+			case perm == nil && src.Rows == nil:
+				src.Column.OrBits(keys, nil, blo, &sg.bits)
+			case perm == nil:
+				src.Column.OrBits(keys, src.Rows[blo:bhi], 0, &sg.bits)
+			case src.Rows == nil:
+				src.Column.OrBits(keys, perm[blo:bhi], 0, &sg.bits)
 			default:
-				in.Source.At(buf, perm[blo:bhi], ids)
+				if !sameRows(mapped, src.Rows) {
+					mapped = src.Rows
+					ids = ids[:bhi-blo]
+					for j, p := range perm[blo:bhi] {
+						ids[j] = mapped[p]
+					}
+				}
+				src.Column.OrBits(keys, ids, 0, &sg.bits)
 			}
-			block[s] = buf
 		}
-		for d := range out {
-			if out[d] != nil {
-				dst[d] = out[d][blo:bhi]
-			}
-		}
-		runRange(segs, block, dst)
 	}
 }
 
-// runRange is the FIP kernel: it executes segs over one block, OR-ing
-// each segment's bits of its input's codes (codes, per input) into its
-// round's keys (dst, per round). The per-segment loop is sequential and
+// sameRows reports whether a and b are the same row list.
+func sameRows(a, b []uint32) bool {
+	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
+}
+
+// runRange is the FIP kernel over a materialised block: it ORs seg's
+// bits of the codes into the keys. The loop is sequential and
 // branch-free, matching the paper's characterization of the massaging
 // cost.
-func runRange(segs []segment, codes, dst [][]uint64) {
-	for _, seg := range segs {
-		keys := dst[seg.dst]
-		src := codes[seg.src][:len(keys)]
-		srcShift, dstShift, mask, flip := seg.srcShift, seg.dstShift, seg.mask, seg.flip
-		for i, c := range src {
-			keys[i] |= (c>>srcShift&mask ^ flip) << dstShift
-		}
+func runRange(seg *segment, codes, keys []uint64) {
+	codes = codes[:len(keys)]
+	srcShift, dstShift, mask, flip := seg.srcShift, seg.dstShift, seg.mask, seg.flip
+	for i, c := range codes {
+		keys[i] |= (c>>srcShift&mask ^ flip) << dstShift
 	}
 }
 
 // countFIPs books one range's FIP invocations and bytes moved: each
 // segment reads one uint64 code and read-modify-writes one uint64 key
-// per row.
+// per row. A segment read from the planes reads at most 8 of its
+// bytes, one per plane it covers, so the count bounds it from above.
 func countFIPs(nSeg, rows int) {
 	if rows > 0 {
 		obsFIPOps.Add(int64(nSeg) * int64(rows))

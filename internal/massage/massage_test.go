@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/byteslice"
 	"repro/internal/column"
 	"repro/internal/plan"
 	"repro/internal/testutil"
@@ -344,5 +345,11 @@ func TestCompileErrors(t *testing.T) {
 	bad := []Input{{Codes: []uint64{0}, Width: 70}}
 	if _, err := Compile(bad, []int{70}); err == nil {
 		t.Error("over-wide input accepted")
+	}
+	// A Source input's segments address its column's planes, so its
+	// width must be the column's.
+	src := []Input{{Width: 10, Source: &Source{Column: byteslice.New(12, 1)}}}
+	if _, err := Compile(src, []int{10}); err == nil {
+		t.Error("Source input narrower than its column accepted")
 	}
 }

@@ -8,8 +8,8 @@
 // by indexing the source codes through the survivor permutation — one
 // read-modify-write stream per surviving row instead of
 // permute-then-massage over all rows. Both run the one block loop
-// (runBlocks): round 0 decodes only its own source columns, later
-// rounds only the survivors' codes.
+// (runBlocks): round 0 reads only the planes its own bits lie in, later
+// rounds only the survivors' rows of them.
 package massage
 
 import (
@@ -29,9 +29,9 @@ var (
 // rows — the other rounds' segments are not executed — with the rows
 // partitioned across workers goroutines, and cancellation and
 // containment, exactly like RunParallelContext. A worker panic surfaces
-// as a *pipeerr.PipelineError with stage "massage" and round d. A
-// ByteSlice-backed input is read in gatherBlock-row blocks, and only
-// when round d reads it.
+// as a *pipeerr.PipelineError with stage "massage" and round d. Of a
+// ByteSlice-backed input only the planes round d's bits lie in are
+// read, gatherBlock rows at a time.
 func (p *Program) RunRoundParallelContext(ctx context.Context, inputs []Input, rows, d, workers int) ([]uint64, error) {
 	obsRoundRuns.Inc()
 	return p.runRound(ctx, inputs, nil, rows, d, workers)
@@ -41,9 +41,9 @@ func (p *Program) RunRoundParallelContext(ctx context.Context, inputs []Input, r
 // named by perm: out[i] is row perm[i]'s round-d key. This fuses the
 // truncated pipeline's gather into the FIP pass — the permute step that
 // would first reorder all codes is skipped entirely, and only
-// len(perm) rows are touched; a ByteSlice-backed input is read at the
-// positions perm names (Source.At). Cancellation and containment match
-// RunRoundParallelContext.
+// len(perm) rows are touched; a ByteSlice-backed input's planes are
+// read at the rows the positions perm names map to. Cancellation and
+// containment match RunRoundParallelContext.
 func (p *Program) RunRoundGatherContext(ctx context.Context, inputs []Input, perm []uint32, d, workers int) ([]uint64, error) {
 	obsGatherRuns.Inc()
 	return p.runRound(ctx, inputs, perm, len(perm), d, workers)

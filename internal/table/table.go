@@ -44,9 +44,13 @@ func (t *Table) Add(c *column.Column) error {
 	return t.AddCodes(c.Name, c.Width, func(row int) uint64 { return c.Codes[row] })
 }
 
+// encodeBlock is the row count AddCodes checks before it encodes them
+// into the planes, one plane at a time (byteslice.BS.Encode).
+const encodeBlock = 1024
+
 // AddCodes attaches a column of the given width whose code at each row
-// is code(row), encoding the codes straight into its ByteSlice planes
-// (the layout keeps only width bits of a code). It refuses a width
+// is code(row), encoding the codes into its ByteSlice planes a block at
+// a time (the layout keeps only width bits of a code). It refuses a width
 // outside 1..64, a duplicate name and a code wider than width, and a
 // refused column leaves t as it was.
 func (t *Table) AddCodes(name string, width int, code func(row int) uint64) error {
@@ -58,12 +62,17 @@ func (t *Table) AddCodes(name string, width int, code func(row int) uint64) erro
 	}
 	bs := byteslice.New(width, t.N)
 	mask := column.Mask(width)
-	for i := 0; i < t.N; i++ {
-		v := code(i)
-		if v&^mask != 0 {
-			return fmt.Errorf("table %s: column %q: code %d at row %d exceeds %d bits", t.Name, name, v, i, width)
+	var block [encodeBlock]uint64
+	for lo := 0; lo < t.N; lo += encodeBlock {
+		b := block[:min(encodeBlock, t.N-lo)]
+		for j := range b {
+			v := code(lo + j)
+			if v&^mask != 0 {
+				return fmt.Errorf("table %s: column %q: code %d at row %d exceeds %d bits", t.Name, name, v, lo+j, width)
+			}
+			b[j] = v
 		}
-		bs.Set(i, v)
+		bs.Encode(b, lo)
 	}
 	t.put(name, bs)
 	return nil
