@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: test race lint fault chaos chaos-soak fuzz-smoke smoke shard-smoke perf-smoke bench-smoke bench bakeoff bench-gather plan-flip bench-regress
+.PHONY: test race alone lint fault chaos chaos-soak fuzz-smoke smoke shard-smoke perf-smoke bench-smoke bench bakeoff bench-gather plan-flip bench-regress
 
 test:
 	$(GO) vet ./...
@@ -9,6 +9,20 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The heap and allocation gates, each alone in its own process: a test
+# that reads the process's heap or allocation counters also measures
+# whatever earlier tests in its package left behind, so it must pass
+# without them. A gate joins by its name — every Test whose name
+# contains Alloc or Heap, as go test -list finds it — not by a list
+# kept here.
+alone:
+	@tests=$$($(GO) test -list 'Alloc|Heap' ./... | awk '/^Test/ {n[++k] = $$1} /^ok/ {for (i = 1; i <= k; i++) print $$2, n[i]; k = 0}'); \
+	test -n "$$tests" || { echo "alone: go test -list found no gate" >&2; exit 1; }; \
+	echo "$$tests" | while read -r pkg name; do \
+		echo "== $$name ($$pkg)"; \
+		$(GO) test -count=1 -run "^$$name\$$" "$$pkg" || exit 1; \
+	done
 
 # Project-invariant static analysis (docs/static-analysis.md): go vet
 # plus the mcslint suite (ctxpoll, nopanic, determinism, obsnames,

@@ -231,6 +231,16 @@ func NewBits(lo, hi int, shift uint, desc bool) Bits {
 	return Bits{runs: [2]bitRun{newBitRun(lo, hi, shift, desc)}, n: 1}
 }
 
+// Planes is the number of planes b's range covers: OrBits reads one
+// byte of each per row.
+func (b *Bits) Planes() int {
+	n := 0
+	for _, r := range b.runs[:b.n] {
+		n += r.planes
+	}
+	return n
+}
+
 func newBitRun(lo, hi int, shift uint, desc bool) bitRun {
 	first, last := lo/8, (hi-1)/8
 	r := bitRun{plane: first, planes: last - first + 1, rshift: uint(8*(last+1) - hi), lshift: shift, mask: column.Mask(hi - lo)}

@@ -74,6 +74,7 @@ var SiteKinds = map[string][]Kind{
 	faultinject.ChunkSort:    {KindPanic, KindDelay, KindCancel},
 	faultinject.LoserMerge:   {KindPanic, KindDelay, KindCancel},
 	faultinject.MassageChunk: {KindPanic, KindDelay, KindCancel},
+	faultinject.Payload:      {KindPanic, KindDelay, KindCancel},
 	faultinject.Gather:       {KindPanic, KindDelay, KindCancel},
 	faultinject.Aggregate:    {KindPanic, KindDelay, KindCancel},
 	faultinject.ShardFanout:  {KindPanic, KindDelay, KindCancel},

@@ -117,11 +117,15 @@ func sweepRef(tbl *table.Table, q Query) *Result {
 }
 
 // TestAggregateSweepDifferential is the battery of the sorted-order
-// aggregation sweep: Sum and Avg over every width of sweepWidths, and
-// Count, unfiltered (the identity selection: the sweep gathers through
-// the permutation itself) and filtered (through the selected rows),
+// aggregation: Sum and Avg over every width of sweepWidths, and Count,
+// unfiltered (the identity selection: the sweep gathers through the
+// permutation itself) and filtered (through the selected rows),
 // unlimited, under LIMIT/OFFSET pages and under ORDER BY <aggregate>,
-// at workers 1, 2 and 4, must equal sweepRef sliced to the page.
+// at workers 1, 2 and 4, must equal sweepRef sliced to the page — under
+// the searched plan, one round, which carries an aggregate of up to 32
+// bits through a sort not cut at a group count (no LIMIT, or ORDER BY
+// <aggregate>), and under a pinned two-round plan, which sums every
+// width through the sweep.
 func TestAggregateSweepDifferential(t *testing.T) {
 	defer testutil.CheckNoLeaks(t)()
 	exact, noisy := sweepTable(t, 0, 51), sweepTable(t, 3000, 52)
@@ -147,21 +151,26 @@ func TestAggregateSweepDifferential(t *testing.T) {
 				agg := agg
 				q := Query{ID: "sweep", Kind: planner.GroupBy, SortCols: []SortCol{{Name: "g"}}, Filters: tc.filters, Agg: &agg, OrderByAgg: byAgg}
 				ref := sweepRef(tc.tbl, q)
-				for _, workers := range []int{1, 2, 4} {
-					for _, p := range pages {
-						opts := limitOptions(workers)
-						opts.Limit, opts.Offset = p.limit, p.off
-						res, err := run(tc.tbl, q, opts)
-						limit := "none"
-						if p.limit != nil {
-							limit = strconv.Itoa(*p.limit)
-						}
-						name := fmt.Sprintf("%s/agg%d(%s)/byagg=%v/workers=%d/limit=%s/offset=%d", tc.name, agg.Kind, agg.Col, byAgg, workers, limit, p.off)
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						if got, want := canonResult(res), canonResult(sliceOracle(ref, false, p.limit, p.off)); got != want {
-							t.Fatalf("%s: result differs from the full sort then sum\ngot:\n%.600s\nwant:\n%.600s", name, got, want)
+				for _, pl := range []struct {
+					name string
+					pin  *planner.Choice
+				}{{"searched", nil}, {"two-round", override([]int{0}, 6, 6)}} {
+					for _, workers := range []int{1, 2, 4} {
+						for _, p := range pages {
+							opts := limitOptions(workers)
+							opts.Limit, opts.Offset, opts.PlanOverride = p.limit, p.off, pl.pin
+							res, err := run(tc.tbl, q, opts)
+							limit := "none"
+							if p.limit != nil {
+								limit = strconv.Itoa(*p.limit)
+							}
+							name := fmt.Sprintf("%s/agg%d(%s)/byagg=%v/plan=%s/workers=%d/limit=%s/offset=%d", tc.name, agg.Kind, agg.Col, byAgg, pl.name, workers, limit, p.off)
+							if err != nil {
+								t.Fatalf("%s: %v", name, err)
+							}
+							if got, want := canonResult(res), canonResult(sliceOracle(ref, false, p.limit, p.off)); got != want {
+								t.Fatalf("%s: result differs from the full sort then sum\ngot:\n%.600s\nwant:\n%.600s", name, got, want)
+							}
 						}
 					}
 				}
@@ -215,14 +224,16 @@ func TestAggregateAllocatesNoRowArray(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mres, w, err := SortColumns(ctx, q, b.sources(rows), choice, opts)
+			_, limitGroups := SortCut(q, opts.Limit, opts.Offset)
+			payload := b.payload(rows, choice.Plan, limitGroups)
+			mres, w, err := sortColumns(ctx, q, b.sources(rows), choice, opts, payload)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var before, after runtime.MemStats
 			res := &Result{Rows: sel.Count()}
 			runtime.ReadMemStats(&before)
-			err = aggregate(ctx, res, b, rows, mres, choice.ColOrder, w)
+			err = aggregate(ctx, res, b, rows, mres, choice.ColOrder, w, payload != nil)
 			runtime.ReadMemStats(&after)
 			if err != nil {
 				t.Fatal(err)
@@ -283,14 +294,72 @@ func TestUnfilteredRunAllocatesNoRowList(t *testing.T) {
 	}
 }
 
+// TestAggCarriedPath pins which queries carry their aggregate through
+// the sort (engine.agg_carried) under the plans their searches pick:
+// of the benchmark workloads' shapes on their seeded tables, lib_ties —
+// a one-round GROUP BY summing 21 bits — does, once per query, also
+// under a LIMIT with ORDER BY <aggregate> (its sort is not cut), while
+// lib_wide_unique (two rounds), lib_ties counting, lib_ties under a
+// LIMIT (a sort cut at a group count), and the window shapes do not;
+// on the sweep table, whose 12-bit grouping sorts in one
+// round, a 32-bit Sum is carried and a 33-bit one is not. A plan change
+// that takes lib_ties off the path fails here, not silently in the
+// benchmark.
+func TestAggCarriedPath(t *testing.T) {
+	ctx := context.Background()
+	carried := func(tbl *table.Table, q Query, opts Options) int64 {
+		t.Helper()
+		var err error
+		n := testutil.Bumps(func() { _, err = RunContext(ctx, tbl, q, opts) }, "engine.agg_carried")[0]
+		if err != nil {
+			t.Fatalf("%s: %v", q.ID, err)
+		}
+		return n
+	}
+	want := map[string]int64{"lib_ties": 1}
+	for _, s := range planFlipShapes() {
+		opts := Options{Massaging: true, Rho: -1, MaxPlans: 8192, Workers: s.workers, Limit: s.limit, Offset: s.offset}
+		tbl := planFlipTable(t, s.skew, s.shard)
+		if got := carried(tbl, s.q, opts); got != want[s.name] {
+			t.Errorf("%s: agg_carried moved by %d, want %d", s.name, got, want[s.name])
+		}
+		if s.name == "lib_ties" {
+			count := s.q
+			count.Agg = &Agg{Kind: Count}
+			if got := carried(tbl, count, opts); got != 0 {
+				t.Errorf("lib_ties counting: agg_carried moved by %d, want 0", got)
+			}
+			limited := opts
+			limited.Limit = lim(50)
+			if got := carried(tbl, s.q, limited); got != 0 {
+				t.Errorf("lib_ties LIMIT 50: agg_carried moved by %d, want 0", got)
+			}
+			byAgg := s.q
+			byAgg.OrderByAgg = true
+			if got := carried(tbl, byAgg, limited); got != 1 {
+				t.Errorf("lib_ties ORDER BY sum LIMIT 50: agg_carried moved by %d, want 1", got)
+			}
+		}
+	}
+	sweep := sweepTable(t, 0, 61)
+	for col, want := range map[string]int64{"a32": 1, "a33": 0} {
+		q := Query{ID: col, Kind: planner.GroupBy, SortCols: []SortCol{{Name: "g"}}, Agg: &Agg{Kind: Sum, Col: col}}
+		if got := carried(sweep, q, limitOptions(2)); got != want {
+			t.Errorf("sum of %s: agg_carried moved by %d, want %d", col, got, want)
+		}
+	}
+}
+
 // BenchmarkAggregate times the aggregation stage (Timing.Aggregate:
 // group keys decoded from the sorted round keys, the aggregate column
 // summed) of an unlimited GROUP BY at 2^19 rows and two workers, with
 // the plan pinned to one round: a tied grouping (g zipf-skewed over
 // 2^18 values) and a nearly unique one (u uniform over 2^17), each
 // summing random codes of 6, 21, 32, 40 and 64 bits. agg-ms is the
-// median over the b.N runs; columns over 32 bits take the selection-
-// order gather, the rest the sweep straight from the planes.
+// median over the b.N runs. Columns of up to 32 bits ride through the
+// sort as its payload, so their sums read the sorted payload (the fill
+// is booked in the massage phase, not here); columns over 32 bits take
+// the selection-order gather.
 func BenchmarkAggregate(b *testing.B) {
 	const rows = 1 << 19
 	rng := rand.New(rand.NewSource(1))

@@ -41,6 +41,7 @@ var (
 	obsPredictedNS    = obs.NewCounter("engine.predicted_mcs_ns")
 	obsMeasuredNS     = obs.NewCounter("engine.measured_mcs_ns")
 	obsPredOverMeasMi = obs.NewGauge("engine.pred_over_meas_x1000")
+	obsAggCarried     = obs.NewCounter("engine.agg_carried")
 )
 
 // SortCol names one column of the multi-column sort clause.
@@ -304,8 +305,12 @@ func runContext(ctx context.Context, t *table.Table, q Query, opts Options) (*Re
 	// the round-key footprint). Its massage reads the sort columns' bits
 	// straight from the ByteSlices' planes, so no sort column is ever
 	// materialised (late materialisation, docs/topk.md). A Limit
-	// truncates the sort itself, at the rank SortCut names.
-	mres, workers, err := SortColumns(ctx, q, b.sources(rows), choice, opts)
+	// truncates the sort itself, at the rank SortCut names. A Sum or
+	// Avg column may ride through an uncut sort in place of the oids
+	// (Bound.payload).
+	_, limitGroups := SortCut(q, opts.Limit, opts.Offset)
+	payload := b.payload(rows, choice.Plan, limitGroups)
+	mres, workers, err := sortColumns(ctx, q, b.sources(rows), choice, opts, payload)
 	if err != nil {
 		return nil, err
 	}
@@ -341,8 +346,11 @@ func runContext(ctx context.Context, t *table.Table, q Query, opts Options) (*Re
 		res.Timing.Aggregate = time.Since(start)
 		return res, nil
 	}
-	if err := aggregate(ctx, res, b, rows, mres, choice.ColOrder, workers); err != nil {
+	if err := aggregate(ctx, res, b, rows, mres, choice.ColOrder, workers, payload != nil); err != nil {
 		return nil, err
+	}
+	if payload != nil {
+		obsAggCarried.Inc()
 	}
 	res.Timing.Aggregate = time.Since(start)
 
@@ -392,16 +400,19 @@ func recordCostAccuracy(predictedNS float64, measured time.Duration) {
 // round keys at its first position (mcsort.Result.Codes) into clause
 // order through order, the column order the sort ran in; each is a
 // full-slice window of one flat table, so appending to it cannot write
-// into the next group's. Sum and Avg sum the aggregate column in sorted
-// order, one aggSweep block of positions read from its massage.Source
-// at a time (At). A column wider than 32 bits, when the sort kept every
-// row, is first read whole in selection order (Range): a random row of
-// five to eight planes spans as many cache lines, one 8-byte read does
-// not (EstimatePipelineBytes). res.Rows is the selection's row count.
-func aggregate(ctx context.Context, res *Result, b *Bound, rows []uint32, mres *mcsort.Result, order []int, workers int) error {
+// into the next group's. Sum and Avg read the aggregate column in
+// sorted order: when the sort carried it (carried,
+// mcsort.Options.Payload), a group's codes are its slice of mres.Perm,
+// summed in order. Otherwise, one aggSweep block of positions is read
+// from its massage.Source at a time (At), and a column wider than 32
+// bits, when the sort kept every row, is first read whole in selection
+// order (Range): a random row of five to eight planes spans as many
+// cache lines, one 8-byte read does not (EstimatePipelineBytes).
+// res.Rows is the selection's row count.
+func aggregate(ctx context.Context, res *Result, b *Bound, rows []uint32, mres *mcsort.Result, order []int, workers int, carried bool) error {
 	var src *massage.Source
 	var sel []uint64
-	if b.agg != nil {
+	if b.agg != nil && !carried {
 		src = &massage.Source{Column: b.agg, Rows: rows}
 		if b.agg.Width > 32 && len(mres.Perm) == res.Rows {
 			sel = make([]uint64, res.Rows)
@@ -431,11 +442,14 @@ func aggregate(ctx context.Context, res *Result, b *Bound, rows []uint32, mres *
 			}
 			res.GroupKeys[g] = keys
 			acc := uint64(hi - lo) // Count, or no aggregate
-			if sw != nil {
+			switch {
+			case carried:
+				acc = sumCodes(mres.Perm[lo:hi])
+			case sw != nil:
 				acc = sw.sum(lo, hi)
-				if avg {
-					acc /= uint64(hi - lo)
-				}
+			}
+			if avg {
+				acc /= uint64(hi - lo)
 			}
 			res.Aggregates[g] = acc
 		}
@@ -450,6 +464,15 @@ func aggregate(ctx context.Context, res *Result, b *Bound, rows []uint32, mres *
 		run(bounds[i], bounds[i+1])
 		return nil
 	})
+}
+
+// sumCodes is the wrapping sum of a group's carried aggregate codes.
+func sumCodes(codes []uint32) uint64 {
+	var acc uint64
+	for _, c := range codes {
+		acc += uint64(c)
+	}
+	return acc
 }
 
 // aggBlock is the number of sorted positions an aggSweep decodes at

@@ -183,7 +183,7 @@ var planFlipTables sync.Map // "skew/shard" → *table.Table
 
 // planFlipTable is mcsperf's seeded table (seed 7, 2^19 rows), or the
 // first of its three shard slices.
-func planFlipTable(b *testing.B, skew, shard bool) *table.Table {
+func planFlipTable(b testing.TB, skew, shard bool) *table.Table {
 	b.Helper()
 	key := fmt.Sprint(skew, shard)
 	if t, ok := planFlipTables.Load(key); ok {

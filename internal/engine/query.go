@@ -150,6 +150,22 @@ func (b *Bound) sources(rows []uint32) []massage.Input {
 	return inputs
 }
 
+// payload is the aggregate column the sort carries in place of the
+// oids (mcsort.Options.Payload), or nil. It is carried when a group
+// query sums a column of at most 32 bits under a one-round plan whose
+// sort is not cut (limitGroups, SortCut's, is 0): no later round looks
+// its keys up through the permutation, and a sum does not care about
+// the order inside a group, so the aggregate reads the sorted payload
+// in order instead of the column at every sorted position. A cut sort
+// keeps its oids: the fill would read every selected row, the sweep
+// reads only the surviving groups' rows.
+func (b *Bound) payload(rows []uint32, p plan.Plan, limitGroups int) *massage.Source {
+	if b.Query.Window != nil || b.agg == nil || b.agg.Width > 32 || len(p.Rounds) != 1 || limitGroups != 0 {
+		return nil
+	}
+	return &massage.Source{Column: b.agg, Rows: rows}
+}
+
 // MaterializeSortInputsContext runs a query's filter stage and gathers
 // every sort column's codes for the selected rows with ByteSlice
 // lookups, returning them as multi-column-sort inputs (in clause order,
@@ -364,6 +380,12 @@ func (b *Bound) PlanKey(limit *int, offset int, pin []int) string {
 // rounds fit opts.MaxBytes, then mcsort runs the inputs in
 // choice.ColOrder, cut at q's SortCut. It also returns the workers used.
 func SortColumns(ctx context.Context, q Query, inputs []massage.Input, choice planner.Choice, opts Options) (*mcsort.Result, int, error) {
+	return sortColumns(ctx, q, inputs, choice, opts, nil)
+}
+
+// sortColumns is SortColumns carrying payload through the sort in
+// place of the oids (mcsort.Options.Payload) when it is non-nil.
+func sortColumns(ctx context.Context, q Query, inputs []massage.Input, choice planner.Choice, opts Options, payload *massage.Source) (*mcsort.Result, int, error) {
 	rows := 0
 	if len(inputs) > 0 {
 		rows = inputs[0].Len()
@@ -376,7 +398,7 @@ func SortColumns(ctx context.Context, q Query, inputs []massage.Input, choice pl
 	for i, c := range choice.ColOrder {
 		ordered[i] = inputs[c]
 	}
-	mopts := mcsort.Options{Workers: workers, SortParams: opts.SortParams}
+	mopts := mcsort.Options{Workers: workers, SortParams: opts.SortParams, Payload: payload}
 	mopts.LimitRows, mopts.LimitGroups = SortCut(q, opts.Limit, opts.Offset)
 	mres, err := mcsort.ExecuteContext(ctx, ordered, choice.Plan, mopts)
 	return mres, workers, err

@@ -40,6 +40,9 @@ const (
 	LoserMerge = "mergesort.loser_merge"
 	// MassageChunk: the massage FIP pass, once per row chunk.
 	MassageChunk = "massage.chunk"
+	// Payload: mcsort's fill of a carried payload (Options.Payload),
+	// once per row chunk.
+	Payload = "mcsort.payload"
 	// Gather: the engine's aggregate-column gather, once per chunk.
 	Gather = "engine.gather"
 	// Aggregate: the engine's group-aggregation scan, once per chunk.
@@ -56,7 +59,7 @@ const (
 // Sites lists every named site, for test batteries that iterate them.
 var Sites = []string{
 	GroupSort, Permute, ChunkSort, LoserMerge,
-	MassageChunk, Gather, Aggregate, ShardFanout, ShardMerge,
+	MassageChunk, Payload, Gather, Aggregate, ShardFanout, ShardMerge,
 }
 
 // enabled gates every Fire call; off by default so production pays one

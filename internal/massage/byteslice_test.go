@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/byteslice"
 	"repro/internal/column"
+	"repro/internal/testutil"
 )
 
 // selection returns a filtered, non-identity row-id list: about two
@@ -273,4 +274,61 @@ func identity(n int) []uint32 {
 		rows[i] = uint32(i)
 	}
 	return rows
+}
+
+// TestBytesMovedCountsPlanes: massage.bytes_moved books, per segment
+// and row, the round key's 8 B read-modify-write plus the segment's
+// read: an 8 B code of a materialised input, one byte per plane its
+// bits cover of a ByteSlice-backed one. Columns of 12 and 21 bits cut
+// into rounds of 20 and 13 bits make three segments: bits 0–11 of the
+// first column (planes 0–1) and bits 0–7 (plane 0) and 8–20 (planes
+// 1–2) of the second — 10 + 9 + 10 B per row from the planes, 3 × 16
+// from codes, 10 + 16 + 16 mixed — whatever the selection, entry point
+// or worker count.
+func TestBytesMovedCountsPlanes(t *testing.T) {
+	const rows = 3000
+	rng := rand.New(rand.NewSource(71))
+	sel := selection(rng, rows+rows/2)
+	mat, bs, mixed, whole := sourcedInputs(rng, []int{12, 21}, []bool{false, true}, rows+rows/2, sel)
+	n := len(sel)
+	prog, err := Compile(bs, []int{20, 13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perm := make([]uint32, n)
+	for i := range perm {
+		perm[i] = uint32(n - 1 - i)
+	}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name       string
+		inputs     []Input
+		all, round int64 // B/row of the whole pass, and of round 1 alone
+	}{
+		{"planes", bs, 10 + 9 + 10, 10},
+		{"whole", whole, 10 + 9 + 10, 10},
+		{"codes", mat, 3 * 16, 16},
+		{"mixed", mixed, 10 + 16 + 16, 16},
+	} {
+		for _, workers := range []int{1, 2} {
+			for _, run := range []struct {
+				name string
+				want int64
+				f    func() error
+			}{
+				{"all", tc.all * int64(n), func() error { _, err := prog.RunParallelContext(ctx, tc.inputs, n, workers); return err }},
+				{"round", tc.round * int64(n), func() error { _, err := prog.RunRoundParallelContext(ctx, tc.inputs, n, 1, workers); return err }},
+				{"gather", tc.round * int64(n), func() error { _, err := prog.RunRoundGatherContext(ctx, tc.inputs, perm, 1, workers); return err }},
+			} {
+				var err error
+				got := testutil.Bumps(func() { err = run.f() }, "massage.bytes_moved")[0]
+				if err != nil {
+					t.Fatalf("%s/%s workers=%d: %v", tc.name, run.name, workers, err)
+				}
+				if got != run.want {
+					t.Errorf("%s/%s workers=%d: bytes_moved %d, want %d", tc.name, run.name, workers, got, run.want)
+				}
+			}
+		}
+	}
 }

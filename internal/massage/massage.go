@@ -57,9 +57,9 @@ type Input struct {
 // Source is where a late-materialised input's codes live: input row i
 // is row Rows[i] of Column, or row i when Rows is nil (a selection of
 // every row, in order, names none). The massage reads its planes at
-// those rows; a stage after the sort reads its codes through it: a
-// range of the selection (Range) or the selection rows at sorted
-// positions (At).
+// those rows; the other readers of a column read its codes through it:
+// a range of the selection (Range: the sort's carried payload, a wide
+// aggregate) or the selection rows at sorted positions (At).
 type Source struct {
 	Column *byteslice.BS
 	Rows   []uint32
@@ -116,6 +116,9 @@ type segment struct {
 	// bits is the segment compiled for a Source input: the planes its
 	// bit range covers, with the same shifts, mask and flip.
 	bits byteslice.Bits
+	// planes is the number of planes bits covers: a row of a Source
+	// input reads one byte of each.
+	planes int
 }
 
 // Program is a compiled massage plan: the segments to execute per row.
@@ -182,6 +185,7 @@ func Compile(inputs []Input, outWidths []int) (*Program, error) {
 				sg.flip = sg.mask
 			}
 			sg.bits = byteslice.NewBits(lo-sLo, hi-sLo, sg.dstShift, inputs[s].Desc)
+			sg.planes = sg.bits.Planes()
 			segs = append(segs, sg)
 		}
 	}
@@ -288,7 +292,7 @@ const gatherBlock = 1024
 // a buffer with it. The buffers are allocated once per range, never
 // per block.
 func runBlocks(segs []segment, inputs []Input, out [][]uint64, perm []uint32, lo, hi int) {
-	countFIPs(len(segs), hi-lo)
+	countFIPs(segs, inputs, hi-lo)
 	size := min(gatherBlock, hi-lo)
 	read := make([]bool, len(inputs)) // some segment reads the materialised input
 	var bufs [][]uint64               // under perm, a materialised input's block
@@ -369,13 +373,22 @@ func runRange(seg *segment, codes, keys []uint64) {
 	}
 }
 
-// countFIPs books one range's FIP invocations and bytes moved: each
-// segment reads one uint64 code and read-modify-writes one uint64 key
-// per row. A segment read from the planes reads at most 8 of its
-// bytes, one per plane it covers, so the count bounds it from above.
-func countFIPs(nSeg, rows int) {
-	if rows > 0 {
-		obsFIPOps.Add(int64(nSeg) * int64(rows))
-		obsBytesMoved.Add(int64(nSeg) * int64(rows) * 16)
+// countFIPs books one range's FIP invocations and bytes moved: per
+// row, each segment read-modify-writes one uint64 key (8 B) and reads
+// its bits, one uint64 code (8 B) of a materialised input or one byte
+// per plane it covers of a Source input.
+func countFIPs(segs []segment, inputs []Input, rows int) {
+	if rows <= 0 {
+		return
 	}
+	perRow := 0
+	for i := range segs {
+		if inputs[segs[i].src].Source != nil {
+			perRow += 8 + segs[i].planes
+		} else {
+			perRow += 16
+		}
+	}
+	obsFIPOps.Add(int64(len(segs)) * int64(rows))
+	obsBytesMoved.Add(int64(perRow) * int64(rows))
 }

@@ -70,6 +70,11 @@ type Result struct {
 	// that slices inside one, is oid-ascending. Perm is therefore a
 	// function of the inputs and the sort specification only:
 	// byte-identical for any Workers, plan or sort path.
+	//
+	// Under Options.Payload, Perm[i] is instead the payload code of the
+	// row at sorted position i, and the order of the codes inside a
+	// group of equal keys is the sort's: their multiset per group is
+	// fixed, their order is not.
 	Perm []uint32
 	// Groups are the boundaries of runs of tuples equal on all sort
 	// columns: group g spans Perm[Groups[g]:Groups[g+1]].
@@ -147,6 +152,16 @@ type Options struct {
 	// LimitGroups final groups. Perm covers exactly the surviving rows.
 	// 0 disables.
 	LimitGroups int
+	// Payload, when set, is a column the sort carries in place of the
+	// oids: the uint32 payload of row i starts as its code, not i, and
+	// Result.Perm holds the codes in sorted order. A caller that needs
+	// only an order-free fold of that column per final group (a SUM)
+	// then reads it sequentially. It needs a plan of one round — a later
+	// round would look its keys up through the payload — no limit — a
+	// LimitRows cut inside a group follows oids, and under LimitGroups
+	// the fill would read every row for the few that survive — and a
+	// column of at most 32 bits.
+	Payload *massage.Source
 }
 
 // ExecuteContext sorts the rows described by inputs according to p. All
@@ -188,6 +203,19 @@ func executeContext(ctx context.Context, inputs []massage.Input, p plan.Plan, op
 	if err := p.Validate(totalW); err != nil {
 		return nil, fmt.Errorf("mcsort: invalid plan %v: %w", p, err)
 	}
+	if pl := opts.Payload; pl != nil {
+		n := massage.Input{Source: pl}.Len()
+		switch {
+		case len(p.Rounds) != 1:
+			return nil, fmt.Errorf("mcsort: a payload needs a one-round plan, not %v", p)
+		case opts.LimitRows > 0 || opts.LimitGroups > 0:
+			return nil, fmt.Errorf("mcsort: a payload cannot be cut at %d rows or %d groups", opts.LimitRows, opts.LimitGroups)
+		case pl.Column.Width > 32:
+			return nil, fmt.Errorf("mcsort: a payload of %d bits does not fit 32", pl.Column.Width)
+		case n != rows:
+			return nil, fmt.Errorf("mcsort: the payload has %d rows, want %d", n, rows)
+		}
+	}
 	prog, err := massage.Compile(inputs, p.Widths())
 	if err != nil {
 		return nil, err
@@ -200,13 +228,15 @@ func executeContext(ctx context.Context, inputs []massage.Input, p plan.Plan, op
 		prog:   prog,
 		widths: p.Widths(),
 	}
-	for i := range res.Perm {
-		if i&(1<<16-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
+	if opts.Payload == nil {
+		for i := range res.Perm {
+			if i&(1<<16-1) == 0 {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
 			}
+			res.Perm[i] = uint32(i)
 		}
-		res.Perm[i] = uint32(i)
 	}
 	if rows == 0 {
 		res.Groups = []int32{0}
@@ -233,6 +263,9 @@ func executeContext(ctx context.Context, inputs []massage.Input, p plan.Plan, op
 		keys0, err = prog.RunRoundParallelContext(ctx, inputs, rows, 0, opts.Workers)
 	} else {
 		roundKeys, err = prog.RunParallelContext(ctx, inputs, rows, opts.Workers)
+	}
+	if err == nil && opts.Payload != nil {
+		err = carryPayload(ctx, res.Perm, opts.Payload, opts.Workers)
 	}
 	if err != nil {
 		return nil, err

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/faultinject"
+	"repro/internal/massage"
 	"repro/internal/mergesort"
 	"repro/internal/obs"
 	"repro/internal/pipeerr"
@@ -162,4 +163,32 @@ func parallelPermute(ctx context.Context, dst, src []uint64, perm []uint32, work
 			dst[i] = src[perm[i]]
 		}
 	})
+}
+
+// payloadBlock is the row count carryPayload decodes at a time: the
+// block's codes (8 KiB) stay in L1 while they are narrowed into the
+// payload.
+const payloadBlock = 1024
+
+// carryPayload sets perm[i] to the code of the payload's selection row
+// i (Options.Payload): contiguous plane decodes when the selection is
+// every row, a gather through its row list otherwise. Ranges are cut on
+// 64-byte lines of perm (16 uint32) and run across workers.
+func carryPayload(ctx context.Context, perm []uint32, src *massage.Source, workers int) error {
+	const align = 16
+	pass := pipeerr.Pass{Stage: pipeerr.StageMassage, Round: 0, Site: faultinject.Payload, Align: align, MinRows: mergesort.ParallelMinRows}
+	return pass.Rows(ctx, len(perm), workers, func(lo, hi int) { fillPayload(perm, src, lo, hi) })
+}
+
+// fillPayload is carryPayload's range [lo, hi), payloadBlock rows at a
+// time.
+func fillPayload(perm []uint32, src *massage.Source, lo, hi int) {
+	var buf [payloadBlock]uint64
+	for blo := lo; blo < hi; blo += payloadBlock {
+		codes := buf[:min(payloadBlock, hi-blo)]
+		src.Range(codes, blo)
+		for j, c := range codes {
+			perm[blo+j] = uint32(c)
+		}
+	}
 }

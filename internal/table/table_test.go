@@ -167,12 +167,19 @@ func TestStatsSample(t *testing.T) {
 
 // TestHeapHoldsOnlyPlanes: once built, a table costs its ByteSlice
 // planes and statistics on the heap, not the code arrays it was built
-// from. Not parallel: it reads the process's live heap.
+// from. Not parallel: it reads the process's live heap. Each read
+// follows two collections, which empty the sync.Pool that holds the
+// statistics sampler's buffer (costmodel.SampleColumnStats, shared by
+// every table, no table's): the test measures the table whether or not
+// an earlier test built one, and under -race too, where the pool drops
+// a quarter of its Puts at random.
 func TestHeapHoldsOnlyPlanes(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
+	runtime.GC()
 	runtime.ReadMemStats(&before)
 	tbl := wideTable(t)
+	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 
