@@ -136,10 +136,20 @@ func TestByteSliceInputsMatchMaterialised(t *testing.T) {
 // TestByteSlicePassAllocatesPerRange pins that the fused gather
 // allocates its block buffers once per range, never per block: on the
 // caller's goroutine one range of 2 blocks and one of 64 allocate the
-// same, for round 0 and for a survivors' round.
+// same, for round 0 and for a survivors' round. AllocsPerRun counts
+// every allocation in the process, a stray runtime or fuzz-harness one
+// included, so each side is the least of several readings: outside
+// noise only ever adds.
 func TestByteSlicePassAllocatesPerRange(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(5))
+	leastAllocs := func(f func()) float64 {
+		least := testing.AllocsPerRun(5, f)
+		for k := 0; k < 4; k++ {
+			least = min(least, testing.AllocsPerRun(5, f))
+		}
+		return least
+	}
 	allocs := func(rows int) (round0, gather float64) {
 		sel := selection(rng, 2*rows)[:rows]
 		_, bs, _, _ := sourcedInputs(rng, []int{11, 14, 3}, []bool{false, true, false}, 2*rows, sel)
@@ -151,12 +161,12 @@ func TestByteSlicePassAllocatesPerRange(t *testing.T) {
 		for i := range perm {
 			perm[i] = uint32(rows - 1 - i)
 		}
-		round0 = testing.AllocsPerRun(5, func() {
+		round0 = leastAllocs(func() {
 			if _, err := prog.RunRoundParallelContext(ctx, bs, rows, 0, 1); err != nil {
 				t.Fatal(err)
 			}
 		})
-		gather = testing.AllocsPerRun(5, func() {
+		gather = leastAllocs(func() {
 			if _, err := prog.RunRoundGatherContext(ctx, bs, perm, 1, 1); err != nil {
 				t.Fatal(err)
 			}

@@ -15,6 +15,12 @@
 // bytes are a pure function of the result, and a frame that decodes
 // re-encodes to the same bytes. An empty data block decodes to a nil
 // slice; col_order keeps its nil/[] distinction in a flag.
+//
+// On a little-endian host a data block's memory already holds its wire
+// bytes, so blocks move as memory: the writer checksums and writes a
+// block's own bytes, the reader reads straight into the block it
+// allocates. A big-endian host converts each element through a staging
+// chunk instead; the bytes are the same either way.
 package server
 
 import (
@@ -23,6 +29,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"unsafe"
 )
 
 // ResultFrameType is the media type of the result frame, the
@@ -54,8 +61,9 @@ const (
 	// maxFrameHeader bounds the header a reader buffers. Names are at
 	// most MaxNameLen bytes and a plan renders a few bytes per column.
 	maxFrameHeader = 1 << 16
-	// frameChunk is the most a writer or reader stages at once; a frame
-	// smaller than it stages exactly its own size.
+	// frameChunk is the most a writer (or a big-endian host's reader)
+	// stages at once; a frame smaller than it stages exactly its own
+	// size.
 	frameChunk = 1 << 16
 
 	flagPlanCacheHit = 1 << 0
@@ -63,6 +71,20 @@ const (
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// hostLE reports whether this host's integers are little-endian, so a
+// block's memory is its wire bytes.
+var hostLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// u64Bytes and u32Bytes view a block's memory as bytes: its wire bytes
+// when hostLE.
+func u64Bytes(vs []uint64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vs))), 8*len(vs))
+}
+
+func u32Bytes(vs []uint32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vs))), 4*len(vs))
+}
 
 // keyCols is the group keys' column count, read off the first row;
 // frameHead verifies the others match.
@@ -126,12 +148,15 @@ func frameHead(res *QueryResult) ([]byte, error) {
 }
 
 // frameWriter stages a frame through one chunk buffer, checksumming
-// what it flushes. The first write error sticks.
+// what it flushes; on a little-endian host a block too big for the
+// buffer's free space is checksummed and written from its own memory.
+// The first write error sticks.
 type frameWriter struct {
-	w   io.Writer
-	buf []byte // staged bytes; cap is the chunk size
-	crc uint32
-	err error
+	w      io.Writer
+	buf    []byte // staged bytes; cap is the chunk size
+	crc    uint32
+	err    error
+	memory bool // blocks are written as their memory: hostLE
 }
 
 func (fw *frameWriter) flush() {
@@ -154,7 +179,28 @@ func (fw *frameWriter) room(need int) []byte {
 
 func (fw *frameWriter) commit(n int) { fw.buf = fw.buf[:len(fw.buf)+n] }
 
+// block writes a block's wire bytes b: appended to the buffer when they
+// fit its free space, flushed or not, otherwise in one Write of their
+// own after the buffer's.
+func (fw *frameWriter) block(b []byte) {
+	if cap(fw.buf)-len(fw.buf) < len(b) {
+		fw.flush()
+	}
+	if cap(fw.buf)-len(fw.buf) >= len(b) {
+		fw.buf = append(fw.buf, b...)
+		return
+	}
+	if fw.err == nil {
+		fw.crc = crc32.Update(fw.crc, castagnoli, b)
+		_, fw.err = fw.w.Write(b)
+	}
+}
+
 func (fw *frameWriter) u64s(vs []uint64) {
+	if fw.memory {
+		fw.block(u64Bytes(vs))
+		return
+	}
 	for len(vs) > 0 {
 		b := fw.room(8)
 		n := min(len(vs), len(b)/8)
@@ -167,6 +213,10 @@ func (fw *frameWriter) u64s(vs []uint64) {
 }
 
 func (fw *frameWriter) u32s(vs []uint32) {
+	if fw.memory {
+		fw.block(u32Bytes(vs))
+		return
+	}
 	for len(vs) > 0 {
 		b := fw.room(4)
 		n := min(len(vs), len(b)/4)
@@ -196,8 +246,13 @@ func newResultFrame(res *QueryResult) (*resultFrame, error) {
 // size is the exact length of the frame in bytes.
 func (f *resultFrame) size() int64 { return int64(len(f.head)) + f.res.payloadBytes() + 4 }
 
-func (f *resultFrame) writeTo(w io.Writer) error {
-	fw := &frameWriter{w: w, buf: append(make([]byte, 0, min(f.size(), frameChunk)), f.head...)}
+func (f *resultFrame) writeTo(w io.Writer) error { return f.write(w, hostLE) }
+
+// write writes the frame, its blocks as their memory or, when memory is
+// false, converted element by element — the only way on a big-endian
+// host.
+func (f *resultFrame) write(w io.Writer, memory bool) error {
+	fw := &frameWriter{w: w, buf: append(make([]byte, 0, min(f.size(), frameChunk)), f.head...), memory: memory}
 	for _, row := range f.res.GroupKeys {
 		fw.u64s(row)
 	}
@@ -229,9 +284,10 @@ func WriteResultFrame(w io.Writer, res *QueryResult) error {
 
 // frameReader reads a frame's bytes off r, checksumming them.
 type frameReader struct {
-	r   io.Reader
-	buf []byte // block staging chunk
-	crc uint32
+	r      io.Reader
+	buf    []byte // block staging chunk, unless memory
+	crc    uint32
+	memory bool // blocks are read into their memory: hostLE
 }
 
 // fill reads exactly len(p) bytes. The frame promised them, so running
@@ -247,13 +303,20 @@ func (fr *frameReader) fill(p []byte) error {
 	return nil
 }
 
-// u64s reads a block of n elements, allocated once at that size; an
-// empty block is a nil slice.
+// u64s reads a block of n elements, allocated once at that size and,
+// on a little-endian host, filled straight from r; an empty block is a
+// nil slice.
 func (fr *frameReader) u64s(n uint64) ([]uint64, error) {
 	if n == 0 {
 		return nil, nil
 	}
 	block := make([]uint64, n)
+	if fr.memory {
+		if err := fr.fill(u64Bytes(block)); err != nil {
+			return nil, err
+		}
+		return block, nil
+	}
 	for dst := block; len(dst) > 0; {
 		k := min(len(dst), len(fr.buf)/8)
 		b := fr.buf[:8*k]
@@ -273,6 +336,12 @@ func (fr *frameReader) u32s(n uint64) ([]uint32, error) {
 		return nil, nil
 	}
 	block := make([]uint32, n)
+	if fr.memory {
+		if err := fr.fill(u32Bytes(block)); err != nil {
+			return nil, err
+		}
+		return block, nil
+	}
 	for dst := block; len(dst) > 0; {
 		k := min(len(dst), len(fr.buf)/4)
 		b := fr.buf[:4*k]
@@ -295,10 +364,17 @@ func (fr *frameReader) u32s(n uint64) ([]uint32, error) {
 // returned. Format violations wrap ErrBadFrame;
 // read failures, a truncated body included, are returned as they are.
 func ReadResultFrame(r io.Reader, limit int64) (*QueryResult, error) {
+	return readResultFrame(r, limit, hostLE)
+}
+
+// readResultFrame is ReadResultFrame reading its blocks into their
+// memory or, when memory is false, converting them element by element
+// from a staging chunk — the only way on a big-endian host.
+func readResultFrame(r io.Reader, limit int64, memory bool) (*QueryResult, error) {
 	bad := func(format string, args ...any) (*QueryResult, error) {
 		return nil, fmt.Errorf("%w: %s", ErrBadFrame, fmt.Sprintf(format, args...))
 	}
-	fr := &frameReader{r: r}
+	fr := &frameReader{r: r, memory: memory}
 	var prefix [framePrefix]byte
 	if err := fr.fill(prefix[:]); err != nil {
 		return nil, err
@@ -384,7 +460,9 @@ func ReadResultFrame(r io.Reader, limit int64) (*QueryResult, error) {
 		}
 	}
 
-	fr.buf = make([]byte, min(total, frameChunk)&^7) // total is at least a prefix and a fixed header
+	if !memory {
+		fr.buf = make([]byte, min(total, frameChunk)&^7) // total is at least a prefix and a fixed header
+	}
 	flat, err := fr.u64s(cells)
 	if err == nil {
 		res.Aggregates, err = fr.u64s(counts[2])

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -108,6 +109,178 @@ func TestResultFrameRoundTrip(t *testing.T) {
 		var buf bytes.Buffer
 		if err := WriteResultFrame(&buf, res); err == nil || buf.Len() != 0 {
 			t.Errorf("%s: err = %v with %d bytes written, want a refusal before the first byte", name, err, buf.Len())
+		}
+	}
+}
+
+// refFrame encodes res as docs/serving.md lays the frame out, every
+// integer appended with binary.LittleEndian, sharing no code with
+// frameWriter.
+func refFrame(res *QueryResult) []byte {
+	le := binary.LittleEndian
+	var h []byte
+	for _, v := range []int64{int64(res.Rows), int64(res.Workers), res.QueueWaitNS, res.ExecNS} {
+		h = le.AppendUint64(h, uint64(v))
+	}
+	var flags byte
+	if res.PlanCacheHit {
+		flags |= 1
+	}
+	if res.ColOrder != nil {
+		flags |= 2
+	}
+	h = append(h, flags)
+	cols := 0
+	if len(res.GroupKeys) > 0 {
+		cols = len(res.GroupKeys[0])
+	}
+	for _, n := range []int{len(res.GroupKeys), cols, len(res.Aggregates), len(res.Ranks), len(res.RowOids)} {
+		h = le.AppendUint64(h, uint64(n))
+	}
+	h = le.AppendUint32(h, uint32(len(res.ColOrder)))
+	for _, c := range res.ColOrder {
+		h = le.AppendUint64(h, uint64(c))
+	}
+	for _, s := range []string{res.JobID, res.Table, res.Plan} {
+		h = le.AppendUint32(h, uint32(len(s)))
+		h = append(h, s...)
+	}
+	b := le.AppendUint32(le.AppendUint32([]byte("MCSR"), 1), uint32(len(h)))
+	b = append(b, h...)
+	for _, row := range res.GroupKeys {
+		for _, v := range row {
+			b = le.AppendUint64(b, v)
+		}
+	}
+	for _, v := range res.Aggregates {
+		b = le.AppendUint64(b, v)
+	}
+	for _, vs := range [][]uint32{res.Ranks, res.RowOids} {
+		for _, v := range vs {
+			b = le.AppendUint32(b, v)
+		}
+	}
+	return le.AppendUint32(b, crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)))
+}
+
+// trickleReader returns 1 to 7 bytes per Read, so that every block
+// fill takes many reads.
+type trickleReader struct {
+	b     []byte
+	reads int
+}
+
+func (r *trickleReader) Read(p []byte) (int, error) {
+	if len(r.b) == 0 {
+		return 0, io.EOF
+	}
+	r.reads++
+	n := copy(p[:min(len(p), r.reads%7+1)], r.b)
+	r.b = r.b[n:]
+	return n, nil
+}
+
+// writeCounter counts the Write calls a frame takes.
+type writeCounter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// blockSamples are results whose blocks meet the writer's staging
+// buffer every way: smaller than its free space, exactly frameChunk
+// bytes, one element more, and many small group-key rows that fill it
+// over and over; and the 2^19-row window result shard3_window_full
+// moves.
+func blockSamples() map[string]*QueryResult {
+	seq32 := func(n int, mul uint32) []uint32 {
+		vs := make([]uint32, n)
+		for i := range vs {
+			vs[i] = uint32(i)*mul + 0x01020304
+		}
+		return vs
+	}
+	seq64 := func(n int) []uint64 {
+		vs := make([]uint64, n)
+		for i := range vs {
+			vs[i] = uint64(i)*0x9e3779b97f4a7c15 + 1
+		}
+		return vs
+	}
+	groups := func(rows, cols int) ([][]uint64, []uint64) {
+		flat := seq64(rows * cols)
+		keys := make([][]uint64, rows)
+		for i := range keys {
+			keys[i] = flat[i*cols : (i+1)*cols]
+		}
+		return keys, seq64(rows)
+	}
+	const chunk32, chunk64 = frameChunk / 4, frameChunk / 8
+	out := map[string]*QueryResult{
+		"oids smaller than free space": {Table: "t", Rows: 900, Ranks: seq32(900, 3), RowOids: seq32(900, 7), Plan: "[9]", ColOrder: []int{0}},
+		"oids of exactly one chunk":    {Table: "t", Rows: chunk32, Ranks: seq32(chunk32, 3), RowOids: seq32(chunk32, 7), Plan: "[9]"},
+		"oids one element over":        {Table: "t", Rows: chunk32 + 1, Ranks: seq32(chunk32+1, 3), RowOids: seq32(chunk32+1, 7), Plan: "[9]"},
+		"window 2^19":                  benchWindowResult(),
+	}
+	for name, shape := range map[string][2]int{
+		"aggregates of exactly one chunk": {chunk64, 1},
+		"many small group rows":           {5000, 3},
+	} {
+		res := &QueryResult{Table: "t", Rows: shape[0], Plan: "[5|6]", ColOrder: []int{1, 0}}
+		res.GroupKeys, res.Aggregates = groups(shape[0], shape[1])
+		out[name] = res
+	}
+	return out
+}
+
+// TestResultFrameMatchesReferenceEncoder pins the frame bytes against
+// refFrame, an encoder written apart from the frame writer, for every
+// frame sample and every block-size sample, writing blocks as their
+// memory (a little-endian host) and converting them element by element
+// (what a big-endian host does). Each frame decodes, both ways, from a
+// reader returning 1 to 7 bytes per Read, to its result.
+func TestResultFrameMatchesReferenceEncoder(t *testing.T) {
+	samples := blockSamples()
+	for name, res := range frameSamples() {
+		samples[name] = res
+	}
+	for name, res := range samples {
+		want := refFrame(res)
+		decoded := *res
+		if len(decoded.GroupKeys) == 0 {
+			decoded.GroupKeys, decoded.Aggregates = nil, nil
+		}
+		if len(decoded.RowOids) == 0 {
+			decoded.Ranks, decoded.RowOids = nil, nil
+		}
+		for _, memory := range []bool{true, false} {
+			f, err := newResultFrame(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var w writeCounter
+			if err := f.write(&w, memory); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(w.Bytes(), want) {
+				t.Fatalf("%s, memory=%v: %d frame bytes differ from the reference encoder's %d", name, memory, w.Len(), len(want))
+			}
+			// Head, ranks, oids and checksum: each block past the buffer
+			// goes out in one Write of its own.
+			if name == "window 2^19" && memory && w.writes != 4 {
+				t.Errorf("%s: %d Writes, want 4", name, w.writes)
+			}
+			got, err := readResultFrame(&trickleReader{b: want}, int64(len(want)), memory)
+			if err != nil {
+				t.Fatalf("%s, memory=%v: %v", name, memory, err)
+			}
+			if !reflect.DeepEqual(got, &decoded) {
+				t.Errorf("%s, memory=%v: frame decodes to a different result", name, memory)
+			}
 		}
 	}
 }

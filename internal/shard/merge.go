@@ -51,12 +51,13 @@ const mergeCtxStride = 1 << 12
 // key<<idxBits | index when the W key bits and the index fit 63 bits,
 // otherwise a code vector of the m massaged codes and the index.
 type mergeSpec struct {
-	order   []int  // pinned ColOrder: position i sorts clause column order[i]
-	widths  []int  // bit width per clause position
-	desc    []bool // descending flag per clause position
-	idxBits int    // bits of a global index: bits.Len(n−1) for an n-row table
-	wide    bool   // keys are code vectors, not packed words
-	drop    []uint // packed words: the low bits after the first p sort positions, p = 0…m+1
+	order   []int            // pinned ColOrder: position i sorts clause column order[i]
+	widths  []int            // bit width per clause position
+	desc    []bool           // descending flag per clause position
+	idxBits int              // bits of a global index: bits.Len(n−1) for an n-row table
+	wide    bool             // keys are code vectors, not packed words
+	drop    []uint           // packed words: the low bits after the first p sort positions, p = 0…m+1
+	bits    []byteslice.Bits // packed words: sort position p's whole code, complemented when descending, at shift drop[p+1]
 }
 
 // newMergeSpec is the spec of a bound query under the pinned order.
@@ -78,6 +79,12 @@ func (sp mergeSpec) forRows(n int) mergeSpec {
 		sp.drop[p] = sp.drop[p+1] + uint(sp.widths[sp.order[p]])
 	}
 	sp.wide = sp.drop[0] > 63
+	if !sp.wide {
+		sp.bits = make([]byteslice.Bits, m)
+		for p, c := range sp.order {
+			sp.bits[p] = byteslice.NewBits(0, sp.widths[c], sp.drop[p+1], sp.desc[c])
+		}
+	}
 	return sp
 }
 
@@ -136,13 +143,17 @@ type gather struct {
 // ranks, which unpackWindow computes from the merged keys; an answer
 // that carries ranks comes from a confused shard. One loop over
 // mergeCtxStride-row blocks range-checks the oids into global indexes
-// (a group's is its range base plus its number), gathers each pinned
-// column's codes into one buffer and composes them into the keys with
-// one OR-accumulated width check, and requires the order the merge
-// relies on: window keys strictly ascending with their index (ties
-// oid-ascending), group keys without it (groups are distinct keys).
-// Anything a confused or truncated shard could get wrong fails with
-// errShardInvalid before the merge.
+// (a group's is its range base plus its number), builds each pinned
+// column into the keys and requires the order the merge relies on:
+// window keys strictly ascending with their index (ties oid-ascending),
+// group keys without it (groups are distinct keys). A packed window
+// run ORs each column's bits into its keys straight from the table's
+// planes (byteslice.BS.OrBits, the massage's kernel); a wide window run
+// gathers the codes into one buffer, and a group run copies them
+// there from the shard's key vectors, either then composed into the
+// keys with one OR-accumulated width check. Anything a confused or
+// truncated shard could get wrong fails with errShardInvalid before the
+// merge.
 func (g *gather) buildRun(ctx context.Context, si int, res *server.QueryResult) (*run, error) {
 	faultinject.Fire(faultinject.ShardMerge)
 	defer obsRunBuild.Start().End()
@@ -174,15 +185,26 @@ func (g *gather) buildRun(ctx context.Context, si int, res *server.QueryResult) 
 		r.part = groupsPart{keys: res.GroupKeys, agg: res.Aggregates}
 	}
 
+	// A packed window key ORs each pinned column's whole code in at its
+	// shift (sp.bits), and needs no codes buffer. Its codes come from
+	// the coordinator's own w-bit ByteSlice, so each is below 2^w: the
+	// width check a buffer gets could not fail. It stays where codes
+	// come from a shard (group tables) and on the wide path, which
+	// gathers.
+	orBits := g.cols != nil && !sp.wide
+	var codes []uint64
+	if !orBits {
+		codes = make([]uint64, mergeCtxStride)
+	}
 	st := sp.stride()
 	r.keys = make([]uint64, n*st)
-	gids, codes := make([]uint32, mergeCtxStride), make([]uint64, mergeCtxStride)
+	gids := make([]uint32, mergeCtxStride)
 	for lo := 0; lo < n; lo += mergeCtxStride {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		hi := min(lo+mergeCtxStride, n)
-		keys, gids, codes := r.keys[lo*st:hi*st], gids[:hi-lo], codes[:hi-lo]
+		keys, gids := r.keys[lo*st:hi*st], gids[:hi-lo]
 		for i := range gids {
 			if g.cols == nil {
 				if len(res.GroupKeys[lo+i]) != m {
@@ -197,6 +219,11 @@ func (g *gather) buildRun(ctx context.Context, si int, res *server.QueryResult) 
 			keys[i*st+st-1] = uint64(gids[i])
 		}
 		for pos, c := range sp.order {
+			if orBits {
+				g.cols[c].OrBits(keys, gids, 0, &sp.bits[pos])
+				continue
+			}
+			codes := codes[:hi-lo]
 			if g.cols != nil {
 				g.cols[c].Gather(codes, gids)
 			} else {

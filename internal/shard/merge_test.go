@@ -578,3 +578,108 @@ func TestRankFromKeysMatchesLookup(t *testing.T) {
 		}
 	}
 }
+
+// gatherComposeKeys is the packed window key build the run builder
+// replaced, kept as its reference: every pinned column's codes
+// gathered at the global indexes into one buffer, then complemented
+// when descending and shifted into the key that ends in the index.
+func gatherComposeKeys(g *gather, gids []uint32) []uint64 {
+	sp := g.sp
+	keys, codes := make([]uint64, len(gids)), make([]uint64, len(gids))
+	for i, gid := range gids {
+		keys[i] = uint64(gid)
+	}
+	for pos, c := range sp.order {
+		g.cols[c].Gather(codes, gids)
+		flip := uint64(0)
+		if sp.desc[c] {
+			flip = column.Mask(sp.widths[c])
+		}
+		for i, v := range codes {
+			keys[i] |= (v ^ flip) << sp.drop[pos+1]
+		}
+	}
+	return keys
+}
+
+// TestPackedWindowKeysMatchGather: a packed window run's keys, ORed
+// from the table's planes, equal the gather-and-compose build's, for
+// ascending and descending columns of one to four planes (widths 3, 8,
+// 9, 17, 21 and 32) under clause and permuted pins, with one shard
+// filtered down to part of its range. The table spans more than one
+// mergeCtxStride block, so every block's keys are compared.
+func TestPackedWindowKeysMatchGather(t *testing.T) {
+	const n = 3*mergeCtxStride + 123
+	ctx := context.Background()
+	type clause struct {
+		widths []int
+		order  []int
+	}
+	var clauses []clause
+	for _, w := range []int{3, 8, 9, 17, 21, 32} {
+		clauses = append(clauses, clause{[]int{w, 3}, []int{0, 1}}, clause{[]int{9, w}, []int{1, 0}})
+	}
+	clauses = append(clauses, clause{[]int{21, 17, 9}, []int{2, 0, 1}}, clause{[]int{32, 8, 3}, []int{1, 2, 0}})
+	rng := chaos.NewRand(62)
+	for _, cl := range clauses {
+		for descs := 0; descs < 1<<len(cl.widths); descs++ {
+			sp := mergeSpec{order: cl.order, widths: cl.widths, desc: make([]bool, len(cl.widths))}
+			for c := range sp.desc {
+				sp.desc[c] = descs>>c&1 == 1
+			}
+			sp = sp.forRows(n)
+			if sp.wide {
+				t.Fatalf("widths %v: key and index take %d bits, want a packed word", cl.widths, sp.drop[0])
+			}
+			codes := make([][]uint64, len(cl.widths))
+			cols := make([]*byteslice.BS, len(cl.widths))
+			for c, w := range cl.widths {
+				codes[c] = make([]uint64, n)
+				for i := range codes[c] {
+					codes[c][i] = rng.Uint64() & column.Mask(w)
+				}
+				cols[c] = byteslice.FromColumn(column.FromCodes(fmt.Sprint("c", c), w, codes[c]))
+			}
+			vecs := make([][]uint64, n) // massaged, per global index
+			for gid := range vecs {
+				v := make([]uint64, len(codes))
+				for c := range codes {
+					v[c] = codes[c][gid]
+				}
+				vecs[gid] = massagedVec(sp, v)
+			}
+			ranges := Ranges(n, 3)
+			g := &gather{sp: sp, ranges: ranges, cols: cols}
+			for si, r := range ranges {
+				var oids []uint32
+				for oid := 0; oid < r.Len(); oid++ {
+					if si != 1 || rng.Uint64()%3 != 0 { // shard 1 is filtered
+						oids = append(oids, uint32(oid))
+					}
+				}
+				sort.SliceStable(oids, func(x, y int) bool {
+					return slices.Compare(vecs[r.Lo+int(oids[x])], vecs[r.Lo+int(oids[y])]) < 0
+				})
+				built, err := g.buildRun(ctx, si, &server.QueryResult{Rows: len(oids), RowOids: oids})
+				if err != nil {
+					t.Fatalf("widths %v desc %v: shard %d's sorted oids rejected: %v", cl.widths, sp.desc, si, err)
+				}
+				gids := make([]uint32, len(oids))
+				for i, oid := range oids {
+					gids[i] = uint32(r.Lo) + oid
+				}
+				want := gatherComposeKeys(g, gids)
+				if len(built.keys) != len(want) {
+					t.Fatalf("widths %v desc %v: shard %d's run has %d keys, want %d", cl.widths, sp.desc, si, len(built.keys), len(want))
+				}
+				if !slices.Equal(built.keys, want) {
+					i := 0
+					for built.keys[i] == want[i] {
+						i++
+					}
+					t.Fatalf("widths %v order %v desc %v shard %d: entry %d keyed %#x, gather-and-compose %#x", cl.widths, cl.order, sp.desc, si, i, built.keys[i], want[i])
+				}
+			}
+		}
+	}
+}
