@@ -374,32 +374,56 @@ func (bv *BitVector) Get(i int) bool {
 }
 
 // Count returns the number of set rows.
-func (bv *BitVector) Count() int {
-	c := 0
-	for _, w := range bv.Words {
-		c += bits.OnesCount64(w)
-	}
-	return c
+func (bv *BitVector) Count() int { return popCount(bv.Words) }
+
+// NewBitVector returns an all-clear bit vector over n rows.
+func NewBitVector(n int) *BitVector {
+	return &BitVector{Words: make([]uint64, (n+63)/64), N: n}
 }
 
 // Rows converts the bit vector to a list of row numbers (the record
-// numbers passed to lookups), a word at a time: an all-ones word is a
-// run of 64 rows, any other word yields its set bits lowest first.
+// numbers passed to lookups): CountWords and FillRows over every word.
 func (bv *BitVector) Rows() []uint32 {
-	out := make([]uint32, 0, bv.Count())
-	for wi, w := range bv.Words {
-		base := uint32(wi) << 6
+	out := make([]uint32, bv.Count())
+	bv.FillRows(out, 0, len(bv.Words))
+	return out
+}
+
+// CountWords is the number of set rows in words [lo, hi): the first
+// pass of a row list built over ranges of words, whose counts place
+// each range's rows in the list.
+func (bv *BitVector) CountWords(lo, hi int) int { return popCount(bv.Words[lo:hi]) }
+
+// FillRows writes the row numbers of the set bits of words [lo, hi)
+// into dst, which has room for exactly them (CountWords(lo, hi)), a
+// word at a time: an all-ones word is a run of 64 rows, any other word
+// yields its set bits lowest first.
+func (bv *BitVector) FillRows(dst []uint32, lo, hi int) {
+	k := 0
+	for wi, w := range bv.Words[lo:hi] {
+		base := uint32(lo+wi) << 6
 		if w == ^uint64(0) {
-			for b := uint32(0); b < 64; b++ {
-				out = append(out, base+b)
+			run := dst[k : k+64]
+			for b := range run {
+				run[b] = base + uint32(b)
 			}
+			k += 64
 			continue
 		}
 		for ; w != 0; w &= w - 1 {
-			out = append(out, base+uint32(bits.TrailingZeros64(w)))
+			dst[k] = base + uint32(bits.TrailingZeros64(w))
+			k++
 		}
 	}
-	return out
+}
+
+// popCount is the number of set bits of words.
+func popCount(words []uint64) int {
+	c := 0
+	for _, w := range words {
+		c += bits.OnesCount64(w)
+	}
+	return c
 }
 
 // And intersects two bit vectors in place (bv &= other).
@@ -413,31 +437,119 @@ func (bv *BitVector) And(other *BitVector) {
 // of the column's domain: the caller's mistake, not a pipeline fault.
 var ErrConstantDomain = errors.New("byteslice: constant outside the column's domain")
 
-// Scan evaluates `code op constant` over the whole column and returns
-// the result bit vector. The constant is a code in the column's domain.
-// Eight codes are processed per word per plane; planes below the first
-// deciding byte are skipped for words whose rows are all decided —
-// ByteSlice's early stopping.
-func (bs *BS) Scan(op Op, constant uint64) (*BitVector, error) {
+// predicate is `code op constant` compiled against a column: the
+// constant's byte of each plane broadcast to the eight lanes of a word.
+type predicate struct {
+	op     Op
+	planes [8]uint64
+}
+
+// compile checks that constant is a code of the column's domain and
+// broadcasts its plane bytes.
+func (bs *BS) compile(op Op, constant uint64) (predicate, error) {
 	if constant&^column.Mask(bs.Width) != 0 {
-		return nil, fmt.Errorf("%w: %d exceeds %d bits", ErrConstantDomain, constant, bs.Width)
+		return predicate{}, fmt.Errorf("%w: %d exceeds %d bits", ErrConstantDomain, constant, bs.Width)
 	}
+	pr := predicate{op: op}
 	nPlanes := len(bs.planes)
 	cShift := constant << bs.shift
-	constBytes := make([]uint64, nPlanes) // broadcast constant per plane
 	for p := 0; p < nPlanes; p++ {
-		constBytes[p] = uint64(byte(cShift>>uint(8*(nPlanes-1-p)))) * 0x0101_0101_0101_0101
+		pr.planes[p] = uint64(byte(cShift>>uint(8*(nPlanes-1-p)))) * 0x0101_0101_0101_0101
 	}
+	return pr, nil
+}
 
-	bv := &BitVector{Words: make([]uint64, (bs.N+63)/64), N: bs.N}
+// Filter is a predicate compiled against a column — `code op
+// constant`, or lo <= code <= hi — that evaluates into any range of a
+// result bit vector's words (Words), so a filter stage can cut the
+// column's rows into ranges of whole words across workers.
+type Filter struct {
+	bs    *BS
+	preds [2]predicate
+	n     int // predicates in use, ANDed
+}
+
+// Filter compiles `code op constant`; the constant must be a code in
+// the column's domain (ErrConstantDomain).
+func (bs *BS) Filter(op Op, constant uint64) (*Filter, error) {
+	pr, err := bs.compile(op, constant)
+	if err != nil {
+		return nil, err
+	}
+	return &Filter{bs: bs, preds: [2]predicate{pr}, n: 1}, nil
+}
+
+// FilterBetween compiles lo <= code <= hi: two plane walks per word,
+// their results ANDed.
+func (bs *BS) FilterBetween(lo, hi uint64) (*Filter, error) {
+	ge, err := bs.compile(GE, lo)
+	if err != nil {
+		return nil, err
+	}
+	le, err := bs.compile(LE, hi)
+	if err != nil {
+		return nil, err
+	}
+	return &Filter{bs: bs, preds: [2]predicate{ge, le}, n: 2}, nil
+}
+
+// Words sets words [lo, hi) of bv, a bit vector over the column's rows
+// (NewBitVector(bs.N)), to the predicate's result for their rows: word
+// w covers rows 64w … 64w+63. Eight codes are processed per word per
+// plane; planes below the first deciding byte are skipped for words
+// whose rows are all decided — ByteSlice's early stopping. Every word
+// is a function of its own rows, so any cut of the words gives the same
+// bit vector.
+func (f *Filter) Words(bv *BitVector, lo, hi int) {
+	for w := lo; w < hi; w++ {
+		v := f.bs.scanWord(w, &f.preds[0])
+		if f.n == 2 && v != 0 {
+			v &= f.bs.scanWord(w, &f.preds[1])
+		}
+		bv.Words[w] = v
+	}
+}
+
+// Scan evaluates `code op constant` over the whole column and returns
+// the result bit vector: Filter's Words over every word. The constant
+// is a code in the column's domain.
+func (bs *BS) Scan(op Op, constant uint64) (*BitVector, error) {
+	f, err := bs.Filter(op, constant)
+	if err != nil {
+		return nil, err
+	}
+	return f.all(), nil
+}
+
+// ScanBetween evaluates lo <= code <= hi over the whole column:
+// FilterBetween's Words over every word.
+func (bs *BS) ScanBetween(lo, hi uint64) (*BitVector, error) {
+	f, err := bs.FilterBetween(lo, hi)
+	if err != nil {
+		return nil, err
+	}
+	return f.all(), nil
+}
+
+// all evaluates f over every word.
+func (f *Filter) all() *BitVector {
+	bv := NewBitVector(f.bs.N)
+	f.Words(bv, 0, len(bv.Words))
+	return bv
+}
+
+// scanWord is the result word w of pr: rows 64w … 64w+63, eight at a
+// time, plane by plane until every lane of the eight is decided.
+func (bs *BS) scanWord(w int, pr *predicate) uint64 {
+	var word uint64
 	padded := (bs.N + 7) &^ 7
-	for base := 0; base < padded; base += 8 {
+	for base := w * 64; base < min(w*64+64, padded); base += 8 {
 		var lt, gt uint64 // per-lane byte masks, sticky across planes
 		eq := ^uint64(0)  // lanes still undecided (equal so far)
-		for p := 0; p < nPlanes; p++ {
-			w := binary.LittleEndian.Uint64(bs.planes[p][base:]) // lane i is row base+i
-			geM := ge8(w, constBytes[p])
-			eqM := geM & ge8(constBytes[p], w)
+		for p, plane := range bs.planes {
+			x := binary.LittleEndian.Uint64(plane[base:]) // lane i is row base+i
+			geM := ge8(x, pr.planes[p])
+			eqM := geM & ge8(pr.planes[p], x)
 			lt |= eq & ^geM
 			gt |= eq & (geM &^ eqM)
 			eq &= eqM
@@ -446,7 +558,7 @@ func (bs *BS) Scan(op Op, constant uint64) (*BitVector, error) {
 			}
 		}
 		var res uint64
-		switch op {
+		switch pr.op {
 		case LT:
 			res = lt
 		case LE:
@@ -467,23 +579,9 @@ func (bs *BS) Scan(op Op, constant uint64) (*BitVector, error) {
 		if tail := bs.N - base; tail < 8 {
 			lanes &= 1<<uint(tail) - 1
 		}
-		bv.Words[base>>6] |= lanes << (uint(base) & 63)
+		word |= lanes << (uint(base) & 63)
 	}
-	return bv, nil
-}
-
-// ScanBetween evaluates lo <= code <= hi with two plane walks.
-func (bs *BS) ScanBetween(lo, hi uint64) (*BitVector, error) {
-	a, err := bs.Scan(GE, lo)
-	if err != nil {
-		return nil, err
-	}
-	b, err := bs.Scan(LE, hi)
-	if err != nil {
-		return nil, err
-	}
-	a.And(b)
-	return a, nil
+	return word
 }
 
 // ge8 is a lane mask over eight byte lanes: 0xFF in lane i when byte i

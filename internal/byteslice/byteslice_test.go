@@ -654,3 +654,67 @@ func BenchmarkGather(b *testing.B) {
 		})
 	}
 }
+
+// TestFilterWordsAnyCut: a compiled filter evaluated into the words of
+// a bit vector over any cut of them, every op and a range, gives Scan's
+// and ScanBetween's bit vector bit for bit, and CountWords and FillRows
+// over the same cut concatenate to Rows — for row counts that are not
+// multiples of 8 or of 64.
+func TestFilterWordsAnyCut(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	for _, n := range []int{1, 7, 63, 64, 65, 1003, 4099} {
+		for _, width := range []int{5, 12, 40} {
+			bs := FromColumn(randColumn(rng, n, width, 1<<min(width, 10)))
+			k := uint64(rng.Intn(1 << min(width, 10)))
+			type filter struct {
+				name string
+				f    *Filter
+				want *BitVector
+			}
+			var filters []filter
+			for _, op := range []Op{LT, LE, GT, GE, EQ, NEQ} {
+				f, err := bs.Filter(op, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := bs.Scan(op, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				filters = append(filters, filter{op.String(), f, want})
+			}
+			f, err := bs.FilterBetween(k/2, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := bs.ScanBetween(k/2, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			filters = append(filters, filter{"between", f, want})
+			for _, fl := range filters {
+				words := len(fl.want.Words)
+				cut := []int{0}
+				for lo := 0; lo < words; {
+					lo = min(words, lo+1+rng.Intn(3))
+					cut = append(cut, lo)
+				}
+				got := NewBitVector(n)
+				var rows []uint32
+				for i := 0; i+1 < len(cut); i++ {
+					fl.f.Words(got, cut[i], cut[i+1])
+					part := make([]uint32, fl.want.CountWords(cut[i], cut[i+1]))
+					fl.want.FillRows(part, cut[i], cut[i+1])
+					rows = append(rows, part...)
+				}
+				tag := fmt.Sprintf("n=%d width=%d %s %d", n, width, fl.name, k)
+				if !slices.Equal(got.Words, fl.want.Words) || got.N != fl.want.N {
+					t.Fatalf("%s: words over the cut %v differ from the whole scan's", tag, cut)
+				}
+				if wantRows := fl.want.Rows(); !slices.Equal(rows, wantRows) || len(rows) != fl.want.Count() {
+					t.Fatalf("%s: %d rows over the cut %v, want %d", tag, len(rows), cut, len(wantRows))
+				}
+			}
+		}
+	}
+}

@@ -75,6 +75,9 @@ var SiteKinds = map[string][]Kind{
 	faultinject.LoserMerge:   {KindPanic, KindDelay, KindCancel},
 	faultinject.MassageChunk: {KindPanic, KindDelay, KindCancel},
 	faultinject.Payload:      {KindPanic, KindDelay, KindCancel},
+	faultinject.GroupScan:    {KindPanic, KindDelay, KindCancel},
+	faultinject.FilterScan:   {KindPanic, KindDelay, KindCancel},
+	faultinject.RowList:      {KindPanic, KindDelay, KindCancel},
 	faultinject.Gather:       {KindPanic, KindDelay, KindCancel},
 	faultinject.Aggregate:    {KindPanic, KindDelay, KindCancel},
 	faultinject.ShardFanout:  {KindPanic, KindDelay, KindCancel},

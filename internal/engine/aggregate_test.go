@@ -122,10 +122,11 @@ func sweepRef(tbl *table.Table, q Query) *Result {
 // permutation itself) and filtered (through the selected rows),
 // unlimited, under LIMIT/OFFSET pages and under ORDER BY <aggregate>,
 // at workers 1, 2 and 4, must equal sweepRef sliced to the page — under
-// the searched plan, one round, which carries an aggregate of up to 32
-// bits through a sort not cut at a group count (no LIMIT, or ORDER BY
-// <aggregate>), and under a pinned two-round plan, which sums every
-// width through the sweep.
+// the searched plan, one round, and under a pinned two-round plan. Both
+// carry an aggregate of up to 32 bits through a sort not cut at a group
+// count (no LIMIT, or ORDER BY <aggregate>), the two-round plan swapping
+// the codes in at its last lookup; the sweep sums the widths over 32
+// bits, and every width under a LIMIT without ORDER BY <aggregate>.
 func TestAggregateSweepDifferential(t *testing.T) {
 	defer testutil.CheckNoLeaks(t)()
 	exact, noisy := sweepTable(t, 0, 51), sweepTable(t, 3000, 52)
@@ -215,17 +216,20 @@ func TestAggregateAllocatesNoRowArray(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sel, err := b.Select(ctx)
+			sel, err := b.Select(ctx, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows := sel.Rows()
+			rows, err := sel.Rows(ctx, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
 			choice, _, err := b.ChoosePlan(ctx, sel.Count(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			_, limitGroups := SortCut(q, opts.Limit, opts.Offset)
-			payload := b.payload(rows, choice.Plan, limitGroups)
+			payload := b.payload(rows, limitGroups)
 			mres, w, err := sortColumns(ctx, q, b.sources(rows), choice, opts, payload)
 			if err != nil {
 				t.Fatal(err)
@@ -297,14 +301,15 @@ func TestUnfilteredRunAllocatesNoRowList(t *testing.T) {
 // TestAggCarriedPath pins which queries carry their aggregate through
 // the sort (engine.agg_carried) under the plans their searches pick:
 // of the benchmark workloads' shapes on their seeded tables, lib_ties —
-// a one-round GROUP BY summing 21 bits — does, once per query, also
+// a one-round GROUP BY summing 21 bits — and lib_wide_unique — a
+// two-round sort summing 6 bits — do, once per query, and lib_ties also
 // under a LIMIT with ORDER BY <aggregate> (its sort is not cut), while
-// lib_wide_unique (two rounds), lib_ties counting, lib_ties under a
-// LIMIT (a sort cut at a group count), and the window shapes do not;
-// on the sweep table, whose 12-bit grouping sorts in one
-// round, a 32-bit Sum is carried and a 33-bit one is not. A plan change
-// that takes lib_ties off the path fails here, not silently in the
-// benchmark.
+// lib_ties counting, lib_ties under a LIMIT (a sort cut at a group
+// count), and the window shapes do not; on the sweep table, a 32-bit
+// Sum is carried and a 33-bit one is not, under the searched plan (one
+// round for its 12-bit grouping) and under a pinned two-round plan. A
+// plan or rule change that takes either workload off the path fails
+// here, not silently in the benchmark.
 func TestAggCarriedPath(t *testing.T) {
 	ctx := context.Background()
 	carried := func(tbl *table.Table, q Query, opts Options) int64 {
@@ -316,7 +321,7 @@ func TestAggCarriedPath(t *testing.T) {
 		}
 		return n
 	}
-	want := map[string]int64{"lib_ties": 1}
+	want := map[string]int64{"lib_ties": 1, "lib_wide_unique": 1}
 	for _, s := range planFlipShapes() {
 		opts := Options{Massaging: true, Rho: -1, MaxPlans: 8192, Workers: s.workers, Limit: s.limit, Offset: s.offset}
 		tbl := planFlipTable(t, s.skew, s.shard)
@@ -347,6 +352,11 @@ func TestAggCarriedPath(t *testing.T) {
 		if got := carried(sweep, q, limitOptions(2)); got != want {
 			t.Errorf("sum of %s: agg_carried moved by %d, want %d", col, got, want)
 		}
+		twoRound := limitOptions(2)
+		twoRound.PlanOverride = override([]int{0}, 6, 6)
+		if got := carried(sweep, q, twoRound); got != want {
+			t.Errorf("sum of %s under two rounds: agg_carried moved by %d, want %d", col, got, want)
+		}
 	}
 }
 
@@ -355,11 +365,15 @@ func TestAggCarriedPath(t *testing.T) {
 // summed) of an unlimited GROUP BY at 2^19 rows and two workers, with
 // the plan pinned to one round: a tied grouping (g zipf-skewed over
 // 2^18 values) and a nearly unique one (u uniform over 2^17), each
-// summing random codes of 6, 21, 32, 40 and 64 bits. agg-ms is the
-// median over the b.N runs. Columns of up to 32 bits ride through the
-// sort as its payload, so their sums read the sorted payload, and the
-// fill that read the column is booked in the massage phase; columns
-// over 32 bits take the selection-order gather, inside agg-ms.
+// summing random codes of 6, 21, 32, 40 and 64 bits; and, in the
+// two-round cells, each grouping's sum of 21 bits with the plan pinned
+// to two rounds that split the grouping column. agg-ms is the median
+// over the b.N runs. Columns of up to 32 bits ride through the sort as
+// its payload, so their sums read the sorted payload, and the fill
+// that read the column is booked in the massage phase — in the carry
+// itself under one round, in an array of its own that the last lookup
+// reads under two; columns over 32 bits take the selection-order
+// gather, inside agg-ms.
 // fill-ms is that massage-phase share: the median over the runs of the
 // massage time less that of the grouping's count query (no column
 // read), run untimed after each; about 0 over 32 bits, so agg-ms +
@@ -392,11 +406,21 @@ func BenchmarkAggregate(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		choice := override([]int{0}, bs.Width)
 		count := Query{ID: "agg", Kind: planner.GroupBy, SortCols: []SortCol{{Name: grouping.col}}, Agg: &Agg{Kind: Count}}
+		type cell struct {
+			name   string
+			width  int
+			choice *planner.Choice
+		}
+		var cells []cell
 		for _, w := range widths {
-			q := Query{ID: "agg", Kind: planner.GroupBy, SortCols: []SortCol{{Name: grouping.col}}, Agg: &Agg{Kind: Sum, Col: fmt.Sprintf("a%d", w)}}
-			b.Run(fmt.Sprintf("%s/width=%d", grouping.name, w), func(b *testing.B) {
+			cells = append(cells, cell{fmt.Sprintf("%s/width=%d", grouping.name, w), w, override([]int{0}, bs.Width)})
+		}
+		cells = append(cells, cell{fmt.Sprintf("%s/two-round/width=21", grouping.name), 21, override([]int{0}, bs.Width/2, bs.Width-bs.Width/2)})
+		for _, cell := range cells {
+			choice := cell.choice
+			q := Query{ID: "agg", Kind: planner.GroupBy, SortCols: []SortCol{{Name: grouping.col}}, Agg: &Agg{Kind: Sum, Col: fmt.Sprintf("a%d", cell.width)}}
+			b.Run(cell.name, func(b *testing.B) {
 				times, fills := make([]time.Duration, b.N), make([]time.Duration, b.N)
 				groups := 0
 				for i := range times {

@@ -36,7 +36,11 @@ var (
 // selection: an unfiltered query lists no rows, and a filter's row list
 // (4 B a selected row) is left out. The radix term
 // keeps the widest bank's two ping-pong pairs; a bank of at most 32
-// bits needs one or two 8-byte words a row. Parallel execution adds a
+// bits needs one or two 8-byte words a row. A carried aggregate's
+// codes (mcsort.Options.Payload, 4·rows) take no term of their own:
+// one round carries them in the permutation, and a longer plan reads
+// them just before its last lookup, which consumes them, when no sort
+// scratch is live — the radix term covers them at every bank. Parallel execution adds a
 // fixed per-worker overhead. The round keys, permutation and groups
 // stay live while the consumer runs; what it adds, at most 8·rows (an
 // aggregate column wider than 32 bits read in selection order, or a

@@ -162,9 +162,10 @@ type Options struct {
 	// Pair it with a negative Rho for deterministic plan choice under
 	// bounded search work; 0 means no cap.
 	MaxPlans int
-	// Workers parallelizes the whole pipeline when > 1: massaging, every
-	// sorting round, the aggregate column's gather and the aggregation
-	// scan. Results are byte-identical for any value.
+	// Workers parallelizes the whole pipeline when > 1: the filter scans
+	// and the row list, massaging, every sorting round, the aggregate
+	// column's gather and the aggregation scan. Results are
+	// byte-identical for any value.
 	Workers int
 	// MaxBytes bounds the estimated transient memory footprint of the
 	// sort pipeline. When the estimate at the requested worker count
@@ -264,13 +265,17 @@ func runContext(ctx context.Context, t *table.Table, q Query, opts Options) (*Re
 	}
 	res := &Result{}
 
-	// 1. Filters: ByteSlice scans ANDed into one bit vector.
+	// 1. Filters: ByteSlice scans ANDed into one bit vector, and its
+	// row list, each a pass across the requested workers.
 	start := time.Now()
-	sel, err := b.Select(ctx)
+	sel, err := b.Select(ctx, opts.Workers)
 	if err != nil {
 		return nil, q.wrap(err)
 	}
-	rows := sel.Rows()
+	rows, err := sel.Rows(ctx, opts.Workers)
+	if err != nil {
+		return nil, q.wrap(err)
+	}
 	res.Timing.FilterScan = time.Since(start)
 	res.Rows = sel.Count()
 
@@ -309,7 +314,7 @@ func runContext(ctx context.Context, t *table.Table, q Query, opts Options) (*Re
 	// Avg column may ride through an uncut sort in place of the oids
 	// (Bound.payload).
 	_, limitGroups := SortCut(q, opts.Limit, opts.Offset)
-	payload := b.payload(rows, choice.Plan, limitGroups)
+	payload := b.payload(rows, limitGroups)
 	mres, workers, err := sortColumns(ctx, q, b.sources(rows), choice, opts, payload)
 	if err != nil {
 		return nil, err
@@ -396,15 +401,21 @@ func recordCostAccuracy(predictedNS float64, measured time.Duration) {
 
 // aggregate computes per-group keys and the aggregate over contiguous
 // group ranges across workers, cut where the rows, not the groups,
-// split evenly (rowCut). A group's keys are decoded from the sorted
-// round keys at its first position (mcsort.Result.Codes) into clause
-// order through order, the column order the sort ran in; each is a
-// full-slice window of one flat table, so appending to it cannot write
-// into the next group's. Sum and Avg read the aggregate column in
-// sorted order: when the sort carried it (carried,
-// mcsort.Options.Payload), a group's codes are its slice of mres.Perm,
-// summed in order. Otherwise, one aggSweep block of positions is read
-// from its massage.Source at a time (At), and a column wider than 32
+// split evenly (rowCut). A range's group keys are decoded from the
+// sorted round keys at its groups' first positions
+// (mcsort.Result.Codes), a block of group starts at a time, straight
+// into clause order through order, the column order the sort ran in,
+// in one flat table per range, which its worker allocates; a group's
+// keys are a full-slice window of that table, so appending to it
+// cannot write into the next group's. The windows are set once every
+// range is done and mres's round keys are dropped (mres.Keys = nil):
+// the round keys and the table of slice headers are never live
+// together. Sum and Avg read the aggregate
+// column in sorted order: when the sort carried it (carried,
+// mcsort.Options.Payload, under a plan of any round count), a group's
+// codes are its slice of mres.Perm, summed in order. Otherwise, one
+// aggSweep block of positions is read from its massage.Source at a
+// time (At), and a column wider than 32
 // bits, when the sort kept every row, is first read whole in selection
 // order (Range): a random row of five to eight planes spans as many
 // cache lines, one 8-byte read does not (EstimatePipelineBytes).
@@ -422,12 +433,11 @@ func aggregate(ctx context.Context, res *Result, b *Bound, rows []uint32, mres *
 		}
 	}
 	nGroups, m := len(mres.Groups)-1, len(b.Sort)
-	flat := make([]uint64, nGroups*m)
-	res.GroupKeys = make([][]uint64, nGroups)
 	res.Aggregates = make([]uint64, nGroups)
 	avg := b.agg != nil && b.Query.Agg.Kind == Avg
-	run := func(first, end int) {
-		codes := make([]uint64, m)
+	run := func(first, end int) []uint64 {
+		flat := make([]uint64, (end-first)*m)
+		mres.Codes(flat, mres.Groups[first:end], order)
 		var sw *aggSweep
 		if src != nil {
 			sw = &aggSweep{src: src, perm: mres.Perm, sel: sel, end: int(mres.Groups[end]),
@@ -435,12 +445,6 @@ func aggregate(ctx context.Context, res *Result, b *Bound, rows []uint32, mres *
 		}
 		for g := first; g < end; g++ {
 			lo, hi := int(mres.Groups[g]), int(mres.Groups[g+1])
-			keys := flat[g*m : (g+1)*m : (g+1)*m]
-			mres.Codes(lo, codes)
-			for j, c := range order {
-				keys[c] = codes[j]
-			}
-			res.GroupKeys[g] = keys
 			acc := uint64(hi - lo) // Count, or no aggregate
 			switch {
 			case carried:
@@ -453,17 +457,39 @@ func aggregate(ctx context.Context, res *Result, b *Bound, rows []uint32, mres *
 			}
 			res.Aggregates[g] = acc
 		}
+		return flat
 	}
 	pass := pipeerr.Pass{Stage: pipeerr.StageAggregate, Round: -1, Site: faultinject.Aggregate, MinRows: 2 * workers}
-	if !pass.Parallel(nGroups, workers) {
-		return pass.Rows(ctx, nGroups, workers, run)
+	bounds, w := pass.Split(nGroups, 1)
+	if pass.Parallel(nGroups, workers) {
+		obsAggGroups.Add(int64(nGroups))
+		bounds, w = rowCut(mres.Groups, workers), workers
 	}
-	obsAggGroups.Add(int64(nGroups))
-	bounds := rowCut(mres.Groups, workers)
-	return pass.Ranges(ctx, workers, len(bounds)-1, func(_ context.Context, i int) error {
-		run(bounds[i], bounds[i+1])
+	flats := make([][]uint64, len(bounds)-1)
+	err := pass.Ranges(ctx, w, len(flats), func(_ context.Context, i int) error {
+		flats[i] = run(bounds[i], bounds[i+1])
 		return nil
 	})
+	if err != nil {
+		return err
+	}
+	// Every group's keys are decoded: the round keys are dead, and are
+	// dropped before the group table's slice headers are allocated, so
+	// the two are never live together. The headers are one store per
+	// group, on this goroutine.
+	mres.Keys = nil
+	res.GroupKeys = make([][]uint64, nGroups)
+	for i, flat := range flats {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		first := bounds[i]
+		for g := first; g < bounds[i+1]; g++ {
+			k := (g - first) * m
+			res.GroupKeys[g] = flat[k : k+m : k+m]
+		}
+	}
+	return nil
 }
 
 // sumCodes is the wrapping sum of a group's carried aggregate codes.

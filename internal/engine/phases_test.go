@@ -11,7 +11,8 @@ import (
 // BenchmarkQueryPhases times the live phases of three workload queries
 // (bench/mcsperf) on their seeded 2^19-row TPC-H tables, the way their
 // callers run them: the median of each Timing phase per op, in ms
-// (massage-ms, sort-ms, lookup-ms, scan-ms and agg-ms). It is the
+// (filter-ms, the filter stage and its row list; massage-ms, sort-ms,
+// lookup-ms, scan-ms and agg-ms). It is the
 // per-layer reading of a query as it runs, with its sort columns read
 // straight from the table's ByteSlices — which mcsperf's traced replay,
 // massaging materialised codes, does not see. The shapes:
@@ -48,20 +49,21 @@ func BenchmarkQueryPhases(b *testing.B) {
 			}
 			opts.PlanOverride = &choice
 			b.ResetTimer()
-			var massage, sort, lookup, scan, agg []time.Duration
+			var filter, massage, sort, lookup, scan, agg []time.Duration
 			for i := 0; i < b.N; i++ {
 				res, err := RunContext(context.Background(), tbl, s.q, opts)
 				if err != nil {
 					b.Fatal(err)
 				}
 				t := res.Timing
+				filter = append(filter, t.FilterScan)
 				massage, sort, lookup = append(massage, t.MCS.Massage), append(sort, t.MCS.Sort), append(lookup, t.MCS.Lookup)
 				scan, agg = append(scan, t.MCS.Scan), append(agg, t.Aggregate)
 			}
 			for _, m := range []struct {
 				unit string
 				ds   []time.Duration
-			}{{"massage-ms", massage}, {"sort-ms", sort}, {"lookup-ms", lookup}, {"scan-ms", scan}, {"agg-ms", agg}} {
+			}{{"filter-ms", filter}, {"massage-ms", massage}, {"sort-ms", sort}, {"lookup-ms", lookup}, {"scan-ms", scan}, {"agg-ms", agg}} {
 				b.ReportMetric(float64(median(m.ds))/1e6, m.unit)
 			}
 			b.Logf("%s: order %v plan %v", s.name, choice.ColOrder, choice.Plan)

@@ -171,7 +171,7 @@ func planFlipChoice(t *table.Table, q Query, opts Options) (planner.Choice, erro
 	if err != nil {
 		return planner.Choice{}, err
 	}
-	sel, err := b.Select(context.Background())
+	sel, err := b.Select(context.Background(), 1)
 	if err != nil {
 		return planner.Choice{}, err
 	}

@@ -23,8 +23,10 @@ import (
 
 	"repro/internal/byteslice"
 	"repro/internal/costmodel"
+	"repro/internal/faultinject"
 	"repro/internal/massage"
 	"repro/internal/mcsort"
+	"repro/internal/pipeerr"
 	"repro/internal/plan"
 	"repro/internal/planner"
 	"repro/internal/table"
@@ -94,21 +96,42 @@ type Selection struct {
 	bv *byteslice.BitVector // nil: no filter, all n rows selected
 }
 
+// filterAlign is the alignment of the filter stage's passes over a
+// table's rows, whose ranges are runs of whole bit vector words:
+// interior bounds fall on multiples of 512 rows, one 64-byte line of
+// words, so no two workers share a line, and the sequential blocks of
+// pipeerr.BlockRows rows are whole words too. The passes go parallel
+// from one such block on: below it a sequential pass is one range.
+const filterAlign = 512
+
+// wordRange is the range of bit vector words that rows [lo, hi) of a
+// filter stage range cover.
+func wordRange(lo, hi int) (int, int) { return lo / 64, (hi + 63) / 64 }
+
 // Select runs the filter stage: one ByteSlice scan per filter, ANDed
-// into one bit vector.
-func (b *Bound) Select(ctx context.Context) (Selection, error) {
+// into one bit vector. Each scan is a pass across workers, every
+// range evaluating the filter into its own words
+// (byteslice.Filter.Words), so the bit vector is the same at any
+// worker count.
+func (b *Bound) Select(ctx context.Context, workers int) (Selection, error) {
 	sel := Selection{n: b.Table.N}
+	pass := pipeerr.Pass{Stage: pipeerr.StageFilter, Round: -1, Site: faultinject.FilterScan, Align: filterAlign, MinRows: pipeerr.BlockRows}
 	for i, f := range b.Query.Filters {
-		if err := ctx.Err(); err != nil {
-			return Selection{}, err
-		}
-		var bv *byteslice.BitVector
+		var flt *byteslice.Filter
 		var err error
 		if f.Between {
-			bv, err = b.filters[i].ScanBetween(f.Lo, f.Hi)
+			flt, err = b.filters[i].FilterBetween(f.Lo, f.Hi)
 		} else {
-			bv, err = b.filters[i].Scan(f.Op, f.Const)
+			flt, err = b.filters[i].Filter(f.Op, f.Const)
 		}
+		if err != nil {
+			return Selection{}, err
+		}
+		bv := byteslice.NewBitVector(sel.n)
+		err = pass.Rows(ctx, sel.n, workers, func(lo, hi int) {
+			wlo, whi := wordRange(lo, hi)
+			flt.Words(bv, wlo, whi)
+		})
 		if err != nil {
 			return Selection{}, err
 		}
@@ -131,12 +154,45 @@ func (s Selection) Count() int {
 
 // Rows lists the selected row ids in ascending order, or is nil when
 // no filter ran: every row is selected, and a massage.Source reads a
-// nil list as every row in order.
-func (s Selection) Rows() []uint32 {
+// nil list as every row in order. The list is built in two passes over
+// the same ranges of words across workers: the first counts each
+// range's rows, the second fills each range's slice of the list, which
+// starts at the counts of the ranges before it.
+func (s Selection) Rows(ctx context.Context, workers int) ([]uint32, error) {
 	if s.bv == nil {
-		return nil
+		return nil, nil
 	}
-	return s.bv.Rows()
+	pass := pipeerr.Pass{Stage: pipeerr.StageFilter, Round: -1, Site: faultinject.RowList, Align: filterAlign, MinRows: pipeerr.BlockRows}
+	bounds, w := pass.Split(s.n, workers)
+	counts := make([]int, len(bounds)-1)
+	err := pass.Ranges(ctx, w, len(counts), func(_ context.Context, i int) error {
+		counts[i] = s.bv.CountWords(wordRange(bounds[i], bounds[i+1]))
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	starts := prefixSums(counts)
+	out := make([]uint32, starts[len(starts)-1])
+	err = pass.Ranges(ctx, w, len(counts), func(_ context.Context, i int) error {
+		lo, hi := wordRange(bounds[i], bounds[i+1])
+		s.bv.FillRows(out[starts[i]:starts[i+1]], lo, hi)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// prefixSums returns the running totals of counts after 0:
+// sums[i] = counts[0] + … + counts[i−1], one more entry than counts.
+func prefixSums(counts []int) []int {
+	sums := make([]int, len(counts)+1)
+	for i, c := range counts {
+		sums[i+1] = sums[i] + c
+	}
+	return sums
 }
 
 // sources describes every Sort column as a ByteSlice-backed sort input
@@ -152,15 +208,16 @@ func (b *Bound) sources(rows []uint32) []massage.Input {
 
 // payload is the aggregate column the sort carries in place of the
 // oids (mcsort.Options.Payload), or nil. It is carried when a group
-// query sums a column of at most 32 bits under a one-round plan whose
-// sort is not cut (limitGroups, SortCut's, is 0): no later round looks
-// its keys up through the permutation, and a sum does not care about
-// the order inside a group, so the aggregate reads the sorted payload
-// in order instead of the column at every sorted position. A cut sort
+// query sums a column of at most 32 bits under a sort that is not cut
+// (limitGroups, SortCut's, is 0), under a plan of any round count: a
+// sum does not care about the order inside a group, so the aggregate
+// reads the sorted payload in order instead of the column at every
+// sorted position, and a plan of more than one round swaps the codes
+// in at its last lookup, after which no pass reads an oid. A cut sort
 // keeps its oids: the fill would read every selected row, the sweep
 // reads only the surviving groups' rows.
-func (b *Bound) payload(rows []uint32, p plan.Plan, limitGroups int) *massage.Source {
-	if b.Query.Window != nil || b.agg == nil || b.agg.Width > 32 || len(p.Rounds) != 1 || limitGroups != 0 {
+func (b *Bound) payload(rows []uint32, limitGroups int) *massage.Source {
+	if b.Query.Window != nil || b.agg == nil || b.agg.Width > 32 || limitGroups != 0 {
 		return nil
 	}
 	return &massage.Source{Column: b.agg, Rows: rows}
@@ -179,11 +236,15 @@ func MaterializeSortInputsContext(ctx context.Context, t *table.Table, q Query, 
 	if err != nil {
 		return nil, err
 	}
-	sel, err := b.Select(ctx)
+	sel, err := b.Select(ctx, workers)
 	if err != nil {
 		return nil, err
 	}
-	inputs := b.sources(sel.Rows())
+	rows, err := sel.Rows(ctx, workers)
+	if err != nil {
+		return nil, err
+	}
+	inputs := b.sources(rows)
 	for i, in := range inputs {
 		codes := make([]uint64, in.Len())
 		if err := gatherParallel(ctx, codes, in.Source, workers); err != nil {

@@ -73,11 +73,14 @@ func TestSelectMatchesPredicates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sel, err := b.Select(ctx)
+		sel, err := b.Select(ctx, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows := sel.Rows()
+		rows, err := sel.Rows(ctx, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if filters == nil {
 			if rows != nil {
 				t.Fatalf("%s: %d rows listed, want none", name, len(rows))
@@ -274,7 +277,7 @@ func TestPlanKeyIsTheSearch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sel, err := b.Select(context.Background())
+		sel, err := b.Select(context.Background(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}

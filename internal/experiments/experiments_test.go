@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -96,35 +97,52 @@ type parseErr struct{}
 
 func (*parseErr) Error() string { return "bad float" }
 
+// crossoverRuns is how many reports of a figure TestFigure3Crossovers
+// decides a crossover on.
+const crossoverRuns = 5
+
+// medianTotals runs fig crossoverRuns times and returns, for each row
+// label, the median of its total over the runs. Each run interleaves
+// its plans (measurePlans), so a burst of load beside the test lands
+// on both plans of a run or on a run the median drops.
+func medianTotals(t *testing.T, fig func(Config) (*Report, error), cfg Config, labels ...string) []float64 {
+	t.Helper()
+	totals := make([][]float64, len(labels))
+	for r := 0; r < crossoverRuns; r++ {
+		rep, err := fig(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, label := range labels {
+			totals[i] = append(totals[i], totalOf(t, rep, label))
+		}
+	}
+	medians := make([]float64, len(labels))
+	for i, ts := range totals {
+		slices.Sort(ts)
+		medians[i] = ts[len(ts)/2]
+	}
+	return medians
+}
+
 // TestFigure3Crossovers asserts the paper's qualitative claims at a
 // scale where they manifest: Ex1 stitch wins, Ex2 stitch-all loses, and
-// Ex4's three 32-bit rounds beat two 64-bit rounds.
+// Ex4's three 32-bit rounds beat two 64-bit rounds — each decided on
+// the median totals of crossoverRuns reports.
 func TestFigure3Crossovers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("needs 2^18 rows")
 	}
 	cfg := shapeCfg()
 
-	rep, err := Figure3a(cfg)
-	if err != nil {
-		t.Fatal(err)
+	if m := medianTotals(t, Figure3a, cfg, "P<<17 (stitch)", "P0"); !(m[0] < m[1]) {
+		t.Errorf("Ex1: stitching should win: median totals %.2f vs P0 %.2f ms", m[0], m[1])
 	}
-	if !(totalOf(t, rep, "P<<17 (stitch)") < totalOf(t, rep, "P0")) {
-		t.Errorf("Ex1: stitching should win\n%s", rep)
+	if m := medianTotals(t, Figure3b, cfg, "P0", "P<<31 (stitch-all)"); !(m[0] < m[1]) {
+		t.Errorf("Ex2: reckless stitch should lose: median totals P0 %.2f vs %.2f ms", m[0], m[1])
 	}
-	rep, err = Figure3b(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(totalOf(t, rep, "P0") < totalOf(t, rep, "P<<31 (stitch-all)")) {
-		t.Errorf("Ex2: reckless stitch should lose\n%s", rep)
-	}
-	rep, err = Figure3c(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(totalOf(t, rep, "P32x3 (3x 32/[32])") < totalOf(t, rep, "P0 (2x 48/[64])")) {
-		t.Errorf("Ex4: three 32-bit rounds should win\n%s", rep)
+	if m := medianTotals(t, Figure3c, cfg, "P32x3 (3x 32/[32])", "P0 (2x 48/[64])"); !(m[0] < m[1]) {
+		t.Errorf("Ex4: three 32-bit rounds should win: median totals %.2f vs P0 %.2f ms", m[0], m[1])
 	}
 }
 

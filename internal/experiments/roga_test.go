@@ -371,7 +371,7 @@ func BenchmarkCatalogSearch(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sel, err := bound.Select(ctx)
+		sel, err := bound.Select(ctx, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

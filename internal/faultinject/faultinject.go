@@ -43,6 +43,15 @@ const (
 	// Payload: mcsort's fill of a carried payload (Options.Payload),
 	// once per row chunk.
 	Payload = "mcsort.payload"
+	// GroupScan: mcsort's group scan after each round's sort, once per
+	// range of positions.
+	GroupScan = "mcsort.group_scan"
+	// FilterScan: the engine's filter stage, once per range of result
+	// words of each filter's ByteSlice scan.
+	FilterScan = "engine.filter_scan"
+	// RowList: the engine's row list of a selection, once per range of
+	// bit vector words in each of its count and fill passes.
+	RowList = "engine.row_list"
 	// Gather: the engine's aggregate-column gather, once per chunk.
 	Gather = "engine.gather"
 	// Aggregate: the engine's group-aggregation scan, once per chunk.
@@ -59,7 +68,8 @@ const (
 // Sites lists every named site, for test batteries that iterate them.
 var Sites = []string{
 	GroupSort, Permute, ChunkSort, LoserMerge,
-	MassageChunk, Payload, Gather, Aggregate, ShardFanout, ShardMerge,
+	MassageChunk, Payload, GroupScan, FilterScan, RowList, Gather, Aggregate,
+	ShardFanout, ShardMerge,
 }
 
 // enabled gates every Fire call; off by default so production pays one

@@ -53,7 +53,8 @@ func TestMultipleHooksDisableOnlyWhenEmpty(t *testing.T) {
 func TestSitesListed(t *testing.T) {
 	want := map[string]bool{
 		GroupSort: true, Permute: true, ChunkSort: true,
-		LoserMerge: true, MassageChunk: true, Payload: true, Gather: true, Aggregate: true,
+		LoserMerge: true, MassageChunk: true, Payload: true, GroupScan: true,
+		FilterScan: true, RowList: true, Gather: true, Aggregate: true,
 		ShardFanout: true, ShardMerge: true,
 	}
 	if len(Sites) != len(want) {

@@ -215,18 +215,38 @@ func prefixStarts(widths []int) []int {
 // asserts this.
 func (p *Program) FIPCount() int { return len(p.segments) }
 
-// Decode inverts the program at one row: keys[d][i] is the row's
-// round-d key, and dst — one entry per input — gets the input codes it
-// was massaged from. Every segment runs in reverse, moving its bits from
-// the round key back to their column, and a DESC column's bits are
-// complemented back. By Lemma 1 the round keys are the concatenation
-// C₁‖…‖C_m cut into rounds, so a row's sorted keys alone give back its
-// sort columns.
-func (p *Program) Decode(keys [][]uint64, i int, dst []uint64) {
-	clear(dst)
-	for k := range p.segments {
-		sg := &p.segments[k]
-		dst[sg.src] |= (keys[sg.dst][i]>>sg.dstShift&sg.mask ^ sg.flip) << sg.srcShift
+// decodeBlock is the number of positions Decode inverts at a time:
+// their codes (up to 8 B per column each) stay in L1 while every
+// segment ORs its bits into them.
+const decodeBlock = 512
+
+// Decode inverts the program at the positions pos of the round keys
+// (keys[d][i] is round d's key at position i): dst[k·m + cols[c]], m =
+// len(cols), gets input c's code at position pos[k], so a row of dst
+// holds one position's codes in the order cols names — a sort run in
+// another column order decodes straight into clause order. Every
+// segment runs in reverse, moving its bits from the round key back to
+// their column, and a DESC column's bits are complemented back; it
+// runs over a block of decodeBlock positions before the next segment
+// starts, so the block's codes are read and written in cache, not per
+// position. By Lemma 1 the round keys are the concatenation C₁‖…‖C_m
+// cut into rounds, so a row's sorted keys alone give back its sort
+// columns. dst[:len(pos)·m] is overwritten. The shift counts are
+// masked so that no over-shift guard is compiled in.
+func (p *Program) Decode(keys [][]uint64, pos []int32, cols []int, dst []uint64) {
+	m := len(cols)
+	for lo := 0; lo < len(pos); lo += decodeBlock {
+		block := pos[lo:min(lo+decodeBlock, len(pos))]
+		out := dst[lo*m : (lo+len(block))*m]
+		clear(out)
+		for k := range p.segments {
+			sg := &p.segments[k]
+			src, col := keys[sg.dst], cols[sg.src]
+			dstShift, srcShift, mask, flip := sg.dstShift, sg.srcShift, sg.mask, sg.flip
+			for j, i := range block {
+				out[j*m+col] |= (src[i]>>(dstShift&63)&mask ^ flip) << (srcShift & 63)
+			}
+		}
 	}
 }
 

@@ -34,6 +34,59 @@ func mustRun(tb testing.TB, p *Program, inputs []Input, rows, workers int) [][]u
 	return out
 }
 
+// decodeAll decodes every position of keys into m columns, row-major
+// in input order.
+func decodeAll(p *Program, keys [][]uint64, rows, m int) []uint64 {
+	pos, cols := make([]int32, rows), make([]int, m)
+	for i := range pos {
+		pos[i] = int32(i)
+	}
+	for c := range cols {
+		cols[c] = c
+	}
+	codes := make([]uint64, rows*m)
+	p.Decode(keys, pos, cols, codes)
+	return codes
+}
+
+// TestDecodeAtPositionsIntoOrder: Decode at a subset of positions that
+// spans several decodeBlock blocks, with the columns mapped to another
+// order, puts input c's code at position pos[k] in slot cols[c] of row
+// k, and overwrites what dst held.
+func TestDecodeAtPositionsIntoOrder(t *testing.T) {
+	const rows = 3*decodeBlock + 7
+	rng := rand.New(rand.NewSource(41))
+	inputs := []Input{{Width: 13}, {Width: 40, Desc: true}, {Width: 7}}
+	for c := range inputs {
+		inputs[c].Codes = make([]uint64, rows)
+		for i := range inputs[c].Codes {
+			inputs[c].Codes[i] = rng.Uint64() >> uint(64-inputs[c].Width)
+		}
+	}
+	prog, err := Compile(inputs, []int{20, 25, 15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := mustRun(t, prog, inputs, rows, 1)
+	var pos []int32
+	for i := 1; i < rows; i += 2 {
+		pos = append(pos, int32(i))
+	}
+	cols := []int{2, 0, 1}
+	dst := make([]uint64, len(pos)*len(cols))
+	for i := range dst {
+		dst[i] = ^uint64(0)
+	}
+	prog.Decode(keys, pos, cols, dst)
+	for k, p := range pos {
+		for c, in := range inputs {
+			if got := dst[k*len(cols)+cols[c]]; got != in.Codes[p] {
+				t.Fatalf("position %d column %d: decoded %#x, want %#x", p, c, got, in.Codes[p])
+			}
+		}
+	}
+}
+
 // concat builds the reference concatenation C1‖C2‖…‖Cm for row r.
 func concat(inputs []Input, r int) uint64 {
 	var v uint64
@@ -192,13 +245,12 @@ func TestDecodeInvertsProgram(t *testing.T) {
 				borrowed++
 			}
 			keys := mustRun(t, prog, inputs, rows, 1)
-			codes := make([]uint64, len(inputs))
+			codes := decodeAll(prog, keys, rows, len(inputs))
 			for r := 0; r < rows; r++ {
-				prog.Decode(keys, r, codes)
 				for c, in := range inputs {
-					if codes[c] != in.Codes[r] {
+					if got := codes[r*len(inputs)+c]; got != in.Codes[r] {
 						t.Fatalf("widths %v -> %v row %d column %d (desc %v): decoded %#x, want %#x",
-							widths, outWidths, r, c, in.Desc, codes[c], in.Codes[r])
+							widths, outWidths, r, c, in.Desc, got, in.Codes[r])
 					}
 				}
 			}

@@ -276,7 +276,7 @@ func TestSequentialPermuteCancel(t *testing.T) {
 	faultinject.Set(faultinject.Permute, func() { visits.Add(1) })
 
 	dst := make([]uint64, n)
-	if err := parallelPermute(testutil.NewPollCtx(1), dst, src, perm, 1, 1); !errors.Is(err, context.Canceled) {
+	if err := parallelPermute(testutil.NewPollCtx(1), dst, src, perm, nil, 1, 1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	for i, v := range dst {
@@ -289,7 +289,7 @@ func TestSequentialPermuteCancel(t *testing.T) {
 	}
 
 	visits.Store(0)
-	if err := parallelPermute(testutil.NewPollCtx(4), dst, src, perm, 1, 1); err != nil {
+	if err := parallelPermute(testutil.NewPollCtx(4), dst, src, perm, nil, 1, 1); err != nil {
 		t.Fatalf("%v within a budget of one poll per block", err)
 	}
 	for i, v := range dst {

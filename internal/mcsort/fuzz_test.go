@@ -6,6 +6,8 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/byteslice"
+	"repro/internal/column"
 	"repro/internal/massage"
 	"repro/internal/plan"
 )
@@ -16,7 +18,10 @@ import (
 // LimitGroups, must give the same Perm and Groups at workers 1, 2 and 3
 // — and they must be those of a stable reference sort over
 // (columns, oid), truncated the way docs/topk.md says — and Codes must
-// decode every position's row from the sorted keys. Its inputs stay
+// decode every position's row from the sorted keys. Unlimited, with a
+// fuzzed payload column of 1 to 32 bits (Options.Payload) under the
+// same plan, every final group of the reference must carry exactly the
+// payload codes of its rows at every worker count. Its inputs stay
 // below mergesort.ParallelMinRows, so two and three workers share the
 // later rounds' batched groups; the parallel sorts are the
 // determinism battery's. The seed corpus is
@@ -66,6 +71,7 @@ func FuzzExecuteDeterministic(f *testing.F) {
 			}
 		}
 		wantGroups = append(wantGroups, int32(rows))
+		fullPerm, fullGroups := wantPerm, slices.Clone(wantGroups)
 		if limitGroups > 0 && limitGroups < len(wantGroups)-1 {
 			wantGroups = wantGroups[:limitGroups+1]
 		}
@@ -86,13 +92,40 @@ func FuzzExecuteDeterministic(f *testing.F) {
 			if !slices.Equal(res.Groups, wantGroups) {
 				t.Fatalf("plan %v limits %d/%d workers=%d: Groups = %v, want %v", p, limitRows, limitGroups, w, res.Groups, wantGroups)
 			}
-			codes := make([]uint64, len(inputs))
+			codes := allCodes(res, len(inputs))
 			for i, o := range res.Perm {
-				res.Codes(i, codes)
 				for c, in := range inputs {
-					if codes[c] != in.Codes[o] {
-						t.Fatalf("plan %v limits %d/%d workers=%d: Codes(%d) column %d = %#x, not row %d's", p, limitRows, limitGroups, w, i, c, codes[c], o)
+					if got := codes[i*len(inputs)+c]; got != in.Codes[o] {
+						t.Fatalf("plan %v limits %d/%d workers=%d: Codes at %d column %d = %#x, not row %d's", p, limitRows, limitGroups, w, i, c, got, o)
 					}
+				}
+			}
+		}
+
+		payW := 1 + rng.Intn(32)
+		payCodes := make([]uint64, rows)
+		for i := range payCodes {
+			payCodes[i] = rng.Uint64() >> uint(64-payW)
+		}
+		pl := &massage.Source{Column: byteslice.FromColumn(column.FromCodes("pay", payW, payCodes))}
+		for _, w := range []int{1, 2, 3} {
+			res, err := execute(inputs, p, Options{Workers: w, Payload: pl})
+			if err != nil {
+				t.Fatalf("plan %v workers=%d payload: %v", p, w, err)
+			}
+			if !slices.Equal(res.Groups, fullGroups) {
+				t.Fatalf("plan %v workers=%d payload: Groups = %v, want %v", p, w, res.Groups, fullGroups)
+			}
+			for g := 0; g+1 < len(fullGroups); g++ {
+				lo, hi := fullGroups[g], fullGroups[g+1]
+				got, want := slices.Clone(res.Perm[lo:hi]), make([]uint32, 0, hi-lo)
+				for _, o := range fullPerm[lo:hi] {
+					want = append(want, uint32(payCodes[o]))
+				}
+				slices.Sort(got)
+				slices.Sort(want)
+				if !slices.Equal(got, want) {
+					t.Fatalf("plan %v workers=%d payload: group %d carries %v, want %v", p, w, g, got, want)
 				}
 			}
 		}

@@ -11,8 +11,23 @@ import (
 	"repro/internal/testutil"
 )
 
-// checkKeys asserts what Result.Keys promise: Codes(i) is the input
-// codes of row Perm[i] at every position, and SamePrefix(i, j, bits)
+// allCodes decodes every sorted position of res into m columns,
+// row-major in input order.
+func allCodes(res *Result, m int) []uint64 {
+	pos, order := make([]int32, len(res.Perm)), make([]int, m)
+	for i := range pos {
+		pos[i] = int32(i)
+	}
+	for c := range order {
+		order[c] = c
+	}
+	codes := make([]uint64, len(pos)*m)
+	res.Codes(codes, pos, order)
+	return codes
+}
+
+// checkKeys asserts what Result.Keys promise: Codes at position i is
+// the input codes of row Perm[i] at every position, and SamePrefix(i, j, bits)
 // agrees with a naive compare of the concatenated bits for every bits
 // in [0, W], over every adjacent pair and as many random ones.
 func checkKeys(t *testing.T, rng *rand.Rand, inputs []massage.Input, res *Result) {
@@ -23,12 +38,11 @@ func checkKeys(t *testing.T, rng *rand.Rand, inputs []massage.Input, res *Result
 			t.Fatalf("round %d keeps %d keys for %d positions", r, len(keys), n)
 		}
 	}
-	codes := make([]uint64, len(inputs))
+	codes := allCodes(res, len(inputs))
 	for i, p := range res.Perm {
-		res.Codes(i, codes)
 		for c, in := range inputs {
-			if codes[c] != in.Codes[p] {
-				t.Fatalf("Codes(%d) column %d = %#x, want %#x (row %d)", i, c, codes[c], in.Codes[p], p)
+			if got := codes[i*len(inputs)+c]; got != in.Codes[p] {
+				t.Fatalf("Codes at %d column %d = %#x, want %#x (row %d)", i, c, got, in.Codes[p], p)
 			}
 		}
 	}

@@ -74,7 +74,9 @@ type Result struct {
 	// Under Options.Payload, Perm[i] is instead the payload code of the
 	// row at sorted position i, and the order of the codes inside a
 	// group of equal keys is the sort's: their multiset per group is
-	// fixed, their order is not.
+	// fixed, their order is not. A one-round plan sorts the codes from
+	// the start; a longer one sorts oids until its last round's lookup,
+	// which swaps each for its code.
 	Perm []uint32
 	// Groups are the boundaries of runs of tuples equal on all sort
 	// columns: group g spans Perm[Groups[g]:Groups[g+1]].
@@ -96,12 +98,18 @@ type Result struct {
 	widths []int            // the round widths, for SamePrefix
 }
 
-// Codes sets dst, one entry per input column in the order
-// ExecuteContext was given them, to the codes of the row at position i
-// (row Perm[i]): the round keys at i, massaged back
-// (massage.Program.Decode). Reading them is sequential in i, where the
-// inputs at Perm[i] are a random access per column.
-func (r *Result) Codes(i int, dst []uint64) { r.prog.Decode(r.Keys, i, dst) }
+// Codes decodes the input codes at the sorted positions pos: dst[k·m +
+// order[c]], m = len(order), gets the code of input column c (in the
+// order ExecuteContext was given them) of the row at position pos[k]
+// (row Perm[pos[k]] of an oid sort). They are the round keys at pos[k]
+// massaged back a block of positions at a time
+// (massage.Program.Decode), so order can put them straight into a
+// caller's own column order. Reading them is sequential in increasing
+// positions, where the inputs at Perm[pos[k]] are a random access per
+// column. dst[:len(pos)·m] is overwritten.
+func (r *Result) Codes(dst []uint64, pos []int32, order []int) {
+	r.prog.Decode(r.Keys, pos, order, dst)
+}
 
 // SamePrefix reports whether the rows at positions i and j agree on the
 // first bits bits of the concatenated key C₁‖…‖C_m: whole round keys
@@ -129,8 +137,9 @@ type Options struct {
 	// Workers parallelizes every phase when > 1: massaging, the
 	// first-round sort (mergesort's parallel radix sort), the
 	// group-distributed later rounds (dominant groups sorted by the same
-	// parallel sort), and the lookup/permute passes. Output is
-	// byte-identical for any value (the tie contract on Result.Perm).
+	// parallel sort), the lookup/permute passes and the group scans.
+	// Output is byte-identical for any value (the tie contract on
+	// Result.Perm).
 	Workers int
 	// SortParams carries the sort-kernel hook (mergesort.Params.Sort:
 	// the figure experiments set it to the paper's kernel, nothing that
@@ -153,14 +162,18 @@ type Options struct {
 	// 0 disables.
 	LimitGroups int
 	// Payload, when set, is a column the sort carries in place of the
-	// oids: the uint32 payload of row i starts as its code, not i, and
-	// Result.Perm holds the codes in sorted order. A caller that needs
-	// only an order-free fold of that column per final group (a SUM)
-	// then reads it sequentially. It needs a plan of one round — a later
-	// round would look its keys up through the payload — no limit — a
-	// LimitRows cut inside a group follows oids, and under LimitGroups
-	// the fill would read every row for the few that survive — and a
-	// column of at most 32 bits.
+	// oids, and Result.Perm holds its codes in sorted order. A caller
+	// that needs only an order-free fold of that column per final group
+	// (a SUM) then reads it sequentially. Under a one-round plan the
+	// uint32 payload of row i starts as its code, not i. A longer plan
+	// sorts oids, which every later round looks its keys up through, and
+	// reads the column's codes in selection order into an array of their
+	// own just before its last round's lookup, which swaps each oid for
+	// its code as it reads it; that round's group sorts carry the codes.
+	// The fill is booked in Timings.Massage either way.
+	// It needs no limit — a LimitRows cut inside a group follows oids,
+	// and under LimitGroups the fill would read every row for the few
+	// that survive — and a column of at most 32 bits.
 	Payload *massage.Source
 }
 
@@ -206,8 +219,6 @@ func executeContext(ctx context.Context, inputs []massage.Input, p plan.Plan, op
 	if pl := opts.Payload; pl != nil {
 		n := massage.Input{Source: pl}.Len()
 		switch {
-		case len(p.Rounds) != 1:
-			return nil, fmt.Errorf("mcsort: a payload needs a one-round plan, not %v", p)
 		case opts.LimitRows > 0 || opts.LimitGroups > 0:
 			return nil, fmt.Errorf("mcsort: a payload cannot be cut at %d rows or %d groups", opts.LimitRows, opts.LimitGroups)
 		case pl.Column.Width > 32:
@@ -228,7 +239,7 @@ func executeContext(ctx context.Context, inputs []massage.Input, p plan.Plan, op
 		prog:   prog,
 		widths: p.Widths(),
 	}
-	if opts.Payload == nil {
+	if opts.Payload == nil || len(p.Rounds) > 1 {
 		for i := range res.Perm {
 			if i&(1<<16-1) == 0 {
 				if err := ctx.Err(); err != nil {
@@ -264,8 +275,10 @@ func executeContext(ctx context.Context, inputs []massage.Input, p plan.Plan, op
 	} else {
 		roundKeys, err = prog.RunParallelContext(ctx, inputs, rows, opts.Workers)
 	}
-	if err == nil && opts.Payload != nil {
-		err = carryPayload(ctx, res.Perm, opts.Payload, opts.Workers)
+	// A carried payload under one round: its codes in place of the
+	// oids before the sort (a longer plan fills it at its last lookup).
+	if err == nil && opts.Payload != nil && len(p.Rounds) == 1 {
+		err = carryPayload(ctx, res.Perm, opts.Payload, opts.Workers, 0)
 	}
 	if err != nil {
 		return nil, err
@@ -280,11 +293,10 @@ func executeContext(ctx context.Context, inputs []massage.Input, p plan.Plan, op
 	groups := []int32{0, int32(rows)}
 	active := rows
 	// The lookup's permute target: only an unlimited plan of more than
-	// one round permutes keys.
+	// one round permutes keys. It is allocated at round 1's lookup, once
+	// round 0's sort and its radix scratch are done, so the two are
+	// never live together.
 	var scratch []uint64
-	if !limited && len(p.Rounds) > 1 {
-		scratch = make([]uint64, rows)
-	}
 	for r, round := range p.Rounds {
 		// Round boundary: the cheapest place to notice cancellation.
 		if err := ctx.Err(); err != nil {
@@ -308,17 +320,37 @@ func executeContext(ctx context.Context, inputs []massage.Input, p plan.Plan, op
 			res.Timings.Lookup += d
 			obsLookupT.Add(d)
 		default:
-			keys = roundKeys[r]
+			keys, roundKeys[r] = roundKeys[r], nil
 			if r > 0 {
 				// Lookup: reorder this round's keys by the permutation
 				// established so far (random access, the paper's T_lookup),
 				// output-chunked across workers. The unpermuted keys are the
-				// next round's target.
+				// next round's target. The last round's lookup also swaps
+				// a carried payload's codes in for the oids: they are read
+				// in selection order just before it, when every earlier
+				// round's sort scratch is dead, and die with it.
+				var pay []uint32
+				if opts.Payload != nil && r == len(p.Rounds)-1 {
+					start = time.Now()
+					pay = make([]uint32, rows)
+					if err := carryPayload(ctx, pay, opts.Payload, opts.Workers, r); err != nil {
+						return nil, err
+					}
+					d := time.Since(start)
+					res.Timings.Massage += d
+					obsMassageT.Add(d)
+				}
 				start = time.Now()
-				if err := parallelPermute(ctx, scratch, keys, res.Perm, opts.Workers, r); err != nil {
+				if scratch == nil {
+					scratch = make([]uint64, rows)
+				}
+				if err := parallelPermute(ctx, scratch, keys, res.Perm, pay, opts.Workers, r); err != nil {
 					return nil, err
 				}
 				keys, scratch = scratch, keys
+				if r == len(p.Rounds)-1 {
+					scratch = nil // the unpermuted keys: no later round permutes into them
+				}
 				d := time.Since(start)
 				res.Timings.Lookup += d
 				obsLookupT.Add(d)
@@ -372,7 +404,10 @@ func executeContext(ctx context.Context, inputs []massage.Input, p plan.Plan, op
 
 		// Scan: refine group boundaries using the freshly sorted keys.
 		start = time.Now()
-		groups = refineGroups(groups, keys)
+		groups, err = refineGroups(ctx, groups, keys, opts.Workers, r)
+		if err != nil {
+			return nil, err
+		}
 		if limited {
 			// Intermediate truncation cuts at group boundaries only: the
 			// rows of a group straddling the rank target are still
@@ -410,21 +445,4 @@ func executeContext(ctx context.Context, inputs []massage.Input, p plan.Plan, op
 	obsGroupsFinal.Set(int64(len(groups) - 1))
 	res.Groups = groups
 	return res, nil
-}
-
-// refineGroups splits each existing group at positions where the sorted
-// key changes — a single sequential pass (the paper's T_scan).
-func refineGroups(groups []int32, keys []uint64) []int32 {
-	out := make([]int32, 0, len(groups))
-	for g := 0; g+1 < len(groups); g++ {
-		lo, hi := int(groups[g]), int(groups[g+1])
-		out = append(out, int32(lo))
-		for i := lo + 1; i < hi; i++ {
-			if keys[i] != keys[i-1] {
-				out = append(out, int32(i))
-			}
-		}
-	}
-	out = append(out, groups[len(groups)-1])
-	return out
 }

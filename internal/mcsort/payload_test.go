@@ -39,74 +39,100 @@ func payloadTable(tableRows, width int, sel []uint32, seed int64) ([]massage.Inp
 	return inputs, &massage.Source{Column: col(width, 1<<min(width, 31)), Rows: sel}
 }
 
-// TestPayloadRefusals: a payload is refused with a plan of more than
-// one round, with a LimitRows or a LimitGroups cut, when its column is
-// wider than 32 bits, and when it covers other rows than the inputs.
+// TestPayloadRefusals: a payload is refused with a LimitRows or a
+// LimitGroups cut, when its column is wider than 32 bits, and when it
+// covers other rows than the inputs — under a plan of one round or of
+// two.
 func TestPayloadRefusals(t *testing.T) {
 	inputs, pl := payloadTable(500, 21, nil, 3)
-	one := plan.Plan{Rounds: []plan.Round{{Width: 16, Bank: 16}}}
 	_, wide := payloadTable(500, 33, nil, 3)
 	_, short := payloadTable(499, 21, nil, 3)
-	for _, tc := range []struct {
-		name string
-		p    plan.Plan
-		opts Options
-	}{
-		{"two rounds", plan.Plan{Rounds: []plan.Round{{Width: 6, Bank: 16}, {Width: 10, Bank: 16}}}, Options{Payload: pl}},
-		{"limit rows", one, Options{Payload: pl, LimitRows: 10}},
-		{"limit groups", one, Options{Payload: pl, LimitGroups: 3}},
-		{"33 bits", one, Options{Payload: wide}},
-		{"other rows", one, Options{Payload: short}},
+	for _, p := range []plan.Plan{
+		{Rounds: []plan.Round{{Width: 16, Bank: 16}}},
+		{Rounds: []plan.Round{{Width: 6, Bank: 16}, {Width: 10, Bank: 16}}},
 	} {
-		if res, err := execute(inputs, tc.p, tc.opts); err == nil || res != nil {
-			t.Errorf("%s: got %v, %v, want a refusal", tc.name, res, err)
+		for _, tc := range []struct {
+			name string
+			opts Options
+		}{
+			{"limit rows", Options{Payload: pl, LimitRows: 10}},
+			{"limit groups", Options{Payload: pl, LimitGroups: 3}},
+			{"33 bits", Options{Payload: wide}},
+			{"other rows", Options{Payload: short}},
+		} {
+			if res, err := execute(inputs, p, tc.opts); err == nil || res != nil {
+				t.Errorf("%s under %v: got %v, %v, want a refusal", tc.name, p, res, err)
+			}
 		}
 	}
+}
+
+// payloadPlans are the plans the payload battery sorts its 16-bit
+// concatenation (6 bits, then 10 DESC) under: one round in bank 32 and
+// in bank 64; two rounds whose first borrows two bits of the DESC
+// column; two rounds whose first — the top 3 bits of a column under 5
+// — ties every row, so the last round, which carries the codes, sorts
+// one group of all of them; and three rounds that split both columns,
+// whose round 1 sorts that one group.
+var payloadPlans = []plan.Plan{
+	{Rounds: []plan.Round{{Width: 16, Bank: 32}}},
+	{Rounds: []plan.Round{{Width: 16, Bank: 64}}},
+	{Rounds: []plan.Round{{Width: 8, Bank: 16}, {Width: 8, Bank: 32}}},
+	{Rounds: []plan.Round{{Width: 3, Bank: 16}, {Width: 13, Bank: 32}}},
+	{Rounds: []plan.Round{{Width: 3, Bank: 16}, {Width: 7, Bank: 32}, {Width: 6, Bank: 64}}},
 }
 
 // TestPayloadCarriesGroupCodes: with a payload, every final group of
 // the sort holds exactly the payload codes of the rows the oid sort
 // puts in it (in some order), and the groups and keys are the oid
-// sort's. The sizes take round 0 to the insertion sort (40 rows), the
+// sort's, under every plan of payloadPlans. The sizes take the sorts
+// that carry the codes — round 0 of a one-round plan, the last round's
+// group sorts of a longer one — to the insertion sort (40 rows), the
 // radix sort's pairs (1,500 rows in bank 32, and any size in bank 64),
 // its packed words (6,000 rows in bank 32) and the parallel radix sort
-// (40,000 rows from two workers), over every row and over a selection,
-// at workers 1, 2 and 4.
+// (40,000 rows from two workers: round 0, and the group of every row
+// of the plans whose round 0 ties them all), over every row and over a selection, at workers 1,
+// 2 and 4; the counters show that the insertion sorts and the
+// cooperative group sorts ran.
 func TestPayloadCarriesGroupCodes(t *testing.T) {
 	defer testutil.CheckNoLeaks(t)()
-	for _, size := range []int{40, 1500, 6000, 40000} {
-		for _, filtered := range []bool{false, true} {
-			tableRows, sel := size, []uint32(nil)
-			if filtered {
-				// Two rows of every three.
-				tableRows = size + size/2
-				for i := 0; len(sel) < size; i++ {
-					if i%3 != 2 {
-						sel = append(sel, uint32(i))
+	bumps := testutil.Bumps(func() {
+		for _, size := range []int{40, 1500, 6000, 40000} {
+			for _, filtered := range []bool{false, true} {
+				tableRows, sel := size, []uint32(nil)
+				if filtered {
+					// Two rows of every three.
+					tableRows = size + size/2
+					for i := 0; len(sel) < size; i++ {
+						if i%3 != 2 {
+							sel = append(sel, uint32(i))
+						}
 					}
 				}
-			}
-			for _, width := range []int{1, 21, 32} {
-				inputs, pl := payloadTable(tableRows, width, sel, int64(size+width))
-				for _, bank := range []int{32, 64} {
-					p := plan.Plan{Rounds: []plan.Round{{Width: 16, Bank: bank}}}
-					for _, workers := range []int{1, 2, 4} {
-						tag := fmt.Sprintf("size=%d filtered=%v width=%d bank=%d workers=%d", size, filtered, width, bank, workers)
-						opts := Options{Workers: workers}
-						want, err := execute(inputs, p, opts)
-						if err != nil {
-							t.Fatalf("%s: %v", tag, err)
+				for _, width := range []int{1, 21, 32} {
+					inputs, pl := payloadTable(tableRows, width, sel, int64(size+width))
+					for _, p := range payloadPlans {
+						for _, workers := range []int{1, 2, 4} {
+							tag := fmt.Sprintf("size=%d filtered=%v width=%d plan=%v workers=%d", size, filtered, width, p, workers)
+							opts := Options{Workers: workers}
+							want, err := execute(inputs, p, opts)
+							if err != nil {
+								t.Fatalf("%s: %v", tag, err)
+							}
+							opts.Payload = pl
+							got, err := execute(inputs, p, opts)
+							if err != nil {
+								t.Fatalf("%s: %v", tag, err)
+							}
+							checkPayloadGroups(t, tag, got, want, pl)
 						}
-						opts.Payload = pl
-						got, err := execute(inputs, p, opts)
-						if err != nil {
-							t.Fatalf("%s: %v", tag, err)
-						}
-						checkPayloadGroups(t, tag, got, want, pl)
 					}
 				}
 			}
 		}
+	}, "mergesort.insertion_sorts", "mcsort.cooperative_group_sorts")
+	if bumps[0] == 0 || bumps[1] == 0 {
+		t.Errorf("insertion sorts %d, cooperative group sorts %d: want both", bumps[0], bumps[1])
 	}
 }
 
@@ -166,24 +192,33 @@ func TestPayloadFillCancelled(t *testing.T) {
 }
 
 // TestPayloadFillPanicContained: a panic inside the payload fill
-// surfaces as a *pipeerr.PipelineError of the massage stage, round 0,
-// at every worker count, and leaks nothing.
+// surfaces as a *pipeerr.PipelineError of the massage stage — round 0
+// under a one-round plan, the last round under a two-round plan, whose
+// fill runs just before that round's lookup — at every worker count,
+// and leaks nothing.
 func TestPayloadFillPanicContained(t *testing.T) {
 	defer faultinject.Reset()
 	inputs, pl := payloadTable(2*mergesort.ParallelMinRows+100, 21, nil, 7)
-	p := plan.Plan{Rounds: []plan.Round{{Width: 16, Bank: 16}}}
-	for _, workers := range []int{1, 2, 4} {
-		check := testutil.CheckNoLeaks(t)
-		restore := faultinject.Set(faultinject.Payload, func() { panic("injected payload fault") })
-		_, err := ExecuteContext(context.Background(), inputs, p, Options{Workers: workers, Payload: pl})
-		restore()
-		var pe *pipeerr.PipelineError
-		if !errors.As(err, &pe) {
-			t.Fatalf("workers=%d: err = %T %v, want *pipeerr.PipelineError", workers, err, err)
+	for _, tc := range []struct {
+		p     plan.Plan
+		round int
+	}{
+		{plan.Plan{Rounds: []plan.Round{{Width: 16, Bank: 16}}}, 0},
+		{plan.Plan{Rounds: []plan.Round{{Width: 6, Bank: 16}, {Width: 10, Bank: 16}}}, 1},
+	} {
+		for _, workers := range []int{1, 2, 4} {
+			check := testutil.CheckNoLeaks(t)
+			restore := faultinject.Set(faultinject.Payload, func() { panic("injected payload fault") })
+			_, err := ExecuteContext(context.Background(), inputs, tc.p, Options{Workers: workers, Payload: pl})
+			restore()
+			var pe *pipeerr.PipelineError
+			if !errors.As(err, &pe) {
+				t.Fatalf("%v workers=%d: err = %T %v, want *pipeerr.PipelineError", tc.p, workers, err, err)
+			}
+			if pe.Stage != pipeerr.StageMassage || pe.Round != tc.round {
+				t.Errorf("%v workers=%d: contained at stage %q round %d, want %q round %d", tc.p, workers, pe.Stage, pe.Round, pipeerr.StageMassage, tc.round)
+			}
+			check()
 		}
-		if pe.Stage != pipeerr.StageMassage || pe.Round != 0 {
-			t.Errorf("workers=%d: contained at stage %q round %d, want %q round 0", workers, pe.Stage, pe.Round, pipeerr.StageMassage)
-		}
-		check()
 	}
 }

@@ -138,6 +138,58 @@ func SortScratchContext(ctx context.Context, bank int, keys []uint64, oids []uin
 	return radixSort(ctx, bank, keys, oids, s)
 }
 
+// SortGroupsContext sorts each run [groups[g], groups[g+1]) of keys
+// (positions into keys and oids) whose length is at least 2 and below
+// maxRows, as SortScratchContext would sort it alone: stably, a run
+// below SmallRunCutoff rows by InsertionSort, a longer one by the radix
+// kernel in s (nil allocates once), and every run by the p.Sort hook
+// when it is set. It is the entry point of a batch of many small runs
+// (a later round of mcsort holds 100k+ groups): the arguments are
+// checked and the counters booked once per call, and the context is
+// polled before every run the radix kernel or the hook sorts, not
+// before an insertion sort.
+func SortGroupsContext(ctx context.Context, bank int, keys []uint64, oids []uint32, groups []int32, maxRows int, p Params, s *Scratch) error {
+	if err := checkArgs(bank, keys, oids); err != nil {
+		return err
+	}
+	var runs, elems, small int64
+	defer func() {
+		obsSorts.Add(runs)
+		obsElems.Add(elems)
+		obsInsertionSorts.Add(small)
+	}()
+	for g := 0; g+1 < len(groups); g++ {
+		lo, hi := int(groups[g]), int(groups[g+1])
+		n := hi - lo
+		if n < 2 || n >= maxRows {
+			continue
+		}
+		runs++
+		elems += int64(n)
+		if p.Sort == nil && n < SmallRunCutoff {
+			small++
+			InsertionSort(keys[lo:hi], oids[lo:hi])
+			continue
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		var err error
+		if p.Sort != nil {
+			err = p.Sort(ctx, bank, keys[lo:hi], oids[lo:hi], 1)
+		} else {
+			if s == nil {
+				s = new(Scratch)
+			}
+			err = radixSort(ctx, bank, keys[lo:hi], oids[lo:hi], s)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // InsertionSort sorts keys (and oids) in place, stably: the production
 // kernel below SmallRunCutoff rows, and the paper kernel's below its
 // own threshold.

@@ -55,18 +55,24 @@ func Cut(n, workers, align int) []int {
 // Parallel reports whether Rows spreads n rows over worker goroutines.
 func (p Pass) Parallel(n, workers int) bool { return workers >= 2 && n >= p.MinRows }
 
-// Rows runs a pass whose unit of work is one row: run(lo, hi) is called
-// over disjoint ranges covering [0, n) — one aligned range per worker
-// when the pass is Parallel, BlockRows-row blocks on the caller's
-// goroutine otherwise.
-func (p Pass) Rows(ctx context.Context, n, workers int, run func(lo, hi int)) error {
-	var bounds []int
+// Split returns the ranges Rows cuts n rows into — range i is
+// [bounds[i], bounds[i+1]) — and the workers it runs them on: one
+// aligned range per worker when the pass is Parallel, BlockRows-row
+// blocks on the caller's goroutine (w = 1) otherwise. A pass whose
+// ranges each produce output of their own (a count, a list) runs
+// Ranges over them itself.
+func (p Pass) Split(n, workers int) (bounds []int, w int) {
 	if p.Parallel(n, workers) {
-		bounds = Cut(n, workers, p.Align)
-	} else {
-		// The same cut with ⌈n/BlockRows⌉ "workers" yields the blocks.
-		workers, bounds = 1, Cut(n, (n+BlockRows-1)/BlockRows, BlockRows)
+		return Cut(n, workers, p.Align), workers
 	}
+	// The same cut with ⌈n/BlockRows⌉ "workers" yields the blocks.
+	return Cut(n, (n+BlockRows-1)/BlockRows, BlockRows), 1
+}
+
+// Rows runs a pass whose unit of work is one row: run(lo, hi) is called
+// over disjoint ranges covering [0, n), the ranges of Split.
+func (p Pass) Rows(ctx context.Context, n, workers int, run func(lo, hi int)) error {
+	bounds, workers := p.Split(n, workers)
 	return p.Ranges(ctx, workers, len(bounds)-1, func(_ context.Context, i int) error {
 		run(bounds[i], bounds[i+1])
 		return nil

@@ -42,6 +42,8 @@ const (
 	StagePermute   = "permute"
 	StageGather    = "gather"
 	StageAggregate = "aggregate"
+	StageFilter    = "filter"
+	StageScan      = "scan"
 	// StageServe marks a failure contained at the serving layer: a panic
 	// that escaped on the query's own goroutine (sequential code outside
 	// a Pass runs on the caller, where neither a Pass nor a worker Group

@@ -218,7 +218,7 @@ func TestReservedRoundsBoundWorkloadPlans(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sel, err := b.Select(ctx)
+		sel, err := b.Select(ctx, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

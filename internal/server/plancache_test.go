@@ -217,7 +217,7 @@ func TestOrderKeyIsTheOrderSearch(t *testing.T) {
 	var orderSearches []*planner.Search
 	for qi, q := range []engine.Query{window, window2, group, orderBy, byAgg, filtered} {
 		b := bind(t, tbl, q)
-		sel, err := b.Select(context.Background())
+		sel, err := b.Select(context.Background(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}

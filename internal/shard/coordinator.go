@@ -229,7 +229,7 @@ func (c *Coordinator) execute(ctx context.Context, jobID string, req server.Quer
 	var choice planner.Choice
 	planHit := false
 	if !limit0 {
-		choice, planHit, err = c.pinnedChoice(ctx, b, req)
+		choice, planHit, err = c.pinnedChoice(ctx, b, req, workers)
 		if err != nil {
 			return nil, err
 		}

@@ -26,12 +26,12 @@ import (
 // filtered row count is exactly what a direct single-node run of the
 // same query executes, so the pinned ColOrder is the single node's by
 // construction — and the differential battery compares both.
-func (c *Coordinator) pinnedChoice(ctx context.Context, b *engine.Bound, req server.QueryRequest) (planner.Choice, bool, error) {
+func (c *Coordinator) pinnedChoice(ctx context.Context, b *engine.Bound, req server.QueryRequest, workers int) (planner.Choice, bool, error) {
 	page := c.cache.Page(b, req.Limit, req.Offset, nil)
 	if hit := page.Options().PlanOverride; hit != nil {
 		return *hit, true, nil
 	}
-	sel, err := b.Select(ctx)
+	sel, err := b.Select(ctx, workers)
 	if err != nil {
 		return planner.Choice{}, false, err
 	}
